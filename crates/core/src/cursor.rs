@@ -262,9 +262,20 @@ impl ScanLimiter {
     }
 }
 
+/// The largest batch a [`KeyValueCursor`] asks the transaction for.
+const MAX_BATCH: usize = 256;
+
 /// A cursor over raw key-value pairs in a key range, reading in batches and
 /// producing a continuation after every row. The continuation encodes the
 /// last-returned key.
+///
+/// Batches are limit-bounded range reads, so a batch costs what it
+/// returns. A cursor that knows how many rows its consumer wants
+/// ([`ExecuteProperties::return_limit`]) asks for exactly that many first
+/// and doubles each further batch up to [`MAX_BATCH`] — a further batch is
+/// only needed when a filter above dropped rows or a record spans several
+/// keys (FDB's iterator streaming mode). Without a return limit every
+/// batch is [`MAX_BATCH`] rows.
 pub struct KeyValueCursor<'a> {
     tx: &'a Transaction,
     begin: Vec<u8>,
@@ -308,13 +319,23 @@ impl<'a> KeyValueCursor<'a> {
             end,
             reverse,
             snapshot,
-            batch_size: 256,
+            batch_size: MAX_BATCH,
             limiter,
             buffer: std::collections::VecDeque::new(),
             exhausted_source: false,
             last_key: None,
             done,
         })
+    }
+
+    /// Size the first batch for a consumer that wants `rows` rows (no-op
+    /// for `None`): the plan's return limit, handed down by the cursors
+    /// that execute it.
+    pub(crate) fn expecting(mut self, rows: Option<usize>) -> Self {
+        if let Some(rows) = rows {
+            self.batch_size = rows.clamp(1, MAX_BATCH);
+        }
+        self
     }
 
     fn continuation(&self) -> Continuation {
@@ -340,6 +361,7 @@ impl<'a> KeyValueCursor<'a> {
         if kvs.len() < self.batch_size {
             self.exhausted_source = true;
         }
+        self.batch_size = (self.batch_size * 2).min(MAX_BATCH);
         if let Some(last) = kvs.last() {
             if self.reverse {
                 self.end = last.key.clone();

@@ -663,7 +663,8 @@ impl<'a> IntersectionCursor<'a> {
                     props.snapshot,
                     props.limiter(),
                     continuation,
-                )?;
+                )?
+                .expecting(props.return_limit);
                 return Ok(ChildStream::Entries {
                     kv,
                     subspace,

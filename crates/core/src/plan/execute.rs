@@ -17,8 +17,9 @@ use super::ir::RecordQueryPlan;
 
 impl RecordQueryPlan {
     /// Execute against a store, resuming from `continuation`. The
-    /// `return_limit` in `props` is enforced at the top of the plan; scan
-    /// and byte limits are shared by every cursor the plan spawns.
+    /// `return_limit` in `props` is enforced at the top of the plan (the
+    /// scans below only size their first read batch from it); scan and
+    /// byte limits are shared by every cursor the plan spawns.
     ///
     /// With observability enabled the whole execution (from this call to
     /// the cursor's drop) lands in the `execute` latency histogram, and
@@ -33,7 +34,6 @@ impl RecordQueryPlan {
     ) -> Result<PlanCursor<'a>> {
         let timer = rl_obs::Timer::start("execute");
         let mut inner_props = props.clone();
-        inner_props.return_limit = None;
         inner_props.share_limiter();
         let cursor = self.execute_inner(store, continuation, &inner_props, "0")?;
         let cursor = match props.return_limit {
@@ -111,7 +111,8 @@ impl RecordQueryPlan {
                     props.snapshot,
                     props.limiter(),
                     continuation,
-                )?;
+                )?
+                .expecting(props.return_limit);
                 Ok(Box::new(IndexFetchCursor {
                     store: store.clone_handle(),
                     kv,
@@ -139,7 +140,8 @@ impl RecordQueryPlan {
                     props.snapshot,
                     props.limiter(),
                     continuation,
-                )?;
+                )?
+                .expecting(props.return_limit);
                 Ok(Box::new(CoveringScanCursor {
                     kv,
                     subspace,

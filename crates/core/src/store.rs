@@ -978,7 +978,10 @@ impl<'a> RecordScanCursor<'a> {
             props.snapshot,
             props.limiter(),
             &Continuation::Start,
-        )?;
+        )?
+        // A record is complete only once the next record's first key (or
+        // the end of the range) has been seen: one key of lookahead.
+        .expecting(props.return_limit.map(|n| n.saturating_add(1)));
         Ok(RecordScanCursor {
             store: RecordStoreRef::from(store),
             kv,
@@ -1117,7 +1120,8 @@ impl<'a> IndexScanCursor<'a> {
             props.snapshot,
             props.limiter(),
             &Continuation::Start,
-        )?;
+        )?
+        .expecting(props.return_limit);
         Ok(IndexScanCursor {
             kv,
             subspace,

@@ -361,18 +361,26 @@ impl Database {
 
     pub fn with_options(options: DatabaseOptions) -> Self {
         let metrics = Metrics::new_shared();
-        let (engine, cleanup_dir) = build_engine(&options.engine, metrics.io_counters().clone());
+        let (mut engine, cleanup_dir) =
+            build_engine(&options.engine, metrics.io_counters().clone());
+        // A paged directory may already hold data: start at its highest
+        // stored version, so the first read sees it and the first commit
+        // lands above it. Zero for a new or in-memory engine.
+        let stored_version = engine.newest_version();
         Database {
             shards: Arc::new(std::array::from_fn(
                 |_| Mutex::new(ConflictShard::default()),
             )),
-            core: Arc::new(Mutex::new(VersionCore::default())),
+            core: Arc::new(Mutex::new(VersionCore {
+                last_commit_version: stored_version,
+                ..VersionCore::default()
+            })),
             store: Arc::new(RwLock::new(Store {
                 engine,
                 cleanup_dir,
             })),
             batcher: Arc::new(CommitBatcher::default()),
-            last_commit: Arc::new(AtomicU64::new(0)),
+            last_commit: Arc::new(AtomicU64::new(stored_version)),
             oldest: Arc::new(AtomicU64::new(0)),
             options: Arc::new(options),
             clock_ms: Arc::new(AtomicU64::new(0)),
@@ -500,21 +508,27 @@ impl Database {
         Ok(store.engine.get(key, read_version))
     }
 
+    /// Up to `limit` rows of `[begin, end)` visible at `read_version`, in
+    /// scan direction. The engine stops at the limit, so the store lock —
+    /// shared on the memory engine, exclusive on the paged fallback — is
+    /// held for a bounded read, not for the whole range.
     pub(crate) fn storage_range(
         &self,
         begin: &[u8],
         end: &[u8],
         read_version: u64,
+        reverse: bool,
+        limit: usize,
     ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         let store = read_ranked(&self.store, LockRank::DatabaseStore);
         if read_version < self.oldest.load(Ordering::Acquire) {
             return Err(Error::TransactionTooOld);
         }
         match store.engine.as_shared_read() {
-            Some(shared) => Ok(shared.range(begin, end, read_version, false)),
+            Some(shared) => Ok(shared.scan(begin, end, read_version, reverse, limit)),
             None => {
                 drop(store);
-                self.storage_range_exclusive(begin, end, read_version)
+                self.storage_range_exclusive(begin, end, read_version, reverse, limit)
             }
         }
     }
@@ -524,12 +538,14 @@ impl Database {
         begin: &[u8],
         end: &[u8],
         read_version: u64,
+        reverse: bool,
+        limit: usize,
     ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         let mut store = write_ranked(&self.store, LockRank::DatabaseStore);
         if read_version < self.oldest.load(Ordering::Acquire) {
             return Err(Error::TransactionTooOld);
         }
-        Ok(store.engine.range(begin, end, read_version, false))
+        Ok(store.engine.scan(begin, end, read_version, reverse, limit))
     }
 
     // --------------------------------------------------------------- commit

@@ -23,11 +23,24 @@ pub enum StreamingMode {
 }
 
 /// Options for a range read.
+///
+/// `limit` and `reverse` are carried all the way into the storage engine
+/// ([`StorageEngine::scan`](crate::StorageEngine::scan)), so a range read
+/// costs what it returns: one seek to the starting bound, then work
+/// proportional to the rows returned plus the rows hidden from this
+/// transaction — by MVCC (tombstones, versions newer than the read
+/// version) or by its own buffered clears. The part of the range beyond
+/// the `limit`-th row is never read, whichever the direction.
 #[derive(Debug, Clone, Default)]
 pub struct RangeOptions {
-    /// Maximum number of key-value pairs to return (0 = unlimited).
+    /// Maximum number of key-value pairs to return (0 = unlimited). The
+    /// read stops in the storage engine at this many rows, and a
+    /// non-snapshot read conflicts only with writes up to the last key it
+    /// returned.
     pub limit: usize,
     /// Return results from the end of the range, in descending key order.
+    /// The engine seeks to the end bound and walks backwards, so with a
+    /// `limit` this costs the same as a forward read of as many rows.
     pub reverse: bool,
     /// Streaming mode (affects batching hints only in the simulator).
     pub mode: StreamingMode,

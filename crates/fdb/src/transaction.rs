@@ -9,7 +9,8 @@
 //! with the read/write conflict ranges. Reads within the transaction see
 //! its own writes (read-your-writes).
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
 
 use crate::atomic::{self, MutationType};
@@ -125,6 +126,21 @@ pub struct Transaction {
     /// Client-side counter for versionstamp user versions (the Record
     /// Layer assigns one per record written in a transaction, §7).
     user_version: std::sync::atomic::AtomicU16,
+}
+
+/// The most snapshot rows one storage read of a range read asks for. A
+/// longer range is merged chunk by chunk, so neither the buffer of rows
+/// awaiting the merge nor the time the store lock is held grows with the
+/// range.
+const SNAPSHOT_CHUNK_ROWS: usize = 1024;
+
+/// Sequence numbers of the buffered range clears that cover `key`.
+fn covering_clear_seqs(cleared: &[(Vec<u8>, Vec<u8>, u64)], key: &[u8]) -> Vec<u64> {
+    cleared
+        .iter()
+        .filter(|(a, b, _)| a.as_slice() <= key && key < b.as_slice())
+        .map(|(_, _, s)| *s)
+        .collect()
 }
 
 /// Result of resolving read-your-writes for one key.
@@ -285,12 +301,7 @@ impl Transaction {
         let underlying = self.db.storage_get(key, self.read_version)?;
         self.db.metrics().add_read_op();
         st.trace.read_ops += 1;
-        let clear_seqs: Vec<u64> = st
-            .cleared
-            .iter()
-            .filter(|(a, b, _)| a.as_slice() <= key && key < b.as_slice())
-            .map(|(_, _, s)| *s)
-            .collect();
+        let clear_seqs = covering_clear_seqs(&st.cleared, key);
         let ops = st.writes_by_key.get(key).map(Vec::as_slice).unwrap_or(&[]);
         let v = effective_value(underlying.as_deref(), ops, &clear_seqs)?;
         if let Some(ref val) = v {
@@ -337,45 +348,22 @@ impl Transaction {
             return Ok(Vec::new());
         }
 
-        let underlying = self.db.storage_range(begin, end, self.read_version)?;
+        let limit = if options.limit == 0 {
+            usize::MAX
+        } else {
+            options.limit
+        };
+        let writes = st.writes_by_key.range::<[u8], _>((
+            std::ops::Bound::Included(begin),
+            std::ops::Bound::Excluded(end),
+        ));
+        let merged = if options.reverse {
+            self.merge_range(begin, end, limit, true, writes.rev(), &st.cleared)?
+        } else {
+            self.merge_range(begin, end, limit, false, writes, &st.cleared)?
+        };
         self.db.metrics().add_read_op();
         st.trace.read_ops += 1;
-
-        // Merge the snapshot with buffered writes: candidate keys are the
-        // union of snapshot keys and written keys inside the range.
-        let mut candidates: BTreeMap<Vec<u8>, Option<Vec<u8>>> =
-            underlying.into_iter().map(|(k, v)| (k, Some(v))).collect();
-        let written_keys: Vec<Vec<u8>> = st
-            .writes_by_key
-            .range::<[u8], _>((
-                std::ops::Bound::Included(begin),
-                std::ops::Bound::Excluded(end),
-            ))
-            .map(|(k, _)| k.clone())
-            .collect();
-        for k in written_keys {
-            candidates.entry(k).or_insert(None);
-        }
-
-        let mut merged: Vec<KeyValue> = Vec::new();
-        for (k, underlying_val) in candidates {
-            let clear_seqs: Vec<u64> = st
-                .cleared
-                .iter()
-                .filter(|(a, b, _)| a.as_slice() <= k.as_slice() && k.as_slice() < b.as_slice())
-                .map(|(_, _, s)| *s)
-                .collect();
-            let ops = st.writes_by_key.get(&k).map(Vec::as_slice).unwrap_or(&[]);
-            if let Some(v) = effective_value(underlying_val.as_deref(), ops, &clear_seqs)? {
-                merged.push(KeyValue { key: k, value: v });
-            }
-        }
-        if options.reverse {
-            merged.reverse();
-        }
-        if options.limit > 0 && merged.len() > options.limit {
-            merged.truncate(options.limit);
-        }
 
         // Conflict range: the portion of [begin, end) actually observed.
         if !snapshot {
@@ -402,6 +390,90 @@ impl Transaction {
         self.db.metrics().add_keys_read(merged.len() as u64, bytes);
         st.trace.keys_read += merged.len() as u64;
         st.trace.bytes_read += bytes;
+        Ok(merged)
+    }
+
+    /// The first `limit` rows of `[begin, end)` in scan direction, as this
+    /// transaction sees them: a streaming two-way merge of the snapshot at
+    /// the read version with the buffered `writes` inside the range (handed
+    /// over already in scan direction), with read-your-writes resolved per
+    /// key. The snapshot is read in chunks of as many rows as are still
+    /// owed (at most [`SNAPSHOT_CHUNK_ROWS`]), so under a limit a further
+    /// chunk is fetched only when buffered clears or atomic ops hid
+    /// snapshot rows; then chunks double, which keeps the work proportional
+    /// to rows returned plus rows hidden.
+    fn merge_range<'a>(
+        &self,
+        begin: &[u8],
+        end: &[u8],
+        limit: usize,
+        reverse: bool,
+        writes: impl Iterator<Item = (&'a Vec<u8>, &'a Vec<(u64, KeyOp)>)>,
+        cleared: &[(Vec<u8>, Vec<u8>, u64)],
+    ) -> Result<Vec<KeyValue>> {
+        let mut writes = writes.peekable();
+        let mut merged: Vec<KeyValue> = Vec::new();
+        // The part of the range the snapshot has not been read over yet,
+        // and the rows read from it but not yet merged.
+        let (mut lo, mut hi) = (begin.to_vec(), end.to_vec());
+        let mut snapshot: VecDeque<(Vec<u8>, Vec<u8>)> = VecDeque::new();
+        let mut snapshot_exhausted = false;
+        let mut chunk = 0usize;
+        while merged.len() < limit {
+            if snapshot.is_empty() && !snapshot_exhausted {
+                chunk = (limit - merged.len())
+                    .max(chunk * 2)
+                    .min(SNAPSHOT_CHUNK_ROWS);
+                let rows = self
+                    .db
+                    .storage_range(&lo, &hi, self.read_version, reverse, chunk)?;
+                snapshot_exhausted = rows.len() < chunk;
+                if let Some((last, _)) = rows.last() {
+                    if reverse {
+                        hi = last.clone();
+                    } else {
+                        lo = crate::key_after(last);
+                    }
+                }
+                snapshot = rows.into();
+            }
+            // Which side holds the next key in scan direction (`Equal`:
+            // the key is both stored and written).
+            let side = match (snapshot.front(), writes.peek()) {
+                (None, None) => break,
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (Some((stored, _)), Some((written, _))) => {
+                    let order = stored.cmp(*written);
+                    if reverse {
+                        order.reverse()
+                    } else {
+                        order
+                    }
+                }
+            };
+            let stored = if side.is_le() {
+                snapshot.pop_front()
+            } else {
+                None
+            };
+            let written = if side.is_ge() { writes.next() } else { None };
+            let (key, underlying, ops): (Vec<u8>, _, &[(u64, KeyOp)]) = match (stored, written) {
+                (Some((key, value)), Some((_, ops))) => (key, Some(value), ops),
+                (Some((key, value)), None) => (key, Some(value), &[]),
+                (None, Some((key, ops))) => (key.clone(), None, ops),
+                (None, None) => unreachable!("one side holds the next key"),
+            };
+            let clear_seqs = covering_clear_seqs(cleared, &key);
+            let value = if ops.is_empty() && clear_seqs.is_empty() {
+                underlying
+            } else {
+                effective_value(underlying.as_deref(), ops, &clear_seqs)?
+            };
+            if let Some(value) = value {
+                merged.push(KeyValue { key, value });
+            }
+        }
         Ok(merged)
     }
 

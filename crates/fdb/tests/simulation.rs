@@ -4,7 +4,7 @@
 
 use rl_fdb::atomic::MutationType;
 use rl_fdb::database::{DatabaseOptions, VERSIONS_PER_MS};
-use rl_fdb::{Database, Error, KeySelector, RangeOptions};
+use rl_fdb::{Database, EngineKind, Error, KeySelector, PagedConfig, RangeOptions};
 
 #[test]
 fn mvcc_history_compacts_but_recent_readers_still_work() {
@@ -213,4 +213,88 @@ fn read_only_transactions_always_commit() {
     t2.commit().unwrap();
     // ...but a read-only transaction already saw a consistent snapshot.
     t1.commit().unwrap();
+}
+
+/// A limited read observes only up to its last returned key: a concurrent
+/// write inside that portion conflicts, one past it does not.
+#[test]
+fn limited_read_conflicts_only_inside_the_observed_portion() {
+    let db = Database::new();
+    let tx = db.create_transaction();
+    for k in [b"a", b"b", b"c", b"d", b"e"] {
+        tx.set(k, b"v");
+    }
+    tx.commit().unwrap();
+
+    // (reverse, a key the read observed, a key beyond what it returned)
+    for (reverse, observed, beyond) in [(false, b"a1", b"c1"), (true, b"d1", b"b1")] {
+        for (concurrent_write, expect_conflict) in [(observed, true), (beyond, false)] {
+            let reader = db.create_transaction();
+            let rows = reader
+                .get_range(b"a", b"z", RangeOptions::new().limit(2).reverse(reverse))
+                .unwrap();
+            assert_eq!(rows.len(), 2);
+            reader.set(b"zz", b"x"); // outside the range read
+
+            let writer = db.create_transaction();
+            writer.set(concurrent_write, b"new");
+            writer.commit().unwrap();
+
+            assert_eq!(
+                matches!(reader.commit(), Err(Error::NotCommitted)),
+                expect_conflict,
+                "reverse={reverse}, concurrent write to {concurrent_write:?}"
+            );
+        }
+    }
+}
+
+/// A database opened over an existing paged directory starts at the
+/// highest stored version: it reads what was committed (no marker commit
+/// needed) and its next commit lands above it.
+#[test]
+fn reopened_paged_database_reads_what_was_committed() {
+    let path = std::env::temp_dir().join(format!("rl-fdb-reopen-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&path);
+    let open = || {
+        Database::with_options(DatabaseOptions {
+            engine: EngineKind::Paged(PagedConfig {
+                path: path.clone(),
+                remove_dir_on_drop: false,
+                ..PagedConfig::ephemeral(Default::default())
+            }),
+            ..DatabaseOptions::default()
+        })
+    };
+
+    let db = open();
+    db.advance_clock(7); // versions well above 1
+    let tx = db.create_transaction();
+    tx.set(b"k1", b"v1");
+    tx.set(b"k2", b"v2");
+    tx.commit().unwrap();
+    let committed = db.last_commit_version();
+    drop(tx);
+    drop(db);
+
+    let db = open();
+    assert_eq!(db.last_commit_version(), committed);
+    let tx = db.create_transaction();
+    assert_eq!(tx.get(b"k1").unwrap(), Some(b"v1".to_vec()));
+    assert_eq!(
+        tx.get_range(b"", b"\xff", RangeOptions::default())
+            .unwrap()
+            .len(),
+        2
+    );
+    tx.set(b"k1", b"v1b");
+    tx.commit().unwrap();
+    assert!(tx.committed_version().unwrap() > committed);
+    assert_eq!(
+        db.create_transaction().get(b"k1").unwrap(),
+        Some(b"v1b".to_vec())
+    );
+    drop(tx);
+    drop(db);
+    std::fs::remove_dir_all(&path).unwrap();
 }

@@ -1,12 +1,16 @@
 //! The [`StorageEngine`] trait: the MVCC storage contract the simulator's
 //! commit pipeline and read paths are written against.
 //!
-//! The method set is exactly the API the original in-memory `VersionedStore`
-//! grew inside `rl_fdb`, so both engines are drop-in replacements for each
-//! other. All methods take `&mut self`: the database serializes access
-//! behind its store lock, and the paged engine mutates buffer-pool state
-//! even on reads. Engines whose reads are genuinely side-effect-free can
-//! additionally expose a [`SharedRead`] view via
+//! The contract is versioned writes sealed in batches, and two reads at a
+//! read version: a point [`get`](StorageEngine::get) and one bounded
+//! [`scan`](StorageEngine::scan) of a key range, in either direction,
+//! that stops after `limit` visible rows. Everything ordered the layers
+//! above need — range reads, key selectors, "last key below", "n-th key
+//! after" — is a `scan` with a direction and a limit, so a read costs
+//! what it returns. All methods take `&mut self`: the database serializes
+//! access behind its store lock, and the paged engine mutates buffer-pool
+//! state even on reads. Engines whose reads are genuinely side-effect-free
+//! can additionally expose a [`SharedRead`] view via
 //! [`StorageEngine::as_shared_read`], letting the database run MVCC
 //! snapshot reads under a shared lock, concurrently with each other.
 
@@ -76,22 +80,41 @@ pub trait StorageEngine: Send + Sync + std::fmt::Debug {
     /// Read the value of `key` visible at `read_version`.
     fn get(&mut self, key: &[u8], read_version: u64) -> Option<Vec<u8>>;
 
-    /// Iterate keys in `[begin, end)` visible at `read_version`, in order.
-    /// `reverse` walks from the end of the range backwards.
+    /// The first `limit` keys in `[begin, end)` visible at `read_version`,
+    /// ascending from `begin`, or with `reverse` descending from `end`.
+    ///
+    /// Cost contract: one seek to the starting bound, then work
+    /// proportional to the rows returned plus the rows stepped over
+    /// because they are invisible at `read_version` (tombstones, versions
+    /// newer than the read version). The scan never touches the part of
+    /// the range beyond the `limit`-th visible row. Pass `usize::MAX` for
+    /// the whole range.
+    fn scan(
+        &mut self,
+        begin: &[u8],
+        end: &[u8],
+        read_version: u64,
+        reverse: bool,
+        limit: usize,
+    ) -> Vec<(Vec<u8>, Vec<u8>)>;
+
+    /// Every key in `[begin, end)` visible at `read_version`: an unbounded
+    /// [`scan`](Self::scan).
     fn range(
         &mut self,
         begin: &[u8],
         end: &[u8],
         read_version: u64,
         reverse: bool,
-    ) -> Vec<(Vec<u8>, Vec<u8>)>;
+    ) -> Vec<(Vec<u8>, Vec<u8>)> {
+        self.scan(begin, end, read_version, reverse, usize::MAX)
+    }
 
-    /// The last key `< key` (or `<= key` with `or_equal`) visible at
-    /// `read_version`. Used for key-selector resolution.
-    fn last_less(&mut self, key: &[u8], or_equal: bool, read_version: u64) -> Option<Vec<u8>>;
-
-    /// The `n`-th visible key strictly after `anchor` (n >= 1), if any.
-    fn nth_after(&mut self, anchor: Option<&[u8]>, n: usize, read_version: u64) -> Option<Vec<u8>>;
+    /// The highest version any stored entry carries (0 when empty). A
+    /// database opened over existing data starts its commit version here,
+    /// so it reads what is stored and commits above it. One pass over the
+    /// stored keys: call it at open, not per operation.
+    fn newest_version(&mut self) -> u64;
 
     /// Drop versions that are no longer visible to any read version
     /// `>= oldest_version`, and entries that are entirely dead.
@@ -126,13 +149,15 @@ pub trait SharedRead: Sync {
     /// Read the value of `key` visible at `read_version`.
     fn get(&self, key: &[u8], read_version: u64) -> Option<Vec<u8>>;
 
-    /// Iterate keys in `[begin, end)` visible at `read_version`, in order.
-    fn range(
+    /// The first `limit` keys in `[begin, end)` visible at `read_version`,
+    /// in scan direction; same cost contract as [`StorageEngine::scan`].
+    fn scan(
         &self,
         begin: &[u8],
         end: &[u8],
         read_version: u64,
         reverse: bool,
+        limit: usize,
     ) -> Vec<(Vec<u8>, Vec<u8>)>;
 
     /// Number of live keys at `read_version`.

@@ -74,17 +74,21 @@ impl MemoryEngine {
             .and_then(|v| v.value.clone())
     }
 
-    /// Iterate keys in `[begin, end)` visible at `read_version`, in order.
-    /// `reverse` walks from the end of the range backwards; both directions
-    /// stream straight off the `BTreeMap` range iterator (the reverse path
-    /// used to buffer the whole visible range and reverse it).
-    pub fn range(
+    /// The first `limit` keys in `[begin, end)` visible at `read_version`,
+    /// ascending, or descending from `end` with `reverse`. Both directions
+    /// stream straight off the `BTreeMap` range iterator and stop at the
+    /// `limit`-th visible row, so the rest of the range is never visited.
+    pub fn scan(
         &self,
         begin: &[u8],
         end: &[u8],
         read_version: u64,
         reverse: bool,
+        limit: usize,
     ) -> Vec<(Vec<u8>, Vec<u8>)> {
+        if begin >= end {
+            return Vec::new(); // BTreeMap::range panics on inverted bounds
+        }
         let iter = self
             .map
             .range::<[u8], _>((Bound::Included(begin), Bound::Excluded(end)));
@@ -97,50 +101,20 @@ impl MemoryEngine {
                 .map(|val| (k.clone(), val.clone()))
         };
         if reverse {
-            iter.rev().filter_map(visible).collect()
+            iter.rev().filter_map(visible).take(limit).collect()
         } else {
-            iter.filter_map(visible).collect()
+            iter.filter_map(visible).take(limit).collect()
         }
     }
 
-    /// The last key `< key` (or `<= key` with `or_equal`) visible at
-    /// `read_version`. Used for key-selector resolution.
-    pub fn last_less(&self, key: &[u8], or_equal: bool, read_version: u64) -> Option<Vec<u8>> {
-        let bound = if or_equal {
-            Bound::Included(key)
-        } else {
-            Bound::Excluded(key)
-        };
+    /// The highest version any retained entry carries (0 when empty).
+    pub fn newest_version(&self) -> u64 {
         self.map
-            .range::<[u8], _>((Bound::Unbounded, bound))
-            .rev()
-            .find(|(_, versions)| {
-                versions
-                    .iter()
-                    .rev()
-                    .find(|v| v.version <= read_version)
-                    .is_some_and(|v| v.value.is_some())
-            })
-            .map(|(k, _)| k.clone())
-    }
-
-    /// The `n`-th visible key strictly after `anchor` (n >= 1), if any.
-    pub fn nth_after(&self, anchor: Option<&[u8]>, n: usize, read_version: u64) -> Option<Vec<u8>> {
-        let lower = match anchor {
-            Some(a) => Bound::Excluded(a),
-            None => Bound::Unbounded,
-        };
-        self.map
-            .range::<[u8], _>((lower, Bound::Unbounded))
-            .filter(|(_, versions)| {
-                versions
-                    .iter()
-                    .rev()
-                    .find(|v| v.version <= read_version)
-                    .is_some_and(|v| v.value.is_some())
-            })
-            .nth(n - 1)
-            .map(|(k, _)| k.clone())
+            .values()
+            .filter_map(|versions| versions.last())
+            .map(|v| v.version)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Drop versions that are no longer visible to any read version
@@ -197,22 +171,19 @@ impl StorageEngine for MemoryEngine {
         MemoryEngine::get(self, key, read_version)
     }
 
-    fn range(
+    fn scan(
         &mut self,
         begin: &[u8],
         end: &[u8],
         read_version: u64,
         reverse: bool,
+        limit: usize,
     ) -> Vec<(Vec<u8>, Vec<u8>)> {
-        MemoryEngine::range(self, begin, end, read_version, reverse)
+        MemoryEngine::scan(self, begin, end, read_version, reverse, limit)
     }
 
-    fn last_less(&mut self, key: &[u8], or_equal: bool, read_version: u64) -> Option<Vec<u8>> {
-        MemoryEngine::last_less(self, key, or_equal, read_version)
-    }
-
-    fn nth_after(&mut self, anchor: Option<&[u8]>, n: usize, read_version: u64) -> Option<Vec<u8>> {
-        MemoryEngine::nth_after(self, anchor, n, read_version)
+    fn newest_version(&mut self) -> u64 {
+        MemoryEngine::newest_version(self)
     }
 
     fn compact(&mut self, oldest_version: u64) {
@@ -241,14 +212,15 @@ impl SharedRead for MemoryEngine {
         MemoryEngine::get(self, key, read_version)
     }
 
-    fn range(
+    fn scan(
         &self,
         begin: &[u8],
         end: &[u8],
         read_version: u64,
         reverse: bool,
+        limit: usize,
     ) -> Vec<(Vec<u8>, Vec<u8>)> {
-        MemoryEngine::range(self, begin, end, read_version, reverse)
+        MemoryEngine::scan(self, begin, end, read_version, reverse, limit)
     }
 
     fn live_key_count(&self, read_version: u64) -> usize {
@@ -325,18 +297,27 @@ mod tests {
     }
 
     #[test]
-    fn last_less_and_nth_after() {
+    fn scan_stops_at_limit_in_both_directions() {
         let mut s = MemoryEngine::new();
         for k in [b"b", b"d", b"f"] {
             s.write(k.to_vec(), Some(b"v".to_vec()), 10);
         }
-        assert_eq!(s.last_less(b"d", false, 20), Some(b"b".to_vec()));
-        assert_eq!(s.last_less(b"d", true, 20), Some(b"d".to_vec()));
-        assert_eq!(s.last_less(b"a", false, 20), None);
-        assert_eq!(s.nth_after(Some(b"b"), 1, 20), Some(b"d".to_vec()));
-        assert_eq!(s.nth_after(Some(b"b"), 2, 20), Some(b"f".to_vec()));
-        assert_eq!(s.nth_after(None, 1, 20), Some(b"b".to_vec()));
-        assert_eq!(s.nth_after(Some(b"f"), 1, 20), None);
+        s.write(b"d".to_vec(), None, 30); // tombstone, invisible below 30
+        let keys = |rows: Vec<(Vec<u8>, Vec<u8>)>| -> Vec<Vec<u8>> {
+            rows.into_iter().map(|(k, _)| k).collect()
+        };
+        // "last key below d" and "last key at or below d".
+        assert_eq!(keys(s.scan(b"", b"d", 20, true, 1)), [b"b".to_vec()]);
+        assert_eq!(keys(s.scan(b"", b"d\0", 20, true, 1)), [b"d".to_vec()]);
+        assert_eq!(keys(s.scan(b"", b"a", 20, true, 1)), Vec::<Vec<u8>>::new());
+        // "second key after b": the limit counts visible rows only.
+        assert_eq!(
+            keys(s.scan(b"b\0", b"\xff", 20, false, 2)).last().unwrap(),
+            b"f"
+        );
+        assert_eq!(keys(s.scan(b"b\0", b"\xff", 40, false, 2)), [b"f".to_vec()]);
+        assert_eq!(s.scan(b"z", b"a", 20, false, 5), Vec::new());
+        assert_eq!(s.newest_version(), 30);
     }
 
     #[test]

@@ -166,87 +166,48 @@ impl PagedEngine {
             .and_then(|chain| chain_visible_at(&chain, read_version).map(<[u8]>::to_vec)))
     }
 
-    fn try_range(
+    fn try_scan(
         &mut self,
         begin: &[u8],
         end: &[u8],
         read_version: u64,
         reverse: bool,
+        limit: usize,
     ) -> io::Result<Vec<(Vec<u8>, Vec<u8>)>> {
         let mut out = Vec::new();
-        if reverse {
-            let mut cursor = Cursor::backward_from(&mut self.pool, end)?;
-            while let Some((key, chain)) = cursor.next(&mut self.pool)? {
-                if key.as_slice() < begin {
-                    break;
-                }
-                if let Some(value) = chain_visible_at(&chain, read_version) {
-                    out.push((key, value.to_vec()));
-                }
-            }
+        // One descent to the starting bound, then leaf-to-leaf in scan
+        // direction until the range ends or `limit` rows are visible.
+        let mut cursor = if reverse {
+            Cursor::backward_from(&mut self.pool, end)?
         } else {
-            let mut cursor = Cursor::forward_from(&mut self.pool, begin)?;
-            while let Some((key, chain)) = cursor.next(&mut self.pool)? {
-                if key.as_slice() >= end {
-                    break;
-                }
-                if let Some(value) = chain_visible_at(&chain, read_version) {
-                    out.push((key, value.to_vec()));
-                }
+            Cursor::forward_from(&mut self.pool, begin)?
+        };
+        while out.len() < limit {
+            let Some((key, chain)) = cursor.next(&mut self.pool)? else {
+                break;
+            };
+            let inside = if reverse {
+                key.as_slice() >= begin
+            } else {
+                key.as_slice() < end
+            };
+            if !inside {
+                break;
+            }
+            if let Some(value) = chain_visible_at(&chain, read_version) {
+                out.push((key, value.to_vec()));
             }
         }
         Ok(out)
     }
 
-    fn try_last_less(
-        &mut self,
-        key: &[u8],
-        or_equal: bool,
-        read_version: u64,
-    ) -> io::Result<Option<Vec<u8>>> {
-        // `<= key` is `< successor(key)`: appending 0x00 forms the smallest
-        // key strictly greater, so the exclusive bound includes `key`.
-        let bound: Vec<u8> = if or_equal {
-            let mut b = key.to_vec();
-            b.push(0);
-            b
-        } else {
-            key.to_vec()
-        };
-        let mut cursor = Cursor::backward_from(&mut self.pool, &bound)?;
-        while let Some((k, chain)) = cursor.next(&mut self.pool)? {
-            if chain_visible_at(&chain, read_version).is_some() {
-                return Ok(Some(k));
-            }
+    fn try_newest_version(&mut self) -> io::Result<u64> {
+        let mut newest = 0u64;
+        let mut cursor = Cursor::forward_from(&mut self.pool, b"")?;
+        while let Some((_, chain)) = cursor.next(&mut self.pool)? {
+            newest = newest.max(chain.last().map_or(0, |(v, _)| *v));
         }
-        Ok(None)
-    }
-
-    fn try_nth_after(
-        &mut self,
-        anchor: Option<&[u8]>,
-        n: usize,
-        read_version: u64,
-    ) -> io::Result<Option<Vec<u8>>> {
-        let begin: Vec<u8> = match anchor {
-            Some(a) => {
-                let mut b = a.to_vec();
-                b.push(0); // strictly after the anchor
-                b
-            }
-            None => Vec::new(),
-        };
-        let mut cursor = Cursor::forward_from(&mut self.pool, &begin)?;
-        let mut remaining = n;
-        while let Some((key, chain)) = cursor.next(&mut self.pool)? {
-            if chain_visible_at(&chain, read_version).is_some() {
-                remaining -= 1;
-                if remaining == 0 {
-                    return Ok(Some(key));
-                }
-            }
-        }
-        Ok(None)
+        Ok(newest)
     }
 
     fn try_compact(&mut self, oldest_version: u64) -> io::Result<()> {
@@ -330,24 +291,20 @@ impl StorageEngine for PagedEngine {
         self.try_get(key, read_version).expect(IO_MSG)
     }
 
-    fn range(
+    fn scan(
         &mut self,
         begin: &[u8],
         end: &[u8],
         read_version: u64,
         reverse: bool,
+        limit: usize,
     ) -> Vec<(Vec<u8>, Vec<u8>)> {
-        self.try_range(begin, end, read_version, reverse)
+        self.try_scan(begin, end, read_version, reverse, limit)
             .expect(IO_MSG)
     }
 
-    fn last_less(&mut self, key: &[u8], or_equal: bool, read_version: u64) -> Option<Vec<u8>> {
-        self.try_last_less(key, or_equal, read_version)
-            .expect(IO_MSG)
-    }
-
-    fn nth_after(&mut self, anchor: Option<&[u8]>, n: usize, read_version: u64) -> Option<Vec<u8>> {
-        self.try_nth_after(anchor, n, read_version).expect(IO_MSG)
+    fn newest_version(&mut self) -> u64 {
+        self.try_newest_version().expect(IO_MSG)
     }
 
     fn compact(&mut self, oldest_version: u64) {
@@ -484,6 +441,57 @@ mod tests {
         e.simulate_crash();
         let mut e = open(&d, 32);
         assert_eq!(e.live_key_count(100), 32);
+        std::fs::remove_dir_all(&d).unwrap();
+    }
+
+    #[test]
+    fn limit_one_scan_touches_one_root_to_leaf_path() {
+        // The cost contract of `scan`: a `limit 1` read is one descent
+        // plus at most one hop to the neighbouring leaf, however long the
+        // range it was asked about.
+        let d = dir("limit1");
+        let counters = IoCounters::new_shared();
+        let mut e = PagedEngine::open(&d, 4096, EvictionPolicy::Lru, counters.clone()).unwrap();
+        let key = |i: u32| format!("k{i:05}").into_bytes();
+        for i in 0..10_000u32 {
+            e.write(key(i), Some(vec![b'v'; 16]), 10);
+        }
+        e.commit_batch();
+        let mut touched = |f: &mut dyn FnMut(&mut PagedEngine)| {
+            let before = counters.snapshot();
+            f(&mut e);
+            let io = counters.snapshot().delta(&before);
+            io.page_hits + io.page_misses
+        };
+        // A point get reads exactly one page per tree level.
+        let depth = touched(&mut |e| assert!(e.get(&key(5_000), 20).is_some()));
+        assert!(depth >= 2, "10 000 keys need more than one leaf");
+        for i in (0..10_000u32).step_by(37) {
+            let forward = touched(&mut |e| {
+                let rows = e.scan(&key(i), b"\xff", 20, false, 1);
+                assert_eq!(rows[0].0, key(i));
+            });
+            // Begin just past a key: when that key ends its leaf the
+            // cursor hops to the next one.
+            let hop = touched(&mut |e| {
+                let mut begin = key(i);
+                begin.push(0);
+                assert_eq!(e.scan(&begin, b"\xff", 20, false, 1).len(), 1);
+            });
+            let reverse = touched(&mut |e| {
+                let rows = e.scan(b"", &key(i + 1), 20, true, 1);
+                assert_eq!(rows[0].0, key(i));
+            });
+            for (what, pages) in [("forward", forward), ("hop", hop), ("reverse", reverse)] {
+                assert!(
+                    pages <= depth + 2,
+                    "{what} limit-1 scan at key {i} touched {pages} pages (depth {depth})"
+                );
+            }
+        }
+        // Whereas the whole range costs every leaf.
+        let all = touched(&mut |e| assert_eq!(e.range(b"", b"\xff", 20, false).len(), 10_000));
+        assert!(all > 10 * depth);
         std::fs::remove_dir_all(&d).unwrap();
     }
 

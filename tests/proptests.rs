@@ -4,7 +4,9 @@
 //! * protobuf wire encoding roundtrips and survives schema evolution,
 //! * the RANK skip list agrees with a sorted vector oracle,
 //! * the TEXT bunched map agrees with a BTreeMap oracle,
-//! * record save/load roundtrips arbitrary field values.
+//! * record save/load roundtrips arbitrary field values,
+//! * limited and reverse range reads with buffered writes agree with a
+//!   materialise-then-truncate model, on both storage engines.
 //!
 //! These were originally written against the `proptest` crate; the tier-1
 //! build must work offline with an empty cargo registry, so they now run on
@@ -20,8 +22,9 @@ use record_layer::expr::KeyExpression;
 use record_layer::index::text::BunchedMap;
 use record_layer::metadata::RecordMetaDataBuilder;
 use record_layer::store::RecordStore;
+use rl_fdb::atomic::MutationType;
 use rl_fdb::tuple::{Tuple, TupleElement};
-use rl_fdb::{Database, Subspace};
+use rl_fdb::{Database, DatabaseOptions, EngineKind, RangeOptions, Subspace};
 use rl_message::{DescriptorPool, DynamicMessage, FieldDescriptor, FieldType, MessageDescriptor};
 
 /// Fixed base seed: every run exercises the same cases. Change it (or run
@@ -334,4 +337,129 @@ fn record_save_load_roundtrips() {
         })
         .unwrap();
     });
+}
+
+/// Read-your-writes equivalence: `get_range` streams a merge of the
+/// snapshot with the buffered writes and stops at the limit; the model
+/// materialises the whole merged range, then reverses and truncates.
+#[test]
+fn range_reads_match_materialise_then_truncate_model() {
+    use std::collections::BTreeMap;
+
+    fn key(i: usize) -> Vec<u8> {
+        format!("k{i:04}").into_bytes()
+    }
+
+    for engine in ["memory", "paged"] {
+        check(&format!("range_reads_match_model[{engine}]"), 48, |rng| {
+            let db = Database::with_options(DatabaseOptions {
+                engine: EngineKind::from_spec(engine),
+                ..DatabaseOptions::default()
+            });
+            // One case in six is long enough to be read in several
+            // snapshot chunks; the rest collide heavily on few keys.
+            let keys = if rng.gen_range(0..6u32) == 0 {
+                2_500
+            } else {
+                40
+            };
+            let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+
+            // A committed snapshot, with tombstones from a second commit.
+            let tx = db.create_transaction();
+            for i in 0..keys {
+                if rng.gen_range(0..4u32) != 0 {
+                    let v = bytes(rng, 12);
+                    tx.set(&key(i), &v);
+                    model.insert(key(i), v);
+                }
+            }
+            tx.commit().unwrap();
+            let tx = db.create_transaction();
+            for _ in 0..keys / 8 {
+                let k = key(rng.gen_range(0..keys));
+                tx.clear(&k);
+                model.remove(&k);
+            }
+            tx.commit().unwrap();
+
+            // Buffered, uncommitted writes of every kind.
+            let tx = db.create_transaction();
+            for _ in 0..rng.gen_range(0..16u32) {
+                let k = key(rng.gen_range(0..keys));
+                match rng.gen_range(0..4u32) {
+                    0 => {
+                        let v = bytes(rng, 12);
+                        tx.set(&k, &v);
+                        model.insert(k, v);
+                    }
+                    1 => {
+                        tx.clear(&k);
+                        model.remove(&k);
+                    }
+                    2 => {
+                        let end = key(rng.gen_range(0..=keys));
+                        tx.clear_range(&k, &end);
+                        if k < end {
+                            model.retain(|m, _| *m < k || *m >= end);
+                        }
+                    }
+                    _ => {
+                        let param = rng.next_u64().to_le_bytes();
+                        tx.mutate(MutationType::Add, &k, &param).unwrap();
+                        let cur = model.get(&k).map(Vec::as_slice);
+                        match rl_fdb::atomic::apply(MutationType::Add, cur, &param).unwrap() {
+                            Some(v) => model.insert(k, v),
+                            None => model.remove(&k),
+                        };
+                    }
+                }
+            }
+
+            for _ in 0..24 {
+                let (mut begin, mut end) =
+                    (key(rng.gen_range(0..keys)), key(rng.gen_range(0..=keys)));
+                if rng.gen_range(0..8u32) == 0 {
+                    (begin, end) = (Vec::new(), vec![0xFF]);
+                }
+                let limit = match rng.gen_range(0..4u32) {
+                    0 => 0, // unlimited
+                    1 => rng.gen_range(1..4usize),
+                    _ => rng.gen_range(1..keys),
+                };
+                let reverse = rng.gen_range(0..2u32) == 1;
+                let mut want: Vec<(Vec<u8>, Vec<u8>)> = if begin < end {
+                    model
+                        .range(begin.clone()..end.clone())
+                        .map(|(k, v)| (k.clone(), v.clone()))
+                        .collect()
+                } else {
+                    Vec::new()
+                };
+                if reverse {
+                    want.reverse();
+                }
+                if limit > 0 {
+                    want.truncate(limit);
+                }
+                let options = RangeOptions::new().limit(limit).reverse(reverse);
+                for snapshot in [false, true] {
+                    let got = if snapshot {
+                        tx.get_range_snapshot(&begin, &end, options.clone())
+                    } else {
+                        tx.get_range(&begin, &end, options.clone())
+                    };
+                    let got: Vec<(Vec<u8>, Vec<u8>)> = got
+                        .unwrap()
+                        .into_iter()
+                        .map(|kv| (kv.key, kv.value))
+                        .collect();
+                    assert_eq!(
+                        got, want,
+                        "[{begin:?}, {end:?}) limit={limit} reverse={reverse} snapshot={snapshot}"
+                    );
+                }
+            }
+        });
+    }
 }

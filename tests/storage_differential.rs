@@ -4,8 +4,9 @@
 //!
 //! Every case drives a randomized MVCC workload — writes, tombstones,
 //! range clears, batch commits, compactions — through both engines and
-//! interleaves randomized reads (gets, forward/reverse ranges, and the
-//! key-selector primitives `last_less`/`nth_after`) at random read
+//! interleaves randomized reads (gets, forward/reverse scans with random
+//! limits, and the key-selector shapes "last key below" and "n-th key
+//! after" as `reverse, limit 1` and `limit n` scans) at random read
 //! versions, comparing results op by op. Pool sizes are drawn small enough
 //! that eviction, overflow chains, and copy-on-write splits are all hit
 //! constantly.
@@ -18,6 +19,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rl_bench::rng::{Rng, XorShift64};
+use rl_fdb::key_after;
 use rl_storage::{EvictionPolicy, IoCounters, MemoryEngine, PagedEngine, StorageEngine};
 
 /// Fixed base seed: every run exercises the same cases. Change it (or run
@@ -149,27 +151,45 @@ fn paged_engine_matches_memory_oracle() {
                     let rv = rng.gen_range(oldest..=version.max(oldest));
                     let (a, b) = arb_bounds(rng);
                     let reverse = rng.gen_range(0..2u32) == 1;
+                    let limit = match rng.gen_range(0..4u32) {
+                        0 => usize::MAX,
+                        _ => rng.gen_range(0..8usize),
+                    };
+                    let rows = memory.scan(&a, &b, rv, reverse, limit);
                     assert_eq!(
-                        memory.range(&a, &b, rv, reverse),
-                        StorageEngine::range(&mut paged, &a, &b, rv, reverse),
-                        "range(rv={rv}, reverse={reverse})"
+                        rows,
+                        StorageEngine::scan(&mut paged, &a, &b, rv, reverse, limit),
+                        "scan(rv={rv}, reverse={reverse}, limit={limit})"
                     );
+                    // A bounded scan is a prefix of the unbounded one.
+                    let all = StorageEngine::range(&mut paged, &a, &b, rv, reverse);
+                    assert_eq!(rows[..], all[..limit.min(all.len())]);
                 }
                 _ => {
                     let rv = rng.gen_range(oldest..=version.max(oldest));
                     let key = arb_key(rng);
                     let or_equal = rng.gen_range(0..2u32) == 1;
+                    // Last key `< key` (`<= key`: below its successor).
+                    let below = if or_equal {
+                        key_after(&key)
+                    } else {
+                        key.clone()
+                    };
                     assert_eq!(
-                        memory.last_less(&key, or_equal, rv),
-                        StorageEngine::last_less(&mut paged, &key, or_equal, rv),
-                        "last_less(or_equal={or_equal}, rv={rv})"
+                        memory.scan(b"", &below, rv, true, 1),
+                        StorageEngine::scan(&mut paged, b"", &below, rv, true, 1),
+                        "last key below (or_equal={or_equal}, rv={rv})"
                     );
-                    let anchor = (rng.gen_range(0..2u32) == 1).then(|| arb_key(rng));
+                    // The n-th key strictly after an anchor (or the start).
+                    let from = match rng.gen_range(0..2u32) {
+                        0 => Vec::new(),
+                        _ => key_after(&arb_key(rng)),
+                    };
                     let nth = rng.gen_range(1..4usize);
                     assert_eq!(
-                        memory.nth_after(anchor.as_deref(), nth, rv),
-                        StorageEngine::nth_after(&mut paged, anchor.as_deref(), nth, rv),
-                        "nth_after(n={nth}, rv={rv})"
+                        memory.scan(&from, &[0xFF], rv, false, nth),
+                        StorageEngine::scan(&mut paged, &from, &[0xFF], rv, false, nth),
+                        "n-th key after (n={nth}, rv={rv})"
                     );
                 }
             }
