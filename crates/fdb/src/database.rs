@@ -337,6 +337,9 @@ pub struct Database {
     core: Arc<Mutex<VersionCore>>,
     /// The storage engine (shared reads / exclusive commits).
     store: Arc<RwLock<Store>>,
+    /// Whether the engine serves shared reads, decided once at open: if not
+    /// (paged), a read goes straight for the exclusive store lock.
+    shared_reads: bool,
     /// Group-commit batcher.
     batcher: Arc<CommitBatcher>,
     /// Latest commit version the store has materialized (lock-free GRV).
@@ -368,6 +371,7 @@ impl Database {
         // lands above it. Zero for a new or in-memory engine.
         let stored_version = engine.newest_version();
         Database {
+            shared_reads: engine.as_shared_read().is_some(),
             shards: Arc::new(std::array::from_fn(
                 |_| Mutex::new(ConflictShard::default()),
             )),
@@ -483,24 +487,19 @@ impl Database {
     // (crate-internal: used by Transaction for snapshot reads)
 
     pub(crate) fn storage_get(&self, key: &[u8], read_version: u64) -> Result<Option<Vec<u8>>> {
-        let store = read_ranked(&self.store, LockRank::DatabaseStore);
-        // `oldest` only advances under the exclusive store lock, so this
-        // check stays valid for the lifetime of the shared guard.
-        if read_version < self.oldest.load(Ordering::Acquire) {
-            return Err(Error::TransactionTooOld);
-        }
-        match store.engine.as_shared_read() {
-            Some(shared) => Ok(shared.get(key, read_version)),
-            None => {
-                drop(store);
-                self.storage_get_exclusive(key, read_version)
+        if self.shared_reads {
+            let store = read_ranked(&self.store, LockRank::DatabaseStore);
+            // `oldest` only advances under the exclusive store lock, so this
+            // check stays valid for the lifetime of the shared guard.
+            if read_version < self.oldest.load(Ordering::Acquire) {
+                return Err(Error::TransactionTooOld);
+            }
+            if let Some(shared) = store.engine.as_shared_read() {
+                return Ok(shared.get(key, read_version));
             }
         }
-    }
-
-    /// Fallback for engines whose reads mutate internal state (the paged
-    /// engine's buffer pool): re-acquire exclusively and re-check.
-    fn storage_get_exclusive(&self, key: &[u8], read_version: u64) -> Result<Option<Vec<u8>>> {
+        // Engines whose reads mutate internal state (the paged engine's
+        // buffer pool) read under the exclusive lock.
         let mut store = write_ranked(&self.store, LockRank::DatabaseStore);
         if read_version < self.oldest.load(Ordering::Acquire) {
             return Err(Error::TransactionTooOld);
@@ -510,8 +509,8 @@ impl Database {
 
     /// Up to `limit` rows of `[begin, end)` visible at `read_version`, in
     /// scan direction. The engine stops at the limit, so the store lock —
-    /// shared on the memory engine, exclusive on the paged fallback — is
-    /// held for a bounded read, not for the whole range.
+    /// shared on the memory engine, exclusive on the paged one — is held
+    /// for a bounded read, not for the whole range.
     pub(crate) fn storage_range(
         &self,
         begin: &[u8],
@@ -520,27 +519,15 @@ impl Database {
         reverse: bool,
         limit: usize,
     ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        let store = read_ranked(&self.store, LockRank::DatabaseStore);
-        if read_version < self.oldest.load(Ordering::Acquire) {
-            return Err(Error::TransactionTooOld);
-        }
-        match store.engine.as_shared_read() {
-            Some(shared) => Ok(shared.scan(begin, end, read_version, reverse, limit)),
-            None => {
-                drop(store);
-                self.storage_range_exclusive(begin, end, read_version, reverse, limit)
+        if self.shared_reads {
+            let store = read_ranked(&self.store, LockRank::DatabaseStore);
+            if read_version < self.oldest.load(Ordering::Acquire) {
+                return Err(Error::TransactionTooOld);
+            }
+            if let Some(shared) = store.engine.as_shared_read() {
+                return Ok(shared.scan(begin, end, read_version, reverse, limit));
             }
         }
-    }
-
-    fn storage_range_exclusive(
-        &self,
-        begin: &[u8],
-        end: &[u8],
-        read_version: u64,
-        reverse: bool,
-        limit: usize,
-    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         let mut store = write_ranked(&self.store, LockRank::DatabaseStore);
         if read_version < self.oldest.load(Ordering::Acquire) {
             return Err(Error::TransactionTooOld);
@@ -807,17 +794,12 @@ impl Database {
     /// Diagnostic: number of live keys at the latest version.
     pub fn live_key_count(&self) -> usize {
         let version = self.last_commit.load(Ordering::Acquire);
-        let store = read_ranked(&self.store, LockRank::DatabaseStore);
-        match store.engine.as_shared_read() {
-            Some(shared) => shared.live_key_count(version),
-            None => {
-                drop(store);
-                self.live_key_count_exclusive(version)
+        if self.shared_reads {
+            let store = read_ranked(&self.store, LockRank::DatabaseStore);
+            if let Some(shared) = store.engine.as_shared_read() {
+                return shared.live_key_count(version);
             }
         }
-    }
-
-    fn live_key_count_exclusive(&self, version: u64) -> usize {
         write_ranked(&self.store, LockRank::DatabaseStore)
             .engine
             .live_key_count(version)

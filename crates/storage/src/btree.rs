@@ -1,69 +1,59 @@
-//! Copy-on-write disk B-tree keyed on raw (tuple-encoded) bytes.
+//! Copy-on-write disk B-tree keyed on raw (tuple-encoded) bytes, working
+//! directly on the encoded pages the buffer pool holds.
 //!
-//! Leaf entries map a key to its *version chain* — the same
-//! `Vec<(version, Option<value>)>` the in-memory engine keeps — so MVCC
-//! visibility is resolved identically in both engines. Keys and chains are
-//! stored as [`Blob`]s: inline in the node payload when small, spilled to a
-//! chain of overflow pages otherwise (FDB permits 10 kB keys and 100 kB
-//! values, both far beyond one 4 kB page).
+//! Leaf entries map a key to its *version chain* — the in-memory engine's
+//! `(version, Option<value>)` list, encoded — so MVCC visibility is resolved
+//! identically in both engines. Keys and chains are stored as blobs: inline
+//! in the node when small, spilled to a chain of overflow pages otherwise
+//! (FDB permits 10 kB keys and 100 kB values, far beyond one 4 kB page).
 //!
-//! All structural updates go through [`BufferPool::write_cow`], so the tree
-//! rooted at the last checkpoint's meta slot is never damaged in place:
-//! an update copies the modified leaf and its ancestor path to fresh pages
-//! and moves the in-memory root. There is no rebalancing on delete — keys
-//! only disappear during MVCC compaction, and empty leaves are simply
-//! skipped by cursors (the next compaction-triggered split/merge churn is
-//! accepted; the simulator favours simplicity over tail-packing).
+//! ```text
+//! internal := 0x01 count u16  child u32  (sep blob  child u32){count}
+//! leaf     := 0x02 count u16  (key blob  chain blob){count}
+//! overflow := 0x03 next u32  len u16  bytes
+//! blob     := 0x00 len u32 bytes  |  0x01 head u32  len u32
+//! chain    := count u32  (version u64  0x00 | 0x01 len u32 value){count}
+//! ```
 //!
-//! Internal separators use shortest-prefix truncation, so even pathological
-//! shared-prefix keys keep internal nodes wide.
+//! **What is borrowed, when a copy is made.** No node is ever decoded.
+//! [`BufferPool::read`] hands out the frame's own bytes; a walk parses
+//! entries where they lie — every tag, length and bound checked as it is
+//! crossed — and compares inline keys as slices of the page. Bytes are
+//! copied only for an overflow key that the inline keys around it cannot
+//! decide about and an overflow chain that is read, for the one visible
+//! value [`get`] returns, and for the rows a caller of [`Cursor::next`]
+//! keeps: the cursor lends key and encoded-chain slices of its leaf, which
+//! [`chain_visible_at`], [`chain_prune`] and [`chain_entries`] read as is.
+//!
+//! **Writes: one descent, an ancestor rewritten only if its child's id
+//! changed.** [`write`], [`prune`] and [`remove_key`] descend once, keeping
+//! the path. The leaf's new payload is its old bytes with one entry spliced
+//! in, replaced or cut out, and goes through [`BufferPool::write_cow`], so
+//! the tree under the last checkpoint's meta slot is never damaged in
+//! place. A parent is touched — its 4-byte child pointer patched, a
+//! separator spliced in — only while the page id coming up differs from the
+//! one it holds or a split propagates. A page fresh since the last
+//! checkpoint keeps its id and hangs only below fresh ancestors, so after
+//! the first write down a path in a checkpoint epoch every later one stops
+//! at the leaf. Splits cut the encoded entries at the byte-weight midpoint
+//! (leaf) or the middle separator (internal): page images are what
+//! re-encoding a decoded node would give. Nothing rebalances on delete —
+//! keys only go in MVCC compaction, and cursors skip empty leaves — and
+//! separators are shortest prefixes, so internal nodes stay wide.
+//!
+//! A page's checksum is the first defence against a damaged file and this
+//! parser the second: whatever the bytes, an operation ends in `Ok` or
+//! `InvalidData` (an overflow chain must make progress; a descent deeper
+//! than `MAX_DEPTH` is a cycle).
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::io;
+use std::ops::Range;
+use std::sync::Arc;
 
 use crate::page::{PageId, MAX_PAYLOAD, NO_PAGE};
-use crate::pool::BufferPool;
-
-/// A key's version chain, ascending by version. `None` is a tombstone.
-pub type Chain = Vec<(u64, Option<Vec<u8>>)>;
-
-/// The newest chain entry visible at `read_version`, if any.
-pub fn chain_visible_at(chain: &[(u64, Option<Vec<u8>>)], read_version: u64) -> Option<&[u8]> {
-    chain
-        .iter()
-        .rev()
-        .find(|(v, _)| *v <= read_version)
-        .and_then(|(_, val)| val.as_deref())
-}
-
-/// Apply one write to a chain (versions arrive in nondecreasing order).
-pub fn chain_push(chain: &mut Chain, version: u64, value: Option<Vec<u8>>) {
-    debug_assert!(chain.last().is_none_or(|(v, _)| *v <= version));
-    if let Some(last) = chain.last_mut() {
-        if last.0 == version {
-            last.1 = value;
-            return;
-        }
-    }
-    chain.push((version, value));
-}
-
-/// Prune a chain at the MVCC horizon: drop entries shadowed at
-/// `oldest_version`. Returns `None` when the whole entry is dead (only a
-/// tombstone at or below the horizon remains).
-pub fn chain_prune(chain: &[(u64, Option<Vec<u8>>)], oldest_version: u64) -> Option<Chain> {
-    let split = chain
-        .iter()
-        .rposition(|(v, _)| *v <= oldest_version)
-        .unwrap_or(0);
-    let pruned: Chain = chain[split..].to_vec();
-    if pruned.len() == 1 && pruned[0].1.is_none() && pruned[0].0 <= oldest_version {
-        return None;
-    }
-    Some(pruned)
-}
-
-// ------------------------------------------------------------------ blobs
+use crate::pool::{BufferPool, Page};
 
 /// Keys over this length are spilled to overflow pages.
 const INLINE_KEY_MAX: usize = 128;
@@ -72,51 +62,217 @@ const INLINE_CHAIN_MAX: usize = 512;
 /// Overflow page payload: type byte + next pointer + length prefix.
 const OVERFLOW_HEADER: usize = 1 + 4 + 2;
 const OVERFLOW_CAP: usize = MAX_PAYLOAD - OVERFLOW_HEADER;
+/// Node payload: tag + entry count.
+const NODE_HEADER: usize = 1 + 2;
+/// Split nodes keep a fan-out of at least two, so no tree over 32-bit page
+/// ids is deeper.
+const MAX_DEPTH: usize = 32;
+/// No node holds more: an internal entry is at least a child pointer and
+/// an empty inline separator.
+const MAX_ENTRIES: usize = MAX_PAYLOAD / (4 + 5);
 
 const TAG_INTERNAL: u8 = 1;
 const TAG_LEAF: u8 = 2;
 const TAG_OVERFLOW: u8 = 3;
 
-/// Bytes stored either inline in a node or in an overflow page chain.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Blob {
-    Inline(Vec<u8>),
-    Overflow { head: PageId, len: u32 },
+fn corrupt(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-impl Blob {
-    fn encoded_len(&self) -> usize {
+fn too_deep() -> io::Error {
+    corrupt(format!("tree deeper than {MAX_DEPTH} levels: a cycle"))
+}
+
+// ---------------------------------------------------------------- parsing
+
+/// Bounds-checked read position in a page's payload (or, with `id`
+/// `NO_PAGE`, in an encoded chain).
+struct Reader<'a> {
+    buf: &'a [u8],
+    pos: usize,
+    id: PageId,
+}
+
+impl<'a> Reader<'a> {
+    fn at(buf: &'a [u8], pos: usize, id: PageId) -> Self {
+        Reader { buf, pos, id }
+    }
+
+    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
+        let rest = &self.buf[self.pos..];
+        if rest.len() < n {
+            return Err(corrupt(match self.id {
+                NO_PAGE => "truncated version chain".to_string(),
+                id => format!("page {id}: truncated node"),
+            }));
+        }
+        self.pos += n;
+        Ok(&rest[..n])
+    }
+
+    fn u32(&mut self) -> io::Result<u32> {
+        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+    }
+
+    fn blob(&mut self) -> io::Result<Blob<'a>> {
+        let id = self.id;
+        match self.take(1)?[0] {
+            0 => {
+                let len = self.u32()? as usize;
+                Ok(Blob::Inline(self.take(len)?))
+            }
+            1 => Ok(Blob::Overflow(self.u32()?, self.u32()?)),
+            flag => Err(corrupt(format!("page {id}: unknown blob flag {flag}"))),
+        }
+    }
+}
+
+/// The entry count of a node tagged `want`, and a reader at its first entry.
+fn open_node(page: &[u8], id: PageId, want: u8) -> io::Result<(usize, Reader<'_>)> {
+    let mut r = Reader::at(page, 0, id);
+    let tag = r.take(1)?[0];
+    let count = u16::from_le_bytes(r.take(2)?.try_into().unwrap()) as usize;
+    if tag != want || count > MAX_ENTRIES {
+        let what = format!("page {id}: node tag {tag} with {count} entries, not tag {want}");
+        return Err(corrupt(what));
+    }
+    Ok((count, r))
+}
+
+/// Where a node's entries lie in its page, found in one pass that checks
+/// every tag, length and bound of the node: what a cursor standing on the
+/// node, a split or the consistency check work from.
+#[derive(Debug)]
+struct Index {
+    /// Leaf: entry `i` — a key blob, then its chain blob — is at
+    /// `at[i]..at[i + 1]`. Internal: child pointer `i` is at `at[i]` and,
+    /// but for the last, separator `i` follows it up to `at[i + 1]`.
+    at: [u16; MAX_ENTRIES + 2],
+    /// Entries of a leaf, children of an internal node.
+    len: usize,
+}
+
+impl Index {
+    fn of(page: &[u8], id: PageId, tag: u8) -> io::Result<Index> {
+        let (count, mut r) = open_node(page, id, tag)?;
+        let len = if tag == TAG_LEAF { count } else { count + 1 };
+        let mut at = [0u16; MAX_ENTRIES + 2];
+        for (i, slot) in at.iter_mut().enumerate().take(len) {
+            *slot = r.pos as u16;
+            if tag == TAG_LEAF {
+                r.blob()?;
+            } else {
+                r.u32()?;
+            }
+            if tag == TAG_LEAF || i < count {
+                r.blob()?;
+            }
+        }
+        at[len] = r.pos as u16;
+        Ok(Index { at, len })
+    }
+
+    fn child(&self, page: &[u8], i: usize) -> PageId {
+        let at = self.at[i] as usize;
+        u32::from_le_bytes(page[at..at + 4].try_into().unwrap())
+    }
+}
+
+/// `node` with the bytes in `range` replaced by `with`, holding `count`
+/// entries; allocated at its exact size, as it becomes a pool frame.
+fn spliced(node: &[u8], range: Range<usize>, with: &[u8], count: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(node.len() - range.len() + with.len());
+    out.extend_from_slice(&node[..range.start]);
+    out.extend_from_slice(with);
+    out.extend_from_slice(&node[range.end..]);
+    out[1..NODE_HEADER].copy_from_slice(&(count as u16).to_le_bytes());
+    out
+}
+
+/// A node of `count` already-encoded entries.
+fn node_from(tag: u8, count: usize, entries: &[u8]) -> Vec<u8> {
+    spliced(&[tag, 0, 0], NODE_HEADER..NODE_HEADER, entries, count)
+}
+
+// ------------------------------------------------------------------ blobs
+
+/// Bytes stored either inline in a node or in an overflow page chain
+/// (head page, total length).
+#[derive(Debug, Clone, Copy)]
+enum Blob<'a> {
+    Inline(&'a [u8]),
+    Overflow(PageId, u32),
+}
+
+impl<'a> Blob<'a> {
+    /// The blob's bytes: borrowed when inline, read out of the overflow
+    /// chain otherwise.
+    fn load(self, pool: &mut BufferPool) -> io::Result<Cow<'a, [u8]>> {
         match self {
-            Blob::Inline(b) => 1 + 4 + b.len(),
-            Blob::Overflow { .. } => 1 + 4 + 4,
+            Blob::Inline(bytes) => Ok(Cow::Borrowed(bytes)),
+            Blob::Overflow(head, len) => {
+                let mut out = Vec::new();
+                self.walk(pool, |_, _, data| out.extend_from_slice(data))?;
+                if out.len() != len as usize {
+                    let got = out.len();
+                    let what = format!("overflow chain at page {head}: {got} bytes, not {len}");
+                    return Err(corrupt(what));
+                }
+                Ok(Cow::Owned(out))
+            }
         }
     }
 
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Blob::Inline(b) => {
-                out.push(0);
-                out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-                out.extend_from_slice(b);
+    /// Release the blob's overflow pages (no-op for inline).
+    fn free(self, pool: &mut BufferPool) -> io::Result<()> {
+        self.walk(pool, |pool, id, _| pool.free(id))
+    }
+
+    /// Visit each overflow page of the blob, head first, stopping once the
+    /// chain has yielded more than its stated length (a cycle).
+    fn walk(
+        self,
+        pool: &mut BufferPool,
+        mut visit: impl FnMut(&mut BufferPool, PageId, &[u8]),
+    ) -> io::Result<()> {
+        let Blob::Overflow(mut id, len) = self else {
+            return Ok(());
+        };
+        let mut seen = 0usize;
+        while id != NO_PAGE && seen <= len as usize {
+            let page = pool.read(id)?;
+            if page.len() < OVERFLOW_HEADER || page[0] != TAG_OVERFLOW {
+                return Err(corrupt(format!("page {id} is not an overflow page")));
             }
-            Blob::Overflow { head, len } => {
-                out.push(1);
-                out.extend_from_slice(&head.to_le_bytes());
-                out.extend_from_slice(&len.to_le_bytes());
-            }
+            let n = u16::from_le_bytes(page[5..7].try_into().unwrap()) as usize;
+            // An empty page would let a cyclic chain spin without growing.
+            let data = page[OVERFLOW_HEADER..].get(..n).filter(|_| n > 0);
+            let data = data.ok_or_else(|| corrupt(format!("overflow page {id} truncated")))?;
+            visit(pool, id, data);
+            seen += n;
+            id = u32::from_le_bytes(page[1..5].try_into().unwrap());
         }
+        Ok(())
     }
 }
 
-/// Store `bytes` as a blob, spilling to overflow pages beyond `inline_max`.
-fn make_blob(pool: &mut BufferPool, bytes: &[u8], inline_max: usize) -> io::Result<Blob> {
+/// Append `bytes` to `out` as an encoded blob, spilling to overflow pages
+/// beyond `inline_max`.
+fn append_blob(
+    pool: &mut BufferPool,
+    bytes: &[u8],
+    inline_max: usize,
+    out: &mut Vec<u8>,
+) -> io::Result<()> {
     if bytes.len() <= inline_max {
-        return Ok(Blob::Inline(bytes.to_vec()));
+        out.push(0);
+        out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+        out.extend_from_slice(bytes);
+        return Ok(());
     }
     // Build the chain back to front so each page knows its successor.
     let mut next = NO_PAGE;
-    let chunks: Vec<&[u8]> = bytes.chunks(OVERFLOW_CAP).collect();
-    for chunk in chunks.iter().rev() {
+    for chunk in bytes.chunks(OVERFLOW_CAP).rev() {
         let mut payload = Vec::with_capacity(OVERFLOW_HEADER + chunk.len());
         payload.push(TAG_OVERFLOW);
         payload.extend_from_slice(&next.to_le_bytes());
@@ -124,485 +280,435 @@ fn make_blob(pool: &mut BufferPool, bytes: &[u8], inline_max: usize) -> io::Resu
         payload.extend_from_slice(chunk);
         next = pool.allocate(payload)?;
     }
-    Ok(Blob::Overflow {
-        head: next,
-        len: bytes.len() as u32,
-    })
-}
-
-/// Materialize a blob's bytes.
-fn blob_bytes(pool: &mut BufferPool, blob: &Blob) -> io::Result<Vec<u8>> {
-    match blob {
-        Blob::Inline(b) => Ok(b.clone()),
-        Blob::Overflow { head, len } => {
-            let mut out = Vec::with_capacity(*len as usize);
-            let mut id = *head;
-            while id != NO_PAGE {
-                let payload = pool.read(id)?;
-                let (next, data) = decode_overflow(payload, id)?;
-                out.extend_from_slice(data);
-                id = next;
-            }
-            if out.len() != *len as usize {
-                return Err(corrupt(format!(
-                    "overflow chain at page {head}: expected {len} bytes, got {}",
-                    out.len()
-                )));
-            }
-            Ok(out)
-        }
-    }
-}
-
-/// Release a blob's overflow pages (no-op for inline).
-fn free_blob(pool: &mut BufferPool, blob: &Blob) -> io::Result<()> {
-    if let Blob::Overflow { head, .. } = blob {
-        let mut id = *head;
-        while id != NO_PAGE {
-            let payload = pool.read(id)?;
-            let (next, _) = decode_overflow(payload, id)?;
-            pool.free(id);
-            id = next;
-        }
-    }
+    out.push(1);
+    out.extend_from_slice(&next.to_le_bytes());
+    out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
     Ok(())
-}
-
-/// Compare a stored key blob against a probe key.
-fn blob_cmp(pool: &mut BufferPool, blob: &Blob, key: &[u8]) -> io::Result<Ordering> {
-    match blob {
-        Blob::Inline(b) => Ok(b.as_slice().cmp(key)),
-        Blob::Overflow { .. } => Ok(blob_bytes(pool, blob)?.as_slice().cmp(key)),
-    }
-}
-
-fn decode_overflow(payload: &[u8], id: PageId) -> io::Result<(PageId, &[u8])> {
-    if payload.len() < OVERFLOW_HEADER || payload[0] != TAG_OVERFLOW {
-        return Err(corrupt(format!("page {id} is not an overflow page")));
-    }
-    let next = u32::from_le_bytes(payload[1..5].try_into().unwrap());
-    let len = u16::from_le_bytes(payload[5..7].try_into().unwrap()) as usize;
-    payload
-        .get(OVERFLOW_HEADER..OVERFLOW_HEADER + len)
-        .map(|d| (next, d))
-        .ok_or_else(|| corrupt(format!("overflow page {id} truncated")))
-}
-
-fn corrupt(msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
-}
-
-// ------------------------------------------------------------------ nodes
-
-#[derive(Debug, Clone)]
-enum Node {
-    /// `children.len() == seps.len() + 1`; child `i` holds keys in
-    /// `[seps[i-1], seps[i])` (with open outer bounds).
-    Internal {
-        seps: Vec<Blob>,
-        children: Vec<PageId>,
-    },
-    /// Sorted `(key, encoded chain)` entries.
-    Leaf { entries: Vec<(Blob, Blob)> },
-}
-
-fn encode_node(node: &Node) -> Vec<u8> {
-    let mut out = Vec::with_capacity(node_size(node));
-    match node {
-        Node::Internal { seps, children } => {
-            out.push(TAG_INTERNAL);
-            out.extend_from_slice(&(seps.len() as u16).to_le_bytes());
-            out.extend_from_slice(&children[0].to_le_bytes());
-            for (sep, child) in seps.iter().zip(&children[1..]) {
-                sep.encode(&mut out);
-                out.extend_from_slice(&child.to_le_bytes());
-            }
-        }
-        Node::Leaf { entries } => {
-            out.push(TAG_LEAF);
-            out.extend_from_slice(&(entries.len() as u16).to_le_bytes());
-            for (key, chain) in entries {
-                key.encode(&mut out);
-                chain.encode(&mut out);
-            }
-        }
-    }
-    out
-}
-
-fn node_size(node: &Node) -> usize {
-    match node {
-        Node::Internal { seps, children } => {
-            1 + 2 + 4 * children.len() + seps.iter().map(Blob::encoded_len).sum::<usize>()
-        }
-        Node::Leaf { entries } => {
-            1 + 2
-                + entries
-                    .iter()
-                    .map(|(k, c)| k.encoded_len() + c.encoded_len())
-                    .sum::<usize>()
-        }
-    }
-}
-
-fn decode_node(payload: &[u8], id: PageId) -> io::Result<Node> {
-    let mut p = payload;
-    let tag = *take(&mut p, 1, id)?.first().unwrap();
-    let count = u16::from_le_bytes(take(&mut p, 2, id)?.try_into().unwrap()) as usize;
-    match tag {
-        TAG_INTERNAL => {
-            let mut children = Vec::with_capacity(count + 1);
-            let mut seps = Vec::with_capacity(count);
-            children.push(u32::from_le_bytes(take(&mut p, 4, id)?.try_into().unwrap()));
-            for _ in 0..count {
-                seps.push(decode_blob(&mut p, id)?);
-                children.push(u32::from_le_bytes(take(&mut p, 4, id)?.try_into().unwrap()));
-            }
-            Ok(Node::Internal { seps, children })
-        }
-        TAG_LEAF => {
-            let mut entries = Vec::with_capacity(count);
-            for _ in 0..count {
-                let key = decode_blob(&mut p, id)?;
-                let chain = decode_blob(&mut p, id)?;
-                entries.push((key, chain));
-            }
-            Ok(Node::Leaf { entries })
-        }
-        other => Err(corrupt(format!("page {id}: unknown node tag {other}"))),
-    }
-}
-
-fn decode_blob(p: &mut &[u8], id: PageId) -> io::Result<Blob> {
-    let flag = *take(p, 1, id)?.first().unwrap();
-    match flag {
-        0 => {
-            let len = u32::from_le_bytes(take(p, 4, id)?.try_into().unwrap()) as usize;
-            Ok(Blob::Inline(take(p, len, id)?.to_vec()))
-        }
-        1 => {
-            let head = u32::from_le_bytes(take(p, 4, id)?.try_into().unwrap());
-            let len = u32::from_le_bytes(take(p, 4, id)?.try_into().unwrap());
-            Ok(Blob::Overflow { head, len })
-        }
-        other => Err(corrupt(format!("page {id}: unknown blob flag {other}"))),
-    }
-}
-
-fn take<'a>(p: &mut &'a [u8], n: usize, id: PageId) -> io::Result<&'a [u8]> {
-    if p.len() < n {
-        return Err(corrupt(format!("page {id}: truncated node")));
-    }
-    let (head, tail) = p.split_at(n);
-    *p = tail;
-    Ok(head)
-}
-
-fn read_node(pool: &mut BufferPool, id: PageId) -> io::Result<Node> {
-    let payload = pool.read(id)?.to_vec();
-    decode_node(&payload, id)
 }
 
 // ------------------------------------------------------------ chain codec
 
-pub fn encode_chain(chain: &[(u64, Option<Vec<u8>>)]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&(chain.len() as u32).to_le_bytes());
-    for (version, value) in chain {
-        out.extend_from_slice(&version.to_le_bytes());
-        match value {
-            Some(v) => {
-                out.push(1);
-                out.extend_from_slice(&(v.len() as u32).to_le_bytes());
-                out.extend_from_slice(v);
-            }
-            None => out.push(0),
-        }
-    }
-    out
+/// One `(version, value)` entry of an encoded chain; `None` is a tombstone.
+#[derive(Debug, Clone, Copy)]
+pub struct ChainEntry<'a> {
+    pub version: u64,
+    pub value: Option<&'a [u8]>,
+    /// Byte range of the entry in the encoded chain.
+    at: usize,
+    end: usize,
 }
 
-pub fn decode_chain(mut p: &[u8]) -> io::Result<Chain> {
-    let err = || corrupt("truncated version chain".to_string());
-    if p.len() < 4 {
-        return Err(err());
-    }
-    let count = u32::from_le_bytes(p[0..4].try_into().unwrap()) as usize;
-    p = &p[4..];
-    let mut chain = Vec::with_capacity(count);
-    for _ in 0..count {
-        if p.len() < 9 {
-            return Err(err());
+/// In-place iterator over an encoded chain, ascending by version. Yields
+/// one `Err` and stops if the encoding is truncated.
+pub struct ChainEntries<'a> {
+    r: Reader<'a>,
+    left: u32,
+}
+
+/// Walk an encoded version chain without decoding it.
+pub fn chain_entries(chain: &[u8]) -> io::Result<ChainEntries<'_>> {
+    let mut r = Reader::at(chain, 0, NO_PAGE);
+    let left = r.u32()?;
+    Ok(ChainEntries { r, left })
+}
+
+impl<'a> Iterator for ChainEntries<'a> {
+    type Item = io::Result<ChainEntry<'a>>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.left = self.left.checked_sub(1)?;
+        let at = self.r.pos;
+        let r = &mut self.r;
+        let entry = r.take(9).and_then(|head| {
+            let version = u64::from_le_bytes(head[..8].try_into().unwrap());
+            let value = match head[8] {
+                1 => Some(r.u32().and_then(|len| r.take(len as usize))?),
+                _ => None,
+            };
+            let end = r.pos;
+            Ok(ChainEntry {
+                version,
+                value,
+                at,
+                end,
+            })
+        });
+        if entry.is_err() {
+            self.left = 0;
         }
-        let version = u64::from_le_bytes(p[0..8].try_into().unwrap());
-        let flag = p[8];
-        p = &p[9..];
-        let value = if flag == 1 {
-            if p.len() < 4 {
-                return Err(err());
-            }
-            let len = u32::from_le_bytes(p[0..4].try_into().unwrap()) as usize;
-            if p.len() < 4 + len {
-                return Err(err());
-            }
-            let v = p[4..4 + len].to_vec();
-            p = &p[4 + len..];
-            Some(v)
-        } else {
-            None
-        };
-        chain.push((version, value));
+        Some(entry)
     }
-    Ok(chain)
+}
+
+/// The value of the newest chain entry visible at `read_version`, if any.
+pub fn chain_visible_at(chain: &[u8], read_version: u64) -> io::Result<Option<&[u8]>> {
+    let mut visible = None;
+    for entry in chain_entries(chain)? {
+        let entry = entry?;
+        if entry.version <= read_version {
+            visible = entry.value;
+        }
+    }
+    Ok(visible)
+}
+
+/// What pruning a chain at the MVCC horizon would do to it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Prune {
+    /// Nothing is shadowed.
+    Keep,
+    /// The `count` entries in this byte range of the chain survive.
+    Trim(Range<usize>, u32),
+    /// Only a tombstone at or below the horizon would remain.
+    Dead,
+}
+
+/// Decide the pruning of a chain at `oldest_version`: entries shadowed at
+/// the horizon go, and a lone tombstone at or below it kills the key.
+pub fn chain_prune(chain: &[u8], oldest_version: u64) -> io::Result<Prune> {
+    let (mut total, mut dropped, mut from) = (0u32, 0u32, 4usize);
+    let mut last = None;
+    for entry in chain_entries(chain)? {
+        let entry = entry?;
+        if entry.version <= oldest_version {
+            (dropped, from) = (total, entry.at);
+        }
+        total += 1;
+        last = Some(entry);
+    }
+    let Some(last) = last else {
+        return Ok(Prune::Keep);
+    };
+    let count = total - dropped;
+    Ok(
+        if count == 1 && last.value.is_none() && last.version <= oldest_version {
+            Prune::Dead
+        } else if dropped == 0 {
+            Prune::Keep
+        } else {
+            Prune::Trim(from..last.end, count)
+        },
+    )
+}
+
+/// `old` (empty for a new key) with one write applied, re-encoded: a write
+/// at the newest entry's version replaces it, a later one is appended.
+fn chain_pushed(old: &[u8], version: u64, value: Option<&[u8]>) -> io::Result<Vec<u8>> {
+    let (mut count, mut kept) = (0u32, &[][..]);
+    if !old.is_empty() {
+        let entries = chain_entries(old)?;
+        count = entries.left;
+        kept = match entries.last().transpose()? {
+            Some(last) if last.version == version => {
+                count -= 1;
+                &old[4..last.at]
+            }
+            Some(last) => &old[4..last.end],
+            None => kept,
+        };
+    }
+    let mut out = Vec::with_capacity(kept.len() + 17 + value.map_or(0, <[u8]>::len));
+    out.extend_from_slice(&(count + 1).to_le_bytes());
+    out.extend_from_slice(kept);
+    out.extend_from_slice(&version.to_le_bytes());
+    match value {
+        Some(v) => {
+            out.push(1);
+            out.extend_from_slice(&(v.len() as u32).to_le_bytes());
+            out.extend_from_slice(v);
+        }
+        None => out.push(0),
+    }
+    Ok(out)
+}
+
+// ------------------------------------------------------------------ walks
+
+/// Find `key` among a leaf's keys or an internal node's separators, as
+/// `slice::binary_search` would, in one forward pass over the page; also
+/// returns the byte offset of the entry (separator) found or to insert
+/// before. Inline keys are compared where they lie. An overflow key is read
+/// out of its pages only when the inline keys around it cannot decide: the
+/// overflow keys since the last smaller inline key are remembered and,
+/// once a larger one or the end stops the pass, binary-searched.
+fn locate(
+    pool: &mut BufferPool,
+    page: &[u8],
+    id: PageId,
+    tag: u8,
+    key: &[u8],
+) -> io::Result<(Result<usize, usize>, usize)> {
+    let (count, mut r) = open_node(page, id, tag)?;
+    let mut spilled = Vec::new();
+    let mut stop = None;
+    for i in 0..count {
+        if tag == TAG_INTERNAL {
+            r.u32()?;
+        }
+        let at = r.pos;
+        match r.blob()? {
+            Blob::Inline(stored) => match stored.cmp(key) {
+                Ordering::Less => spilled.clear(),
+                Ordering::Equal => return Ok((Ok(i), at)),
+                Ordering::Greater => {
+                    stop = Some((i, at));
+                    break;
+                }
+            },
+            stored => spilled.push((i, at, stored)),
+        }
+        if tag == TAG_LEAF {
+            r.blob()?;
+        }
+    }
+    let (mut lo, mut hi) = (0, spilled.len());
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        let (i, at, stored) = spilled[mid];
+        match (*stored.load(pool)?).cmp(key) {
+            Ordering::Less => lo = mid + 1,
+            Ordering::Greater => hi = mid,
+            Ordering::Equal => return Ok((Ok(i), at)),
+        }
+    }
+    let end = (count, r.pos + if tag == TAG_INTERNAL { 4 } else { 0 });
+    let (i, at) = spilled.get(lo).map(|s| (s.0, s.1)).or(stop).unwrap_or(end);
+    Ok((Err(i), at))
+}
+
+/// Route `key` from the (non-empty) root to its leaf, reporting each
+/// internal node on the way, the index (`#(seps <= key)`) of the child
+/// taken and the offset of that child's pointer to `step`. Returns the
+/// leaf and its id.
+fn descend(
+    pool: &mut BufferPool,
+    key: &[u8],
+    mut step: impl FnMut(PageId, &Page, usize, usize),
+) -> io::Result<(PageId, Page)> {
+    let mut id = pool.root();
+    for _ in 0..MAX_DEPTH {
+        let page = pool.read(id)?;
+        if page.first() == Some(&TAG_LEAF) {
+            return Ok((id, page));
+        }
+        let (sep, at) = locate(pool, &page, id, TAG_INTERNAL, key)?;
+        let mut r = Reader::at(&page, at, id);
+        let idx = match sep {
+            Ok(i) => r.blob().map(|_| i + 1)?,
+            Err(i) => {
+                r.pos -= 4;
+                i
+            }
+        };
+        step(id, &page, idx, r.pos);
+        id = r.u32()?;
+    }
+    Err(too_deep())
+}
+
+/// Read the value stored under `key` visible at `read_version`: one
+/// descent, one copy — of the value returned.
+pub fn get(pool: &mut BufferPool, key: &[u8], read_version: u64) -> io::Result<Option<Vec<u8>>> {
+    if pool.root() == NO_PAGE {
+        return Ok(None);
+    }
+    let (id, leaf) = descend(pool, key, |_, _, _, _| {})?;
+    let (Ok(_), at) = locate(pool, &leaf, id, TAG_LEAF, key)? else {
+        return Ok(None);
+    };
+    let mut r = Reader::at(&leaf, at, id);
+    r.blob()?;
+    let chain = r.blob()?.load(pool)?;
+    Ok(chain_visible_at(&chain, read_version)?.map(<[u8]>::to_vec))
 }
 
 // -------------------------------------------------------------- mutations
 
 /// The shortest separator `s` with `left_max < s <= right_min`.
-fn shortest_separator(left_max: &[u8], right_min: &[u8]) -> Vec<u8> {
-    debug_assert!(left_max < right_min);
+fn shortest_separator<'a>(left_max: &[u8], right_min: &'a [u8]) -> &'a [u8] {
     for i in 0..right_min.len() {
         if i >= left_max.len() || right_min[i] != left_max[i] {
-            return right_min[..=i].to_vec();
+            return &right_min[..=i];
         }
     }
-    right_min.to_vec()
+    right_min
 }
 
-/// Routing: the child index for `key` (`#(seps <= key)`).
-fn child_index(pool: &mut BufferPool, seps: &[Blob], key: &[u8]) -> io::Result<usize> {
-    let (mut lo, mut hi) = (0usize, seps.len());
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        if blob_cmp(pool, &seps[mid], key)? == Ordering::Greater {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    Ok(lo)
+/// What a mutation does to the chain stored under its key.
+enum Edit {
+    Put(Vec<u8>),
+    Remove,
+    Keep,
 }
 
-/// Binary search a leaf's entries: `Ok(i)` exact match, `Err(i)` insertion.
-fn search_entries(
-    pool: &mut BufferPool,
-    entries: &[(Blob, Blob)],
-    key: &[u8],
-) -> io::Result<Result<usize, usize>> {
-    let (mut lo, mut hi) = (0usize, entries.len());
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        match blob_cmp(pool, &entries[mid].0, key)? {
-            Ordering::Less => lo = mid + 1,
-            Ordering::Greater => hi = mid,
-            Ordering::Equal => return Ok(Ok(mid)),
-        }
-    }
-    Ok(Err(lo))
-}
+/// A rewritten node's page id, and `(encoded separator, right sibling)`
+/// when it split.
+type Written = (PageId, Option<(Vec<u8>, PageId)>);
 
-/// Read the version chain stored under `key`, if any.
-pub fn get_chain(pool: &mut BufferPool, key: &[u8]) -> io::Result<Option<Chain>> {
-    let mut id = pool.root();
-    if id == NO_PAGE {
-        return Ok(None);
-    }
-    loop {
-        match read_node(pool, id)? {
-            Node::Internal { seps, children } => {
-                id = children[child_index(pool, &seps, key)?];
-            }
-            Node::Leaf { entries } => {
-                return match search_entries(pool, &entries, key)? {
-                    Ok(i) => {
-                        let bytes = blob_bytes(pool, &entries[i].1)?;
-                        Ok(Some(decode_chain(&bytes)?))
-                    }
-                    Err(_) => Ok(None),
-                };
-            }
-        }
-    }
-}
-
-/// Insert or replace the chain stored under `key`.
-pub fn put_chain(
+/// The one write path: descend to `key`'s leaf, let `change` see the chain
+/// stored there, splice the outcome into the leaf's bytes and write it
+/// back, then walk up the remembered path for as long as a page id changed
+/// or a split propagates. Returns whether the key was present.
+fn edit(
     pool: &mut BufferPool,
     key: &[u8],
-    chain: &[(u64, Option<Vec<u8>>)],
-) -> io::Result<()> {
-    let root = pool.root();
-    if root == NO_PAGE {
-        let key_blob = make_blob(pool, key, INLINE_KEY_MAX)?;
-        let chain_blob = make_blob(pool, &encode_chain(chain), INLINE_CHAIN_MAX)?;
-        let id = pool.allocate(encode_node(&Node::Leaf {
-            entries: vec![(key_blob, chain_blob)],
-        }))?;
-        pool.set_root(id);
-        return Ok(());
+    change: impl FnOnce(Option<&[u8]>) -> io::Result<Edit>,
+) -> io::Result<bool> {
+    if pool.root() == NO_PAGE {
+        if let Edit::Put(chain) = change(None)? {
+            let mut leaf = node_from(TAG_LEAF, 1, &[]);
+            append_blob(pool, key, INLINE_KEY_MAX, &mut leaf)?;
+            append_blob(pool, &chain, INLINE_CHAIN_MAX, &mut leaf)?;
+            let id = pool.allocate(leaf)?;
+            pool.set_root(id);
+        }
+        return Ok(false);
     }
-    let (new_root, split) = put_rec(pool, root, key, chain)?;
-    let final_root = match split {
-        None => new_root,
-        Some((sep, right)) => pool.allocate(encode_node(&Node::Internal {
-            seps: vec![sep],
-            children: vec![new_root, right],
-        }))?,
+    let mut path = Vec::new();
+    let step = |id, page: &Page, _, at| path.push((id, Arc::clone(page), at));
+    let (leaf_id, old) = descend(pool, key, step)?;
+    let (mut count, _) = open_node(&old, leaf_id, TAG_LEAF)?;
+    let (slot, at) = locate(pool, &old, leaf_id, TAG_LEAF, key)?;
+    // The entry's byte range, and its key blob, chain offset and chain blob.
+    let (mut span, mut stored) = (at..at, None);
+    if slot.is_ok() {
+        let mut r = Reader::at(&old, at, leaf_id);
+        stored = Some((r.blob()?, r.pos, r.blob()?));
+        span.end = r.pos;
+    }
+    let old_chain = stored.map(|(_, _, chain)| chain.load(pool)).transpose()?;
+    let mut entry = Vec::new();
+    match (change(old_chain.as_deref())?, stored) {
+        (Edit::Keep, _) | (Edit::Remove, None) => return Ok(slot.is_ok()),
+        (Edit::Put(chain), stored) => {
+            // Chain blob first, then the old chain freed or the key blob
+            // made: the allocation order the file layout depends on.
+            let mut chain_blob = Vec::new();
+            append_blob(pool, &chain, INLINE_CHAIN_MAX, &mut chain_blob)?;
+            if let Some((_, chain_at, old_chain)) = stored {
+                old_chain.free(pool)?;
+                entry.extend_from_slice(&old[span.start..chain_at]);
+            } else {
+                append_blob(pool, key, INLINE_KEY_MAX, &mut entry)?;
+                count += 1;
+            }
+            entry.extend_from_slice(&chain_blob);
+        }
+        (Edit::Remove, Some((old_key, _, old_chain))) => {
+            old_key.free(pool)?;
+            old_chain.free(pool)?;
+            count -= 1;
+        }
+    }
+    let leaf = spliced(&old, span, &entry, count);
+
+    let (mut child, mut written) = (leaf_id, write_leaf(pool, leaf_id, leaf)?);
+    for (parent, page, at) in path.into_iter().rev() {
+        let (new_child, split) = written;
+        if new_child == child && split.is_none() {
+            return Ok(slot.is_ok());
+        }
+        let (mut count, _) = open_node(&page, parent, TAG_INTERNAL)?;
+        let mut entry = new_child.to_le_bytes().to_vec();
+        if let Some((sep, right)) = split {
+            entry.extend_from_slice(&sep);
+            entry.extend_from_slice(&right.to_le_bytes());
+            count += 1;
+        }
+        let node = spliced(&page, at..at + 4, &entry, count);
+        (child, written) = (parent, write_internal(pool, parent, node)?);
+    }
+    let root = match written {
+        (root, None) => root,
+        (left, Some((sep, right))) => {
+            let entries = [&left.to_le_bytes(), &sep[..], &right.to_le_bytes()].concat();
+            pool.allocate(node_from(TAG_INTERNAL, 1, &entries))?
+        }
     };
-    pool.set_root(final_root);
-    Ok(())
-}
-
-/// Recursive insert; returns the node's (possibly new) page id plus a
-/// `(separator, right sibling)` when the node split.
-fn put_rec(
-    pool: &mut BufferPool,
-    id: PageId,
-    key: &[u8],
-    chain: &[(u64, Option<Vec<u8>>)],
-) -> io::Result<(PageId, Option<(Blob, PageId)>)> {
-    match read_node(pool, id)? {
-        Node::Leaf { mut entries } => {
-            let chain_blob = make_blob(pool, &encode_chain(chain), INLINE_CHAIN_MAX)?;
-            match search_entries(pool, &entries, key)? {
-                Ok(i) => {
-                    let old = std::mem::replace(&mut entries[i].1, chain_blob);
-                    free_blob(pool, &old)?;
-                }
-                Err(i) => {
-                    let key_blob = make_blob(pool, key, INLINE_KEY_MAX)?;
-                    entries.insert(i, (key_blob, chain_blob));
-                }
-            }
-            write_leaf(pool, id, entries)
-        }
-        Node::Internal {
-            mut seps,
-            mut children,
-        } => {
-            let idx = child_index(pool, &seps, key)?;
-            let (new_child, split) = put_rec(pool, children[idx], key, chain)?;
-            children[idx] = new_child;
-            if let Some((sep, right)) = split {
-                seps.insert(idx, sep);
-                children.insert(idx + 1, right);
-            }
-            write_internal(pool, id, seps, children)
-        }
-    }
+    pool.set_root(root);
+    Ok(slot.is_ok())
 }
 
 /// Write a leaf back (CoW), splitting by byte weight when oversized.
-fn write_leaf(
-    pool: &mut BufferPool,
-    id: PageId,
-    entries: Vec<(Blob, Blob)>,
-) -> io::Result<(PageId, Option<(Blob, PageId)>)> {
-    let node = Node::Leaf { entries };
-    if node_size(&node) <= MAX_PAYLOAD {
-        let new_id = pool.write_cow(id, encode_node(&node))?;
-        return Ok((new_id, None));
+fn write_leaf(pool: &mut BufferPool, id: PageId, leaf: Vec<u8>) -> io::Result<Written> {
+    if leaf.len() <= MAX_PAYLOAD {
+        return Ok((pool.write_cow(id, leaf)?, None));
     }
-    let Node::Leaf { entries } = node else {
-        unreachable!()
-    };
+    let index = Index::of(&leaf, id, TAG_LEAF)?;
+    let (count, start) = (index.len, |i: usize| index.at[i] as usize);
+    if count < 2 {
+        return Err(corrupt(format!("leaf {id}: one entry fills the page")));
+    }
     // Split at the byte-weight midpoint, keeping both sides non-empty.
-    let total: usize = entries
-        .iter()
-        .map(|(k, c)| k.encoded_len() + c.encoded_len())
-        .sum();
-    let mut acc = 0usize;
-    let mut cut = entries.len() - 1;
-    for (i, (k, c)) in entries.iter().enumerate() {
-        acc += k.encoded_len() + c.encoded_len();
-        if acc >= total / 2 && i + 1 < entries.len() {
-            cut = i + 1;
-            break;
-        }
+    let half = (start(count) - NODE_HEADER) / 2;
+    let cut = (1..count - 1)
+        .find(|&i| start(i) - NODE_HEADER >= half)
+        .unwrap_or(count - 1);
+    let left_max = Reader::at(&leaf, start(cut - 1), id).blob()?.load(pool)?;
+    let right_min = Reader::at(&leaf, start(cut), id).blob()?.load(pool)?;
+    if left_max >= right_min {
+        return Err(corrupt(format!("leaf {id}: keys out of order")));
     }
-    let cut = cut.max(1);
-    let mut left = entries;
-    let right = left.split_off(cut);
-    let left_max = blob_bytes(pool, &left.last().unwrap().0)?;
-    let right_min = blob_bytes(pool, &right.first().unwrap().0)?;
+    let mut sep = Vec::new();
     let sep_bytes = shortest_separator(&left_max, &right_min);
-    let sep = make_blob(pool, &sep_bytes, INLINE_KEY_MAX)?;
-    let left_id = pool.write_cow(id, encode_node(&Node::Leaf { entries: left }))?;
-    let right_id = pool.allocate(encode_node(&Node::Leaf { entries: right }))?;
-    Ok((left_id, Some((sep, right_id))))
+    append_blob(pool, sep_bytes, INLINE_KEY_MAX, &mut sep)?;
+    let left = node_from(TAG_LEAF, cut, &leaf[NODE_HEADER..start(cut)]);
+    let right = node_from(TAG_LEAF, count - cut, &leaf[start(cut)..start(count)]);
+    let left_id = pool.write_cow(id, left)?;
+    Ok((left_id, Some((sep, pool.allocate(right)?))))
 }
 
 /// Write an internal node back (CoW), splitting when oversized.
-fn write_internal(
-    pool: &mut BufferPool,
-    id: PageId,
-    seps: Vec<Blob>,
-    children: Vec<PageId>,
-) -> io::Result<(PageId, Option<(Blob, PageId)>)> {
-    let node = Node::Internal { seps, children };
-    if node_size(&node) <= MAX_PAYLOAD {
-        let new_id = pool.write_cow(id, encode_node(&node))?;
-        return Ok((new_id, None));
+fn write_internal(pool: &mut BufferPool, id: PageId, node: Vec<u8>) -> io::Result<Written> {
+    if node.len() <= MAX_PAYLOAD {
+        return Ok((pool.write_cow(id, node)?, None));
     }
-    let Node::Internal { mut seps, children } = node else {
-        unreachable!()
-    };
+    let index = Index::of(&node, id, TAG_INTERNAL)?;
+    let count = index.len - 1;
+    if count < 3 {
+        return Err(corrupt(format!("internal {id}: too few separators")));
+    }
     // Promote the middle separator; each side keeps >= 1 separator.
-    let mid = (seps.len() / 2).clamp(1, seps.len() - 2).max(1);
-    let right_seps = seps.split_off(mid + 1);
-    let promoted = seps.pop().unwrap();
-    let mut left_children = children;
-    let right_children = left_children.split_off(mid + 1);
-    let left_id = pool.write_cow(
-        id,
-        encode_node(&Node::Internal {
-            seps,
-            children: left_children,
-        }),
-    )?;
-    let right_id = pool.allocate(encode_node(&Node::Internal {
-        seps: right_seps,
-        children: right_children,
-    }))?;
-    Ok((left_id, Some((promoted, right_id))))
+    let mid = (count / 2).clamp(1, count - 2);
+    let sep = index.at[mid] as usize + 4..index.at[mid + 1] as usize;
+    let left = node_from(TAG_INTERNAL, mid, &node[NODE_HEADER..sep.start]);
+    let right = &node[sep.end..index.at[index.len] as usize];
+    let right = node_from(TAG_INTERNAL, count - mid - 1, right);
+    let promoted = node[sep].to_vec();
+    let left_id = pool.write_cow(id, left)?;
+    Ok((left_id, Some((promoted, pool.allocate(right)?))))
 }
 
-/// Remove `key` and its chain entirely (MVCC compaction of a dead entry).
-/// Leaves are not rebalanced; an emptied leaf stays in place and cursors
-/// skip it. Returns whether the key existed.
+/// Apply one write to `key`'s chain (versions arrive in nondecreasing
+/// order); `None` writes a tombstone.
+pub fn write(
+    pool: &mut BufferPool,
+    key: &[u8],
+    version: u64,
+    value: Option<&[u8]>,
+) -> io::Result<()> {
+    let pushed = |old: Option<&[u8]>| chain_pushed(old.unwrap_or_default(), version, value);
+    edit(pool, key, |old| pushed(old).map(Edit::Put)).map(drop)
+}
+
+/// Rewrite `key`'s chain as [`chain_prune`] at `oldest_version` decides:
+/// trimmed, removed with its key when dead, or left alone.
+pub fn prune(pool: &mut BufferPool, key: &[u8], oldest_version: u64) -> io::Result<()> {
+    let pruned = |old: &[u8]| {
+        Ok(match chain_prune(old, oldest_version)? {
+            Prune::Keep => Edit::Keep,
+            Prune::Dead => Edit::Remove,
+            Prune::Trim(kept, count) => Edit::Put([&count.to_le_bytes(), &old[kept]].concat()),
+        })
+    };
+    edit(pool, key, |old| old.map_or(Ok(Edit::Keep), pruned)).map(drop)
+}
+
+/// Remove `key` and its chain entirely. Leaves are not rebalanced; an
+/// emptied leaf stays in place and cursors skip it. Returns whether the key
+/// existed.
 pub fn remove_key(pool: &mut BufferPool, key: &[u8]) -> io::Result<bool> {
-    let root = pool.root();
-    if root == NO_PAGE {
-        return Ok(false);
-    }
-    let (new_root, removed) = remove_rec(pool, root, key)?;
-    pool.set_root(new_root);
-    Ok(removed)
-}
-
-fn remove_rec(pool: &mut BufferPool, id: PageId, key: &[u8]) -> io::Result<(PageId, bool)> {
-    match read_node(pool, id)? {
-        Node::Leaf { mut entries } => match search_entries(pool, &entries, key)? {
-            Ok(i) => {
-                let (key_blob, chain_blob) = entries.remove(i);
-                free_blob(pool, &key_blob)?;
-                free_blob(pool, &chain_blob)?;
-                let new_id = pool.write_cow(id, encode_node(&Node::Leaf { entries }))?;
-                Ok((new_id, true))
-            }
-            Err(_) => Ok((id, false)),
-        },
-        Node::Internal { seps, mut children } => {
-            let idx = child_index(pool, &seps, key)?;
-            let (new_child, removed) = remove_rec(pool, children[idx], key)?;
-            if !removed {
-                return Ok((id, false));
-            }
-            children[idx] = new_child;
-            let new_id = pool.write_cow(id, encode_node(&Node::Internal { seps, children }))?;
-            Ok((new_id, true))
-        }
-    }
+    edit(pool, key, |_| Ok(Edit::Remove))
 }
 
 // ---------------------------------------------------------------- cursors
@@ -614,170 +720,113 @@ fn remove_rec(pool: &mut BufferPool, id: PageId, key: &[u8]) -> io::Result<(Page
 pub struct Cursor {
     /// Internal-node trail: (page id, child index descended into).
     stack: Vec<(PageId, usize)>,
-    /// Current leaf's entries with keys materialized.
-    leaf: Vec<(Vec<u8>, Blob)>,
+    leaf: Page,
+    leaf_id: PageId,
+    index: Index,
     /// Forward: next index to yield. Backward: one past the next index.
     pos: usize,
     forward: bool,
     done: bool,
+    /// Where an overflow key / chain of the current entry is read out to.
+    key: Vec<u8>,
+    chain: Vec<u8>,
 }
 
 impl Cursor {
-    /// Position a forward cursor at the first key `>= begin`.
-    pub fn forward_from(pool: &mut BufferPool, begin: &[u8]) -> io::Result<Cursor> {
+    /// A cursor standing before the first key `>= bound`: going `forward`
+    /// it yields that key next, going backward the last key `< bound`.
+    pub fn seek(pool: &mut BufferPool, bound: &[u8], forward: bool) -> io::Result<Cursor> {
         let mut cursor = Cursor {
             stack: Vec::new(),
-            leaf: Vec::new(),
+            leaf: Page::default(),
+            leaf_id: NO_PAGE,
+            index: Index::of(&[TAG_LEAF, 0, 0], NO_PAGE, TAG_LEAF)?,
             pos: 0,
-            forward: true,
-            done: false,
+            forward,
+            done: pool.root() == NO_PAGE,
+            key: Vec::new(),
+            chain: Vec::new(),
         };
-        let mut id = pool.root();
-        if id == NO_PAGE {
-            cursor.done = true;
-            return Ok(cursor);
+        if !cursor.done {
+            let stack = &mut cursor.stack;
+            let (id, leaf) = descend(pool, bound, |id, _, idx, _| stack.push((id, idx)))?;
+            cursor.enter_leaf(id, leaf)?;
+            let (Ok(pos) | Err(pos), _) = locate(pool, &cursor.leaf, id, TAG_LEAF, bound)?;
+            cursor.pos = pos;
         }
-        loop {
-            match read_node(pool, id)? {
-                Node::Internal { seps, children } => {
-                    let idx = child_index(pool, &seps, begin)?;
-                    cursor.stack.push((id, idx));
-                    id = children[idx];
-                }
-                Node::Leaf { entries } => {
-                    cursor.load_leaf(pool, entries)?;
-                    cursor.pos = cursor.leaf.partition_point(|(k, _)| k.as_slice() < begin);
-                    return Ok(cursor);
-                }
-            }
-        }
+        Ok(cursor)
     }
 
-    /// Position a backward cursor just past the last key `< end`.
-    pub fn backward_from(pool: &mut BufferPool, end: &[u8]) -> io::Result<Cursor> {
-        let mut cursor = Cursor {
-            stack: Vec::new(),
-            leaf: Vec::new(),
-            pos: 0,
-            forward: false,
-            done: false,
-        };
-        let mut id = pool.root();
-        if id == NO_PAGE {
-            cursor.done = true;
-            return Ok(cursor);
-        }
-        loop {
-            match read_node(pool, id)? {
-                Node::Internal { seps, children } => {
-                    let idx = child_index(pool, &seps, end)?;
-                    cursor.stack.push((id, idx));
-                    id = children[idx];
-                }
-                Node::Leaf { entries } => {
-                    cursor.load_leaf(pool, entries)?;
-                    cursor.pos = cursor.leaf.partition_point(|(k, _)| k.as_slice() < end);
-                    return Ok(cursor);
-                }
-            }
-        }
-    }
-
-    fn load_leaf(&mut self, pool: &mut BufferPool, entries: Vec<(Blob, Blob)>) -> io::Result<()> {
-        self.leaf.clear();
-        for (key, chain) in entries {
-            self.leaf.push((blob_bytes(pool, &key)?, chain));
-        }
+    fn enter_leaf(&mut self, id: PageId, leaf: Page) -> io::Result<()> {
+        self.index = Index::of(&leaf, id, TAG_LEAF)?;
+        (self.leaf_id, self.leaf) = (id, leaf);
         Ok(())
     }
 
-    /// Yield the next `(key, chain)` in cursor direction, or `None`.
-    pub fn next(&mut self, pool: &mut BufferPool) -> io::Result<Option<(Vec<u8>, Chain)>> {
-        loop {
+    /// Yield the next `(key, encoded chain)` in cursor direction, or
+    /// `None`. The slices borrow the cursor until the next call.
+    pub fn next(&mut self, pool: &mut BufferPool) -> io::Result<Option<(&[u8], &[u8])>> {
+        let at = loop {
             if self.done {
                 return Ok(None);
             }
-            if self.forward {
-                if self.pos < self.leaf.len() {
-                    let (key, chain_blob) =
-                        (self.leaf[self.pos].0.clone(), self.leaf[self.pos].1.clone());
-                    self.pos += 1;
-                    let bytes = blob_bytes(pool, &chain_blob)?;
-                    return Ok(Some((key, decode_chain(&bytes)?)));
-                }
-                if !self.advance_leaf(pool)? {
-                    self.done = true;
-                }
-            } else {
-                if self.pos > 0 {
-                    self.pos -= 1;
-                    let (key, chain_blob) =
-                        (self.leaf[self.pos].0.clone(), self.leaf[self.pos].1.clone());
-                    let bytes = blob_bytes(pool, &chain_blob)?;
-                    return Ok(Some((key, decode_chain(&bytes)?)));
-                }
-                if !self.retreat_leaf(pool)? {
-                    self.done = true;
+            if self.forward && self.pos < self.index.len {
+                self.pos += 1;
+                break self.index.at[self.pos - 1];
+            }
+            if !self.forward && self.pos > 0 {
+                self.pos -= 1;
+                break self.index.at[self.pos];
+            }
+            self.done = !self.next_leaf(pool)?;
+        };
+        // Bytes read out of overflow pages are parked in the cursor.
+        fn lend<'a>(bytes: Cow<'a, [u8]>, parked: &'a mut Vec<u8>) -> &'a [u8] {
+            match bytes {
+                Cow::Borrowed(bytes) => bytes,
+                Cow::Owned(bytes) => {
+                    *parked = bytes;
+                    parked
                 }
             }
         }
+        let mut r = Reader::at(&self.leaf, at as usize, self.leaf_id);
+        let (key, chain) = (r.blob()?.load(pool)?, r.blob()?.load(pool)?);
+        Ok(Some((
+            lend(key, &mut self.key),
+            lend(chain, &mut self.chain),
+        )))
     }
 
-    /// Move to the leftmost leaf of the next subtree to the right.
-    fn advance_leaf(&mut self, pool: &mut BufferPool) -> io::Result<bool> {
-        while let Some((pid, idx)) = self.stack.pop() {
-            let Node::Internal { children, .. } = read_node(pool, pid)? else {
-                return Err(corrupt(format!(
-                    "page {pid}: cursor stack expected internal"
-                )));
+    /// Move to the neighbouring leaf in cursor direction: up the trail to
+    /// the first node with a further child on that side, then down that
+    /// child's near edge. `false` at the end of the tree.
+    fn next_leaf(&mut self, pool: &mut BufferPool) -> io::Result<bool> {
+        while let Some((parent, idx)) = self.stack.pop() {
+            let page = pool.read(parent)?;
+            let index = Index::of(&page, parent, TAG_INTERNAL)?;
+            let sibling = match self.forward {
+                true => Some(idx + 1).filter(|&i| i < index.len),
+                false => idx.checked_sub(1).filter(|&i| i < index.len),
             };
-            if idx + 1 < children.len() {
-                self.stack.push((pid, idx + 1));
-                let mut id = children[idx + 1];
-                loop {
-                    match read_node(pool, id)? {
-                        Node::Internal { children, .. } => {
-                            self.stack.push((id, 0));
-                            id = children[0];
-                        }
-                        Node::Leaf { entries } => {
-                            self.load_leaf(pool, entries)?;
-                            self.pos = 0;
-                            return Ok(true);
-                        }
-                    }
-                }
-            }
-        }
-        Ok(false)
-    }
-
-    /// Move to the rightmost leaf of the next subtree to the left.
-    fn retreat_leaf(&mut self, pool: &mut BufferPool) -> io::Result<bool> {
-        while let Some((pid, idx)) = self.stack.pop() {
-            let Node::Internal { children, .. } = read_node(pool, pid)? else {
-                return Err(corrupt(format!(
-                    "page {pid}: cursor stack expected internal"
-                )));
+            let Some(idx) = sibling else {
+                continue;
             };
-            if idx > 0 {
-                self.stack.push((pid, idx - 1));
-                let mut id = children[idx - 1];
-                loop {
-                    match read_node(pool, id)? {
-                        Node::Internal { children, .. } => {
-                            let last = children.len() - 1;
-                            self.stack.push((id, last));
-                            id = children[last];
-                        }
-                        Node::Leaf { entries } => {
-                            self.load_leaf(pool, entries)?;
-                            self.pos = self.leaf.len();
-                            return Ok(true);
-                        }
-                    }
+            let mut id = index.child(&page, idx);
+            self.stack.push((parent, idx));
+            while self.stack.len() <= MAX_DEPTH {
+                let page = pool.read(id)?;
+                if page.first() == Some(&TAG_LEAF) {
+                    self.enter_leaf(id, page)?;
+                    self.pos = if self.forward { 0 } else { self.index.len };
+                    return Ok(true);
                 }
+                let index = Index::of(&page, id, TAG_INTERNAL)?;
+                let idx = if self.forward { 0 } else { index.len - 1 };
+                self.stack.push((id, idx));
+                id = index.child(&page, idx);
             }
+            return Err(too_deep());
         }
         Ok(false)
     }
@@ -785,15 +834,14 @@ impl Cursor {
 
 // ------------------------------------------------------------ diagnostics
 
-/// Walk the whole tree verifying structure: child counts, separator and
-/// key ordering, bounds implied by separators, blob/chain decodability,
-/// and ascending versions within chains. Returns the number of keys.
+/// Walk the whole tree verifying structure: separator and key ordering,
+/// bounds implied by separators, blob/chain decodability, and ascending
+/// versions within chains. Returns the number of keys.
 pub fn check_consistency(pool: &mut BufferPool) -> io::Result<usize> {
-    let root = pool.root();
-    if root == NO_PAGE {
-        return Ok(0);
+    match pool.root() {
+        NO_PAGE => Ok(0),
+        root => check_rec(pool, root, None, None, 0),
     }
-    check_rec(pool, root, None, None)
 }
 
 fn check_rec(
@@ -801,63 +849,56 @@ fn check_rec(
     id: PageId,
     lower: Option<&[u8]>,
     upper: Option<&[u8]>,
+    depth: usize,
 ) -> io::Result<usize> {
-    match read_node(pool, id)? {
-        Node::Leaf { entries } => {
-            let mut prev: Option<Vec<u8>> = None;
-            for (key_blob, chain_blob) in &entries {
-                let key = blob_bytes(pool, key_blob)?;
-                if let Some(lo) = lower {
-                    if key.as_slice() < lo {
-                        return Err(corrupt(format!("leaf {id}: key below lower bound")));
-                    }
-                }
-                if let Some(hi) = upper {
-                    if key.as_slice() >= hi {
-                        return Err(corrupt(format!("leaf {id}: key above upper bound")));
-                    }
-                }
-                if let Some(p) = &prev {
-                    if p >= &key {
-                        return Err(corrupt(format!("leaf {id}: keys out of order")));
-                    }
-                }
-                let chain = decode_chain(&blob_bytes(pool, chain_blob)?)?;
-                if chain.windows(2).any(|w| w[0].0 > w[1].0) {
+    if depth >= MAX_DEPTH {
+        return Err(too_deep());
+    }
+    let page = pool.read(id)?;
+    let is_leaf = page.first() == Some(&TAG_LEAF);
+    let index = Index::of(&page, id, if is_leaf { TAG_LEAF } else { TAG_INTERNAL })?;
+    if is_leaf {
+        let mut prev: Option<Cow<[u8]>> = None;
+        for i in 0..index.len {
+            let mut r = Reader::at(&page, index.at[i] as usize, id);
+            let key = r.blob()?.load(pool)?;
+            if lower.is_some_and(|lo| *key < *lo) {
+                return Err(corrupt(format!("leaf {id}: key below lower bound")));
+            }
+            if upper.is_some_and(|hi| *key >= *hi) {
+                return Err(corrupt(format!("leaf {id}: key above upper bound")));
+            }
+            if prev.is_some_and(|p| p >= key) {
+                return Err(corrupt(format!("leaf {id}: keys out of order")));
+            }
+            let chain = r.blob()?.load(pool)?;
+            let mut newest = 0u64;
+            for entry in chain_entries(&chain)? {
+                let version = entry?.version;
+                if version < newest {
                     return Err(corrupt(format!("leaf {id}: chain versions out of order")));
                 }
-                prev = Some(key);
+                newest = version;
             }
-            Ok(entries.len())
+            prev = Some(key);
         }
-        Node::Internal { seps, children } => {
-            if children.len() != seps.len() + 1 {
-                return Err(corrupt(format!("internal {id}: child/separator mismatch")));
-            }
-            let sep_bytes: Vec<Vec<u8>> = seps
-                .iter()
-                .map(|s| blob_bytes(pool, s))
-                .collect::<io::Result<_>>()?;
-            if sep_bytes.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(corrupt(format!("internal {id}: separators out of order")));
-            }
-            let mut count = 0usize;
-            for (i, &child) in children.iter().enumerate() {
-                let lo = if i == 0 {
-                    lower
-                } else {
-                    Some(sep_bytes[i - 1].as_slice())
-                };
-                let hi = if i == children.len() - 1 {
-                    upper
-                } else {
-                    Some(sep_bytes[i].as_slice())
-                };
-                count += check_rec(pool, child, lo, hi)?;
-            }
-            Ok(count)
-        }
+        return Ok(index.len);
     }
+    let mut seps = Vec::with_capacity(index.len - 1);
+    for i in 0..index.len - 1 {
+        let sep = Reader::at(&page, index.at[i] as usize + 4, id).blob()?;
+        seps.push(sep.load(pool)?);
+    }
+    if seps.windows(2).any(|w| w[0] >= w[1]) {
+        return Err(corrupt(format!("internal {id}: separators out of order")));
+    }
+    let mut keys = 0usize;
+    for i in 0..index.len {
+        let lo = i.checked_sub(1).map(|i| &*seps[i]).or(lower);
+        let hi = seps.get(i).map(|s| &**s).or(upper);
+        keys += check_rec(pool, index.child(&page, i), lo, hi, depth + 1)?;
+    }
+    Ok(keys)
 }
 
 #[cfg(test)]
@@ -881,8 +922,20 @@ mod tests {
         (p, dir)
     }
 
-    fn chain_of(version: u64, value: &[u8]) -> Chain {
-        vec![(version, Some(value.to_vec()))]
+    fn put(pool: &mut BufferPool, key: &[u8], version: u64, value: &[u8]) {
+        write(pool, key, version, Some(value)).unwrap();
+    }
+
+    /// Keys a cursor yields until it ends or reaches `stop`.
+    fn keys_until(pool: &mut BufferPool, mut cursor: Cursor, stop: &[u8]) -> Vec<Vec<u8>> {
+        let mut seen = Vec::new();
+        while let Some((key, _)) = cursor.next(pool).unwrap() {
+            if key == stop {
+                break;
+            }
+            seen.push(key.to_vec());
+        }
+        seen
     }
 
     #[test]
@@ -893,23 +946,18 @@ mod tests {
         keys.reverse();
         for &i in &keys {
             let key = format!("key-{i:05}").into_bytes();
-            put_chain(
-                &mut pool,
-                &key,
-                &chain_of(10, format!("val-{i}").as_bytes()),
-            )
-            .unwrap();
+            put(&mut pool, &key, 10, format!("val-{i}").as_bytes());
         }
         assert_eq!(check_consistency(&mut pool).unwrap(), 500);
         for i in (0..500).step_by(17) {
             let key = format!("key-{i:05}").into_bytes();
-            let chain = get_chain(&mut pool, &key).unwrap().unwrap();
             assert_eq!(
-                chain_visible_at(&chain, 10),
-                Some(format!("val-{i}").as_bytes())
+                get(&mut pool, &key, 10).unwrap(),
+                Some(format!("val-{i}").into_bytes())
             );
+            assert_eq!(get(&mut pool, &key, 9).unwrap(), None);
         }
-        assert!(get_chain(&mut pool, b"missing").unwrap().is_none());
+        assert!(get(&mut pool, b"missing", 10).unwrap().is_none());
         std::fs::remove_dir_all(dir).unwrap();
     }
 
@@ -917,15 +965,20 @@ mod tests {
     fn big_values_spill_to_overflow() {
         let (mut pool, dir) = pool("overflow", 64);
         let big = vec![0x5A; 90_000]; // ~22 overflow pages
-        put_chain(&mut pool, b"big", &chain_of(5, &big)).unwrap();
-        put_chain(&mut pool, b"small", &chain_of(5, b"x")).unwrap();
-        let chain = get_chain(&mut pool, b"big").unwrap().unwrap();
-        assert_eq!(chain_visible_at(&chain, 9), Some(&big[..]));
-        // Replacing the big chain frees the old overflow pages for reuse.
-        put_chain(&mut pool, b"big", &chain_of(6, b"tiny-now")).unwrap();
-        let chain = get_chain(&mut pool, b"big").unwrap().unwrap();
-        assert_eq!(chain_visible_at(&chain, 9), Some(b"tiny-now".as_slice()));
-        assert_eq!(check_consistency(&mut pool).unwrap(), 2);
+        put(&mut pool, b"big", 5, &big);
+        put(&mut pool, b"small", 5, b"x");
+        assert_eq!(get(&mut pool, b"big", 9).unwrap(), Some(big.clone()));
+        // Pruning the big version away frees its overflow pages for reuse.
+        put(&mut pool, b"big", 6, b"tiny-now");
+        prune(&mut pool, b"big", 6).unwrap();
+        assert_eq!(
+            get(&mut pool, b"big", 9).unwrap(),
+            Some(b"tiny-now".to_vec())
+        );
+        let pages = pool.page_count();
+        put(&mut pool, b"big-again", 7, &big);
+        assert_eq!(pool.page_count(), pages, "overflow pages reused");
+        assert_eq!(check_consistency(&mut pool).unwrap(), 3);
         std::fs::remove_dir_all(dir).unwrap();
     }
 
@@ -936,13 +989,11 @@ mod tests {
         long_a.push(1);
         let mut long_b = vec![b'a'; 9_000]; // shares a 9000-byte prefix
         long_b.push(2);
-        put_chain(&mut pool, &long_a, &chain_of(5, b"A")).unwrap();
-        put_chain(&mut pool, &long_b, &chain_of(5, b"B")).unwrap();
-        put_chain(&mut pool, b"zz", &chain_of(5, b"Z")).unwrap();
-        let c = get_chain(&mut pool, &long_a).unwrap().unwrap();
-        assert_eq!(chain_visible_at(&c, 9), Some(b"A".as_slice()));
-        let c = get_chain(&mut pool, &long_b).unwrap().unwrap();
-        assert_eq!(chain_visible_at(&c, 9), Some(b"B".as_slice()));
+        put(&mut pool, &long_a, 5, b"A");
+        put(&mut pool, &long_b, 5, b"B");
+        put(&mut pool, b"zz", 5, b"Z");
+        assert_eq!(get(&mut pool, &long_a, 9).unwrap(), Some(b"A".to_vec()));
+        assert_eq!(get(&mut pool, &long_b, 9).unwrap(), Some(b"B".to_vec()));
         assert_eq!(check_consistency(&mut pool).unwrap(), 3);
         std::fs::remove_dir_all(dir).unwrap();
     }
@@ -952,24 +1003,15 @@ mod tests {
         let (mut pool, dir) = pool("cursors", 64);
         for i in 0..200u32 {
             let key = format!("k{i:04}").into_bytes();
-            put_chain(&mut pool, &key, &chain_of(10, &i.to_le_bytes())).unwrap();
+            put(&mut pool, &key, 10, &i.to_le_bytes());
         }
-        let mut cursor = Cursor::forward_from(&mut pool, b"k0050").unwrap();
-        let mut seen = Vec::new();
-        while let Some((key, _)) = cursor.next(&mut pool).unwrap() {
-            if key.as_slice() >= b"k0060".as_slice() {
-                break;
-            }
-            seen.push(key);
-        }
+        let cursor = Cursor::seek(&mut pool, b"k0050", true).unwrap();
+        let seen = keys_until(&mut pool, cursor, b"k0060");
         let want: Vec<Vec<u8>> = (50..60).map(|i| format!("k{i:04}").into_bytes()).collect();
         assert_eq!(seen, want);
 
-        let mut cursor = Cursor::backward_from(&mut pool, b"k0010").unwrap();
-        let mut seen = Vec::new();
-        while let Some((key, _)) = cursor.next(&mut pool).unwrap() {
-            seen.push(key);
-        }
+        let cursor = Cursor::seek(&mut pool, b"k0010", false).unwrap();
+        let seen = keys_until(&mut pool, cursor, b"");
         let want: Vec<Vec<u8>> = (0..10)
             .rev()
             .map(|i| format!("k{i:04}").into_bytes())
@@ -982,20 +1024,15 @@ mod tests {
     fn remove_key_drops_entries() {
         let (mut pool, dir) = pool("remove", 64);
         for i in 0..100u32 {
-            put_chain(
-                &mut pool,
-                format!("k{i:03}").as_bytes(),
-                &chain_of(10, b"v"),
-            )
-            .unwrap();
+            put(&mut pool, format!("k{i:03}").as_bytes(), 10, b"v");
         }
         for i in (0..100u32).step_by(2) {
             assert!(remove_key(&mut pool, format!("k{i:03}").as_bytes()).unwrap());
         }
         assert!(!remove_key(&mut pool, b"k000").unwrap());
         assert_eq!(check_consistency(&mut pool).unwrap(), 50);
-        assert!(get_chain(&mut pool, b"k001").unwrap().is_some());
-        assert!(get_chain(&mut pool, b"k002").unwrap().is_none());
+        assert!(get(&mut pool, b"k001", 10).unwrap().is_some());
+        assert!(get(&mut pool, b"k002", 10).unwrap().is_none());
         std::fs::remove_dir_all(dir).unwrap();
     }
 
@@ -1005,17 +1042,135 @@ mod tests {
         let (mut pool, dir) = pool("tiny", 4);
         for i in 0..300u32 {
             let key = format!("k{i:04}").into_bytes();
-            put_chain(&mut pool, &key, &chain_of(10, format!("v{i}").as_bytes())).unwrap();
+            put(&mut pool, &key, 10, format!("v{i}").as_bytes());
         }
         assert_eq!(check_consistency(&mut pool).unwrap(), 300);
         for i in (0..300).step_by(23) {
-            let chain = get_chain(&mut pool, format!("k{i:04}").as_bytes())
-                .unwrap()
-                .unwrap();
             assert_eq!(
-                chain_visible_at(&chain, 10),
-                Some(format!("v{i}").as_bytes())
+                get(&mut pool, format!("k{i:04}").as_bytes(), 10).unwrap(),
+                Some(format!("v{i}").into_bytes())
             );
+        }
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn encoded_chain_push_visibility_and_prune() {
+        let mut chain = chain_pushed(&[], 10, Some(b"a")).unwrap();
+        chain = chain_pushed(&chain, 20, Some(b"b")).unwrap();
+        chain = chain_pushed(&chain, 20, Some(b"b2")).unwrap(); // same version: replaced
+        chain = chain_pushed(&chain, 30, None).unwrap();
+        let versions: Vec<u64> = chain_entries(&chain)
+            .unwrap()
+            .map(|e| e.unwrap().version)
+            .collect();
+        assert_eq!(versions, [10, 20, 30]);
+        assert_eq!(chain_visible_at(&chain, 9).unwrap(), None);
+        assert_eq!(chain_visible_at(&chain, 19).unwrap(), Some(&b"a"[..]));
+        assert_eq!(chain_visible_at(&chain, 29).unwrap(), Some(&b"b2"[..]));
+        assert_eq!(chain_visible_at(&chain, 99).unwrap(), None);
+        assert_eq!(chain_prune(&chain, 5).unwrap(), Prune::Keep);
+        assert_eq!(chain_prune(&chain, 10).unwrap(), Prune::Keep);
+        assert!(matches!(
+            chain_prune(&chain, 25).unwrap(),
+            Prune::Trim(_, 2)
+        ));
+        assert_eq!(chain_prune(&chain, 30).unwrap(), Prune::Dead);
+        // Every truncation is an error, never a short read or a panic.
+        for cut in 0..chain.len() {
+            assert!(chain_visible_at(&chain[..cut], 99).is_err(), "cut {cut}");
+        }
+    }
+
+    /// The mixed case the in-place walk must not get wrong: leaves whose
+    /// entries alternate inline and overflow keys (neighbours sharing a
+    /// 9 000-byte prefix) and inline and overflow chains, under a root whose
+    /// separators are inline and overflow in turn.
+    #[test]
+    fn alternating_inline_and_overflow_entries() {
+        let (mut pool, dir) = pool("mixed", 32);
+        // Per group: a short key, then three long ones that extend it.
+        let keys: Vec<Vec<u8>> = (0..75u32)
+            .flat_map(|g| {
+                let short = format!("g{g:03}").into_bytes();
+                let long = |tail: u8| [&short[..], &[b'm'; 9_000], &[tail]].concat();
+                [short.clone(), long(1), long(2), long(3)]
+            })
+            .collect();
+        let n = keys.len();
+        let value = |i: usize, round: u8| vec![round; if i.is_multiple_of(3) { 700 } else { 300 }];
+        for step in 0..n {
+            let i = step * 7 % n;
+            put(&mut pool, &keys[i], 10, &value(i, 1));
+            if step % 50 == 0 {
+                check_consistency(&mut pool).unwrap();
+            }
+        }
+        assert_eq!(check_consistency(&mut pool).unwrap(), n);
+        let root = pool.root();
+        let page = pool.read(root).unwrap();
+        let index = Index::of(&page, root, TAG_INTERNAL).expect("enough entries to split");
+        let (mut inline, mut overflow) = (0, 0);
+        for i in 0..index.len - 1 {
+            match Reader::at(&page, index.at[i] as usize + 4, root)
+                .blob()
+                .unwrap()
+            {
+                Blob::Inline(_) => inline += 1,
+                Blob::Overflow(..) => overflow += 1,
+            }
+        }
+        assert!(
+            inline > 0 && overflow > 0,
+            "{inline} inline, {overflow} overflow separators"
+        );
+
+        // Overwrite every fifth key, twice at one version, with a value of
+        // the other size class: inline chains spill, spilled ones stay.
+        let newest = |i: usize| match i % 5 {
+            0 => value(i + 1, 3),
+            _ => value(i, 1),
+        };
+        for i in (0..n).step_by(5) {
+            put(&mut pool, &keys[i], 20, &value(i, 2));
+            put(&mut pool, &keys[i], 20, &newest(i));
+        }
+        assert_eq!(check_consistency(&mut pool).unwrap(), n);
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(get(&mut pool, key, 15).unwrap(), Some(value(i, 1)));
+            assert_eq!(get(&mut pool, key, 25).unwrap(), Some(newest(i)));
+            let absent = [&key[..], &[0]].concat();
+            assert_eq!(get(&mut pool, &absent, 25).unwrap(), None);
+        }
+
+        let cursor = Cursor::seek(&mut pool, b"", true).unwrap();
+        assert_eq!(keys_until(&mut pool, cursor, b"\xff"), keys);
+        let cursor = Cursor::seek(&mut pool, b"\xff", false).unwrap();
+        let mut reversed = keys_until(&mut pool, cursor, b"");
+        reversed.reverse();
+        assert_eq!(reversed, keys);
+        // Seek between two overflow keys, both ways.
+        let cursor = Cursor::seek(&mut pool, &keys[150], true).unwrap();
+        assert_eq!(keys_until(&mut pool, cursor, &keys[153]), keys[150..153]);
+        let cursor = Cursor::seek(&mut pool, &keys[150], false).unwrap();
+        assert_eq!(
+            keys_until(&mut pool, cursor, &keys[147]),
+            [keys[149].clone(), keys[148].clone()]
+        );
+
+        // Trim and remove, inline and overflow alike.
+        for i in (0..n).step_by(5) {
+            prune(&mut pool, &keys[i], 20).unwrap();
+            assert_eq!(get(&mut pool, &keys[i], 15).unwrap(), None);
+        }
+        for i in (0..n).step_by(2) {
+            assert!(remove_key(&mut pool, &keys[i]).unwrap());
+            assert!(!remove_key(&mut pool, &keys[i]).unwrap());
+        }
+        assert_eq!(check_consistency(&mut pool).unwrap(), n / 2);
+        for (i, key) in keys.iter().enumerate() {
+            let want = (i % 2 == 1).then(|| newest(i));
+            assert_eq!(get(&mut pool, key, 25).unwrap(), want);
         }
         std::fs::remove_dir_all(dir).unwrap();
     }

@@ -67,6 +67,11 @@ impl FromStr for EvictionPolicy {
 /// newest write with version `<= read_version`.
 pub trait StorageEngine: Send + Sync + std::fmt::Debug {
     /// Record a write (set, or clear via `None`) at `version`.
+    ///
+    /// Cost contract: one seek to the key. On the paged engine that is one
+    /// root-to-leaf descent and the leaf rewritten; a page above it is
+    /// rewritten only when the id of the page below it changed (the first
+    /// write down a path after a checkpoint) or a split reaches it.
     fn write(&mut self, key: Vec<u8>, value: Option<Vec<u8>>, version: u64);
 
     /// Clear every key in `[begin, end)` at `version` by writing tombstones.

@@ -112,15 +112,21 @@ impl PageFile {
         self.free.len()
     }
 
-    /// Read and verify a page, returning its payload.
+    /// Read and verify a page, returning its payload. An id that is not a
+    /// data page of this file is `InvalidData`, like any other damage: ids
+    /// come out of stored pages.
     pub fn read_page(&mut self, id: PageId) -> io::Result<Vec<u8>> {
-        debug_assert!(id >= 2, "reading meta slot {id} as data page");
+        let invalid = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what);
+        if id < 2 || id >= self.page_count {
+            return Err(invalid(&format!("page {id}: not a data page")));
+        }
         let mut buf = [0u8; PAGE_SIZE];
         self.file
             .seek(SeekFrom::Start(u64::from(id) * PAGE_SIZE as u64))?;
-        self.file
-            .read_exact(&mut buf)
-            .map_err(|e| io::Error::new(e.kind(), format!("page {id}: {e}")))?;
+        self.file.read_exact(&mut buf).map_err(|e| match e.kind() {
+            io::ErrorKind::UnexpectedEof => invalid(&format!("page {id}: past end of file")),
+            kind => io::Error::new(kind, format!("page {id}: {e}")),
+        })?;
         let payload =
             unframe(&buf).map_err(|e| io::Error::new(e.kind(), format!("page {id}: {e}")))?;
         Ok(payload.to_vec())

@@ -29,7 +29,7 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::btree::{self, chain_prune, chain_push, chain_visible_at, Chain, Cursor};
+use crate::btree::{self, chain_entries, chain_prune, chain_visible_at, Cursor, Prune};
 use crate::engine::{EvictionPolicy, StorageEngine};
 use crate::pool::BufferPool;
 use crate::wal::{Wal, WalOp};
@@ -87,7 +87,7 @@ impl PagedEngine {
                         key,
                         value,
                         version,
-                    } => self.apply_write(&key, value, version)?,
+                    } => btree::write(&mut self.pool, &key, version, value.as_deref())?,
                     WalOp::ClearRange {
                         begin,
                         end,
@@ -114,28 +114,22 @@ impl PagedEngine {
         btree::check_consistency(&mut self.pool)
     }
 
-    fn apply_write(&mut self, key: &[u8], value: Option<Vec<u8>>, version: u64) -> io::Result<()> {
-        let mut chain = btree::get_chain(&mut self.pool, key)?.unwrap_or_default();
-        chain_push(&mut chain, version, value);
-        btree::put_chain(&mut self.pool, key, &chain)
-    }
-
     fn apply_clear_range(&mut self, begin: &[u8], end: &[u8], version: u64) -> io::Result<()> {
         // Tombstone keys whose newest chain entry is a live value —
         // mirroring the in-memory engine exactly.
-        let mut doomed: Vec<(Vec<u8>, Chain)> = Vec::new();
-        let mut cursor = Cursor::forward_from(&mut self.pool, begin)?;
+        let mut doomed: Vec<Vec<u8>> = Vec::new();
+        let mut cursor = Cursor::seek(&mut self.pool, begin, true)?;
         while let Some((key, chain)) = cursor.next(&mut self.pool)? {
-            if key.as_slice() >= end {
+            if key >= end {
                 break;
             }
-            if chain.last().is_some_and(|(_, v)| v.is_some()) {
-                doomed.push((key, chain));
+            let newest = chain_entries(chain)?.last().transpose()?;
+            if newest.is_some_and(|entry| entry.value.is_some()) {
+                doomed.push(key.to_vec());
             }
         }
-        for (key, mut chain) in doomed {
-            chain_push(&mut chain, version, None);
-            btree::put_chain(&mut self.pool, &key, &chain)?;
+        for key in doomed {
+            btree::write(&mut self.pool, &key, version, None)?;
         }
         Ok(())
     }
@@ -161,11 +155,6 @@ impl PagedEngine {
         Ok(())
     }
 
-    fn try_get(&mut self, key: &[u8], read_version: u64) -> io::Result<Option<Vec<u8>>> {
-        Ok(btree::get_chain(&mut self.pool, key)?
-            .and_then(|chain| chain_visible_at(&chain, read_version).map(<[u8]>::to_vec)))
-    }
-
     fn try_scan(
         &mut self,
         begin: &[u8],
@@ -177,37 +166,34 @@ impl PagedEngine {
         let mut out = Vec::new();
         // One descent to the starting bound, then leaf-to-leaf in scan
         // direction until the range ends or `limit` rows are visible.
-        let mut cursor = if reverse {
-            Cursor::backward_from(&mut self.pool, end)?
-        } else {
-            Cursor::forward_from(&mut self.pool, begin)?
-        };
+        let from = if reverse { end } else { begin };
+        let mut cursor = Cursor::seek(&mut self.pool, from, !reverse)?;
         while out.len() < limit {
             let Some((key, chain)) = cursor.next(&mut self.pool)? else {
                 break;
             };
-            let inside = if reverse {
-                key.as_slice() >= begin
-            } else {
-                key.as_slice() < end
-            };
+            let inside = if reverse { key >= begin } else { key < end };
             if !inside {
                 break;
             }
-            if let Some(value) = chain_visible_at(&chain, read_version) {
-                out.push((key, value.to_vec()));
+            if let Some(value) = chain_visible_at(chain, read_version)? {
+                out.push((key.to_vec(), value.to_vec()));
             }
         }
         Ok(out)
     }
 
-    fn try_newest_version(&mut self) -> io::Result<u64> {
-        let mut newest = 0u64;
-        let mut cursor = Cursor::forward_from(&mut self.pool, b"")?;
+    /// Fold `f` over every stored chain, in key order.
+    fn fold_chains<T>(
+        &mut self,
+        mut acc: T,
+        mut f: impl FnMut(T, &[u8]) -> io::Result<T>,
+    ) -> io::Result<T> {
+        let mut cursor = Cursor::seek(&mut self.pool, b"", true)?;
         while let Some((_, chain)) = cursor.next(&mut self.pool)? {
-            newest = newest.max(chain.last().map_or(0, |(v, _)| *v));
+            acc = f(acc, chain)?;
         }
-        Ok(newest)
+        Ok(acc)
     }
 
     fn try_compact(&mut self, oldest_version: u64) -> io::Result<()> {
@@ -215,37 +201,23 @@ impl PagedEngine {
         // Compaction is deliberately NOT logged — replaying a WAL without
         // it yields the same visible state for every read version still in
         // the MVCC window.
+        let mut trims: Vec<Vec<u8>> = Vec::new();
         let mut removals: Vec<Vec<u8>> = Vec::new();
-        let mut updates: Vec<(Vec<u8>, Chain)> = Vec::new();
-        let mut cursor = Cursor::forward_from(&mut self.pool, b"")?;
+        let mut cursor = Cursor::seek(&mut self.pool, b"", true)?;
         while let Some((key, chain)) = cursor.next(&mut self.pool)? {
-            match chain_prune(&chain, oldest_version) {
-                None => removals.push(key),
-                Some(pruned) => {
-                    if pruned.len() != chain.len() {
-                        updates.push((key, pruned));
-                    }
-                }
+            match chain_prune(chain, oldest_version)? {
+                Prune::Keep => {}
+                Prune::Trim(..) => trims.push(key.to_vec()),
+                Prune::Dead => removals.push(key.to_vec()),
             }
         }
-        for (key, chain) in updates {
-            btree::put_chain(&mut self.pool, &key, &chain)?;
+        for key in trims {
+            btree::prune(&mut self.pool, &key, oldest_version)?;
         }
         for key in removals {
             btree::remove_key(&mut self.pool, &key)?;
         }
         Ok(())
-    }
-
-    fn scan_stats(&mut self) -> io::Result<(usize, usize)> {
-        let mut keys = 0usize;
-        let mut entries = 0usize;
-        let mut cursor = Cursor::forward_from(&mut self.pool, b"")?;
-        while let Some((_, chain)) = cursor.next(&mut self.pool)? {
-            keys += 1;
-            entries += chain.len();
-        }
-        Ok((keys, entries))
     }
 }
 
@@ -266,20 +238,12 @@ const IO_MSG: &str = "paged storage engine I/O error";
 
 impl StorageEngine for PagedEngine {
     fn write(&mut self, key: Vec<u8>, value: Option<Vec<u8>>, version: u64) {
-        self.wal.buffer(&WalOp::Write {
-            key: key.clone(),
-            value: value.clone(),
-            version,
-        });
-        self.apply_write(&key, value, version).expect(IO_MSG);
+        self.wal.buffer_write(&key, value.as_deref(), version);
+        btree::write(&mut self.pool, &key, version, value.as_deref()).expect(IO_MSG);
     }
 
     fn clear_range(&mut self, begin: &[u8], end: &[u8], version: u64) {
-        self.wal.buffer(&WalOp::ClearRange {
-            begin: begin.to_vec(),
-            end: end.to_vec(),
-            version,
-        });
+        self.wal.buffer_clear_range(begin, end, version);
         self.apply_clear_range(begin, end, version).expect(IO_MSG);
     }
 
@@ -288,7 +252,7 @@ impl StorageEngine for PagedEngine {
     }
 
     fn get(&mut self, key: &[u8], read_version: u64) -> Option<Vec<u8>> {
-        self.try_get(key, read_version).expect(IO_MSG)
+        btree::get(&mut self.pool, key, read_version).expect(IO_MSG)
     }
 
     fn scan(
@@ -304,7 +268,11 @@ impl StorageEngine for PagedEngine {
     }
 
     fn newest_version(&mut self) -> u64 {
-        self.try_newest_version().expect(IO_MSG)
+        self.fold_chains(0u64, |newest, chain| {
+            let last = chain_entries(chain)?.last().transpose()?;
+            Ok(newest.max(last.map_or(0, |entry| entry.version)))
+        })
+        .expect(IO_MSG)
     }
 
     fn compact(&mut self, oldest_version: u64) {
@@ -316,18 +284,17 @@ impl StorageEngine for PagedEngine {
     }
 
     fn live_key_count(&mut self, read_version: u64) -> usize {
-        let mut count = 0usize;
-        let mut cursor = Cursor::forward_from(&mut self.pool, b"").expect(IO_MSG);
-        while let Some((_, chain)) = cursor.next(&mut self.pool).expect(IO_MSG) {
-            if chain_visible_at(&chain, read_version).is_some() {
-                count += 1;
-            }
-        }
-        count
+        self.fold_chains(0usize, |live, chain| {
+            Ok(live + usize::from(chain_visible_at(chain, read_version)?.is_some()))
+        })
+        .expect(IO_MSG)
     }
 
     fn total_version_entries(&mut self) -> usize {
-        self.scan_stats().expect(IO_MSG).1
+        self.fold_chains(0usize, |entries, chain| {
+            chain_entries(chain)?.try_fold(entries, |n, entry| entry.map(|_| n + 1))
+        })
+        .expect(IO_MSG)
     }
 
     fn describe(&self) -> String {
@@ -492,6 +459,62 @@ mod tests {
         // Whereas the whole range costs every leaf.
         let all = touched(&mut |e| assert_eq!(e.range(b"", b"\xff", 20, false).len(), 10_000));
         assert!(all > 10 * depth);
+        std::fs::remove_dir_all(&d).unwrap();
+    }
+
+    #[test]
+    fn overwrite_is_one_descent_and_leaves_untouched_ancestors_alone() {
+        // The cost contract of `write`: one root-to-leaf descent, and a
+        // page above the leaf is rewritten only when the page id below it
+        // changed.
+        let d = dir("overwrite");
+        let counters = IoCounters::new_shared();
+        let mut e = PagedEngine::open(&d, 4096, EvictionPolicy::Lru, counters.clone()).unwrap();
+        let key = |i: u32| format!("k{i:05}").into_bytes();
+        for i in 0..10_000u32 {
+            e.write(key(i), Some(vec![b'v'; 16]), 10);
+        }
+        e.commit_batch();
+        let touched = |e: &mut PagedEngine, f: &dyn Fn(&mut PagedEngine)| {
+            let before = counters.snapshot();
+            f(e);
+            let io = counters.snapshot().delta(&before);
+            io.page_hits + io.page_misses
+        };
+        let overwrite = |version: u64| {
+            move |e: &mut PagedEngine| e.write(key(5_000), Some(vec![b'w'; 16]), version)
+        };
+        let depth = touched(&mut e, &|e| assert!(e.get(&key(5_000), 20).is_some()));
+        assert!(depth >= 2, "10 000 keys need more than one leaf");
+
+        // Every page is fresh (no checkpoint yet): the leaf is rewritten
+        // under its own id and nothing above it is touched.
+        let (root, pages) = (e.pool.root(), e.pool.page_count());
+        assert_eq!(touched(&mut e, &overwrite(20)), depth);
+        assert_eq!((e.pool.root(), e.pool.page_count()), (root, pages));
+
+        // After a checkpoint the first overwrite copies the path, patching
+        // one child pointer per level in the bytes read on the way down...
+        e.commit_batch();
+        e.flush();
+        assert_eq!(touched(&mut e, &overwrite(30)), depth);
+        assert_ne!(
+            e.pool.root(),
+            root,
+            "the checkpointed root is never rewritten"
+        );
+        // ...and the second finds the path fresh: no page allocated, no
+        // ancestor rewritten, exactly one descent.
+        let (root, pages) = (e.pool.root(), e.pool.page_count());
+        assert_eq!(touched(&mut e, &overwrite(40)), depth);
+        assert_eq!((e.pool.root(), e.pool.page_count()), (root, pages));
+        assert_eq!(
+            touched(&mut e, &|e| assert!(e.get(&key(5_000), 50).is_some())),
+            depth
+        );
+        assert_eq!(e.get(&key(5_000), 35), Some(vec![b'w'; 16]));
+        e.commit_batch();
+        assert_eq!(e.check_consistency().unwrap(), 10_000);
         std::fs::remove_dir_all(&d).unwrap();
     }
 

@@ -16,17 +16,23 @@
 use std::collections::{HashMap, HashSet};
 use std::io;
 use std::path::Path;
+use std::sync::Arc;
 
 use crate::engine::EvictionPolicy;
 use crate::file::PageFile;
-use crate::page::PageId;
+use crate::page::{PageId, MAX_PAYLOAD};
 use crate::replacer::{new_replacer, Replacer};
 use crate::SharedIoCounters;
+
+/// A shared handle to one page's payload, as [`BufferPool::read`] hands it
+/// out: taking one copies nothing, and it stays valid (a snapshot of the
+/// page as read) while the pool goes on to load, evict or rewrite frames.
+pub type Page = Arc<Vec<u8>>;
 
 #[derive(Debug)]
 struct Frame {
     page: PageId,
-    payload: Vec<u8>,
+    payload: Page,
     dirty: bool,
 }
 
@@ -91,13 +97,13 @@ impl BufferPool {
     }
 
     /// Read a page's payload, loading it into a frame on miss.
-    pub fn read(&mut self, id: PageId) -> io::Result<&[u8]> {
+    pub fn read(&mut self, id: PageId) -> io::Result<Page> {
         if let Some(&idx) = self.map.get(&id) {
             self.counters
                 .page_hits
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             self.replacer.record_access(idx);
-            return Ok(&self.frames[idx].payload);
+            return Ok(Arc::clone(&self.frames[idx].payload));
         }
         self.counters
             .page_misses
@@ -106,7 +112,7 @@ impl BufferPool {
         let payload = self.file.read_page(id)?;
         let idx = self.acquire_frame()?;
         self.install(idx, id, payload, false);
-        Ok(&self.frames[idx].payload)
+        Ok(Arc::clone(&self.frames[idx].payload))
     }
 
     /// Copy-on-write page update: fresh pages are rewritten in place, and
@@ -165,9 +171,14 @@ impl BufferPool {
     }
 
     fn write_in_place(&mut self, id: PageId, payload: Vec<u8>) -> io::Result<()> {
+        // Only a node rebuilt from damaged bytes is oversized: no panic at flush.
+        if payload.len() > MAX_PAYLOAD {
+            let what = format!("page {id}: payload of {} bytes", payload.len());
+            return Err(io::Error::new(io::ErrorKind::InvalidData, what));
+        }
         if let Some(&idx) = self.map.get(&id) {
             self.replacer.record_access(idx);
-            self.frames[idx].payload = payload;
+            self.frames[idx].payload = Arc::new(payload);
             self.frames[idx].dirty = true;
             return Ok(());
         }
@@ -184,7 +195,7 @@ impl BufferPool {
         if self.frames.len() < self.capacity {
             self.frames.push(Frame {
                 page: 0,
-                payload: Vec::new(),
+                payload: Page::default(),
                 dirty: false,
             });
             return Ok(self.frames.len() - 1);
@@ -206,7 +217,7 @@ impl BufferPool {
     fn install(&mut self, idx: usize, id: PageId, payload: Vec<u8>, dirty: bool) {
         self.frames[idx] = Frame {
             page: id,
-            payload,
+            payload: Arc::new(payload),
             dirty,
         };
         self.map.insert(id, idx);
@@ -258,7 +269,7 @@ mod tests {
         // Far more pages than frames: earlier pages were evicted and must
         // re-read correctly from disk.
         for (i, id) in ids.iter().enumerate() {
-            assert_eq!(pool.read(*id).unwrap(), &vec![i as u8; 64][..]);
+            assert_eq!(*pool.read(*id).unwrap(), vec![i as u8; 64]);
         }
         let stats = pool.counters.snapshot();
         assert!(stats.page_evictions > 0);
@@ -275,8 +286,8 @@ mod tests {
         // Page is now checkpoint-epoch: a rewrite must go elsewhere.
         let new_id = pool.write_cow(id, b"updated".to_vec()).unwrap();
         assert_ne!(new_id, id);
-        assert_eq!(pool.read(id).unwrap(), b"original");
-        assert_eq!(pool.read(new_id).unwrap(), b"updated");
+        assert_eq!(*pool.read(id).unwrap(), b"original");
+        assert_eq!(*pool.read(new_id).unwrap(), b"updated");
         // Fresh pages are rewritten in place.
         let same = pool.write_cow(new_id, b"updated-2".to_vec()).unwrap();
         assert_eq!(same, new_id);

@@ -24,7 +24,7 @@ use std::path::Path;
 use crate::page::checksum;
 use crate::SharedIoCounters;
 
-/// One logical storage operation, as logged and replayed.
+/// One logical storage operation, as replayed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalOp {
     Write {
@@ -39,13 +39,17 @@ pub enum WalOp {
     },
 }
 
+/// Frame header: payload length + checksum.
+const FRAME_HEADER: usize = 4 + 4;
+
 /// Append-only log with batch framing.
 #[derive(Debug)]
 pub struct Wal {
     file: File,
     /// Length of the valid, committed prefix.
     len: u64,
-    /// Encoded ops awaiting the next commit frame.
+    /// The next commit frame: room for its header, then the encoded ops
+    /// buffered so far.
     pending: Vec<u8>,
 }
 
@@ -61,7 +65,7 @@ impl Wal {
         Ok(Wal {
             file,
             len,
-            pending: Vec::new(),
+            pending: vec![0; FRAME_HEADER],
         })
     }
 
@@ -74,30 +78,52 @@ impl Wal {
         self.len == 0
     }
 
-    /// Buffer an op for the next commit frame.
-    pub fn buffer(&mut self, op: &WalOp) {
-        encode_op(op, &mut self.pending);
+    /// Buffer a set (or, with `None`, a clear) for the next commit frame.
+    pub fn buffer_write(&mut self, key: &[u8], value: Option<&[u8]>, version: u64) {
+        self.buffer_op(if value.is_some() { 0x01 } else { 0x02 }, version, key);
+        if let Some(value) = value {
+            self.buffer_bytes(value);
+        }
+    }
+
+    /// Buffer a range clear for the next commit frame.
+    pub fn buffer_clear_range(&mut self, begin: &[u8], end: &[u8], version: u64) {
+        self.buffer_op(0x03, version, begin);
+        self.buffer_bytes(end);
+    }
+
+    fn buffer_op(&mut self, tag: u8, version: u64, first: &[u8]) {
+        self.pending.push(tag);
+        self.pending.extend_from_slice(&version.to_le_bytes());
+        self.buffer_bytes(first);
+    }
+
+    fn buffer_bytes(&mut self, bytes: &[u8]) {
+        self.pending
+            .extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+        self.pending.extend_from_slice(bytes);
     }
 
     /// Whether any ops are buffered but not yet committed.
     pub fn has_pending(&self) -> bool {
-        !self.pending.is_empty()
+        self.pending.len() > FRAME_HEADER
     }
 
     /// Append the buffered batch as one framed, checksummed record.
     pub fn commit(&mut self, counters: &SharedIoCounters) -> io::Result<()> {
-        if self.pending.is_empty() {
+        if !self.has_pending() {
             return Ok(());
         }
         let _t = rl_obs::Timer::start("wal_append");
-        let payload = std::mem::take(&mut self.pending);
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&checksum(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
+        let (header, payload) = self.pending.split_at_mut(FRAME_HEADER);
+        header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        header[4..].copy_from_slice(&checksum(payload).to_le_bytes());
         self.file.seek(SeekFrom::Start(self.len))?;
-        self.file.write_all(&frame)?;
-        self.len += frame.len() as u64;
+        let written = self.file.write_all(&self.pending);
+        let frame_len = self.pending.len() as u64;
+        self.discard_pending();
+        written?;
+        self.len += frame_len;
         counters
             .log_appends
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -106,7 +132,7 @@ impl Wal {
 
     /// Discard any uncommitted buffered ops (crash simulation support).
     pub fn discard_pending(&mut self) {
-        self.pending.clear();
+        self.pending.truncate(FRAME_HEADER);
     }
 
     /// Truncate the log to zero length (after a checkpoint has superseded
@@ -153,45 +179,6 @@ impl Wal {
             self.len = valid;
         }
         Ok(batches)
-    }
-}
-
-fn encode_op(op: &WalOp, out: &mut Vec<u8>) {
-    match op {
-        WalOp::Write {
-            key,
-            value: Some(v),
-            version,
-        } => {
-            out.push(0x01);
-            out.extend_from_slice(&version.to_le_bytes());
-            out.extend_from_slice(&(key.len() as u32).to_le_bytes());
-            out.extend_from_slice(key);
-            out.extend_from_slice(&(v.len() as u32).to_le_bytes());
-            out.extend_from_slice(v);
-        }
-        WalOp::Write {
-            key,
-            value: None,
-            version,
-        } => {
-            out.push(0x02);
-            out.extend_from_slice(&version.to_le_bytes());
-            out.extend_from_slice(&(key.len() as u32).to_le_bytes());
-            out.extend_from_slice(key);
-        }
-        WalOp::ClearRange {
-            begin,
-            end,
-            version,
-        } => {
-            out.push(0x03);
-            out.extend_from_slice(&version.to_le_bytes());
-            out.extend_from_slice(&(begin.len() as u32).to_le_bytes());
-            out.extend_from_slice(begin);
-            out.extend_from_slice(&(end.len() as u32).to_le_bytes());
-            out.extend_from_slice(end);
-        }
     }
 }
 
@@ -280,14 +267,10 @@ mod tests {
         let path = tmp("roundtrip");
         let counters = IoCounters::new_shared();
         let mut wal = Wal::open(&path).unwrap();
-        wal.buffer(&w(b"a", Some(b"1"), 10));
-        wal.buffer(&w(b"b", None, 10));
+        wal.buffer_write(b"a", Some(b"1"), 10);
+        wal.buffer_write(b"b", None, 10);
         wal.commit(&counters).unwrap();
-        wal.buffer(&WalOp::ClearRange {
-            begin: b"a".to_vec(),
-            end: b"z".to_vec(),
-            version: 20,
-        });
+        wal.buffer_clear_range(b"a", b"z", 20);
         wal.commit(&counters).unwrap();
         drop(wal);
 
@@ -295,6 +278,12 @@ mod tests {
         let batches = wal.replay_from(0).unwrap();
         assert_eq!(batches.len(), 2);
         assert_eq!(batches[0], vec![w(b"a", Some(b"1"), 10), w(b"b", None, 10)]);
+        let cleared = WalOp::ClearRange {
+            begin: b"a".to_vec(),
+            end: b"z".to_vec(),
+            version: 20,
+        };
+        assert_eq!(batches[1], vec![cleared]);
         assert_eq!(counters.snapshot().log_appends, 2);
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
@@ -304,9 +293,9 @@ mod tests {
         let path = tmp("uncommitted");
         let counters = IoCounters::new_shared();
         let mut wal = Wal::open(&path).unwrap();
-        wal.buffer(&w(b"a", Some(b"1"), 10));
+        wal.buffer_write(b"a", Some(b"1"), 10);
         wal.commit(&counters).unwrap();
-        wal.buffer(&w(b"b", Some(b"2"), 20)); // never committed
+        wal.buffer_write(b"b", Some(b"2"), 20); // never committed
         drop(wal);
 
         let mut wal = Wal::open(&path).unwrap();
@@ -320,7 +309,7 @@ mod tests {
         let path = tmp("torn");
         let counters = IoCounters::new_shared();
         let mut wal = Wal::open(&path).unwrap();
-        wal.buffer(&w(b"a", Some(b"1"), 10));
+        wal.buffer_write(b"a", Some(b"1"), 10);
         wal.commit(&counters).unwrap();
         let good_len = wal.len();
         // Simulate a torn append: garbage half-frame at the end.
