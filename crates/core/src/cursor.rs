@@ -286,6 +286,8 @@ pub struct KeyValueCursor<'a> {
     limiter: ScanLimiter,
     buffer: std::collections::VecDeque<rl_fdb::KeyValue>,
     exhausted_source: bool,
+    /// The position: the key of the last row returned, or the one the
+    /// cursor was resumed after. The next batch reads past it.
     last_key: Option<Vec<u8>>,
     done: bool,
 }
@@ -301,18 +303,6 @@ impl<'a> KeyValueCursor<'a> {
         limiter: ScanLimiter,
         continuation: &Continuation,
     ) -> Result<Self> {
-        let (begin, end, done) = match continuation {
-            Continuation::Start => (begin, end, false),
-            Continuation::At(last) => {
-                if reverse {
-                    // Resume scanning keys strictly below `last`.
-                    (begin, last.clone(), false)
-                } else {
-                    (rl_fdb::key_after(last), end, false)
-                }
-            }
-            Continuation::End => (begin, end, true),
-        };
         Ok(KeyValueCursor {
             tx,
             begin,
@@ -323,8 +313,11 @@ impl<'a> KeyValueCursor<'a> {
             limiter,
             buffer: std::collections::VecDeque::new(),
             exhausted_source: false,
-            last_key: None,
-            done,
+            last_key: match continuation {
+                Continuation::At(last) => Some(last.clone()),
+                Continuation::Start | Continuation::End => None,
+            },
+            done: continuation.is_end(),
         })
     }
 
@@ -345,6 +338,9 @@ impl<'a> KeyValueCursor<'a> {
         }
     }
 
+    /// Read the next batch: the rows of `[begin, end)` strictly past the
+    /// position. Called only with the buffer drained, so the position is
+    /// the last row of the batch before.
     fn fill_buffer(&mut self) -> Result<()> {
         if self.exhausted_source {
             return Ok(());
@@ -352,25 +348,56 @@ impl<'a> KeyValueCursor<'a> {
         let options = RangeOptions::new()
             .limit(self.batch_size)
             .reverse(self.reverse);
+        let after;
+        let (begin, end) = match &self.last_key {
+            None => (self.begin.as_slice(), self.end.as_slice()),
+            Some(last) if self.reverse => (self.begin.as_slice(), last.as_slice()),
+            Some(last) => {
+                after = rl_fdb::key_after(last);
+                (after.as_slice(), self.end.as_slice())
+            }
+        };
         let kvs = if self.snapshot {
-            self.tx
-                .get_range_snapshot(&self.begin, &self.end, options)?
+            self.tx.get_range_snapshot(begin, end, options)?
         } else {
-            self.tx.get_range(&self.begin, &self.end, options)?
+            self.tx.get_range(begin, end, options)?
         };
         if kvs.len() < self.batch_size {
             self.exhausted_source = true;
         }
         self.batch_size = (self.batch_size * 2).min(MAX_BATCH);
-        if let Some(last) = kvs.last() {
-            if self.reverse {
-                self.end = last.key.clone();
-            } else {
-                self.begin = rl_fdb::key_after(&last.key);
-            }
-        }
-        self.buffer.extend(kvs);
+        self.buffer = kvs.into();
         Ok(())
+    }
+
+    /// The next row, or why there is none, without building the
+    /// continuation [`RecordCursor::next`] attaches to it: for a consumer
+    /// that keeps a position of its own (the record scan resumes at record
+    /// boundaries, not at keys).
+    pub(crate) fn next_row(
+        &mut self,
+    ) -> Result<std::result::Result<rl_fdb::KeyValue, NoNextReason>> {
+        if self.done {
+            return Ok(Err(NoNextReason::SourceExhausted));
+        }
+        if self.buffer.is_empty() {
+            self.fill_buffer()?;
+        }
+        let Some(front) = self.buffer.front() else {
+            self.done = true;
+            return Ok(Err(NoNextReason::SourceExhausted));
+        };
+        if let Some(reason) = self
+            .limiter
+            .try_record_scan(front.key.len() + front.value.len())
+        {
+            return Ok(Err(reason));
+        }
+        let kv = self.buffer.pop_front().expect("front was just seen");
+        self.last_key
+            .get_or_insert_with(Vec::new)
+            .clone_from(&kv.key);
+        Ok(Ok(kv))
     }
 }
 
@@ -378,39 +405,20 @@ impl RecordCursor for KeyValueCursor<'_> {
     type Item = rl_fdb::KeyValue;
 
     fn next(&mut self) -> Result<CursorResult<rl_fdb::KeyValue>> {
-        if self.done {
-            return Ok(CursorResult::NoNext {
+        Ok(match self.next_row()? {
+            Ok(kv) => CursorResult::Next {
+                continuation: Continuation::At(kv.key.clone()),
+                value: kv,
+            },
+            Err(NoNextReason::SourceExhausted) => CursorResult::NoNext {
                 reason: NoNextReason::SourceExhausted,
                 continuation: Continuation::End,
-            });
-        }
-        if self.buffer.is_empty() {
-            self.fill_buffer()?;
-        }
-        match self.buffer.front() {
-            None => {
-                self.done = true;
-                Ok(CursorResult::NoNext {
-                    reason: NoNextReason::SourceExhausted,
-                    continuation: Continuation::End,
-                })
-            }
-            Some(front) => {
-                let size = front.key.len() + front.value.len();
-                if let Some(reason) = self.limiter.try_record_scan(size) {
-                    return Ok(CursorResult::NoNext {
-                        reason,
-                        continuation: self.continuation(),
-                    });
-                }
-                let kv = self.buffer.pop_front().unwrap();
-                self.last_key = Some(kv.key.clone());
-                Ok(CursorResult::Next {
-                    value: kv,
-                    continuation: self.continuation(),
-                })
-            }
-        }
+            },
+            Err(reason) => CursorResult::NoNext {
+                reason,
+                continuation: self.continuation(),
+            },
+        })
     }
 }
 
@@ -577,7 +585,10 @@ impl<C: RecordCursor> RecordCursor for TakeCursor<C> {
                 continuation,
             } => {
                 self.remaining -= 1;
-                self.last_continuation = continuation.clone();
+                if self.remaining == 0 {
+                    // The only row whose continuation is asked for again.
+                    self.last_continuation = continuation.clone();
+                }
                 Ok(CursorResult::Next {
                     value,
                     continuation,

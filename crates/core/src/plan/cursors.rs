@@ -194,6 +194,22 @@ impl RecordCursor for FilteredRecordCursor<'_> {
 
 // -------------------------------------------------------- the primary fetch
 
+/// The primary key an index entry's key carries after its `key_columns`
+/// indexed columns: packed (the tail of the key itself, which is how the
+/// record's own keys spell it) and decoded.
+fn entry_primary_key<'k>(
+    subspace: &Subspace,
+    key: &'k [u8],
+    key_columns: usize,
+) -> Result<(&'k [u8], Tuple)> {
+    let mut reader = subspace.reader(key).map_err(Error::Fdb)?;
+    for column in reader.by_ref().take(key_columns) {
+        column.map_err(Error::Fdb)?;
+    }
+    let packed = reader.remaining();
+    Ok((packed, Tuple::unpack(packed).map_err(Error::Fdb)?))
+}
+
 /// Scans index keys and fetches the indexed records (the "primary fetch").
 pub(crate) struct IndexFetchCursor<'a> {
     pub(crate) store: RecordStore<'a>,
@@ -214,9 +230,9 @@ impl RecordCursor for IndexFetchCursor<'_> {
                     value: kv,
                     continuation,
                 } => {
-                    let t = self.subspace.unpack(&kv.key).map_err(Error::Fdb)?;
-                    let pk = t.suffix(self.key_columns);
-                    let Some(record) = self.store.load_record(&pk)? else {
+                    let (packed_pk, pk) =
+                        entry_primary_key(&self.subspace, &kv.key, self.key_columns)?;
+                    let Some(record) = self.store.load_record_packed(packed_pk, || pk)? else {
                         continue; // index entry racing a delete
                     };
                     if let Some(types) = &self.record_types {
@@ -290,7 +306,7 @@ pub(crate) fn synthesize_record(
     record_type: &str,
     fields: &[CoveredField],
     entry_cols: &Tuple,
-    primary_key: &Tuple,
+    primary_key: Tuple,
 ) -> Result<StoredRecord> {
     let desc = metadata
         .pool()
@@ -316,7 +332,7 @@ pub(crate) fn synthesize_record(
         message.set(&f.field, value)?;
     }
     Ok(StoredRecord {
-        primary_key: primary_key.clone(),
+        primary_key,
         record_type: record_type.to_string(),
         message,
         version: None,
@@ -345,21 +361,17 @@ impl RecordCursor for CoveringScanCursor<'_> {
                 value: kv,
                 continuation,
             } => {
-                let t = self.subspace.unpack(&kv.key).map_err(Error::Fdb)?;
-                let key_cols = t.prefix(self.key_columns);
-                let pk = t.suffix(self.key_columns);
-                let value_cols = if kv.value.is_empty() {
-                    Tuple::new()
-                } else {
-                    Tuple::unpack(&kv.value).map_err(Error::Fdb)?
-                };
-                let entry_cols = key_cols.concat(&value_cols);
+                let mut entry_cols = self.subspace.unpack(&kv.key).map_err(Error::Fdb)?;
+                let pk = entry_cols.split_off(self.key_columns);
+                if !kv.value.is_empty() {
+                    entry_cols = entry_cols.concat(&Tuple::unpack(&kv.value).map_err(Error::Fdb)?);
+                }
                 let record = synthesize_record(
                     self.metadata,
                     &self.record_type,
                     &self.fields,
                     &entry_cols,
-                    &pk,
+                    pk,
                 )?;
                 Ok(CursorResult::Next {
                     value: record,
@@ -728,10 +740,9 @@ impl<'a> IntersectionCursor<'a> {
                     value: kv_pair,
                     continuation,
                 } => {
-                    let t = subspace.unpack(&kv_pair.key).map_err(Error::Fdb)?;
-                    let pk = t.suffix(*key_columns);
+                    let (packed_pk, pk) = entry_primary_key(subspace, &kv_pair.key, *key_columns)?;
                     child.head = Some(Head {
-                        pk_bytes: pk.pack(),
+                        pk_bytes: packed_pk.to_vec(),
                         pk,
                         record: None,
                         after: continuation,
@@ -849,12 +860,12 @@ impl RecordCursor for IntersectionCursor<'_> {
                 if carried.is_none() {
                     carried = head.record;
                 }
-                pk = Some(head.pk);
+                pk = Some((head.pk_bytes, head.pk));
             }
-            let pk = pk.unwrap();
+            let (packed_pk, pk) = pk.unwrap();
             let record = match carried {
                 Some(r) => Some(r),
-                None => self.store.load_record(&pk)?,
+                None => self.store.load_record_packed(&packed_pk, || pk)?,
             };
             let Some(record) = record else {
                 continue; // entry racing a delete

@@ -8,6 +8,8 @@
 //! serializer. Stored bytes are tagged with a one-byte format marker so a
 //! store can be read back even if the configured chain changed order.
 
+use std::borrow::Cow;
+
 use crate::error::{Error, Result};
 
 /// Serialize/deserialize the raw protobuf bytes of a record.
@@ -15,7 +17,9 @@ pub trait RecordSerializer: Send + Sync {
     /// A short name recorded in diagnostics.
     fn name(&self) -> &str;
     fn serialize(&self, record_bytes: &[u8]) -> Result<Vec<u8>>;
-    fn deserialize(&self, stored: &[u8]) -> Result<Vec<u8>>;
+    /// Undo `serialize`. A transform that leaves the record bytes in place
+    /// inside `stored` lends them back; the fetch path decodes from there.
+    fn deserialize<'a>(&self, stored: &'a [u8]) -> Result<Cow<'a, [u8]>>;
 }
 
 /// Identity serialization: stores the message bytes as-is.
@@ -34,9 +38,9 @@ impl RecordSerializer for PlainSerializer {
         Ok(out)
     }
 
-    fn deserialize(&self, stored: &[u8]) -> Result<Vec<u8>> {
+    fn deserialize<'a>(&self, stored: &'a [u8]) -> Result<Cow<'a, [u8]>> {
         match stored.split_first() {
-            Some((b'P', rest)) => Ok(rest.to_vec()),
+            Some((b'P', rest)) => Ok(Cow::Borrowed(rest)),
             _ => Err(Error::Serialization("not plain-serialized bytes".into())),
         }
     }
@@ -103,13 +107,15 @@ impl<S: RecordSerializer> RecordSerializer for CompressingSerializer<S> {
         Ok(out)
     }
 
-    fn deserialize(&self, stored: &[u8]) -> Result<Vec<u8>> {
-        let inner = match stored.split_first() {
-            Some((b'C', rest)) => rle_decompress(rest)?,
-            Some((b'R', rest)) => rest.to_vec(),
-            _ => return Err(Error::Serialization("not compressed bytes".into())),
-        };
-        self.inner.deserialize(&inner)
+    fn deserialize<'a>(&self, stored: &'a [u8]) -> Result<Cow<'a, [u8]>> {
+        match stored.split_first() {
+            Some((b'C', rest)) => {
+                let inner = rle_decompress(rest)?;
+                Ok(Cow::Owned(self.inner.deserialize(&inner)?.into_owned()))
+            }
+            Some((b'R', rest)) => self.inner.deserialize(rest),
+            _ => Err(Error::Serialization("not compressed bytes".into())),
+        }
     }
 }
 
@@ -149,9 +155,12 @@ impl<S: RecordSerializer> RecordSerializer for XorCipherSerializer<S> {
         Ok(out)
     }
 
-    fn deserialize(&self, stored: &[u8]) -> Result<Vec<u8>> {
+    fn deserialize<'a>(&self, stored: &'a [u8]) -> Result<Cow<'a, [u8]>> {
         match stored.split_first() {
-            Some((b'X', rest)) => self.inner.deserialize(&self.apply(rest)),
+            Some((b'X', rest)) => {
+                let inner = self.apply(rest);
+                Ok(Cow::Owned(self.inner.deserialize(&inner)?.into_owned()))
+            }
             _ => Err(Error::Serialization("not cipher bytes".into())),
         }
     }

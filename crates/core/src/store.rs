@@ -23,13 +23,14 @@
 //! each other over a counter. The cost-based planner reads these counts
 //! (at snapshot isolation) to estimate scan costs instead of guessing.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use rl_fdb::atomic::MutationType;
 use rl_fdb::subspace::Subspace;
-use rl_fdb::tuple::{Tuple, TupleElement};
+use rl_fdb::tuple::{ElementRef, Tuple, TupleElement, TupleReader};
 use rl_fdb::version::Versionstamp;
-use rl_fdb::{RangeOptions, Transaction};
+use rl_fdb::{KeyValue, RangeOptions, Transaction};
 use rl_message::DynamicMessage;
 
 use crate::cursor::{
@@ -52,6 +53,9 @@ const INDEX_STATS: i64 = 5;
 const STAT_RECORDS: i64 = 0;
 /// Prefix under `S(5)` holding per-index entry counts.
 const STAT_INDEX_ENTRIES: i64 = 1;
+
+/// Split suffix of the key holding a record's commit version.
+const VERSION_SPLIT: i64 = -1;
 
 /// Current on-disk format version written to store headers.
 pub const FORMAT_VERSION: i64 = 1;
@@ -100,17 +104,18 @@ impl StoreHeader {
     }
 
     fn decode(bytes: &[u8]) -> Result<StoreHeader> {
-        let t = Tuple::unpack(bytes).map_err(Error::Fdb)?;
-        let get = |i: usize| {
-            t.get(i)
-                .and_then(TupleElement::as_int)
-                .ok_or_else(|| Error::MetaData("corrupt store header".into()))
+        let mut fields = TupleReader::new(bytes);
+        let mut int = || match fields.next().transpose().map_err(Error::Fdb)? {
+            Some(ElementRef::Int(v)) => Ok(v),
+            _ => Err(Error::MetaData("corrupt store header".into())),
         };
-        Ok(StoreHeader {
-            format_version: get(0)?,
-            metadata_version: get(1)? as u64,
-            user_version: get(2)? as u64,
-        })
+        let header = StoreHeader {
+            format_version: int()?,
+            metadata_version: int()? as u64,
+            user_version: int()? as u64,
+        };
+        fields.try_for_each(|rest| rest.map(drop).map_err(Error::Fdb))?;
+        Ok(header)
     }
 }
 
@@ -235,6 +240,10 @@ impl RecordStoreBuilder {
         let store = RecordStore {
             tx,
             subspace: subspace.clone(),
+            records: subspace.child(RECORDS),
+            indexes: subspace.child(INDEXES),
+            index_state: subspace.child(INDEX_STATE),
+            stats: subspace.child(INDEX_STATS),
             metadata,
             serializer: self.serializer,
             registry: self.registry,
@@ -251,6 +260,13 @@ impl RecordStoreBuilder {
 pub struct RecordStore<'a> {
     tx: &'a Transaction,
     subspace: Subspace,
+    /// The fixed regions `S(1)`, `S(2)`, `S(3)` and `S(5)`, packed once
+    /// when the store is opened: every record and index key starts with
+    /// one of them.
+    records: Subspace,
+    indexes: Subspace,
+    index_state: Subspace,
+    stats: Subspace,
     metadata: &'a RecordMetaData,
     serializer: Arc<dyn RecordSerializer>,
     registry: Arc<IndexRegistry>,
@@ -304,6 +320,10 @@ impl<'a> RecordStore<'a> {
         RecordStore {
             tx: self.tx,
             subspace: self.subspace.clone(),
+            records: self.records.clone(),
+            indexes: self.indexes.clone(),
+            index_state: self.index_state.clone(),
+            stats: self.stats.clone(),
             metadata: self.metadata,
             serializer: self.serializer.clone(),
             registry: self.registry.clone(),
@@ -316,19 +336,13 @@ impl<'a> RecordStore<'a> {
         self.subspace.pack(&Tuple::new().push(HEADER))
     }
 
-    fn records_subspace(&self) -> Subspace {
-        self.subspace.child(RECORDS)
-    }
-
     /// The subspace dedicated to one index.
     pub fn index_subspace(&self, index: &Index) -> Subspace {
-        self.subspace.child(INDEXES).child(index.name.as_str())
+        self.indexes.child(index.name.as_str())
     }
 
     fn index_state_key(&self, index_name: &str) -> Vec<u8> {
-        self.subspace
-            .child(INDEX_STATE)
-            .pack(&Tuple::new().push(index_name))
+        self.index_state.pack(&Tuple::new().push(index_name))
     }
 
     /// Subspace recording online-build progress for an index.
@@ -336,18 +350,12 @@ impl<'a> RecordStore<'a> {
         self.subspace.child(INDEX_RANGES).child(index.name.as_str())
     }
 
-    /// Subspace holding persistent statistics (record and index entry
-    /// counts, maintained with atomic ADD mutations).
-    fn stats_subspace(&self) -> Subspace {
-        self.subspace.child(INDEX_STATS)
-    }
-
     fn record_count_key(&self) -> Vec<u8> {
-        self.stats_subspace().pack(&Tuple::new().push(STAT_RECORDS))
+        self.stats.pack(&Tuple::new().push(STAT_RECORDS))
     }
 
     fn index_entry_count_key(&self, index_name: &str) -> Vec<u8> {
-        self.stats_subspace()
+        self.stats
             .pack(&Tuple::new().push(STAT_INDEX_ENTRIES).push(index_name))
     }
 
@@ -473,16 +481,15 @@ impl<'a> RecordStore<'a> {
         }
         // Indexes with recorded state that are no longer in the metadata
         // were dropped: clear their data cheaply with a range clear (§6).
-        let state_sub = self.subspace.child(INDEX_STATE);
-        let (begin, end) = state_sub.range();
+        let (begin, end) = self.index_state.range();
         for kv in self.tx.get_range(&begin, &end, RangeOptions::default())? {
-            let name_tuple = state_sub.unpack(&kv.key).map_err(Error::Fdb)?;
+            let name_tuple = self.index_state.unpack(&kv.key).map_err(Error::Fdb)?;
             let name = name_tuple
                 .get(0)
                 .and_then(TupleElement::as_str)
                 .ok_or_else(|| Error::MetaData("corrupt index state key".into()))?;
             if self.metadata.index(name).is_err() {
-                let data_sub = self.subspace.child(INDEXES).child(name);
+                let data_sub = self.indexes.child(name);
                 let (db, de) = data_sub.range_inclusive();
                 self.tx.clear_range(&db, &de);
                 let range_sub = self.subspace.child(INDEX_RANGES).child(name);
@@ -498,7 +505,7 @@ impl<'a> RecordStore<'a> {
 
     /// Whether the store holds at least one record.
     pub fn has_any_record(&self) -> Result<bool> {
-        let (begin, end) = self.records_subspace().range();
+        let (begin, end) = self.records.range();
         Ok(!self
             .tx
             .get_range_snapshot(&begin, &end, RangeOptions::new().limit(1))?
@@ -585,7 +592,7 @@ impl<'a> RecordStore<'a> {
 
         // Replace the old payload: a range clear is necessary since the old
         // record may have been split across multiple keys (§6).
-        let rec_sub = self.records_subspace().subspace(&primary_key);
+        let rec_sub = self.records.subspace(&primary_key);
         if old.is_some() {
             let (begin, end) = rec_sub.range_inclusive();
             self.tx.clear_range(&begin, &end);
@@ -610,7 +617,7 @@ impl<'a> RecordStore<'a> {
         // Write the version split (-1) via a versionstamped value so the
         // commit version is filled in by the database (§4, §7).
         if self.metadata.store_record_versions {
-            let key = rec_sub.pack(&Tuple::new().push(-1i64));
+            let key = rec_sub.pack(&Tuple::new().push(VERSION_SPLIT));
             let mut param = new.version.unwrap().as_bytes().to_vec();
             param.extend_from_slice(&0u32.to_le_bytes());
             self.tx
@@ -622,60 +629,101 @@ impl<'a> RecordStore<'a> {
 
     /// Load a record by primary key: one range read fetches the version
     /// split and all payload chunks together (§4).
+    ///
+    /// Cost contract: one range read, one decode; allocates only what the
+    /// returned record owns. Concretely, beyond what
+    /// [`Transaction::get_range`] allocates for the rows it returns and its
+    /// conflict range, that is the packed key with the two bounds built
+    /// from it, and then the record's own primary key, type name and
+    /// message fields — read in place off the returned rows (plus the
+    /// buffers `assemble_record` names for escaped or split payloads). A
+    /// missing record stops after the read. `tests/fetch_allocations.rs`
+    /// holds the count.
     pub fn load_record(&self, primary_key: &Tuple) -> Result<Option<StoredRecord>> {
-        let rec_sub = self.records_subspace().subspace(primary_key);
-        let (begin, end) = rec_sub.range();
-        let kvs = self.tx.get_range(&begin, &end, RangeOptions::default())?;
-        self.assemble_record(
-            primary_key,
-            &kvs.iter()
-                .map(|kv| (kv.key.clone(), kv.value.clone()))
-                .collect::<Vec<_>>(),
-        )
+        self.load_record_packed(&primary_key.pack(), || primary_key.clone())
     }
 
-    /// Reassemble a record from its (suffix-keyed) chunks.
+    /// [`load_record`](Self::load_record) for a caller that holds the
+    /// primary key in packed form already (the tail of an index entry's
+    /// key) and hands the decoded one over by move.
+    pub(crate) fn load_record_packed(
+        &self,
+        packed_pk: &[u8],
+        primary_key: impl FnOnce() -> Tuple,
+    ) -> Result<Option<StoredRecord>> {
+        let prefix = self.records.prefix();
+        let mut begin = Vec::with_capacity(prefix.len() + packed_pk.len() + 1);
+        begin.extend_from_slice(prefix);
+        begin.extend_from_slice(packed_pk);
+        let mut end = begin.clone();
+        begin.push(0x00);
+        end.push(0xFF);
+        let rows = self.tx.get_range(&begin, &end, RangeOptions::default())?;
+        self.assemble_record(primary_key, begin.len() - 1, &rows)
+    }
+
+    /// The one place a record is put together from its stored form — point
+    /// loads, record scans and index fetches all end here: the rows of one
+    /// record in ascending key order, each carrying its split suffix at
+    /// `suffix_at`.
+    ///
+    /// Cost contract: one decode, off the bytes the read returned;
+    /// allocates only what the returned record owns. The split suffixes,
+    /// the version and the `(type, wire)` envelope are read in place, and
+    /// an unsplit record's payload is decoded from the row's own value.
+    /// What is allocated is the primary key (`primary_key` runs only for a
+    /// record that exists), the type name and the message's fields — plus
+    /// one buffer for the wire bytes when the envelope had to escape a NUL
+    /// in them, one to join the chunks of a split record, and whatever a
+    /// non-identity serializer needs to undo its transform.
     fn assemble_record(
         &self,
-        primary_key: &Tuple,
-        kvs: &[(Vec<u8>, Vec<u8>)],
+        primary_key: impl FnOnce() -> Tuple,
+        suffix_at: usize,
+        rows: &[KeyValue],
     ) -> Result<Option<StoredRecord>> {
-        if kvs.is_empty() {
-            return Ok(None);
-        }
-        let rec_sub = self.records_subspace().subspace(primary_key);
         let mut version = None;
-        let mut payload = Vec::new();
-        let mut split_count = 0usize;
-        for (key, value) in kvs {
-            let suffix = rec_sub.unpack(key).map_err(Error::Fdb)?;
-            let idx = suffix
-                .get(0)
-                .and_then(TupleElement::as_int)
-                .ok_or_else(|| Error::Serialization("bad record split suffix".into()))?;
-            if idx == -1 {
-                version = Some(Versionstamp::try_from_slice(value).map_err(Error::Fdb)?);
-            } else {
-                payload.extend_from_slice(value);
-                split_count += 1;
+        let mut chunks = rows;
+        for (i, row) in rows.iter().enumerate() {
+            let mut suffix = TupleReader::new(row.key.get(suffix_at..).unwrap_or_default());
+            match (
+                suffix.next().transpose().map_err(Error::Fdb)?,
+                suffix.next(),
+            ) {
+                (Some(ElementRef::Int(VERSION_SPLIT)), None) => {
+                    version = Some(Versionstamp::try_from_slice(&row.value).map_err(Error::Fdb)?);
+                    // Sorts before every payload chunk.
+                    chunks = &rows[i + 1..];
+                }
+                (Some(ElementRef::Int(_)), None) => {}
+                _ => return Err(Error::Serialization("bad record split suffix".into())),
             }
         }
-        if split_count == 0 {
-            // Only a version key survived — treat as missing (can happen
-            // transiently if a caller cleared payload keys directly).
-            return Ok(None);
-        }
+        let payload = match chunks {
+            // Nothing, or only a version key survived — treat as missing
+            // (can happen transiently if a caller cleared payload keys
+            // directly).
+            [] => return Ok(None),
+            [unsplit] => Cow::Borrowed(unsplit.value.as_slice()),
+            split => {
+                let mut joined = Vec::with_capacity(split.iter().map(|kv| kv.value.len()).sum());
+                for chunk in split {
+                    joined.extend_from_slice(&chunk.value);
+                }
+                Cow::Owned(joined)
+            }
+        };
         let (record_type, message) = self.deserialize_record(&payload)?;
         // Every record materialized from the record subspace counts as a
         // fetch; covering index scans bypass this path entirely.
         self.metrics.add_record_fetch();
         self.tx.note_record_fetch();
         Ok(Some(StoredRecord {
-            primary_key: primary_key.clone(),
+            primary_key: primary_key(),
             record_type,
             message,
             version,
-            split_count,
+            split_count: chunks.len(),
         }))
     }
 
@@ -687,7 +735,7 @@ impl<'a> RecordStore<'a> {
         };
         self.update_indexes(Some(&old), None)?;
         self.bump_stat(&self.record_count_key(), -1)?;
-        let rec_sub = self.records_subspace().subspace(primary_key);
+        let rec_sub = self.records.subspace(primary_key);
         let (begin, end) = rec_sub.range_inclusive();
         self.tx.clear_range(&begin, &end);
         Ok(true)
@@ -697,10 +745,10 @@ impl<'a> RecordStore<'a> {
     /// a cheap range clear thanks to the contiguous layout (§3).
     pub fn delete_all_records(&self) -> Result<()> {
         for sub in [
-            self.records_subspace(),
-            self.subspace.child(INDEXES),
-            self.subspace.child(INDEX_RANGES),
-            self.stats_subspace(),
+            &self.records,
+            &self.indexes,
+            &self.subspace.child(INDEX_RANGES),
+            &self.stats,
         ] {
             let (begin, end) = sub.range_inclusive();
             self.tx.clear_range(&begin, &end);
@@ -711,9 +759,9 @@ impl<'a> RecordStore<'a> {
     /// The commit version of a record's last modification, if stored.
     pub fn load_record_version(&self, primary_key: &Tuple) -> Result<Option<Versionstamp>> {
         let key = self
-            .records_subspace()
+            .records
             .subspace(primary_key)
-            .pack(&Tuple::new().push(-1i64));
+            .pack(&Tuple::new().push(VERSION_SPLIT));
         match self.tx.get(&key)? {
             Some(v) => Ok(Some(Versionstamp::try_from_slice(&v).map_err(Error::Fdb)?)),
             None => Ok(None),
@@ -844,25 +892,27 @@ impl<'a> RecordStore<'a> {
         self.serializer.serialize(&tagged)
     }
 
+    /// Undo `serialize_record`: the `(type, wire)` envelope is read off
+    /// the deserialized bytes in place, and only the type name is copied.
     fn deserialize_record(&self, payload: &[u8]) -> Result<(String, DynamicMessage)> {
         let tagged = self.serializer.deserialize(payload)?;
-        let t = Tuple::unpack(&tagged).map_err(Error::Fdb)?;
-        let record_type = t
-            .get(0)
-            .and_then(TupleElement::as_str)
-            .ok_or_else(|| Error::Serialization("missing record type tag".into()))?
-            .to_string();
-        let wire = t
-            .get(1)
-            .and_then(TupleElement::as_bytes)
-            .ok_or_else(|| Error::Serialization("missing record payload".into()))?;
+        let mut envelope = TupleReader::new(&tagged);
+        let mut element = || envelope.next().transpose().map_err(Error::Fdb);
+        let Some(ElementRef::String(record_type)) = element()? else {
+            return Err(Error::Serialization("missing record type tag".into()));
+        };
+        let Some(ElementRef::Bytes(wire)) = element()? else {
+            return Err(Error::Serialization("missing record payload".into()));
+        };
+        // Whatever follows must at least be a tuple, as it always had to.
+        envelope.try_for_each(|rest| rest.map(drop).map_err(Error::Fdb))?;
         let desc = self
             .metadata
             .pool()
             .message(&record_type)
-            .ok_or_else(|| Error::UnknownRecordType(record_type.clone()))?;
-        let message = DynamicMessage::decode(desc, self.metadata.pool(), wire)?;
-        Ok((record_type, message))
+            .ok_or_else(|| Error::UnknownRecordType(record_type.to_string()))?;
+        let message = DynamicMessage::decode(desc, self.metadata.pool(), &wire)?;
+        Ok((record_type.into_owned(), message))
     }
 }
 
@@ -892,52 +942,18 @@ impl AggregateValue {
 /// Streams whole records from the record extent, reassembling splits and
 /// producing a continuation at each record boundary.
 pub struct RecordScanCursor<'a> {
-    store: RecordStoreRef<'a>,
+    store: RecordStore<'a>,
     kv: KeyValueCursor<'a>,
-    records_subspace: Subspace,
-    /// Chunks accumulated for the record currently being assembled.
-    pending: Vec<(Vec<u8>, Vec<u8>)>,
-    pending_pk: Option<Tuple>,
-    last_emitted_pk: Option<Tuple>,
+    reverse: bool,
+    /// Rows of the record currently being read, in scan order.
+    pending: Vec<KeyValue>,
+    /// That record's primary key, and where in each of its keys the packed
+    /// primary key ends and the split suffix begins.
+    pending_pk: Option<(Tuple, usize)>,
+    /// The position: the packed primary key of the last record emitted,
+    /// or the one the scan was resumed after.
+    last_emitted_pk: Option<Vec<u8>>,
     done: bool,
-}
-
-/// The pieces of `RecordStore` a cursor needs, owned so cursors are not tied
-/// to the store value's lifetime (only the transaction's).
-struct RecordStoreRef<'a> {
-    tx: &'a Transaction,
-    subspace: Subspace,
-    metadata: &'a RecordMetaData,
-    serializer: Arc<dyn RecordSerializer>,
-    registry: Arc<IndexRegistry>,
-    split_size: usize,
-    metrics: rl_fdb::metrics::SharedMetrics,
-}
-
-impl<'a> RecordStoreRef<'a> {
-    fn from(store: &RecordStore<'a>) -> Self {
-        RecordStoreRef {
-            tx: store.tx,
-            subspace: store.subspace.clone(),
-            metadata: store.metadata,
-            serializer: store.serializer.clone(),
-            registry: store.registry.clone(),
-            split_size: store.split_size,
-            metrics: store.metrics.clone(),
-        }
-    }
-
-    fn as_store(&self) -> RecordStore<'a> {
-        RecordStore {
-            tx: self.tx,
-            subspace: self.subspace.clone(),
-            metadata: self.metadata,
-            serializer: self.serializer.clone(),
-            registry: self.registry.clone(),
-            split_size: self.split_size,
-            metrics: self.metrics.clone(),
-        }
-    }
 }
 
 impl<'a> RecordScanCursor<'a> {
@@ -948,27 +964,23 @@ impl<'a> RecordScanCursor<'a> {
         continuation: &Continuation,
         props: &ExecuteProperties,
     ) -> Result<Self> {
-        let records_subspace = store.records_subspace();
-        let (mut begin, mut end) = range.to_byte_range(&records_subspace);
+        let (mut begin, mut end) = range.to_byte_range(&store.records);
         // Continuations are primary keys: resume strictly after (or before,
         // in reverse) every key of that record.
-        let mut done = false;
-        match continuation {
-            Continuation::Start => {}
-            Continuation::End => done = true,
-            Continuation::At(pk_bytes) => {
-                let pk = Tuple::unpack(pk_bytes).map_err(|e| {
-                    Error::InvalidContinuation(format!("bad record scan continuation: {e}"))
-                })?;
-                let pk_prefix = records_subspace.pack(&pk);
-                if reverse {
-                    end = pk_prefix;
-                } else {
-                    let mut b = pk_prefix;
-                    b.push(0xFF);
-                    begin = b;
-                }
+        let mut last_emitted_pk = None;
+        if let Continuation::At(pk_bytes) = continuation {
+            let pk = Tuple::unpack(pk_bytes).map_err(|e| {
+                Error::InvalidContinuation(format!("bad record scan continuation: {e}"))
+            })?;
+            let pk_prefix = store.records.pack(&pk);
+            if reverse {
+                end = pk_prefix;
+            } else {
+                let mut b = pk_prefix;
+                b.push(0xFF);
+                begin = b;
             }
+            last_emitted_pk = Some(pk_bytes.clone());
         }
         let kv = KeyValueCursor::new(
             store.tx,
@@ -983,38 +995,77 @@ impl<'a> RecordScanCursor<'a> {
         // the end of the range) has been seen: one key of lookahead.
         .expecting(props.return_limit.map(|n| n.saturating_add(1)));
         Ok(RecordScanCursor {
-            store: RecordStoreRef::from(store),
+            store: store.clone_handle(),
             kv,
-            records_subspace,
+            reverse,
             pending: Vec::new(),
             pending_pk: None,
-            last_emitted_pk: None,
-            done,
+            last_emitted_pk,
+            done: continuation.is_end(),
         })
     }
 
     fn continuation(&self) -> Continuation {
         match &self.last_emitted_pk {
-            Some(pk) => Continuation::At(pk.pack()),
+            Some(pk) => Continuation::At(pk.clone()),
             None => Continuation::Start,
         }
     }
 
-    /// Primary key of a raw record key (strips the trailing split suffix).
-    fn pk_of(&self, key: &[u8]) -> Result<Tuple> {
-        let t = self.records_subspace.unpack(key).map_err(Error::Fdb)?;
-        Ok(t.prefix(t.len().saturating_sub(1)))
+    /// Whether `key` is one more row of the pending record: that record's
+    /// key up to the split suffix, followed by exactly one element.
+    fn continues_pending(&self, key: &[u8]) -> bool {
+        let (Some((_, suffix_at)), Some(first)) = (&self.pending_pk, self.pending.first()) else {
+            return false;
+        };
+        let Some(suffix) = key.strip_prefix(&first.key[..*suffix_at]) else {
+            return false;
+        };
+        let mut suffix = TupleReader::new(suffix);
+        matches!((suffix.next(), suffix.next()), (Some(Ok(_)), None))
     }
 
-    fn assemble_pending(&mut self) -> Result<Option<StoredRecord>> {
-        let Some(pk) = self.pending_pk.take() else {
+    /// Start a pending record at `row`: decode the primary key its key
+    /// carries between the records prefix and the trailing split suffix.
+    fn begin_pending(&mut self, row: KeyValue) -> Result<()> {
+        let mut reader = self.store.records.reader(&row.key).map_err(Error::Fdb)?;
+        let mut elements = Vec::new();
+        let mut suffix_at = self.store.records.prefix().len();
+        while let Some(element) = reader.next().transpose().map_err(Error::Fdb)? {
+            if reader.remaining().is_empty() {
+                break; // the split suffix
+            }
+            elements.push(element.into_owned());
+            suffix_at = row.key.len() - reader.remaining().len();
+        }
+        self.pending_pk = Some((Tuple::from_elements(elements), suffix_at));
+        self.pending.push(row);
+        Ok(())
+    }
+
+    /// Assemble the pending record, if any, and move the position to it.
+    fn emit_pending(&mut self) -> Result<Option<CursorResult<StoredRecord>>> {
+        let Some((pk, suffix_at)) = self.pending_pk.take() else {
             return Ok(None);
         };
-        let mut chunks = std::mem::take(&mut self.pending);
-        // Reverse scans deliver chunks in descending suffix order.
-        chunks.sort_by(|a, b| a.0.cmp(&b.0));
-        let store = self.store.as_store();
-        store.assemble_record(&pk, &chunks)
+        if self.reverse {
+            // Reverse scans deliver a record's rows in descending order.
+            self.pending.reverse();
+        }
+        let record = self
+            .store
+            .assemble_record(|| pk, suffix_at, &self.pending)?;
+        if record.is_some() {
+            let packed_pk = &self.pending[0].key[self.store.records.prefix().len()..suffix_at];
+            let last = self.last_emitted_pk.get_or_insert_with(Vec::new);
+            last.clear();
+            last.extend_from_slice(packed_pk);
+        }
+        self.pending.clear();
+        Ok(record.map(|value| CursorResult::Next {
+            value,
+            continuation: self.continuation(),
+        }))
     }
 }
 
@@ -1029,44 +1080,27 @@ impl RecordCursor for RecordScanCursor<'_> {
             });
         }
         loop {
-            match self.kv.next()? {
-                CursorResult::Next { value: kv, .. } => {
-                    let pk = self.pk_of(&kv.key)?;
-                    if self.pending_pk.as_ref() == Some(&pk) || self.pending_pk.is_none() {
-                        self.pending_pk = Some(pk);
-                        self.pending.push((kv.key, kv.value));
-                    } else {
-                        // New record began: emit the assembled previous one.
-                        let record = self.assemble_pending()?;
-                        self.pending_pk = Some(pk);
-                        self.pending.push((kv.key, kv.value));
-                        if let Some(record) = record {
-                            self.last_emitted_pk = Some(record.primary_key.clone());
-                            return Ok(CursorResult::Next {
-                                value: record,
-                                continuation: self.continuation(),
-                            });
-                        }
+            match self.kv.next_row()? {
+                Ok(row) => {
+                    if self.continues_pending(&row.key) {
+                        self.pending.push(row);
+                        continue;
+                    }
+                    // A new record began: emit the assembled previous one.
+                    let emitted = self.emit_pending()?;
+                    self.begin_pending(row)?;
+                    if let Some(emitted) = emitted {
+                        return Ok(emitted);
                     }
                 }
-                CursorResult::NoNext {
-                    reason: NoNextReason::SourceExhausted,
-                    ..
-                } => {
+                Err(NoNextReason::SourceExhausted) => {
                     self.done = true;
-                    if let Some(record) = self.assemble_pending()? {
-                        self.last_emitted_pk = Some(record.primary_key.clone());
-                        return Ok(CursorResult::Next {
-                            value: record,
-                            continuation: self.continuation(),
-                        });
-                    }
-                    return Ok(CursorResult::NoNext {
+                    return Ok(self.emit_pending()?.unwrap_or(CursorResult::NoNext {
                         reason: NoNextReason::SourceExhausted,
                         continuation: Continuation::End,
-                    });
+                    }));
                 }
-                CursorResult::NoNext { reason, .. } => {
+                Err(reason) => {
                     // Out-of-band stop: do not emit a partially-read record;
                     // resume from the last complete boundary.
                     self.done = true;
@@ -1085,8 +1119,6 @@ pub struct IndexScanCursor<'a> {
     kv: KeyValueCursor<'a>,
     subspace: Subspace,
     key_columns: usize,
-    done: bool,
-    last_key: Option<Vec<u8>>,
 }
 
 impl<'a> IndexScanCursor<'a> {
@@ -1099,19 +1131,9 @@ impl<'a> IndexScanCursor<'a> {
         props: &ExecuteProperties,
     ) -> Result<Self> {
         let subspace = store.index_subspace(index);
-        let (mut begin, mut end) = range.to_byte_range(&subspace);
-        let mut done = false;
-        match continuation {
-            Continuation::Start => {}
-            Continuation::End => done = true,
-            Continuation::At(last) => {
-                if reverse {
-                    end = last.clone();
-                } else {
-                    begin = rl_fdb::key_after(last);
-                }
-            }
-        }
+        let (begin, end) = range.to_byte_range(&subspace);
+        // The entry key is the position: the key-value cursor resumes
+        // strictly past it and answers with it until a row moves it.
         let kv = KeyValueCursor::new(
             store.tx,
             begin,
@@ -1119,23 +1141,14 @@ impl<'a> IndexScanCursor<'a> {
             reverse,
             props.snapshot,
             props.limiter(),
-            &Continuation::Start,
+            continuation,
         )?
         .expecting(props.return_limit);
         Ok(IndexScanCursor {
             kv,
             subspace,
             key_columns: index.key_expression.key_column_count(),
-            done,
-            last_key: None,
         })
-    }
-
-    fn continuation(&self) -> Continuation {
-        match &self.last_key {
-            Some(k) => Continuation::At(k.clone()),
-            None => Continuation::Start,
-        }
     }
 }
 
@@ -1143,46 +1156,34 @@ impl RecordCursor for IndexScanCursor<'_> {
     type Item = IndexEntry;
 
     fn next(&mut self) -> Result<CursorResult<IndexEntry>> {
-        if self.done {
-            return Ok(CursorResult::NoNext {
-                reason: NoNextReason::SourceExhausted,
-                continuation: Continuation::End,
-            });
-        }
         match self.kv.next()? {
-            CursorResult::Next { value: kv, .. } => {
-                let t = self.subspace.unpack(&kv.key).map_err(Error::Fdb)?;
-                let key = t.prefix(self.key_columns);
-                let primary_key = t.suffix(self.key_columns);
+            CursorResult::Next {
+                value: kv,
+                continuation,
+            } => {
+                let mut key = self.subspace.unpack(&kv.key).map_err(Error::Fdb)?;
+                let primary_key = key.split_off(self.key_columns);
                 let value = if kv.value.is_empty() {
                     Tuple::new()
                 } else {
                     Tuple::unpack(&kv.value).map_err(Error::Fdb)?
                 };
-                self.last_key = Some(kv.key);
                 Ok(CursorResult::Next {
                     value: IndexEntry {
                         key,
                         value,
                         primary_key,
                     },
-                    continuation: self.continuation(),
+                    continuation,
                 })
             }
-            CursorResult::NoNext { reason, .. } => {
-                if reason == NoNextReason::SourceExhausted {
-                    self.done = true;
-                    Ok(CursorResult::NoNext {
-                        reason,
-                        continuation: Continuation::End,
-                    })
-                } else {
-                    Ok(CursorResult::NoNext {
-                        reason,
-                        continuation: self.continuation(),
-                    })
-                }
-            }
+            CursorResult::NoNext {
+                reason,
+                continuation,
+            } => Ok(CursorResult::NoNext {
+                reason,
+                continuation,
+            }),
         }
     }
 }

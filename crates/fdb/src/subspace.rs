@@ -5,7 +5,7 @@
 //! helpers to pack/unpack tuples relative to the prefix.
 
 use crate::error::{Error, Result};
-use crate::tuple::{Tuple, TupleElement};
+use crate::tuple::{Tuple, TupleElement, TupleReader};
 
 /// A prefix-delimited region of the global keyspace.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -39,20 +39,30 @@ impl Subspace {
 
     /// A child subspace: this prefix extended by the packed `tuple`.
     pub fn subspace(&self, tuple: &Tuple) -> Subspace {
-        let mut prefix = self.prefix.clone();
-        prefix.extend_from_slice(&tuple.pack());
-        Subspace { prefix }
+        Subspace {
+            prefix: self.pack(tuple),
+        }
     }
 
     /// Shorthand for a child keyed by a single element.
     pub fn child(&self, el: impl Into<TupleElement>) -> Subspace {
-        self.subspace(&Tuple::new().push(el))
+        let mut prefix = self.key_buffer();
+        el.into().pack_into(&mut prefix);
+        Subspace { prefix }
     }
 
     /// Pack a tuple inside this subspace.
     pub fn pack(&self, tuple: &Tuple) -> Vec<u8> {
-        let mut out = self.prefix.clone();
-        out.extend_from_slice(&tuple.pack());
+        let mut out = self.key_buffer();
+        tuple.pack_into(&mut out);
+        out
+    }
+
+    /// The prefix, in a buffer with room for the few short elements most
+    /// keys add after it (a longer key grows the buffer as any `Vec`).
+    fn key_buffer(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.prefix.len() + 24);
+        out.extend_from_slice(&self.prefix);
         out
     }
 
@@ -64,10 +74,15 @@ impl Subspace {
 
     /// Recover the tuple from a key in this subspace.
     pub fn unpack(&self, key: &[u8]) -> Result<Tuple> {
-        let rest = key
-            .strip_prefix(self.prefix.as_slice())
-            .ok_or_else(|| Error::Tuple("key does not start with subspace prefix".into()))?;
-        Tuple::unpack(rest)
+        Tuple::unpack(self.reader(key)?.remaining())
+    }
+
+    /// A reader over the tuple a key in this subspace carries after the
+    /// prefix: `unpack` without building the tuple.
+    pub fn reader<'k>(&self, key: &'k [u8]) -> Result<TupleReader<'k>> {
+        key.strip_prefix(self.prefix.as_slice())
+            .map(TupleReader::new)
+            .ok_or_else(|| Error::Tuple("key does not start with subspace prefix".into()))
     }
 
     /// Whether `key` lies inside this subspace.
@@ -78,11 +93,13 @@ impl Subspace {
     /// The half-open range of every key in this subspace (prefix itself
     /// excluded — FDB convention `(prefix+0x00, prefix+0xFF)`).
     pub fn range(&self) -> (Vec<u8>, Vec<u8>) {
-        let mut begin = self.prefix.clone();
-        begin.push(0x00);
-        let mut end = self.prefix.clone();
-        end.push(0xFF);
-        (begin, end)
+        let bound = |last: u8| {
+            let mut key = Vec::with_capacity(self.prefix.len() + 1);
+            key.extend_from_slice(&self.prefix);
+            key.push(last);
+            key
+        };
+        (bound(0x00), bound(0xFF))
     }
 
     /// The half-open range of *all* keys with this prefix, including the

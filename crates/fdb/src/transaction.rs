@@ -413,9 +413,10 @@ impl Transaction {
     ) -> Result<Vec<KeyValue>> {
         let mut writes = writes.peekable();
         let mut merged: Vec<KeyValue> = Vec::new();
-        // The part of the range the snapshot has not been read over yet,
-        // and the rows read from it but not yet merged.
-        let (mut lo, mut hi) = (begin.to_vec(), end.to_vec());
+        // Where the next snapshot chunk resumes (the bound of the range
+        // that a full chunk moved past its last row), and the rows read
+        // from the snapshot but not yet merged.
+        let mut resume: Option<Vec<u8>> = None;
         let mut snapshot: VecDeque<(Vec<u8>, Vec<u8>)> = VecDeque::new();
         let mut snapshot_exhausted = false;
         let mut chunk = 0usize;
@@ -424,17 +425,25 @@ impl Transaction {
                 chunk = (limit - merged.len())
                     .max(chunk * 2)
                     .min(SNAPSHOT_CHUNK_ROWS);
+                let (lo, hi) = match &resume {
+                    None => (begin, end),
+                    Some(bound) if reverse => (begin, bound.as_slice()),
+                    Some(bound) => (bound.as_slice(), end),
+                };
                 let rows = self
                     .db
-                    .storage_range(&lo, &hi, self.read_version, reverse, chunk)?;
+                    .storage_range(lo, hi, self.read_version, reverse, chunk)?;
                 snapshot_exhausted = rows.len() < chunk;
-                if let Some((last, _)) = rows.last() {
-                    if reverse {
-                        hi = last.clone();
-                    } else {
-                        lo = crate::key_after(last);
-                    }
+                if !snapshot_exhausted {
+                    resume = rows.last().map(|(last, _)| {
+                        if reverse {
+                            last.clone()
+                        } else {
+                            crate::key_after(last)
+                        }
+                    });
                 }
+                merged.reserve(rows.len());
                 snapshot = rows.into();
             }
             // Which side holds the next key in scan direction (`Equal`:

@@ -10,6 +10,8 @@
 //! The encoding follows the FoundationDB tuple specification for the types
 //! the Record Layer uses.
 
+use std::borrow::Cow;
+
 use crate::error::{Error, Result};
 use crate::version::{Versionstamp, VERSIONSTAMP_LEN};
 
@@ -56,6 +58,12 @@ impl TupleElement {
             TupleElement::Uuid(_) => UUID_CODE,
             TupleElement::Versionstamp(_) => VERSIONSTAMP_CODE,
         }
+    }
+
+    /// Append this element's packed encoding (as a top-level element of
+    /// a tuple) to `out`.
+    pub fn pack_into(&self, out: &mut Vec<u8>) {
+        encode_element(self, out, &mut None);
     }
 
     pub fn as_int(&self) -> Option<i64> {
@@ -229,14 +237,28 @@ impl Tuple {
         self.len() <= other.len() && self.elements == other.elements[..self.len()]
     }
 
+    /// Split off the elements from `at` onward (clamped to the length)
+    /// as a new tuple, keeping the first `at` in `self`: `prefix` and
+    /// `suffix` in one step and by move.
+    pub fn split_off(&mut self, at: usize) -> Tuple {
+        Tuple {
+            elements: self.elements.split_off(at.min(self.elements.len())),
+        }
+    }
+
     /// Pack into the order-preserving binary encoding.
     pub fn pack(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.pack_into(&mut out);
+        out
+    }
+
+    /// Append the packed encoding to `out` (a key under construction).
+    pub fn pack_into(&self, out: &mut Vec<u8>) {
         let mut vs_offset = None;
         for el in &self.elements {
-            encode_element(el, &mut out, &mut vs_offset);
+            encode_element(el, out, &mut vs_offset);
         }
-        out
     }
 
     /// Pack, returning also the byte offset of the (single) incomplete
@@ -261,15 +283,11 @@ impl Tuple {
         Ok(bytes)
     }
 
-    /// Decode a packed tuple.
+    /// Decode a packed tuple: every element [`TupleReader`] yields, owned.
     pub fn unpack(bytes: &[u8]) -> Result<Tuple> {
-        let mut elements = Vec::new();
-        let mut pos = 0;
-        while pos < bytes.len() {
-            let (el, next) = decode_element(bytes, pos)?;
-            elements.push(el);
-            pos = next;
-        }
+        let elements = TupleReader::new(bytes)
+            .map(|el| el.map(ElementRef::into_owned))
+            .collect::<Result<_>>()?;
         Ok(Tuple { elements })
     }
 
@@ -427,21 +445,103 @@ fn encode_int(i: i64, out: &mut Vec<u8>) {
 
 // ---------------------------------------------------------------- decoding
 
-fn decode_element(bytes: &[u8], pos: usize) -> Result<(TupleElement, usize)> {
+/// One element as [`TupleReader`] yields it: a [`TupleElement`] whose byte
+/// and string payloads are lent from the packed bytes when those hold no
+/// escaped NUL (and copied, run by run between the escapes, when they do).
+/// A nested tuple arrives decoded.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ElementRef<'a> {
+    Null,
+    Bytes(Cow<'a, [u8]>),
+    String(Cow<'a, str>),
+    Int(i64),
+    Float(f32),
+    Double(f64),
+    Bool(bool),
+    Uuid([u8; 16]),
+    Versionstamp(Versionstamp),
+    Tuple(Tuple),
+}
+
+impl ElementRef<'_> {
+    pub fn into_owned(self) -> TupleElement {
+        match self {
+            ElementRef::Null => TupleElement::Null,
+            ElementRef::Bytes(b) => TupleElement::Bytes(b.into_owned()),
+            ElementRef::String(s) => TupleElement::String(s.into_owned()),
+            ElementRef::Int(i) => TupleElement::Int(i),
+            ElementRef::Float(f) => TupleElement::Float(f),
+            ElementRef::Double(d) => TupleElement::Double(d),
+            ElementRef::Bool(b) => TupleElement::Bool(b),
+            ElementRef::Uuid(u) => TupleElement::Uuid(u),
+            ElementRef::Versionstamp(v) => TupleElement::Versionstamp(v),
+            ElementRef::Tuple(t) => TupleElement::Tuple(t),
+        }
+    }
+}
+
+/// The tuple decoder: walks packed bytes one element at a time without
+/// building a [`Tuple`], so a caller that wants one integer off the end of
+/// a key, or the two halves of a record envelope, allocates for neither.
+/// [`Tuple::unpack`] is a collect over it. After an error it yields
+/// nothing more.
+#[derive(Debug, Clone)]
+pub struct TupleReader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> TupleReader<'a> {
+    pub fn new(bytes: &'a [u8]) -> Self {
+        TupleReader { bytes, pos: 0 }
+    }
+
+    /// The packed bytes of the elements not yet read.
+    pub fn remaining(&self) -> &'a [u8] {
+        &self.bytes[self.pos..]
+    }
+}
+
+impl<'a> Iterator for TupleReader<'a> {
+    type Item = Result<ElementRef<'a>>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.pos >= self.bytes.len() {
+            return None;
+        }
+        Some(match decode_element(self.bytes, self.pos) {
+            Ok((el, next)) => {
+                self.pos = next;
+                Ok(el)
+            }
+            Err(e) => {
+                self.pos = self.bytes.len();
+                Err(e)
+            }
+        })
+    }
+}
+
+fn decode_element(bytes: &[u8], pos: usize) -> Result<(ElementRef<'_>, usize)> {
     let code = *bytes
         .get(pos)
         .ok_or_else(|| Error::Tuple("truncated tuple".into()))?;
     match code {
-        NULL_CODE => Ok((TupleElement::Null, pos + 1)),
+        NULL_CODE => Ok((ElementRef::Null, pos + 1)),
         BYTES_CODE => {
             let (data, next) = unescape_nulls(bytes, pos + 1)?;
-            Ok((TupleElement::Bytes(data), next))
+            Ok((ElementRef::Bytes(data), next))
         }
         STRING_CODE => {
             let (data, next) = unescape_nulls(bytes, pos + 1)?;
-            let s = String::from_utf8(data)
-                .map_err(|e| Error::Tuple(format!("invalid utf-8 in tuple string: {e}")))?;
-            Ok((TupleElement::String(s), next))
+            let invalid = |e| Error::Tuple(format!("invalid utf-8 in tuple string: {e}"));
+            let s = match data {
+                Cow::Borrowed(raw) => Cow::Borrowed(std::str::from_utf8(raw).map_err(invalid)?),
+                Cow::Owned(raw) => {
+                    Cow::Owned(String::from_utf8(raw).map_err(|e| invalid(e.utf8_error()))?)
+                }
+            };
+            Ok((ElementRef::String(s), next))
         }
         NESTED_CODE => {
             let mut elements = Vec::new();
@@ -454,12 +554,12 @@ fn decode_element(bytes: &[u8], pos: usize) -> Result<(TupleElement, usize)> {
                             elements.push(TupleElement::Null);
                             p += 2;
                         } else {
-                            return Ok((TupleElement::Tuple(Tuple { elements }), p + 1));
+                            return Ok((ElementRef::Tuple(Tuple { elements }), p + 1));
                         }
                     }
                     Some(_) => {
                         let (el, next) = decode_element(bytes, p)?;
-                        elements.push(el);
+                        elements.push(el.into_owned());
                         p = next;
                     }
                 }
@@ -476,7 +576,7 @@ fn decode_element(bytes: &[u8], pos: usize) -> Result<(TupleElement, usize)> {
             } else {
                 bits = !bits;
             }
-            Ok((TupleElement::Float(f32::from_bits(bits)), pos + 5))
+            Ok((ElementRef::Float(f32::from_bits(bits)), pos + 5))
         }
         DOUBLE_CODE => {
             let raw = bytes
@@ -488,22 +588,22 @@ fn decode_element(bytes: &[u8], pos: usize) -> Result<(TupleElement, usize)> {
             } else {
                 bits = !bits;
             }
-            Ok((TupleElement::Double(f64::from_bits(bits)), pos + 9))
+            Ok((ElementRef::Double(f64::from_bits(bits)), pos + 9))
         }
-        FALSE_CODE => Ok((TupleElement::Bool(false), pos + 1)),
-        TRUE_CODE => Ok((TupleElement::Bool(true), pos + 1)),
+        FALSE_CODE => Ok((ElementRef::Bool(false), pos + 1)),
+        TRUE_CODE => Ok((ElementRef::Bool(true), pos + 1)),
         UUID_CODE => {
             let raw = bytes
                 .get(pos + 1..pos + 17)
                 .ok_or_else(|| Error::Tuple("truncated uuid".into()))?;
-            Ok((TupleElement::Uuid(raw.try_into().unwrap()), pos + 17))
+            Ok((ElementRef::Uuid(raw.try_into().unwrap()), pos + 17))
         }
         VERSIONSTAMP_CODE => {
             let raw = bytes
                 .get(pos + 1..pos + 1 + VERSIONSTAMP_LEN)
                 .ok_or_else(|| Error::Tuple("truncated versionstamp".into()))?;
             Ok((
-                TupleElement::Versionstamp(Versionstamp::try_from_slice(raw)?),
+                ElementRef::Versionstamp(Versionstamp::try_from_slice(raw)?),
                 pos + 1 + VERSIONSTAMP_LEN,
             ))
         }
@@ -513,31 +613,41 @@ fn decode_element(bytes: &[u8], pos: usize) -> Result<(TupleElement, usize)> {
     }
 }
 
-fn unescape_nulls(bytes: &[u8], mut pos: usize) -> Result<(Vec<u8>, usize)> {
-    let mut out = Vec::new();
-    loop {
-        match bytes.get(pos) {
-            None => return Err(Error::Tuple("unterminated bytes/string".into())),
-            Some(0x00) => {
-                if bytes.get(pos + 1) == Some(&0xFF) {
-                    out.push(0x00);
-                    pos += 2;
-                } else {
-                    return Ok((out, pos + 1));
-                }
-            }
-            Some(&b) => {
-                out.push(b);
-                pos += 1;
-            }
+/// The NUL-escaped byte string starting at `start`, and the position after
+/// its terminator (the first NUL not followed by 0xFF). Lent when nothing
+/// in it is escaped; otherwise copied one run per escape into a buffer
+/// sized for the result.
+fn unescape_nulls(bytes: &[u8], start: usize) -> Result<(Cow<'_, [u8]>, usize)> {
+    let mut escapes = 0;
+    let mut pos = start;
+    let end = loop {
+        let nul = bytes
+            .get(pos..)
+            .and_then(|rest| rest.iter().position(|&b| b == 0x00))
+            .ok_or_else(|| Error::Tuple("unterminated bytes/string".into()))?;
+        if bytes.get(pos + nul + 1) != Some(&0xFF) {
+            break pos + nul;
         }
+        escapes += 1;
+        pos += nul + 2;
+    };
+    let mut escaped = &bytes[start..end];
+    if escapes == 0 {
+        return Ok((Cow::Borrowed(escaped), end + 1));
     }
+    let mut out = Vec::with_capacity(escaped.len() - escapes);
+    while let Some(nul) = escaped.iter().position(|&b| b == 0x00) {
+        out.extend_from_slice(&escaped[..=nul]);
+        escaped = &escaped[nul + 2..];
+    }
+    out.extend_from_slice(escaped);
+    Ok((Cow::Owned(out), end + 1))
 }
 
-fn decode_int(bytes: &[u8], pos: usize) -> Result<(TupleElement, usize)> {
+fn decode_int(bytes: &[u8], pos: usize) -> Result<(ElementRef<'static>, usize)> {
     let code = bytes[pos];
     if code == INT_ZERO_CODE {
-        return Ok((TupleElement::Int(0), pos + 1));
+        return Ok((ElementRef::Int(0), pos + 1));
     }
     if code > INT_ZERO_CODE {
         let n = (code - INT_ZERO_CODE) as usize;
@@ -550,7 +660,7 @@ fn decode_int(bytes: &[u8], pos: usize) -> Result<(TupleElement, usize)> {
         if v > i64::MAX as u64 {
             return Err(Error::Tuple("integer overflows i64".into()));
         }
-        Ok((TupleElement::Int(v as i64), pos + 1 + n))
+        Ok((ElementRef::Int(v as i64), pos + 1 + n))
     } else {
         let n = (INT_ZERO_CODE - code) as usize;
         let raw = bytes
@@ -573,7 +683,7 @@ fn decode_int(bytes: &[u8], pos: usize) -> Result<(TupleElement, usize)> {
         } else {
             -(mag as i64)
         };
-        Ok((TupleElement::Int(v), pos + 1 + n))
+        Ok((ElementRef::Int(v), pos + 1 + n))
     }
 }
 

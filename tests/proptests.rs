@@ -1,6 +1,7 @@
 //! Randomized property tests on the core invariants:
 //!
-//! * tuple packing is order-preserving and lossless,
+//! * tuple packing is order-preserving and lossless, and the borrowing
+//!   reader agrees with `Tuple::unpack` on values, truncations and bad UTF-8,
 //! * protobuf wire encoding roundtrips and survives schema evolution,
 //! * the RANK skip list agrees with a sorted vector oracle,
 //! * the TEXT bunched map agrees with a BTreeMap oracle,
@@ -23,7 +24,8 @@ use record_layer::index::text::BunchedMap;
 use record_layer::metadata::RecordMetaDataBuilder;
 use record_layer::store::RecordStore;
 use rl_fdb::atomic::MutationType;
-use rl_fdb::tuple::{Tuple, TupleElement};
+use rl_fdb::tuple::{ElementRef, Tuple, TupleElement, TupleReader};
+use rl_fdb::version::Versionstamp;
 use rl_fdb::{Database, DatabaseOptions, EngineKind, RangeOptions, Subspace};
 use rl_message::{DescriptorPool, DynamicMessage, FieldDescriptor, FieldType, MessageDescriptor};
 
@@ -337,6 +339,133 @@ fn record_save_load_roundtrips() {
         })
         .unwrap();
     });
+}
+
+/// An element of every kind the tuple layer encodes: byte strings and
+/// strings dense in NULs (each escaped on the wire), every integer width
+/// of both signs, versionstamps, and nested tuples carrying nulls.
+fn arb_reader_element(rng: &mut XorShift64, depth: u32) -> TupleElement {
+    match rng.gen_range(0..10u32) {
+        0 => TupleElement::Null,
+        1 => {
+            let width = rng.gen_range(0..=8u32);
+            let magnitude = match width {
+                0 => 0,
+                8 => rng.next_u64() >> 1,
+                w => rng.next_u64() >> (64 - 8 * w),
+            } as i64;
+            TupleElement::Int(if rng.gen_range(0..2u32) == 0 {
+                magnitude
+            } else {
+                -magnitude
+            })
+        }
+        2 => TupleElement::Int([i64::MIN, i64::MAX, -1, 255, 256, -256][rng.gen_range(0..6usize)]),
+        3 => {
+            let len = rng.gen_range(0..24usize);
+            TupleElement::Bytes(
+                (0..len)
+                    .map(|_| [0x00, 0x00, 0xFF, rng.gen_u8()][rng.gen_range(0..4usize)])
+                    .collect(),
+            )
+        }
+        4 => {
+            let len = rng.gen_range(0..12usize);
+            TupleElement::String(
+                (0..len)
+                    .map(|_| ['\0', 'a', 'é', '\u{10348}'][rng.gen_range(0..4usize)])
+                    .collect(),
+            )
+        }
+        5 => TupleElement::Double(any_f64_not_nan(rng)),
+        6 => TupleElement::Float(rng.gen_range(-1000..1000i32) as f32 / 8.0),
+        7 => TupleElement::Versionstamp(Versionstamp::complete(
+            rng.next_u64(),
+            rng.gen_range(0..=u16::MAX as u32) as u16,
+            rng.gen_range(0..=u16::MAX as u32) as u16,
+        )),
+        8 => TupleElement::Uuid(std::array::from_fn(|_| rng.gen_u8())),
+        _ if depth < 3 => {
+            let len = rng.gen_range(0..4usize);
+            TupleElement::Tuple(Tuple::from_elements(
+                (0..len)
+                    .map(|_| arb_reader_element(rng, depth + 1))
+                    .collect(),
+            ))
+        }
+        _ => TupleElement::Bool(rng.gen_range(0..2u32) == 1),
+    }
+}
+
+/// The reader's verdict on `bytes`: every element owned, or the error.
+fn read_all(bytes: &[u8]) -> rl_fdb::Result<Vec<TupleElement>> {
+    TupleReader::new(bytes)
+        .map(|el| el.map(ElementRef::into_owned))
+        .collect()
+}
+
+/// `Tuple::unpack` is a collect over `TupleReader`, so what is checked
+/// here is the reader itself, against the encoder: it returns what was
+/// packed, lends a byte or string element exactly when nothing in it was
+/// escaped, `remaining()` tracks element boundaries, and a truncated
+/// packing either fails — in both entry points alike — or is itself the
+/// packing of the tuple it decodes to.
+#[test]
+fn borrowing_reader_agrees_with_unpack() {
+    check("borrowing_reader_agrees_with_unpack", 300, |rng| {
+        let len = rng.gen_range(0..6usize);
+        let tuple = Tuple::from_elements((0..len).map(|_| arb_reader_element(rng, 0)).collect());
+        let packed = tuple.pack();
+        assert_eq!(Tuple::unpack(&packed).unwrap(), tuple);
+
+        let mut reader = TupleReader::new(&packed);
+        let mut consumed = Vec::new();
+        for want in tuple.elements() {
+            let got = reader.next().unwrap().unwrap();
+            match (&got, want) {
+                (ElementRef::Bytes(b), TupleElement::Bytes(w)) => {
+                    assert_eq!(matches!(b, std::borrow::Cow::Borrowed(_)), !w.contains(&0));
+                }
+                (ElementRef::String(s), TupleElement::String(w)) => {
+                    assert_eq!(
+                        matches!(s, std::borrow::Cow::Borrowed(_)),
+                        !w.contains('\0')
+                    );
+                }
+                _ => {}
+            }
+            assert_eq!(&got.into_owned(), want);
+            want.pack_into(&mut consumed);
+            assert_eq!(reader.remaining(), &packed[consumed.len()..]);
+        }
+        assert!(reader.next().is_none());
+
+        for cut in 0..packed.len() {
+            let prefix = &packed[..cut];
+            match (Tuple::unpack(prefix), read_all(prefix)) {
+                (Ok(t), Ok(elements)) => {
+                    assert_eq!(t.elements(), elements.as_slice());
+                    assert_eq!(t.pack(), prefix, "cut {cut} of {packed:?}");
+                }
+                (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
+                (a, b) => panic!("cut {cut}: unpack {a:?} but reader {b:?}"),
+            }
+        }
+    });
+
+    // Invalid UTF-8 fails in the lent and in the copied form alike, and
+    // the reader yields nothing after the error.
+    for bad in [
+        &[0x02, 0xC3, 0x28, 0x00][..],
+        &[0x02, 0x00, 0xFF, 0xC3, 0x28, 0x00],
+    ] {
+        let mut padded = bad.to_vec();
+        padded.extend_from_slice(&[0x15, 0x01]);
+        assert!(Tuple::unpack(&padded).is_err());
+        let mut reader = TupleReader::new(&padded);
+        assert!(reader.next().unwrap().is_err());
+        assert!(reader.next().is_none());
+    }
 }
 
 /// Read-your-writes equivalence: `get_range` streams a merge of the
