@@ -1,8 +1,7 @@
 //! Shared workload generators and helpers for the experiment harness.
 //!
 //! Each table/figure of the paper has a dedicated binary under `src/bin`
-//! (see DESIGN.md §3 for the experiment index); the Criterion benches under
-//! `benches/` cover the shape-level performance claims.
+//! (see DESIGN.md §3 for the experiment index).
 
 pub mod json;
 pub mod rng;

@@ -1,11 +1,13 @@
 //! Plan-level cursors: residual filtering, the primary fetch, covering
-//! record synthesis, distinct union, and the streaming (merge-join)
-//! intersection.
+//! record synthesis, the k-way primary-key merge that executes
+//! intersections and ordered unions, and the sequential distinct union for
+//! branches that are not primary-key ordered.
 
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
 use rl_fdb::subspace::Subspace;
-use rl_fdb::tuple::{Tuple, TupleElement};
+use rl_fdb::tuple::{ElementRef, Tuple, TupleElement, TupleReader};
 use rl_message::{DynamicMessage, FieldType, Value};
 
 use crate::cursor::{
@@ -16,7 +18,7 @@ use crate::metadata::RecordMetaData;
 use crate::query::QueryComponent;
 use crate::store::{RecordStore, StoredRecord};
 
-use super::ir::{CoveredField, CoveredSource, RecordQueryPlan};
+use super::ir::{CoveredField, CoveredSource, RecordQueryPlan, ScanBounds};
 
 /// Boxed cursor of query results.
 pub type PlanCursor<'a> = Box<dyn RecordCursor<Item = StoredRecord> + 'a>;
@@ -81,9 +83,8 @@ impl RecordCursor for TimedCursor<'_> {
 ///
 /// The deltas are *inclusive* (flamegraph-style): a parent's span covers
 /// the traffic of its children, since they execute within its lifetime.
-/// Intersection children served straight from raw index entries bypass
-/// `execute_inner` and therefore emit no span of their own; their reads
-/// still show up in the enclosing Intersection node's deltas.
+/// (The merge's raw entry streams run below `execute_inner`; they report
+/// under their node path through an [`EntrySpan`].)
 pub(crate) struct ObservedCursor<'a> {
     inner: PlanCursor<'a>,
     tx: &'a rl_fdb::Transaction,
@@ -93,23 +94,28 @@ pub(crate) struct ObservedCursor<'a> {
     start_us: u64,
 }
 
+/// A `plan_node` span's tag: `"<store subspace hex>:<node path>"`.
+fn node_tag(store: &RecordStore<'_>, path: &str) -> String {
+    let mut tag = String::with_capacity(store.subspace().prefix().len() * 2 + path.len() + 1);
+    for b in store.subspace().prefix() {
+        tag.push_str(&format!("{b:02x}"));
+    }
+    tag.push(':');
+    tag.push_str(path);
+    tag
+}
+
 impl<'a> ObservedCursor<'a> {
     pub(crate) fn new(
         inner: PlanCursor<'a>,
         store: &RecordStore<'a>,
         path: &str,
     ) -> ObservedCursor<'a> {
-        let mut tag = String::with_capacity(store.subspace().prefix().len() * 2 + path.len() + 1);
-        for b in store.subspace().prefix() {
-            tag.push_str(&format!("{b:02x}"));
-        }
-        tag.push(':');
-        tag.push_str(path);
         let tx = store.transaction();
         ObservedCursor {
             inner,
             tx,
-            tag,
+            tag: node_tag(store, path),
             rows: 0,
             start: tx.trace(),
             start_us: rl_obs::now_us(),
@@ -391,9 +397,12 @@ impl RecordCursor for CoveringScanCursor<'_> {
 
 // ------------------------------------------------------------------ union
 
-/// Sequentially executes union branches, deduplicating by primary key.
-/// The continuation encodes `(branch, inner continuation, seen pks)` so a
-/// resumed union never returns a duplicate.
+/// The unordered union: sequentially executes the branches of a union the
+/// [`MergeCursor`] does not take ([`MergeCursor::ordered`]: one not in
+/// primary-key order, or filtering for itself), deduplicating by primary
+/// key. The continuation encodes
+/// `(branch, inner continuation, seen pks)` so a resumed union never
+/// returns a duplicate.
 pub(crate) struct UnionCursor<'a> {
     children: Vec<RecordQueryPlan>,
     store: RecordStore<'a>,
@@ -532,116 +541,239 @@ impl RecordCursor for UnionCursor<'_> {
     }
 }
 
-// ------------------------------------------------- streaming intersection
+// ------------------------------------------------------ primary-key merge
 
-/// One child of the merge-join: either a raw index-entry stream (primary
-/// keys read straight off entry keys, no record fetch) or a full record
+/// One child of the merge: either a raw index-entry stream (primary keys
+/// compared straight off the entry keys, no record fetch) or a full record
 /// stream (for children that must filter or assemble records themselves).
 enum ChildStream<'a> {
     Entries {
         kv: KeyValueCursor<'a>,
-        subspace: Subspace,
-        key_columns: usize,
+        /// Where the packed primary key starts in every entry's key.
+        pk_at: usize,
         record_types: Option<BTreeSet<String>>,
+        span: Option<Box<EntrySpan>>,
     },
     Records(PlanCursor<'a>),
 }
 
-/// The unconsumed head of one child stream.
-struct Head {
-    pk_bytes: Vec<u8>,
-    pk: Tuple,
-    record: Option<StoredRecord>,
-    /// Continuation resuming *after* this head.
-    after: Continuation,
+/// `plan_node` accounting of one entry stream (installed only when
+/// observability is enabled): entry streams run below `execute_inner`, so
+/// no [`ObservedCursor`] sees them. `rows` are the entries pulled and
+/// `keys_read` the keys this stream's own batches read; both are
+/// exclusive, where an `ObservedCursor`'s deltas are inclusive.
+struct EntrySpan {
+    tag: String,
+    start_us: u64,
+    rows: u64,
+    keys_read: u64,
 }
 
-struct IntersectChild<'a> {
+impl Drop for EntrySpan {
+    fn drop(&mut self) {
+        rl_obs::push_span(rl_obs::Span {
+            op: "plan_node",
+            tag: std::mem::take(&mut self.tag),
+            start_us: self.start_us,
+            dur_us: rl_obs::now_us().saturating_sub(self.start_us),
+            counters: vec![("rows", self.rows), ("keys_read", self.keys_read)],
+        });
+    }
+}
+
+/// The unconsumed head of one child stream. Heads are compared on
+/// `key[pk_at..]`, the packed primary key, in place: for an entry stream
+/// `key` is the index entry's key as the read returned it, for a record
+/// stream the record's packed primary key.
+struct Head {
+    key: Vec<u8>,
+    pk_at: usize,
+    /// The record, when a record stream carried it.
+    record: Option<StoredRecord>,
+    /// A record stream's position after this head; an entry stream's is
+    /// `key` itself.
+    after: Option<Continuation>,
+}
+
+impl Head {
+    fn pk(&self) -> &[u8] {
+        &self.key[self.pk_at..]
+    }
+
+    /// The child's position once this head is consumed.
+    fn into_position(self) -> Continuation {
+        self.after.unwrap_or(Continuation::At(self.key))
+    }
+}
+
+struct MergeChild<'a> {
     stream: ChildStream<'a>,
     head: Option<Head>,
 }
 
-enum Pulled {
-    Head,
-    Exhausted,
-    Stopped(NoNextReason),
+impl MergeChild<'_> {
+    /// Record-type constraints carried by entry streams are checked on the
+    /// fetched record (entry keys alone cannot reveal the type).
+    fn accepts(&self, record_type: &str) -> bool {
+        match &self.stream {
+            ChildStream::Entries {
+                record_types: Some(types),
+                ..
+            } => types.contains(record_type),
+            _ => true,
+        }
+    }
 }
 
-/// Streaming intersection: merge-joins children ordered by primary key.
+/// The k-way primary-key merge that executes `Intersection` and every
+/// `Union` whose children are ordered.
 ///
-/// Replaces the old buffer-all-but-one strategy, which materialized entire
-/// branches in memory and *errored* when a scan limit fired mid-buffer.
-/// Here a limit simply stops the merge; the composite continuation (a
-/// tuple of every child's continuation) resumes it exactly where each
-/// child stood, honoring the paper's resumability contract.
+/// **Precondition.** Every child streams in primary-key order
+/// ([`MergeCursor::ordered`]): an index scan whose equality prefix pins
+/// every key column (entries under one such prefix are ordered by the
+/// appended primary key), a forward full scan, or a merge of such
+/// children. The merge holds one head per child and compares the packed
+/// primary keys as byte slices, which is the order the children arrive in.
 ///
-/// Children must stream in primary-key order. The planner guarantees this
-/// by only building equality-bounded index scans (entries under one
-/// equality prefix are ordered by the appended primary key) and full
-/// scans (the record extent is primary-key ordered).
+/// **Emit rules.** *All* (Intersection): heads below the largest head are
+/// skipped; when every head is equal they are consumed and the record is
+/// emitted; a child running dry ends the stream. *Any* (Union): the
+/// smallest head is emitted and every head equal to it consumed with it —
+/// a duplicate is dropped on its index entry, before any fetch — and a dry
+/// child just drops out. Either way rows leave in primary-key order (which
+/// the API never fixed for a union), an entry head is decoded to a `Tuple`
+/// only for a row that is emitted, and the record is fetched once.
 ///
-/// Liveness note: a resumed intersection re-reads each child's unconsumed
-/// head, so forward progress across transactions requires a scan budget of
-/// at least one entry per child.
-pub(crate) struct IntersectionCursor<'a> {
-    children: Vec<IntersectChild<'a>>,
+/// **Continuation.** A tuple of the k child positions, each re-reading
+/// that child's unconsumed head (`End` for a dry child): its size follows
+/// k and the key length, never the number of rows returned, and nothing in
+/// the cursor grows with them either. A limit stopping any child stops the
+/// merge with that composite; resuming rebuilds every child where it stood.
+///
+/// **Liveness.** A resumed merge re-reads each child's unconsumed head, so
+/// forward progress across transactions requires a scan budget of at least
+/// one entry per child. That holds for entry streams and unfiltered scans,
+/// the only children a union runs here. An intersection also takes
+/// record-stream children that skip entries themselves (a residual, a
+/// nested merge): one that a limit stops while skipping resumes where it
+/// stopped (its own continuation is its position), but reaching a head
+/// again costs what was skipped since, so those need a budget above the
+/// longest such run.
+pub(crate) struct MergeCursor<'a> {
+    children: Vec<MergeChild<'a>>,
     store: RecordStore<'a>,
-    /// Per-child continuation that re-reads any unconsumed head.
+    /// The emit rule: a key every child holds, or one any child holds.
+    all: bool,
+    /// Per-child position, re-reading any unconsumed head; `End` once dry.
     resume: Vec<Continuation>,
-    done: bool,
 }
 
-impl<'a> IntersectionCursor<'a> {
+impl<'a> MergeCursor<'a> {
     pub(crate) fn create(
         children: &[RecordQueryPlan],
+        all: bool,
         store: &RecordStore<'a>,
         continuation: &Continuation,
         props: &ExecuteProperties,
         path: &str,
     ) -> Result<PlanCursor<'a>> {
-        let (child_conts, done) = match continuation {
-            Continuation::Start => (vec![Continuation::Start; children.len()], false),
-            Continuation::End => (vec![Continuation::End; children.len()], true),
+        let resume = match continuation {
+            Continuation::Start => vec![Continuation::Start; children.len()],
+            Continuation::End => vec![Continuation::End; children.len()],
             Continuation::At(bytes) => {
-                let t = Tuple::unpack(bytes)
-                    .map_err(|e| Error::InvalidContinuation(format!("intersection: {e}")))?;
-                if t.len() != children.len() {
+                let positions = TupleReader::new(bytes)
+                    .map(|el| match el {
+                        Ok(ElementRef::Bytes(position)) => Continuation::from_bytes(&position),
+                        _ => Err(Error::InvalidContinuation("merge: child position".into())),
+                    })
+                    .collect::<Result<Vec<_>>>()?;
+                if positions.len() != children.len() {
                     return Err(Error::InvalidContinuation(format!(
-                        "intersection: {} child positions for {} children",
-                        t.len(),
+                        "merge: {} child positions for {} children",
+                        positions.len(),
                         children.len()
                     )));
                 }
-                let mut conts = Vec::with_capacity(children.len());
-                for el in t.elements() {
-                    let bytes = el.as_bytes().ok_or_else(|| {
-                        Error::InvalidContinuation("intersection child position".into())
-                    })?;
-                    conts.push(Continuation::from_bytes(bytes)?);
-                }
-                (conts, false)
+                positions
             }
         };
-
+        // A batch costs what it returns: an intersection's rows come from
+        // every child, a union's from any one of them (plus the head the
+        // merge looks ahead by).
+        let mut child_props = props.clone();
+        if !all {
+            child_props.return_limit = props
+                .return_limit
+                .map(|rows| rows.div_ceil(children.len().max(1)) + 1);
+        }
         let mut built = Vec::with_capacity(children.len());
-        for (i, (child, cont)) in children.iter().zip(&child_conts).enumerate() {
-            built.push(IntersectChild {
-                stream: Self::child_stream(child, store, cont, props, &format!("{path}.{i}"))?,
+        for (i, (child, position)) in children.iter().zip(&resume).enumerate() {
+            let path = format!("{path}.{i}");
+            built.push(MergeChild {
+                stream: Self::child_stream(child, store, position, &child_props, &path)?,
                 head: None,
             });
         }
-        Ok(Box::new(IntersectionCursor {
+        Ok(Box::new(MergeCursor {
             children: built,
             store: store.clone_handle(),
-            resume: child_conts,
-            done,
+            all,
+            resume,
         }))
     }
 
-    /// Build the cheapest primary-key-ordered stream for one child. The
-    /// raw-entry fast path bypasses `execute_inner`, so those children
-    /// emit no `plan_node` span (their reads fold into the enclosing
-    /// intersection's deltas); `path` tags the record-stream fallback.
+    /// Whether the merge can run `children`: every one streams in
+    /// primary-key order, and a union's — which the sequential cursor runs
+    /// otherwise — re-read their head as one entry (see *Liveness*).
+    pub(crate) fn ordered(
+        children: &[RecordQueryPlan],
+        all: bool,
+        store: &RecordStore<'_>,
+    ) -> Result<bool> {
+        for child in children {
+            let ordered = match child {
+                // Reaching its head again costs a child that filters for
+                // itself, or merges others, all it skipped on the way.
+                RecordQueryPlan::FullScan {
+                    residual: Some(_), ..
+                }
+                | RecordQueryPlan::IndexScan {
+                    residual: Some(_), ..
+                }
+                | RecordQueryPlan::Intersection { .. }
+                | RecordQueryPlan::Union { .. }
+                    if !all =>
+                {
+                    false
+                }
+                RecordQueryPlan::FullScan { reverse: false, .. } => true,
+                RecordQueryPlan::IndexScan {
+                    index_name,
+                    bounds,
+                    reverse: false,
+                    ..
+                }
+                | RecordQueryPlan::CoveringIndexScan {
+                    index_name,
+                    bounds,
+                    reverse: false,
+                    ..
+                } => pinned_key_columns(store, index_name, bounds)?.is_some(),
+                // A merge of ordered children preserves their order.
+                RecordQueryPlan::Intersection { children }
+                | RecordQueryPlan::Union { children } => Self::ordered(children, all, store)?,
+                _ => false,
+            };
+            if !ordered {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// Build the cheapest stream for one (ordered) child: the raw entries
+    /// of a fetching index scan with nothing to filter, else the child's
+    /// own cursor.
     fn child_stream(
         child: &RecordQueryPlan,
         store: &RecordStore<'a>,
@@ -657,16 +789,16 @@ impl<'a> IntersectionCursor<'a> {
             residual: None,
         } = child
         {
-            let index = store.require_readable(index_name)?;
-            let key_columns = index.key_expression.key_column_count();
-            // Entries stream in pk order only when the equality prefix
-            // pins every key column.
-            if bounds
-                .equality_prefix()
-                .is_some_and(|eq| eq.len() >= key_columns)
-            {
-                let subspace = store.index_subspace(index);
+            if let Some((pinned, key_columns)) = pinned_key_columns(store, index_name, bounds)? {
+                let subspace = store.index_subspace(store.require_readable(index_name)?);
                 let (begin, end) = bounds.to_byte_range(&subspace);
+                // Every entry's key is `subspace ‖ key columns ‖ primary
+                // key` and equality pins the key columns: the primary key
+                // starts at one offset in all of them.
+                let mut columns = Vec::new();
+                for column in &pinned.elements()[..key_columns] {
+                    column.pack_into(&mut columns);
+                }
                 let kv = KeyValueCursor::new(
                     store.transaction(),
                     begin,
@@ -679,44 +811,18 @@ impl<'a> IntersectionCursor<'a> {
                 .expecting(props.return_limit);
                 return Ok(ChildStream::Entries {
                     kv,
-                    subspace,
-                    key_columns,
+                    pk_at: subspace.prefix().len() + columns.len(),
                     record_types: record_types.clone(),
+                    span: rl_obs::enabled().then(|| {
+                        Box::new(EntrySpan {
+                            tag: node_tag(store, path),
+                            start_us: rl_obs::now_us(),
+                            rows: 0,
+                            keys_read: 0,
+                        })
+                    }),
                 });
             }
-        }
-        let ordered = match child {
-            RecordQueryPlan::FullScan { reverse: false, .. } => true,
-            RecordQueryPlan::IndexScan {
-                index_name,
-                bounds,
-                reverse: false,
-                ..
-            }
-            | RecordQueryPlan::CoveringIndexScan {
-                index_name,
-                bounds,
-                reverse: false,
-                ..
-            } => {
-                // Entries are ordered (key columns, pk): the stream is in
-                // pk order only when equality pins every key column.
-                let key_columns = store
-                    .metadata()
-                    .index(index_name)?
-                    .key_expression
-                    .key_column_count();
-                bounds
-                    .equality_prefix()
-                    .is_some_and(|eq| eq.len() >= key_columns)
-            }
-            RecordQueryPlan::Intersection { .. } => true, // merge preserves order
-            _ => false,
-        };
-        if !ordered {
-            return Err(Error::Unplannable(
-                "intersection children must stream in primary-key order".into(),
-            ));
         }
         Ok(ChildStream::Records(child.execute_inner(
             store,
@@ -726,157 +832,204 @@ impl<'a> IntersectionCursor<'a> {
         )?))
     }
 
-    /// Pull the next head for child `i`.
-    fn pull(&mut self, i: usize) -> Result<Pulled> {
+    /// Pull child `i`'s next head: `None` when it is in place, else why
+    /// there is none.
+    fn pull(&mut self, i: usize) -> Result<Option<NoNextReason>> {
         let child = &mut self.children[i];
-        match &mut child.stream {
+        child.head = Some(match &mut child.stream {
             ChildStream::Entries {
-                kv,
-                subspace,
-                key_columns,
-                ..
-            } => match kv.next()? {
-                CursorResult::Next {
-                    value: kv_pair,
-                    continuation,
-                } => {
-                    let (packed_pk, pk) = entry_primary_key(subspace, &kv_pair.key, *key_columns)?;
-                    child.head = Some(Head {
-                        pk_bytes: packed_pk.to_vec(),
-                        pk,
+                kv, pk_at, span, ..
+            } => {
+                let row = match span {
+                    None => kv.next_row()?,
+                    Some(span) => {
+                        let tx = self.store.transaction();
+                        let before = tx.trace().keys_read;
+                        let row = kv.next_row()?;
+                        span.keys_read += tx.trace().keys_read - before;
+                        span.rows += u64::from(row.is_ok());
+                        row
+                    }
+                };
+                match row {
+                    Ok(entry) => Head {
+                        key: entry.key,
+                        pk_at: *pk_at,
                         record: None,
-                        after: continuation,
-                    });
-                    Ok(Pulled::Head)
+                        after: None,
+                    },
+                    Err(reason) => return Ok(Some(reason)),
                 }
-                CursorResult::NoNext {
-                    reason: NoNextReason::SourceExhausted,
-                    ..
-                } => Ok(Pulled::Exhausted),
-                CursorResult::NoNext { reason, .. } => Ok(Pulled::Stopped(reason)),
-            },
+            }
             ChildStream::Records(cursor) => match cursor.next()? {
                 CursorResult::Next {
                     value,
                     continuation,
-                } => {
-                    child.head = Some(Head {
-                        pk_bytes: value.primary_key.pack(),
-                        pk: value.primary_key.clone(),
-                        record: Some(value),
-                        after: continuation,
-                    });
-                    Ok(Pulled::Head)
-                }
+                } => Head {
+                    key: value.primary_key.pack(),
+                    pk_at: 0,
+                    record: Some(value),
+                    after: Some(continuation),
+                },
                 CursorResult::NoNext {
-                    reason: NoNextReason::SourceExhausted,
-                    ..
-                } => Ok(Pulled::Exhausted),
-                CursorResult::NoNext { reason, .. } => Ok(Pulled::Stopped(reason)),
+                    reason,
+                    continuation,
+                } => {
+                    // Only this says how far the child got past what its
+                    // own filter rejected; the child holds no head, so
+                    // nothing before it is owed to the merge.
+                    self.resume[i] = continuation;
+                    return Ok(Some(reason));
+                }
             },
-        }
+        });
+        Ok(None)
     }
 
-    /// The composite continuation: one position per child, each re-reading
-    /// that child's unconsumed head (if any).
+    /// Consume every head whose primary key compares `ord` to `lead`'s,
+    /// moving its child's position past it.
+    fn advance(&mut self, lead: &Head, ord: Ordering) -> bool {
+        let mut advanced = false;
+        for (child, resume) in self.children.iter_mut().zip(&mut self.resume) {
+            if let Some(head) = child.head.take_if(|head| head.pk().cmp(lead.pk()) == ord) {
+                *resume = head.into_position();
+                advanced = true;
+            }
+        }
+        advanced
+    }
+
+    /// The composite continuation: one position per child.
     fn composite(&self) -> Continuation {
-        let mut t = Tuple::new();
-        for c in &self.resume {
-            t.add(c.to_bytes());
+        // A tuple of byte strings, packed as it is built (most index
+        // entry keys are under 32 bytes).
+        let mut positions = Vec::with_capacity(32 * self.resume.len());
+        for position in &self.resume {
+            TupleElement::Bytes(position.to_bytes()).pack_into(&mut positions);
         }
-        Continuation::At(t.pack())
-    }
-
-    /// Record-type constraints carried by entry streams are checked on the
-    /// fetched record (entry keys alone cannot reveal the type).
-    fn type_ok(&self, record: &StoredRecord) -> bool {
-        self.children.iter().all(|c| match &c.stream {
-            ChildStream::Entries {
-                record_types: Some(types),
-                ..
-            } => types.contains(&record.record_type),
-            _ => true,
-        })
+        Continuation::At(positions)
     }
 }
 
-impl RecordCursor for IntersectionCursor<'_> {
+/// The equality prefix of an index scan's bounds and the index's key
+/// column count, when the prefix pins every key column: the scans whose
+/// entries stream in primary-key order.
+fn pinned_key_columns<'b>(
+    store: &RecordStore<'_>,
+    index_name: &str,
+    bounds: &'b ScanBounds,
+) -> Result<Option<(&'b Tuple, usize)>> {
+    let key_columns = store
+        .metadata()
+        .index(index_name)?
+        .key_expression
+        .key_column_count();
+    Ok(bounds
+        .equality_prefix()
+        .filter(|pinned| pinned.len() >= key_columns)
+        .map(|pinned| (pinned, key_columns)))
+}
+
+impl RecordCursor for MergeCursor<'_> {
     type Item = StoredRecord;
 
     fn next(&mut self) -> Result<CursorResult<StoredRecord>> {
-        if self.done || self.children.is_empty() {
-            return Ok(CursorResult::NoNext {
-                reason: NoNextReason::SourceExhausted,
-                continuation: Continuation::End,
-            });
-        }
+        let exhausted = || CursorResult::NoNext {
+            reason: NoNextReason::SourceExhausted,
+            continuation: Continuation::End,
+        };
         loop {
             // Fill every empty head slot.
             for i in 0..self.children.len() {
-                if self.children[i].head.is_none() {
+                if self.children[i].head.is_some() {
+                    continue;
+                }
+                if !self.resume[i].is_end() {
                     match self.pull(i)? {
-                        Pulled::Head => {}
-                        Pulled::Exhausted => {
-                            // One child ran dry: no further matches exist.
-                            self.done = true;
-                            return Ok(CursorResult::NoNext {
-                                reason: NoNextReason::SourceExhausted,
-                                continuation: Continuation::End,
-                            });
+                        None => continue,
+                        Some(NoNextReason::SourceExhausted) => {
+                            self.resume[i] = Continuation::End;
                         }
-                        Pulled::Stopped(reason) => {
+                        Some(reason) => {
                             return Ok(CursorResult::NoNext {
                                 reason,
                                 continuation: self.composite(),
-                            });
+                            })
                         }
                     }
                 }
+                // This child is dry: nothing more is in every child; a
+                // union goes on without it.
+                if self.all {
+                    return Ok(exhausted());
+                }
             }
-            // Advance every child strictly below the current maximum.
-            let max = self
+            // The lead: the largest head decides what an intersection can
+            // still emit, the smallest is what a union emits next.
+            let heads = self
                 .children
                 .iter()
-                .map(|c| c.head.as_ref().unwrap().pk_bytes.clone())
-                .max()
-                .unwrap();
-            let mut all_equal = true;
-            for (i, child) in self.children.iter_mut().enumerate() {
-                if child.head.as_ref().unwrap().pk_bytes < max {
-                    let head = child.head.take().unwrap();
-                    self.resume[i] = head.after;
-                    all_equal = false;
-                }
-            }
-            if !all_equal {
+                .enumerate()
+                .filter_map(|(i, child)| Some((child.head.as_ref()?.pk(), i)));
+            let Some((_, lead_at)) = (if self.all { heads.max() } else { heads.min() }) else {
+                return Ok(exhausted());
+            };
+            let mut lead = self.children[lead_at]
+                .head
+                .take()
+                .expect("the lead was picked among the heads");
+            if self.all && self.advance(&lead, Ordering::Less) {
+                self.children[lead_at].head = Some(lead);
                 continue;
             }
-            // All heads agree: consume them and emit the record.
-            let mut pk = None;
-            let mut carried = None;
-            for (i, child) in self.children.iter_mut().enumerate() {
-                let head = child.head.take().unwrap();
-                self.resume[i] = head.after;
-                if carried.is_none() {
-                    carried = head.record;
-                }
-                pk = Some((head.pk_bytes, head.pk));
-            }
-            let (packed_pk, pk) = pk.unwrap();
-            let record = match carried {
-                Some(r) => Some(r),
-                None => self.store.load_record_packed(&packed_pk, || pk)?,
-            };
-            let Some(record) = record else {
-                continue; // entry racing a delete
-            };
-            if !self.type_ok(&record) {
-                continue;
-            }
-            return Ok(CursorResult::Next {
-                value: record,
-                continuation: self.composite(),
+            // Every head equal to the lead is the same row: a record
+            // stream may have carried it, else it is fetched, once.
+            let carried = lead.record.take().or_else(|| {
+                self.children.iter_mut().find_map(|child| {
+                    child
+                        .head
+                        .as_mut()
+                        .filter(|head| head.pk() == lead.pk())?
+                        .record
+                        .take()
+                })
             });
+            let record = match carried {
+                Some(record) => Some(record),
+                None => {
+                    let pk = Tuple::unpack(lead.pk()).map_err(Error::Fdb)?;
+                    self.store.load_record_packed(lead.pk(), || pk)?
+                }
+            };
+            // `None`: the entry raced a delete, or the children holding
+            // this key do not take the record's type.
+            let row = record.filter(|record| {
+                let mut holders = self
+                    .children
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, child)| {
+                        *i == lead_at
+                            || child
+                                .head
+                                .as_ref()
+                                .is_some_and(|head| head.pk() == lead.pk())
+                    })
+                    .map(|(_, child)| child.accepts(&record.record_type));
+                if self.all {
+                    holders.all(|accepts| accepts)
+                } else {
+                    holders.any(|accepts| accepts)
+                }
+            });
+            self.advance(&lead, Ordering::Equal);
+            self.resume[lead_at] = lead.into_position();
+            if let Some(value) = row {
+                return Ok(CursorResult::Next {
+                    value,
+                    continuation: self.composite(),
+                });
+            }
         }
     }
 }

@@ -6,11 +6,11 @@
 //! plan, not the work of each branch separately.
 
 use crate::cursor::{Continuation, ExecuteProperties, KeyValueCursor};
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::store::{RecordStore, StoredRecord, TupleRange};
 
 use super::cursors::{
-    BoxedCursorExt, CoveringScanCursor, FilteredRecordCursor, IndexFetchCursor, IntersectionCursor,
+    BoxedCursorExt, CoveringScanCursor, FilteredRecordCursor, IndexFetchCursor, MergeCursor,
     ObservedCursor, PlanCursor, TimedCursor, UnionCursor,
 };
 use super::ir::RecordQueryPlan;
@@ -178,11 +178,19 @@ impl RecordQueryPlan {
                     continuation,
                 )?))
             }
-            RecordQueryPlan::Union { children } => {
-                UnionCursor::create(children, store, continuation, props, path)
-            }
-            RecordQueryPlan::Intersection { children } => {
-                IntersectionCursor::create(children, store, continuation, props, path)
+            RecordQueryPlan::Union { children } | RecordQueryPlan::Intersection { children } => {
+                // One merge executes both over primary-key-ordered
+                // children; only a union can do without the order.
+                let all = matches!(self, RecordQueryPlan::Intersection { .. });
+                if MergeCursor::ordered(children, all, store)? {
+                    MergeCursor::create(children, all, store, continuation, props, path)
+                } else if all {
+                    Err(Error::Unplannable(
+                        "intersection children must stream in primary-key order".into(),
+                    ))
+                } else {
+                    UnionCursor::create(children, store, continuation, props, path)
+                }
             }
         }
     }

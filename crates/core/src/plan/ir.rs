@@ -51,7 +51,8 @@ impl ScanBounds {
     /// The equality prefix these bounds pin, when the bounds are a pure
     /// equality (`low == high`, both inclusive). An index scan whose
     /// equality prefix pins *every* key column streams entries in primary
-    /// key order, which the streaming intersection relies on.
+    /// key order, which the primary-key merge (intersections, ordered
+    /// unions) relies on.
     pub fn equality_prefix(&self) -> Option<&Tuple> {
         match self {
             ScanBounds::Range(r) => match (&r.low, &r.high) {
@@ -117,7 +118,11 @@ pub enum RecordQueryPlan {
         record_types: Option<BTreeSet<String>>,
         residual: Option<QueryComponent>,
     },
-    /// Distinct union of sub-plans (OR queries).
+    /// Distinct union of sub-plans (OR and `IN` queries). Children that
+    /// all stream in primary-key order, with no residual of their own,
+    /// are merged in that order, and so are the rows; otherwise the
+    /// branches run one after another. The order of a union's rows is not
+    /// part of the API.
     Union { children: Vec<RecordQueryPlan> },
     /// Records produced by every sub-plan (AND across different indexes),
     /// executed as a streaming merge-join over primary-key-ordered

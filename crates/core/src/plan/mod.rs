@@ -8,12 +8,14 @@
 //!   path (atomic entry counters), not by guessed scores.
 //! * [`planner`] — candidate enumeration and pruning: the
 //!   [`RecordQueryPlanner`] matches filters against index key expressions,
-//!   proposes index scans, covering scans, unions and intersections, and
-//!   keeps the cheapest plan under the cost model.
+//!   proposes index scans, covering scans, unions (for OR, and for `IN` as
+//!   an OR of equalities) and intersections, and keeps the cheapest plan
+//!   under the cost model.
 //! * [`execute`] — turns a plan into a tree of streaming cursors.
 //! * [`cursors`] — the plan-level cursors: residual filtering, the primary
-//!   fetch, covering-scan record synthesis, distinct union, and the
-//!   streaming (merge-join) intersection.
+//!   fetch, covering-scan record synthesis, the k-way primary-key merge
+//!   that executes intersections and ordered unions, and the sequential
+//!   union for branches without that order.
 //!
 //! The Cascades-style rewrite engine (Appendix C "future directions")
 //! remains future work; the cost model here is the stepping stone the

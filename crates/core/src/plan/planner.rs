@@ -2,12 +2,14 @@
 //!
 //! Candidate enumeration is structural — match the filter's conjuncts
 //! against every readable VALUE index's key expression, propose unions for
-//! top-level ORs, intersections for ANDs served by several single-column
-//! indexes, text scans for text predicates — and the choice among
-//! candidates is driven by the [`CostModel`]: when the planner holds a
-//! store handle (via [`RecordQueryPlanner::with_statistics`]) the model
-//! costs each candidate with the store's *persistent* per-index entry
-//! counts; otherwise it falls back to fixed default cardinalities.
+//! top-level ORs (nested ORs flattened, repeated branches dropped) and for
+//! an `IN` conjunct as the OR of its equalities, intersections for ANDs
+//! served by several single-column indexes, text scans for text
+//! predicates — and the choice among candidates is driven by the
+//! [`CostModel`]: when the planner holds a store handle (via
+//! [`RecordQueryPlanner::with_statistics`]) the model costs each candidate
+//! with the store's *persistent* per-index entry counts; otherwise it
+//! falls back to fixed default cardinalities.
 //!
 //! Two structural upgrades happen after matching:
 //!
@@ -82,31 +84,9 @@ impl<'m> RecordQueryPlanner<'m> {
 
         // OR at the top level: union the branch plans when each branch is
         // independently index-plannable.
-        if let Some(QueryComponent::Or(branches)) = &query.filter {
-            if query.sort.is_none() {
-                let mut children = Vec::new();
-                let mut all_indexed = true;
-                for branch in branches {
-                    let sub = RecordQuery {
-                        record_types: query.record_types.clone(),
-                        filter: Some(branch.clone()),
-                        sort: None,
-                        sort_reverse: false,
-                        required_fields: query.required_fields.clone(),
-                    };
-                    match self.plan(&sub)? {
-                        plan @ (RecordQueryPlan::IndexScan { .. }
-                        | RecordQueryPlan::CoveringIndexScan { .. }
-                        | RecordQueryPlan::TextScan { .. }) => children.push(plan),
-                        _ => {
-                            all_indexed = false;
-                            break;
-                        }
-                    }
-                }
-                if all_indexed && !children.is_empty() {
-                    return Ok(RecordQueryPlan::Union { children });
-                }
+        if let (Some(QueryComponent::Or(branches)), None) = (&query.filter, &query.sort) {
+            if let Some(union) = self.plan_union(query, branches.iter().cloned(), None)? {
+                return Ok(union);
             }
         }
 
@@ -151,7 +131,17 @@ impl<'m> RecordQueryPlanner<'m> {
             if let Some(plan) = self.plan_text(&conjuncts, &types)? {
                 consider(plan);
             }
+            // `f IN (…)` as a union of equality scans, when that costs
+            // less than scanning everything.
+            if let Some(plan) = self.plan_in_as_union(query, &conjuncts)? {
+                consider(plan);
+            }
         }
+        let full_scan = |reverse| RecordQueryPlan::FullScan {
+            record_types: types.clone(),
+            residual: query.filter.clone(),
+            reverse,
+        };
         if let Some((_, plan)) = best {
             return Ok(plan);
         }
@@ -160,22 +150,111 @@ impl<'m> RecordQueryPlanner<'m> {
         // supports it (full scan is pk-ordered); else unsupported.
         if let Some(sort) = &query.sort {
             if self.primary_key_satisfies_sort(&types, sort) {
-                return Ok(RecordQueryPlan::FullScan {
-                    record_types: types,
-                    residual: query.filter.clone(),
-                    reverse: query.sort_reverse,
-                });
+                return Ok(full_scan(query.sort_reverse));
             }
             return Err(Error::UnsupportedSort(format!(
                 "no readable index supports sort {sort:?}; the layer does not sort in memory"
             )));
         }
 
-        Ok(RecordQueryPlan::FullScan {
-            record_types: types,
-            residual: query.filter.clone(),
-            reverse: false,
-        })
+        Ok(full_scan(false))
+    }
+
+    /// The union of `branches`, each planned on its own: `None` unless
+    /// every branch is served by an index. A branch that is itself a union
+    /// (an OR inside an OR, an `IN`) contributes its children, and a
+    /// repeated branch is scanned once; one distinct branch needs no union
+    /// and none at all is the union of no children, which returns nothing
+    /// and reads nothing. A union has to cost less than `ceiling`, when
+    /// there is one, and planning stops (`None`) at the branch that takes
+    /// the children there: a list too long to win costs only the branches
+    /// a winning one could have had.
+    fn plan_union(
+        &self,
+        query: &RecordQuery,
+        branches: impl Iterator<Item = QueryComponent>,
+        ceiling: Option<f64>,
+    ) -> Result<Option<RecordQueryPlan>> {
+        let model = self.cost_model();
+        let mut cost = 0.0;
+        let mut children: Vec<RecordQueryPlan> = Vec::new();
+        for branch in branches {
+            let sub = RecordQuery {
+                record_types: query.record_types.clone(),
+                filter: Some(branch),
+                sort: None,
+                sort_reverse: false,
+                required_fields: query.required_fields.clone(),
+            };
+            let plans = match self.plan(&sub)? {
+                RecordQueryPlan::Union { children } => children,
+                plan @ (RecordQueryPlan::IndexScan { .. }
+                | RecordQueryPlan::CoveringIndexScan { .. }
+                | RecordQueryPlan::TextScan { .. }) => vec![plan],
+                _ => return Ok(None),
+            };
+            for plan in plans {
+                if !children.contains(&plan) {
+                    if let Some(ceiling) = ceiling {
+                        cost += model.estimate(&plan).cost;
+                        if cost >= ceiling {
+                            return Ok(None);
+                        }
+                    }
+                    children.push(plan);
+                }
+            }
+        }
+        let union = if children.len() == 1 {
+            children.remove(0)
+        } else {
+            RecordQueryPlan::Union { children }
+        };
+        let affordable = ceiling.is_none_or(|ceiling| model.estimate(&union).cost < ceiling);
+        Ok(affordable.then_some(union))
+    }
+
+    /// The first `f IN (v₁…v_k)` conjunct, alone or among others, as the
+    /// OR of `f = vᵢ ∧ rest`, one branch per distinct value (a null never
+    /// compares equal, so it names none). `None` without an `IN`, when
+    /// some branch has no index to serve it, or when the union costs as
+    /// much as the full scan, the plan of a query with no candidate.
+    fn plan_in_as_union(
+        &self,
+        query: &RecordQuery,
+        conjuncts: &[Conjunct],
+    ) -> Result<Option<RecordQueryPlan>> {
+        for (at, conjunct) in conjuncts.iter().enumerate() {
+            let Some(Comparison::In(values)) = &conjunct.comparison else {
+                continue;
+            };
+            let mut seen = BTreeSet::new();
+            let values = values.iter().filter(|value| {
+                let mut packed = Vec::new();
+                value.pack_into(&mut packed);
+                !matches!(value, TupleElement::Null) && seen.insert(packed)
+            });
+            let branches = values.map(|value| {
+                let mut parts: Vec<QueryComponent> =
+                    conjuncts.iter().map(|c| c.component.clone()).collect();
+                match &mut parts[at] {
+                    QueryComponent::Field { comparison, .. }
+                    | QueryComponent::OneOfThem { comparison, .. } => {
+                        *comparison = Comparison::Equals(value.clone());
+                    }
+                    _ => unreachable!("only field conjuncts carry a comparison"),
+                }
+                QueryComponent::And(parts)
+            });
+            let full_scan = RecordQueryPlan::FullScan {
+                record_types: None,
+                residual: None,
+                reverse: false,
+            };
+            let ceiling = self.cost_model().estimate(&full_scan).cost;
+            return self.plan_union(query, branches, Some(ceiling));
+        }
+        Ok(None)
     }
 
     fn conjuncts(filter: Option<&QueryComponent>) -> Vec<Conjunct> {

@@ -9,23 +9,33 @@
 //! primary key, a string group, an int score, 100 payload bytes, record
 //! versions on, the VALUE / SUM / COUNT / VERSION index mix.
 //!
-//! Baseline: this file run on the parent of the change that introduced it
-//! (PR 17's tree), and on that change (PR 19, which made the fetch path
-//! decode in place). Debug and release builds count the same.
+//! Baseline: this file run on the parent of the change that introduced a
+//! row, and on that change: PR 19 (which made the fetch path decode in
+//! place) for the first four, PR 20 (one primary-key merge for
+//! intersections and ordered unions, `IN` planned as a union) for the last
+//! three. Debug and release builds count the same.
 //!
-//! | path                                          | parent | PR 19 | budget |
+//! | path                                          | parent | now   | budget |
 //! |-----------------------------------------------|--------|-------|--------|
 //! | `load_record`, per call                       | 50.03  | 17.42 | 25     |
 //! | fetching `IndexScan`, per row of 50           | 58.26  | 19.22 | 32     |
 //! | `CoveringIndexScan`, per row of 50            | 14.30  |  8.78 | 14.3   |
 //! | residual-filtered `FullScan`, per record read | 40.00  | 11.72 | 40     |
+//! | ordered 2-branch `Union`, per row of 50       | 57.68  | 21.82 | 28     |
+//! | 3-value `IN`, per row of 50                   | 84.58  | 23.40 | 30     |
+//! | `Intersection`, per key read                  |  7.32  |  3.61 | 5      |
 //!
-//! The first two budgets are what the fetch path is held to; the last two
-//! say only that those paths may not get worse than the parent was. Of the
+//! The first two budgets and the last three are what those paths are held
+//! to; the third and fourth say only that those paths may not get worse
+//! than the parent was. Of the
 //! 17.4 per `load_record`, 8 are `Transaction::get_range` (two rows' keys
 //! and values, the two row arrays, the conflict range), 3 are the packed
 //! key and the bounds, and 6 are the record: primary key, type name, the
 //! unescaped wire bytes, and the message's field map, string and bytes.
+//! A merged union row adds to a fetching scan's its share of the other
+//! children's entries and the composite continuation (k positions and the
+//! buffer they are packed into); the parent's union re-encoded its `seen`
+//! set per row and its `IN` was a filtered full scan.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -34,9 +44,9 @@ use std::collections::BTreeSet;
 use record_layer::cursor::{Continuation, ExecuteProperties};
 use record_layer::expr::KeyExpression;
 use record_layer::metadata::{Index, RecordMetaData, RecordMetaDataBuilder};
-use record_layer::plan::{BoxedCursorExt, RecordQueryPlan, RecordQueryPlanner};
+use record_layer::plan::{BoxedCursorExt, RecordQueryPlan, RecordQueryPlanner, ScanBounds};
 use record_layer::query::{Comparison, QueryComponent, RecordQuery};
-use record_layer::store::RecordStore;
+use record_layer::store::{RecordStore, TupleRange};
 use rl_fdb::tuple::Tuple;
 use rl_fdb::{Database, DatabaseOptions, EngineKind, Subspace};
 use rl_message::{DescriptorPool, FieldDescriptor, FieldType, MessageDescriptor};
@@ -237,9 +247,48 @@ fn fetch_path_stays_within_its_allocation_budget() {
     assert_eq!(rows, ROWS);
     let full_scan = per(n, rows * GROUPS as usize);
 
+    // `group = g3 ∨ group = g4` and `group IN (g3, g4, g5)`: the k-way
+    // merge over `by_group` entry streams, the benchmark's `union` and
+    // `in_query`.
+    let group_is = |g: &str| QueryComponent::field("group", Comparison::Equals(g.into()));
+    let by_filter = |filter| {
+        let query = RecordQuery::new().record_type("Item").filter(filter);
+        planner.plan(&query).unwrap()
+    };
+    let union = by_filter(QueryComponent::or(vec![group_is("g3"), group_is("g4")]));
+    let (rows, n) = drain(&store, &union);
+    assert_eq!(rows, ROWS);
+    let union_row = per(n, rows);
+    let in_list = Comparison::In(vec!["g3".into(), "g4".into(), "g5".into()]);
+    let (rows, n) = drain(&store, &by_filter(QueryComponent::field("group", in_list)));
+    assert_eq!(rows, ROWS);
+    let in_row = per(n, rows);
+
+    // `group = g3 ∧ score = 11` as the merge-join the benchmark builds:
+    // most of its work is entries skipped, so the count is per key read.
+    let equality_scan =
+        |index: &str, value: rl_fdb::tuple::TupleElement| RecordQueryPlan::IndexScan {
+            index_name: index.into(),
+            bounds: ScanBounds::Range(TupleRange::prefix(Tuple::new().push(value))),
+            reverse: false,
+            record_types: Some(BTreeSet::from(["Item".to_string()])),
+            residual: None,
+        };
+    let intersection = RecordQueryPlan::Intersection {
+        children: vec![
+            equality_scan("by_group", "g3".into()),
+            equality_scan("by_score", 11i64.into()),
+        ],
+    };
+    let keys_before = tx.trace().keys_read;
+    let (rows, n) = drain(&store, &intersection);
+    assert!(rows > 0);
+    let intersection_key = per(n, (tx.trace().keys_read - keys_before) as usize);
+
     println!(
         "allocations: load_record {load_record:.2}, index scan row {index_scan:.2}, \
-         covering scan row {covering_scan:.2}, full scan record {full_scan:.2}"
+         covering scan row {covering_scan:.2}, full scan record {full_scan:.2}, \
+         union row {union_row:.2}, IN row {in_row:.2}, intersection key {intersection_key:.2}"
     );
     assert!(load_record <= 25.0, "load_record: {load_record:.1} > 25");
     assert!(index_scan <= 32.0, "IndexScan row: {index_scan:.1} > 32");
@@ -250,5 +299,11 @@ fn fetch_path_stays_within_its_allocation_budget() {
     assert!(
         full_scan <= 40.0,
         "FullScan record: {full_scan:.1} > 40 (parent)"
+    );
+    assert!(union_row <= 28.0, "ordered Union row: {union_row:.1} > 28");
+    assert!(in_row <= 30.0, "IN row: {in_row:.1} > 30");
+    assert!(
+        intersection_key <= 5.0,
+        "Intersection key read: {intersection_key:.1} > 5"
     );
 }

@@ -146,6 +146,74 @@ fn plan_node_spans_join_against_explain() {
     );
 }
 
+/// The merge's children are raw entry streams below `execute_inner`: they
+/// still answer for their node paths, with the entries they pulled and the
+/// keys their own batches read.
+#[test]
+fn intersection_children_emit_plan_node_spans() {
+    let _guard = obs_lock();
+    rl_obs::set_enabled(true);
+    let _ = rl_obs::drain_spans();
+
+    let db = Database::new();
+    let md = metadata();
+    let sub = Subspace::from_bytes(b"obs-merge".to_vec());
+    seed(&db, &md, &sub);
+
+    let query = RecordQuery::new()
+        .record_type("Item")
+        .filter(QueryComponent::and(vec![
+            QueryComponent::field("color", Comparison::Equals("red".into())),
+            QueryComponent::field("size", Comparison::Equals(0i64.into())),
+        ]));
+    let plan = RecordQueryPlanner::new(&md).plan(&query).unwrap();
+    assert_eq!(
+        plan.describe(),
+        "Intersection(IndexScan(by_color), IndexScan(by_size))"
+    );
+    let rows = record_layer::run(&db, |tx| {
+        let store = RecordStore::open_or_create(tx, &sub, &md)?;
+        Ok(plan.execute_all(&store)?.len())
+    })
+    .unwrap();
+    // red ∩ size 0: ids ≡ 0 mod 30.
+    assert_eq!(rows, 2);
+
+    rl_obs::set_enabled(false);
+
+    let prefix = format!("{}:", hex(sub.prefix()));
+    let by_path: HashMap<String, rl_obs::Span> = rl_obs::drain_spans()
+        .into_iter()
+        .filter(|s| s.op == "plan_node" && s.tag.starts_with(&prefix))
+        .map(|s| (s.tag[prefix.len()..].to_string(), s))
+        .collect();
+    let paths = plan.node_paths();
+    assert_eq!(paths.len(), 3);
+    for (path, label) in &paths {
+        assert!(
+            by_path.contains_key(path),
+            "no span for node {path} ({label})"
+        );
+    }
+    assert_eq!(by_path["0"].counter("rows"), Some(2));
+    // The merge pulls a child only to catch up with the other: red's
+    // entries up to 51, the first past size 0's last (50), and all 6 of
+    // size 0, which then runs dry and ends the stream.
+    assert_eq!(by_path["0.0"].counter("rows"), Some(18));
+    assert_eq!(by_path["0.1"].counter("rows"), Some(6));
+    // A child's reads are the batches it read itself (red's one batch
+    // held all 20 entries); the intersection's cover both children, the
+    // two index states and the two fetched records.
+    let color_reads = by_path["0.0"].counter("keys_read").unwrap();
+    let size_reads = by_path["0.1"].counter("keys_read").unwrap();
+    assert_eq!((color_reads, size_reads), (20, 6));
+    let all_reads = by_path["0"].counter("keys_read").unwrap();
+    assert!(
+        all_reads >= color_reads + size_reads + 2 + 2,
+        "intersection reads {all_reads} must cover its children and its fetches"
+    );
+}
+
 /// Per-transaction spans attribute reads, writes, and the commit outcome
 /// to the transaction that produced them.
 #[test]

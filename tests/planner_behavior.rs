@@ -757,3 +757,169 @@ fn union_continuation_does_not_duplicate_across_pages() {
     assert_eq!(all_ids.len(), n, "paged union produced duplicates");
     assert_eq!(n, 24);
 }
+
+/// Plan `filter` over `Item`, execute it in one transaction, and return
+/// the plan's shape, the ids in the order returned, and the keys read.
+fn plan_and_count(
+    db: &Database,
+    md: &RecordMetaData,
+    sub: &Subspace,
+    filter: QueryComponent,
+) -> (String, Vec<i64>, u64) {
+    let query = RecordQuery::new().record_type("Item").filter(filter);
+    let plan = RecordQueryPlanner::new(md).plan(&query).unwrap();
+    let tx = db.create_transaction();
+    let store = RecordStore::open_or_create(&tx, sub, md).unwrap();
+    let before = tx.trace().keys_read;
+    let ids = plan
+        .execute_all(&store)
+        .unwrap()
+        .iter()
+        .map(|r| r.primary_key.get(0).unwrap().as_int().unwrap())
+        .collect();
+    (plan.describe(), ids, tx.trace().keys_read - before)
+}
+
+fn eq(field: &str, value: impl Into<rl_fdb::tuple::TupleElement>) -> QueryComponent {
+    QueryComponent::field(field, Comparison::Equals(value.into()))
+}
+
+fn sorted(mut ids: Vec<i64>) -> Vec<i64> {
+    ids.sort_unstable();
+    ids
+}
+
+/// An OR inside an OR is the same union, not a reason to scan everything.
+#[test]
+fn nested_or_flattens_into_one_union() {
+    let db = Database::new();
+    let md = metadata();
+    let sub = seed(&db, &md);
+    let filter = QueryComponent::or(vec![
+        eq("color", "red"),
+        QueryComponent::or(vec![eq("size", 0i64), eq("size", 1i64)]),
+    ]);
+    let (shape, ids, keys) = plan_and_count(&db, &md, &sub, filter);
+    assert_eq!(
+        shape,
+        "Union(IndexScan(by_color), IndexScan(by_size), IndexScan(by_size))"
+    );
+    // red: 20; sizes 0 and 1: 6 each, two of each red already.
+    let want: Vec<i64> = (0..60).filter(|i| i % 3 == 0 || i % 10 <= 1).collect();
+    assert_eq!(want.len(), 28);
+    assert_eq!(sorted(ids), want);
+    // 3 index states + 32 entries + 28 two-key records; the full scan it
+    // used to be read all 120 record keys.
+    assert!(keys <= 95, "{keys} keys read");
+}
+
+/// A branch named twice is one scan: its entries are read and its records
+/// fetched once.
+#[test]
+fn repeated_or_branch_is_scanned_once() {
+    let db = Database::new();
+    let md = metadata();
+    let sub = seed(&db, &md);
+    let filter = QueryComponent::or(vec![eq("color", "red"), eq("color", "red")]);
+    let (shape, ids, keys) = plan_and_count(&db, &md, &sub, filter);
+    assert_eq!(shape, "IndexScan(by_color)");
+    assert_eq!(ids, (0..60).step_by(3).collect::<Vec<i64>>());
+    assert!(keys <= 80, "{keys} keys read for 20 rows");
+}
+
+/// No branch at all matches nothing, and costs nothing to find out.
+#[test]
+fn empty_in_and_empty_or_read_nothing() {
+    let db = Database::new();
+    let md = metadata();
+    let sub = seed(&db, &md);
+    for filter in [
+        QueryComponent::field("color", Comparison::In(Vec::new())),
+        QueryComponent::or(Vec::new()),
+        QueryComponent::and(vec![
+            QueryComponent::field("color", Comparison::In(Vec::new())),
+            eq("size", 3i64),
+        ]),
+    ] {
+        let (shape, ids, keys) = plan_and_count(&db, &md, &sub, filter);
+        assert_eq!(shape, "Union()");
+        assert!(ids.is_empty());
+        assert_eq!(keys, 0);
+    }
+}
+
+/// `IN` is a union of equality scans over its distinct values — scalar and
+/// fan-out fields alike, alone or beside an equality on another column —
+/// when the cost model puts that below the alternative.
+#[test]
+fn in_plans_as_union_of_equality_scans_by_cost() {
+    let db = Database::new();
+    let md = metadata();
+    let sub = seed(&db, &md);
+    let in_list = |values: &[&str]| Comparison::In(values.iter().map(|&v| v.into()).collect());
+
+    let filter = QueryComponent::field("color", in_list(&["red", "blue", "red", "mauve"]));
+    let (shape, ids, keys) = plan_and_count(&db, &md, &sub, filter);
+    assert_eq!(
+        shape,
+        "Union(IndexScan(by_color), IndexScan(by_color), IndexScan(by_color))"
+    );
+    let want: Vec<i64> = (0..60).filter(|i| i % 3 != 1).collect();
+    // The merge returns primary-key order.
+    assert_eq!(ids, want);
+    // 3 index states + 40 entries + 40 two-key records (the filtered full
+    // scan read 120 keys whatever the list).
+    assert!(keys <= 123, "{keys} keys read for 40 rows");
+
+    let filter = QueryComponent::one_of_them("tags", in_list(&["tag1", "even"]));
+    let (shape, ids, _) = plan_and_count(&db, &md, &sub, filter);
+    assert_eq!(shape, "Union(IndexScan(by_tag), IndexScan(by_tag))");
+    let want: Vec<i64> = (0..60).filter(|i| i % 5 == 1 || i % 2 == 0).collect();
+    assert_eq!(ids, want);
+
+    let filter = QueryComponent::and(vec![
+        QueryComponent::field("color", in_list(&["red", "green"])),
+        eq("size", 4i64),
+    ]);
+    let (shape, ids, keys) = plan_and_count(&db, &md, &sub, filter);
+    assert_eq!(
+        shape,
+        "Union(IndexScan(by_color_size), IndexScan(by_color_size))"
+    );
+    let want: Vec<i64> = (0..60).filter(|i| i % 3 != 2 && i % 10 == 4).collect();
+    assert_eq!(ids, want);
+    assert!(keys <= 2 + 3 * want.len() as u64, "{keys} keys read");
+
+    // One value is one scan.
+    let (shape, ids, _) = plan_and_count(
+        &db,
+        &md,
+        &sub,
+        QueryComponent::field("color", in_list(&["green"])),
+    );
+    assert_eq!(shape, "IndexScan(by_color)");
+    assert_eq!(ids.len(), 20);
+
+    // Ten equality scans are costed above one pass over the records.
+    let all_sizes = Comparison::In((0..10i64).map(Into::into).collect());
+    let (shape, ids, _) = plan_and_count(&db, &md, &sub, QueryComponent::field("size", all_sizes));
+    assert_eq!(shape, "Filter(FullScan)");
+    assert_eq!(ids.len(), 60);
+
+    // Repeats of a value are no branches, and lists too long to win are
+    // turned down long before their product (2.7e10 branches) is planned.
+    let repeats = in_list(&["red", "blue"].repeat(5_000));
+    let (shape, ids, _) = plan_and_count(&db, &md, &sub, QueryComponent::field("color", repeats));
+    assert_eq!(shape, "Union(IndexScan(by_color), IndexScan(by_color))");
+    assert_eq!(ids.len(), 40);
+    let long = |field| {
+        QueryComponent::field(
+            field,
+            Comparison::In((0..3_000i64).map(Into::into).collect()),
+        )
+    };
+    let filter = QueryComponent::and(vec![long("size"), long("id"), long("size")]);
+    let (shape, ids, _) = plan_and_count(&db, &md, &sub, filter);
+    assert_eq!(shape, "Filter(FullScan)");
+    assert_eq!(ids.len(), 60);
+}

@@ -7,7 +7,10 @@
 //! * the TEXT bunched map agrees with a BTreeMap oracle,
 //! * record save/load roundtrips arbitrary field values,
 //! * limited and reverse range reads with buffered writes agree with a
-//!   materialise-then-truncate model, on both storage engines.
+//!   materialise-then-truncate model, on both storage engines,
+//! * a planned OR or `IN` returns what the filtered full scan returns and
+//!   pages exactly, from every continuation, under scan limits and across
+//!   a delete.
 //!
 //! These were originally written against the `proptest` crate; the tier-1
 //! build must work offline with an empty cargo registry, so they now run on
@@ -19,9 +22,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use rl_bench::rng::{Rng, XorShift64};
 
+use record_layer::cursor::{Continuation, CursorResult, ExecuteProperties, NoNextReason};
 use record_layer::expr::KeyExpression;
 use record_layer::index::text::BunchedMap;
-use record_layer::metadata::RecordMetaDataBuilder;
+use record_layer::metadata::{Index, RecordMetaData, RecordMetaDataBuilder};
+use record_layer::plan::{BoxedCursorExt, RecordQueryPlan, RecordQueryPlanner};
+use record_layer::query::{Comparison, QueryComponent, RecordQuery};
 use record_layer::store::RecordStore;
 use rl_fdb::atomic::MutationType;
 use rl_fdb::tuple::{ElementRef, Tuple, TupleElement, TupleReader};
@@ -591,4 +597,264 @@ fn range_reads_match_materialise_then_truncate_model() {
             }
         });
     }
+}
+
+// ------------------------------------------- planned OR and IN vs the scan
+
+/// `Doc(id, a, b, n, tags*, u)`, one key per record, with single-column,
+/// compound and fan-out VALUE indexes for the planner to choose from and
+/// no index on `u`.
+fn doc_metadata() -> RecordMetaData {
+    let mut pool = DescriptorPool::new();
+    pool.add_message(
+        MessageDescriptor::new(
+            "Doc",
+            vec![
+                FieldDescriptor::optional("id", 1, FieldType::Int64),
+                FieldDescriptor::optional("a", 2, FieldType::Int64),
+                FieldDescriptor::optional("b", 3, FieldType::String),
+                FieldDescriptor::optional("n", 4, FieldType::Int64),
+                FieldDescriptor::repeated("tags", 5, FieldType::String),
+                FieldDescriptor::optional("u", 6, FieldType::Int64),
+            ],
+        )
+        .unwrap(),
+    )
+    .unwrap();
+    RecordMetaDataBuilder::new(pool)
+        .record_type("Doc", KeyExpression::field("id"))
+        .index("Doc", Index::value("by_a", KeyExpression::field("a")))
+        .index("Doc", Index::value("by_b", KeyExpression::field("b")))
+        .index(
+            "Doc",
+            Index::value("by_a_b", KeyExpression::concat_fields("a", "b")),
+        )
+        .index("Doc", Index::value("by_n", KeyExpression::field("n")))
+        .index(
+            "Doc",
+            Index::value("by_tag", KeyExpression::field_fanout("tags")),
+        )
+        .store_record_versions(false)
+        .build()
+        .unwrap()
+}
+
+// Few values per field, so branches overlap; the last of each is held by
+// no record.
+const DOC_B: [&str; 4] = ["x", "y", "z", "absent"];
+const DOC_TAGS: [&str; 4] = ["t0", "t1", "t2", "absent"];
+
+fn pick(rng: &mut XorShift64, of: &[&str]) -> TupleElement {
+    of[rng.gen_range(0..of.len())].into()
+}
+
+fn arb_equality(rng: &mut XorShift64) -> QueryComponent {
+    match rng.gen_range(0..3u32) {
+        0 => QueryComponent::field("a", Comparison::Equals(rng.gen_range(0..5i64).into())),
+        1 => QueryComponent::field("b", Comparison::Equals(pick(rng, &DOC_B))),
+        _ => QueryComponent::one_of_them("tags", Comparison::Equals(pick(rng, &DOC_TAGS))),
+    }
+}
+
+/// An `IN` of 0–5 values drawn with replacement, absent ones among them.
+fn arb_in(rng: &mut XorShift64) -> QueryComponent {
+    let len = rng.gen_range(0..=5usize);
+    match rng.gen_range(0..3u32) {
+        0 => QueryComponent::field(
+            "a",
+            Comparison::In((0..len).map(|_| rng.gen_range(0..5i64).into()).collect()),
+        ),
+        1 => QueryComponent::field(
+            "b",
+            Comparison::In((0..len).map(|_| pick(rng, &DOC_B)).collect()),
+        ),
+        _ => QueryComponent::one_of_them(
+            "tags",
+            Comparison::In((0..len).map(|_| pick(rng, &DOC_TAGS)).collect()),
+        ),
+    }
+}
+
+/// A predicate only a residual can check, true of one record in six: the
+/// runs it rejects outlast the scan limits below.
+fn arb_unindexed(rng: &mut XorShift64) -> QueryComponent {
+    QueryComponent::field("u", Comparison::Equals(rng.gen_range(0..6i64).into()))
+}
+
+fn arb_or_or_in(rng: &mut XorShift64) -> QueryComponent {
+    match rng.gen_range(0..7u32) {
+        0 => QueryComponent::or(
+            (0..rng.gen_range(1..=4u32))
+                .map(|_| arb_equality(rng))
+                .collect(),
+        ),
+        1 => arb_in(rng),
+        2 => QueryComponent::and(vec![
+            QueryComponent::field(
+                "a",
+                Comparison::In((0..4).map(|_| rng.gen_range(0..5i64).into()).collect()),
+            ),
+            QueryComponent::field("b", Comparison::Equals(pick(rng, &DOC_B))),
+        ]),
+        3 => QueryComponent::or(vec![
+            arb_equality(rng),
+            QueryComponent::or(vec![arb_equality(rng), arb_in(rng)]),
+        ]),
+        // Branches that filter for themselves.
+        4 => QueryComponent::and(vec![arb_in(rng), arb_unindexed(rng)]),
+        5 => QueryComponent::or(vec![
+            QueryComponent::and(vec![arb_equality(rng), arb_unindexed(rng)]),
+            QueryComponent::and(vec![arb_equality(rng), arb_unindexed(rng)]),
+        ]),
+        // One branch that is not primary-key ordered: the unordered union.
+        _ => QueryComponent::or(vec![
+            arb_equality(rng),
+            QueryComponent::field("n", Comparison::GreaterThan(rng.gen_range(0..10i64).into())),
+        ]),
+    }
+}
+
+/// One page of `plan` in a transaction of its own: the ids returned, why
+/// the page ended and where the next one resumes.
+fn doc_page(
+    db: &Database,
+    md: &RecordMetaData,
+    sub: &Subspace,
+    plan: &RecordQueryPlan,
+    continuation: &Continuation,
+    props: &ExecuteProperties,
+) -> (Vec<i64>, NoNextReason, Continuation) {
+    record_layer::run(db, |tx| {
+        let store = RecordStore::open_or_create(tx, sub, md)?;
+        let (rows, reason, continuation) = plan
+            .execute(&store, continuation, props)?
+            .collect_remaining_boxed()?;
+        let ids = rows
+            .iter()
+            .map(|r| r.primary_key.get(0).unwrap().as_int().unwrap())
+            .collect();
+        Ok((ids, reason, continuation))
+    })
+    .unwrap()
+}
+
+/// What the planner makes of an OR or an `IN` — a merge of equality scans,
+/// the unordered union, one scan, or by cost no index at all — returns the
+/// records the filtered full scan returns, each once, and pages like any
+/// cursor: from every continuation, under any scan limit, across a delete.
+#[test]
+fn planned_or_and_in_match_the_filtered_scan() {
+    check("planned_or_and_in_match_the_filtered_scan", 80, |rng| {
+        let db = Database::new();
+        let md = doc_metadata();
+        let sub = Subspace::from_bytes(b"docs".to_vec());
+        let records = rng.gen_range(20..70i64);
+        record_layer::run(&db, |tx| {
+            let store = RecordStore::open_or_create(tx, &sub, &md)?;
+            for id in 0..records {
+                let mut doc = store.new_record("Doc")?;
+                doc.set("id", id).unwrap();
+                doc.set("a", rng.gen_range(0..4i64)).unwrap();
+                doc.set("b", DOC_B[rng.gen_range(0..3usize)]).unwrap();
+                doc.set("n", rng.gen_range(0..10i64)).unwrap();
+                doc.set("u", rng.gen_range(0..6i64)).unwrap();
+                for tag in &DOC_TAGS[..3] {
+                    if rng.gen_range(0..3u32) == 0 {
+                        doc.push("tags", tag.to_string()).unwrap();
+                    }
+                }
+                store.save_record(doc)?;
+            }
+            Ok(())
+        })
+        .unwrap();
+
+        let filter = arb_or_or_in(rng);
+        let query = RecordQuery::new().record_type("Doc").filter(filter.clone());
+        let plan = RecordQueryPlanner::new(&md).plan(&query).unwrap();
+        let scan = RecordQueryPlan::FullScan {
+            record_types: Some(["Doc".to_string()].into()),
+            residual: Some(filter.clone()),
+            reverse: false,
+        };
+        let unlimited = ExecuteProperties::new();
+        let page = |continuation: &Continuation, props: &ExecuteProperties| {
+            doc_page(&db, &md, &sub, &plan, continuation, props)
+        };
+        let context = format!("{filter:?} as {}", plan.describe());
+
+        // The same set as the scan it replaces, nothing twice.
+        let (want, _, _) = doc_page(&db, &md, &sub, &scan, &Continuation::Start, &unlimited);
+        let (one_shot, reason, _) = page(&Continuation::Start, &unlimited);
+        assert_eq!(reason, NoNextReason::SourceExhausted);
+        let mut as_set = one_shot.clone();
+        as_set.sort_unstable();
+        assert_eq!(as_set, want, "{context}");
+
+        // Resumed after every row, the tail completes the stream.
+        let continuations: Vec<Continuation> = record_layer::run(&db, |tx| {
+            let store = RecordStore::open_or_create(tx, &sub, &md)?;
+            let mut cursor = plan.execute(&store, &Continuation::Start, &unlimited)?;
+            let mut out = Vec::new();
+            while let CursorResult::Next { continuation, .. } = cursor.next()? {
+                out.push(continuation);
+            }
+            Ok(out)
+        })
+        .unwrap();
+        assert_eq!(continuations.len(), one_shot.len());
+        for (row, continuation) in continuations.iter().enumerate() {
+            let (rest, _, _) = page(continuation, &unlimited);
+            assert_eq!(rest, one_shot[row + 1..], "after row {row} of {context}");
+        }
+
+        // Pages cut by random scan limits, never below the merge's
+        // liveness floor of one entry per child, concatenate to it
+        // (branches that filter for themselves run one after another).
+        let floor = plan.children().len().max(3);
+        let (mut paged, mut continuation) = (Vec::new(), Continuation::Start);
+        for pages in 0.. {
+            assert!(pages < 10_000, "no progress: {context}");
+            let limit = rng.gen_range(floor..floor + 5);
+            let (ids, reason, next) = page(
+                &continuation,
+                &ExecuteProperties::new().with_scan_limit(limit),
+            );
+            paged.extend(ids);
+            if reason == NoNextReason::SourceExhausted {
+                break;
+            }
+            assert_eq!(reason, NoNextReason::ScanLimitReached);
+            continuation = next;
+        }
+        assert_eq!(paged, one_shot, "{context}");
+
+        // A record deleted between two pages does not come back if it was
+        // returned, is not returned if it was not, and hides no neighbour.
+        if !one_shot.is_empty() {
+            let first = rng.gen_range(1..=one_shot.len());
+            let (ids, _, continuation) = page(
+                &Continuation::Start,
+                &ExecuteProperties::new().with_return_limit(first),
+            );
+            assert_eq!(ids, one_shot[..first]);
+            let victim = one_shot[rng.gen_range(0..one_shot.len())];
+            record_layer::run(&db, |tx| {
+                let store = RecordStore::open_or_create(tx, &sub, &md)?;
+                assert!(store.delete_record(&Tuple::from((victim,)))?);
+                Ok(())
+            })
+            .unwrap();
+            let (rest, _, _) = page(&continuation, &unlimited);
+            let want: Vec<i64> = one_shot[first..]
+                .iter()
+                .copied()
+                .filter(|&id| id != victim)
+                .collect();
+            assert_eq!(
+                rest, want,
+                "{victim} deleted after row {first} of {context}"
+            );
+        }
+    });
 }

@@ -7,8 +7,8 @@
 use record_layer::cursor::{Continuation, CursorResult, ExecuteProperties, NoNextReason};
 use record_layer::expr::KeyExpression;
 use record_layer::metadata::{Index, RecordMetaData, RecordMetaDataBuilder};
-use record_layer::plan::{BoxedCursorExt, RecordQueryPlan, ScanBounds};
-use record_layer::query::{Comparison, QueryComponent};
+use record_layer::plan::{BoxedCursorExt, RecordQueryPlan, RecordQueryPlanner, ScanBounds};
+use record_layer::query::{Comparison, QueryComponent, RecordQuery};
 use record_layer::store::{RecordStore, TupleRange};
 use rl_fdb::tuple::Tuple;
 use rl_fdb::{Database, Subspace, Transaction};
@@ -212,5 +212,164 @@ fn filtered_full_scan_batches_grow_geometrically_up_to_256() {
     assert!(batches.len() >= 4, "batches: {batches:?}");
     for pair in batches.windows(2) {
         assert_eq!(pair[1], (pair[0] * 2).min(256), "batches: {batches:?}");
+    }
+}
+
+/// Keys read and rows returned by `plan` under a 50-row return limit.
+fn limited_read(tx: &Transaction, store: &RecordStore<'_>, plan: &RecordQueryPlan) -> (u64, usize) {
+    let mut rows = 0;
+    let keys = keys_read_by(tx, || {
+        let props = ExecuteProperties::new().with_return_limit(50);
+        let (got, reason, _) = plan
+            .execute(store, &Continuation::Start, &props)
+            .unwrap()
+            .collect_remaining_boxed()
+            .unwrap();
+        assert_eq!(reason, NoNextReason::ReturnLimitReached);
+        rows = got.len();
+    });
+    (keys, rows)
+}
+
+/// An `IN` and an OR cost what they return: each child's first batch is
+/// its share of the limit, duplicates never reach the fetch. (The groups
+/// here are disjoint id ranges, the merge's worst case: every row comes
+/// from one child, which needs a second batch.)
+#[test]
+fn limited_in_and_union_read_what_they_return() {
+    let db = Database::new();
+    let md = metadata();
+    let sub = seed(&db, &md);
+    let tx = db.create_transaction();
+    let store = RecordStore::open_or_create(&tx, &sub, &md).unwrap();
+    let planner = RecordQueryPlanner::new(&md);
+
+    let in_query = RecordQuery::new()
+        .record_type("Item")
+        .filter(QueryComponent::field(
+            "group",
+            Comparison::In(vec![1i64.into(), 2i64.into(), 3i64.into()]),
+        ));
+    let plan = planner.plan(&in_query).unwrap();
+    assert_eq!(
+        plan.describe(),
+        "Union(IndexScan(by_group), IndexScan(by_group), IndexScan(by_group))"
+    );
+    // 3 index states, 18 entries a child and 36 more of the first, and
+    // 50 one-key records.
+    let (keys, rows) = limited_read(&tx, &store, &plan);
+    assert_eq!(rows, 50);
+    assert_eq!(keys, 3 + 3 * 18 + 36 + 50);
+    assert!(keys as f64 / rows as f64 <= 3.5);
+
+    let plan = RecordQueryPlan::Union {
+        children: vec![group_scan(1), group_scan(2)],
+    };
+    let (keys, rows) = limited_read(&tx, &store, &plan);
+    assert_eq!(rows, 50);
+    assert_eq!(keys, 2 + 2 * 26 + 52 + 50);
+    assert!(keys as f64 / rows as f64 <= 3.3);
+}
+
+/// Two branches holding the same keys: every entry is read, every record
+/// fetched once.
+#[test]
+fn union_of_identical_branches_fetches_each_record_once() {
+    let db = Database::new();
+    let md = metadata();
+    let sub = seed(&db, &md);
+    let tx = db.create_transaction();
+    let store = RecordStore::open_or_create(&tx, &sub, &md).unwrap();
+    let plan = RecordQueryPlan::Union {
+        children: vec![group_scan(2), group_scan(2)],
+    };
+    let keys = keys_read_by(&tx, || {
+        let rows = plan.execute_all(&store).unwrap();
+        assert_eq!(rows.len() as i64, GROUP_SIZE);
+    });
+    // 2 index states, 300 entries twice, 300 one-key records once (two
+    // sequential branches read 2 × (1 + 300 + 300)).
+    assert_eq!(keys, 2 + 2 * 300 + 300);
+}
+
+/// An ordered union's continuation is its children's positions: it does
+/// not grow with the rows returned.
+#[test]
+fn ordered_union_continuation_does_not_grow_with_rows() {
+    let db = Database::new();
+    let md = metadata();
+    let sub = seed(&db, &md);
+    let tx = db.create_transaction();
+    let store = RecordStore::open_or_create(&tx, &sub, &md).unwrap();
+    let plan = RecordQueryPlan::Union {
+        children: (0..4).map(group_scan).collect(),
+    };
+    let mut cursor = plan
+        .execute(&store, &Continuation::Start, &ExecuteProperties::new())
+        .unwrap();
+    let mut lengths = Vec::new();
+    while let CursorResult::Next { continuation, .. } = cursor.next().unwrap() {
+        lengths.push(continuation.to_bytes().len());
+    }
+    assert_eq!(lengths.len() as i64, 4 * GROUP_SIZE);
+    let (at_10, at_1000) = (lengths[9], lengths[999]);
+    assert!(
+        at_1000.abs_diff(at_10) <= 16,
+        "continuation is {at_10} bytes after row 10, {at_1000} after row 1000"
+    );
+    assert!(lengths.iter().all(|&len| len <= at_10 + 16), "{lengths:?}");
+}
+
+/// Branches that filter for themselves, under a scan limit shorter than
+/// the run of entries the residual rejects: paging still ends, in about
+/// `entries / limit` pages, with the one match. A union runs such branches
+/// one after another; an intersection merges them, and a child stopped
+/// while skipping resumes where it stopped.
+#[test]
+fn filtered_branches_page_across_a_rejected_run() {
+    let db = Database::new();
+    let md = metadata();
+    let sub = seed(&db, &md);
+    // One match, 150 entries into group 1: `score` has no VALUE index.
+    let id = GROUP_SIZE + 150;
+    let score = QueryComponent::field("score", Comparison::Equals(((id * 7_919) % RECORDS).into()));
+    let query = RecordQuery::new()
+        .record_type("Item")
+        .filter(QueryComponent::and(vec![
+            QueryComponent::field("group", Comparison::In(vec![1i64.into(), 2i64.into()])),
+            score.clone(),
+        ]));
+    let union = RecordQueryPlanner::new(&md).plan(&query).unwrap();
+    assert_eq!(
+        union.describe(),
+        "Union(Filter(IndexScan(by_group)), Filter(IndexScan(by_group)))"
+    );
+    let mut filtered = group_scan(1);
+    if let RecordQueryPlan::IndexScan { residual, .. } = &mut filtered {
+        *residual = Some(score);
+    }
+    let intersection = RecordQueryPlan::Intersection {
+        children: vec![filtered, group_scan(1)],
+    };
+    for plan in [union, intersection] {
+        let props = ExecuteProperties::new().with_scan_limit(4);
+        let (mut ids, mut continuation) = (Vec::new(), Continuation::Start);
+        for pages in 1.. {
+            assert!(pages <= 2 * GROUP_SIZE, "no progress at {continuation:?}");
+            let tx = db.create_transaction();
+            let store = RecordStore::open_or_create(&tx, &sub, &md).unwrap();
+            let (rows, reason, next) = plan
+                .execute(&store, &continuation, &props)
+                .unwrap()
+                .collect_remaining_boxed()
+                .unwrap();
+            ids.extend(rows.iter().map(id_of));
+            if reason == NoNextReason::SourceExhausted {
+                break;
+            }
+            assert_eq!(reason, NoNextReason::ScanLimitReached);
+            continuation = next;
+        }
+        assert_eq!(ids, [id], "{}", plan.describe());
     }
 }
