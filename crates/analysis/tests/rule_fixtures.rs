@@ -149,12 +149,44 @@ fn lock_order_sees_the_parallel_commit_pipeline_nodes() {
         fn snapshot_read(&self) {
             let store = read_ranked(&self.store, LockRank::DatabaseStore);
         }
+        fn cached_state(&self) {
+            let st = lock_ranked(&self.state, LockRank::TransactionState);
+            let entries = lock_ranked(&self.entries, LockRank::StateCache);
+        }
     "#;
     let diags = lint_files(
         &[("crates/core/src/fixture.rs".to_string(), src.to_string())],
         ALL,
     );
     assert!(diags.is_empty(), "{diags:?}");
+}
+
+#[test]
+fn lock_order_reports_a_lock_taken_under_the_state_cache_leaf() {
+    // The state cache's map is a leaf: a transaction consults it with its
+    // own state locked, so anything that locks a transaction's state while
+    // holding the map closes a cycle.
+    let src = r#"
+        fn cached_state(&self) {
+            let st = lock_ranked(&self.state, LockRank::TransactionState);
+            let entries = lock_ranked(&self.entries, LockRank::StateCache);
+        }
+        fn evict_and_notify(&self) {
+            let entries = lock_ranked(&self.entries, LockRank::StateCache);
+            let st = lock_ranked(&self.state, LockRank::TransactionState);
+        }
+    "#;
+    let diags = lint_files(
+        &[("crates/fdb/src/fixture.rs".to_string(), src.to_string())],
+        ALL,
+    );
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    assert_eq!(diags[0].rule, "lock-order");
+    assert!(
+        diags[0].message.contains("entries") && diags[0].message.contains("state"),
+        "{}",
+        diags[0].message
+    );
 }
 
 #[test]

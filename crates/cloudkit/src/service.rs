@@ -193,6 +193,15 @@ pub fn cloudkit_metadata(config: &CloudKitConfig) -> RecordMetaData {
     builder.build().expect("cloudkit metadata is valid")
 }
 
+/// Key of a user's incarnation: `("ck_meta", user, "incarnation")`.
+fn incarnation_key(user: i64) -> Vec<u8> {
+    Tuple::new()
+        .push("ck_meta")
+        .push(user)
+        .push("incarnation")
+        .pack()
+}
+
 impl CloudKit {
     pub fn new(db: &Database, config: &CloudKitConfig) -> Self {
         CloudKit {
@@ -226,26 +235,34 @@ impl CloudKit {
     }
 
     /// The current incarnation of a user (1 if never moved). §8.1.
+    ///
+    /// Stamped on every save and changed only by a move, so it lives in
+    /// the database's state cache beside the store states: a transaction
+    /// reads the key only when the cache cannot vouch for its value.
     pub fn incarnation(&self, tx: &Transaction, user: i64) -> Result<i64> {
-        let key = Subspace::from_tuple(&Tuple::new().push("ck_meta").push(user))
-            .pack(&Tuple::new().push("incarnation"));
-        match tx.get(&key).map_err(record_layer::Error::Fdb)? {
-            Some(v) => Ok(Tuple::unpack(&v)
+        let key = incarnation_key(user);
+        if let Some(cached) = tx.cached_state::<i64>(&key) {
+            return Ok(*cached);
+        }
+        let incarnation = match tx.get(&key).map_err(record_layer::Error::Fdb)? {
+            Some(v) => Tuple::unpack(&v)
                 .map_err(record_layer::Error::Fdb)?
                 .get(0)
                 .and_then(TupleElement::as_int)
-                .unwrap_or(1)),
-            None => Ok(1),
-        }
+                .unwrap_or(1),
+            None => 1,
+        };
+        tx.cache_state(&key, Arc::new(incarnation));
+        Ok(incarnation)
     }
 
     /// Bump the user's incarnation — done whenever the user's data is
     /// moved to a different cluster (§8.1).
     pub fn bump_incarnation(&self, tx: &Transaction, user: i64) -> Result<i64> {
         let next = self.incarnation(tx, user)? + 1;
-        let key = Subspace::from_tuple(&Tuple::new().push("ck_meta").push(user))
-            .pack(&Tuple::new().push("incarnation"));
-        tx.try_set(&key, &Tuple::new().push(next).pack())
+        tx.try_set(&incarnation_key(user), &Tuple::new().push(next).pack())
+            .map_err(record_layer::Error::Fdb)?;
+        tx.bump_metadata_version()
             .map_err(record_layer::Error::Fdb)?;
         Ok(next)
     }
@@ -316,7 +333,7 @@ impl CloudKit {
 
     /// Move a tenant: copy the (user, application) key range verbatim to a
     /// destination database — "moving a tenant is as simple as copying the
-    /// appropriate range of data" (§1) — then bump the incarnation on the
+    /// appropriate range of data" (§1) — and bump the incarnation on the
     /// destination so future sync versions sort after the move.
     pub fn move_tenant(&self, dest: &CloudKit, user: i64, application: &str) -> Result<usize> {
         let sub = self.store_subspace(user, application);
@@ -331,9 +348,10 @@ impl CloudKit {
                 tx.try_set(&kv.key, &kv.value)
                     .map_err(record_layer::Error::Fdb)?;
             }
-            Ok(())
-        })?;
-        record_layer::run(&dest.db, |tx| {
+            // In the copy's own transaction: the data never shows under
+            // the old incarnation, and the metadata-version write the bump
+            // makes also covers the header and index states the copy may
+            // have replaced under a store the destination had cached.
             dest.bump_incarnation(tx, user)?;
             Ok(())
         })?;

@@ -19,6 +19,12 @@ pub enum Error {
         store_version: u64,
         supplied_version: u64,
     },
+    /// The record store was written by a newer on-disk format than this
+    /// code reads.
+    UnsupportedFormatVersion {
+        store_version: i64,
+        supported_version: i64,
+    },
     /// Schema evolution constraint violations found while updating
     /// metadata.
     InvalidEvolution(Vec<EvolutionError>),
@@ -75,6 +81,10 @@ impl std::fmt::Display for Error {
             Error::StaleMetaData { store_version, supplied_version } => write!(
                 f,
                 "store was written with metadata version {store_version}, client supplied {supplied_version}"
+            ),
+            Error::UnsupportedFormatVersion { store_version, supported_version } => write!(
+                f,
+                "store has format version {store_version}, this code supports up to {supported_version}"
             ),
             Error::InvalidEvolution(errs) => {
                 write!(f, "invalid schema evolution: ")?;

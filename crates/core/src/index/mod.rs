@@ -15,7 +15,7 @@ pub mod value;
 pub mod version;
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use rl_fdb::subspace::Subspace;
 use rl_fdb::tuple::Tuple;
@@ -215,6 +215,15 @@ impl Default for IndexRegistry {
 impl IndexRegistry {
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The registry of built-in maintainers, built once per process: what
+    /// a store opened without a registry of its own shares.
+    pub fn shared_default() -> Arc<IndexRegistry> {
+        static DEFAULT: OnceLock<Arc<IndexRegistry>> = OnceLock::new();
+        DEFAULT
+            .get_or_init(|| Arc::new(IndexRegistry::default()))
+            .clone()
     }
 
     /// Register a client-defined maintainer under a custom type name.

@@ -18,17 +18,25 @@
 //! The version split `-1` immediately precedes the record's payload keys so
 //! both are fetched with a single range read (§4).
 //!
+//! `S(0)` and `S(3)` are a store's *state* ([`StoreState`]): what every
+//! open must know and almost no transaction changes. An open takes it from
+//! the database's state cache when the metadata version says it is current
+//! and reads it otherwise; every change to it, for a store that already
+//! existed, writes the metadata-version key in the same transaction.
+//!
 //! The `S(5)` statistics subspace is maintained by the write path with
 //! conflict-free atomic `ADD` mutations, so concurrent writers never abort
 //! each other over a counter. The cost-based planner reads these counts
 //! (at snapshot isolation) to estimate scan costs instead of guessing.
 
 use std::borrow::Cow;
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use rl_fdb::atomic::MutationType;
 use rl_fdb::subspace::Subspace;
-use rl_fdb::tuple::{ElementRef, Tuple, TupleElement, TupleReader};
+use rl_fdb::tuple::{ElementRef, Tuple, TupleReader};
 use rl_fdb::version::Versionstamp;
 use rl_fdb::{KeyValue, RangeOptions, Transaction};
 use rl_message::DynamicMessage;
@@ -119,6 +127,113 @@ impl StoreHeader {
     }
 }
 
+/// What an open learns about a store that exists: its header and every
+/// recorded index state. One value, read (or taken from the state cache)
+/// once per open; [`RecordStore::index_state`], `require_readable` and the
+/// write path's index maintenance consult it and never the database.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StoreState {
+    pub header: StoreHeader,
+    /// `(index name, state)` ascending by name — the order the `S(3)` range
+    /// read returns. An index with no entry is readable.
+    index_states: Vec<(String, IndexState)>,
+}
+
+impl StoreState {
+    /// The recorded state of an index (readable when none is recorded).
+    pub fn index_state(&self, index_name: &str) -> IndexState {
+        match self.position(index_name) {
+            Ok(at) => self.index_states[at].1,
+            Err(_) => IndexState::Readable,
+        }
+    }
+
+    /// Every recorded `(index name, state)`, ascending by name.
+    pub fn index_states(&self) -> &[(String, IndexState)] {
+        &self.index_states
+    }
+
+    fn position(&self, index_name: &str) -> std::result::Result<usize, usize> {
+        self.index_states
+            .binary_search_by(|(name, _)| name.as_str().cmp(index_name))
+    }
+
+    fn set_index_state(&mut self, index_name: &str, state: IndexState) {
+        match self.position(index_name) {
+            Ok(at) => self.index_states[at].1 = state,
+            Err(at) => self
+                .index_states
+                .insert(at, (index_name.to_string(), state)),
+        }
+    }
+
+    fn forget_index(&mut self, index_name: &str) {
+        if let Ok(at) = self.position(index_name) {
+            self.index_states.remove(at);
+        }
+    }
+
+    /// The state of the store in `subspace` as `tx` sees it — one `get` of
+    /// the header and one range read of the index-state subspace — or
+    /// `None` if there is no such store.
+    fn read(tx: &Transaction, subspace: &Subspace, index_state: &Subspace) -> Result<Option<Self>> {
+        let Some(header) = tx.get(&header_key(subspace))? else {
+            return Ok(None);
+        };
+        let header = StoreHeader::decode(&header)?;
+        let (begin, end) = index_state.range();
+        let index_states = tx
+            .get_range(&begin, &end, RangeOptions::default())?
+            .iter()
+            .map(|kv| {
+                let mut name = index_state.reader(&kv.key).map_err(Error::Fdb)?;
+                match (name.next().transpose().map_err(Error::Fdb)?, name.next()) {
+                    (Some(ElementRef::String(name)), None) if kv.value.len() == 1 => {
+                        Ok((name.into_owned(), IndexState::from_byte(kv.value[0])?))
+                    }
+                    _ => Err(Error::MetaData("corrupt index state".into())),
+                }
+            })
+            .collect::<Result<_>>()?;
+        Ok(Some(StoreState {
+            header,
+            index_states,
+        }))
+    }
+
+    /// Write a new store's header and mark every index of `metadata`
+    /// readable (all trivially built). Not a metadata-version write: no
+    /// cache can hold state for a store that did not exist.
+    fn create(
+        tx: &Transaction,
+        subspace: &Subspace,
+        index_state: &Subspace,
+        metadata: &RecordMetaData,
+    ) -> Result<Self> {
+        let mut state = StoreState {
+            header: StoreHeader {
+                format_version: FORMAT_VERSION,
+                metadata_version: metadata.version(),
+                user_version: 0,
+            },
+            index_states: Vec::new(),
+        };
+        tx.try_set(&header_key(subspace), &state.header.encode())?;
+        for index in metadata.indexes() {
+            tx.try_set(
+                &index_state.pack(&Tuple::new().push(index.name.as_str())),
+                &[IndexState::Readable.to_byte()],
+            )?;
+            state.set_index_state(&index.name, IndexState::Readable);
+        }
+        Ok(state)
+    }
+}
+
+fn header_key(subspace: &Subspace) -> Vec<u8> {
+    subspace.pack(&Tuple::new().push(HEADER))
+}
+
 /// An inclusive/exclusive range over tuples, mapped onto byte ranges within
 /// an index or record subspace.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -192,7 +307,7 @@ impl Default for RecordStoreBuilder {
     fn default() -> Self {
         RecordStoreBuilder {
             serializer: Arc::new(PlainSerializer),
-            registry: Arc::new(IndexRegistry::default()),
+            registry: IndexRegistry::shared_default(),
             split_size: DEFAULT_SPLIT_SIZE,
             metrics: None,
         }
@@ -231,19 +346,39 @@ impl RecordStoreBuilder {
 
     /// Open the store, creating it or catching it up to `metadata` as
     /// needed (§5 metadata management).
+    ///
+    /// Cost contract: an open reads what the state cache cannot vouch for.
+    /// The first open of a store through a [`Database`](rl_fdb::Database)
+    /// handle (or the first after a metadata-version write) is one `get`
+    /// and one range read; until the next such write, every open by a
+    /// transaction whose read version is not below the last one reads
+    /// nothing. `tests/read_work_bounds.rs` holds both counts.
     pub fn open_or_create<'a>(
         self,
         tx: &'a Transaction,
         subspace: &Subspace,
         metadata: &'a RecordMetaData,
     ) -> Result<RecordStore<'a>> {
+        let index_state = subspace.child(INDEX_STATE);
+        let state = match tx.cached_state::<StoreState>(subspace.prefix()) {
+            Some(cached) => cached,
+            None => match StoreState::read(tx, subspace, &index_state)? {
+                Some(read) => {
+                    let read = Arc::new(read);
+                    tx.cache_state(subspace.prefix(), read.clone());
+                    read
+                }
+                None => Arc::new(StoreState::create(tx, subspace, &index_state, metadata)?),
+            },
+        };
         let store = RecordStore {
             tx,
             subspace: subspace.clone(),
             records: subspace.child(RECORDS),
             indexes: subspace.child(INDEXES),
-            index_state: subspace.child(INDEX_STATE),
+            index_state,
             stats: subspace.child(INDEX_STATS),
+            state: Rc::new(RefCell::new(state)),
             metadata,
             serializer: self.serializer,
             registry: self.registry,
@@ -256,7 +391,9 @@ impl RecordStoreBuilder {
 }
 
 /// A handle to one record store within one transaction. Stateless by
-/// design: dropping it loses nothing — all state is in the database.
+/// design: dropping it loses nothing — all state is in the database, and
+/// what the handle holds of it ([`StoreState`]) is a copy the open
+/// validated for this transaction.
 pub struct RecordStore<'a> {
     tx: &'a Transaction,
     subspace: Subspace,
@@ -267,6 +404,10 @@ pub struct RecordStore<'a> {
     indexes: Subspace,
     index_state: Subspace,
     stats: Subspace,
+    /// The store's state as this transaction sees it: what the open found,
+    /// plus this transaction's own changes through any handle cloned from
+    /// that open (copy-on-write — the `Arc` may be the cache's).
+    state: Rc<RefCell<Arc<StoreState>>>,
     metadata: &'a RecordMetaData,
     serializer: Arc<dyn RecordSerializer>,
     registry: Arc<IndexRegistry>,
@@ -324,16 +465,13 @@ impl<'a> RecordStore<'a> {
             indexes: self.indexes.clone(),
             index_state: self.index_state.clone(),
             stats: self.stats.clone(),
+            state: self.state.clone(),
             metadata: self.metadata,
             serializer: self.serializer.clone(),
             registry: self.registry.clone(),
             split_size: self.split_size,
             metrics: self.metrics.clone(),
         }
-    }
-
-    fn header_key(&self) -> Vec<u8> {
-        self.subspace.pack(&Tuple::new().push(HEADER))
     }
 
     /// The subspace dedicated to one index.
@@ -408,60 +546,64 @@ impl<'a> RecordStore<'a> {
             .map_err(Error::Fdb)
     }
 
-    // ------------------------------------------------------------- header
+    // -------------------------------------------------------------- state
 
-    /// Read the store header, if the store exists.
+    /// The store's header and recorded index states as this transaction
+    /// sees them.
+    pub fn state(&self) -> Arc<StoreState> {
+        self.state.borrow().clone()
+    }
+
+    /// The store header (always present on an open store).
     pub fn header(&self) -> Result<Option<StoreHeader>> {
-        match self.tx.get(&self.header_key())? {
-            Some(bytes) => Ok(Some(StoreHeader::decode(&bytes)?)),
-            None => Ok(None),
-        }
+        Ok(Some(self.state.borrow().header))
+    }
+
+    /// Apply `change` to this transaction's view of the state, after the
+    /// caller has written the same change to the database: the one place
+    /// the state of an existing store changes, so the one place that
+    /// writes the metadata-version key for it.
+    fn change_state(&self, change: impl FnOnce(&mut StoreState)) -> Result<()> {
+        self.tx.bump_metadata_version()?;
+        change(Arc::make_mut(&mut self.state.borrow_mut()));
+        Ok(())
     }
 
     fn write_header(&self, header: StoreHeader) -> Result<()> {
-        self.tx.try_set(&self.header_key(), &header.encode())?;
-        Ok(())
+        self.tx
+            .try_set(&header_key(&self.subspace), &header.encode())?;
+        self.change_state(|state| state.header = header)
     }
 
     /// Set the client-managed application version (§5).
     pub fn set_user_version(&self, user_version: u64) -> Result<()> {
-        let mut header = self
-            .header()?
-            .ok_or_else(|| Error::MetaData("store does not exist".into()))?;
+        let mut header = self.state.borrow().header;
         header.user_version = user_version;
         self.write_header(header)
     }
 
-    /// §5: on open, compare the store's recorded metadata version with the
-    /// supplied metadata; create the store, fail on staleness, or catch up.
+    /// §5: on open, compare the store's recorded versions with this code
+    /// and the supplied metadata; fail on a newer format or on staleness,
+    /// or catch up.
     fn check_version(&self) -> Result<()> {
-        match self.header()? {
-            None => {
-                // New store: all current indexes are trivially built.
-                self.write_header(StoreHeader {
-                    format_version: FORMAT_VERSION,
-                    metadata_version: self.metadata.version(),
-                    user_version: 0,
-                })?;
-                for index in self.metadata.indexes() {
-                    self.set_index_state(&index.name, IndexState::Readable)?;
-                }
-                Ok(())
-            }
-            Some(header) => {
-                if header.metadata_version > self.metadata.version() {
-                    // The client used an out-of-date metadata cache.
-                    return Err(Error::StaleMetaData {
-                        store_version: header.metadata_version,
-                        supplied_version: self.metadata.version(),
-                    });
-                }
-                if header.metadata_version < self.metadata.version() {
-                    self.catch_up_metadata(header)?;
-                }
-                Ok(())
-            }
+        let header = self.state.borrow().header;
+        if header.format_version > FORMAT_VERSION {
+            return Err(Error::UnsupportedFormatVersion {
+                store_version: header.format_version,
+                supported_version: FORMAT_VERSION,
+            });
         }
+        if header.metadata_version > self.metadata.version() {
+            // The client used an out-of-date metadata cache.
+            return Err(Error::StaleMetaData {
+                store_version: header.metadata_version,
+                supplied_version: self.metadata.version(),
+            });
+        }
+        if header.metadata_version < self.metadata.version() {
+            self.catch_up_metadata(header)?;
+        }
+        Ok(())
     }
 
     /// Apply metadata changes newer than the store's recorded version:
@@ -481,22 +623,18 @@ impl<'a> RecordStore<'a> {
         }
         // Indexes with recorded state that are no longer in the metadata
         // were dropped: clear their data cheaply with a range clear (§6).
-        let (begin, end) = self.index_state.range();
-        for kv in self.tx.get_range(&begin, &end, RangeOptions::default())? {
-            let name_tuple = self.index_state.unpack(&kv.key).map_err(Error::Fdb)?;
-            let name = name_tuple
-                .get(0)
-                .and_then(TupleElement::as_str)
-                .ok_or_else(|| Error::MetaData("corrupt index state key".into()))?;
+        let recorded = self.state();
+        for (name, _) in recorded.index_states() {
             if self.metadata.index(name).is_err() {
-                let data_sub = self.indexes.child(name);
+                let data_sub = self.indexes.child(name.as_str());
                 let (db, de) = data_sub.range_inclusive();
                 self.tx.clear_range(&db, &de);
-                let range_sub = self.subspace.child(INDEX_RANGES).child(name);
+                let range_sub = self.subspace.child(INDEX_RANGES).child(name.as_str());
                 let (rb, re) = range_sub.range_inclusive();
                 self.tx.clear_range(&rb, &re);
                 self.tx.clear(&self.index_entry_count_key(name));
-                self.tx.clear(&kv.key);
+                self.tx.clear(&self.index_state_key(name));
+                self.change_state(|state| state.forget_index(name))?;
             }
         }
         header.metadata_version = self.metadata.version();
@@ -516,17 +654,13 @@ impl<'a> RecordStore<'a> {
 
     pub fn index_state(&self, index_name: &str) -> Result<IndexState> {
         self.metadata.index(index_name)?;
-        match self.tx.get(&self.index_state_key(index_name))? {
-            Some(bytes) if bytes.len() == 1 => IndexState::from_byte(bytes[0]),
-            Some(_) => Err(Error::MetaData("corrupt index state".into())),
-            None => Ok(IndexState::Readable),
-        }
+        Ok(self.state.borrow().index_state(index_name))
     }
 
     pub fn set_index_state(&self, index_name: &str, state: IndexState) -> Result<()> {
         self.tx
             .try_set(&self.index_state_key(index_name), &[state.to_byte()])?;
-        Ok(())
+        self.change_state(|recorded| recorded.set_index_state(index_name, state))
     }
 
     /// Require an index to be readable before scanning it.
@@ -772,9 +906,11 @@ impl<'a> RecordStore<'a> {
 
     /// Run every applicable maintainer for a record change.
     fn update_indexes(&self, old: Option<&StoredRecord>, new: Option<&StoredRecord>) -> Result<()> {
+        // Borrowed across the maintainers: they see the transaction and
+        // the index's subspace, never this handle.
+        let state = self.state.borrow();
         for index in self.metadata.indexes() {
-            let state = self.index_state(&index.name)?;
-            if !state.is_maintained() {
+            if !state.index_state(&index.name).is_maintained() {
                 continue;
             }
             let old_in = old.filter(|o| index.applies_to(&o.record_type));

@@ -31,7 +31,9 @@
 //! `last_commit_version` and `oldest_version` are additionally published
 //! as atomics (after the store apply, so a GRV can never hand out a
 //! version the store has not materialized), making `getReadVersion`
-//! entirely lock-free.
+//! entirely lock-free. The metadata version ([`crate::state_cache`]) is
+//! published the same way, before `last_commit_version`, by the batch that
+//! carries a write of its key.
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -43,8 +45,11 @@ use rl_storage::SharedIoCounters;
 use crate::atomic;
 use crate::error::{Error, Result};
 use crate::metrics::{Metrics, SharedMetrics};
+use crate::state_cache::StateCache;
 use crate::storage::{EvictionPolicy, MemoryEngine, PagedEngine, StorageEngine};
-use crate::sync::{lock_ranked, lock_ranked_indexed, read_ranked, write_ranked, LockRank};
+use crate::sync::{
+    lock_ranked, lock_ranked_indexed, read_ranked, write_ranked, LockRank, RankedWriteGuard,
+};
 use crate::transaction::{Command, Transaction};
 
 /// FoundationDB's documented key size limit (10 kB).
@@ -228,7 +233,7 @@ fn range_shard_mask(begin: &[u8], end: &[u8]) -> u16 {
     }
     .max(lo);
     if (hi - lo) as usize >= CONFLICT_SHARDS - 1 {
-        return u16::MAX >> (16 - CONFLICT_SHARDS);
+        return ALL_SHARDS;
     }
     let mut mask = 0u16;
     for p in lo..=hi {
@@ -242,6 +247,27 @@ fn conflict_shard_mask(ranges: &[(Vec<u8>, Vec<u8>)]) -> u16 {
     ranges
         .iter()
         .fold(0, |mask, (begin, end)| mask | range_shard_mask(begin, end))
+}
+
+/// Every conflict shard.
+const ALL_SHARDS: u16 = u16::MAX >> (16 - CONFLICT_SHARDS);
+
+/// The shards a commit locks: those its conflict ranges can touch — or all
+/// of them when it writes the metadata-version key. Transactions that rely
+/// on cached state check the metadata version under whatever shards they
+/// hold (see [`Database::commit_internal`]) instead of reading the key, so
+/// only the rare writer pays for the exclusion and every other commit's
+/// mask stays what its own keys make it.
+fn commit_shard_mask(
+    read_conflicts: &[(Vec<u8>, Vec<u8>)],
+    write_conflicts: &[(Vec<u8>, Vec<u8>)],
+    writes_metadata_version: bool,
+) -> u16 {
+    if writes_metadata_version {
+        ALL_SHARDS
+    } else {
+        conflict_shard_mask(read_conflicts) | conflict_shard_mask(write_conflicts)
+    }
 }
 
 // --------------------------------------------------------- shared state
@@ -346,6 +372,8 @@ pub struct Database {
     last_commit: Arc<AtomicU64>,
     /// Read versions below this fail with `transaction_too_old`.
     oldest: Arc<AtomicU64>,
+    /// The metadata version and the soft state it validates.
+    state_cache: Arc<StateCache>,
     options: Arc<DatabaseOptions>,
     clock_ms: Arc<AtomicU64>,
     metrics: SharedMetrics,
@@ -386,6 +414,7 @@ impl Database {
             batcher: Arc::new(CommitBatcher::default()),
             last_commit: Arc::new(AtomicU64::new(stored_version)),
             oldest: Arc::new(AtomicU64::new(0)),
+            state_cache: Arc::new(StateCache::new(stored_version)),
             options: Arc::new(options),
             clock_ms: Arc::new(AtomicU64::new(0)),
             metrics,
@@ -483,8 +512,19 @@ impl Database {
         Err(last_err)
     }
 
+    pub(crate) fn state_cache(&self) -> &StateCache {
+        &self.state_cache
+    }
+
     // -------------------------------------------------------- storage access
     // (crate-internal: used by Transaction for snapshot reads)
+
+    /// The exclusive store lock for a read: engines whose reads mutate
+    /// internal state (the paged engine's buffer pool) have no shared view.
+    fn store_for_exclusive_read(&self) -> RankedWriteGuard<'_, Store> {
+        let _t = rl_obs::Timer::start("store_lock_wait_read");
+        write_ranked(&self.store, LockRank::DatabaseStore)
+    }
 
     pub(crate) fn storage_get(&self, key: &[u8], read_version: u64) -> Result<Option<Vec<u8>>> {
         if self.shared_reads {
@@ -498,9 +538,7 @@ impl Database {
                 return Ok(shared.get(key, read_version));
             }
         }
-        // Engines whose reads mutate internal state (the paged engine's
-        // buffer pool) read under the exclusive lock.
-        let mut store = write_ranked(&self.store, LockRank::DatabaseStore);
+        let mut store = self.store_for_exclusive_read();
         if read_version < self.oldest.load(Ordering::Acquire) {
             return Err(Error::TransactionTooOld);
         }
@@ -528,7 +566,7 @@ impl Database {
                 return Ok(shared.scan(begin, end, read_version, reverse, limit));
             }
         }
-        let mut store = write_ranked(&self.store, LockRank::DatabaseStore);
+        let mut store = self.store_for_exclusive_read();
         if read_version < self.oldest.load(Ordering::Acquire) {
             return Err(Error::TransactionTooOld);
         }
@@ -546,12 +584,24 @@ impl Database {
     /// one engine batch-seal per *batch* of concurrent committers.
     /// Returns the commit version, the order within its batch, and the
     /// keys/bytes written (per-transaction tracing).
+    ///
+    /// `relied_on_metadata_version`: the transaction used state from the
+    /// [`StateCache`] in place of reads. It conflicts with any write of the
+    /// metadata-version key after its read version, without that key being
+    /// in its conflict set (one key in every read set would put one shard
+    /// into every commit's mask): a commit with `writes_metadata_version`
+    /// holds *every* shard until the new version is published, so whichever
+    /// shards this commit holds, the check below runs either before that
+    /// writer took them — and this commit is ordered before it — or after
+    /// it published.
     pub(crate) fn commit_internal(
         &self,
         read_version: u64,
         read_conflicts: &[(Vec<u8>, Vec<u8>)],
         write_conflicts: &[(Vec<u8>, Vec<u8>)],
         commands: &[Command],
+        relied_on_metadata_version: bool,
+        writes_metadata_version: bool,
     ) -> Result<(u64, u16, u64, u64)> {
         if read_version < self.oldest.load(Ordering::Acquire) {
             self.metrics.record_commit(false, false);
@@ -560,8 +610,9 @@ impl Database {
 
         // Lock the conflict shards this transaction's ranges can touch,
         // in ascending shard order (the ConflictShard indexed band).
-        let mask = conflict_shard_mask(read_conflicts) | conflict_shard_mask(write_conflicts);
+        let mask = commit_shard_mask(read_conflicts, write_conflicts, writes_metadata_version);
         let mut held = Vec::with_capacity(mask.count_ones() as usize);
+        let acquiring = rl_obs::Timer::start("shard_acquire");
         for idx in 0..CONFLICT_SHARDS {
             if mask & (1 << idx) != 0 {
                 held.push((
@@ -570,12 +621,18 @@ impl Database {
                 ));
             }
         }
+        drop(acquiring);
 
         // Re-check expiry now that we hold our shards: `oldest` may have
         // advanced past our read version while we were acquiring.
         if read_version < self.oldest.load(Ordering::Acquire) {
             self.metrics.record_commit(false, false);
             return Err(Error::TransactionTooOld);
+        }
+
+        if relied_on_metadata_version && self.state_cache.metadata_version() > read_version {
+            self.metrics.record_commit(false, true);
+            return Err(Error::NotCommitted);
         }
 
         // Conflict detection: any committed write range newer than our read
@@ -650,6 +707,8 @@ impl Database {
     /// takes — the rank order ConflictShard < CommitBatch < VersionCore <
     /// DatabaseStore keeps the whole rendezvous deadlock-free.
     fn batched_apply(&self, commands: Vec<Command>) -> Result<CommitReceipt> {
+        // From joining the queue to leading a batch or holding a receipt.
+        let queued = rl_obs::Timer::start("batch_queue_wait");
         let mut st = lock_ranked(&self.batcher.state, LockRank::CommitBatch);
         let ticket = st.next_ticket;
         st.next_ticket += 1;
@@ -662,6 +721,7 @@ impl Database {
                 st.leader_active = true;
                 let batch = std::mem::take(&mut st.queue);
                 drop(st);
+                drop(queued);
                 return self.lead_and_publish(ticket, batch);
             }
             st.wait_on(&self.batcher.done);
@@ -747,7 +807,12 @@ impl Database {
         drop(core);
 
         let horizon = version.saturating_sub(self.options.mvcc_window_versions);
+        let bumps_metadata_version = batch
+            .iter()
+            .any(|p| p.commands.iter().any(Command::writes_metadata_version));
+        let waiting = rl_obs::Timer::start("store_lock_wait_leader");
         let mut store = write_ranked(&self.store, LockRank::DatabaseStore);
+        drop(waiting);
         // Injected while the store write lock is held — the worst spot a
         // real storage-engine bug could fire.
         #[cfg(test)]
@@ -755,6 +820,7 @@ impl Database {
             panic!("injected leader failure");
         }
         let mut results = Vec::with_capacity(batch.len());
+        let applying = rl_obs::Timer::start("batch_apply");
         for (order, pending) in batch.into_iter().enumerate() {
             let order = order as u16;
             // Surface operand errors before any of this member's writes
@@ -775,16 +841,27 @@ impl Database {
             ));
         }
 
+        drop(applying);
+
         // Seal the batch: a crash-safe engine persists everything above
         // atomically (one WAL frame); a crash before this point loses the
         // whole batch.
-        store.engine.commit_batch();
+        {
+            let _t = rl_obs::Timer::start("batch_seal");
+            store.engine.commit_batch();
+        }
 
         // Publish only now, so a GRV can never hand out a version the
-        // store has not fully materialized.
+        // store has not fully materialized — and the metadata version
+        // first, so a read version that includes this batch never comes
+        // with a metadata version that does not.
+        if bumps_metadata_version {
+            self.state_cache.publish(version);
+        }
         self.last_commit.store(version, Ordering::Release);
         self.oldest.fetch_max(horizon, Ordering::AcqRel);
         if compact_now {
+            let _t = rl_obs::Timer::start("compact");
             let oldest = self.oldest.load(Ordering::Acquire);
             store.engine.compact(oldest);
         }
@@ -808,6 +885,13 @@ impl Database {
     /// Diagnostic: latest commit version without counting as a GRV call.
     pub fn last_commit_version(&self) -> u64 {
         self.last_commit.load(Ordering::Acquire)
+    }
+
+    /// Diagnostic: commit version of the last write of
+    /// [`METADATA_VERSION_KEY`](crate::METADATA_VERSION_KEY) (on a handle
+    /// opened over existing data, the newest version stored at that time).
+    pub fn metadata_version(&self) -> u64 {
+        self.state_cache.metadata_version()
     }
 }
 
@@ -1393,6 +1477,85 @@ mod tests {
             shards.insert(mask);
         }
         assert_eq!(shards.len(), 8);
+    }
+
+    #[test]
+    fn cached_state_commits_keep_disjoint_shards_and_share_a_batch() {
+        let db = Database::new();
+        let seed = db.create_transaction();
+        seed.cache_state(b"t0/", Arc::new(0u8));
+        seed.cache_state(b"t1/", Arc::new(1u8));
+        // Two tenants' transactions answer their opens from the cache and
+        // write under their own prefixes.
+        let txs: Vec<Transaction> = (0..2u8)
+            .map(|t| {
+                let tx = db.create_transaction();
+                let prefix = format!("t{t}/");
+                assert_eq!(
+                    tx.cached_state::<u8>(prefix.as_bytes()).as_deref(),
+                    Some(&t)
+                );
+                tx.set(format!("t{t}/row").as_bytes(), b"v");
+                tx
+            })
+            .collect();
+        // Relying on the metadata version adds no shard: each mask is the
+        // one shard of the tenant's own keys, and the two are disjoint.
+        let masks: Vec<u16> = (0..2)
+            .map(|t| {
+                let key = format!("t{t}/row").into_bytes();
+                let writes = vec![(key.clone(), crate::key_after(&key))];
+                commit_shard_mask(&[], &writes, false)
+            })
+            .collect();
+        assert_eq!(masks[0].count_ones(), 1);
+        assert_eq!(masks[1].count_ones(), 1);
+        assert_eq!(masks[0] & masks[1], 0);
+        // Only a write of the key excludes everyone.
+        assert_eq!(commit_shard_mask(&[], &[], true), ALL_SHARDS);
+        // Shard-disjoint commits may meet in one batch: one version.
+        let batch = (0..2)
+            .map(|t| PendingCommit {
+                ticket: t,
+                commands: vec![Command::Set {
+                    key: format!("t{t}/batched").into_bytes(),
+                    value: b"v".to_vec(),
+                }],
+            })
+            .collect();
+        let receipts: Vec<_> = db
+            .lead_batch(batch)
+            .into_iter()
+            .map(|(_, r)| r.unwrap())
+            .collect();
+        assert_eq!(receipts[0].version, receipts[1].version);
+        assert_eq!(db.metadata_version(), 0, "no member wrote the key");
+        for tx in &txs {
+            tx.commit().unwrap();
+        }
+    }
+
+    #[test]
+    fn a_batch_that_writes_the_metadata_key_publishes_its_version_first() {
+        let db = Database::new();
+        let tx = db.create_transaction();
+        tx.bump_metadata_version().unwrap();
+        tx.commit().unwrap();
+        let version = tx.committed_version().unwrap();
+        assert_eq!(db.metadata_version(), version);
+        assert_eq!(db.last_commit_version(), version);
+        // The stored value is the writer's versionstamp, as in FDB.
+        let stored = db
+            .create_transaction()
+            .get_snapshot(crate::METADATA_VERSION_KEY)
+            .unwrap()
+            .unwrap();
+        assert_eq!(stored, tx.versionstamp().unwrap());
+        // Any other write of the key counts too.
+        let tx = db.create_transaction();
+        tx.clear_range(b"\xff", b"\xff\xff");
+        tx.commit().unwrap();
+        assert_eq!(db.metadata_version(), tx.committed_version().unwrap());
     }
 
     #[test]

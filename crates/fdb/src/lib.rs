@@ -44,6 +44,7 @@ pub mod error;
 pub mod kv;
 pub mod metrics;
 pub mod range;
+pub mod state_cache;
 pub mod storage;
 pub mod subspace;
 pub mod sync;
@@ -55,6 +56,7 @@ pub use database::{Database, DatabaseOptions, EngineKind, PagedConfig};
 pub use error::{Error, Result};
 pub use kv::{KeySelector, KeyValue};
 pub use range::{RangeOptions, StreamingMode};
+pub use state_cache::{METADATA_VERSION_KEY, STATE_CACHE_CAPACITY};
 pub use storage::{EvictionPolicy, StorageEngine};
 pub use subspace::Subspace;
 pub use sync::{

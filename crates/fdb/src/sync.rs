@@ -29,6 +29,9 @@
 //!    innermost lock. Acquired shared for MVCC snapshot reads on engines
 //!    that support them ([`read_ranked`]) and exclusive for commit
 //!    application ([`write_ranked`]).
+//! 7. [`LockRank::StateCache`] — the map of metadata-version-validated
+//!    soft state. A leaf: nothing is acquired while it is held, and it
+//!    may be taken under any of the others.
 //!
 //! In release builds the tracker compiles away entirely: [`lock_ranked`]
 //! is exactly [`lock`].
@@ -36,6 +39,7 @@
 use std::ops::{Deref, DerefMut};
 use std::sync::{
     Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
+    TryLockError, TryLockResult,
 };
 
 /// Lock a mutex, explicitly recovering from poisoning: a panic in another
@@ -68,6 +72,8 @@ pub enum LockRank {
     /// The storage-engine `RwLock` (shared for reads, exclusive for
     /// commit application).
     DatabaseStore = 60,
+    /// `StateCache::entries` (leaf: held only for a map lookup or insert).
+    StateCache = 70,
 }
 
 impl LockRank {
@@ -80,6 +86,7 @@ impl LockRank {
             LockRank::CommitBatch => "CommitBatcher::state",
             LockRank::VersionCore => "Database::core",
             LockRank::DatabaseStore => "Database::store",
+            LockRank::StateCache => "StateCache::entries",
         }
     }
 }
@@ -145,19 +152,58 @@ pub fn lock_ranked<T>(m: &Mutex<T>, rank: LockRank) -> RankedGuard<'_, T> {
     }
 }
 
+/// How often a contended acquisition of a conflict shard or of the store
+/// lock (exclusive) is retried, yielding the CPU after each failure,
+/// before the thread parks: 50–100 µs on the reference box when nothing
+/// else is runnable (counted and not timed: library crates do not read
+/// the wall clock). Both locks are held for one commit's apply or one
+/// engine read — tens of µs — while a park and the wake that ends it cost
+/// more than that when the waker must first bring an idle (virtual) CPU
+/// back: a 5 µs read that met a commit took 12–100 µs, and since one read
+/// in two met one, the *median* read flipped between the two regimes from
+/// round to round. Retrying for about one hold makes the wait what is
+/// left of the hold. A yield and not a spin-loop hint, because with more
+/// runnable threads than CPUs the holder may be one of those waiting for
+/// this CPU (8 threads on 2 vCPUs lost 12 % to a 50 µs spin and nothing
+/// to this). Then the thread parks as before: a compaction pass or a
+/// checkpoint is not waited out this way.
+const YIELDS_BEFORE_PARK: u32 = 256;
+
+/// `try_lock`/`try_write` as an `Option`, poison recovered like [`lock`].
+fn acquired<G>(attempt: TryLockResult<G>) -> Option<G> {
+    match attempt {
+        Ok(guard) => Some(guard),
+        Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+        Err(TryLockError::WouldBlock) => None,
+    }
+}
+
+/// Retry `attempt` up to [`YIELDS_BEFORE_PARK`] times; `None` means park.
+/// An uncontended lock is taken by the first attempt.
+fn yield_until<G>(mut attempt: impl FnMut() -> Option<G>) -> Option<G> {
+    for _ in 0..YIELDS_BEFORE_PARK {
+        if let Some(guard) = attempt() {
+            return Some(guard);
+        }
+        std::thread::yield_now();
+    }
+    None
+}
+
 /// Lock one mutex of an indexed same-rank band (the conflict-index
 /// shards). Multiple locks of the same rank may be held simultaneously
 /// as long as their indices strictly ascend; acquiring an index less
 /// than or equal to one already held at the same rank panics under
 /// `debug_assertions`, as does mixing indexed and unindexed acquisition
-/// of the same rank.
+/// of the same rank. A contended shard is retried
+/// [`YIELDS_BEFORE_PARK`] times before the thread parks.
 pub fn lock_ranked_indexed<T>(m: &Mutex<T>, rank: LockRank, index: usize) -> RankedGuard<'_, T> {
     #[cfg(debug_assertions)]
     tracker::acquire(rank, Some(index));
     #[cfg(not(debug_assertions))]
     let _ = (rank, index);
     RankedGuard {
-        guard: Some(lock(m)),
+        guard: Some(yield_until(|| acquired(m.try_lock())).unwrap_or_else(|| lock(m))),
         #[cfg(debug_assertions)]
         rank,
         #[cfg(debug_assertions)]
@@ -230,14 +276,16 @@ pub fn read_ranked<T>(l: &RwLock<T>, rank: LockRank) -> RankedReadGuard<'_, T> {
 }
 
 /// Acquire an `RwLock` exclusive, at a declared rank, recovering from
-/// poisoning like [`lock`].
+/// poisoning like [`lock`]. A contended lock is retried
+/// [`YIELDS_BEFORE_PARK`] times before the thread parks.
 pub fn write_ranked<T>(l: &RwLock<T>, rank: LockRank) -> RankedWriteGuard<'_, T> {
     #[cfg(debug_assertions)]
     tracker::acquire(rank, None);
     #[cfg(not(debug_assertions))]
     let _ = rank;
     RankedWriteGuard {
-        guard: l.write().unwrap_or_else(PoisonError::into_inner),
+        guard: yield_until(|| acquired(l.try_write()))
+            .unwrap_or_else(|| l.write().unwrap_or_else(PoisonError::into_inner)),
         #[cfg(debug_assertions)]
         rank,
     }
@@ -289,7 +337,7 @@ mod tracker {
                         "lock-rank violation: acquiring `{}`{} while holding {:?} — \
                          declared order is ReadVersionCache < TransactionState < \
                          ConflictShard (ascending indices) < CommitBatch < \
-                         VersionCore < DatabaseStore (see rl_fdb::sync)",
+                         VersionCore < DatabaseStore < StateCache (see rl_fdb::sync)",
                         rank.name(),
                         index.map(|i| format!("#{i}")).unwrap_or_default(),
                         chain,
@@ -315,6 +363,7 @@ mod tracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn lock_recovers_from_poison() {
@@ -458,9 +507,29 @@ mod tests {
         assert!(result.is_err());
     }
 
+    #[cfg(debug_assertions)]
+    #[test]
+    fn state_cache_rank_is_a_leaf() {
+        // Taken under the innermost of the others…
+        let store = RwLock::new(());
+        let cache = Mutex::new(());
+        {
+            let _gs = write_ranked(&store, LockRank::DatabaseStore);
+            let _gc = lock_ranked(&cache, LockRank::StateCache);
+        }
+        // …and nothing may be acquired while it is held.
+        let result = std::thread::spawn(|| {
+            let cache = Mutex::new(());
+            let tx = Mutex::new(());
+            let _gc = lock_ranked(&cache, LockRank::StateCache);
+            let _gt = lock_ranked(&tx, LockRank::TransactionState);
+        })
+        .join();
+        assert!(result.is_err());
+    }
+
     #[test]
     fn wait_on_reacquires_the_mutex() {
-        use std::sync::Arc;
         let pair = Arc::new((Mutex::new(false), Condvar::new()));
         let pair2 = pair.clone();
         let waiter = std::thread::spawn(move || {
@@ -478,6 +547,55 @@ mod tests {
             cv.notify_all();
         }
         assert!(waiter.join().unwrap());
+    }
+
+    /// Both sides of [`YIELDS_BEFORE_PARK`]: a hold of a few µs is waited
+    /// out retrying, one of many ms by parking, and either way the waiter
+    /// ends up with the lock and the holder's write.
+    #[test]
+    fn contended_shard_and_store_locks_retry_then_park() {
+        use std::time::{Duration, Instant};
+        for hold in [Duration::from_micros(10), Duration::from_millis(20)] {
+            let locks = Arc::new((Mutex::new(0u32), RwLock::new(0u32)));
+            let held = Arc::new(std::sync::Barrier::new(2));
+            let (locks2, held2) = (locks.clone(), held.clone());
+            let holder = std::thread::spawn(move || {
+                let mut shard = lock_ranked_indexed(&locks2.0, LockRank::ConflictShard, 3);
+                let mut store = write_ranked(&locks2.1, LockRank::DatabaseStore);
+                held2.wait();
+                let start = Instant::now();
+                while start.elapsed() < hold {
+                    std::hint::spin_loop();
+                }
+                *shard += 1;
+                *store += 1;
+            });
+            held.wait();
+            assert_eq!(
+                *lock_ranked_indexed(&locks.0, LockRank::ConflictShard, 3),
+                1
+            );
+            assert_eq!(*write_ranked(&locks.1, LockRank::DatabaseStore), 1);
+            holder.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn retrying_acquisitions_recover_from_poison() {
+        let locks = Arc::new((Mutex::new(7), RwLock::new(7)));
+        let locks2 = locks.clone();
+        let _ = std::thread::spawn(move || {
+            let _shard = lock_ranked_indexed(&locks2.0, LockRank::ConflictShard, 0);
+            let _store = write_ranked(&locks2.1, LockRank::DatabaseStore);
+            panic!("poison both");
+        })
+        .join();
+        assert!(locks.0.is_poisoned() && locks.1.is_poisoned());
+        assert_eq!(
+            *lock_ranked_indexed(&locks.0, LockRank::ConflictShard, 0),
+            7
+        );
+        assert_eq!(*write_ranked(&locks.1, LockRank::DatabaseStore), 7);
     }
 
     #[test]

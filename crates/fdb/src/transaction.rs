@@ -11,13 +11,14 @@
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::atomic::{self, MutationType};
 use crate::database::{Database, KEY_SIZE_LIMIT, VALUE_SIZE_LIMIT};
 use crate::error::{Error, Result};
 use crate::kv::{KeySelector, KeyValue};
 use crate::range::RangeOptions;
+use crate::state_cache::METADATA_VERSION_KEY;
 use crate::sync::{lock_ranked, LockRank};
 
 /// One buffered write command, in program order.
@@ -52,6 +53,24 @@ pub(crate) enum Command {
         value_payload: Vec<u8>,
         offset: usize,
     },
+}
+
+impl Command {
+    /// Whether this command writes (sets, clears or mutates)
+    /// [`METADATA_VERSION_KEY`].
+    pub(crate) fn writes_metadata_version(&self) -> bool {
+        match self {
+            Command::Set { key, .. }
+            | Command::Clear { key }
+            | Command::Atomic { key, .. }
+            | Command::VersionstampedValue { key, .. } => key == METADATA_VERSION_KEY,
+            Command::ClearRange { begin, end } => {
+                begin.as_slice() <= METADATA_VERSION_KEY && METADATA_VERSION_KEY < end.as_slice()
+            }
+            // The stamp lands inside the key, and no stamp spells it.
+            Command::VersionstampedKey { .. } => false,
+        }
+    }
 }
 
 /// A per-key operation for read-your-writes resolution.
@@ -110,6 +129,21 @@ struct TxState {
     /// Free-form attribution tag for this transaction's span (tenant,
     /// subspace, workload name…).
     tag: Option<String>,
+    /// A buffered command writes [`METADATA_VERSION_KEY`]: from here on
+    /// the state cache describes a database this transaction is changing,
+    /// so it neither consults nor fills it.
+    writes_metadata_version: bool,
+    /// [`Transaction::cached_state`] answered from the cache: the commit
+    /// must fail if the metadata version was written after the read
+    /// version.
+    relied_on_metadata_version: bool,
+}
+
+impl TxState {
+    fn push_command(&mut self, command: Command) {
+        self.writes_metadata_version |= command.writes_metadata_version();
+        self.commands.push(command);
+    }
 }
 
 /// A FoundationDB transaction handle.
@@ -567,7 +601,7 @@ impl Transaction {
         self.check_open(&st)?;
         st.seq += 1;
         let seq = st.seq;
-        st.commands.push(Command::Set {
+        st.push_command(Command::Set {
             key: key.to_vec(),
             value: value.to_vec(),
         });
@@ -589,7 +623,7 @@ impl Transaction {
         }
         st.seq += 1;
         let seq = st.seq;
-        st.commands.push(Command::Clear { key: key.to_vec() });
+        st.push_command(Command::Clear { key: key.to_vec() });
         st.writes_by_key
             .entry(key.to_vec())
             .or_default()
@@ -607,7 +641,7 @@ impl Transaction {
         }
         st.seq += 1;
         let seq = st.seq;
-        st.commands.push(Command::ClearRange {
+        st.push_command(Command::ClearRange {
             begin: begin.to_vec(),
             end: end.to_vec(),
         });
@@ -629,7 +663,7 @@ impl Transaction {
         match op {
             MutationType::SetVersionstampedKey => {
                 let (payload, offset) = atomic::split_versionstamp_operand(key)?;
-                st.commands.push(Command::VersionstampedKey {
+                st.push_command(Command::VersionstampedKey {
                     key_payload: payload.clone(),
                     offset,
                     value: param.to_vec(),
@@ -642,7 +676,7 @@ impl Transaction {
             }
             MutationType::SetVersionstampedValue => {
                 let (payload, offset) = atomic::split_versionstamp_operand(param)?;
-                st.commands.push(Command::VersionstampedValue {
+                st.push_command(Command::VersionstampedValue {
                     key: key.to_vec(),
                     value_payload: payload.clone(),
                     offset,
@@ -657,7 +691,7 @@ impl Transaction {
                 st.size += key.len() + payload.len() + 28;
             }
             _ => {
-                st.commands.push(Command::Atomic {
+                st.push_command(Command::Atomic {
                     key: key.to_vec(),
                     op,
                     param: param.to_vec(),
@@ -694,6 +728,63 @@ impl Transaction {
         let mut st = lock_ranked(&self.state, LockRank::TransactionState);
         st.size += begin.len() + end.len() + 12;
         st.write_conflicts.push((begin.to_vec(), end.to_vec()));
+    }
+
+    // ---------------------------------------------------- metadata version
+
+    /// Write [`METADATA_VERSION_KEY`] (FoundationDB's
+    /// `\xff/metadataVersion`): its value becomes this transaction's
+    /// versionstamp, and once the commit lands every entry of the
+    /// database's state cache is void. A layer calls this in any
+    /// transaction that changes state it caches with
+    /// [`cache_state`](Self::cache_state) — for an existing owner of that
+    /// state; what did not exist was not cached. The commit excludes every
+    /// other commit while it applies, so this is for rare changes.
+    pub fn bump_metadata_version(&self) -> Result<()> {
+        if lock_ranked(&self.state, LockRank::TransactionState).writes_metadata_version {
+            return Ok(());
+        }
+        let mut stamp_at_zero = [0u8; 14];
+        stamp_at_zero[..10].fill(0xFF);
+        self.mutate(
+            MutationType::SetVersionstampedValue,
+            METADATA_VERSION_KEY,
+            &stamp_at_zero,
+        )
+    }
+
+    /// What the database's state cache holds for `key`, if it is what this
+    /// transaction would derive itself: the entry was stored under the
+    /// metadata version current now, that version is not above this
+    /// transaction's read version, and this transaction has not written
+    /// the key. Costs no storage read and adds no read conflict; instead
+    /// the commit fails with `NotCommitted` if the metadata version was
+    /// written after the read version.
+    pub fn cached_state<T: Send + Sync + 'static>(&self, key: &[u8]) -> Option<Arc<T>> {
+        let mut st = lock_ranked(&self.state, LockRank::TransactionState);
+        if st.writes_metadata_version {
+            return None;
+        }
+        let state = self.db.state_cache().get(key, self.read_version)?;
+        let state = state.downcast::<T>().ok()?;
+        st.relied_on_metadata_version = true;
+        Some(state)
+    }
+
+    /// Offer `state`, derived from what this transaction read under the
+    /// key prefix `key`, to the database's state cache. Kept only if it is
+    /// committed state that is still current: the transaction has written
+    /// neither the metadata version nor anything under `key`, and the
+    /// metadata version is not above its read version.
+    pub fn cache_state<T: Send + Sync + 'static>(&self, key: &[u8], state: Arc<T>) {
+        let st = lock_ranked(&self.state, LockRank::TransactionState);
+        let end = crate::strinc(key);
+        let wrote_under_key = st.write_conflicts.iter().any(|(begin, write_end)| {
+            key < write_end.as_slice() && end.as_ref().is_none_or(|end| begin < end)
+        });
+        if !st.writes_metadata_version && !wrote_under_key {
+            self.db.state_cache().put(key, self.read_version, state);
+        }
     }
 
     /// Current approximate transaction size in bytes.
@@ -747,6 +838,8 @@ impl Transaction {
             &st.read_conflicts,
             &st.write_conflicts,
             &st.commands,
+            st.relied_on_metadata_version,
+            st.writes_metadata_version,
         ) {
             Ok((version, batch_order, keys_written, bytes_written)) => {
                 st.committed = true;
@@ -937,6 +1030,89 @@ mod tests {
         tx.commit().unwrap();
         assert!(matches!(tx.get(b"k"), Err(Error::UsedDuringCommit)));
         assert!(matches!(tx.commit(), Err(Error::UsedDuringCommit)));
+    }
+
+    fn bump(db: &Database) -> u64 {
+        let tx = db.create_transaction();
+        tx.bump_metadata_version().unwrap();
+        tx.commit().unwrap();
+        tx.committed_version().unwrap()
+    }
+
+    #[test]
+    fn cached_state_is_served_until_the_metadata_version_is_written() {
+        let db = Database::new();
+        let filler = db.create_transaction();
+        assert_eq!(filler.cached_state::<u32>(b"s/"), None);
+        filler.cache_state(b"s/", Arc::new(7u32));
+        let reader = db.create_transaction();
+        assert_eq!(reader.cached_state::<u32>(b"s/").as_deref(), Some(&7));
+        // Another type under the same key is a miss, not a panic.
+        assert_eq!(reader.cached_state::<u64>(b"s/"), None);
+
+        bump(&db);
+        assert_eq!(db.create_transaction().cached_state::<u32>(b"s/"), None);
+        // A reader from before the write goes to the database, and may
+        // not store what it finds there: it is no longer current.
+        assert_eq!(reader.cached_state::<u32>(b"s/"), None);
+        reader.cache_state(b"s/", Arc::new(7u32));
+        assert_eq!(db.create_transaction().cached_state::<u32>(b"s/"), None);
+    }
+
+    #[test]
+    fn a_commit_that_relied_on_cached_state_conflicts_with_a_metadata_write() {
+        let db = Database::new();
+        db.create_transaction().cache_state(b"s/", Arc::new(1u32));
+        let relied = db.create_transaction();
+        assert!(relied.cached_state::<u32>(b"s/").is_some());
+        relied.set(b"s/row", b"v");
+        let did_not = db.create_transaction();
+        did_not.set(b"s/other", b"v");
+        bump(&db);
+        assert_eq!(relied.commit(), Err(Error::NotCommitted));
+        did_not.commit().unwrap();
+        assert_eq!(db.create_transaction().get(b"s/row").unwrap(), None);
+    }
+
+    #[test]
+    fn a_read_version_below_the_metadata_version_bypasses_the_cache() {
+        let db = Database::new();
+        let old = db.create_transaction().read_version();
+        let written_at = bump(&db);
+        db.create_transaction().cache_state(b"s/", Arc::new(2u32));
+        let tx = db.create_transaction_at(old).unwrap();
+        assert!(old < written_at);
+        assert_eq!(tx.cached_state::<u32>(b"s/"), None);
+        tx.cache_state(b"s/", Arc::new(1u32));
+        let now = db.create_transaction();
+        assert_eq!(now.cached_state::<u32>(b"s/").as_deref(), Some(&2));
+    }
+
+    #[test]
+    fn a_transaction_that_wrote_the_state_neither_consults_nor_fills() {
+        let db = Database::new();
+        db.create_transaction().cache_state(b"s/", Arc::new(1u32));
+        // After its own write of the metadata version…
+        let tx = db.create_transaction();
+        tx.bump_metadata_version().unwrap();
+        let size = tx.approximate_size();
+        tx.bump_metadata_version().unwrap();
+        assert_eq!(tx.approximate_size(), size, "written once per transaction");
+        assert_eq!(tx.cached_state::<u32>(b"s/"), None);
+        tx.cache_state(b"t/", Arc::new(9u32));
+        assert_eq!(db.create_transaction().cached_state::<u32>(b"t/"), None);
+        // …and what it derived from its own uncommitted writes under the
+        // key is never stored, whether a set or a covering clear.
+        let tx = db.create_transaction();
+        tx.set(b"u/header", b"new");
+        tx.cache_state(b"u/", Arc::new(3u32));
+        tx.clear_range(b"a", b"w");
+        tx.cache_state(b"v/", Arc::new(4u32));
+        tx.cache_state(b"x/", Arc::new(5u32));
+        let probe = db.create_transaction();
+        assert_eq!(probe.cached_state::<u32>(b"u/"), None);
+        assert_eq!(probe.cached_state::<u32>(b"v/"), None);
+        assert_eq!(probe.cached_state::<u32>(b"x/").as_deref(), Some(&5));
     }
 
     #[test]

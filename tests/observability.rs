@@ -278,6 +278,56 @@ fn transaction_spans_attribute_traffic_and_outcome() {
     assert_eq!(loser.counter("committed"), None);
 }
 
+/// Every stage of the commit path and each store-lock wait has its own
+/// histogram, so where a commit's or a read's time went can be read off
+/// the recorder: shard acquisition, the batcher queue, the store lock
+/// (exclusive-read path and batch leader apart), apply, seal, compaction.
+#[test]
+fn commit_path_stages_are_timed() {
+    use rl_fdb::{DatabaseOptions, EngineKind, EvictionPolicy, PagedConfig};
+    let _guard = obs_lock();
+    let recorder = rl_obs::Recorder::global();
+    const STAGES: [&str; 7] = [
+        "shard_acquire",
+        "batch_queue_wait",
+        "store_lock_wait_leader",
+        "batch_apply",
+        "batch_seal",
+        "compact",
+        "store_lock_wait_read",
+    ];
+    let counts = || STAGES.map(|op| recorder.histogram(op).count());
+
+    // The paged engine reads under the exclusive lock; compacting after
+    // every commit makes each commit visit every stage.
+    let db = Database::with_options(DatabaseOptions {
+        engine: EngineKind::Paged(PagedConfig::ephemeral(EvictionPolicy::Sieve)),
+        compaction_interval: 1,
+        ..DatabaseOptions::default()
+    });
+    let commit_and_read = || {
+        let tx = db.create_transaction();
+        tx.set(b"timed", b"v");
+        tx.commit().unwrap();
+        assert!(db.create_transaction().get(b"timed").unwrap().is_some());
+    };
+
+    rl_obs::set_enabled(false);
+    let before = counts();
+    commit_and_read();
+    assert_eq!(counts(), before, "gate off: nothing is timed");
+
+    rl_obs::set_enabled(true);
+    for _ in 0..3 {
+        commit_and_read();
+    }
+    rl_obs::set_enabled(false);
+    let _ = rl_obs::drain_spans();
+    for (op, (now, was)) in STAGES.iter().zip(counts().into_iter().zip(before)) {
+        assert_eq!(now - was, 3, "{op}: one sample per commit (or read)");
+    }
+}
+
 /// Disabled, the layer stays quiet: no spans accumulate and draining is
 /// empty (the ≤5% overhead budget in ISSUE.md depends on this path being
 /// a single relaxed load).

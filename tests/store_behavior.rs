@@ -74,6 +74,42 @@ fn header_records_versions_and_user_version() {
     .unwrap();
 }
 
+/// §5's header check covers the format as well: a store a newer format
+/// wrote is refused, not read as if it were this one — whether the header
+/// came from the database or from the state cache.
+#[test]
+fn a_store_written_by_a_newer_format_is_refused() {
+    use record_layer::store::FORMAT_VERSION;
+    let db = Database::new();
+    let md = metadata();
+    let sub = Subspace::from_bytes(b"fmt".to_vec());
+    seed(&db, &md, &sub, 1);
+    // What a writer of the next format would leave: its header, and — as
+    // for any state change — a write of the metadata-version key.
+    record_layer::run(&db, |tx| {
+        let header = Tuple::new()
+            .push(FORMAT_VERSION + 1)
+            .push(md.version() as i64)
+            .push(0i64);
+        tx.set(&sub.pack(&Tuple::new().push(0i64)), &header.pack());
+        tx.bump_metadata_version()?;
+        Ok(())
+    })
+    .unwrap();
+    for reads_expected in [2, 0] {
+        let tx = db.create_transaction();
+        let refused = RecordStore::open_or_create(&tx, &sub, &md).err();
+        assert_eq!(
+            refused,
+            Some(record_layer::Error::UnsupportedFormatVersion {
+                store_version: FORMAT_VERSION + 1,
+                supported_version: FORMAT_VERSION,
+            })
+        );
+        assert_eq!(tx.trace().read_ops, reads_expected);
+    }
+}
+
 #[test]
 fn tuple_range_bounds() {
     let sub = Subspace::from_bytes(b"X".to_vec());
