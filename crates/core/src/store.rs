@@ -724,12 +724,19 @@ impl<'a> RecordStore<'a> {
             self.bump_stat(&self.record_count_key(), 1)?;
         }
 
-        // Replace the old payload: a range clear is necessary since the old
-        // record may have been split across multiple keys (§6).
+        // Replace the old payload. The writes below overwrite every old key
+        // when the split count is unchanged (an unsplit payload is key 0,
+        // n chunks are keys 1..=n) and the old version key, if there is
+        // one, is rewritten too; otherwise some old key would survive, and
+        // a range clear takes the old record out first (§6).
         let rec_sub = self.records.subspace(&primary_key);
-        if old.is_some() {
-            let (begin, end) = rec_sub.range_inclusive();
-            self.tx.clear_range(&begin, &end);
+        if let Some(old) = &old {
+            let overwritten = old.split_count == split_count
+                && (old.version.is_none() || self.metadata.store_record_versions);
+            if !overwritten {
+                let (begin, end) = rec_sub.range_inclusive();
+                self.tx.clear_range(&begin, &end);
+            }
         }
 
         // Write the new payload chunks.

@@ -151,7 +151,13 @@ pub struct DatabaseOptions {
     /// How many versions of history the resolvers keep for conflict
     /// checking, and the storage keeps for MVCC reads (5 logical seconds).
     pub mvcc_window_versions: u64,
-    /// Compact shadowed MVCC versions every N commits.
+    /// Compact shadowed MVCC versions every N commits: how often the
+    /// batch leader has the engine drain its log of overwritten and cleared
+    /// keys up to the MVCC horizon. A pass visits those keys only — its
+    /// cost follows the writes of the last N commits, not the size of the
+    /// store — so a smaller N spreads the same work over more, shorter
+    /// passes and a larger one lets a key overwritten twice in between be
+    /// visited once.
     pub compaction_interval: u64,
     /// Storage engine. The default honours the `RL_ENGINE` environment
     /// variable (`memory`, `paged`, or `paged:<lru|clock|sieve>`; the
@@ -318,7 +324,8 @@ struct VersionCore {
 }
 
 /// A committer's enqueued work: its command log, cloned so the follower
-/// can park without lending out its borrow.
+/// can park without lending out its borrow. The leader moves the keys and
+/// values out of it into the engine.
 struct PendingCommit {
     ticket: u64,
     commands: Vec<Command>,
@@ -820,6 +827,7 @@ impl Database {
             panic!("injected leader failure");
         }
         let mut results = Vec::with_capacity(batch.len());
+        record_count("batch_size", batch.len());
         let applying = rl_obs::Timer::start("batch_apply");
         for (order, pending) in batch.into_iter().enumerate() {
             let order = order as u16;
@@ -828,7 +836,7 @@ impl Database {
             // member would otherwise become visible when its batchmates
             // publish.
             let applied = validate_commands(&pending.commands).and_then(|()| {
-                apply_commands(store.engine.as_mut(), &pending.commands, version, order)
+                apply_commands(store.engine.as_mut(), pending.commands, version, order)
             });
             results.push((
                 pending.ticket,
@@ -863,7 +871,7 @@ impl Database {
         if compact_now {
             let _t = rl_obs::Timer::start("compact");
             let oldest = self.oldest.load(Ordering::Acquire);
-            store.engine.compact(oldest);
+            record_count("compact_keys", store.engine.compact(oldest));
         }
         results
     }
@@ -927,12 +935,20 @@ fn validate_commands(commands: &[Command]) -> Result<()> {
     Ok(())
 }
 
+/// Record a count (not a duration) under `op` in the global recorder;
+/// nothing when observability is off.
+fn record_count(op: &'static str, count: usize) {
+    if rl_obs::enabled() {
+        rl_obs::Recorder::global().record(op, count as u64);
+    }
+}
+
 /// Apply one member's command log at `version`, in program order, with
-/// versionstamps resolved to `version` ‖ `batch_order`. Returns the keys
-/// and bytes written.
+/// versionstamps resolved to `version` ‖ `batch_order`; keys and values
+/// move out of the log into the engine. Returns the keys and bytes written.
 fn apply_commands(
     store: &mut dyn StorageEngine,
-    commands: &[Command],
+    commands: Vec<Command>,
     version: u64,
     batch_order: u16,
 ) -> Result<(u64, u64)> {
@@ -949,42 +965,51 @@ fn apply_commands(
             Command::Set { key, value } => {
                 keys_written += 1;
                 bytes_written += (key.len() + value.len()) as u64;
-                store.write(key.clone(), Some(value.clone()), version);
+                store.write(key, Some(value), version);
             }
             Command::Clear { key } => {
-                store.write(key.clone(), None, version);
+                store.write(key, None, version);
             }
             Command::ClearRange { begin, end } => {
-                store.clear_range(begin, end, version);
+                store.clear_range(&begin, &end, version);
             }
             Command::Atomic { key, op, param } => {
-                let current = store.get(key, version);
-                let new = atomic::apply(*op, current.as_deref(), param)?;
                 keys_written += 1;
-                bytes_written += (key.len() + new.as_ref().map_or(0, Vec::len)) as u64;
-                store.write(key.clone(), new, version);
+                bytes_written += key.len() as u64;
+                // One seek: the engine hands the current value to the
+                // mutation where its write path finds it.
+                let mut failed = None;
+                store.update(key, version, &mut |current| {
+                    let new = atomic::apply(op, current, &param).unwrap_or_else(|e| {
+                        failed = Some(e);
+                        current.map(<[u8]>::to_vec)
+                    });
+                    bytes_written += new.as_ref().map_or(0, Vec::len) as u64;
+                    new
+                });
+                if let Some(e) = failed {
+                    return Err(e);
+                }
             }
             Command::VersionstampedKey {
-                key_payload,
+                key_payload: mut key,
                 offset,
                 value,
             } => {
-                let mut key = key_payload.clone();
-                atomic::fill_versionstamp(&mut key, *offset, &tr_version);
+                atomic::fill_versionstamp(&mut key, offset, &tr_version);
                 keys_written += 1;
                 bytes_written += (key.len() + value.len()) as u64;
-                store.write(key, Some(value.clone()), version);
+                store.write(key, Some(value), version);
             }
             Command::VersionstampedValue {
                 key,
-                value_payload,
+                value_payload: mut value,
                 offset,
             } => {
-                let mut value = value_payload.clone();
-                atomic::fill_versionstamp(&mut value, *offset, &tr_version);
+                atomic::fill_versionstamp(&mut value, offset, &tr_version);
                 keys_written += 1;
                 bytes_written += (key.len() + value.len()) as u64;
-                store.write(key.clone(), Some(value), version);
+                store.write(key, Some(value), version);
             }
         }
     }

@@ -99,3 +99,65 @@ fn in_memory_engine_reports_zero_io_metrics() {
     assert_eq!(snap.log_appends, 0);
     assert_eq!(snap.commits_succeeded, 1);
 }
+
+/// The cost contract of `StorageEngine::update`, seen from a commit: an
+/// atomic ADD reads the current value where its write's descent ends, so
+/// on a warm tree of three or more levels it touches the pages a plain `set` touches —
+/// one per level — not a `get`'s descent and then a `write`'s.
+#[test]
+fn an_atomic_add_costs_the_one_descent_of_a_set() {
+    use rl_fdb::atomic::MutationType;
+    let mut cfg = PagedConfig::ephemeral(EvictionPolicy::default());
+    cfg.pool_pages = 4096; // the whole tree stays resident
+    let db = Database::with_options(DatabaseOptions {
+        engine: EngineKind::Paged(cfg),
+        ..DatabaseOptions::default()
+    });
+    // Long keys keep the fan-out low enough for a third level.
+    let key = |i: u32| format!("{i:0>120}").into_bytes();
+    for batch in 0..40u32 {
+        let tx = db.create_transaction();
+        for i in batch * 500..(batch + 1) * 500 {
+            tx.set(&key(i), &1u64.to_le_bytes());
+        }
+        tx.commit().unwrap();
+    }
+    let touched = |f: &dyn Fn(&rl_fdb::Transaction)| {
+        let before = db.metrics().snapshot();
+        let tx = db.create_transaction();
+        f(&tx);
+        tx.commit().unwrap();
+        let io = db.metrics().snapshot().delta(&before);
+        assert_eq!(io.page_misses, 0, "warm");
+        io.page_hits
+    };
+    let depth = touched(&|tx| assert!(tx.get(&key(10_000)).unwrap().is_some()));
+    assert!(
+        depth >= 3,
+        "20 000 long keys make a tree {depth} levels deep"
+    );
+    let set = touched(&|tx| tx.set(&key(10_001), &2u64.to_le_bytes()));
+    let add = touched(&|tx| {
+        tx.mutate(MutationType::Add, &key(10_002), &5u64.to_le_bytes())
+            .unwrap()
+    });
+    assert_eq!((set, add), (depth, depth));
+    let tx = db.create_transaction();
+    assert_eq!(
+        tx.get(&key(10_002)).unwrap(),
+        Some(6u64.to_le_bytes().to_vec())
+    );
+    // On a key that does not exist yet, and twice in one transaction (the
+    // second sees the first, written at the same version).
+    let fresh = touched(&|tx| {
+        tx.mutate(MutationType::Add, b"counter", &5u64.to_le_bytes())
+            .unwrap();
+        tx.mutate(MutationType::Add, b"counter", &5u64.to_le_bytes())
+            .unwrap();
+    });
+    assert_eq!(fresh, 2 * depth);
+    assert_eq!(
+        db.create_transaction().get(b"counter").unwrap(),
+        Some(10u64.to_le_bytes().to_vec())
+    );
+}

@@ -23,10 +23,10 @@
 //! decide about and an overflow chain that is read, for the one visible
 //! value [`get`] returns, and for the rows a caller of [`Cursor::next`]
 //! keeps: the cursor lends key and encoded-chain slices of its leaf, which
-//! [`chain_visible_at`], [`chain_prune`] and [`chain_entries`] read as is.
+//! [`chain_visible_at`] and [`chain_entries`] read as is.
 //!
 //! **Writes: one descent, an ancestor rewritten only if its child's id
-//! changed.** [`write`], [`prune`] and [`remove_key`] descend once, keeping
+//! changed.** [`write`], [`update`] and [`prune`] descend once, keeping
 //! the path. The leaf's new payload is its old bytes with one entry spliced
 //! in, replaced or cut out, and goes through [`BufferPool::write_cow`], so
 //! the tree under the last checkpoint's meta slot is never damaged in
@@ -354,7 +354,7 @@ pub fn chain_visible_at(chain: &[u8], read_version: u64) -> io::Result<Option<&[
 
 /// What pruning a chain at the MVCC horizon would do to it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Prune {
+enum Prune {
     /// Nothing is shadowed.
     Keep,
     /// The `count` entries in this byte range of the chain survive.
@@ -365,7 +365,7 @@ pub enum Prune {
 
 /// Decide the pruning of a chain at `oldest_version`: entries shadowed at
 /// the horizon go, and a lone tombstone at or below it kills the key.
-pub fn chain_prune(chain: &[u8], oldest_version: u64) -> io::Result<Prune> {
+fn chain_prune(chain: &[u8], oldest_version: u64) -> io::Result<Prune> {
     let (mut total, mut dropped, mut from) = (0u32, 0u32, 4usize);
     let mut last = None;
     for entry in chain_entries(chain)? {
@@ -392,9 +392,10 @@ pub fn chain_prune(chain: &[u8], oldest_version: u64) -> io::Result<Prune> {
 }
 
 /// `old` (empty for a new key) with one write applied, re-encoded: a write
-/// at the newest entry's version replaces it, a later one is appended.
-fn chain_pushed(old: &[u8], version: u64, value: Option<&[u8]>) -> io::Result<Vec<u8>> {
-    let (mut count, mut kept) = (0u32, &[][..]);
+/// at the newest entry's version replaces it, a later one is appended —
+/// and then shadows the entries before it, which is also returned.
+fn chain_pushed(old: &[u8], version: u64, value: Option<&[u8]>) -> io::Result<(Vec<u8>, bool)> {
+    let (mut count, mut kept, mut shadows) = (0u32, &[][..], false);
     if !old.is_empty() {
         let entries = chain_entries(old)?;
         count = entries.left;
@@ -403,7 +404,10 @@ fn chain_pushed(old: &[u8], version: u64, value: Option<&[u8]>) -> io::Result<Ve
                 count -= 1;
                 &old[4..last.at]
             }
-            Some(last) => &old[4..last.end],
+            Some(last) => {
+                shadows = true;
+                &old[4..last.end]
+            }
             None => kept,
         };
     }
@@ -419,7 +423,7 @@ fn chain_pushed(old: &[u8], version: u64, value: Option<&[u8]>) -> io::Result<Ve
         }
         None => out.push(0),
     }
-    Ok(out)
+    Ok((out, shadows))
 }
 
 // ------------------------------------------------------------------ walks
@@ -679,20 +683,59 @@ fn write_internal(pool: &mut BufferPool, id: PageId, node: Vec<u8>) -> io::Resul
     Ok((left_id, Some((promoted, pool.allocate(right)?))))
 }
 
-/// Apply one write to `key`'s chain (versions arrive in nondecreasing
-/// order); `None` writes a tombstone.
+/// The one way an entry gets onto `key`'s chain (versions arrive in
+/// nondecreasing order): `value_of` sees the chain stored (empty for a new
+/// key), and its value — `None` a tombstone — replaces the newest entry if
+/// that is at `version`, else is appended. Returns whether the write left
+/// something for compaction: an older entry shadowed, or a tombstone.
+fn push<V: AsRef<[u8]>>(
+    pool: &mut BufferPool,
+    key: &[u8],
+    version: u64,
+    value_of: impl FnOnce(&[u8]) -> io::Result<Option<V>>,
+) -> io::Result<bool> {
+    let mut garbage = false;
+    edit(pool, key, |old| {
+        let old = old.unwrap_or_default();
+        let value = value_of(old)?;
+        let (chain, shadows) = chain_pushed(old, version, value.as_ref().map(V::as_ref))?;
+        garbage = shadows || value.is_none();
+        Ok(Edit::Put(chain))
+    })?;
+    Ok(garbage)
+}
+
+/// Write `value` (`None`: a tombstone) under `key` at `version`; see
+/// [`push`] for what is returned.
 pub fn write(
     pool: &mut BufferPool,
     key: &[u8],
     version: u64,
     value: Option<&[u8]>,
-) -> io::Result<()> {
-    let pushed = |old: Option<&[u8]>| chain_pushed(old.unwrap_or_default(), version, value);
-    edit(pool, key, |old| pushed(old).map(Edit::Put)).map(drop)
+) -> io::Result<bool> {
+    push(pool, key, version, |_| Ok(value))
+}
+
+/// Read-modify-write in the one descent of a [`write`]: `f` sees the value
+/// visible at `version` in the chain the descent ends on, and what it
+/// returns is written at `version`.
+pub fn update(
+    pool: &mut BufferPool,
+    key: &[u8],
+    version: u64,
+    f: impl FnOnce(Option<&[u8]>) -> Option<Vec<u8>>,
+) -> io::Result<bool> {
+    push(pool, key, version, |old| {
+        Ok(f(match old {
+            [] => None,
+            old => chain_visible_at(old, version)?,
+        }))
+    })
 }
 
 /// Rewrite `key`'s chain as [`chain_prune`] at `oldest_version` decides:
-/// trimmed, removed with its key when dead, or left alone.
+/// trimmed, removed with its key when dead (leaves are not rebalanced; an
+/// emptied leaf stays in place and cursors skip it), or left alone.
 pub fn prune(pool: &mut BufferPool, key: &[u8], oldest_version: u64) -> io::Result<()> {
     let pruned = |old: &[u8]| {
         Ok(match chain_prune(old, oldest_version)? {
@@ -702,13 +745,6 @@ pub fn prune(pool: &mut BufferPool, key: &[u8], oldest_version: u64) -> io::Resu
         })
     };
     edit(pool, key, |old| old.map_or(Ok(Edit::Keep), pruned)).map(drop)
-}
-
-/// Remove `key` and its chain entirely. Leaves are not rebalanced; an
-/// emptied leaf stays in place and cursors skip it. Returns whether the key
-/// existed.
-pub fn remove_key(pool: &mut BufferPool, key: &[u8]) -> io::Result<bool> {
-    edit(pool, key, |_| Ok(Edit::Remove))
 }
 
 // ---------------------------------------------------------------- cursors
@@ -1021,15 +1057,22 @@ mod tests {
     }
 
     #[test]
-    fn remove_key_drops_entries() {
+    fn prune_removes_dead_keys() {
         let (mut pool, dir) = pool("remove", 64);
         for i in 0..100u32 {
             put(&mut pool, format!("k{i:03}").as_bytes(), 10, b"v");
         }
         for i in (0..100u32).step_by(2) {
-            assert!(remove_key(&mut pool, format!("k{i:03}").as_bytes()).unwrap());
+            let key = format!("k{i:03}");
+            assert!(write(&mut pool, key.as_bytes(), 20, None).unwrap());
+            prune(&mut pool, key.as_bytes(), 15).unwrap(); // still visible at 15
         }
-        assert!(!remove_key(&mut pool, b"k000").unwrap());
+        assert_eq!(check_consistency(&mut pool).unwrap(), 100);
+        for i in (0..100u32).step_by(2) {
+            prune(&mut pool, format!("k{i:03}").as_bytes(), 20).unwrap();
+        }
+        prune(&mut pool, b"k000", 20).unwrap(); // gone already: a no-op
+        prune(&mut pool, b"k001", 20).unwrap(); // a lone value stays
         assert_eq!(check_consistency(&mut pool).unwrap(), 50);
         assert!(get(&mut pool, b"k001", 10).unwrap().is_some());
         assert!(get(&mut pool, b"k002", 10).unwrap().is_none());
@@ -1056,10 +1099,12 @@ mod tests {
 
     #[test]
     fn encoded_chain_push_visibility_and_prune() {
-        let mut chain = chain_pushed(&[], 10, Some(b"a")).unwrap();
-        chain = chain_pushed(&chain, 20, Some(b"b")).unwrap();
-        chain = chain_pushed(&chain, 20, Some(b"b2")).unwrap(); // same version: replaced
-        chain = chain_pushed(&chain, 30, None).unwrap();
+        let (mut chain, shadows) = chain_pushed(&[], 10, Some(b"a")).unwrap();
+        assert!(!shadows);
+        (chain, _) = chain_pushed(&chain, 20, Some(b"b")).unwrap();
+        (chain, _) = chain_pushed(&chain, 20, Some(b"b2")).unwrap(); // same version: replaced
+        let (chain, shadows) = chain_pushed(&chain, 30, None).unwrap();
+        assert!(shadows);
         let versions: Vec<u64> = chain_entries(&chain)
             .unwrap()
             .map(|e| e.unwrap().version)
@@ -1164,13 +1209,14 @@ mod tests {
             assert_eq!(get(&mut pool, &keys[i], 15).unwrap(), None);
         }
         for i in (0..n).step_by(2) {
-            assert!(remove_key(&mut pool, &keys[i]).unwrap());
-            assert!(!remove_key(&mut pool, &keys[i]).unwrap());
+            assert!(write(&mut pool, &keys[i], 30, None).unwrap());
+            prune(&mut pool, &keys[i], 30).unwrap();
+            prune(&mut pool, &keys[i], 30).unwrap();
         }
         assert_eq!(check_consistency(&mut pool).unwrap(), n / 2);
         for (i, key) in keys.iter().enumerate() {
             let want = (i % 2 == 1).then(|| newest(i));
-            assert_eq!(get(&mut pool, key, 25).unwrap(), want);
+            assert_eq!(get(&mut pool, key, 35).unwrap(), want);
         }
         std::fs::remove_dir_all(dir).unwrap();
     }

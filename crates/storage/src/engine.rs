@@ -7,12 +7,20 @@
 //! that stops after `limit` visible rows. Everything ordered the layers
 //! above need — range reads, key selectors, "last key below", "n-th key
 //! after" — is a `scan` with a direction and a limit, so a read costs
-//! what it returns. All methods take `&mut self`: the database serializes
+//! what it returns. The write side has the same shape: [`write`] and the
+//! read-modify-write [`update`] are one seek each, and [`compact`] does
+//! work proportional to the keys written since the last pass — both engines
+//! log which keys those are (the crate's `garbage` module) — and none for
+//! the keys stored. All methods take `&mut self`: the database serializes
 //! access behind its store lock, and the paged engine mutates buffer-pool
 //! state even on reads. Engines whose reads are genuinely side-effect-free
 //! can additionally expose a [`SharedRead`] view via
 //! [`StorageEngine::as_shared_read`], letting the database run MVCC
 //! snapshot reads under a shared lock, concurrently with each other.
+//!
+//! [`write`]: StorageEngine::write
+//! [`update`]: StorageEngine::update
+//! [`compact`]: StorageEngine::compact
 
 use std::str::FromStr;
 
@@ -60,6 +68,10 @@ impl FromStr for EvictionPolicy {
     }
 }
 
+/// What [`StorageEngine::update`] applies: from the value visible at the
+/// write's version to the value written (`None`: a tombstone).
+pub type Update<'a> = dyn FnMut(Option<&[u8]>) -> Option<Vec<u8>> + 'a;
+
 /// Ordered multi-version key-value storage, as required by the simulator.
 ///
 /// Versions must be applied in nondecreasing order (the commit pipeline
@@ -73,6 +85,17 @@ pub trait StorageEngine: Send + Sync + std::fmt::Debug {
     /// rewritten only when the id of the page below it changed (the first
     /// write down a path after a checkpoint) or a split reaches it.
     fn write(&mut self, key: Vec<u8>, value: Option<Vec<u8>>, version: u64);
+
+    /// Read-modify-write: `f` is called once with the value of `key`
+    /// visible at `version` (which includes an entry written at `version`
+    /// itself), and what it returns is written at `version` exactly as
+    /// [`write`](Self::write) would — `None` a tombstone, an entry already
+    /// at `version` replaced.
+    ///
+    /// Cost contract: the one seek of a `write`; the value is read where
+    /// that seek ends (on the paged engine the same root-to-leaf descent,
+    /// in memory one map lookup), never by a `get` first.
+    fn update(&mut self, key: Vec<u8>, version: u64, f: &mut Update<'_>);
 
     /// Clear every key in `[begin, end)` at `version` by writing tombstones.
     fn clear_range(&mut self, begin: &[u8], end: &[u8], version: u64);
@@ -115,15 +138,24 @@ pub trait StorageEngine: Send + Sync + std::fmt::Debug {
         self.scan(begin, end, read_version, reverse, usize::MAX)
     }
 
-    /// The highest version any stored entry carries (0 when empty). A
-    /// database opened over existing data starts its commit version here,
-    /// so it reads what is stored and commits above it. One pass over the
-    /// stored keys: call it at open, not per operation.
+    /// The highest version written to this engine or found stored when it
+    /// was opened (0 when empty). A database opened over existing data
+    /// starts its commit version here, so it reads what is stored and
+    /// commits above it.
     fn newest_version(&mut self) -> u64;
 
     /// Drop versions that are no longer visible to any read version
-    /// `>= oldest_version`, and entries that are entirely dead.
-    fn compact(&mut self, oldest_version: u64);
+    /// `>= oldest_version`, and entries that are entirely dead: when it
+    /// returns, no chain holds an entry shadowed at `oldest_version` and no
+    /// key is a lone tombstone at or below it. Returns the number of keys
+    /// visited.
+    ///
+    /// Cost contract: one seek per distinct key whose write at or below
+    /// `oldest_version` shadowed an older entry or was a tombstone and that
+    /// no earlier pass has visited for it, in key order. Work is
+    /// proportional to the keys written, none to the keys stored; nothing
+    /// walks the tree.
+    fn compact(&mut self, oldest_version: u64) -> usize;
 
     /// Force all buffered state to disk (checkpoint). No-op in memory.
     fn flush(&mut self) {}

@@ -1,0 +1,251 @@
+//! The log of keys compaction has work on, shared by both engines.
+//!
+//! A write leaves something for [`compact`](crate::StorageEngine::compact)
+//! to reclaim when it shadows an older entry of its key's chain or is a
+//! tombstone. An engine [`push`](GarbageLog::push)es the key and version of
+//! every such write; a fresh insert (no chain under the key, a value
+//! written) leaves nothing behind and is not logged. `compact(oldest)`
+//! [`drain`](GarbageLog::drain)s the entries written at or below `oldest` —
+//! exactly the writes whose predecessors no reader can still see — and
+//! visits those keys, so a pass costs what was written since the last one
+//! and nothing for the keys stored.
+//!
+//! **Bound.** An entry leaves with the first pass whose horizon reaches its
+//! version, so the log holds the keys overwritten or cleared inside one MVCC
+//! window, plus what one compaction interval adds before the next pass. An
+//! engine nobody compacts keeps every entry.
+//!
+//! **Layout.** Entries sit in write order — which is version order, as the
+//! engine contract has versions arrive nondecreasing — in blocks of
+//! [`BLOCK_BYTES`] that are never reallocated and are freed whole once
+//! drained:
+//!
+//! ```text
+//! entry := varint(version - previous entry's version)
+//!          varint(bytes shared with the previous key)  varint(len)  suffix
+//! ```
+//!
+//! An entry that opens a block or a version run shares nothing, so a pass
+//! whose horizon falls inside a block drains the runs at or below it and
+//! leaves the rest decodable on their own. Keys written together share
+//! their subspace prefix: an entry costs its distinguishing suffix plus
+//! three bytes, not a heap allocation per key.
+
+use std::collections::VecDeque;
+use std::ops::Range;
+
+/// Block size; a longer entry gets a block of its own size.
+const BLOCK_BYTES: usize = 16 << 10;
+/// The three varints of an entry at their widest.
+const MAX_ENTRY_HEADER: usize = 10 + 5 + 5;
+
+#[derive(Debug)]
+struct Block {
+    /// Encoded entries; allocated once at the block's capacity.
+    bytes: Vec<u8>,
+    /// Offset of the first entry not yet drained, which opens a run.
+    start: usize,
+    /// Version of the entry at `start` (its own varint is relative to an
+    /// entry that may be gone and is not read).
+    first: u64,
+    /// Version of the last entry.
+    newest: u64,
+}
+
+/// Version-ordered log of `(key, version)` for writes that left garbage.
+#[derive(Debug, Default)]
+pub(crate) struct GarbageLog {
+    blocks: VecDeque<Block>,
+    /// The key logged last, which the next entry of its run is coded
+    /// against.
+    last_key: Vec<u8>,
+}
+
+impl GarbageLog {
+    /// Log that the write of `key` at `version` left garbage. A version
+    /// below the newest logged (a caller breaking the engine contract) is
+    /// logged at the newest: drained late, never lost.
+    pub(crate) fn push(&mut self, key: &[u8], version: u64) {
+        let room = |b: &Block| b.bytes.capacity() - b.bytes.len();
+        let fits = MAX_ENTRY_HEADER + key.len();
+        let (delta, shared) = match self.blocks.back() {
+            Some(back) if room(back) >= fits => {
+                let delta = version.saturating_sub(back.newest);
+                let shared = match delta {
+                    0 => common_prefix(&self.last_key, key),
+                    _ => 0,
+                };
+                (delta, shared)
+            }
+            _ => {
+                let newest = self.blocks.back().map_or(0, |b| b.newest);
+                self.blocks.push_back(Block {
+                    bytes: Vec::with_capacity(BLOCK_BYTES.max(fits)),
+                    start: 0,
+                    first: version.max(newest),
+                    newest: version.max(newest),
+                });
+                (0, 0)
+            }
+        };
+        let back = self.blocks.back_mut().expect("a block with room");
+        back.newest += delta;
+        put_varint(&mut back.bytes, delta);
+        put_varint(&mut back.bytes, shared as u64);
+        put_varint(&mut back.bytes, (key.len() - shared) as u64);
+        back.bytes.extend_from_slice(&key[shared..]);
+        self.last_key.truncate(shared);
+        self.last_key.extend_from_slice(&key[shared..]);
+    }
+
+    /// Remove every entry logged at or below `oldest` and return their
+    /// keys, sorted and without repeats.
+    pub(crate) fn drain(&mut self, oldest: u64) -> Keys {
+        let mut keys = Keys::default();
+        while let Some(block) = self.blocks.front_mut() {
+            if block.first > oldest {
+                break;
+            }
+            block.drain_into(oldest, &mut keys);
+            if block.start < block.bytes.len() {
+                break;
+            }
+            self.blocks.pop_front();
+        }
+        let Keys { bytes, spans } = &mut keys;
+        let key = |span: &Range<usize>| &bytes[span.clone()];
+        spans.sort_unstable_by(|a, b| key(a).cmp(key(b)));
+        spans.dedup_by(|a, b| key(a) == key(b));
+        keys
+    }
+}
+
+impl Block {
+    /// Decode the entries from `start` on that are at or below `oldest`
+    /// into `keys`, and move `start` past them.
+    fn drain_into(&mut self, oldest: u64, keys: &mut Keys) {
+        let (mut pos, mut version) = (self.start, self.first);
+        let mut previous = 0..0;
+        while pos < self.bytes.len() {
+            let at = pos;
+            let delta = take_varint(&self.bytes, &mut pos);
+            if at != self.start {
+                version += delta;
+            }
+            if version > oldest {
+                (self.start, self.first) = (at, version);
+                return;
+            }
+            let shared = take_varint(&self.bytes, &mut pos) as usize;
+            let len = take_varint(&self.bytes, &mut pos) as usize;
+            let key = keys.bytes.len();
+            keys.bytes
+                .extend_from_within(previous.start..previous.start + shared);
+            keys.bytes.extend_from_slice(&self.bytes[pos..pos + len]);
+            pos += len;
+            previous = key..keys.bytes.len();
+            keys.spans.push(previous.clone());
+        }
+        self.start = pos;
+    }
+}
+
+/// Keys packed end to end in one buffer.
+#[derive(Debug, Default)]
+pub(crate) struct Keys {
+    bytes: Vec<u8>,
+    spans: Vec<Range<usize>>,
+}
+
+impl Keys {
+    pub(crate) fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &[u8]> {
+        self.spans.iter().map(|span| &self.bytes[span.clone()])
+    }
+}
+
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    a.iter().zip(b).take_while(|(x, y)| x == y).count()
+}
+
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Read a varint this module wrote (the log is never input from outside).
+fn take_varint(bytes: &[u8], pos: &mut usize) -> u64 {
+    let (mut v, mut shift) = (0u64, 0);
+    loop {
+        let byte = bytes[*pos];
+        *pos += 1;
+        v |= u64::from(byte & 0x7F) << shift;
+        if byte & 0x80 == 0 {
+            return v;
+        }
+        shift += 7;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn drained(log: &mut GarbageLog, oldest: u64) -> Vec<Vec<u8>> {
+        log.drain(oldest).iter().map(<[u8]>::to_vec).collect()
+    }
+
+    #[test]
+    fn drains_a_version_prefix_sorted_without_repeats() {
+        let mut log = GarbageLog::default();
+        log.push(b"tenant/7/b", 10);
+        log.push(b"tenant/7/a", 10);
+        log.push(b"tenant/7/b", 10); // twice inside one drained batch
+        log.push(b"tenant/9", 20);
+        log.push(b"tenant/7/a", 30);
+        assert_eq!(drained(&mut log, 9), Vec::<Vec<u8>>::new());
+        // The horizon falls inside the block: a prefix goes.
+        assert_eq!(
+            drained(&mut log, 25),
+            [&b"tenant/7/a"[..], b"tenant/7/b", b"tenant/9"]
+        );
+        assert_eq!(log.blocks.len(), 1);
+        log.push(b"tenant/7/c", 30); // coded against the entry before it
+        assert_eq!(drained(&mut log, 25), Vec::<Vec<u8>>::new());
+        assert_eq!(drained(&mut log, 30), [&b"tenant/7/a"[..], b"tenant/7/c"]);
+        assert!(log.blocks.is_empty());
+        log.push(b"x", 5); // below the newest: a fresh block starts anywhere
+        assert_eq!(drained(&mut log, 5), [b"x"]);
+    }
+
+    #[test]
+    fn blocks_fill_are_freed_whole_and_take_any_key_length() {
+        let mut log = GarbageLog::default();
+        let key = |i: u32| format!("subspace/records/{i:06}").into_bytes();
+        for i in 0..8_000u32 {
+            log.push(&key(i), u64::from(i / 100));
+        }
+        let full = log.blocks.len();
+        assert!(full > 1, "8 000 keys need more than one block");
+        for block in &log.blocks {
+            assert_eq!(block.bytes.capacity(), BLOCK_BYTES, "never reallocated");
+        }
+        // Front coding: a key of 23 bytes costs its 6-digit tail or less.
+        assert!(full * BLOCK_BYTES < 8_000 * 12);
+        let giant = vec![b'g'; 3 * BLOCK_BYTES];
+        log.push(&giant, 80);
+        assert_eq!(drained(&mut log, 39).len(), 4_000);
+        assert!(log.blocks.len() < full + 1, "drained blocks are freed");
+        let rest = drained(&mut log, 80);
+        assert_eq!(rest.len(), 4_001);
+        assert_eq!(rest[0], giant);
+        assert_eq!(rest[4_000], key(7_999));
+        assert!(log.blocks.is_empty());
+    }
+}

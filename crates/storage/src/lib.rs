@@ -14,6 +14,10 @@
 //!   per-key version chain ([`btree`]), and an append-only write-ahead log
 //!   segment that makes committed batches crash-recoverable ([`wal`]).
 //!
+//! Both engines keep a log of the keys whose write shadowed an older
+//! version or was a tombstone (`garbage`), so MVCC compaction visits the
+//! keys written since the last pass instead of scanning what is stored.
+//!
 //! ## Crash-consistency model
 //!
 //! The paged engine uses *shadow paging*: pages referenced by the last
@@ -41,6 +45,7 @@
 pub mod btree;
 pub mod engine;
 pub mod file;
+mod garbage;
 pub mod memory;
 pub mod page;
 pub mod paged;

@@ -7,10 +7,12 @@
 //! key, the newest write with version `<= v`. Old versions are
 //! garbage-collected once they fall out of the MVCC window.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
-use crate::engine::{SharedRead, StorageEngine};
+use crate::engine::{SharedRead, StorageEngine, Update};
+use crate::garbage::GarbageLog;
 
 /// One versioned write to a key: `None` is a tombstone (clear).
 #[derive(Debug, Clone)]
@@ -23,27 +25,53 @@ struct VersionedValue {
 #[derive(Debug, Default)]
 pub struct MemoryEngine {
     map: BTreeMap<Vec<u8>, Vec<VersionedValue>>,
+    /// Keys whose chains hold something `compact` can drop.
+    garbage: GarbageLog,
+    /// The highest version written.
+    newest: u64,
 }
 
 impl MemoryEngine {
     pub fn new() -> Self {
-        MemoryEngine {
-            map: BTreeMap::new(),
-        }
+        MemoryEngine::default()
     }
 
     /// Record a write (set or clear) at `version`. Versions must be applied
     /// in nondecreasing order, which the commit pipeline guarantees.
     pub fn write(&mut self, key: Vec<u8>, value: Option<Vec<u8>>, version: u64) {
-        let versions = self.map.entry(key).or_default();
-        debug_assert!(versions.last().is_none_or(|v| v.version <= version));
-        if let Some(last) = versions.last_mut() {
-            if last.version == version {
-                last.value = value;
-                return;
+        self.update(key, version, |_| value);
+    }
+
+    /// Read-modify-write in one lookup: `f` sees the value visible at
+    /// `version`, and what it returns is written at `version` (replacing
+    /// an entry already there, as `write` does).
+    pub fn update(
+        &mut self,
+        key: Vec<u8>,
+        version: u64,
+        f: impl FnOnce(Option<&[u8]>) -> Option<Vec<u8>>,
+    ) {
+        debug_assert!(version >= self.newest, "versions must not decrease");
+        self.newest = self.newest.max(version);
+        let mut slot = match self.map.entry(key) {
+            Entry::Occupied(slot) => slot,
+            Entry::Vacant(slot) => slot.insert_entry(Vec::new()),
+        };
+        let versions = slot.get_mut();
+        let visible = versions.iter().rev().find(|v| v.version <= version);
+        let value = f(visible.and_then(|v| v.value.as_deref()));
+        // Garbage: an older entry now shadowed, or a tombstone.
+        let mut garbage = value.is_none();
+        match versions.last_mut() {
+            Some(last) if last.version == version => last.value = value,
+            last => {
+                garbage |= last.is_some();
+                versions.push(VersionedValue { version, value });
             }
         }
-        versions.push(VersionedValue { version, value });
+        if garbage {
+            self.garbage.push(slot.key(), version);
+        }
     }
 
     /// Clear every key in `[begin, end)` at `version` by writing tombstones.
@@ -107,35 +135,37 @@ impl MemoryEngine {
         }
     }
 
-    /// The highest version any retained entry carries (0 when empty).
+    /// The highest version written (0 for a new engine).
     pub fn newest_version(&self) -> u64 {
-        self.map
-            .values()
-            .filter_map(|versions| versions.last())
-            .map(|v| v.version)
-            .max()
-            .unwrap_or(0)
+        self.newest
     }
 
     /// Drop versions that are no longer visible to any read version
-    /// `>= oldest_version`, and empty entries.
-    pub fn compact(&mut self, oldest_version: u64) {
-        self.map.retain(|_, versions| {
+    /// `>= oldest_version`, and entries that are entirely dead, visiting
+    /// only the keys logged as written at or below `oldest_version`.
+    /// Returns how many keys that was.
+    pub fn compact(&mut self, oldest_version: u64) -> usize {
+        let keys = self.garbage.drain(oldest_version);
+        for key in keys.iter() {
+            let Some(versions) = self.map.get_mut(key) else {
+                continue; // removed since it was logged
+            };
             // Keep the newest version <= oldest_version (still the visible
             // base for readers at the horizon) plus everything newer.
             let split = versions
                 .iter()
                 .rposition(|v| v.version <= oldest_version)
                 .unwrap_or(0);
-            if split > 0 {
-                versions.drain(..split);
+            versions.drain(..split);
+            // Entry can go entirely once only a tombstone at/below the
+            // horizon remains.
+            if let [only] = &versions[..] {
+                if only.value.is_none() && only.version <= oldest_version {
+                    self.map.remove(key);
+                }
             }
-            // Entry can go entirely once only tombstones at/below the
-            // horizon remain.
-            !(versions.len() == 1
-                && versions[0].value.is_none()
-                && versions[0].version <= oldest_version)
-        });
+        }
+        keys.len()
     }
 
     /// Number of live keys at `read_version` (test/diagnostic helper).
@@ -167,6 +197,10 @@ impl StorageEngine for MemoryEngine {
         MemoryEngine::clear_range(self, begin, end, version);
     }
 
+    fn update(&mut self, key: Vec<u8>, version: u64, f: &mut Update<'_>) {
+        MemoryEngine::update(self, key, version, f);
+    }
+
     fn get(&mut self, key: &[u8], read_version: u64) -> Option<Vec<u8>> {
         MemoryEngine::get(self, key, read_version)
     }
@@ -186,8 +220,8 @@ impl StorageEngine for MemoryEngine {
         MemoryEngine::newest_version(self)
     }
 
-    fn compact(&mut self, oldest_version: u64) {
-        MemoryEngine::compact(self, oldest_version);
+    fn compact(&mut self, oldest_version: u64) -> usize {
+        MemoryEngine::compact(self, oldest_version)
     }
 
     fn live_key_count(&mut self, read_version: u64) -> usize {
@@ -257,8 +291,8 @@ mod tests {
     fn range_respects_versions_and_order() {
         let mut s = MemoryEngine::new();
         s.write(b"a".to_vec(), Some(b"1".to_vec()), 10);
-        s.write(b"b".to_vec(), Some(b"2".to_vec()), 20);
         s.write(b"c".to_vec(), Some(b"3".to_vec()), 10);
+        s.write(b"b".to_vec(), Some(b"2".to_vec()), 20);
         let r = s.range(b"a", b"z", 15, false);
         assert_eq!(r.len(), 2);
         assert_eq!(r[0].0, b"a");

@@ -29,8 +29,9 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::btree::{self, chain_entries, chain_prune, chain_visible_at, Cursor, Prune};
-use crate::engine::{EvictionPolicy, StorageEngine};
+use crate::btree::{self, chain_entries, chain_visible_at, Cursor};
+use crate::engine::{EvictionPolicy, StorageEngine, Update};
+use crate::garbage::GarbageLog;
 use crate::pool::BufferPool;
 use crate::wal::{Wal, WalOp};
 use crate::SharedIoCounters;
@@ -43,6 +44,10 @@ const WAL_CHECKPOINT_BYTES: u64 = 1 << 20;
 pub struct PagedEngine {
     pool: BufferPool,
     wal: Wal,
+    /// Keys whose chains hold something `compact` can drop.
+    garbage: GarbageLog,
+    /// The highest version written, or stored at open.
+    newest: u64,
     counters: SharedIoCounters,
     policy: EvictionPolicy,
     pool_pages: usize,
@@ -65,6 +70,8 @@ impl PagedEngine {
         let mut engine = PagedEngine {
             pool,
             wal,
+            garbage: GarbageLog::default(),
+            newest: 0,
             counters,
             policy,
             pool_pages,
@@ -74,7 +81,34 @@ impl PagedEngine {
         Ok(engine)
     }
 
+    /// Load what the checkpoint tree holds that the engine keeps in memory
+    /// — the newest version, and a garbage-log entry for every chain entry
+    /// a later `compact` has to reach, so nothing written before this open
+    /// is stranded — then replay the WAL tail through the write path, which
+    /// logs its own. The one pass over the tree the engine ever makes.
     fn recover(&mut self) -> io::Result<()> {
+        // (version, key) of each entry that shadows an older one or is a
+        // tombstone; keys packed into one buffer.
+        let (mut keys, mut found) = (Vec::new(), Vec::new());
+        let mut cursor = Cursor::seek(&mut self.pool, b"", true)?;
+        while let Some((key, chain)) = cursor.next(&mut self.pool)? {
+            let at = keys.len();
+            for (i, entry) in chain_entries(chain)?.enumerate() {
+                let entry = entry?;
+                self.newest = self.newest.max(entry.version);
+                if i > 0 || entry.value.is_none() {
+                    if keys.len() == at {
+                        keys.extend_from_slice(key);
+                    }
+                    found.push((entry.version, at..keys.len()));
+                }
+            }
+        }
+        found.sort_by_key(|(version, _)| *version);
+        for (version, key) in found {
+            self.garbage.push(&keys[key], version);
+        }
+
         let lsn = self.pool.checkpoint_lsn();
         let batches = self.wal.replay_from(lsn)?;
         if batches.is_empty() {
@@ -87,7 +121,7 @@ impl PagedEngine {
                         key,
                         value,
                         version,
-                    } => btree::write(&mut self.pool, &key, version, value.as_deref())?,
+                    } => self.apply_write(&key, value.as_deref(), version)?,
                     WalOp::ClearRange {
                         begin,
                         end,
@@ -114,6 +148,21 @@ impl PagedEngine {
         btree::check_consistency(&mut self.pool)
     }
 
+    /// Note a write at `version`: versions arrive in nondecreasing order,
+    /// engine-wide.
+    fn advance(&mut self, version: u64) {
+        debug_assert!(version >= self.newest, "versions must not decrease");
+        self.newest = self.newest.max(version);
+    }
+
+    fn apply_write(&mut self, key: &[u8], value: Option<&[u8]>, version: u64) -> io::Result<()> {
+        self.advance(version);
+        if btree::write(&mut self.pool, key, version, value)? {
+            self.garbage.push(key, version);
+        }
+        Ok(())
+    }
+
     fn apply_clear_range(&mut self, begin: &[u8], end: &[u8], version: u64) -> io::Result<()> {
         // Tombstone keys whose newest chain entry is a live value —
         // mirroring the in-memory engine exactly.
@@ -129,7 +178,7 @@ impl PagedEngine {
             }
         }
         for key in doomed {
-            btree::write(&mut self.pool, &key, version, None)?;
+            self.apply_write(&key, None, version)?;
         }
         Ok(())
     }
@@ -196,28 +245,15 @@ impl PagedEngine {
         Ok(acc)
     }
 
-    fn try_compact(&mut self, oldest_version: u64) -> io::Result<()> {
-        // Scan first, mutate after: the cursor must not race tree updates.
+    fn try_compact(&mut self, oldest_version: u64) -> io::Result<usize> {
         // Compaction is deliberately NOT logged — replaying a WAL without
         // it yields the same visible state for every read version still in
         // the MVCC window.
-        let mut trims: Vec<Vec<u8>> = Vec::new();
-        let mut removals: Vec<Vec<u8>> = Vec::new();
-        let mut cursor = Cursor::seek(&mut self.pool, b"", true)?;
-        while let Some((key, chain)) = cursor.next(&mut self.pool)? {
-            match chain_prune(chain, oldest_version)? {
-                Prune::Keep => {}
-                Prune::Trim(..) => trims.push(key.to_vec()),
-                Prune::Dead => removals.push(key.to_vec()),
-            }
+        let keys = self.garbage.drain(oldest_version);
+        for key in keys.iter() {
+            btree::prune(&mut self.pool, key, oldest_version)?;
         }
-        for key in trims {
-            btree::prune(&mut self.pool, &key, oldest_version)?;
-        }
-        for key in removals {
-            btree::remove_key(&mut self.pool, &key)?;
-        }
-        Ok(())
+        Ok(keys.len())
     }
 }
 
@@ -239,7 +275,22 @@ const IO_MSG: &str = "paged storage engine I/O error";
 impl StorageEngine for PagedEngine {
     fn write(&mut self, key: Vec<u8>, value: Option<Vec<u8>>, version: u64) {
         self.wal.buffer_write(&key, value.as_deref(), version);
-        btree::write(&mut self.pool, &key, version, value.as_deref()).expect(IO_MSG);
+        self.apply_write(&key, value.as_deref(), version)
+            .expect(IO_MSG);
+    }
+
+    fn update(&mut self, key: Vec<u8>, version: u64, f: &mut Update<'_>) {
+        self.advance(version);
+        let wal = &mut self.wal;
+        let garbage = btree::update(&mut self.pool, &key, version, |visible| {
+            let value = f(visible);
+            wal.buffer_write(&key, value.as_deref(), version);
+            value
+        })
+        .expect(IO_MSG);
+        if garbage {
+            self.garbage.push(&key, version);
+        }
     }
 
     fn clear_range(&mut self, begin: &[u8], end: &[u8], version: u64) {
@@ -268,15 +319,11 @@ impl StorageEngine for PagedEngine {
     }
 
     fn newest_version(&mut self) -> u64 {
-        self.fold_chains(0u64, |newest, chain| {
-            let last = chain_entries(chain)?.last().transpose()?;
-            Ok(newest.max(last.map_or(0, |entry| entry.version)))
-        })
-        .expect(IO_MSG)
+        self.newest
     }
 
-    fn compact(&mut self, oldest_version: u64) {
-        self.try_compact(oldest_version).expect(IO_MSG);
+    fn compact(&mut self, oldest_version: u64) -> usize {
+        self.try_compact(oldest_version).expect(IO_MSG)
     }
 
     fn flush(&mut self) {
@@ -543,11 +590,12 @@ mod tests {
     fn compact_prunes_on_disk_chains() {
         let d = dir("compact");
         let mut e = open(&d, 32);
-        for v in 1..=10u64 {
+        e.write(b"dead".to_vec(), Some(b"x".to_vec()), 10);
+        e.write(b"k".to_vec(), Some(vec![1]), 10);
+        e.write(b"dead".to_vec(), None, 20);
+        for v in 2..=10u64 {
             e.write(b"k".to_vec(), Some(vec![v as u8]), v * 10);
         }
-        e.write(b"dead".to_vec(), Some(b"x".to_vec()), 10);
-        e.write(b"dead".to_vec(), None, 20);
         e.commit_batch();
         assert_eq!(e.total_version_entries(), 12);
         e.compact(95);

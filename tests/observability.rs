@@ -328,6 +328,54 @@ fn commit_path_stages_are_timed() {
     }
 }
 
+/// Beside the stage timers, a led batch records how many members it had
+/// and a compaction pass how many keys it visited — counts, in the same
+/// recorder, behind the same gate.
+#[test]
+fn batches_and_compaction_passes_record_their_sizes() {
+    use rl_fdb::DatabaseOptions;
+    let _guard = obs_lock();
+    let recorder = rl_obs::Recorder::global();
+    let sizes = || ["batch_size", "compact_keys"].map(|op| recorder.histogram(op).snapshot());
+    let db = Database::with_options(DatabaseOptions {
+        compaction_interval: 4,
+        ..DatabaseOptions::default()
+    });
+    let commit = |keys: u32| {
+        let tx = db.create_transaction();
+        for k in 0..keys {
+            tx.set(format!("sized/{k}").as_bytes(), b"v");
+        }
+        tx.commit().unwrap();
+        db.advance_clock(10_000); // past the MVCC window: all of it is due
+    };
+
+    rl_obs::set_enabled(false);
+    let before = sizes();
+    for _ in 0..4 {
+        commit(3);
+    }
+    let idle = sizes();
+    for (now, was) in idle.iter().zip(&before) {
+        assert_eq!(now.count(), was.count(), "gate off: nothing is recorded");
+    }
+
+    rl_obs::set_enabled(true);
+    for _ in 0..8 {
+        commit(3);
+    }
+    rl_obs::set_enabled(false);
+    let _ = rl_obs::drain_spans();
+    let [batches, passes] = sizes();
+    let [batches_before, passes_before] = idle;
+    // Eight single-member batches; every fourth ran a pass over the three
+    // keys overwritten since the one before.
+    assert_eq!(batches.count() - batches_before.count(), 8);
+    assert_eq!(batches.sum() - batches_before.sum(), 8);
+    assert_eq!(passes.count() - passes_before.count(), 2);
+    assert_eq!(passes.sum() - passes_before.sum(), 2 * 3);
+}
+
 /// Disabled, the layer stays quiet: no spans accumulate and draining is
 /// empty (the ≤5% overhead budget in ISSUE.md depends on this path being
 /// a single relaxed load).

@@ -78,8 +78,10 @@ fn exercise(pool: &mut BufferPool) {
         btree::write(pool, &long_key(6), 30, Some(&[7; 900])),
     );
     settle("insert", btree::write(pool, b"a0045", 30, None));
-    settle("prune", btree::prune(pool, b"a005", 25));
-    settle("remove", btree::remove_key(pool, &long_key(3)));
+    // Trims the chain just overwritten; removes a dead key, overflow
+    // pages and all.
+    settle("prune", btree::prune(pool, b"a004", 25));
+    settle("remove", btree::prune(pool, &long_key(3), 25));
     settle("check", btree::check_consistency(pool));
 }
 

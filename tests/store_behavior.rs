@@ -397,6 +397,12 @@ fn scan_limit_prevents_partial_record_emission() {
 
 /// Two keys per record (version split + payload), one `by_v` entry each.
 fn versioned_metadata() -> RecordMetaData {
+    blob_metadata(true)
+}
+
+/// `T(id, v, blob)` with `by_v`, splitting long records; the version split
+/// stored or not.
+fn blob_metadata(store_record_versions: bool) -> RecordMetaData {
     let mut pool = DescriptorPool::new();
     pool.add_message(
         MessageDescriptor::new(
@@ -412,7 +418,7 @@ fn versioned_metadata() -> RecordMetaData {
     .unwrap();
     RecordMetaDataBuilder::new(pool)
         .record_type("T", KeyExpression::field("id"))
-        .store_record_versions(true)
+        .store_record_versions(store_record_versions)
         .split_long_records(true)
         .index("T", Index::value("by_v", KeyExpression::field("v")))
         .build()
@@ -561,6 +567,98 @@ fn records_in_raw_range(sub: &Subspace, rows: &[rl_fdb::KeyValue]) -> BTreeMap<i
         );
     }
     out
+}
+
+/// A re-save leaves exactly the new record — whatever the old one's split
+/// count and whether either carries a version key — and clears the old
+/// record's range only when some old key would otherwise survive: the
+/// writes of the new record overwrite the rest in place.
+#[test]
+fn a_resave_leaves_exactly_the_new_record_and_clears_only_what_it_must() {
+    // (case, old blob, new blob, versions stored old / new, range clears)
+    let cases = [
+        ("unsplit over unsplit", 7, 9, true, true, 0),
+        ("n chunks over n chunks", 100, 100, true, true, 0),
+        ("n over m chunks", 100, 200, true, true, 1),
+        ("unsplit over split", 200, 7, true, true, 1),
+        ("split over unsplit", 7, 100, false, false, 1),
+        (
+            "versions on over a record without one",
+            100,
+            100,
+            false,
+            true,
+            0,
+        ),
+        ("versions off over a record with one", 7, 7, true, false, 1),
+    ];
+    for engine in ["memory", "paged"] {
+        let db = Database::with_options(DatabaseOptions {
+            engine: EngineKind::from_spec(engine),
+            ..DatabaseOptions::default()
+        });
+        for (id, (case, old_len, new_len, old_versions, new_versions, clears)) in
+            cases.into_iter().enumerate()
+        {
+            let sub = Subspace::from_tuple(&Tuple::new().push(11i64).push(id as i64));
+            let save = |tx: &rl_fdb::Transaction, versions: bool, len: usize, fill: u8| {
+                let md = blob_metadata(versions);
+                let store = RecordStoreBuilder::new()
+                    .split_size(48)
+                    .open_or_create(tx, &sub, &md)?;
+                let mut r = store.new_record("T")?;
+                r.set("id", 1i64).unwrap();
+                r.set("v", i64::from(fill)).unwrap();
+                r.set("blob", vec![fill; len]).unwrap();
+                let saved = store.save_record(r)?;
+                // Read back through the store and off the raw keys.
+                let loaded = store.load_record(&Tuple::new().push(1i64))?.unwrap();
+                assert_eq!(loaded.message, saved.message, "[{engine}] {case}");
+                assert_eq!(loaded.split_count, saved.split_count, "[{engine}] {case}");
+                assert_eq!(loaded.version.is_some(), versions, "[{engine}] {case}");
+                Ok(saved)
+            };
+            let raw_record = |tx: &rl_fdb::Transaction| {
+                let (begin, end) = sub.range_inclusive();
+                let raw = tx.get_range(&begin, &end, RangeOptions::default()).unwrap();
+                let mut records = records_in_raw_range(&sub, &raw);
+                assert_eq!(records.len(), 1, "[{engine}] {case}");
+                records.remove(&1).unwrap()
+            };
+            record_layer::run(&db, |tx| save(tx, old_versions, old_len, 1)).unwrap();
+
+            let tx = db.create_transaction();
+            let before = db.metrics().snapshot().range_clears;
+            let new = save(&tx, new_versions, new_len, 2).unwrap();
+            assert_eq!(
+                db.metrics().snapshot().range_clears - before,
+                clears,
+                "[{engine}] {case}: range clears issued"
+            );
+            assert_eq!(new.split_count > 1, new_len > 48, "[{engine}] {case}");
+            let mut stored = vec![b'P'];
+            stored.extend(Tuple::new().push("T").push(new.message.encode()).pack());
+            // Inside the transaction, and again once committed: the new
+            // payload under the new split suffixes, no chunk and no
+            // version key of the old record left over.
+            let inside = raw_record(&tx);
+            tx.commit().unwrap();
+            let after = raw_record(&db.create_transaction());
+            for (when, raw) in [("before", inside), ("after", after)] {
+                assert_eq!(raw.payload, stored, "[{engine}] {case}, {when} commit");
+                assert_eq!(raw.splits.len(), new.split_count, "[{engine}] {case}");
+                assert_eq!(raw.version.is_some(), new_versions, "[{engine}] {case}");
+            }
+            let loaded = record_layer::run(&db, |tx| {
+                let md = blob_metadata(new_versions);
+                let store = RecordStoreBuilder::new()
+                    .split_size(48)
+                    .open_or_create(tx, &sub, &md)?;
+                store.load_record(&Tuple::new().push(1i64))
+            });
+            assert_eq!(loaded.unwrap().unwrap().message, new.message);
+        }
+    }
 }
 
 /// A fixed save / overwrite / delete sequence: blobs from empty to a few
