@@ -46,11 +46,11 @@ use crate::atomic;
 use crate::error::{Error, Result};
 use crate::metrics::{Metrics, SharedMetrics};
 use crate::state_cache::StateCache;
-use crate::storage::{EvictionPolicy, MemoryEngine, PagedEngine, StorageEngine};
 use crate::sync::{
     lock_ranked, lock_ranked_indexed, read_ranked, write_ranked, LockRank, RankedWriteGuard,
 };
 use crate::transaction::{Command, Transaction};
+use rl_storage::{EvictionPolicy, MemoryEngine, PagedEngine, StorageEngine};
 
 /// FoundationDB's documented key size limit (10 kB).
 pub const KEY_SIZE_LIMIT: usize = 10_000;

@@ -45,7 +45,6 @@ pub mod kv;
 pub mod metrics;
 pub mod range;
 pub mod state_cache;
-pub mod storage;
 pub mod subspace;
 pub mod sync;
 pub mod transaction;
@@ -56,8 +55,8 @@ pub use database::{Database, DatabaseOptions, EngineKind, PagedConfig};
 pub use error::{Error, Result};
 pub use kv::{KeySelector, KeyValue};
 pub use range::{RangeOptions, StreamingMode};
+pub use rl_storage::{EvictionPolicy, StorageEngine};
 pub use state_cache::{METADATA_VERSION_KEY, STATE_CACHE_CAPACITY};
-pub use storage::{EvictionPolicy, StorageEngine};
 pub use subspace::Subspace;
 pub use sync::{
     lock, lock_ranked, lock_ranked_indexed, read_ranked, write_ranked, LockRank, RankedGuard,

@@ -6,8 +6,8 @@
 //! The engine is requested explicitly (not via `RL_ENGINE`) so the test
 //! exercises the disk-backed path regardless of how the suite is run.
 
-use rl_fdb::storage::EvictionPolicy;
 use rl_fdb::{Database, DatabaseOptions, EngineKind, PagedConfig};
+use rl_storage::EvictionPolicy;
 
 fn paged_db() -> Database {
     // A deliberately tiny pool (8 × 4 kB) so a ~200 kB workload cannot

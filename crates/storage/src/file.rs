@@ -12,14 +12,21 @@
 //! during a run the in-memory list is authoritative and any excess simply
 //! fails to survive a crash (leaking those pages until the file is
 //! rebuilt, which the simulator accepts as a non-correctness cost).
+//!
+//! Every page I/O is one positional syscall (`pread`/`pwrite` through
+//! [`FileExt`]): the file has no cursor that a read or write must first
+//! move, so a page miss costs one read and a flush one write.
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io;
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 
-use crate::page::{frame, unframe, PageId, MAX_PAYLOAD, NO_PAGE, PAGE_SIZE};
+use crate::page::{frame, unframe, PageId, HEADER_SIZE, MAX_PAYLOAD, NO_PAGE, PAGE_SIZE};
 
-const MAGIC: u64 = 0x524C_5041_4745_4431; // "RLPAGED1"
+const MAGIC: u64 = 0x524C_5041_4745_4432; // "RLPAGED2"
+/// The magic of page format 1 (FNV-1a checksums), which is refused.
+const MAGIC_FORMAT_1: u64 = 0x524C_5041_4745_4431; // "RLPAGED1"
 /// Fixed meta fields: magic + generation + page_count + root + lsn + count.
 const META_FIXED: usize = 8 + 8 + 4 + 4 + 8 + 4;
 /// How many free-page ids fit in a persisted meta slot.
@@ -45,13 +52,13 @@ impl PageFile {
     /// Open or create a page file. A fresh file is initialized with an
     /// empty generation-0 meta slot.
     pub fn open(path: &Path) -> io::Result<PageFile> {
-        let mut file = OpenOptions::new()
+        let file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(false)
             .open(path)?;
-        let len = file.seek(SeekFrom::End(0))?;
+        let len = file.metadata()?.len();
         if len == 0 {
             let mut pf = PageFile {
                 file,
@@ -67,24 +74,29 @@ impl PageFile {
 
         // Pick the valid meta slot with the highest generation.
         let mut best: Option<(u64, u32, PageId, u64, Vec<PageId>)> = None;
+        let mut format_1 = false;
         for slot in 0..2u32 {
             if (u64::from(slot) + 1) * PAGE_SIZE as u64 > len {
                 continue;
             }
             let mut buf = [0u8; PAGE_SIZE];
-            file.seek(SeekFrom::Start(u64::from(slot) * PAGE_SIZE as u64))?;
-            file.read_exact(&mut buf)?;
-            if let Ok(meta) = parse_meta(&buf) {
-                if best.as_ref().is_none_or(|b| meta.0 > b.0) {
-                    best = Some(meta);
+            file.read_exact_at(&mut buf, u64::from(slot) * PAGE_SIZE as u64)?;
+            match parse_meta(&buf) {
+                Ok(meta) if best.as_ref().is_none_or(|b| meta.0 > b.0) => best = Some(meta),
+                Ok(_) => {}
+                Err(_) => {
+                    format_1 |= buf[HEADER_SIZE..HEADER_SIZE + 8] == MAGIC_FORMAT_1.to_le_bytes()
                 }
             }
         }
         let (generation, page_count, root, checkpoint_lsn, free) = best.ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{}: no valid meta slot", path.display()),
-            )
+            let (kind, what) = if format_1 {
+                let what = "is page format 1 (FNV-1a checksums), which this build does not read";
+                (io::ErrorKind::Unsupported, what)
+            } else {
+                (io::ErrorKind::InvalidData, "no valid meta slot")
+            };
+            io::Error::new(kind, format!("{}: {what}", path.display()))
         })?;
         Ok(PageFile {
             file,
@@ -114,31 +126,33 @@ impl PageFile {
 
     /// Read and verify a page, returning its payload. An id that is not a
     /// data page of this file is `InvalidData`, like any other damage: ids
-    /// come out of stored pages.
+    /// come out of stored pages. The page is read into the buffer that is
+    /// returned, and its payload moved down over the header in place.
     pub fn read_page(&mut self, id: PageId) -> io::Result<Vec<u8>> {
         let invalid = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what);
         if id < 2 || id >= self.page_count {
             return Err(invalid(&format!("page {id}: not a data page")));
         }
-        let mut buf = [0u8; PAGE_SIZE];
+        let mut buf = vec![0u8; PAGE_SIZE];
         self.file
-            .seek(SeekFrom::Start(u64::from(id) * PAGE_SIZE as u64))?;
-        self.file.read_exact(&mut buf).map_err(|e| match e.kind() {
-            io::ErrorKind::UnexpectedEof => invalid(&format!("page {id}: past end of file")),
-            kind => io::Error::new(kind, format!("page {id}: {e}")),
-        })?;
-        let payload =
-            unframe(&buf).map_err(|e| io::Error::new(e.kind(), format!("page {id}: {e}")))?;
-        Ok(payload.to_vec())
+            .read_exact_at(&mut buf, u64::from(id) * PAGE_SIZE as u64)
+            .map_err(|e| match e.kind() {
+                io::ErrorKind::UnexpectedEof => invalid(&format!("page {id}: past end of file")),
+                kind => io::Error::new(kind, format!("page {id}: {e}")),
+            })?;
+        let len = unframe(&buf)
+            .map_err(|e| io::Error::new(e.kind(), format!("page {id}: {e}")))?
+            .len();
+        buf.copy_within(HEADER_SIZE..HEADER_SIZE + len, 0);
+        buf.truncate(len);
+        Ok(buf)
     }
 
     /// Write a page payload (framed and checksummed).
     pub fn write_page(&mut self, id: PageId, payload: &[u8]) -> io::Result<()> {
         debug_assert!(id >= 2, "writing meta slot {id} as data page");
-        let page = frame(payload);
         self.file
-            .seek(SeekFrom::Start(u64::from(id) * PAGE_SIZE as u64))?;
-        self.file.write_all(&page)
+            .write_all_at(&frame(payload), u64::from(id) * PAGE_SIZE as u64)
     }
 
     /// Allocate a page id: reuse a free page or extend the file. The page's
@@ -183,9 +197,8 @@ impl PageFile {
             payload.extend_from_slice(&id.to_le_bytes());
         }
         let slot = self.generation % 2;
-        let page = frame(&payload);
-        self.file.seek(SeekFrom::Start(slot * PAGE_SIZE as u64))?;
-        self.file.write_all(&page)
+        self.file
+            .write_all_at(&frame(&payload), slot * PAGE_SIZE as u64)
     }
 }
 

@@ -1,11 +1,11 @@
 //! The in-memory engine: an ordered multi-version map.
 //!
-//! This is the original `VersionedStore` from `rl_fdb`, moved here verbatim
-//! (plus a streaming reverse-range fix) and kept as the differential-test
-//! oracle for the disk-backed engine. Every committed write is recorded
-//! under its commit version; reads at a read version `v` observe, for each
-//! key, the newest write with version `<= v`. Old versions are
-//! garbage-collected once they fall out of the MVCC window.
+//! This is the simulator's original MVCC store, moved here from `rl_fdb`
+//! and kept as the differential-test oracle for the disk-backed engine.
+//! Every committed write is recorded under its commit version; reads at a
+//! read version `v` observe, for each key, the newest write with version
+//! `<= v`. Old versions are garbage-collected once they fall out of the
+//! MVCC window.
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;

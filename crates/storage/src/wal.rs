@@ -7,18 +7,23 @@
 //!
 //! ```text
 //! frame := [payload_len u32][checksum u32][payload]
+//! checksum := XXH64(payload), folded to 32 bits
 //! payload := op*          (one committed batch)
 //! op := 0x01 version u64 klen u32 key vlen u32 value      -- set
 //!     | 0x02 version u64 klen u32 key                     -- clear (tombstone)
 //!     | 0x03 version u64 blen u32 begin elen u32 end      -- clear_range
 //! ```
 //!
-//! Recovery reads frames from the checkpoint offset until end-of-file or
-//! the first frame that fails to parse (a torn append), then truncates the
-//! torn tail so new appends extend a valid log.
+//! The checksum is [`checksum`], the one pages carry (page format 2; a
+//! format-1 directory is refused before its log is read). Recovery reads
+//! frames from the checkpoint offset until end-of-file or the first frame
+//! that fails to verify or parse (a torn append), then truncates the torn
+//! tail so new appends extend a valid log. An append and a replay are each
+//! one positional syscall at an offset the log tracks itself.
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io;
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 use crate::page::checksum;
@@ -55,13 +60,13 @@ pub struct Wal {
 
 impl Wal {
     pub fn open(path: &Path) -> io::Result<Wal> {
-        let mut file = OpenOptions::new()
+        let file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(false)
             .open(path)?;
-        let len = file.seek(SeekFrom::End(0))?;
+        let len = file.metadata()?.len();
         Ok(Wal {
             file,
             len,
@@ -118,8 +123,7 @@ impl Wal {
         let (header, payload) = self.pending.split_at_mut(FRAME_HEADER);
         header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
         header[4..].copy_from_slice(&checksum(payload).to_le_bytes());
-        self.file.seek(SeekFrom::Start(self.len))?;
-        let written = self.file.write_all(&self.pending);
+        let written = self.file.write_all_at(&self.pending, self.len);
         let frame_len = self.pending.len() as u64;
         self.discard_pending();
         written?;
@@ -152,25 +156,13 @@ impl Wal {
         if lsn >= self.len {
             return Ok(Vec::new());
         }
-        let mut raw = Vec::new();
-        self.file.seek(SeekFrom::Start(lsn))?;
-        self.file.read_to_end(&mut raw)?;
+        let mut raw = vec![0; (self.len - lsn) as usize];
+        self.file.read_exact_at(&mut raw, lsn)?;
         let mut batches = Vec::new();
         let mut pos = 0usize;
-        while pos + 8 <= raw.len() {
-            let plen = u32::from_le_bytes(raw[pos..pos + 4].try_into().unwrap()) as usize;
-            let stored = u32::from_le_bytes(raw[pos + 4..pos + 8].try_into().unwrap());
-            let Some(payload) = raw.get(pos + 8..pos + 8 + plen) else {
-                break; // torn tail
-            };
-            if checksum(payload) != stored {
-                break; // corrupt frame: stop replay here
-            }
-            let Some(ops) = decode_batch(payload) else {
-                break;
-            };
+        while let Some((ops, frame_len)) = decode_frame(&raw[pos..]) {
             batches.push(ops);
-            pos += 8 + plen;
+            pos += frame_len;
         }
         // Drop any torn tail so future appends start at a valid offset.
         let valid = lsn + pos as u64;
@@ -180,6 +172,20 @@ impl Wal {
         }
         Ok(batches)
     }
+}
+
+/// The ops of the frame `raw` starts with and the frame's length, or `None`
+/// when it is torn (shorter than its header says), fails its checksum or
+/// does not parse.
+fn decode_frame(raw: &[u8]) -> Option<(Vec<WalOp>, usize)> {
+    let (header, rest) = raw.split_first_chunk::<FRAME_HEADER>()?;
+    let plen = u32::from_le_bytes(header[..4].try_into().unwrap()) as usize;
+    let stored = u32::from_le_bytes(header[4..].try_into().unwrap());
+    let payload = rest.get(..plen)?;
+    if checksum(payload) != stored {
+        return None;
+    }
+    Some((decode_batch(payload)?, FRAME_HEADER + plen))
 }
 
 fn decode_batch(mut p: &[u8]) -> Option<Vec<WalOp>> {
@@ -323,6 +329,29 @@ mod tests {
         let batches = wal.replay_from(0).unwrap();
         assert_eq!(batches.len(), 1);
         assert_eq!(wal.len(), good_len, "torn tail truncated");
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    #[test]
+    fn every_single_bit_flip_of_a_frame_is_rejected() {
+        let path = tmp("bitflip");
+        let mut wal = Wal::open(&path).unwrap();
+        wal.buffer_write(b"alpha", Some(b"one"), 10);
+        wal.buffer_write(b"beta", None, 10);
+        wal.buffer_clear_range(b"c", b"d", 10);
+        wal.buffer_write(b"gamma", Some(&[7; 40]), 10);
+        wal.commit(&IoCounters::new_shared()).unwrap();
+        let frame = std::fs::read(&path).unwrap();
+        let (ops, len) = decode_frame(&frame).unwrap();
+        assert_eq!((ops.len(), len), (4, frame.len()));
+        for bit in 0..frame.len() * 8 {
+            let mut damaged = frame.clone();
+            damaged[bit / 8] ^= 1 << (bit % 8);
+            assert!(
+                decode_frame(&damaged).is_none(),
+                "flip of bit {bit} accepted"
+            );
+        }
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 

@@ -1,6 +1,6 @@
 //! Differential property test: the disk-backed paged engine must be
-//! observationally identical to the in-memory engine (the original
-//! `VersionedStore`, kept as the oracle).
+//! observationally identical to the in-memory engine (the simulator's
+//! original store, kept as the oracle).
 //!
 //! Every case drives a randomized MVCC workload — writes, tombstones,
 //! read-modify-writes, range clears, batch commits, compactions — through
