@@ -6,15 +6,7 @@
 //! ("sync") built on VERSION indexes, and cross-cluster move support via
 //! per-user *incarnations*.
 //!
-//! This crate reproduces that service layer over `record-layer`, plus the
-//! two pre-FoundationDB baselines that Table 1 compares against:
-//!
-//! * [`baseline::ZoneCasBackend`] — the Cassandra-era design: all updates
-//!   to a zone serialized through a per-zone update counter maintained
-//!   with compare-and-set, giving zone-level concurrency only.
-//! * [`baseline::AsyncIndexer`] — the Solr-era design: secondary indexes
-//!   updated asynchronously, giving eventual consistency that queries can
-//!   observe.
+//! This crate reproduces that service layer over `record-layer`.
 //!
 //! ## Example
 //!
@@ -34,7 +26,6 @@
 //! assert_eq!(changes.len(), 1);
 //! ```
 
-pub mod baseline;
 pub mod service;
 pub mod sync;
 

@@ -465,93 +465,6 @@ impl<T: Clone> RecordCursor for ListCursor<T> {
     }
 }
 
-/// Adapter applying a fallible transform to each value.
-pub struct MapCursor<C, F> {
-    inner: C,
-    f: F,
-}
-
-impl<C, F, U> MapCursor<C, F>
-where
-    C: RecordCursor,
-    F: FnMut(C::Item) -> Result<U>,
-{
-    pub fn new(inner: C, f: F) -> Self {
-        MapCursor { inner, f }
-    }
-}
-
-impl<C, F, U> RecordCursor for MapCursor<C, F>
-where
-    C: RecordCursor,
-    F: FnMut(C::Item) -> Result<U>,
-{
-    type Item = U;
-
-    fn next(&mut self) -> Result<CursorResult<U>> {
-        match self.inner.next()? {
-            CursorResult::Next {
-                value,
-                continuation,
-            } => Ok(CursorResult::Next {
-                value: (self.f)(value)?,
-                continuation,
-            }),
-            CursorResult::NoNext {
-                reason,
-                continuation,
-            } => Ok(CursorResult::NoNext {
-                reason,
-                continuation,
-            }),
-        }
-    }
-}
-
-/// Adapter dropping values failing a predicate. The continuation of a
-/// skipped row is remembered so resumption never replays skipped rows.
-pub struct FilterCursor<C, F> {
-    inner: C,
-    f: F,
-}
-
-impl<C, F> FilterCursor<C, F>
-where
-    C: RecordCursor,
-    F: FnMut(&C::Item) -> Result<bool>,
-{
-    pub fn new(inner: C, f: F) -> Self {
-        FilterCursor { inner, f }
-    }
-}
-
-impl<C, F> RecordCursor for FilterCursor<C, F>
-where
-    C: RecordCursor,
-    F: FnMut(&C::Item) -> Result<bool>,
-{
-    type Item = C::Item;
-
-    fn next(&mut self) -> Result<CursorResult<C::Item>> {
-        loop {
-            match self.inner.next()? {
-                CursorResult::Next {
-                    value,
-                    continuation,
-                } => {
-                    if (self.f)(&value)? {
-                        return Ok(CursorResult::Next {
-                            value,
-                            continuation,
-                        });
-                    }
-                }
-                stop @ CursorResult::NoNext { .. } => return Ok(stop),
-            }
-        }
-    }
-}
-
 /// Adapter enforcing a return-row limit.
 pub struct TakeCursor<C> {
     inner: C,
@@ -780,14 +693,17 @@ mod tests {
 
     #[test]
     fn map_filter_take_combinators() {
-        let items: Vec<i32> = (0..10).collect();
-        let base = ListCursor::new(items, &Continuation::Start).unwrap();
-        let mapped = MapCursor::new(base, |v| Ok(v * 2));
-        let filtered = FilterCursor::new(mapped, |v| Ok(v % 4 == 0));
-        let mut limited = TakeCursor::new(filtered, 3);
-        let (vals, reason, _) = limited.collect_remaining().unwrap();
+        // Map and filter happen before the list is built; the cursor layer
+        // only limits.
+        let items: Vec<i32> = (0..10).map(|v| v * 2).filter(|v| v % 4 == 0).collect();
+        let base = ListCursor::new(items.clone(), &Continuation::Start).unwrap();
+        let mut limited = TakeCursor::new(base, 3);
+        let (vals, reason, continuation) = limited.collect_remaining().unwrap();
         assert_eq!(vals, vec![0, 4, 8]);
         assert_eq!(reason, NoNextReason::ReturnLimitReached);
+        // The limit's continuation resumes after the last returned row.
+        let mut resumed = ListCursor::new(items, &continuation).unwrap();
+        assert_eq!(resumed.next().unwrap().value(), Some(&12));
     }
 
     #[test]

@@ -7,6 +7,37 @@
 //! the `atomic_vs_rmw` benchmark. Each index entry maps the group key to
 //! the aggregate value; a key expression with no grouping keeps one entry
 //! per record store.
+//!
+//! ## One mutation per changed group key
+//!
+//! An update folds the old record's and the new record's contributions
+//! into one value per packed group key, and writes only the keys whose
+//! value changes. This is the §6 rule VALUE indexes follow: "the unchanged
+//! indexes are not updated".
+//!
+//! * COUNT, COUNT_NON_NULL, SUM: old tuples count negatively and new ones
+//!   positively. Each key gets one `ADD` of the wrapping `i64` sum, and a
+//!   key whose sum is zero gets none.
+//! * COUNT_UPDATES counts saves, so the old record takes nothing back:
+//!   one `ADD(n)` per key, for its `n` non-null new tuples.
+//! * MAX_EVER, MIN_EVER: a new tuple the old record also produced (same
+//!   group, same operand) is dropped. Each key gets one `BYTE_MAX` /
+//!   `BYTE_MIN` of the most extreme operand left.
+//!
+//! The stored aggregates equal what the unfolded mutations would leave:
+//!
+//! * `ADD` is little-endian, commutes and wraps, so one `ADD` of the sum
+//!   equals the sequence. That holds for an `i64::MIN` operand too, whose
+//!   negation wraps to itself.
+//! * A dropped shared operand was folded in when the old record was saved.
+//!   If the index was still write-only then, the online builder folds it in
+//!   from the new record.
+//! * A skipped zero sum leaves the key as it was. If that is absent (a new
+//!   group whose SUM operands are all 0, or an index still being built),
+//!   it reads as [`AggregateValue::Absent`], whose `as_long` is 0.
+
+use std::cmp::Ordering;
+use std::collections::BTreeMap;
 
 use rl_fdb::atomic::MutationType;
 use rl_fdb::subspace::Subspace;
@@ -31,6 +62,75 @@ impl AtomicIndexMaintainer {
             "not an atomic index type: {index_type:?}"
         );
         AtomicIndexMaintainer { index_type }
+    }
+
+    /// What one evaluated tuple adds to its group's counter, if anything.
+    fn contribution(&self, operand: &Tuple) -> Result<Option<i64>> {
+        Ok(match self.index_type {
+            IndexType::Count => Some(1),
+            IndexType::CountUpdates | IndexType::CountNonNull => {
+                (!operand_is_null(operand)).then_some(1)
+            }
+            IndexType::Sum => operand_as_i64(operand)?,
+            other => unreachable!("not a counter type {other:?}"),
+        })
+    }
+
+    /// COUNT, COUNT_UPDATES, COUNT_NON_NULL, SUM: one `ADD` per group key
+    /// of the wrapping sum of its contributions, none where that is zero.
+    fn fold_counters(&self, ctx: &IndexContext<'_>, old: &[Tuple], new: &[Tuple]) -> Result<()> {
+        // COUNT_UPDATES counts saves: the old record takes nothing back.
+        let retracted: &[Tuple] = if self.index_type == IndexType::CountUpdates {
+            &[]
+        } else {
+            old
+        };
+        let mut sums: BTreeMap<Vec<u8>, i64> = BTreeMap::new();
+        for (tuples, sign) in [(retracted, -1i64), (new, 1)] {
+            for t in tuples {
+                let (group, operand) = split_group(ctx.index, t);
+                if let Some(v) = self.contribution(&operand)? {
+                    let sum = sums.entry(ctx.subspace.pack(&group)).or_default();
+                    *sum = sum.wrapping_add(v.wrapping_mul(sign));
+                }
+            }
+        }
+        for (key, sum) in sums {
+            if sum != 0 {
+                ctx.tx.mutate(MutationType::Add, &key, &sum.to_le_bytes())?;
+            }
+        }
+        Ok(())
+    }
+
+    /// MAX_EVER, MIN_EVER: one `BYTE_MAX` / `BYTE_MIN` per group key with
+    /// the most extreme new operand the old record did not already have.
+    fn fold_extremes(&self, ctx: &IndexContext<'_>, old: &[Tuple], new: &[Tuple]) -> Result<()> {
+        let (mutation, wins) = if self.index_type == IndexType::MaxEver {
+            (MutationType::ByteMax, Ordering::Greater)
+        } else {
+            (MutationType::ByteMin, Ordering::Less)
+        };
+        let mut extremes: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+        // A whole tuple is its (group, operand) pair.
+        for t in new.iter().filter(|t| !old.contains(t)) {
+            let (group, operand) = split_group(ctx.index, t);
+            if operand_is_null(&operand) {
+                continue;
+            }
+            // Packed tuple order == byte order, so BYTE_MIN/MAX on the
+            // packed operand keeps tuple-ordered extremes. A non-null
+            // operand never packs empty.
+            let packed = operand.pack();
+            let best = extremes.entry(ctx.subspace.pack(&group)).or_default();
+            if best.is_empty() || packed.cmp(best) == wins {
+                *best = packed;
+            }
+        }
+        for (key, operand) in extremes {
+            ctx.tx.mutate(mutation, &key, &operand)?;
+        }
+        Ok(())
     }
 }
 
@@ -77,94 +177,11 @@ impl IndexMaintainer for AtomicIndexMaintainer {
             .map(|r| evaluate_index_expr(ctx.index, r))
             .transpose()?
             .unwrap_or_default();
-
         match self.index_type {
-            IndexType::Count => {
-                // One unit per record (per produced grouping tuple).
-                for t in &old_tuples {
-                    let (group, _) = split_group(ctx.index, t);
-                    let key = ctx.subspace.pack(&group);
-                    ctx.tx
-                        .mutate(MutationType::Add, &key, &(-1i64).to_le_bytes())?;
-                }
-                for t in &new_tuples {
-                    let (group, _) = split_group(ctx.index, t);
-                    let key = ctx.subspace.pack(&group);
-                    ctx.tx
-                        .mutate(MutationType::Add, &key, &1i64.to_le_bytes())?;
-                }
-            }
-            IndexType::CountUpdates => {
-                // Counts every save that produces the group; never
-                // decremented on delete (§7: "num. times a field has been
-                // updated").
-                for t in &new_tuples {
-                    let (group, operand) = split_group(ctx.index, t);
-                    if operand_is_null(&operand) {
-                        continue;
-                    }
-                    let key = ctx.subspace.pack(&group);
-                    ctx.tx
-                        .mutate(MutationType::Add, &key, &1i64.to_le_bytes())?;
-                }
-            }
-            IndexType::CountNonNull => {
-                for t in &old_tuples {
-                    let (group, operand) = split_group(ctx.index, t);
-                    if operand_is_null(&operand) {
-                        continue;
-                    }
-                    let key = ctx.subspace.pack(&group);
-                    ctx.tx
-                        .mutate(MutationType::Add, &key, &(-1i64).to_le_bytes())?;
-                }
-                for t in &new_tuples {
-                    let (group, operand) = split_group(ctx.index, t);
-                    if operand_is_null(&operand) {
-                        continue;
-                    }
-                    let key = ctx.subspace.pack(&group);
-                    ctx.tx
-                        .mutate(MutationType::Add, &key, &1i64.to_le_bytes())?;
-                }
-            }
-            IndexType::Sum => {
-                for t in &old_tuples {
-                    let (group, operand) = split_group(ctx.index, t);
-                    if let Some(v) = operand_as_i64(&operand)? {
-                        let key = ctx.subspace.pack(&group);
-                        ctx.tx
-                            .mutate(MutationType::Add, &key, &(-v).to_le_bytes())?;
-                    }
-                }
-                for t in &new_tuples {
-                    let (group, operand) = split_group(ctx.index, t);
-                    if let Some(v) = operand_as_i64(&operand)? {
-                        let key = ctx.subspace.pack(&group);
-                        ctx.tx.mutate(MutationType::Add, &key, &v.to_le_bytes())?;
-                    }
-                }
-            }
             IndexType::MaxEver | IndexType::MinEver => {
-                // "Ever" semantics: deletes do not retract the extreme, so
-                // only new values matter (§7).
-                let mutation = if self.index_type == IndexType::MaxEver {
-                    MutationType::ByteMax
-                } else {
-                    MutationType::ByteMin
-                };
-                for t in &new_tuples {
-                    let (group, operand) = split_group(ctx.index, t);
-                    if operand_is_null(&operand) {
-                        continue;
-                    }
-                    let key = ctx.subspace.pack(&group);
-                    // Packed tuple order == byte order, so BYTE_MIN/MAX on
-                    // the packed operand keeps tuple-ordered extremes.
-                    ctx.tx.mutate(mutation, &key, &operand.pack())?;
-                }
+                self.fold_extremes(ctx, &old_tuples, &new_tuples)?
             }
-            other => unreachable!("non-atomic type {other:?}"),
+            _ => self.fold_counters(ctx, &old_tuples, &new_tuples)?,
         }
         // One key per group: entry count is not a scan-cost signal.
         Ok(0)
@@ -202,12 +219,13 @@ pub fn evaluate(
 mod tests {
     use super::*;
     use crate::expr::KeyExpression;
-    use crate::metadata::RecordMetaDataBuilder;
+    use crate::metadata::{RecordMetaData, RecordMetaDataBuilder};
     use crate::store::RecordStore;
     use rl_fdb::Database;
     use rl_message::{DescriptorPool, FieldDescriptor, FieldType, MessageDescriptor};
 
-    fn metadata() -> crate::metadata::RecordMetaData {
+    /// `Order(id, customer, amount, tags*)` carrying `indexes`.
+    fn order_metadata(indexes: Vec<Index>) -> RecordMetaData {
         let mut pool = DescriptorPool::new();
         pool.add_message(
             MessageDescriptor::new(
@@ -216,69 +234,41 @@ mod tests {
                     FieldDescriptor::optional("id", 1, FieldType::Int64),
                     FieldDescriptor::optional("customer", 2, FieldType::String),
                     FieldDescriptor::optional("amount", 3, FieldType::Int64),
+                    FieldDescriptor::repeated("tags", 4, FieldType::String),
                 ],
             )
             .unwrap(),
         )
         .unwrap();
-        RecordMetaDataBuilder::new(pool)
-            .record_type("Order", KeyExpression::field("id"))
-            .index("Order", Index::count("order_count", KeyExpression::Empty))
-            .index(
-                "Order",
-                Index::count("count_by_customer", KeyExpression::field("customer")),
-            )
-            .index(
-                "Order",
-                Index::sum(
-                    "sum_by_customer",
-                    KeyExpression::field("customer"),
-                    KeyExpression::field("amount"),
-                ),
-            )
-            .index(
-                "Order",
-                Index::max_ever(
-                    "max_amount",
-                    KeyExpression::Empty,
-                    KeyExpression::field("amount"),
-                ),
-            )
-            .index(
-                "Order",
-                Index::min_ever(
-                    "min_amount",
-                    KeyExpression::Empty,
-                    KeyExpression::field("amount"),
-                ),
-            )
-            .index(
-                "Order",
-                Index::count_non_null(
-                    "amount_non_null",
-                    KeyExpression::Empty,
-                    KeyExpression::field("amount"),
-                ),
-            )
-            .index(
-                "Order",
-                Index::count_updates(
-                    "amount_updates",
-                    KeyExpression::Empty,
-                    KeyExpression::field("amount"),
-                ),
-            )
-            .build()
-            .unwrap()
+        let mut builder =
+            RecordMetaDataBuilder::new(pool).record_type("Order", KeyExpression::field("id"));
+        for index in indexes {
+            builder = builder.index("Order", index);
+        }
+        builder.build().unwrap()
     }
 
-    fn save_order(
-        db: &Database,
-        md: &crate::metadata::RecordMetaData,
-        id: i64,
-        customer: &str,
-        amount: Option<i64>,
-    ) {
+    fn metadata() -> RecordMetaData {
+        let amount = || KeyExpression::field("amount");
+        order_metadata(vec![
+            Index::count("order_count", KeyExpression::Empty),
+            Index::count("count_by_customer", KeyExpression::field("customer")),
+            Index::sum(
+                "sum_by_customer",
+                KeyExpression::field("customer"),
+                amount(),
+            ),
+            Index::max_ever("max_amount", KeyExpression::Empty, amount()),
+            Index::min_ever("min_amount", KeyExpression::Empty, amount()),
+            Index::count_non_null("amount_non_null", KeyExpression::Empty, amount()),
+            Index::count_updates("amount_updates", KeyExpression::Empty, amount()),
+        ])
+    }
+
+    /// One `Order`'s indexed fields.
+    type Order<'a> = (&'a str, Option<i64>, &'a [&'a str]);
+
+    fn save(db: &Database, md: &RecordMetaData, id: i64, (customer, amount, tags): Order<'_>) {
         let sub = rl_fdb::Subspace::from_bytes(b"S".to_vec());
         crate::run(db, |tx| {
             let store = RecordStore::open_or_create(tx, &sub, md)?;
@@ -288,18 +278,58 @@ mod tests {
             if let Some(a) = amount {
                 rec.set("amount", a).unwrap();
             }
+            for &tag in tags {
+                rec.push("tags", tag).unwrap();
+            }
             store.save_record(rec)?;
             Ok(())
         })
         .unwrap();
     }
 
-    fn aggregate(
+    fn save_order(
         db: &Database,
-        md: &crate::metadata::RecordMetaData,
-        index: &str,
-        group: Tuple,
-    ) -> AggregateValue {
+        md: &RecordMetaData,
+        id: i64,
+        customer: &str,
+        amount: Option<i64>,
+    ) {
+        save(db, md, id, (customer, amount, &[]));
+    }
+
+    fn delete_order(db: &Database, md: &RecordMetaData, id: i64) {
+        let sub = rl_fdb::Subspace::from_bytes(b"S".to_vec());
+        crate::run(db, |tx| {
+            let store = RecordStore::open_or_create(tx, &sub, md)?;
+            store.delete_record(&Tuple::from((id,)))?;
+            Ok(())
+        })
+        .unwrap();
+    }
+
+    /// Keys written by the commit that saves `after` over `before`, on a
+    /// fresh database.
+    fn overwrite_writes(
+        md: &RecordMetaData,
+        before: Order<'_>,
+        after: Order<'_>,
+    ) -> (Database, u64) {
+        let db = Database::new();
+        save(&db, md, 1, before);
+        let was = db.metrics().snapshot();
+        save(&db, md, 1, after);
+        let written = db.metrics().snapshot().delta(&was).keys_written;
+        (db, written)
+    }
+
+    /// What an overwrite writes besides index keys: the record's payload
+    /// and version, from a store with no indexes.
+    fn record_writes() -> u64 {
+        let same = ("alice", Some(10), &[][..]);
+        overwrite_writes(&order_metadata(vec![]), same, same).1
+    }
+
+    fn aggregate(db: &Database, md: &RecordMetaData, index: &str, group: Tuple) -> AggregateValue {
         let sub = rl_fdb::Subspace::from_bytes(b"S".to_vec());
         crate::run(db, |tx| {
             let store = RecordStore::open_or_create(tx, &sub, md)?;
@@ -363,15 +393,9 @@ mod tests {
     fn delete_decrements() {
         let db = Database::new();
         let md = metadata();
-        let sub = rl_fdb::Subspace::from_bytes(b"S".to_vec());
         save_order(&db, &md, 1, "alice", Some(10));
         save_order(&db, &md, 2, "alice", Some(3));
-        crate::run(&db, |tx| {
-            let store = RecordStore::open_or_create(tx, &sub, &md)?;
-            store.delete_record(&Tuple::from((1i64,)))?;
-            Ok(())
-        })
-        .unwrap();
+        delete_order(&db, &md, 1);
         assert_eq!(
             aggregate(&db, &md, "order_count", Tuple::new()).as_long(),
             Some(1)
@@ -383,20 +407,106 @@ mod tests {
     }
 
     #[test]
+    fn unchanged_overwrite_writes_only_count_updates() {
+        // Same customer and amount: order_count, count_by_customer,
+        // sum_by_customer and amount_non_null fold to zero, max_amount and
+        // min_amount drop the shared operand, amount_updates counts the save.
+        let same = ("alice", Some(10), &[][..]);
+        let (db, written) = overwrite_writes(&metadata(), same, same);
+        assert_eq!(written, record_writes() + 1);
+        let md = metadata();
+        let long = |index, group| aggregate(&db, &md, index, group).as_long();
+        assert_eq!(long("order_count", Tuple::new()), Some(1));
+        assert_eq!(long("count_by_customer", Tuple::from(("alice",))), Some(1));
+        assert_eq!(long("sum_by_customer", Tuple::from(("alice",))), Some(10));
+        assert_eq!(long("amount_non_null", Tuple::new()), Some(1));
+        assert_eq!(long("amount_updates", Tuple::new()), Some(2));
+        for index in ["max_amount", "min_amount"] {
+            assert_eq!(
+                aggregate(&db, &md, index, Tuple::new()),
+                AggregateValue::Tuple(Tuple::from((10i64,)))
+            );
+        }
+    }
+
+    #[test]
+    fn group_change_writes_one_add_per_group() {
+        let md = order_metadata(vec![Index::count(
+            "count_by_customer",
+            KeyExpression::field("customer"),
+        )]);
+        let (db, written) = overwrite_writes(&md, ("alice", Some(10), &[]), ("bob", Some(10), &[]));
+        assert_eq!(written, record_writes() + 2);
+        let count = |c: &str| aggregate(&db, &md, "count_by_customer", Tuple::from((c,)));
+        assert_eq!(count("alice"), AggregateValue::Long(0));
+        assert_eq!(count("bob"), AggregateValue::Long(1));
+    }
+
+    #[test]
+    fn sum_change_writes_one_add_of_the_difference() {
+        let md = order_metadata(vec![Index::sum(
+            "sum_by_customer",
+            KeyExpression::field("customer"),
+            KeyExpression::field("amount"),
+        )]);
+        let (db, written) =
+            overwrite_writes(&md, ("alice", Some(10), &[]), ("alice", Some(4), &[]));
+        assert_eq!(written, record_writes() + 1);
+        assert_eq!(
+            aggregate(&db, &md, "sum_by_customer", Tuple::from(("alice",))),
+            AggregateValue::Long(4)
+        );
+    }
+
+    #[test]
+    fn repeated_field_folds_multiplicity() {
+        // Old tags x x y w, new x y y w: x nets -1, y +1, w 0 — two ADDs.
+        let md = order_metadata(vec![Index::count(
+            "count_by_tag",
+            KeyExpression::field_fanout("tags"),
+        )]);
+        let (db, written) = overwrite_writes(
+            &md,
+            ("alice", None, &["x", "x", "y", "w"]),
+            ("alice", None, &["x", "y", "y", "w"]),
+        );
+        assert_eq!(written, record_writes() + 2);
+        let count = |t: &str| {
+            aggregate(&db, &md, "count_by_tag", Tuple::from((t,)))
+                .as_long()
+                .unwrap()
+        };
+        assert_eq!([count("x"), count("y"), count("w")], [1, 2, 1]);
+    }
+
+    #[test]
+    fn sum_of_i64_min_wraps() {
+        // Retracting i64::MIN negates it, which wraps to itself: the ADD
+        // sums stay what FoundationDB's little-endian ADD makes them.
+        let db = Database::new();
+        let md = metadata();
+        let sum = || {
+            aggregate(&db, &md, "sum_by_customer", Tuple::from(("alice",)))
+                .as_long()
+                .unwrap()
+        };
+        save_order(&db, &md, 1, "alice", Some(i64::MIN));
+        assert_eq!(sum(), i64::MIN);
+        save_order(&db, &md, 1, "alice", Some(5));
+        assert_eq!(sum(), 5);
+        delete_order(&db, &md, 1);
+        assert_eq!(sum(), 0);
+    }
+
+    #[test]
     fn min_max_ever_are_sticky() {
         let db = Database::new();
         let md = metadata();
-        let sub = rl_fdb::Subspace::from_bytes(b"S".to_vec());
         save_order(&db, &md, 1, "a", Some(100));
         save_order(&db, &md, 2, "a", Some(1));
         // Delete both; extremes persist ("ever" semantics).
-        crate::run(&db, |tx| {
-            let store = RecordStore::open_or_create(tx, &sub, &md)?;
-            store.delete_record(&Tuple::from((1i64,)))?;
-            store.delete_record(&Tuple::from((2i64,)))?;
-            Ok(())
-        })
-        .unwrap();
+        delete_order(&db, &md, 1);
+        delete_order(&db, &md, 2);
         assert_eq!(
             aggregate(&db, &md, "max_amount", Tuple::new()),
             AggregateValue::Tuple(Tuple::from((100i64,)))

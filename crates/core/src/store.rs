@@ -555,8 +555,8 @@ impl<'a> RecordStore<'a> {
     }
 
     /// The store header (always present on an open store).
-    pub fn header(&self) -> Result<Option<StoreHeader>> {
-        Ok(Some(self.state.borrow().header))
+    pub fn header(&self) -> StoreHeader {
+        self.state.borrow().header
     }
 
     /// Apply `change` to this transaction's view of the state, after the

@@ -585,6 +585,11 @@ fn edit(
     match (change(old_chain.as_deref())?, stored) {
         (Edit::Keep, _) | (Edit::Remove, None) => return Ok(slot.is_ok()),
         (Edit::Put(chain), stored) => {
+            // A key written on every commit rewrites its whole retained
+            // chain; this histogram's max shows how long that gets.
+            if rl_obs::enabled() {
+                rl_obs::Recorder::global().record("chain_bytes", chain.len() as u64);
+            }
             // Chain blob first, then the old chain freed or the key blob
             // made: the allocation order the file layout depends on.
             let mut chain_blob = Vec::new();

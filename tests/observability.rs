@@ -376,6 +376,55 @@ fn batches_and_compaction_passes_record_their_sizes() {
     assert_eq!(passes.sum() - passes_before.sum(), 2 * 3);
 }
 
+/// A paged write records the byte length of the chain it rewrites, so a
+/// key written on every commit shows as a growing `chain_bytes` max: each
+/// commit inside the MVCC window appends a version the next write copies.
+#[test]
+fn rewritten_chain_lengths_are_recorded() {
+    use rl_fdb::{DatabaseOptions, EngineKind, EvictionPolicy, PagedConfig};
+    let _guard = obs_lock();
+    let chains = || {
+        rl_obs::Recorder::global()
+            .histogram("chain_bytes")
+            .snapshot()
+    };
+    let db = Database::with_options(DatabaseOptions {
+        engine: EngineKind::Paged(PagedConfig::ephemeral(EvictionPolicy::Sieve)),
+        ..DatabaseOptions::default()
+    });
+    let write = || {
+        let tx = db.create_transaction();
+        tx.set(b"hot", &[7u8; 200]);
+        tx.commit().unwrap();
+    };
+
+    rl_obs::set_enabled(false);
+    let before = chains();
+    write();
+    assert_eq!(
+        chains().count(),
+        before.count(),
+        "gate off: nothing is recorded"
+    );
+
+    rl_obs::set_enabled(true);
+    for _ in 0..30 {
+        write();
+    }
+    rl_obs::set_enabled(false);
+    let _ = rl_obs::drain_spans();
+    let after = chains();
+    assert_eq!(after.count() - before.count(), 30, "one sample per write");
+    // 31 retained versions of a 200-byte value.
+    assert!(
+        after.max() > before.max(),
+        "{} -> {}",
+        before.max(),
+        after.max()
+    );
+    assert!(after.max() >= 31 * 200, "max {}", after.max());
+}
+
 /// Disabled, the layer stays quiet: no spans accumulate and draining is
 /// empty (the ≤5% overhead budget in ISSUE.md depends on this path being
 /// a single relaxed load).

@@ -10,7 +10,10 @@
 //!   materialise-then-truncate model, on both storage engines,
 //! * a planned OR or `IN` returns what the filtered full scan returns and
 //!   pages exactly, from every continuation, under scan limits and across
-//!   a delete.
+//!   a delete,
+//! * every atomic aggregate (COUNT, COUNT_UPDATES, COUNT_NON_NULL, SUM,
+//!   MAX_EVER, MIN_EVER) equals a recomputation from a model after random
+//!   saves and deletes, on both storage engines.
 //!
 //! These were originally written against the `proptest` crate; the tier-1
 //! build must work offline with an empty cargo registry, so they now run on
@@ -857,4 +860,328 @@ fn planned_or_and_in_match_the_filtered_scan() {
             );
         }
     });
+}
+
+// ------------------------------------------- aggregate indexes vs a model
+
+/// `Order(id, customer, amount, tags*)` with every atomic index type,
+/// grouped by a plain field, by nothing, and by a fanned-out field.
+fn order_metadata() -> RecordMetaData {
+    let mut pool = DescriptorPool::new();
+    pool.add_message(
+        MessageDescriptor::new(
+            "Order",
+            vec![
+                FieldDescriptor::optional("id", 1, FieldType::Int64),
+                FieldDescriptor::optional("customer", 2, FieldType::String),
+                FieldDescriptor::optional("amount", 3, FieldType::Int64),
+                FieldDescriptor::repeated("tags", 4, FieldType::String),
+            ],
+        )
+        .unwrap(),
+    )
+    .unwrap();
+    let customer = || KeyExpression::field("customer");
+    let amount = || KeyExpression::field("amount");
+    let tags = || KeyExpression::field_fanout("tags");
+    let indexes = [
+        Index::count("order_count", KeyExpression::Empty),
+        Index::count("count_by_customer", customer()),
+        Index::sum("sum_by_customer", customer(), amount()),
+        Index::count_non_null("amount_non_null", KeyExpression::Empty, amount()),
+        Index::count_updates("updates_by_customer", customer(), amount()),
+        Index::max_ever("max_by_customer", customer(), amount()),
+        Index::min_ever("min_by_customer", customer(), amount()),
+        Index::count("count_by_tag", tags()),
+        Index::sum("sum_by_tag", tags(), amount()),
+        Index::max_ever("max_tag", KeyExpression::Empty, tags()),
+        Index::min_ever("min_tag", KeyExpression::Empty, tags()),
+    ];
+    let mut builder =
+        RecordMetaDataBuilder::new(pool).record_type("Order", KeyExpression::field("id"));
+    for index in indexes {
+        builder = builder.index("Order", index);
+    }
+    builder.build().unwrap()
+}
+
+const CUSTOMERS: [&str; 3] = ["a", "b", "c"];
+const ORDER_TAGS: [&str; 3] = ["x", "y", "z"];
+
+#[derive(Clone, Debug)]
+struct Order {
+    customer: &'static str,
+    amount: Option<i64>,
+    tags: Vec<&'static str>,
+}
+
+impl Order {
+    fn multiplicity(&self, tag: &str) -> i64 {
+        self.tags.iter().filter(|t| **t == tag).count() as i64
+    }
+}
+
+/// Null one time in five, an `i64` extreme or a neighbour of 0 two in
+/// five, else small.
+fn arb_amount(rng: &mut XorShift64) -> Option<i64> {
+    match rng.gen_range(0..5u32) {
+        0 => None,
+        1 | 2 => Some([i64::MIN, i64::MAX, -1, 0, 1][rng.gen_range(0..5usize)]),
+        _ => Some(rng.gen_range(-50..50i64)),
+    }
+}
+
+/// 0–3 tags drawn with replacement, so a tag repeats.
+fn arb_tags(rng: &mut XorShift64) -> Vec<&'static str> {
+    (0..rng.gen_range(0..=3usize))
+        .map(|_| ORDER_TAGS[rng.gen_range(0..ORDER_TAGS.len())])
+        .collect()
+}
+
+/// The live records, and the history the "ever" and update-count indexes
+/// keep after a record is gone.
+#[derive(Default)]
+struct AggregateModel {
+    live: std::collections::BTreeMap<i64, Order>,
+    updates: std::collections::BTreeMap<&'static str, i64>,
+    amount_range: std::collections::BTreeMap<&'static str, (i64, i64)>,
+    tag_range: Option<(&'static str, &'static str)>,
+}
+
+impl AggregateModel {
+    fn save(&mut self, id: i64, order: Order) {
+        if let Some(a) = order.amount {
+            *self.updates.entry(order.customer).or_default() += 1;
+            let range = self.amount_range.entry(order.customer).or_insert((a, a));
+            *range = (range.0.min(a), range.1.max(a));
+        }
+        for &t in &order.tags {
+            let (lo, hi) = self.tag_range.get_or_insert((t, t));
+            (*lo, *hi) = ((*lo).min(t), (*hi).max(t));
+        }
+        self.live.insert(id, order);
+    }
+
+    /// Every aggregate of every group, read back and recomputed.
+    fn check(&self, db: &Database, md: &RecordMetaData, sub: &Subspace) {
+        use record_layer::store::AggregateValue;
+        let ever = |v: Option<TupleElement>| {
+            v.map_or(AggregateValue::Absent, |e| {
+                AggregateValue::Tuple(Tuple::from_elements(vec![e]))
+            })
+        };
+        record_layer::run(db, |tx| {
+            let store = RecordStore::open_or_create(tx, sub, md)?;
+            let read = |index: &str, group: Tuple| store.evaluate_aggregate(index, &group).unwrap();
+            let long = |index: &str, group: Tuple| read(index, group).as_long().unwrap();
+            let live = || self.live.values();
+            assert_eq!(long("order_count", Tuple::new()), live().count() as i64);
+            let non_null = live().filter(|o| o.amount.is_some()).count() as i64;
+            assert_eq!(long("amount_non_null", Tuple::new()), non_null);
+            for c in CUSTOMERS {
+                let group = || Tuple::from((c,));
+                let mine = || live().filter(|o| o.customer == c);
+                assert_eq!(
+                    long("count_by_customer", group()),
+                    mine().count() as i64,
+                    "{c}"
+                );
+                let sum = mine().filter_map(|o| o.amount).fold(0, i64::wrapping_add);
+                assert_eq!(long("sum_by_customer", group()), sum, "{c}");
+                let updates = self.updates.get(c).copied().unwrap_or(0);
+                assert_eq!(long("updates_by_customer", group()), updates, "{c}");
+                let range = self.amount_range.get(c);
+                let max = ever(range.map(|r| r.1.into()));
+                assert_eq!(read("max_by_customer", group()), max, "{c}");
+                let min = ever(range.map(|r| r.0.into()));
+                assert_eq!(read("min_by_customer", group()), min, "{c}");
+            }
+            for t in ORDER_TAGS {
+                let group = || Tuple::from((t,));
+                let count: i64 = live().map(|o| o.multiplicity(t)).sum();
+                assert_eq!(long("count_by_tag", group()), count, "{t}");
+                let sum = live()
+                    .filter_map(|o| Some(o.amount?.wrapping_mul(o.multiplicity(t))))
+                    .fold(0, i64::wrapping_add);
+                assert_eq!(long("sum_by_tag", group()), sum, "{t}");
+            }
+            let max = ever(self.tag_range.map(|r| r.1.into()));
+            assert_eq!(read("max_tag", Tuple::new()), max);
+            let min = ever(self.tag_range.map(|r| r.0.into()));
+            assert_eq!(read("min_tag", Tuple::new()), min);
+            Ok(())
+        })
+        .unwrap();
+    }
+}
+
+/// The atomic maintainer folds a change's old and new contributions into
+/// one mutation per group key. Random saves and deletes, several to a
+/// transaction, on both engines; after each commit every aggregate equals
+/// a recomputation from the model. The generator case reaching each fold
+/// branch (each must be reached at least once per engine):
+///
+/// * `zero_sum` — `same_group` keeping the amount: COUNT, COUNT_NON_NULL
+///   and SUM fold to 0 and write nothing; MAX/MIN_EVER drop the shared
+///   operand.
+/// * `difference` — `same_group` with a new amount: one SUM `ADD` of the
+///   difference; one BYTE_MAX/MIN of the new operand.
+/// * `two_keys` — `other_group`: one `ADD` on each group key.
+/// * `null_operand` — an overwrite to a null amount: COUNT_NON_NULL and SUM
+///   retract, COUNT_UPDATES adds nothing.
+/// * `retract_i64_min` — an overwrite or `delete` of an `i64::MIN` amount:
+///   the wrapping negation.
+/// * `multiplicity` — a tag old and new both hold, a different number of
+///   times: `count_by_tag` / `sum_by_tag` fold to the net count.
+/// * `several_per_key` — a save with two or more distinct tags the old
+///   record lacked: `max_tag` / `min_tag` keep the most extreme of them.
+#[test]
+fn aggregate_indexes_match_model() {
+    use std::cell::RefCell;
+    use std::collections::BTreeMap;
+
+    fn cases_reached(old: &Order, new: Option<&Order>) -> Vec<&'static str> {
+        let mut reached = Vec::new();
+        if old.amount == Some(i64::MIN) {
+            reached.push("retract_i64_min");
+        }
+        let Some(new) = new else {
+            return reached;
+        };
+        if old.customer != new.customer {
+            reached.push("two_keys");
+        } else if old.amount == new.amount {
+            reached.push("zero_sum");
+        } else if old.amount.is_some() && new.amount.is_some() {
+            reached.push("difference");
+        }
+        if old.amount.is_some() && new.amount.is_none() {
+            reached.push("null_operand");
+        }
+        if new.tags.iter().any(|&t| {
+            let (o, n) = (old.multiplicity(t), new.multiplicity(t));
+            o > 0 && o != n
+        }) {
+            reached.push("multiplicity");
+        }
+        let mut fresh: Vec<_> = new.tags.iter().filter(|t| !old.tags.contains(t)).collect();
+        fresh.sort();
+        fresh.dedup();
+        if fresh.len() >= 2 {
+            reached.push("several_per_key");
+        }
+        reached
+    }
+
+    let md = order_metadata();
+    for engine in ["memory", "paged"] {
+        let reached = RefCell::new(BTreeMap::<&str, usize>::new());
+        check(
+            &format!("aggregate_indexes_match_model[{engine}]"),
+            16,
+            |rng| {
+                let db = Database::with_options(DatabaseOptions {
+                    engine: EngineKind::from_spec(engine),
+                    ..DatabaseOptions::default()
+                });
+                let sub = Subspace::from_bytes(b"agg".to_vec());
+                let mut model = AggregateModel::default();
+                let mut next_id = 0i64;
+                for _ in 0..10 {
+                    let tx = db.create_transaction();
+                    let store = RecordStore::open_or_create(&tx, &sub, &md).unwrap();
+                    for _ in 0..rng.gen_range(1..=4u32) {
+                        let existing = match model.live.len() {
+                            0 => None,
+                            n => model.live.iter().nth(rng.gen_range(0..n)),
+                        };
+                        let (id, new) = match (existing, rng.gen_range(0..5u32)) {
+                            (None, _) | (_, 0) => {
+                                next_id += 1;
+                                let customer = CUSTOMERS[rng.gen_range(0..CUSTOMERS.len())];
+                                let new = Order {
+                                    customer,
+                                    amount: arb_amount(rng),
+                                    tags: arb_tags(rng),
+                                };
+                                (next_id, Some(new))
+                            }
+                            // same_group
+                            (Some((&id, old)), 1 | 2) => {
+                                let new = Order {
+                                    customer: old.customer,
+                                    amount: if rng.gen_range(0..2u32) == 0 {
+                                        old.amount
+                                    } else {
+                                        arb_amount(rng)
+                                    },
+                                    tags: if rng.gen_range(0..3u32) == 0 {
+                                        old.tags.clone()
+                                    } else {
+                                        arb_tags(rng)
+                                    },
+                                };
+                                (id, Some(new))
+                            }
+                            // other_group
+                            (Some((&id, old)), 3) => {
+                                let at = CUSTOMERS.iter().position(|c| *c == old.customer).unwrap();
+                                let customer = CUSTOMERS[(at + rng.gen_range(1..3usize)) % 3];
+                                let new = Order {
+                                    customer,
+                                    amount: arb_amount(rng),
+                                    tags: arb_tags(rng),
+                                };
+                                (id, Some(new))
+                            }
+                            // delete
+                            (Some((&id, _)), _) => (id, None),
+                        };
+                        if let Some(old) = model.live.get(&id) {
+                            for case in cases_reached(old, new.as_ref()) {
+                                *reached.borrow_mut().entry(case).or_default() += 1;
+                            }
+                        }
+                        match new {
+                            Some(order) => {
+                                let mut rec = store.new_record("Order").unwrap();
+                                rec.set("id", id).unwrap();
+                                rec.set("customer", order.customer).unwrap();
+                                if let Some(a) = order.amount {
+                                    rec.set("amount", a).unwrap();
+                                }
+                                for &t in &order.tags {
+                                    rec.push("tags", t).unwrap();
+                                }
+                                store.save_record(rec).unwrap();
+                                model.save(id, order);
+                            }
+                            None => {
+                                assert!(store.delete_record(&Tuple::from((id,))).unwrap());
+                                model.live.remove(&id);
+                            }
+                        }
+                    }
+                    drop(store);
+                    tx.commit().unwrap();
+                    model.check(&db, &md, &sub);
+                }
+            },
+        );
+        let reached = reached.into_inner();
+        for case in [
+            "zero_sum",
+            "difference",
+            "two_keys",
+            "null_operand",
+            "retract_i64_min",
+            "multiplicity",
+            "several_per_key",
+        ] {
+            assert!(
+                reached.contains_key(case),
+                "[{engine}] {case} never generated: {reached:?}"
+            );
+        }
+    }
 }

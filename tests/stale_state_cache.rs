@@ -334,14 +334,14 @@ fn scenario(db: Database, seed: u64, reached: &Reached) -> Database {
     let (store, reads) = open_checked(&service.v1, &tx, user, "before set_user_version");
     assert_eq!(reads, 0);
     store.set_user_version(7).unwrap();
-    assert_eq!(store.header().unwrap().unwrap().user_version, 7);
+    assert_eq!(store.header().user_version, 7);
     // The same transaction opens again: its own write is not in any cache.
     let (reopened, reads) = open_checked(&service.v1, &tx, user, "after own write");
     assert!(
         reads > 0,
         "a transaction that wrote state must read it back"
     );
-    assert_eq!(reopened.header().unwrap().unwrap().user_version, 7);
+    assert_eq!(reopened.header().user_version, 7);
     count(&reached.own_write);
     tx.commit().unwrap();
     let changed_at = tx.committed_version().unwrap();
@@ -350,19 +350,19 @@ fn scenario(db: Database, seed: u64, reached: &Reached) -> Database {
     let tx = db.create_transaction();
     let (fresh, reads) = open_checked(&service.v1, &tx, user, "fresh after change");
     assert!(reads > 0);
-    assert_eq!(fresh.header().unwrap().unwrap().user_version, 7);
+    assert_eq!(fresh.header().user_version, 7);
     // A read version from before the change still sees the old header, by
     // reading — and must not leave it behind for anyone else.
     assert!(before_change < changed_at);
     let old = db.create_transaction_at(before_change).unwrap();
     let (stale_view, reads) = open_checked(&service.v1, &old, user, "old read version");
     assert!(reads > 0, "read version below the metadata version: bypass");
-    assert_eq!(stale_view.header().unwrap().unwrap().user_version, 0);
+    assert_eq!(stale_view.header().user_version, 0);
     count(&reached.old_read_version);
     let tx = db.create_transaction();
     let (fresh, reads) = open_checked(&service.v1, &tx, user, "after old reader");
     assert_eq!(reads, 0, "the fresh open before this one filled the cache");
-    assert_eq!(fresh.header().unwrap().unwrap().user_version, 7);
+    assert_eq!(fresh.header().user_version, 7);
 
     // --- race_not_committed: a cached belief about an index --------------
     // Catch `racer` up to v2: `ck_user_field0` appears, disabled.
@@ -494,7 +494,7 @@ fn move_onto_a_cached_subspace(src: &Database, dst: &Database, reached: &Reached
         let tx = dst.create_transaction();
         let (store, reads) = open_checked(&dest.v1, &tx, user, "destination before move");
         assert_eq!(reads > 0, expect_reads);
-        assert_eq!(store.header().unwrap().unwrap().user_version, 0);
+        assert_eq!(store.header().user_version, 0);
     }
     let ck = service_for(&source, src, user);
     record_layer::run(src, |tx| {

@@ -58,7 +58,7 @@ fn header_records_versions_and_user_version() {
     let sub = Subspace::from_bytes(b"hdr".to_vec());
     record_layer::run(&db, |tx| {
         let store = RecordStore::open_or_create(tx, &sub, &md)?;
-        let header = store.header()?.unwrap();
+        let header = store.header();
         assert_eq!(header.metadata_version, md.version());
         assert_eq!(header.user_version, 0);
         // The application version (§5) is client-managed.
@@ -68,7 +68,7 @@ fn header_records_versions_and_user_version() {
     .unwrap();
     record_layer::run(&db, |tx| {
         let store = RecordStore::open_or_create(tx, &sub, &md)?;
-        assert_eq!(store.header()?.unwrap().user_version, 7);
+        assert_eq!(store.header().user_version, 7);
         Ok(())
     })
     .unwrap();
@@ -195,6 +195,7 @@ fn delete_all_records_clears_everything_but_header() {
     seed(&db, &md, &sub, 20);
     record_layer::run(&db, |tx| {
         let store = RecordStore::open_or_create(tx, &sub, &md)?;
+        store.set_user_version(3)?;
         store.delete_all_records()?;
         Ok(())
     })
@@ -202,7 +203,7 @@ fn delete_all_records_clears_everything_but_header() {
     record_layer::run(&db, |tx| {
         let store = RecordStore::open_or_create(tx, &sub, &md)?;
         assert!(!store.has_any_record()?);
-        assert!(store.header()?.is_some(), "header survives");
+        assert_eq!(store.header().user_version, 3, "header survives");
         let mut cursor = store.scan_index(
             "by_v",
             &TupleRange::all(),
