@@ -12,7 +12,7 @@
 //!   (`wall-clock`, `no-sleep-in-lib`), so FDB-style deterministic
 //!   simulation stays possible,
 //! * **report hygiene** — benchmark JSON goes through
-//!   `rl_bench::json::Json`, not `format!` (`json-via-builder`), and no
+//!   `rl_harness::json::Json`, not `format!` (`json-via-builder`), and no
 //!   `todo!`/`unimplemented!` ships in non-test code (`no-todo-panic`).
 //!
 //! The [`lexer`] is deliberately conservative: rule patterns only ever

@@ -108,7 +108,7 @@ pub static ALL: &[Rule] = &[
         id: "wall-clock",
         rationale: "library crates must stay deterministic (FDB-style simulation \
                     testing): wall-clock reads belong in rl_obs and the \
-                    bench/harness timing paths only",
+                    harness timing paths only",
         kind: RuleKind::Code(&[
             CodePattern {
                 parts: &["Instant::now"],
@@ -121,14 +121,7 @@ pub static ALL: &[Rule] = &[
                           rl_obs or the logical clock (Database::advance_clock)",
             },
         ]),
-        exempt: &[
-            "crates/obs/",
-            "crates/bench/",
-            "crates/harness/",
-            "tests/",
-            "benches/",
-            "examples/",
-        ],
+        exempt: &["crates/obs/", "crates/harness/", "tests/", "examples/"],
         skip_test_code: true,
     },
     Rule {
@@ -141,25 +134,19 @@ pub static ALL: &[Rule] = &[
             message: "`thread::sleep` in a library crate — advance the logical \
                       clock instead",
         }]),
-        exempt: &[
-            "crates/bench/",
-            "crates/harness/",
-            "tests/",
-            "benches/",
-            "examples/",
-        ],
+        exempt: &["crates/harness/", "tests/", "examples/"],
         skip_test_code: true,
     },
     Rule {
         id: "json-via-builder",
         rationale: "BENCH_*.json must stay schema-stable and parseable: emit \
-                    through rl_bench::json::Json, not hand-concatenated format! \
+                    through rl_harness::json::Json, not hand-concatenated format! \
                     strings",
         kind: RuleKind::Strings {
             escaped: &["{\\\""],
             raw: &["{\""],
             message: "hand-concatenated JSON in a string literal — build a \
-                      `rl_bench::json::Json` tree instead",
+                      `rl_harness::json::Json` tree instead",
         },
         exempt: &["crates/analysis/"],
         skip_test_code: true,
@@ -178,7 +165,7 @@ pub static ALL: &[Rule] = &[
                 message: "`unimplemented!` in non-test code",
             },
         ]),
-        exempt: &["tests/", "benches/"],
+        exempt: &["tests/"],
         skip_test_code: true,
     },
 ];

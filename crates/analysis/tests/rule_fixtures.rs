@@ -58,9 +58,9 @@ fn wall_clock_trips_in_lib_but_not_in_exempt_paths_or_tests() {
         rules_hit(r#"fn f() { let t = SystemTime::now(); }"#),
         ["wall-clock"]
     );
-    // rl_obs and the bench/harness timing paths are allowed wall time.
+    // rl_obs and the harness timing paths are allowed wall time.
     assert!(lint_file("crates/obs/src/fixture.rs", src, ALL).is_empty());
-    assert!(lint_file("crates/bench/src/fixture.rs", src, ALL).is_empty());
+    assert!(lint_file("crates/harness/src/fixture.rs", src, ALL).is_empty());
     // #[cfg(test)] modules are exempt.
     let in_test = "#[cfg(test)]\nmod tests {\n    fn f() { let t = Instant::now(); }\n}";
     assert!(lint(in_test).is_empty());

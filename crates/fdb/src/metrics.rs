@@ -3,8 +3,8 @@
 //! Section 8.2 of the paper reports the median number of FoundationDB keys
 //! read and written while executing common CloudKit operations (e.g. a
 //! query reads ≈38.3 keys of which ≈6.2 are overhead). These counters let
-//! the `overhead_stats` experiment reproduce that table: every transaction
-//! tallies its key reads/writes, and the database aggregates totals.
+//! the workload harness reproduce that table: every transaction tallies
+//! its key reads/writes, and the database aggregates totals.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -19,8 +19,8 @@
 //!                 [--workloads=a,b,...] [--ops=N] [--out=PATH]
 //! ```
 
-use rl_bench::json::Json;
 use rl_fdb::EngineKind;
+use rl_harness::json::Json;
 use rl_harness::{presets, run_scenario};
 use rl_obs::HistogramSnapshot;
 

@@ -3,10 +3,14 @@
 //! Compares throughput (per class and total) and per-class latency
 //! percentiles between two `BENCH_workload.json` files, reporting
 //! percentage deltas and flagging any metric that moved past the
-//! threshold in the bad direction. CI feeds a fresh run against a
-//! stored baseline and fails the build on a non-empty regression list.
+//! threshold in the bad direction. A larger share of failed operations,
+//! or an op class the new run lacks, is a regression at any threshold:
+//! the driver leaves failed ops out of throughput and latency, so those
+//! alone would pass a run whose writes all fail. CI feeds a fresh run
+//! against a stored baseline and fails the build on a non-empty
+//! regression list.
 
-use rl_bench::json::Json;
+use crate::json::Json;
 
 /// Default regression threshold: 25% — wide enough to absorb normal
 /// run-to-run noise on shared CI runners.
@@ -55,6 +59,8 @@ enum Bad {
     Lower,
     /// Higher is a regression (latency).
     Higher,
+    /// Any increase is a regression, whatever the threshold (error rate).
+    Rises,
 }
 
 /// Compare two parsed reports. `threshold` is fractional (0.25 = 25%).
@@ -93,6 +99,7 @@ pub fn compare_reports(old: &Json, new: &Json, threshold: f64) -> Result<Compari
         let regressed = match bad {
             Bad::Lower => n < o * (1.0 - threshold),
             Bad::Higher => o.max(n) >= MIN_LATENCY_US && n > o * (1.0 + threshold),
+            Bad::Rises => n > o,
         };
         if regressed {
             cmp.regressions
@@ -114,21 +121,34 @@ pub fn compare_reports(old: &Json, new: &Json, threshold: f64) -> Result<Compari
         f(new, "totals.throughput_ops_s"),
         Bad::Lower,
     );
+    // The exact share of failed ops, from the counts rather than the
+    // report's rounded `error_rate`, so one failure in a long run counts.
+    let error_rate = |r: &Json| {
+        let errors = f(r, "totals.errors")?;
+        let all = f(r, "totals.ops")? + errors;
+        Some(if all > 0.0 { errors / all } else { 0.0 })
+    };
+    check(
+        "totals.error_rate".into(),
+        error_rate(old),
+        error_rate(new),
+        Bad::Rises,
+    );
 
-    // Per-class metrics, over the union of class names (a class present
-    // in only one file is skipped — the scenario guard above makes that
-    // unlikely, but doctored files shouldn't panic).
-    let mut class_names: Vec<String> = Vec::new();
-    for r in [old, new] {
-        if let Some(classes) = r.get("op_classes").and_then(Json::as_object) {
-            for (name, _) in classes {
-                if !class_names.contains(name) {
-                    class_names.push(name.clone());
-                }
-            }
+    // Per-class metrics, over the old report's classes: a class the new
+    // report lacks is a regression of its own.
+    let class_names = |r: &Json| -> Vec<String> {
+        r.get("op_classes")
+            .map(|c| c.keys().into_iter().map(str::to_string).collect())
+            .unwrap_or_default()
+    };
+    let new_classes = class_names(new);
+    let mut missing = Vec::new();
+    for name in class_names(old) {
+        if !new_classes.contains(&name) {
+            missing.push(format!("op_classes.{name}: missing from the new report"));
+            continue;
         }
-    }
-    for name in &class_names {
         check(
             format!("op_classes.{name}.throughput_ops_s"),
             f(old, &format!("op_classes.{name}.throughput_ops_s")),
@@ -144,6 +164,7 @@ pub fn compare_reports(old: &Json, new: &Json, threshold: f64) -> Result<Compari
             );
         }
     }
+    cmp.regressions.extend(missing);
     Ok(cmp)
 }
 
@@ -165,7 +186,7 @@ pub fn print_comparison(cmp: &Comparison, threshold: f64) -> bool {
     }
     if cmp.has_regressions() {
         println!(
-            "\n{} regression(s) beyond the {:.0}% threshold:",
+            "\n{} regression(s) (threshold {:.0}% on throughput and latency):",
             cmp.regressions.len(),
             threshold * 100.0
         );
@@ -189,7 +210,13 @@ mod tests {
         Json::obj()
             .with("schema_version", 1u64)
             .with("scenario", Json::obj().with("name", name))
-            .with("totals", Json::obj().with("throughput_ops_s", throughput))
+            .with(
+                "totals",
+                Json::obj()
+                    .with("ops", 4000u64)
+                    .with("throughput_ops_s", throughput)
+                    .with("errors", 0u64),
+            )
             .with(
                 "op_classes",
                 Json::obj().with(
@@ -229,6 +256,41 @@ mod tests {
         // regression.
         let cmp = compare_reports(&slow, &old, DEFAULT_THRESHOLD).unwrap();
         assert!(!cmp.has_regressions());
+    }
+
+    #[test]
+    fn detects_a_larger_share_of_failed_ops() {
+        let old = report("mixed_default", 1000.0, 400.0);
+        // Failed ops are left out of throughput and latency, so only the
+        // error counts tell this run apart from the baseline.
+        let mut failing = old.clone();
+        let mut totals = failing.get("totals").unwrap().clone();
+        totals.set("ops", 3999u64);
+        totals.set("errors", 1u64);
+        failing.set("totals", totals);
+        let cmp = compare_reports(&old, &failing, 0.60).unwrap();
+        assert_eq!(cmp.regressions.len(), 1, "{:?}", cmp.regressions);
+        assert!(cmp.regressions[0].starts_with("totals.error_rate"));
+
+        // Fewer failures than the baseline is not a regression.
+        let cmp = compare_reports(&failing, &old, 0.60).unwrap();
+        assert!(!cmp.has_regressions(), "{:?}", cmp.regressions);
+    }
+
+    #[test]
+    fn detects_an_op_class_missing_from_the_new_report() {
+        let old = report("mixed_default", 1000.0, 400.0);
+        let mut lacking = old.clone();
+        lacking.set("op_classes", Json::obj());
+        let cmp = compare_reports(&old, &lacking, DEFAULT_THRESHOLD).unwrap();
+        assert_eq!(
+            cmp.regressions,
+            ["op_classes.point_get: missing from the new report"]
+        );
+
+        // A class only the new report has is new coverage, not a loss.
+        let cmp = compare_reports(&lacking, &old, DEFAULT_THRESHOLD).unwrap();
+        assert!(!cmp.has_regressions(), "{:?}", cmp.regressions);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! in its own manual transaction so commit conflicts are observed
 //! directly (`NotCommitted`) instead of being hidden inside the retry
 //! loop. Every worker's RNG stream is derived deterministically from
-//! the scenario seed ([`rl_bench::derive_seed`]), so a run with the
+//! the scenario seed ([`crate::rng::derive_seed`]), so a run with the
 //! same scenario and thread count issues the same multiset of
 //! operations regardless of interleaving.
 //!
@@ -17,6 +17,7 @@
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Instant;
 
+use crate::rng::{derive_seed, Distribution, Rng, XorShift64, Zipf};
 use crate::sampler::OpKind;
 use crate::scenario::{Extra, Scenario, SizeDist};
 use record_layer::cursor::{Continuation, ExecuteProperties};
@@ -24,8 +25,6 @@ use record_layer::metadata::RecordMetaData;
 use record_layer::plan::{BoxedCursorExt, RecordQueryPlan, RecordQueryPlanner, ScanBounds};
 use record_layer::query::{Comparison, QueryComponent, RecordQuery};
 use record_layer::store::{RecordStore, TupleRange};
-use rl_bench::rng::{Distribution, Rng, XorShift64};
-use rl_bench::{derive_seed, LogNormal, Zipf};
 use rl_fdb::tuple::Tuple;
 use rl_fdb::{Database, DatabaseOptions, EngineKind, Subspace, Transaction};
 use rl_obs::Histogram;
@@ -273,7 +272,7 @@ impl TextGen {
                 zipf: None,
             };
         }
-        let vocab = rl_bench::vocabulary(rng, 4000);
+        let vocab = vocabulary(rng, 4000);
         let zipf = Zipf::new(vocab.len(), 0.9);
         TextGen {
             vocab,
@@ -283,9 +282,57 @@ impl TextGen {
 
     fn body(&self, sc: &Scenario, rng: &mut XorShift64, id: i64) -> String {
         match &self.zipf {
-            Some(zipf) => rl_bench::document(rng, &self.vocab, zipf, sc.body_bytes),
+            Some(zipf) => document(rng, &self.vocab, zipf, sc.body_bytes),
             None => format!("body {id}"),
         }
+    }
+}
+
+/// A synthetic vocabulary with word lengths matched to the paper's Table 2
+/// corpus statistics (mean token length ≈ 7.8 characters).
+fn vocabulary(rng: &mut XorShift64, size: usize) -> Vec<String> {
+    const SYLLABLES: &[&str] = &[
+        "wha", "le", "ish", "ma", "el", "sea", "har", "poon", "ship", "cap", "tain", "oce", "an",
+        "deep", "wave", "sail", "mast", "crew", "hunt", "tide",
+    ];
+    (0..size)
+        .map(|i| {
+            let syllables = 2 + (rng.gen_range(0..3));
+            let mut w = String::new();
+            for _ in 0..syllables {
+                w.push_str(SYLLABLES[rng.gen_range(0..SYLLABLES.len())]);
+            }
+            // Suffix with the index so every vocabulary entry is distinct.
+            w.push_str(&format!("{i:x}"));
+            w
+        })
+        .collect()
+}
+
+/// Generate a document of roughly `target_bytes` with Zipfian token
+/// frequencies over `vocab`.
+fn document(rng: &mut XorShift64, vocab: &[String], zipf: &Zipf, target_bytes: usize) -> String {
+    let mut doc = String::with_capacity(target_bytes + 16);
+    while doc.len() < target_bytes {
+        let word = &vocab[zipf.sample(rng) - 1];
+        doc.push_str(word);
+        doc.push(' ');
+    }
+    doc
+}
+
+/// A log-normal sampler via Box–Muller (avoids extra dependencies).
+struct LogNormal {
+    mu: f64,
+    sigma: f64,
+}
+
+impl Distribution<f64> for LogNormal {
+    fn sample<R: Rng>(&self, rng: &mut R) -> f64 {
+        let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+        let u2: f64 = rng.gen_range(0.0..1.0);
+        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+        (self.mu + self.sigma * z).exp()
     }
 }
 
@@ -677,4 +724,37 @@ fn measure_text_stats(db: &Database, md: &RecordMetaData, sub: &Subspace) -> Tex
         })
     })
     .unwrap()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn lognormal_is_positive_and_heavy_tailed() {
+        let mut r = XorShift64::seed_from_u64(1);
+        let dist = LogNormal {
+            mu: 5.5,
+            sigma: 2.0,
+        };
+        let samples: Vec<f64> = (0..5000).map(|_| dist.sample(&mut r)).collect();
+        assert!(samples.iter().all(|&s| s > 0.0));
+        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
+        let mut sorted = samples.clone();
+        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let median = sorted[sorted.len() / 2];
+        assert!(
+            mean > 2.0 * median,
+            "heavy tail: mean {mean} vs median {median}"
+        );
+    }
+
+    #[test]
+    fn documents_hit_target_size() {
+        let mut r = XorShift64::seed_from_u64(3);
+        let vocab = vocabulary(&mut r, 500);
+        let zipf = Zipf::new(500, 1.05);
+        let doc = document(&mut r, &vocab, &zipf, 5000);
+        assert!(doc.len() >= 5000 && doc.len() < 5200);
+    }
 }

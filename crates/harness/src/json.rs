@@ -1,19 +1,17 @@
-//! A minimal JSON value tree shared by the bench bins and the workload
-//! harness (zero dependencies, like everything tier-1).
+//! A minimal JSON value tree for the workload harness's reports (zero
+//! dependencies, like everything tier-1).
 //!
-//! Before this module every experiment binary hand-concatenated its
-//! `BENCH_*.json` with `format!` — seven slightly different emitters, no
-//! way to read one back. This provides the one implementation all of them
-//! use: build a [`Json`] tree, pretty-print it ([`Json::to_pretty`]), and
-//! parse it back ([`Json::parse`]) for the harness's `--compare` mode and
-//! the round-trip tests.
+//! This is the workspace's one JSON implementation: build a [`Json`]
+//! tree, pretty-print it ([`Json::to_pretty`]), and parse it back
+//! ([`Json::parse`]) for the harness's `--compare` mode and the
+//! round-trip tests.
 //!
 //! Objects preserve insertion order so emitted files are schema-stable
 //! and diffable across runs.
 
 use rl_obs::HistogramSnapshot;
 
-/// A JSON value. Numbers are `f64` (every quantity the bins emit fits);
+/// A JSON value. Numbers are `f64` (every quantity a report emits fits);
 /// integral values print without a fractional part.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -101,7 +99,7 @@ impl Json {
     }
 
     /// A histogram snapshot as the canonical
-    /// `{count, sum, min, max, p50, p95, p99}` object every bench file
+    /// `{count, sum, min, max, p50, p95, p99}` object every report file
     /// uses for distributions.
     pub fn hist(snapshot: &HistogramSnapshot) -> Json {
         Json::obj()

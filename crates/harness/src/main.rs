@@ -10,8 +10,8 @@
 //!
 //! Exit codes: 0 success, 1 usage or I/O error, 2 regressions found.
 
-use rl_bench::json::Json;
 use rl_fdb::EngineKind;
+use rl_harness::json::Json;
 use rl_harness::{compare, presets, report, run_scenario};
 
 fn usage() -> ! {

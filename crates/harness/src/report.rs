@@ -7,7 +7,7 @@
 //! files diff cleanly.
 
 use crate::driver::{ClassResult, RunResult};
-use rl_bench::json::Json;
+use crate::json::Json;
 
 /// Bumped when the report layout changes incompatibly.
 pub const SCHEMA_VERSION: u64 = 1;

@@ -339,6 +339,17 @@ mod tests {
     }
 
     #[test]
+    fn zipf_favours_low_ranks() {
+        let mut r = XorShift64::seed_from_u64(2);
+        let z = Zipf::new(1000, 1.1);
+        let samples: Vec<usize> = (0..5000).map(|_| z.sample(&mut r)).collect();
+        let low = samples.iter().filter(|&&s| s <= 10).count();
+        let high = samples.iter().filter(|&&s| s > 500).count();
+        assert!(low > high * 2, "low {low} vs high {high}");
+        assert!(samples.iter().all(|&s| (1..=1000).contains(&s)));
+    }
+
+    #[test]
     fn roughly_uniform() {
         let mut r = XorShift64::seed_from_u64(99);
         let mut counts = [0usize; 8];

@@ -1,7 +1,7 @@
 //! Operation classes and the weighted mix sampler that drives workers.
 
-use rl_bench::json::Json;
-use rl_bench::rng::Rng;
+use crate::json::Json;
+use crate::rng::Rng;
 
 /// One operation class. The first six are the query shapes the report
 /// breaks out per class; the last three exercise the write path.
@@ -158,7 +158,7 @@ impl OpMix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rl_bench::rng::XorShift64;
+    use crate::rng::XorShift64;
     use std::collections::HashMap;
 
     #[test]

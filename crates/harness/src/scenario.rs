@@ -2,10 +2,11 @@
 //! expressed as plain data so presets are definitions rather than
 //! programs.
 
+use crate::json::Json;
 use crate::sampler::{OpKind, OpMix};
 use record_layer::expr::KeyExpression;
 use record_layer::metadata::{Index, IndexOptions, RecordMetaData, RecordMetaDataBuilder};
-use rl_bench::json::Json;
+use rl_message::{DescriptorPool, FieldDescriptor, FieldType, MessageDescriptor};
 
 /// Distribution of the opaque `payload` field's size per record.
 #[derive(Debug, Clone)]
@@ -161,9 +162,9 @@ impl Scenario {
     }
 
     /// Build the record metadata the scenario's index mix declares.
-    /// All scenarios share the `Item` schema from [`rl_bench`].
+    /// All scenarios share the `Item` schema of `experiment_pool`.
     pub fn metadata(&self) -> RecordMetaData {
-        let mut builder = RecordMetaDataBuilder::new(rl_bench::experiment_pool())
+        let mut builder = RecordMetaDataBuilder::new(experiment_pool())
             .record_type("Item", KeyExpression::field("id"))
             .store_record_versions(self.indexes.version);
         if self.indexes.value {
@@ -262,6 +263,27 @@ impl Scenario {
                     .collect::<Vec<Json>>(),
             )
     }
+}
+
+/// The descriptor pool every scenario uses: a CloudKit-ish record with
+/// an id, a couple of indexed scalars, a text body and an opaque payload.
+fn experiment_pool() -> DescriptorPool {
+    let mut pool = DescriptorPool::new();
+    pool.add_message(
+        MessageDescriptor::new(
+            "Item",
+            vec![
+                FieldDescriptor::optional("id", 1, FieldType::Int64),
+                FieldDescriptor::optional("group", 2, FieldType::String),
+                FieldDescriptor::optional("score", 3, FieldType::Int64),
+                FieldDescriptor::optional("body", 4, FieldType::String),
+                FieldDescriptor::optional("payload", 5, FieldType::Bytes),
+            ],
+        )
+        .unwrap(),
+    )
+    .unwrap();
+    pool
 }
 
 #[cfg(test)]

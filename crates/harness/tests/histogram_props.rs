@@ -1,8 +1,8 @@
 //! Property tests for the `rl_obs` log-bucketed histogram, driven by the
-//! bench crate's deterministic RNG: randomized value streams across the
+//! harness's deterministic RNG: randomized value streams across the
 //! full dynamic range, checked against exact order statistics.
 
-use rl_bench::rng::Rng;
+use rl_harness::rng::{Rng, XorShift64};
 use rl_obs::{Histogram, HistogramSnapshot};
 
 /// Sub-buckets per power-of-two range in the histogram layout; the
@@ -11,7 +11,7 @@ const SUB: u64 = 32;
 
 /// A log-uniform sample: uniform exponent, then uniform within the range,
 /// so every power-of-two block of the histogram gets exercised.
-fn log_uniform(rng: &mut rl_bench::rng::XorShift64, max_bits: u32) -> u64 {
+fn log_uniform(rng: &mut XorShift64, max_bits: u32) -> u64 {
     let bits = rng.gen_range(0..=max_bits);
     if bits == 0 {
         return rng.gen_range(0u64..2);
@@ -28,7 +28,7 @@ fn exact_quantile(sorted: &[u64], q: f64) -> u64 {
 
 #[test]
 fn quantile_rank_error_is_bounded_on_random_streams() {
-    let mut rng = rl_bench::rng(0x0b5e_aab1e);
+    let mut rng = XorShift64::seed_from_u64(0x0b5e_aab1e);
     for round in 0..20 {
         let n = rng.gen_range(1usize..4000);
         let max_bits = rng.gen_range(1u32..48);
@@ -66,7 +66,7 @@ fn quantile_rank_error_is_bounded_on_random_streams() {
 
 #[test]
 fn merge_is_equivalent_to_recording_the_concatenated_stream() {
-    let mut rng = rl_bench::rng(0xc0a1e5ce);
+    let mut rng = XorShift64::seed_from_u64(0xc0a1e5ce);
     for round in 0..10 {
         let a = Histogram::new();
         let b = Histogram::new();
@@ -102,7 +102,7 @@ fn merge_is_equivalent_to_recording_the_concatenated_stream() {
 
 #[test]
 fn merge_order_does_not_matter() {
-    let mut rng = rl_bench::rng(7);
+    let mut rng = XorShift64::seed_from_u64(7);
     let shards: Vec<Histogram> = (0..4).map(|_| Histogram::new()).collect();
     for _ in 0..2000 {
         let v = log_uniform(&mut rng, 40);

@@ -3,8 +3,8 @@
 //! is key-identical across engines; then exercise `--compare` logic on
 //! the real reports (self-compare clean, doctored regression caught).
 
-use rl_bench::json::Json;
 use rl_fdb::{EngineKind, EvictionPolicy, PagedConfig};
+use rl_harness::json::Json;
 use rl_harness::{compare, presets, report, run_scenario};
 
 fn tiny_scenario() -> rl_harness::Scenario {

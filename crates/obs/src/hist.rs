@@ -177,28 +177,6 @@ impl HistogramSnapshot {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
-
-    /// Append this snapshot as a JSON object (count, sum, min/max, common
-    /// quantiles) to `out`. Hand-rolled, matching the bench bins' style.
-    pub fn write_json(&self, out: &mut String) {
-        use std::fmt::Write;
-        // rl_obs sits *below* rl_bench in the dependency graph, so the
-        // Json builder is unavailable here; rl_bench's round-trip tests
-        // parse this output to keep it honest.
-        let _ = write!(
-            out,
-            // rl-lint: allow(json-via-builder) — see above
-            "{{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
-             \"p50\": {}, \"p95\": {}, \"p99\": {}}}",
-            self.count,
-            self.sum,
-            self.min(),
-            self.max,
-            self.quantile(0.50),
-            self.quantile(0.95),
-            self.quantile(0.99),
-        );
-    }
 }
 
 #[cfg(test)]
@@ -290,17 +268,5 @@ mod tests {
         let mut merged = a.snapshot();
         merged.merge(&b.snapshot());
         assert_eq!(merged, both.snapshot());
-    }
-
-    #[test]
-    fn json_shape() {
-        let h = Histogram::new();
-        h.record(10);
-        h.record(20);
-        let mut out = String::new();
-        h.snapshot().write_json(&mut out);
-        assert!(out.starts_with('{') && out.ends_with('}'), "{out}");
-        assert!(out.contains("\"count\": 2"), "{out}");
-        assert!(out.contains("\"p50\""), "{out}");
     }
 }

@@ -11,8 +11,8 @@
 //!   flat array of atomics (mergeable, lock-free to record into).
 //! * [`Recorder`] — a process-wide registry of histograms keyed by static
 //!   operation names (`grv`, `get`, `get_range`, `commit`, `wal_append`,
-//!   `page_read`, `page_flush`, `plan`, `execute`), with a hand-rolled
-//!   JSON exporter for the bench bins.
+//!   `page_read`, `page_flush`, `plan`, `execute`). Reports render its
+//!   [`Recorder::snapshot`] with `rl_harness::json::Json::hist`.
 //! * [`Timer`] — an RAII guard that records elapsed microseconds into a
 //!   recorder histogram on drop, optionally pushing a [`Span`] and feeding
 //!   the slow-op log.
@@ -80,7 +80,7 @@ pub fn enabled() -> bool {
     ObsConfig::global().enabled.load(Ordering::Relaxed)
 }
 
-/// Turn recording on or off at runtime (tests and bench bins).
+/// Turn recording on or off at runtime (tests and the workload harness).
 pub fn set_enabled(on: bool) {
     ObsConfig::global().enabled.store(on, Ordering::Relaxed);
 }

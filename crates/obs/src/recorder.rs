@@ -60,24 +60,6 @@ impl Recorder {
             h.reset();
         }
     }
-
-    /// Export every op's distribution as one JSON object, hand-rolled in
-    /// the same style as the bench bins' `BENCH_*.json` emitters:
-    /// `{"grv": {"count": …, "p50": …, …}, "get": {…}, …}`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (op, snap)) in self.snapshot().iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push('"');
-            out.push_str(op);
-            out.push_str("\": ");
-            snap.write_json(&mut out);
-        }
-        out.push('}');
-        out
-    }
 }
 
 /// RAII timing guard: started against an op name, it records the elapsed
@@ -206,16 +188,5 @@ mod tests {
         assert!(spans
             .iter()
             .any(|s| s.op == "test_spanned" && s.tag == "tag-xyzzy"));
-    }
-
-    #[test]
-    fn json_export_covers_registered_ops() {
-        let r = Recorder::new();
-        r.record("alpha", 5);
-        r.record("beta", 7);
-        let json = r.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
-        assert!(json.contains("\"alpha\": {\"count\": 1"), "{json}");
-        assert!(json.contains("\"beta\""), "{json}");
     }
 }

@@ -11,14 +11,14 @@
 //! updates), and the final database state must equal the replay state.
 //!
 //! Keys are spread over distinct two-byte prefixes so the run crosses
-//! many conflict shards, and every seed comes from `rl_bench::rng` so
+//! many conflict shards, and every seed comes from `rl_harness::rng` so
 //! a failure reproduces.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use rl_bench::rng::{Rng, XorShift64};
 use rl_fdb::{Database, Error};
+use rl_harness::rng::{derive_seed, Rng, XorShift64};
 
 const PAIRS: usize = 24;
 const WRITERS: usize = 6;
@@ -63,7 +63,7 @@ fn stress(db: &Database, seed: u64) {
             let history = &history;
             let writers_done = &writers_done;
             scope.spawn(move || {
-                let mut rng = XorShift64::seed_from_u64(rl_bench::derive_seed(seed, w as u64));
+                let mut rng = XorShift64::seed_from_u64(derive_seed(seed, w as u64));
                 for _ in 0..OPS_PER_WRITER {
                     let pair = rng.gen_range(0..PAIRS);
                     let (ka, kb) = pair_keys(pair);
@@ -100,8 +100,7 @@ fn stress(db: &Database, seed: u64) {
             let db = db.clone();
             let writers_done = &writers_done;
             scope.spawn(move || {
-                let mut rng =
-                    XorShift64::seed_from_u64(rl_bench::derive_seed(seed, 1_000 + r as u64));
+                let mut rng = XorShift64::seed_from_u64(derive_seed(seed, 1_000 + r as u64));
                 while writers_done.load(Ordering::Acquire) < WRITERS as u64 {
                     let pair = rng.gen_range(0..PAIRS);
                     let (ka, kb) = pair_keys(pair);

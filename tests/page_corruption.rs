@@ -17,7 +17,7 @@
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use rl_bench::rng::{Rng, XorShift64};
+use rl_harness::rng::{Rng, XorShift64};
 use rl_storage::btree::{self, Cursor};
 use rl_storage::pool::BufferPool;
 use rl_storage::{EvictionPolicy, IoCounters};

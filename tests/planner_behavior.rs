@@ -635,7 +635,8 @@ fn intersection_interrupted_by_scan_limit_resumes_and_completes() {
         )
         .unwrap();
     let one_shot = run_plan(&db, &md, &sub, &plan);
-    assert_eq!(one_shot.len(), 10);
+    // The set intersection: red (id % 3 == 0) ∩ even (id % 2 == 0).
+    assert_eq!(one_shot, (0..60).step_by(6).collect::<Vec<i64>>());
 
     let mut paged: Vec<i64> = Vec::new();
     let mut continuation = Continuation::Start;

@@ -17,13 +17,13 @@
 //!
 //! These were originally written against the `proptest` crate; the tier-1
 //! build must work offline with an empty cargo registry, so they now run on
-//! the repository's own deterministic PRNG (`rl_bench::rng`). There is no
+//! the repository's own deterministic PRNG (`rl_harness::rng`). There is no
 //! shrinking — a failure reports the property name, case index, and seed,
 //! which is enough to replay it deterministically.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use rl_bench::rng::{Rng, XorShift64};
+use rl_harness::rng::{Rng, XorShift64};
 
 use record_layer::cursor::{Continuation, CursorResult, ExecuteProperties, NoNextReason};
 use record_layer::expr::KeyExpression;

@@ -415,3 +415,83 @@ fn filtered_branches_page_across_a_rejected_run() {
         assert_eq!(ids, [id], "{}", plan.describe());
     }
 }
+
+/// The §8.2 split of a query's reads: a fetching index scan reads one
+/// entry and one record per row, all of it payload, and a covering scan of
+/// the same filter returns the same rows from the entries alone.
+#[test]
+fn covering_scan_reads_only_its_index_entries() {
+    let db = Database::new();
+    let md = metadata();
+    let sub = seed(&db, &md);
+    let tx = db.create_transaction();
+    let store = RecordStore::open_or_create(&tx, &sub, &md).unwrap();
+    let planner = RecordQueryPlanner::new(&md);
+    let query = RecordQuery::new()
+        .record_type("Item")
+        .filter(QueryComponent::field(
+            "group",
+            Comparison::Equals(2i64.into()),
+        ));
+
+    let fetching = planner.plan(&query).unwrap();
+    assert_eq!(fetching.describe(), "IndexScan(by_group)");
+    let mut fetched = Vec::new();
+    let keys = keys_read_by(&tx, || {
+        fetched = fetching.execute_all(&store).unwrap();
+    });
+    assert_eq!(fetched.len() as i64, GROUP_SIZE);
+    assert_eq!(keys, 300 + 300);
+
+    let covering = planner
+        .plan(&query.require_fields(&["id", "group"]))
+        .unwrap();
+    assert_eq!(covering.describe(), "Covering(IndexScan(by_group))");
+    let mut covered = Vec::new();
+    let keys = keys_read_by(&tx, || {
+        covered = covering.execute_all(&store).unwrap();
+    });
+    assert_eq!(keys, 300);
+    assert_eq!(
+        covered.iter().map(id_of).collect::<Vec<_>>(),
+        fetched.iter().map(id_of).collect::<Vec<_>>()
+    );
+}
+
+/// The §8.2 split of a save's writes: a new record writes its one payload
+/// key, and each VALUE index adds its entry and an ADD to its entry count,
+/// beside the store's record count — four index keys for two indexes.
+#[test]
+fn save_writes_one_entry_and_one_count_per_index() {
+    let db = Database::new();
+    let md = RecordMetaDataBuilder::new(metadata().pool().clone())
+        .record_type("Item", KeyExpression::field("id"))
+        .index(
+            "Item",
+            Index::value("by_group", KeyExpression::field("group")),
+        )
+        .index(
+            "Item",
+            Index::value("by_score_value", KeyExpression::field("score")),
+        )
+        .store_record_versions(false)
+        .build()
+        .unwrap();
+    let sub = Subspace::from_bytes(b"wb".to_vec());
+    record_layer::run(&db, |tx| {
+        RecordStore::open_or_create(tx, &sub, &md).map(drop)
+    })
+    .unwrap();
+
+    for id in 0..8i64 {
+        let tx = db.create_transaction();
+        let store = RecordStore::open_or_create(&tx, &sub, &md).unwrap();
+        let mut item = store.new_record("Item").unwrap();
+        item.set("id", id).unwrap();
+        item.set("group", id % 3).unwrap();
+        item.set("score", id * 10).unwrap();
+        store.save_record(item).unwrap();
+        tx.commit().unwrap();
+        assert_eq!(tx.trace().keys_written, 1 + 2 * 2 + 1, "save of {id}");
+    }
+}

@@ -43,12 +43,12 @@ use record_layer::cursor::{Continuation, ExecuteProperties, RecordCursor};
 use record_layer::index::builder::OnlineIndexBuilder;
 use record_layer::index::IndexState;
 use record_layer::store::{RecordStore, StoreHeader, TupleRange};
-use rl_bench::rng::{Rng, XorShift64};
 use rl_fdb::tuple::{Tuple, TupleElement};
 use rl_fdb::{
     Database, DatabaseOptions, EngineKind, EvictionPolicy, PagedConfig, Transaction,
     STATE_CACHE_CAPACITY,
 };
+use rl_harness::rng::{derive_seed, Rng, XorShift64};
 use rl_message::Value;
 
 const APP: &str = "app";
@@ -440,7 +440,7 @@ fn scenario(db: Database, seed: u64, reached: &Reached) -> Database {
     std::thread::scope(|scope| {
         for t in 0..THREADS {
             let (db, service, stop) = (&db, &service, &stop);
-            let seed = rl_bench::derive_seed(seed, 100 + t);
+            let seed = derive_seed(seed, 100 + t);
             scope.spawn(move || worker(db, service, seed, stop, reached));
         }
         for round in 0..USERS {

@@ -43,8 +43,8 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use rl_bench::rng::{Rng, XorShift64};
 use rl_fdb::key_after;
+use rl_harness::rng::{Rng, XorShift64};
 use rl_storage::{EvictionPolicy, IoCounters, MemoryEngine, PagedEngine, StorageEngine};
 
 /// Fixed base seed: every run exercises the same cases. Change it (or run
