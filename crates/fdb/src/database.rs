@@ -79,21 +79,25 @@ pub enum EngineKind {
 
 impl EngineKind {
     /// Parse an engine spec string — the same grammar as the `RL_ENGINE`
-    /// environment variable: `memory`, `paged`, or `paged:<lru|clock|sieve>`
-    /// (the paged forms get an ephemeral temp directory). Anything else
-    /// falls back to the in-memory engine, mirroring `RL_ENGINE` handling.
-    pub fn from_spec(spec: &str) -> EngineKind {
-        let mut parts = spec.splitn(2, ':');
-        match parts.next() {
-            Some("paged") => {
-                let eviction = parts
-                    .next()
-                    .and_then(|p| p.parse().ok())
-                    .unwrap_or_default();
-                EngineKind::Paged(PagedConfig::ephemeral(eviction))
-            }
-            _ => EngineKind::InMemory,
-        }
+    /// environment variable: exactly `memory`, `paged`, or
+    /// `paged:<lru|clock|sieve>` (the paged forms get an ephemeral temp
+    /// directory; bare `paged` evicts LRU). Anything else is an error that
+    /// names the grammar, so a typo never selects another engine.
+    pub fn from_spec(spec: &str) -> std::result::Result<EngineKind, String> {
+        let eviction = match spec {
+            "memory" => return Ok(EngineKind::InMemory),
+            "paged" => Some(EvictionPolicy::default()),
+            _ => spec
+                .strip_prefix("paged:")
+                .and_then(|policy| EvictionPolicy::ALL.into_iter().find(|p| p.name() == policy)),
+        };
+        eviction
+            .map(|eviction| EngineKind::Paged(PagedConfig::ephemeral(eviction)))
+            .ok_or_else(|| {
+                format!(
+                    "unknown engine spec {spec:?}: want memory, paged or paged:<lru|clock|sieve>"
+                )
+            })
     }
 
     /// Short engine family name: `memory` or `paged`.
@@ -179,9 +183,11 @@ impl Default for DatabaseOptions {
 }
 
 /// Resolve `RL_ENGINE` into an engine selection (default: in-memory).
+/// Panics on a value [`EngineKind::from_spec`] rejects: a test run asked
+/// for one engine must not silently run on another.
 fn engine_from_env() -> EngineKind {
     match std::env::var("RL_ENGINE") {
-        Ok(value) => EngineKind::from_spec(&value),
+        Ok(value) => EngineKind::from_spec(&value).unwrap_or_else(|e| panic!("RL_ENGINE: {e}")),
         Err(_) => EngineKind::InMemory,
     }
 }
@@ -1117,6 +1123,24 @@ mod tests {
     use super::*;
     use crate::atomic::MutationType;
     use crate::range::RangeOptions;
+
+    #[test]
+    fn engine_specs_parse_exactly() {
+        let parse =
+            |spec: &str| EngineKind::from_spec(spec).map(|k| (k.kind_name(), k.pool_policy()));
+        assert_eq!(parse("memory"), Ok(("memory", None)));
+        assert_eq!(parse("paged"), Ok(("paged", Some("lru"))));
+        for policy in ["lru", "clock", "sieve"] {
+            assert_eq!(
+                parse(&format!("paged:{policy}")),
+                Ok(("paged", Some(policy)))
+            );
+        }
+        for bad in ["paged:fifo", "paged:seive", "paged:", "Paged", "disk", ""] {
+            let err = EngineKind::from_spec(bad).unwrap_err();
+            assert!(err.contains("paged:<lru|clock|sieve>"), "{bad:?}: {err}");
+        }
+    }
 
     #[test]
     fn basic_set_get_across_transactions() {

@@ -165,7 +165,12 @@ fn main() {
 
     let engines: Vec<EngineKind> = engine_specs
         .iter()
-        .map(|s| EngineKind::from_spec(s))
+        .map(|s| {
+            EngineKind::from_spec(s).unwrap_or_else(|e| {
+                eprintln!("{e}");
+                std::process::exit(1);
+            })
+        })
         .collect();
 
     println!(

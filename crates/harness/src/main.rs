@@ -137,12 +137,12 @@ fn main() {
 
     // Engine: explicit flag wins, otherwise honour RL_ENGINE like the
     // test suite does.
-    let engine = match engine_spec {
-        Some(spec) => EngineKind::from_spec(&spec),
-        None => match std::env::var("RL_ENGINE") {
-            Ok(spec) => EngineKind::from_spec(&spec),
-            Err(_) => EngineKind::InMemory,
-        },
+    let engine = match engine_spec.or_else(|| std::env::var("RL_ENGINE").ok()) {
+        Some(spec) => EngineKind::from_spec(&spec).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(1);
+        }),
+        None => EngineKind::InMemory,
     };
 
     let result = run_scenario(&scenario, engine);

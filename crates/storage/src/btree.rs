@@ -15,15 +15,21 @@
 //! chain    := count u32  (version u64  0x00 | 0x01 len u32 value){count}
 //! ```
 //!
-//! **What is borrowed, when a copy is made.** No node is ever decoded.
-//! [`BufferPool::read`] hands out the frame's own bytes; a walk parses
-//! entries where they lie — every tag, length and bound checked as it is
-//! crossed — and compares inline keys as slices of the page. Bytes are
-//! copied only for an overflow key that the inline keys around it cannot
-//! decide about and an overflow chain that is read, for the one visible
-//! value [`get`] returns, and for the rows a caller of [`Cursor::next`]
-//! keeps: the cursor lends key and encoded-chain slices of its leaf, which
-//! [`chain_visible_at`] and [`chain_entries`] read as is.
+//! **What is cached per image, what is borrowed, when a copy is made.**
+//! [`BufferPool::read`] hands out the frame's own image. The first walk of
+//! an image parses its entries where they lie, checking every tag, length
+//! and bound as it crosses them, and leaves in the image the offset of each
+//! entry: one `u16` per entry, plus the end. Every walk after that
+//! binary-searches those offsets, compares inline keys as slices of the
+//! page, and reads an overflow key only when a probe lands on it. The
+//! offsets cannot go stale, because an image never changes: a rewrite
+//! installs a new image whose cache starts empty. [`check_consistency`]
+//! still compares every cached set with a fresh parse. Bytes are copied
+//! only for an overflow key a probe lands on and an overflow chain that is
+//! read, for the one visible value [`get`] returns, and for the rows a
+//! caller of [`Cursor::next`] keeps: the cursor lends key and encoded-chain
+//! slices of its leaf, which [`chain_visible_at`] and [`chain_entries`]
+//! read as is.
 //!
 //! **Writes: one descent, an ancestor rewritten only if its child's id
 //! changed.** [`write`], [`update`] and [`prune`] descend once, keeping
@@ -53,7 +59,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use crate::page::{PageId, MAX_PAYLOAD, NO_PAGE};
-use crate::pool::{BufferPool, Page};
+use crate::pool::{BufferPool, Image, Page};
 
 /// Keys over this length are spilled to overflow pages.
 const INLINE_KEY_MAX: usize = 128;
@@ -127,55 +133,55 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// The entry count of a node tagged `want`, and a reader at its first entry.
-fn open_node(page: &[u8], id: PageId, want: u8) -> io::Result<(usize, Reader<'_>)> {
+/// Where the entries of a node tagged `tag` lie in its page, found in one
+/// pass that checks every tag, length and bound of the node. Leaf: entry
+/// `i` (a key blob, then its chain blob) is at `at[i]..at[i + 1]`.
+/// Internal: child pointer `i` is at `at[i]` and, but for the last,
+/// separator `i` follows it up to `at[i + 1]`. So a leaf has `at.len() - 1`
+/// entries and an internal node `at.len() - 1` children.
+fn parse_index(page: &[u8], id: PageId, tag: u8) -> io::Result<Box<[u16]>> {
     let mut r = Reader::at(page, 0, id);
-    let tag = r.take(1)?[0];
+    let found = r.take(1)?[0];
     let count = u16::from_le_bytes(r.take(2)?.try_into().unwrap()) as usize;
-    if tag != want || count > MAX_ENTRIES {
-        let what = format!("page {id}: node tag {tag} with {count} entries, not tag {want}");
+    if found != tag || count > MAX_ENTRIES {
+        let what = format!("page {id}: node tag {found} with {count} entries, not tag {tag}");
         return Err(corrupt(what));
     }
-    Ok((count, r))
-}
-
-/// Where a node's entries lie in its page, found in one pass that checks
-/// every tag, length and bound of the node: what a cursor standing on the
-/// node, a split or the consistency check work from.
-#[derive(Debug)]
-struct Index {
-    /// Leaf: entry `i` — a key blob, then its chain blob — is at
-    /// `at[i]..at[i + 1]`. Internal: child pointer `i` is at `at[i]` and,
-    /// but for the last, separator `i` follows it up to `at[i + 1]`.
-    at: [u16; MAX_ENTRIES + 2],
-    /// Entries of a leaf, children of an internal node.
-    len: usize,
-}
-
-impl Index {
-    fn of(page: &[u8], id: PageId, tag: u8) -> io::Result<Index> {
-        let (count, mut r) = open_node(page, id, tag)?;
-        let len = if tag == TAG_LEAF { count } else { count + 1 };
-        let mut at = [0u16; MAX_ENTRIES + 2];
-        for (i, slot) in at.iter_mut().enumerate().take(len) {
-            *slot = r.pos as u16;
-            if tag == TAG_LEAF {
-                r.blob()?;
-            } else {
-                r.u32()?;
-            }
-            if tag == TAG_LEAF || i < count {
-                r.blob()?;
-            }
+    let len = if tag == TAG_LEAF { count } else { count + 1 };
+    let mut at = Vec::with_capacity(len + 1);
+    for i in 0..len {
+        at.push(r.pos as u16);
+        if tag == TAG_LEAF {
+            r.blob()?;
+        } else {
+            r.u32()?;
         }
-        at[len] = r.pos as u16;
-        Ok(Index { at, len })
+        if tag == TAG_LEAF || i < count {
+            r.blob()?;
+        }
     }
+    at.push(r.pos as u16);
+    Ok(at.into_boxed_slice())
+}
 
-    fn child(&self, page: &[u8], i: usize) -> PageId {
-        let at = self.at[i] as usize;
-        u32::from_le_bytes(page[at..at + 4].try_into().unwrap())
+/// [`parse_index`] of a pool image, parsed the first time the image is
+/// walked and read from the image after that. The tag is checked on every
+/// call: offsets cached for a leaf never serve a walk that wants an
+/// internal node, or the reverse.
+fn index(page: &Image, id: PageId, tag: u8) -> io::Result<&[u16]> {
+    match page.offsets.get() {
+        Some(at) if page[0] == tag => Ok(at),
+        _ => {
+            let at = parse_index(page, id, tag)?;
+            Ok(page.offsets.get_or_init(|| at))
+        }
     }
+}
+
+/// Child pointer `i` of an internal node whose index is `at`.
+fn child(page: &[u8], at: &[u16], i: usize) -> PageId {
+    let at = at[i] as usize;
+    u32::from_le_bytes(page[at..at + 4].try_into().unwrap())
 }
 
 /// `node` with the bytes in `range` replaced by `with`, holding `count`
@@ -429,55 +435,33 @@ fn chain_pushed(old: &[u8], version: u64, value: Option<&[u8]>) -> io::Result<(V
 // ------------------------------------------------------------------ walks
 
 /// Find `key` among a leaf's keys or an internal node's separators, as
-/// `slice::binary_search` would, in one forward pass over the page; also
-/// returns the byte offset of the entry (separator) found or to insert
-/// before. Inline keys are compared where they lie. An overflow key is read
-/// out of its pages only when the inline keys around it cannot decide: the
-/// overflow keys since the last smaller inline key are remembered and,
-/// once a larger one or the end stops the pass, binary-searched.
+/// `slice::binary_search` would, through the node's index `at`. Inline keys
+/// are compared where they lie; an overflow key is read out of its pages
+/// only when a probe lands on it.
 fn locate(
     pool: &mut BufferPool,
     page: &[u8],
     id: PageId,
     tag: u8,
+    at: &[u16],
     key: &[u8],
-) -> io::Result<(Result<usize, usize>, usize)> {
-    let (count, mut r) = open_node(page, id, tag)?;
-    let mut spilled = Vec::new();
-    let mut stop = None;
-    for i in 0..count {
-        if tag == TAG_INTERNAL {
-            r.u32()?;
-        }
-        let at = r.pos;
-        match r.blob()? {
-            Blob::Inline(stored) => match stored.cmp(key) {
-                Ordering::Less => spilled.clear(),
-                Ordering::Equal => return Ok((Ok(i), at)),
-                Ordering::Greater => {
-                    stop = Some((i, at));
-                    break;
-                }
-            },
-            stored => spilled.push((i, at, stored)),
-        }
-        if tag == TAG_LEAF {
-            r.blob()?;
-        }
-    }
-    let (mut lo, mut hi) = (0, spilled.len());
+) -> io::Result<Result<usize, usize>> {
+    // An internal node's separator `i` follows child pointer `i`.
+    let (keys, skip) = match tag {
+        TAG_LEAF => (at.len() - 1, 0),
+        _ => (at.len() - 2, 4),
+    };
+    let (mut lo, mut hi) = (0, keys);
     while lo < hi {
-        let mid = (lo + hi) / 2;
-        let (i, at, stored) = spilled[mid];
+        let mid = lo + (hi - lo) / 2;
+        let stored = Reader::at(page, at[mid] as usize + skip, id).blob()?;
         match (*stored.load(pool)?).cmp(key) {
             Ordering::Less => lo = mid + 1,
             Ordering::Greater => hi = mid,
-            Ordering::Equal => return Ok((Ok(i), at)),
+            Ordering::Equal => return Ok(Ok(mid)),
         }
     }
-    let end = (count, r.pos + if tag == TAG_INTERNAL { 4 } else { 0 });
-    let (i, at) = spilled.get(lo).map(|s| (s.0, s.1)).or(stop).unwrap_or(end);
-    Ok((Err(i), at))
+    Ok(Err(lo))
 }
 
 /// Route `key` from the (non-empty) root to its leaf, reporting each
@@ -495,17 +479,13 @@ fn descend(
         if page.first() == Some(&TAG_LEAF) {
             return Ok((id, page));
         }
-        let (sep, at) = locate(pool, &page, id, TAG_INTERNAL, key)?;
-        let mut r = Reader::at(&page, at, id);
-        let idx = match sep {
-            Ok(i) => r.blob().map(|_| i + 1)?,
-            Err(i) => {
-                r.pos -= 4;
-                i
-            }
+        let at = index(&page, id, TAG_INTERNAL)?;
+        let idx = match locate(pool, &page, id, TAG_INTERNAL, at, key)? {
+            Ok(sep) => sep + 1,
+            Err(sep) => sep,
         };
-        step(id, &page, idx, r.pos);
-        id = r.u32()?;
+        step(id, &page, idx, at[idx] as usize);
+        id = child(&page, at, idx);
     }
     Err(too_deep())
 }
@@ -517,10 +497,11 @@ pub fn get(pool: &mut BufferPool, key: &[u8], read_version: u64) -> io::Result<O
         return Ok(None);
     }
     let (id, leaf) = descend(pool, key, |_, _, _, _| {})?;
-    let (Ok(_), at) = locate(pool, &leaf, id, TAG_LEAF, key)? else {
+    let at = index(&leaf, id, TAG_LEAF)?;
+    let Ok(i) = locate(pool, &leaf, id, TAG_LEAF, at, key)? else {
         return Ok(None);
     };
-    let mut r = Reader::at(&leaf, at, id);
+    let mut r = Reader::at(&leaf, at[i] as usize, id);
     r.blob()?;
     let chain = r.blob()?.load(pool)?;
     Ok(chain_visible_at(&chain, read_version)?.map(<[u8]>::to_vec))
@@ -571,8 +552,11 @@ fn edit(
     let mut path = Vec::new();
     let step = |id, page: &Page, _, at| path.push((id, Arc::clone(page), at));
     let (leaf_id, old) = descend(pool, key, step)?;
-    let (mut count, _) = open_node(&old, leaf_id, TAG_LEAF)?;
-    let (slot, at) = locate(pool, &old, leaf_id, TAG_LEAF, key)?;
+    let entries = index(&old, leaf_id, TAG_LEAF)?;
+    let mut count = entries.len() - 1;
+    let slot = locate(pool, &old, leaf_id, TAG_LEAF, entries, key)?;
+    let (Ok(i) | Err(i)) = slot;
+    let at = entries[i] as usize;
     // The entry's byte range, and its key blob, chain offset and chain blob.
     let (mut span, mut stored) = (at..at, None);
     if slot.is_ok() {
@@ -617,7 +601,7 @@ fn edit(
         if new_child == child && split.is_none() {
             return Ok(slot.is_ok());
         }
-        let (mut count, _) = open_node(&page, parent, TAG_INTERNAL)?;
+        let mut count = index(&page, parent, TAG_INTERNAL)?.len() - 2;
         let mut entry = new_child.to_le_bytes().to_vec();
         if let Some((sep, right)) = split {
             entry.extend_from_slice(&sep);
@@ -643,8 +627,8 @@ fn write_leaf(pool: &mut BufferPool, id: PageId, leaf: Vec<u8>) -> io::Result<Wr
     if leaf.len() <= MAX_PAYLOAD {
         return Ok((pool.write_cow(id, leaf)?, None));
     }
-    let index = Index::of(&leaf, id, TAG_LEAF)?;
-    let (count, start) = (index.len, |i: usize| index.at[i] as usize);
+    let index = parse_index(&leaf, id, TAG_LEAF)?;
+    let (count, start) = (index.len() - 1, |i: usize| index[i] as usize);
     if count < 2 {
         return Err(corrupt(format!("leaf {id}: one entry fills the page")));
     }
@@ -672,16 +656,16 @@ fn write_internal(pool: &mut BufferPool, id: PageId, node: Vec<u8>) -> io::Resul
     if node.len() <= MAX_PAYLOAD {
         return Ok((pool.write_cow(id, node)?, None));
     }
-    let index = Index::of(&node, id, TAG_INTERNAL)?;
-    let count = index.len - 1;
+    let index = parse_index(&node, id, TAG_INTERNAL)?;
+    let count = index.len() - 2;
     if count < 3 {
         return Err(corrupt(format!("internal {id}: too few separators")));
     }
     // Promote the middle separator; each side keeps >= 1 separator.
     let mid = (count / 2).clamp(1, count - 2);
-    let sep = index.at[mid] as usize + 4..index.at[mid + 1] as usize;
+    let sep = index[mid] as usize + 4..index[mid + 1] as usize;
     let left = node_from(TAG_INTERNAL, mid, &node[NODE_HEADER..sep.start]);
-    let right = &node[sep.end..index.at[index.len] as usize];
+    let right = &node[sep.end..index[count + 1] as usize];
     let right = node_from(TAG_INTERNAL, count - mid - 1, right);
     let promoted = node[sep].to_vec();
     let left_id = pool.write_cow(id, left)?;
@@ -763,7 +747,6 @@ pub struct Cursor {
     stack: Vec<(PageId, usize)>,
     leaf: Page,
     leaf_id: PageId,
-    index: Index,
     /// Forward: next index to yield. Backward: one past the next index.
     pos: usize,
     forward: bool,
@@ -781,7 +764,6 @@ impl Cursor {
             stack: Vec::new(),
             leaf: Page::default(),
             leaf_id: NO_PAGE,
-            index: Index::of(&[TAG_LEAF, 0, 0], NO_PAGE, TAG_LEAF)?,
             pos: 0,
             forward,
             done: pool.root() == NO_PAGE,
@@ -791,17 +773,11 @@ impl Cursor {
         if !cursor.done {
             let stack = &mut cursor.stack;
             let (id, leaf) = descend(pool, bound, |id, _, idx, _| stack.push((id, idx)))?;
-            cursor.enter_leaf(id, leaf)?;
-            let (Ok(pos) | Err(pos), _) = locate(pool, &cursor.leaf, id, TAG_LEAF, bound)?;
-            cursor.pos = pos;
+            let at = index(&leaf, id, TAG_LEAF)?;
+            let (Ok(pos) | Err(pos)) = locate(pool, &leaf, id, TAG_LEAF, at, bound)?;
+            (cursor.leaf_id, cursor.leaf, cursor.pos) = (id, leaf, pos);
         }
         Ok(cursor)
-    }
-
-    fn enter_leaf(&mut self, id: PageId, leaf: Page) -> io::Result<()> {
-        self.index = Index::of(&leaf, id, TAG_LEAF)?;
-        (self.leaf_id, self.leaf) = (id, leaf);
-        Ok(())
     }
 
     /// Yield the next `(key, encoded chain)` in cursor direction, or
@@ -811,13 +787,14 @@ impl Cursor {
             if self.done {
                 return Ok(None);
             }
-            if self.forward && self.pos < self.index.len {
+            let at = index(&self.leaf, self.leaf_id, TAG_LEAF)?;
+            if self.forward && self.pos < at.len() - 1 {
                 self.pos += 1;
-                break self.index.at[self.pos - 1];
+                break at[self.pos - 1];
             }
             if !self.forward && self.pos > 0 {
                 self.pos -= 1;
-                break self.index.at[self.pos];
+                break at[self.pos];
             }
             self.done = !self.next_leaf(pool)?;
         };
@@ -841,33 +818,37 @@ impl Cursor {
 
     /// Move to the neighbouring leaf in cursor direction: up the trail to
     /// the first node with a further child on that side, then down that
-    /// child's near edge. `false` at the end of the tree.
+    /// child's near edge. Every leaf lies as deep as the one the cursor
+    /// leaves, so the way down is internal nodes to that depth, then a
+    /// leaf; a node of the other kind on it is damage. `false` at the end
+    /// of the tree.
     fn next_leaf(&mut self, pool: &mut BufferPool) -> io::Result<bool> {
+        let depth = self.stack.len();
         while let Some((parent, idx)) = self.stack.pop() {
             let page = pool.read(parent)?;
-            let index = Index::of(&page, parent, TAG_INTERNAL)?;
+            let at = index(&page, parent, TAG_INTERNAL)?;
+            let children = at.len() - 1;
             let sibling = match self.forward {
-                true => Some(idx + 1).filter(|&i| i < index.len),
-                false => idx.checked_sub(1).filter(|&i| i < index.len),
+                true => Some(idx + 1).filter(|&i| i < children),
+                false => idx.checked_sub(1).filter(|&i| i < children),
             };
             let Some(idx) = sibling else {
                 continue;
             };
-            let mut id = index.child(&page, idx);
+            let mut id = child(&page, at, idx);
             self.stack.push((parent, idx));
-            while self.stack.len() <= MAX_DEPTH {
+            while self.stack.len() < depth {
                 let page = pool.read(id)?;
-                if page.first() == Some(&TAG_LEAF) {
-                    self.enter_leaf(id, page)?;
-                    self.pos = if self.forward { 0 } else { self.index.len };
-                    return Ok(true);
-                }
-                let index = Index::of(&page, id, TAG_INTERNAL)?;
-                let idx = if self.forward { 0 } else { index.len - 1 };
+                let at = index(&page, id, TAG_INTERNAL)?;
+                let idx = if self.forward { 0 } else { at.len() - 2 };
                 self.stack.push((id, idx));
-                id = index.child(&page, idx);
+                id = child(&page, at, idx);
             }
-            return Err(too_deep());
+            let leaf = pool.read(id)?;
+            let entries = index(&leaf, id, TAG_LEAF)?.len() - 1;
+            self.pos = if self.forward { 0 } else { entries };
+            (self.leaf_id, self.leaf) = (id, leaf);
+            return Ok(true);
         }
         Ok(false)
     }
@@ -877,7 +858,9 @@ impl Cursor {
 
 /// Walk the whole tree verifying structure: separator and key ordering,
 /// bounds implied by separators, blob/chain decodability, and ascending
-/// versions within chains. Returns the number of keys.
+/// versions within chains. Returns the number of keys. Entry offsets
+/// cached with a page image must equal a fresh parse of its bytes; stale
+/// offsets are a bug, not damage, so they panic.
 pub fn check_consistency(pool: &mut BufferPool) -> io::Result<usize> {
     match pool.root() {
         NO_PAGE => Ok(0),
@@ -897,11 +880,16 @@ fn check_rec(
     }
     let page = pool.read(id)?;
     let is_leaf = page.first() == Some(&TAG_LEAF);
-    let index = Index::of(&page, id, if is_leaf { TAG_LEAF } else { TAG_INTERNAL })?;
+    let index = parse_index(&page, id, if is_leaf { TAG_LEAF } else { TAG_INTERNAL })?;
+    if let Some(cached) = page.offsets.get() {
+        assert_eq!(cached, &index, "page {id}: cached entry offsets are stale");
+    }
+    // Entries of a leaf, children of an internal node.
+    let len = index.len() - 1;
     if is_leaf {
         let mut prev: Option<Cow<[u8]>> = None;
-        for i in 0..index.len {
-            let mut r = Reader::at(&page, index.at[i] as usize, id);
+        for &at in &index[..len] {
+            let mut r = Reader::at(&page, at as usize, id);
             let key = r.blob()?.load(pool)?;
             if lower.is_some_and(|lo| *key < *lo) {
                 return Err(corrupt(format!("leaf {id}: key below lower bound")));
@@ -923,27 +911,29 @@ fn check_rec(
             }
             prev = Some(key);
         }
-        return Ok(index.len);
+        return Ok(len);
     }
-    let mut seps = Vec::with_capacity(index.len - 1);
-    for i in 0..index.len - 1 {
-        let sep = Reader::at(&page, index.at[i] as usize + 4, id).blob()?;
+    let mut seps = Vec::with_capacity(len - 1);
+    for &at in &index[..len - 1] {
+        let sep = Reader::at(&page, at as usize + 4, id).blob()?;
         seps.push(sep.load(pool)?);
     }
     if seps.windows(2).any(|w| w[0] >= w[1]) {
         return Err(corrupt(format!("internal {id}: separators out of order")));
     }
     let mut keys = 0usize;
-    for i in 0..index.len {
+    for i in 0..len {
         let lo = i.checked_sub(1).map(|i| &*seps[i]).or(lower);
         let hi = seps.get(i).map(|s| &**s).or(upper);
-        keys += check_rec(pool, index.child(&page, i), lo, hi, depth + 1)?;
+        keys += check_rec(pool, child(&page, &index, i), lo, hi, depth + 1)?;
     }
     Ok(keys)
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
     use crate::engine::EvictionPolicy;
     use crate::IoCounters;
@@ -1159,13 +1149,10 @@ mod tests {
         assert_eq!(check_consistency(&mut pool).unwrap(), n);
         let root = pool.root();
         let page = pool.read(root).unwrap();
-        let index = Index::of(&page, root, TAG_INTERNAL).expect("enough entries to split");
+        let index = parse_index(&page, root, TAG_INTERNAL).expect("enough entries to split");
         let (mut inline, mut overflow) = (0, 0);
-        for i in 0..index.len - 1 {
-            match Reader::at(&page, index.at[i] as usize + 4, root)
-                .blob()
-                .unwrap()
-            {
+        for &at in &index[..index.len() - 2] {
+            match Reader::at(&page, at as usize + 4, root).blob().unwrap() {
                 Blob::Inline(_) => inline += 1,
                 Blob::Overflow(..) => overflow += 1,
             }
@@ -1222,6 +1209,131 @@ mod tests {
         for (i, key) in keys.iter().enumerate() {
             let want = (i % 2 == 1).then(|| newest(i));
             assert_eq!(get(&mut pool, key, 35).unwrap(), want);
+        }
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// Every node under `id` with its depth (the root's is 0).
+    fn nodes(
+        pool: &mut BufferPool,
+        id: PageId,
+        depth: usize,
+        out: &mut Vec<(usize, PageId, Page)>,
+    ) {
+        let page = pool.read(id).unwrap();
+        out.push((depth, id, Arc::clone(&page)));
+        if page[0] == TAG_INTERNAL {
+            let at = parse_index(&page, id, TAG_INTERNAL).unwrap();
+            for i in 0..at.len() - 1 {
+                nodes(pool, child(&page, &at, i), depth + 1, out);
+            }
+        }
+    }
+
+    /// The binary `locate` against a `BTreeMap` model, on a tree three
+    /// levels deep whose keys mix inline and overflow (over
+    /// `INLINE_KEY_MAX` bytes) keys. For every key ever stored, its
+    /// successor `key\0`, a key below the first and one above the last,
+    /// `get` and a forward and a reverse limit-1 seek must agree with the
+    /// model; then each probe is written and read back. The generator case
+    /// that reaches each branch, each asserted to occur:
+    /// - `Equal` on an internal separator, which must go to the right
+    ///   child: keys come in pairs `x`, `x\0`, so a split between a pair
+    ///   makes `x\0` itself the separator, and `get` probes it.
+    /// - A probe landing on an overflow key: `get` of every long key ends
+    ///   on the key itself. Neighbouring long keys share 145 bytes, so the
+    ///   separators between them are overflow blobs too.
+    /// - An insertion point after a leaf's last entry: the write of the
+    ///   key above the last, and of `l\0` for a long key `l` ending a leaf.
+    /// - An empty leaf left behind by `prune`: the keys of 60 groups are
+    ///   tombstoned and pruned, emptying whole leaves, which the probes of
+    ///   those keys then descend into and the seeks step over.
+    #[test]
+    fn binary_locate_agrees_with_a_model() {
+        let (mut pool, dir) = pool("model", 64);
+        // A 100-byte common prefix keeps separators long, so internal
+        // nodes fill after a few dozen leaves.
+        let group = |g: u32| {
+            let short = [&[b'p'; 100][..], format!("g{g:03}").as_bytes()].concat();
+            let long = |tail: u8| [&short[..], &[b'm'; 40], &[tail]].concat();
+            let succ = |key: &[u8]| [key, &[0]].concat();
+            [
+                short.clone(),
+                succ(&short),
+                long(1),
+                succ(&long(1)),
+                long(2),
+            ]
+        };
+        let keys: Vec<Vec<u8>> = (0..200).flat_map(group).collect();
+        assert!(keys.is_sorted());
+        let n = keys.len();
+        let value = |i: usize, round: u8| vec![round; 250 + i % 150];
+        let mut model = BTreeMap::new();
+        for step in 0..n {
+            let i = step * 7 % n;
+            put(&mut pool, &keys[i], 10, &value(i, 1));
+            model.insert(keys[i].clone(), value(i, 1));
+        }
+        for key in &keys[300..600] {
+            assert!(write(&mut pool, key, 20, None).unwrap());
+            prune(&mut pool, key, 20).unwrap();
+            model.remove(key);
+        }
+        assert_eq!(check_consistency(&mut pool).unwrap(), model.len());
+
+        let mut all = Vec::new();
+        let root = pool.root();
+        nodes(&mut pool, root, 0, &mut all);
+        assert!(all.iter().any(|(depth, ..)| *depth == 2), "three levels");
+        let empty = all.iter().any(|(_, id, page)| {
+            page[0] == TAG_LEAF && parse_index(page, *id, TAG_LEAF).unwrap().len() == 1
+        });
+        assert!(empty, "an emptied leaf");
+        let (mut stored, mut overflow) = (0, 0);
+        for (_, id, page) in all.iter().filter(|(_, _, page)| page[0] == TAG_INTERNAL) {
+            let at = parse_index(page, *id, TAG_INTERNAL).unwrap();
+            for &sep in &at[..at.len() - 2] {
+                let sep = Reader::at(page, sep as usize + 4, *id).blob().unwrap();
+                overflow += usize::from(matches!(sep, Blob::Overflow(..)));
+                stored += usize::from(model.contains_key(&*sep.load(&mut pool).unwrap()));
+            }
+        }
+        assert!(
+            stored > 0 && overflow > 0,
+            "{stored} separators equal to a stored key, {overflow} overflow separators"
+        );
+
+        let probes: Vec<Vec<u8>> = keys
+            .iter()
+            .flat_map(|key| [key.clone(), [&key[..], &[0]].concat()])
+            .chain([b"a".to_vec(), b"q".to_vec()])
+            .collect();
+        let first = |pool: &mut BufferPool, probe: &[u8], forward| {
+            let mut cursor = Cursor::seek(pool, probe, forward).unwrap();
+            cursor.next(pool).unwrap().map(|(key, _)| key.to_vec())
+        };
+        for probe in &probes {
+            assert_eq!(
+                get(&mut pool, probe, 15).unwrap().as_ref(),
+                model.get(probe)
+            );
+            let above = model.range(probe.clone()..).next().map(|(k, _)| k.clone());
+            assert_eq!(first(&mut pool, probe, true), above);
+            let below = model
+                .range(..probe.clone())
+                .next_back()
+                .map(|(k, _)| k.clone());
+            assert_eq!(first(&mut pool, probe, false), below);
+        }
+        for (i, probe) in probes.iter().enumerate() {
+            put(&mut pool, probe, 30, &value(i, 2));
+            assert_eq!(get(&mut pool, probe, 30).unwrap(), Some(value(i, 2)));
+            model.insert(probe.clone(), value(i, 2));
+        }
+        assert_eq!(check_consistency(&mut pool).unwrap(), model.len());
+        for (key, value) in &model {
+            assert_eq!(get(&mut pool, key, 30).unwrap().as_ref(), Some(value));
         }
         std::fs::remove_dir_all(dir).unwrap();
     }

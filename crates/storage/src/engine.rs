@@ -83,7 +83,9 @@ pub trait StorageEngine: Send + Sync + std::fmt::Debug {
     /// Cost contract: one seek to the key. On the paged engine that is one
     /// root-to-leaf descent and the leaf rewritten; a page above it is
     /// rewritten only when the id of the page below it changed (the first
-    /// write down a path after a checkpoint) or a split reaches it.
+    /// write down a path after a checkpoint) or a split reaches it. The
+    /// descent makes O(log entries) key compares per level once a page's
+    /// image has been walked (see [`get`](Self::get)).
     fn write(&mut self, key: Vec<u8>, value: Option<Vec<u8>>, version: u64);
 
     /// Read-modify-write: `f` is called once with the value of `key`
@@ -106,12 +108,19 @@ pub trait StorageEngine: Send + Sync + std::fmt::Debug {
     fn commit_batch(&mut self) {}
 
     /// Read the value of `key` visible at `read_version`.
+    ///
+    /// Cost contract: one seek to the key. On the paged engine that is one
+    /// page per tree level, and O(log entries) key compares per page once
+    /// the page's image has been walked: the first walk of an image parses
+    /// it whole and caches its entry offsets, and later walks
+    /// binary-search them.
     fn get(&mut self, key: &[u8], read_version: u64) -> Option<Vec<u8>>;
 
     /// The first `limit` keys in `[begin, end)` visible at `read_version`,
     /// ascending from `begin`, or with `reverse` descending from `end`.
     ///
-    /// Cost contract: one seek to the starting bound, then work
+    /// Cost contract: one seek to the starting bound (on the paged engine
+    /// the descent of a [`get`](Self::get)), then work
     /// proportional to the rows returned plus the rows stepped over
     /// because they are invisible at `read_version` (tombstones, versions
     /// newer than the read version). The scan never touches the part of

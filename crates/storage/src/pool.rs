@@ -15,8 +15,9 @@
 
 use std::collections::{HashMap, HashSet};
 use std::io;
+use std::ops::Deref;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::engine::EvictionPolicy;
 use crate::file::PageFile;
@@ -24,10 +25,38 @@ use crate::page::{PageId, MAX_PAYLOAD};
 use crate::replacer::{new_replacer, Replacer};
 use crate::SharedIoCounters;
 
-/// A shared handle to one page's payload, as [`BufferPool::read`] hands it
+/// One page's payload as the pool holds it. An image never changes: a
+/// rewrite of the page installs a new one. So what a reader derives from
+/// the bytes can be kept beside them and cannot go stale.
+#[derive(Debug, Default)]
+pub struct Image {
+    bytes: Vec<u8>,
+    /// Entry offsets the B-tree computes the first time it walks the
+    /// image; empty in a new image. The pool never reads them.
+    pub(crate) offsets: OnceLock<Box<[u16]>>,
+}
+
+impl Image {
+    fn shared(bytes: Vec<u8>) -> Page {
+        Arc::new(Image {
+            bytes,
+            offsets: OnceLock::new(),
+        })
+    }
+}
+
+impl Deref for Image {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.bytes
+    }
+}
+
+/// A shared handle to one page's image, as [`BufferPool::read`] hands it
 /// out: taking one copies nothing, and it stays valid (a snapshot of the
 /// page as read) while the pool goes on to load, evict or rewrite frames.
-pub type Page = Arc<Vec<u8>>;
+pub type Page = Arc<Image>;
 
 #[derive(Debug)]
 struct Frame {
@@ -178,7 +207,7 @@ impl BufferPool {
         }
         if let Some(&idx) = self.map.get(&id) {
             self.replacer.record_access(idx);
-            self.frames[idx].payload = Arc::new(payload);
+            self.frames[idx].payload = Image::shared(payload);
             self.frames[idx].dirty = true;
             return Ok(());
         }
@@ -217,7 +246,7 @@ impl BufferPool {
     fn install(&mut self, idx: usize, id: PageId, payload: Vec<u8>, dirty: bool) {
         self.frames[idx] = Frame {
             page: id,
-            payload: Arc::new(payload),
+            payload: Image::shared(payload),
             dirty,
         };
         self.map.insert(id, idx);
@@ -269,7 +298,7 @@ mod tests {
         // Far more pages than frames: earlier pages were evicted and must
         // re-read correctly from disk.
         for (i, id) in ids.iter().enumerate() {
-            assert_eq!(*pool.read(*id).unwrap(), vec![i as u8; 64]);
+            assert_eq!(&pool.read(*id).unwrap()[..], vec![i as u8; 64]);
         }
         let stats = pool.counters.snapshot();
         assert!(stats.page_evictions > 0);
@@ -286,8 +315,8 @@ mod tests {
         // Page is now checkpoint-epoch: a rewrite must go elsewhere.
         let new_id = pool.write_cow(id, b"updated".to_vec()).unwrap();
         assert_ne!(new_id, id);
-        assert_eq!(*pool.read(id).unwrap(), b"original");
-        assert_eq!(*pool.read(new_id).unwrap(), b"updated");
+        assert_eq!(&pool.read(id).unwrap()[..], b"original");
+        assert_eq!(&pool.read(new_id).unwrap()[..], b"updated");
         // Fresh pages are rewritten in place.
         let same = pool.write_cow(new_id, b"updated-2".to_vec()).unwrap();
         assert_eq!(same, new_id);

@@ -157,3 +157,79 @@ fn damaged_nodes_fail_typed_never_panic() {
     drop(pool);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A child pointer of the root redirected to a leaf the tree has already
+/// walked, so that leaf's image holds cached entry offsets. Cursors, which
+/// know how deep every leaf lies, meet that leaf where an internal node
+/// belongs, or the internal node after it where a leaf belongs: the tag
+/// check in front of the cached offsets must turn both into
+/// `InvalidData`, never serve one kind's offsets as the other's. Every
+/// page of the tree is in the pool, so a walk that strays off the tree's
+/// pages shows as a pool miss.
+#[test]
+fn child_pointer_to_a_walked_leaf_fails_typed() {
+    let dir = std::env::temp_dir().join(format!("rl-page-redirect-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    // Room for every page: the walked images, offsets and all, stay.
+    let counters = IoCounters::new_shared();
+    let path = dir.join("pages.db");
+    let mut pool = BufferPool::open(&path, 1024, EvictionPolicy::Lru, counters.clone()).unwrap();
+    // A 100-byte common prefix keeps separators long: three levels.
+    let key = |i: u32| [&[b'p'; 100][..], format!("{i:05}").as_bytes()].concat();
+    let value = |i: u32| i.to_le_bytes().repeat(75);
+    for i in 0..1_200 {
+        btree::write(&mut pool, &key(i), 10, Some(&value(i))).unwrap();
+    }
+    let scan = |pool: &mut BufferPool, bound: &[u8], forward: bool| -> io::Result<usize> {
+        let mut cursor = Cursor::seek(pool, bound, forward)?;
+        let mut rows = 0;
+        while cursor.next(pool)?.is_some() {
+            rows += 1;
+        }
+        Ok(rows)
+    };
+    assert_eq!(scan(&mut pool, b"", true).unwrap(), 1_200);
+
+    // internal := 0x01 count u16  child u32  (0x00 len u32 sep  child u32)…
+    let ptr = |page: &[u8], at: usize| u32::from_le_bytes(page[at..at + 4].try_into().unwrap());
+    let mut root = pool.read(pool.root()).unwrap().to_vec();
+    let first_child = pool.read(ptr(&root, 3)).unwrap();
+    let leaf = ptr(&first_child, 3);
+    let kinds = (root[0], first_child[0], pool.read(leaf).unwrap()[0]);
+    assert_eq!(kinds, (1, 1, 2), "three levels");
+    assert!(
+        root[1] >= 2 && root[7] == 0,
+        "three children, an inline separator"
+    );
+    let sep_end = 12 + ptr(&root, 8) as usize;
+    let sep = root[12..sep_end].to_vec();
+    root[sep_end..sep_end + 4].copy_from_slice(&leaf.to_le_bytes());
+    let damaged = pool.allocate(root).unwrap();
+    pool.set_root(damaged);
+
+    let invalid = |what: &str, result: io::Result<usize>| match result {
+        Err(e) if e.kind() == io::ErrorKind::InvalidData => {}
+        other => panic!("{what}: {other:?}, not InvalidData"),
+    };
+    // Forward, the hop out of child 0 meets the leaf one level early.
+    invalid("forward scan", scan(&mut pool, b"", true));
+    // Backward, so does the hop out of child 2.
+    invalid("reverse scan", scan(&mut pool, b"\xff", false));
+    // A seek routed through the pointer finds nothing at or above its
+    // bound in the leaf, then meets child 2 where a leaf belongs.
+    invalid("seek", scan(&mut pool, &sep, true));
+    // A point read finds only the leaf's own keys there: never a value
+    // stored under another key.
+    for i in 0..1_200 {
+        if let Some(found) = settle("get", btree::get(&mut pool, &key(i), 15)).flatten() {
+            assert_eq!(found, value(i), "key {i}");
+        }
+    }
+    let check = btree::check_consistency(&mut pool).map(|_| 0);
+    invalid("check", check);
+    let misses = counters.snapshot().page_misses;
+    assert_eq!(misses, 0, "a walk read a page that is not in the tree");
+    drop(pool);
+    std::fs::remove_dir_all(&dir).unwrap();
+}

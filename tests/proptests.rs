@@ -491,7 +491,7 @@ fn range_reads_match_materialise_then_truncate_model() {
     for engine in ["memory", "paged"] {
         check(&format!("range_reads_match_model[{engine}]"), 48, |rng| {
             let db = Database::with_options(DatabaseOptions {
-                engine: EngineKind::from_spec(engine),
+                engine: EngineKind::from_spec(engine).unwrap(),
                 ..DatabaseOptions::default()
             });
             // One case in six is long enough to be read in several
@@ -1081,7 +1081,7 @@ fn aggregate_indexes_match_model() {
             16,
             |rng| {
                 let db = Database::with_options(DatabaseOptions {
-                    engine: EngineKind::from_spec(engine),
+                    engine: EngineKind::from_spec(engine).unwrap(),
                     ..DatabaseOptions::default()
                 });
                 let sub = Subspace::from_bytes(b"agg".to_vec());

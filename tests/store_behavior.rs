@@ -595,7 +595,7 @@ fn a_resave_leaves_exactly_the_new_record_and_clears_only_what_it_must() {
     ];
     for engine in ["memory", "paged"] {
         let db = Database::with_options(DatabaseOptions {
-            engine: EngineKind::from_spec(engine),
+            engine: EngineKind::from_spec(engine).unwrap(),
             ..DatabaseOptions::default()
         });
         for (id, (case, old_len, new_len, old_versions, new_versions, clears)) in
@@ -710,7 +710,7 @@ fn churn(db: &Database, md: &RecordMetaData, sub: &Subspace) {
 fn every_read_path_reports_the_stored_bytes() {
     for engine in ["memory", "paged"] {
         let db = Database::with_options(DatabaseOptions {
-            engine: EngineKind::from_spec(engine),
+            engine: EngineKind::from_spec(engine).unwrap(),
             ..DatabaseOptions::default()
         });
         let md = versioned_metadata();
