@@ -2,12 +2,25 @@
 //! and, conversely, the rank of a value — a probabilistic augmented
 //! skip list persisted in the key-value store.
 //!
-//! Layout mirrors Figure 5: the index subspace has one child per level
-//! (`prefix/0` … `prefix/L-1`); each key-value pair at level `l` maps an
-//! entry tuple to the number of set elements in `[entry, next-entry-at-l)`.
-//! Level 0 contains every entry with count 1; each higher level samples the
-//! one below it. An implicit *begin sentinel* (the empty tuple) anchors
-//! every level so a predecessor always exists.
+//! Layout mirrors Figure 5, and it is the whole index: the index subspace
+//! has one child per level (`prefix/0` … `prefix/L-1`); each key-value pair
+//! at level `l` maps an entry tuple (score columns ⧺ primary key) to the
+//! number of set elements in `[entry, next-entry-at-l)`. Level 0 holds
+//! every entry with count 1, so it is also the entry list a score-range
+//! scan reads; each higher level samples the one below it. An implicit
+//! *begin sentinel* (the bare level prefix) anchors every level so a
+//! predecessor always exists; the first insert writes all of them at once.
+//!
+//! A score change moves one entry, and [`RankedSet::replace`] walks the
+//! levels once for both ends of the move. Up to the taller entry's height
+//! it runs erase's step for the old entry, then insert's step for the new
+//! one. Above both heights it ADDs −1 and +1 to the two covering fingers,
+//! and stops at the first level where one finger covers both: level `l+1`
+//! samples level `l`, so every level above shares that finger too, and
+//! erase + insert would write an ADD pair that nets to zero there. The
+//! result equals erase-then-insert key for key: at each level erase's step
+//! reads the level before insert's step touches it, insert's step reads the
+//! level below after both steps ran there, and ADD commutes.
 //!
 //! Per §10.1, navigation uses snapshot reads plus targeted conflict keys:
 //! counts on non-member levels are bumped with atomic ADD (conflict-free),
@@ -24,11 +37,6 @@ use crate::error::{Error, Result};
 use crate::index::{evaluate_index_expr, to_index_entries, IndexContext, IndexMaintainer};
 use crate::store::{RecordStore, StoredRecord, TupleRange};
 
-/// Child subspace holding plain VALUE-style entries (scans by score).
-const ENTRIES: i64 = 0;
-/// Child subspace holding the skip-list levels.
-const LEVELS: i64 = 1;
-
 /// Sampling: an entry is a member of level `l >= 1` with probability
 /// `FAN^-l`, decided by a deterministic hash so inserts and erases agree.
 const FAN: u64 = 8;
@@ -38,8 +46,8 @@ pub struct RankIndexMaintainer;
 /// A durable ordered set with O(log n) rank/select, usable on its own.
 pub struct RankedSet<'a> {
     tx: &'a Transaction,
-    subspace: Subspace,
-    nlevels: usize,
+    /// One subspace per level; level 0 lists every entry.
+    levels: Vec<Subspace>,
 }
 
 fn le_count(bytes: &[u8]) -> i64 {
@@ -54,32 +62,43 @@ impl<'a> RankedSet<'a> {
         assert!(nlevels >= 2, "a ranked set needs at least 2 levels");
         RankedSet {
             tx,
-            subspace,
-            nlevels,
+            levels: (0..nlevels).map(|l| subspace.child(l as i64)).collect(),
         }
     }
 
-    fn level_subspace(&self, level: usize) -> Subspace {
-        self.subspace.child(level as i64)
+    fn top(&self) -> usize {
+        self.levels.len() - 1
     }
 
-    fn entry_key(&self, level: usize, entry: &Tuple) -> Vec<u8> {
-        self.level_subspace(level).pack(entry)
+    /// The begin sentinel: the bare level prefix.
+    fn sentinel(&self, level: usize) -> &[u8] {
+        self.levels[level].prefix()
     }
 
-    /// The begin sentinel packs as the bare level prefix (empty tuple).
-    fn sentinel_key(&self, level: usize) -> Vec<u8> {
-        self.level_subspace(level).prefix().to_vec()
+    /// The key of a packed entry at `level`.
+    fn key(&self, level: usize, entry: &[u8]) -> Vec<u8> {
+        let prefix = self.sentinel(level);
+        let mut key = Vec::with_capacity(prefix.len() + entry.len());
+        key.extend_from_slice(prefix);
+        key.extend_from_slice(entry);
+        key
     }
 
-    /// Deterministic membership: which levels contain `entry`.
-    fn height(&self, entry: &Tuple) -> usize {
+    /// The finger `key` of `level`, one level down: a prefix swap, which
+    /// maps the sentinel to the sentinel.
+    fn key_below(&self, level: usize, key: &[u8]) -> Vec<u8> {
+        self.key(level - 1, &key[self.sentinel(level).len()..])
+    }
+
+    /// Deterministic membership: the highest level holding the packed
+    /// `entry`.
+    fn height(&self, entry: &[u8]) -> usize {
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        entry.pack().hash(&mut hasher);
+        entry.hash(&mut hasher);
         let h = hasher.finish();
         let mut level = 0;
         let mut threshold = FAN;
-        while level + 1 < self.nlevels && h.is_multiple_of(threshold) {
+        while level < self.top() && h.is_multiple_of(threshold) {
             level += 1;
             threshold = threshold.saturating_mul(FAN);
         }
@@ -90,36 +109,50 @@ impl<'a> RankedSet<'a> {
         Ok(self.tx.get_snapshot(key)?.map(|v| le_count(&v)))
     }
 
-    /// Last entry key at `level` with key `<= bound_key` (the predecessor
-    /// finger), falling back to the sentinel.
-    fn predecessor_key(&self, level: usize, bound_key: &[u8]) -> Result<Vec<u8>> {
-        let begin = self.sentinel_key(level);
-        let end = rl_fdb::key_after(bound_key);
-        let kvs =
-            self.tx
-                .get_range_snapshot(&begin, &end, RangeOptions::new().limit(1).reverse(true))?;
-        Ok(kvs.into_iter().next().map(|kv| kv.key).unwrap_or(begin))
+    fn add(&self, key: &[u8], delta: i64) -> Result<()> {
+        Ok(self
+            .tx
+            .mutate(MutationType::Add, key, &delta.to_le_bytes())?)
     }
 
-    /// Sum of counts of entries at `level` in `[from_key, to_key)`.
-    fn count_range(&self, _level: usize, from_key: &[u8], to_key: &[u8]) -> Result<i64> {
+    /// The last finger at `level` strictly before `key`, with its count,
+    /// falling back to the sentinel.
+    fn predecessor(&self, level: usize, key: &[u8]) -> Result<(Vec<u8>, i64)> {
+        let sentinel = self.sentinel(level);
+        let kvs = self.tx.get_range_snapshot(
+            sentinel,
+            key,
+            RangeOptions::new().limit(1).reverse(true),
+        )?;
+        Ok(match kvs.into_iter().next() {
+            Some(kv) => (kv.key, le_count(&kv.value)),
+            None => (sentinel.to_vec(), 0),
+        })
+    }
+
+    /// Sum of counts of the entries in `[from_key, to_key)`.
+    fn count_range(&self, from_key: &[u8], to_key: &[u8]) -> Result<i64> {
         let kvs = self
             .tx
             .get_range_snapshot(from_key, to_key, RangeOptions::default())?;
         Ok(kvs.iter().map(|kv| le_count(&kv.value)).sum())
     }
 
-    /// Whether the set contains `entry`.
-    pub fn contains(&self, entry: &Tuple) -> Result<bool> {
-        Ok(self.tx.get_snapshot(&self.entry_key(0, entry))?.is_some())
+    fn contains_packed(&self, entry: &[u8]) -> Result<bool> {
+        Ok(self.tx.get_snapshot(&self.key(0, entry))?.is_some())
     }
 
-    /// Ensure the sentinel exists at every level (idempotent).
+    /// Whether the set contains `entry`.
+    pub fn contains(&self, entry: &Tuple) -> Result<bool> {
+        self.contains_packed(&entry.pack())
+    }
+
+    /// Write every level's sentinel unless they exist. They are written
+    /// together, so the top one answers for all.
     fn init(&self) -> Result<()> {
-        for level in 0..self.nlevels {
-            let key = self.sentinel_key(level);
-            if self.tx.get_snapshot(&key)?.is_none() {
-                self.tx.try_set(&key, &0i64.to_le_bytes())?;
+        if self.tx.get_snapshot(self.sentinel(self.top()))?.is_none() {
+            for level in &self.levels {
+                self.tx.try_set(level.prefix(), &0i64.to_le_bytes())?;
             }
         }
         Ok(())
@@ -127,117 +160,138 @@ impl<'a> RankedSet<'a> {
 
     /// Insert an entry; returns false if already present.
     pub fn insert(&self, entry: &Tuple) -> Result<bool> {
-        if self.contains(entry)? {
+        let entry = entry.pack();
+        if self.contains_packed(&entry)? {
             return Ok(false);
         }
         self.init()?;
         // The level-0 key is the distinguished key (§10.1): conflict with
         // concurrent insert/erase of the same entry, nothing else.
-        self.tx.add_read_conflict_key(&self.entry_key(0, entry));
-
-        let height = self.height(entry);
-        for level in 0..self.nlevels {
-            let key = self.entry_key(level, entry);
-            if level == 0 {
-                self.tx.try_set(&key, &1i64.to_le_bytes())?;
-            } else if level <= height {
-                // Member: split the predecessor's finger.
-                let prev_key = self.predecessor_key(level, &key)?;
-                let prev_count = self.read_count(&prev_key)?.unwrap_or(0);
-                // Elements in [prev, entry): measured one level below,
-                // where both prev and entry already exist.
-                let prev_below = self.translate_level(&prev_key, level, level - 1)?;
-                let entry_below = self.entry_key(level - 1, entry);
-                let before = self.count_range(level - 1, &prev_below, &entry_below)?;
-                self.tx.try_set(&prev_key, &before.to_le_bytes())?;
-                self.tx
-                    .try_set(&key, &(prev_count - before + 1).to_le_bytes())?;
-            } else {
-                // Not a member: the covering finger grows by one. Atomic
-                // ADD keeps concurrent inserts conflict-free here.
-                let prev_key = self.predecessor_key(level, &key)?;
-                self.tx
-                    .mutate(MutationType::Add, &prev_key, &1i64.to_le_bytes())?;
-            }
+        self.tx.add_read_conflict_key(&self.key(0, &entry));
+        let height = self.height(&entry);
+        for level in 0..self.levels.len() {
+            self.insert_level(level, &entry, height)?;
         }
         Ok(true)
     }
 
-    /// Re-key an entry key from one level subspace to another.
-    fn translate_level(&self, key: &[u8], from: usize, to: usize) -> Result<Vec<u8>> {
-        let from_sub = self.level_subspace(from);
-        if key == from_sub.prefix() {
-            return Ok(self.sentinel_key(to));
+    /// Insert's step at `level` for an entry of `height` not in the set.
+    fn insert_level(&self, level: usize, entry: &[u8], height: usize) -> Result<()> {
+        let key = self.key(level, entry);
+        if level == 0 {
+            return Ok(self.tx.try_set(&key, &1i64.to_le_bytes())?);
         }
-        let t = from_sub.unpack(key).map_err(Error::Fdb)?;
-        Ok(self.entry_key(to, &t))
+        let (prev, prev_count) = self.predecessor(level, &key)?;
+        if level > height {
+            // Not a member: the covering finger grows by one. Atomic ADD
+            // keeps concurrent inserts conflict-free here.
+            return self.add(&prev, 1);
+        }
+        // Member: split the predecessor's finger. Elements in
+        // [prev, entry) are measured one level below, where both exist.
+        let before =
+            self.count_range(&self.key_below(level, &prev), &self.key(level - 1, entry))?;
+        self.tx.try_set(&prev, &before.to_le_bytes())?;
+        self.tx
+            .try_set(&key, &(prev_count - before + 1).to_le_bytes())?;
+        Ok(())
     }
 
     /// Remove an entry; returns false if absent.
     pub fn erase(&self, entry: &Tuple) -> Result<bool> {
-        if !self.contains(entry)? {
+        let entry = entry.pack();
+        if !self.contains_packed(&entry)? {
             return Ok(false);
         }
-        self.tx.add_read_conflict_key(&self.entry_key(0, entry));
-        let height = self.height(entry);
-        for level in 0..self.nlevels {
-            let key = self.entry_key(level, entry);
-            if level == 0 {
-                self.tx.clear(&key);
-            } else if level <= height {
-                // Member: its covered elements fold back into the
-                // predecessor's finger (minus the entry itself).
-                let count = self.read_count(&key)?.unwrap_or(1);
-                // Predecessor strictly before the entry.
-                let prev_key = {
-                    let begin = self.sentinel_key(level);
-                    let kvs = self.tx.get_range_snapshot(
-                        &begin,
-                        &key,
-                        RangeOptions::new().limit(1).reverse(true),
-                    )?;
-                    kvs.into_iter().next().map(|kv| kv.key).unwrap_or(begin)
-                };
-                self.tx.clear(&key);
-                self.tx
-                    .mutate(MutationType::Add, &prev_key, &(count - 1).to_le_bytes())?;
-            } else {
-                let prev_key = self.predecessor_key(level, &key)?;
-                self.tx
-                    .mutate(MutationType::Add, &prev_key, &(-1i64).to_le_bytes())?;
-            }
+        self.tx.add_read_conflict_key(&self.key(0, &entry));
+        let height = self.height(&entry);
+        for level in 0..self.levels.len() {
+            self.erase_level(level, &entry, height)?;
         }
         Ok(true)
+    }
+
+    /// Erase's step at `level` for an entry of `height` in the set.
+    fn erase_level(&self, level: usize, entry: &[u8], height: usize) -> Result<()> {
+        let key = self.key(level, entry);
+        if level == 0 {
+            self.tx.clear(&key);
+            return Ok(());
+        }
+        let (prev, _) = self.predecessor(level, &key)?;
+        if level > height {
+            return self.add(&prev, -1);
+        }
+        // Member: its covered elements fold back into the predecessor's
+        // finger (minus the entry itself).
+        let count = self.read_count(&key)?.unwrap_or(1);
+        self.tx.clear(&key);
+        self.add(&prev, count - 1)
+    }
+
+    /// Move one entry: erase `old` and insert `new` in one walk up the
+    /// levels that stops at the first finger covering both (see the module
+    /// doc). Returns what `erase(old)` then `insert(new)` would, and leaves
+    /// the same keys and values; when `old` is absent or `new` present it
+    /// is exactly those two calls.
+    pub fn replace(&self, old: &Tuple, new: &Tuple) -> Result<(bool, bool)> {
+        let (old_entry, new_entry) = (old.pack(), new.pack());
+        if !self.contains_packed(&old_entry)? || self.contains_packed(&new_entry)? {
+            return Ok((self.erase(old)?, self.insert(new)?));
+        }
+        self.tx.add_read_conflict_key(&self.key(0, &old_entry));
+        self.tx.add_read_conflict_key(&self.key(0, &new_entry));
+        let (old_height, new_height) = (self.height(&old_entry), self.height(&new_entry));
+        for level in 0..self.levels.len() {
+            if level <= old_height.max(new_height) {
+                self.erase_level(level, &old_entry, old_height)?;
+                self.insert_level(level, &new_entry, new_height)?;
+                continue;
+            }
+            let (old_prev, _) = self.predecessor(level, &self.key(level, &old_entry))?;
+            let (new_prev, _) = self.predecessor(level, &self.key(level, &new_entry))?;
+            if old_prev == new_prev {
+                break;
+            }
+            self.add(&old_prev, -1)?;
+            self.add(&new_prev, 1)?;
+        }
+        Ok((true, true))
     }
 
     /// The 0-based ordinal rank of an entry, or `None` if absent —
     /// the Figure 5(b) walk.
     pub fn rank(&self, entry: &Tuple) -> Result<Option<i64>> {
-        if !self.contains(entry)? {
+        let entry = entry.pack();
+        if !self.contains_packed(&entry)? {
             return Ok(None);
         }
         let mut rank: i64 = 0;
-        let top = self.nlevels - 1;
-        let mut cur = self.sentinel_key(top);
-        for level in (0..self.nlevels).rev() {
-            if level != top {
-                cur = self.translate_level(&cur, level + 1, level)?;
+        let mut cur = self.sentinel(self.top()).to_vec();
+        // The count of `cur` at this level, once a range read returned it.
+        let mut cur_count = None;
+        for level in (0..self.levels.len()).rev() {
+            if level != self.top() {
+                cur = self.key_below(level + 1, &cur);
+                cur_count = None;
             }
-            let target = self.entry_key(level, entry);
+            let end = rl_fdb::key_after(&self.key(level, &entry));
             // Walk fingers at this level while the next entry is <= target.
             loop {
                 let next = self.tx.get_range_snapshot(
                     &rl_fdb::key_after(&cur),
-                    &rl_fdb::key_after(&target),
+                    &end,
                     RangeOptions::new().limit(1),
                 )?;
-                match next.into_iter().next() {
-                    Some(kv) => {
-                        rank += self.read_count(&cur)?.unwrap_or(0);
-                        cur = kv.key;
-                    }
-                    None => break,
-                }
+                let Some(kv) = next.into_iter().next() else {
+                    break;
+                };
+                rank += match cur_count {
+                    Some(count) => count,
+                    None => self.read_count(&cur)?.unwrap_or(0),
+                };
+                cur_count = Some(le_count(&kv.value));
+                cur = kv.key;
             }
         }
         Ok(Some(rank))
@@ -250,45 +304,42 @@ impl<'a> RankedSet<'a> {
             return Ok(None);
         }
         let mut remaining = rank;
-        let top = self.nlevels - 1;
-        let mut cur = self.sentinel_key(top);
-        for level in (0..self.nlevels).rev() {
-            if level != top {
-                cur = self.translate_level(&cur, level + 1, level)?;
+        let mut cur = self.sentinel(self.top()).to_vec();
+        for level in (0..self.levels.len()).rev() {
+            if level != self.top() {
+                cur = self.key_below(level + 1, &cur);
             }
-            let (_, level_end) = self.level_subspace(level).range_inclusive();
+            // A missing count means the set is empty.
+            let Some(mut count) = self.read_count(&cur)? else {
+                return Ok(None);
+            };
+            let (_, level_end) = self.levels[level].range_inclusive();
             // Walk right along this level until the finger covers `rank`,
-            // then descend; a missing count means the set is empty.
-            while let Some(count) = self.read_count(&cur)? {
-                if remaining < count {
-                    break; // descend
-                }
+            // then descend.
+            while remaining >= count {
                 let next = self.tx.get_range_snapshot(
                     &rl_fdb::key_after(&cur),
                     &level_end,
                     RangeOptions::new().limit(1),
                 )?;
-                match next.into_iter().next() {
-                    Some(kv) => {
-                        remaining -= count;
-                        cur = kv.key;
-                    }
-                    None => return Ok(None), // rank beyond the set
-                }
+                let Some(kv) = next.into_iter().next() else {
+                    return Ok(None); // rank beyond the set
+                };
+                remaining -= count;
+                count = le_count(&kv.value);
+                cur = kv.key;
             }
         }
-        if cur == self.sentinel_key(0) {
+        if cur == self.sentinel(0) {
             return Ok(None);
         }
-        let t = self.level_subspace(0).unpack(&cur).map_err(Error::Fdb)?;
-        Ok(Some(t))
+        Ok(Some(self.levels[0].unpack(&cur)?))
     }
 
     /// Total number of entries.
     pub fn len(&self) -> Result<i64> {
-        let top = self.nlevels - 1;
-        let (begin, end) = self.level_subspace(top).range_inclusive();
-        self.count_range(top, &begin, &end)
+        let (begin, end) = self.levels[self.top()].range_inclusive();
+        self.count_range(&begin, &end)
     }
 
     pub fn is_empty(&self) -> Result<bool> {
@@ -303,45 +354,42 @@ impl IndexMaintainer for RankIndexMaintainer {
         old: Option<&StoredRecord>,
         new: Option<&StoredRecord>,
     ) -> Result<i64> {
-        let nlevels = ctx.index.options.rank_levels;
-        let entries_sub = ctx.subspace.child(ENTRIES);
-        let set = RankedSet::new(ctx.tx, ctx.subspace.child(LEVELS), nlevels);
-
-        let old_entries = old
-            .map(|r| {
-                evaluate_index_expr(ctx.index, r)
-                    .map(|t| to_index_entries(ctx.index, t, &r.primary_key))
-            })
-            .transpose()?
-            .unwrap_or_default();
-        let new_entries = new
-            .map(|r| {
-                evaluate_index_expr(ctx.index, r)
-                    .map(|t| to_index_entries(ctx.index, t, &r.primary_key))
-            })
-            .transpose()?
-            .unwrap_or_default();
-
-        let mut delta = 0i64;
-        for e in &old_entries {
-            if new_entries.contains(e) {
-                continue;
+        let set = RankedSet::new(ctx.tx, ctx.subspace.clone(), ctx.index.options.rank_levels);
+        // Each entry of a record as a set element: score columns ⧺ pk.
+        let elements = |record: Option<&StoredRecord>| -> Result<Vec<Tuple>> {
+            let Some(r) = record else {
+                return Ok(Vec::new());
+            };
+            let entries = to_index_entries(
+                ctx.index,
+                evaluate_index_expr(ctx.index, r)?,
+                &r.primary_key,
+            );
+            Ok(entries
+                .into_iter()
+                .map(|e| e.key.concat(&e.primary_key))
+                .collect())
+        };
+        let (old_elements, new_elements) = (elements(old)?, elements(new)?);
+        let gone: Vec<&Tuple> = old_elements
+            .iter()
+            .filter(|e| !new_elements.contains(e))
+            .collect();
+        let came: Vec<&Tuple> = new_elements
+            .iter()
+            .filter(|e| !old_elements.contains(e))
+            .collect();
+        if let ([old], [new]) = (gone.as_slice(), came.as_slice()) {
+            set.replace(old, new)?;
+        } else {
+            for e in &gone {
+                set.erase(e)?;
             }
-            let full = e.key.clone().concat(&e.primary_key);
-            ctx.tx.clear(&entries_sub.pack(&full));
-            set.erase(&full)?;
-            delta -= 1;
-        }
-        for e in &new_entries {
-            if old_entries.contains(e) {
-                continue;
+            for e in &came {
+                set.insert(e)?;
             }
-            let full = e.key.clone().concat(&e.primary_key);
-            ctx.tx.try_set(&entries_sub.pack(&full), &[])?;
-            set.insert(&full)?;
-            delta += 1;
         }
-        Ok(delta)
+        Ok(came.len() as i64 - gone.len() as i64)
     }
 }
 
@@ -351,7 +399,7 @@ impl<'a> RecordStore<'a> {
         let index = self.require_readable(index_name)?;
         Ok(RankedSet::new(
             self.transaction(),
-            self.index_subspace(index).child(LEVELS),
+            self.index_subspace(index),
             index.options.rank_levels,
         ))
     }
@@ -372,17 +420,19 @@ impl<'a> RecordStore<'a> {
         self.ranked_set(index_name)?.len()
     }
 
-    /// Scan a RANK index's plain entries by score range (like a VALUE
-    /// index scan), returning `(score…, pk…)` tuples in order.
+    /// Scan a RANK index's entries by score range (like a VALUE index
+    /// scan), returning `(score…, pk…)` tuples in order: a range read of
+    /// skip-list level 0, never its sentinel.
     pub fn scan_rank_entries(&self, index_name: &str, range: &TupleRange) -> Result<Vec<Tuple>> {
-        let index = self.require_readable(index_name)?;
-        let sub = self.index_subspace(index).child(ENTRIES);
-        let (begin, end) = range.to_byte_range(&sub);
+        let set = self.ranked_set(index_name)?;
+        let entries = &set.levels[0];
+        let (begin, end) = range.to_byte_range(entries);
+        let begin = begin.max(entries.range().0);
         let kvs = self
             .transaction()
             .get_range(&begin, &end, RangeOptions::default())?;
         kvs.iter()
-            .map(|kv| sub.unpack(&kv.key).map_err(Error::Fdb))
+            .map(|kv| entries.unpack(&kv.key).map_err(Error::Fdb))
             .collect()
     }
 }

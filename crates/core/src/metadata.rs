@@ -450,6 +450,19 @@ impl RecordMetaDataBuilder {
                     index.name
                 )));
             }
+            let options = &index.options;
+            if index.index_type == IndexType::Rank && options.rank_levels < 2 {
+                return Err(Error::MetaData(format!(
+                    "RANK index {} needs rank_levels >= 2, not {}",
+                    index.name, options.rank_levels
+                )));
+            }
+            if index.index_type == IndexType::Text && options.text_bunch_size == 0 {
+                return Err(Error::MetaData(format!(
+                    "TEXT index {} needs text_bunch_size >= 1",
+                    index.name
+                )));
+            }
         }
         Ok(RecordMetaData {
             version: self.version,
@@ -588,6 +601,69 @@ mod tests {
             )
             .build();
         assert!(ok.is_ok());
+    }
+
+    fn with_index(index: Index) -> Result<RecordMetaData> {
+        RecordMetaDataBuilder::new(pool())
+            .record_type("User", KeyExpression::field("id"))
+            .index("User", index)
+            .build()
+    }
+
+    #[test]
+    fn rank_index_needs_two_levels() {
+        let rank = |levels| {
+            Index::rank("by_score", KeyExpression::field("score")).with_options(IndexOptions {
+                rank_levels: levels,
+                ..IndexOptions::default()
+            })
+        };
+        for levels in [0, 1] {
+            let err = with_index(rank(levels)).unwrap_err();
+            assert!(
+                matches!(&err, Error::MetaData(m) if m.contains("by_score") && m.contains("rank_levels")),
+                "{err:?}"
+            );
+        }
+        // The minimum builds, and a save maintains it.
+        let md = with_index(rank(2)).unwrap();
+        let db = rl_fdb::Database::new();
+        crate::run(&db, |tx| {
+            let store = crate::store::RecordStore::open_or_create(
+                tx,
+                &rl_fdb::Subspace::from_bytes(b"md".to_vec()),
+                &md,
+            )?;
+            for id in 0..20i64 {
+                let mut user = store.new_record("User")?;
+                user.set("id", id).unwrap();
+                user.set("score", id % 7).unwrap();
+                store.save_record(user)?;
+            }
+            assert_eq!(store.rank_count("by_score")?, 20);
+            Ok(())
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn text_index_needs_a_positive_bunch_size() {
+        let text =
+            Index::text("by_name", KeyExpression::field("name")).with_options(IndexOptions {
+                text_bunch_size: 0,
+                ..IndexOptions::default()
+            });
+        let err = with_index(text).unwrap_err();
+        assert!(
+            matches!(&err, Error::MetaData(m) if m.contains("by_name") && m.contains("text_bunch_size")),
+            "{err:?}"
+        );
+        let text =
+            Index::text("by_name", KeyExpression::field("name")).with_options(IndexOptions {
+                text_bunch_size: 1,
+                ..IndexOptions::default()
+            });
+        assert!(with_index(text).is_ok());
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! * tuple packing is order-preserving and lossless, and the borrowing
 //!   reader agrees with `Tuple::unpack` on values, truncations and bad UTF-8,
 //! * protobuf wire encoding roundtrips and survives schema evolution,
-//! * the RANK skip list agrees with a sorted vector oracle,
+//! * the RANK skip list agrees with a sorted vector oracle, and moving an
+//!   entry with `replace` leaves exactly the bytes erase + insert leave,
 //! * the TEXT bunched map agrees with a BTreeMap oracle,
 //! * record save/load roundtrips arbitrary field values,
 //! * limited and reverse range reads with buffered writes agree with a
@@ -249,6 +250,20 @@ fn ranked_set_matches_sorted_vector_oracle() {
                 assert_eq!(removed, oracle.contains(&v));
                 oracle.retain(|&x| x != v);
             }
+            // One op in three is followed by a move between two values.
+            if rng.gen_range(0..3u32) == 0 {
+                let (from, to) = (rng.gen_range(0..50i64), rng.gen_range(0..50i64));
+                let (erased, inserted) = set
+                    .replace(&Tuple::from((from,)), &Tuple::from((to,)))
+                    .unwrap();
+                assert_eq!(erased, oracle.contains(&from));
+                oracle.retain(|&x| x != from);
+                assert_eq!(inserted, !oracle.contains(&to));
+                if inserted {
+                    oracle.push(to);
+                    oracle.sort_unstable();
+                }
+            }
         }
         assert_eq!(set.len().unwrap(), oracle.len() as i64);
         for (rank, v) in oracle.iter().enumerate() {
@@ -256,6 +271,225 @@ fn ranked_set_matches_sorted_vector_oracle() {
             assert_eq!(set.select(rank as i64).unwrap(), Some(Tuple::from((*v,))));
         }
     });
+}
+
+/// One op of the twin-database RANK test.
+#[derive(Clone, Copy, Debug)]
+enum RankOp {
+    Insert(i64),
+    Erase(i64),
+    Replace(i64, i64),
+}
+
+/// `RankedSet::replace` leaves what `erase` then `insert` leave, byte for
+/// byte. Twin databases run one random sequence of inserts, erases and
+/// moves, with `nlevels` drawn from 2..=6: side A moves an entry with
+/// `replace`, side B with `erase` then `insert`. After every commit the two
+/// ranked-set subspaces are identical, A wrote no more keys than B (fewer
+/// when a walk stopped at a shared finger), and
+/// `rank` / `select` agree with a sorted vector. Values come from `0..400`;
+/// a probe set holding all of them tells which are *tall* (members of level
+/// 1 and up). The generator case reaching each branch of `replace` (each
+/// must be reached):
+///
+/// * `shared_finger` — `near_move` (a present value to an absent one a few
+///   values away): above both heights one finger covers both, and the walk
+///   stops there.
+/// * `old_member` — `tall_old` (a present tall value to an absent short one).
+/// * `new_member` — `tall_new` (a present short value to an absent tall one).
+/// * `both_members` — `tall_both`.
+/// * `absent_old` — `absent_old` (the old value is not in the set): the
+///   erase + insert fallback.
+/// * `present_new` — `present_new` (the new value is in the set, sometimes
+///   the old value itself): the fallback.
+#[test]
+fn ranked_set_replace_equals_erase_then_insert() {
+    use record_layer::index::rank::RankedSet;
+    use std::cell::RefCell;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    const VALUES: i64 = 400;
+    const MAX_LEVELS: usize = 6;
+    let t = |v: i64| Tuple::from((v,));
+    let sub = Subspace::from_bytes(b"twin".to_vec());
+    let level_key = |level: usize, v: i64| sub.child(level as i64).pack(&t(v));
+
+    // Heights are a hash of the entry alone: read them off a probe set.
+    let probe = Database::new();
+    let tx = probe.create_transaction();
+    let probe_set = RankedSet::new(&tx, sub.clone(), MAX_LEVELS);
+    let heights: Vec<usize> = (0..VALUES)
+        .map(|v| {
+            probe_set.insert(&t(v)).unwrap();
+            (1..MAX_LEVELS)
+                .take_while(|&l| tx.get(&level_key(l, v)).unwrap().is_some())
+                .count()
+        })
+        .collect();
+    let tall: Vec<i64> = (0..VALUES).filter(|&v| heights[v as usize] > 0).collect();
+    assert!(tall.len() > 20, "{} tall values", tall.len());
+
+    let reached = RefCell::new(BTreeMap::<&str, usize>::new());
+    check("ranked_set_replace_equals_erase_then_insert", 24, |rng| {
+        let nlevels = rng.gen_range(2..=MAX_LEVELS);
+        let top = nlevels - 1;
+        let height = |v: i64| heights[v as usize].min(top);
+        let (db_a, db_b) = (Database::new(), Database::new());
+        let mut oracle = BTreeSet::<i64>::new();
+        for _ in 0..6 {
+            let (tx_a, tx_b) = (db_a.create_transaction(), db_b.create_transaction());
+            let set_a = RankedSet::new(&tx_a, sub.clone(), nlevels);
+            let set_b = RankedSet::new(&tx_b, sub.clone(), nlevels);
+            let mut stopped = false;
+            for _ in 0..rng.gen_range(1..=12u32) {
+                let present: Vec<i64> = oracle.iter().copied().collect();
+                let pick = |from: &[i64], rng: &mut XorShift64| match from.len() {
+                    0 => rng.gen_range(0..VALUES),
+                    n => from[rng.gen_range(0..n)],
+                };
+                let tall_absent: Vec<i64> = tall
+                    .iter()
+                    .copied()
+                    .filter(|v| !oracle.contains(v))
+                    .collect();
+                let tall_present: Vec<i64> = tall
+                    .iter()
+                    .copied()
+                    .filter(|v| oracle.contains(v))
+                    .collect();
+                let absent = |rng: &mut XorShift64| loop {
+                    let v = rng.gen_range(0..VALUES);
+                    if !oracle.contains(&v) {
+                        return v;
+                    }
+                };
+                let op = match (present.is_empty(), rng.gen_range(0..9u32)) {
+                    (true, _) | (_, 0) => RankOp::Insert(if rng.gen_range(0..2u32) == 0 {
+                        pick(&tall, rng)
+                    } else {
+                        rng.gen_range(0..VALUES)
+                    }),
+                    (_, 1) => RankOp::Erase(pick(&present, rng)),
+                    // near_move
+                    (_, 2) => {
+                        let old = pick(&present, rng);
+                        let new = (old + rng.gen_range(-3..=3i64)).clamp(0, VALUES - 1);
+                        RankOp::Replace(old, new)
+                    }
+                    // tall_old
+                    (_, 3) => RankOp::Replace(pick(&tall_present, rng), absent(rng)),
+                    // tall_new
+                    (_, 4) => RankOp::Replace(pick(&present, rng), pick(&tall_absent, rng)),
+                    // tall_both
+                    (_, 5) => RankOp::Replace(pick(&tall_present, rng), pick(&tall_absent, rng)),
+                    // absent_old
+                    (_, 6) => RankOp::Replace(absent(rng), rng.gen_range(0..VALUES)),
+                    // present_new
+                    (_, 7) => RankOp::Replace(pick(&present, rng), pick(&present, rng)),
+                    _ => RankOp::Replace(pick(&present, rng), absent(rng)),
+                };
+                match op {
+                    RankOp::Insert(v) => {
+                        let added = set_a.insert(&t(v)).unwrap();
+                        assert_eq!(added, set_b.insert(&t(v)).unwrap());
+                        assert_eq!(added, oracle.insert(v));
+                    }
+                    RankOp::Erase(v) => {
+                        let removed = set_a.erase(&t(v)).unwrap();
+                        assert_eq!(removed, set_b.erase(&t(v)).unwrap());
+                        assert_eq!(removed, oracle.remove(&v));
+                    }
+                    RankOp::Replace(old, new) => {
+                        let mut cases = Vec::new();
+                        if !oracle.contains(&old) {
+                            cases.push("absent_old");
+                        } else if oracle.contains(&new) {
+                            cases.push("present_new");
+                        } else {
+                            match (height(old) > 0, height(new) > 0) {
+                                (true, true) => cases.push("both_members"),
+                                (true, false) => cases.push("old_member"),
+                                (false, true) => cases.push("new_member"),
+                                (false, false) => {}
+                            }
+                            // Neither is on the top level, whose other
+                            // fingers the move leaves alone: the walk stops
+                            // where one finger covers both, if it does here.
+                            let top_sub = sub.child(top as i64);
+                            let finger = |v: i64| {
+                                let kvs = tx_a
+                                    .get_range_snapshot(
+                                        top_sub.prefix(),
+                                        &level_key(top, v),
+                                        RangeOptions::new().limit(1).reverse(true),
+                                    )
+                                    .unwrap();
+                                kvs.into_iter().next().map(|kv| kv.key)
+                            };
+                            if height(old).max(height(new)) < top && finger(old) == finger(new) {
+                                cases.push("shared_finger");
+                                stopped = true;
+                            }
+                        }
+                        for case in cases {
+                            *reached.borrow_mut().entry(case).or_default() += 1;
+                        }
+                        let moved = set_a.replace(&t(old), &t(new)).unwrap();
+                        let erased = set_b.erase(&t(old)).unwrap();
+                        let inserted = set_b.insert(&t(new)).unwrap();
+                        assert_eq!(moved, (erased, inserted), "{op:?}");
+                        assert_eq!(erased, oracle.remove(&old));
+                        assert_eq!(inserted, oracle.insert(new));
+                    }
+                }
+            }
+            drop((set_a, set_b));
+            tx_a.commit().unwrap();
+            tx_b.commit().unwrap();
+            // Where the walk stopped, B wrote an ADD pair that nets to zero.
+            let (written_a, written_b) = (tx_a.trace().keys_written, tx_b.trace().keys_written);
+            if stopped {
+                assert!(written_a < written_b, "{written_a} keys vs {written_b}");
+            } else {
+                assert!(written_a <= written_b, "{written_a} keys vs {written_b}");
+            }
+
+            let (begin, end) = sub.range_inclusive();
+            let dump = |db: &Database| -> Vec<(Vec<u8>, Vec<u8>)> {
+                let tx = db.create_transaction();
+                let kvs = tx.get_range(&begin, &end, RangeOptions::default()).unwrap();
+                kvs.into_iter().map(|kv| (kv.key, kv.value)).collect()
+            };
+            assert_eq!(dump(&db_a), dump(&db_b), "nlevels {nlevels}");
+
+            let tx = db_a.create_transaction();
+            let set = RankedSet::new(&tx, sub.clone(), nlevels);
+            assert_eq!(set.len().unwrap(), oracle.len() as i64);
+            for (rank, &v) in oracle.iter().enumerate() {
+                assert_eq!(set.rank(&t(v)).unwrap(), Some(rank as i64), "rank of {v}");
+                assert_eq!(
+                    set.select(rank as i64).unwrap(),
+                    Some(t(v)),
+                    "select {rank}"
+                );
+            }
+            assert_eq!(set.select(oracle.len() as i64).unwrap(), None);
+        }
+    });
+    let reached = reached.into_inner();
+    for case in [
+        "shared_finger",
+        "old_member",
+        "new_member",
+        "both_members",
+        "absent_old",
+        "present_new",
+    ] {
+        assert!(
+            reached.contains_key(case),
+            "{case} never generated: {reached:?}"
+        );
+    }
 }
 
 #[test]

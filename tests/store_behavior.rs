@@ -802,3 +802,62 @@ fn every_read_path_reports_the_stored_bytes() {
 /// `range_digest` of the churned store's raw range, computed with this
 /// test on the commit before the fetch path decoded in place.
 const PINNED_DIGEST: u64 = 0x89d0_8c7f_caa5_5235;
+
+/// A RANK index is its skip list: a score-range scan reads level 0 and
+/// returns entries only, never a level's begin sentinel (also from an
+/// empty-tuple low bound), and score changes keep the scan, the ranks and
+/// the count exact.
+#[test]
+fn rank_index_scans_level_zero_and_follows_score_changes() {
+    let md = RecordMetaDataBuilder::new(metadata().pool().clone())
+        .record_type("T", KeyExpression::field("id"))
+        .index("T", Index::rank("v_rank", KeyExpression::field("v")))
+        .build()
+        .unwrap();
+    let db = Database::new();
+    let sub = Subspace::from_bytes(b"rank".to_vec());
+    seed(&db, &md, &sub, 40);
+    let mut model: BTreeMap<i64, i64> = (0..40).map(|id| (id, id * 2)).collect();
+    record_layer::run(&db, |tx| {
+        let store = RecordStore::open_or_create(tx, &sub, &md)?;
+        for id in (0..40i64).step_by(3) {
+            let mut r = store.new_record("T")?;
+            r.set("id", id).unwrap();
+            r.set("v", 61 - id).unwrap();
+            store.save_record(r)?;
+            model.insert(id, 61 - id);
+        }
+        Ok(())
+    })
+    .unwrap();
+
+    let mut want: Vec<Tuple> = model.iter().map(|(&id, &v)| Tuple::from((v, id))).collect();
+    want.sort();
+    let score = |t: &Tuple| t.get(0).unwrap().as_int().unwrap();
+    record_layer::run(&db, |tx| {
+        let store = RecordStore::open_or_create(tx, &sub, &md)?;
+        assert_eq!(store.scan_rank_entries("v_rank", &TupleRange::all())?, want);
+        let from_empty = TupleRange::between(Some((Tuple::new(), true)), None);
+        assert_eq!(store.scan_rank_entries("v_rank", &from_empty)?, want);
+        let scores = TupleRange::between(
+            Some((Tuple::from((10i64,)), true)),
+            Some((Tuple::from((30i64,)), false)),
+        );
+        let in_range: Vec<Tuple> = want
+            .iter()
+            .filter(|t| (10..30).contains(&score(t)))
+            .cloned()
+            .collect();
+        assert_eq!(store.scan_rank_entries("v_rank", &scores)?, in_range);
+        assert_eq!(store.rank_count("v_rank")?, 40);
+        for (rank, entry) in want.iter().enumerate() {
+            assert_eq!(store.rank_of("v_rank", entry)?, Some(rank as i64));
+            assert_eq!(
+                store.entry_at_rank("v_rank", rank as i64)?.as_ref(),
+                Some(entry)
+            );
+        }
+        Ok(())
+    })
+    .unwrap();
+}
