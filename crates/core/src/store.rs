@@ -300,7 +300,6 @@ pub struct RecordStoreBuilder {
     serializer: Arc<dyn RecordSerializer>,
     registry: Arc<IndexRegistry>,
     split_size: usize,
-    metrics: Option<rl_fdb::metrics::SharedMetrics>,
 }
 
 impl Default for RecordStoreBuilder {
@@ -309,7 +308,6 @@ impl Default for RecordStoreBuilder {
             serializer: Arc::new(PlainSerializer),
             registry: IndexRegistry::shared_default(),
             split_size: DEFAULT_SPLIT_SIZE,
-            metrics: None,
         }
     }
 }
@@ -333,14 +331,6 @@ impl RecordStoreBuilder {
     /// splitting path with small records).
     pub fn split_size(mut self, n: usize) -> Self {
         self.split_size = n;
-        self
-    }
-
-    /// Metrics block this store reports into (record fetches and friends).
-    /// Defaults to the database-wide block reachable from the transaction;
-    /// supply a dedicated block to isolate one store's counts.
-    pub fn metrics(mut self, metrics: rl_fdb::metrics::SharedMetrics) -> Self {
-        self.metrics = Some(metrics);
         self
     }
 
@@ -383,7 +373,6 @@ impl RecordStoreBuilder {
             serializer: self.serializer,
             registry: self.registry,
             split_size: self.split_size,
-            metrics: self.metrics.unwrap_or_else(|| tx.metrics().clone()),
         };
         store.check_version()?;
         Ok(store)
@@ -412,7 +401,6 @@ pub struct RecordStore<'a> {
     serializer: Arc<dyn RecordSerializer>,
     registry: Arc<IndexRegistry>,
     split_size: usize,
-    metrics: rl_fdb::metrics::SharedMetrics,
 }
 
 impl<'a> RecordStore<'a> {
@@ -447,16 +435,10 @@ impl<'a> RecordStore<'a> {
         &self.registry
     }
 
-    /// The metrics block this store reports logical events into (record
-    /// fetches, in particular — covering index scans perform none).
-    pub fn metrics(&self) -> &rl_fdb::metrics::SharedMetrics {
-        &self.metrics
-    }
-
     /// Cheap copy of this handle for cursors that outlive the store
-    /// value: shares the transaction, subspace, metadata, serializer,
-    /// registry, and metrics, and skips the open-time version check the
-    /// original already performed.
+    /// value: shares the transaction, subspace, metadata, serializer and
+    /// registry, and skips the open-time version check the original
+    /// already performed.
     pub fn clone_handle(&self) -> RecordStore<'a> {
         RecordStore {
             tx: self.tx,
@@ -470,7 +452,6 @@ impl<'a> RecordStore<'a> {
             serializer: self.serializer.clone(),
             registry: self.registry.clone(),
             split_size: self.split_size,
-            metrics: self.metrics.clone(),
         }
     }
 
@@ -857,7 +838,6 @@ impl<'a> RecordStore<'a> {
         let (record_type, message) = self.deserialize_record(&payload)?;
         // Every record materialized from the record subspace counts as a
         // fetch; covering index scans bypass this path entirely.
-        self.metrics.add_record_fetch();
         self.tx.note_record_fetch();
         Ok(Some(StoredRecord {
             primary_key: primary_key(),

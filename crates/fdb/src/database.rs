@@ -79,25 +79,17 @@ pub enum EngineKind {
 
 impl EngineKind {
     /// Parse an engine spec string — the same grammar as the `RL_ENGINE`
-    /// environment variable: exactly `memory`, `paged`, or
-    /// `paged:<lru|clock|sieve>` (the paged forms get an ephemeral temp
-    /// directory; bare `paged` evicts LRU). Anything else is an error that
-    /// names the grammar, so a typo never selects another engine.
+    /// environment variable: exactly `memory` or `paged` (an ephemeral
+    /// temp directory). Anything else is an error that names the grammar,
+    /// so a typo never selects another engine.
     pub fn from_spec(spec: &str) -> std::result::Result<EngineKind, String> {
-        let eviction = match spec {
-            "memory" => return Ok(EngineKind::InMemory),
-            "paged" => Some(EvictionPolicy::default()),
-            _ => spec
-                .strip_prefix("paged:")
-                .and_then(|policy| EvictionPolicy::ALL.into_iter().find(|p| p.name() == policy)),
-        };
-        eviction
-            .map(|eviction| EngineKind::Paged(PagedConfig::ephemeral(eviction)))
-            .ok_or_else(|| {
-                format!(
-                    "unknown engine spec {spec:?}: want memory, paged or paged:<lru|clock|sieve>"
-                )
-            })
+        match spec {
+            "memory" => Ok(EngineKind::InMemory),
+            "paged" => Ok(EngineKind::Paged(PagedConfig::ephemeral())),
+            _ => Err(format!(
+                "unknown engine spec {spec:?}: want memory or paged"
+            )),
+        }
     }
 
     /// Short engine family name: `memory` or `paged`.
@@ -105,14 +97,6 @@ impl EngineKind {
         match self {
             EngineKind::InMemory => "memory",
             EngineKind::Paged(_) => "paged",
-        }
-    }
-
-    /// The buffer-pool eviction policy, for paged engines.
-    pub fn pool_policy(&self) -> Option<&'static str> {
-        match self {
-            EngineKind::InMemory => None,
-            EngineKind::Paged(cfg) => Some(cfg.eviction.name()),
         }
     }
 }
@@ -124,7 +108,8 @@ pub struct PagedConfig {
     pub path: PathBuf,
     /// Buffer pool capacity in 4 kB pages (minimum 4).
     pub pool_pages: usize,
-    /// Buffer-pool eviction policy.
+    /// Ignored: the pool always evicts with SIEVE. Kept so that callers
+    /// naming it still compile (see [`EvictionPolicy`]).
     pub eviction: EvictionPolicy,
     /// Delete `path` when the database is dropped. Set for the ephemeral
     /// engines `RL_ENGINE=paged` conjures under the OS temp directory;
@@ -135,13 +120,13 @@ pub struct PagedConfig {
 impl PagedConfig {
     /// An ephemeral on-disk engine under the OS temp directory, removed
     /// when the database is dropped. Each call gets a distinct directory.
-    pub fn ephemeral(eviction: EvictionPolicy) -> PagedConfig {
+    pub fn ephemeral() -> PagedConfig {
         static NEXT: AtomicU64 = AtomicU64::new(0);
         let n = NEXT.fetch_add(1, Ordering::Relaxed);
         PagedConfig {
             path: std::env::temp_dir().join(format!("rl-paged-{}-{n}", std::process::id())),
             pool_pages: 256,
-            eviction,
+            eviction: EvictionPolicy::Sieve,
             remove_dir_on_drop: true,
         }
     }
@@ -164,9 +149,9 @@ pub struct DatabaseOptions {
     /// visited once.
     pub compaction_interval: u64,
     /// Storage engine. The default honours the `RL_ENGINE` environment
-    /// variable (`memory`, `paged`, or `paged:<lru|clock|sieve>`; the
-    /// paged forms use an ephemeral temp directory), so the whole test
-    /// suite can be re-run against the disk engine without code changes.
+    /// variable (`memory` or `paged`; `paged` uses an ephemeral temp
+    /// directory), so the whole test suite can be re-run against the disk
+    /// engine without code changes.
     pub engine: EngineKind,
 }
 
@@ -1126,19 +1111,12 @@ mod tests {
 
     #[test]
     fn engine_specs_parse_exactly() {
-        let parse =
-            |spec: &str| EngineKind::from_spec(spec).map(|k| (k.kind_name(), k.pool_policy()));
-        assert_eq!(parse("memory"), Ok(("memory", None)));
-        assert_eq!(parse("paged"), Ok(("paged", Some("lru"))));
-        for policy in ["lru", "clock", "sieve"] {
-            assert_eq!(
-                parse(&format!("paged:{policy}")),
-                Ok(("paged", Some(policy)))
-            );
-        }
-        for bad in ["paged:fifo", "paged:seive", "paged:", "Paged", "disk", ""] {
+        let parse = |spec: &str| EngineKind::from_spec(spec).map(|k| k.kind_name());
+        assert_eq!(parse("memory"), Ok("memory"));
+        assert_eq!(parse("paged"), Ok("paged"));
+        for bad in ["paged:sieve", "paged:lru", "paged:", "Paged", "disk", ""] {
             let err = EngineKind::from_spec(bad).unwrap_err();
-            assert!(err.contains("paged:<lru|clock|sieve>"), "{bad:?}: {err}");
+            assert!(err.contains("want memory or paged"), "{bad:?}: {err}");
         }
     }
 
@@ -1713,7 +1691,7 @@ mod tests {
     #[test]
     fn group_commit_batch_pays_one_wal_frame() {
         let db = Database::with_options(DatabaseOptions {
-            engine: EngineKind::Paged(PagedConfig::ephemeral(EvictionPolicy::Lru)),
+            engine: EngineKind::Paged(PagedConfig::ephemeral()),
             ..DatabaseOptions::default()
         });
         let before = db.metrics().io_counters().snapshot().log_appends;

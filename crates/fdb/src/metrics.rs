@@ -107,21 +107,6 @@ impl Metrics {
             log_appends: self.io.log_appends.load(Ordering::Relaxed),
         }
     }
-
-    /// Reset all counters to zero (between experiment phases).
-    pub fn reset(&self) {
-        self.keys_read.store(0, Ordering::Relaxed);
-        self.bytes_read.store(0, Ordering::Relaxed);
-        self.keys_written.store(0, Ordering::Relaxed);
-        self.bytes_written.store(0, Ordering::Relaxed);
-        self.range_clears.store(0, Ordering::Relaxed);
-        self.read_ops.store(0, Ordering::Relaxed);
-        self.commits_attempted.store(0, Ordering::Relaxed);
-        self.commits_succeeded.store(0, Ordering::Relaxed);
-        self.conflicts.store(0, Ordering::Relaxed);
-        self.record_fetches.store(0, Ordering::Relaxed);
-        self.io.reset();
-    }
 }
 
 /// A point-in-time copy of the counters.
@@ -150,10 +135,9 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Difference between two snapshots (self - earlier). Saturating: a
-    /// concurrent `Metrics::reset` between taking `earlier` and `self`
-    /// makes individual counters go backwards, which must degrade to a
-    /// zero delta rather than a debug-build underflow panic.
+    /// Difference between two snapshots (self - earlier). Saturating, so
+    /// snapshots passed in the wrong order give zeros instead of a
+    /// debug-build underflow panic.
     pub fn delta(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
         MetricsSnapshot {
             keys_read: self.keys_read.saturating_sub(earlier.keys_read),
@@ -184,7 +168,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate_and_reset() {
+    fn counters_accumulate() {
         let m = Metrics::new_shared();
         m.add_keys_read(3, 100);
         m.add_keys_written(2, 50);
@@ -197,8 +181,6 @@ mod tests {
         assert_eq!(s.commits_attempted, 2);
         assert_eq!(s.commits_succeeded, 1);
         assert_eq!(s.conflicts, 1);
-        m.reset();
-        assert_eq!(m.snapshot(), MetricsSnapshot::default());
     }
 
     #[test]

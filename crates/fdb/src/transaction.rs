@@ -230,13 +230,6 @@ impl Transaction {
         self.read_version
     }
 
-    /// The database-wide instrumentation counters, so layers above the
-    /// key-value substrate can report logical events (e.g. record fetches)
-    /// into the same metrics block the substrate tallies key traffic into.
-    pub fn metrics(&self) -> &crate::metrics::SharedMetrics {
-        self.db.metrics()
-    }
-
     /// Snapshot of this transaction's own read/write attribution.
     pub fn trace(&self) -> TxnTrace {
         lock_ranked(&self.state, LockRank::TransactionState).trace
@@ -248,10 +241,12 @@ impl Transaction {
         lock_ranked(&self.state, LockRank::TransactionState).tag = Some(tag.to_string());
     }
 
-    /// Count one record fetch against this transaction's trace (called by
-    /// the record layer; a no-op when observability is disabled, so the
-    /// extra lock acquisition costs nothing on the common path).
+    /// Count one record fetch (called by the record layer): always in the
+    /// database's metrics, and in this transaction's trace only when
+    /// observability is enabled, so the lock that takes costs nothing on
+    /// the common path.
     pub fn note_record_fetch(&self) {
+        self.db.metrics().add_record_fetch();
         if rl_obs::enabled() {
             lock_ranked(&self.state, LockRank::TransactionState)
                 .trace

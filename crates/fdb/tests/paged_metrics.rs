@@ -7,12 +7,11 @@
 //! exercises the disk-backed path regardless of how the suite is run.
 
 use rl_fdb::{Database, DatabaseOptions, EngineKind, PagedConfig};
-use rl_storage::EvictionPolicy;
 
 fn paged_db() -> Database {
     // A deliberately tiny pool (8 × 4 kB) so a ~200 kB workload cannot
     // stay resident: reads after the write phase must miss and evict.
-    let mut cfg = PagedConfig::ephemeral(EvictionPolicy::default());
+    let mut cfg = PagedConfig::ephemeral();
     cfg.pool_pages = 8;
     Database::with_options(DatabaseOptions {
         engine: EngineKind::Paged(cfg),
@@ -107,7 +106,7 @@ fn in_memory_engine_reports_zero_io_metrics() {
 #[test]
 fn an_atomic_add_costs_the_one_descent_of_a_set() {
     use rl_fdb::atomic::MutationType;
-    let mut cfg = PagedConfig::ephemeral(EvictionPolicy::default());
+    let mut cfg = PagedConfig::ephemeral();
     cfg.pool_pages = 4096; // the whole tree stays resident
     let db = Database::with_options(DatabaseOptions {
         engine: EngineKind::Paged(cfg),

@@ -261,7 +261,7 @@ fn reopened_paged_database_reads_what_was_committed() {
             engine: EngineKind::Paged(PagedConfig {
                 path: path.clone(),
                 remove_dir_on_drop: false,
-                ..PagedConfig::ephemeral(Default::default())
+                ..PagedConfig::ephemeral()
             }),
             ..DatabaseOptions::default()
         })

@@ -15,7 +15,7 @@
 //! workers, where extra threads mostly buy conflicts, not throughput.
 //!
 //! ```text
-//! fig_concurrency [--threads=1,2,4,8] [--engines=memory,paged:sieve]
+//! fig_concurrency [--threads=1,2,4,8] [--engines=memory,paged]
 //!                 [--workloads=a,b,...] [--ops=N] [--out=PATH]
 //! ```
 
@@ -35,7 +35,7 @@ const DEFAULT_WORKLOADS: [&str; 3] = [
 
 fn usage() -> ! {
     eprintln!(
-        "usage: fig_concurrency [--threads=1,2,4,8] [--engines=memory,paged:sieve]\n                       [--workloads=name,...] [--ops=N] [--out=PATH]"
+        "usage: fig_concurrency [--threads=1,2,4,8] [--engines=memory,paged]\n                       [--workloads=name,...] [--ops=N] [--out=PATH]"
     );
     std::process::exit(1);
 }
@@ -44,7 +44,6 @@ fn usage() -> ! {
 struct Cell {
     workload: String,
     engine: String,
-    pool_policy: Option<String>,
     threads: usize,
     think_time_us: u64,
     ops: u64,
@@ -76,7 +75,6 @@ fn run_cell(name: &str, engine: &EngineKind, threads: usize, ops: Option<u64>) -
     Cell {
         workload: name.to_string(),
         engine: result.engine_kind,
-        pool_policy: result.pool_policy,
         threads,
         think_time_us: scenario.think_time_us,
         ops,
@@ -105,13 +103,6 @@ fn cell_json(c: &Cell) -> Json {
     Json::obj()
         .with("workload", c.workload.as_str())
         .with("engine", c.engine.as_str())
-        .with(
-            "pool_policy",
-            match &c.pool_policy {
-                Some(p) => Json::from(p.as_str()),
-                None => Json::Null,
-            },
-        )
         .with("threads", c.threads)
         .with("think_time_us", c.think_time_us)
         .with("ops", c.ops)
@@ -135,7 +126,7 @@ fn cell_json(c: &Cell) -> Json {
 
 fn main() {
     let mut threads: Vec<usize> = vec![1, 2, 4, 8];
-    let mut engine_specs: Vec<String> = vec!["memory".into(), "paged:sieve".into()];
+    let mut engine_specs: Vec<String> = vec!["memory".into(), "paged".into()];
     let mut workloads: Vec<String> = DEFAULT_WORKLOADS.iter().map(|s| s.to_string()).collect();
     let mut ops: Option<u64> = None;
     let mut out_path = "BENCH_concurrency.json".to_string();

@@ -69,7 +69,6 @@ pub struct TextStats {
 pub struct RunResult {
     pub scenario: Scenario,
     pub engine_kind: String,
-    pub pool_policy: Option<String>,
     pub engine_description: String,
     pub elapsed_s: f64,
     pub classes: Vec<ClassResult>,
@@ -221,7 +220,6 @@ pub fn run_scenario(scenario: &Scenario, engine: EngineKind) -> RunResult {
     RunResult {
         scenario: scenario.clone(),
         engine_kind: engine.kind_name().to_string(),
-        pool_policy: engine.pool_policy().map(str::to_string),
         engine_description: db.engine_description(),
         elapsed_s,
         classes,

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! rl_harness --list
-//! rl_harness --scenario=mixed_default [--engine=paged:sieve] [--ops=N]
+//! rl_harness --scenario=mixed_default [--engine=paged] [--ops=N]
 //!            [--threads=N] [--records=N] [--tenants=N] [--seed=N]
 //!            [--out=PATH]
 //! rl_harness --compare old.json new.json [--threshold=25]
@@ -16,7 +16,7 @@ use rl_harness::{compare, presets, report, run_scenario};
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  rl_harness --list\n  rl_harness --scenario=<name> [--engine=<memory|paged[:lru|clock|sieve]>]\n             [--ops=N] [--threads=N] [--records=N] [--tenants=N] [--seed=N] [--out=PATH]\n  rl_harness --compare <old.json> <new.json> [--threshold=<percent>]"
+        "usage:\n  rl_harness --list\n  rl_harness --scenario=<name> [--engine=<memory|paged>]\n             [--ops=N] [--threads=N] [--records=N] [--tenants=N] [--seed=N] [--out=PATH]\n  rl_harness --compare <old.json> <new.json> [--threshold=<percent>]"
     );
     std::process::exit(1);
 }

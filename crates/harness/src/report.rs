@@ -112,13 +112,6 @@ pub fn to_json(result: &RunResult) -> Json {
             "engine",
             Json::obj()
                 .with("kind", result.engine_kind.as_str())
-                .with(
-                    "pool_policy",
-                    match &result.pool_policy {
-                        Some(p) => Json::from(p.as_str()),
-                        None => Json::Null,
-                    },
-                )
                 .with("description", result.engine_description.as_str()),
         )
         .with(
@@ -148,14 +141,9 @@ pub fn to_json(result: &RunResult) -> Json {
 /// Console summary: one row per op class plus the totals line.
 pub fn print_table(result: &RunResult) {
     println!(
-        "# {} on {} engine{} — {} threads, {} ops budget",
+        "# {} on {} engine — {} threads, {} ops budget",
         result.scenario.name,
         result.engine_kind,
-        result
-            .pool_policy
-            .as_deref()
-            .map(|p| format!(" ({p})"))
-            .unwrap_or_default(),
         result.scenario.threads,
         result.scenario.total_ops,
     );

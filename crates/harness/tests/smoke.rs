@@ -3,7 +3,7 @@
 //! is key-identical across engines; then exercise `--compare` logic on
 //! the real reports (self-compare clean, doctored regression caught).
 
-use rl_fdb::{EngineKind, EvictionPolicy, PagedConfig};
+use rl_fdb::{EngineKind, PagedConfig};
 use rl_harness::json::Json;
 use rl_harness::{compare, presets, report, run_scenario};
 
@@ -34,10 +34,7 @@ fn collect_keys(v: &Json, prefix: &str, out: &mut Vec<String>) {
 fn reports_are_schema_stable_across_engines() {
     let scenario = tiny_scenario();
     let mem = run_scenario(&scenario, EngineKind::InMemory);
-    let paged = run_scenario(
-        &scenario,
-        EngineKind::Paged(PagedConfig::ephemeral(EvictionPolicy::Sieve)),
-    );
+    let paged = run_scenario(&scenario, EngineKind::Paged(PagedConfig::ephemeral()));
 
     let mem_json = report::to_json(&mem);
     let paged_json = report::to_json(&paged);
@@ -65,10 +62,6 @@ fn reports_are_schema_stable_across_engines() {
     assert_eq!(
         paged_json.get_path("engine.kind").unwrap().as_str(),
         Some("paged")
-    );
-    assert_eq!(
-        paged_json.get_path("engine.pool_policy").unwrap().as_str(),
-        Some("sieve")
     );
 
     // >= 4 query-shape classes with integer latency percentiles,

@@ -935,7 +935,6 @@ mod tests {
     use std::collections::BTreeMap;
 
     use super::*;
-    use crate::engine::EvictionPolicy;
     use crate::IoCounters;
 
     fn pool(name: &str, pages: usize) -> (BufferPool, std::path::PathBuf) {
@@ -943,13 +942,7 @@ mod tests {
             std::env::temp_dir().join(format!("rl-storage-btree-{}-{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let p = BufferPool::open(
-            &dir.join("pages.db"),
-            pages,
-            EvictionPolicy::Lru,
-            IoCounters::new_shared(),
-        )
-        .unwrap();
+        let p = BufferPool::open(&dir.join("pages.db"), pages, IoCounters::new_shared()).unwrap();
         (p, dir)
     }
 

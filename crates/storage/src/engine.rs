@@ -22,50 +22,18 @@
 //! [`update`]: StorageEngine::update
 //! [`compact`]: StorageEngine::compact
 
-use std::str::FromStr;
-
-/// Which buffer-pool eviction policy a paged engine uses.
+/// The buffer-pool eviction policy, kept so that callers naming it still
+/// compile: SIEVE is the only one, and nothing branches on it. ROADMAP
+/// direction 8's benchmark-only change deletes it, along with
+/// `PagedConfig::eviction` and [`PagedEngine::open`]'s policy argument.
+///
+/// [`PagedEngine::open`]: crate::PagedEngine::open
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvictionPolicy {
-    /// Evict the least-recently-used page (exact recency order).
+    /// SIEVE (NSDI '24): FIFO order with a lazily moving hand that spares
+    /// visited pages.
     #[default]
-    Lru,
-    /// Second-chance clock: a hand sweeps frames, clearing reference bits.
-    Clock,
-    /// SIEVE (NSDI'24): FIFO order with a lazily moving hand that spares
-    /// visited pages; scan-resistant with less bookkeeping than LRU.
     Sieve,
-}
-
-impl EvictionPolicy {
-    pub const ALL: [EvictionPolicy; 3] = [
-        EvictionPolicy::Lru,
-        EvictionPolicy::Clock,
-        EvictionPolicy::Sieve,
-    ];
-
-    pub fn name(&self) -> &'static str {
-        match self {
-            EvictionPolicy::Lru => "lru",
-            EvictionPolicy::Clock => "clock",
-            EvictionPolicy::Sieve => "sieve",
-        }
-    }
-}
-
-impl FromStr for EvictionPolicy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "lru" => Ok(EvictionPolicy::Lru),
-            "clock" => Ok(EvictionPolicy::Clock),
-            "sieve" => Ok(EvictionPolicy::Sieve),
-            other => Err(format!(
-                "unknown eviction policy '{other}' (lru|clock|sieve)"
-            )),
-        }
-    }
 }
 
 /// What [`StorageEngine::update`] applies: from the value visible at the
@@ -208,26 +176,4 @@ pub trait SharedRead: Sync {
 
     /// Number of live keys at `read_version`.
     fn live_key_count(&self, read_version: u64) -> usize;
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn eviction_policy_parses() {
-        assert_eq!(
-            "lru".parse::<EvictionPolicy>().unwrap(),
-            EvictionPolicy::Lru
-        );
-        assert_eq!(
-            "Clock".parse::<EvictionPolicy>().unwrap(),
-            EvictionPolicy::Clock
-        );
-        assert_eq!(
-            "SIEVE".parse::<EvictionPolicy>().unwrap(),
-            EvictionPolicy::Sieve
-        );
-        assert!("fifo".parse::<EvictionPolicy>().is_err());
-    }
 }

@@ -32,6 +32,13 @@ const META_FIXED: usize = 8 + 8 + 4 + 4 + 8 + 4;
 /// How many free-page ids fit in a persisted meta slot.
 const META_FREE_CAP: usize = (MAX_PAYLOAD - META_FIXED) / 4;
 
+#[cfg(test)]
+thread_local! {
+    /// While set, [`PageFile::write_page`] fails without writing: the
+    /// unit tests' stand-in for a device write error.
+    pub(crate) static FAIL_WRITES: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
 /// Paged file with checksummed pages and dual-slot metadata.
 #[derive(Debug)]
 pub struct PageFile {
@@ -151,6 +158,10 @@ impl PageFile {
     /// Write a page payload (framed and checksummed).
     pub fn write_page(&mut self, id: PageId, payload: &[u8]) -> io::Result<()> {
         debug_assert!(id >= 2, "writing meta slot {id} as data page");
+        #[cfg(test)]
+        if FAIL_WRITES.get() {
+            return Err(io::Error::other("injected write failure"));
+        }
         self.file
             .write_all_at(&frame(payload), u64::from(id) * PAGE_SIZE as u64)
     }

@@ -8,11 +8,11 @@
 //! * [`MemoryEngine`] — the original ordered in-memory map, retained as the
 //!   test oracle and the default engine.
 //! * [`PagedEngine`] — a disk-backed engine: a fixed-size-page file with
-//!   checksummed headers and a free list ([`file`]), a buffer pool with
-//!   pluggable eviction ([`pool`], [`replacer`]: LRU / Clock / SIEVE), a
-//!   copy-on-write B-tree keyed on raw bytes whose leaf entries hold the
-//!   per-key version chain ([`btree`]), and an append-only write-ahead log
-//!   segment that makes committed batches crash-recoverable ([`wal`]).
+//!   checksummed headers and a free list ([`file`]), a buffer pool that
+//!   evicts with SIEVE ([`pool`]), a copy-on-write B-tree keyed on raw
+//!   bytes whose leaf entries hold the per-key version chain ([`btree`]),
+//!   and an append-only write-ahead log segment that makes committed
+//!   batches crash-recoverable ([`wal`]).
 //!
 //! Both engines keep a log of the keys whose write shadowed an older
 //! version or was a tombstone (`garbage`), so MVCC compaction visits the
@@ -50,13 +50,12 @@ pub mod memory;
 pub mod page;
 pub mod paged;
 pub mod pool;
-pub mod replacer;
+mod replacer;
 pub mod wal;
 
 pub use engine::{EvictionPolicy, SharedRead, StorageEngine};
 pub use memory::MemoryEngine;
 pub use paged::PagedEngine;
-pub use replacer::{ClockReplacer, LruReplacer, Replacer, SieveReplacer};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -96,15 +95,6 @@ impl IoCounters {
             log_appends: self.log_appends.load(Ordering::Relaxed),
         }
     }
-
-    /// Reset all counters to zero (between experiment phases).
-    pub fn reset(&self) {
-        self.page_hits.store(0, Ordering::Relaxed);
-        self.page_misses.store(0, Ordering::Relaxed);
-        self.page_evictions.store(0, Ordering::Relaxed);
-        self.page_flushes.store(0, Ordering::Relaxed);
-        self.log_appends.store(0, Ordering::Relaxed);
-    }
 }
 
 /// A point-in-time copy of the I/O counters.
@@ -119,7 +109,7 @@ pub struct IoStats {
 
 impl IoStats {
     /// Difference between two snapshots (self - earlier). Saturating, so
-    /// a `reset()` racing a snapshot pair degrades to zeros instead of a
+    /// snapshots passed in the wrong order give zeros instead of a
     /// debug-build underflow panic.
     pub fn delta(&self, earlier: &IoStats) -> IoStats {
         IoStats {
@@ -129,14 +119,5 @@ impl IoStats {
             page_flushes: self.page_flushes.saturating_sub(earlier.page_flushes),
             log_appends: self.log_appends.saturating_sub(earlier.log_appends),
         }
-    }
-
-    /// Fraction of pool requests served without touching the page file.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.page_hits + self.page_misses;
-        if total == 0 {
-            return 1.0;
-        }
-        self.page_hits as f64 / total as f64
     }
 }

@@ -49,7 +49,6 @@ pub struct PagedEngine {
     /// The highest version written, or stored at open.
     newest: u64,
     counters: SharedIoCounters,
-    policy: EvictionPolicy,
     pool_pages: usize,
     dir: PathBuf,
 }
@@ -57,15 +56,16 @@ pub struct PagedEngine {
 impl PagedEngine {
     /// Open (or create) an engine rooted at directory `dir`, holding
     /// `pages.db` and `wal.log`. Replays any committed WAL tail past the
-    /// last checkpoint before returning.
+    /// last checkpoint before returning. The pool evicts with SIEVE;
+    /// `_policy` is ignored (see [`EvictionPolicy`]).
     pub fn open(
         dir: &Path,
         pool_pages: usize,
-        policy: EvictionPolicy,
+        _policy: EvictionPolicy,
         counters: SharedIoCounters,
     ) -> io::Result<PagedEngine> {
         std::fs::create_dir_all(dir)?;
-        let pool = BufferPool::open(&dir.join("pages.db"), pool_pages, policy, counters.clone())?;
+        let pool = BufferPool::open(&dir.join("pages.db"), pool_pages, counters.clone())?;
         let wal = Wal::open(&dir.join("wal.log"))?;
         let mut engine = PagedEngine {
             pool,
@@ -73,7 +73,6 @@ impl PagedEngine {
             garbage: GarbageLog::default(),
             newest: 0,
             counters,
-            policy,
             pool_pages,
             dir: dir.to_path_buf(),
         };
@@ -346,10 +345,9 @@ impl StorageEngine for PagedEngine {
 
     fn describe(&self) -> String {
         format!(
-            "paged(dir={}, pool_pages={}, eviction={}, file_pages={}, wal_bytes={})",
+            "paged(dir={}, pool_pages={}, file_pages={}, wal_bytes={})",
             self.dir.display(),
             self.pool_pages,
-            self.policy.name(),
             self.pool.page_count(),
             self.wal.len(),
         )
@@ -369,7 +367,7 @@ mod tests {
     }
 
     fn open(d: &Path, pages: usize) -> PagedEngine {
-        PagedEngine::open(d, pages, EvictionPolicy::Lru, IoCounters::new_shared()).unwrap()
+        PagedEngine::open(d, pages, EvictionPolicy::Sieve, IoCounters::new_shared()).unwrap()
     }
 
     #[test]
@@ -438,7 +436,7 @@ mod tests {
         // as exactly one WAL frame — one log_appends tick for the batch.
         let d = dir("groupcommit");
         let counters = IoCounters::new_shared();
-        let mut e = PagedEngine::open(&d, 32, EvictionPolicy::Lru, counters.clone()).unwrap();
+        let mut e = PagedEngine::open(&d, 32, EvictionPolicy::Sieve, counters.clone()).unwrap();
         let before = counters.snapshot().log_appends;
         for t in 0..4u64 {
             for k in 0..8u32 {
@@ -465,7 +463,7 @@ mod tests {
         // range it was asked about.
         let d = dir("limit1");
         let counters = IoCounters::new_shared();
-        let mut e = PagedEngine::open(&d, 4096, EvictionPolicy::Lru, counters.clone()).unwrap();
+        let mut e = PagedEngine::open(&d, 4096, EvictionPolicy::Sieve, counters.clone()).unwrap();
         let key = |i: u32| format!("k{i:05}").into_bytes();
         for i in 0..10_000u32 {
             e.write(key(i), Some(vec![b'v'; 16]), 10);
@@ -516,7 +514,7 @@ mod tests {
         // changed.
         let d = dir("overwrite");
         let counters = IoCounters::new_shared();
-        let mut e = PagedEngine::open(&d, 4096, EvictionPolicy::Lru, counters.clone()).unwrap();
+        let mut e = PagedEngine::open(&d, 4096, EvictionPolicy::Sieve, counters.clone()).unwrap();
         let key = |i: u32| format!("k{i:05}").into_bytes();
         for i in 0..10_000u32 {
             e.write(key(i), Some(vec![b'v'; 16]), 10);

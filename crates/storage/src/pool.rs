@@ -1,5 +1,5 @@
 //! The buffer pool: a fixed number of in-memory frames over the page
-//! file, with pluggable eviction and dirty-page write-back — plus the
+//! file, with SIEVE eviction and dirty-page write-back — plus the
 //! shadow-paging epoch bookkeeping every page allocation and free flows
 //! through.
 //!
@@ -19,10 +19,9 @@ use std::ops::Deref;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
-use crate::engine::EvictionPolicy;
 use crate::file::PageFile;
 use crate::page::{PageId, MAX_PAYLOAD};
-use crate::replacer::{new_replacer, Replacer};
+use crate::replacer::SieveReplacer;
 use crate::SharedIoCounters;
 
 /// One page's payload as the pool holds it. An image never changes: a
@@ -72,7 +71,7 @@ pub struct BufferPool {
     frames: Vec<Frame>,
     map: HashMap<PageId, usize>,
     free_frames: Vec<usize>,
-    replacer: Box<dyn Replacer>,
+    replacer: SieveReplacer,
     capacity: usize,
     /// Pages allocated since the last checkpoint (not in the meta root).
     fresh: HashSet<PageId>,
@@ -87,7 +86,6 @@ impl BufferPool {
     pub fn open(
         path: &Path,
         capacity: usize,
-        policy: EvictionPolicy,
         counters: SharedIoCounters,
     ) -> io::Result<BufferPool> {
         let capacity = capacity.max(4);
@@ -98,7 +96,7 @@ impl BufferPool {
             frames: Vec::new(),
             map: HashMap::new(),
             free_frames: Vec::new(),
-            replacer: new_replacer(policy, capacity),
+            replacer: SieveReplacer::new(capacity),
             capacity,
             fresh: HashSet::new(),
             pending_free: Vec::new(),
@@ -233,12 +231,16 @@ impl BufferPool {
             .replacer
             .evict()
             .expect("buffer pool full but no evictable frame");
+        if self.frames[idx].dirty {
+            if let Err(e) = self.flush_frame(idx) {
+                // The victim keeps its page, still dirty: keep it evictable.
+                self.replacer.insert(idx);
+                return Err(e);
+            }
+        }
         self.counters
             .page_evictions
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        if self.frames[idx].dirty {
-            self.flush_frame(idx)?;
-        }
         self.map.remove(&self.frames[idx].page);
         Ok(idx)
     }
@@ -270,28 +272,19 @@ mod tests {
     use super::*;
     use crate::IoCounters;
 
-    fn pool(
-        name: &str,
-        capacity: usize,
-        policy: EvictionPolicy,
-    ) -> (BufferPool, std::path::PathBuf) {
+    fn pool(name: &str, capacity: usize) -> (BufferPool, std::path::PathBuf) {
         let dir =
             std::env::temp_dir().join(format!("rl-storage-pool-{}-{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let p = BufferPool::open(
-            &dir.join("pages.db"),
-            capacity,
-            policy,
-            IoCounters::new_shared(),
-        )
-        .unwrap();
+        let p =
+            BufferPool::open(&dir.join("pages.db"), capacity, IoCounters::new_shared()).unwrap();
         (p, dir)
     }
 
     #[test]
     fn eviction_writes_back_dirty_pages() {
-        let (mut pool, dir) = pool("writeback", 4, EvictionPolicy::Lru);
+        let (mut pool, dir) = pool("writeback", 4);
         let ids: Vec<PageId> = (0..16)
             .map(|i| pool.allocate(vec![i as u8; 64]).unwrap())
             .collect();
@@ -307,8 +300,30 @@ mod tests {
     }
 
     #[test]
+    fn failed_write_back_keeps_the_victim_evictable() {
+        let (mut pool, dir) = pool("failed-writeback", 4);
+        let mut ids: Vec<PageId> = (0..4)
+            .map(|i| pool.allocate(vec![i as u8; 64]).unwrap())
+            .collect();
+        // Every frame holds a dirty page, so each allocation must write a
+        // victim back first: fail more write-backs than there are frames.
+        crate::file::FAIL_WRITES.set(true);
+        for _ in 0..8 {
+            assert!(pool.allocate(vec![0xEE; 64]).is_err());
+        }
+        crate::file::FAIL_WRITES.set(false);
+        assert_eq!(pool.counters.snapshot().page_evictions, 0);
+        ids.push(pool.allocate(vec![4; 64]).unwrap());
+        for (i, id) in ids.iter().enumerate() {
+            assert_eq!(&pool.read(*id).unwrap()[..], vec![i as u8; 64]);
+        }
+        assert!(pool.counters.snapshot().page_evictions > 0);
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
     fn cow_preserves_checkpointed_page() {
-        let (mut pool, dir) = pool("cow", 8, EvictionPolicy::Clock);
+        let (mut pool, dir) = pool("cow", 8);
         let id = pool.allocate(b"original".to_vec()).unwrap();
         pool.set_root(id);
         pool.checkpoint(0).unwrap();
@@ -325,7 +340,7 @@ mod tests {
 
     #[test]
     fn pending_free_reused_only_after_checkpoint() {
-        let (mut pool, dir) = pool("pending", 8, EvictionPolicy::Sieve);
+        let (mut pool, dir) = pool("pending", 8);
         let id = pool.allocate(b"a".to_vec()).unwrap();
         pool.set_root(id);
         pool.checkpoint(0).unwrap();

@@ -34,7 +34,7 @@ fn a_pass_costs_the_keys_written_not_the_keys_stored() {
     for keys in [2_000u32, 20_000] {
         let d = dir(&format!("cost-{keys}"));
         let counters = IoCounters::new_shared();
-        let mut e = PagedEngine::open(&d, 4096, EvictionPolicy::Lru, counters.clone()).unwrap();
+        let mut e = PagedEngine::open(&d, 4096, EvictionPolicy::Sieve, counters.clone()).unwrap();
         for i in 0..keys {
             e.write(key(i), Some(vec![b'v'; 16]), 10);
         }
@@ -82,7 +82,7 @@ fn garbage_written_before_a_reopen_is_reclaimed_after_it() {
         } else {
             "reopen-clean"
         });
-        let open = || PagedEngine::open(&d, 16, EvictionPolicy::Lru, IoCounters::new_shared());
+        let open = || PagedEngine::open(&d, 16, EvictionPolicy::Sieve, IoCounters::new_shared());
         let mut e = open().unwrap();
         let mut memory = MemoryEngine::new();
         let mut both = |e: &mut PagedEngine, k: Vec<u8>, value: Option<Vec<u8>>, version| {

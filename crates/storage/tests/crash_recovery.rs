@@ -14,7 +14,7 @@ fn dir(name: &str) -> PathBuf {
 }
 
 fn open(d: &Path) -> PagedEngine {
-    PagedEngine::open(d, 16, EvictionPolicy::Lru, IoCounters::new_shared()).unwrap()
+    PagedEngine::open(d, 16, EvictionPolicy::Sieve, IoCounters::new_shared()).unwrap()
 }
 
 #[test]
@@ -195,7 +195,7 @@ fn format_1_directory_is_refused_before_the_wal_is_touched() {
     wal.extend_from_slice(&op);
     std::fs::write(d.join("wal.log"), &wal).unwrap();
 
-    let err = PagedEngine::open(&d, 16, EvictionPolicy::Lru, IoCounters::new_shared())
+    let err = PagedEngine::open(&d, 16, EvictionPolicy::Sieve, IoCounters::new_shared())
         .expect_err("a format-1 directory must not open");
     assert_eq!(err.kind(), std::io::ErrorKind::Unsupported, "{err}");
     assert!(

@@ -284,7 +284,7 @@ fn transaction_spans_attribute_traffic_and_outcome() {
 /// (exclusive-read path and batch leader apart), apply, seal, compaction.
 #[test]
 fn commit_path_stages_are_timed() {
-    use rl_fdb::{DatabaseOptions, EngineKind, EvictionPolicy, PagedConfig};
+    use rl_fdb::{DatabaseOptions, EngineKind, PagedConfig};
     let _guard = obs_lock();
     let recorder = rl_obs::Recorder::global();
     const STAGES: [&str; 7] = [
@@ -301,7 +301,7 @@ fn commit_path_stages_are_timed() {
     // The paged engine reads under the exclusive lock; compacting after
     // every commit makes each commit visit every stage.
     let db = Database::with_options(DatabaseOptions {
-        engine: EngineKind::Paged(PagedConfig::ephemeral(EvictionPolicy::Sieve)),
+        engine: EngineKind::Paged(PagedConfig::ephemeral()),
         compaction_interval: 1,
         ..DatabaseOptions::default()
     });
@@ -381,7 +381,7 @@ fn batches_and_compaction_passes_record_their_sizes() {
 /// commit inside the MVCC window appends a version the next write copies.
 #[test]
 fn rewritten_chain_lengths_are_recorded() {
-    use rl_fdb::{DatabaseOptions, EngineKind, EvictionPolicy, PagedConfig};
+    use rl_fdb::{DatabaseOptions, EngineKind, PagedConfig};
     let _guard = obs_lock();
     let chains = || {
         rl_obs::Recorder::global()
@@ -389,7 +389,7 @@ fn rewritten_chain_lengths_are_recorded() {
             .snapshot()
     };
     let db = Database::with_options(DatabaseOptions {
-        engine: EngineKind::Paged(PagedConfig::ephemeral(EvictionPolicy::Sieve)),
+        engine: EngineKind::Paged(PagedConfig::ephemeral()),
         ..DatabaseOptions::default()
     });
     let write = || {

@@ -20,7 +20,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use rl_harness::rng::{Rng, XorShift64};
 use rl_storage::btree::{self, Cursor};
 use rl_storage::pool::BufferPool;
-use rl_storage::{EvictionPolicy, IoCounters};
+use rl_storage::IoCounters;
 
 const BASE_SEED: u64 = 0x0BAD_5EED_DA7A_F11E;
 /// Random byte-flip cases per payload, beside one truncation per length.
@@ -91,7 +91,7 @@ fn damaged_nodes_fail_typed_never_panic() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("pages.db");
-    let open = || BufferPool::open(&path, 64, EvictionPolicy::Sieve, IoCounters::new_shared());
+    let open = || BufferPool::open(&path, 64, IoCounters::new_shared());
     let mut pool = open().unwrap();
 
     // A one-leaf tree, then one grown until its root is an internal node;
@@ -174,7 +174,7 @@ fn child_pointer_to_a_walked_leaf_fails_typed() {
     // Room for every page: the walked images, offsets and all, stay.
     let counters = IoCounters::new_shared();
     let path = dir.join("pages.db");
-    let mut pool = BufferPool::open(&path, 1024, EvictionPolicy::Lru, counters.clone()).unwrap();
+    let mut pool = BufferPool::open(&path, 1024, counters.clone()).unwrap();
     // A 100-byte common prefix keeps separators long: three levels.
     let key = |i: u32| [&[b'p'; 100][..], format!("{i:05}").as_bytes()].concat();
     let value = |i: u32| i.to_le_bytes().repeat(75);

@@ -17,22 +17,22 @@
 //! entries a plain model — every write kept, then trimmed by a scan of all
 //! of it at each horizon, as the engines themselves once did — retains.
 //! Which generator case reaches which branch of that path (counts from an
-//! instrumented run of the 1 000 cases, ≈ 4 500 passes):
+//! instrumented run of the 1 000 cases, ≈ 4 600 passes):
 //!
-//! * a key logged twice inside one drained batch (de-duplicated, 1 424
+//! * a key logged twice inside one drained batch (de-duplicated, 1 472
 //!   passes): 24 short keys, 20–80 ops, compactions one op in eleven
 //!   apart, so a pass often drains a key written more than once since the
 //!   last;
 //! * a pass whose `oldest` falls inside a log block (a prefix drained,
-//!   3 462 passes): `oldest` is drawn from `oldest..=version`, so most
+//!   3 532 passes): `oldest` is drawn from `oldest..=version`, so most
 //!   passes leave newer entries of the one block a case fills behind;
-//! * a tombstone on a key that never existed (5 464 writes): one write in
+//! * a tombstone on a key that never existed (5 659 writes): one write in
 //!   four is a tombstone and `update` returns `None` one time in three,
 //!   on a key space that starts empty;
-//! * an overflow-sized chain trimmed (149 prunes): one value in twenty is
+//! * an overflow-sized chain trimmed (151 prunes): one value in twenty is
 //!   600–6 000 bytes (a chain over 512 spills), on keys then overwritten;
-//! * `update` on a missing key (3 291), and `update` at the newest entry's
-//!   own version, which replaces as `write` does (117): the `update` arm
+//! * `update` on a missing key (3 370), and `update` at the newest entry's
+//!   own version, which replaces as `write` does (123): the `update` arm
 //!   leaves `version` alone one time in two and draws from the same keys.
 //!
 //! Same harness as `tests/proptests.rs`: no shrinking, but a failure
@@ -174,15 +174,15 @@ fn paged_engine_matches_memory_oracle() {
         let dir = std::env::temp_dir().join(format!("rl-diff-{}-{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
 
-        let policy = match rng.gen_range(0..3u32) {
-            0 => EvictionPolicy::Lru,
-            1 => EvictionPolicy::Clock,
-            _ => EvictionPolicy::Sieve,
-        };
         // Tiny pools force eviction mid-operation.
         let pool_pages = rng.gen_range(4..48usize);
-        let mut paged = PagedEngine::open(&dir, pool_pages, policy, IoCounters::new_shared())
-            .expect("open paged engine");
+        let mut paged = PagedEngine::open(
+            &dir,
+            pool_pages,
+            EvictionPolicy::Sieve,
+            IoCounters::new_shared(),
+        )
+        .expect("open paged engine");
         let mut memory = MemoryEngine::new();
         let mut model = Model::default();
 
