@@ -92,8 +92,10 @@ pub trait StorageEngine: Send + Sync + std::fmt::Debug {
     /// proportional to the rows returned plus the rows stepped over
     /// because they are invisible at `read_version` (tombstones, versions
     /// newer than the read version). The scan never touches the part of
-    /// the range beyond the `limit`-th visible row. Pass `usize::MAX` for
-    /// the whole range.
+    /// the range beyond the `limit`-th visible row, and on the paged
+    /// engine no leaf past the range's end: it stops at the first
+    /// ancestor separator that the end does not exceed. Pass `usize::MAX`
+    /// for the whole range.
     fn scan(
         &mut self,
         begin: &[u8],

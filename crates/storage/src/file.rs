@@ -8,6 +8,12 @@
 //! open() picks the valid slot with the highest generation. Data pages
 //! start at id 2.
 //!
+//! A meta slot's magic names the page format: `RLPAGED3`, whose leaves
+//! store their keys' shared prefix once and every length as a varint (see
+//! `btree`). A file of format 1 or 2 is refused with
+//! [`io::ErrorKind::Unsupported`], naming its format, before the engine
+//! opens its write-ahead log; no build reads two formats.
+//!
 //! The free list persisted in a meta slot is capped by the page size;
 //! during a run the in-memory list is authoritative and any excess simply
 //! fails to survive a crash (leaking those pages until the file is
@@ -24,9 +30,13 @@ use std::path::Path;
 
 use crate::page::{frame, unframe, PageId, HEADER_SIZE, MAX_PAYLOAD, NO_PAGE, PAGE_SIZE};
 
-const MAGIC: u64 = 0x524C_5041_4745_4432; // "RLPAGED2"
-/// The magic of page format 1 (FNV-1a checksums), which is refused.
-const MAGIC_FORMAT_1: u64 = 0x524C_5041_4745_4431; // "RLPAGED1"
+const MAGIC: u64 = 0x524C_5041_4745_4433; // "RLPAGED3"
+/// The magics of the page formats this build refuses ("RLPAGED1",
+/// "RLPAGED2"), and what each was.
+const RETIRED: [(u64, &str); 2] = [
+    (0x524C_5041_4745_4431, "page format 1 (FNV-1a checksums)"),
+    (0x524C_5041_4745_4432, "page format 2 (whole keys)"),
+];
 /// Fixed meta fields: magic + generation + page_count + root + lsn + count.
 const META_FIXED: usize = 8 + 8 + 4 + 4 + 8 + 4;
 /// How many free-page ids fit in a persisted meta slot.
@@ -81,7 +91,7 @@ impl PageFile {
 
         // Pick the valid meta slot with the highest generation.
         let mut best: Option<(u64, u32, PageId, u64, Vec<PageId>)> = None;
-        let mut format_1 = false;
+        let mut retired = None;
         for slot in 0..2u32 {
             if (u64::from(slot) + 1) * PAGE_SIZE as u64 > len {
                 continue;
@@ -92,18 +102,24 @@ impl PageFile {
                 Ok(meta) if best.as_ref().is_none_or(|b| meta.0 > b.0) => best = Some(meta),
                 Ok(_) => {}
                 Err(_) => {
-                    format_1 |= buf[HEADER_SIZE..HEADER_SIZE + 8] == MAGIC_FORMAT_1.to_le_bytes()
+                    let magic = &buf[HEADER_SIZE..HEADER_SIZE + 8];
+                    let old = RETIRED.iter().find(|(m, _)| magic == m.to_le_bytes());
+                    retired = retired.or(old.map(|(_, what)| *what));
                 }
             }
         }
         let (generation, page_count, root, checkpoint_lsn, free) = best.ok_or_else(|| {
-            let (kind, what) = if format_1 {
-                let what = "is page format 1 (FNV-1a checksums), which this build does not read";
-                (io::ErrorKind::Unsupported, what)
-            } else {
-                (io::ErrorKind::InvalidData, "no valid meta slot")
-            };
-            io::Error::new(kind, format!("{}: {what}", path.display()))
+            let path = path.display();
+            match retired {
+                Some(what) => io::Error::new(
+                    io::ErrorKind::Unsupported,
+                    format!("{path}: is {what}, which this build does not read"),
+                ),
+                None => io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("{path}: no valid meta slot"),
+                ),
+            }
         })?;
         Ok(PageFile {
             file,

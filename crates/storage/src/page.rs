@@ -1,4 +1,4 @@
-//! On-disk page format 2: fixed-size pages with a checksummed header.
+//! On-disk pages: fixed-size pages with a checksummed header.
 //!
 //! Every page is [`PAGE_SIZE`] bytes:
 //!
@@ -14,11 +14,13 @@
 //! lanes; format 1 used FNV-1a, one 64-bit multiply per *byte* on a single
 //! dependency chain, which took 5.5–5.8 µs per full page against
 //! 0.35–0.42 µs for XXH64 — on a page miss the hash, not the read, was the
-//! cost. The header layout is the same in both formats; the meta slot's
-//! magic (`RLPAGED2`) tells them apart, and a format-1 file is refused, not
-//! read. Page *types* live in the first payload byte and belong to the
-//! layers above (B-tree nodes, overflow chains, meta slots); this module
-//! only frames and verifies.
+//! cost. Format 3 keeps this framing and changes only the B-tree's leaves
+//! (`btree`: a shared key prefix stored once, varint lengths). The header
+//! layout is the same in all three; the meta slot's magic (`RLPAGED3`)
+//! tells them apart, and a file of format 1 or 2 is refused, not read.
+//! Page *types* live in the first payload byte and belong to the layers
+//! above (B-tree nodes, overflow chains, meta slots); this module only
+//! frames and verifies.
 
 use std::io;
 

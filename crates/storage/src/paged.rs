@@ -89,7 +89,7 @@ impl PagedEngine {
         // (version, key) of each entry that shadows an older one or is a
         // tombstone; keys packed into one buffer.
         let (mut keys, mut found) = (Vec::new(), Vec::new());
-        let mut cursor = Cursor::seek(&mut self.pool, b"", true)?;
+        let mut cursor = Cursor::seek(&mut self.pool, b"", None, true)?;
         while let Some((key, chain)) = cursor.next(&mut self.pool)? {
             let at = keys.len();
             for (i, entry) in chain_entries(chain)?.enumerate() {
@@ -166,11 +166,8 @@ impl PagedEngine {
         // Tombstone keys whose newest chain entry is a live value —
         // mirroring the in-memory engine exactly.
         let mut doomed: Vec<Vec<u8>> = Vec::new();
-        let mut cursor = Cursor::seek(&mut self.pool, begin, true)?;
+        let mut cursor = Cursor::seek(&mut self.pool, begin, Some(end), true)?;
         while let Some((key, chain)) = cursor.next(&mut self.pool)? {
-            if key >= end {
-                break;
-            }
             let newest = chain_entries(chain)?.last().transpose()?;
             if newest.is_some_and(|entry| entry.value.is_some()) {
                 doomed.push(key.to_vec());
@@ -214,16 +211,12 @@ impl PagedEngine {
         let mut out = Vec::new();
         // One descent to the starting bound, then leaf-to-leaf in scan
         // direction until the range ends or `limit` rows are visible.
-        let from = if reverse { end } else { begin };
-        let mut cursor = Cursor::seek(&mut self.pool, from, !reverse)?;
+        let (from, to) = if reverse { (end, begin) } else { (begin, end) };
+        let mut cursor = Cursor::seek(&mut self.pool, from, Some(to), !reverse)?;
         while out.len() < limit {
             let Some((key, chain)) = cursor.next(&mut self.pool)? else {
                 break;
             };
-            let inside = if reverse { key >= begin } else { key < end };
-            if !inside {
-                break;
-            }
             if let Some(value) = chain_visible_at(chain, read_version)? {
                 out.push((key.to_vec(), value.to_vec()));
             }
@@ -237,7 +230,7 @@ impl PagedEngine {
         mut acc: T,
         mut f: impl FnMut(T, &[u8]) -> io::Result<T>,
     ) -> io::Result<T> {
-        let mut cursor = Cursor::seek(&mut self.pool, b"", true)?;
+        let mut cursor = Cursor::seek(&mut self.pool, b"", None, true)?;
         while let Some((_, chain)) = cursor.next(&mut self.pool)? {
             acc = f(acc, chain)?;
         }
@@ -265,7 +258,8 @@ impl Drop for PagedEngine {
             self.wal.discard_pending();
             return;
         }
-        let _ = self.pool.checkpoint(self.wal.len());
+        // A clean close leaves the log empty, as a flush does.
+        let _ = self.try_flush();
     }
 }
 
@@ -460,7 +454,10 @@ mod tests {
     fn limit_one_scan_touches_one_root_to_leaf_path() {
         // The cost contract of `scan`: a `limit 1` read is one descent
         // plus at most one hop to the neighbouring leaf, however long the
-        // range it was asked about.
+        // range it was asked about. The hop reads that leaf alone: the
+        // cursor keeps the images of the internal nodes it came down
+        // through (depth + 1 pages; depth + 2 while it read its parent
+        // again).
         let d = dir("limit1");
         let counters = IoCounters::new_shared();
         let mut e = PagedEngine::open(&d, 4096, EvictionPolicy::Sieve, counters.clone()).unwrap();
@@ -496,7 +493,7 @@ mod tests {
             });
             for (what, pages) in [("forward", forward), ("hop", hop), ("reverse", reverse)] {
                 assert!(
-                    pages <= depth + 2,
+                    pages <= depth + 1,
                     "{what} limit-1 scan at key {i} touched {pages} pages (depth {depth})"
                 );
             }
@@ -504,6 +501,80 @@ mod tests {
         // Whereas the whole range costs every leaf.
         let all = touched(&mut |e| assert_eq!(e.range(b"", b"\xff", 20, false).len(), 10_000));
         assert!(all > 10 * depth);
+        std::fs::remove_dir_all(&d).unwrap();
+    }
+
+    #[test]
+    fn a_range_that_ends_with_its_leaf_stops_there() {
+        // A separator in an ancestor bounds every key beyond it, so a scan
+        // whose range ends at or before the next leaf's separator never
+        // reads that leaf: one descent, depth pages, in either direction.
+        // Every key's subspace `[k, k\xff)` is read, as a record fetch
+        // reads it, and at each leaf boundary the ranges that end and that
+        // start exactly at its separator: the shortest prefix of the
+        // leaf's first key above the key before it, as a split stores it.
+        let d = dir("leafend");
+        let counters = IoCounters::new_shared();
+        let mut e = PagedEngine::open(&d, 4096, EvictionPolicy::Sieve, counters.clone()).unwrap();
+        let key = |i: u32| format!("k{i:05}").into_bytes();
+        for i in 0..10_000u32 {
+            e.write(key(i), Some(vec![b'v'; 16]), 10);
+        }
+        e.commit_batch();
+        let mut touched = |begin: &[u8], end: &[u8], reverse, limit| {
+            let before = counters.snapshot();
+            let rows = e.scan(begin, end, 20, reverse, limit).len();
+            let io = counters.snapshot().delta(&before);
+            (rows, io.page_hits + io.page_misses)
+        };
+        let (_, depth) = touched(&key(5_000), &key(5_001), false, 1);
+        assert!(depth >= 2, "10 000 keys need more than one leaf");
+        let mut boundaries = 0;
+        for i in 1..9_999u32 {
+            let (this, next) = (key(i), key(i + 1));
+            let subspace = |k: &[u8]| [k, b"\xff"].concat();
+            for reverse in [false, true] {
+                let read = touched(&this, &subspace(&this), reverse, usize::MAX);
+                assert_eq!(read, (1, depth), "key {i}, reverse {reverse}");
+            }
+            // Key `i` ends its leaf when the row after it is a hop away.
+            if touched(&this, b"\xff", false, 2).1 == depth {
+                continue;
+            }
+            boundaries += 1;
+            let shared = this.iter().zip(&next).take_while(|(a, b)| a == b).count();
+            let sep = &next[..=shared];
+            let read = touched(&this, sep, false, usize::MAX);
+            assert_eq!(read, (1, depth), "key {i}");
+            let read = touched(sep, &subspace(&next), true, usize::MAX);
+            assert_eq!(read, (1, depth), "key {}", i + 1);
+        }
+        assert!(boundaries > 10, "{boundaries} leaf boundaries");
+        std::fs::remove_dir_all(&d).unwrap();
+    }
+
+    #[test]
+    fn a_clean_close_leaves_an_empty_log() {
+        // Dropping the engine checkpoints and then truncates the log, as a
+        // flush does: the reopened directory replays nothing.
+        let d = dir("cleanclose");
+        let key = |i: u32| format!("k{i:04}").into_bytes();
+        {
+            let mut e = open(&d, 32);
+            for i in 0..500u32 {
+                e.write(key(i), Some(vec![i as u8; 40]), 10 + u64::from(i / 50));
+                if i % 50 == 49 {
+                    e.commit_batch();
+                }
+            }
+            assert!(!e.wal.is_empty(), "the log holds the batches");
+        }
+        assert_eq!(std::fs::metadata(d.join("wal.log")).unwrap().len(), 0);
+        let mut e = open(&d, 32);
+        assert_eq!(e.check_consistency().unwrap(), 500);
+        for i in 0..500u32 {
+            assert_eq!(e.get(&key(i), 100), Some(vec![i as u8; 40]), "key {i}");
+        }
         std::fs::remove_dir_all(&d).unwrap();
     }
 

@@ -157,7 +157,7 @@ fn repeated_crashes_are_idempotent() {
     let _ = std::fs::remove_dir_all(&d);
 }
 
-/// Format 1's checksum: FNV-1a 64, folded to 32 bits.
+/// Page format 1's checksum: FNV-1a 64, folded to 32 bits.
 fn fnv1a_folded(bytes: &[u8]) -> u32 {
     let h = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
@@ -165,45 +165,58 @@ fn fnv1a_folded(bytes: &[u8]) -> u32 {
     (h ^ (h >> 32)) as u32
 }
 
-#[test]
-fn format_1_directory_is_refused_before_the_wal_is_touched() {
-    let d = dir("format1");
-    std::fs::create_dir_all(&d).unwrap();
-    // Meta slot 0, generation 0: magic, generation, page_count, root, lsn,
-    // free count — framed as format 1 framed it.
-    let mut meta = 0x524C_5041_4745_4431u64.to_le_bytes().to_vec(); // "RLPAGED1"
-    meta.extend_from_slice(&0u64.to_le_bytes());
-    meta.extend_from_slice(&2u32.to_le_bytes());
-    meta.extend_from_slice(&0u32.to_le_bytes());
-    meta.extend_from_slice(&0u64.to_le_bytes());
-    meta.extend_from_slice(&0u32.to_le_bytes());
-    let mut pages = vec![0u8; 2 * 4096];
-    pages[4..8].copy_from_slice(&(meta.len() as u32).to_le_bytes());
-    pages[8..8 + meta.len()].copy_from_slice(&meta);
-    let sum = fnv1a_folded(&pages[4..8 + meta.len()]);
-    pages[0..4].copy_from_slice(&sum.to_le_bytes());
-    std::fs::write(d.join("pages.db"), &pages).unwrap();
-    // One committed format-1 WAL frame: a set of "k" at version 10.
-    let mut op = vec![0x01];
-    op.extend_from_slice(&10u64.to_le_bytes());
-    op.extend_from_slice(&1u32.to_le_bytes());
-    op.push(b'k');
-    op.extend_from_slice(&1u32.to_le_bytes());
-    op.push(b'v');
-    let mut wal = (op.len() as u32).to_le_bytes().to_vec();
-    wal.extend_from_slice(&fnv1a_folded(&op).to_le_bytes());
-    wal.extend_from_slice(&op);
-    std::fs::write(d.join("wal.log"), &wal).unwrap();
+/// What a page format checksums its pages and WAL frames with.
+type Checksum = fn(&[u8]) -> u32;
 
-    let err = PagedEngine::open(&d, 16, EvictionPolicy::Sieve, IoCounters::new_shared())
-        .expect_err("a format-1 directory must not open");
-    assert_eq!(err.kind(), std::io::ErrorKind::Unsupported, "{err}");
-    assert!(
-        err.to_string().contains("page format 1 (FNV-1a checksums)"),
-        "{err}"
-    );
-    assert_eq!(std::fs::read(d.join("wal.log")).unwrap(), wal);
-    let _ = std::fs::remove_dir_all(&d);
+#[test]
+fn retired_page_formats_are_refused_before_the_wal_is_touched() {
+    // Format 1 checksummed pages and WAL frames with FNV-1a; format 2 with
+    // XXH64, as format 3 does, and differs in its B-tree nodes.
+    let formats: [(u64, Checksum); 2] = [
+        (0x524C_5041_4745_4431, fnv1a_folded), // "RLPAGED1"
+        (0x524C_5041_4745_4432, rl_storage::page::checksum), // "RLPAGED2"
+    ];
+    for (format, (magic, checksum)) in (1..).zip(formats) {
+        let d = dir(&format!("format{format}"));
+        std::fs::create_dir_all(&d).unwrap();
+        // Meta slot 0, generation 0: magic, generation, page_count, root,
+        // lsn, free count — framed as that format framed it.
+        let mut meta = magic.to_le_bytes().to_vec();
+        meta.extend_from_slice(&0u64.to_le_bytes());
+        meta.extend_from_slice(&2u32.to_le_bytes());
+        meta.extend_from_slice(&0u32.to_le_bytes());
+        meta.extend_from_slice(&0u64.to_le_bytes());
+        meta.extend_from_slice(&0u32.to_le_bytes());
+        let mut pages = vec![0u8; 2 * 4096];
+        pages[4..8].copy_from_slice(&(meta.len() as u32).to_le_bytes());
+        pages[8..8 + meta.len()].copy_from_slice(&meta);
+        let sum = checksum(&pages[4..8 + meta.len()]);
+        pages[0..4].copy_from_slice(&sum.to_le_bytes());
+        std::fs::write(d.join("pages.db"), &pages).unwrap();
+        // One committed WAL frame: a set of "k" at version 10.
+        let mut op = vec![0x01];
+        op.extend_from_slice(&10u64.to_le_bytes());
+        op.extend_from_slice(&1u32.to_le_bytes());
+        op.push(b'k');
+        op.extend_from_slice(&1u32.to_le_bytes());
+        op.push(b'v');
+        let mut wal = (op.len() as u32).to_le_bytes().to_vec();
+        wal.extend_from_slice(&checksum(&op).to_le_bytes());
+        wal.extend_from_slice(&op);
+        std::fs::write(d.join("wal.log"), &wal).unwrap();
+
+        let err = PagedEngine::open(&d, 16, EvictionPolicy::Sieve, IoCounters::new_shared())
+            .expect_err("a directory of a retired format must not open");
+        assert_eq!(err.kind(), std::io::ErrorKind::Unsupported, "{err}");
+        let what = format!("page format {format} (");
+        assert!(err.to_string().contains(&what), "{err}");
+        assert_eq!(
+            std::fs::read(d.join("wal.log")).unwrap(),
+            wal,
+            "format {format}"
+        );
+        let _ = std::fs::remove_dir_all(&d);
+    }
 }
 
 #[test]
