@@ -22,11 +22,10 @@
 //!   allocation and compaction bookkeeping; a short critical section only
 //!   the batch leader enters.
 //! * **Store** (`store`, [`LockRank::DatabaseStore`]) — the storage
-//!   engine behind an `RwLock`. Engines whose reads are side-effect-free
-//!   (the in-memory engine) expose a [`SharedRead`] view, so MVCC
+//!   engine behind an `RwLock`. Every engine read takes `&self`, so MVCC
 //!   snapshot reads run under the shared lock, concurrently with each
-//!   other; the paged engine mutates buffer-pool state on reads and stays
-//!   behind the exclusive lock.
+//!   other, on either engine; a batch leader applies under the exclusive
+//!   lock.
 //!
 //! `last_commit_version` and `oldest_version` are additionally published
 //! as atomics (after the store apply, so a GRV can never hand out a
@@ -47,7 +46,7 @@ use crate::error::{Error, Result};
 use crate::metrics::{Metrics, SharedMetrics};
 use crate::state_cache::StateCache;
 use crate::sync::{
-    lock_ranked, lock_ranked_indexed, read_ranked, write_ranked, LockRank, RankedWriteGuard,
+    lock_ranked, lock_ranked_indexed, read_ranked, write_ranked, LockRank, RankedReadGuard,
 };
 use crate::transaction::{Command, Transaction};
 use rl_storage::{EvictionPolicy, MemoryEngine, PagedEngine, StorageEngine};
@@ -350,9 +349,8 @@ struct CommitBatcher {
 
 /// Handle to a simulated FoundationDB cluster. Clone freely; all clones
 /// share state. Safe to use from multiple threads: snapshot reads run
-/// under a shared store lock (on engines with side-effect-free reads),
-/// and commits over disjoint key shards validate and apply in parallel,
-/// batched through a group-commit leader.
+/// under a shared store lock, and commits over disjoint key shards
+/// validate and apply in parallel, batched through a group-commit leader.
 #[derive(Clone)]
 pub struct Database {
     /// Recent-writes conflict index, sharded by key prefix.
@@ -361,9 +359,6 @@ pub struct Database {
     core: Arc<Mutex<VersionCore>>,
     /// The storage engine (shared reads / exclusive commits).
     store: Arc<RwLock<Store>>,
-    /// Whether the engine serves shared reads, decided once at open: if not
-    /// (paged), a read goes straight for the exclusive store lock.
-    shared_reads: bool,
     /// Group-commit batcher.
     batcher: Arc<CommitBatcher>,
     /// Latest commit version the store has materialized (lock-free GRV).
@@ -390,14 +385,12 @@ impl Database {
 
     pub fn with_options(options: DatabaseOptions) -> Self {
         let metrics = Metrics::new_shared();
-        let (mut engine, cleanup_dir) =
-            build_engine(&options.engine, metrics.io_counters().clone());
+        let (engine, cleanup_dir) = build_engine(&options.engine, metrics.io_counters().clone());
         // A paged directory may already hold data: start at its highest
         // stored version, so the first read sees it and the first commit
         // lands above it. Zero for a new or in-memory engine.
         let stored_version = engine.newest_version();
         Database {
-            shared_reads: engine.as_shared_read().is_some(),
             shards: Arc::new(std::array::from_fn(
                 |_| Mutex::new(ConflictShard::default()),
             )),
@@ -517,36 +510,28 @@ impl Database {
     // -------------------------------------------------------- storage access
     // (crate-internal: used by Transaction for snapshot reads)
 
-    /// The exclusive store lock for a read: engines whose reads mutate
-    /// internal state (the paged engine's buffer pool) have no shared view.
-    fn store_for_exclusive_read(&self) -> RankedWriteGuard<'_, Store> {
-        let _t = rl_obs::Timer::start("store_lock_wait_read");
-        write_ranked(&self.store, LockRank::DatabaseStore)
-    }
-
-    pub(crate) fn storage_get(&self, key: &[u8], read_version: u64) -> Result<Option<Vec<u8>>> {
-        if self.shared_reads {
-            let store = read_ranked(&self.store, LockRank::DatabaseStore);
-            // `oldest` only advances under the exclusive store lock, so this
-            // check stays valid for the lifetime of the shared guard.
-            if read_version < self.oldest.load(Ordering::Acquire) {
-                return Err(Error::TransactionTooOld);
-            }
-            if let Some(shared) = store.engine.as_shared_read() {
-                return Ok(shared.get(key, read_version));
-            }
-        }
-        let mut store = self.store_for_exclusive_read();
+    /// The shared store lock for a read at `read_version`, which must still
+    /// be inside the MVCC window.
+    fn store_for_read(&self, read_version: u64) -> Result<RankedReadGuard<'_, Store>> {
+        let waiting = rl_obs::Timer::start("store_lock_wait_read");
+        let store = read_ranked(&self.store, LockRank::DatabaseStore);
+        drop(waiting);
+        // `oldest` only advances under the exclusive store lock, so this
+        // check stays valid for the lifetime of the shared guard.
         if read_version < self.oldest.load(Ordering::Acquire) {
             return Err(Error::TransactionTooOld);
         }
+        Ok(store)
+    }
+
+    pub(crate) fn storage_get(&self, key: &[u8], read_version: u64) -> Result<Option<Vec<u8>>> {
+        let store = self.store_for_read(read_version)?;
         Ok(store.engine.get(key, read_version))
     }
 
     /// Up to `limit` rows of `[begin, end)` visible at `read_version`, in
-    /// scan direction. The engine stops at the limit, so the store lock —
-    /// shared on the memory engine, exclusive on the paged one — is held
-    /// for a bounded read, not for the whole range.
+    /// scan direction. The engine stops at the limit, so the store lock is
+    /// held for a bounded read, not for the whole range.
     pub(crate) fn storage_range(
         &self,
         begin: &[u8],
@@ -555,19 +540,7 @@ impl Database {
         reverse: bool,
         limit: usize,
     ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        if self.shared_reads {
-            let store = read_ranked(&self.store, LockRank::DatabaseStore);
-            if read_version < self.oldest.load(Ordering::Acquire) {
-                return Err(Error::TransactionTooOld);
-            }
-            if let Some(shared) = store.engine.as_shared_read() {
-                return Ok(shared.scan(begin, end, read_version, reverse, limit));
-            }
-        }
-        let mut store = self.store_for_exclusive_read();
-        if read_version < self.oldest.load(Ordering::Acquire) {
-            return Err(Error::TransactionTooOld);
-        }
+        let store = self.store_for_read(read_version)?;
         Ok(store.engine.scan(begin, end, read_version, reverse, limit))
     }
 
@@ -870,13 +843,7 @@ impl Database {
     /// Diagnostic: number of live keys at the latest version.
     pub fn live_key_count(&self) -> usize {
         let version = self.last_commit.load(Ordering::Acquire);
-        if self.shared_reads {
-            let store = read_ranked(&self.store, LockRank::DatabaseStore);
-            if let Some(shared) = store.engine.as_shared_read() {
-                return shared.live_key_count(version);
-            }
-        }
-        write_ranked(&self.store, LockRank::DatabaseStore)
+        read_ranked(&self.store, LockRank::DatabaseStore)
             .engine
             .live_key_count(version)
     }

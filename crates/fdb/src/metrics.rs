@@ -22,7 +22,8 @@ pub struct Metrics {
     pub keys_written: AtomicU64,
     /// Bytes of keys+values written by committed transactions.
     pub bytes_written: AtomicU64,
-    /// Range-clear operations committed.
+    /// Range clears issued: counted when a transaction buffers one, so a
+    /// clear whose transaction never commits is counted too.
     pub range_clears: AtomicU64,
     /// Point/range read operations issued.
     pub read_ops: AtomicU64,

@@ -25,13 +25,19 @@
 //!    taken with shard locks held, released while a batch leader runs.
 //! 5. [`LockRank::VersionCore`] — version allocation + compaction
 //!    bookkeeping; a short critical section only the batch leader takes.
-//! 6. [`LockRank::DatabaseStore`] — the storage engine `RwLock`; the
-//!    innermost lock. Acquired shared for MVCC snapshot reads on engines
-//!    that support them ([`read_ranked`]) and exclusive for commit
-//!    application ([`write_ranked`]).
+//! 6. [`LockRank::DatabaseStore`] — the storage engine `RwLock`.
+//!    Acquired shared for MVCC snapshot reads ([`read_ranked`]) and
+//!    exclusive for commit application ([`write_ranked`]). Under it, and
+//!    outside this tracker, sits one `rl_storage` leaf: the paged
+//!    engine's buffer-pool mutex, which its reads take and under which
+//!    nothing else is acquired.
 //! 7. [`LockRank::StateCache`] — the map of metadata-version-validated
 //!    soft state. A leaf: nothing is acquired while it is held, and it
 //!    may be taken under any of the others.
+//!
+//! A contended conflict shard or store lock, in either mode, is waited
+//! for as [`rl_storage::wait`] describes: retried, yielding, for about
+//! one hold, then parked.
 //!
 //! In release builds the tracker compiles away entirely: [`lock_ranked`]
 //! is exactly [`lock`].
@@ -39,8 +45,9 @@
 use std::ops::{Deref, DerefMut};
 use std::sync::{
     Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
-    TryLockError, TryLockResult,
 };
+
+use rl_storage::wait::{acquired, yield_until};
 
 /// Lock a mutex, explicitly recovering from poisoning: a panic in another
 /// thread mid-commit leaves the simulated cluster state intact enough for
@@ -152,51 +159,14 @@ pub fn lock_ranked<T>(m: &Mutex<T>, rank: LockRank) -> RankedGuard<'_, T> {
     }
 }
 
-/// How often a contended acquisition of a conflict shard or of the store
-/// lock (exclusive) is retried, yielding the CPU after each failure,
-/// before the thread parks: 50–100 µs on the reference box when nothing
-/// else is runnable (counted and not timed: library crates do not read
-/// the wall clock). Both locks are held for one commit's apply or one
-/// engine read — tens of µs — while a park and the wake that ends it cost
-/// more than that when the waker must first bring an idle (virtual) CPU
-/// back: a 5 µs read that met a commit took 12–100 µs, and since one read
-/// in two met one, the *median* read flipped between the two regimes from
-/// round to round. Retrying for about one hold makes the wait what is
-/// left of the hold. A yield and not a spin-loop hint, because with more
-/// runnable threads than CPUs the holder may be one of those waiting for
-/// this CPU (8 threads on 2 vCPUs lost 12 % to a 50 µs spin and nothing
-/// to this). Then the thread parks as before: a compaction pass or a
-/// checkpoint is not waited out this way.
-const YIELDS_BEFORE_PARK: u32 = 256;
-
-/// `try_lock`/`try_write` as an `Option`, poison recovered like [`lock`].
-fn acquired<G>(attempt: TryLockResult<G>) -> Option<G> {
-    match attempt {
-        Ok(guard) => Some(guard),
-        Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
-        Err(TryLockError::WouldBlock) => None,
-    }
-}
-
-/// Retry `attempt` up to [`YIELDS_BEFORE_PARK`] times; `None` means park.
-/// An uncontended lock is taken by the first attempt.
-fn yield_until<G>(mut attempt: impl FnMut() -> Option<G>) -> Option<G> {
-    for _ in 0..YIELDS_BEFORE_PARK {
-        if let Some(guard) = attempt() {
-            return Some(guard);
-        }
-        std::thread::yield_now();
-    }
-    None
-}
-
 /// Lock one mutex of an indexed same-rank band (the conflict-index
 /// shards). Multiple locks of the same rank may be held simultaneously
 /// as long as their indices strictly ascend; acquiring an index less
 /// than or equal to one already held at the same rank panics under
 /// `debug_assertions`, as does mixing indexed and unindexed acquisition
 /// of the same rank. A contended shard is retried
-/// [`YIELDS_BEFORE_PARK`] times before the thread parks.
+/// [`YIELDS_BEFORE_PARK`](rl_storage::wait::YIELDS_BEFORE_PARK) times
+/// before the thread parks.
 pub fn lock_ranked_indexed<T>(m: &Mutex<T>, rank: LockRank, index: usize) -> RankedGuard<'_, T> {
     #[cfg(debug_assertions)]
     tracker::acquire(rank, Some(index));
@@ -262,14 +232,17 @@ impl<T> Drop for RankedWriteGuard<'_, T> {
 /// Acquire an `RwLock` shared, at a declared rank, recovering from
 /// poisoning like [`lock`]. Shared acquisition still participates in the
 /// rank order: readers and the exclusive writer are interchangeable from
-/// a deadlock-ordering perspective.
+/// a deadlock-ordering perspective. A lock held exclusive is retried
+/// [`YIELDS_BEFORE_PARK`](rl_storage::wait::YIELDS_BEFORE_PARK) times
+/// before the thread parks.
 pub fn read_ranked<T>(l: &RwLock<T>, rank: LockRank) -> RankedReadGuard<'_, T> {
     #[cfg(debug_assertions)]
     tracker::acquire(rank, None);
     #[cfg(not(debug_assertions))]
     let _ = rank;
     RankedReadGuard {
-        guard: l.read().unwrap_or_else(PoisonError::into_inner),
+        guard: yield_until(|| acquired(l.try_read()))
+            .unwrap_or_else(|| l.read().unwrap_or_else(PoisonError::into_inner)),
         #[cfg(debug_assertions)]
         rank,
     }
@@ -277,7 +250,8 @@ pub fn read_ranked<T>(l: &RwLock<T>, rank: LockRank) -> RankedReadGuard<'_, T> {
 
 /// Acquire an `RwLock` exclusive, at a declared rank, recovering from
 /// poisoning like [`lock`]. A contended lock is retried
-/// [`YIELDS_BEFORE_PARK`] times before the thread parks.
+/// [`YIELDS_BEFORE_PARK`](rl_storage::wait::YIELDS_BEFORE_PARK) times
+/// before the thread parks.
 pub fn write_ranked<T>(l: &RwLock<T>, rank: LockRank) -> RankedWriteGuard<'_, T> {
     #[cfg(debug_assertions)]
     tracker::acquire(rank, None);
@@ -549,34 +523,43 @@ mod tests {
         assert!(waiter.join().unwrap());
     }
 
-    /// Both sides of [`YIELDS_BEFORE_PARK`]: a hold of a few µs is waited
+    /// Both sides of `YIELDS_BEFORE_PARK`: a hold of a few µs is waited
     /// out retrying, one of many ms by parking, and either way the waiter
-    /// ends up with the lock and the holder's write.
+    /// ends up with the lock and the holder's write — whether it waits
+    /// for the shard, or for the store held by a writer, exclusive or
+    /// shared.
     #[test]
     fn contended_shard_and_store_locks_retry_then_park() {
         use std::time::{Duration, Instant};
         for hold in [Duration::from_micros(10), Duration::from_millis(20)] {
-            let locks = Arc::new((Mutex::new(0u32), RwLock::new(0u32)));
-            let held = Arc::new(std::sync::Barrier::new(2));
-            let (locks2, held2) = (locks.clone(), held.clone());
-            let holder = std::thread::spawn(move || {
-                let mut shard = lock_ranked_indexed(&locks2.0, LockRank::ConflictShard, 3);
-                let mut store = write_ranked(&locks2.1, LockRank::DatabaseStore);
-                held2.wait();
-                let start = Instant::now();
-                while start.elapsed() < hold {
-                    std::hint::spin_loop();
-                }
-                *shard += 1;
-                *store += 1;
-            });
-            held.wait();
-            assert_eq!(
-                *lock_ranked_indexed(&locks.0, LockRank::ConflictShard, 3),
-                1
-            );
-            assert_eq!(*write_ranked(&locks.1, LockRank::DatabaseStore), 1);
-            holder.join().unwrap();
+            for waiter in ["shard", "store exclusive", "store shared"] {
+                let locks = Arc::new((Mutex::new(0u32), RwLock::new(0u32)));
+                let held = Arc::new(std::sync::Barrier::new(2));
+                let (locks2, held2) = (locks.clone(), held.clone());
+                let holder = std::thread::spawn(move || {
+                    let mut shard = lock_ranked_indexed(&locks2.0, LockRank::ConflictShard, 3);
+                    let mut store = write_ranked(&locks2.1, LockRank::DatabaseStore);
+                    held2.wait();
+                    let start = Instant::now();
+                    while start.elapsed() < hold {
+                        std::hint::spin_loop();
+                    }
+                    *shard += 1;
+                    *store += 1;
+                });
+                held.wait();
+                // Blocks, not match arms, so the lexical lock-order pass
+                // sees each guard released before the next is taken.
+                let seen = if waiter == "shard" {
+                    *lock_ranked_indexed(&locks.0, LockRank::ConflictShard, 3)
+                } else if waiter == "store exclusive" {
+                    *write_ranked(&locks.1, LockRank::DatabaseStore)
+                } else {
+                    *read_ranked(&locks.1, LockRank::DatabaseStore)
+                };
+                assert_eq!(seen, 1, "{waiter} after a {hold:?} hold");
+                holder.join().unwrap();
+            }
         }
     }
 
@@ -595,6 +578,7 @@ mod tests {
             *lock_ranked_indexed(&locks.0, LockRank::ConflictShard, 0),
             7
         );
+        assert_eq!(*read_ranked(&locks.1, LockRank::DatabaseStore), 7);
         assert_eq!(*write_ranked(&locks.1, LockRank::DatabaseStore), 7);
     }
 

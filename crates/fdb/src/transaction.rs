@@ -88,7 +88,8 @@ enum KeyOp {
 /// transaction so workloads can be attributed (which tenant read how many
 /// keys, how much of a commit was index overhead, …). Maintained as plain
 /// integers under the transaction's existing state lock, so keeping it
-/// costs nothing measurable even with observability disabled.
+/// costs nothing measurable even with observability disabled — every
+/// field but `record_fetches`, which is counted only while it is enabled.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TxnTrace {
     /// Keys returned to this transaction by point and range reads.
@@ -102,7 +103,10 @@ pub struct TxnTrace {
     /// Point/range read operations issued.
     pub read_ops: u64,
     /// Record fetches reported by the record layer via
-    /// [`Transaction::note_record_fetch`].
+    /// [`Transaction::note_record_fetch`] — only while observability is
+    /// enabled (`rl_obs::enabled`); 0 otherwise. The database's
+    /// [`Metrics::record_fetches`](crate::metrics::Metrics::record_fetches)
+    /// counts every fetch.
     pub record_fetches: u64,
 }
 

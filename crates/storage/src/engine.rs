@@ -11,12 +11,11 @@
 //! read-modify-write [`update`] are one seek each, and [`compact`] does
 //! work proportional to the keys written since the last pass — both engines
 //! log which keys those are (the crate's `garbage` module) — and none for
-//! the keys stored. All methods take `&mut self`: the database serializes
-//! access behind its store lock, and the paged engine mutates buffer-pool
-//! state even on reads. Engines whose reads are genuinely side-effect-free
-//! can additionally expose a [`SharedRead`] view via
-//! [`StorageEngine::as_shared_read`], letting the database run MVCC
-//! snapshot reads under a shared lock, concurrently with each other.
+//! the keys stored. Writes take `&mut self` and reads `&self`, so the
+//! database runs snapshot reads under the shared side of its store lock,
+//! concurrently with each other, and a commit under the exclusive side.
+//! What a read changes inside an engine (the paged engine's buffer pool)
+//! the engine locks itself.
 //!
 //! [`write`]: StorageEngine::write
 //! [`update`]: StorageEngine::update
@@ -82,7 +81,7 @@ pub trait StorageEngine: Send + Sync + std::fmt::Debug {
     /// the page's image has been walked: the first walk of an image parses
     /// it whole and caches its entry offsets, and later walks
     /// binary-search them.
-    fn get(&mut self, key: &[u8], read_version: u64) -> Option<Vec<u8>>;
+    fn get(&self, key: &[u8], read_version: u64) -> Option<Vec<u8>>;
 
     /// The first `limit` keys in `[begin, end)` visible at `read_version`,
     /// ascending from `begin`, or with `reverse` descending from `end`.
@@ -97,7 +96,7 @@ pub trait StorageEngine: Send + Sync + std::fmt::Debug {
     /// ancestor separator that the end does not exceed. Pass `usize::MAX`
     /// for the whole range.
     fn scan(
-        &mut self,
+        &self,
         begin: &[u8],
         end: &[u8],
         read_version: u64,
@@ -108,7 +107,7 @@ pub trait StorageEngine: Send + Sync + std::fmt::Debug {
     /// Every key in `[begin, end)` visible at `read_version`: an unbounded
     /// [`scan`](Self::scan).
     fn range(
-        &mut self,
+        &self,
         begin: &[u8],
         end: &[u8],
         read_version: u64,
@@ -121,7 +120,7 @@ pub trait StorageEngine: Send + Sync + std::fmt::Debug {
     /// was opened (0 when empty). A database opened over existing data
     /// starts its commit version here, so it reads what is stored and
     /// commits above it.
-    fn newest_version(&mut self) -> u64;
+    fn newest_version(&self) -> u64;
 
     /// Drop versions that are no longer visible to any read version
     /// `>= oldest_version`, and entries that are entirely dead: when it
@@ -140,42 +139,11 @@ pub trait StorageEngine: Send + Sync + std::fmt::Debug {
     fn flush(&mut self) {}
 
     /// Number of live keys at `read_version` (test/diagnostic helper).
-    fn live_key_count(&mut self, read_version: u64) -> usize;
+    fn live_key_count(&self, read_version: u64) -> usize;
 
     /// Total number of (key, version) entries retained (diagnostic).
-    fn total_version_entries(&mut self) -> usize;
+    fn total_version_entries(&self) -> usize;
 
     /// Short human-readable engine description for diagnostics.
     fn describe(&self) -> String;
-
-    /// A shared, side-effect-free view of this engine's read path, if it
-    /// has one. The in-memory engine returns `Some` (its reads never
-    /// mutate); the paged engine returns `None` because even a point read
-    /// touches buffer-pool recency state, so its reads stay behind the
-    /// exclusive lock.
-    fn as_shared_read(&self) -> Option<&dyn SharedRead> {
-        None
-    }
-}
-
-/// Read-only MVCC access that is safe under a shared lock: many readers
-/// (and no writer) at once. Semantics match the corresponding
-/// [`StorageEngine`] methods exactly.
-pub trait SharedRead: Sync {
-    /// Read the value of `key` visible at `read_version`.
-    fn get(&self, key: &[u8], read_version: u64) -> Option<Vec<u8>>;
-
-    /// The first `limit` keys in `[begin, end)` visible at `read_version`,
-    /// in scan direction; same cost contract as [`StorageEngine::scan`].
-    fn scan(
-        &self,
-        begin: &[u8],
-        end: &[u8],
-        read_version: u64,
-        reverse: bool,
-        limit: usize,
-    ) -> Vec<(Vec<u8>, Vec<u8>)>;
-
-    /// Number of live keys at `read_version`.
-    fn live_key_count(&self, read_version: u64) -> usize;
 }

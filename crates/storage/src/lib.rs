@@ -18,6 +18,10 @@
 //! version or was a tombstone (`garbage`), so MVCC compaction visits the
 //! keys written since the last pass instead of scanning what is stored.
 //!
+//! Every read takes `&self`, so readers share an engine. The paged
+//! engine's reads still change its buffer pool, which it keeps behind a
+//! lock of its own, waited for as [`wait`] describes.
+//!
 //! ## Crash-consistency model
 //!
 //! The paged engine uses *shadow paging*: pages referenced by the last
@@ -51,9 +55,10 @@ pub mod page;
 pub mod paged;
 pub mod pool;
 mod replacer;
+pub mod wait;
 pub mod wal;
 
-pub use engine::{EvictionPolicy, SharedRead, StorageEngine};
+pub use engine::{EvictionPolicy, StorageEngine};
 pub use memory::MemoryEngine;
 pub use paged::PagedEngine;
 

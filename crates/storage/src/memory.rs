@@ -11,7 +11,7 @@ use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
-use crate::engine::{SharedRead, StorageEngine, Update};
+use crate::engine::{StorageEngine, Update};
 use crate::garbage::GarbageLog;
 
 /// One versioned write to a key: `None` is a tombstone (clear).
@@ -35,22 +35,17 @@ impl MemoryEngine {
     pub fn new() -> Self {
         MemoryEngine::default()
     }
+}
 
-    /// Record a write (set or clear) at `version`. Versions must be applied
-    /// in nondecreasing order, which the commit pipeline guarantees.
-    pub fn write(&mut self, key: Vec<u8>, value: Option<Vec<u8>>, version: u64) {
-        self.update(key, version, |_| value);
+impl StorageEngine for MemoryEngine {
+    fn write(&mut self, key: Vec<u8>, mut value: Option<Vec<u8>>, version: u64) {
+        self.update(key, version, &mut |_| value.take());
     }
 
-    /// Read-modify-write in one lookup: `f` sees the value visible at
-    /// `version`, and what it returns is written at `version` (replacing
-    /// an entry already there, as `write` does).
-    pub fn update(
-        &mut self,
-        key: Vec<u8>,
-        version: u64,
-        f: impl FnOnce(Option<&[u8]>) -> Option<Vec<u8>>,
-    ) {
+    /// One map lookup: `f` sees the value visible at `version`, and what
+    /// it returns is written at `version` (replacing an entry already
+    /// there, as `write` does).
+    fn update(&mut self, key: Vec<u8>, version: u64, f: &mut Update<'_>) {
         debug_assert!(version >= self.newest, "versions must not decrease");
         self.newest = self.newest.max(version);
         let mut slot = match self.map.entry(key) {
@@ -74,13 +69,11 @@ impl MemoryEngine {
         }
     }
 
-    /// Clear every key in `[begin, end)` at `version` by writing tombstones.
-    ///
     /// Tombstoning key-by-key (rather than tracking range tombstones) keeps
     /// reads simple; the cost is proportional to the number of live keys in
     /// the range, which matches FDB's own storage-server behaviour closely
     /// enough for the experiments in this repository.
-    pub fn clear_range(&mut self, begin: &[u8], end: &[u8], version: u64) {
+    fn clear_range(&mut self, begin: &[u8], end: &[u8], version: u64) {
         let keys: Vec<Vec<u8>> = self
             .map
             .range::<[u8], _>((Bound::Included(begin), Bound::Excluded(end)))
@@ -92,8 +85,7 @@ impl MemoryEngine {
         }
     }
 
-    /// Read the value of `key` visible at `read_version`.
-    pub fn get(&self, key: &[u8], read_version: u64) -> Option<Vec<u8>> {
+    fn get(&self, key: &[u8], read_version: u64) -> Option<Vec<u8>> {
         let versions = self.map.get(key)?;
         versions
             .iter()
@@ -102,11 +94,10 @@ impl MemoryEngine {
             .and_then(|v| v.value.clone())
     }
 
-    /// The first `limit` keys in `[begin, end)` visible at `read_version`,
-    /// ascending, or descending from `end` with `reverse`. Both directions
-    /// stream straight off the `BTreeMap` range iterator and stop at the
-    /// `limit`-th visible row, so the rest of the range is never visited.
-    pub fn scan(
+    /// Both directions stream straight off the `BTreeMap` range iterator
+    /// and stop at the `limit`-th visible row, so the rest of the range is
+    /// never visited.
+    fn scan(
         &self,
         begin: &[u8],
         end: &[u8],
@@ -135,16 +126,11 @@ impl MemoryEngine {
         }
     }
 
-    /// The highest version written (0 for a new engine).
-    pub fn newest_version(&self) -> u64 {
+    fn newest_version(&self) -> u64 {
         self.newest
     }
 
-    /// Drop versions that are no longer visible to any read version
-    /// `>= oldest_version`, and entries that are entirely dead, visiting
-    /// only the keys logged as written at or below `oldest_version`.
-    /// Returns how many keys that was.
-    pub fn compact(&mut self, oldest_version: u64) -> usize {
+    fn compact(&mut self, oldest_version: u64) -> usize {
         let keys = self.garbage.drain(oldest_version);
         for key in keys.iter() {
             let Some(versions) = self.map.get_mut(key) else {
@@ -168,8 +154,7 @@ impl MemoryEngine {
         keys.len()
     }
 
-    /// Number of live keys at `read_version` (test/diagnostic helper).
-    pub fn live_key_count(&self, read_version: u64) -> usize {
+    fn live_key_count(&self, read_version: u64) -> usize {
         self.map
             .values()
             .filter(|versions| {
@@ -182,83 +167,12 @@ impl MemoryEngine {
             .count()
     }
 
-    /// Total number of (key, version) entries retained (diagnostic).
-    pub fn total_version_entries(&self) -> usize {
+    fn total_version_entries(&self) -> usize {
         self.map.values().map(Vec::len).sum()
-    }
-}
-
-impl StorageEngine for MemoryEngine {
-    fn write(&mut self, key: Vec<u8>, value: Option<Vec<u8>>, version: u64) {
-        MemoryEngine::write(self, key, value, version);
-    }
-
-    fn clear_range(&mut self, begin: &[u8], end: &[u8], version: u64) {
-        MemoryEngine::clear_range(self, begin, end, version);
-    }
-
-    fn update(&mut self, key: Vec<u8>, version: u64, f: &mut Update<'_>) {
-        MemoryEngine::update(self, key, version, f);
-    }
-
-    fn get(&mut self, key: &[u8], read_version: u64) -> Option<Vec<u8>> {
-        MemoryEngine::get(self, key, read_version)
-    }
-
-    fn scan(
-        &mut self,
-        begin: &[u8],
-        end: &[u8],
-        read_version: u64,
-        reverse: bool,
-        limit: usize,
-    ) -> Vec<(Vec<u8>, Vec<u8>)> {
-        MemoryEngine::scan(self, begin, end, read_version, reverse, limit)
-    }
-
-    fn newest_version(&mut self) -> u64 {
-        MemoryEngine::newest_version(self)
-    }
-
-    fn compact(&mut self, oldest_version: u64) -> usize {
-        MemoryEngine::compact(self, oldest_version)
-    }
-
-    fn live_key_count(&mut self, read_version: u64) -> usize {
-        MemoryEngine::live_key_count(self, read_version)
-    }
-
-    fn total_version_entries(&mut self) -> usize {
-        MemoryEngine::total_version_entries(self)
     }
 
     fn describe(&self) -> String {
         format!("memory(keys={})", self.map.len())
-    }
-
-    fn as_shared_read(&self) -> Option<&dyn SharedRead> {
-        Some(self)
-    }
-}
-
-impl SharedRead for MemoryEngine {
-    fn get(&self, key: &[u8], read_version: u64) -> Option<Vec<u8>> {
-        MemoryEngine::get(self, key, read_version)
-    }
-
-    fn scan(
-        &self,
-        begin: &[u8],
-        end: &[u8],
-        read_version: u64,
-        reverse: bool,
-        limit: usize,
-    ) -> Vec<(Vec<u8>, Vec<u8>)> {
-        MemoryEngine::scan(self, begin, end, read_version, reverse, limit)
-    }
-
-    fn live_key_count(&self, read_version: u64) -> usize {
-        MemoryEngine::live_key_count(self, read_version)
     }
 }
 

@@ -130,7 +130,7 @@ fn torn_wal_tail_is_discarded() {
     e.write(b"after".to_vec(), Some(b"2".to_vec()), 20);
     e.commit_batch();
     drop(e);
-    let mut e = open(&d);
+    let e = open(&d);
     assert_eq!(e.get(b"after", 100), Some(b"2".to_vec()));
     let _ = std::fs::remove_dir_all(&d);
 }
@@ -236,7 +236,7 @@ fn mvcc_versions_preserved_across_recovery() {
         e.simulate_crash();
     }
 
-    let mut e = open(&d);
+    let e = open(&d);
     assert_eq!(e.get(b"k", 10), Some(b"old".to_vec()));
     assert_eq!(e.get(b"k", 25), Some(b"new".to_vec()));
     assert_eq!(e.get(b"k2", 25), Some(b"x".to_vec()));

@@ -241,7 +241,7 @@ fn paged_engine_matches_memory_oracle() {
                     assert_eq!(visited, StorageEngine::compact(&mut paged, oldest));
                     assert_eq!(memory.total_version_entries(), model.entries());
                     assert_eq!(
-                        StorageEngine::total_version_entries(&mut paged),
+                        StorageEngine::total_version_entries(&paged),
                         model.entries(),
                         "compact({oldest}) at version {version}"
                     );
@@ -252,7 +252,7 @@ fn paged_engine_matches_memory_oracle() {
                     let key = arb_key(rng);
                     assert_eq!(
                         memory.get(&key, rv),
-                        StorageEngine::get(&mut paged, &key, rv),
+                        StorageEngine::get(&paged, &key, rv),
                         "get({key:?}, rv={rv})"
                     );
                 }
@@ -267,11 +267,11 @@ fn paged_engine_matches_memory_oracle() {
                     let rows = memory.scan(&a, &b, rv, reverse, limit);
                     assert_eq!(
                         rows,
-                        StorageEngine::scan(&mut paged, &a, &b, rv, reverse, limit),
+                        StorageEngine::scan(&paged, &a, &b, rv, reverse, limit),
                         "scan(rv={rv}, reverse={reverse}, limit={limit})"
                     );
                     // A bounded scan is a prefix of the unbounded one.
-                    let all = StorageEngine::range(&mut paged, &a, &b, rv, reverse);
+                    let all = StorageEngine::range(&paged, &a, &b, rv, reverse);
                     assert_eq!(rows[..], all[..limit.min(all.len())]);
                 }
                 _ => {
@@ -286,7 +286,7 @@ fn paged_engine_matches_memory_oracle() {
                     };
                     assert_eq!(
                         memory.scan(b"", &below, rv, true, 1),
-                        StorageEngine::scan(&mut paged, b"", &below, rv, true, 1),
+                        StorageEngine::scan(&paged, b"", &below, rv, true, 1),
                         "last key below (or_equal={or_equal}, rv={rv})"
                     );
                     // The n-th key strictly after an anchor (or the start).
@@ -297,7 +297,7 @@ fn paged_engine_matches_memory_oracle() {
                     let nth = rng.gen_range(1..4usize);
                     assert_eq!(
                         memory.scan(&from, &[0xFF], rv, false, nth),
-                        StorageEngine::scan(&mut paged, &from, &[0xFF], rv, false, nth),
+                        StorageEngine::scan(&paged, &from, &[0xFF], rv, false, nth),
                         "n-th key after (n={nth}, rv={rv})"
                     );
                 }
@@ -309,19 +309,19 @@ fn paged_engine_matches_memory_oracle() {
         let rv = version.max(oldest);
         assert_eq!(
             memory.live_key_count(rv),
-            StorageEngine::live_key_count(&mut paged, rv)
+            StorageEngine::live_key_count(&paged, rv)
         );
         assert_eq!(
             memory.total_version_entries(),
-            StorageEngine::total_version_entries(&mut paged)
+            StorageEngine::total_version_entries(&paged)
         );
         assert_eq!(
             memory.range(b"", &[0xFF], rv, false),
-            StorageEngine::range(&mut paged, b"", &[0xFF], rv, false)
+            StorageEngine::range(&paged, b"", &[0xFF], rv, false)
         );
         assert_eq!(
             memory.range(b"", &[0xFF], rv, true),
-            StorageEngine::range(&mut paged, b"", &[0xFF], rv, true)
+            StorageEngine::range(&paged, b"", &[0xFF], rv, true)
         );
         paged.check_consistency().expect("tree consistency");
 
