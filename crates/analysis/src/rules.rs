@@ -67,7 +67,7 @@ pub struct Rule {
     pub rationale: &'static str,
     pub kind: RuleKind,
     /// Workspace-relative path fragments where the rule does not apply
-    /// (matched with [`path_matches`]).
+    /// (matched with `path_matches`).
     pub exempt: &'static [&'static str],
     /// Whether `#[cfg(test)]` modules are exempt.
     pub skip_test_code: bool,

@@ -272,10 +272,10 @@ const MAX_BATCH: usize = 256;
 /// Batches are limit-bounded range reads, so a batch costs what it
 /// returns. A cursor that knows how many rows its consumer wants
 /// ([`ExecuteProperties::return_limit`]) asks for exactly that many first
-/// and doubles each further batch up to [`MAX_BATCH`] — a further batch is
-/// only needed when a filter above dropped rows or a record spans several
-/// keys (FDB's iterator streaming mode). Without a return limit every
-/// batch is [`MAX_BATCH`] rows.
+/// and doubles each further batch up to `MAX_BATCH` (256) — a further
+/// batch is only needed when a filter above dropped rows or a record spans
+/// several keys (FDB's iterator streaming mode). Without a return limit
+/// every batch is `MAX_BATCH` rows.
 pub struct KeyValueCursor<'a> {
     tx: &'a Transaction,
     begin: Vec<u8>,

@@ -3,9 +3,8 @@
 //!
 //! Metadata is versioned in a single-stream, non-branching, monotonically
 //! increasing fashion. Because one schema may be shared by millions of
-//! record stores, metadata lives apart from the data (optionally in its own
-//! store — see [`MetaDataStore`]) and every record store tracks the highest
-//! metadata version it was accessed with in its header.
+//! record stores, metadata lives apart from the data and every record store
+//! tracks the highest metadata version it was accessed with in its header.
 
 use std::collections::{BTreeMap, BTreeSet};
 

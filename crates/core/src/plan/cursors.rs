@@ -347,8 +347,8 @@ pub(crate) fn synthesize_record(
 }
 
 /// Streams index entries and synthesizes partial records from them. Never
-/// reads the record subspace: `MetricsSnapshot::record_fetches` stays flat
-/// while this cursor runs.
+/// reads the record subspace: the transaction's `TxnTrace::record_fetches`
+/// stays flat while this cursor runs.
 pub(crate) struct CoveringScanCursor<'a> {
     pub(crate) kv: KeyValueCursor<'a>,
     pub(crate) subspace: Subspace,

@@ -6,12 +6,12 @@
 //! * [`cost`] — the cardinality-based cost model. Plan choice is driven by
 //!   *persistent per-index statistics* maintained by the store's write
 //!   path (atomic entry counters), not by guessed scores.
-//! * [`planner`] — candidate enumeration and pruning: the
+//! * `planner` — candidate enumeration and pruning: the
 //!   [`RecordQueryPlanner`] matches filters against index key expressions,
 //!   proposes index scans, covering scans, unions (for OR, and for `IN` as
 //!   an OR of equalities) and intersections, and keeps the cheapest plan
 //!   under the cost model.
-//! * [`execute`] — turns a plan into a tree of streaming cursors.
+//! * `execute` — turns a plan into a tree of streaming cursors.
 //! * [`cursors`] — the plan-level cursors: residual filtering, the primary
 //!   fetch, covering-scan record synthesis, the k-way primary-key merge
 //!   that executes intersections and ordered unions, and the sequential

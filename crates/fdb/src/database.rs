@@ -323,11 +323,11 @@ struct PendingCommit {
 
 /// What a batch member gets back from the leader.
 #[derive(Debug, Clone, Copy)]
-struct CommitReceipt {
-    version: u64,
-    batch_order: u16,
-    keys_written: u64,
-    bytes_written: u64,
+pub(crate) struct CommitReceipt {
+    pub(crate) version: u64,
+    pub(crate) batch_order: u16,
+    pub(crate) keys_written: u64,
+    pub(crate) bytes_written: u64,
 }
 
 #[derive(Default)]
@@ -426,6 +426,8 @@ impl Database {
         &self.options
     }
 
+    /// The sum of every dropped transaction's trace, beside the engine's
+    /// I/O counters (see [`Metrics`]).
     pub fn metrics(&self) -> &SharedMetrics {
         &self.metrics
     }
@@ -554,7 +556,7 @@ impl Database {
     /// the group-commit batcher, which charges one version allocation and
     /// one engine batch-seal per *batch* of concurrent committers.
     /// Returns the commit version, the order within its batch, and the
-    /// keys/bytes written (per-transaction tracing).
+    /// keys/bytes written, which the transaction counts in its trace.
     ///
     /// `relied_on_metadata_version`: the transaction used state from the
     /// [`StateCache`] in place of reads. It conflicts with any write of the
@@ -573,9 +575,8 @@ impl Database {
         commands: &[Command],
         relied_on_metadata_version: bool,
         writes_metadata_version: bool,
-    ) -> Result<(u64, u16, u64, u64)> {
+    ) -> Result<CommitReceipt> {
         if read_version < self.oldest.load(Ordering::Acquire) {
-            self.metrics.record_commit(false, false);
             return Err(Error::TransactionTooOld);
         }
 
@@ -597,12 +598,10 @@ impl Database {
         // Re-check expiry now that we hold our shards: `oldest` may have
         // advanced past our read version while we were acquiring.
         if read_version < self.oldest.load(Ordering::Acquire) {
-            self.metrics.record_commit(false, false);
             return Err(Error::TransactionTooOld);
         }
 
         if relied_on_metadata_version && self.state_cache.metadata_version() > read_version {
-            self.metrics.record_commit(false, true);
             return Err(Error::NotCommitted);
         }
 
@@ -618,7 +617,6 @@ impl Database {
                 for (wa, wb) in &committed.ranges {
                     for (ra, rb) in read_conflicts {
                         if ranges_intersect(ra, rb, wa, wb) {
-                            self.metrics.record_commit(false, true);
                             return Err(Error::NotCommitted);
                         }
                     }
@@ -631,13 +629,7 @@ impl Database {
         // window that does not yet contain our writes — and every member
         // of one batch is pairwise shard-disjoint by construction, which
         // is what makes a shared commit version sound.
-        let receipt = match self.batched_apply(commands.to_vec()) {
-            Ok(receipt) => receipt,
-            Err(e) => {
-                self.metrics.record_commit(false, false);
-                return Err(e);
-            }
-        };
+        let receipt = self.batched_apply(commands.to_vec())?;
 
         // Record our write conflict ranges for future validations, in
         // every shard the write set touches (duplicated per shard so each
@@ -658,17 +650,7 @@ impl Database {
                 });
             }
         }
-        drop(held);
-
-        self.metrics
-            .add_keys_written(receipt.keys_written, receipt.bytes_written);
-        self.metrics.record_commit(true, false);
-        Ok((
-            receipt.version,
-            receipt.batch_order,
-            receipt.keys_written,
-            receipt.bytes_written,
-        ))
+        Ok(receipt)
     }
 
     /// Group commit: enqueue this committer's command log; whoever finds

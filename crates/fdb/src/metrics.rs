@@ -3,42 +3,43 @@
 //! Section 8.2 of the paper reports the median number of FoundationDB keys
 //! read and written while executing common CloudKit operations (e.g. a
 //! query reads ≈38.3 keys of which ≈6.2 are overhead). These counters let
-//! the workload harness reproduce that table: every transaction tallies
-//! its key reads/writes, and the database aggregates totals.
+//! the workload harness reproduce that table. Each count is taken once, in
+//! the [`TxnTrace`] of the transaction that read or wrote; the database's
+//! [`Metrics`] block is the field-wise sum of the traces of every
+//! transaction that has been dropped.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use rl_storage::SharedIoCounters;
 
-/// Monotonic counters describing database traffic at the key level.
+use crate::transaction::TxnTrace;
+
+/// Monotonic counters describing database traffic at the key level: one
+/// per [`TxnTrace`] field, holding that field's sum over every transaction
+/// of this database that has been dropped, beside the storage engine's I/O
+/// counters.
+///
+/// A transaction's counts arrive when it is dropped, all at once, so a
+/// snapshot taken while a transaction is alive leaves that transaction
+/// out. Take the trace ([`Transaction::trace`](crate::Transaction::trace))
+/// for a question about one live transaction. The I/O counters are the
+/// engine's and move as it works.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    /// Individual keys returned by point and range reads.
-    pub keys_read: AtomicU64,
-    /// Bytes of keys+values returned by reads.
-    pub bytes_read: AtomicU64,
-    /// Keys written (sets + atomic mutations) by committed transactions.
-    pub keys_written: AtomicU64,
-    /// Bytes of keys+values written by committed transactions.
-    pub bytes_written: AtomicU64,
-    /// Range clears issued: counted when a transaction buffers one, so a
-    /// clear whose transaction never commits is counted too.
-    pub range_clears: AtomicU64,
-    /// Point/range read operations issued.
-    pub read_ops: AtomicU64,
-    /// Commit attempts.
-    pub commits_attempted: AtomicU64,
-    /// Commits that succeeded.
-    pub commits_succeeded: AtomicU64,
-    /// Commits rejected with a conflict (error 1020).
-    pub conflicts: AtomicU64,
-    /// Record fetches: reads that load record payloads from a record
-    /// store's record subspace (covering index scans perform zero).
-    pub record_fetches: AtomicU64,
+    keys_read: AtomicU64,
+    bytes_read: AtomicU64,
+    keys_written: AtomicU64,
+    bytes_written: AtomicU64,
+    range_clears: AtomicU64,
+    read_ops: AtomicU64,
+    commits_attempted: AtomicU64,
+    commits_succeeded: AtomicU64,
+    conflicts: AtomicU64,
+    record_fetches: AtomicU64,
     /// Storage-engine I/O counters (buffer-pool traffic, WAL appends).
     /// Shared with the engine; stays at zero for the in-memory engine.
-    pub io: SharedIoCounters,
+    io: SharedIoCounters,
 }
 
 /// Shared handle to a metrics block.
@@ -54,38 +55,19 @@ impl Metrics {
         &self.io
     }
 
-    pub fn add_keys_read(&self, n: u64, bytes: u64) {
-        self.keys_read.fetch_add(n, Ordering::Relaxed);
-        self.bytes_read.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    pub fn add_read_op(&self) {
-        self.read_ops.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn add_keys_written(&self, n: u64, bytes: u64) {
-        self.keys_written.fetch_add(n, Ordering::Relaxed);
-        self.bytes_written.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    pub fn add_range_clear(&self) {
-        self.range_clears.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one record fetch (a read of record payload keys). Incremented
-    /// by the record layer, not by the key-value substrate itself.
-    pub fn add_record_fetch(&self) {
-        self.record_fetches.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn record_commit(&self, succeeded: bool, conflicted: bool) {
-        self.commits_attempted.fetch_add(1, Ordering::Relaxed);
-        if succeeded {
-            self.commits_succeeded.fetch_add(1, Ordering::Relaxed);
-        }
-        if conflicted {
-            self.conflicts.fetch_add(1, Ordering::Relaxed);
-        }
+    /// Add a dropped transaction's trace, field by field.
+    pub(crate) fn fold(&self, trace: &TxnTrace) {
+        let add = |counter: &AtomicU64, n: u64| counter.fetch_add(n, Ordering::Relaxed);
+        add(&self.keys_read, trace.keys_read);
+        add(&self.bytes_read, trace.bytes_read);
+        add(&self.keys_written, trace.keys_written);
+        add(&self.bytes_written, trace.bytes_written);
+        add(&self.range_clears, trace.range_clears);
+        add(&self.read_ops, trace.read_ops);
+        add(&self.commits_attempted, trace.commits_attempted);
+        add(&self.commits_succeeded, trace.commits_succeeded);
+        add(&self.conflicts, trace.conflicts);
+        add(&self.record_fetches, trace.record_fetches);
     }
 
     /// Snapshot all counters.
@@ -110,7 +92,8 @@ impl Metrics {
     }
 }
 
-/// A point-in-time copy of the counters.
+/// A point-in-time copy of the counters. The first ten fields are sums of
+/// the [`TxnTrace`] fields of the same name, which document them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MetricsSnapshot {
     pub keys_read: u64,
@@ -167,18 +150,29 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Database, Error};
 
     #[test]
     fn counters_accumulate() {
-        let m = Metrics::new_shared();
-        m.add_keys_read(3, 100);
-        m.add_keys_written(2, 50);
-        m.record_commit(true, false);
-        m.record_commit(false, true);
-        let s = m.snapshot();
-        assert_eq!(s.keys_read, 3);
-        assert_eq!(s.bytes_read, 100);
-        assert_eq!(s.keys_written, 2);
+        let db = Database::new();
+        let (winner, loser) = (db.create_transaction(), db.create_transaction());
+        loser.set(b"b", b"1");
+        assert_eq!(loser.get(b"b").unwrap(), Some(b"1".to_vec()));
+        assert_eq!(loser.get(b"a").unwrap(), None);
+        winner.set(b"a", b"12");
+        winner.commit().unwrap();
+        assert_eq!(loser.commit(), Err(Error::NotCommitted));
+        let alive = db.metrics().snapshot();
+        assert_eq!(
+            (alive.read_ops, alive.commits_attempted),
+            (0, 0),
+            "counted at drop"
+        );
+        drop((winner, loser));
+
+        let s = db.metrics().snapshot();
+        assert_eq!((s.keys_read, s.bytes_read, s.read_ops), (1, 2, 2));
+        assert_eq!((s.keys_written, s.bytes_written), (1, 3));
         assert_eq!(s.commits_attempted, 2);
         assert_eq!(s.commits_succeeded, 1);
         assert_eq!(s.conflicts, 1);
@@ -186,13 +180,19 @@ mod tests {
 
     #[test]
     fn snapshot_delta() {
-        let m = Metrics::new_shared();
-        m.add_keys_read(5, 10);
-        let a = m.snapshot();
-        m.add_keys_read(7, 20);
-        let b = m.snapshot();
+        let a = MetricsSnapshot {
+            keys_read: 5,
+            bytes_read: 10,
+            ..MetricsSnapshot::default()
+        };
+        let b = MetricsSnapshot {
+            keys_read: 12,
+            bytes_read: 30,
+            ..MetricsSnapshot::default()
+        };
         let d = b.delta(&a);
         assert_eq!(d.keys_read, 7);
         assert_eq!(d.bytes_read, 20);
+        assert_eq!(a.delta(&b), MetricsSnapshot::default(), "saturates");
     }
 }

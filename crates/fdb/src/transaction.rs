@@ -11,7 +11,7 @@
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::atomic::{self, MutationType};
 use crate::database::{Database, KEY_SIZE_LIMIT, VALUE_SIZE_LIMIT};
@@ -83,13 +83,13 @@ enum KeyOp {
 
 /// Per-transaction attribution: what *this* transaction read and wrote.
 ///
-/// The database's [`Metrics`](crate::metrics::Metrics) block aggregates
-/// the same quantities process-wide; this struct scopes them to a single
-/// transaction so workloads can be attributed (which tenant read how many
-/// keys, how much of a commit was index overhead, …). Maintained as plain
-/// integers under the transaction's existing state lock, so keeping it
-/// costs nothing measurable even with observability disabled — every
-/// field but `record_fetches`, which is counted only while it is enabled.
+/// This is the one place a key-level count is taken. Workloads use it to
+/// attribute traffic (which tenant read how many keys, how much of a
+/// commit was index overhead, …), and the transaction's `Drop` folds it
+/// into the database's [`Metrics`](crate::metrics::Metrics), which is the
+/// sum of every dropped transaction's trace. Maintained as plain integers
+/// under the transaction's existing state lock, so keeping it costs
+/// nothing measurable, with observability enabled or not.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TxnTrace {
     /// Keys returned to this transaction by point and range reads.
@@ -100,13 +100,22 @@ pub struct TxnTrace {
     pub keys_written: u64,
     /// Bytes of keys+values written at commit.
     pub bytes_written: u64,
+    /// Range clears buffered: counted when issued, so a clear whose
+    /// transaction never commits is counted too.
+    pub range_clears: u64,
     /// Point/range read operations issued.
     pub read_ops: u64,
-    /// Record fetches reported by the record layer via
-    /// [`Transaction::note_record_fetch`] — only while observability is
-    /// enabled (`rl_obs::enabled`); 0 otherwise. The database's
-    /// [`Metrics::record_fetches`](crate::metrics::Metrics::record_fetches)
-    /// counts every fetch.
+    /// Calls to [`Transaction::commit`] on an open transaction, whatever
+    /// their outcome.
+    pub commits_attempted: u64,
+    /// Commits that succeeded (a read-only commit included).
+    pub commits_succeeded: u64,
+    /// Commits refused with a conflict ([`Error::NotCommitted`], error
+    /// 1020).
+    pub conflicts: u64,
+    /// Record fetches: reads of record payload keys, reported by the record
+    /// layer via [`Transaction::note_record_fetch`] (a covering index scan
+    /// performs none).
     pub record_fetches: u64,
 }
 
@@ -245,17 +254,12 @@ impl Transaction {
         lock_ranked(&self.state, LockRank::TransactionState).tag = Some(tag.to_string());
     }
 
-    /// Count one record fetch (called by the record layer): always in the
-    /// database's metrics, and in this transaction's trace only when
-    /// observability is enabled, so the lock that takes costs nothing on
-    /// the common path.
+    /// Count one record fetch (called by the record layer) in this
+    /// transaction's trace, under its state lock like every other count.
     pub fn note_record_fetch(&self) {
-        self.db.metrics().add_record_fetch();
-        if rl_obs::enabled() {
-            lock_ranked(&self.state, LockRank::TransactionState)
-                .trace
-                .record_fetches += 1;
-        }
+        lock_ranked(&self.state, LockRank::TransactionState)
+            .trace
+            .record_fetches += 1;
     }
 
     /// The commit version, available after a successful commit.
@@ -332,16 +336,13 @@ impl Transaction {
             st.size += key.len() + 12;
         }
         let underlying = self.db.storage_get(key, self.read_version)?;
-        self.db.metrics().add_read_op();
         st.trace.read_ops += 1;
         let clear_seqs = covering_clear_seqs(&st.cleared, key);
         let ops = st.writes_by_key.get(key).map(Vec::as_slice).unwrap_or(&[]);
         let v = effective_value(underlying.as_deref(), ops, &clear_seqs)?;
         if let Some(ref val) = v {
-            let bytes = (key.len() + val.len()) as u64;
-            self.db.metrics().add_keys_read(1, bytes);
             st.trace.keys_read += 1;
-            st.trace.bytes_read += bytes;
+            st.trace.bytes_read += (key.len() + val.len()) as u64;
         }
         Ok(v)
     }
@@ -395,7 +396,6 @@ impl Transaction {
         } else {
             self.merge_range(begin, end, limit, false, writes, &st.cleared)?
         };
-        self.db.metrics().add_read_op();
         st.trace.read_ops += 1;
 
         // Conflict range: the portion of [begin, end) actually observed.
@@ -416,13 +416,11 @@ impl Transaction {
             st.read_conflicts.push((ca, cb));
         }
 
-        let bytes: u64 = merged
+        st.trace.keys_read += merged.len() as u64;
+        st.trace.bytes_read += merged
             .iter()
             .map(|kv| (kv.key.len() + kv.value.len()) as u64)
-            .sum();
-        self.db.metrics().add_keys_read(merged.len() as u64, bytes);
-        st.trace.keys_read += merged.len() as u64;
-        st.trace.bytes_read += bytes;
+            .sum::<u64>();
         Ok(merged)
     }
 
@@ -647,7 +645,7 @@ impl Transaction {
         st.cleared.push((begin.to_vec(), end.to_vec(), seq));
         st.write_conflicts.push((begin.to_vec(), end.to_vec()));
         st.size += begin.len() + end.len() + 28;
-        self.db.metrics().add_range_clear();
+        st.trace.range_clears += 1;
     }
 
     /// Buffer an atomic mutation. Atomic mutations add a *write* conflict
@@ -802,23 +800,39 @@ impl Transaction {
 
     /// Validate conflicts and apply buffered writes. On success the
     /// transaction's versionstamp and committed version become available.
+    ///
+    /// Every attempt on an open transaction is classified here, once: it
+    /// committed, it conflicted (`NotCommitted`), or it failed with another
+    /// error. The outcome goes into the trace's commit counters and the
+    /// transaction's span.
     pub fn commit(&self) -> Result<()> {
         let _t = rl_obs::Timer::start("commit");
         let mut st = lock_ranked(&self.state, LockRank::TransactionState);
         if st.committed {
             return Err(Error::UsedDuringCommit);
         }
-        if self.db.clock_ms().saturating_sub(self.start_ms)
-            > self.db.options().transaction_time_limit_ms
-        {
-            self.db.metrics().record_commit(false, false);
-            self.emit_txn_span(&st, "error");
-            return Err(Error::TransactionTooOld);
-        }
+        let result = self.try_commit(&mut st);
+        st.trace.commits_attempted += 1;
+        let outcome = match &result {
+            Ok(()) => {
+                st.trace.commits_succeeded += 1;
+                "committed"
+            }
+            Err(Error::NotCommitted) => {
+                st.trace.conflicts += 1;
+                "conflict"
+            }
+            Err(_) => "error",
+        };
+        self.emit_txn_span(&st, outcome);
+        result
+    }
+
+    /// One commit attempt of the open transaction `st`, unclassified.
+    fn try_commit(&self, st: &mut TxState) -> Result<()> {
+        self.check_open(st)?;
         let limit = self.db.options().transaction_size_limit;
         if st.size > limit {
-            self.db.metrics().record_commit(false, false);
-            self.emit_txn_span(&st, "error");
             return Err(Error::TransactionTooLarge {
                 size: st.size,
                 limit,
@@ -828,37 +842,22 @@ impl Transaction {
         // already saw a consistent snapshot.
         if st.commands.is_empty() && st.write_conflicts.is_empty() {
             st.committed = true;
-            self.db.metrics().record_commit(true, false);
-            self.emit_txn_span(&st, "committed");
             return Ok(());
         }
-        match self.db.commit_internal(
+        let receipt = self.db.commit_internal(
             self.read_version,
             &st.read_conflicts,
             &st.write_conflicts,
             &st.commands,
             st.relied_on_metadata_version,
             st.writes_metadata_version,
-        ) {
-            Ok((version, batch_order, keys_written, bytes_written)) => {
-                st.committed = true;
-                st.commit_version = Some(version);
-                st.commit_order = batch_order;
-                st.trace.keys_written = keys_written;
-                st.trace.bytes_written = bytes_written;
-                self.emit_txn_span(&st, "committed");
-                Ok(())
-            }
-            Err(e) => {
-                let outcome = if matches!(e, Error::NotCommitted) {
-                    "conflict"
-                } else {
-                    "error"
-                };
-                self.emit_txn_span(&st, outcome);
-                Err(e)
-            }
-        }
+        )?;
+        st.committed = true;
+        st.commit_version = Some(receipt.version);
+        st.commit_order = receipt.batch_order;
+        st.trace.keys_written += receipt.keys_written;
+        st.trace.bytes_written += receipt.bytes_written;
+        Ok(())
     }
 
     /// Push this transaction's span (its trace counters plus an outcome
@@ -893,6 +892,16 @@ impl Transaction {
         st.writes_by_key.clear();
         st.cleared.clear();
         st.committed = true;
+    }
+}
+
+impl Drop for Transaction {
+    /// Hand this transaction's counts to the database: the one place they
+    /// reach its [`Metrics`](crate::metrics::Metrics). Owning the state
+    /// here, it takes no lock.
+    fn drop(&mut self) {
+        let st = self.state.get_mut().unwrap_or_else(PoisonError::into_inner);
+        self.db.metrics().fold(&st.trace);
     }
 }
 

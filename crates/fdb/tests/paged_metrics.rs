@@ -91,6 +91,7 @@ fn in_memory_engine_reports_zero_io_metrics() {
     let tx = db.create_transaction();
     tx.set(b"mem/a", b"1");
     tx.commit().unwrap();
+    drop(tx);
 
     let snap = db.metrics().snapshot();
     assert_eq!(snap.page_hits, 0);

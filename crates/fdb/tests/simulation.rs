@@ -4,7 +4,8 @@
 
 use rl_fdb::atomic::MutationType;
 use rl_fdb::database::{DatabaseOptions, VERSIONS_PER_MS};
-use rl_fdb::{Database, EngineKind, Error, KeySelector, PagedConfig, RangeOptions};
+use rl_fdb::transaction::TxnTrace;
+use rl_fdb::{Database, EngineKind, Error, KeySelector, PagedConfig, RangeOptions, Transaction};
 
 #[test]
 fn mvcc_history_compacts_but_recent_readers_still_work() {
@@ -35,35 +36,90 @@ fn mvcc_history_compacts_but_recent_readers_still_work() {
     ));
 }
 
+/// The database's key-level counters are the field-wise sum of the traces
+/// of the transactions dropped since the base snapshot: a transaction's
+/// counts arrive when it drops, whatever became of it.
 #[test]
 fn metrics_account_reads_writes_and_conflicts() {
-    let db = Database::new();
+    let db = Database::with_options(DatabaseOptions {
+        transaction_size_limit: 1_000,
+        ..DatabaseOptions::default()
+    });
     let m = db.metrics();
     let base = m.snapshot();
+    let mut traces: Vec<TxnTrace> = Vec::new();
+    let mut finish = |tx: Transaction| traces.push(tx.trace());
 
     let tx = db.create_transaction();
     tx.set(b"a", b"1");
     tx.set(b"b", b"2");
     tx.commit().unwrap();
+    finish(tx);
     let after_write = m.snapshot().delta(&base);
     assert_eq!(after_write.keys_written, 2);
     assert_eq!(after_write.commits_succeeded, 1);
 
+    // A reader dropped without committing.
     let tx = db.create_transaction();
     let _ = tx.get_range(b"a", b"z", RangeOptions::default()).unwrap();
+    finish(tx);
     let after_read = m.snapshot().delta(&base);
     assert_eq!(after_read.keys_read, 2);
 
-    // Manufacture a conflict.
+    let tx = db.create_transaction();
+    tx.clear_range(b"x", b"y");
+    tx.commit().unwrap();
+    finish(tx);
+
+    let tx = db.create_transaction();
+    tx.set(b"big", &[7; 2_000]);
+    assert!(matches!(
+        tx.commit(),
+        Err(Error::TransactionTooLarge { .. })
+    ));
+    finish(tx);
+
+    // Manufacture a conflict, then retry the conflicted work.
     let t1 = db.create_transaction();
     let _ = t1.get(b"a").unwrap();
     let t2 = db.create_transaction();
     t2.set(b"a", b"x");
     t2.commit().unwrap();
+    finish(t2);
     t1.set(b"c", b"y");
-    assert!(t1.commit().is_err());
+    assert_eq!(t1.commit(), Err(Error::NotCommitted));
+    finish(t1);
     let after_conflict = m.snapshot().delta(&base);
     assert_eq!(after_conflict.conflicts, 1);
+    let retry = db.create_transaction();
+    assert_eq!(retry.get(b"a").unwrap(), Some(b"x".to_vec()));
+    retry.set(b"c", b"y");
+    retry.commit().unwrap();
+    finish(retry);
+
+    let delta = m.snapshot().delta(&base);
+    let sum = |field: fn(&TxnTrace) -> u64| traces.iter().map(field).sum::<u64>();
+    assert_eq!(delta.keys_read, sum(|t| t.keys_read));
+    assert_eq!(delta.bytes_read, sum(|t| t.bytes_read));
+    assert_eq!(delta.keys_written, sum(|t| t.keys_written));
+    assert_eq!(delta.bytes_written, sum(|t| t.bytes_written));
+    assert_eq!(delta.range_clears, sum(|t| t.range_clears));
+    assert_eq!(delta.read_ops, sum(|t| t.read_ops));
+    assert_eq!(delta.commits_attempted, sum(|t| t.commits_attempted));
+    assert_eq!(delta.commits_succeeded, sum(|t| t.commits_succeeded));
+    assert_eq!(delta.conflicts, sum(|t| t.conflicts));
+    assert_eq!(delta.record_fetches, sum(|t| t.record_fetches));
+    // Every input above was counted: 6 attempts, of which the oversized
+    // commit failed and one conflicted.
+    assert_eq!(
+        (
+            delta.range_clears,
+            delta.commits_attempted,
+            delta.commits_succeeded
+        ),
+        (1, 6, 4)
+    );
+    assert_eq!((delta.keys_read, delta.read_ops), (4, 3));
 }
 
 #[test]

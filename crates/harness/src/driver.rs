@@ -10,7 +10,7 @@
 //! operations regardless of interleaving.
 //!
 //! After every operation the driver joins the transaction's trace
-//! ([`rl_fdb::TxnTrace`], maintained by the observability layer) and
+//! ([`rl_fdb::transaction::TxnTrace`], kept by every transaction) and
 //! attributes its key traffic to payload (result rows, record writes)
 //! vs overhead (store headers, index maintenance, skip-list levels).
 

@@ -7,9 +7,10 @@ use std::time::Instant;
 use crate::hist::{Histogram, HistogramSnapshot};
 use crate::span::{push_span, Span};
 
-/// A registry of histograms keyed by static operation names. Recording
-/// threads take the read lock only on the first use of a new name; after
-/// that the `Arc<Histogram>` is cloned out and recorded into lock-free.
+/// A registry of histograms keyed by static operation names. Every sample
+/// takes the registry's read lock, looks its name up and records into that
+/// histogram's atomics under the guard; only the first sample of a new
+/// name takes the write lock, to insert it.
 #[derive(Debug, Default)]
 pub struct Recorder {
     hists: RwLock<BTreeMap<&'static str, Arc<Histogram>>>,
@@ -41,6 +42,10 @@ impl Recorder {
 
     /// Record one value under `op` (most callers use [`Timer`] instead).
     pub fn record(&self, op: &'static str, value: u64) {
+        if let Some(h) = self.hists.read().unwrap().get(op) {
+            h.record(value);
+            return;
+        }
         self.histogram(op).record(value);
     }
 

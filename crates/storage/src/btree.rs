@@ -56,7 +56,7 @@
 //! [`chain_visible_at`] and [`chain_entries`] read as is.
 //!
 //! **Writes: one descent, an ancestor rewritten only if its child's id
-//! changed.** [`write`], [`update`] and [`prune`] descend once, keeping
+//! changed.** [`write()`], [`update`] and [`prune`] descend once, keeping
 //! the path. The leaf goes back through [`BufferPool::write_cow`], so the
 //! tree under the last checkpoint's meta slot is never damaged in place. A
 //! parent is touched — its 4-byte child pointer patched, a separator
@@ -1032,7 +1032,7 @@ fn push<V: AsRef<[u8]>>(
 }
 
 /// Write `value` (`None`: a tombstone) under `key` at `version`; see
-/// [`push`] for what is returned.
+/// `push` for what is returned.
 pub fn write(
     pool: &mut BufferPool,
     key: &[u8],
@@ -1042,7 +1042,7 @@ pub fn write(
     push(pool, key, version, |_| Ok(value))
 }
 
-/// Read-modify-write in the one descent of a [`write`]: `f` sees the value
+/// Read-modify-write in the one descent of a [`write()`]: `f` sees the value
 /// visible at `version` in the chain the descent ends on, and what it
 /// returns is written at `version`.
 pub fn update(
@@ -1059,7 +1059,7 @@ pub fn update(
     })
 }
 
-/// Rewrite `key`'s chain as [`chain_prune`] at `oldest_version` decides:
+/// Rewrite `key`'s chain as `chain_prune` at `oldest_version` decides:
 /// trimmed, removed with its key when dead (leaves are not rebalanced; an
 /// emptied leaf stays in place and cursors skip it), or left alone.
 pub fn prune(pool: &mut BufferPool, key: &[u8], oldest_version: u64) -> io::Result<()> {

@@ -8,7 +8,7 @@
 //! * [`MemoryEngine`] — the original ordered in-memory map, retained as the
 //!   test oracle and the default engine.
 //! * [`PagedEngine`] — a disk-backed engine: a fixed-size-page file with
-//!   checksummed headers and a free list ([`file`]), a buffer pool that
+//!   checksummed headers and a free list ([`mod@file`]), a buffer pool that
 //!   evicts with SIEVE ([`pool`]), a copy-on-write B-tree keyed on raw
 //!   bytes whose leaf entries hold the per-key version chain ([`btree`]),
 //!   and an append-only write-ahead log segment that makes committed

@@ -281,7 +281,8 @@ fn transaction_spans_attribute_traffic_and_outcome() {
 /// Every stage of the commit path and each store-lock wait has its own
 /// histogram, so where a commit's or a read's time went can be read off
 /// the recorder: shard acquisition, the batcher queue, the store lock
-/// (exclusive-read path and batch leader apart), apply, seal, compaction.
+/// (a snapshot read's shared wait and the batch leader's exclusive wait
+/// apart), apply, seal, compaction.
 #[test]
 fn commit_path_stages_are_timed() {
     use rl_fdb::{DatabaseOptions, EngineKind, PagedConfig};
@@ -298,8 +299,8 @@ fn commit_path_stages_are_timed() {
     ];
     let counts = || STAGES.map(|op| recorder.histogram(op).count());
 
-    // The paged engine reads under the exclusive lock; compacting after
-    // every commit makes each commit visit every stage.
+    // Every read waits for the shared store lock, on either engine;
+    // compacting after every commit makes each commit visit every stage.
     let db = Database::with_options(DatabaseOptions {
         engine: EngineKind::Paged(PagedConfig::ephemeral()),
         compaction_interval: 1,

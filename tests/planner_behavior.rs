@@ -509,15 +509,20 @@ fn covering_scan_performs_zero_record_fetches() {
         ));
     let fetching = planner.plan(&fetching_query).unwrap();
     assert_eq!(fetching.describe(), "IndexScan(by_color)");
+    // The transaction's own trace counts every fetch, with observability
+    // off too, and hands the count to the database when it drops.
+    rl_obs::set_enabled(false);
     let before = db.metrics().snapshot();
-    let fetched = record_layer::run(&db, |tx| {
-        let store = RecordStore::open_or_create(tx, &sub, &md)?;
-        fetching.execute_all(&store)
-    })
-    .unwrap();
+    let tx = db.create_transaction();
+    let store = RecordStore::open_or_create(&tx, &sub, &md).unwrap();
+    let fetched = fetching.execute_all(&store).unwrap();
+    let fetches = tx.trace().record_fetches;
+    drop(store);
+    drop(tx);
     let delta = db.metrics().snapshot().delta(&before);
     assert_eq!(fetched.len(), 20);
-    assert!(delta.record_fetches >= 20, "index fetch reads every record");
+    assert!(fetches >= 20, "index fetch reads every record");
+    assert_eq!(fetches, delta.record_fetches);
 }
 
 /// Step a plan one record at a time capturing each continuation, then

@@ -629,10 +629,9 @@ fn a_resave_leaves_exactly_the_new_record_and_clears_only_what_it_must() {
             record_layer::run(&db, |tx| save(tx, old_versions, old_len, 1)).unwrap();
 
             let tx = db.create_transaction();
-            let before = db.metrics().snapshot().range_clears;
             let new = save(&tx, new_versions, new_len, 2).unwrap();
             assert_eq!(
-                db.metrics().snapshot().range_clears - before,
+                tx.trace().range_clears,
                 clears,
                 "[{engine}] {case}: range clears issued"
             );
