@@ -14,10 +14,11 @@
 //!   order, so commits over disjoint key spaces validate and apply in
 //!   parallel.
 //! * **Group-commit batcher** (`batcher`, [`LockRank::CommitBatch`]) —
-//!   concurrent committers that passed validation enqueue their command
-//!   logs; one becomes the *leader* and applies the whole batch with a
-//!   single version allocation and (on the paged engine) a single WAL
-//!   frame. Followers park on a condvar and collect their receipts.
+//!   concurrent committers that passed validation enqueue their write
+//!   sets; one becomes the *leader*, merges them into one batch sorted by
+//!   key, and applies it with a single version allocation, a single engine
+//!   call and (on the paged engine) a single WAL frame. Followers park on
+//!   a condvar and collect their receipts.
 //! * **Version core** (`core`, [`LockRank::VersionCore`]) — version
 //!   allocation and compaction bookkeeping; a short critical section only
 //!   the batch leader enters.
@@ -41,14 +42,14 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 
 use rl_storage::SharedIoCounters;
 
-use crate::atomic;
 use crate::error::{Error, Result};
 use crate::metrics::{Metrics, SharedMetrics};
 use crate::state_cache::StateCache;
 use crate::sync::{
     lock_ranked, lock_ranked_indexed, read_ranked, write_ranked, LockRank, RankedReadGuard,
 };
-use crate::transaction::{Command, Transaction};
+use crate::transaction::Transaction;
+use crate::write_set::{self, Tally, WriteSet};
 use rl_storage::{EvictionPolicy, MemoryEngine, PagedEngine, StorageEngine};
 
 /// FoundationDB's documented key size limit (10 kB).
@@ -313,12 +314,13 @@ struct VersionCore {
     commits_since_compaction: u64,
 }
 
-/// A committer's enqueued work: its command log, cloned so the follower
-/// can park without lending out its borrow. The leader moves the keys and
-/// values out of it into the engine.
+/// A committer's enqueued work: its write set, handed over by move, and
+/// whether it writes [`crate::METADATA_VERSION_KEY`]. The leader moves the
+/// keys and values out of it into the engine.
 struct PendingCommit {
     ticket: u64,
-    commands: Vec<Command>,
+    writes: WriteSet,
+    writes_metadata_version: bool,
 }
 
 /// What a batch member gets back from the leader.
@@ -549,14 +551,16 @@ impl Database {
     // --------------------------------------------------------------- commit
 
     /// Validate a transaction's read conflict ranges against the window of
-    /// recently committed writes, then apply its command log at a fresh
+    /// recently committed writes, then apply its write set at a fresh
     /// commit version — FDB's resolver + proxy pipeline. Validation holds
     /// only the conflict shards the transaction touches (ascending order),
     /// so disjoint commits proceed in parallel; application goes through
     /// the group-commit batcher, which charges one version allocation and
     /// one engine batch-seal per *batch* of concurrent committers.
     /// Returns the commit version, the order within its batch, and the
-    /// keys/bytes written, which the transaction counts in its trace.
+    /// keys/bytes written, which the transaction counts in its trace. The
+    /// write set is taken from `writes` once validation has passed: a
+    /// commit refused before that keeps its writes.
     ///
     /// `relied_on_metadata_version`: the transaction used state from the
     /// [`StateCache`] in place of reads. It conflicts with any write of the
@@ -572,7 +576,7 @@ impl Database {
         read_version: u64,
         read_conflicts: &[(Vec<u8>, Vec<u8>)],
         write_conflicts: &[(Vec<u8>, Vec<u8>)],
-        commands: &[Command],
+        writes: &mut WriteSet,
         relied_on_metadata_version: bool,
         writes_metadata_version: bool,
     ) -> Result<CommitReceipt> {
@@ -629,7 +633,7 @@ impl Database {
         // window that does not yet contain our writes — and every member
         // of one batch is pairwise shard-disjoint by construction, which
         // is what makes a shared commit version sound.
-        let receipt = self.batched_apply(commands.to_vec())?;
+        let receipt = self.batched_apply(std::mem::take(writes), writes_metadata_version)?;
 
         // Record our write conflict ranges for future validations, in
         // every shard the write set touches (duplicated per shard so each
@@ -653,19 +657,27 @@ impl Database {
         Ok(receipt)
     }
 
-    /// Group commit: enqueue this committer's command log; whoever finds
+    /// Group commit: enqueue this committer's write set; whoever finds
     /// no leader active drains the queue and leads the batch, everyone
     /// else parks until the leader publishes their receipt. Callers hold
     /// their conflict-shard locks throughout, which the leader never
     /// takes — the rank order ConflictShard < CommitBatch < VersionCore <
     /// DatabaseStore keeps the whole rendezvous deadlock-free.
-    fn batched_apply(&self, commands: Vec<Command>) -> Result<CommitReceipt> {
+    fn batched_apply(
+        &self,
+        writes: WriteSet,
+        writes_metadata_version: bool,
+    ) -> Result<CommitReceipt> {
         // From joining the queue to leading a batch or holding a receipt.
         let queued = rl_obs::Timer::start("batch_queue_wait");
         let mut st = lock_ranked(&self.batcher.state, LockRank::CommitBatch);
         let ticket = st.next_ticket;
         st.next_ticket += 1;
-        st.queue.push(PendingCommit { ticket, commands });
+        st.queue.push(PendingCommit {
+            ticket,
+            writes,
+            writes_metadata_version,
+        });
         loop {
             if let Some(pos) = st.results.iter().position(|(t, _)| *t == ticket) {
                 return st.results.swap_remove(pos).1;
@@ -740,11 +752,11 @@ impl Database {
         own
     }
 
-    /// Apply a batch: one version allocation, every member's command log
-    /// at that version (distinguished by batch order), one engine batch
-    /// seal — i.e. one WAL frame on the paged engine — then publish the
-    /// version. Runs without the batcher lock; takes VersionCore then
-    /// DatabaseStore.
+    /// Apply a batch: one version allocation, every member's write set at
+    /// that version (distinguished by batch order) merged into one sorted
+    /// engine batch, one engine batch seal — i.e. one WAL frame on the
+    /// paged engine — then publish the version. Runs without the batcher
+    /// lock; takes VersionCore then DatabaseStore.
     fn lead_batch(&self, batch: Vec<PendingCommit>) -> Vec<(u64, Result<CommitReceipt>)> {
         // Assign the batch's commit version: strictly increasing, and at
         // least the clock-implied version so versions track logical time.
@@ -760,9 +772,7 @@ impl Database {
         drop(core);
 
         let horizon = version.saturating_sub(self.options.mvcc_window_versions);
-        let bumps_metadata_version = batch
-            .iter()
-            .any(|p| p.commands.iter().any(Command::writes_metadata_version));
+        let bumps_metadata_version = batch.iter().any(|p| p.writes_metadata_version);
         let waiting = rl_obs::Timer::start("store_lock_wait_leader");
         let mut store = write_ranked(&self.store, LockRank::DatabaseStore);
         drop(waiting);
@@ -772,29 +782,24 @@ impl Database {
         if self.panic_next_batch.swap(false, Ordering::AcqRel) {
             panic!("injected leader failure");
         }
-        let mut results = Vec::with_capacity(batch.len());
         record_count("batch_size", batch.len());
         let applying = rl_obs::Timer::start("batch_apply");
+        let tallies: Vec<Tally> = batch.iter().map(|_| Tally::default()).collect();
+        let mut members = Vec::with_capacity(batch.len());
+        let mut orders = Vec::with_capacity(batch.len());
         for (order, pending) in batch.into_iter().enumerate() {
             let order = order as u16;
-            // Surface operand errors before any of this member's writes
-            // reach the store: with a shared batch version, a half-applied
-            // member would otherwise become visible when its batchmates
-            // publish.
-            let applied = validate_commands(&pending.commands).and_then(|()| {
-                apply_commands(store.engine.as_mut(), pending.commands, version, order)
-            });
-            results.push((
-                pending.ticket,
-                applied.map(|(keys_written, bytes_written)| CommitReceipt {
-                    version,
-                    batch_order: order,
-                    keys_written,
-                    bytes_written,
-                }),
-            ));
+            // Surface operand errors before any member's writes reach the
+            // store: with a shared batch version, a half-applied member
+            // would otherwise become visible when its batchmates publish.
+            let valid = pending.writes.validate();
+            if valid.is_ok() {
+                members.push((order, pending.writes));
+            }
+            orders.push((pending.ticket, valid.map(|()| order)));
         }
-
+        let sorted = write_set::sorted_batch(members, version, &tallies);
+        store.engine.apply_sorted(version, sorted);
         drop(applying);
 
         // Seal the batch: a crash-safe engine persists everything above
@@ -819,7 +824,19 @@ impl Database {
             let oldest = self.oldest.load(Ordering::Acquire);
             record_count("compact_keys", store.engine.compact(oldest));
         }
-        results
+        let receipt = |order: u16| {
+            let tally = &tallies[order as usize];
+            CommitReceipt {
+                version,
+                batch_order: order,
+                keys_written: tally.keys.get(),
+                bytes_written: tally.bytes.get(),
+            }
+        };
+        orders
+            .into_iter()
+            .map(|(ticket, order)| (ticket, order.map(receipt)))
+            .collect()
     }
 
     /// Diagnostic: number of live keys at the latest version.
@@ -862,98 +879,12 @@ impl std::fmt::Debug for Database {
     }
 }
 
-/// Pre-validate a command log: surface any operand error (e.g. an ADD
-/// wider than 16 bytes) that [`apply_commands`] would hit. Apply errors
-/// depend only on the operand, never on the current value, so probing
-/// with an empty current value is exact.
-fn validate_commands(commands: &[Command]) -> Result<()> {
-    for cmd in commands {
-        if let Command::Atomic { op, param, .. } = cmd {
-            atomic::apply(*op, None, param)?;
-        }
-    }
-    Ok(())
-}
-
 /// Record a count (not a duration) under `op` in the global recorder;
 /// nothing when observability is off.
 fn record_count(op: &'static str, count: usize) {
     if rl_obs::enabled() {
         rl_obs::Recorder::global().record(op, count as u64);
     }
-}
-
-/// Apply one member's command log at `version`, in program order, with
-/// versionstamps resolved to `version` ‖ `batch_order`; keys and values
-/// move out of the log into the engine. Returns the keys and bytes written.
-fn apply_commands(
-    store: &mut dyn StorageEngine,
-    commands: Vec<Command>,
-    version: u64,
-    batch_order: u16,
-) -> Result<(u64, u64)> {
-    let tr_version = {
-        let mut v = [0u8; 10];
-        v[0..8].copy_from_slice(&version.to_be_bytes());
-        v[8..10].copy_from_slice(&batch_order.to_be_bytes());
-        v
-    };
-    let mut keys_written = 0u64;
-    let mut bytes_written = 0u64;
-    for cmd in commands {
-        match cmd {
-            Command::Set { key, value } => {
-                keys_written += 1;
-                bytes_written += (key.len() + value.len()) as u64;
-                store.write(key, Some(value), version);
-            }
-            Command::Clear { key } => {
-                store.write(key, None, version);
-            }
-            Command::ClearRange { begin, end } => {
-                store.clear_range(&begin, &end, version);
-            }
-            Command::Atomic { key, op, param } => {
-                keys_written += 1;
-                bytes_written += key.len() as u64;
-                // One seek: the engine hands the current value to the
-                // mutation where its write path finds it.
-                let mut failed = None;
-                store.update(key, version, &mut |current| {
-                    let new = atomic::apply(op, current, &param).unwrap_or_else(|e| {
-                        failed = Some(e);
-                        current.map(<[u8]>::to_vec)
-                    });
-                    bytes_written += new.as_ref().map_or(0, Vec::len) as u64;
-                    new
-                });
-                if let Some(e) = failed {
-                    return Err(e);
-                }
-            }
-            Command::VersionstampedKey {
-                key_payload: mut key,
-                offset,
-                value,
-            } => {
-                atomic::fill_versionstamp(&mut key, offset, &tr_version);
-                keys_written += 1;
-                bytes_written += (key.len() + value.len()) as u64;
-                store.write(key, Some(value), version);
-            }
-            Command::VersionstampedValue {
-                key,
-                value_payload: mut value,
-                offset,
-            } => {
-                atomic::fill_versionstamp(&mut value, offset, &tr_version);
-                keys_written += 1;
-                bytes_written += (key.len() + value.len()) as u64;
-                store.write(key, Some(value), version);
-            }
-        }
-    }
-    Ok((keys_written, bytes_written))
 }
 
 /// Half-open interval intersection.
@@ -1057,6 +988,20 @@ mod tests {
     use super::*;
     use crate::atomic::MutationType;
     use crate::range::RangeOptions;
+    use crate::write_set::KeyOp;
+
+    /// A batch member that buffers `writes` in order.
+    fn pending(ticket: u64, writes: Vec<(String, KeyOp)>) -> PendingCommit {
+        let mut set = WriteSet::default();
+        for (key, op) in writes {
+            set.push(key.as_bytes(), op);
+        }
+        PendingCommit {
+            ticket,
+            writes: set,
+            writes_metadata_version: false,
+        }
+    }
 
     #[test]
     fn engine_specs_parse_exactly() {
@@ -1491,12 +1436,11 @@ mod tests {
         assert_eq!(commit_shard_mask(&[], &[], true), ALL_SHARDS);
         // Shard-disjoint commits may meet in one batch: one version.
         let batch = (0..2)
-            .map(|t| PendingCommit {
-                ticket: t,
-                commands: vec![Command::Set {
-                    key: format!("t{t}/batched").into_bytes(),
-                    value: b"v".to_vec(),
-                }],
+            .map(|t| {
+                pending(
+                    t,
+                    vec![(format!("t{t}/batched"), KeyOp::Set(b"v".to_vec()))],
+                )
             })
             .collect();
         let receipts: Vec<_> = db
@@ -1538,13 +1482,7 @@ mod tests {
     fn group_commit_shares_version_and_orders_members() {
         let db = Database::new();
         let batch = (0..3)
-            .map(|i| PendingCommit {
-                ticket: i,
-                commands: vec![Command::Set {
-                    key: format!("b{i}").into_bytes(),
-                    value: b"v".to_vec(),
-                }],
-            })
+            .map(|i| pending(i, vec![(format!("b{i}"), KeyOp::Set(b"v".to_vec()))]))
             .collect();
         let results = db.lead_batch(batch);
         assert_eq!(results.len(), 3);
@@ -1606,13 +1544,7 @@ mod tests {
             st.next_ticket = 3;
         }
         let batch: Vec<PendingCommit> = (0..3)
-            .map(|i| PendingCommit {
-                ticket: i,
-                commands: vec![Command::Set {
-                    key: format!("f{i}").into_bytes(),
-                    value: b"v".to_vec(),
-                }],
-            })
+            .map(|i| pending(i, vec![(format!("f{i}"), KeyOp::Set(b"v".to_vec()))]))
             .collect();
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             db.lead_and_publish(1, batch)
@@ -1645,13 +1577,7 @@ mod tests {
         });
         let before = db.metrics().io_counters().snapshot().log_appends;
         let batch = (0..4)
-            .map(|i| PendingCommit {
-                ticket: i,
-                commands: vec![Command::Set {
-                    key: format!("w{i}").into_bytes(),
-                    value: vec![0u8; 32],
-                }],
-            })
+            .map(|i| pending(i, vec![(format!("w{i}"), KeyOp::Set(vec![0u8; 32]))]))
             .collect();
         for (_, r) in db.lead_batch(batch) {
             r.unwrap();
@@ -1664,27 +1590,18 @@ mod tests {
     fn batch_member_with_bad_operand_fails_without_partial_writes() {
         let db = Database::new();
         let batch = vec![
-            PendingCommit {
-                ticket: 0,
-                commands: vec![Command::Set {
-                    key: b"good".to_vec(),
-                    value: b"v".to_vec(),
-                }],
-            },
-            PendingCommit {
-                ticket: 1,
-                commands: vec![
-                    Command::Set {
-                        key: b"bad-first".to_vec(),
-                        value: b"v".to_vec(),
-                    },
-                    Command::Atomic {
-                        key: b"bad".to_vec(),
-                        op: MutationType::Add,
-                        param: vec![0u8; 17], // ADD operand too wide
-                    },
+            pending(0, vec![("good".into(), KeyOp::Set(b"v".to_vec()))]),
+            pending(
+                1,
+                vec![
+                    ("bad-first".into(), KeyOp::Set(b"v".to_vec())),
+                    // ADD operand too wide
+                    (
+                        "bad".into(),
+                        KeyOp::Atomic(MutationType::Add, vec![0u8; 17]),
+                    ),
                 ],
-            },
+            ),
         ];
         let results = db.lead_batch(batch);
         assert!(results[0].1.is_ok());

@@ -50,6 +50,7 @@ pub mod sync;
 pub mod transaction;
 pub mod tuple;
 pub mod version;
+mod write_set;
 
 pub use database::{Database, DatabaseOptions, EngineKind, PagedConfig};
 pub use error::{Error, Result};

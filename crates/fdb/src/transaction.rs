@@ -10,7 +10,7 @@
 //! its own writes (read-your-writes).
 
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::atomic::{self, MutationType};
@@ -20,66 +20,7 @@ use crate::kv::{KeySelector, KeyValue};
 use crate::range::RangeOptions;
 use crate::state_cache::METADATA_VERSION_KEY;
 use crate::sync::{lock_ranked, LockRank};
-
-/// One buffered write command, in program order.
-#[derive(Debug, Clone)]
-pub(crate) enum Command {
-    Set {
-        key: Vec<u8>,
-        value: Vec<u8>,
-    },
-    Clear {
-        key: Vec<u8>,
-    },
-    ClearRange {
-        begin: Vec<u8>,
-        end: Vec<u8>,
-    },
-    Atomic {
-        key: Vec<u8>,
-        op: MutationType,
-        param: Vec<u8>,
-    },
-    /// SET_VERSIONSTAMPED_KEY: `key_payload[offset..offset+10]` is replaced
-    /// by the transaction version at commit.
-    VersionstampedKey {
-        key_payload: Vec<u8>,
-        offset: usize,
-        value: Vec<u8>,
-    },
-    /// SET_VERSIONSTAMPED_VALUE: placeholder inside the value.
-    VersionstampedValue {
-        key: Vec<u8>,
-        value_payload: Vec<u8>,
-        offset: usize,
-    },
-}
-
-impl Command {
-    /// Whether this command writes (sets, clears or mutates)
-    /// [`METADATA_VERSION_KEY`].
-    pub(crate) fn writes_metadata_version(&self) -> bool {
-        match self {
-            Command::Set { key, .. }
-            | Command::Clear { key }
-            | Command::Atomic { key, .. }
-            | Command::VersionstampedValue { key, .. } => key == METADATA_VERSION_KEY,
-            Command::ClearRange { begin, end } => {
-                begin.as_slice() <= METADATA_VERSION_KEY && METADATA_VERSION_KEY < end.as_slice()
-            }
-            // The stamp lands inside the key, and no stamp spells it.
-            Command::VersionstampedKey { .. } => false,
-        }
-    }
-}
-
-/// A per-key operation for read-your-writes resolution.
-#[derive(Debug, Clone)]
-enum KeyOp {
-    Set(Vec<u8>),
-    Clear,
-    Atomic(MutationType, Vec<u8>),
-}
+use crate::write_set::{KeyOp, WriteSet};
 
 /// Per-transaction attribution: what *this* transaction read and wrote.
 ///
@@ -121,13 +62,9 @@ pub struct TxnTrace {
 
 #[derive(Debug, Default)]
 struct TxState {
-    /// Flat command log, replayed at commit in program order.
-    commands: Vec<Command>,
-    /// Per-key op log (seq, op) for read-your-writes.
-    writes_by_key: BTreeMap<Vec<u8>, Vec<(u64, KeyOp)>>,
-    /// Cleared ranges with their sequence numbers.
-    cleared: Vec<(Vec<u8>, Vec<u8>, u64)>,
-    seq: u64,
+    /// The buffered writes: read-your-writes folds them over what it reads,
+    /// and the commit hands them to the batch.
+    writes: WriteSet,
     read_conflicts: Vec<(Vec<u8>, Vec<u8>)>,
     write_conflicts: Vec<(Vec<u8>, Vec<u8>)>,
     /// Approximate transaction size (keys + values + conflict-range keys).
@@ -142,9 +79,11 @@ struct TxState {
     /// Free-form attribution tag for this transaction's span (tenant,
     /// subspace, workload name…).
     tag: Option<String>,
-    /// A buffered command writes [`METADATA_VERSION_KEY`]: from here on
-    /// the state cache describes a database this transaction is changing,
-    /// so it neither consults nor fills it.
+    /// A buffered write sets, clears or mutates [`METADATA_VERSION_KEY`]:
+    /// from here on the state cache describes a database this transaction
+    /// is changing, so it neither consults nor fills it. The commit hands
+    /// this flag to the batch leader, which publishes the batch's version
+    /// as the metadata version when a member carries it.
     writes_metadata_version: bool,
     /// [`Transaction::cached_state`] answered from the cache: the commit
     /// must fail if the metadata version was written after the read
@@ -153,9 +92,10 @@ struct TxState {
 }
 
 impl TxState {
-    fn push_command(&mut self, command: Command) {
-        self.writes_metadata_version |= command.writes_metadata_version();
-        self.commands.push(command);
+    /// Buffer `op` on `key`.
+    fn push(&mut self, key: &[u8], op: KeyOp) {
+        self.writes_metadata_version |= key == METADATA_VERSION_KEY;
+        self.writes.push(key, op);
     }
 }
 
@@ -180,40 +120,6 @@ pub struct Transaction {
 /// awaiting the merge nor the time the store lock is held grows with the
 /// range.
 const SNAPSHOT_CHUNK_ROWS: usize = 1024;
-
-/// Sequence numbers of the buffered range clears that cover `key`.
-fn covering_clear_seqs(cleared: &[(Vec<u8>, Vec<u8>, u64)], key: &[u8]) -> Vec<u64> {
-    cleared
-        .iter()
-        .filter(|(a, b, _)| a.as_slice() <= key && key < b.as_slice())
-        .map(|(_, _, s)| *s)
-        .collect()
-}
-
-/// Result of resolving read-your-writes for one key.
-fn effective_value(
-    underlying: Option<&[u8]>,
-    ops: &[(u64, KeyOp)],
-    clear_seqs: &[u64],
-) -> Result<Option<Vec<u8>>> {
-    // Merge per-key ops and covering range-clears in sequence order.
-    let mut merged: Vec<(u64, Option<&KeyOp>)> = ops.iter().map(|(s, op)| (*s, Some(op))).collect();
-    merged.extend(clear_seqs.iter().map(|s| (*s, None)));
-    merged.sort_by_key(|(s, _)| *s);
-
-    let mut cur: Option<Vec<u8>> = underlying.map(<[u8]>::to_vec);
-    for (_, op) in merged {
-        match op {
-            None => cur = None, // range clear
-            Some(KeyOp::Set(v)) => cur = Some(v.clone()),
-            Some(KeyOp::Clear) => cur = None,
-            Some(KeyOp::Atomic(mt, param)) => {
-                cur = atomic::apply(*mt, cur.as_deref(), param)?;
-            }
-        }
-    }
-    Ok(cur)
-}
 
 impl Transaction {
     pub(crate) fn new(db: Database, read_version: u64, start_ms: u64) -> Self {
@@ -337,9 +243,8 @@ impl Transaction {
         }
         let underlying = self.db.storage_get(key, self.read_version)?;
         st.trace.read_ops += 1;
-        let clear_seqs = covering_clear_seqs(&st.cleared, key);
-        let ops = st.writes_by_key.get(key).map(Vec::as_slice).unwrap_or(&[]);
-        let v = effective_value(underlying.as_deref(), ops, &clear_seqs)?;
+        let ops = st.writes.by_key.get(key).map(Vec::as_slice).unwrap_or(&[]);
+        let v = st.writes.resolve(key, ops, underlying)?;
         if let Some(ref val) = v {
             st.trace.keys_read += 1;
             st.trace.bytes_read += (key.len() + val.len()) as u64;
@@ -387,14 +292,14 @@ impl Transaction {
         } else {
             options.limit
         };
-        let writes = st.writes_by_key.range::<[u8], _>((
+        let writes = st.writes.by_key.range::<[u8], _>((
             std::ops::Bound::Included(begin),
             std::ops::Bound::Excluded(end),
         ));
         let merged = if options.reverse {
-            self.merge_range(begin, end, limit, true, writes.rev(), &st.cleared)?
+            self.merge_range(begin, end, limit, true, writes.rev(), &st.writes)?
         } else {
-            self.merge_range(begin, end, limit, false, writes, &st.cleared)?
+            self.merge_range(begin, end, limit, false, writes, &st.writes)?
         };
         st.trace.read_ops += 1;
 
@@ -440,7 +345,7 @@ impl Transaction {
         limit: usize,
         reverse: bool,
         writes: impl Iterator<Item = (&'a Vec<u8>, &'a Vec<(u64, KeyOp)>)>,
-        cleared: &[(Vec<u8>, Vec<u8>, u64)],
+        write_set: &WriteSet,
     ) -> Result<Vec<KeyValue>> {
         let mut writes = writes.peekable();
         let mut merged: Vec<KeyValue> = Vec::new();
@@ -504,13 +409,7 @@ impl Transaction {
                 (None, Some((key, ops))) => (key.clone(), None, ops),
                 (None, None) => unreachable!("one side holds the next key"),
             };
-            let clear_seqs = covering_clear_seqs(cleared, &key);
-            let value = if ops.is_empty() && clear_seqs.is_empty() {
-                underlying
-            } else {
-                effective_value(underlying.as_deref(), ops, &clear_seqs)?
-            };
-            if let Some(value) = value {
+            if let Some(value) = write_set.resolve(&key, ops, underlying)? {
                 merged.push(KeyValue { key, value });
             }
         }
@@ -596,16 +495,7 @@ impl Transaction {
         self.validate_value(value)?;
         let mut st = lock_ranked(&self.state, LockRank::TransactionState);
         self.check_open(&st)?;
-        st.seq += 1;
-        let seq = st.seq;
-        st.push_command(Command::Set {
-            key: key.to_vec(),
-            value: value.to_vec(),
-        });
-        st.writes_by_key
-            .entry(key.to_vec())
-            .or_default()
-            .push((seq, KeyOp::Set(value.to_vec())));
+        st.push(key, KeyOp::Set(value.to_vec()));
         st.write_conflicts
             .push((key.to_vec(), crate::key_after(key)));
         st.size += key.len() + value.len() + 28;
@@ -618,13 +508,7 @@ impl Transaction {
         if self.check_open(&st).is_err() {
             return;
         }
-        st.seq += 1;
-        let seq = st.seq;
-        st.push_command(Command::Clear { key: key.to_vec() });
-        st.writes_by_key
-            .entry(key.to_vec())
-            .or_default()
-            .push((seq, KeyOp::Clear));
+        st.push(key, KeyOp::Clear);
         st.write_conflicts
             .push((key.to_vec(), crate::key_after(key)));
         st.size += key.len() + 28;
@@ -636,13 +520,8 @@ impl Transaction {
         if self.check_open(&st).is_err() || begin >= end {
             return;
         }
-        st.seq += 1;
-        let seq = st.seq;
-        st.push_command(Command::ClearRange {
-            begin: begin.to_vec(),
-            end: end.to_vec(),
-        });
-        st.cleared.push((begin.to_vec(), end.to_vec(), seq));
+        st.writes_metadata_version |= begin <= METADATA_VERSION_KEY && METADATA_VERSION_KEY < end;
+        st.writes.clear_range(begin, end);
         st.write_conflicts.push((begin.to_vec(), end.to_vec()));
         st.size += begin.len() + end.len() + 28;
         st.trace.range_clears += 1;
@@ -655,48 +534,26 @@ impl Transaction {
         self.validate_key(key)?;
         let mut st = lock_ranked(&self.state, LockRank::TransactionState);
         self.check_open(&st)?;
-        st.seq += 1;
-        let seq = st.seq;
         match op {
             MutationType::SetVersionstampedKey => {
                 let (payload, offset) = atomic::split_versionstamp_operand(key)?;
-                st.push_command(Command::VersionstampedKey {
-                    key_payload: payload.clone(),
-                    offset,
-                    value: param.to_vec(),
-                });
                 // The final key is unknown until commit; conservatively add
-                // a write conflict over the placeholder form.
+                // a write conflict over the placeholder form. No stamp
+                // spells the metadata-version key.
                 st.write_conflicts
                     .push((payload.clone(), crate::key_after(&payload)));
                 st.size += payload.len() + param.len() + 28;
+                st.writes.set_stamped_key(payload, offset, param);
             }
             MutationType::SetVersionstampedValue => {
                 let (payload, offset) = atomic::split_versionstamp_operand(param)?;
-                st.push_command(Command::VersionstampedValue {
-                    key: key.to_vec(),
-                    value_payload: payload.clone(),
-                    offset,
-                });
-                // Read-your-writes sees the placeholder form.
-                st.writes_by_key
-                    .entry(key.to_vec())
-                    .or_default()
-                    .push((seq, KeyOp::Set(payload.clone())));
+                st.size += key.len() + payload.len() + 28;
+                st.push(key, KeyOp::StampedValue(payload, offset));
                 st.write_conflicts
                     .push((key.to_vec(), crate::key_after(key)));
-                st.size += key.len() + payload.len() + 28;
             }
             _ => {
-                st.push_command(Command::Atomic {
-                    key: key.to_vec(),
-                    op,
-                    param: param.to_vec(),
-                });
-                st.writes_by_key
-                    .entry(key.to_vec())
-                    .or_default()
-                    .push((seq, KeyOp::Atomic(op, param.to_vec())));
+                st.push(key, KeyOp::Atomic(op, param.to_vec()));
                 st.write_conflicts
                     .push((key.to_vec(), crate::key_after(key)));
                 st.size += key.len() + param.len() + 28;
@@ -792,7 +649,7 @@ impl Transaction {
     /// Whether any writes are buffered.
     pub fn is_read_only(&self) -> bool {
         lock_ranked(&self.state, LockRank::TransactionState)
-            .commands
+            .writes
             .is_empty()
     }
 
@@ -840,7 +697,7 @@ impl Transaction {
         }
         // Read-only transactions commit trivially without validation: they
         // already saw a consistent snapshot.
-        if st.commands.is_empty() && st.write_conflicts.is_empty() {
+        if st.writes.is_empty() && st.write_conflicts.is_empty() {
             st.committed = true;
             return Ok(());
         }
@@ -848,7 +705,7 @@ impl Transaction {
             self.read_version,
             &st.read_conflicts,
             &st.write_conflicts,
-            &st.commands,
+            &mut st.writes,
             st.relied_on_metadata_version,
             st.writes_metadata_version,
         )?;
@@ -888,9 +745,7 @@ impl Transaction {
     /// a new one from the database).
     pub fn cancel(&self) {
         let mut st = lock_ranked(&self.state, LockRank::TransactionState);
-        st.commands.clear();
-        st.writes_by_key.clear();
-        st.cleared.clear();
+        st.writes = WriteSet::default();
         st.committed = true;
     }
 }

@@ -29,14 +29,14 @@
 //!
 //! **The prefix is a function of the entries.** It is exactly
 //! LCP(first, last), so a leaf image is what encoding its entries gives,
-//! whichever path wrote it. An overwrite, a removal of a key that is not at
-//! either end, and an insert of a key that starts with the prefix cannot
-//! change it, so each is a one-entry splice of the old bytes. An insert of a
-//! key that does not start with it (the key then sorts before or after
-//! every entry), a removal of an end key, and every split decode the
-//! entries and encode them again under the recomputed prefix: inline
-//! suffixes are cut again, and overflow keys and chain blobs are copied as
-//! they are.
+//! whichever path wrote it. Overwrites, removals of keys that are not at
+//! either end, and inserts of keys that start with the prefix cannot change
+//! it, so a leaf that only had those is its old bytes, copied run by run,
+//! with the changed entries spliced in. An insert of a key that does not
+//! start with it (the key then sorts before or after every entry), a
+//! removal of an end key, and every split decode the entries and encode
+//! them again under the recomputed prefix: inline suffixes are cut again,
+//! and overflow keys and chain blobs are copied as they are.
 //!
 //! **What is cached per image, what is borrowed, when a copy is made.**
 //! [`BufferPool::read`] hands out the frame's own image. The first walk of
@@ -55,24 +55,31 @@
 //! [`Cursor::next`] keeps. Chains are lent as slices of the leaf, which
 //! [`chain_visible_at`] and [`chain_entries`] read as is.
 //!
-//! **Writes: one descent, an ancestor rewritten only if its child's id
-//! changed.** [`write()`], [`update`] and [`prune`] descend once, keeping
-//! the path. The leaf goes back through [`BufferPool::write_cow`], so the
-//! tree under the last checkpoint's meta slot is never damaged in place. A
-//! parent is touched — its 4-byte child pointer patched, a separator
-//! spliced in — only while the page id coming up differs from the one it
-//! holds or a split propagates. A page fresh since the last checkpoint
-//! keeps its id and hangs only below fresh ancestors, so after the first
-//! write down a path in a checkpoint epoch every later one stops at the
-//! leaf. A leaf splits near the byte-weight midpoint of its entries, where
-//! neighbouring keys share the fewest bytes (so a leaf that spans two
-//! groups of keys splits between them), and each half stores the prefix of
-//! its own ends. The exception is an insert that shortened the prefix and
-//! no longer fits: it goes alone, and the entries it joined keep their
-//! prefix and the image they had. An internal node splits at its middle
-//! separator. Nothing rebalances on delete — keys only
-//! go in MVCC compaction, and cursors skip empty leaves — and separators
-//! are shortest prefixes, so internal nodes stay wide.
+//! **Writes: one walk per sorted batch, each leaf it touches rewritten
+//! once.** Every write — a commit's batch, a compaction pass, and
+//! [`write()`] and [`prune`], batches of one — is one `apply` walk over
+//! steps in key order. It descends to the first step's leaf, keeping the
+//! path, puts every step below that leaf's upper fence (the separator that
+//! bounds it in an ancestor) into one new image, and climbs only as far as
+//! the next step needs. The leaf goes back through
+//! [`BufferPool::write_cow`], so the tree under the last checkpoint's meta
+//! slot is never damaged in place, and its image carries its entry
+//! offsets. A parent is rewritten once, when the walk leaves it — its
+//! 4-byte child pointers patched, the separators of a split child spliced
+//! in — and only if the id of a child changed or a child split. A page
+//! fresh since the last checkpoint keeps its id and hangs only below fresh
+//! ancestors, so after the first write down a path in a checkpoint epoch
+//! every later one stops at the leaf. A leaf that overflows is cut into
+//! the fewest pieces of at most three quarters of a page — two when one
+//! insert overfilled it — each cut near an equal share of the entries'
+//! byte weight, where neighbouring keys share the fewest bytes (so a leaf
+//! that spans two groups of keys splits between them); each piece stores
+//! the prefix of its own ends. The exception is a lone insert that shortened the
+//! prefix and no longer fits: it goes alone, and the entries it joined keep
+//! their prefix and the image they had. An internal node is halved at its
+//! middle separator until its pieces fit. Nothing rebalances on delete —
+//! keys only go in MVCC compaction, and cursors skip empty leaves — and
+//! separators are shortest prefixes, so internal nodes stay wide.
 //!
 //! A page's checksum is the first defence against a damaged file and this
 //! parser the second: whatever the bytes, an operation ends in `Ok` or
@@ -82,6 +89,7 @@
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::io;
+use std::iter::Peekable;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -254,22 +262,6 @@ fn index(page: &Image, id: PageId, tag: u8) -> io::Result<&[u16]> {
 fn child(page: &[u8], at: &[u16], i: usize) -> PageId {
     let at = at[i] as usize;
     u32::from_le_bytes(page[at..at + 4].try_into().unwrap())
-}
-
-/// `node` with the bytes in `range` replaced by `with`, holding `count`
-/// entries; allocated at its exact size, as it becomes a pool frame.
-fn spliced(node: &[u8], range: Range<usize>, with: &[u8], count: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(node.len() - range.len() + with.len());
-    out.extend_from_slice(&node[..range.start]);
-    out.extend_from_slice(with);
-    out.extend_from_slice(&node[range.end..]);
-    out[1..NODE_HEADER].copy_from_slice(&(count as u16).to_le_bytes());
-    out
-}
-
-/// An internal node of `count` already-encoded entries.
-fn node_from(count: usize, entries: &[u8]) -> Vec<u8> {
-    [&[TAG_INTERNAL][..], &(count as u16).to_le_bytes(), entries].concat()
 }
 
 // ------------------------------------------------------------------ blobs
@@ -490,7 +482,11 @@ fn chain_prune(chain: &[u8], oldest_version: u64) -> io::Result<Prune> {
 /// `old` (empty for a new key) with one write applied, re-encoded: a write
 /// at the newest entry's version replaces it, a later one is appended —
 /// and then shadows the entries before it, which is also returned.
-fn chain_pushed(old: &[u8], version: u64, value: Option<&[u8]>) -> io::Result<(Vec<u8>, bool)> {
+pub(crate) fn chain_pushed(
+    old: &[u8],
+    version: u64,
+    value: Option<&[u8]>,
+) -> io::Result<(Vec<u8>, bool)> {
     let (mut count, mut kept, mut shadows) = (0u32, &[][..], false);
     if !old.is_empty() {
         let entries = chain_entries(old)?;
@@ -643,17 +639,21 @@ fn put_entry(out: &mut Vec<u8>, id: PageId, prefix: &[u8], entry: &Entry) -> io:
     Ok(())
 }
 
-/// Leaf `id` holding `entries` under `prefix`; allocated at its exact size.
-fn leaf_image(id: PageId, prefix: &[u8], entries: &[Entry]) -> io::Result<Vec<u8>> {
+/// Leaf `id` holding `entries` under `prefix`, with its entry offsets;
+/// allocated at its exact size.
+fn leaf_image(id: PageId, prefix: &[u8], entries: &[Entry]) -> io::Result<Image> {
     let mut out = Vec::with_capacity(leaf_len(prefix.len(), entries));
     out.push(TAG_LEAF);
     out.extend_from_slice(&(entries.len() as u16).to_le_bytes());
     put_varint(&mut out, prefix.len());
     out.extend_from_slice(prefix);
+    let mut offsets = Vec::with_capacity(entries.len() + 1);
     for entry in entries {
+        offsets.push(out.len() as u16);
         put_entry(&mut out, id, prefix, entry)?;
     }
-    Ok(out)
+    offsets.push(out.len() as u16);
+    Ok(Image::indexed(out, offsets.into_boxed_slice()))
 }
 
 // ------------------------------------------------------------------ walks
@@ -754,226 +754,788 @@ fn shortest_separator<'a>(left_max: &[u8], right_min: &'a [u8]) -> &'a [u8] {
     right_min
 }
 
-/// What a mutation does to the chain stored under its key.
-enum Edit {
+/// What a step of a walk does to the chain stored under its key.
+pub(crate) enum Edit {
     Put(Vec<u8>),
     Remove,
     Keep,
 }
 
-/// What a mutation does to the leaf entry at its key's slot.
-enum Change<'a> {
-    Insert(Entry<'a>),
-    /// The entry keeps its key blob, whose bytes end at this offset, and
-    /// its chain blob becomes these bytes.
-    Chain(usize, &'a [u8]),
-    Remove,
+/// One step of a sorted walk, at its key.
+pub(crate) enum Step<T> {
+    /// Change this key, stored or not.
+    Point(T),
+    /// Change the stored keys from this one up to this end, exclusive,
+    /// that no point step names.
+    Range(Vec<u8>),
 }
 
-/// A rewritten node's page id, and `(encoded separator, right sibling)`
-/// when it split.
-type Written = (PageId, Option<(Vec<u8>, PageId)>);
+/// What [`apply`] shows its caller, who answers with an [`Edit`].
+pub(crate) enum Seen<'a, T> {
+    /// A point step, and the chain stored under its key, if any.
+    Point(T, Option<&'a [u8]>),
+    /// A stored key inside a range step, which no point step names, and
+    /// its chain.
+    Ranged(&'a [u8]),
+}
 
-/// The one write path: descend to `key`'s leaf, let `change` see the chain
-/// stored there, put the outcome into the leaf — a one-entry splice of its
-/// bytes where the prefix cannot change, else its entries encoded again —
-/// and write it back, then walk up the remembered path for as long as a
-/// page id changed or a split propagates. Returns whether the key was
-/// present.
-fn edit(
+/// A rewritten node: the id of its first piece, then the encoded separator
+/// and the id of each further piece it split into.
+type Written = (PageId, Vec<(Vec<u8>, PageId)>);
+
+/// An internal node on a walk's path, and what its children became.
+struct Level {
+    id: PageId,
+    page: Page,
+    /// Every key under the node is below this fence (`None`: no bound).
+    upper: Option<Vec<u8>>,
+    /// The child the walk is in, and that child's upper fence.
+    idx: usize,
+    child_upper: Option<Vec<u8>>,
+    /// Children rewritten so far, ascending.
+    rewritten: Vec<(usize, Written)>,
+}
+
+/// The one write path: apply `steps`, ascending by key, in one walk of the
+/// tree.
+///
+/// The walk descends to the first step's leaf and has `visit` decide an
+/// [`Edit`] for every step below that leaf's upper fence and for every
+/// stored key a range step covers there. It writes the leaf once — the old
+/// bytes with the changed entries spliced in where the prefix cannot
+/// change, else its entries encoded again, split as many ways as they
+/// need — then climbs only as far as the next step needs and descends from
+/// there; a range step that reaches past a leaf goes on in the next one.
+/// An ancestor is rewritten once, as the walk leaves it, and only if the
+/// id of a child changed or a child split. Every image the walk writes
+/// carries its entry offsets, so nothing parses it again.
+pub(crate) fn apply<K: AsRef<[u8]>, T>(
     pool: &mut BufferPool,
-    key: &[u8],
-    change: impl FnOnce(Option<&[u8]>) -> io::Result<Edit>,
-) -> io::Result<bool> {
+    steps: impl IntoIterator<Item = (K, Step<T>)>,
+    mut visit: impl FnMut(&[u8], Seen<'_, T>) -> io::Result<Edit>,
+) -> io::Result<()> {
+    let mut steps = steps.into_iter().peekable();
     if pool.root() == NO_PAGE {
-        if let Edit::Put(chain) = change(None)? {
-            let mut chain_blob = Vec::new();
-            append_blob(pool, &chain, INLINE_CHAIN_MAX, &mut chain_blob)?;
-            let key = Key::new(pool, key)?;
-            let entries = [Entry {
-                key,
-                chain: &chain_blob,
-            }];
-            let leaf = leaf_image(NO_PAGE, &common_prefix(pool, &entries)?, &entries)?;
-            let id = pool.allocate(leaf)?;
-            pool.set_root(id);
+        let empty: Page = Arc::new(Image::indexed(
+            vec![TAG_LEAF, 0, 0, 0],
+            Box::new([NODE_HEADER as u16 + 1]),
+        ));
+        let (written, _) = rewrite_leaf(pool, NO_PAGE, &empty, None, &mut steps, None, &mut visit)?;
+        if let Some(written) = written {
+            let root = grow(pool, written)?;
+            pool.set_root(root);
         }
-        return Ok(false);
+        return Ok(());
     }
-    let mut path = Vec::new();
-    let step = |id, page: &Page, _, at| path.push((id, Arc::clone(page), at));
-    let (leaf_id, old) = descend(pool, key, step)?;
-    let at = index(&old, leaf_id, TAG_LEAF)?;
-    let prefix = leaf_prefix(&old, leaf_id)?;
-    let count = at.len() - 1;
-    let slot = locate(pool, &old, leaf_id, TAG_LEAF, at, key)?;
-    let (Ok(i) | Err(i)) = slot;
-    let start = at[i] as usize;
-    // The entry's byte range, and its key blob, chain offset and chain blob.
-    let (mut span, mut stored) = (start..start, None);
-    if slot.is_ok() {
-        let mut r = Reader::at(&old, start, leaf_id);
-        stored = Some((r.blob()?, r.pos, r.blob()?));
-        span.end = r.pos;
+    let mut path: Vec<Level> = Vec::new();
+    // A range step that reaches past the last leaf: its end, and that
+    // leaf's upper fence, where the walk goes on.
+    let mut carry: Option<(Vec<u8>, Vec<u8>)> = None;
+    // What the root became.
+    let mut root = None;
+    loop {
+        let target: &[u8] = match (&carry, steps.peek()) {
+            (Some((_, fence)), _) => fence,
+            (None, Some((key, _))) => key.as_ref(),
+            (None, None) => break,
+        };
+        // Climb out of every node the target is not under...
+        let beyond = |level: &mut Level| level.upper.as_deref().is_some_and(|up| target >= up);
+        while let Some(level) = path.pop_if(beyond) {
+            let written = rewrite_internal(pool, level)?;
+            settle(&mut path, &mut root, written);
+        }
+        // ...and descend from the lowest one it is under to its leaf.
+        let (mut id, mut upper) = match path.last_mut() {
+            Some(level) => {
+                (level.idx, level.child_upper) =
+                    route(pool, &level.page, level.id, target, level.upper.as_deref())?;
+                let at = index(&level.page, level.id, TAG_INTERNAL)?;
+                (child(&level.page, at, level.idx), level.child_upper.clone())
+            }
+            None => (pool.root(), None),
+        };
+        let leaf = loop {
+            let page = pool.read(id)?;
+            if page.first() == Some(&TAG_LEAF) {
+                break page;
+            }
+            if path.len() >= MAX_DEPTH {
+                return Err(too_deep());
+            }
+            let (idx, child_upper) = route(pool, &page, id, target, upper.as_deref())?;
+            let below = child(&page, index(&page, id, TAG_INTERNAL)?, idx);
+            path.push(Level {
+                id,
+                page,
+                upper,
+                idx,
+                child_upper: child_upper.clone(),
+                rewritten: Vec::new(),
+            });
+            (id, upper) = (below, child_upper);
+        };
+        // The walk only moves right: a fence at or below the key it
+        // descended for is damage, and would never end.
+        if upper.as_deref().is_some_and(|up| up <= target) {
+            return Err(corrupt(format!("leaf {id}: separators out of order")));
+        }
+        let carried = carry.take().map(|(end, _)| end);
+        let (written, reaching) = rewrite_leaf(
+            pool,
+            id,
+            &leaf,
+            upper.as_deref(),
+            &mut steps,
+            carried,
+            &mut visit,
+        )?;
+        settle(&mut path, &mut root, written);
+        carry = reaching.zip(upper);
     }
-    let old_chain = stored.map(|(_, _, chain)| chain.load(pool)).transpose()?;
-    let mut chain_blob = Vec::new();
-    let change = match (change(old_chain.as_deref())?, stored) {
-        (Edit::Keep, _) | (Edit::Remove, None) => return Ok(slot.is_ok()),
-        (Edit::Put(chain), stored) => {
-            // A key written on every commit rewrites its whole retained
-            // chain; this histogram's max shows how long that gets.
-            if rl_obs::enabled() {
-                rl_obs::Recorder::global().record("chain_bytes", chain.len() as u64);
-            }
-            // Chain blob first, then the old chain freed or the key blob
-            // made: the allocation order the file layout depends on.
-            append_blob(pool, &chain, INLINE_CHAIN_MAX, &mut chain_blob)?;
-            match stored {
-                Some((_, chain_at, old_chain)) => {
-                    old_chain.free(pool)?;
-                    Change::Chain(chain_at, &chain_blob)
-                }
-                None => Change::Insert(Entry {
-                    key: Key::new(pool, key)?,
-                    chain: &chain_blob,
-                }),
-            }
-        }
-        (Edit::Remove, Some((old_key, _, old_chain))) => {
-            old_key.free(pool)?;
-            old_chain.free(pool)?;
-            Change::Remove
-        }
-    };
-    // Where the prefix cannot change, the new image is the old one with
-    // one entry spliced in, replaced or cut out.
-    let (with, new_count) = match &change {
-        Change::Chain(chain_at, chain) => (Some([&old[start..*chain_at], chain].concat()), count),
-        Change::Insert(entry) if count > 0 && key.starts_with(prefix) => {
-            let mut with = Vec::new();
-            put_entry(&mut with, leaf_id, prefix, entry)?;
-            (Some(with), count + 1)
-        }
-        Change::Remove if 0 < i && i + 1 < count => (Some(Vec::new()), count - 1),
-        _ => (None, count),
-    };
-    let leaf = with
-        .map(|with| spliced(&old, span, &with, new_count))
-        .filter(|leaf| leaf.len() <= MAX_PAYLOAD);
-    let written = match leaf {
-        Some(leaf) => (pool.write_cow(leaf_id, leaf)?, None),
-        None => {
-            let mut entries = entries_of(&old, leaf_id, at)?;
-            let mut lone = None;
-            match change {
-                Change::Insert(entry) => {
-                    entries.insert(i, entry);
-                    lone = Some(i).filter(|_| !key.starts_with(prefix));
-                }
-                Change::Chain(_, chain) => entries[i].chain = chain,
-                Change::Remove => {
-                    entries.remove(i);
-                }
-            }
-            write_leaf(pool, leaf_id, &entries, lone)?
-        }
-    };
-
-    let (mut child, mut written) = (leaf_id, written);
-    for (parent, page, at) in path.into_iter().rev() {
-        let (new_child, split) = written;
-        if new_child == child && split.is_none() {
-            return Ok(slot.is_ok());
-        }
-        let mut count = index(&page, parent, TAG_INTERNAL)?.len() - 2;
-        let mut entry = new_child.to_le_bytes().to_vec();
-        if let Some((sep, right)) = split {
-            entry.extend_from_slice(&sep);
-            entry.extend_from_slice(&right.to_le_bytes());
-            count += 1;
-        }
-        let node = spliced(&page, at..at + 4, &entry, count);
-        (child, written) = (parent, write_internal(pool, parent, node)?);
+    while let Some(level) = path.pop() {
+        let written = rewrite_internal(pool, level)?;
+        settle(&mut path, &mut root, written);
     }
-    let root = match written {
-        (root, None) => root,
-        (left, Some((sep, right))) => {
-            let entries = [&left.to_le_bytes(), &sep[..], &right.to_le_bytes()].concat();
-            pool.allocate(node_from(1, &entries))?
-        }
-    };
-    pool.set_root(root);
-    Ok(slot.is_ok())
+    if let Some(written) = root {
+        let root = grow(pool, written)?;
+        pool.set_root(root);
+    }
+    Ok(())
 }
 
-/// Write `entries` back as leaf `id` (CoW) under the prefix of their ends,
-/// splitting when they do not fit one page. The cut is after or before
-/// entry `lone` — an inserted key that shortened the prefix, which then
-/// goes alone — or else at the [`split_point`]; each half stores the
-/// prefix of its own ends.
+/// The child of internal node `page` to take for `key`, as [`descend`]
+/// takes it, and that child's upper fence: the separator after it, or the
+/// node's own `upper`.
+fn route(
+    pool: &mut BufferPool,
+    page: &Page,
+    id: PageId,
+    key: &[u8],
+    upper: Option<&[u8]>,
+) -> io::Result<(usize, Option<Vec<u8>>)> {
+    let at = index(page, id, TAG_INTERNAL)?;
+    let idx = match locate(pool, page, id, TAG_INTERNAL, at, key)? {
+        Ok(sep) => sep + 1,
+        Err(sep) => sep,
+    };
+    let fence = if idx < at.len() - 2 {
+        let sep = Reader::at(page, at[idx] as usize + 4, id).blob()?;
+        Some(sep.load(pool)?.into_owned())
+    } else {
+        upper.map(<[u8]>::to_vec)
+    };
+    Ok((idx, fence))
+}
+
+/// Hand what a node became to its parent on the path, or to the root.
+fn settle(path: &mut [Level], root: &mut Option<Written>, written: Option<Written>) {
+    let Some(written) = written else {
+        return;
+    };
+    match path.last_mut() {
+        Some(parent) => parent.rewritten.push((parent.idx, written)),
+        None => *root = Some(written),
+    }
+}
+
+/// The root over what the old root became: its one piece, or new levels
+/// above its pieces.
+fn grow(pool: &mut BufferPool, (mut root, mut more): Written) -> io::Result<PageId> {
+    while !more.is_empty() {
+        let mut node = Node::new();
+        node.child(root);
+        for (sep, id) in &more {
+            node.sep(sep);
+            node.child(*id);
+        }
+        (root, more) = node.write(pool, NO_PAGE)?;
+    }
+    Ok(root)
+}
+
+/// Write an internal node left by the walk: its old bytes with each
+/// rewritten child's pointer patched and the separators of its pieces
+/// spliced in after it. `None` if no child's id changed and none split.
+fn rewrite_internal(pool: &mut BufferPool, level: Level) -> io::Result<Option<Written>> {
+    let Level {
+        id,
+        page,
+        rewritten,
+        ..
+    } = level;
+    let at = index(&page, id, TAG_INTERNAL)?;
+    let same =
+        |(i, (new, more)): &(usize, Written)| more.is_empty() && *new == child(&page, at, *i);
+    if rewritten.iter().all(same) {
+        return Ok(None);
+    }
+    let mut node = Node::new();
+    let mut from = 0;
+    for (i, (new, more)) in rewritten {
+        if i < from {
+            return Err(corrupt(format!("internal {id}: separators out of order")));
+        }
+        node.copy(&page, at, from..i);
+        node.child(new);
+        for (sep, right) in &more {
+            node.sep(sep);
+            node.child(*right);
+        }
+        node.sep(&page[at[i] as usize + 4..at[i + 1] as usize]);
+        from = i + 1;
+    }
+    node.copy(&page, at, from..at.len() - 1);
+    node.write(pool, id).map(Some)
+}
+
+/// Append the bytes of entries `range` of a node whose index is `at`, and
+/// their offsets: a leaf's entries, or an internal node's children, each
+/// with the separator after it.
+fn copy_entries(
+    out: &mut Vec<u8>,
+    offsets: &mut Vec<usize>,
+    node: &[u8],
+    at: &[u16],
+    range: Range<usize>,
+) {
+    let (from, to) = (at[range.start] as usize, at[range.end] as usize);
+    let base = out.len();
+    offsets.extend(at[range].iter().map(|&a| a as usize - from + base));
+    out.extend_from_slice(&node[from..to]);
+}
+
+/// An internal node being built: its bytes, and where each child pointer
+/// lies in them.
+struct Node {
+    bytes: Vec<u8>,
+    at: Vec<usize>,
+}
+
+impl Node {
+    fn new() -> Node {
+        Node {
+            bytes: vec![TAG_INTERNAL, 0, 0],
+            at: Vec::new(),
+        }
+    }
+
+    fn child(&mut self, id: PageId) {
+        self.at.push(self.bytes.len());
+        self.bytes.extend_from_slice(&id.to_le_bytes());
+    }
+
+    /// An encoded separator blob, after a child.
+    fn sep(&mut self, blob: &[u8]) {
+        self.bytes.extend_from_slice(blob);
+    }
+
+    /// Children `range` of internal node `page`, whose index is `at`, each
+    /// with the separator after it.
+    fn copy(&mut self, page: &[u8], at: &[u16], range: Range<usize>) {
+        copy_entries(&mut self.bytes, &mut self.at, page, at, range);
+    }
+
+    /// Write the node back as page `id` (CoW; `NO_PAGE`: a new page), split
+    /// at middle separators into as many pieces as it needs.
+    fn write(self, pool: &mut BufferPool, id: PageId) -> io::Result<Written> {
+        let (mut images, mut seps) = (Vec::new(), Vec::new());
+        self.halve(id, &mut images, &mut seps)?;
+        store_pieces(pool, id, images, seps)
+    }
+
+    /// The node's pieces that fit a page: itself, or both halves around its
+    /// middle separator, halved again until they fit; each side keeps at
+    /// least one separator.
+    fn halve(self, id: PageId, images: &mut Vec<Image>, seps: &mut Vec<Vec<u8>>) -> io::Result<()> {
+        if self.bytes.len() <= MAX_PAYLOAD {
+            images.push(self.image());
+            return Ok(());
+        }
+        let count = self.at.len() - 1;
+        if count < 3 {
+            return Err(corrupt(format!("internal {id}: too few separators")));
+        }
+        let mid = (count / 2).clamp(1, count - 2);
+        let sep = self.at[mid] + 4..self.at[mid + 1];
+        let left = Node {
+            bytes: self.bytes[..sep.start].to_vec(),
+            at: self.at[..=mid].to_vec(),
+        };
+        let shift = sep.end - NODE_HEADER;
+        let right = Node {
+            bytes: [&[TAG_INTERNAL, 0, 0][..], &self.bytes[sep.end..]].concat(),
+            at: self.at[mid + 1..].iter().map(|a| a - shift).collect(),
+        };
+        left.halve(id, images, seps)?;
+        seps.push(self.bytes[sep].to_vec());
+        right.halve(id, images, seps)
+    }
+
+    /// The node as a page image, with its entry offsets.
+    fn image(mut self) -> Image {
+        let count = self.at.len() as u16 - 1;
+        self.bytes[1..NODE_HEADER].copy_from_slice(&count.to_le_bytes());
+        self.at.push(self.bytes.len());
+        Image::indexed(self.bytes, self.at.iter().map(|&a| a as u16).collect())
+    }
+}
+
+/// Store the pieces a node became: the first as page `id` (CoW;
+/// `NO_PAGE`: a new page), each further one on a new page after the
+/// separator that leads to it.
+fn store_pieces(
+    pool: &mut BufferPool,
+    id: PageId,
+    images: Vec<Image>,
+    seps: Vec<Vec<u8>>,
+) -> io::Result<Written> {
+    let mut ids = Vec::with_capacity(images.len());
+    for image in images {
+        ids.push(match (ids.is_empty(), id) {
+            (true, NO_PAGE) | (false, _) => pool.allocate(image)?,
+            (true, id) => pool.write_cow(id, image)?,
+        });
+    }
+    Ok((
+        ids[0],
+        seps.into_iter().zip(ids[1..].iter().copied()).collect(),
+    ))
+}
+
+/// Entry `i` of a leaf as it lies there: its key blob, where its chain blob
+/// starts, and the chain blob.
+struct Stored<'a> {
+    key: Blob<'a>,
+    chain_at: usize,
+    chain: Blob<'a>,
+}
+
+fn stored<'a>(leaf: &'a [u8], id: PageId, at: &[u16], i: usize) -> io::Result<Stored<'a>> {
+    let mut r = Reader::at(leaf, at[i] as usize, id);
+    let key = r.blob()?;
+    let chain_at = r.pos;
+    let chain = r.blob()?;
+    Ok(Stored {
+        key,
+        chain_at,
+        chain,
+    })
+}
+
+/// A change a walk makes to one leaf entry; the blobs it adds lie in the
+/// leaf's [`LeafEdits::arena`].
+enum Change {
+    /// The entry keeps its key blob, which ends at this offset, and gets
+    /// this chain blob.
+    Chain(usize, Range<usize>),
+    Remove,
+    /// A new entry, ahead of the old one at its index: its key, its chain
+    /// blob, and whether the key starts with the leaf's prefix.
+    Insert(NewKey, Range<usize>, bool),
+}
+
+/// The key of a new leaf entry: inline in the arena, or spilled whole.
+enum NewKey {
+    Inline(Range<usize>),
+    Overflow(PageId, u32),
+}
+
+/// The changes a walk makes to one leaf, in entry order, and the bytes of
+/// the blobs they add.
+#[derive(Default)]
+struct LeafEdits {
+    changes: Vec<(usize, Change)>,
+    arena: Vec<u8>,
+    /// The overflow blobs of removed entries: freed when the leaf is
+    /// written, as the walk may still read a removed key in the old image
+    /// while it finds the next step's slot.
+    removed: Vec<(PageId, u32)>,
+}
+
+/// Apply to leaf `id` every step below its upper `fence`, and the range
+/// step whose end is `carried` from the leaf before. Returns what the leaf
+/// became (`None`: nothing changed) and, when a range step reaches past the
+/// fence, the furthest end of one.
+fn rewrite_leaf<K: AsRef<[u8]>, T>(
+    pool: &mut BufferPool,
+    id: PageId,
+    leaf: &Page,
+    fence: Option<&[u8]>,
+    steps: &mut Peekable<impl Iterator<Item = (K, Step<T>)>>,
+    carried: Option<Vec<u8>>,
+    visit: &mut impl FnMut(&[u8], Seen<'_, T>) -> io::Result<Edit>,
+) -> io::Result<(Option<Written>, Option<Vec<u8>>)> {
+    let at = index(leaf, id, TAG_LEAF)?;
+    let leaf: &[u8] = leaf;
+    let prefix = leaf_prefix(leaf, id)?;
+    let mut edits = LeafEdits::default();
+    // Entries below `pos` are settled; from `pos` up to `cleared` they lie
+    // in a range step.
+    let (mut pos, mut cleared, mut carry) = (0, 0, None);
+    let reach = |pool: &mut BufferPool, end: Vec<u8>, carry: &mut Option<Vec<u8>>| {
+        if fence.is_some_and(|fence| end.as_slice() > fence) {
+            if carry.as_ref().is_none_or(|far| *far < end) {
+                *carry = Some(end);
+            }
+            return Ok(at.len() - 1);
+        }
+        locate(pool, leaf, id, TAG_LEAF, at, &end).map(|(Ok(i) | Err(i))| i)
+    };
+    if let Some(end) = carried {
+        cleared = reach(pool, end, &mut carry)?;
+    }
+    let below = |(key, _): &(K, Step<T>)| fence.is_none_or(|fence| key.as_ref() < fence);
+    while let Some((key, step)) = steps.next_if(below) {
+        let key = key.as_ref();
+        let slot = locate(pool, leaf, id, TAG_LEAF, at, key)?;
+        let (Ok(i) | Err(i)) = slot;
+        if i < pos {
+            return Err(corrupt(format!("leaf {id}: keys out of order")));
+        }
+        edits.ranged(pool, (leaf, id, at, prefix), pos..i.min(cleared), visit)?;
+        pos = i;
+        match (step, slot) {
+            (Step::Range(end), _) => cleared = cleared.max(reach(pool, end, &mut carry)?),
+            (Step::Point(item), Ok(i)) => {
+                let entry = stored(leaf, id, at, i)?;
+                let chain = entry.chain.load(pool)?;
+                let edit = visit(key, Seen::Point(item, Some(&chain)))?;
+                edits.change(pool, i, &entry, edit)?;
+                pos = i + 1;
+            }
+            (Step::Point(item), Err(i)) => {
+                let edit = visit(key, Seen::Point(item, None))?;
+                edits.insert(pool, i, key, prefix, edit)?;
+            }
+        }
+    }
+    edits.ranged(pool, (leaf, id, at, prefix), pos..cleared, visit)?;
+    if edits.changes.is_empty() {
+        return Ok((None, carry));
+    }
+    Ok((Some(edits.write(pool, id, leaf, at, prefix)?), carry))
+}
+
+impl LeafEdits {
+    /// Let `visit` decide for entries `range` of a leaf, which a range step
+    /// covers.
+    fn ranged<T>(
+        &mut self,
+        pool: &mut BufferPool,
+        (leaf, id, at, prefix): (&[u8], PageId, &[u16], &[u8]),
+        range: Range<usize>,
+        visit: &mut impl FnMut(&[u8], Seen<'_, T>) -> io::Result<Edit>,
+    ) -> io::Result<()> {
+        let mut key = Vec::new();
+        for i in range {
+            let entry = stored(leaf, id, at, i)?;
+            match entry.key {
+                Blob::Inline(suffix) => {
+                    key.clear();
+                    key.extend_from_slice(prefix);
+                    key.extend_from_slice(suffix);
+                }
+                overflow => key = overflow.load(pool)?.into_owned(),
+            }
+            let chain = entry.chain.load(pool)?;
+            let edit = visit(&key, Seen::Ranged(&chain))?;
+            self.change(pool, i, &entry, edit)?;
+        }
+        Ok(())
+    }
+
+    /// Old entry `i`, stored as `entry`, edited.
+    fn change(
+        &mut self,
+        pool: &mut BufferPool,
+        i: usize,
+        entry: &Stored,
+        edit: Edit,
+    ) -> io::Result<()> {
+        match edit {
+            Edit::Keep => {}
+            Edit::Put(chain) => {
+                // Chain blob first, then the old chain freed: the
+                // allocation order the file layout depends on.
+                let blob = self.blob(pool, &chain)?;
+                entry.chain.free(pool)?;
+                self.changes.push((i, Change::Chain(entry.chain_at, blob)));
+            }
+            Edit::Remove => {
+                for blob in [entry.key, entry.chain] {
+                    if let Blob::Overflow(head, len) = blob {
+                        self.removed.push((head, len));
+                    }
+                }
+                self.changes.push((i, Change::Remove));
+            }
+        }
+        Ok(())
+    }
+
+    /// A new `key` ahead of old entry `i`, if `edit` puts a chain there.
+    fn insert(
+        &mut self,
+        pool: &mut BufferPool,
+        i: usize,
+        key: &[u8],
+        prefix: &[u8],
+        edit: Edit,
+    ) -> io::Result<()> {
+        let Edit::Put(chain) = edit else {
+            return Ok(());
+        };
+        // Chain blob first, then the key blob.
+        let blob = self.blob(pool, &chain)?;
+        let new = match Key::new(pool, key)? {
+            Key::Overflow(head, len) => NewKey::Overflow(head, len),
+            Key::Inline(..) => {
+                self.arena.extend_from_slice(key);
+                NewKey::Inline(self.arena.len() - key.len()..self.arena.len())
+            }
+        };
+        let under = key.starts_with(prefix);
+        self.changes.push((i, Change::Insert(new, blob, under)));
+        Ok(())
+    }
+
+    /// `chain` as a blob in the arena, spilled to overflow pages when long.
+    fn blob(&mut self, pool: &mut BufferPool, chain: &[u8]) -> io::Result<Range<usize>> {
+        // A key written on every commit rewrites its whole retained chain;
+        // this histogram's max shows how long that gets.
+        if rl_obs::enabled() {
+            rl_obs::Recorder::global().record("chain_bytes", chain.len() as u64);
+        }
+        let start = self.arena.len();
+        append_blob(pool, chain, INLINE_CHAIN_MAX, &mut self.arena)?;
+        Ok(start..self.arena.len())
+    }
+
+    fn key(&self, key: &NewKey) -> Key<'_> {
+        match key {
+            NewKey::Inline(bytes) => Key::Inline(&[], &self.arena[bytes.clone()]),
+            NewKey::Overflow(head, len) => Key::Overflow(*head, *len),
+        }
+    }
+
+    /// Write the changed leaf `id` back. Where the prefix cannot change —
+    /// every new key starts with it, and neither end entry goes — and the
+    /// result fits, the new image is the old bytes with the changed entries
+    /// spliced in. Otherwise its entries are encoded again under the prefix
+    /// of their ends and split as many ways as they need.
+    fn write(
+        &self,
+        pool: &mut BufferPool,
+        id: PageId,
+        leaf: &[u8],
+        at: &[u16],
+        prefix: &[u8],
+    ) -> io::Result<Written> {
+        for &(head, len) in &self.removed {
+            Blob::Overflow(head, len).free(pool)?;
+        }
+        let count = at.len() - 1;
+        let keeps_prefix = count > 0
+            && self.changes.iter().all(|(i, change)| match change {
+                Change::Chain(..) => true,
+                Change::Remove => 0 < *i && i + 1 < count,
+                Change::Insert(_, _, under) => *under,
+            });
+        let span = |i: usize| (at[i + 1] - at[i]) as usize;
+        let size = self
+            .changes
+            .iter()
+            .fold(leaf.len(), |size, (i, change)| match change {
+                Change::Chain(chain_at, blob) => {
+                    size + (chain_at - at[*i] as usize) + blob.len() - span(*i)
+                }
+                Change::Remove => size - span(*i),
+                Change::Insert(key, blob, _) => {
+                    size + self.key(key).encoded_len(prefix.len()) + blob.len()
+                }
+            });
+        if keeps_prefix && size <= MAX_PAYLOAD {
+            let mut out = Vec::with_capacity(size);
+            out.extend_from_slice(&leaf[..at[0] as usize]);
+            let mut offsets = Vec::with_capacity(count + self.changes.len() + 1);
+            let mut from = 0;
+            for (i, change) in &self.changes {
+                copy_entries(&mut out, &mut offsets, leaf, at, from..*i);
+                from = *i;
+                match change {
+                    Change::Chain(chain_at, blob) => {
+                        offsets.push(out.len());
+                        out.extend_from_slice(&leaf[at[*i] as usize..*chain_at]);
+                        out.extend_from_slice(&self.arena[blob.clone()]);
+                        from = i + 1;
+                    }
+                    Change::Remove => from = i + 1,
+                    Change::Insert(key, blob, _) => {
+                        offsets.push(out.len());
+                        let chain = &self.arena[blob.clone()];
+                        put_entry(
+                            &mut out,
+                            id,
+                            prefix,
+                            &Entry {
+                                key: self.key(key),
+                                chain,
+                            },
+                        )?;
+                    }
+                }
+            }
+            copy_entries(&mut out, &mut offsets, leaf, at, from..count);
+            offsets.push(out.len());
+            let entries = offsets.len() as u16 - 1;
+            out[1..NODE_HEADER].copy_from_slice(&entries.to_le_bytes());
+            let image = Image::indexed(out, offsets.iter().map(|&a| a as u16).collect());
+            return store_pieces(pool, id, vec![image], Vec::new());
+        }
+        let old = entries_of(leaf, id, at)?;
+        let mut entries = Vec::with_capacity(count + self.changes.len());
+        let mut from = 0;
+        for (i, change) in &self.changes {
+            entries.extend_from_slice(&old[from..*i]);
+            from = *i;
+            match change {
+                Change::Chain(_, blob) => {
+                    let chain = &self.arena[blob.clone()];
+                    entries.push(Entry {
+                        key: old[*i].key,
+                        chain,
+                    });
+                    from = i + 1;
+                }
+                Change::Remove => from = i + 1,
+                Change::Insert(key, blob, _) => {
+                    let chain = &self.arena[blob.clone()];
+                    entries.push(Entry {
+                        key: self.key(key),
+                        chain,
+                    });
+                }
+            }
+        }
+        entries.extend_from_slice(&old[from..]);
+        // An insert that shortened the prefix and no longer fits goes
+        // alone, and the entries it joined keep their prefix and image.
+        let lone = match &self.changes[..] {
+            [(i, Change::Insert(_, _, false))] => Some(*i),
+            _ => None,
+        };
+        write_leaf(pool, id, &entries, lone)
+    }
+}
+
+/// Write `entries` back as leaf `id` (CoW; `NO_PAGE`: a new page) under the
+/// prefix of their ends, split into as many pieces as they need to fit. A
+/// cut falls after or before entry `lone` — an inserted key that shortened
+/// the prefix, which then goes alone — or else at the [`split_point`]; each
+/// piece stores the prefix of its own ends.
 fn write_leaf(
     pool: &mut BufferPool,
     id: PageId,
     entries: &[Entry],
     lone: Option<usize>,
 ) -> io::Result<Written> {
+    let mut pieces = Vec::new();
+    cut(pool, id, entries, 0, lone, &mut pieces)?;
+    // Separators first, then the pieces: the allocation order the file
+    // layout depends on.
+    let mut seps = Vec::with_capacity(pieces.len() - 1);
+    for pair in pieces.windows(2) {
+        let left_max = entries[pair[0].0.end - 1].key.whole(pool)?;
+        let right_min = entries[pair[1].0.start].key.whole(pool)?;
+        if left_max >= right_min {
+            return Err(corrupt(format!("leaf {id}: keys out of order")));
+        }
+        let mut sep = Vec::new();
+        let sep_bytes = shortest_separator(&left_max, &right_min);
+        append_blob(pool, sep_bytes, INLINE_KEY_MAX, &mut sep)?;
+        seps.push(sep);
+    }
+    let images = pieces
+        .iter()
+        .map(|(range, prefix)| leaf_image(id, prefix, &entries[range.clone()]))
+        .collect::<io::Result<_>>()?;
+    store_pieces(pool, id, images, seps)
+}
+
+/// The most a piece of a split leaf is cut to hold: three quarters of a
+/// page. A leaf one insert overfilled still splits in two; a leaf a batch
+/// overfilled is cut into as many pieces as a run of one-key inserts would
+/// have left it in, with room for the keys that come next.
+const SPLIT_PIECE_MAX: usize = MAX_PAYLOAD * 3 / 4;
+
+/// Cut `entries` (from `base` on in the leaf) into pieces that fit a page,
+/// each with the prefix of its ends: the whole if it fits, else the fewest
+/// pieces of at most [`SPLIT_PIECE_MAX`] bytes, cut off one share at a time
+/// at the [`split_point`] and each side cut again as it needs.
+fn cut(
+    pool: &mut BufferPool,
+    id: PageId,
+    entries: &[Entry],
+    base: usize,
+    lone: Option<usize>,
+    pieces: &mut Vec<(Range<usize>, Vec<u8>)>,
+) -> io::Result<()> {
     let prefix = common_prefix(pool, entries)?;
-    if leaf_len(prefix.len(), entries) <= MAX_PAYLOAD {
-        let leaf = leaf_image(id, &prefix, entries)?;
-        return Ok((pool.write_cow(id, leaf)?, None));
+    let len = leaf_len(prefix.len(), entries);
+    if len <= MAX_PAYLOAD {
+        pieces.push((base..base + entries.len(), prefix));
+        return Ok(());
     }
     let count = entries.len();
     if count < 2 {
         return Err(corrupt(format!("leaf {id}: one entry fills the page")));
     }
-    let cut = match lone {
+    let at = match lone {
         Some(0) => 1,
         Some(_) => count - 1,
-        None => split_point(&prefix, entries),
+        None => {
+            let shares = len.div_ceil(SPLIT_PIECE_MAX).max(2);
+            split_point(&prefix, entries, shares / 2, shares)
+        }
     };
-    let (left, right) = entries.split_at(cut);
-    let left_max = left[cut - 1].key.whole(pool)?;
-    let right_min = right[0].key.whole(pool)?;
-    if left_max >= right_min {
-        return Err(corrupt(format!("leaf {id}: keys out of order")));
-    }
-    let mut sep = Vec::new();
-    let sep_bytes = shortest_separator(&left_max, &right_min);
-    append_blob(pool, sep_bytes, INLINE_KEY_MAX, &mut sep)?;
-    let left = leaf_image(id, &common_prefix(pool, left)?, left)?;
-    let right = leaf_image(id, &common_prefix(pool, right)?, right)?;
-    let left_id = pool.write_cow(id, left)?;
-    Ok((left_id, Some((sep, pool.allocate(right)?))))
+    let (left, right) = entries.split_at(at);
+    cut(pool, id, left, base, None, pieces)?;
+    cut(pool, id, right, base + at, None, pieces)
 }
 
-/// Where an oversized leaf of `entries` under `prefix` splits: between the
-/// two neighbours that share the fewest leading bytes among the cuts in
-/// the middle quarter of its byte weight, nearest the middle on a tie, so
-/// a leaf that spans two groups of keys splits between them and both
-/// halves store their group's prefix (the split interval of Bayer and
-/// Unterauer). Each side then weighs at most 5/8 of a leaf that outgrew
-/// one page by an entry, and fits. With no cut in that quarter, the
-/// midpoint; both sides are non-empty either way.
-fn split_point(prefix: &[u8], entries: &[Entry]) -> usize {
+/// Where an oversized leaf of `entries` under `prefix` is cut so that
+/// `part` of its `shares` equal byte-weight shares lie left of the cut:
+/// between the two neighbours that share the fewest leading bytes among the
+/// cuts within a quarter share of that target, nearest it on a tie, so a
+/// leaf that spans two groups of keys splits between them and both sides
+/// store their group's prefix (the split interval of Bayer and Unterauer).
+/// Halved (one share of two), each side weighs at most 5/8 of a leaf that
+/// outgrew one page by an entry, and fits. With no cut in that interval,
+/// the target itself; both sides are non-empty either way.
+fn split_point(prefix: &[u8], entries: &[Entry], part: usize, shares: usize) -> usize {
     let weight = |e: &Entry| e.key.encoded_len(prefix.len()) + e.chain.len();
     let total: usize = entries.iter().map(weight).sum();
-    let (mut below, mut best, mut midpoint) = (0, None, None);
+    let (target, window) = (
+        part * total,
+        (4 * part - 1) * total..=(4 * part + 1) * total,
+    );
+    let (mut below, mut best, mut at_target) = (0, None, None);
     for i in 1..entries.len() {
         below += weight(&entries[i - 1]);
-        if midpoint.is_none() && 2 * below >= total {
-            midpoint = Some(i);
+        if at_target.is_none() && shares * below >= target {
+            at_target = Some(i);
         }
-        if (3 * total..=5 * total).contains(&(8 * below)) {
+        if window.contains(&(4 * shares * below)) {
             let rank = (
                 shared_len(entries[i - 1].key, entries[i].key),
-                total.abs_diff(2 * below),
+                target.abs_diff(shares * below),
             );
             best = best.filter(|&(least, _)| least <= rank).or(Some((rank, i)));
         }
     }
     best.map(|(_, i)| i)
-        .or(midpoint)
+        .or(at_target)
         .unwrap_or(entries.len() - 1)
 }
 
@@ -989,81 +1551,42 @@ fn shared_len(a: Key, b: Key) -> usize {
     }
 }
 
-/// Write an internal node back (CoW), splitting when oversized.
-fn write_internal(pool: &mut BufferPool, id: PageId, node: Vec<u8>) -> io::Result<Written> {
-    if node.len() <= MAX_PAYLOAD {
-        return Ok((pool.write_cow(id, node)?, None));
-    }
-    let index = parse_index(&node, id, TAG_INTERNAL)?;
-    let count = index.len() - 2;
-    if count < 3 {
-        return Err(corrupt(format!("internal {id}: too few separators")));
-    }
-    // Promote the middle separator; each side keeps >= 1 separator.
-    let mid = (count / 2).clamp(1, count - 2);
-    let sep = index[mid] as usize + 4..index[mid + 1] as usize;
-    let left = node_from(mid, &node[NODE_HEADER..sep.start]);
-    let right = node_from(count - mid - 1, &node[sep.end..index[count + 1] as usize]);
-    let promoted = node[sep].to_vec();
-    let left_id = pool.write_cow(id, left)?;
-    Ok((left_id, Some((promoted, pool.allocate(right)?))))
-}
-
-/// The one way an entry gets onto `key`'s chain (versions arrive in
-/// nondecreasing order): `value_of` sees the chain stored (empty for a new
-/// key), and its value — `None` a tombstone — replaces the newest entry if
-/// that is at `version`, else is appended. Returns whether the write left
-/// something for compaction: an older entry shadowed, or a tombstone.
-fn push<V: AsRef<[u8]>>(
-    pool: &mut BufferPool,
-    key: &[u8],
-    version: u64,
-    value_of: impl FnOnce(&[u8]) -> io::Result<Option<V>>,
-) -> io::Result<bool> {
-    let mut garbage = false;
-    edit(pool, key, |old| {
-        let old = old.unwrap_or_default();
-        let value = value_of(old)?;
-        let (chain, shadows) = chain_pushed(old, version, value.as_ref().map(V::as_ref))?;
-        garbage = shadows || value.is_none();
-        Ok(Edit::Put(chain))
-    })?;
-    Ok(garbage)
-}
-
-/// Write `value` (`None`: a tombstone) under `key` at `version`; see
-/// `push` for what is returned.
+/// Write `value` (`None`: a tombstone) under `key` at `version`: a walk of
+/// one step, and the one way an entry gets onto a chain (versions arrive in
+/// nondecreasing order). Returns whether the write left something for
+/// compaction: an older entry shadowed, or a tombstone.
 pub fn write(
     pool: &mut BufferPool,
     key: &[u8],
     version: u64,
     value: Option<&[u8]>,
 ) -> io::Result<bool> {
-    push(pool, key, version, |_| Ok(value))
+    let mut garbage = false;
+    apply(pool, [(key, Step::Point(()))], |_, seen| {
+        let Seen::Point((), stored) = seen else {
+            return Ok(Edit::Keep);
+        };
+        let (chain, shadows) = chain_pushed(stored.unwrap_or_default(), version, value)?;
+        garbage = shadows || value.is_none();
+        Ok(Edit::Put(chain))
+    })?;
+    Ok(garbage)
 }
 
-/// Read-modify-write in the one descent of a [`write()`]: `f` sees the value
-/// visible at `version` in the chain the descent ends on, and what it
-/// returns is written at `version`.
-pub fn update(
+/// Rewrite the chains of `keys`, ascending, as `chain_prune` at
+/// `oldest_version` decides, in one walk: trimmed, removed with the key
+/// when dead (leaves are not rebalanced; an emptied leaf stays in place and
+/// cursors skip it), or left alone.
+pub fn prune_sorted<'k>(
     pool: &mut BufferPool,
-    key: &[u8],
-    version: u64,
-    f: impl FnOnce(Option<&[u8]>) -> Option<Vec<u8>>,
-) -> io::Result<bool> {
-    push(pool, key, version, |old| {
-        Ok(f(match old {
-            [] => None,
-            old => chain_visible_at(old, version)?,
-        }))
-    })
-}
-
-/// Rewrite `key`'s chain as `chain_prune` at `oldest_version` decides:
-/// trimmed, removed with its key when dead (leaves are not rebalanced; an
-/// emptied leaf stays in place and cursors skip it), or left alone.
-pub fn prune(pool: &mut BufferPool, key: &[u8], oldest_version: u64) -> io::Result<()> {
-    let pruned = |old: &[u8]| {
+    keys: impl IntoIterator<Item = &'k [u8]>,
+    oldest_version: u64,
+) -> io::Result<()> {
+    let steps = keys.into_iter().map(|key| (key, Step::Point(())));
+    apply(pool, steps, |_, seen| {
+        let Seen::Point((), Some(old)) = seen else {
+            return Ok(Edit::Keep);
+        };
         Ok(match chain_prune(old, oldest_version)? {
             Prune::Keep => Edit::Keep,
             Prune::Dead => Edit::Remove,
@@ -1074,8 +1597,12 @@ pub fn prune(pool: &mut BufferPool, key: &[u8], oldest_version: u64) -> io::Resu
                 Edit::Put(chain)
             }
         })
-    };
-    edit(pool, key, |old| old.map_or(Ok(Edit::Keep), pruned)).map(drop)
+    })
+}
+
+/// [`prune_sorted`] of one key.
+pub fn prune(pool: &mut BufferPool, key: &[u8], oldest_version: u64) -> io::Result<()> {
+    prune_sorted(pool, [key], oldest_version)
 }
 
 // ---------------------------------------------------------------- cursors
@@ -1328,7 +1855,7 @@ fn check_rec(
 
 #[cfg(test)]
 mod tests {
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
 
     use super::*;
     use crate::IoCounters;
@@ -1827,6 +2354,112 @@ mod tests {
             });
             self.live.remove(key);
         }
+    }
+
+    /// A 100-record load commit as the engine gets it: one sorted batch
+    /// whose keys share leaves — each record's payload beside its version
+    /// key, its index entries among their index's — and whose ADDs hit a
+    /// few counter keys over and over. Three stores of 600 records each,
+    /// then 100 new records of store 1: per record its payload and version
+    /// keys, two index entries, and an ADD to the store's record count and
+    /// to its group's score sum, 600 commands on 408 keys. The walk reads
+    /// each leaf the batch touches once, and each node above those leaves
+    /// once, and writes no page twice: here 23 leaves under 3 internal
+    /// nodes, so 26 pages read and 31 written, split pieces and patched
+    /// parents included. One at a time, the same commands would cost 600
+    /// root-to-leaf descents and 600 leaf images.
+    #[test]
+    fn a_hundred_record_commit_writes_each_touched_leaf_once() {
+        let dir =
+            std::env::temp_dir().join(format!("rl-storage-btree-{}-load", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let counters = IoCounters::new_shared();
+        let mut pool = BufferPool::open(&dir.join("pages.db"), 4096, counters.clone()).unwrap();
+        let store = |s: u64| [text("tenant"), int(1_000 + s), text("notes")].concat();
+        let record = |s: u64, pk: u64, split: u64| [store(s), int(1), int(pk), int(split)].concat();
+        let entry = |s: u64, name: &str, value: Vec<u8>, pk: u64| {
+            [store(s), int(2), text(name), value, int(pk)].concat()
+        };
+        let stat =
+            |s: u64, name: &str, group: u64| [store(s), int(3), text(name), int(group)].concat();
+        let keys_of = |s: u64, pk: u64| {
+            let group = text(&format!("group-{}", pk % 7));
+            [
+                record(s, pk, 0),
+                record(s, pk, 1),
+                entry(s, "by_group", group, pk),
+                entry(s, "by_score", int(pk * 37 % 1_000), pk),
+            ]
+        };
+        for s in 0..3 {
+            for pk in 1..=600 {
+                for key in keys_of(s, pk) {
+                    put(&mut pool, &key, 10, &[pk as u8; 40]);
+                }
+            }
+        }
+        let mut commands = Vec::new();
+        for pk in 601..=700 {
+            commands.extend(keys_of(1, pk));
+            commands.push(stat(1, "record_count", 0));
+            commands.push(stat(1, "score_sum", pk % 7));
+        }
+        let batch: BTreeMap<Vec<u8>, usize> = commands
+            .iter()
+            .map(|key| (key.clone(), key.len()))
+            .collect();
+        assert_eq!((commands.len(), batch.len()), (600, 408));
+
+        // Where the batch lands: its leaves, and the nodes above them.
+        let (mut leaves, mut above) = (BTreeSet::new(), BTreeSet::new());
+        for key in batch.keys() {
+            let (leaf, _) = descend(&mut pool, key, |id, _, _, _| {
+                above.insert(id);
+            })
+            .unwrap();
+            leaves.insert(leaf);
+        }
+        assert!(
+            !above.is_empty() && leaves.len() * 5 < batch.len(),
+            "{} leaves",
+            leaves.len()
+        );
+
+        pool.written.clear();
+        let before = counters.snapshot();
+        let steps = batch
+            .iter()
+            .map(|(key, len)| (key.as_slice(), Step::Point(*len)));
+        apply(&mut pool, steps, |_, seen| {
+            let Seen::Point(len, stored) = seen else {
+                return Ok(Edit::Keep);
+            };
+            let value = vec![7; len];
+            Ok(Edit::Put(
+                chain_pushed(stored.unwrap_or_default(), 20, Some(&value))?.0,
+            ))
+        })
+        .unwrap();
+        let io = counters.snapshot().delta(&before);
+        assert_eq!(
+            io.page_hits + io.page_misses,
+            (leaves.len() + above.len()) as u64,
+            "each touched leaf and each node above them read once"
+        );
+        let mut written = pool.written.clone();
+        written.sort_unstable();
+        let distinct = written.len();
+        written.dedup();
+        assert_eq!(written.len(), distinct, "no page written twice");
+        assert!(leaves
+            .iter()
+            .all(|leaf| written.binary_search(leaf).is_ok()));
+        assert_eq!(check_consistency(&mut pool).unwrap(), 3 * 600 * 4 + 408);
+        for (key, len) in &batch {
+            assert_eq!(get(&mut pool, key, 20).unwrap(), Some(vec![7; *len]));
+        }
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     /// The exact layout of a seeded tree of record-layer keys. Three stores

@@ -58,7 +58,7 @@ mod replacer;
 pub mod wait;
 pub mod wal;
 
-pub use engine::{EvictionPolicy, StorageEngine};
+pub use engine::{Batch, EvictionPolicy, Mutation, StorageEngine};
 pub use memory::MemoryEngine;
 pub use paged::PagedEngine;
 

@@ -2,13 +2,19 @@
 //!
 //! ## Write path
 //!
-//! Each [`StorageEngine::write`]/[`StorageEngine::clear_range`] is buffered
-//! into the WAL *and* applied to the tree immediately; nothing reaches the
-//! log file until [`StorageEngine::commit_batch`] appends the buffered ops
-//! as one checksummed frame. This is also the group-commit contract the
-//! database's commit batcher relies on: it applies every transaction in a
-//! batch, then seals them with a *single* `commit_batch`, so N concurrent
-//! committers pay one WAL frame (one `log_appends` tick) instead of N.
+//! A commit batch arrives as one [`StorageEngine::apply_sorted`] call: each
+//! key once, already folded, in key order. It is applied to the tree in one
+//! walk (`btree::apply`): one descent to the first key's leaf, every key
+//! below that leaf's upper separator spliced into one new image, then up
+//! only as far as the next key needs, each ancestor rewritten at most once.
+//! Its range clears are buffered into the WAL first, and each point write
+//! as the walk makes it; nothing reaches the log file until
+//! [`StorageEngine::commit_batch`] appends the buffered ops as one
+//! checksummed frame. This is also the group-commit contract the database's
+//! commit batcher relies on: it applies every transaction in a batch, then
+//! seals them with a *single* `commit_batch`, so N concurrent committers
+//! pay one WAL frame (one `log_appends` tick) instead of N. Compaction
+//! prunes the keys its garbage log drains, sorted, through the same walk.
 //! The tree pages the batch dirtied stay in the
 //! buffer pool (or get evicted to disk) without any ordering constraint,
 //! because the on-disk meta root still points at the last checkpoint's
@@ -30,8 +36,8 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use crate::btree::{self, chain_entries, chain_visible_at, Cursor};
-use crate::engine::{EvictionPolicy, StorageEngine, Update};
+use crate::btree::{self, chain_entries, chain_visible_at, Cursor, Edit, Seen, Step};
+use crate::engine::{Batch, EvictionPolicy, Mutation, StorageEngine};
 use crate::garbage::GarbageLog;
 use crate::pool::BufferPool;
 use crate::wait::{acquired, yield_until};
@@ -119,20 +125,23 @@ impl PagedEngine {
         if batches.is_empty() {
             return Ok(());
         }
+        // Op by op: writes straight to the engine may come in any order and
+        // at several versions between two commits.
         for batch in batches {
             for op in batch {
-                match op {
+                let (version, item) = match op {
                     WalOp::Write {
                         key,
                         value,
                         version,
-                    } => self.apply_write(&key, value.as_deref(), version)?,
+                    } => (version, (key, Mutation::Write(value))),
                     WalOp::ClearRange {
                         begin,
                         end,
                         version,
-                    } => self.apply_clear_range(&begin, &end, version)?,
-                }
+                    } => (version, (begin, Mutation::ClearRange(end))),
+                };
+                self.apply(version, vec![item], false)?;
             }
         }
         // Fold the replayed tail into a fresh checkpoint so the next open
@@ -160,30 +169,57 @@ impl PagedEngine {
         self.newest = self.newest.max(version);
     }
 
-    fn apply_write(&mut self, key: &[u8], value: Option<&[u8]>, version: u64) -> io::Result<()> {
+    /// Apply a sorted batch at `version` in one walk of the tree. Unless the
+    /// WAL itself is being replayed (`log` false), its range clears are
+    /// buffered for the WAL first and each point write as the walk makes
+    /// it: a replay that clears a range before it writes the keys the batch
+    /// named inside it writes them at the same version, and ends where the
+    /// batch did. Each write that shadows an older entry or is a tombstone
+    /// goes into the garbage log.
+    fn apply(&mut self, version: u64, batch: Batch<'_>, log: bool) -> io::Result<()> {
         self.advance(version);
-        if btree::write(exclusive(&mut self.pool), key, version, value)? {
-            self.garbage.push(key, version);
-        }
-        Ok(())
-    }
-
-    fn apply_clear_range(&mut self, begin: &[u8], end: &[u8], version: u64) -> io::Result<()> {
-        // Tombstone keys whose newest chain entry is a live value —
-        // mirroring the in-memory engine exactly.
-        let mut doomed: Vec<Vec<u8>> = Vec::new();
-        let pool = exclusive(&mut self.pool);
-        let mut cursor = Cursor::seek(pool, begin, Some(end), true)?;
-        while let Some((key, chain)) = cursor.next(pool)? {
-            let newest = chain_entries(chain)?.last().transpose()?;
-            if newest.is_some_and(|entry| entry.value.is_some()) {
-                doomed.push(key.to_vec());
+        let (wal, garbage) = (&mut self.wal, &mut self.garbage);
+        for (begin, mutation) in batch.iter().filter(|_| log) {
+            if let Mutation::ClearRange(end) = mutation {
+                wal.buffer_clear_range(begin, end, version);
             }
         }
-        for key in doomed {
-            self.apply_write(&key, None, version)?;
-        }
-        Ok(())
+        let steps = batch.into_iter().map(|(key, mutation)| match mutation {
+            Mutation::ClearRange(end) => (key, Step::Range(end)),
+            point => (key, Step::Point(point)),
+        });
+        btree::apply(exclusive(&mut self.pool), steps, |key, seen| {
+            let (stored, value) = match seen {
+                // A range clear tombstones a key whose newest chain entry
+                // is a live value, mirroring the in-memory engine exactly.
+                Seen::Ranged(chain) => match chain_entries(chain)?.last().transpose()? {
+                    Some(newest) if newest.value.is_some() => (chain, None),
+                    _ => return Ok(Edit::Keep),
+                },
+                Seen::Point(mutation, stored) => {
+                    let stored = stored.unwrap_or_default();
+                    let value = match mutation {
+                        Mutation::Write(value) => value,
+                        Mutation::Update(f) => f(match stored {
+                            [] => None,
+                            chain => chain_visible_at(chain, version)?,
+                        }),
+                        Mutation::ClearRange(_) => {
+                            unreachable!("a range clear is a step of its own")
+                        }
+                    };
+                    if log {
+                        wal.buffer_write(key, value.as_deref(), version);
+                    }
+                    (stored, value)
+                }
+            };
+            let (chain, shadows) = btree::chain_pushed(stored, version, value.as_deref())?;
+            if shadows || value.is_none() {
+                garbage.push(key, version);
+            }
+            Ok(Edit::Put(chain))
+        })
     }
 
     fn try_commit_batch(&mut self) -> io::Result<()> {
@@ -257,10 +293,10 @@ impl PagedEngine {
         // Compaction is deliberately NOT logged — replaying a WAL without
         // it yields the same visible state for every read version still in
         // the MVCC window.
+        // The drained keys come sorted and without repeats: one walk, one
+        // descent per leaf they lie in.
         let keys = self.garbage.drain(oldest_version);
-        for key in keys.iter() {
-            btree::prune(exclusive(&mut self.pool), key, oldest_version)?;
-        }
+        btree::prune_sorted(exclusive(&mut self.pool), keys.iter(), oldest_version)?;
         Ok(keys.len())
     }
 }
@@ -289,29 +325,8 @@ impl Drop for PagedEngine {
 const IO_MSG: &str = "paged storage engine I/O error";
 
 impl StorageEngine for PagedEngine {
-    fn write(&mut self, key: Vec<u8>, value: Option<Vec<u8>>, version: u64) {
-        self.wal.buffer_write(&key, value.as_deref(), version);
-        self.apply_write(&key, value.as_deref(), version)
-            .expect(IO_MSG);
-    }
-
-    fn update(&mut self, key: Vec<u8>, version: u64, f: &mut Update<'_>) {
-        self.advance(version);
-        let wal = &mut self.wal;
-        let garbage = btree::update(exclusive(&mut self.pool), &key, version, |visible| {
-            let value = f(visible);
-            wal.buffer_write(&key, value.as_deref(), version);
-            value
-        })
-        .expect(IO_MSG);
-        if garbage {
-            self.garbage.push(&key, version);
-        }
-    }
-
-    fn clear_range(&mut self, begin: &[u8], end: &[u8], version: u64) {
-        self.wal.buffer_clear_range(begin, end, version);
-        self.apply_clear_range(begin, end, version).expect(IO_MSG);
+    fn apply_sorted(&mut self, version: u64, batch: Batch<'_>) {
+        self.apply(version, batch, true).expect(IO_MSG);
     }
 
     fn commit_batch(&mut self) {

@@ -30,17 +30,28 @@ use crate::SharedIoCounters;
 #[derive(Debug, Default)]
 pub struct Image {
     bytes: Vec<u8>,
-    /// Entry offsets the B-tree computes the first time it walks the
-    /// image; empty in a new image. The pool never reads them.
+    /// Entry offsets of a B-tree node: set by the write that built the
+    /// image, or computed the first time a walk parses it. The pool never
+    /// reads them.
     pub(crate) offsets: OnceLock<Box<[u16]>>,
 }
 
 impl Image {
-    fn shared(bytes: Vec<u8>) -> Page {
-        Arc::new(Image {
+    /// An image whose entry offsets its writer already knows.
+    pub(crate) fn indexed(bytes: Vec<u8>, offsets: Box<[u16]>) -> Image {
+        Image {
+            bytes,
+            offsets: OnceLock::from(offsets),
+        }
+    }
+}
+
+impl From<Vec<u8>> for Image {
+    fn from(bytes: Vec<u8>) -> Image {
+        Image {
             bytes,
             offsets: OnceLock::new(),
-        })
+        }
     }
 }
 
@@ -80,6 +91,9 @@ pub struct BufferPool {
     /// Current tree root (may be ahead of the checkpointed meta root).
     root: PageId,
     counters: SharedIoCounters,
+    /// Every page image installed by a write, in order (tests count them).
+    #[cfg(test)]
+    pub(crate) written: Vec<PageId>,
 }
 
 impl BufferPool {
@@ -102,6 +116,8 @@ impl BufferPool {
             pending_free: Vec::new(),
             root,
             counters,
+            #[cfg(test)]
+            written: Vec::new(),
         })
     }
 
@@ -138,7 +154,7 @@ impl BufferPool {
         let _t = rl_obs::Timer::start("page_read");
         let payload = self.file.read_page(id)?;
         let idx = self.acquire_frame()?;
-        self.install(idx, id, payload, false);
+        self.install(idx, id, payload.into(), false);
         Ok(Arc::clone(&self.frames[idx].payload))
     }
 
@@ -146,9 +162,9 @@ impl BufferPool {
     /// checkpoint-epoch pages are superseded by a new allocation. Returns
     /// the id now holding `payload` (callers must update parent links when
     /// it differs).
-    pub fn write_cow(&mut self, id: PageId, payload: Vec<u8>) -> io::Result<PageId> {
+    pub fn write_cow(&mut self, id: PageId, payload: impl Into<Image>) -> io::Result<PageId> {
         if self.fresh.contains(&id) {
-            self.write_in_place(id, payload)?;
+            self.write_in_place(id, payload.into())?;
             return Ok(id);
         }
         let new_id = self.allocate(payload)?;
@@ -158,10 +174,10 @@ impl BufferPool {
 
     /// Allocate a new page holding `payload`. The page is born dirty in
     /// the pool; nothing touches disk until eviction or checkpoint.
-    pub fn allocate(&mut self, payload: Vec<u8>) -> io::Result<PageId> {
+    pub fn allocate(&mut self, payload: impl Into<Image>) -> io::Result<PageId> {
         let id = self.file.allocate();
         self.fresh.insert(id);
-        self.write_in_place(id, payload)?;
+        self.write_in_place(id, payload.into())?;
         Ok(id)
     }
 
@@ -197,15 +213,17 @@ impl BufferPool {
         Ok(())
     }
 
-    fn write_in_place(&mut self, id: PageId, payload: Vec<u8>) -> io::Result<()> {
+    fn write_in_place(&mut self, id: PageId, payload: Image) -> io::Result<()> {
         // Only a node rebuilt from damaged bytes is oversized: no panic at flush.
         if payload.len() > MAX_PAYLOAD {
             let what = format!("page {id}: payload of {} bytes", payload.len());
             return Err(io::Error::new(io::ErrorKind::InvalidData, what));
         }
+        #[cfg(test)]
+        self.written.push(id);
         if let Some(&idx) = self.map.get(&id) {
             self.replacer.record_access(idx);
-            self.frames[idx].payload = Image::shared(payload);
+            self.frames[idx].payload = Arc::new(payload);
             self.frames[idx].dirty = true;
             return Ok(());
         }
@@ -245,10 +263,10 @@ impl BufferPool {
         Ok(idx)
     }
 
-    fn install(&mut self, idx: usize, id: PageId, payload: Vec<u8>, dirty: bool) {
+    fn install(&mut self, idx: usize, id: PageId, payload: Image, dirty: bool) {
         self.frames[idx] = Frame {
             page: id,
-            payload: Image::shared(payload),
+            payload: Arc::new(payload),
             dirty,
         };
         self.map.insert(id, idx);

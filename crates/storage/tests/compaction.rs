@@ -25,9 +25,11 @@ fn touched(counters: &SharedIoCounters, f: impl FnOnce()) -> u64 {
     io.page_hits + io.page_misses
 }
 
-/// A pass visits the keys written since the last one — one descent each —
-/// whatever the size of the tree they sit in. Before the log, a pass read
-/// every leaf: over 200 pages of the larger tree here.
+/// A pass visits the keys written since the last one, whatever the size of
+/// the tree they sit in: one walk over them in key order, which reads the
+/// root once and, below it, each node and leaf on their paths once. The ten
+/// keys here lie in ten leaves. Before the log, a pass read every leaf:
+/// over 200 pages of the larger tree here.
 #[test]
 fn a_pass_costs_the_keys_written_not_the_keys_stored() {
     let mut passes = Vec::new();
@@ -50,7 +52,7 @@ fn a_pass_costs_the_keys_written_not_the_keys_stored() {
         let pass = touched(&counters, || assert_eq!(e.compact(20), 10));
         assert_eq!(e.total_version_entries(), keys as usize);
         assert!(
-            pass < 10 * (depth + 1),
+            pass <= 1 + 10 * (depth - 1),
             "{keys} keys: the pass touched {pass} pages at depth {depth}"
         );
         // And the log is empty again.

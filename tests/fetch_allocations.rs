@@ -46,130 +46,21 @@
 //! buffer they are packed into); the parent's union re-encoded its `seen`
 //! set per row and its `IN` was a filtered full scan.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::BTreeSet;
 
 use record_layer::cursor::{Continuation, ExecuteProperties};
 use record_layer::expr::KeyExpression;
-use record_layer::metadata::{Index, RecordMetaData, RecordMetaDataBuilder};
 use record_layer::plan::{BoxedCursorExt, RecordQueryPlan, RecordQueryPlanner, ScanBounds};
 use record_layer::query::{Comparison, QueryComponent, RecordQuery};
 use record_layer::store::{RecordStore, TupleRange};
 use rl_fdb::tuple::Tuple;
 use rl_fdb::{Database, DatabaseOptions, EngineKind, Subspace};
-use rl_message::{DescriptorPool, FieldDescriptor, FieldType, MessageDescriptor};
 
-thread_local! {
-    /// Allocations made by this thread (`const` init and no destructor, so
-    /// the allocator may touch it at any point of a thread's life).
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
+mod items;
 
-struct Counting;
+use items::{allocations_in, item_metadata, per, populate, GROUPS, RECORDS};
 
-// SAFETY: defers every request to `System` unchanged; the tally touches
-// only a destructor-less thread-local integer and never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// Allocations (and reallocations) this thread makes while `f` runs.
-fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCATIONS.with(Cell::get);
-    let out = f();
-    (out, ALLOCATIONS.with(Cell::get) - before)
-}
-
-const RECORDS: i64 = 2000;
-const GROUPS: i64 = 20;
 const ROWS: usize = 50;
-
-fn item_metadata() -> RecordMetaData {
-    let mut pool = DescriptorPool::new();
-    pool.add_message(
-        MessageDescriptor::new(
-            "Item",
-            vec![
-                FieldDescriptor::optional("id", 1, FieldType::Int64),
-                FieldDescriptor::optional("group", 2, FieldType::String),
-                FieldDescriptor::optional("score", 3, FieldType::Int64),
-                FieldDescriptor::optional("payload", 5, FieldType::Bytes),
-            ],
-        )
-        .unwrap(),
-    )
-    .unwrap();
-    RecordMetaDataBuilder::new(pool)
-        .record_type("Item", KeyExpression::field("id"))
-        .store_record_versions(true)
-        .index(
-            "Item",
-            Index::value("by_group", KeyExpression::field("group")),
-        )
-        .index(
-            "Item",
-            Index::value("by_score", KeyExpression::field("score")),
-        )
-        .index(
-            "Item",
-            Index::value(
-                "by_group_score",
-                KeyExpression::concat_fields("group", "score"),
-            ),
-        )
-        .index(
-            "Item",
-            Index::sum(
-                "score_sum",
-                KeyExpression::field("group"),
-                KeyExpression::field("score"),
-            ),
-        )
-        .index("Item", Index::count("item_count", KeyExpression::Empty))
-        .index(
-            "Item",
-            Index::version("by_version", KeyExpression::field("id")),
-        )
-        .build()
-        .unwrap()
-}
-
-fn populate(db: &Database, md: &RecordMetaData, sub: &Subspace) {
-    for chunk in (0..RECORDS).collect::<Vec<_>>().chunks(100) {
-        record_layer::run(db, |tx| {
-            let store = RecordStore::open_or_create(tx, sub, md)?;
-            for &id in chunk {
-                let mut m = store.new_record("Item")?;
-                m.set("id", id).unwrap();
-                m.set("group", format!("g{}", id % GROUPS)).unwrap();
-                m.set("score", (id * 37) % 100).unwrap();
-                // A payload with NUL bytes in it, like the benchmark's:
-                // the envelope's escaping is part of the path.
-                let payload: Vec<u8> = (0..100).map(|i| (id * 131 + i * 7) as u8).collect();
-                m.set("payload", payload).unwrap();
-                store.save_record(m)?;
-            }
-            Ok(())
-        })
-        .unwrap();
-    }
-}
 
 /// `group = g ∧ score ≥ 0 order by score`: an ordered `by_group_score`
 /// scan, the benchmark's `index_query`.
@@ -190,10 +81,6 @@ fn drain(store: &RecordStore<'_>, plan: &RecordQueryPlan) -> (usize, u64) {
         let mut cursor = plan.execute(store, &Continuation::Start, &props).unwrap();
         cursor.collect_remaining_boxed().unwrap().0.len()
     })
-}
-
-fn per(count: u64, of: usize) -> f64 {
-    count as f64 / of as f64
 }
 
 #[test]
