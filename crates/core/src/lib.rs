@@ -29,8 +29,6 @@
 //!   choice is driven by persistent per-index statistics the store's
 //!   write path maintains; `RecordQueryPlan::explain()` renders the plan
 //!   tree with estimated costs.
-//! * [`keyspace`] — the KeySpace API for carving up the global keyspace
-//!   like a filesystem (§4).
 //!
 //! ## Example
 //!
@@ -77,7 +75,6 @@ pub mod cursor;
 pub mod error;
 pub mod expr;
 pub mod index;
-pub mod keyspace;
 pub mod metadata;
 pub mod plan;
 pub mod query;

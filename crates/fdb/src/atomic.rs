@@ -145,7 +145,7 @@ pub fn apply(op: MutationType, current: Option<&[u8]>, param: &[u8]) -> Result<O
         })),
         MutationType::AppendIfFits => {
             let mut out = current.unwrap_or(&[]).to_vec();
-            if out.len() + param.len() <= crate::database::VALUE_SIZE_LIMIT {
+            if out.len() + param.len() <= crate::options::VALUE_SIZE_LIMIT {
                 out.extend_from_slice(param);
             }
             Ok(Some(out))

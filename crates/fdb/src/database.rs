@@ -1,32 +1,30 @@
-//! The database: commit pipeline, conflict detection, MVCC window
-//! management, logical clock, and read-version caching.
+//! The database: the wiring of the commit pipeline, the MVCC window and
+//! the logical clock around one storage engine.
 //!
 //! ## Parallel commit pipeline
 //!
 //! The original simulator funnelled every read and commit through one
-//! `Arc<Mutex<Inner>>`. That global lock is now torn into four pieces,
+//! `Arc<Mutex<Inner>>`. That global lock is now torn into three pieces,
 //! each with its own [`LockRank`]:
 //!
 //! * **Conflict shards** (`shards`, [`LockRank::ConflictShard`]) — the
-//!   recent-writes window is sharded by key range ([`CONFLICT_SHARDS`]
-//!   shards, keyed on the first two key bytes). A committing transaction
-//!   locks only the shards its conflict ranges touch, in ascending shard
-//!   order, so commits over disjoint key spaces validate and apply in
-//!   parallel.
+//!   recent-writes window is sharded by key range (`CONFLICT_SHARDS`
+//!   shards, keyed on the first two key bytes; `conflict.rs`). A
+//!   committing transaction locks only the shards its conflict ranges
+//!   touch, in ascending shard order, so commits over disjoint key spaces
+//!   validate and apply in parallel.
 //! * **Group-commit batcher** (`batcher`, [`LockRank::CommitBatch`]) —
 //!   concurrent committers that passed validation enqueue their write
 //!   sets; one becomes the *leader*, merges them into one batch sorted by
 //!   key, and applies it with a single version allocation, a single engine
 //!   call and (on the paged engine) a single WAL frame. Followers park on
-//!   a condvar and collect their receipts.
-//! * **Version core** (`core`, [`LockRank::VersionCore`]) — version
-//!   allocation and compaction bookkeeping; a short critical section only
-//!   the batch leader enters.
+//!   a condvar and collect their receipts (`batcher.rs`).
 //! * **Store** (`store`, [`LockRank::DatabaseStore`]) — the storage
-//!   engine behind an `RwLock`. Every engine read takes `&self`, so MVCC
-//!   snapshot reads run under the shared lock, concurrently with each
-//!   other, on either engine; a batch leader applies under the exclusive
-//!   lock.
+//!   engine behind an `RwLock`, with the version allocation and
+//!   compaction bookkeeping only a batch leader touches. Every engine read
+//!   takes `&self`, so MVCC snapshot reads run under the shared lock,
+//!   concurrently with each other, on either engine; a batch leader
+//!   allocates its version and applies under the exclusive lock.
 //!
 //! `last_commit_version` and `oldest_version` are additionally published
 //! as atomics (after the store apply, so a GRV can never hand out a
@@ -35,261 +33,30 @@
 //! published the same way, before `last_commit_version`, by the batch that
 //! carries a write of its key.
 
-use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
-use rl_storage::SharedIoCounters;
-
+use crate::batcher::{BatchResults, CommitBatcher, CommitReceipt, PendingCommit};
+use crate::conflict::{commit_shard_mask, conflict_shard_mask, ConflictShard, CONFLICT_SHARDS};
 use crate::error::{Error, Result};
 use crate::metrics::{Metrics, SharedMetrics};
+use crate::options::{build_engine, DatabaseOptions, VERSIONS_PER_MS};
 use crate::state_cache::StateCache;
-use crate::sync::{
-    lock_ranked, lock_ranked_indexed, read_ranked, write_ranked, LockRank, RankedReadGuard,
-};
+use crate::sync::{lock_ranked_indexed, read_ranked, write_ranked, LockRank, RankedReadGuard};
 use crate::transaction::Transaction;
 use crate::write_set::{self, Tally, WriteSet};
-use rl_storage::{EvictionPolicy, MemoryEngine, PagedEngine, StorageEngine};
+use rl_storage::{MemoryEngine, StorageEngine};
 
-/// FoundationDB's documented key size limit (10 kB).
-pub const KEY_SIZE_LIMIT: usize = 10_000;
-/// FoundationDB's documented value size limit (100 kB).
-pub const VALUE_SIZE_LIMIT: usize = 100_000;
-/// FoundationDB's documented transaction size limit (10 MB).
-pub const TRANSACTION_SIZE_LIMIT: usize = 10_000_000;
-/// The 5-second transaction time limit, in (logical) milliseconds.
-pub const TRANSACTION_TIME_LIMIT_MS: u64 = 5_000;
-/// FoundationDB advances ~1,000,000 versions per second of wall time.
-pub const VERSIONS_PER_MS: u64 = 1_000;
-/// Number of recent-writes conflict-index shards. Keys map to shards by
-/// their first two bytes, so transactions over disjoint key prefixes
-/// (e.g. different tenants) commit in parallel.
-pub const CONFLICT_SHARDS: usize = 16;
-
-/// Which storage engine backs the simulated cluster.
-#[derive(Debug, Clone, Default)]
-pub enum EngineKind {
-    /// The original ordered in-memory multi-version map.
-    #[default]
-    InMemory,
-    /// Disk-backed engine: buffer pool + copy-on-write B-tree + WAL.
-    Paged(PagedConfig),
-}
-
-impl EngineKind {
-    /// Parse an engine spec string — the same grammar as the `RL_ENGINE`
-    /// environment variable: exactly `memory` or `paged` (an ephemeral
-    /// temp directory). Anything else is an error that names the grammar,
-    /// so a typo never selects another engine.
-    pub fn from_spec(spec: &str) -> std::result::Result<EngineKind, String> {
-        match spec {
-            "memory" => Ok(EngineKind::InMemory),
-            "paged" => Ok(EngineKind::Paged(PagedConfig::ephemeral())),
-            _ => Err(format!(
-                "unknown engine spec {spec:?}: want memory or paged"
-            )),
-        }
-    }
-
-    /// Short engine family name: `memory` or `paged`.
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            EngineKind::InMemory => "memory",
-            EngineKind::Paged(_) => "paged",
-        }
-    }
-}
-
-/// Configuration for the disk-backed engine.
-#[derive(Debug, Clone)]
-pub struct PagedConfig {
-    /// Directory holding the page file and WAL (created if missing).
-    pub path: PathBuf,
-    /// Buffer pool capacity in 4 kB pages (minimum 4).
-    pub pool_pages: usize,
-    /// Ignored: the pool always evicts with SIEVE. Kept so that callers
-    /// naming it still compile (see [`EvictionPolicy`]).
-    pub eviction: EvictionPolicy,
-    /// Delete `path` when the database is dropped. Set for the ephemeral
-    /// engines `RL_ENGINE=paged` conjures under the OS temp directory;
-    /// leave unset to keep a database across processes.
-    pub remove_dir_on_drop: bool,
-}
-
-impl PagedConfig {
-    /// An ephemeral on-disk engine under the OS temp directory, removed
-    /// when the database is dropped. Each call gets a distinct directory.
-    pub fn ephemeral() -> PagedConfig {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        let n = NEXT.fetch_add(1, Ordering::Relaxed);
-        PagedConfig {
-            path: std::env::temp_dir().join(format!("rl-paged-{}-{n}", std::process::id())),
-            pool_pages: 256,
-            eviction: EvictionPolicy::Sieve,
-            remove_dir_on_drop: true,
-        }
-    }
-}
-
-/// Tunable limits; defaults match FoundationDB's production limits.
-#[derive(Debug, Clone)]
-pub struct DatabaseOptions {
-    pub transaction_size_limit: usize,
-    pub transaction_time_limit_ms: u64,
-    /// How many versions of history the resolvers keep for conflict
-    /// checking, and the storage keeps for MVCC reads (5 logical seconds).
-    pub mvcc_window_versions: u64,
-    /// Compact shadowed MVCC versions every N commits: how often the
-    /// batch leader has the engine drain its log of overwritten and cleared
-    /// keys up to the MVCC horizon. A pass visits those keys only — its
-    /// cost follows the writes of the last N commits, not the size of the
-    /// store — so a smaller N spreads the same work over more, shorter
-    /// passes and a larger one lets a key overwritten twice in between be
-    /// visited once.
-    pub compaction_interval: u64,
-    /// Storage engine. The default honours the `RL_ENGINE` environment
-    /// variable (`memory` or `paged`; `paged` uses an ephemeral temp
-    /// directory), so the whole test suite can be re-run against the disk
-    /// engine without code changes.
-    pub engine: EngineKind,
-}
-
-impl Default for DatabaseOptions {
-    fn default() -> Self {
-        DatabaseOptions {
-            transaction_size_limit: TRANSACTION_SIZE_LIMIT,
-            transaction_time_limit_ms: TRANSACTION_TIME_LIMIT_MS,
-            mvcc_window_versions: 5_000 * VERSIONS_PER_MS,
-            compaction_interval: 256,
-            engine: engine_from_env(),
-        }
-    }
-}
-
-/// Resolve `RL_ENGINE` into an engine selection (default: in-memory).
-/// Panics on a value [`EngineKind::from_spec`] rejects: a test run asked
-/// for one engine must not silently run on another.
-fn engine_from_env() -> EngineKind {
-    match std::env::var("RL_ENGINE") {
-        Ok(value) => EngineKind::from_spec(&value).unwrap_or_else(|e| panic!("RL_ENGINE: {e}")),
-        Err(_) => EngineKind::InMemory,
-    }
-}
-
-/// Instantiate the engine an [`EngineKind`] describes, reporting I/O into
-/// `io`. Returns the directory to delete on drop, when ephemeral.
-fn build_engine(
-    kind: &EngineKind,
-    io: SharedIoCounters,
-) -> (Box<dyn StorageEngine>, Option<PathBuf>) {
-    match kind {
-        EngineKind::InMemory => (Box::new(MemoryEngine::new()), None),
-        EngineKind::Paged(cfg) => {
-            let engine = PagedEngine::open(&cfg.path, cfg.pool_pages, cfg.eviction, io)
-                .unwrap_or_else(|e| panic!("open paged engine at {}: {e}", cfg.path.display()));
-            let cleanup = cfg.remove_dir_on_drop.then(|| cfg.path.clone());
-            (Box::new(engine), cleanup)
-        }
-    }
-}
-
-// ------------------------------------------------------- shard mapping
-
-/// The first two key bytes as a big-endian u16 (shorter keys are
-/// zero-padded). Adjacent keys share prefixes, so a contiguous key range
-/// resolves to a contiguous prefix interval.
-fn prefix_value(key: &[u8]) -> u16 {
-    let hi = key.first().copied().unwrap_or(0) as u16;
-    let lo = key.get(1).copied().unwrap_or(0) as u16;
-    (hi << 8) | lo
-}
-
-/// Which conflict shard a two-byte prefix belongs to.
-fn shard_of_prefix(prefix: u16) -> usize {
-    prefix as usize % CONFLICT_SHARDS
-}
-
-/// Bitmask (bit *i* = shard *i*) of the shards a half-open key range
-/// `[begin, end)` can touch. Conservative: every key in the range maps to
-/// a shard in the mask (extra shards only cost lock acquisitions, never
-/// correctness). A range spanning `>= CONFLICT_SHARDS` prefixes covers
-/// every shard.
-fn range_shard_mask(begin: &[u8], end: &[u8]) -> u16 {
-    let lo = prefix_value(begin);
-    // Keys below `end` carry `end`'s own prefix whenever `end` has bytes
-    // past the prefix. They also do when `end` is of the form [b, 0x00]
-    // — exactly what `key_after` yields for the one-byte key [b], which
-    // is in-range and zero-pads to `end`'s own prefix. Only a one-byte
-    // `end`, or [b, c] with c != 0, lets the interval stop one short.
-    let ends_prefix_unreachable = end.len() == 1 || (end.len() == 2 && end[1] != 0);
-    let hi = if ends_prefix_unreachable {
-        prefix_value(end).saturating_sub(1)
-    } else {
-        prefix_value(end)
-    }
-    .max(lo);
-    if (hi - lo) as usize >= CONFLICT_SHARDS - 1 {
-        return ALL_SHARDS;
-    }
-    let mut mask = 0u16;
-    for p in lo..=hi {
-        mask |= 1 << shard_of_prefix(p);
-    }
-    mask
-}
-
-/// Union of [`range_shard_mask`] over a conflict-range set.
-fn conflict_shard_mask(ranges: &[(Vec<u8>, Vec<u8>)]) -> u16 {
-    ranges
-        .iter()
-        .fold(0, |mask, (begin, end)| mask | range_shard_mask(begin, end))
-}
-
-/// Every conflict shard.
-const ALL_SHARDS: u16 = u16::MAX >> (16 - CONFLICT_SHARDS);
-
-/// The shards a commit locks: those its conflict ranges can touch — or all
-/// of them when it writes the metadata-version key. Transactions that rely
-/// on cached state check the metadata version under whatever shards they
-/// hold (see [`Database::commit_internal`]) instead of reading the key, so
-/// only the rare writer pays for the exclusion and every other commit's
-/// mask stays what its own keys make it.
-fn commit_shard_mask(
-    read_conflicts: &[(Vec<u8>, Vec<u8>)],
-    write_conflicts: &[(Vec<u8>, Vec<u8>)],
-    writes_metadata_version: bool,
-) -> u16 {
-    if writes_metadata_version {
-        ALL_SHARDS
-    } else {
-        conflict_shard_mask(read_conflicts) | conflict_shard_mask(write_conflicts)
-    }
-}
-
-// --------------------------------------------------------- shared state
-
-/// One entry in the conflict-detection window: the write conflict ranges of
-/// a committed transaction, recorded under its commit version.
-#[derive(Debug)]
-struct CommittedWrites {
-    version: u64,
-    ranges: Vec<(Vec<u8>, Vec<u8>)>,
-}
-
-/// One shard of the recent-writes conflict index. Entries are ordered by
-/// version (insertion happens under the shard lock, and versions allocate
-/// monotonically while the inserting committer still holds the lock).
-#[derive(Debug, Default)]
-struct ConflictShard {
-    window: VecDeque<CommittedWrites>,
-}
-
-/// The storage engine plus its cleanup obligation, behind the store
-/// `RwLock`.
+/// The storage engine, the version counters only a batch leader touches,
+/// and the engine's cleanup obligation, behind the store `RwLock`.
 #[derive(Debug)]
 struct Store {
     engine: Box<dyn StorageEngine>,
+    /// The newest commit version allocated to a batch.
+    last_commit_version: u64,
+    /// Commits applied since the last compaction pass.
+    commits_since_compaction: u64,
     /// Directory to delete once the engine has shut down (ephemeral paged
     /// engines only).
     cleanup_dir: Option<PathBuf>,
@@ -306,49 +73,6 @@ impl Drop for Store {
     }
 }
 
-/// Version allocation + compaction bookkeeping: the short critical
-/// section only a batch leader enters.
-#[derive(Debug, Default)]
-struct VersionCore {
-    last_commit_version: u64,
-    commits_since_compaction: u64,
-}
-
-/// A committer's enqueued work: its write set, handed over by move, and
-/// whether it writes [`crate::METADATA_VERSION_KEY`]. The leader moves the
-/// keys and values out of it into the engine.
-struct PendingCommit {
-    ticket: u64,
-    writes: WriteSet,
-    writes_metadata_version: bool,
-}
-
-/// What a batch member gets back from the leader.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CommitReceipt {
-    pub(crate) version: u64,
-    pub(crate) batch_order: u16,
-    pub(crate) keys_written: u64,
-    pub(crate) bytes_written: u64,
-}
-
-#[derive(Default)]
-struct BatchState {
-    queue: Vec<PendingCommit>,
-    /// A leader is currently applying a batch; newcomers queue behind it.
-    leader_active: bool,
-    next_ticket: u64,
-    /// Receipts published by the last leader, keyed by ticket.
-    results: Vec<(u64, Result<CommitReceipt>)>,
-}
-
-/// Group-commit rendezvous: queue + condvar the followers park on.
-#[derive(Default)]
-struct CommitBatcher {
-    state: Mutex<BatchState>,
-    done: Condvar,
-}
-
 /// Handle to a simulated FoundationDB cluster. Clone freely; all clones
 /// share state. Safe to use from multiple threads: snapshot reads run
 /// under a shared store lock, and commits over disjoint key shards
@@ -357,8 +81,6 @@ struct CommitBatcher {
 pub struct Database {
     /// Recent-writes conflict index, sharded by key prefix.
     shards: Arc<[Mutex<ConflictShard>; CONFLICT_SHARDS]>,
-    /// Version allocation + compaction counters.
-    core: Arc<Mutex<VersionCore>>,
     /// The storage engine (shared reads / exclusive commits).
     store: Arc<RwLock<Store>>,
     /// Group-commit batcher.
@@ -396,12 +118,10 @@ impl Database {
             shards: Arc::new(std::array::from_fn(
                 |_| Mutex::new(ConflictShard::default()),
             )),
-            core: Arc::new(Mutex::new(VersionCore {
-                last_commit_version: stored_version,
-                ..VersionCore::default()
-            })),
             store: Arc::new(RwLock::new(Store {
                 engine,
+                last_commit_version: stored_version,
+                commits_since_compaction: 0,
                 cleanup_dir,
             })),
             batcher: Arc::new(CommitBatcher::default()),
@@ -610,22 +330,12 @@ impl Database {
         }
 
         // Conflict detection: any committed write range newer than our read
-        // version that intersects any of our read ranges aborts us. Each
-        // shard's window is ordered by version, so scan newest-first and
-        // stop at our read version.
-        for (_, shard) in &held {
-            for committed in shard.window.iter().rev() {
-                if committed.version <= read_version {
-                    break;
-                }
-                for (wa, wb) in &committed.ranges {
-                    for (ra, rb) in read_conflicts {
-                        if ranges_intersect(ra, rb, wa, wb) {
-                            return Err(Error::NotCommitted);
-                        }
-                    }
-                }
-            }
+        // version that intersects any of our read ranges aborts us.
+        if held
+            .iter()
+            .any(|(_, shard)| shard.conflicts_with(read_version, read_conflicts))
+        {
+            return Err(Error::NotCommitted);
         }
 
         // Apply through the group-commit batcher. We still hold our shard
@@ -633,7 +343,9 @@ impl Database {
         // window that does not yet contain our writes — and every member
         // of one batch is pairwise shard-disjoint by construction, which
         // is what makes a shared commit version sound.
-        let receipt = self.batched_apply(std::mem::take(writes), writes_metadata_version)?;
+        let writes = std::mem::take(writes);
+        let lead = |batch| self.lead_batch(batch);
+        let receipt = self.batcher.submit(writes, writes_metadata_version, lead)?;
 
         // Record our write conflict ranges for future validations, in
         // every shard the write set touches (duplicated per shard so each
@@ -642,140 +354,35 @@ impl Database {
             let write_mask = conflict_shard_mask(write_conflicts);
             let horizon = self.oldest.load(Ordering::Acquire);
             for (idx, shard) in &mut held {
-                if write_mask & (1 << *idx) == 0 {
-                    continue;
+                if write_mask & (1 << *idx) != 0 {
+                    shard.record(receipt.version, horizon, write_conflicts);
                 }
-                while shard.window.front().is_some_and(|c| c.version < horizon) {
-                    shard.window.pop_front();
-                }
-                shard.window.push_back(CommittedWrites {
-                    version: receipt.version,
-                    ranges: write_conflicts.to_vec(),
-                });
             }
         }
         Ok(receipt)
     }
 
-    /// Group commit: enqueue this committer's write set; whoever finds
-    /// no leader active drains the queue and leads the batch, everyone
-    /// else parks until the leader publishes their receipt. Callers hold
-    /// their conflict-shard locks throughout, which the leader never
-    /// takes — the rank order ConflictShard < CommitBatch < VersionCore <
-    /// DatabaseStore keeps the whole rendezvous deadlock-free.
-    fn batched_apply(
-        &self,
-        writes: WriteSet,
-        writes_metadata_version: bool,
-    ) -> Result<CommitReceipt> {
-        // From joining the queue to leading a batch or holding a receipt.
-        let queued = rl_obs::Timer::start("batch_queue_wait");
-        let mut st = lock_ranked(&self.batcher.state, LockRank::CommitBatch);
-        let ticket = st.next_ticket;
-        st.next_ticket += 1;
-        st.queue.push(PendingCommit {
-            ticket,
-            writes,
-            writes_metadata_version,
-        });
-        loop {
-            if let Some(pos) = st.results.iter().position(|(t, _)| *t == ticket) {
-                return st.results.swap_remove(pos).1;
-            }
-            if !st.leader_active {
-                st.leader_active = true;
-                let batch = std::mem::take(&mut st.queue);
-                drop(st);
-                drop(queued);
-                return self.lead_and_publish(ticket, batch);
-            }
-            st.wait_on(&self.batcher.done);
-        }
-    }
-
-    /// Leader path: apply the batch, then publish everyone's receipts and
-    /// hand leadership off. (Separate from [`Self::batched_apply`] so the
-    /// batcher lock is provably released before the leader re-acquires
-    /// it.)
-    ///
-    /// If the leader panics mid-batch (say a storage-engine bug while it
-    /// holds the store write lock), leadership is still handed back on
-    /// unwind and every parked follower gets a `CommitUnknownResult`
-    /// receipt — otherwise `leader_active` would stay set forever and
-    /// every later committer would park on the condvar indefinitely,
-    /// defeating the poison recovery `sync` promises.
-    fn lead_and_publish(&self, ticket: u64, batch: Vec<PendingCommit>) -> Result<CommitReceipt> {
-        /// Clears `leader_active` and fails the followers' commits if the
-        /// leader unwinds before publishing; disarmed on the normal path.
-        struct AbdicateOnUnwind<'a> {
-            batcher: &'a CommitBatcher,
-            follower_tickets: Vec<u64>,
-            armed: bool,
-        }
-        impl Drop for AbdicateOnUnwind<'_> {
-            fn drop(&mut self) {
-                if !self.armed {
-                    return;
-                }
-                let mut st = lock_ranked(&self.batcher.state, LockRank::CommitBatch);
-                st.leader_active = false;
-                for &t in &self.follower_tickets {
-                    st.results.push((t, Err(Error::CommitUnknownResult)));
-                }
-                drop(st);
-                self.batcher.done.notify_all();
-            }
-        }
-        // The leader's own caller observes the panic directly; publishing
-        // a receipt for it would leave an orphan in `results` forever.
-        let mut guard = AbdicateOnUnwind {
-            batcher: &self.batcher,
-            follower_tickets: batch
-                .iter()
-                .map(|p| p.ticket)
-                .filter(|t| *t != ticket)
-                .collect(),
-            armed: true,
-        };
-        let mut results = self.lead_batch(batch);
-        let own = results
-            .iter()
-            .position(|(t, _)| *t == ticket)
-            .expect("leader's own commit in batch");
-        let own = results.swap_remove(own).1;
-        guard.armed = false;
-        let mut st = lock_ranked(&self.batcher.state, LockRank::CommitBatch);
-        st.leader_active = false;
-        st.results.append(&mut results);
-        drop(st);
-        self.batcher.done.notify_all();
-        own
-    }
-
     /// Apply a batch: one version allocation, every member's write set at
     /// that version (distinguished by batch order) merged into one sorted
     /// engine batch, one engine batch seal — i.e. one WAL frame on the
-    /// paged engine — then publish the version. Runs without the batcher
-    /// lock; takes VersionCore then DatabaseStore.
-    fn lead_batch(&self, batch: Vec<PendingCommit>) -> Vec<(u64, Result<CommitReceipt>)> {
-        // Assign the batch's commit version: strictly increasing, and at
-        // least the clock-implied version so versions track logical time.
-        let mut core = lock_ranked(&self.core, LockRank::VersionCore);
-        let clock_version = self.clock_ms() * VERSIONS_PER_MS;
-        let version = (core.last_commit_version + 1).max(clock_version);
-        core.last_commit_version = version;
-        core.commits_since_compaction += batch.len() as u64;
-        let compact_now = core.commits_since_compaction >= self.options.compaction_interval;
-        if compact_now {
-            core.commits_since_compaction = 0;
-        }
-        drop(core);
-
-        let horizon = version.saturating_sub(self.options.mvcc_window_versions);
-        let bumps_metadata_version = batch.iter().any(|p| p.writes_metadata_version);
+    /// paged engine — then publish the version. Runs as the batch leader,
+    /// without the batcher lock; takes DatabaseStore exclusive.
+    fn lead_batch(&self, batch: Vec<PendingCommit>) -> BatchResults {
         let waiting = rl_obs::Timer::start("store_lock_wait_leader");
         let mut store = write_ranked(&self.store, LockRank::DatabaseStore);
         drop(waiting);
+        // Assign the batch's commit version: strictly increasing, and at
+        // least the clock-implied version so versions track logical time.
+        let clock_version = self.clock_ms() * VERSIONS_PER_MS;
+        let version = (store.last_commit_version + 1).max(clock_version);
+        store.last_commit_version = version;
+        store.commits_since_compaction += batch.len() as u64;
+        let compact_now = store.commits_since_compaction >= self.options.compaction_interval;
+        if compact_now {
+            store.commits_since_compaction = 0;
+        }
+        let horizon = version.saturating_sub(self.options.mvcc_window_versions);
+        let bumps_metadata_version = batch.iter().any(|p| p.writes_metadata_version);
         // Injected while the store write lock is held — the worst spot a
         // real storage-engine bug could fire.
         #[cfg(test)]
@@ -887,132 +494,15 @@ fn record_count(op: &'static str, count: usize) {
     }
 }
 
-/// Half-open interval intersection.
-fn ranges_intersect(a1: &[u8], a2: &[u8], b1: &[u8], b2: &[u8]) -> bool {
-    a1 < b2 && b1 < a2
-}
-
-/// Client-side read-version cache (§4: "Read version caching optimizes
-/// getReadVersion further by completely avoiding communication with
-/// FoundationDB if a read version was recently fetched").
-///
-/// Doubles as a GRV *batcher*: the cache lock is held across the
-/// staleness check and the refresh, so when N threads hit a stale cache
-/// at once, exactly one performs the `getReadVersion` and the rest reuse
-/// its result.
-#[derive(Default)]
-pub struct ReadVersionCache {
-    state: Mutex<Option<(u64, u64)>>, // (version, fetched_at_ticks)
-    /// Monotonic tick source for staleness. `None` uses the database's
-    /// logical clock; tests inject a counter to pin staleness decisions
-    /// independent of the database under test.
-    ticks: Option<Arc<dyn Fn() -> u64 + Send + Sync>>,
-}
-
-impl std::fmt::Debug for ReadVersionCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReadVersionCache")
-            .field("state", &self.state)
-            .field("has_tick_source", &self.ticks.is_some())
-            .finish()
-    }
-}
-
-impl ReadVersionCache {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A cache whose staleness clock is the given monotonic tick source
-    /// instead of the database's logical clock. Ticks are in the same
-    /// unit as `max_staleness_ms`.
-    pub fn with_tick_source(ticks: impl Fn() -> u64 + Send + Sync + 'static) -> Self {
-        ReadVersionCache {
-            state: Mutex::new(None),
-            ticks: Some(Arc::new(ticks)),
-        }
-    }
-
-    fn now_ticks(&self, db: &Database) -> u64 {
-        match &self.ticks {
-            Some(ticks) => ticks(),
-            None => db.clock_ms(),
-        }
-    }
-
-    /// Begin a transaction, reusing a cached read version when it is no
-    /// older than `max_staleness_ms` and at least `min_version` (the last
-    /// version previously observed by this client, so the client never goes
-    /// backwards in time). A stale cache triggers exactly one GRV even
-    /// under concurrency (the refresh happens under the cache lock; GRV
-    /// itself is lock-free, so nothing nests under this lock).
-    pub fn create_transaction(
-        &self,
-        db: &Database,
-        max_staleness_ms: u64,
-        min_version: u64,
-    ) -> Result<Transaction> {
-        let now = self.now_ticks(db);
-        let version = {
-            let mut st = lock_ranked(&self.state, LockRank::ReadVersionCache);
-            match *st {
-                Some((version, fetched_at))
-                    if now.saturating_sub(fetched_at) <= max_staleness_ms
-                        && version >= min_version =>
-                {
-                    version
-                }
-                _ => {
-                    let version = db.get_read_version();
-                    *st = Some((version, now));
-                    version
-                }
-            }
-        };
-        db.create_transaction_at(version)
-    }
-
-    /// Record a version observed via some other channel (e.g. a commit),
-    /// refreshing the cache for free.
-    pub fn observe(&self, db: &Database, version: u64) {
-        let now = self.now_ticks(db);
-        let mut st = lock_ranked(&self.state, LockRank::ReadVersionCache);
-        if st.is_none_or(|(v, _)| version >= v) {
-            *st = Some((version, now));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::atomic::MutationType;
+    use crate::batcher::pending;
+    use crate::conflict::ALL_SHARDS;
+    use crate::options::{EngineKind, PagedConfig};
     use crate::range::RangeOptions;
     use crate::write_set::KeyOp;
-
-    /// A batch member that buffers `writes` in order.
-    fn pending(ticket: u64, writes: Vec<(String, KeyOp)>) -> PendingCommit {
-        let mut set = WriteSet::default();
-        for (key, op) in writes {
-            set.push(key.as_bytes(), op);
-        }
-        PendingCommit {
-            ticket,
-            writes: set,
-            writes_metadata_version: false,
-        }
-    }
-
-    #[test]
-    fn engine_specs_parse_exactly() {
-        let parse = |spec: &str| EngineKind::from_spec(spec).map(|k| k.kind_name());
-        assert_eq!(parse("memory"), Ok("memory"));
-        assert_eq!(parse("paged"), Ok("paged"));
-        for bad in ["paged:sieve", "paged:lru", "paged:", "Paged", "disk", ""] {
-            let err = EngineKind::from_spec(bad).unwrap_err();
-            assert!(err.contains("want memory or paged"), "{bad:?}: {err}");
-        }
-    }
 
     #[test]
     fn basic_set_get_across_transactions() {
@@ -1255,152 +745,6 @@ mod tests {
     }
 
     #[test]
-    fn read_version_cache_avoids_grv() {
-        let db = Database::new();
-        let tx = db.create_transaction();
-        tx.set(b"k", b"v");
-        tx.commit().unwrap();
-
-        let cache = ReadVersionCache::new();
-        let before = db.grv_call_count();
-        let t1 = cache.create_transaction(&db, 1_000, 0).unwrap();
-        let t2 = cache.create_transaction(&db, 1_000, 0).unwrap();
-        assert_eq!(db.grv_call_count(), before + 1); // second reused cache
-        assert_eq!(t1.read_version(), t2.read_version());
-
-        // Stale cache refreshes after the staleness bound.
-        db.advance_clock(2_000);
-        let _t3 = cache.create_transaction(&db, 1_000, 0).unwrap();
-        assert_eq!(db.grv_call_count(), before + 2);
-    }
-
-    #[test]
-    fn read_version_cache_respects_min_version() {
-        let db = Database::new();
-        let cache = ReadVersionCache::new();
-        let _ = cache.create_transaction(&db, 10_000, 0).unwrap();
-        // Commit something; a client that observed that commit insists on
-        // reading at least that version.
-        let tx = db.create_transaction();
-        tx.set(b"k", b"v");
-        tx.commit().unwrap();
-        let min = tx.committed_version().unwrap();
-        let t = cache.create_transaction(&db, 10_000, min).unwrap();
-        assert!(t.read_version() >= min);
-        assert_eq!(t.get(b"k").unwrap(), Some(b"v".to_vec()));
-    }
-
-    #[test]
-    fn read_version_cache_staleness_with_injected_ticks() {
-        let db = Database::new();
-        let tx = db.create_transaction();
-        tx.set(b"k", b"v");
-        tx.commit().unwrap();
-
-        // Staleness runs on the injected counter: the database clock
-        // never moves in this test.
-        let ticks = Arc::new(AtomicU64::new(0));
-        let t2 = ticks.clone();
-        let cache = ReadVersionCache::with_tick_source(move || t2.load(Ordering::Relaxed));
-
-        let before = db.grv_call_count();
-        let _ = cache.create_transaction(&db, 100, 0).unwrap();
-        ticks.store(100, Ordering::Relaxed); // exactly at the bound: fresh
-        let _ = cache.create_transaction(&db, 100, 0).unwrap();
-        assert_eq!(db.grv_call_count(), before + 1);
-        ticks.store(101, Ordering::Relaxed); // one past: stale
-        let _ = cache.create_transaction(&db, 100, 0).unwrap();
-        assert_eq!(db.grv_call_count(), before + 2);
-    }
-
-    #[test]
-    fn read_version_cache_coalesces_concurrent_refreshes() {
-        let db = Database::new();
-        let tx = db.create_transaction();
-        tx.set(b"k", b"v");
-        tx.commit().unwrap();
-
-        let cache = Arc::new(ReadVersionCache::new());
-        // Warm, then make stale.
-        let _ = cache.create_transaction(&db, 1_000, 0).unwrap();
-        db.advance_clock(5_000);
-
-        let before = db.grv_call_count();
-        let barrier = Arc::new(std::sync::Barrier::new(8));
-        let threads: Vec<_> = (0..8)
-            .map(|_| {
-                let db = db.clone();
-                let cache = cache.clone();
-                let barrier = barrier.clone();
-                std::thread::spawn(move || {
-                    barrier.wait();
-                    cache.create_transaction(&db, 1_000, 0).unwrap();
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        // The refresh happened under the cache lock: one GRV, seven reuses.
-        assert_eq!(db.grv_call_count(), before + 1);
-    }
-
-    #[test]
-    fn shard_masks_cover_their_ranges() {
-        // A point write conflict spans one shard.
-        let key = b"t3/k42".to_vec();
-        let end = crate::key_after(&key);
-        assert_eq!(range_shard_mask(&key, &end).count_ones(), 1);
-        // A range within one two-byte prefix stays on one shard.
-        assert_eq!(range_shard_mask(b"t3/a", b"t3/z").count_ones(), 1);
-        // A wide range covers every shard.
-        assert_eq!(
-            range_shard_mask(b"a", b"z"),
-            u16::MAX >> (16 - CONFLICT_SHARDS)
-        );
-        // An end key that equals the two-byte prefix excludes that prefix.
-        assert_eq!(
-            range_shard_mask(b"t3", b"t4"),
-            1 << shard_of_prefix(prefix_value(b"t3"))
-        );
-        // Membership: any key inside a range maps into the range's mask.
-        let (begin, end) = (b"ab".to_vec(), b"ae/tail".to_vec());
-        let mask = range_shard_mask(&begin, &end);
-        for key in [&b"ab"[..], b"abz", b"ac", b"ad/x", b"ae", b"ae/taik"] {
-            assert!(
-                mask & (1 << shard_of_prefix(prefix_value(key))) != 0,
-                "key {key:?} escapes mask {mask:#018b}"
-            );
-        }
-        // Regression: an end of the form [b, 0x00] — key_after of the
-        // one-byte key [b] — still admits [b] itself, whose zero-padded
-        // prefix equals end's own. Its shard must stay in the mask even
-        // when the range is narrow enough to dodge the full-mask
-        // fallback: [b"a\xf5", b"b\x00") contains b"b".
-        let end = crate::key_after(b"b");
-        let mask = range_shard_mask(b"a\xf5", &end);
-        assert!(
-            mask & (1 << shard_of_prefix(prefix_value(b"b"))) != 0,
-            "one-byte key b\"b\" escapes mask {mask:#018b} for range [a\\xf5, b\\x00)"
-        );
-    }
-
-    #[test]
-    fn disjoint_tenant_commits_use_disjoint_shards() {
-        // Tenant prefixes "t0/".."t7/" land on eight distinct shards, the
-        // layout the concurrency_scaling bench relies on.
-        let mut shards = std::collections::HashSet::new();
-        for t in 0..8 {
-            let key = format!("t{t}/row");
-            let end = crate::key_after(key.as_bytes());
-            let mask = range_shard_mask(key.as_bytes(), &end);
-            assert_eq!(mask.count_ones(), 1);
-            shards.insert(mask);
-        }
-        assert_eq!(shards.len(), 8);
-    }
-
-    #[test]
     fn cached_state_commits_keep_disjoint_shards_and_share_a_batch() {
         let db = Database::new();
         let seed = db.create_transaction();
@@ -1528,45 +872,6 @@ mod tests {
         tx.commit().unwrap();
         let tx = db.create_transaction();
         assert_eq!(tx.get(b"survivor").unwrap(), Some(b"v".to_vec()));
-    }
-
-    #[test]
-    fn leader_unwind_fails_followers_instead_of_hanging_them() {
-        // Drive the guard directly: a batch of three where the leader
-        // (ticket 1) panics must publish `CommitUnknownResult` receipts
-        // for the two followers and clear `leader_active`.
-        let db = Database::new();
-        db.panic_next_batch
-            .store(true, std::sync::atomic::Ordering::Release);
-        {
-            let mut st = lock_ranked(&db.batcher.state, LockRank::CommitBatch);
-            st.leader_active = true;
-            st.next_ticket = 3;
-        }
-        let batch: Vec<PendingCommit> = (0..3)
-            .map(|i| pending(i, vec![(format!("f{i}"), KeyOp::Set(b"v".to_vec()))]))
-            .collect();
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            db.lead_and_publish(1, batch)
-        }));
-        assert!(unwound.is_err(), "injected panic should reach the caller");
-        let st = lock_ranked(&db.batcher.state, LockRank::CommitBatch);
-        assert!(!st.leader_active, "leadership must be handed back");
-        let mut failed: Vec<u64> = st
-            .results
-            .iter()
-            .map(|(t, r)| {
-                assert!(
-                    matches!(r, Err(Error::CommitUnknownResult)),
-                    "follower {t} should see commit_unknown_result, got {r:?}"
-                );
-                *t
-            })
-            .collect();
-        failed.sort_unstable();
-        // Followers 0 and 2 get receipts; the leader's own caller sees
-        // the panic directly, so no orphan receipt for ticket 1.
-        assert_eq!(failed, vec![0, 2]);
     }
 
     #[test]

@@ -35,8 +35,6 @@ pub enum Error {
     UsedDuringCommit,
     /// 2210: the requested read version is in the future.
     FutureVersion,
-    /// Directory-layer errors (prefix collisions, missing directories, ...).
-    Directory(String),
     /// Tuple encoding/decoding errors.
     Tuple(String),
     /// Mutation parameter malformed (e.g. versionstamp offset out of range).
@@ -55,7 +53,6 @@ impl Error {
             Error::ValueTooLarge { .. } => 2103,
             Error::UsedDuringCommit => 2017,
             Error::FutureVersion => 2210,
-            Error::Directory(_) => 2020,
             Error::Tuple(_) => 2041,
             Error::InvalidMutation(_) => 2006,
         }
@@ -98,7 +95,6 @@ impl fmt::Display for Error {
                 write!(f, "operation issued while a commit was outstanding (2017)")
             }
             Error::FutureVersion => write!(f, "request for future version (2210)"),
-            Error::Directory(msg) => write!(f, "directory layer: {msg}"),
             Error::Tuple(msg) => write!(f, "tuple layer: {msg}"),
             Error::InvalidMutation(msg) => write!(f, "invalid mutation: {msg}"),
         }

@@ -15,8 +15,7 @@
 //! * commit versionstamps: 10 bytes assigned at commit, globally ordered,
 //! * key (10 kB), value (100 kB) and transaction (10 MB) size limits, and a
 //!   5-second transaction time limit driven by a controllable logical clock,
-//! * the tuple layer (order-preserving typed tuples), subspaces, and the
-//!   directory layer with its sliding-window prefix allocator.
+//! * the tuple layer (order-preserving typed tuples) and subspaces.
 //!
 //! The simulator is single-process and deterministic: a logical clock
 //! ([`Database::advance_clock`]) stands in for wall time so tests can push a
@@ -38,12 +37,15 @@
 //! ```
 
 pub mod atomic;
+mod batcher;
+mod conflict;
 pub mod database;
-pub mod directory;
 pub mod error;
 pub mod kv;
 pub mod metrics;
+pub mod options;
 pub mod range;
+pub mod read_version;
 pub mod state_cache;
 pub mod subspace;
 pub mod sync;
@@ -52,10 +54,11 @@ pub mod tuple;
 pub mod version;
 mod write_set;
 
-pub use database::{Database, DatabaseOptions, EngineKind, PagedConfig};
+pub use database::Database;
 pub use error::{Error, Result};
 pub use kv::{KeySelector, KeyValue};
-pub use range::{RangeOptions, StreamingMode};
+pub use options::{DatabaseOptions, EngineKind, PagedConfig};
+pub use range::RangeOptions;
 pub use rl_storage::{EvictionPolicy, StorageEngine};
 pub use state_cache::{METADATA_VERSION_KEY, STATE_CACHE_CAPACITY};
 pub use subspace::Subspace;

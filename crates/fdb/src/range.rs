@@ -1,27 +1,5 @@
 //! Range-read options.
 
-/// Streaming modes, mirroring the FDB client. In this in-process simulator
-/// they influence only the default batch size reported per request, but the
-/// Record Layer's cursors set them, so the API surface is kept.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StreamingMode {
-    /// The client intends to iterate the whole range: large batches.
-    WantAll,
-    /// Batches sized for incremental iteration.
-    #[default]
-    Iterator,
-    /// Small batches, lowest latency to first result.
-    Small,
-    /// Medium batches.
-    Medium,
-    /// Large batches.
-    Large,
-    /// Transfer everything in one batch.
-    Serial,
-    /// Exactly `limit` rows are wanted.
-    Exact,
-}
-
 /// Options for a range read.
 ///
 /// `limit` and `reverse` are carried all the way into the storage engine
@@ -42,8 +20,6 @@ pub struct RangeOptions {
     /// The engine seeks to the end bound and walks backwards, so with a
     /// `limit` this costs the same as a forward read of as many rows.
     pub reverse: bool,
-    /// Streaming mode (affects batching hints only in the simulator).
-    pub mode: StreamingMode,
 }
 
 impl RangeOptions {
@@ -60,11 +36,6 @@ impl RangeOptions {
         self.reverse = reverse;
         self
     }
-
-    pub fn mode(mut self, mode: StreamingMode) -> Self {
-        self.mode = mode;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -73,13 +44,9 @@ mod tests {
 
     #[test]
     fn builder_chains() {
-        let o = RangeOptions::new()
-            .limit(7)
-            .reverse(true)
-            .mode(StreamingMode::WantAll);
+        let o = RangeOptions::new().limit(7).reverse(true);
         assert_eq!(o.limit, 7);
         assert!(o.reverse);
-        assert_eq!(o.mode, StreamingMode::WantAll);
     }
 
     #[test]
@@ -87,6 +54,5 @@ mod tests {
         let o = RangeOptions::default();
         assert_eq!(o.limit, 0);
         assert!(!o.reverse);
-        assert_eq!(o.mode, StreamingMode::Iterator);
     }
 }

@@ -23,15 +23,14 @@
 //!    shard order (see [`lock_ranked_indexed`]).
 //! 4. [`LockRank::CommitBatch`] — the group-commit batcher's queue;
 //!    taken with shard locks held, released while a batch leader runs.
-//! 5. [`LockRank::VersionCore`] — version allocation + compaction
-//!    bookkeeping; a short critical section only the batch leader takes.
-//! 6. [`LockRank::DatabaseStore`] — the storage engine `RwLock`.
-//!    Acquired shared for MVCC snapshot reads ([`read_ranked`]) and
-//!    exclusive for commit application ([`write_ranked`]). Under it, and
+//! 5. [`LockRank::DatabaseStore`] — the storage engine `RwLock`, with
+//!    the version counters only a batch leader touches. Acquired shared
+//!    for MVCC snapshot reads ([`read_ranked`]) and exclusive for version
+//!    allocation and commit application ([`write_ranked`]). Under it, and
 //!    outside this tracker, sits one `rl_storage` leaf: the paged
 //!    engine's buffer-pool mutex, which its reads take and under which
 //!    nothing else is acquired.
-//! 7. [`LockRank::StateCache`] — the map of metadata-version-validated
+//! 6. [`LockRank::StateCache`] — the map of metadata-version-validated
 //!    soft state. A leaf: nothing is acquired while it is held, and it
 //!    may be taken under any of the others.
 //!
@@ -74,13 +73,11 @@ pub enum LockRank {
     ConflictShard = 30,
     /// The group-commit batcher's shared queue state.
     CommitBatch = 40,
-    /// Version allocation + compaction counters (batch leader only).
-    VersionCore = 50,
     /// The storage-engine `RwLock` (shared for reads, exclusive for
     /// commit application).
-    DatabaseStore = 60,
+    DatabaseStore = 50,
     /// `StateCache::entries` (leaf: held only for a map lookup or insert).
-    StateCache = 70,
+    StateCache = 60,
 }
 
 impl LockRank {
@@ -91,7 +88,6 @@ impl LockRank {
             LockRank::TransactionState => "Transaction::state",
             LockRank::ConflictShard => "Database::shards[i]",
             LockRank::CommitBatch => "CommitBatcher::state",
-            LockRank::VersionCore => "Database::core",
             LockRank::DatabaseStore => "Database::store",
             LockRank::StateCache => "StateCache::entries",
         }
@@ -311,7 +307,7 @@ mod tracker {
                         "lock-rank violation: acquiring `{}`{} while holding {:?} — \
                          declared order is ReadVersionCache < TransactionState < \
                          ConflictShard (ascending indices) < CommitBatch < \
-                         VersionCore < DatabaseStore < StateCache (see rl_fdb::sync)",
+                         DatabaseStore < StateCache (see rl_fdb::sync)",
                         rank.name(),
                         index.map(|i| format!("#{i}")).unwrap_or_default(),
                         chain,
@@ -372,7 +368,7 @@ mod tests {
         let d = RwLock::new(());
         let _ga = lock_ranked(&a, LockRank::ReadVersionCache);
         let _gb = lock_ranked(&b, LockRank::TransactionState);
-        let _gc = lock_ranked(&c, LockRank::VersionCore);
+        let _gc = lock_ranked(&c, LockRank::CommitBatch);
         let _gd = write_ranked(&d, LockRank::DatabaseStore);
     }
 
@@ -384,7 +380,7 @@ mod tests {
         let result = std::thread::spawn(|| {
             let hi = Mutex::new(());
             let lo = Mutex::new(());
-            let _g_hi = lock_ranked(&hi, LockRank::VersionCore);
+            let _g_hi = lock_ranked(&hi, LockRank::CommitBatch);
             let _g_lo = lock_ranked(&lo, LockRank::TransactionState); // inversion
         })
         .join();
@@ -475,7 +471,7 @@ mod tests {
             let a = RwLock::new(());
             let b = Mutex::new(());
             let _ga = write_ranked(&a, LockRank::DatabaseStore);
-            let _gb = lock_ranked(&b, LockRank::VersionCore); // inversion
+            let _gb = lock_ranked(&b, LockRank::CommitBatch); // inversion
         })
         .join();
         assert!(result.is_err());
@@ -587,10 +583,10 @@ mod tests {
         let a = Mutex::new(());
         let b = Mutex::new(());
         let ga = lock_ranked(&a, LockRank::TransactionState);
-        let gb = lock_ranked(&b, LockRank::VersionCore);
+        let gb = lock_ranked(&b, LockRank::CommitBatch);
         drop(ga); // dropped before gb: release must not pop gb's rank
         let c = Mutex::new(());
-        // TransactionState is free again; VersionCore still held, so
+        // TransactionState is free again; CommitBatch still held, so
         // acquiring TransactionState now would be an inversion — but
         // re-acquiring after dropping gb too must succeed.
         drop(gb);

@@ -14,9 +14,10 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::atomic::{self, MutationType};
-use crate::database::{Database, KEY_SIZE_LIMIT, VALUE_SIZE_LIMIT};
+use crate::database::Database;
 use crate::error::{Error, Result};
 use crate::kv::{KeySelector, KeyValue};
+use crate::options::{KEY_SIZE_LIMIT, VALUE_SIZE_LIMIT};
 use crate::range::RangeOptions;
 use crate::state_cache::METADATA_VERSION_KEY;
 use crate::sync::{lock_ranked, LockRank};

@@ -3,7 +3,7 @@
 //! serializability checks.
 
 use rl_fdb::atomic::MutationType;
-use rl_fdb::database::{DatabaseOptions, VERSIONS_PER_MS};
+use rl_fdb::options::{DatabaseOptions, VERSIONS_PER_MS};
 use rl_fdb::transaction::TxnTrace;
 use rl_fdb::{Database, EngineKind, Error, KeySelector, PagedConfig, RangeOptions, Transaction};
 
