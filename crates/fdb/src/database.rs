@@ -944,6 +944,37 @@ mod tests {
         assert_eq!(u64::from_le_bytes(v.try_into().unwrap()), 400);
     }
 
+    /// No global lock serialises commits on disjoint shards: with tenant
+    /// `t0/`'s shard held, as if its commit were parked inside
+    /// `commit_internal`, a commit of `t1/row` on another thread finishes.
+    #[test]
+    fn a_commit_parked_on_one_shard_does_not_block_a_disjoint_one() {
+        let db = Database::new();
+        let mask =
+            |key: &[u8]| commit_shard_mask(&[], &[(key.to_vec(), crate::key_after(key))], false);
+        let (parked, other) = (mask(b"t0/row"), mask(b"t1/row"));
+        assert_eq!((parked.count_ones(), parked & other), (1, 0));
+        let idx = parked.trailing_zeros() as usize;
+        let held = lock_ranked_indexed(&db.shards[idx], LockRank::ConflictShard, idx);
+        let (done, finished) = std::sync::mpsc::channel();
+        let committer = {
+            let db = db.clone();
+            std::thread::spawn(move || {
+                let tx = db.create_transaction();
+                tx.set(b"t1/row", b"v");
+                done.send(tx.commit()).unwrap();
+            })
+        };
+        let outcome = finished.recv_timeout(std::time::Duration::from_secs(10));
+        drop(held);
+        committer.join().unwrap();
+        assert_eq!(
+            outcome,
+            Ok(Ok(())),
+            "the commit waited on a shard it does not touch"
+        );
+    }
+
     #[test]
     fn concurrent_disjoint_tenants_commit_without_conflicts() {
         let db = Database::new();

@@ -187,7 +187,6 @@ pub fn table1_concurrency() -> Scenario {
 /// so commits validate and apply through disjoint conflict shards.
 /// Read-leaning so snapshot reads (which share the store lock) dominate;
 /// the write share exercises group commit under the shared budget.
-/// `fig_concurrency` sweeps this at 1/2/4/8 threads per engine.
 pub fn concurrency_scaling() -> Scenario {
     Scenario {
         name: "concurrency_scaling".into(),

@@ -1,0 +1,792 @@
+//! The one write path: a sorted walk that rewrites each leaf it touches
+//! once and each ancestor at most once, and the writes and prunes built
+//! on it.
+
+use std::io;
+use std::iter::Peekable;
+use std::ops::Range;
+use std::sync::Arc;
+
+use super::blob::{append_blob, Blob};
+use super::chain::{chain_prune, chain_pushed, Prune};
+use super::leaf::{cut, entries_of, leaf_image, leaf_prefix, put_entry, Entry, Key};
+use super::{
+    child, corrupt, index, locate, too_deep, Reader, INLINE_CHAIN_MAX, INLINE_KEY_MAX, MAX_DEPTH,
+    NODE_HEADER, TAG_INTERNAL, TAG_LEAF,
+};
+use crate::codec::put_varint;
+use crate::page::{PageId, MAX_PAYLOAD, NO_PAGE};
+use crate::pool::{BufferPool, Image, Page};
+
+/// The shortest separator `s` with `left_max < s <= right_min`.
+fn shortest_separator<'a>(left_max: &[u8], right_min: &'a [u8]) -> &'a [u8] {
+    for i in 0..right_min.len() {
+        if i >= left_max.len() || right_min[i] != left_max[i] {
+            return &right_min[..=i];
+        }
+    }
+    right_min
+}
+
+/// What a step of a walk does to the chain stored under its key.
+pub(crate) enum Edit {
+    Put(Vec<u8>),
+    Remove,
+    Keep,
+}
+
+/// One step of a sorted walk, at its key.
+pub(crate) enum Step<T> {
+    /// Change this key, stored or not.
+    Point(T),
+    /// Change the stored keys from this one up to this end, exclusive,
+    /// that no point step names.
+    Range(Vec<u8>),
+}
+
+/// What [`apply`] shows its caller, who answers with an [`Edit`].
+pub(crate) enum Seen<'a, T> {
+    /// A point step, and the chain stored under its key, if any.
+    Point(T, Option<&'a [u8]>),
+    /// A stored key inside a range step, which no point step names, and
+    /// its chain.
+    Ranged(&'a [u8]),
+}
+
+/// A rewritten node: the id of its first piece, then the encoded separator
+/// and the id of each further piece it split into.
+type Written = (PageId, Vec<(Vec<u8>, PageId)>);
+
+/// An internal node on a walk's path, and what its children became.
+struct Level {
+    id: PageId,
+    page: Page,
+    /// Every key under the node is below this fence (`None`: no bound).
+    upper: Option<Vec<u8>>,
+    /// The child the walk is in, and that child's upper fence.
+    idx: usize,
+    child_upper: Option<Vec<u8>>,
+    /// Children rewritten so far, ascending.
+    rewritten: Vec<(usize, Written)>,
+}
+
+/// The one write path: apply `steps`, ascending by key, in one walk of the
+/// tree.
+///
+/// The walk descends to the first step's leaf and has `visit` decide an
+/// [`Edit`] for every step below that leaf's upper fence and for every
+/// stored key a range step covers there. It writes the leaf once — the old
+/// bytes with the changed entries spliced in where the prefix cannot
+/// change, else its entries encoded again, split as many ways as they
+/// need — then climbs only as far as the next step needs and descends from
+/// there; a range step that reaches past a leaf goes on in the next one.
+/// An ancestor is rewritten once, as the walk leaves it, and only if the
+/// id of a child changed or a child split. Every image the walk writes
+/// carries its entry offsets, so nothing parses it again.
+pub(crate) fn apply<K: AsRef<[u8]>, T>(
+    pool: &mut BufferPool,
+    steps: impl IntoIterator<Item = (K, Step<T>)>,
+    mut visit: impl FnMut(&[u8], Seen<'_, T>) -> io::Result<Edit>,
+) -> io::Result<()> {
+    let mut steps = steps.into_iter().peekable();
+    if pool.root() == NO_PAGE {
+        let empty: Page = Arc::new(Image::indexed(
+            vec![TAG_LEAF, 0, 0, 0],
+            Box::new([NODE_HEADER as u16 + 1]),
+        ));
+        let (written, _) = rewrite_leaf(pool, NO_PAGE, &empty, None, &mut steps, None, &mut visit)?;
+        if let Some(written) = written {
+            let root = grow(pool, written)?;
+            pool.set_root(root);
+        }
+        return Ok(());
+    }
+    let mut path: Vec<Level> = Vec::new();
+    // A range step that reaches past the last leaf: its end, and that
+    // leaf's upper fence, where the walk goes on.
+    let mut carry: Option<(Vec<u8>, Vec<u8>)> = None;
+    // What the root became.
+    let mut root = None;
+    loop {
+        let target: &[u8] = match (&carry, steps.peek()) {
+            (Some((_, fence)), _) => fence,
+            (None, Some((key, _))) => key.as_ref(),
+            (None, None) => break,
+        };
+        // Climb out of every node the target is not under...
+        let beyond = |level: &mut Level| level.upper.as_deref().is_some_and(|up| target >= up);
+        while let Some(level) = path.pop_if(beyond) {
+            let written = rewrite_internal(pool, level)?;
+            settle(&mut path, &mut root, written);
+        }
+        // ...and descend from the lowest one it is under to its leaf.
+        let (mut id, mut upper) = match path.last_mut() {
+            Some(level) => {
+                (level.idx, level.child_upper) =
+                    route(pool, &level.page, level.id, target, level.upper.as_deref())?;
+                let at = index(&level.page, level.id, TAG_INTERNAL)?;
+                (child(&level.page, at, level.idx), level.child_upper.clone())
+            }
+            None => (pool.root(), None),
+        };
+        let leaf = loop {
+            let page = pool.read(id)?;
+            if page.first() == Some(&TAG_LEAF) {
+                break page;
+            }
+            if path.len() >= MAX_DEPTH {
+                return Err(too_deep());
+            }
+            let (idx, child_upper) = route(pool, &page, id, target, upper.as_deref())?;
+            let below = child(&page, index(&page, id, TAG_INTERNAL)?, idx);
+            path.push(Level {
+                id,
+                page,
+                upper,
+                idx,
+                child_upper: child_upper.clone(),
+                rewritten: Vec::new(),
+            });
+            (id, upper) = (below, child_upper);
+        };
+        // The walk only moves right: a fence at or below the key it
+        // descended for is damage, and would never end.
+        if upper.as_deref().is_some_and(|up| up <= target) {
+            return Err(corrupt(format!("leaf {id}: separators out of order")));
+        }
+        let carried = carry.take().map(|(end, _)| end);
+        let (written, reaching) = rewrite_leaf(
+            pool,
+            id,
+            &leaf,
+            upper.as_deref(),
+            &mut steps,
+            carried,
+            &mut visit,
+        )?;
+        settle(&mut path, &mut root, written);
+        carry = reaching.zip(upper);
+    }
+    while let Some(level) = path.pop() {
+        let written = rewrite_internal(pool, level)?;
+        settle(&mut path, &mut root, written);
+    }
+    if let Some(written) = root {
+        let root = grow(pool, written)?;
+        pool.set_root(root);
+    }
+    Ok(())
+}
+
+/// The child of internal node `page` to take for `key`, as [`descend`]
+/// takes it, and that child's upper fence: the separator after it, or the
+/// node's own `upper`.
+fn route(
+    pool: &mut BufferPool,
+    page: &Page,
+    id: PageId,
+    key: &[u8],
+    upper: Option<&[u8]>,
+) -> io::Result<(usize, Option<Vec<u8>>)> {
+    let at = index(page, id, TAG_INTERNAL)?;
+    let idx = match locate(pool, page, id, TAG_INTERNAL, at, key)? {
+        Ok(sep) => sep + 1,
+        Err(sep) => sep,
+    };
+    let fence = if idx < at.len() - 2 {
+        let sep = Reader::at(page, at[idx] as usize + 4, id).blob()?;
+        Some(sep.load(pool)?.into_owned())
+    } else {
+        upper.map(<[u8]>::to_vec)
+    };
+    Ok((idx, fence))
+}
+
+/// Hand what a node became to its parent on the path, or to the root.
+fn settle(path: &mut [Level], root: &mut Option<Written>, written: Option<Written>) {
+    let Some(written) = written else {
+        return;
+    };
+    match path.last_mut() {
+        Some(parent) => parent.rewritten.push((parent.idx, written)),
+        None => *root = Some(written),
+    }
+}
+
+/// The root over what the old root became: its one piece, or new levels
+/// above its pieces.
+fn grow(pool: &mut BufferPool, (mut root, mut more): Written) -> io::Result<PageId> {
+    while !more.is_empty() {
+        let mut node = Node::new();
+        node.child(root);
+        for (sep, id) in &more {
+            node.sep(sep);
+            node.child(*id);
+        }
+        (root, more) = node.write(pool, NO_PAGE)?;
+    }
+    Ok(root)
+}
+
+/// Write an internal node left by the walk: its old bytes with each
+/// rewritten child's pointer patched and the separators of its pieces
+/// spliced in after it. `None` if no child's id changed and none split.
+fn rewrite_internal(pool: &mut BufferPool, level: Level) -> io::Result<Option<Written>> {
+    let Level {
+        id,
+        page,
+        rewritten,
+        ..
+    } = level;
+    let at = index(&page, id, TAG_INTERNAL)?;
+    let same =
+        |(i, (new, more)): &(usize, Written)| more.is_empty() && *new == child(&page, at, *i);
+    if rewritten.iter().all(same) {
+        return Ok(None);
+    }
+    let mut node = Node::new();
+    let mut from = 0;
+    for (i, (new, more)) in rewritten {
+        if i < from {
+            return Err(corrupt(format!("internal {id}: separators out of order")));
+        }
+        node.copy(&page, at, from..i);
+        node.child(new);
+        for (sep, right) in &more {
+            node.sep(sep);
+            node.child(*right);
+        }
+        node.sep(&page[at[i] as usize + 4..at[i + 1] as usize]);
+        from = i + 1;
+    }
+    node.copy(&page, at, from..at.len() - 1);
+    node.write(pool, id).map(Some)
+}
+
+/// Append the bytes of entries `range` of a node whose index is `at`, and
+/// their offsets: a leaf's entries, or an internal node's children, each
+/// with the separator after it.
+fn copy_entries(
+    out: &mut Vec<u8>,
+    offsets: &mut Vec<usize>,
+    node: &[u8],
+    at: &[u16],
+    range: Range<usize>,
+) {
+    let (from, to) = (at[range.start] as usize, at[range.end] as usize);
+    let base = out.len();
+    offsets.extend(at[range].iter().map(|&a| a as usize - from + base));
+    out.extend_from_slice(&node[from..to]);
+}
+
+/// An internal node being built: its bytes, and where each child pointer
+/// lies in them.
+struct Node {
+    bytes: Vec<u8>,
+    at: Vec<usize>,
+}
+
+impl Node {
+    fn new() -> Node {
+        Node {
+            bytes: vec![TAG_INTERNAL, 0, 0],
+            at: Vec::new(),
+        }
+    }
+
+    fn child(&mut self, id: PageId) {
+        self.at.push(self.bytes.len());
+        self.bytes.extend_from_slice(&id.to_le_bytes());
+    }
+
+    /// An encoded separator blob, after a child.
+    fn sep(&mut self, blob: &[u8]) {
+        self.bytes.extend_from_slice(blob);
+    }
+
+    /// Children `range` of internal node `page`, whose index is `at`, each
+    /// with the separator after it.
+    fn copy(&mut self, page: &[u8], at: &[u16], range: Range<usize>) {
+        copy_entries(&mut self.bytes, &mut self.at, page, at, range);
+    }
+
+    /// Write the node back as page `id` (CoW; `NO_PAGE`: a new page), split
+    /// at middle separators into as many pieces as it needs.
+    fn write(self, pool: &mut BufferPool, id: PageId) -> io::Result<Written> {
+        let (mut images, mut seps) = (Vec::new(), Vec::new());
+        self.halve(id, &mut images, &mut seps)?;
+        store_pieces(pool, id, images, seps)
+    }
+
+    /// The node's pieces that fit a page: itself, or both halves around its
+    /// middle separator, halved again until they fit; each side keeps at
+    /// least one separator.
+    fn halve(self, id: PageId, images: &mut Vec<Image>, seps: &mut Vec<Vec<u8>>) -> io::Result<()> {
+        if self.bytes.len() <= MAX_PAYLOAD {
+            images.push(self.image());
+            return Ok(());
+        }
+        let count = self.at.len() - 1;
+        if count < 3 {
+            return Err(corrupt(format!("internal {id}: too few separators")));
+        }
+        let mid = (count / 2).clamp(1, count - 2);
+        let sep = self.at[mid] + 4..self.at[mid + 1];
+        let left = Node {
+            bytes: self.bytes[..sep.start].to_vec(),
+            at: self.at[..=mid].to_vec(),
+        };
+        let shift = sep.end - NODE_HEADER;
+        let right = Node {
+            bytes: [&[TAG_INTERNAL, 0, 0][..], &self.bytes[sep.end..]].concat(),
+            at: self.at[mid + 1..].iter().map(|a| a - shift).collect(),
+        };
+        left.halve(id, images, seps)?;
+        seps.push(self.bytes[sep].to_vec());
+        right.halve(id, images, seps)
+    }
+
+    /// The node as a page image, with its entry offsets.
+    fn image(mut self) -> Image {
+        let count = self.at.len() as u16 - 1;
+        self.bytes[1..NODE_HEADER].copy_from_slice(&count.to_le_bytes());
+        self.at.push(self.bytes.len());
+        Image::indexed(self.bytes, self.at.iter().map(|&a| a as u16).collect())
+    }
+}
+
+/// Store the pieces a node became: the first as page `id` (CoW;
+/// `NO_PAGE`: a new page), each further one on a new page after the
+/// separator that leads to it.
+fn store_pieces(
+    pool: &mut BufferPool,
+    id: PageId,
+    images: Vec<Image>,
+    seps: Vec<Vec<u8>>,
+) -> io::Result<Written> {
+    let mut ids = Vec::with_capacity(images.len());
+    for image in images {
+        ids.push(match (ids.is_empty(), id) {
+            (true, NO_PAGE) | (false, _) => pool.allocate(image)?,
+            (true, id) => pool.write_cow(id, image)?,
+        });
+    }
+    Ok((
+        ids[0],
+        seps.into_iter().zip(ids[1..].iter().copied()).collect(),
+    ))
+}
+
+/// Entry `i` of a leaf as it lies there: its key blob, where its chain blob
+/// starts, and the chain blob.
+struct Stored<'a> {
+    key: Blob<'a>,
+    chain_at: usize,
+    chain: Blob<'a>,
+}
+
+fn stored<'a>(leaf: &'a [u8], id: PageId, at: &[u16], i: usize) -> io::Result<Stored<'a>> {
+    let mut r = Reader::at(leaf, at[i] as usize, id);
+    let key = r.blob()?;
+    let chain_at = r.pos();
+    let chain = r.blob()?;
+    Ok(Stored {
+        key,
+        chain_at,
+        chain,
+    })
+}
+
+/// A change a walk makes to one leaf entry; the blobs it adds lie in the
+/// leaf's [`LeafEdits::arena`].
+enum Change {
+    /// The entry keeps its key blob, which ends at this offset, and gets
+    /// this chain blob.
+    Chain(usize, Range<usize>),
+    Remove,
+    /// A new entry, ahead of the old one at its index: its key, its chain
+    /// blob, and whether the key starts with the leaf's prefix.
+    Insert(NewKey, Range<usize>, bool),
+}
+
+/// The key of a new leaf entry: inline in the arena, or spilled whole.
+enum NewKey {
+    Inline(Range<usize>),
+    Overflow(PageId, u32),
+}
+
+/// The changes a walk makes to one leaf, in entry order, and the bytes of
+/// the blobs they add.
+#[derive(Default)]
+struct LeafEdits {
+    changes: Vec<(usize, Change)>,
+    arena: Vec<u8>,
+    /// The overflow blobs of removed entries: freed when the leaf is
+    /// written, as the walk may still read a removed key in the old image
+    /// while it finds the next step's slot.
+    removed: Vec<(PageId, u32)>,
+}
+
+/// Apply to leaf `id` every step below its upper `fence`, and the range
+/// step whose end is `carried` from the leaf before. Returns what the leaf
+/// became (`None`: nothing changed) and, when a range step reaches past the
+/// fence, the furthest end of one.
+fn rewrite_leaf<K: AsRef<[u8]>, T>(
+    pool: &mut BufferPool,
+    id: PageId,
+    leaf: &Page,
+    fence: Option<&[u8]>,
+    steps: &mut Peekable<impl Iterator<Item = (K, Step<T>)>>,
+    carried: Option<Vec<u8>>,
+    visit: &mut impl FnMut(&[u8], Seen<'_, T>) -> io::Result<Edit>,
+) -> io::Result<(Option<Written>, Option<Vec<u8>>)> {
+    let at = index(leaf, id, TAG_LEAF)?;
+    let leaf: &[u8] = leaf;
+    let prefix = leaf_prefix(leaf, id)?;
+    let mut edits = LeafEdits::default();
+    // Entries below `pos` are settled; from `pos` up to `cleared` they lie
+    // in a range step.
+    let (mut pos, mut cleared, mut carry) = (0, 0, None);
+    let reach = |pool: &mut BufferPool, end: Vec<u8>, carry: &mut Option<Vec<u8>>| {
+        if fence.is_some_and(|fence| end.as_slice() > fence) {
+            if carry.as_ref().is_none_or(|far| *far < end) {
+                *carry = Some(end);
+            }
+            return Ok(at.len() - 1);
+        }
+        locate(pool, leaf, id, TAG_LEAF, at, &end).map(|(Ok(i) | Err(i))| i)
+    };
+    if let Some(end) = carried {
+        cleared = reach(pool, end, &mut carry)?;
+    }
+    let below = |(key, _): &(K, Step<T>)| fence.is_none_or(|fence| key.as_ref() < fence);
+    while let Some((key, step)) = steps.next_if(below) {
+        let key = key.as_ref();
+        let slot = locate(pool, leaf, id, TAG_LEAF, at, key)?;
+        let (Ok(i) | Err(i)) = slot;
+        if i < pos {
+            return Err(corrupt(format!("leaf {id}: keys out of order")));
+        }
+        edits.ranged(pool, (leaf, id, at, prefix), pos..i.min(cleared), visit)?;
+        pos = i;
+        match (step, slot) {
+            (Step::Range(end), _) => cleared = cleared.max(reach(pool, end, &mut carry)?),
+            (Step::Point(item), Ok(i)) => {
+                let entry = stored(leaf, id, at, i)?;
+                let chain = entry.chain.load(pool)?;
+                let edit = visit(key, Seen::Point(item, Some(&chain)))?;
+                edits.change(pool, i, &entry, edit)?;
+                pos = i + 1;
+            }
+            (Step::Point(item), Err(i)) => {
+                let edit = visit(key, Seen::Point(item, None))?;
+                edits.insert(pool, i, key, prefix, edit)?;
+            }
+        }
+    }
+    edits.ranged(pool, (leaf, id, at, prefix), pos..cleared, visit)?;
+    if edits.changes.is_empty() {
+        return Ok((None, carry));
+    }
+    Ok((Some(edits.write(pool, id, leaf, at, prefix)?), carry))
+}
+
+impl LeafEdits {
+    /// Let `visit` decide for entries `range` of a leaf, which a range step
+    /// covers.
+    fn ranged<T>(
+        &mut self,
+        pool: &mut BufferPool,
+        (leaf, id, at, prefix): (&[u8], PageId, &[u16], &[u8]),
+        range: Range<usize>,
+        visit: &mut impl FnMut(&[u8], Seen<'_, T>) -> io::Result<Edit>,
+    ) -> io::Result<()> {
+        let mut key = Vec::new();
+        for i in range {
+            let entry = stored(leaf, id, at, i)?;
+            match entry.key {
+                Blob::Inline(suffix) => {
+                    key.clear();
+                    key.extend_from_slice(prefix);
+                    key.extend_from_slice(suffix);
+                }
+                overflow => key = overflow.load(pool)?.into_owned(),
+            }
+            let chain = entry.chain.load(pool)?;
+            let edit = visit(&key, Seen::Ranged(&chain))?;
+            self.change(pool, i, &entry, edit)?;
+        }
+        Ok(())
+    }
+
+    /// Old entry `i`, stored as `entry`, edited.
+    fn change(
+        &mut self,
+        pool: &mut BufferPool,
+        i: usize,
+        entry: &Stored,
+        edit: Edit,
+    ) -> io::Result<()> {
+        match edit {
+            Edit::Keep => {}
+            Edit::Put(chain) => {
+                // Chain blob first, then the old chain freed: the
+                // allocation order the file layout depends on.
+                let blob = self.blob(pool, &chain)?;
+                entry.chain.free(pool)?;
+                self.changes.push((i, Change::Chain(entry.chain_at, blob)));
+            }
+            Edit::Remove => {
+                for blob in [entry.key, entry.chain] {
+                    if let Blob::Overflow(head, len) = blob {
+                        self.removed.push((head, len));
+                    }
+                }
+                self.changes.push((i, Change::Remove));
+            }
+        }
+        Ok(())
+    }
+
+    /// A new `key` ahead of old entry `i`, if `edit` puts a chain there.
+    fn insert(
+        &mut self,
+        pool: &mut BufferPool,
+        i: usize,
+        key: &[u8],
+        prefix: &[u8],
+        edit: Edit,
+    ) -> io::Result<()> {
+        let Edit::Put(chain) = edit else {
+            return Ok(());
+        };
+        // Chain blob first, then the key blob.
+        let blob = self.blob(pool, &chain)?;
+        let new = match Key::new(pool, key)? {
+            Key::Overflow(head, len) => NewKey::Overflow(head, len),
+            Key::Inline(..) => {
+                self.arena.extend_from_slice(key);
+                NewKey::Inline(self.arena.len() - key.len()..self.arena.len())
+            }
+        };
+        let under = key.starts_with(prefix);
+        self.changes.push((i, Change::Insert(new, blob, under)));
+        Ok(())
+    }
+
+    /// `chain` as a blob in the arena, spilled to overflow pages when long.
+    fn blob(&mut self, pool: &mut BufferPool, chain: &[u8]) -> io::Result<Range<usize>> {
+        // A key written on every commit rewrites its whole retained chain;
+        // this histogram's max shows how long that gets.
+        if rl_obs::enabled() {
+            rl_obs::Recorder::global().record("chain_bytes", chain.len() as u64);
+        }
+        let start = self.arena.len();
+        append_blob(pool, chain, INLINE_CHAIN_MAX, &mut self.arena)?;
+        Ok(start..self.arena.len())
+    }
+
+    fn key(&self, key: &NewKey) -> Key<'_> {
+        match key {
+            NewKey::Inline(bytes) => Key::Inline(&[], &self.arena[bytes.clone()]),
+            NewKey::Overflow(head, len) => Key::Overflow(*head, *len),
+        }
+    }
+
+    /// Write the changed leaf `id` back. Where the prefix cannot change —
+    /// every new key starts with it, and neither end entry goes — and the
+    /// result fits, the new image is the old bytes with the changed entries
+    /// spliced in. Otherwise its entries are encoded again under the prefix
+    /// of their ends and split as many ways as they need.
+    fn write(
+        &self,
+        pool: &mut BufferPool,
+        id: PageId,
+        leaf: &[u8],
+        at: &[u16],
+        prefix: &[u8],
+    ) -> io::Result<Written> {
+        for &(head, len) in &self.removed {
+            Blob::Overflow(head, len).free(pool)?;
+        }
+        let count = at.len() - 1;
+        let keeps_prefix = count > 0
+            && self.changes.iter().all(|(i, change)| match change {
+                Change::Chain(..) => true,
+                Change::Remove => 0 < *i && i + 1 < count,
+                Change::Insert(_, _, under) => *under,
+            });
+        let span = |i: usize| (at[i + 1] - at[i]) as usize;
+        let size = self
+            .changes
+            .iter()
+            .fold(leaf.len(), |size, (i, change)| match change {
+                Change::Chain(chain_at, blob) => {
+                    size + (chain_at - at[*i] as usize) + blob.len() - span(*i)
+                }
+                Change::Remove => size - span(*i),
+                Change::Insert(key, blob, _) => {
+                    size + self.key(key).encoded_len(prefix.len()) + blob.len()
+                }
+            });
+        if keeps_prefix && size <= MAX_PAYLOAD {
+            let mut out = Vec::with_capacity(size);
+            out.extend_from_slice(&leaf[..at[0] as usize]);
+            let mut offsets = Vec::with_capacity(count + self.changes.len() + 1);
+            let mut from = 0;
+            for (i, change) in &self.changes {
+                copy_entries(&mut out, &mut offsets, leaf, at, from..*i);
+                from = *i;
+                match change {
+                    Change::Chain(chain_at, blob) => {
+                        offsets.push(out.len());
+                        out.extend_from_slice(&leaf[at[*i] as usize..*chain_at]);
+                        out.extend_from_slice(&self.arena[blob.clone()]);
+                        from = i + 1;
+                    }
+                    Change::Remove => from = i + 1,
+                    Change::Insert(key, blob, _) => {
+                        offsets.push(out.len());
+                        let chain = &self.arena[blob.clone()];
+                        put_entry(
+                            &mut out,
+                            id,
+                            prefix,
+                            &Entry {
+                                key: self.key(key),
+                                chain,
+                            },
+                        )?;
+                    }
+                }
+            }
+            copy_entries(&mut out, &mut offsets, leaf, at, from..count);
+            offsets.push(out.len());
+            let entries = offsets.len() as u16 - 1;
+            out[1..NODE_HEADER].copy_from_slice(&entries.to_le_bytes());
+            let image = Image::indexed(out, offsets.iter().map(|&a| a as u16).collect());
+            return store_pieces(pool, id, vec![image], Vec::new());
+        }
+        let old = entries_of(leaf, id, at)?;
+        let mut entries = Vec::with_capacity(count + self.changes.len());
+        let mut from = 0;
+        for (i, change) in &self.changes {
+            entries.extend_from_slice(&old[from..*i]);
+            from = *i;
+            match change {
+                Change::Chain(_, blob) => {
+                    let chain = &self.arena[blob.clone()];
+                    entries.push(Entry {
+                        key: old[*i].key,
+                        chain,
+                    });
+                    from = i + 1;
+                }
+                Change::Remove => from = i + 1,
+                Change::Insert(key, blob, _) => {
+                    let chain = &self.arena[blob.clone()];
+                    entries.push(Entry {
+                        key: self.key(key),
+                        chain,
+                    });
+                }
+            }
+        }
+        entries.extend_from_slice(&old[from..]);
+        // An insert that shortened the prefix and no longer fits goes
+        // alone, and the entries it joined keep their prefix and image.
+        let lone = match &self.changes[..] {
+            [(i, Change::Insert(_, _, false))] => Some(*i),
+            _ => None,
+        };
+        write_leaf(pool, id, &entries, lone)
+    }
+}
+
+/// Write `entries` back as leaf `id` (CoW; `NO_PAGE`: a new page) under the
+/// prefix of their ends, split into as many pieces as they need to fit. A
+/// cut falls after or before entry `lone` — an inserted key that shortened
+/// the prefix, which then goes alone — or else at the [`split_point`]; each
+/// piece stores the prefix of its own ends.
+fn write_leaf(
+    pool: &mut BufferPool,
+    id: PageId,
+    entries: &[Entry],
+    lone: Option<usize>,
+) -> io::Result<Written> {
+    let mut pieces = Vec::new();
+    cut(pool, id, entries, 0, lone, &mut pieces)?;
+    // Separators first, then the pieces: the allocation order the file
+    // layout depends on.
+    let mut seps = Vec::with_capacity(pieces.len() - 1);
+    for pair in pieces.windows(2) {
+        let left_max = entries[pair[0].0.end - 1].key.whole(pool)?;
+        let right_min = entries[pair[1].0.start].key.whole(pool)?;
+        if left_max >= right_min {
+            return Err(corrupt(format!("leaf {id}: keys out of order")));
+        }
+        let mut sep = Vec::new();
+        let sep_bytes = shortest_separator(&left_max, &right_min);
+        append_blob(pool, sep_bytes, INLINE_KEY_MAX, &mut sep)?;
+        seps.push(sep);
+    }
+    let images = pieces
+        .iter()
+        .map(|(range, prefix)| leaf_image(id, prefix, &entries[range.clone()]))
+        .collect::<io::Result<_>>()?;
+    store_pieces(pool, id, images, seps)
+}
+
+/// Write `value` (`None`: a tombstone) under `key` at `version`: a walk of
+/// one step, and the one way an entry gets onto a chain (versions arrive in
+/// nondecreasing order). Returns whether the write left something for
+/// compaction: an older entry shadowed, or a tombstone.
+pub fn write(
+    pool: &mut BufferPool,
+    key: &[u8],
+    version: u64,
+    value: Option<&[u8]>,
+) -> io::Result<bool> {
+    let mut garbage = false;
+    apply(pool, [(key, Step::Point(()))], |_, seen| {
+        let Seen::Point((), stored) = seen else {
+            return Ok(Edit::Keep);
+        };
+        let (chain, shadows) = chain_pushed(stored.unwrap_or_default(), version, value)?;
+        garbage = shadows || value.is_none();
+        Ok(Edit::Put(chain))
+    })?;
+    Ok(garbage)
+}
+
+/// Rewrite the chains of `keys`, ascending, as `chain_prune` at
+/// `oldest_version` decides, in one walk: trimmed, removed with the key
+/// when dead (leaves are not rebalanced; an emptied leaf stays in place and
+/// cursors skip it), or left alone.
+pub fn prune_sorted<'k>(
+    pool: &mut BufferPool,
+    keys: impl IntoIterator<Item = &'k [u8]>,
+    oldest_version: u64,
+) -> io::Result<()> {
+    let steps = keys.into_iter().map(|key| (key, Step::Point(())));
+    apply(pool, steps, |_, seen| {
+        let Seen::Point((), Some(old)) = seen else {
+            return Ok(Edit::Keep);
+        };
+        Ok(match chain_prune(old, oldest_version)? {
+            Prune::Keep => Edit::Keep,
+            Prune::Dead => Edit::Remove,
+            Prune::Trim(kept, count) => {
+                let mut chain = Vec::with_capacity(5 + kept.len());
+                put_varint(&mut chain, u64::from(count));
+                chain.extend_from_slice(&old[kept]);
+                Edit::Put(chain)
+            }
+        })
+    })
+}
+
+/// [`prune_sorted`] of one key.
+pub fn prune(pool: &mut BufferPool, key: &[u8], oldest_version: u64) -> io::Result<()> {
+    prune_sorted(pool, [key], oldest_version)
+}

@@ -10,7 +10,7 @@
 //!
 //! A meta slot's magic names the page format: `RLPAGED3`, whose leaves
 //! store their keys' shared prefix once and every length as a varint (see
-//! `btree`). A file of format 1 or 2 is refused with
+//! `btree/leaf.rs`). A file of format 1 or 2 is refused with
 //! [`io::ErrorKind::Unsupported`], naming its format, before the engine
 //! opens its write-ahead log; no build reads two formats.
 //!
@@ -28,6 +28,7 @@ use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 
+use crate::codec::{self, Reader};
 use crate::page::{frame, unframe, PageId, HEADER_SIZE, MAX_PAYLOAD, NO_PAGE, PAGE_SIZE};
 
 const MAGIC: u64 = 0x524C_5041_4745_4433; // "RLPAGED3"
@@ -231,35 +232,17 @@ impl PageFile {
 
 type Meta = (u64, u32, PageId, u64, Vec<PageId>);
 
-fn parse_meta(page: &[u8]) -> io::Result<Meta> {
-    let p = unframe(page)?;
-    if p.len() < META_FIXED {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "short meta"));
+/// The meta slot `page` holds; an error when it is damaged or of another
+/// format (the caller tells which).
+fn parse_meta(page: &[u8]) -> codec::Result<Meta> {
+    let mut r = Reader::new(unframe(page).map_err(|_| "bad page frame")?, 0);
+    if r.u64()? != MAGIC {
+        return Err("bad magic");
     }
-    let magic = u64::from_le_bytes(p[0..8].try_into().unwrap());
-    if magic != MAGIC {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "bad magic"));
-    }
-    let generation = u64::from_le_bytes(p[8..16].try_into().unwrap());
-    let page_count = u32::from_le_bytes(p[16..20].try_into().unwrap());
-    let root = u32::from_le_bytes(p[20..24].try_into().unwrap());
-    let lsn = u64::from_le_bytes(p[24..32].try_into().unwrap());
-    let count = u32::from_le_bytes(p[32..36].try_into().unwrap()) as usize;
-    if p.len() < META_FIXED + 4 * count {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "truncated free list",
-        ));
-    }
-    let free = (0..count)
-        .map(|i| {
-            u32::from_le_bytes(
-                p[META_FIXED + 4 * i..META_FIXED + 4 * i + 4]
-                    .try_into()
-                    .unwrap(),
-            )
-        })
-        .collect();
+    let (generation, page_count, root, lsn) = (r.u64()?, r.u32()?, r.u32()?, r.u64()?);
+    let free = (0..r.u32()?)
+        .map(|_| r.u32())
+        .collect::<codec::Result<_>>()?;
     Ok((generation, page_count, root, lsn, free))
 }
 

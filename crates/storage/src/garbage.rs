@@ -34,6 +34,8 @@
 use std::collections::VecDeque;
 use std::ops::Range;
 
+use crate::codec::{common_len, put_varint, Reader};
+
 /// Block size; a longer entry gets a block of its own size.
 const BLOCK_BYTES: usize = 16 << 10;
 /// The three varints of an entry at their widest.
@@ -72,7 +74,7 @@ impl GarbageLog {
             Some(back) if room(back) >= fits => {
                 let delta = version.saturating_sub(back.newest);
                 let shared = match delta {
-                    0 => common_prefix(&self.last_key, key),
+                    0 => common_len(&self.last_key, key),
                     _ => 0,
                 };
                 (delta, shared)
@@ -124,11 +126,12 @@ impl Block {
     /// Decode the entries from `start` on that are at or below `oldest`
     /// into `keys`, and move `start` past them.
     fn drain_into(&mut self, oldest: u64, keys: &mut Keys) {
-        let (mut pos, mut version) = (self.start, self.first);
+        const OWN: &str = "the log is never input from outside: it reads what it wrote";
+        let (mut r, mut version) = (Reader::new(&self.bytes, self.start), self.first);
         let mut previous = 0..0;
-        while pos < self.bytes.len() {
-            let at = pos;
-            let delta = take_varint(&self.bytes, &mut pos);
+        while !r.is_empty() {
+            let at = r.pos();
+            let delta = r.varint64().expect(OWN);
             if at != self.start {
                 version += delta;
             }
@@ -136,17 +139,16 @@ impl Block {
                 (self.start, self.first) = (at, version);
                 return;
             }
-            let shared = take_varint(&self.bytes, &mut pos) as usize;
-            let len = take_varint(&self.bytes, &mut pos) as usize;
+            let shared = r.varint64().expect(OWN) as usize;
+            let len = r.varint64().expect(OWN) as usize;
             let key = keys.bytes.len();
             keys.bytes
                 .extend_from_within(previous.start..previous.start + shared);
-            keys.bytes.extend_from_slice(&self.bytes[pos..pos + len]);
-            pos += len;
+            keys.bytes.extend_from_slice(r.take(len).expect(OWN));
             previous = key..keys.bytes.len();
             keys.spans.push(previous.clone());
         }
-        self.start = pos;
+        self.start = r.pos();
     }
 }
 
@@ -164,32 +166,6 @@ impl Keys {
 
     pub(crate) fn iter(&self) -> impl Iterator<Item = &[u8]> {
         self.spans.iter().map(|span| &self.bytes[span.clone()])
-    }
-}
-
-fn common_prefix(a: &[u8], b: &[u8]) -> usize {
-    a.iter().zip(b).take_while(|(x, y)| x == y).count()
-}
-
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        out.push(v as u8 | 0x80);
-        v >>= 7;
-    }
-    out.push(v as u8);
-}
-
-/// Read a varint this module wrote (the log is never input from outside).
-fn take_varint(bytes: &[u8], pos: &mut usize) -> u64 {
-    let (mut v, mut shift) = (0u64, 0);
-    loop {
-        let byte = bytes[*pos];
-        *pos += 1;
-        v |= u64::from(byte & 0x7F) << shift;
-        if byte & 0x80 == 0 {
-            return v;
-        }
-        shift += 7;
     }
 }
 

@@ -10,7 +10,8 @@
 //! * [`PagedEngine`] — a disk-backed engine: a fixed-size-page file with
 //!   checksummed headers and a free list ([`mod@file`]), a buffer pool that
 //!   evicts with SIEVE ([`pool`]), a copy-on-write B-tree keyed on raw
-//!   bytes whose leaf entries hold the per-key version chain ([`btree`]),
+//!   bytes whose leaf entries hold the per-key version chain ([`btree`]:
+//!   the leaf image in `btree/leaf.rs`, the chain in `btree/chain.rs`),
 //!   and an append-only write-ahead log segment that makes committed
 //!   batches crash-recoverable ([`wal`]).
 //!
@@ -47,6 +48,7 @@
 //! key-level counters.
 
 pub mod btree;
+mod codec;
 pub mod engine;
 pub mod file;
 mod garbage;

@@ -15,7 +15,8 @@
 //! dependency chain, which took 5.5–5.8 µs per full page against
 //! 0.35–0.42 µs for XXH64 — on a page miss the hash, not the read, was the
 //! cost. Format 3 keeps this framing and changes only the B-tree's leaves
-//! (`btree`: a shared key prefix stored once, varint lengths). The header
+//! (`btree/leaf.rs`: a shared key prefix stored once; varint lengths, in
+//! `codec.rs`). The header
 //! layout is the same in all three; the meta slot's magic (`RLPAGED3`)
 //! tells them apart, and a file of format 1 or 2 is refused, not read.
 //! Page *types* live in the first payload byte and belong to the layers

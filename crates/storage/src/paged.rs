@@ -4,9 +4,10 @@
 //!
 //! A commit batch arrives as one [`StorageEngine::apply_sorted`] call: each
 //! key once, already folded, in key order. It is applied to the tree in one
-//! walk (`btree::apply`): one descent to the first key's leaf, every key
-//! below that leaf's upper separator spliced into one new image, then up
-//! only as far as the next key needs, each ancestor rewritten at most once.
+//! walk (`btree::apply`, in `btree/walk.rs`): one descent to the first
+//! key's leaf, every key below that leaf's upper separator spliced into one
+//! new image, then up only as far as the next key needs, each ancestor
+//! rewritten at most once.
 //! Its range clears are buffered into the WAL first, and each point write
 //! as the walk makes it; nothing reaches the log file until
 //! [`StorageEngine::commit_batch`] appends the buffered ops as one

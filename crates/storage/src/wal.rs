@@ -26,6 +26,7 @@ use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 
+use crate::codec::{self, Reader};
 use crate::page::checksum;
 use crate::SharedIoCounters;
 
@@ -178,73 +179,45 @@ impl Wal {
 /// when it is torn (shorter than its header says), fails its checksum or
 /// does not parse.
 fn decode_frame(raw: &[u8]) -> Option<(Vec<WalOp>, usize)> {
-    let (header, rest) = raw.split_first_chunk::<FRAME_HEADER>()?;
-    let plen = u32::from_le_bytes(header[..4].try_into().unwrap()) as usize;
-    let stored = u32::from_le_bytes(header[4..].try_into().unwrap());
-    let payload = rest.get(..plen)?;
-    if checksum(payload) != stored {
-        return None;
-    }
-    Some((decode_batch(payload)?, FRAME_HEADER + plen))
+    let mut r = Reader::new(raw, 0);
+    let (plen, stored) = (r.u32().ok()? as usize, r.u32().ok()?);
+    let payload = r.take(plen).ok().filter(|p| checksum(p) == stored)?;
+    Some((decode_batch(payload).ok()?, r.pos()))
 }
 
-fn decode_batch(mut p: &[u8]) -> Option<Vec<WalOp>> {
-    fn take<'a>(p: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
-        if p.len() < n {
-            return None;
-        }
-        let (head, tail) = p.split_at(n);
-        *p = tail;
-        Some(head)
-    }
-    fn take_u32(p: &mut &[u8]) -> Option<usize> {
-        take(p, 4).map(|b| u32::from_le_bytes(b.try_into().unwrap()) as usize)
-    }
-    fn take_u64(p: &mut &[u8]) -> Option<u64> {
-        take(p, 8).map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+/// The ops of one batch payload; an error means the frame is torn.
+fn decode_batch(payload: &[u8]) -> codec::Result<Vec<WalOp>> {
+    fn bytes(p: &mut Reader) -> codec::Result<Vec<u8>> {
+        let len = p.u32()? as usize;
+        Ok(p.take(len)?.to_vec())
     }
 
+    let mut p = Reader::new(payload, 0);
     let mut ops = Vec::new();
     while !p.is_empty() {
-        let tag = take(&mut p, 1)?[0];
-        let version = take_u64(&mut p)?;
+        let tag = p.take(1)?[0];
+        let version = p.u64()?;
         let op = match tag {
-            0x01 => {
-                let klen = take_u32(&mut p)?;
-                let key = take(&mut p, klen)?.to_vec();
-                let vlen = take_u32(&mut p)?;
-                let value = take(&mut p, vlen)?.to_vec();
-                WalOp::Write {
-                    key,
-                    value: Some(value),
-                    version,
-                }
-            }
-            0x02 => {
-                let klen = take_u32(&mut p)?;
-                let key = take(&mut p, klen)?.to_vec();
-                WalOp::Write {
-                    key,
-                    value: None,
-                    version,
-                }
-            }
-            0x03 => {
-                let blen = take_u32(&mut p)?;
-                let begin = take(&mut p, blen)?.to_vec();
-                let elen = take_u32(&mut p)?;
-                let end = take(&mut p, elen)?.to_vec();
-                WalOp::ClearRange {
-                    begin,
-                    end,
-                    version,
-                }
-            }
-            _ => return None,
+            0x01 => WalOp::Write {
+                key: bytes(&mut p)?,
+                value: Some(bytes(&mut p)?),
+                version,
+            },
+            0x02 => WalOp::Write {
+                key: bytes(&mut p)?,
+                value: None,
+                version,
+            },
+            0x03 => WalOp::ClearRange {
+                begin: bytes(&mut p)?,
+                end: bytes(&mut p)?,
+                version,
+            },
+            _ => return Err("unknown op tag"),
         };
         ops.push(op);
     }
-    Some(ops)
+    Ok(ops)
 }
 
 #[cfg(test)]
@@ -351,6 +324,58 @@ mod tests {
                 decode_frame(&damaged).is_none(),
                 "flip of bit {bit} accepted"
             );
+        }
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    /// `payload` framed under a checksum that matches it.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let len = (payload.len() as u32).to_le_bytes();
+        [&len[..], &checksum(payload).to_le_bytes(), payload].concat()
+    }
+
+    /// The decoder behind the checksum. Under a matching checksum, every
+    /// cut of a valid batch payload and every length field raised past the
+    /// payload's end is torn and never panics; a cut between two ops is
+    /// the batch of the ops before it.
+    #[test]
+    fn every_cut_and_overlong_length_of_a_payload_is_torn() {
+        let path = tmp("decoder");
+        let mut wal = Wal::open(&path).unwrap();
+        wal.buffer_write(b"alpha", Some(b"one"), 10);
+        wal.buffer_write(b"beta", None, 11);
+        wal.buffer_clear_range(b"c", b"d", 12);
+        wal.buffer_write(b"gamma", Some(&[7; 40]), 13);
+        let payload = wal.pending[FRAME_HEADER..].to_vec();
+        let (ops, _) = decode_frame(&framed(&payload)).unwrap();
+        // Where each op ends, and where its length fields lie.
+        let (mut ends, mut lengths, mut at) = (vec![0], Vec::new(), 0);
+        for op in &ops {
+            at += 1 + 8;
+            let fields = match op {
+                WalOp::Write { value: None, .. } => 1,
+                _ => 2,
+            };
+            for _ in 0..fields {
+                lengths.push(at);
+                at += 4 + u32::from_le_bytes(payload[at..at + 4].try_into().unwrap()) as usize;
+            }
+            ends.push(at);
+        }
+        assert_eq!((ops.len(), at), (4, payload.len()));
+        for cut in 0..payload.len() {
+            let decoded = decode_frame(&framed(&payload[..cut])).map(|(ops, _)| ops);
+            let whole_ops = ends.iter().position(|&end| end == cut);
+            assert_eq!(decoded, whole_ops.map(|n| ops[..n].to_vec()), "cut {cut}");
+        }
+        for &at in &lengths {
+            let rest = payload.len() - (at + 4);
+            for past in [rest as u32 + 1, u32::MAX] {
+                let mut damaged = payload.clone();
+                damaged[at..at + 4].copy_from_slice(&past.to_le_bytes());
+                let decoded = decode_frame(&framed(&damaged));
+                assert!(decoded.is_none(), "length at {at} raised to {past}");
+            }
         }
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
