@@ -25,6 +25,7 @@ use record_layer::metadata::RecordMetaData;
 use record_layer::plan::{BoxedCursorExt, RecordQueryPlan, RecordQueryPlanner, ScanBounds};
 use record_layer::query::{Comparison, QueryComponent, RecordQuery};
 use record_layer::store::{RecordStore, TupleRange};
+use rl_fdb::metrics::MetricsSnapshot;
 use rl_fdb::tuple::Tuple;
 use rl_fdb::{Database, DatabaseOptions, EngineKind, Subspace, Transaction};
 use rl_obs::Histogram;
@@ -72,6 +73,8 @@ pub struct RunResult {
     pub engine_description: String,
     pub elapsed_s: f64,
     pub classes: Vec<ClassResult>,
+    /// The database's counters over the timed phase (seeding excluded).
+    pub work: MetricsSnapshot,
     /// Canonical value-free query shape per query class
     /// ([`RecordQuery::shape`]).
     pub shapes: Vec<(&'static str, String)>,
@@ -170,6 +173,7 @@ pub fn run_scenario(scenario: &Scenario, engine: EngineKind) -> RunResult {
     let stats: Vec<ClassStats> = OpKind::ALL.iter().map(|_| ClassStats::new()).collect();
     let ticket = AtomicU64::new(0);
 
+    let work_before = db.metrics().snapshot();
     let start = Instant::now();
     std::thread::scope(|scope| {
         for worker in 0..scenario.threads {
@@ -185,6 +189,7 @@ pub fn run_scenario(scenario: &Scenario, engine: EngineKind) -> RunResult {
         }
     });
     let elapsed_s = start.elapsed().as_secs_f64();
+    let work = db.metrics().snapshot().delta(&work_before);
 
     let classes = scenario
         .ops
@@ -223,6 +228,7 @@ pub fn run_scenario(scenario: &Scenario, engine: EngineKind) -> RunResult {
         engine_description: db.engine_description(),
         elapsed_s,
         classes,
+        work,
         shapes: query_shapes(scenario),
         store_sizes,
         text_stats,

@@ -5,10 +5,15 @@
 //! rl_harness --scenario=mixed_default [--engine=paged] [--ops=N]
 //!            [--threads=N] [--records=N] [--tenants=N] [--seed=N]
 //!            [--out=PATH]
-//! rl_harness --compare old.json new.json [--threshold=25]
+//! rl_harness --compare old.json new.json
 //! ```
 //!
-//! Exit codes: 0 success, 1 usage or I/O error, 2 regressions found.
+//! `--compare` takes two reports of the same scenario and engine run on
+//! one thread, fails when any count differs, and prints the times
+//! without gating them.
+//!
+//! Exit codes: 0 success, 1 usage or I/O error or reports not
+//! comparable, 2 a count moved.
 
 use rl_fdb::EngineKind;
 use rl_harness::json::Json;
@@ -16,7 +21,7 @@ use rl_harness::{compare, presets, report, run_scenario};
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  rl_harness --list\n  rl_harness --scenario=<name> [--engine=<memory|paged>]\n             [--ops=N] [--threads=N] [--records=N] [--tenants=N] [--seed=N] [--out=PATH]\n  rl_harness --compare <old.json> <new.json> [--threshold=<percent>]"
+        "usage:\n  rl_harness --list\n  rl_harness --scenario=<name> [--engine=<memory|paged>]\n             [--ops=N] [--threads=N] [--records=N] [--tenants=N] [--seed=N] [--out=PATH]\n  rl_harness --compare <old.json> <new.json>"
     );
     std::process::exit(1);
 }
@@ -38,7 +43,6 @@ fn main() {
     let mut engine_spec: Option<String> = None;
     let mut out_path = "BENCH_workload.json".to_string();
     let mut compare_files: Vec<String> = Vec::new();
-    let mut threshold = compare::DEFAULT_THRESHOLD;
     let mut ops: Option<u64> = None;
     let mut threads: Option<usize> = None;
     let mut records: Option<usize> = None;
@@ -53,8 +57,6 @@ fn main() {
             engine_spec = Some(value.to_string());
         } else if let Some(value) = arg.strip_prefix("--out=") {
             out_path = value.to_string();
-        } else if let Some(value) = arg.strip_prefix("--threshold=") {
-            threshold = parse::<f64>("--threshold", value) / 100.0;
         } else if let Some(value) = arg.strip_prefix("--ops=") {
             ops = Some(parse("--ops", value));
         } else if let Some(value) = arg.strip_prefix("--threads=") {
@@ -98,11 +100,11 @@ fn main() {
         };
         let old = load(&compare_files[0]);
         let new = load(&compare_files[1]);
-        let cmp = compare::compare_reports(&old, &new, threshold).unwrap_or_else(|e| {
+        let cmp = compare::compare_reports(&old, &new).unwrap_or_else(|e| {
             eprintln!("compare failed: {e}");
             std::process::exit(1);
         });
-        if compare::print_comparison(&cmp, threshold) {
+        if compare::print_comparison(&cmp) {
             std::process::exit(2);
         }
         return;

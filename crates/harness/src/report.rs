@@ -3,14 +3,18 @@
 //!
 //! Schema stability is the contract `--compare` builds on: for a given
 //! scenario the emitted key set is identical run-over-run and across
-//! storage engines (only values differ). Float values are rounded so
-//! files diff cleanly.
+//! storage engines (only values differ). Every leaf is either a time
+//! (`elapsed_s`, `throughput_ops_s`, the `latency_us` blocks) or a count
+//! that a single-threaded run repeats exactly (`totals`, the per-class
+//! counts and `keys`, the `work` block, `extras`). Float values are
+//! rounded so files diff cleanly.
 
 use crate::driver::{ClassResult, RunResult};
 use crate::json::Json;
+use rl_fdb::metrics::MetricsSnapshot;
 
 /// Bumped when the report layout changes incompatibly.
-pub const SCHEMA_VERSION: u64 = 1;
+pub const SCHEMA_VERSION: u64 = 2;
 
 fn round1(v: f64) -> f64 {
     (v * 10.0).round() / 10.0
@@ -61,6 +65,22 @@ fn class_json(c: &ClassResult, elapsed_s: f64) -> Json {
                     c.keys_written.saturating_sub(c.keys_written_payload),
                 ),
         )
+}
+
+/// The database's counters over the timed phase that the per-class
+/// `keys` blocks do not already sum to. The page fields stay zero on the
+/// memory engine, so both engines emit one schema.
+fn work_json(w: &MetricsSnapshot) -> Json {
+    Json::obj()
+        .with("bytes_read", w.bytes_read)
+        .with("bytes_written", w.bytes_written)
+        .with("record_fetches", w.record_fetches)
+        .with("read_ops", w.read_ops)
+        .with("page_hits", w.page_hits)
+        .with("page_misses", w.page_misses)
+        .with("page_evictions", w.page_evictions)
+        .with("page_flushes", w.page_flushes)
+        .with("log_appends", w.log_appends)
 }
 
 /// The full report document.
@@ -134,6 +154,7 @@ pub fn to_json(result: &RunResult) -> Json {
                 .with("error_rate", rate(errors, ops + errors)),
         )
         .with("op_classes", op_classes)
+        .with("work", work_json(&result.work))
         .with("query_shapes", query_shapes)
         .with("extras", extras)
 }

@@ -14,8 +14,7 @@
 //!   `page_read`, `page_flush`, `plan`, `execute`). Reports render its
 //!   [`Recorder::snapshot`] with `rl_harness::json::Json::hist`.
 //! * [`Timer`] — an RAII guard that records elapsed microseconds into a
-//!   recorder histogram on drop, optionally pushing a [`Span`] and feeding
-//!   the slow-op log.
+//!   recorder histogram on drop, optionally pushing a [`Span`].
 //! * [`Span`] / [`SpanRing`] — lightweight spans (op, tag, start,
 //!   duration, counter deltas) captured into a fixed-capacity ring buffer
 //!   so per-transaction and per-plan-node attribution can be joined
@@ -32,8 +31,6 @@
 //!
 //! * `RL_OBS=1` — enable recording at process start (default: disabled;
 //!   programs and tests can flip it at runtime with [`set_enabled`]).
-//! * `RL_SLOW_OP_US=<n>` — log any recorded op slower than `n` µs to
-//!   stderr (default `0` = off).
 
 pub mod hist;
 pub mod recorder;
@@ -43,26 +40,20 @@ pub use hist::{Histogram, HistogramSnapshot};
 pub use recorder::{Recorder, Timer};
 pub use span::{drain_spans, push_span, Span, SpanRing};
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
-/// Global observability switches, initialized once from the environment.
+/// The global observability switch, initialized once from the environment.
 #[derive(Debug)]
 pub struct ObsConfig {
     enabled: AtomicBool,
-    slow_op_threshold_us: AtomicU64,
 }
 
 impl ObsConfig {
     fn from_env() -> ObsConfig {
         let enabled = std::env::var("RL_OBS").is_ok_and(|v| v != "0" && !v.is_empty());
-        let slow = std::env::var("RL_SLOW_OP_US")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
         ObsConfig {
             enabled: AtomicBool::new(enabled),
-            slow_op_threshold_us: AtomicU64::new(slow),
         }
     }
 
@@ -83,21 +74,6 @@ pub fn enabled() -> bool {
 /// Turn recording on or off at runtime (tests and the workload harness).
 pub fn set_enabled(on: bool) {
     ObsConfig::global().enabled.store(on, Ordering::Relaxed);
-}
-
-/// Slow-op threshold in µs; `0` disables the slow-op log.
-#[inline]
-pub fn slow_op_threshold_us() -> u64 {
-    ObsConfig::global()
-        .slow_op_threshold_us
-        .load(Ordering::Relaxed)
-}
-
-/// Set the slow-op threshold (µs, `0` = off) at runtime.
-pub fn set_slow_op_threshold_us(us: u64) {
-    ObsConfig::global()
-        .slow_op_threshold_us
-        .store(us, Ordering::Relaxed);
 }
 
 /// Microseconds since the first call in this process (a monotonic,

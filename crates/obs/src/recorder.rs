@@ -74,9 +74,6 @@ impl Recorder {
 ///
 /// Guards optionally carry a [`Span`] tag ([`Timer::spanned`]): on drop a
 /// span with the measured duration is pushed into the global ring.
-///
-/// Any timed op slower than the slow-op threshold
-/// ([`crate::slow_op_threshold_us`], default off) is logged to stderr.
 #[derive(Debug)]
 pub struct Timer {
     op: &'static str,
@@ -129,15 +126,6 @@ impl Drop for Timer {
         };
         let us = start.elapsed().as_micros() as u64;
         Recorder::global().record(self.op, us);
-        let threshold = crate::slow_op_threshold_us();
-        if threshold > 0 && us >= threshold {
-            eprintln!(
-                "[rl_obs] slow op: {} took {us}us (threshold {threshold}us){}{}",
-                self.op,
-                if self.tag.is_some() { " tag=" } else { "" },
-                self.tag.as_deref().unwrap_or(""),
-            );
-        }
         if let Some(tag) = self.tag.take() {
             push_span(Span {
                 op: self.op,
