@@ -31,6 +31,7 @@
 
 use std::borrow::Cow;
 use std::cell::RefCell;
+use std::ops::ControlFlow;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -752,15 +753,16 @@ impl<'a> RecordStore<'a> {
     /// Load a record by primary key: one range read fetches the version
     /// split and all payload chunks together (§4).
     ///
-    /// Cost contract: one range read, one decode; allocates only what the
-    /// returned record owns. Concretely, beyond what
-    /// [`Transaction::get_range`] allocates for the rows it returns and its
-    /// conflict range, that is the packed key with the two bounds built
-    /// from it, and then the record's own primary key, type name and
-    /// message fields — read in place off the returned rows (plus the
-    /// buffers `assemble_record` names for escaped or split payloads). A
-    /// missing record stops after the read. `tests/fetch_allocations.rs`
-    /// holds the count.
+    /// Cost contract: one lending range read, one decode; allocates only
+    /// what the returned record owns. The read
+    /// ([`Transaction::visit_range`]) lends its rows to the record
+    /// assembler and takes the two bounds by move into its conflict range,
+    /// so what is allocated is the packed key and the two bounds built from
+    /// it, one buffer the payload chunks are copied into, and then the
+    /// record's own primary key, type name and message fields (plus the
+    /// buffers `RecordAssembler::finish` names for escaped payloads and
+    /// non-identity serializers). A missing record stops after the read.
+    /// `tests/fetch_allocations.rs` holds the count.
     pub fn load_record(&self, primary_key: &Tuple) -> Result<Option<StoredRecord>> {
         self.load_record_packed(&primary_key.pack(), || primary_key.clone())
     }
@@ -774,78 +776,30 @@ impl<'a> RecordStore<'a> {
         primary_key: impl FnOnce() -> Tuple,
     ) -> Result<Option<StoredRecord>> {
         let prefix = self.records.prefix();
-        let mut begin = Vec::with_capacity(prefix.len() + packed_pk.len() + 1);
-        begin.extend_from_slice(prefix);
-        begin.extend_from_slice(packed_pk);
-        let mut end = begin.clone();
-        begin.push(0x00);
-        end.push(0xFF);
-        let rows = self.tx.get_range(&begin, &end, RangeOptions::default())?;
-        self.assemble_record(primary_key, begin.len() - 1, &rows)
-    }
-
-    /// The one place a record is put together from its stored form — point
-    /// loads, record scans and index fetches all end here: the rows of one
-    /// record in ascending key order, each carrying its split suffix at
-    /// `suffix_at`.
-    ///
-    /// Cost contract: one decode, off the bytes the read returned;
-    /// allocates only what the returned record owns. The split suffixes,
-    /// the version and the `(type, wire)` envelope are read in place, and
-    /// an unsplit record's payload is decoded from the row's own value.
-    /// What is allocated is the primary key (`primary_key` runs only for a
-    /// record that exists), the type name and the message's fields — plus
-    /// one buffer for the wire bytes when the envelope had to escape a NUL
-    /// in them, one to join the chunks of a split record, and whatever a
-    /// non-identity serializer needs to undo its transform.
-    fn assemble_record(
-        &self,
-        primary_key: impl FnOnce() -> Tuple,
-        suffix_at: usize,
-        rows: &[KeyValue],
-    ) -> Result<Option<StoredRecord>> {
-        let mut version = None;
-        let mut chunks = rows;
-        for (i, row) in rows.iter().enumerate() {
-            let mut suffix = TupleReader::new(row.key.get(suffix_at..).unwrap_or_default());
-            match (
-                suffix.next().transpose().map_err(Error::Fdb)?,
-                suffix.next(),
-            ) {
-                (Some(ElementRef::Int(VERSION_SPLIT)), None) => {
-                    version = Some(Versionstamp::try_from_slice(&row.value).map_err(Error::Fdb)?);
-                    // Sorts before every payload chunk.
-                    chunks = &rows[i + 1..];
-                }
-                (Some(ElementRef::Int(_)), None) => {}
-                _ => return Err(Error::Serialization("bad record split suffix".into())),
-            }
-        }
-        let payload = match chunks {
-            // Nothing, or only a version key survived — treat as missing
-            // (can happen transiently if a caller cleared payload keys
-            // directly).
-            [] => return Ok(None),
-            [unsplit] => Cow::Borrowed(unsplit.value.as_slice()),
-            split => {
-                let mut joined = Vec::with_capacity(split.iter().map(|kv| kv.value.len()).sum());
-                for chunk in split {
-                    joined.extend_from_slice(&chunk.value);
-                }
-                Cow::Owned(joined)
+        let suffix_at = prefix.len() + packed_pk.len();
+        let bound = |last: u8| {
+            let mut bound = Vec::with_capacity(suffix_at + 1);
+            bound.extend_from_slice(prefix);
+            bound.extend_from_slice(packed_pk);
+            bound.push(last);
+            bound
+        };
+        let (begin, end) = (bound(0x00), bound(0xFF));
+        let mut record = RecordAssembler::new(suffix_at);
+        let mut failed = None;
+        let mut lend = |key: &[u8], value: &[u8]| match record.row(key, Cow::Borrowed(value)) {
+            Ok(()) => ControlFlow::Continue(()),
+            Err(error) => {
+                failed = Some(error);
+                ControlFlow::Break(())
             }
         };
-        let (record_type, message) = self.deserialize_record(&payload)?;
-        // Every record materialized from the record subspace counts as a
-        // fetch; covering index scans bypass this path entirely.
-        self.tx.note_record_fetch();
-        Ok(Some(StoredRecord {
-            primary_key: primary_key(),
-            record_type,
-            message,
-            version,
-            split_count: chunks.len(),
-        }))
+        self.tx
+            .visit_range(begin, end, RangeOptions::default(), &mut lend)?;
+        match failed {
+            Some(error) => Err(error),
+            None => record.finish(self, primary_key),
+        }
     }
 
     /// Delete a record by primary key, maintaining indexes. Returns whether
@@ -1039,6 +993,88 @@ impl<'a> RecordStore<'a> {
     }
 }
 
+/// The one place a record is put together from its stored form — point
+/// loads, index fetches and record scans all feed it: the rows of one
+/// record, one at a time in ascending key order, each carrying its split
+/// suffix at `suffix_at`.
+///
+/// Cost contract: the split suffixes and the version are read in place,
+/// and the payload chunks are copied once into one buffer (an owned first
+/// chunk is moved in instead); [`finish`](Self::finish) decodes from that
+/// buffer.
+struct RecordAssembler {
+    suffix_at: usize,
+    version: Option<Versionstamp>,
+    /// The payload chunks, joined.
+    payload: Vec<u8>,
+    chunks: usize,
+}
+
+impl RecordAssembler {
+    fn new(suffix_at: usize) -> Self {
+        RecordAssembler {
+            suffix_at,
+            version: None,
+            payload: Vec::new(),
+            chunks: 0,
+        }
+    }
+
+    /// Take the record's next row.
+    fn row(&mut self, key: &[u8], value: Cow<'_, [u8]>) -> Result<()> {
+        let mut suffix = TupleReader::new(key.get(self.suffix_at..).unwrap_or_default());
+        match (
+            suffix.next().transpose().map_err(Error::Fdb)?,
+            suffix.next(),
+        ) {
+            (Some(ElementRef::Int(VERSION_SPLIT)), None) => {
+                self.version = Some(Versionstamp::try_from_slice(&value).map_err(Error::Fdb)?);
+                // Sorts before every payload chunk.
+                self.payload.clear();
+                self.chunks = 0;
+            }
+            (Some(ElementRef::Int(_)), None) => {
+                match self.chunks {
+                    0 => self.payload = value.into_owned(),
+                    _ => self.payload.extend_from_slice(&value),
+                }
+                self.chunks += 1;
+            }
+            _ => return Err(Error::Serialization("bad record split suffix".into())),
+        }
+        Ok(())
+    }
+
+    /// The record, decoded once from the joined payload, or `None` when no
+    /// payload chunk arrived (nothing, or only a version key survived —
+    /// which can happen transiently if a caller cleared payload keys
+    /// directly). What is allocated is the primary key (`primary_key` runs
+    /// only for a record that exists), the type name and the message's
+    /// fields — plus one buffer for the wire bytes when the envelope had
+    /// to escape a NUL in them, and whatever a non-identity serializer
+    /// needs to undo its transform.
+    fn finish(
+        self,
+        store: &RecordStore<'_>,
+        primary_key: impl FnOnce() -> Tuple,
+    ) -> Result<Option<StoredRecord>> {
+        if self.chunks == 0 {
+            return Ok(None);
+        }
+        let (record_type, message) = store.deserialize_record(&self.payload)?;
+        // Every record materialized from the record subspace counts as a
+        // fetch; covering index scans bypass this path entirely.
+        store.tx.note_record_fetch();
+        Ok(Some(StoredRecord {
+            primary_key: primary_key(),
+            record_type,
+            message,
+            version: self.version,
+            split_count: self.chunks,
+        }))
+    }
+}
+
 /// The result of [`RecordStore::evaluate_aggregate`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum AggregateValue {
@@ -1175,9 +1211,11 @@ impl<'a> RecordScanCursor<'a> {
             // Reverse scans deliver a record's rows in descending order.
             self.pending.reverse();
         }
-        let record = self
-            .store
-            .assemble_record(|| pk, suffix_at, &self.pending)?;
+        let mut record = RecordAssembler::new(suffix_at);
+        for row in &mut self.pending {
+            record.row(&row.key, Cow::Owned(std::mem::take(&mut row.value)))?;
+        }
+        let record = record.finish(&self.store, || pk)?;
         if record.is_some() {
             let packed_pk = &self.pending[0].key[self.store.records.prefix().len()..suffix_at];
             let last = self.last_emitted_pk.get_or_insert_with(Vec::new);

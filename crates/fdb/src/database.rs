@@ -46,7 +46,7 @@ use crate::state_cache::StateCache;
 use crate::sync::{lock_ranked_indexed, read_ranked, write_ranked, LockRank, RankedReadGuard};
 use crate::transaction::Transaction;
 use crate::write_set::{self, Tally, WriteSet};
-use rl_storage::{MemoryEngine, StorageEngine};
+use rl_storage::{MemoryEngine, StorageEngine, Visitor};
 
 /// The storage engine, the version counters only a batch leader touches,
 /// and the engine's cleanup obligation, behind the store `RwLock`.
@@ -253,19 +253,25 @@ impl Database {
         Ok(store.engine.get(key, read_version))
     }
 
-    /// Up to `limit` rows of `[begin, end)` visible at `read_version`, in
-    /// scan direction. The engine stops at the limit, so the store lock is
-    /// held for a bounded read, not for the whole range.
+    /// Lend the rows of `[begin, end)` visible at `read_version` to
+    /// `visitor`, in scan direction, until it stops: one engine
+    /// [`visit`](rl_storage::StorageEngine::visit) under the shared store
+    /// lock. The caller's visitor stops after a bounded number of rows, so
+    /// the lock is held for a bounded read, not for the whole range; it
+    /// must not call back into the database.
     pub(crate) fn storage_range(
         &self,
         begin: &[u8],
         end: &[u8],
         read_version: u64,
         reverse: bool,
-        limit: usize,
-    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+        visitor: &mut Visitor<'_>,
+    ) -> Result<()> {
         let store = self.store_for_read(read_version)?;
-        Ok(store.engine.scan(begin, end, read_version, reverse, limit))
+        store
+            .engine
+            .visit(begin, end, read_version, reverse, visitor);
+        Ok(())
     }
 
     // --------------------------------------------------------------- commit

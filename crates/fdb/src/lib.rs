@@ -59,7 +59,7 @@ pub use error::{Error, Result};
 pub use kv::{KeySelector, KeyValue};
 pub use options::{DatabaseOptions, EngineKind, PagedConfig};
 pub use range::RangeOptions;
-pub use rl_storage::{EvictionPolicy, StorageEngine};
+pub use rl_storage::{EvictionPolicy, StorageEngine, Visitor};
 pub use state_cache::{METADATA_VERSION_KEY, STATE_CACHE_CAPACITY};
 pub use subspace::Subspace;
 pub use sync::{

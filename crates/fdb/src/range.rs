@@ -3,7 +3,7 @@
 /// Options for a range read.
 ///
 /// `limit` and `reverse` are carried all the way into the storage engine
-/// ([`StorageEngine::scan`](crate::StorageEngine::scan)), so a range read
+/// ([`StorageEngine::visit`](crate::StorageEngine::visit)), so a range read
 /// costs what it returns: one seek to the starting bound, then work
 /// proportional to the rows returned plus the rows hidden from this
 /// transaction — by MVCC (tombstones, versions newer than the read

@@ -9,8 +9,8 @@
 //! with the read/write conflict ranges. Reads within the transaction see
 //! its own writes (read-your-writes).
 
-use std::cmp::Ordering;
-use std::collections::VecDeque;
+use std::borrow::Cow;
+use std::ops::ControlFlow;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::atomic::{self, MutationType};
@@ -22,6 +22,7 @@ use crate::range::RangeOptions;
 use crate::state_cache::METADATA_VERSION_KEY;
 use crate::sync::{lock_ranked, LockRank};
 use crate::write_set::{KeyOp, WriteSet};
+use rl_storage::Visitor;
 
 /// Per-transaction attribution: what *this* transaction read and wrote.
 ///
@@ -116,11 +117,110 @@ pub struct Transaction {
     user_version: std::sync::atomic::AtomicU16,
 }
 
-/// The most snapshot rows one storage read of a range read asks for. A
-/// longer range is merged chunk by chunk, so neither the buffer of rows
-/// awaiting the merge nor the time the store lock is held grows with the
+/// The most snapshot rows one storage read of a range read lends. A
+/// longer range is merged chunk by chunk, each chunk one acquisition of
+/// the store lock, so the time the lock is held does not grow with the
 /// range.
 const SNAPSHOT_CHUNK_ROWS: usize = 1024;
+
+/// What a range read handed over: the rows and their key and value
+/// bytes, and the key of the last row when the read stopped before the
+/// range ended (at its limit, or where the visitor stopped it).
+#[derive(Debug, Default)]
+struct Read {
+    rows: usize,
+    bytes: u64,
+    stopped_at: Option<Vec<u8>>,
+}
+
+/// The state of one read-your-writes merge: the buffered writes inside
+/// the range still ahead of it in scan direction, and the visitor the
+/// merged rows go to. A step returns [`ControlFlow::Break`] once the read
+/// must stop.
+struct Merge<'w, 'v, I: Iterator> {
+    writes: std::iter::Peekable<I>,
+    write_set: &'w WriteSet,
+    limit: usize,
+    reverse: bool,
+    visitor: &'v mut Visitor<'v>,
+    read: Read,
+    /// An atomic op that failed to apply: the read stops and fails.
+    error: Option<Error>,
+}
+
+impl<'w, 'v, I> Merge<'w, 'v, I>
+where
+    I: Iterator<Item = (&'w Vec<u8>, &'w Vec<(u64, KeyOp)>)>,
+{
+    fn new(
+        writes: I,
+        write_set: &'w WriteSet,
+        limit: usize,
+        reverse: bool,
+        visitor: &'v mut Visitor<'v>,
+    ) -> Self {
+        Merge {
+            writes: writes.peekable(),
+            write_set,
+            limit,
+            reverse,
+            visitor,
+            read: Read::default(),
+            error: None,
+        }
+    }
+
+    /// One row the snapshot lent: the buffered writes ahead of it in scan
+    /// direction, then the row itself with its own buffered ops.
+    fn stored(&mut self, key: &[u8], value: &[u8]) -> ControlFlow<()> {
+        self.writes_before(Some(key))?;
+        let ops = match self.writes.peek() {
+            Some(&(written, ops)) if written.as_slice() == key => {
+                self.writes.next();
+                ops.as_slice()
+            }
+            _ => &[],
+        };
+        self.hand(key, ops, Some(value))
+    }
+
+    /// The buffered writes ahead of `key` in scan direction (all of them
+    /// for `None`), each as a key the snapshot does not hold.
+    fn writes_before(&mut self, key: Option<&[u8]>) -> ControlFlow<()> {
+        while let Some(&(written, ops)) = self.writes.peek() {
+            let ahead = key.is_none_or(|key| match self.reverse {
+                true => written.as_slice() > key,
+                false => written.as_slice() < key,
+            });
+            if !ahead {
+                break;
+            }
+            self.writes.next();
+            self.hand(written, ops, None)?;
+        }
+        ControlFlow::Continue(())
+    }
+
+    /// Resolve `ops` over `stored` and lend the value, if one is left, to
+    /// the visitor.
+    fn hand(&mut self, key: &[u8], ops: &[(u64, KeyOp)], stored: Option<&[u8]>) -> ControlFlow<()> {
+        let value = match self.write_set.resolve(key, ops, stored.map(Cow::Borrowed)) {
+            Ok(Some(value)) => value,
+            Ok(None) => return ControlFlow::Continue(()),
+            Err(error) => {
+                self.error = Some(error);
+                return ControlFlow::Break(());
+            }
+        };
+        self.read.rows += 1;
+        self.read.bytes += (key.len() + value.len()) as u64;
+        if (self.visitor)(key, &value).is_break() || self.read.rows == self.limit {
+            self.read.stopped_at = Some(key.to_vec());
+            return ControlFlow::Break(());
+        }
+        ControlFlow::Continue(())
+    }
+}
 
 impl Transaction {
     pub(crate) fn new(db: Database, read_version: u64, start_ms: u64) -> Self {
@@ -245,7 +345,8 @@ impl Transaction {
         let underlying = self.db.storage_get(key, self.read_version)?;
         st.trace.read_ops += 1;
         let ops = st.writes.by_key.get(key).map(Vec::as_slice).unwrap_or(&[]);
-        let v = st.writes.resolve(key, ops, underlying)?;
+        let v = st.writes.resolve(key, ops, underlying.map(Cow::Owned))?;
+        let v = v.map(Cow::into_owned);
         if let Some(ref val) = v {
             st.trace.keys_read += 1;
             st.trace.bytes_read += (key.len() + val.len()) as u64;
@@ -254,7 +355,9 @@ impl Transaction {
     }
 
     /// Range read `[begin, end)` with read-your-writes, adding the scanned
-    /// range to the read conflict set.
+    /// range to the read conflict set. Each row is copied once, into the
+    /// returned [`KeyValue`]s; [`visit_range`](Self::visit_range) lends
+    /// them instead.
     pub fn get_range(
         &self,
         begin: &[u8],
@@ -281,11 +384,54 @@ impl Transaction {
         options: RangeOptions,
         snapshot: bool,
     ) -> Result<Vec<KeyValue>> {
+        let mut rows = Vec::new();
+        let bounds = (Cow::Borrowed(begin), Cow::Borrowed(end));
+        self.read_range(bounds, options, snapshot, &mut |key, value| {
+            rows.push(KeyValue::new(key, value));
+            ControlFlow::Continue(())
+        })?;
+        Ok(rows)
+    }
+
+    /// The lending [`get_range`](Self::get_range): each row of `[begin,
+    /// end)` this transaction sees, in scan direction, is lent to
+    /// `visitor` once instead of copied, and the bounds, taken by value,
+    /// are moved into the read conflict set. The read stops at
+    /// `options.limit` rows or where the visitor returns
+    /// [`ControlFlow::Break`]; a read that stopped conflicts only up to
+    /// the last row it lent (`key_after` of it going forward, from it
+    /// going backward), as a limited `get_range` does.
+    ///
+    /// The visitor runs under this transaction's state lock and the
+    /// database's shared store lock (on the paged engine under its
+    /// buffer-pool lock too), so it must not call back into the
+    /// transaction or the database: debug builds panic in the lock-rank
+    /// tracker when it does, and release builds may deadlock.
+    pub fn visit_range(
+        &self,
+        begin: Vec<u8>,
+        end: Vec<u8>,
+        options: RangeOptions,
+        visitor: &mut Visitor<'_>,
+    ) -> Result<()> {
+        let bounds = (Cow::Owned(begin), Cow::Owned(end));
+        self.read_range(bounds, options, false, visitor)
+    }
+
+    /// Every range read: the merge of [`merge_range`](Self::merge_range)
+    /// lent to `visitor`, then the counts and the read conflict range.
+    fn read_range(
+        &self,
+        (begin, end): (Cow<'_, [u8]>, Cow<'_, [u8]>),
+        options: RangeOptions,
+        snapshot: bool,
+        visitor: &mut Visitor<'_>,
+    ) -> Result<()> {
         let _t = rl_obs::Timer::start("get_range");
         let mut st = lock_ranked(&self.state, LockRank::TransactionState);
         self.check_open(&st)?;
         if begin >= end {
-            return Ok(Vec::new());
+            return Ok(());
         }
 
         let limit = if options.limit == 0 {
@@ -293,128 +439,98 @@ impl Transaction {
         } else {
             options.limit
         };
+        let st = &mut *st;
         let writes = st.writes.by_key.range::<[u8], _>((
-            std::ops::Bound::Included(begin),
-            std::ops::Bound::Excluded(end),
+            std::ops::Bound::Included(&*begin),
+            std::ops::Bound::Excluded(&*end),
         ));
-        let merged = if options.reverse {
-            self.merge_range(begin, end, limit, true, writes.rev(), &st.writes)?
+        let read = if options.reverse {
+            let merge = Merge::new(writes.rev(), &st.writes, limit, true, visitor);
+            self.merge_range(&begin, &end, merge)?
         } else {
-            self.merge_range(begin, end, limit, false, writes, &st.writes)?
+            let merge = Merge::new(writes, &st.writes, limit, false, visitor);
+            self.merge_range(&begin, &end, merge)?
         };
         st.trace.read_ops += 1;
 
         // Conflict range: the portion of [begin, end) actually observed.
         if !snapshot {
-            let (ca, cb) = if options.limit > 0 && merged.len() == options.limit {
-                if options.reverse {
-                    (merged.last().unwrap().key.clone(), end.to_vec())
-                } else {
-                    (
-                        begin.to_vec(),
-                        crate::key_after(&merged.last().unwrap().key),
-                    )
-                }
-            } else {
-                (begin.to_vec(), end.to_vec())
+            let (ca, cb) = match read.stopped_at {
+                Some(last) if options.reverse => (last, end.into_owned()),
+                Some(last) => (begin.into_owned(), crate::key_after(&last)),
+                None => (begin.into_owned(), end.into_owned()),
             };
             st.size += ca.len() + cb.len() + 12;
             st.read_conflicts.push((ca, cb));
         }
 
-        st.trace.keys_read += merged.len() as u64;
-        st.trace.bytes_read += merged
-            .iter()
-            .map(|kv| (kv.key.len() + kv.value.len()) as u64)
-            .sum::<u64>();
-        Ok(merged)
+        st.trace.keys_read += read.rows as u64;
+        st.trace.bytes_read += read.bytes;
+        Ok(())
     }
 
-    /// The first `limit` rows of `[begin, end)` in scan direction, as this
-    /// transaction sees them: a streaming two-way merge of the snapshot at
-    /// the read version with the buffered `writes` inside the range (handed
-    /// over already in scan direction), with read-your-writes resolved per
-    /// key. The snapshot is read in chunks of as many rows as are still
-    /// owed (at most [`SNAPSHOT_CHUNK_ROWS`]), so under a limit a further
-    /// chunk is fetched only when buffered clears or atomic ops hid
-    /// snapshot rows; then chunks double, which keeps the work proportional
-    /// to rows returned plus rows hidden.
-    fn merge_range<'a>(
+    /// The rows of `[begin, end)` in scan direction, as this transaction
+    /// sees them: a one-pass merge of the snapshot rows the engine lends
+    /// with the buffered writes inside the range, read-your-writes
+    /// resolved per key, each visible row handed to `merge`'s visitor
+    /// once. The snapshot is lent in chunks of as many rows as are still
+    /// owed (at most [`SNAPSHOT_CHUNK_ROWS`]), each chunk one store-lock
+    /// acquisition that resumes after the last key the previous one lent,
+    /// so under a limit a further chunk is read only when buffered clears
+    /// or atomic ops hid snapshot rows; then chunks double, which keeps
+    /// the work proportional to rows returned plus rows hidden.
+    fn merge_range<'w, I>(
         &self,
         begin: &[u8],
         end: &[u8],
-        limit: usize,
-        reverse: bool,
-        writes: impl Iterator<Item = (&'a Vec<u8>, &'a Vec<(u64, KeyOp)>)>,
-        write_set: &WriteSet,
-    ) -> Result<Vec<KeyValue>> {
-        let mut writes = writes.peekable();
-        let mut merged: Vec<KeyValue> = Vec::new();
-        // Where the next snapshot chunk resumes (the bound of the range
-        // that a full chunk moved past its last row), and the rows read
-        // from the snapshot but not yet merged.
+        mut merge: Merge<'w, '_, I>,
+    ) -> Result<Read>
+    where
+        I: Iterator<Item = (&'w Vec<u8>, &'w Vec<(u64, KeyOp)>)>,
+    {
         let mut resume: Option<Vec<u8>> = None;
-        let mut snapshot: VecDeque<(Vec<u8>, Vec<u8>)> = VecDeque::new();
-        let mut snapshot_exhausted = false;
         let mut chunk = 0usize;
-        while merged.len() < limit {
-            if snapshot.is_empty() && !snapshot_exhausted {
-                chunk = (limit - merged.len())
-                    .max(chunk * 2)
-                    .min(SNAPSHOT_CHUNK_ROWS);
-                let (lo, hi) = match &resume {
-                    None => (begin, end),
-                    Some(bound) if reverse => (begin, bound.as_slice()),
-                    Some(bound) => (bound.as_slice(), end),
-                };
-                let rows = self
-                    .db
-                    .storage_range(lo, hi, self.read_version, reverse, chunk)?;
-                snapshot_exhausted = rows.len() < chunk;
-                if !snapshot_exhausted {
-                    resume = rows.last().map(|(last, _)| {
-                        if reverse {
-                            last.clone()
+        loop {
+            chunk = (merge.limit - merge.read.rows)
+                .max(chunk * 2)
+                .min(SNAPSHOT_CHUNK_ROWS);
+            let (lo, hi) = match &resume {
+                None => (begin, end),
+                Some(bound) if merge.reverse => (begin, bound.as_slice()),
+                Some(bound) => (bound.as_slice(), end),
+            };
+            let (mut lent, mut next, mut flow) = (0, None, ControlFlow::Continue(()));
+            let reverse = merge.reverse;
+            self.db
+                .storage_range(lo, hi, self.read_version, reverse, &mut |key, value| {
+                    flow = merge.stored(key, value);
+                    lent += 1;
+                    if flow.is_continue() && lent == chunk {
+                        next = Some(if reverse {
+                            key.to_vec()
                         } else {
-                            crate::key_after(last)
-                        }
-                    });
-                }
-                merged.reserve(rows.len());
-                snapshot = rows.into();
-            }
-            // Which side holds the next key in scan direction (`Equal`:
-            // the key is both stored and written).
-            let side = match (snapshot.front(), writes.peek()) {
-                (None, None) => break,
-                (Some(_), None) => Ordering::Less,
-                (None, Some(_)) => Ordering::Greater,
-                (Some((stored, _)), Some((written, _))) => {
-                    let order = stored.cmp(*written);
-                    if reverse {
-                        order.reverse()
-                    } else {
-                        order
+                            crate::key_after(key)
+                        });
+                        return ControlFlow::Break(());
                     }
+                    flow
+                })?;
+            if flow.is_break() {
+                break;
+            }
+            match next {
+                Some(bound) => resume = Some(bound),
+                None => {
+                    // The snapshot is exhausted: what is left is written.
+                    let _ = merge.writes_before(None);
+                    break;
                 }
-            };
-            let stored = if side.is_le() {
-                snapshot.pop_front()
-            } else {
-                None
-            };
-            let written = if side.is_ge() { writes.next() } else { None };
-            let (key, underlying, ops): (Vec<u8>, _, &[(u64, KeyOp)]) = match (stored, written) {
-                (Some((key, value)), Some((_, ops))) => (key, Some(value), ops),
-                (Some((key, value)), None) => (key, Some(value), &[]),
-                (None, Some((key, ops))) => (key.clone(), None, ops),
-                (None, None) => unreachable!("one side holds the next key"),
-            };
-            if let Some(value) = write_set.resolve(&key, ops, underlying)? {
-                merged.push(KeyValue { key, value });
             }
         }
-        Ok(merged)
+        match merge.error {
+            Some(error) => Err(error),
+            None => Ok(merge.read),
+        }
     }
 
     /// Resolve a key selector against the merged (snapshot + buffered
@@ -763,6 +879,8 @@ impl Drop for Transaction {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
     use crate::database::Database;
 
@@ -807,6 +925,26 @@ mod tests {
         assert_eq!(r[0].value, b"new");
     }
 
+    /// A range read with read-your-writes, checked two ways: the fixed
+    /// cases below, then a seeded differential of the lending read
+    /// ([`Transaction::visit_range`]) and [`Transaction::get_range`]
+    /// against a model overlay — the committed map with the write set
+    /// applied in program order. Each read must return the model's rows,
+    /// count the same trace and add the same read conflict range both
+    /// ways. The generator reaches each of these, and the test asserts
+    /// that every one occurs:
+    ///
+    /// * a range no buffered write touches;
+    /// * a `set` of a stored key, and of a new key between stored keys;
+    /// * a `clear_range` over the read's begin, inside its middle, and
+    ///   over its end;
+    /// * an atomic `ADD` on a stored key and on an absent key;
+    /// * a limit whose last row is a buffered write;
+    /// * a reverse read;
+    /// * a read lent more than [`SNAPSHOT_CHUNK_ROWS`] stored rows, so the
+    ///   snapshot resumes after a full chunk.
+    ///
+    /// Under `RL_ENGINE=paged` the same cases run on the paged engine.
     #[test]
     fn range_merge_includes_buffered_and_respects_limit_reverse() {
         let db = Database::new();
@@ -826,6 +964,272 @@ mod tests {
             .unwrap();
         let keys: Vec<_> = r.iter().map(|kv| kv.key.clone()).collect();
         assert_eq!(keys, vec![b"d".to_vec(), b"c".to_vec()]);
+
+        let mut seen = Cases::default();
+        for case in 0..48u64 {
+            let seed =
+                0x5EED_2EAD_F00D_CAFE_u64.wrapping_add(case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                merge_case(&mut Rng(seed | 1), &mut seen)
+            }));
+            if let Err(panic) = caught {
+                eprintln!("lending-read differential failed: case {case}, seed {seed:#x}");
+                std::panic::resume_unwind(panic);
+            }
+        }
+        assert_eq!(seen.missing(), Vec::<&str>::new(), "cases never generated");
+    }
+
+    /// xorshift64: the seeded stream of the differential above.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// Which generator cases the differential reached.
+    #[derive(Default)]
+    struct Cases {
+        untouched: bool,
+        set_stored: bool,
+        set_between: bool,
+        clear_over_begin: bool,
+        clear_inside: bool,
+        clear_over_end: bool,
+        add_stored: bool,
+        add_absent: bool,
+        limit_on_a_write: bool,
+        reverse: bool,
+        resumed: bool,
+    }
+
+    impl Cases {
+        fn missing(&self) -> Vec<&'static str> {
+            let all = [
+                (self.untouched, "untouched range"),
+                (self.set_stored, "set of a stored key"),
+                (self.set_between, "set of a new key between stored keys"),
+                (self.clear_over_begin, "clear_range over the begin"),
+                (self.clear_inside, "clear_range inside the range"),
+                (self.clear_over_end, "clear_range over the end"),
+                (self.add_stored, "ADD on a stored key"),
+                (self.add_absent, "ADD on an absent key"),
+                (self.limit_on_a_write, "limit landing on a buffered write"),
+                (self.reverse, "reverse read"),
+                (self.resumed, "more stored rows than one chunk"),
+            ];
+            all.iter()
+                .filter(|(hit, _)| !hit)
+                .map(|(_, name)| *name)
+                .collect()
+        }
+    }
+
+    /// Key `i` of a case: stored keys are the even ones, so an odd one
+    /// lies between two stored keys.
+    fn key(i: usize) -> Vec<u8> {
+        format!("k{i:05}").into_bytes()
+    }
+
+    /// One case of the differential: commit a population, buffer a random
+    /// write set over it, then compare random reads with the model.
+    fn merge_case(rng: &mut Rng, seen: &mut Cases) {
+        let db = Database::new();
+        let stored = match rng.below(6) {
+            0 => SNAPSHOT_CHUNK_ROWS + 100 + rng.below(500),
+            _ => 4 + rng.below(40),
+        };
+        let span = 2 * stored + 2;
+        let mut model = BTreeMap::new();
+        let fill = db.create_transaction();
+        for i in 0..stored {
+            let value = rng.next().to_le_bytes()[..1 + rng.below(8)].to_vec();
+            fill.set(&key(2 * i), &value);
+            model.insert(key(2 * i), value);
+        }
+        fill.commit().unwrap();
+
+        let tx = db.create_transaction();
+        // What the write set did, to tell which cases a read covers.
+        let mut set_stored = Vec::new();
+        let mut set_between = Vec::new();
+        let mut added = Vec::new();
+        let mut clears = Vec::new();
+        let mut cleared = Vec::new();
+        for _ in 0..rng.below(10) {
+            let i = rng.below(span);
+            match rng.below(6) {
+                0 | 1 => {
+                    let value = rng.next().to_be_bytes()[..1 + rng.below(8)].to_vec();
+                    tx.set(&key(i), &value);
+                    if model.contains_key(&key(i)) {
+                        set_stored.push(i);
+                    } else if i % 2 == 1 && i < 2 * stored {
+                        set_between.push(i);
+                    }
+                    model.insert(key(i), value);
+                }
+                2 => {
+                    let j = (i + 1 + rng.below(12)).min(span + 1);
+                    tx.clear_range(&key(i), &key(j));
+                    model.retain(|k, _| *k < key(i) || *k >= key(j));
+                    clears.push((i, j));
+                }
+                3 | 4 => {
+                    let param = (1 + rng.below(300) as u64).to_le_bytes();
+                    tx.mutate(MutationType::Add, &key(i), &param).unwrap();
+                    let old = model.get(&key(i)).map(Vec::as_slice);
+                    added.push((i, old.is_some()));
+                    let new = atomic::apply(MutationType::Add, old, &param).unwrap();
+                    model.insert(key(i), new.unwrap());
+                }
+                _ => {
+                    tx.clear(&key(i));
+                    model.remove(&key(i));
+                    cleared.push(i);
+                }
+            }
+        }
+        let written: Vec<usize> = set_stored
+            .iter()
+            .chain(&set_between)
+            .chain(added.iter().map(|(i, _)| i))
+            .copied()
+            .collect();
+
+        for _ in 0..8 {
+            let (b, e) = match rng.below(4) {
+                0 => (0, span + 1),
+                _ => {
+                    let b = rng.below(span);
+                    (b, b + 1 + rng.below(span - b))
+                }
+            };
+            let reverse = rng.below(2) == 0;
+            let limit = match rng.below(3) {
+                0 => 0,
+                1 => 1 + rng.below(4),
+                _ => 1 + rng.below(2 * stored),
+            };
+            let inside = |i: &usize| (b..e).contains(i);
+            let mut expected: Vec<(Vec<u8>, Vec<u8>)> = model
+                .range(key(b)..key(e))
+                .map(|(k, v)| (k.clone(), v.clone()))
+                .collect();
+            if reverse {
+                expected.reverse();
+            }
+            if limit > 0 {
+                expected.truncate(limit);
+            }
+
+            let options = RangeOptions::new().limit(limit).reverse(reverse);
+            let before = tx.trace();
+            let copied = tx.get_range(&key(b), &key(e), options.clone()).unwrap();
+            let copied_trace = tx.trace();
+            let copied_conflict = last_read_conflict(&tx);
+            let mut lent = Vec::new();
+            tx.visit_range(key(b), key(e), options, &mut |k, v| {
+                lent.push((k.to_vec(), v.to_vec()));
+                ControlFlow::Continue(())
+            })
+            .unwrap();
+            let lent_trace = tx.trace();
+            let copied: Vec<_> = copied.into_iter().map(|kv| (kv.key, kv.value)).collect();
+            let what = format!("[{b}, {e}) limit {limit} reverse {reverse}");
+            assert_eq!(copied, expected, "get_range {what}");
+            assert_eq!(lent, expected, "visit_range {what}");
+            let delta = |after: TxnTrace, before: TxnTrace| {
+                (
+                    after.read_ops - before.read_ops,
+                    after.keys_read - before.keys_read,
+                    after.bytes_read - before.bytes_read,
+                )
+            };
+            let bytes = expected.iter().map(|(k, v)| (k.len() + v.len()) as u64);
+            let counts = (1, expected.len() as u64, bytes.sum());
+            assert_eq!(
+                delta(copied_trace, before),
+                counts,
+                "get_range trace {what}"
+            );
+            assert_eq!(
+                delta(lent_trace, copied_trace),
+                counts,
+                "visit_range trace {what}"
+            );
+            let conflict = match expected.last() {
+                Some((last, _)) if expected.len() == limit && reverse => (last.clone(), key(e)),
+                Some((last, _)) if expected.len() == limit => (key(b), crate::key_after(last)),
+                _ => (key(b), key(e)),
+            };
+            assert_eq!(copied_conflict, conflict, "get_range conflict {what}");
+            assert_eq!(
+                last_read_conflict(&tx),
+                conflict,
+                "visit_range conflict {what}"
+            );
+
+            let hit = |cases: &[usize]| cases.iter().any(inside);
+            seen.untouched |= !hit(&written)
+                && !hit(&cleared)
+                && written.len() + clears.len() + cleared.len() > 0
+                && !clears.iter().any(|&(cb, ce)| cb < e && b < ce)
+                && !expected.is_empty();
+            seen.set_stored |= hit(&set_stored);
+            seen.set_between |= hit(&set_between);
+            seen.clear_over_begin |= clears.iter().any(|&(cb, ce)| cb <= b && b < ce && ce < e);
+            seen.clear_inside |= clears.iter().any(|&(cb, ce)| b < cb && ce < e);
+            seen.clear_over_end |= clears.iter().any(|&(cb, ce)| b < cb && cb < e && e <= ce);
+            seen.add_stored |= added.iter().any(|(i, was)| *was && inside(i));
+            seen.add_absent |= added.iter().any(|(i, was)| !was && inside(i));
+            seen.limit_on_a_write |= limit > 0
+                && expected.len() == limit
+                && expected
+                    .last()
+                    .is_some_and(|(k, _)| written.iter().any(|&i| key(i) == *k));
+            seen.reverse |= reverse && !expected.is_empty();
+            seen.resumed |= model.range(key(b)..key(e)).count() > SNAPSHOT_CHUNK_ROWS
+                && (limit == 0 || limit > SNAPSHOT_CHUNK_ROWS);
+        }
+    }
+
+    fn last_read_conflict(tx: &Transaction) -> (Vec<u8>, Vec<u8>) {
+        let st = lock_ranked(&tx.state, LockRank::TransactionState);
+        st.read_conflicts.last().cloned().unwrap()
+    }
+
+    /// The visitor contract: a visitor that calls back into its own
+    /// transaction is caught by the lock-rank tracker (it already holds
+    /// the transaction's state lock and the store lock) and panics there,
+    /// before it takes the lock it would deadlock on.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "lock-rank violation: acquiring `Transaction::state`")]
+    fn a_visitor_that_reads_through_its_transaction_panics() {
+        let db = Database::new();
+        let tx = db.create_transaction();
+        tx.set(b"a", b"1");
+        tx.commit().unwrap();
+        let tx = db.create_transaction();
+        let _ = tx.visit_range(
+            b"a".to_vec(),
+            b"b".to_vec(),
+            RangeOptions::default(),
+            &mut |_, _| {
+                let _ = tx.get(b"a");
+                ControlFlow::Continue(())
+            },
+        );
     }
 
     #[test]

@@ -2,14 +2,17 @@
 //! commit pipeline and read paths are written against.
 //!
 //! The contract is versioned writes sealed in batches, and two reads at a
-//! read version: a point [`get`](StorageEngine::get) and one bounded
-//! [`scan`](StorageEngine::scan) of a key range, in either direction,
-//! that stops after `limit` visible rows. Everything ordered the layers
-//! above need — range reads, key selectors, "last key below", "n-th key
-//! after" — is a `scan` with a direction and a limit, so a read costs
-//! what it returns. The write side has the same shape. A commit hands the
-//! engine one [`Batch`]: every key it writes once, already folded, in key
-//! order, through [`apply_sorted`]. A batch costs one seek per leaf it
+//! read version: a point [`get`](StorageEngine::get) and one ordered
+//! [`visit`](StorageEngine::visit) of a key range, in either direction,
+//! that lends each visible row to a visitor until the visitor stops it.
+//! Everything ordered the layers above need — range reads, key
+//! selectors, "last key below", "n-th key after" — is a `visit` with a
+//! direction and a visitor that stops, so a read costs what it returns
+//! and copies only what its caller keeps. [`scan`](StorageEngine::scan)
+//! and [`range`](StorageEngine::range) are copying adapters over it.
+//! The write side has the same shape. A commit hands the engine one
+//! [`Batch`]: every key it writes once, already folded, in key order,
+//! through [`apply_sorted`]. A batch costs one seek per leaf it
 //! touches, not one per key: the paged engine walks the tree once from the
 //! batch's first key to its last and rewrites each leaf it changes once.
 //! [`write`], [`update`] and [`clear_range`] are its one-item cases.
@@ -27,6 +30,8 @@
 //! [`clear_range`]: StorageEngine::clear_range
 //! [`compact`]: StorageEngine::compact
 
+use std::ops::ControlFlow;
+
 /// The buffer-pool eviction policy, kept so that callers naming it still
 /// compile: SIEVE is the only one, and nothing branches on it. ROADMAP
 /// direction 8's benchmark-only change deletes it, along with
@@ -40,6 +45,10 @@ pub enum EvictionPolicy {
     #[default]
     Sieve,
 }
+
+/// What [`StorageEngine::visit`] lends each visible row to, as borrowed
+/// key and value slices: [`ControlFlow::Break`] stops the read.
+pub type Visitor<'a> = dyn FnMut(&[u8], &[u8]) -> ControlFlow<()> + 'a;
 
 /// What [`StorageEngine::update`] applies: from the value visible at the
 /// write's version to the value written (`None`: a tombstone).
@@ -125,18 +134,35 @@ pub trait StorageEngine: Send + Sync + std::fmt::Debug {
     /// binary-search them.
     fn get(&self, key: &[u8], read_version: u64) -> Option<Vec<u8>>;
 
-    /// The first `limit` keys in `[begin, end)` visible at `read_version`,
-    /// ascending from `begin`, or with `reverse` descending from `end`.
+    /// Lend every row of `[begin, end)` visible at `read_version` to
+    /// `visitor`, ascending from `begin`, or with `reverse` descending from
+    /// `end`, until the range ends or the visitor returns
+    /// [`ControlFlow::Break`]. This is the engine's one ordered read.
     ///
     /// Cost contract: one seek to the starting bound (on the paged engine
-    /// the descent of a [`get`](Self::get)), then work
-    /// proportional to the rows returned plus the rows stepped over
-    /// because they are invisible at `read_version` (tombstones, versions
-    /// newer than the read version). The scan never touches the part of
-    /// the range beyond the `limit`-th visible row, and on the paged
-    /// engine no leaf past the range's end: it stops at the first
-    /// ancestor separator that the end does not exceed. Pass `usize::MAX`
-    /// for the whole range.
+    /// the descent of a [`get`](Self::get)), then each visible row lent
+    /// once as a borrowed key and value, with nothing copied: work
+    /// proportional to the rows lent plus the rows stepped over because
+    /// they are invisible at `read_version` (tombstones, versions newer
+    /// than the read version). The read never touches the part of the
+    /// range beyond the row at which the visitor stopped, and on the paged
+    /// engine no leaf past the range's end: it stops at the first ancestor
+    /// separator that the end does not exceed. The visitor runs while the
+    /// caller holds the database's shared store lock, and on the paged
+    /// engine under the buffer-pool lock too, so it must not call back
+    /// into the database.
+    fn visit(
+        &self,
+        begin: &[u8],
+        end: &[u8],
+        read_version: u64,
+        reverse: bool,
+        visitor: &mut Visitor<'_>,
+    );
+
+    /// The first `limit` rows of [`visit`](Self::visit), each copied once.
+    /// A copying adapter for tests and diagnostics; pass `usize::MAX` for
+    /// the whole range.
     fn scan(
         &self,
         begin: &[u8],
@@ -144,10 +170,24 @@ pub trait StorageEngine: Send + Sync + std::fmt::Debug {
         read_version: u64,
         reverse: bool,
         limit: usize,
-    ) -> Vec<(Vec<u8>, Vec<u8>)>;
+    ) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let mut rows = Vec::new();
+        if limit > 0 {
+            self.visit(begin, end, read_version, reverse, &mut |key, value| {
+                rows.push((key.to_vec(), value.to_vec()));
+                if rows.len() < limit {
+                    ControlFlow::Continue(())
+                } else {
+                    ControlFlow::Break(())
+                }
+            });
+        }
+        rows
+    }
 
-    /// Every key in `[begin, end)` visible at `read_version`: an unbounded
-    /// [`scan`](Self::scan).
+    /// Every row in `[begin, end)` visible at `read_version`, copied: an
+    /// unbounded [`scan`](Self::scan). It stays only because the
+    /// benchmark's storage probes (`benchmark/src/probes.rs`) call it.
     fn range(
         &self,
         begin: &[u8],

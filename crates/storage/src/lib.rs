@@ -60,7 +60,7 @@ mod replacer;
 pub mod wait;
 pub mod wal;
 
-pub use engine::{Batch, EvictionPolicy, Mutation, StorageEngine};
+pub use engine::{Batch, EvictionPolicy, Mutation, StorageEngine, Visitor};
 pub use memory::MemoryEngine;
 pub use paged::PagedEngine;
 

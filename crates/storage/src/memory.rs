@@ -9,9 +9,9 @@
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
-use std::ops::Bound;
+use std::ops::{Bound, ControlFlow};
 
-use crate::engine::{Batch, Mutation, StorageEngine};
+use crate::engine::{Batch, Mutation, StorageEngine, Visitor};
 use crate::garbage::GarbageLog;
 
 /// One versioned write to a key: `None` is a tombstone (clear).
@@ -139,36 +139,35 @@ impl StorageEngine for MemoryEngine {
             .and_then(|v| v.value.clone())
     }
 
-    /// Both directions stream straight off the `BTreeMap` range iterator
-    /// and stop at the `limit`-th visible row, so the rest of the range is
-    /// never visited.
-    fn scan(
+    /// Both directions stream straight off the `BTreeMap` range iterator,
+    /// lending each visible row's key and value out of the map, and stop
+    /// where the visitor does, so the rest of the range is never visited.
+    fn visit(
         &self,
         begin: &[u8],
         end: &[u8],
         read_version: u64,
         reverse: bool,
-        limit: usize,
-    ) -> Vec<(Vec<u8>, Vec<u8>)> {
+        visitor: &mut Visitor<'_>,
+    ) {
         if begin >= end {
-            return Vec::new(); // BTreeMap::range panics on inverted bounds
+            return; // BTreeMap::range panics on inverted bounds
         }
-        let iter = self
+        let mut iter = self
             .map
             .range::<[u8], _>((Bound::Included(begin), Bound::Excluded(end)));
-        let visible = move |(k, versions): (&Vec<u8>, &Vec<VersionedValue>)| {
-            versions
-                .iter()
-                .rev()
-                .find(|v| v.version <= read_version)
-                .and_then(|v| v.value.as_ref())
-                .map(|val| (k.clone(), val.clone()))
+        let mut lend = |(key, versions): (&Vec<u8>, &Vec<VersionedValue>)| {
+            let visible = versions.iter().rev().find(|v| v.version <= read_version);
+            match visible.and_then(|v| v.value.as_deref()) {
+                Some(value) => visitor(key, value),
+                None => ControlFlow::Continue(()),
+            }
         };
-        if reverse {
-            iter.rev().filter_map(visible).take(limit).collect()
+        let _ = if reverse {
+            iter.rev().try_for_each(&mut lend)
         } else {
-            iter.filter_map(visible).take(limit).collect()
-        }
+            iter.try_for_each(&mut lend)
+        };
     }
 
     fn newest_version(&self) -> u64 {

@@ -38,7 +38,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::btree::{self, chain_entries, chain_visible_at, Cursor, Edit, Seen, Step};
-use crate::engine::{Batch, EvictionPolicy, Mutation, StorageEngine};
+use crate::engine::{Batch, EvictionPolicy, Mutation, StorageEngine, Visitor};
 use crate::garbage::GarbageLog;
 use crate::pool::BufferPool;
 use crate::wait::{acquired, yield_until};
@@ -251,29 +251,28 @@ impl PagedEngine {
             .unwrap_or_else(|| self.pool.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
-    fn try_scan(
+    /// One descent to the starting bound, then leaf-to-leaf in visit
+    /// direction, lending each `(key, visible value)` the cursor borrows
+    /// until the range ends or the visitor stops.
+    fn try_visit(
         &self,
         begin: &[u8],
         end: &[u8],
         read_version: u64,
         reverse: bool,
-        limit: usize,
-    ) -> io::Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        let mut out = Vec::new();
-        // One descent to the starting bound, then leaf-to-leaf in scan
-        // direction until the range ends or `limit` rows are visible.
+        visitor: &mut Visitor<'_>,
+    ) -> io::Result<()> {
         let (from, to) = if reverse { (end, begin) } else { (begin, end) };
         let pool = &mut *self.lock_pool();
         let mut cursor = Cursor::seek(pool, from, Some(to), !reverse)?;
-        while out.len() < limit {
-            let Some((key, chain)) = cursor.next(pool)? else {
-                break;
-            };
+        while let Some((key, chain)) = cursor.next(pool)? {
             if let Some(value) = chain_visible_at(chain, read_version)? {
-                out.push((key.to_vec(), value.to_vec()));
+                if visitor(key, value).is_break() {
+                    break;
+                }
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Fold `f` over every stored chain, in key order.
@@ -338,15 +337,15 @@ impl StorageEngine for PagedEngine {
         btree::get(&mut self.lock_pool(), key, read_version).expect(IO_MSG)
     }
 
-    fn scan(
+    fn visit(
         &self,
         begin: &[u8],
         end: &[u8],
         read_version: u64,
         reverse: bool,
-        limit: usize,
-    ) -> Vec<(Vec<u8>, Vec<u8>)> {
-        self.try_scan(begin, end, read_version, reverse, limit)
+        visitor: &mut Visitor<'_>,
+    ) {
+        self.try_visit(begin, end, read_version, reverse, visitor)
             .expect(IO_MSG)
     }
 

@@ -2,49 +2,47 @@
 //! record, counted by a `#[global_allocator]` that tallies per thread. A
 //! count, not a time: it repeats exactly on one build (memory engine, one
 //! thread, fixed population), so a change to `load_record`, the record
-//! assembler, the tuple reader, `Transaction::get_range` or the cursors
-//! that moves it shows up here before any benchmark run.
+//! assembler, the tuple reader, `Transaction::visit_range` or the
+//! cursors that moves it shows up here before any benchmark run.
 //!
 //! The shape is the benchmark's `Item` (`benchmark/src/items.rs`): int
 //! primary key, a string group, an int score, 100 payload bytes, record
 //! versions on, the VALUE / SUM / COUNT / VERSION index mix.
 //!
-//! Baseline: this file run on the parent of the change that introduced a
-//! row, and on that change: PR 19 (which made the fetch path decode in
-//! place) for the four after the first, PR 20 (one primary-key merge for
-//! intersections and ordered unions, `IN` planned as a union) for the last
-//! three, PR 21 (store state from the state cache, one process-wide
-//! default `IndexRegistry`) for the first. Debug and release builds count
-//! the same.
+//! Counts: this file run before and after the read path began lending
+//! its rows (`StorageEngine::visit` → `Transaction::visit_range` → the
+//! record assembler) instead of copying them. Debug and release builds
+//! count the same.
 //!
-//! | path                                          | parent | now   | budget |
+//! | path                                          | copied | lent  | budget |
 //! |-----------------------------------------------|--------|-------|--------|
-//! | `open_or_create` of a cached store, per call  | 24.05  |  7.00 | 8      |
-//! | `load_record`, per call                       | 50.03  | 17.43 | 25     |
-//! | fetching `IndexScan`, per row of 50           | 58.26  | 19.08 | 32     |
-//! | `CoveringIndexScan`, per row of 50            | 14.30  |  8.64 | 14.3   |
-//! | residual-filtered `FullScan`, per record read | 40.00  | 11.72 | 40     |
-//! | ordered 2-branch `Union`, per row of 50       | 57.68  | 21.54 | 28     |
-//! | 3-value `IN`, per row of 50                   | 84.58  | 22.98 | 30     |
-//! | `Intersection`, per key read                  |  7.32  |  3.57 | 5      |
+//! | `open_or_create` of a cached store, per call  |  7.00  |  7.00 | 8      |
+//! | `load_record`, per call                       | 17.43  |  9.43 | 10     |
+//! | fetching `IndexScan`, per row of 50           | 19.08  | 11.06 | 12     |
+//! | `CoveringIndexScan`, per row of 50            |  8.64  |  8.62 | 14.3   |
+//! | residual-filtered `FullScan`, per record read | 11.72  | 11.71 | 40     |
+//! | ordered 2-branch `Union`, per row of 50       | 21.54  | 13.50 | 14     |
+//! | 3-value `IN`, per row of 50                   | 22.98  | 14.92 | 15.9   |
+//! | `Intersection`, per key read                  |  3.57  |  2.55 | 3      |
 //!
-//! The budgets are what those paths are held to, except the fourth and
-//! fifth, which say only that those paths may not get worse than the
-//! parent was. An open's 7 are the store's subspace and its four fixed
-//! children, the default serializer's `Arc`, and the cell its handles
-//! share the state through; the parent's 24 were the first six of those,
-//! the header `get`, and a fresh registry with its ten maintainers.
-//! PR 21 moved the scan rows by what it removed from them — the read of
-//! each scanned index's state key — and `load_record` by 0.03 only through
-//! where the transaction's conflict list happens to double. Of the
-//! 17.4 per `load_record`, 8 are `Transaction::get_range` (two rows' keys
-//! and values, the two row arrays, the conflict range), 3 are the packed
-//! key and the bounds, and 6 are the record: primary key, type name, the
-//! unescaped wire bytes, and the message's field map, string and bytes.
-//! A merged union row adds to a fetching scan's its share of the other
-//! children's entries and the composite continuation (k positions and the
-//! buffer they are packed into); the parent's union re-encoded its `seen`
-//! set per row and its `IN` was a filtered full scan.
+//! The budgets are the current counts plus less than one allocation,
+//! except the fourth and fifth, which say only that those paths may not
+//! get worse than they were before the fetch path decoded in place. An
+//! open's 7 are the store's subspace and its four fixed children, the
+//! default serializer's `Arc`, and the cell its handles share the state
+//! through. Of the 9.4 per `load_record`, 3 are the packed key and the
+//! two bounds built from it, which the lending read moves into the
+//! conflict set; 1 is the buffer the payload chunk is copied into; and
+//! the rest is the record: primary key, type name, the unescaped wire
+//! bytes of a record whose wire holds a NUL, and the message's field
+//! map, string and bytes. The read itself allocates nothing per row: of
+//! the 8 it cost while it copied — the two rows' keys and values, the two
+//! row arrays, and the copy of the conflict range's bounds — only the
+//! payload buffer is back, and the end bound is no longer grown by one
+//! byte after it was built (a reallocation, which counts). A fetching scan row is a `load_record` plus its index
+//! entry; a merged union row adds its share of the other children's
+//! entries and the composite continuation (k positions and the buffer
+//! they are packed into).
 
 use std::collections::BTreeSet;
 
@@ -196,8 +194,8 @@ fn fetch_path_stays_within_its_allocation_budget() {
          union row {union_row:.2}, IN row {in_row:.2}, intersection key {intersection_key:.2}"
     );
     assert!(open <= 8.0, "open_or_create: {open:.1} > 8");
-    assert!(load_record <= 25.0, "load_record: {load_record:.1} > 25");
-    assert!(index_scan <= 32.0, "IndexScan row: {index_scan:.1} > 32");
+    assert!(load_record <= 10.0, "load_record: {load_record:.1} > 10");
+    assert!(index_scan <= 12.0, "IndexScan row: {index_scan:.1} > 12");
     assert!(
         covering_scan <= 14.3,
         "CoveringIndexScan row: {covering_scan:.1} > 14.3 (parent)"
@@ -206,10 +204,10 @@ fn fetch_path_stays_within_its_allocation_budget() {
         full_scan <= 40.0,
         "FullScan record: {full_scan:.1} > 40 (parent)"
     );
-    assert!(union_row <= 28.0, "ordered Union row: {union_row:.1} > 28");
-    assert!(in_row <= 30.0, "IN row: {in_row:.1} > 30");
+    assert!(union_row <= 14.0, "ordered Union row: {union_row:.1} > 14");
+    assert!(in_row <= 15.9, "IN row: {in_row:.1} > 15.9");
     assert!(
-        intersection_key <= 5.0,
-        "Intersection key read: {intersection_key:.1} > 5"
+        intersection_key <= 3.0,
+        "Intersection key read: {intersection_key:.1} > 3"
     );
 }
