@@ -251,43 +251,51 @@ impl KeyExpression {
     }
 
     /// Evaluate against a record, producing one or more tuples.
+    ///
+    /// The tuples are built in place, each with room for every column: a
+    /// part that yields one value pushes it onto every tuple built so far,
+    /// and only a part that yields several (a fan-out, a client function)
+    /// multiplies them — a Cartesian product in which earlier parts vary
+    /// slowest.
     pub fn evaluate(&self, ctx: &EvalContext<'_>) -> Result<Vec<Tuple>> {
+        let mut rows = vec![Tuple::with_capacity(self.column_count())];
+        self.extend_rows(ctx, &mut rows)?;
+        Ok(rows)
+    }
+
+    /// Append this expression's columns to each of `rows`.
+    fn extend_rows(&self, ctx: &EvalContext<'_>, rows: &mut Vec<Tuple>) -> Result<()> {
         match self {
-            KeyExpression::Empty => Ok(vec![Tuple::new()]),
-            KeyExpression::Field { name, fan_type } => evaluate_field(ctx.message, name, *fan_type),
+            KeyExpression::Empty => {}
+            KeyExpression::Field { name, fan_type } => {
+                extend_with_field(ctx.message, name, *fan_type, rows)?
+            }
             KeyExpression::Nest {
                 field,
                 fan_type,
                 inner,
-            } => evaluate_nest(ctx, field, *fan_type, inner),
+            } => extend_with_nest(ctx, field, *fan_type, inner, rows)?,
             KeyExpression::Concat(parts) => {
-                let mut results: Vec<Tuple> = vec![Tuple::new()];
                 for part in parts {
-                    let part_tuples = part.evaluate(ctx)?;
-                    let mut next = Vec::with_capacity(results.len() * part_tuples.len());
-                    for base in &results {
-                        for ext in &part_tuples {
-                            next.push(base.clone().concat(ext));
-                        }
-                    }
-                    results = next;
+                    part.extend_rows(ctx, rows)?;
                 }
-                Ok(results)
             }
-            KeyExpression::RecordTypeKey => Ok(vec![Tuple::new().push(ctx.record_type)]),
+            KeyExpression::RecordTypeKey => push_each(rows, ctx.record_type.into()),
             KeyExpression::Version => {
                 let version = ctx.version.unwrap_or_else(|| Versionstamp::incomplete(0));
-                Ok(vec![Tuple::new().push(version)])
+                push_each(rows, version.into());
             }
-            KeyExpression::Literal(el) => Ok(vec![Tuple::new().push(el.clone())]),
-            KeyExpression::Function(f) => (f.function)(ctx),
-            KeyExpression::Grouping { inner, .. } => inner.evaluate(ctx),
+            KeyExpression::Literal(el) => push_each(rows, el.clone()),
+            KeyExpression::Function(f) => product(rows, (f.function)(ctx)?),
+            KeyExpression::Grouping { inner, .. } => inner.extend_rows(ctx, rows)?,
             KeyExpression::KeyWithValue { key, value } => {
-                // Evaluated as the concatenation; the index maintainer
-                // splits key columns from value columns.
-                KeyExpression::Concat(vec![(**key).clone(), (**value).clone()]).evaluate(ctx)
+                // The key columns, then the value columns; the index
+                // maintainer splits them apart.
+                key.extend_rows(ctx, rows)?;
+                value.extend_rows(ctx, rows)?;
             }
         }
+        Ok(())
     }
 
     /// Evaluate, requiring exactly one tuple (for primary keys).
@@ -405,84 +413,128 @@ pub fn value_to_element(value: &Value) -> Result<TupleElement> {
     })
 }
 
-fn evaluate_field(msg: &DynamicMessage, name: &str, fan_type: FanType) -> Result<Vec<Tuple>> {
+/// Push `el` onto every row.
+fn push_each(rows: &mut [Tuple], el: TupleElement) {
+    if let Some((last, rest)) = rows.split_last_mut() {
+        for row in rest {
+            row.add(el.clone());
+        }
+        last.add(el);
+    }
+}
+
+/// Replace `rows` by each row followed by each of `values`, rows varying
+/// slowest. A single value extends the rows in place.
+fn product(rows: &mut Vec<Tuple>, mut values: Vec<Tuple>) {
+    if values.len() == 1 {
+        let value = values.pop().unwrap_or_default();
+        if let Some((last, rest)) = rows.split_last_mut() {
+            for row in rest {
+                row.append(value.clone());
+            }
+            last.append(value);
+        }
+        return;
+    }
+    let mut out = Vec::with_capacity(rows.len() * values.len());
+    for row in rows.drain(..) {
+        out.extend(values.iter().map(|value| row.clone().concat(value)));
+    }
+    *rows = out;
+}
+
+fn extend_with_field(
+    msg: &DynamicMessage,
+    name: &str,
+    fan_type: FanType,
+    rows: &mut Vec<Tuple>,
+) -> Result<()> {
     let descriptor = msg.descriptor();
     let field = descriptor
         .field_by_name(name)
         .ok_or_else(|| Error::KeyExpression(format!("no field {name} on {}", msg.type_name())))?;
-    if field.is_repeated() {
-        let values = msg.get_repeated(name);
-        match fan_type {
-            FanType::Fanout => values
+    if !field.is_repeated() {
+        let el = match msg.get(name) {
+            Some(v) => value_to_element(v)?,
+            None => TupleElement::Null,
+        };
+        push_each(rows, el);
+        return Ok(());
+    }
+    let values = msg.get_repeated(name);
+    match fan_type {
+        FanType::Fanout => {
+            let values = values
                 .iter()
-                .map(|v| Ok(Tuple::new().push(value_to_element(v)?)))
-                .collect(),
-            FanType::Concatenate => {
-                let mut list = Tuple::new();
-                for v in values {
-                    list.add(value_to_element(v)?);
-                }
-                Ok(vec![Tuple::new().push(list)])
-            }
-            FanType::Scalar => Err(Error::KeyExpression(format!(
-                "field {name} is repeated; use Fanout or Concatenate"
-            ))),
+                .map(|v| Ok(Tuple::from_elements(vec![value_to_element(v)?])))
+                .collect::<Result<_>>()?;
+            product(rows, values);
         }
-    } else {
-        match msg.get(name) {
-            Some(v) => Ok(vec![Tuple::new().push(value_to_element(v)?)]),
-            None => Ok(vec![Tuple::new().push(TupleElement::Null)]),
+        FanType::Concatenate => {
+            let mut list = Tuple::with_capacity(values.len());
+            for v in values {
+                list.add(value_to_element(v)?);
+            }
+            push_each(rows, list.into());
+        }
+        FanType::Scalar => {
+            return Err(Error::KeyExpression(format!(
+                "field {name} is repeated; use Fanout or Concatenate"
+            )))
         }
     }
+    Ok(())
 }
 
-fn evaluate_nest(
+fn extend_with_nest(
     ctx: &EvalContext<'_>,
     field: &str,
     fan_type: FanType,
     inner: &KeyExpression,
-) -> Result<Vec<Tuple>> {
+    rows: &mut Vec<Tuple>,
+) -> Result<()> {
     let descriptor = ctx.message.descriptor();
     let fd = descriptor.field_by_name(field).ok_or_else(|| {
         Error::KeyExpression(format!("no field {field} on {}", ctx.message.type_name()))
     })?;
+    fn nested<'m>(v: &'m Value, field: &str) -> Result<&'m DynamicMessage> {
+        v.as_message()
+            .ok_or_else(|| Error::KeyExpression(format!("field {field} is not a message")))
+    }
     if fd.is_repeated() {
         if fan_type != FanType::Fanout {
             return Err(Error::KeyExpression(format!(
                 "nested repeated field {field} requires Fanout"
             )));
         }
-        let mut out = Vec::new();
+        // Every element's tuples, in element order, multiply the rows.
+        let mut values = Vec::new();
         for v in ctx.message.get_repeated(field) {
-            let nested = v
-                .as_message()
-                .ok_or_else(|| Error::KeyExpression(format!("field {field} is not a message")))?;
             let sub_ctx = EvalContext {
-                message: nested,
+                message: nested(v, field)?,
                 record_type: ctx.record_type,
                 version: ctx.version,
             };
-            out.extend(inner.evaluate(&sub_ctx)?);
+            values.extend(inner.evaluate(&sub_ctx)?);
         }
-        Ok(out)
-    } else {
-        match ctx.message.get(field) {
-            Some(v) => {
-                let nested = v.as_message().ok_or_else(|| {
-                    Error::KeyExpression(format!("field {field} is not a message"))
-                })?;
-                let sub_ctx = EvalContext {
-                    message: nested,
-                    record_type: ctx.record_type,
-                    version: ctx.version,
-                };
-                inner.evaluate(&sub_ctx)
+        product(rows, values);
+        return Ok(());
+    }
+    match ctx.message.get(field) {
+        Some(v) => {
+            let sub_ctx = EvalContext {
+                message: nested(v, field)?,
+                record_type: ctx.record_type,
+                version: ctx.version,
+            };
+            inner.extend_rows(&sub_ctx, rows)
+        }
+        // Missing nested message: null columns.
+        None => {
+            for _ in 0..inner.column_count() {
+                push_each(rows, TupleElement::Null);
             }
-            // Missing nested message: null columns.
-            None => Ok(vec![Tuple::from_elements(vec![
-                TupleElement::Null;
-                inner.column_count()
-            ])]),
+            Ok(())
         }
     }
 }

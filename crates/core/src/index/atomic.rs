@@ -13,7 +13,9 @@
 //! An update folds the old record's and the new record's contributions
 //! into one value per packed group key, and writes only the keys whose
 //! value changes. This is the §6 rule VALUE indexes follow: "the unchanged
-//! indexes are not updated".
+//! indexes are not updated". When the old and the new record evaluate to
+//! the same tuples, the update returns before packing any key (except for
+//! COUNT_UPDATES, which counts every save).
 //!
 //! * COUNT, COUNT_NON_NULL, SUM: old tuples count negatively and new ones
 //!   positively. Each key gets one `ADD` of the wrapping `i64` sum, and a
@@ -37,7 +39,6 @@
 //!   it reads as [`AggregateValue::Absent`], whose `as_long` is 0.
 
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
 
 use rl_fdb::atomic::MutationType;
 use rl_fdb::subspace::Subspace;
@@ -45,7 +46,7 @@ use rl_fdb::tuple::{Tuple, TupleElement};
 use rl_fdb::Transaction;
 
 use crate::error::{Error, Result};
-use crate::index::{evaluate_index_expr, IndexContext, IndexMaintainer};
+use crate::index::{entry_value, evaluate_change, same_entries, IndexContext, IndexMaintainer};
 use crate::metadata::{Index, IndexType};
 use crate::store::{AggregateValue, StoredRecord};
 
@@ -65,7 +66,7 @@ impl AtomicIndexMaintainer {
     }
 
     /// What one evaluated tuple adds to its group's counter, if anything.
-    fn contribution(&self, operand: &Tuple) -> Result<Option<i64>> {
+    fn contribution(&self, operand: &[TupleElement]) -> Result<Option<i64>> {
         Ok(match self.index_type {
             IndexType::Count => Some(1),
             IndexType::CountUpdates | IndexType::CountNonNull => {
@@ -85,19 +86,25 @@ impl AtomicIndexMaintainer {
         } else {
             old
         };
-        let mut sums: BTreeMap<Vec<u8>, i64> = BTreeMap::new();
+        let mut sums = Vec::with_capacity(retracted.len() + new.len());
         for (tuples, sign) in [(retracted, -1i64), (new, 1)] {
             for t in tuples {
                 let (group, operand) = split_group(ctx.index, t);
-                if let Some(v) = self.contribution(&operand)? {
-                    let sum = sums.entry(ctx.subspace.pack(&group)).or_default();
-                    *sum = sum.wrapping_add(v.wrapping_mul(sign));
+                if let Some(v) = self.contribution(operand)? {
+                    sums.push((ctx.group_key(group), v.wrapping_mul(sign)));
                 }
             }
         }
-        for (key, sum) in sums {
+        // Sorted, one group key's contributions lie together.
+        sums.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut sums = sums.into_iter().peekable();
+        while let Some((key, mut sum)) = sums.next() {
+            while let Some((_, more)) = sums.next_if(|(next, _)| *next == key) {
+                sum = sum.wrapping_add(more);
+            }
             if sum != 0 {
-                ctx.tx.mutate(MutationType::Add, &key, &sum.to_le_bytes())?;
+                ctx.tx
+                    .mutate_owned(MutationType::Add, key, sum.to_le_bytes().to_vec())?;
             }
         }
         Ok(())
@@ -111,40 +118,53 @@ impl AtomicIndexMaintainer {
         } else {
             (MutationType::ByteMin, Ordering::Less)
         };
-        let mut extremes: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
-        // A whole tuple is its (group, operand) pair.
-        for t in new.iter().filter(|t| !old.contains(t)) {
-            let (group, operand) = split_group(ctx.index, t);
-            if operand_is_null(&operand) {
+        // A whole tuple is its (group, operand) pair, both packed: sorted,
+        // a group key's operands lie together. Packed tuple order == byte
+        // order, so BYTE_MIN/MAX on the packed operand keeps tuple-ordered
+        // extremes. A non-null operand never packs empty.
+        let pairs = |tuples: &[Tuple]| {
+            let mut pairs: Vec<(Vec<u8>, Vec<u8>)> = tuples
+                .iter()
+                .map(|t| split_group(ctx.index, t))
+                .filter(|(_, operand)| !operand_is_null(operand))
+                .map(|(group, operand)| (ctx.group_key(group), entry_value(operand)))
+                .collect();
+            pairs.sort_unstable();
+            pairs
+        };
+        let old = pairs(old);
+        let mut extremes: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+        for pair in pairs(new) {
+            if old.binary_search(&pair).is_ok() {
                 continue;
             }
-            // Packed tuple order == byte order, so BYTE_MIN/MAX on the
-            // packed operand keeps tuple-ordered extremes. A non-null
-            // operand never packs empty.
-            let packed = operand.pack();
-            let best = extremes.entry(ctx.subspace.pack(&group)).or_default();
-            if best.is_empty() || packed.cmp(best) == wins {
-                *best = packed;
+            match extremes.last_mut() {
+                Some(best) if best.0 == pair.0 => {
+                    if pair.1.cmp(&best.1) == wins {
+                        best.1 = pair.1;
+                    }
+                }
+                _ => extremes.push(pair),
             }
         }
         for (key, operand) in extremes {
-            ctx.tx.mutate(mutation, &key, &operand)?;
+            ctx.tx.mutate_owned(mutation, key, operand)?;
         }
         Ok(())
     }
 }
 
 /// Split an evaluated grouping tuple into (group key, operand columns).
-fn split_group(index: &Index, tuple: &Tuple) -> (Tuple, Tuple) {
+fn split_group<'t>(index: &Index, tuple: &'t Tuple) -> (&'t [TupleElement], &'t [TupleElement]) {
     let grouped = index.key_expression.grouped_count();
-    let total = tuple.len();
-    let boundary = total.saturating_sub(grouped);
-    (tuple.prefix(boundary), tuple.suffix(boundary))
+    tuple
+        .elements()
+        .split_at(tuple.len().saturating_sub(grouped))
 }
 
 /// The operand of SUM-type indexes must be a single integer column.
-fn operand_as_i64(operand: &Tuple) -> Result<Option<i64>> {
-    match operand.elements() {
+fn operand_as_i64(operand: &[TupleElement]) -> Result<Option<i64>> {
+    match operand {
         [] => Ok(None),
         [TupleElement::Null] => Ok(None),
         [TupleElement::Int(v)] => Ok(Some(*v)),
@@ -154,12 +174,8 @@ fn operand_as_i64(operand: &Tuple) -> Result<Option<i64>> {
     }
 }
 
-fn operand_is_null(operand: &Tuple) -> bool {
-    operand.is_empty()
-        || operand
-            .elements()
-            .iter()
-            .all(|e| matches!(e, TupleElement::Null))
+fn operand_is_null(operand: &[TupleElement]) -> bool {
+    operand.iter().all(|e| matches!(e, TupleElement::Null))
 }
 
 impl IndexMaintainer for AtomicIndexMaintainer {
@@ -169,19 +185,15 @@ impl IndexMaintainer for AtomicIndexMaintainer {
         old: Option<&StoredRecord>,
         new: Option<&StoredRecord>,
     ) -> Result<i64> {
-        let old_tuples = old
-            .map(|r| evaluate_index_expr(ctx.index, r))
-            .transpose()?
-            .unwrap_or_default();
-        let new_tuples = new
-            .map(|r| evaluate_index_expr(ctx.index, r))
-            .transpose()?
-            .unwrap_or_default();
+        let (old, new) = evaluate_change(ctx.index, old, new)?;
+        // Equal tuples fold to nothing, except that COUNT_UPDATES counts
+        // every save.
+        if self.index_type != IndexType::CountUpdates && same_entries(&old, &new) {
+            return Ok(0);
+        }
         match self.index_type {
-            IndexType::MaxEver | IndexType::MinEver => {
-                self.fold_extremes(ctx, &old_tuples, &new_tuples)?
-            }
-            _ => self.fold_counters(ctx, &old_tuples, &new_tuples)?,
+            IndexType::MaxEver | IndexType::MinEver => self.fold_extremes(ctx, &old, &new)?,
+            _ => self.fold_counters(ctx, &old, &new)?,
         }
         // One key per group: entry count is not a scan-cost signal.
         Ok(0)

@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 use rl_fdb::subspace::Subspace;
-use rl_fdb::tuple::Tuple;
+use rl_fdb::tuple::{self, Tuple, TupleElement};
 use rl_fdb::Transaction;
 
 use crate::error::{Error, Result};
@@ -74,17 +74,89 @@ impl IndexState {
 pub struct IndexContext<'a> {
     pub tx: &'a Transaction,
     pub index: &'a Index,
-    /// The subspace dedicated to this index within the record store.
-    pub subspace: Subspace,
     pub metadata: &'a RecordMetaData,
+    /// The store's index region `S(2)`: this index's subspace is its child
+    /// named after the index.
+    indexes: &'a Subspace,
+    /// The changed record's primary key, packed once per change: the tail
+    /// of each of its VALUE-shaped entries' keys. The old and the new
+    /// record share it.
+    primary_key: &'a [u8],
+}
+
+impl<'a> IndexContext<'a> {
+    pub(crate) fn new(
+        tx: &'a Transaction,
+        index: &'a Index,
+        metadata: &'a RecordMetaData,
+        indexes: &'a Subspace,
+        primary_key: &'a [u8],
+    ) -> Self {
+        IndexContext {
+            tx,
+            index,
+            metadata,
+            indexes,
+            primary_key,
+        }
+    }
+
+    /// The subspace dedicated to this index within the record store.
+    pub fn subspace(&self) -> Subspace {
+        self.indexes.child(self.index.name.as_str())
+    }
+
+    /// The key of the entry whose key columns are `columns`: this index's
+    /// prefix, the columns and the packed primary key, in one buffer of
+    /// its final size.
+    pub fn entry_key(&self, columns: &[TupleElement]) -> Vec<u8> {
+        self.pack_key(columns, self.primary_key, 0).0
+    }
+
+    /// [`entry_key`](Self::entry_key), with the offset of the incomplete
+    /// versionstamp among the columns, if any, and room for the 4-byte
+    /// offset a `SET_VERSIONSTAMPED_KEY` operand appends.
+    pub fn stamped_entry_key(&self, columns: &[TupleElement]) -> (Vec<u8>, Option<usize>) {
+        self.pack_key(columns, self.primary_key, 4)
+    }
+
+    /// The key of an aggregate's group `columns` (no primary key).
+    pub fn group_key(&self, columns: &[TupleElement]) -> Vec<u8> {
+        self.pack_key(columns, &[], 0).0
+    }
+
+    fn pack_key(
+        &self,
+        columns: &[TupleElement],
+        tail: &[u8],
+        spare: usize,
+    ) -> (Vec<u8>, Option<usize>) {
+        let (prefix, name) = (self.indexes.prefix(), self.index.name.as_str());
+        let len = prefix.len() + tuple::packed_str_len(name) + tuple::packed_len(columns);
+        let mut key = Vec::with_capacity(len + tail.len() + spare);
+        key.extend_from_slice(prefix);
+        tuple::pack_str_into(name, &mut key);
+        let stamp = tuple::pack_elements_into(columns, &mut key);
+        key.extend_from_slice(tail);
+        (key, stamp)
+    }
 }
 
 /// A maintainer updates the durable structure of one index type when
 /// records change. Updates are *streaming*: they use only the contents of
 /// the changed record (§6).
+///
+/// Cost contract of the built-in maintainers: an entry that did not change
+/// costs its evaluation and nothing more. Each evaluates the old and the
+/// new record once and returns before building any key when the two
+/// evaluate to the same entries (VERSION excepted: a saved record's
+/// version always changes, so its entries are always rewritten). A
+/// changed entry's key is packed once, into one buffer of its final size,
+/// and moves into the transaction.
 pub trait IndexMaintainer: Send + Sync {
     /// Apply the index delta for a record change: `old == None` is an
-    /// insert, `new == None` a delete, both `Some` an update.
+    /// insert, `new == None` a delete, both `Some` an update of one primary
+    /// key (packed in `ctx`).
     ///
     /// Returns the net change in the number of scannable index entries,
     /// which the store folds into the index's persistent entry-count
@@ -113,9 +185,54 @@ pub fn evaluate_index_expr(index: &Index, record: &StoredRecord) -> Result<Vec<T
     index.key_expression.evaluate(&ctx)
 }
 
-/// An index entry as produced by evaluation: the key columns (with the
-/// primary key appended by VALUE-like maintainers) and any covering value
-/// columns.
+/// The tuples the old and the new record evaluate to (none for a record
+/// that is absent).
+pub(crate) fn evaluate_change(
+    index: &Index,
+    old: Option<&StoredRecord>,
+    new: Option<&StoredRecord>,
+) -> Result<(Vec<Tuple>, Vec<Tuple>)> {
+    let evaluate = |record: Option<&StoredRecord>| match record {
+        Some(record) => evaluate_index_expr(index, record),
+        None => Ok(Vec::new()),
+    };
+    Ok((evaluate(old)?, evaluate(new)?))
+}
+
+/// Whether two evaluations give the same entries: `==`, except that floats
+/// compare by their bits, as their packings do (`-0.0` packs apart from
+/// `0.0`, and a NaN like itself).
+pub(crate) fn same_entries(a: &[Tuple], b: &[Tuple]) -> bool {
+    fn same(a: &[TupleElement], b: &[TupleElement]) -> bool {
+        a.len() == b.len()
+            && a.iter().zip(b).all(|pair| match pair {
+                (TupleElement::Float(x), TupleElement::Float(y)) => x.to_bits() == y.to_bits(),
+                (TupleElement::Double(x), TupleElement::Double(y)) => x.to_bits() == y.to_bits(),
+                (TupleElement::Tuple(x), TupleElement::Tuple(y)) => {
+                    same(x.elements(), y.elements())
+                }
+                (x, y) => x == y,
+            })
+    }
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| same(x.elements(), y.elements()))
+}
+
+/// Covering value columns, packed (empty for none) in one buffer of their
+/// final size.
+pub fn entry_value(columns: &[TupleElement]) -> Vec<u8> {
+    if columns.is_empty() {
+        return Vec::new();
+    }
+    let mut value = Vec::with_capacity(tuple::packed_len(columns));
+    tuple::pack_elements_into(columns, &mut value);
+    value
+}
+
+/// An index entry as an index scan returns it: the key columns, any
+/// covering value columns, and the indexed record's primary key.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IndexEntry {
     /// Entry key columns *excluding* the appended primary key.
@@ -124,20 +241,6 @@ pub struct IndexEntry {
     pub value: Tuple,
     /// The indexed record's primary key.
     pub primary_key: Tuple,
-}
-
-/// Split evaluated tuples into (key, value) pairs according to the index's
-/// KeyWithValue boundary, and attach the record's primary key.
-pub fn to_index_entries(index: &Index, tuples: Vec<Tuple>, primary_key: &Tuple) -> Vec<IndexEntry> {
-    let key_columns = index.key_expression.key_column_count();
-    tuples
-        .into_iter()
-        .map(|t| IndexEntry {
-            key: t.prefix(key_columns),
-            value: t.suffix(key_columns),
-            primary_key: primary_key.clone(),
-        })
-        .collect()
 }
 
 /// The registry mapping index types to maintainers. `Custom` index types
@@ -306,16 +409,31 @@ mod tests {
 
     #[test]
     fn index_entry_split() {
+        // The KeyWithValue boundary splits an evaluated tuple into the
+        // entry key's columns (followed by the primary key) and the value.
         let index = Index::value(
             "i",
             KeyExpression::field("k").with_value(KeyExpression::field("v")),
         );
-        let tuples = vec![Tuple::from(("key1", "val1"))];
+        let tuple = Tuple::from(("key1", "val1"));
+        let (key, value) = tuple
+            .elements()
+            .split_at(index.key_expression.key_column_count());
+        let db = rl_fdb::Database::new();
+        let tx = db.create_transaction();
+        let indexes = Subspace::from_bytes(b"S".to_vec());
+        let metadata = crate::metadata::RecordMetaDataBuilder::new(Default::default())
+            .build()
+            .unwrap();
         let pk = Tuple::from((7i64,));
-        let entries = to_index_entries(&index, tuples, &pk);
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].key, Tuple::from(("key1",)));
-        assert_eq!(entries[0].value, Tuple::from(("val1",)));
-        assert_eq!(entries[0].primary_key, pk);
+        let packed_pk = pk.pack();
+        let ctx = IndexContext::new(&tx, &index, &metadata, &indexes, &packed_pk);
+        let subspace = indexes.child("i");
+        assert_eq!(ctx.subspace(), subspace);
+        let whole = Tuple::from(("key1",)).concat(&pk);
+        assert_eq!(ctx.entry_key(key), subspace.pack(&whole));
+        assert_eq!(entry_value(value), Tuple::from(("val1",)).pack());
+        assert_eq!(ctx.group_key(key), subspace.pack(&Tuple::from(("key1",))));
+        assert!(entry_value(&[]).is_empty());
     }
 }

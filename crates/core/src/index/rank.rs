@@ -34,7 +34,7 @@ use rl_fdb::tuple::Tuple;
 use rl_fdb::{RangeOptions, Transaction};
 
 use crate::error::{Error, Result};
-use crate::index::{evaluate_index_expr, to_index_entries, IndexContext, IndexMaintainer};
+use crate::index::{evaluate_change, same_entries, IndexContext, IndexMaintainer};
 use crate::store::{RecordStore, StoredRecord, TupleRange};
 
 /// Sampling: an entry is a member of level `l >= 1` with probability
@@ -354,23 +354,27 @@ impl IndexMaintainer for RankIndexMaintainer {
         old: Option<&StoredRecord>,
         new: Option<&StoredRecord>,
     ) -> Result<i64> {
-        let set = RankedSet::new(ctx.tx, ctx.subspace.clone(), ctx.index.options.rank_levels);
+        let (old_tuples, new_tuples) = evaluate_change(ctx.index, old, new)?;
+        if same_entries(&old_tuples, &new_tuples) {
+            return Ok(0);
+        }
+        let set = RankedSet::new(ctx.tx, ctx.subspace(), ctx.index.options.rank_levels);
         // Each entry of a record as a set element: score columns ⧺ pk.
-        let elements = |record: Option<&StoredRecord>| -> Result<Vec<Tuple>> {
-            let Some(r) = record else {
-                return Ok(Vec::new());
-            };
-            let entries = to_index_entries(
-                ctx.index,
-                evaluate_index_expr(ctx.index, r)?,
-                &r.primary_key,
-            );
-            Ok(entries
-                .into_iter()
-                .map(|e| e.key.concat(&e.primary_key))
-                .collect())
+        let key_columns = ctx.index.key_expression.key_column_count();
+        let elements = |tuples: Vec<Tuple>, record: Option<&StoredRecord>| -> Vec<Tuple> {
+            match record {
+                Some(r) => tuples
+                    .into_iter()
+                    .map(|mut t| {
+                        t.split_off(key_columns);
+                        t.concat(&r.primary_key)
+                    })
+                    .collect(),
+                None => Vec::new(),
+            }
         };
-        let (old_elements, new_elements) = (elements(old)?, elements(new)?);
+        let old_elements = elements(old_tuples, old);
+        let new_elements = elements(new_tuples, new);
         let gone: Vec<&Tuple> = old_elements
             .iter()
             .filter(|e| !new_elements.contains(e))

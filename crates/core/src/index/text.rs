@@ -427,11 +427,7 @@ impl IndexMaintainer for TextIndexMaintainer {
         new: Option<&StoredRecord>,
     ) -> Result<i64> {
         let tokenizer = tokenizer_for(ctx.index);
-        let map = BunchedMap::new(
-            ctx.tx,
-            ctx.subspace.clone(),
-            ctx.index.options.text_bunch_size,
-        );
+        let map = BunchedMap::new(ctx.tx, ctx.subspace(), ctx.index.options.text_bunch_size);
 
         let old_text = old.map(|r| text_of(ctx.index, r)).transpose()?.flatten();
         let new_text = new.map(|r| text_of(ctx.index, r)).transpose()?.flatten();

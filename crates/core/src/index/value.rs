@@ -1,24 +1,62 @@
 //! The default VALUE index type (§7): a mapping from indexed field values
 //! to record primary keys, stored as `(index_subspace, key…, pk…) -> value`.
 
+use std::cmp::Ordering;
+
 use rl_fdb::RangeOptions;
 
 use crate::error::{Error, Result};
-use crate::index::{
-    evaluate_index_expr, to_index_entries, IndexContext, IndexEntry, IndexMaintainer,
-};
+use crate::index::{entry_value, evaluate_change, same_entries, IndexContext, IndexMaintainer};
 use crate::store::StoredRecord;
+use rl_fdb::tuple::Tuple;
 
 /// Maintains VALUE indexes by diffing old and new entry sets, so unchanged
 /// entries are untouched — the §6 optimization ("if an existing record and
 /// a new record are of the same type and some of the indexed fields are the
 /// same, the unchanged indexes are not updated").
+///
+/// Equal evaluations return before anything is packed. Otherwise each
+/// entry is packed once, as `(key, value)` bytes, and the two sorted sets
+/// are walked together: an entry only the old record has is cleared, one
+/// only the new record has is set, and every key moves into the
+/// transaction.
 pub struct ValueIndexMaintainer;
 
-/// Compute the concrete index entries for a record under an index.
-pub fn entries_for(ctx: &IndexContext<'_>, record: &StoredRecord) -> Result<Vec<IndexEntry>> {
-    let tuples = evaluate_index_expr(ctx.index, record)?;
-    Ok(to_index_entries(ctx.index, tuples, &record.primary_key))
+/// A record's entries: `(key, value)` packed, sorted, without duplicates
+/// (a fan-out that repeats an element yields its entry once).
+fn entries(ctx: &IndexContext<'_>, tuples: &[Tuple]) -> Vec<(Vec<u8>, Vec<u8>)> {
+    let key_columns = ctx.index.key_expression.key_column_count();
+    let mut entries: Vec<_> = tuples
+        .iter()
+        .map(|t| {
+            let (key, value) = t.elements().split_at(key_columns.min(t.len()));
+            (ctx.entry_key(key), entry_value(value))
+        })
+        .collect();
+    entries.sort_unstable();
+    entries.dedup();
+    entries
+}
+
+impl ValueIndexMaintainer {
+    /// Refuse `key` if a unique index maps its key columns to a record
+    /// other than this one: scan the prefix for a foreign primary key.
+    fn check_unique(ctx: &IndexContext<'_>, key: &[u8]) -> Result<()> {
+        let columns = &key[..key.len() - ctx.primary_key.len()];
+        let bound = |last: u8| [columns, &[last]].concat();
+        let existing =
+            ctx.tx
+                .get_range(&bound(0x00), &bound(0xFF), RangeOptions::new().limit(2))?;
+        if existing
+            .iter()
+            .any(|kv| kv.key[columns.len()..] != *ctx.primary_key)
+        {
+            return Err(Error::UniquenessViolation {
+                index: ctx.index.name.clone(),
+            });
+        }
+        Ok(())
+    }
 }
 
 impl IndexMaintainer for ValueIndexMaintainer {
@@ -28,58 +66,48 @@ impl IndexMaintainer for ValueIndexMaintainer {
         old: Option<&StoredRecord>,
         new: Option<&StoredRecord>,
     ) -> Result<i64> {
-        let old_entries = old
-            .map(|r| entries_for(ctx, r))
-            .transpose()?
-            .unwrap_or_default();
-        let new_entries = new
-            .map(|r| entries_for(ctx, r))
-            .transpose()?
-            .unwrap_or_default();
-        let mut delta = 0i64;
-
-        // Remove entries no longer produced.
-        for entry in &old_entries {
-            if !new_entries.contains(entry) {
-                let key = ctx
-                    .subspace
-                    .pack(&entry.key.clone().concat(&entry.primary_key));
-                ctx.tx.clear(&key);
-                delta -= 1;
-            }
+        let (old, new) = evaluate_change(ctx.index, old, new)?;
+        if same_entries(&old, &new) {
+            return Ok(0);
         }
-        // Insert fresh entries.
-        for entry in &new_entries {
-            if old_entries.contains(entry) {
-                continue;
-            }
-            if ctx.index.options.unique {
-                // A unique index key must map to at most one primary key:
-                // scan the key's prefix for a foreign pk.
-                let prefix = ctx.subspace.subspace(&entry.key);
-                let (begin, end) = prefix.range();
-                let existing = ctx
-                    .tx
-                    .get_range(&begin, &end, RangeOptions::new().limit(2))?;
-                for kv in existing {
-                    let t = prefix.unpack(&kv.key).map_err(Error::Fdb)?;
-                    if t != entry.primary_key {
-                        return Err(Error::UniquenessViolation {
-                            index: ctx.index.name.clone(),
-                        });
+        let mut old = entries(ctx, &old).into_iter().peekable();
+        let mut new = entries(ctx, &new).into_iter().peekable();
+        let mut delta = 0i64;
+        loop {
+            // By key; of two entries of one key whose values differ, the
+            // old one goes first, so its clear precedes the new one's set.
+            let order = match (old.peek(), new.peek()) {
+                (None, None) => break,
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (Some((old_key, old_value)), Some((new_key, new_value))) => {
+                    match old_key.cmp(new_key) {
+                        Ordering::Equal if old_value != new_value => Ordering::Less,
+                        order => order,
+                    }
+                }
+            };
+            match order {
+                Ordering::Equal => {
+                    old.next();
+                    new.next();
+                }
+                Ordering::Less => {
+                    if let Some((key, _)) = old.next() {
+                        ctx.tx.clear_owned(key);
+                        delta -= 1;
+                    }
+                }
+                Ordering::Greater => {
+                    if let Some((key, value)) = new.next() {
+                        if ctx.index.options.unique {
+                            Self::check_unique(ctx, &key)?;
+                        }
+                        ctx.tx.try_set_owned(key, value)?;
+                        delta += 1;
                     }
                 }
             }
-            let key = ctx
-                .subspace
-                .pack(&entry.key.clone().concat(&entry.primary_key));
-            let value = if entry.value.is_empty() {
-                Vec::new()
-            } else {
-                entry.value.pack()
-            };
-            ctx.tx.try_set(&key, &value)?;
-            delta += 1;
         }
         Ok(delta)
     }

@@ -5,25 +5,19 @@
 //! New records' versions are unknown until commit, so fresh entries are
 //! written with `SET_VERSIONSTAMPED_KEY`: the database splices the commit
 //! version into the key during commit. Old entries are removed with plain
-//! clears since a stored record's version is known.
+//! clears since a stored record's version is known; an entry written
+//! earlier in the same transaction is still a buffered versionstamped
+//! write, and is dropped instead.
 
 use rl_fdb::atomic::MutationType;
-use rl_fdb::tuple::Tuple;
 
 use crate::error::Result;
-use crate::index::{evaluate_index_expr, to_index_entries, IndexContext, IndexMaintainer};
+use crate::index::{entry_value, evaluate_change, IndexContext, IndexMaintainer};
 use crate::store::StoredRecord;
 
+/// Rewrites every entry on every change: the new record's version differs
+/// from the old one's, so no entry is shared. Each key is packed once.
 pub struct VersionIndexMaintainer;
-
-/// Whether a tuple contains an incomplete versionstamp (somewhere).
-fn has_incomplete(t: &Tuple) -> bool {
-    t.elements().iter().any(|e| match e {
-        rl_fdb::tuple::TupleElement::Versionstamp(v) => !v.is_complete(),
-        rl_fdb::tuple::TupleElement::Tuple(inner) => has_incomplete(inner),
-        _ => false,
-    })
-}
 
 impl IndexMaintainer for VersionIndexMaintainer {
     fn update(
@@ -32,38 +26,33 @@ impl IndexMaintainer for VersionIndexMaintainer {
         old: Option<&StoredRecord>,
         new: Option<&StoredRecord>,
     ) -> Result<i64> {
+        let (old, new) = evaluate_change(ctx.index, old, new)?;
+        let key_columns = ctx.index.key_expression.key_column_count();
         let mut delta = 0i64;
-        if let Some(old) = old {
-            let tuples = evaluate_index_expr(ctx.index, old)?;
-            for entry in to_index_entries(ctx.index, tuples, &old.primary_key) {
-                // The stored record's version is complete, so the entry key
-                // is fully known and can be cleared directly.
-                let key = ctx.subspace.pack(&entry.key.concat(&entry.primary_key));
-                ctx.tx.clear(&key);
-                delta -= 1;
-            }
-        }
-        if let Some(new) = new {
-            let tuples = evaluate_index_expr(ctx.index, new)?;
-            for entry in to_index_entries(ctx.index, tuples, &new.primary_key) {
-                let full = entry.key.concat(&entry.primary_key);
-                let value = if entry.value.is_empty() {
-                    Vec::new()
-                } else {
-                    entry.value.pack()
-                };
-                if has_incomplete(&full) {
-                    let operand = ctx
-                        .subspace
-                        .pack_versionstamp_operand(&full)
-                        .map_err(crate::Error::Fdb)?;
-                    ctx.tx
-                        .mutate(MutationType::SetVersionstampedKey, &operand, &value)?;
-                } else {
-                    ctx.tx.try_set(&ctx.subspace.pack(&full), &value)?;
+        for tuple in &old {
+            // A record saved earlier in this transaction has an incomplete
+            // version (see the module doc).
+            let (key, _) = tuple.elements().split_at(key_columns.min(tuple.len()));
+            match ctx.stamped_entry_key(key) {
+                (key, Some(_)) => {
+                    ctx.tx.remove_versionstamped_key(&key);
                 }
-                delta += 1;
+                (key, None) => ctx.tx.clear_owned(key),
             }
+            delta -= 1;
+        }
+        for tuple in &new {
+            let (key, value) = tuple.elements().split_at(key_columns.min(tuple.len()));
+            let value = entry_value(value);
+            match ctx.stamped_entry_key(key) {
+                (mut operand, Some(offset)) => {
+                    operand.extend_from_slice(&(offset as u32).to_le_bytes());
+                    ctx.tx
+                        .mutate_owned(MutationType::SetVersionstampedKey, operand, value)?;
+                }
+                (key, None) => ctx.tx.try_set_owned(key, value)?,
+            }
+            delta += 1;
         }
         Ok(delta)
     }

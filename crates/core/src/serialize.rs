@@ -16,7 +16,9 @@ use crate::error::{Error, Result};
 pub trait RecordSerializer: Send + Sync {
     /// A short name recorded in diagnostics.
     fn name(&self) -> &str;
-    fn serialize(&self, record_bytes: &[u8]) -> Result<Vec<u8>>;
+    /// Turn the record bytes into their stored form. They come by value,
+    /// so a transform that leaves them in place returns the same buffer.
+    fn serialize(&self, record_bytes: Vec<u8>) -> Result<Vec<u8>>;
     /// Undo `serialize`. A transform that leaves the record bytes in place
     /// inside `stored` lends them back; the fetch path decodes from there.
     fn deserialize<'a>(&self, stored: &'a [u8]) -> Result<Cow<'a, [u8]>>;
@@ -31,11 +33,9 @@ impl RecordSerializer for PlainSerializer {
         "plain"
     }
 
-    fn serialize(&self, record_bytes: &[u8]) -> Result<Vec<u8>> {
-        let mut out = Vec::with_capacity(record_bytes.len() + 1);
-        out.push(b'P');
-        out.extend_from_slice(record_bytes);
-        Ok(out)
+    fn serialize(&self, mut record_bytes: Vec<u8>) -> Result<Vec<u8>> {
+        record_bytes.insert(0, b'P');
+        Ok(record_bytes)
     }
 
     fn deserialize<'a>(&self, stored: &'a [u8]) -> Result<Cow<'a, [u8]>> {
@@ -93,7 +93,7 @@ impl<S: RecordSerializer> RecordSerializer for CompressingSerializer<S> {
         "compressing"
     }
 
-    fn serialize(&self, record_bytes: &[u8]) -> Result<Vec<u8>> {
+    fn serialize(&self, record_bytes: Vec<u8>) -> Result<Vec<u8>> {
         let inner = self.inner.serialize(record_bytes)?;
         let compressed = rle_compress(&inner);
         let mut out = Vec::with_capacity(compressed.len().min(inner.len()) + 1);
@@ -147,7 +147,7 @@ impl<S: RecordSerializer> RecordSerializer for XorCipherSerializer<S> {
         "xor-cipher"
     }
 
-    fn serialize(&self, record_bytes: &[u8]) -> Result<Vec<u8>> {
+    fn serialize(&self, record_bytes: Vec<u8>) -> Result<Vec<u8>> {
         let inner = self.inner.serialize(record_bytes)?;
         let mut out = Vec::with_capacity(inner.len() + 1);
         out.push(b'X');
@@ -171,7 +171,7 @@ mod tests {
     use super::*;
 
     fn roundtrip<S: RecordSerializer>(s: &S, data: &[u8]) {
-        let stored = s.serialize(data).unwrap();
+        let stored = s.serialize(data.to_vec()).unwrap();
         let back = s.deserialize(&stored).unwrap();
         assert_eq!(back, data);
     }
@@ -187,7 +187,7 @@ mod tests {
         let s = CompressingSerializer::new(PlainSerializer);
         let runs = vec![0u8; 1000];
         roundtrip(&s, &runs);
-        let stored = s.serialize(&runs).unwrap();
+        let stored = s.serialize(runs).unwrap();
         assert!(
             stored.len() < 100,
             "RLE should compress runs: {}",
@@ -200,7 +200,7 @@ mod tests {
         let s = CompressingSerializer::new(PlainSerializer);
         let noisy: Vec<u8> = (0..=255u8).cycle().take(512).collect();
         roundtrip(&s, &noisy);
-        let stored = s.serialize(&noisy).unwrap();
+        let stored = s.serialize(noisy.clone()).unwrap();
         assert!(stored.len() <= noisy.len() + 2);
     }
 
@@ -209,7 +209,7 @@ mod tests {
         let s = XorCipherSerializer::new(PlainSerializer, b"key!".to_vec());
         let data = b"sensitive payload";
         roundtrip(&s, data);
-        let stored = s.serialize(data).unwrap();
+        let stored = s.serialize(data.to_vec()).unwrap();
         assert!(!stored.windows(data.len()).any(|w| w == data.as_slice()));
     }
 
@@ -222,7 +222,7 @@ mod tests {
 
     #[test]
     fn wrong_format_detected() {
-        let plain = PlainSerializer.serialize(b"x").unwrap();
+        let plain = PlainSerializer.serialize(b"x".to_vec()).unwrap();
         assert!(XorCipherSerializer::new(PlainSerializer, b"k".to_vec())
             .deserialize(&plain)
             .is_err());

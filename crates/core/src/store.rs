@@ -37,8 +37,8 @@ use std::sync::Arc;
 
 use rl_fdb::atomic::MutationType;
 use rl_fdb::subspace::Subspace;
-use rl_fdb::tuple::{ElementRef, Tuple, TupleReader};
-use rl_fdb::version::Versionstamp;
+use rl_fdb::tuple::{self, ElementRef, Tuple, TupleElement, TupleReader};
+use rl_fdb::version::{Versionstamp, VERSIONSTAMP_LEN};
 use rl_fdb::{KeyValue, RangeOptions, Transaction};
 use rl_message::DynamicMessage;
 
@@ -90,7 +90,7 @@ pub struct StoredRecord {
 impl StoredRecord {
     /// Serialized payload size in bytes (used by size-tracking indexes).
     pub fn serialized_size(&self) -> usize {
-        self.message.encode().len()
+        self.message.encoded_len()
     }
 }
 
@@ -471,20 +471,30 @@ impl<'a> RecordStore<'a> {
     }
 
     fn record_count_key(&self) -> Vec<u8> {
-        self.stats.pack(&Tuple::new().push(STAT_RECORDS))
+        let stat = TupleElement::Int(STAT_RECORDS);
+        let mut key = Vec::with_capacity(self.stats.prefix().len() + stat.packed_len());
+        key.extend_from_slice(self.stats.prefix());
+        stat.pack_into(&mut key);
+        key
     }
 
     fn index_entry_count_key(&self, index_name: &str) -> Vec<u8> {
-        self.stats
-            .pack(&Tuple::new().push(STAT_INDEX_ENTRIES).push(index_name))
+        let stat = TupleElement::Int(STAT_INDEX_ENTRIES);
+        let len = self.stats.prefix().len() + stat.packed_len() + tuple::packed_str_len(index_name);
+        let mut key = Vec::with_capacity(len);
+        key.extend_from_slice(self.stats.prefix());
+        stat.pack_into(&mut key);
+        tuple::pack_str_into(index_name, &mut key);
+        key
     }
 
     /// Fold a delta into a statistics counter with a conflict-free atomic
-    /// ADD (little-endian i64 operand).
-    fn bump_stat(&self, key: &[u8], delta: i64) -> Result<()> {
+    /// ADD (little-endian i64 operand). The counter's key is built only
+    /// for a delta that is not zero.
+    fn bump_stat(&self, key: impl FnOnce() -> Vec<u8>, delta: i64) -> Result<()> {
         if delta != 0 {
             self.tx
-                .mutate(MutationType::Add, key, &delta.to_le_bytes())?;
+                .mutate_owned(MutationType::Add, key(), delta.to_le_bytes().to_vec())?;
         }
         Ok(())
     }
@@ -680,30 +690,45 @@ impl<'a> RecordStore<'a> {
 
     /// Save (insert or replace) a record, maintaining every applicable
     /// index in the same transaction (§6).
+    ///
+    /// Cost contract: one lending read of the old record
+    /// ([`load_record`](Self::load_record)'s), then only the writes that
+    /// change something, each key built once and moved into the
+    /// transaction. The primary key is packed once and shared by the
+    /// payload, version and index keys. The payload is one buffer: the
+    /// message is encoded straight into its `(type, wire)` envelope, which
+    /// the serializer takes by value. Every index evaluates the old and
+    /// the new record once, and an index whose entries did not change
+    /// writes nothing and builds no key (see [`IndexMaintainer`]), nor does
+    /// its entry-count statistic when its delta is zero. A changed entry's
+    /// key is packed into one buffer of its final size.
+    /// `tests/save_allocations.rs` holds the count.
+    ///
+    /// [`IndexMaintainer`]: crate::index::IndexMaintainer
     pub fn save_record(&self, message: DynamicMessage) -> Result<StoredRecord> {
-        let record_type = message.type_name().to_string();
         let primary_key = self.primary_key_of(&message)?;
+        let packed_pk = primary_key.pack();
 
-        let old = self.load_record(&primary_key)?;
+        let old = self.load_record_packed(&packed_pk, || primary_key.clone())?;
 
         let version = if self.metadata.store_record_versions {
             Some(Versionstamp::incomplete(self.tx.next_user_version()))
         } else {
             None
         };
-        let serialized = self.serialize_record(&record_type, &message)?;
+        let serialized = self.serialize_record(message.type_name(), &message)?;
         let split_count = serialized.len().div_ceil(self.split_size).max(1);
         let new = StoredRecord {
-            primary_key: primary_key.clone(),
-            record_type,
+            primary_key,
+            record_type: message.type_name().to_string(),
             message,
             version,
             split_count,
         };
 
-        self.update_indexes(old.as_ref(), Some(&new))?;
+        self.update_indexes(old.as_ref(), Some(&new), &packed_pk)?;
         if old.is_none() {
-            self.bump_stat(&self.record_count_key(), 1)?;
+            self.bump_stat(|| self.record_count_key(), 1)?;
         }
 
         // Replace the old payload. The writes below overwrite every old key
@@ -711,12 +736,11 @@ impl<'a> RecordStore<'a> {
         // n chunks are keys 1..=n) and the old version key, if there is
         // one, is rewritten too; otherwise some old key would survive, and
         // a range clear takes the old record out first (§6).
-        let rec_sub = self.records.subspace(&primary_key);
         if let Some(old) = &old {
             let overwritten = old.split_count == split_count
                 && (old.version.is_none() || self.metadata.store_record_versions);
             if !overwritten {
-                let (begin, end) = rec_sub.range_inclusive();
+                let (begin, end) = self.record_range(&packed_pk);
                 self.tx.clear_range(&begin, &end);
             }
         }
@@ -724,7 +748,7 @@ impl<'a> RecordStore<'a> {
         // Write the new payload chunks.
         if split_count == 1 {
             self.tx
-                .try_set(&rec_sub.pack(&Tuple::new().push(0i64)), &serialized)?;
+                .try_set_owned(self.record_key(&packed_pk, 0), serialized)?;
         } else {
             if !self.metadata.split_long_records {
                 return Err(Error::RecordTooLarge {
@@ -733,21 +757,41 @@ impl<'a> RecordStore<'a> {
             }
             for (i, chunk) in serialized.chunks(self.split_size).enumerate() {
                 self.tx
-                    .try_set(&rec_sub.pack(&Tuple::new().push((i + 1) as i64)), chunk)?;
+                    .try_set(&self.record_key(&packed_pk, (i + 1) as i64), chunk)?;
             }
         }
 
         // Write the version split (-1) via a versionstamped value so the
         // commit version is filled in by the database (§4, §7).
-        if self.metadata.store_record_versions {
-            let key = rec_sub.pack(&Tuple::new().push(VERSION_SPLIT));
-            let mut param = new.version.unwrap().as_bytes().to_vec();
+        if let Some(version) = new.version {
+            let mut param = Vec::with_capacity(VERSIONSTAMP_LEN + 4);
+            param.extend_from_slice(version.as_bytes());
             param.extend_from_slice(&0u32.to_le_bytes());
-            self.tx
-                .mutate(MutationType::SetVersionstampedValue, &key, &param)?;
+            self.tx.mutate_owned(
+                MutationType::SetVersionstampedValue,
+                self.record_key(&packed_pk, VERSION_SPLIT),
+                param,
+            )?;
         }
 
         Ok(new)
+    }
+
+    /// The key of one of a record's rows, `S(1, pk…, split)`, from the
+    /// packed primary key, in one buffer of its final size.
+    fn record_key(&self, packed_pk: &[u8], split: i64) -> Vec<u8> {
+        let (prefix, split) = (self.records.prefix(), TupleElement::Int(split));
+        let mut key = Vec::with_capacity(prefix.len() + packed_pk.len() + split.packed_len());
+        key.extend_from_slice(prefix);
+        key.extend_from_slice(packed_pk);
+        split.pack_into(&mut key);
+        key
+    }
+
+    /// The range of every row of the record with packed primary key
+    /// `packed_pk`.
+    fn record_range(&self, packed_pk: &[u8]) -> (Vec<u8>, Vec<u8>) {
+        Subspace::from_bytes([self.records.prefix(), packed_pk].concat()).range_inclusive()
     }
 
     /// Load a record by primary key: one range read fetches the version
@@ -805,13 +849,13 @@ impl<'a> RecordStore<'a> {
     /// Delete a record by primary key, maintaining indexes. Returns whether
     /// a record existed.
     pub fn delete_record(&self, primary_key: &Tuple) -> Result<bool> {
-        let Some(old) = self.load_record(primary_key)? else {
+        let packed_pk = primary_key.pack();
+        let Some(old) = self.load_record_packed(&packed_pk, || primary_key.clone())? else {
             return Ok(false);
         };
-        self.update_indexes(Some(&old), None)?;
-        self.bump_stat(&self.record_count_key(), -1)?;
-        let rec_sub = self.records.subspace(primary_key);
-        let (begin, end) = rec_sub.range_inclusive();
+        self.update_indexes(Some(&old), None, &packed_pk)?;
+        self.bump_stat(|| self.record_count_key(), -1)?;
+        let (begin, end) = self.record_range(&packed_pk);
         self.tx.clear_range(&begin, &end);
         Ok(true)
     }
@@ -833,10 +877,7 @@ impl<'a> RecordStore<'a> {
 
     /// The commit version of a record's last modification, if stored.
     pub fn load_record_version(&self, primary_key: &Tuple) -> Result<Option<Versionstamp>> {
-        let key = self
-            .records
-            .subspace(primary_key)
-            .pack(&Tuple::new().push(VERSION_SPLIT));
+        let key = self.record_key(&primary_key.pack(), VERSION_SPLIT);
         match self.tx.get(&key)? {
             Some(v) => Ok(Some(Versionstamp::try_from_slice(&v).map_err(Error::Fdb)?)),
             None => Ok(None),
@@ -845,8 +886,14 @@ impl<'a> RecordStore<'a> {
 
     // ----------------------------------------------------------- indexing
 
-    /// Run every applicable maintainer for a record change.
-    fn update_indexes(&self, old: Option<&StoredRecord>, new: Option<&StoredRecord>) -> Result<()> {
+    /// Run every applicable maintainer for a change of the record with
+    /// packed primary key `packed_pk`.
+    fn update_indexes(
+        &self,
+        old: Option<&StoredRecord>,
+        new: Option<&StoredRecord>,
+        packed_pk: &[u8],
+    ) -> Result<()> {
         // Borrowed across the maintainers: they see the transaction and
         // the index's subspace, never this handle.
         let state = self.state.borrow();
@@ -859,17 +906,12 @@ impl<'a> RecordStore<'a> {
             if old_in.is_none() && new_in.is_none() {
                 continue;
             }
-            let ctx = IndexContext {
-                tx: self.tx,
-                index,
-                subspace: self.index_subspace(index),
-                metadata: self.metadata,
-            };
+            let ctx = IndexContext::new(self.tx, index, self.metadata, &self.indexes, packed_pk);
             let delta = self
                 .registry
                 .maintainer(index)?
                 .update(&ctx, old_in, new_in)?;
-            self.bump_stat(&self.index_entry_count_key(&index.name), delta)?;
+            self.bump_stat(|| self.index_entry_count_key(&index.name), delta)?;
         }
         Ok(())
     }
@@ -877,17 +919,13 @@ impl<'a> RecordStore<'a> {
     /// Re-apply one index's maintainer for a single record (used by the
     /// online index builder).
     pub fn update_one_index(&self, index: &Index, record: &StoredRecord) -> Result<()> {
-        let ctx = IndexContext {
-            tx: self.tx,
-            index,
-            subspace: self.index_subspace(index),
-            metadata: self.metadata,
-        };
+        let packed_pk = record.primary_key.pack();
+        let ctx = IndexContext::new(self.tx, index, self.metadata, &self.indexes, &packed_pk);
         let delta = self
             .registry
             .maintainer(index)?
             .update(&ctx, None, Some(record))?;
-        self.bump_stat(&self.index_entry_count_key(&index.name), delta)
+        self.bump_stat(|| self.index_entry_count_key(&index.name), delta)
     }
 
     /// Clear one index's data (before a rebuild).
@@ -961,12 +999,24 @@ impl<'a> RecordStore<'a> {
 
     // ------------------------------------------------------ serialization
 
+    /// The stored payload of `message`: the tuple `(type, wire)` — the
+    /// type recorded so interleaved records of different types can be told
+    /// apart on read (§4 single extent) — through the serializer.
+    ///
+    /// The wire bytes are encoded once, straight into the envelope, and
+    /// escaped where they lie; the buffer has room for the serializer's
+    /// one-byte format marker and a few escaped NULs, so the identity
+    /// serializer stores it without a second buffer.
     fn serialize_record(&self, record_type: &str, message: &DynamicMessage) -> Result<Vec<u8>> {
-        // The payload records its type so interleaved records of different
-        // types can be told apart on read (§4 single extent).
-        let wire = message.encode();
-        let tagged = Tuple::new().push(record_type).push(wire).pack();
-        self.serializer.serialize(&tagged)
+        let wire_len = message.encoded_len();
+        let room = 1 + wire_len / 32 + 8;
+        let mut envelope =
+            Vec::with_capacity(tuple::packed_str_len(record_type) + wire_len + 2 + room);
+        tuple::pack_str_into(record_type, &mut envelope);
+        let wire_at = envelope.len();
+        message.encode_into(&mut envelope);
+        tuple::pack_bytes_in_place(&mut envelope, wire_at);
+        self.serializer.serialize(envelope)
     }
 
     /// Undo `serialize_record`: the `(type, wire)` envelope is read off

@@ -5,6 +5,8 @@
 //! do not abort one another. The Record Layer's atomic-mutation index types
 //! (COUNT, SUM, MIN_EVER, MAX_EVER, ...) depend on this property.
 
+use std::borrow::Cow;
+
 use crate::error::{Error, Result};
 use crate::version::TR_VERSION_LEN;
 
@@ -167,7 +169,8 @@ pub fn apply(op: MutationType, current: Option<&[u8]>, param: &[u8]) -> Result<O
 /// API appends a 4-byte little-endian offset to the end of the key (for
 /// `SetVersionstampedKey`) or value (for `SetVersionstampedValue`)
 /// indicating where the 10-byte placeholder begins.
-pub fn split_versionstamp_operand(data: &[u8]) -> Result<(Vec<u8>, usize)> {
+pub fn split_versionstamp_operand<'d>(data: impl Into<Cow<'d, [u8]>>) -> Result<(Vec<u8>, usize)> {
+    let data = data.into();
     if data.len() < 4 {
         return Err(Error::InvalidMutation(
             "versionstamp operand shorter than 4-byte offset suffix".into(),
@@ -181,7 +184,9 @@ pub fn split_versionstamp_operand(data: &[u8]) -> Result<(Vec<u8>, usize)> {
             payload.len()
         )));
     }
-    Ok((payload.to_vec(), offset))
+    let mut payload = data.into_owned();
+    payload.truncate(payload.len() - 4);
+    Ok((payload, offset))
 }
 
 /// Fill the 10 transaction-version bytes into `payload` at `offset`.

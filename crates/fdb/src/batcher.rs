@@ -159,7 +159,7 @@ pub(crate) fn pending(
 ) -> PendingCommit {
     let mut set = WriteSet::default();
     for (key, op) in writes {
-        set.push(key.as_bytes(), op);
+        set.push(key.as_bytes().to_vec(), op);
     }
     PendingCommit {
         ticket,

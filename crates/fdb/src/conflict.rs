@@ -10,6 +10,7 @@
 //! that read it would validate under disjoint locks.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Number of recent-writes conflict-index shards. Keys map to shards by
 /// their first two bytes, so transactions over disjoint key prefixes
@@ -87,12 +88,92 @@ pub(crate) fn commit_shard_mask(
     }
 }
 
-/// One entry in the conflict-detection window: the write conflict ranges of
-/// a committed transaction, recorded under its commit version.
+/// The shard of a single key: what [`range_shard_mask`] gives for
+/// `[key, key_after(key))`, whose keys all share `key`'s padded prefix.
+fn key_shard_mask(key: &[u8]) -> u16 {
+    1 << shard_of_prefix(prefix_value(key))
+}
+
+/// One commit's write conflicts, as the conflict window keeps them: built
+/// once when the commit is submitted, and shared by the window of every
+/// shard it touches (a clone is a reference count).
+///
+/// A point write is its key, not a `(key, key_after(key))` pair: the keys
+/// lie back to back in one buffer.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct WriteConflicts(Arc<Writes>);
+
+#[derive(Debug, Default)]
+struct Writes {
+    /// The written keys, back to back.
+    keys: Vec<u8>,
+    /// Where each key in `keys` ends.
+    ends: Vec<usize>,
+    /// Range conflicts `[begin, end)`.
+    ranges: Vec<(Vec<u8>, Vec<u8>)>,
+}
+
+impl WriteConflicts {
+    /// The conflicts of writing `keys` and of `ranges`: two buffers for
+    /// the keys, each of its final size, whatever their number.
+    pub(crate) fn new<'k, I>(keys: I, ranges: Vec<(Vec<u8>, Vec<u8>)>) -> Self
+    where
+        I: IntoIterator<Item = &'k [u8]>,
+        I::IntoIter: Clone + ExactSizeIterator,
+    {
+        let keys = keys.into_iter();
+        let mut writes = Writes {
+            keys: Vec::with_capacity(keys.clone().map(<[u8]>::len).sum()),
+            ends: Vec::with_capacity(keys.len()),
+            ranges,
+        };
+        for key in keys {
+            writes.keys.extend_from_slice(key);
+            writes.ends.push(writes.keys.len());
+        }
+        WriteConflicts(Arc::new(writes))
+    }
+
+    fn key(&self, i: usize) -> &[u8] {
+        let start = if i == 0 { 0 } else { self.0.ends[i - 1] };
+        &self.0.keys[start..self.0.ends[i]]
+    }
+
+    /// The range conflicts.
+    pub(crate) fn ranges(&self) -> &[(Vec<u8>, Vec<u8>)] {
+        &self.0.ranges
+    }
+
+    /// The shards of the written keys (the ranges' are
+    /// [`commit_shard_mask`]'s to add).
+    pub(crate) fn key_shard_mask(&self) -> u16 {
+        (0..self.0.ends.len()).fold(0, |mask, i| mask | key_shard_mask(self.key(i)))
+    }
+
+    /// The union of the keys' and the ranges' shards.
+    pub(crate) fn shard_mask(&self) -> u16 {
+        self.key_shard_mask() | conflict_shard_mask(self.ranges())
+    }
+
+    /// Whether any of these writes falls in any of `read_conflicts`.
+    fn intersects(&self, read_conflicts: &[(Vec<u8>, Vec<u8>)]) -> bool {
+        read_conflicts.iter().any(|(begin, end)| {
+            let inside = |key: &[u8]| begin.as_slice() <= key && key < end.as_slice();
+            (0..self.0.ends.len()).any(|i| inside(self.key(i)))
+                || self
+                    .ranges()
+                    .iter()
+                    .any(|(wa, wb)| ranges_intersect(begin, end, wa, wb))
+        })
+    }
+}
+
+/// One entry in the conflict-detection window: the write conflicts of a
+/// committed transaction, recorded under its commit version.
 #[derive(Debug)]
 struct CommittedWrites {
     version: u64,
-    ranges: Vec<(Vec<u8>, Vec<u8>)>,
+    writes: WriteConflicts,
 }
 
 /// One shard of the recent-writes conflict index. Entries are ordered by
@@ -116,27 +197,23 @@ impl ConflictShard {
             if committed.version <= read_version {
                 break;
             }
-            for (wa, wb) in &committed.ranges {
-                for (ra, rb) in read_conflicts {
-                    if ranges_intersect(ra, rb, wa, wb) {
-                        return true;
-                    }
-                }
+            if committed.writes.intersects(read_conflicts) {
+                return true;
             }
         }
         false
     }
 
-    /// Record a commit's write conflict ranges at its `version`, first
-    /// dropping the entries older than the MVCC `horizon`: no transaction
-    /// that could still commit reads below it.
-    pub(crate) fn record(&mut self, version: u64, horizon: u64, ranges: &[(Vec<u8>, Vec<u8>)]) {
+    /// Record a commit's write conflicts at its `version`, first dropping
+    /// the entries older than the MVCC `horizon`: no transaction that could
+    /// still commit reads below it.
+    pub(crate) fn record(&mut self, version: u64, horizon: u64, writes: impl Into<WriteConflicts>) {
         while self.window.front().is_some_and(|c| c.version < horizon) {
             self.window.pop_front();
         }
         self.window.push_back(CommittedWrites {
             version,
-            ranges: ranges.to_vec(),
+            writes: writes.into(),
         });
     }
 }
@@ -149,6 +226,13 @@ fn ranges_intersect(a1: &[u8], a2: &[u8], b1: &[u8], b2: &[u8]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// What the window tests record: the write conflicts of ranges alone.
+    impl From<&Vec<(Vec<u8>, Vec<u8>)>> for WriteConflicts {
+        fn from(ranges: &Vec<(Vec<u8>, Vec<u8>)>) -> Self {
+            WriteConflicts::new([], ranges.clone())
+        }
+    }
 
     #[test]
     fn shard_masks_cover_their_ranges() {
@@ -261,5 +345,41 @@ mod tests {
         shard.record(30, 11, &range(b"x", b"y"));
         assert!(!shard.conflicts_with(0, &range(b"a", b"c")));
         assert_eq!(shard.window.len(), 2);
+    }
+
+    /// A commit whose writes touch two shards is kept once, by both
+    /// windows: a reader of a written key conflicts on either shard, and
+    /// the commit is freed once both windows pass the horizon.
+    #[test]
+    fn a_commit_on_two_shards_is_stored_once_and_pruned_from_both() {
+        let (a, b) = (b"t0/a".to_vec(), b"t1/b".to_vec());
+        let writes = WriteConflicts::new([&a[..], &b[..]], Vec::new());
+        assert_eq!(writes.shard_mask(), key_shard_mask(&a) | key_shard_mask(&b));
+        assert_eq!(writes.shard_mask().count_ones(), 2);
+        for key in [&a, &b] {
+            let point = range_shard_mask(key, &crate::key_after(key));
+            assert_eq!(point, key_shard_mask(key));
+        }
+        let mut shards = [ConflictShard::default(), ConflictShard::default()];
+        for shard in &mut shards {
+            shard.record(10, 0, writes.clone());
+        }
+        let stored = |shard: &ConflictShard| Arc::as_ptr(&shard.window[0].writes.0);
+        assert_eq!(stored(&shards[0]), stored(&shards[1]));
+        assert_eq!(Arc::strong_count(&writes.0), 3);
+        let reads = |begin: &[u8], end: &[u8]| vec![(begin.to_vec(), end.to_vec())];
+        for shard in &shards {
+            for key in [&a, &b] {
+                assert!(shard.conflicts_with(5, &reads(key, &crate::key_after(key))));
+                assert!(!shard.conflicts_with(10, &reads(key, &crate::key_after(key))));
+            }
+            assert!(shard.conflicts_with(5, &reads(b"t0/", b"t0/b")));
+            assert!(!shard.conflicts_with(5, &reads(b"t0/", b"t0/a")));
+            assert!(!shard.conflicts_with(5, &reads(b"t0/a\x00", b"t1/b")));
+        }
+        shards[0].record(20, 11, WriteConflicts::default());
+        assert_eq!(Arc::strong_count(&writes.0), 2);
+        shards[1].record(20, 11, WriteConflicts::default());
+        assert_eq!(Arc::strong_count(&writes.0), 1, "a window still holds it");
     }
 }

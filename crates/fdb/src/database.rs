@@ -38,7 +38,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use crate::batcher::{BatchResults, CommitBatcher, CommitReceipt, PendingCommit};
-use crate::conflict::{commit_shard_mask, conflict_shard_mask, ConflictShard, CONFLICT_SHARDS};
+use crate::conflict::{commit_shard_mask, ConflictShard, WriteConflicts, CONFLICT_SHARDS};
 use crate::error::{Error, Result};
 use crate::metrics::{Metrics, SharedMetrics};
 use crate::options::{build_engine, DatabaseOptions, VERSIONS_PER_MS};
@@ -301,7 +301,7 @@ impl Database {
         &self,
         read_version: u64,
         read_conflicts: &[(Vec<u8>, Vec<u8>)],
-        write_conflicts: &[(Vec<u8>, Vec<u8>)],
+        write_conflicts: WriteConflicts,
         writes: &mut WriteSet,
         relied_on_metadata_version: bool,
         writes_metadata_version: bool,
@@ -312,7 +312,11 @@ impl Database {
 
         // Lock the conflict shards this transaction's ranges can touch,
         // in ascending shard order (the ConflictShard indexed band).
-        let mask = commit_shard_mask(read_conflicts, write_conflicts, writes_metadata_version);
+        let mask = commit_shard_mask(
+            read_conflicts,
+            write_conflicts.ranges(),
+            writes_metadata_version,
+        ) | write_conflicts.key_shard_mask();
         let mut held = Vec::with_capacity(mask.count_ones() as usize);
         let acquiring = rl_obs::Timer::start("shard_acquire");
         for idx in 0..CONFLICT_SHARDS {
@@ -353,16 +357,13 @@ impl Database {
         let lead = |batch| self.lead_batch(batch);
         let receipt = self.batcher.submit(writes, writes_metadata_version, lead)?;
 
-        // Record our write conflict ranges for future validations, in
-        // every shard the write set touches (duplicated per shard so each
-        // shard's window is self-contained).
-        if !write_conflicts.is_empty() {
-            let write_mask = conflict_shard_mask(write_conflicts);
-            let horizon = self.oldest.load(Ordering::Acquire);
-            for (idx, shard) in &mut held {
-                if write_mask & (1 << *idx) != 0 {
-                    shard.record(receipt.version, horizon, write_conflicts);
-                }
+        // Record our write conflicts for future validations, in every shard
+        // they touch: each shard's window holds the one shared copy.
+        let write_mask = write_conflicts.shard_mask();
+        let horizon = self.oldest.load(Ordering::Acquire);
+        for (idx, shard) in &mut held {
+            if write_mask & (1 << *idx) != 0 {
+                shard.record(receipt.version, horizon, write_conflicts.clone());
             }
         }
         Ok(receipt)
@@ -979,6 +980,31 @@ mod tests {
             Ok(Ok(())),
             "the commit waited on a shard it does not touch"
         );
+    }
+
+    /// A commit that writes a key on each of two shards conflicts with a
+    /// later-validating reader of either key, whichever shard it holds.
+    #[test]
+    fn a_commit_over_two_shards_conflicts_with_a_reader_of_either_key() {
+        let db = Database::new();
+        let shard = |key: &[u8]| WriteConflicts::new([key], Vec::new()).key_shard_mask();
+        assert_eq!(shard(b"t0/a") & shard(b"t1/b"), 0);
+        let readers: Vec<_> = [&b"t0/a"[..], b"t1/b"]
+            .into_iter()
+            .map(|key| {
+                let tx = db.create_transaction();
+                assert_eq!(tx.get(key).unwrap(), None);
+                tx.set(key, b"reader");
+                tx
+            })
+            .collect();
+        let writer = db.create_transaction();
+        writer.set(b"t0/a", b"writer");
+        writer.set(b"t1/b", b"writer");
+        writer.commit().unwrap();
+        for reader in readers {
+            assert_eq!(reader.commit(), Err(Error::NotCommitted));
+        }
     }
 
     #[test]

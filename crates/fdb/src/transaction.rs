@@ -68,6 +68,9 @@ struct TxState {
     /// and the commit hands them to the batch.
     writes: WriteSet,
     read_conflicts: Vec<(Vec<u8>, Vec<u8>)>,
+    /// Write conflict ranges added explicitly. What `writes` holds is a
+    /// write conflict too, built once at commit
+    /// ([`WriteSet::conflicts`]).
     write_conflicts: Vec<(Vec<u8>, Vec<u8>)>,
     /// Approximate transaction size (keys + values + conflict-range keys).
     size: usize,
@@ -95,7 +98,7 @@ struct TxState {
 
 impl TxState {
     /// Buffer `op` on `key`.
-    fn push(&mut self, key: &[u8], op: KeyOp) {
+    fn push(&mut self, key: Vec<u8>, op: KeyOp) {
         self.writes_metadata_version |= key == METADATA_VERSION_KEY;
         self.writes.push(key, op);
     }
@@ -600,6 +603,11 @@ impl Transaction {
     }
 
     // --------------------------------------------------------------- writes
+    //
+    // Each written key is a write conflict; the commit collects them from
+    // the write set. A write of borrowed bytes copies them into the write
+    // set once; its `_owned` twin takes a key and value the caller built,
+    // and they move in.
 
     /// Buffer a set, adding a write conflict on the key.
     pub fn set(&self, key: &[u8], value: &[u8]) {
@@ -608,27 +616,35 @@ impl Transaction {
 
     /// Fallible variant of [`set`](Self::set) surfacing size-limit errors.
     pub fn try_set(&self, key: &[u8], value: &[u8]) -> Result<()> {
-        self.validate_key(key)?;
-        self.validate_value(value)?;
+        self.try_set_owned(key.to_vec(), value.to_vec())
+    }
+
+    /// [`try_set`](Self::try_set) of a key and value the caller built:
+    /// both move into the write set.
+    pub fn try_set_owned(&self, key: Vec<u8>, value: Vec<u8>) -> Result<()> {
+        self.validate_key(&key)?;
+        self.validate_value(&value)?;
         let mut st = lock_ranked(&self.state, LockRank::TransactionState);
         self.check_open(&st)?;
-        st.push(key, KeyOp::Set(value.to_vec()));
-        st.write_conflicts
-            .push((key.to_vec(), crate::key_after(key)));
         st.size += key.len() + value.len() + 28;
+        st.push(key, KeyOp::Set(value));
         Ok(())
     }
 
     /// Buffer a single-key clear.
     pub fn clear(&self, key: &[u8]) {
+        self.clear_owned(key.to_vec());
+    }
+
+    /// [`clear`](Self::clear) of a key the caller built: it moves into the
+    /// write set.
+    pub fn clear_owned(&self, key: Vec<u8>) {
         let mut st = lock_ranked(&self.state, LockRank::TransactionState);
         if self.check_open(&st).is_err() {
             return;
         }
-        st.push(key, KeyOp::Clear);
-        st.write_conflicts
-            .push((key.to_vec(), crate::key_after(key)));
         st.size += key.len() + 28;
+        st.push(key, KeyOp::Clear);
     }
 
     /// Buffer a range clear of `[begin, end)`.
@@ -638,8 +654,7 @@ impl Transaction {
             return;
         }
         st.writes_metadata_version |= begin <= METADATA_VERSION_KEY && METADATA_VERSION_KEY < end;
-        st.writes.clear_range(begin, end);
-        st.write_conflicts.push((begin.to_vec(), end.to_vec()));
+        st.writes.clear_range(begin.to_vec(), end.to_vec());
         st.size += begin.len() + end.len() + 28;
         st.trace.range_clears += 1;
     }
@@ -648,17 +663,21 @@ impl Transaction {
     /// but no *read* conflict, so concurrent mutations to the same key never
     /// conflict with each other (§2).
     pub fn mutate(&self, op: MutationType, key: &[u8], param: &[u8]) -> Result<()> {
-        self.validate_key(key)?;
+        self.mutate_owned(op, key.to_vec(), param.to_vec())
+    }
+
+    /// [`mutate`](Self::mutate) with a key and operand the caller built:
+    /// both move into the write set.
+    pub fn mutate_owned(&self, op: MutationType, key: Vec<u8>, param: Vec<u8>) -> Result<()> {
+        self.validate_key(&key)?;
         let mut st = lock_ranked(&self.state, LockRank::TransactionState);
         self.check_open(&st)?;
         match op {
             MutationType::SetVersionstampedKey => {
+                // The final key is unknown until commit; its write conflict
+                // is the placeholder form. No stamp spells the
+                // metadata-version key.
                 let (payload, offset) = atomic::split_versionstamp_operand(key)?;
-                // The final key is unknown until commit; conservatively add
-                // a write conflict over the placeholder form. No stamp
-                // spells the metadata-version key.
-                st.write_conflicts
-                    .push((payload.clone(), crate::key_after(&payload)));
                 st.size += payload.len() + param.len() + 28;
                 st.writes.set_stamped_key(payload, offset, param);
             }
@@ -666,17 +685,25 @@ impl Transaction {
                 let (payload, offset) = atomic::split_versionstamp_operand(param)?;
                 st.size += key.len() + payload.len() + 28;
                 st.push(key, KeyOp::StampedValue(payload, offset));
-                st.write_conflicts
-                    .push((key.to_vec(), crate::key_after(key)));
             }
             _ => {
-                st.push(key, KeyOp::Atomic(op, param.to_vec()));
-                st.write_conflicts
-                    .push((key.to_vec(), crate::key_after(key)));
                 st.size += key.len() + param.len() + 28;
+                st.push(key, KeyOp::Atomic(op, param));
             }
         }
         Ok(())
+    }
+
+    /// Drop the `SET_VERSIONSTAMPED_KEY` writes this transaction buffered
+    /// under the placeholder form `key` (the operand without its offset
+    /// suffix), returning whether there were any. A versionstamped key is
+    /// not known until commit, so a clear cannot reach it: a layer that
+    /// replaces such a write made earlier in the same transaction (a
+    /// record saved twice, whose VERSION index entry moves) drops it here.
+    pub fn remove_versionstamped_key(&self, key: &[u8]) -> bool {
+        lock_ranked(&self.state, LockRank::TransactionState)
+            .writes
+            .remove_stamped_key(key)
     }
 
     // ------------------------------------------------------ conflict ranges
@@ -750,9 +777,10 @@ impl Transaction {
     pub fn cache_state<T: Send + Sync + 'static>(&self, key: &[u8], state: Arc<T>) {
         let st = lock_ranked(&self.state, LockRank::TransactionState);
         let end = crate::strinc(key);
-        let wrote_under_key = st.write_conflicts.iter().any(|(begin, write_end)| {
-            key < write_end.as_slice() && end.as_ref().is_none_or(|end| begin < end)
-        });
+        let wrote_under_key = st.writes.writes_within(key, end.as_deref())
+            || st.write_conflicts.iter().any(|(begin, write_end)| {
+                key < write_end.as_slice() && end.as_ref().is_none_or(|end| begin < end)
+            });
         if !st.writes_metadata_version && !wrote_under_key {
             self.db.state_cache().put(key, self.read_version, state);
         }
@@ -821,7 +849,7 @@ impl Transaction {
         let receipt = self.db.commit_internal(
             self.read_version,
             &st.read_conflicts,
-            &st.write_conflicts,
+            st.writes.conflicts(&st.write_conflicts),
             &mut st.writes,
             st.relied_on_metadata_version,
             st.writes_metadata_version,

@@ -66,6 +66,27 @@ impl TupleElement {
         encode_element(self, out, &mut None);
     }
 
+    /// The number of bytes [`pack_into`](Self::pack_into) appends.
+    pub fn packed_len(&self) -> usize {
+        match self {
+            TupleElement::Null | TupleElement::Bool(_) => 1,
+            TupleElement::Bytes(b) => escaped_len(b) + 2,
+            TupleElement::String(s) => escaped_len(s.as_bytes()) + 2,
+            TupleElement::Tuple(t) => {
+                let inner = t.elements.iter().map(|inner| match inner {
+                    TupleElement::Null => 2,
+                    other => other.packed_len(),
+                });
+                inner.sum::<usize>() + 2
+            }
+            TupleElement::Int(i) => 1 + int_width(*i),
+            TupleElement::Float(_) => 5,
+            TupleElement::Double(_) => 9,
+            TupleElement::Uuid(u) => 1 + u.len(),
+            TupleElement::Versionstamp(_) => 1 + VERSIONSTAMP_LEN,
+        }
+    }
+
     pub fn as_int(&self) -> Option<i64> {
         match self {
             TupleElement::Int(i) => Some(*i),
@@ -185,6 +206,13 @@ impl Tuple {
         Tuple { elements }
     }
 
+    /// An empty tuple with room for `n` elements.
+    pub fn with_capacity(n: usize) -> Self {
+        Tuple {
+            elements: Vec::with_capacity(n),
+        }
+    }
+
     /// Append an element (builder style).
     pub fn push(mut self, el: impl Into<TupleElement>) -> Self {
         self.elements.push(el.into());
@@ -200,6 +228,11 @@ impl Tuple {
     pub fn concat(mut self, other: &Tuple) -> Self {
         self.elements.extend(other.elements.iter().cloned());
         self
+    }
+
+    /// Move `other`'s elements after this one's.
+    pub fn append(&mut self, other: Tuple) {
+        self.elements.extend(other.elements);
     }
 
     pub fn elements(&self) -> &[TupleElement] {
@@ -246,19 +279,17 @@ impl Tuple {
         }
     }
 
-    /// Pack into the order-preserving binary encoding.
+    /// Pack into the order-preserving binary encoding, in one buffer of
+    /// its final size.
     pub fn pack(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(packed_len(&self.elements));
         self.pack_into(&mut out);
         out
     }
 
     /// Append the packed encoding to `out` (a key under construction).
     pub fn pack_into(&self, out: &mut Vec<u8>) {
-        let mut vs_offset = None;
-        for el in &self.elements {
-            encode_element(el, out, &mut vs_offset);
-        }
+        pack_elements_into(&self.elements, out);
     }
 
     /// Pack, returning also the byte offset of the (single) incomplete
@@ -342,6 +373,73 @@ tuple_from!(A:0, B:1, C:2, D:3, E:4, F:5);
 
 // ---------------------------------------------------------------- encoding
 
+/// The number of bytes `elements` pack to: what a key built from them
+/// reserves, so that it is built in one buffer of its final size.
+pub fn packed_len(elements: &[TupleElement]) -> usize {
+    elements.iter().map(TupleElement::packed_len).sum()
+}
+
+/// Append `elements` packed, as the tail of a tuple, to `out`: what
+/// [`Tuple::pack_into`] does for a tuple of them, without building one.
+/// Returns the offset in `out` of the (last) incomplete versionstamp among
+/// them, where a `SET_VERSIONSTAMPED_KEY` operand needs it.
+pub fn pack_elements_into(elements: &[TupleElement], out: &mut Vec<u8>) -> Option<usize> {
+    let mut vs_offset = None;
+    for el in elements {
+        encode_element(el, out, &mut vs_offset);
+    }
+    vs_offset
+}
+
+/// Append `s` packed as a string element to `out`: what packing
+/// `TupleElement::String` of it appends, without owning a copy.
+pub fn pack_str_into(s: &str, out: &mut Vec<u8>) {
+    out.push(STRING_CODE);
+    escape_nulls(s.as_bytes(), out);
+    out.push(0x00);
+}
+
+/// The number of bytes [`pack_str_into`] appends for `s`.
+pub fn packed_str_len(s: &str) -> usize {
+    escaped_len(s.as_bytes()) + 2
+}
+
+/// Pack the bytes `out[at..]` as a bytes element where they lie: `out`
+/// ends as it would had `TupleElement::Bytes` of them been packed at `at`,
+/// and no second buffer holds them. `out` grows in place, so spare
+/// capacity for the type code, the terminator and one byte per NUL keeps
+/// it from moving.
+pub fn pack_bytes_in_place(out: &mut Vec<u8>, at: usize) {
+    let end = out.len();
+    let nuls = out[at..].iter().filter(|&&b| b == 0x00).count();
+    out.resize(end + 1 + nuls, 0x00);
+    // Walk back from the end, so every byte is read before the escapes
+    // ahead of it shift something onto its place.
+    let mut to = out.len();
+    for from in (at..end).rev() {
+        let b = out[from];
+        if b == 0x00 {
+            to -= 1;
+            out[to] = 0xFF;
+        }
+        to -= 1;
+        out[to] = b;
+    }
+    out[at] = BYTES_CODE;
+    out.push(0x00);
+}
+
+/// The length of `data` with every NUL escaped.
+fn escaped_len(data: &[u8]) -> usize {
+    data.len() + data.iter().filter(|&&b| b == 0x00).count()
+}
+
+/// The number of bytes after the type code that `encode_int` writes.
+fn int_width(i: i64) -> usize {
+    let mag = i.unsigned_abs();
+    (64 - mag.leading_zeros() as usize).div_ceil(8)
+}
+
 fn encode_element(el: &TupleElement, out: &mut Vec<u8>, vs_offset: &mut Option<usize>) {
     match el {
         TupleElement::Null => out.push(NULL_CODE),
@@ -350,11 +448,7 @@ fn encode_element(el: &TupleElement, out: &mut Vec<u8>, vs_offset: &mut Option<u
             escape_nulls(b, out);
             out.push(0x00);
         }
-        TupleElement::String(s) => {
-            out.push(STRING_CODE);
-            escape_nulls(s.as_bytes(), out);
-            out.push(0x00);
-        }
+        TupleElement::String(s) => pack_str_into(s, out),
         TupleElement::Tuple(t) => {
             out.push(NESTED_CODE);
             for inner in &t.elements {
@@ -857,6 +951,52 @@ mod tests {
         assert!(Tuple::unpack(&[0x99]).is_err());
         assert!(Tuple::unpack(&[0x01, b'x']).is_err()); // unterminated bytes
         assert!(Tuple::unpack(&[0x21, 0, 0]).is_err()); // truncated double
+    }
+
+    #[test]
+    fn packed_len_is_the_packed_length() {
+        let t = Tuple::new()
+            .push(TupleElement::Null)
+            .push(b"a\x00b".to_vec())
+            .push("s\x00")
+            .push(Tuple::new().push(TupleElement::Null).push(7i64))
+            .push(1.5f32)
+            .push(-2.5f64)
+            .push(true)
+            .push(TupleElement::Uuid([3; 16]))
+            .push(Versionstamp::incomplete(1));
+        for i in [0, 1, -1, 255, 256, -256, i64::MAX, i64::MIN, i64::MIN + 1] {
+            let t = t.clone().push(i);
+            assert_eq!(packed_len(t.elements()), t.pack().len(), "{t:?}");
+        }
+        assert_eq!(
+            packed_str_len("a\x00"),
+            Tuple::from(("a\x00",)).pack().len()
+        );
+    }
+
+    #[test]
+    fn elements_and_strings_pack_as_their_tuples_do() {
+        let t = Tuple::from(("k", Versionstamp::incomplete(2), 5i64));
+        let mut out = b"pre".to_vec();
+        let at = pack_elements_into(t.elements(), &mut out);
+        let (whole, offset) = t.pack_with_versionstamp(b"pre").unwrap();
+        assert_eq!((out, at), (whole, Some(offset)));
+        let mut out = Vec::new();
+        pack_str_into("x\x00y", &mut out);
+        assert_eq!(out, Tuple::from(("x\x00y",)).pack());
+    }
+
+    #[test]
+    fn bytes_pack_in_place() {
+        for raw in [&b""[..], b"abc", b"\x00", b"a\x00\x00b\x00", b"\xff\x00"] {
+            let mut out = b"head".to_vec();
+            out.extend_from_slice(raw);
+            pack_bytes_in_place(&mut out, 4);
+            let mut want = b"head".to_vec();
+            TupleElement::Bytes(raw.to_vec()).pack_into(&mut want);
+            assert_eq!(out, want, "{raw:?}");
+        }
     }
 
     #[test]

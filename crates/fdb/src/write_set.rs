@@ -11,10 +11,12 @@
 use std::borrow::Cow;
 use std::cell::Cell;
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 use rl_storage::{Batch, Mutation};
 
 use crate::atomic::{self, MutationType};
+use crate::conflict::WriteConflicts;
 use crate::error::Result;
 
 /// One op in a key's sequence.
@@ -51,22 +53,65 @@ impl WriteSet {
         self.seq
     }
 
-    /// Buffer `op` on `key`.
-    pub(crate) fn push(&mut self, key: &[u8], op: KeyOp) {
+    /// Buffer `op` on `key`, which moves in unless the key is buffered
+    /// already.
+    pub(crate) fn push(&mut self, key: Vec<u8>, op: KeyOp) {
         let seq = self.next_seq();
-        self.by_key.entry(key.to_vec()).or_default().push((seq, op));
+        self.by_key.entry(key).or_default().push((seq, op));
     }
 
-    pub(crate) fn clear_range(&mut self, begin: &[u8], end: &[u8]) {
+    pub(crate) fn clear_range(&mut self, begin: Vec<u8>, end: Vec<u8>) {
         let seq = self.next_seq();
-        self.cleared.push((begin.to_vec(), end.to_vec(), seq));
+        self.cleared.push((begin, end, seq));
     }
 
     /// Buffer a set of `key`, whose bytes from `offset` on are replaced by
     /// the commit's versionstamp.
-    pub(crate) fn set_stamped_key(&mut self, key: Vec<u8>, offset: usize, value: &[u8]) {
+    pub(crate) fn set_stamped_key(&mut self, key: Vec<u8>, offset: usize, value: Vec<u8>) {
         let seq = self.next_seq();
-        self.stamped_keys.push((seq, key, offset, value.to_vec()));
+        self.stamped_keys.push((seq, key, offset, value));
+    }
+
+    /// Drop the buffered versionstamped keys whose placeholder form is
+    /// `key`; whether there were any.
+    pub(crate) fn remove_stamped_key(&mut self, key: &[u8]) -> bool {
+        let before = self.stamped_keys.len();
+        self.stamped_keys.retain(|(_, stamped, ..)| stamped != key);
+        self.stamped_keys.len() < before
+    }
+
+    /// The write conflicts of these writes and of `explicit` ranges: each
+    /// buffered key as a point; each range clear; and, since its final key
+    /// is unknown until commit, each versionstamped key's placeholder form
+    /// (no stamp spells a key another write names).
+    pub(crate) fn conflicts(&self, explicit: &[(Vec<u8>, Vec<u8>)]) -> WriteConflicts {
+        let cleared = self
+            .cleared
+            .iter()
+            .map(|(begin, end, _)| (begin.clone(), end.clone()));
+        let stamped = self.stamped_keys.iter();
+        let stamped = stamped.map(|(_, key, ..)| (key.clone(), crate::key_after(key)));
+        let ranges = explicit.iter().cloned().chain(cleared).chain(stamped);
+        WriteConflicts::new(self.by_key.keys().map(Vec::as_slice), ranges.collect())
+    }
+
+    /// Whether these writes touch a key in `[begin, end)` (`end == None`:
+    /// no upper bound).
+    pub(crate) fn writes_within(&self, begin: &[u8], end: Option<&[u8]>) -> bool {
+        let below_end = |key: &[u8]| end.is_none_or(|end| key < end);
+        let upper = end.map_or(Bound::Unbounded, Bound::Excluded);
+        self.by_key
+            .range::<[u8], _>((Bound::Included(begin), upper))
+            .next()
+            .is_some()
+            || self
+                .cleared
+                .iter()
+                .any(|(b, e, _)| begin < e.as_slice() && below_end(b))
+            || self
+                .stamped_keys
+                .iter()
+                .any(|(_, key, ..)| begin <= key.as_slice() && below_end(key))
     }
 
     /// The value of `key` as this write set leaves `stored`: `ops` (what

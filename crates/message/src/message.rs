@@ -8,8 +8,8 @@ use std::sync::Arc;
 use crate::descriptor::{DescriptorPool, FieldDescriptor, FieldType, MessageDescriptor};
 use crate::value::Value;
 use crate::wire::{
-    get_tag, get_varint, put_len_delimited, put_tag, put_varint, skip_field, zigzag_decode,
-    zigzag_encode, WIRE_32BIT, WIRE_64BIT, WIRE_LEN, WIRE_VARINT,
+    get_tag, get_varint, put_len_delimited, put_tag, put_varint, skip_field, varint_len,
+    zigzag_decode, zigzag_encode, WIRE_32BIT, WIRE_64BIT, WIRE_LEN, WIRE_VARINT,
 };
 use crate::{Error, Result};
 
@@ -173,29 +173,55 @@ impl DynamicMessage {
 
     // ------------------------------------------------------------ encoding
 
-    /// Serialize to protobuf wire bytes. Unknown fields captured during
-    /// decoding are re-emitted, preserving data written by newer schemas.
+    /// Serialize to protobuf wire bytes, in one buffer of their final
+    /// size. Unknown fields captured during decoding are re-emitted,
+    /// preserving data written by newer schemas.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// The number of bytes [`encode`](Self::encode) produces.
+    pub fn encoded_len(&self) -> usize {
+        let fields = self.fields.iter().map(|(number, fv)| {
+            let field = self
+                .descriptor
+                .field_by_number(*number)
+                .expect("field numbers validated on insert");
+            let values = match fv {
+                FieldValue::Single(v) => std::slice::from_ref(v),
+                FieldValue::Repeated(vs) => vs.as_slice(),
+            };
+            values.iter().map(|v| value_len(field, v)).sum::<usize>()
+        });
+        let unknown = self
+            .unknown
+            .iter()
+            .map(|u| tag_len(u.number, u.wire_type) + u.data.len());
+        fields.sum::<usize>() + unknown.sum::<usize>()
+    }
+
+    /// Append the wire bytes [`encode`](Self::encode) produces to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         for (number, fv) in &self.fields {
             let field = self
                 .descriptor
                 .field_by_number(*number)
                 .expect("field numbers validated on insert");
             match fv {
-                FieldValue::Single(v) => encode_value(&mut out, field, v),
+                FieldValue::Single(v) => encode_value(out, field, v),
                 FieldValue::Repeated(vs) => {
                     for v in vs {
-                        encode_value(&mut out, field, v);
+                        encode_value(out, field, v);
                     }
                 }
             }
         }
         for u in &self.unknown {
-            put_tag(&mut out, u.number, u.wire_type);
+            put_tag(out, u.number, u.wire_type);
             out.extend_from_slice(&u.data);
         }
-        out
     }
 
     /// Decode wire bytes against `descriptor`, resolving nested message
@@ -265,9 +291,41 @@ fn encode_value(out: &mut Vec<u8>, field: &FieldDescriptor, value: &Value) {
         (FieldType::Double, Value::F64(v)) => out.extend_from_slice(&v.to_le_bytes()),
         (FieldType::String, Value::String(v)) => put_len_delimited(out, v.as_bytes()),
         (FieldType::Bytes, Value::Bytes(v)) => put_len_delimited(out, v),
-        (FieldType::Message(_), Value::Message(m)) => put_len_delimited(out, &m.encode()),
+        (FieldType::Message(_), Value::Message(m)) => {
+            put_varint(out, m.encoded_len() as u64);
+            m.encode_into(out);
+        }
         (ft, v) => unreachable!("type-checked insert allowed {v:?} into {ft:?}"),
     }
+}
+
+/// The number of bytes `encode_value` appends.
+fn value_len(field: &FieldDescriptor, value: &Value) -> usize {
+    let payload = match (&field.field_type, value) {
+        (FieldType::Int32, Value::I32(v)) => varint_len(*v as i64 as u64),
+        (FieldType::SInt32, Value::I32(v)) => varint_len(zigzag_encode(i64::from(*v))),
+        (FieldType::Int64, Value::I64(v)) => varint_len(*v as u64),
+        (FieldType::SInt64, Value::I64(v)) => varint_len(zigzag_encode(*v)),
+        (FieldType::UInt32, Value::U32(v)) => varint_len(u64::from(*v)),
+        (FieldType::UInt64, Value::U64(v)) => varint_len(*v),
+        (FieldType::Bool, Value::Bool(_)) => 1,
+        (FieldType::Enum(_), Value::Enum(v)) => varint_len(*v as i64 as u64),
+        (FieldType::Fixed32 | FieldType::SFixed32 | FieldType::Float, _) => 4,
+        (FieldType::Fixed64 | FieldType::SFixed64 | FieldType::Double, _) => 8,
+        (FieldType::String, Value::String(v)) => len_delimited_len(v.len()),
+        (FieldType::Bytes, Value::Bytes(v)) => len_delimited_len(v.len()),
+        (FieldType::Message(_), Value::Message(m)) => len_delimited_len(m.encoded_len()),
+        (ft, v) => unreachable!("type-checked insert allowed {v:?} into {ft:?}"),
+    };
+    tag_len(field.number, field.field_type.wire_type()) + payload
+}
+
+fn tag_len(field_number: u32, wire_type: u8) -> usize {
+    varint_len((u64::from(field_number) << 3) | u64::from(wire_type))
+}
+
+fn len_delimited_len(len: usize) -> usize {
+    varint_len(len as u64) + len
 }
 
 fn decode_value(
@@ -397,6 +455,7 @@ mod tests {
         let pool = example_pool();
         let msg = example_message(&pool);
         let bytes = msg.encode();
+        assert_eq!(msg.encoded_len(), bytes.len());
         let back = DynamicMessage::decode(pool.message("Example").unwrap(), &pool, &bytes).unwrap();
         assert_eq!(back.get("id").unwrap().as_i64(), Some(1066));
         let elems: Vec<_> = back
@@ -479,6 +538,7 @@ mod tests {
 
         // Old reader re-encodes; new reader still sees the added field.
         let reencoded = old_read.encode();
+        assert_eq!(old_read.encoded_len(), reencoded.len());
         let new_read =
             DynamicMessage::decode(new_pool.message("T").unwrap(), &new_pool, &reencoded).unwrap();
         assert_eq!(new_read.get("added").unwrap().as_str(), Some("future data"));
@@ -566,6 +626,7 @@ mod tests {
         m.set("b", true).unwrap();
         m.set("s", "héllo").unwrap();
         m.set("by", b"\x00\x01\xFF".as_slice()).unwrap();
+        assert_eq!(m.encoded_len(), m.encode().len());
         let back = DynamicMessage::decode(pool.message("S").unwrap(), &pool, &m.encode()).unwrap();
         assert_eq!(m, back);
     }

@@ -23,6 +23,11 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
+/// The number of bytes [`put_varint`] appends for `v`.
+pub fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
 /// Read a varint, returning `(value, bytes_consumed)`.
 pub fn get_varint(data: &[u8]) -> Result<(u64, usize)> {
     let mut v = 0u64;
