@@ -3,12 +3,18 @@
 //!
 //! Every operation that streams data — record scans, index scans, queries —
 //! returns results through a [`RecordCursor`]. When a cursor stops, it
-//! reports *why* ([`NoNextReason`]) and hands back a [`Continuation`]: an
-//! opaque binary value encoding the position of the next value. A client
-//! (or the same client in a later transaction) resumes by passing the
-//! continuation back, which is how scans longer than the 5-second
-//! transaction limit are split across transactions while the layer itself
-//! stays stateless.
+//! reports *why* ([`NoNextReason`]: the source ran out, or a return, scan or
+//! byte limit was reached) and hands back a [`Continuation`]: an opaque
+//! binary value encoding the position of the next value. A client (or the
+//! same client in a later transaction) resumes by passing the continuation
+//! back, which is how scans longer than the 5-second transaction limit are
+//! split across transactions while the layer itself stays stateless.
+//!
+//! The pieces every plan leaf shares live here: [`KeyValueCursor`], the one
+//! batched read of a raw key range (the record scan and the index-entry
+//! reader build on it); [`ScanLimiter`], the scan and byte budget every
+//! cursor of one plan charges; and [`TakeCursor`], the return limit a plan
+//! applies at its root.
 
 use std::sync::{Arc, Mutex};
 
@@ -71,8 +77,6 @@ pub enum NoNextReason {
     ScanLimitReached,
     /// The scanned-bytes limit was reached.
     ByteLimitReached,
-    /// The (logical) time limit was reached.
-    TimeLimitReached,
 }
 
 impl NoNextReason {
@@ -111,6 +115,27 @@ impl<T> CursorResult<T> {
             CursorResult::Next { continuation, .. } => continuation,
             CursorResult::NoNext { continuation, .. } => continuation,
         }
+    }
+
+    /// Map a `Next`'s value, keeping its continuation; a stop passes
+    /// through.
+    pub(crate) fn try_map<U>(self, f: impl FnOnce(T) -> Result<U>) -> Result<CursorResult<U>> {
+        Ok(match self {
+            CursorResult::Next {
+                value,
+                continuation,
+            } => CursorResult::Next {
+                value: f(value)?,
+                continuation,
+            },
+            CursorResult::NoNext {
+                reason,
+                continuation,
+            } => CursorResult::NoNext {
+                reason,
+                continuation,
+            },
+        })
     }
 }
 
@@ -302,8 +327,8 @@ impl<'a> KeyValueCursor<'a> {
         snapshot: bool,
         limiter: ScanLimiter,
         continuation: &Continuation,
-    ) -> Result<Self> {
-        Ok(KeyValueCursor {
+    ) -> Self {
+        KeyValueCursor {
             tx,
             begin,
             end,
@@ -318,7 +343,7 @@ impl<'a> KeyValueCursor<'a> {
                 Continuation::Start | Continuation::End => None,
             },
             done: continuation.is_end(),
-        })
+        }
     }
 
     /// Size the first batch for a consumer that wants `rows` rows (no-op
@@ -422,49 +447,6 @@ impl RecordCursor for KeyValueCursor<'_> {
     }
 }
 
-/// A cursor over an in-memory list (testing and small plan stages). The
-/// continuation is the element index.
-pub struct ListCursor<T> {
-    items: Vec<T>,
-    pos: usize,
-}
-
-impl<T: Clone> ListCursor<T> {
-    pub fn new(items: Vec<T>, continuation: &Continuation) -> Result<Self> {
-        let pos = match continuation {
-            Continuation::Start => 0,
-            Continuation::At(bytes) => {
-                let arr: [u8; 8] = bytes
-                    .as_slice()
-                    .try_into()
-                    .map_err(|_| Error::InvalidContinuation("bad list continuation".into()))?;
-                u64::from_be_bytes(arr) as usize
-            }
-            Continuation::End => items.len(),
-        };
-        Ok(ListCursor { items, pos })
-    }
-}
-
-impl<T: Clone> RecordCursor for ListCursor<T> {
-    type Item = T;
-
-    fn next(&mut self) -> Result<CursorResult<T>> {
-        if self.pos >= self.items.len() {
-            return Ok(CursorResult::NoNext {
-                reason: NoNextReason::SourceExhausted,
-                continuation: Continuation::End,
-            });
-        }
-        let value = self.items[self.pos].clone();
-        self.pos += 1;
-        Ok(CursorResult::Next {
-            value,
-            continuation: Continuation::At((self.pos as u64).to_be_bytes().to_vec()),
-        })
-    }
-}
-
 /// Adapter enforcing a return-row limit.
 pub struct TakeCursor<C> {
     inner: C,
@@ -548,21 +530,26 @@ mod tests {
         db
     }
 
-    #[test]
-    fn kv_cursor_scans_in_order() {
-        let db = seed_db();
-        let tx = db.create_transaction();
-        let mut c = KeyValueCursor::new(
-            &tx,
+    /// A forward cursor over the seeded `k` rows, resuming from `from`.
+    fn seeded_rows<'a>(tx: &'a rl_fdb::Transaction, from: &Continuation) -> KeyValueCursor<'a> {
+        KeyValueCursor::new(
+            tx,
             b"k".to_vec(),
             b"l".to_vec(),
             false,
             false,
             ScanLimiter::unlimited(),
-            &Continuation::Start,
+            from,
         )
-        .unwrap();
-        let (items, reason, cont) = c.collect_remaining().unwrap();
+    }
+
+    #[test]
+    fn kv_cursor_scans_in_order() {
+        let db = seed_db();
+        let tx = db.create_transaction();
+        let (items, reason, cont) = seeded_rows(&tx, &Continuation::Start)
+            .collect_remaining()
+            .unwrap();
         assert_eq!(items.len(), 20);
         assert_eq!(reason, NoNextReason::SourceExhausted);
         assert!(cont.is_end());
@@ -581,8 +568,7 @@ mod tests {
             false,
             ScanLimiter::unlimited(),
             &Continuation::Start,
-        )
-        .unwrap();
+        );
         let (items, _, _) = c.collect_remaining().unwrap();
         assert_eq!(items.len(), 20);
         assert!(items.windows(2).all(|w| w[0].key > w[1].key));
@@ -601,25 +587,14 @@ mod tests {
             false,
             limiter,
             &Continuation::Start,
-        )
-        .unwrap();
+        );
         let (first, reason, cont) = c.collect_remaining().unwrap();
         assert_eq!(first.len(), 7);
         assert_eq!(reason, NoNextReason::ScanLimitReached);
 
         // Resume — possibly in a brand-new transaction (statelessness).
         let tx2 = db.create_transaction();
-        let mut c2 = KeyValueCursor::new(
-            &tx2,
-            b"k".to_vec(),
-            b"l".to_vec(),
-            false,
-            false,
-            ScanLimiter::unlimited(),
-            &cont,
-        )
-        .unwrap();
-        let (rest, reason, _) = c2.collect_remaining().unwrap();
+        let (rest, reason, _) = seeded_rows(&tx2, &cont).collect_remaining().unwrap();
         assert_eq!(rest.len(), 13);
         assert_eq!(reason, NoNextReason::SourceExhausted);
         assert_eq!(rest[0].key, vec![b'k', 7]);
@@ -638,8 +613,7 @@ mod tests {
             false,
             limiter,
             &Continuation::Start,
-        )
-        .unwrap();
+        );
         let (first, _, cont) = c.collect_remaining().unwrap();
         assert_eq!(first.len(), 5);
         assert_eq!(first.last().unwrap().key, vec![b'k', 15]);
@@ -652,8 +626,7 @@ mod tests {
             false,
             ScanLimiter::unlimited(),
             &cont,
-        )
-        .unwrap();
+        );
         let (rest, _, _) = c2.collect_remaining().unwrap();
         assert_eq!(rest.len(), 15);
         assert_eq!(rest[0].key, vec![b'k', 14]);
@@ -672,47 +645,35 @@ mod tests {
             false,
             limiter,
             &Continuation::Start,
-        )
-        .unwrap();
+        );
         let (items, reason, _) = c.collect_remaining().unwrap();
         assert_eq!(reason, NoNextReason::ByteLimitReached);
         assert!(items.len() < 20);
     }
 
     #[test]
-    fn list_cursor_with_continuation() {
-        let items = vec![1, 2, 3, 4, 5];
-        let mut c = ListCursor::new(items.clone(), &Continuation::Start).unwrap();
-        let r1 = c.next().unwrap();
-        let r2 = c.next().unwrap();
-        assert_eq!(r1.value(), Some(&1));
-        assert_eq!(r2.value(), Some(&2));
-        let mut resumed = ListCursor::new(items, r2.continuation()).unwrap();
-        assert_eq!(resumed.next().unwrap().value(), Some(&3));
-    }
-
-    #[test]
     fn map_filter_take_combinators() {
-        // Map and filter happen before the list is built; the cursor layer
-        // only limits.
-        let items: Vec<i32> = (0..10).map(|v| v * 2).filter(|v| v % 4 == 0).collect();
-        let base = ListCursor::new(items.clone(), &Continuation::Start).unwrap();
-        let mut limited = TakeCursor::new(base, 3);
-        let (vals, reason, continuation) = limited.collect_remaining().unwrap();
-        assert_eq!(vals, vec![0, 4, 8]);
+        let db = seed_db();
+        let tx = db.create_transaction();
+        let mut limited = TakeCursor::new(seeded_rows(&tx, &Continuation::Start), 3);
+        let (rows, reason, continuation) = limited.collect_remaining().unwrap();
+        let values: Vec<Vec<u8>> = rows.into_iter().map(|kv| kv.value).collect();
+        assert_eq!(values, vec![vec![0], vec![1], vec![2]]);
         assert_eq!(reason, NoNextReason::ReturnLimitReached);
         // The limit's continuation resumes after the last returned row.
-        let mut resumed = ListCursor::new(items, &continuation).unwrap();
-        assert_eq!(resumed.next().unwrap().value(), Some(&12));
+        let mut resumed = seeded_rows(&tx, &continuation);
+        assert_eq!(resumed.next().unwrap().value().unwrap().key, vec![b'k', 3]);
     }
 
     #[test]
     fn take_cursor_reports_source_exhaustion_when_shorter() {
-        let base = ListCursor::new(vec![1, 2], &Continuation::Start).unwrap();
-        let mut limited = TakeCursor::new(base, 10);
-        let (vals, reason, _) = limited.collect_remaining().unwrap();
-        assert_eq!(vals, vec![1, 2]);
+        let db = seed_db();
+        let tx = db.create_transaction();
+        let mut limited = TakeCursor::new(seeded_rows(&tx, &Continuation::Start), 30);
+        let (rows, reason, continuation) = limited.collect_remaining().unwrap();
+        assert_eq!(rows.len(), 20);
         assert_eq!(reason, NoNextReason::SourceExhausted);
+        assert!(continuation.is_end());
     }
 
     #[test]

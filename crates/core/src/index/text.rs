@@ -17,7 +17,7 @@
 //! no extra storage, and per-posting offset lists support phrase and
 //! proximity search.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use rl_fdb::subspace::Subspace;
 use rl_fdb::tuple::{Tuple, TupleElement};
@@ -471,37 +471,34 @@ impl<'a> RecordStore<'a> {
         self.text_index_map(index_name)?.stats()
     }
 
-    /// Evaluate a full-text comparison against a TEXT index, returning
-    /// matching primary keys in order.
+    /// Evaluate a full-text comparison against a TEXT index, returning the
+    /// matching primary keys once each, in primary-key order (the order the
+    /// plan's text scan pages by).
     pub fn text_search(&self, index_name: &str, cmp: &TextComparison) -> Result<Vec<Tuple>> {
         let map = self.text_index_map(index_name)?;
         match cmp {
             TextComparison::ContainsAny(tokens) => {
-                let mut pks: Vec<Tuple> = Vec::new();
+                let mut pks = BTreeSet::new();
                 for token in tokens {
-                    for (pk, _) in map.scan_token(&token.to_lowercase())? {
-                        if !pks.contains(&pk) {
-                            pks.push(pk);
-                        }
-                    }
+                    pks.extend(
+                        map.scan_token(&token.to_lowercase())?
+                            .into_iter()
+                            .map(|(pk, _)| pk),
+                    );
                 }
-                pks.sort();
-                Ok(pks)
+                Ok(pks.into_iter().collect())
             }
             TextComparison::ContainsAll(tokens) => Ok(intersect_postings(&map, tokens)?
                 .into_iter()
                 .map(|(pk, _)| pk)
                 .collect()),
-            TextComparison::ContainsPrefix(prefix) => {
-                let mut pks: Vec<Tuple> = Vec::new();
-                for (_, (pk, _)) in map.scan_prefix(&prefix.to_lowercase())? {
-                    if !pks.contains(&pk) {
-                        pks.push(pk);
-                    }
-                }
-                pks.sort();
-                Ok(pks)
-            }
+            TextComparison::ContainsPrefix(prefix) => Ok(map
+                .scan_prefix(&prefix.to_lowercase())?
+                .into_iter()
+                .map(|(_, (pk, _))| pk)
+                .collect::<BTreeSet<_>>()
+                .into_iter()
+                .collect()),
             TextComparison::ContainsPhrase(tokens) => {
                 let matches = intersect_postings(&map, tokens)?;
                 Ok(matches

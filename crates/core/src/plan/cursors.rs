@@ -1,7 +1,8 @@
-//! Plan-level cursors: residual filtering, the primary fetch, covering
-//! record synthesis, the k-way primary-key merge that executes
-//! intersections and ordered unions, and the sequential distinct union for
-//! branches that are not primary-key ordered.
+//! Plan-level cursors: the one type-and-residual filter, the primary
+//! fetch, covering record synthesis, the text scan's lazy fetch, the k-way
+//! primary-key merge that executes intersections and ordered unions, and
+//! the sequential distinct union for branches that are not primary-key
+//! ordered.
 
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
@@ -11,20 +12,22 @@ use rl_fdb::tuple::{ElementRef, Tuple, TupleElement, TupleReader};
 use rl_message::{DynamicMessage, FieldType, Value};
 
 use crate::cursor::{
-    Continuation, CursorResult, ExecuteProperties, KeyValueCursor, NoNextReason, RecordCursor,
+    Continuation, CursorResult, ExecuteProperties, NoNextReason, RecordCursor, ScanLimiter,
 };
 use crate::error::{Error, Result};
+use crate::index::IndexEntry;
 use crate::metadata::RecordMetaData;
 use crate::query::QueryComponent;
-use crate::store::{RecordStore, StoredRecord};
+use crate::store::{IndexScanCursor, RecordStore, StoredRecord};
 
 use super::ir::{CoveredField, CoveredSource, RecordQueryPlan, ScanBounds};
 
 /// Boxed cursor of query results.
 pub type PlanCursor<'a> = Box<dyn RecordCursor<Item = StoredRecord> + 'a>;
 
-/// Helper so boxed cursors can drain (trait objects can't use the default
-/// `collect_remaining` which requires `Sized`).
+/// Drains a boxed plan cursor. A `PlanCursor` is itself a sized
+/// [`RecordCursor`], so this is [`RecordCursor::collect_remaining`] under a
+/// name callers already import.
 pub trait BoxedCursorExt {
     fn collect_remaining_boxed(
         &mut self,
@@ -35,16 +38,7 @@ impl BoxedCursorExt for PlanCursor<'_> {
     fn collect_remaining_boxed(
         &mut self,
     ) -> Result<(Vec<StoredRecord>, NoNextReason, Continuation)> {
-        let mut out = Vec::new();
-        loop {
-            match self.next()? {
-                CursorResult::Next { value, .. } => out.push(value),
-                CursorResult::NoNext {
-                    reason,
-                    continuation,
-                } => return Ok((out, reason, continuation)),
-            }
-        }
+        RecordCursor::collect_remaining(self)
     }
 }
 
@@ -161,10 +155,32 @@ impl Drop for ObservedCursor<'_> {
 
 // ------------------------------------------------------ residual filtering
 
+/// The one type-and-residual filter of the plan's leaves: drops the records
+/// whose type is outside `record_types` or that fail `residual`. The rows it
+/// drops still move the inner cursor's position, so a stop it passes on
+/// resumes past them.
 pub(crate) struct FilteredRecordCursor<'a> {
-    pub(crate) inner: Box<dyn RecordCursor<Item = StoredRecord> + 'a>,
-    pub(crate) record_types: Option<BTreeSet<String>>,
-    pub(crate) residual: Option<QueryComponent>,
+    inner: PlanCursor<'a>,
+    record_types: Option<BTreeSet<String>>,
+    residual: Option<QueryComponent>,
+}
+
+impl<'a> FilteredRecordCursor<'a> {
+    /// `inner`, filtered when the node has a type set or a residual.
+    pub(crate) fn wrap(
+        inner: PlanCursor<'a>,
+        record_types: &Option<BTreeSet<String>>,
+        residual: &Option<QueryComponent>,
+    ) -> PlanCursor<'a> {
+        if record_types.is_none() && residual.is_none() {
+            return inner;
+        }
+        Box::new(FilteredRecordCursor {
+            inner,
+            record_types: record_types.clone(),
+            residual: residual.clone(),
+        })
+    }
 }
 
 impl RecordCursor for FilteredRecordCursor<'_> {
@@ -216,41 +232,29 @@ fn entry_primary_key<'k>(
     Ok((packed, Tuple::unpack(packed).map_err(Error::Fdb)?))
 }
 
-/// Scans index keys and fetches the indexed records (the "primary fetch").
+/// Scans index keys and fetches the indexed records (the "primary fetch"),
+/// decoding only the primary key of each entry.
 pub(crate) struct IndexFetchCursor<'a> {
     pub(crate) store: RecordStore<'a>,
-    pub(crate) kv: KeyValueCursor<'a>,
-    pub(crate) subspace: Subspace,
-    pub(crate) key_columns: usize,
-    pub(crate) record_types: Option<BTreeSet<String>>,
-    pub(crate) residual: Option<QueryComponent>,
+    pub(crate) entries: IndexScanCursor<'a>,
 }
 
 impl RecordCursor for IndexFetchCursor<'_> {
     type Item = StoredRecord;
 
     fn next(&mut self) -> Result<CursorResult<StoredRecord>> {
+        let entries = &mut self.entries;
         loop {
-            match self.kv.next()? {
+            match entries.kv.next()? {
                 CursorResult::Next {
                     value: kv,
                     continuation,
                 } => {
                     let (packed_pk, pk) =
-                        entry_primary_key(&self.subspace, &kv.key, self.key_columns)?;
+                        entry_primary_key(&entries.subspace, &kv.key, entries.key_columns)?;
                     let Some(record) = self.store.load_record_packed(packed_pk, || pk)? else {
                         continue; // index entry racing a delete
                     };
-                    if let Some(types) = &self.record_types {
-                        if !types.contains(&record.record_type) {
-                            continue;
-                        }
-                    }
-                    if let Some(residual) = &self.residual {
-                        if !residual.eval(&record.record_type, &record.message)? {
-                            continue;
-                        }
-                    }
                     return Ok(CursorResult::Next {
                         value: record,
                         continuation,
@@ -305,14 +309,13 @@ fn element_to_value(field_type: &FieldType, el: &TupleElement) -> Result<Value> 
     })
 }
 
-/// Build a partial [`StoredRecord`] from one index entry's columns plus the
+/// Build a partial [`StoredRecord`] from one index entry's columns and its
 /// primary key, without touching the record subspace.
-pub(crate) fn synthesize_record(
+fn synthesize_record(
     metadata: &RecordMetaData,
     record_type: &str,
     fields: &[CoveredField],
-    entry_cols: &Tuple,
-    primary_key: Tuple,
+    entry: IndexEntry,
 ) -> Result<StoredRecord> {
     let desc = metadata
         .pool()
@@ -321,8 +324,11 @@ pub(crate) fn synthesize_record(
     let mut message = DynamicMessage::new(desc);
     for f in fields {
         let el = match f.source {
-            CoveredSource::Entry(i) => entry_cols.get(i),
-            CoveredSource::PrimaryKey(i) => primary_key.get(i),
+            CoveredSource::Entry(i) => match i.checked_sub(entry.key.len()) {
+                None => entry.key.get(i),
+                Some(v) => entry.value.get(v),
+            },
+            CoveredSource::PrimaryKey(i) => entry.primary_key.get(i),
         };
         let Some(el) = el else { continue };
         if matches!(el, TupleElement::Null) {
@@ -338,7 +344,7 @@ pub(crate) fn synthesize_record(
         message.set(&f.field, value)?;
     }
     Ok(StoredRecord {
-        primary_key,
+        primary_key: entry.primary_key,
         record_type: record_type.to_string(),
         message,
         version: None,
@@ -346,13 +352,11 @@ pub(crate) fn synthesize_record(
     })
 }
 
-/// Streams index entries and synthesizes partial records from them. Never
-/// reads the record subspace: the transaction's `TxnTrace::record_fetches`
-/// stays flat while this cursor runs.
+/// Synthesizes partial records from the entries an [`IndexScanCursor`]
+/// decodes. Never reads the record subspace: the transaction's
+/// `TxnTrace::record_fetches` stays flat while this cursor runs.
 pub(crate) struct CoveringScanCursor<'a> {
-    pub(crate) kv: KeyValueCursor<'a>,
-    pub(crate) subspace: Subspace,
-    pub(crate) key_columns: usize,
+    pub(crate) entries: IndexScanCursor<'a>,
     pub(crate) metadata: &'a RecordMetaData,
     pub(crate) record_type: String,
     pub(crate) fields: Vec<CoveredField>,
@@ -362,36 +366,80 @@ impl RecordCursor for CoveringScanCursor<'_> {
     type Item = StoredRecord;
 
     fn next(&mut self) -> Result<CursorResult<StoredRecord>> {
-        match self.kv.next()? {
-            CursorResult::Next {
-                value: kv,
-                continuation,
-            } => {
-                let mut entry_cols = self.subspace.unpack(&kv.key).map_err(Error::Fdb)?;
-                let pk = entry_cols.split_off(self.key_columns);
-                if !kv.value.is_empty() {
-                    entry_cols = entry_cols.concat(&Tuple::unpack(&kv.value).map_err(Error::Fdb)?);
-                }
-                let record = synthesize_record(
-                    self.metadata,
-                    &self.record_type,
-                    &self.fields,
-                    &entry_cols,
-                    pk,
-                )?;
-                Ok(CursorResult::Next {
-                    value: record,
-                    continuation,
-                })
+        self.entries.next()?.try_map(|entry| {
+            synthesize_record(self.metadata, &self.record_type, &self.fields, entry)
+        })
+    }
+}
+
+// ------------------------------------------------------------- text scans
+
+/// Fetches the records a TEXT index matched, one primary key at a time, in
+/// the primary-key order `RecordStore::text_search` returns them. Each
+/// fetch first charges the plan's scan budget with the packed primary key,
+/// so a scan or byte limit stops the cursor between records. The position
+/// is the packed primary key of the last record fetched; a resumed scan
+/// starts strictly after it.
+pub(crate) struct TextScanCursor<'a> {
+    store: RecordStore<'a>,
+    pks: std::iter::Peekable<std::vec::IntoIter<Tuple>>,
+    limiter: ScanLimiter,
+    position: Continuation,
+}
+
+impl<'a> TextScanCursor<'a> {
+    pub(crate) fn new(
+        store: &RecordStore<'a>,
+        mut pks: Vec<Tuple>,
+        continuation: &Continuation,
+        limiter: ScanLimiter,
+    ) -> Result<TextScanCursor<'a>> {
+        let fetched = match continuation {
+            Continuation::Start => 0,
+            Continuation::At(after) => {
+                Tuple::unpack(after)
+                    .map_err(|e| Error::InvalidContinuation(format!("text scan: {e}")))?;
+                pks.partition_point(|pk| pk.pack() <= *after)
             }
-            CursorResult::NoNext {
-                reason,
-                continuation,
-            } => Ok(CursorResult::NoNext {
-                reason,
-                continuation,
-            }),
+            Continuation::End => pks.len(),
+        };
+        pks.drain(..fetched);
+        Ok(TextScanCursor {
+            store: store.clone_handle(),
+            pks: pks.into_iter().peekable(),
+            limiter,
+            position: continuation.clone(),
+        })
+    }
+}
+
+impl RecordCursor for TextScanCursor<'_> {
+    type Item = StoredRecord;
+
+    fn next(&mut self) -> Result<CursorResult<StoredRecord>> {
+        while let Some(pk) = self.pks.peek() {
+            let packed = pk.pack();
+            if let Some(reason) = self.limiter.try_record_scan(packed.len()) {
+                return Ok(CursorResult::NoNext {
+                    reason,
+                    continuation: self.position.clone(),
+                });
+            }
+            let pk = self.pks.next().expect("the key was just seen");
+            let record = self.store.load_record_packed(&packed, || pk)?;
+            self.position = Continuation::At(packed);
+            // `None`: the posting raced a delete.
+            if let Some(value) = record {
+                return Ok(CursorResult::Next {
+                    value,
+                    continuation: self.position.clone(),
+                });
+            }
         }
+        Ok(CursorResult::NoNext {
+            reason: NoNextReason::SourceExhausted,
+            continuation: Continuation::End,
+        })
     }
 }
 
@@ -411,7 +459,8 @@ pub(crate) struct UnionCursor<'a> {
     /// `"{base_path}.{i}"`.
     base_path: String,
     branch: usize,
-    current: PlanCursor<'a>,
+    /// Branch `branch`'s cursor; `None` once every branch is exhausted.
+    current: Option<PlanCursor<'a>>,
     seen: BTreeSet<Vec<u8>>,
 }
 
@@ -453,14 +502,10 @@ impl<'a> UnionCursor<'a> {
                 (branch, inner, seen)
             }
         };
-        let current: PlanCursor<'a> = if branch < children.len() {
-            children[branch].execute_inner(store, &inner, props, &format!("{path}.{branch}"))?
-        } else {
-            Box::new(crate::cursor::ListCursor::new(
-                Vec::new(),
-                &Continuation::Start,
-            )?)
-        };
+        let current = children
+            .get(branch)
+            .map(|child| child.execute_inner(store, &inner, props, &format!("{path}.{branch}")))
+            .transpose()?;
         Ok(Box::new(UnionCursor {
             children: children.to_vec(),
             store: store.clone_handle(),
@@ -491,14 +536,8 @@ impl RecordCursor for UnionCursor<'_> {
     type Item = StoredRecord;
 
     fn next(&mut self) -> Result<CursorResult<StoredRecord>> {
-        loop {
-            if self.branch >= self.children.len() {
-                return Ok(CursorResult::NoNext {
-                    reason: NoNextReason::SourceExhausted,
-                    continuation: Continuation::End,
-                });
-            }
-            match self.current.next()? {
+        while let Some(current) = &mut self.current {
+            match current.next()? {
                 CursorResult::Next {
                     value,
                     continuation,
@@ -517,13 +556,14 @@ impl RecordCursor for UnionCursor<'_> {
                     ..
                 } => {
                     self.branch += 1;
-                    if self.branch < self.children.len() {
-                        self.current = self.children[self.branch].execute_inner(
+                    self.current = None;
+                    if let Some(child) = self.children.get(self.branch) {
+                        self.current = Some(child.execute_inner(
                             &self.store,
                             &Continuation::Start,
                             &self.props,
                             &format!("{}.{}", self.base_path, self.branch),
-                        )?;
+                        )?);
                     }
                 }
                 CursorResult::NoNext {
@@ -538,6 +578,10 @@ impl RecordCursor for UnionCursor<'_> {
                 }
             }
         }
+        Ok(CursorResult::NoNext {
+            reason: NoNextReason::SourceExhausted,
+            continuation: Continuation::End,
+        })
     }
 }
 
@@ -548,7 +592,7 @@ impl RecordCursor for UnionCursor<'_> {
 /// stream (for children that must filter or assemble records themselves).
 enum ChildStream<'a> {
     Entries {
-        kv: KeyValueCursor<'a>,
+        entries: IndexScanCursor<'a>,
         /// Where the packed primary key starts in every entry's key.
         pk_at: usize,
         record_types: Option<BTreeSet<String>>,
@@ -790,8 +834,15 @@ impl<'a> MergeCursor<'a> {
         } = child
         {
             if let Some((pinned, key_columns)) = pinned_key_columns(store, index_name, bounds)? {
-                let subspace = store.index_subspace(store.require_readable(index_name)?);
-                let (begin, end) = bounds.to_byte_range(&subspace);
+                let entries = IndexScanCursor::new(
+                    store,
+                    index_name,
+                    true,
+                    |subspace| bounds.to_byte_range(subspace),
+                    false,
+                    continuation,
+                    props,
+                )?;
                 // Every entry's key is `subspace ‖ key columns ‖ primary
                 // key` and equality pins the key columns: the primary key
                 // starts at one offset in all of them.
@@ -799,19 +850,10 @@ impl<'a> MergeCursor<'a> {
                 for column in &pinned.elements()[..key_columns] {
                     column.pack_into(&mut columns);
                 }
-                let kv = KeyValueCursor::new(
-                    store.transaction(),
-                    begin,
-                    end,
-                    false,
-                    props.snapshot,
-                    props.limiter(),
-                    continuation,
-                )?
-                .expecting(props.return_limit);
+                let pk_at = entries.subspace.prefix().len() + columns.len();
                 return Ok(ChildStream::Entries {
-                    kv,
-                    pk_at: subspace.prefix().len() + columns.len(),
+                    entries,
+                    pk_at,
                     record_types: record_types.clone(),
                     span: rl_obs::enabled().then(|| {
                         Box::new(EntrySpan {
@@ -838,14 +880,17 @@ impl<'a> MergeCursor<'a> {
         let child = &mut self.children[i];
         child.head = Some(match &mut child.stream {
             ChildStream::Entries {
-                kv, pk_at, span, ..
+                entries,
+                pk_at,
+                span,
+                ..
             } => {
                 let row = match span {
-                    None => kv.next_row()?,
+                    None => entries.kv.next_row()?,
                     Some(span) => {
                         let tx = self.store.transaction();
                         let before = tx.trace().keys_read;
-                        let row = kv.next_row()?;
+                        let row = entries.kv.next_row()?;
                         span.keys_read += tx.trace().keys_read - before;
                         span.rows += u64::from(row.is_ok());
                         row

@@ -4,16 +4,22 @@
 //! All cursors spawned by one plan share a single scan budget (installed
 //! via [`ExecuteProperties`]), so a limit bounds the *total* work of the
 //! plan, not the work of each branch separately.
+//!
+//! The leaves share their parts: every index leaf reads its entries through
+//! [`IndexScanCursor::new`], and a full, index or text scan whose node has a
+//! type set or a residual is wrapped in the one `FilteredRecordCursor`. A
+//! text scan fetches its matches lazily, in primary-key order, and resumes
+//! after the last primary key it returned.
 
-use crate::cursor::{Continuation, ExecuteProperties, KeyValueCursor};
+use crate::cursor::{Continuation, ExecuteProperties};
 use crate::error::{Error, Result};
-use crate::store::{RecordStore, StoredRecord, TupleRange};
+use crate::store::{IndexScanCursor, RecordStore, StoredRecord, TupleRange};
 
 use super::cursors::{
     BoxedCursorExt, CoveringScanCursor, FilteredRecordCursor, IndexFetchCursor, MergeCursor,
-    ObservedCursor, PlanCursor, TimedCursor, UnionCursor,
+    ObservedCursor, PlanCursor, TextScanCursor, TimedCursor, UnionCursor,
 };
-use super::ir::RecordQueryPlan;
+use super::ir::{RecordQueryPlan, ScanBounds};
 
 impl RecordQueryPlan {
     /// Execute against a store, resuming from `continuation`. The
@@ -74,6 +80,17 @@ impl RecordQueryPlan {
         props: &ExecuteProperties,
         path: &str,
     ) -> Result<PlanCursor<'a>> {
+        let entries = |index_name, bounds: &ScanBounds, reverse| {
+            IndexScanCursor::new(
+                store,
+                index_name,
+                true,
+                |subspace| bounds.to_byte_range(subspace),
+                reverse,
+                continuation,
+                props,
+            )
+        };
         match self {
             RecordQueryPlan::FullScan {
                 record_types,
@@ -85,11 +102,11 @@ impl RecordQueryPlan {
                 } else {
                     store.scan_records(&TupleRange::all(), continuation, props)?
                 };
-                Ok(Box::new(FilteredRecordCursor {
-                    inner: Box::new(scan),
-                    record_types: record_types.clone(),
-                    residual: residual.clone(),
-                }))
+                Ok(FilteredRecordCursor::wrap(
+                    Box::new(scan),
+                    record_types,
+                    residual,
+                ))
             }
             RecordQueryPlan::IndexScan {
                 index_name,
@@ -98,29 +115,15 @@ impl RecordQueryPlan {
                 record_types,
                 residual,
             } => {
-                let index = store.require_readable(index_name)?;
-                let subspace = store.index_subspace(index);
-                let (begin, end) = bounds.to_byte_range(&subspace);
-                // Scan the index subspace's byte range, fetching records by
-                // the primary key carried in each entry.
-                let kv = KeyValueCursor::new(
-                    store.transaction(),
-                    begin,
-                    end,
-                    *reverse,
-                    props.snapshot,
-                    props.limiter(),
-                    continuation,
-                )?
-                .expecting(props.return_limit);
-                Ok(Box::new(IndexFetchCursor {
+                let fetch = IndexFetchCursor {
                     store: store.clone_handle(),
-                    kv,
-                    subspace,
-                    key_columns: index.key_expression.key_column_count(),
-                    record_types: record_types.clone(),
-                    residual: residual.clone(),
-                }))
+                    entries: entries(index_name, bounds, *reverse)?,
+                };
+                Ok(FilteredRecordCursor::wrap(
+                    Box::new(fetch),
+                    record_types,
+                    residual,
+                ))
             }
             RecordQueryPlan::CoveringIndexScan {
                 index_name,
@@ -128,29 +131,12 @@ impl RecordQueryPlan {
                 reverse,
                 record_type,
                 fields,
-            } => {
-                let index = store.require_readable(index_name)?;
-                let subspace = store.index_subspace(index);
-                let (begin, end) = bounds.to_byte_range(&subspace);
-                let kv = KeyValueCursor::new(
-                    store.transaction(),
-                    begin,
-                    end,
-                    *reverse,
-                    props.snapshot,
-                    props.limiter(),
-                    continuation,
-                )?
-                .expecting(props.return_limit);
-                Ok(Box::new(CoveringScanCursor {
-                    kv,
-                    subspace,
-                    key_columns: index.key_expression.key_column_count(),
-                    metadata: store.metadata_ref(),
-                    record_type: record_type.clone(),
-                    fields: fields.clone(),
-                }))
-            }
+            } => Ok(Box::new(CoveringScanCursor {
+                entries: entries(index_name, bounds, *reverse)?,
+                metadata: store.metadata_ref(),
+                record_type: record_type.clone(),
+                fields: fields.clone(),
+            })),
             RecordQueryPlan::TextScan {
                 index_name,
                 comparison,
@@ -158,25 +144,12 @@ impl RecordQueryPlan {
                 residual,
             } => {
                 let pks = store.text_search(index_name, comparison)?;
-                let mut records = Vec::new();
-                for pk in pks {
-                    if let Some(rec) = store.load_record(&pk)? {
-                        let type_ok = record_types
-                            .as_ref()
-                            .is_none_or(|ts| ts.contains(&rec.record_type));
-                        let residual_ok = match residual {
-                            Some(r) => r.eval(&rec.record_type, &rec.message)?,
-                            None => true,
-                        };
-                        if type_ok && residual_ok {
-                            records.push(rec);
-                        }
-                    }
-                }
-                Ok(Box::new(crate::cursor::ListCursor::new(
-                    records,
-                    continuation,
-                )?))
+                let scan = TextScanCursor::new(store, pks, continuation, props.limiter())?;
+                Ok(FilteredRecordCursor::wrap(
+                    Box::new(scan),
+                    record_types,
+                    residual,
+                ))
             }
             RecordQueryPlan::Union { children } | RecordQueryPlan::Intersection { children } => {
                 // One merge executes both over primary-key-ordered

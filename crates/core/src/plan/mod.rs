@@ -13,7 +13,8 @@
 //!   under the cost model.
 //! * `execute` — turns a plan into a tree of streaming cursors.
 //! * [`cursors`] — the plan-level cursors: residual filtering, the primary
-//!   fetch, covering-scan record synthesis, the k-way primary-key merge
+//!   fetch, covering-scan record synthesis, the text scan's lazy fetch by
+//!   primary key, the k-way primary-key merge
 //!   that executes intersections and ordered unions, and the sequential
 //!   union for branches without that order.
 //!

@@ -971,8 +971,8 @@ impl<'a> RecordStore<'a> {
         reverse: bool,
         props: &ExecuteProperties,
     ) -> Result<IndexScanCursor<'a>> {
-        let index = self.require_readable(index_name)?;
-        IndexScanCursor::new(self, index, range, reverse, continuation, props)
+        let range = |subspace: &Subspace| range.to_byte_range(subspace);
+        IndexScanCursor::new(self, index_name, true, range, reverse, continuation, props)
     }
 
     /// Scan an index without the readability check (for maintenance tools).
@@ -984,8 +984,8 @@ impl<'a> RecordStore<'a> {
         reverse: bool,
         props: &ExecuteProperties,
     ) -> Result<IndexScanCursor<'a>> {
-        let index = self.metadata.index(index_name)?;
-        IndexScanCursor::new(self, index, range, reverse, continuation, props)
+        let range = |subspace: &Subspace| range.to_byte_range(subspace);
+        IndexScanCursor::new(self, index_name, false, range, reverse, continuation, props)
     }
 
     // --------------------------------------------------------- aggregates
@@ -1199,7 +1199,7 @@ impl<'a> RecordScanCursor<'a> {
             props.snapshot,
             props.limiter(),
             &Continuation::Start,
-        )?
+        )
         // A record is complete only once the next record's first key (or
         // the end of the range) has been seen: one key of lookahead.
         .expecting(props.return_limit.map(|n| n.saturating_add(1)));
@@ -1325,26 +1325,36 @@ impl RecordCursor for RecordScanCursor<'_> {
     }
 }
 
-/// Streams [`IndexEntry`] values from a VALUE-shaped index subspace.
+/// Streams [`IndexEntry`] values from a VALUE-shaped index subspace. Its
+/// constructor is the one index-entry reader: the plan's index leaves and
+/// merge entry streams build theirs with it, and read `kv` directly where a
+/// decoded entry is more than they need.
 pub struct IndexScanCursor<'a> {
-    kv: KeyValueCursor<'a>,
-    subspace: Subspace,
-    key_columns: usize,
+    pub(crate) kv: KeyValueCursor<'a>,
+    pub(crate) subspace: Subspace,
+    pub(crate) key_columns: usize,
 }
 
 impl<'a> IndexScanCursor<'a> {
-    fn new(
+    /// Read `index_name`'s entries in the byte range `range` maps its
+    /// subspace to, failing on an unreadable index if `require_readable`.
+    /// The entry key is the position: the cursor resumes strictly past it.
+    pub(crate) fn new(
         store: &RecordStore<'a>,
-        index: &Index,
-        range: &TupleRange,
+        index_name: &str,
+        require_readable: bool,
+        range: impl FnOnce(&Subspace) -> (Vec<u8>, Vec<u8>),
         reverse: bool,
         continuation: &Continuation,
         props: &ExecuteProperties,
     ) -> Result<Self> {
+        let index = if require_readable {
+            store.require_readable(index_name)?
+        } else {
+            store.metadata.index(index_name)?
+        };
         let subspace = store.index_subspace(index);
-        let (begin, end) = range.to_byte_range(&subspace);
-        // The entry key is the position: the key-value cursor resumes
-        // strictly past it and answers with it until a row moves it.
+        let (begin, end) = range(&subspace);
         let kv = KeyValueCursor::new(
             store.tx,
             begin,
@@ -1353,7 +1363,7 @@ impl<'a> IndexScanCursor<'a> {
             props.snapshot,
             props.limiter(),
             continuation,
-        )?
+        )
         .expecting(props.return_limit);
         Ok(IndexScanCursor {
             kv,
@@ -1367,34 +1377,19 @@ impl RecordCursor for IndexScanCursor<'_> {
     type Item = IndexEntry;
 
     fn next(&mut self) -> Result<CursorResult<IndexEntry>> {
-        match self.kv.next()? {
-            CursorResult::Next {
-                value: kv,
-                continuation,
-            } => {
-                let mut key = self.subspace.unpack(&kv.key).map_err(Error::Fdb)?;
-                let primary_key = key.split_off(self.key_columns);
-                let value = if kv.value.is_empty() {
-                    Tuple::new()
-                } else {
-                    Tuple::unpack(&kv.value).map_err(Error::Fdb)?
-                };
-                Ok(CursorResult::Next {
-                    value: IndexEntry {
-                        key,
-                        value,
-                        primary_key,
-                    },
-                    continuation,
-                })
-            }
-            CursorResult::NoNext {
-                reason,
-                continuation,
-            } => Ok(CursorResult::NoNext {
-                reason,
-                continuation,
-            }),
-        }
+        self.kv.next()?.try_map(|kv| {
+            let mut key = self.subspace.unpack(&kv.key).map_err(Error::Fdb)?;
+            let primary_key = key.split_off(self.key_columns);
+            let value = if kv.value.is_empty() {
+                Tuple::new()
+            } else {
+                Tuple::unpack(&kv.value).map_err(Error::Fdb)?
+            };
+            Ok(IndexEntry {
+                key,
+                value,
+                primary_key,
+            })
+        })
     }
 }
