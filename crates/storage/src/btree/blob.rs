@@ -21,11 +21,24 @@ impl<'a> Blob<'a> {
     /// The blob's bytes: borrowed when inline, read out of the overflow
     /// chain otherwise.
     pub(super) fn load(self, pool: &mut BufferPool) -> io::Result<Cow<'a, [u8]>> {
+        self.load_noting(pool, |_| {})
+    }
+
+    /// [`load`](Self::load), handing `note` the id of each overflow page
+    /// it reads.
+    pub(super) fn load_noting(
+        self,
+        pool: &mut BufferPool,
+        mut note: impl FnMut(PageId),
+    ) -> io::Result<Cow<'a, [u8]>> {
         match self {
             Blob::Inline(bytes) => Ok(Cow::Borrowed(bytes)),
             Blob::Overflow(head, len) => {
                 let mut out = Vec::new();
-                self.walk(pool, |_, _, data| out.extend_from_slice(data))?;
+                self.walk(pool, |_, id, data| {
+                    note(id);
+                    out.extend_from_slice(data);
+                })?;
                 if out.len() != len as usize {
                     let got = out.len();
                     let what = format!("overflow chain at page {head}: {got} bytes, not {len}");

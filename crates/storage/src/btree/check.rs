@@ -1,11 +1,14 @@
-//! The structural check of a whole tree.
+//! Walks of a whole tree: the structural check, and recovery's pass that
+//! finds every page the tree reaches.
 
 use std::io;
 
 use super::blob::Blob;
 use super::chain::chain_entries;
 use super::leaf::{leaf_prefix, parse_index};
-use super::{child, corrupt, too_deep, Reader, INLINE_KEY_MAX, MAX_DEPTH, TAG_INTERNAL, TAG_LEAF};
+use super::{
+    child, corrupt, index, too_deep, Reader, INLINE_KEY_MAX, MAX_DEPTH, TAG_INTERNAL, TAG_LEAF,
+};
 use crate::codec::common_len;
 use crate::page::{PageId, NO_PAGE};
 use crate::pool::BufferPool;
@@ -99,4 +102,76 @@ fn check_rec(
         keys += check_rec(pool, child(&page, &index, i), lo, hi, depth + 1)?;
     }
     Ok(keys)
+}
+
+/// Lend every entry of the tree, in key order, to `visit` as its whole key
+/// and its chain, and return which pages the tree reaches, indexed by page
+/// id: its nodes and each overflow page of a key, a chain or a separator.
+/// Recovery's one pass over the checkpointed tree: the pages it leaves
+/// unmarked are the free ones. A page reached twice is damage.
+pub(crate) fn visit_tree(
+    pool: &mut BufferPool,
+    mut visit: impl FnMut(&[u8], &[u8]) -> io::Result<()>,
+) -> io::Result<Vec<bool>> {
+    let mut reached = vec![false; pool.page_count() as usize];
+    match pool.root() {
+        NO_PAGE => {}
+        root => visit_rec(pool, root, 0, &mut reached, &mut visit)?,
+    }
+    Ok(reached)
+}
+
+fn visit_rec(
+    pool: &mut BufferPool,
+    id: PageId,
+    depth: usize,
+    reached: &mut [bool],
+    visit: &mut impl FnMut(&[u8], &[u8]) -> io::Result<()>,
+) -> io::Result<()> {
+    if depth >= MAX_DEPTH {
+        return Err(too_deep());
+    }
+    let page = pool.read(id)?;
+    mark(reached, id)?;
+    // The overflow pages of this node's blobs.
+    let mut pages = Vec::new();
+    let mut note = |id| pages.push(id);
+    if page.first() == Some(&TAG_LEAF) {
+        let (at, prefix) = (index(&page, id, TAG_LEAF)?, leaf_prefix(&page, id)?);
+        let mut key = Vec::new();
+        for &entry in &at[..at.len() - 1] {
+            let mut r = Reader::at(&page, entry as usize, id);
+            match r.blob()? {
+                Blob::Inline(suffix) => {
+                    key.clear();
+                    key.extend_from_slice(prefix);
+                    key.extend_from_slice(suffix);
+                }
+                overflow => key = overflow.load_noting(pool, &mut note)?.into_owned(),
+            }
+            let chain = r.blob()?.load_noting(pool, &mut note)?;
+            visit(&key, &chain)?;
+        }
+    } else {
+        let at = index(&page, id, TAG_INTERNAL)?;
+        for i in 0..at.len() - 1 {
+            // Child `i`, then the separator after it.
+            visit_rec(pool, child(&page, at, i), depth + 1, reached, visit)?;
+            if i + 2 < at.len() {
+                let sep = Reader::at(&page, at[i] as usize + 4, id).blob()?;
+                sep.load_noting(pool, &mut note)?;
+            }
+        }
+    }
+    pages.into_iter().try_for_each(|id| mark(reached, id))
+}
+
+fn mark(reached: &mut [bool], id: PageId) -> io::Result<()> {
+    match reached.get_mut(id as usize) {
+        Some(seen @ false) => {
+            *seen = true;
+            Ok(())
+        }
+        _ => Err(corrupt(format!("page {id}: reached twice"))),
+    }
 }

@@ -191,6 +191,19 @@ pub(super) fn leaf_image(id: PageId, prefix: &[u8], entries: &[Entry]) -> io::Re
 /// have left it in, with room for the keys that come next.
 const SPLIT_PIECE_MAX: usize = MAX_PAYLOAD * 3 / 4;
 
+/// A leaf that loses entries and is left under this many bytes, a quarter
+/// page, is merged with a sibling, or dropped if it is empty.
+pub(super) const MERGE_BELOW: usize = MAX_PAYLOAD / 4;
+
+/// Whether `entries`, those of two neighbouring leaves, fit one leaf of at
+/// most [`SPLIT_PIECE_MAX`] bytes under the prefix of their ends. The two
+/// merge only then, so the leaf they make has room for the keys that come
+/// next and is not split again by the first of them.
+pub(super) fn merge_fits(pool: &mut BufferPool, entries: &[Entry]) -> io::Result<bool> {
+    let prefix = common_prefix(pool, entries)?;
+    Ok(leaf_len(prefix.len(), entries) <= SPLIT_PIECE_MAX)
+}
+
 /// Cut `entries` (from `base` on in the leaf) into pieces that fit a page,
 /// each with the prefix of its ends: the whole if it fits, else the fewest
 /// pieces of at most [`SPLIT_PIECE_MAX`] bytes, cut off one share at a time

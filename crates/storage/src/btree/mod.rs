@@ -77,9 +77,21 @@
 //! the prefix of its own ends. The exception is a lone insert that shortened the
 //! prefix and no longer fits: it goes alone, and the entries it joined keep
 //! their prefix and the image they had. An internal node is halved at its
-//! middle separator until its pieces fit. Nothing rebalances on delete —
-//! keys only go in MVCC compaction, and cursors skip empty leaves — and
-//! separators are shortest prefixes, so internal nodes stay wide.
+//! middle separator until its pieces fit.
+//!
+//! **Deletes: the walk merges or drops the leaves it shrinks.** Keys only
+//! go in MVCC compaction. A leaf the walk removed entries from and left
+//! under a quarter page is settled by its parent, as the walk leaves it: an
+//! empty one is dropped with a separator beside it, and any other is merged
+//! with its right sibling — its left one if it is the last child — into one
+//! leaf when their entries fit three quarters of a page, and left alone
+//! otherwise. The walk carries the image it built for the shrunk leaf, so a
+//! merge reads the sibling alone; a walk that removes nothing takes none of
+//! this path. The pages and the overflow separators dropped are freed, and
+//! a root left with one child is replaced by it. Internal nodes are never
+//! merged: separators are shortest prefixes, so internal nodes stay wide.
+//! Cursors still skip an empty leaf, which an only child or the root can
+//! be.
 //!
 //! A page's checksum is the first defence against a damaged file and this
 //! parser the second: whatever the bytes, an operation ends in `Ok` or
@@ -110,6 +122,7 @@ use blob::Blob;
 pub(crate) use chain::chain_pushed;
 pub use chain::{chain_entries, chain_visible_at, ChainEntries, ChainEntry};
 pub use check::check_consistency;
+pub(crate) use check::visit_tree;
 pub use cursor::Cursor;
 use leaf::{leaf_prefix, parse_index};
 pub(crate) use walk::{apply, Edit, Seen, Step};

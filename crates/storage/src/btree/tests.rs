@@ -273,9 +273,11 @@ fn nodes(pool: &mut BufferPool, id: PageId, depth: usize, out: &mut Vec<(usize, 
 ///   separators between them are overflow blobs too.
 /// - An insertion point after a leaf's last entry: the write of the
 ///   key above the last, and of `l\0` for a long key `l` ending a leaf.
-/// - An empty leaf left behind by `prune`: the keys of 60 groups are
-///   tombstoned and pruned, emptying whole leaves, which the probes of
-///   those keys then descend into and the seeks step over.
+/// - Leaves `prune` shrinks: the keys of 60 groups are tombstoned and
+///   pruned one by one, so the walk merges each leaf it leaves under a
+///   quarter page with its neighbour, and drops the ones it empties. No
+///   empty leaf is left, the tree has fewer leaves than before, and the
+///   probes of those keys descend into the leaves that took their range.
 #[test]
 fn binary_locate_agrees_with_a_model() {
     let (mut pool, dir) = pool("model", 64);
@@ -303,21 +305,28 @@ fn binary_locate_agrees_with_a_model() {
         put(&mut pool, &keys[i], 10, &value(i, 1));
         model.insert(keys[i].clone(), value(i, 1));
     }
+    let before = leaf_keys(&mut pool).len();
     for key in &keys[300..600] {
         assert!(write(&mut pool, key, 20, None).unwrap());
         prune(&mut pool, key, 20).unwrap();
         model.remove(key);
     }
     assert_eq!(check_consistency(&mut pool).unwrap(), model.len());
+    let after = leaf_keys(&mut pool);
+    assert!(
+        after.iter().all(|(_, keys)| !keys.is_empty()),
+        "an empty leaf is left"
+    );
+    assert!(
+        after.len() < before,
+        "{before} leaves became {}",
+        after.len()
+    );
 
     let mut all = Vec::new();
     let root = pool.root();
     nodes(&mut pool, root, 0, &mut all);
     assert!(all.iter().any(|(depth, ..)| *depth == 2), "three levels");
-    let empty = all.iter().any(|(_, id, page)| {
-        page[0] == TAG_LEAF && parse_index(page, *id, TAG_LEAF).unwrap().len() == 1
-    });
-    assert!(empty, "an emptied leaf");
     let (mut stored, mut overflow) = (0, 0);
     for (_, id, page) in all.iter().filter(|(_, _, page)| page[0] == TAG_INTERNAL) {
         let at = parse_index(page, *id, TAG_INTERNAL).unwrap();
@@ -387,17 +396,35 @@ fn leaves(pool: &mut BufferPool) -> Vec<(PageId, Vec<u8>)> {
         .collect()
 }
 
+/// Every leaf in key order: its id and its keys.
+fn leaf_keys(pool: &mut BufferPool) -> Vec<(PageId, Vec<Vec<u8>>)> {
+    let (root, mut all) = (pool.root(), Vec::new());
+    nodes(pool, root, 0, &mut all);
+    let mut out = Vec::new();
+    for (_, id, page) in all.iter().filter(|(_, _, page)| page[0] == TAG_LEAF) {
+        let at = parse_index(page, *id, TAG_LEAF).unwrap();
+        let entries = entries_of(page, *id, &at).unwrap();
+        let keys = entries
+            .iter()
+            .map(|e| e.key.whole(pool).unwrap().into_owned());
+        out.push((*id, keys.collect()));
+    }
+    out
+}
+
 /// Run `op` on `key` and sort what it did to the prefix of the key's
 /// leaf into `seen`: an insert under an unchanged prefix, an insert that
-/// shortened it, a removal that lengthened it, and a split whose halves
-/// both store a longer prefix than the leaf did. No checkpoint runs, so
-/// every page is fresh and a leaf keeps its id, and a split's right half
-/// is the leaf after it.
+/// shortened it, a removal that lengthened it, a split whose halves both
+/// store a longer prefix than the leaf did, and a removal that left one
+/// leaf fewer — the key's leaf emptied and dropped, or shrunk under a
+/// quarter page and merged with a neighbour. No checkpoint runs, so every
+/// page is fresh and a leaf keeps its id, and a split's right half is the
+/// leaf after it.
 fn observe(
     pool: &mut BufferPool,
     key: &[u8],
     insert: bool,
-    seen: &mut [usize; 4],
+    seen: &mut [usize; 5],
     op: impl FnOnce(&mut BufferPool),
 ) {
     if pool.root() == NO_PAGE {
@@ -407,6 +434,10 @@ fn observe(
     let before = leaves(pool);
     op(pool);
     let after = leaves(pool);
+    if after.len() < before.len() {
+        seen[4] += 1;
+        return;
+    }
     let at = |all: &[(PageId, Vec<u8>)]| all.iter().position(|(id, _)| *id == leaf).unwrap();
     let (old, new) = (&before[at(&before)].1, &after[at(&after)].1);
     if after.len() > before.len() {
@@ -426,7 +457,7 @@ fn observe(
 struct Observed {
     pool: BufferPool,
     live: BTreeMap<Vec<u8>, Vec<u8>>,
-    seen: [usize; 4],
+    seen: [usize; 5],
 }
 
 impl Observed {
@@ -567,9 +598,12 @@ fn a_hundred_record_commit_writes_each_touched_leaf_once() {
 ///   1–400 and scores 0–999 are one- and two-byte tuple ints (`0x15 n`,
 ///   `0x16 hi lo`), and subspaces follow one another, so a leaf on one
 ///   side of such a boundary meets a key from the other side;
-/// - a re-encode when removing an end key lengthens the prefix (34):
-///   the leaves that hold the end of store 0 or the start of store 2 beside
+/// - a re-encode when removing an end key lengthens the prefix (9): the
+///   leaves that hold the end of store 0 or the start of store 2 beside
 ///   keys of store 1 lose the last of those keys in the store's delete;
+/// - a removal that leaves one leaf fewer (25): the deletes empty leaves,
+///   which are dropped, or leave them under a quarter page, and they merge
+///   with a neighbour;
 /// - a split that recomputes both prefixes, each longer than the one
 ///   split (5): a leaf that spans such a boundary fills and splits
 ///   between its two sides;
@@ -600,7 +634,7 @@ fn record_layer_keys_pack_into_an_exact_layout() {
     let mut tree = Observed {
         pool,
         live: BTreeMap::new(),
-        seen: [0; 4],
+        seen: [0; 5],
     };
     let mut scores = BTreeMap::new();
     for &(s, pk) in &saves {
@@ -653,7 +687,170 @@ fn record_layer_keys_pack_into_an_exact_layout() {
         "branches not reached: {seen:?}"
     );
     assert!(overflow_keys > 0, "no overflow key");
-    // Format 2, the same keys and values: 121 leaves, 175 814 bytes.
-    assert_eq!((leaves, bytes), (73, 98_868), "leaves, leaf payload bytes");
+    // Format 2, the same keys and values: 121 leaves, 175 814 bytes; format
+    // 3 before leaves merged on delete: 73 leaves, 98 868 bytes.
+    assert_eq!((leaves, bytes), (48, 98_747), "leaves, leaf payload bytes");
     std::fs::remove_dir_all(dir).unwrap();
+}
+
+/// Remove `keys`, ascending, in one walk.
+fn remove(pool: &mut BufferPool, keys: &[Vec<u8>]) {
+    let steps = keys.iter().map(|key| (key.as_slice(), Step::Point(())));
+    apply(pool, steps, |_, _| Ok(Edit::Remove)).unwrap();
+}
+
+/// Each way the walk deals with a leaf it removed entries from and left
+/// under a quarter page, on one tree two levels deep that a single batch
+/// loaded: 60 short keys, 30 keys of 201 bytes that overflow and share
+/// 200, and 60 short keys again, each with a 250-byte value, cut into 15
+/// leaves of 8 to 15 entries: a quarter page holds 3 entries, three
+/// quarters 11. No checkpoint runs, so every page is fresh,
+/// a leaf keeps its id, and a freed page is free at once: `live_pages`
+/// counts what each case frees. In turn:
+/// - an emptied leaf is dropped and its page freed; its neighbours keep
+///   their ids and keys;
+/// - a leaf shrunk to two entries merges with its right sibling, shrunk
+///   to five beforehand (which, over a quarter page, merged with nothing):
+///   the merged leaf keeps the shrunk leaf's page, the sibling's is freed,
+///   and the merge reads the sibling alone beyond the walk's own path and
+///   writes the shrunk leaf twice and the root once;
+/// - a leaf shrunk to two entries beside a sibling of ten or more, which
+///   together outgrow three quarters of a page, is left alone;
+/// - the last child, shrunk to two entries, merges with its left sibling;
+/// - an emptied leaf of long keys drops the overflow separator after it,
+///   whose page is freed with the leaf's and its keys';
+/// - and, on a second tree of two leaves, emptying one collapses the root
+///   into the other.
+#[test]
+fn shrunk_leaves_are_dropped_or_merged() {
+    let (_, dir) = pool("rebalance", 4);
+    let counters = IoCounters::new_shared();
+    let mut pool = BufferPool::open(&dir.join("rebalance.db"), 256, counters.clone()).unwrap();
+    let read = || {
+        let io = counters.snapshot();
+        io.page_hits + io.page_misses
+    };
+    let short = |group: u8, i: usize| format!("{}{i:03}", group as char).into_bytes();
+    let long = |i: usize| [&[b'm'; 200][..], &[i as u8]].concat();
+    let keys: Vec<Vec<u8>> = (0..60)
+        .map(|i| short(b'a', i))
+        .chain((0..30).map(long))
+        .chain((0..60).map(|i| short(b'z', i)))
+        .collect();
+    let load = |pool: &mut BufferPool, keys: &[Vec<u8>]| {
+        let steps = keys.iter().map(|key| (key.as_slice(), Step::Point(())));
+        apply(pool, steps, |_, _| {
+            Ok(Edit::Put(chain_pushed(&[], 10, Some(&[7; 250]))?.0))
+        })
+        .unwrap();
+    };
+    load(&mut pool, &keys);
+    let mut model: BTreeSet<Vec<u8>> = keys.iter().cloned().collect();
+    let mut check = |pool: &mut BufferPool, gone: &[Vec<u8>]| {
+        gone.iter().for_each(|key| assert!(model.remove(key)));
+        assert_eq!(check_consistency(pool).unwrap(), model.len());
+        let cursor = Cursor::seek(pool, b"", None, true).unwrap();
+        let stored = keys_until(pool, cursor, b"\xff");
+        assert_eq!(stored, model.iter().cloned().collect::<Vec<_>>());
+    };
+    let before = leaf_keys(&mut pool);
+    assert!(before.len() >= 12, "{} leaves", before.len());
+    assert!(before.iter().all(|(_, keys)| keys.len() >= 8));
+    let root = pool.root();
+    assert_eq!(pool.read(before[0].0).unwrap()[0], TAG_LEAF, "two levels");
+
+    // An emptied leaf is dropped.
+    let live = pool.live_pages();
+    let gone = before[1].1.clone();
+    remove(&mut pool, &gone);
+    check(&mut pool, &gone);
+    let after = leaf_keys(&mut pool);
+    assert_eq!(after, [&before[..1], &before[2..]].concat());
+    assert_eq!(pool.live_pages(), live - 1);
+
+    // A leaf merges with its right sibling: its page, and one page read
+    // beyond the walk's path.
+    let ((left, left_keys), (_, right_keys)) = (&after[1], &after[2]);
+    let gone = right_keys[5..].to_vec();
+    remove(&mut pool, &gone);
+    check(&mut pool, &gone);
+    assert_eq!(leaf_keys(&mut pool).len(), after.len(), "five entries stay");
+    let gone = left_keys[2..].to_vec();
+    // The walk's own path: a descent to its first key, which reads the
+    // root, an overflow separator the root's binary search lands on, and
+    // the leaf.
+    let io = read();
+    assert!(get(&mut pool, &gone[0], 10).unwrap().is_some());
+    let path = read() - io;
+    let (live, io) = (pool.live_pages(), read());
+    pool.written.clear();
+    remove(&mut pool, &gone);
+    assert_eq!(read() - io, path + 1, "the walk's path and the sibling");
+    assert_eq!(pool.written, [*left, *left, root]);
+    check(&mut pool, &gone);
+    let merged = leaf_keys(&mut pool);
+    let keys = [&left_keys[..2], &right_keys[..5]].concat();
+    assert_eq!(merged[1], (*left, keys));
+    assert_eq!(merged[2..], after[3..]);
+    assert_eq!(pool.live_pages(), live - 1);
+
+    // A pair too big for one leaf is left alone.
+    let at = (3..merged.len() - 3)
+        .find(|&i| merged[i + 1].1.len() >= 10)
+        .expect("a leaf of 10 entries or more");
+    let (small, big) = (&merged[at], &merged[at + 1]);
+    let gone = small.1[2..].to_vec();
+    remove(&mut pool, &gone);
+    check(&mut pool, &gone);
+    let alone = leaf_keys(&mut pool);
+    assert_eq!(alone[at], (small.0, small.1[..2].to_vec()));
+    assert_eq!(alone[at + 1], *big);
+    assert_eq!(alone.len(), merged.len());
+
+    // The last child merges with its left sibling.
+    let n = alone.len();
+    let ((_, left_keys), (last, last_keys)) = (&alone[n - 2], &alone[n - 1]);
+    let gone = left_keys[5..].to_vec();
+    remove(&mut pool, &gone);
+    let gone = [gone, last_keys[2..].to_vec()].concat();
+    remove(&mut pool, &last_keys[2..]);
+    check(&mut pool, &gone);
+    let merged = leaf_keys(&mut pool);
+    let keys = [&left_keys[..5], &last_keys[..2]].concat();
+    assert_eq!(merged[n - 2], (*last, keys));
+    assert_eq!(merged.len(), n - 1);
+    assert_eq!(merged[..n - 2], alone[..n - 2]);
+
+    // An emptied leaf of long keys drops the overflow separator after it.
+    let spilled = |keys: &[Vec<u8>]| keys.iter().all(|key| key.len() > INLINE_KEY_MAX);
+    let at = (1..merged.len())
+        .find(|&i| spilled(&merged[i].1) && spilled(&merged[i + 1].1))
+        .expect("two leaves of long keys side by side");
+    let page = pool.read(root).unwrap();
+    let seps = parse_index(&page, root, TAG_INTERNAL).unwrap();
+    let sep = Reader::at(&page, seps[at] as usize + 4, root)
+        .blob()
+        .unwrap();
+    assert!(matches!(sep, Blob::Overflow(..)), "an overflow separator");
+    let (live, gone) = (pool.live_pages(), merged[at].1.clone());
+    remove(&mut pool, &gone);
+    check(&mut pool, &gone);
+    assert_eq!(leaf_keys(&mut pool).len(), merged.len() - 1);
+    // The leaf, one page per key, and the separator's page.
+    assert_eq!(pool.live_pages(), live - 1 - gone.len() - 1);
+
+    // A root left with one child is replaced by it.
+    let (mut pool, dir_2) = self::pool("collapse", 64);
+    let keys: Vec<Vec<u8>> = (0..16).map(|i| short(b'k', i)).collect();
+    load(&mut pool, &keys);
+    let two = leaf_keys(&mut pool);
+    assert_eq!(two.len(), 2);
+    let live = pool.live_pages();
+    remove(&mut pool, &two[0].1);
+    assert_eq!(pool.root(), two[1].0);
+    assert_eq!(leaf_keys(&mut pool), two[1..]);
+    assert_eq!(check_consistency(&mut pool).unwrap(), two[1].1.len());
+    assert_eq!(pool.live_pages(), live - 2, "the leaf and the old root");
+    std::fs::remove_dir_all(dir).unwrap();
+    std::fs::remove_dir_all(dir_2).unwrap();
 }

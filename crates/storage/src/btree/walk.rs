@@ -1,7 +1,8 @@
 //! The one write path: a sorted walk that rewrites each leaf it touches
-//! once and each ancestor at most once, and the writes and prunes built
-//! on it.
+//! once and each ancestor at most once, merges or drops the leaves it
+//! shrinks, and the writes and prunes built on it.
 
+use std::borrow::Cow;
 use std::io;
 use std::iter::Peekable;
 use std::ops::Range;
@@ -9,7 +10,9 @@ use std::sync::Arc;
 
 use super::blob::{append_blob, Blob};
 use super::chain::{chain_prune, chain_pushed, Prune};
-use super::leaf::{cut, entries_of, leaf_image, leaf_prefix, put_entry, Entry, Key};
+use super::leaf::{
+    cut, entries_of, leaf_image, leaf_prefix, merge_fits, put_entry, Entry, Key, MERGE_BELOW,
+};
 use super::{
     child, corrupt, index, locate, too_deep, Reader, INLINE_CHAIN_MAX, INLINE_KEY_MAX, MAX_DEPTH,
     NODE_HEADER, TAG_INTERNAL, TAG_LEAF,
@@ -55,7 +58,14 @@ pub(crate) enum Seen<'a, T> {
 
 /// A rewritten node: the id of its first piece, then the encoded separator
 /// and the id of each further piece it split into.
-type Written = (PageId, Vec<(Vec<u8>, PageId)>);
+struct Written {
+    id: PageId,
+    more: Vec<(Vec<u8>, PageId)>,
+    /// A leaf that lost entries and is one piece under [`MERGE_BELOW`]
+    /// bytes: the image it was given, which its parent drops or merges
+    /// with a sibling without reading it back.
+    shrunk: Option<Page>,
+}
 
 /// An internal node on a walk's path, and what its children became.
 struct Level {
@@ -81,8 +91,10 @@ struct Level {
 /// need — then climbs only as far as the next step needs and descends from
 /// there; a range step that reaches past a leaf goes on in the next one.
 /// An ancestor is rewritten once, as the walk leaves it, and only if the
-/// id of a child changed or a child split. Every image the walk writes
-/// carries its entry offsets, so nothing parses it again.
+/// id of a child changed or a child split — or a leaf below it lost entries
+/// and was left under a quarter page, which the ancestor then drops if it
+/// is empty or merges with a sibling ([`rebalance`]). Every image the walk
+/// writes carries its entry offsets, so nothing parses it again.
 pub(crate) fn apply<K: AsRef<[u8]>, T>(
     pool: &mut BufferPool,
     steps: impl IntoIterator<Item = (K, Step<T>)>,
@@ -116,7 +128,7 @@ pub(crate) fn apply<K: AsRef<[u8]>, T>(
         // Climb out of every node the target is not under...
         let beyond = |level: &mut Level| level.upper.as_deref().is_some_and(|up| target >= up);
         while let Some(level) = path.pop_if(beyond) {
-            let written = rewrite_internal(pool, level)?;
+            let written = rewrite_internal(pool, level, path.is_empty())?;
             settle(&mut path, &mut root, written);
         }
         // ...and descend from the lowest one it is under to its leaf.
@@ -168,7 +180,7 @@ pub(crate) fn apply<K: AsRef<[u8]>, T>(
         carry = reaching.zip(upper);
     }
     while let Some(level) = path.pop() {
-        let written = rewrite_internal(pool, level)?;
+        let written = rewrite_internal(pool, level, path.is_empty())?;
         settle(&mut path, &mut root, written);
     }
     if let Some(written) = root {
@@ -215,7 +227,12 @@ fn settle(path: &mut [Level], root: &mut Option<Written>, written: Option<Writte
 
 /// The root over what the old root became: its one piece, or new levels
 /// above its pieces.
-fn grow(pool: &mut BufferPool, (mut root, mut more): Written) -> io::Result<PageId> {
+fn grow(pool: &mut BufferPool, written: Written) -> io::Result<PageId> {
+    let Written {
+        id: mut root,
+        mut more,
+        ..
+    } = written;
     while !more.is_empty() {
         let mut node = Node::new();
         node.child(root);
@@ -223,7 +240,7 @@ fn grow(pool: &mut BufferPool, (mut root, mut more): Written) -> io::Result<Page
             node.sep(sep);
             node.child(*id);
         }
-        (root, more) = node.write(pool, NO_PAGE)?;
+        Written { id: root, more, .. } = node.write(pool, NO_PAGE)?;
     }
     Ok(root)
 }
@@ -231,7 +248,12 @@ fn grow(pool: &mut BufferPool, (mut root, mut more): Written) -> io::Result<Page
 /// Write an internal node left by the walk: its old bytes with each
 /// rewritten child's pointer patched and the separators of its pieces
 /// spliced in after it. `None` if no child's id changed and none split.
-fn rewrite_internal(pool: &mut BufferPool, level: Level) -> io::Result<Option<Written>> {
+/// A node with a shrunk leaf below it is [`rebalance`]d instead.
+fn rewrite_internal(
+    pool: &mut BufferPool,
+    level: Level,
+    root: bool,
+) -> io::Result<Option<Written>> {
     let Level {
         id,
         page,
@@ -239,14 +261,16 @@ fn rewrite_internal(pool: &mut BufferPool, level: Level) -> io::Result<Option<Wr
         ..
     } = level;
     let at = index(&page, id, TAG_INTERNAL)?;
-    let same =
-        |(i, (new, more)): &(usize, Written)| more.is_empty() && *new == child(&page, at, *i);
+    if rewritten.iter().any(|(_, w)| w.shrunk.is_some()) {
+        return rebalance(pool, id, &page, at, rewritten, root).map(Some);
+    }
+    let same = |(i, w): &(usize, Written)| w.more.is_empty() && w.id == child(&page, at, *i);
     if rewritten.iter().all(same) {
         return Ok(None);
     }
     let mut node = Node::new();
     let mut from = 0;
-    for (i, (new, more)) in rewritten {
+    for (i, Written { id: new, more, .. }) in rewritten {
         if i < from {
             return Err(corrupt(format!("internal {id}: separators out of order")));
         }
@@ -261,6 +285,145 @@ fn rewrite_internal(pool: &mut BufferPool, level: Level) -> io::Result<Option<Wr
     }
     node.copy(&page, at, from..at.len() - 1);
     node.write(pool, id).map(Some)
+}
+
+/// A child of a node being rebalanced: its page, a shrunk leaf's image,
+/// and the encoded separator after it (empty after the last child).
+struct Kid<'a> {
+    id: PageId,
+    shrunk: Option<Page>,
+    sep: Cow<'a, [u8]>,
+}
+
+/// Write internal node `id` left by the walk, whose children `rewritten`
+/// include a shrunk leaf, after dealing with each shrunk leaf in turn. An
+/// empty one is dropped with a separator beside it. Any other is merged
+/// with its right sibling, or its left one if it is the last child, when
+/// their entries fit [`merge_fits`]: one [`write_leaf`] into the shrunk
+/// leaf's page, which is fresh, and the sibling's page and the separator
+/// between them dropped. That reads the sibling alone, and not even that
+/// when the sibling shrank too. A root left with one child is replaced by
+/// it.
+fn rebalance(
+    pool: &mut BufferPool,
+    id: PageId,
+    page: &[u8],
+    at: &[u16],
+    rewritten: Vec<(usize, Written)>,
+    root: bool,
+) -> io::Result<Written> {
+    let sep_after = |i: usize| Cow::Borrowed(&page[at[i] as usize + 4..at[i + 1] as usize]);
+    let old = |i| Kid {
+        id: child(page, at, i),
+        shrunk: None,
+        sep: sep_after(i),
+    };
+    let mut kids = Vec::with_capacity(at.len() + rewritten.len());
+    let mut from = 0;
+    for (i, written) in rewritten {
+        if i < from {
+            return Err(corrupt(format!("internal {id}: separators out of order")));
+        }
+        kids.extend((from..i).map(old));
+        let mut piece = written.id;
+        for (sep, next) in written.more {
+            let (shrunk, sep) = (None, Cow::Owned(sep));
+            kids.push(Kid {
+                id: piece,
+                shrunk,
+                sep,
+            });
+            piece = next;
+        }
+        let (shrunk, sep) = (written.shrunk, sep_after(i));
+        kids.push(Kid {
+            id: piece,
+            shrunk,
+            sep,
+        });
+        from = i + 1;
+    }
+    kids.extend((from..at.len() - 1).map(old));
+
+    let mut i = 0;
+    while i < kids.len() {
+        let Some(small) = kids[i].shrunk.take() else {
+            i += 1;
+            continue;
+        };
+        let small_at = index(&small, kids[i].id, TAG_LEAF)?;
+        if small_at.len() == 1 {
+            // Empty: the separator after it goes, or before it if it is last.
+            if kids.len() > 1 {
+                let last = i + 1 == kids.len();
+                drop_kid(pool, id, &mut kids, i, last)?;
+            } else {
+                i += 1;
+            }
+            continue;
+        }
+        let j = if i + 1 < kids.len() {
+            i + 1
+        } else if i > 0 {
+            i - 1
+        } else {
+            i += 1;
+            continue;
+        };
+        let sibling = match &kids[j].shrunk {
+            Some(shrunk) => Arc::clone(shrunk),
+            None => pool.read(kids[j].id)?,
+        };
+        let sibling_at = index(&sibling, kids[j].id, TAG_LEAF)?;
+        let ours = entries_of(&small, kids[i].id, small_at)?;
+        let theirs = entries_of(&sibling, kids[j].id, sibling_at)?;
+        let entries = match j > i {
+            true => [ours, theirs].concat(),
+            false => [theirs, ours].concat(),
+        };
+        if !merge_fits(pool, &entries)? {
+            i += 1;
+            continue;
+        }
+        let merged = write_leaf(pool, kids[i].id, &entries, None, false)?.id;
+        drop_kid(pool, id, &mut kids, j, j > i)?;
+        i = i.min(j);
+        kids[i].id = merged;
+        i += 1;
+    }
+
+    if root && kids.len() == 1 {
+        pool.free(id);
+        let id = kids[0].id;
+        let (more, shrunk) = (Vec::new(), None);
+        return Ok(Written { id, more, shrunk });
+    }
+    let mut node = Node::new();
+    for kid in &kids {
+        node.child(kid.id);
+        node.sep(&kid.sep);
+    }
+    node.write(pool, id)
+}
+
+/// Drop child `k` of internal node `node` and one separator beside it: the
+/// one before it if `before`, else the one after. The child's page and the
+/// separator's overflow pages are freed.
+fn drop_kid(
+    pool: &mut BufferPool,
+    node: PageId,
+    kids: &mut Vec<Kid>,
+    k: usize,
+    before: bool,
+) -> io::Result<()> {
+    let kid = kids.remove(k);
+    let sep = match before {
+        true => std::mem::replace(&mut kids[k - 1].sep, kid.sep),
+        false => kid.sep,
+    };
+    Reader::at(&sep, 0, node).blob()?.free(pool)?;
+    pool.free(kid.id);
+    Ok(())
 }
 
 /// Append the bytes of entries `range` of a node whose index is `at`, and
@@ -315,7 +478,7 @@ impl Node {
     fn write(self, pool: &mut BufferPool, id: PageId) -> io::Result<Written> {
         let (mut images, mut seps) = (Vec::new(), Vec::new());
         self.halve(id, &mut images, &mut seps)?;
-        store_pieces(pool, id, images, seps)
+        store_pieces(pool, id, images, seps, false)
     }
 
     /// The node's pieces that fit a page: itself, or both halves around its
@@ -357,24 +520,30 @@ impl Node {
 
 /// Store the pieces a node became: the first as page `id` (CoW;
 /// `NO_PAGE`: a new page), each further one on a new page after the
-/// separator that leads to it.
+/// separator that leads to it. A leaf that `shrank` — lost entries — and
+/// is one piece under [`MERGE_BELOW`] bytes keeps a handle to its image.
 fn store_pieces(
     pool: &mut BufferPool,
     id: PageId,
     images: Vec<Image>,
     seps: Vec<Vec<u8>>,
+    shrank: bool,
 ) -> io::Result<Written> {
-    let mut ids = Vec::with_capacity(images.len());
+    let (mut ids, mut shrunk) = (Vec::with_capacity(images.len()), None);
+    let one = images.len() == 1;
     for image in images {
-        ids.push(match (ids.is_empty(), id) {
-            (true, NO_PAGE) | (false, _) => pool.allocate(image)?,
-            (true, id) => pool.write_cow(id, image)?,
-        });
+        let page = Page::new(image);
+        if shrank && one && page.len() < MERGE_BELOW {
+            shrunk = Some(Arc::clone(&page));
+        }
+        ids.push(pool.write_shared(if ids.is_empty() { id } else { NO_PAGE }, page)?);
     }
-    Ok((
-        ids[0],
-        seps.into_iter().zip(ids[1..].iter().copied()).collect(),
-    ))
+    let more = seps.into_iter().zip(ids[1..].iter().copied()).collect();
+    Ok(Written {
+        id: ids[0],
+        more,
+        shrunk,
+    })
 }
 
 /// Entry `i` of a leaf as it lies there: its key blob, where its chain blob
@@ -609,6 +778,10 @@ impl LeafEdits {
         for &(head, len) in &self.removed {
             Blob::Overflow(head, len).free(pool)?;
         }
+        let shrank = self
+            .changes
+            .iter()
+            .any(|(_, change)| matches!(change, Change::Remove));
         let count = at.len() - 1;
         let keeps_prefix = count > 0
             && self.changes.iter().all(|(i, change)| match change {
@@ -665,7 +838,7 @@ impl LeafEdits {
             let entries = offsets.len() as u16 - 1;
             out[1..NODE_HEADER].copy_from_slice(&entries.to_le_bytes());
             let image = Image::indexed(out, offsets.iter().map(|&a| a as u16).collect());
-            return store_pieces(pool, id, vec![image], Vec::new());
+            return store_pieces(pool, id, vec![image], Vec::new(), shrank);
         }
         let old = entries_of(leaf, id, at)?;
         let mut entries = Vec::with_capacity(count + self.changes.len());
@@ -699,7 +872,7 @@ impl LeafEdits {
             [(i, Change::Insert(_, _, false))] => Some(*i),
             _ => None,
         };
-        write_leaf(pool, id, &entries, lone)
+        write_leaf(pool, id, &entries, lone, shrank)
     }
 }
 
@@ -707,12 +880,14 @@ impl LeafEdits {
 /// prefix of their ends, split into as many pieces as they need to fit. A
 /// cut falls after or before entry `lone` — an inserted key that shortened
 /// the prefix, which then goes alone — or else at the [`split_point`]; each
-/// piece stores the prefix of its own ends.
+/// piece stores the prefix of its own ends. `shrank`: the leaf lost
+/// entries, as [`store_pieces`] takes it.
 fn write_leaf(
     pool: &mut BufferPool,
     id: PageId,
     entries: &[Entry],
     lone: Option<usize>,
+    shrank: bool,
 ) -> io::Result<Written> {
     let mut pieces = Vec::new();
     cut(pool, id, entries, 0, lone, &mut pieces)?;
@@ -734,7 +909,7 @@ fn write_leaf(
         .iter()
         .map(|(range, prefix)| leaf_image(id, prefix, &entries[range.clone()]))
         .collect::<io::Result<_>>()?;
-    store_pieces(pool, id, images, seps)
+    store_pieces(pool, id, images, seps, shrank)
 }
 
 /// Write `value` (`None`: a tombstone) under `key` at `version`: a walk of
@@ -761,8 +936,8 @@ pub fn write(
 
 /// Rewrite the chains of `keys`, ascending, as `chain_prune` at
 /// `oldest_version` decides, in one walk: trimmed, removed with the key
-/// when dead (leaves are not rebalanced; an emptied leaf stays in place and
-/// cursors skip it), or left alone.
+/// when dead, or left alone. A leaf the walk leaves under a quarter page is
+/// merged with a sibling, and an emptied one is dropped.
 pub fn prune_sorted<'k>(
     pool: &mut BufferPool,
     keys: impl IntoIterator<Item = &'k [u8]>,

@@ -213,9 +213,11 @@ pub trait StorageEngine: Send + Sync + std::fmt::Debug {
     /// Cost contract: it visits each distinct key whose write at or below
     /// `oldest_version` shadowed an older entry or was a tombstone and that
     /// no earlier pass has visited for it, in key order, as one sorted
-    /// batch: one seek per leaf holding such keys. Work is proportional to
-    /// the keys written, none to the keys stored; nothing walks the whole
-    /// tree.
+    /// batch: one seek per leaf holding such keys, and one read of a
+    /// sibling per leaf the pass leaves under a quarter page, which it
+    /// merges into that sibling when the two fit (the paged engine). Work
+    /// is proportional to the keys written, none to the keys stored;
+    /// nothing walks the whole tree.
     fn compact(&mut self, oldest_version: u64) -> usize;
 
     /// Force all buffered state to disk (checkpoint). No-op in memory.

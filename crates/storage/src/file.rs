@@ -2,7 +2,7 @@
 //! dual-slot metadata header.
 //!
 //! Pages 0 and 1 are two alternating *meta slots*. A checkpoint writes the
-//! next generation's metadata (tree root, WAL offset, free list) to the
+//! next generation's metadata (tree root, WAL offset, page count) to the
 //! slot `generation % 2`, so a crash mid-write can at worst corrupt one
 //! slot — the other still holds the previous consistent generation, and
 //! open() picks the valid slot with the highest generation. Data pages
@@ -14,10 +14,11 @@
 //! [`io::ErrorKind::Unsupported`], naming its format, before the engine
 //! opens its write-ahead log; no build reads two formats.
 //!
-//! The free list persisted in a meta slot is capped by the page size;
-//! during a run the in-memory list is authoritative and any excess simply
-//! fails to survive a crash (leaking those pages until the file is
-//! rebuilt, which the simulator accepts as a non-correctness cost).
+//! The free list is not persisted: a meta slot records a count of 0 (a list
+//! an older file recorded is parsed and ignored). The engine rebuilds it at
+//! open, as every page of `2..page_count` that the checkpointed tree does
+//! not reach, so no free page is lost across a reopen or a crash however
+//! many there are.
 //!
 //! Every page I/O is one positional syscall (`pread`/`pwrite` through
 //! [`FileExt`]): the file has no cursor that a read or write must first
@@ -29,7 +30,7 @@ use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 use crate::codec::{self, Reader};
-use crate::page::{frame, unframe, PageId, HEADER_SIZE, MAX_PAYLOAD, NO_PAGE, PAGE_SIZE};
+use crate::page::{frame, unframe, PageId, HEADER_SIZE, NO_PAGE, PAGE_SIZE};
 
 const MAGIC: u64 = 0x524C_5041_4745_4433; // "RLPAGED3"
 /// The magics of the page formats this build refuses ("RLPAGED1",
@@ -38,10 +39,9 @@ const RETIRED: [(u64, &str); 2] = [
     (0x524C_5041_4745_4431, "page format 1 (FNV-1a checksums)"),
     (0x524C_5041_4745_4432, "page format 2 (whole keys)"),
 ];
-/// Fixed meta fields: magic + generation + page_count + root + lsn + count.
-const META_FIXED: usize = 8 + 8 + 4 + 4 + 8 + 4;
-/// How many free-page ids fit in a persisted meta slot.
-const META_FREE_CAP: usize = (MAX_PAYLOAD - META_FIXED) / 4;
+/// Meta fields: magic + generation + page_count + root + lsn + the count
+/// of a free list, always 0.
+const META_LEN: usize = 8 + 8 + 4 + 4 + 8 + 4;
 
 #[cfg(test)]
 thread_local! {
@@ -57,7 +57,9 @@ pub struct PageFile {
     /// Total pages, including the two meta slots.
     page_count: u32,
     /// Pages safe to reuse immediately (free at the last checkpoint, or
-    /// allocated-and-freed since).
+    /// allocated-and-freed since); empty at open until [`set_free`].
+    ///
+    /// [`set_free`]: PageFile::set_free
     free: Vec<PageId>,
     /// Root of the checkpointed B-tree (NO_PAGE = empty).
     root: PageId,
@@ -91,7 +93,7 @@ impl PageFile {
         }
 
         // Pick the valid meta slot with the highest generation.
-        let mut best: Option<(u64, u32, PageId, u64, Vec<PageId>)> = None;
+        let mut best: Option<Meta> = None;
         let mut retired = None;
         for slot in 0..2u32 {
             if (u64::from(slot) + 1) * PAGE_SIZE as u64 > len {
@@ -109,7 +111,7 @@ impl PageFile {
                 }
             }
         }
-        let (generation, page_count, root, checkpoint_lsn, free) = best.ok_or_else(|| {
+        let (generation, page_count, root, checkpoint_lsn) = best.ok_or_else(|| {
             let path = path.display();
             match retired {
                 Some(what) => io::Error::new(
@@ -125,7 +127,7 @@ impl PageFile {
         Ok(PageFile {
             file,
             page_count,
-            free,
+            free: Vec::new(),
             root,
             checkpoint_lsn,
             generation,
@@ -202,6 +204,14 @@ impl PageFile {
         self.free.push(id);
     }
 
+    /// Replace the free list: at open, with the pages the checkpointed tree
+    /// does not reach, before anything is allocated. The last id is reused
+    /// first.
+    pub(crate) fn set_free(&mut self, free: Vec<PageId>) {
+        debug_assert!(free.iter().all(|&id| (2..self.page_count).contains(&id)));
+        self.free = free;
+    }
+
     /// Persist a new metadata generation: the new tree root and the WAL
     /// offset it covers. Caller must have already written every page the
     /// new root reaches.
@@ -213,37 +223,35 @@ impl PageFile {
     }
 
     fn write_meta_slot(&mut self) -> io::Result<()> {
-        let mut payload = Vec::with_capacity(META_FIXED + 4 * self.free.len().min(META_FREE_CAP));
+        let mut payload = Vec::with_capacity(META_LEN);
         payload.extend_from_slice(&MAGIC.to_le_bytes());
         payload.extend_from_slice(&self.generation.to_le_bytes());
         payload.extend_from_slice(&self.page_count.to_le_bytes());
         payload.extend_from_slice(&self.root.to_le_bytes());
         payload.extend_from_slice(&self.checkpoint_lsn.to_le_bytes());
-        let persisted = self.free.len().min(META_FREE_CAP);
-        payload.extend_from_slice(&(persisted as u32).to_le_bytes());
-        for &id in &self.free[..persisted] {
-            payload.extend_from_slice(&id.to_le_bytes());
-        }
+        payload.extend_from_slice(&0u32.to_le_bytes());
         let slot = self.generation % 2;
         self.file
             .write_all_at(&frame(&payload), slot * PAGE_SIZE as u64)
     }
 }
 
-type Meta = (u64, u32, PageId, u64, Vec<PageId>);
+/// A meta slot: generation, page count, root, WAL offset.
+type Meta = (u64, u32, PageId, u64);
 
 /// The meta slot `page` holds; an error when it is damaged or of another
-/// format (the caller tells which).
+/// format (the caller tells which). The free list that files before this
+/// build recorded is read past.
 fn parse_meta(page: &[u8]) -> codec::Result<Meta> {
     let mut r = Reader::new(unframe(page).map_err(|_| "bad page frame")?, 0);
     if r.u64()? != MAGIC {
         return Err("bad magic");
     }
-    let (generation, page_count, root, lsn) = (r.u64()?, r.u32()?, r.u32()?, r.u64()?);
-    let free = (0..r.u32()?)
-        .map(|_| r.u32())
-        .collect::<codec::Result<_>>()?;
-    Ok((generation, page_count, root, lsn, free))
+    let meta = (r.u64()?, r.u32()?, r.u32()?, r.u64()?);
+    for _ in 0..r.u32()? {
+        r.u32()?;
+    }
+    Ok(meta)
 }
 
 #[cfg(test)]
@@ -275,22 +283,6 @@ mod tests {
         assert_eq!(pf.checkpoint_lsn(), 42);
         assert_eq!(pf.read_page(a).unwrap(), b"alpha");
         assert_eq!(pf.read_page(b).unwrap(), b"beta");
-        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
-    }
-
-    #[test]
-    fn free_list_survives_checkpoint() {
-        let path = tmp("freelist");
-        let mut pf = PageFile::open(&path).unwrap();
-        let a = pf.allocate();
-        pf.write_page(a, b"x").unwrap();
-        pf.free_now(a);
-        pf.commit_meta(NO_PAGE, 0).unwrap();
-        drop(pf);
-
-        let mut pf = PageFile::open(&path).unwrap();
-        assert_eq!(pf.free_count(), 1);
-        assert_eq!(pf.allocate(), a);
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 

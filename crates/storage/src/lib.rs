@@ -35,6 +35,16 @@
 //! batch the WAL frame is written atomically (single framed append with a
 //! checksum), so a torn tail never exposes half a commit.
 //!
+//! Until the next checkpoint the file holds both trees: the pages the last
+//! checkpoint's tree shares with the live one, the ones it no longer does
+//! (superseded, reusable once the next checkpoint lands), and the WAL. A
+//! checkpoint comes due once the WAL passes 1 MiB, the bound on what a
+//! reopen replays, or once the WAL and the superseded pages reach the live
+//! tree's size, so the file holds at most about one extra copy of the
+//! tree. The free list lives in memory only: recovery's one walk of the
+//! checkpointed tree marks every page it reaches, and the rest of the file
+//! is free, so no free page is lost to a crash.
+//!
 //! The engine never calls `fsync`: the simulator equates "crash" with
 //! "process stopped", as exercised by the crash-recovery tests. A real
 //! deployment would sync the WAL at each commit frame and the page file at

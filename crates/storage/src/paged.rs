@@ -21,12 +21,26 @@
 //! because the on-disk meta root still points at the last checkpoint's
 //! tree — shadow paging guarantees eviction can never damage it.
 //!
+//! ## Checkpoints
+//!
+//! A checkpoint flushes the dirty pages, writes a meta slot naming the live
+//! root, frees the pages the last checkpoint's tree held that the live one
+//! replaced (the pool's superseded pages), and truncates the WAL. It comes
+//! due at a commit once either holds: the WAL passed 1 MiB, which bounds
+//! what a reopen replays; or the WAL's bytes and the superseded pages
+//! together reach the live tree's size — its pages, counted as at least
+//! 64 so that a tree of a few pages is not checkpointed on every commit.
+//! The second bounds what the file holds beside the live tree to about one
+//! more copy of it.
+//!
 //! ## Recovery
 //!
-//! Open loads the newest valid meta slot (tree root + WAL offset), then
-//! replays committed WAL frames from that offset, truncating any torn
-//! tail. A batch that never got its commit frame vanishes entirely, which
-//! is exactly the transaction-atomicity contract the database expects.
+//! Open loads the newest valid meta slot (tree root + WAL offset), walks
+//! the checkpointed tree once — which rebuilds the free list, every page
+//! the tree does not reach — then replays committed WAL frames from that
+//! offset, truncating any torn tail. A batch that never got its commit
+//! frame vanishes entirely, which is exactly the transaction-atomicity
+//! contract the database expects.
 //!
 //! The simulator equates "crash" with "process stopped", so no fsync is
 //! issued; the *ordering* points (checkpoint = flush pages, then meta,
@@ -40,13 +54,19 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use crate::btree::{self, chain_entries, chain_visible_at, Cursor, Edit, Seen, Step};
 use crate::engine::{Batch, EvictionPolicy, Mutation, StorageEngine, Visitor};
 use crate::garbage::GarbageLog;
+use crate::page::PAGE_SIZE;
 use crate::pool::BufferPool;
 use crate::wait::{acquired, yield_until};
 use crate::wal::{Wal, WalOp};
 use crate::SharedIoCounters;
 
-/// Checkpoint (and truncate the WAL) once it grows past this size.
+/// Checkpoint (and truncate the WAL) once it grows past this size: the
+/// bound on what a reopen replays.
 const WAL_CHECKPOINT_BYTES: u64 = 1 << 20;
+/// A checkpoint is also due once the WAL and the superseded pages together
+/// reach the live tree's size, counted as at least this many pages, so
+/// that a tree of a few pages is not checkpointed on every commit.
+const CHECKPOINT_FLOOR_PAGES: usize = 64;
 
 /// Disk-backed MVCC storage engine.
 #[derive(Debug)]
@@ -93,17 +113,17 @@ impl PagedEngine {
     }
 
     /// Load what the checkpoint tree holds that the engine keeps in memory
-    /// — the newest version, and a garbage-log entry for every chain entry
-    /// a later `compact` has to reach, so nothing written before this open
-    /// is stranded — then replay the WAL tail through the write path, which
-    /// logs its own. The one pass over the tree the engine ever makes.
+    /// — the newest version, a garbage-log entry for every chain entry a
+    /// later `compact` has to reach, so nothing written before this open is
+    /// stranded, and the free list: every page the tree does not reach —
+    /// then replay the WAL tail through the write path, which logs its own.
+    /// The one pass over the tree the engine ever makes.
     fn recover(&mut self) -> io::Result<()> {
         // (version, key) of each entry that shadows an older one or is a
         // tombstone; keys packed into one buffer.
         let (mut keys, mut found) = (Vec::new(), Vec::new());
         let pool = exclusive(&mut self.pool);
-        let mut cursor = Cursor::seek(pool, b"", None, true)?;
-        while let Some((key, chain)) = cursor.next(pool)? {
+        let reached = btree::visit_tree(pool, |key, chain| {
             let at = keys.len();
             for (i, entry) in chain_entries(chain)?.enumerate() {
                 let entry = entry?;
@@ -115,7 +135,9 @@ impl PagedEngine {
                     found.push((entry.version, at..keys.len()));
                 }
             }
-        }
+            Ok(())
+        })?;
+        pool.free_unreached(&reached);
         found.sort_by_key(|(version, _)| *version);
         for (version, key) in found {
             self.garbage.push(&keys[key], version);
@@ -223,9 +245,15 @@ impl PagedEngine {
         })
     }
 
+    /// Seal the batch in one WAL frame, then checkpoint if one is due (see
+    /// the module's *Checkpoints*).
     fn try_commit_batch(&mut self) -> io::Result<()> {
         self.wal.commit(&self.counters)?;
-        if self.wal.len() > WAL_CHECKPOINT_BYTES {
+        let pool = exclusive(&mut self.pool);
+        let page = PAGE_SIZE as u64;
+        let extra = self.wal.len() + pool.superseded_pages() as u64 * page;
+        let live = pool.live_pages().max(CHECKPOINT_FLOOR_PAGES) as u64 * page;
+        if self.wal.len() > WAL_CHECKPOINT_BYTES || extra >= live {
             self.try_flush()?;
         }
         Ok(())
@@ -694,6 +722,45 @@ mod tests {
             "WAL should have been truncated by a size-triggered checkpoint"
         );
         assert_eq!(e.get(b"k19", 100), Some(big));
+        std::fs::remove_dir_all(&d).unwrap();
+    }
+
+    /// Every free page survives a checkpoint and a reopen, however many
+    /// there are: more than a meta slot could list (1 013 ids), the count
+    /// a file kept before the engine rebuilt its free list at open. 600
+    /// values of two overflow pages each are written, deleted and compacted
+    /// away; after the reopen that many pages are allocated again and the
+    /// file does not grow.
+    #[test]
+    fn free_list_survives_checkpoint() {
+        let d = dir("freelist");
+        let key = |i: u32| format!("k{i:04}").into_bytes();
+        let (pages, free) = {
+            let mut e = open(&d, 64);
+            for i in 0..600 {
+                e.write(key(i), Some(vec![0x5A; 6_000]), 10);
+            }
+            e.commit_batch();
+            e.flush();
+            for i in 0..600 {
+                e.write(key(i), None, 20);
+            }
+            e.commit_batch();
+            assert_eq!(e.compact(20), 600);
+            e.flush();
+            let pool = exclusive(&mut e.pool);
+            let pages = pool.page_count();
+            (pages, pages as usize - 2 - pool.live_pages())
+        };
+        assert!(free > 1_013, "{free} free pages");
+        let mut e = open(&d, 64);
+        assert_eq!(e.check_consistency().unwrap(), 0);
+        let pool = exclusive(&mut e.pool);
+        for _ in 0..free {
+            pool.allocate(vec![0xEE; 16]).unwrap();
+        }
+        assert_eq!(pool.page_count(), pages, "every free page was reused");
+        drop(e);
         std::fs::remove_dir_all(&d).unwrap();
     }
 

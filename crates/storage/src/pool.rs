@@ -20,7 +20,7 @@ use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
 use crate::file::PageFile;
-use crate::page::{PageId, MAX_PAYLOAD};
+use crate::page::{PageId, MAX_PAYLOAD, NO_PAGE};
 use crate::replacer::SieveReplacer;
 use crate::SharedIoCounters;
 
@@ -154,7 +154,7 @@ impl BufferPool {
         let _t = rl_obs::Timer::start("page_read");
         let payload = self.file.read_page(id)?;
         let idx = self.acquire_frame()?;
-        self.install(idx, id, payload.into(), false);
+        self.install(idx, id, Arc::new(payload.into()), false);
         Ok(Arc::clone(&self.frames[idx].payload))
     }
 
@@ -163,22 +163,29 @@ impl BufferPool {
     /// the id now holding `payload` (callers must update parent links when
     /// it differs).
     pub fn write_cow(&mut self, id: PageId, payload: impl Into<Image>) -> io::Result<PageId> {
-        if self.fresh.contains(&id) {
-            self.write_in_place(id, payload.into())?;
-            return Ok(id);
-        }
-        let new_id = self.allocate(payload)?;
-        self.free(id);
-        Ok(new_id)
+        self.write_shared(id, Arc::new(payload.into()))
     }
 
     /// Allocate a new page holding `payload`. The page is born dirty in
     /// the pool; nothing touches disk until eviction or checkpoint.
     pub fn allocate(&mut self, payload: impl Into<Image>) -> io::Result<PageId> {
-        let id = self.file.allocate();
-        self.fresh.insert(id);
-        self.write_in_place(id, payload.into())?;
-        Ok(id)
+        self.write_shared(NO_PAGE, Arc::new(payload.into()))
+    }
+
+    /// [`write_cow`](Self::write_cow) of an image the caller keeps a handle
+    /// to, or with `id` `NO_PAGE` [`allocate`](Self::allocate).
+    pub(crate) fn write_shared(&mut self, id: PageId, page: Page) -> io::Result<PageId> {
+        if self.fresh.contains(&id) {
+            self.write_in_place(id, page)?;
+            return Ok(id);
+        }
+        let new_id = self.file.allocate();
+        self.fresh.insert(new_id);
+        self.write_in_place(new_id, page)?;
+        if id != NO_PAGE {
+            self.free(id);
+        }
+        Ok(new_id)
     }
 
     /// Release a page. Fresh pages become reusable immediately; pages from
@@ -194,6 +201,28 @@ impl BufferPool {
         } else {
             self.pending_free.push(id);
         }
+    }
+
+    /// Pages of the last checkpoint's tree that the current tree no longer
+    /// holds: reusable once the next checkpoint has superseded that tree.
+    pub(crate) fn superseded_pages(&self) -> usize {
+        self.pending_free.len()
+    }
+
+    /// Pages the current tree holds: every page of the file but the meta
+    /// slots, the free pages and the superseded ones.
+    pub(crate) fn live_pages(&self) -> usize {
+        (self.page_count() as usize)
+            .saturating_sub(2 + self.file.free_count() + self.pending_free.len())
+    }
+
+    /// Make every data page that `reached` (indexed by page id) does not
+    /// mark free: at open, after a walk of the whole checkpointed tree and
+    /// before any write, those are the pages nothing can reach.
+    pub(crate) fn free_unreached(&mut self, reached: &[bool]) {
+        let unreached = (2..self.page_count()).rev();
+        let free = unreached.filter(|&id| !reached.get(id as usize).copied().unwrap_or(false));
+        self.file.set_free(free.collect());
     }
 
     /// Flush every dirty frame and commit a new metadata generation that
@@ -213,7 +242,7 @@ impl BufferPool {
         Ok(())
     }
 
-    fn write_in_place(&mut self, id: PageId, payload: Image) -> io::Result<()> {
+    fn write_in_place(&mut self, id: PageId, payload: Page) -> io::Result<()> {
         // Only a node rebuilt from damaged bytes is oversized: no panic at flush.
         if payload.len() > MAX_PAYLOAD {
             let what = format!("page {id}: payload of {} bytes", payload.len());
@@ -223,7 +252,7 @@ impl BufferPool {
         self.written.push(id);
         if let Some(&idx) = self.map.get(&id) {
             self.replacer.record_access(idx);
-            self.frames[idx].payload = Arc::new(payload);
+            self.frames[idx].payload = payload;
             self.frames[idx].dirty = true;
             return Ok(());
         }
@@ -263,10 +292,10 @@ impl BufferPool {
         Ok(idx)
     }
 
-    fn install(&mut self, idx: usize, id: PageId, payload: Image, dirty: bool) {
+    fn install(&mut self, idx: usize, id: PageId, payload: Page, dirty: bool) {
         self.frames[idx] = Frame {
             page: id,
-            payload: Arc::new(payload),
+            payload,
             dirty,
         };
         self.map.insert(id, idx);
