@@ -23,10 +23,12 @@ pub struct CloudKitConfig {
     /// Must evolve append-only across deployments: each entry's position
     /// determines its metadata version, so removing or reordering entries
     /// produces a schema the §5 staleness check cannot tell apart from the
-    /// original.
+    /// original. Positions also fix each index's subspace key, which the
+    /// metadata hands out in the order indexes are added.
     pub indexed_fields: Vec<String>,
     /// Whether to maintain the quota-management size index (§8 "system"
-    /// indexes).
+    /// indexes). Fixed for a deployment's lifetime: the index takes the
+    /// subspace key before the user-defined ones.
     pub quota_index: bool,
 }
 
@@ -175,9 +177,16 @@ pub fn cloudkit_metadata(config: &CloudKitConfig) -> RecordMetaData {
     // schema (§5): bumping the metadata version per field lets stores
     // created under an older config detect an appended index when they
     // open and leave it disabled until an online build backfills it.
-    // Versions are positional, so this relies on `indexed_fields` being
-    // append-only (see CloudKitConfig); §5 versioning is single-stream
-    // and cannot represent a replaced or reordered field list.
+    // Versions are positional, and so are subspace keys: the metadata is
+    // rebuilt from the config rather than evolved with `from_existing`, so
+    // each index's key is its place in this sequence. This relies on
+    // `indexed_fields` being append-only and `quota_index` never changing
+    // (see CloudKitConfig); §5 versioning is single-stream and cannot
+    // represent a replaced or reordered field list. A store catching up to
+    // a config that broke this does not read one index's data as
+    // another's: it clears every index whose name and key no longer match
+    // and leaves the indexes now under those keys disabled until an online
+    // build. At the store's own version such a config fails to open.
     for (step, field) in config.indexed_fields.iter().enumerate() {
         builder = builder.version(2 + step as u64).index(
             RECORD_TYPE,
@@ -362,6 +371,8 @@ impl CloudKit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use record_layer::index::builder::OnlineIndexBuilder;
+    use record_layer::index::IndexState;
     use record_layer::run;
 
     #[test]
@@ -511,6 +522,117 @@ mod tests {
             let results = plan.execute_all(&store)?;
             assert_eq!(results.len(), 1);
             assert_eq!(results[0].primary_key, Tuple::from(("z", "b")));
+            Ok(())
+        })
+        .unwrap();
+    }
+
+    /// A config that drops the quota index moves every user index to
+    /// another subspace key. A store catching up to it clears what each
+    /// key held and leaves the user indexes disabled until an online build,
+    /// never reading the COUNT index's entries as `ck_user_field0`'s; at
+    /// the store's own version the config is refused.
+    #[test]
+    fn a_config_that_renumbers_indexes_rebuilds_them() {
+        let db = Database::new();
+        let old = CloudKit::new(
+            &db,
+            &CloudKitConfig {
+                indexed_fields: vec!["field0".into()],
+                quota_index: true,
+            },
+        );
+        run(&db, |tx| {
+            for (name, value) in [("a", "x"), ("b", "y"), ("c", "y")] {
+                old.save(
+                    tx,
+                    1,
+                    "app",
+                    &RecordData::new("z", name).string_field("field0", value),
+                )?;
+            }
+            Ok(())
+        })
+        .unwrap();
+        let keys = |ck: &CloudKit| {
+            ck.metadata()
+                .indexes()
+                .map(|i| (i.name.clone(), i.subspace_key()))
+                .collect::<std::collections::BTreeMap<_, _>>()
+        };
+        assert_eq!(keys(&old)["ck_zone_count"], 2);
+        assert_eq!(keys(&old)["ck_user_field0"], 3);
+
+        // Same version, field0 under the quota index's key: refused.
+        let same_version = CloudKit::new(
+            &db,
+            &CloudKitConfig {
+                indexed_fields: vec!["field0".into()],
+                quota_index: false,
+            },
+        );
+        assert_eq!(same_version.metadata().version(), old.metadata().version());
+        let tx = db.create_transaction();
+        match same_version.open_store(&tx, 1, "app") {
+            Err(record_layer::Error::SubspaceKeyMismatch {
+                index,
+                subspace_key,
+                ..
+            }) => {
+                assert_eq!((index.as_str(), subspace_key), ("ck_zone_count", 2));
+            }
+            Err(e) => panic!("{e}"),
+            Ok(_) => panic!("opened with a renumbered config"),
+        }
+        drop(tx);
+
+        // One version on: field0 at key 2, field1 at key 3.
+        let new = CloudKit::new(
+            &db,
+            &CloudKitConfig {
+                indexed_fields: vec!["field0".into(), "field1".into()],
+                quota_index: false,
+            },
+        );
+        assert_eq!(keys(&new)["ck_user_field0"], 2);
+        assert_eq!(keys(&new)["ck_user_field1"], 3);
+        let sub = new.store_subspace(1, "app");
+        run(&db, |tx| {
+            let store = new.open_store(tx, 1, "app")?;
+            assert_eq!(store.index_state("ck_sync")?, IndexState::Readable);
+            for name in ["ck_user_field0", "ck_user_field1"] {
+                assert_eq!(store.index_state(name)?, IndexState::Disabled, "{name}");
+                let index = new.metadata().index(name)?;
+                let (begin, end) = store.index_subspace(index).range_inclusive();
+                assert!(tx.get_range(&begin, &end, Default::default())?.is_empty());
+                assert_eq!(store.index_entry_count(name)?, None, "{name}");
+            }
+            Ok(())
+        })
+        .unwrap();
+        for name in ["ck_user_field0", "ck_user_field1"] {
+            OnlineIndexBuilder::new(&db, &sub, new.metadata(), name)
+                .build()
+                .unwrap();
+        }
+        run(&db, |tx| {
+            let store = new.open_store(tx, 1, "app")?;
+            let index = new.metadata().index("ck_user_field0")?;
+            let (begin, end) = store.index_subspace(index).range_inclusive();
+            let entries = tx.get_range(&begin, &end, Default::default())?;
+            let values: Vec<Tuple> = entries
+                .iter()
+                .map(|kv| store.index_subspace(index).unpack(&kv.key).unwrap())
+                .collect();
+            assert_eq!(
+                values,
+                [
+                    ("z", "x", "z", "a"),
+                    ("z", "y", "z", "b"),
+                    ("z", "y", "z", "c")
+                ]
+                .map(Tuple::from)
+            );
             Ok(())
         })
         .unwrap();

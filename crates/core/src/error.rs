@@ -19,11 +19,21 @@ pub enum Error {
         store_version: u64,
         supplied_version: u64,
     },
-    /// The record store was written by a newer on-disk format than this
-    /// code reads.
+    /// The record store was written in an on-disk format this code does not
+    /// read: a newer one, or format 1, which keyed index data by name.
     UnsupportedFormatVersion {
         store_version: i64,
         supported_version: i64,
+    },
+    /// The metadata has the store's own version but gives the subspace key
+    /// or the name of an index the store records to another index: it was
+    /// not evolved from the store's metadata with
+    /// `RecordMetaDataBuilder::from_existing`, and opening the store with it
+    /// would read one index's data as another's.
+    SubspaceKeyMismatch {
+        index: String,
+        subspace_key: i64,
+        metadata_version: u64,
     },
     /// Schema evolution constraint violations found while updating
     /// metadata.
@@ -84,7 +94,12 @@ impl std::fmt::Display for Error {
             ),
             Error::UnsupportedFormatVersion { store_version, supported_version } => write!(
                 f,
-                "store has format version {store_version}, this code supports up to {supported_version}"
+                "store has format version {store_version}, this code reads only format {supported_version}"
+            ),
+            Error::SubspaceKeyMismatch { index, subspace_key, metadata_version } => write!(
+                f,
+                "store keeps index {index} under subspace key {subspace_key}, and metadata \
+                 version {metadata_version} gives that key or name to another index"
             ),
             Error::InvalidEvolution(errs) => {
                 write!(f, "invalid schema evolution: ")?;

@@ -76,7 +76,7 @@ pub struct IndexContext<'a> {
     pub index: &'a Index,
     pub metadata: &'a RecordMetaData,
     /// The store's index region `S(2)`: this index's subspace is its child
-    /// named after the index.
+    /// `S(2, k)` under the index's subspace key.
     indexes: &'a Subspace,
     /// The changed record's primary key, packed once per change: the tail
     /// of each of its VALUE-shaped entries' keys. The old and the new
@@ -103,7 +103,7 @@ impl<'a> IndexContext<'a> {
 
     /// The subspace dedicated to this index within the record store.
     pub fn subspace(&self) -> Subspace {
-        self.indexes.child(self.index.name.as_str())
+        self.indexes.child(self.index.subspace_key)
     }
 
     /// The key of the entry whose key columns are `columns`: this index's
@@ -131,11 +131,12 @@ impl<'a> IndexContext<'a> {
         tail: &[u8],
         spare: usize,
     ) -> (Vec<u8>, Option<usize>) {
-        let (prefix, name) = (self.indexes.prefix(), self.index.name.as_str());
-        let len = prefix.len() + tuple::packed_str_len(name) + tuple::packed_len(columns);
+        let prefix = self.indexes.prefix();
+        let index = TupleElement::Int(self.index.subspace_key);
+        let len = prefix.len() + index.packed_len() + tuple::packed_len(columns);
         let mut key = Vec::with_capacity(len + tail.len() + spare);
         key.extend_from_slice(prefix);
-        tuple::pack_str_into(name, &mut key);
+        index.pack_into(&mut key);
         let stamp = tuple::pack_elements_into(columns, &mut key);
         key.extend_from_slice(tail);
         (key, stamp)
@@ -411,10 +412,11 @@ mod tests {
     fn index_entry_split() {
         // The KeyWithValue boundary splits an evaluated tuple into the
         // entry key's columns (followed by the primary key) and the value.
-        let index = Index::value(
+        let mut index = Index::value(
             "i",
             KeyExpression::field("k").with_value(KeyExpression::field("v")),
         );
+        index.subspace_key = 3;
         let tuple = Tuple::from(("key1", "val1"));
         let (key, value) = tuple
             .elements()
@@ -428,7 +430,7 @@ mod tests {
         let pk = Tuple::from((7i64,));
         let packed_pk = pk.pack();
         let ctx = IndexContext::new(&tx, &index, &metadata, &indexes, &packed_pk);
-        let subspace = indexes.child("i");
+        let subspace = indexes.child(3i64);
         assert_eq!(ctx.subspace(), subspace);
         let whole = Tuple::from(("key1",)).concat(&pk);
         assert_eq!(ctx.entry_key(key), subspace.pack(&whole));

@@ -5,6 +5,21 @@
 //! increasing fashion. Because one schema may be shared by millions of
 //! record stores, metadata lives apart from the data and every record store
 //! tracks the highest metadata version it was accessed with in its header.
+//!
+//! An index's data is keyed by its *subspace key*, a small integer, and
+//! never by its name: every key an index writes starts `S(2, k)`, so a
+//! store pays two bytes per key for it however long the name is. The
+//! builder hands keys out from a counter the metadata carries, starting at
+//! 1; [`RecordMetaDataBuilder::from_existing`] copies the counter, so an
+//! index that survives an evolution keeps its key, a new index takes the
+//! next value, and a dropped index's key is never handed out again. A
+//! store catching up finds a dropped index as a recorded key the metadata
+//! no longer has, and a name dropped and later re-added gets a new key
+//! whose subspace starts empty. Keys are handed out in the order indexes
+//! are added, so metadata rebuilt from code rather than evolved keeps its
+//! keys only while its `index` calls keep their order; a store records
+//! each index's name beside its key and will not read one index's data as
+//! another's (see the store module).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -104,6 +119,11 @@ pub struct Index {
     /// Metadata version at which this index was added (drives reindexing
     /// decisions when stores catch up to newer metadata).
     pub added_version: u64,
+    /// The small integer that keys this index's data in a store (`S(2, k,
+    /// …)`, `S(3, k)`, `S(4, k, …)`, `S(5, 1, k)`). Assigned by
+    /// [`RecordMetaDataBuilder`] from its counter when the index is added;
+    /// 0 until then. Read it with [`Index::subspace_key`].
+    pub(crate) subspace_key: i64,
     pub options: IndexOptions,
 }
 
@@ -120,6 +140,7 @@ impl Index {
             record_types: BTreeSet::new(),
             filter: None,
             added_version: 0,
+            subspace_key: 0,
             options: IndexOptions::default(),
         }
     }
@@ -209,6 +230,12 @@ impl Index {
         self
     }
 
+    /// The small integer that keys this index's data in a store: `S(2, k,
+    /// …)`, `S(3, k)`, `S(4, k, …)` and `S(5, 1, k)`.
+    pub fn subspace_key(&self) -> i64 {
+        self.subspace_key
+    }
+
     /// Whether this index applies to records of `record_type`.
     pub fn applies_to(&self, record_type: &str) -> bool {
         self.record_types.is_empty() || self.record_types.contains(record_type)
@@ -237,6 +264,12 @@ pub struct RecordMetaData {
     pool: DescriptorPool,
     record_types: BTreeMap<String, RecordType>,
     indexes: BTreeMap<String, Index>,
+    /// The subspace key the next added index takes. Every key below it has
+    /// been assigned by this version or an earlier one.
+    next_subspace_key: i64,
+    /// `(subspace key, name)` of every index, ascending by key: what each
+    /// open checks a store's recorded indexes against.
+    names_by_key: Vec<(i64, String)>,
     /// Split records larger than a single value across contiguous keys.
     pub split_long_records: bool,
     /// Maintain a per-record commit version next to the record (§4).
@@ -272,6 +305,16 @@ impl RecordMetaData {
         self.indexes.values()
     }
 
+    /// The name of the index whose data lives under `subspace_key`, if
+    /// any.
+    pub(crate) fn index_name_by_subspace_key(&self, subspace_key: i64) -> Option<&str> {
+        let at = self
+            .names_by_key
+            .binary_search_by_key(&subspace_key, |&(key, _)| key)
+            .ok()?;
+        Some(&self.names_by_key[at].1)
+    }
+
     /// All indexes that must be maintained for records of `record_type`.
     pub fn indexes_for_type(&self, record_type: &str) -> Vec<&Index> {
         self.indexes
@@ -282,7 +325,9 @@ impl RecordMetaData {
 
     /// Validate that `self` is a legal evolution of `older` (§5): version
     /// strictly increases, the descriptor pool evolves compatibly, record
-    /// types are never dropped, and primary keys never change.
+    /// types are never dropped, primary keys never change, an index that
+    /// survives keeps its definition and its subspace key, and no new index
+    /// takes a subspace key `older` (or a version before it) assigned.
     pub fn validate_evolution_from(&self, older: &RecordMetaData) -> Result<()> {
         if self.version <= older.version {
             return Err(Error::MetaData(format!(
@@ -313,8 +358,28 @@ impl RecordMetaData {
                         "index {name} changed definition; drop and add under a new name instead"
                     )));
                 }
+                if new_idx.subspace_key != old_idx.subspace_key {
+                    return Err(Error::MetaData(format!(
+                        "index {name} changed subspace key ({} -> {})",
+                        old_idx.subspace_key, new_idx.subspace_key
+                    )));
+                }
             }
             // Dropped indexes are fine: their subspace is range-cleared.
+        }
+        if self.next_subspace_key < older.next_subspace_key {
+            return Err(Error::MetaData(format!(
+                "subspace key counter went back ({} -> {})",
+                older.next_subspace_key, self.next_subspace_key
+            )));
+        }
+        for (name, new_idx) in &self.indexes {
+            if !older.indexes.contains_key(name) && new_idx.subspace_key < older.next_subspace_key {
+                return Err(Error::MetaData(format!(
+                    "new index {name} reuses subspace key {}, which version {} or earlier assigned",
+                    new_idx.subspace_key, older.version
+                )));
+            }
         }
         Ok(())
     }
@@ -327,6 +392,7 @@ pub struct RecordMetaDataBuilder {
     pool: DescriptorPool,
     record_types: BTreeMap<String, RecordType>,
     indexes: BTreeMap<String, Index>,
+    next_subspace_key: i64,
     split_long_records: bool,
     store_record_versions: bool,
 }
@@ -338,19 +404,21 @@ impl RecordMetaDataBuilder {
             pool,
             record_types: BTreeMap::new(),
             indexes: BTreeMap::new(),
+            next_subspace_key: 1,
             split_long_records: true,
             store_record_versions: true,
         }
     }
 
-    /// Continue evolving existing metadata: copies everything and bumps the
-    /// version.
+    /// Continue evolving existing metadata: copies everything, the
+    /// subspace key counter included, and bumps the version.
     pub fn from_existing(metadata: &RecordMetaData) -> Self {
         RecordMetaDataBuilder {
             version: metadata.version + 1,
             pool: metadata.pool.clone(),
             record_types: metadata.record_types.clone(),
             indexes: metadata.indexes.clone(),
+            next_subspace_key: metadata.next_subspace_key,
             split_long_records: metadata.split_long_records,
             store_record_versions: metadata.store_record_versions,
         }
@@ -382,30 +450,34 @@ impl RecordMetaDataBuilder {
     }
 
     /// Define an index on a single record type.
-    pub fn index(mut self, record_type: impl Into<String>, mut index: Index) -> Self {
+    pub fn index(self, record_type: impl Into<String>, mut index: Index) -> Self {
         index.record_types.insert(record_type.into());
-        index.added_version = self.version;
-        self.indexes.insert(index.name.clone(), index);
-        self
+        self.add_index(index)
     }
 
     /// Define an index spanning the given record types.
-    pub fn multi_type_index(mut self, record_types: &[&str], mut index: Index) -> Self {
+    pub fn multi_type_index(self, record_types: &[&str], mut index: Index) -> Self {
         index.record_types = record_types.iter().map(|s| s.to_string()).collect();
-        index.added_version = self.version;
-        self.indexes.insert(index.name.clone(), index);
-        self
+        self.add_index(index)
     }
 
     /// Define an index spanning *all* record types (universal).
-    pub fn universal_index(mut self, mut index: Index) -> Self {
+    pub fn universal_index(self, mut index: Index) -> Self {
         index.record_types.clear();
+        self.add_index(index)
+    }
+
+    /// Add `index` at this version under the next subspace key.
+    fn add_index(mut self, mut index: Index) -> Self {
         index.added_version = self.version;
+        index.subspace_key = self.next_subspace_key;
+        self.next_subspace_key += 1;
         self.indexes.insert(index.name.clone(), index);
         self
     }
 
-    /// Remove an index (its data is cleared when stores catch up).
+    /// Remove an index (its data is cleared when stores catch up; its
+    /// subspace key is never handed out again).
     pub fn drop_index(mut self, name: &str) -> Self {
         self.indexes.remove(name);
         self
@@ -463,11 +535,19 @@ impl RecordMetaDataBuilder {
                 )));
             }
         }
+        let mut names_by_key: Vec<(i64, String)> = self
+            .indexes
+            .values()
+            .map(|index| (index.subspace_key, index.name.clone()))
+            .collect();
+        names_by_key.sort_unstable();
         Ok(RecordMetaData {
             version: self.version,
             pool: self.pool,
             record_types: self.record_types,
             indexes: self.indexes,
+            next_subspace_key: self.next_subspace_key,
+            names_by_key,
             split_long_records: self.split_long_records,
             store_record_versions: self.store_record_versions,
         })
@@ -724,6 +804,87 @@ mod tests {
             .build()
             .unwrap();
         v3.validate_evolution_from(&v1).unwrap();
+    }
+
+    #[test]
+    fn subspace_keys_come_from_a_counter_evolution_never_rewinds() {
+        let v1 = basic_metadata();
+        assert_eq!(v1.index("by_name").unwrap().subspace_key, 1);
+        assert_eq!(v1.next_subspace_key, 2);
+        let v2 = RecordMetaDataBuilder::from_existing(&v1)
+            .drop_index("by_name")
+            .index(
+                "User",
+                Index::value("by_score", KeyExpression::field("score")),
+            )
+            .build()
+            .unwrap();
+        v2.validate_evolution_from(&v1).unwrap();
+        // The dropped key is not handed out again, and a re-added name is a
+        // new index under a new key.
+        assert_eq!(v2.index("by_score").unwrap().subspace_key, 2);
+        let v3 = RecordMetaDataBuilder::from_existing(&v2)
+            .index(
+                "User",
+                Index::value("by_name", KeyExpression::field("name")),
+            )
+            .build()
+            .unwrap();
+        v3.validate_evolution_from(&v2).unwrap();
+        assert_eq!(v3.index("by_name").unwrap().subspace_key, 3);
+        assert_eq!(v3.index("by_score").unwrap().subspace_key, 2);
+        assert_eq!(v3.index_name_by_subspace_key(3), Some("by_name"));
+        assert_eq!(v3.index_name_by_subspace_key(1), None);
+    }
+
+    #[test]
+    fn evolution_rejects_a_changed_subspace_key() {
+        let v1 = basic_metadata();
+        let mut b = RecordMetaDataBuilder::from_existing(&v1);
+        b.indexes.get_mut("by_name").unwrap().subspace_key = 7;
+        let v2 = b.build().unwrap();
+        let err = v2.validate_evolution_from(&v1).unwrap_err();
+        assert!(
+            matches!(&err, Error::MetaData(m) if m.contains("by_name") && m.contains("subspace key")),
+            "{err:?}"
+        );
+        // Dropping and re-adding a name in one version changes its key too.
+        let v2 = RecordMetaDataBuilder::from_existing(&v1)
+            .drop_index("by_name")
+            .index(
+                "User",
+                Index::value("by_name", KeyExpression::field("name")),
+            )
+            .build()
+            .unwrap();
+        assert!(v2.validate_evolution_from(&v1).is_err());
+    }
+
+    #[test]
+    fn evolution_rejects_a_reused_subspace_key() {
+        let v1 = basic_metadata();
+        let v2 = RecordMetaDataBuilder::from_existing(&v1)
+            .drop_index("by_name")
+            .build()
+            .unwrap();
+        // A builder whose counter went back hands by_name's key 1 out again.
+        let mut b = RecordMetaDataBuilder::from_existing(&v2);
+        b.next_subspace_key = 1;
+        let v3 = b
+            .index(
+                "User",
+                Index::value("by_score", KeyExpression::field("score")),
+            )
+            .build()
+            .unwrap();
+        assert_eq!(v3.index("by_score").unwrap().subspace_key, 1);
+        for older in [&v1, &v2] {
+            let err = v3.validate_evolution_from(older).unwrap_err();
+            assert!(
+                matches!(&err, Error::MetaData(m) if m.contains("by_score") && m.contains("reuses")),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]

@@ -9,14 +9,22 @@
 //! | `S(1, pk…, -1)`                   | record commit version (12 bytes)  |
 //! | `S(1, pk…, 0)`                    | unsplit record payload            |
 //! | `S(1, pk…, 1..n)`                 | split record chunks (§4 splitting)|
-//! | `S(2, index_name, …)`             | index entries / structures        |
-//! | `S(3, index_name)`                | index state byte                  |
-//! | `S(4, index_name, …)`             | online-build progress (RangeSet)  |
+//! | `S(2, k, …)`                      | index entries / structures        |
+//! | `S(3, k)`                         | index state byte, then its name   |
+//! | `S(4, k, …)`                      | online-build progress (RangeSet)  |
 //! | `S(5, 0)`                         | record count (LE i64, atomic ADD) |
-//! | `S(5, 1, index_name)`             | index entry count (LE i64, ADD)   |
+//! | `S(5, 1, k)`                      | index entry count (LE i64, ADD)   |
 //!
-//! The version split `-1` immediately precedes the record's payload keys so
-//! both are fetched with a single range read (§4).
+//! `k` is the index's [subspace key](Index::subspace_key), a small integer
+//! the metadata assigns (two packed bytes below 256), never its name: a
+//! store with long index names pays for them nowhere in its keys. The name
+//! is written once, in the index's `S(3, k)` value ([`RecordedIndex`]), so
+//! every open checks that the metadata still gives `k` to that index: a
+//! store catching up clears a key the metadata dropped or gave to another
+//! index, and an open at the store's own version whose metadata does that
+//! fails with [`Error::SubspaceKeyMismatch`]. The version split `-1`
+//! immediately precedes the record's payload keys so both are fetched with
+//! a single range read (§4).
 //!
 //! `S(0)` and `S(3)` are a store's *state* ([`StoreState`]): what every
 //! open must know and almost no transaction changes. An open takes it from
@@ -66,8 +74,11 @@ const STAT_INDEX_ENTRIES: i64 = 1;
 /// Split suffix of the key holding a record's commit version.
 const VERSION_SPLIT: i64 = -1;
 
-/// Current on-disk format version written to store headers.
-pub const FORMAT_VERSION: i64 = 1;
+/// The on-disk format version written to store headers, and the only one
+/// this code reads. Format 1 keyed index data by the index's name; format 2
+/// keys it by the index's subspace key. An open of a store in any other
+/// format fails with [`Error::UnsupportedFormatVersion`].
+pub const FORMAT_VERSION: i64 = 2;
 
 /// Default maximum bytes per record chunk when splitting (§4). Records
 /// larger than one chunk are spread over `(pk, 1..n)` keys, comfortably
@@ -135,64 +146,120 @@ impl StoreHeader {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreState {
     pub header: StoreHeader,
-    /// `(index name, state)` ascending by name — the order the `S(3)` range
-    /// read returns. An index with no entry is readable.
-    index_states: Vec<(String, IndexState)>,
+    /// Every recorded index, ascending by subspace key — the order the
+    /// `S(3)` range read returns. An index with no entry is readable.
+    index_states: Vec<RecordedIndex>,
+}
+
+/// One `S(3, k)` entry: the state of the index a store keeps under
+/// subspace key `k`, and that index's name. The value is the state byte
+/// followed by the name, so an open can tell whether the metadata still
+/// gives `k` to the index whose data is there.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RecordedIndex {
+    pub subspace_key: i64,
+    pub name: String,
+    pub state: IndexState,
+}
+
+impl RecordedIndex {
+    /// The `S(3, k)` value: the state byte, then the name.
+    fn value(state: IndexState, name: &str) -> Vec<u8> {
+        let mut value = Vec::with_capacity(1 + name.len());
+        value.push(state.to_byte());
+        value.extend_from_slice(name.as_bytes());
+        value
+    }
+
+    /// Whether `metadata` still has this index: the same name under the
+    /// same subspace key.
+    fn in_metadata(&self, metadata: &RecordMetaData) -> bool {
+        metadata.index_name_by_subspace_key(self.subspace_key) == Some(self.name.as_str())
+    }
+
+    /// Whether `metadata` gives this index's key or name to another index:
+    /// it was not evolved from the metadata that recorded this entry. One
+    /// binary search by key, and a name lookup only for a dropped index.
+    fn conflicts_with(&self, metadata: &RecordMetaData) -> bool {
+        match metadata.index_name_by_subspace_key(self.subspace_key) {
+            Some(name) => name != self.name,
+            None => metadata.index(&self.name).is_ok(),
+        }
+    }
 }
 
 impl StoreState {
-    /// The recorded state of an index (readable when none is recorded).
-    pub fn index_state(&self, index_name: &str) -> IndexState {
-        match self.position(index_name) {
-            Ok(at) => self.index_states[at].1,
+    /// The recorded state of the index with `subspace_key` (readable when
+    /// none is recorded).
+    pub fn index_state(&self, subspace_key: i64) -> IndexState {
+        match self.position(subspace_key) {
+            Ok(at) => self.index_states[at].state,
             Err(_) => IndexState::Readable,
         }
     }
 
-    /// Every recorded `(index name, state)`, ascending by name.
-    pub fn index_states(&self) -> &[(String, IndexState)] {
+    /// Every recorded index, ascending by subspace key.
+    pub fn index_states(&self) -> &[RecordedIndex] {
         &self.index_states
     }
 
-    fn position(&self, index_name: &str) -> std::result::Result<usize, usize> {
+    fn position(&self, subspace_key: i64) -> std::result::Result<usize, usize> {
         self.index_states
-            .binary_search_by(|(name, _)| name.as_str().cmp(index_name))
+            .binary_search_by_key(&subspace_key, |recorded| recorded.subspace_key)
     }
 
-    fn set_index_state(&mut self, index_name: &str, state: IndexState) {
-        match self.position(index_name) {
-            Ok(at) => self.index_states[at].1 = state,
-            Err(at) => self
-                .index_states
-                .insert(at, (index_name.to_string(), state)),
+    fn set_index_state(&mut self, index: &Index, state: IndexState) {
+        match self.position(index.subspace_key) {
+            Ok(at) => self.index_states[at].state = state,
+            Err(at) => self.index_states.insert(
+                at,
+                RecordedIndex {
+                    subspace_key: index.subspace_key,
+                    name: index.name.clone(),
+                    state,
+                },
+            ),
         }
     }
 
-    fn forget_index(&mut self, index_name: &str) {
-        if let Ok(at) = self.position(index_name) {
+    fn forget_index(&mut self, subspace_key: i64) {
+        if let Ok(at) = self.position(subspace_key) {
             self.index_states.remove(at);
         }
     }
 
     /// The state of the store in `subspace` as `tx` sees it — one `get` of
     /// the header and one range read of the index-state subspace — or
-    /// `None` if there is no such store.
+    /// `None` if there is no such store. The index states of a store in
+    /// another on-disk format are not parsed: its open is refused.
     fn read(tx: &Transaction, subspace: &Subspace, index_state: &Subspace) -> Result<Option<Self>> {
         let Some(header) = tx.get(&header_key(subspace))? else {
             return Ok(None);
         };
         let header = StoreHeader::decode(&header)?;
         let (begin, end) = index_state.range();
-        let index_states = tx
-            .get_range(&begin, &end, RangeOptions::default())?
+        let rows = tx.get_range(&begin, &end, RangeOptions::default())?;
+        if header.format_version != FORMAT_VERSION {
+            return Ok(Some(StoreState {
+                header,
+                index_states: Vec::new(),
+            }));
+        }
+        let corrupt = || Error::MetaData("corrupt index state".into());
+        let index_states = rows
             .iter()
             .map(|kv| {
-                let mut name = index_state.reader(&kv.key).map_err(Error::Fdb)?;
-                match (name.next().transpose().map_err(Error::Fdb)?, name.next()) {
-                    (Some(ElementRef::String(name)), None) if kv.value.len() == 1 => {
-                        Ok((name.into_owned(), IndexState::from_byte(kv.value[0])?))
+                let mut key = index_state.reader(&kv.key).map_err(Error::Fdb)?;
+                match (key.next().transpose().map_err(Error::Fdb)?, key.next()) {
+                    (Some(ElementRef::Int(subspace_key)), None) => {
+                        let (&state, name) = kv.value.split_first().ok_or_else(corrupt)?;
+                        Ok(RecordedIndex {
+                            subspace_key,
+                            name: std::str::from_utf8(name).map_err(|_| corrupt())?.to_owned(),
+                            state: IndexState::from_byte(state)?,
+                        })
                     }
-                    _ => Err(Error::MetaData("corrupt index state".into())),
+                    _ => Err(corrupt()),
                 }
             })
             .collect::<Result<_>>()?;
@@ -222,10 +289,10 @@ impl StoreState {
         tx.try_set(&header_key(subspace), &state.header.encode())?;
         for index in metadata.indexes() {
             tx.try_set(
-                &index_state.pack(&Tuple::new().push(index.name.as_str())),
-                &[IndexState::Readable.to_byte()],
+                &index_state.pack(&Tuple::new().push(index.subspace_key)),
+                &RecordedIndex::value(IndexState::Readable, &index.name),
             )?;
-            state.set_index_state(&index.name, IndexState::Readable);
+            state.set_index_state(index, IndexState::Readable);
         }
         Ok(state)
     }
@@ -456,18 +523,22 @@ impl<'a> RecordStore<'a> {
         }
     }
 
-    /// The subspace dedicated to one index.
+    /// The subspace dedicated to one index, `S(2, k)`.
     pub fn index_subspace(&self, index: &Index) -> Subspace {
-        self.indexes.child(index.name.as_str())
+        self.indexes.child(index.subspace_key)
     }
 
-    fn index_state_key(&self, index_name: &str) -> Vec<u8> {
-        self.index_state.pack(&Tuple::new().push(index_name))
+    fn index_state_key(&self, subspace_key: i64) -> Vec<u8> {
+        self.index_state.pack(&Tuple::new().push(subspace_key))
     }
 
-    /// Subspace recording online-build progress for an index.
+    /// Subspace recording online-build progress for an index, `S(4, k)`.
     pub fn index_range_subspace(&self, index: &Index) -> Subspace {
-        self.subspace.child(INDEX_RANGES).child(index.name.as_str())
+        self.range_subspace(index.subspace_key)
+    }
+
+    fn range_subspace(&self, subspace_key: i64) -> Subspace {
+        self.subspace.child(INDEX_RANGES).child(subspace_key)
     }
 
     fn record_count_key(&self) -> Vec<u8> {
@@ -478,13 +549,14 @@ impl<'a> RecordStore<'a> {
         key
     }
 
-    fn index_entry_count_key(&self, index_name: &str) -> Vec<u8> {
+    fn index_entry_count_key(&self, subspace_key: i64) -> Vec<u8> {
         let stat = TupleElement::Int(STAT_INDEX_ENTRIES);
-        let len = self.stats.prefix().len() + stat.packed_len() + tuple::packed_str_len(index_name);
+        let index = TupleElement::Int(subspace_key);
+        let len = self.stats.prefix().len() + stat.packed_len() + index.packed_len();
         let mut key = Vec::with_capacity(len);
         key.extend_from_slice(self.stats.prefix());
         stat.pack_into(&mut key);
-        tuple::pack_str_into(index_name, &mut key);
+        index.pack_into(&mut key);
         key
     }
 
@@ -521,18 +593,18 @@ impl<'a> RecordStore<'a> {
 
     /// The maintained count of entries in an index, if statistics exist.
     pub fn index_entry_count(&self, index_name: &str) -> Result<Option<u64>> {
-        self.metadata.index(index_name)?;
-        self.read_stat(&self.index_entry_count_key(index_name))
+        let index = self.metadata.index(index_name)?;
+        self.read_stat(&self.index_entry_count_key(index.subspace_key))
     }
 
     /// Overwrite an index's entry-count statistic with an exact value
     /// (the online index builder recounts after a backfill, since writes
     /// racing the build can double-count in the additive counter).
     pub fn set_index_entry_count(&self, index_name: &str, count: u64) -> Result<()> {
-        self.metadata.index(index_name)?;
+        let index = self.metadata.index(index_name)?;
         self.tx
             .try_set(
-                &self.index_entry_count_key(index_name),
+                &self.index_entry_count_key(index.subspace_key),
                 &(count as i64).to_le_bytes(),
             )
             .map_err(Error::Fdb)
@@ -575,11 +647,12 @@ impl<'a> RecordStore<'a> {
     }
 
     /// §5: on open, compare the store's recorded versions with this code
-    /// and the supplied metadata; fail on a newer format or on staleness,
-    /// or catch up.
+    /// and the supplied metadata; fail on another format or on staleness,
+    /// or catch up. At the store's own version, fail if the metadata gives
+    /// a recorded index's subspace key or name to another index.
     fn check_version(&self) -> Result<()> {
         let header = self.state.borrow().header;
-        if header.format_version > FORMAT_VERSION {
+        if header.format_version != FORMAT_VERSION {
             return Err(Error::UnsupportedFormatVersion {
                 store_version: header.format_version,
                 supported_version: FORMAT_VERSION,
@@ -593,40 +666,60 @@ impl<'a> RecordStore<'a> {
             });
         }
         if header.metadata_version < self.metadata.version() {
-            self.catch_up_metadata(header)?;
+            return self.catch_up_metadata(header);
         }
-        Ok(())
+        let state = self.state.borrow();
+        match state
+            .index_states()
+            .iter()
+            .find(|recorded| recorded.conflicts_with(self.metadata))
+        {
+            Some(recorded) => Err(Error::SubspaceKeyMismatch {
+                index: recorded.name.clone(),
+                subspace_key: recorded.subspace_key,
+                metadata_version: header.metadata_version,
+            }),
+            None => Ok(()),
+        }
     }
 
     /// Apply metadata changes newer than the store's recorded version:
-    /// enable new indexes (§5 "Adding indexes") and clear dropped ones.
+    /// clear dropped indexes and enable new ones (§5 "Adding indexes").
     fn catch_up_metadata(&self, mut header: StoreHeader) -> Result<()> {
+        // A recorded index the metadata no longer has, by name under the
+        // same subspace key, was dropped: clear its four key ranges
+        // cheaply (§6). Evolved with `from_existing`, the metadata never
+        // assigns the key again; metadata rebuilt from code may give the
+        // key or the name to another index, whose data this is not.
+        let recorded = self.state();
+        for dropped in recorded
+            .index_states()
+            .iter()
+            .filter(|recorded| !recorded.in_metadata(self.metadata))
+        {
+            let key = dropped.subspace_key;
+            for sub in [self.indexes.child(key), self.range_subspace(key)] {
+                let (begin, end) = sub.range_inclusive();
+                self.tx.clear_range(&begin, &end);
+            }
+            self.tx.clear(&self.index_entry_count_key(key));
+            self.tx.clear(&self.index_state_key(key));
+            self.change_state(|state| state.forget_index(key))?;
+        }
+        // An index the store records no state for, added since or under a
+        // key just cleared, is new to it.
         let has_records = self.has_any_record()?;
+        let known = self.state();
         for index in self.metadata.indexes() {
-            if index.added_version > header.metadata_version {
-                if has_records {
+            if known.position(index.subspace_key).is_err() {
+                let state = if has_records {
                     // Cannot build inline: reindexing may exceed the
                     // transaction limit. Disabled until an online build.
-                    self.set_index_state(&index.name, IndexState::Disabled)?;
+                    IndexState::Disabled
                 } else {
-                    self.set_index_state(&index.name, IndexState::Readable)?;
-                }
-            }
-        }
-        // Indexes with recorded state that are no longer in the metadata
-        // were dropped: clear their data cheaply with a range clear (§6).
-        let recorded = self.state();
-        for (name, _) in recorded.index_states() {
-            if self.metadata.index(name).is_err() {
-                let data_sub = self.indexes.child(name.as_str());
-                let (db, de) = data_sub.range_inclusive();
-                self.tx.clear_range(&db, &de);
-                let range_sub = self.subspace.child(INDEX_RANGES).child(name.as_str());
-                let (rb, re) = range_sub.range_inclusive();
-                self.tx.clear_range(&rb, &re);
-                self.tx.clear(&self.index_entry_count_key(name));
-                self.tx.clear(&self.index_state_key(name));
-                self.change_state(|state| state.forget_index(name))?;
+                    IndexState::Readable
+                };
+                self.write_index_state(index, state)?;
             }
         }
         header.metadata_version = self.metadata.version();
@@ -645,20 +738,27 @@ impl<'a> RecordStore<'a> {
     // ------------------------------------------------------- index states
 
     pub fn index_state(&self, index_name: &str) -> Result<IndexState> {
-        self.metadata.index(index_name)?;
-        Ok(self.state.borrow().index_state(index_name))
+        let index = self.metadata.index(index_name)?;
+        Ok(self.state.borrow().index_state(index.subspace_key))
     }
 
     pub fn set_index_state(&self, index_name: &str, state: IndexState) -> Result<()> {
-        self.tx
-            .try_set(&self.index_state_key(index_name), &[state.to_byte()])?;
-        self.change_state(|recorded| recorded.set_index_state(index_name, state))
+        let index = self.metadata.index(index_name)?;
+        self.write_index_state(index, state)
+    }
+
+    fn write_index_state(&self, index: &Index, state: IndexState) -> Result<()> {
+        self.tx.try_set(
+            &self.index_state_key(index.subspace_key),
+            &RecordedIndex::value(state, &index.name),
+        )?;
+        self.change_state(|recorded| recorded.set_index_state(index, state))
     }
 
     /// Require an index to be readable before scanning it.
     pub fn require_readable(&self, index_name: &str) -> Result<&Index> {
         let index = self.metadata.index(index_name)?;
-        let state = self.index_state(index_name)?;
+        let state = self.state.borrow().index_state(index.subspace_key);
         if state != IndexState::Readable {
             return Err(Error::IndexNotReadable {
                 index: index_name.to_string(),
@@ -898,7 +998,7 @@ impl<'a> RecordStore<'a> {
         // the index's subspace, never this handle.
         let state = self.state.borrow();
         for index in self.metadata.indexes() {
-            if !state.index_state(&index.name).is_maintained() {
+            if !state.index_state(index.subspace_key).is_maintained() {
                 continue;
             }
             let old_in = old.filter(|o| index.applies_to(&o.record_type));
@@ -911,7 +1011,7 @@ impl<'a> RecordStore<'a> {
                 .registry
                 .maintainer(index)?
                 .update(&ctx, old_in, new_in)?;
-            self.bump_stat(|| self.index_entry_count_key(&index.name), delta)?;
+            self.bump_stat(|| self.index_entry_count_key(index.subspace_key), delta)?;
         }
         Ok(())
     }
@@ -925,7 +1025,7 @@ impl<'a> RecordStore<'a> {
             .registry
             .maintainer(index)?
             .update(&ctx, None, Some(record))?;
-        self.bump_stat(|| self.index_entry_count_key(&index.name), delta)
+        self.bump_stat(|| self.index_entry_count_key(index.subspace_key), delta)
     }
 
     /// Clear one index's data (before a rebuild).
@@ -936,7 +1036,8 @@ impl<'a> RecordStore<'a> {
         let ranges = self.index_range_subspace(index);
         let (begin, end) = ranges.range_inclusive();
         self.tx.clear_range(&begin, &end);
-        self.tx.clear(&self.index_entry_count_key(&index.name));
+        self.tx
+            .clear(&self.index_entry_count_key(index.subspace_key));
         Ok(())
     }
 

@@ -12,6 +12,10 @@
 //! the authority on time. A count that moves on purpose moves with a
 //! regenerated baseline, so it shows up as a diff of a checked-in JSON
 //! next to the code that caused it.
+//!
+//! The same walk is the cross-engine oracle ([`compare_across_engines`]):
+//! one single-threaded scenario on the memory and the paged engine must
+//! count the same, page traffic and log appends aside.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -60,11 +64,31 @@ fn leaves(v: &Json, path: String, out: &mut BTreeMap<String, f64>) {
     }
 }
 
+/// Whether a count leaf depends on the storage engine: page traffic and
+/// log appends. Every other count of a single-threaded run is the same on
+/// either engine.
+pub fn is_engine_count(path: &str) -> bool {
+    path.starts_with("work.page_") || path == "work.log_appends"
+}
+
 /// Compare two parsed reports. `Err` means they are not comparable:
 /// another schema, scenario or engine, or a run on more than one thread,
 /// whose counts depend on the interleaving.
 pub fn compare_reports(old: &Json, new: &Json) -> Result<Comparison, String> {
-    for path in ["schema_version", "scenario", "engine.kind"] {
+    require_equal(old, new, &["schema_version", "scenario", "engine.kind"])?;
+    Ok(compare_counts(old, new, |_| false))
+}
+
+/// Compare two reports of one single-threaded scenario run on different
+/// engines: every count that [`is_engine_count`] does not exempt must be
+/// equal. `Err` as for [`compare_reports`], the engine aside.
+pub fn compare_across_engines(memory: &Json, paged: &Json) -> Result<Comparison, String> {
+    require_equal(memory, paged, &["schema_version", "scenario"])?;
+    Ok(compare_counts(memory, paged, is_engine_count))
+}
+
+fn require_equal(old: &Json, new: &Json, paths: &[&str]) -> Result<(), String> {
+    for path in paths {
         if old.get_path(path).is_none() || old.get_path(path) != new.get_path(path) {
             return Err(format!("not comparable: {path} differs or is missing"));
         }
@@ -72,7 +96,12 @@ pub fn compare_reports(old: &Json, new: &Json) -> Result<Comparison, String> {
     if old.get_path("scenario.threads").and_then(Json::as_f64) != Some(1.0) {
         return Err("not comparable: counts repeat only at scenario.threads == 1".into());
     }
+    Ok(())
+}
 
+/// The leaf walk: times printed, counts not `skip`ped compared for
+/// equality.
+fn compare_counts(old: &Json, new: &Json, skip: impl Fn(&str) -> bool) -> Comparison {
     let numeric = |r: &Json| {
         let mut out = BTreeMap::new();
         for block in COMPARED {
@@ -97,6 +126,9 @@ pub fn compare_reports(old: &Json, new: &Json) -> Result<Comparison, String> {
             }
             continue;
         }
+        if skip(path) {
+            continue;
+        }
         cmp.counts += 1;
         if o != n {
             let show = |v: Option<f64>| v.map_or("missing".to_string(), |v| v.to_string());
@@ -104,7 +136,7 @@ pub fn compare_reports(old: &Json, new: &Json) -> Result<Comparison, String> {
                 .push(format!("{path}: {} -> {}", show(o), show(n)));
         }
     }
-    Ok(cmp)
+    cmp
 }
 
 /// Print the comparison; returns `true` if any count moved.

@@ -133,6 +133,16 @@ struct WorkloadCtx<'a> {
 /// Deterministic op streams; wall-clock latency and throughput are, of
 /// course, machine-dependent.
 pub fn run_scenario(scenario: &Scenario, engine: EngineKind) -> RunResult {
+    run_scenario_keeping_database(scenario, engine).0
+}
+
+/// [`run_scenario`], also handing back the database as the run left it,
+/// for a caller that inspects the end state (the cross-engine oracle
+/// compares the two engines' visible keys and values).
+pub fn run_scenario_keeping_database(
+    scenario: &Scenario,
+    engine: EngineKind,
+) -> (RunResult, Database) {
     scenario.validate().expect("invalid scenario");
     rl_obs::set_enabled(true);
 
@@ -222,7 +232,7 @@ pub fn run_scenario(scenario: &Scenario, engine: EngineKind) -> RunResult {
         .contains(&Extra::TextStats)
         .then(|| measure_text_stats(&db, &md, &subspaces[0]));
 
-    RunResult {
+    let result = RunResult {
         scenario: scenario.clone(),
         engine_kind: engine.kind_name().to_string(),
         engine_description: db.engine_description(),
@@ -232,7 +242,8 @@ pub fn run_scenario(scenario: &Scenario, engine: EngineKind) -> RunResult {
         shapes: query_shapes(scenario),
         store_sizes,
         text_stats,
-    }
+    };
+    (result, db)
 }
 
 fn class_index(kind: OpKind) -> usize {

@@ -2,9 +2,13 @@
 //! check the emitted JSON round-trips, carries the required schema, and
 //! is key-identical across engines; then exercise `--compare` logic on
 //! the real reports (a rerun's counts are equal, a doctored time passes,
-//! a doctored count is caught, a multi-threaded report is refused).
+//! a doctored count is caught, a multi-threaded report is refused). The
+//! cross-engine oracle runs every preset on one thread on both engines
+//! and requires equal counts and an equal end state; the key-layout check
+//! requires that no key a run leaves spells out an index's name.
 
-use rl_fdb::{EngineKind, PagedConfig};
+use rl_fdb::{Database, EngineKind, PagedConfig, RangeOptions};
+use rl_harness::driver::run_scenario_keeping_database;
 use rl_harness::json::Json;
 use rl_harness::{compare, presets, report, run_scenario};
 
@@ -215,4 +219,118 @@ fn runs_are_deterministic_in_op_counts() {
     threaded.threads = 2;
     let r = report::to_json(&run_scenario(&threaded, EngineKind::InMemory));
     assert!(compare::compare_reports(&r, &r).is_err());
+}
+
+/// Every visible key and value of `db`, in key order.
+fn visible_rows(db: &Database) -> Vec<rl_fdb::KeyValue> {
+    let tx = db.create_transaction();
+    tx.get_range(b"", b"\xff", RangeOptions::default()).unwrap()
+}
+
+/// FNV-1a over each row's length-prefixed key and value, in key order.
+fn digest(rows: &[rl_fdb::KeyValue]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| {
+        for b in (bytes.len() as u32).to_le_bytes().iter().chain(bytes) {
+            hash = (hash ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for row in rows {
+        eat(&row.key);
+        eat(&row.value);
+    }
+    hash
+}
+
+/// A preset shrunk to test size and run on one thread without think time
+/// (neither changes what a single-threaded run counts, only how long it
+/// takes).
+fn shrunk(mut s: rl_harness::Scenario, seed: u64) -> rl_harness::Scenario {
+    s.tenants = s.tenants.min(4);
+    s.records_per_tenant = s.records_per_tenant.min(120);
+    s.total_ops = 250;
+    s.threads = 1;
+    s.think_time_us = 0;
+    s.seed = seed;
+    s
+}
+
+#[test]
+fn engines_agree_on_every_count_and_the_end_state() {
+    // The memory engine is the oracle for the paged one: the same
+    // single-threaded op stream must read and write the same keys, rows
+    // and bytes, and leave the same visible keyspace behind.
+    for preset in presets::all() {
+        for seed in [preset.seed, 3, 17] {
+            let s = shrunk(preset.clone(), seed);
+            let (mem, mem_db) = run_scenario_keeping_database(&s, EngineKind::InMemory);
+            let (paged, paged_db) = run_scenario_keeping_database(
+                &s,
+                EngineKind::Paged(PagedConfig {
+                    pool_pages: 16,
+                    ..PagedConfig::ephemeral()
+                }),
+            );
+            let at = format!("{} seed {seed}", s.name);
+            let (mem_json, paged_json) = (report::to_json(&mem), report::to_json(&paged));
+            assert_eq!(
+                mem_json.get_path("totals.errors").and_then(Json::as_f64),
+                Some(0.0),
+                "{at}"
+            );
+            let cmp = compare::compare_across_engines(&mem_json, &paged_json).unwrap();
+            assert!(!cmp.has_regressions(), "{at}: {:?}", cmp.regressions);
+            assert!(cmp.counts > 0, "{at}");
+            let (mem_rows, paged_rows) = (visible_rows(&mem_db), visible_rows(&paged_db));
+            assert!(!mem_rows.is_empty(), "{at}");
+            assert_eq!(
+                digest(&mem_rows),
+                digest(&paged_rows),
+                "{at}: end states differ ({} against {} rows)",
+                mem_rows.len(),
+                paged_rows.len()
+            );
+        }
+    }
+    // The engine-dependent counts are the only ones exempt.
+    for path in ["work.page_misses", "work.page_flushes", "work.log_appends"] {
+        assert!(compare::is_engine_count(path), "{path}");
+    }
+    for path in ["work.bytes_written", "work.read_ops", "totals.ops"] {
+        assert!(!compare::is_engine_count(path), "{path}");
+    }
+}
+
+#[test]
+fn no_key_spells_out_an_index_name() {
+    // Index data is keyed by each index's subspace key: after a run, no
+    // key anywhere in the keyspace contains an index name's bytes.
+    for preset in [presets::mixed_default(), presets::fig5_rank_index()] {
+        let s = shrunk(preset, 5);
+        let names: Vec<String> = s.metadata().indexes().map(|i| i.name.clone()).collect();
+        assert!(names.len() >= 3, "{names:?}");
+        for engine in [
+            EngineKind::InMemory,
+            EngineKind::Paged(PagedConfig::ephemeral()),
+        ] {
+            let kind = engine.kind_name();
+            let (_, db) = run_scenario_keeping_database(&s, engine);
+            let rows = visible_rows(&db);
+            assert!(
+                rows.len() > s.records_per_tenant,
+                "{kind}: {} rows",
+                rows.len()
+            );
+            for row in &rows {
+                for name in &names {
+                    assert!(
+                        !row.key.windows(name.len()).any(|w| w == name.as_bytes()),
+                        "{} {kind}: key {:?} contains index name {name}",
+                        s.name,
+                        String::from_utf8_lossy(&row.key)
+                    );
+                }
+            }
+        }
+    }
 }

@@ -196,6 +196,27 @@ fn dropped_index_data_is_cleared_on_catch_up() {
     })
     .unwrap();
 
+    // The index's data lives under its subspace key: its entries in S(2, k),
+    // its state in S(3, k) and its entry count in S(5, 1, k).
+    let key = v1.index("by_title").unwrap().subspace_key();
+    let index_rows = |db: &Database| {
+        let tx = db.create_transaction();
+        [
+            sub.child(2i64).child(key),
+            sub.child(3i64).child(key),
+            sub.child(5i64).child(1i64).child(key),
+        ]
+        .iter()
+        .map(|index_sub| {
+            let (begin, end) = index_sub.range_inclusive();
+            tx.get_range(&begin, &end, rl_fdb::RangeOptions::default())
+                .unwrap()
+                .len()
+        })
+        .collect::<Vec<_>>()
+    };
+    assert_eq!(index_rows(&db), [1, 1, 1]);
+
     let v2 = RecordMetaDataBuilder::from_existing(&v1)
         .drop_index("by_title")
         .build()
@@ -208,13 +229,7 @@ fn dropped_index_data_is_cleared_on_catch_up() {
     .unwrap();
 
     // The index subspace is gone.
-    let tx = db.create_transaction();
-    let index_sub = sub.child(2i64).child("by_title");
-    let (begin, end) = index_sub.range_inclusive();
-    assert!(tx
-        .get_range(&begin, &end, rl_fdb::RangeOptions::default())
-        .unwrap()
-        .is_empty());
+    assert_eq!(index_rows(&db), [0, 0, 0]);
 }
 
 #[test]

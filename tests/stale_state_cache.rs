@@ -42,7 +42,7 @@ use cloudkit_sim::{CloudKit, CloudKitConfig, RecordData};
 use record_layer::cursor::{Continuation, ExecuteProperties, RecordCursor};
 use record_layer::index::builder::OnlineIndexBuilder;
 use record_layer::index::IndexState;
-use record_layer::store::{RecordStore, StoreHeader, TupleRange};
+use record_layer::store::{RecordStore, RecordedIndex, StoreHeader, TupleRange};
 use rl_fdb::tuple::{Tuple, TupleElement};
 use rl_fdb::{
     Database, DatabaseOptions, EngineKind, EvictionPolicy, PagedConfig, Transaction,
@@ -101,7 +101,7 @@ fn read_directly(
     ck: &CloudKit,
     tx: &Transaction,
     user: i64,
-) -> (Option<StoreHeader>, Vec<(String, IndexState)>, i64) {
+) -> (Option<StoreHeader>, Vec<RecordedIndex>, i64) {
     let sub = ck.store_subspace(user, APP);
     let int = |t: &Tuple, i: usize| t.get(i).and_then(TupleElement::as_int).unwrap();
     let header = tx
@@ -122,13 +122,13 @@ fn read_directly(
         .unwrap()
         .into_iter()
         .map(|kv| {
-            let name = states_sub.unpack(&kv.key).unwrap();
-            let name = name.get(0).and_then(TupleElement::as_str).unwrap();
-            assert_eq!(kv.value.len(), 1);
-            (
-                name.to_string(),
-                IndexState::from_byte(kv.value[0]).unwrap(),
-            )
+            let key = states_sub.unpack(&kv.key).unwrap();
+            let (&state, name) = kv.value.split_first().unwrap();
+            RecordedIndex {
+                subspace_key: int(&key, 0),
+                name: String::from_utf8(name.to_vec()).unwrap(),
+                state: IndexState::from_byte(state).unwrap(),
+            }
         })
         .collect();
     let incarnation_key = Tuple::new()

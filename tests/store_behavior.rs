@@ -111,6 +111,40 @@ fn a_store_written_by_a_newer_format_is_refused() {
 }
 
 #[test]
+fn a_store_in_the_name_keyed_format_is_refused() {
+    use record_layer::store::FORMAT_VERSION;
+    assert_eq!(FORMAT_VERSION, 2);
+    let db = Database::new();
+    let md = metadata();
+    let sub = Subspace::from_bytes(b"fmt1".to_vec());
+    // What format 1 left: its header, and each index's state keyed by the
+    // index's name.
+    record_layer::run(&db, |tx| {
+        let header = Tuple::new().push(1i64).push(md.version() as i64).push(0i64);
+        tx.set(&sub.pack(&Tuple::new().push(0i64)), &header.pack());
+        for index in md.indexes() {
+            let state = Tuple::new().push(3i64).push(index.name.as_str());
+            tx.set(&sub.pack(&state), &[IndexState::Readable.to_byte()]);
+        }
+        Ok(())
+    })
+    .unwrap();
+    for _ in 0..2 {
+        let tx = db.create_transaction();
+        let refused = RecordStore::open_or_create(&tx, &sub, &md).err();
+        assert_eq!(
+            refused,
+            Some(record_layer::Error::UnsupportedFormatVersion {
+                store_version: 1,
+                supported_version: FORMAT_VERSION,
+            })
+        );
+        let message = refused.unwrap().to_string();
+        assert!(message.contains("format version 1"), "{message}");
+    }
+}
+
+#[test]
 fn tuple_range_bounds() {
     let sub = Subspace::from_bytes(b"X".to_vec());
     // prefix(t): covers every key extending t, not siblings.
@@ -798,9 +832,14 @@ fn every_read_path_reports_the_stored_bytes() {
     }
 }
 
-/// `range_digest` of the churned store's raw range, computed with this
-/// test on the commit before the fetch path decoded in place.
-const PINNED_DIGEST: u64 = 0x89d0_8c7f_caa5_5235;
+/// `range_digest` of the churned store's raw range in format 2. It is the
+/// digest this test computed on the commit before the fetch path decoded in
+/// place (`0x89d0_8c7f_caa5_5235`, format 1), with that range's header
+/// rewritten to format 2 and each `S(2|3|4, "by_v")` and `S(5, 1, "by_v")`
+/// prefix to `by_v`'s subspace key 1, and the `S(3, 1)` state value
+/// followed by the index's name `by_v`: records and entries are byte for
+/// byte the same.
+const PINNED_DIGEST: u64 = 0xa3f6_900b_dbbc_5294;
 
 /// A RANK index is its skip list: a score-range scan reads level 0 and
 /// returns entries only, never a level's begin sentinel (also from an
