@@ -1,8 +1,15 @@
 //! The version chain codec: a key's `(version, value)` list, encoded, read
-//! in place and rewritten one write or one prune at a time.
+//! in place and rewritten one write or one prune at a time. This is the one
+//! place that encodes a chain entry.
+//!
+//! ```text
+//! chain := count varint  (version varint  (0x00 | (len + 1) varint value)){count}
+//! ```
+//!
+//! A value head of 0 is a tombstone, any other is a value's length plus
+//! one. Versions are whole `u64`s: no bit of one is reserved.
 
 use std::io;
-use std::ops::Range;
 
 use super::Reader;
 use crate::codec::put_varint;
@@ -39,11 +46,10 @@ impl<'a> Iterator for ChainEntries<'a> {
         self.left = self.left.checked_sub(1)?;
         let at = self.r.pos();
         let r = &mut self.r;
-        let entry = r.take(9).and_then(|head| {
-            let version = u64::from_le_bytes(head[..8].try_into().unwrap());
-            let value = match head[8] {
-                1 => Some(r.varint().and_then(|len| r.take(len as usize))?),
-                _ => None,
+        let entry = r.varint64().and_then(|version| {
+            let value = match r.varint()? {
+                0 => None,
+                head => Some(r.take(head as usize - 1)?),
             };
             let end = r.pos();
             Ok(ChainEntry {
@@ -77,8 +83,8 @@ pub fn chain_visible_at(chain: &[u8], read_version: u64) -> io::Result<Option<&[
 pub(super) enum Prune {
     /// Nothing is shadowed.
     Keep,
-    /// The `count` entries in this byte range of the chain survive.
-    Trim(Range<usize>, u32),
+    /// Only the newest entries survive: the chain of them, encoded.
+    Trim(Vec<u8>),
     /// Only a tombstone at or below the horizon would remain.
     Dead,
 }
@@ -107,7 +113,10 @@ pub(super) fn chain_prune(chain: &[u8], oldest_version: u64) -> io::Result<Prune
         } else if dropped == 0 {
             Prune::Keep
         } else {
-            Prune::Trim(from..last.end, count)
+            let mut trimmed = Vec::with_capacity(5 + last.end - from);
+            put_varint(&mut trimmed, u64::from(count));
+            trimmed.extend_from_slice(&chain[from..last.end]);
+            Prune::Trim(trimmed)
         },
     )
 }
@@ -138,14 +147,13 @@ pub(crate) fn chain_pushed(
         };
     }
     let value_len = value.map_or(0, <[u8]>::len);
-    let mut out = Vec::with_capacity(5 + kept.len() + 8 + 1 + 5 + value_len);
+    let mut out = Vec::with_capacity(5 + kept.len() + 10 + 5 + value_len);
     put_varint(&mut out, u64::from(count) + 1);
     out.extend_from_slice(kept);
-    out.extend_from_slice(&version.to_le_bytes());
+    put_varint(&mut out, version);
     match value {
         Some(v) => {
-            out.push(1);
-            put_varint(&mut out, v.len() as u64);
+            put_varint(&mut out, v.len() as u64 + 1);
             out.extend_from_slice(v);
         }
         None => out.push(0),
@@ -156,34 +164,193 @@ pub(crate) fn chain_pushed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::varint_len;
 
-    #[test]
-    fn encoded_chain_push_visibility_and_prune() {
-        let (mut chain, shadows) = chain_pushed(&[], 10, Some(b"a")).unwrap();
-        assert!(!shadows);
-        (chain, _) = chain_pushed(&chain, 20, Some(b"b")).unwrap();
-        (chain, _) = chain_pushed(&chain, 20, Some(b"b2")).unwrap(); // same version: replaced
-        let (chain, shadows) = chain_pushed(&chain, 30, None).unwrap();
-        assert!(shadows);
-        let versions: Vec<u64> = chain_entries(&chain)
+    /// A chain as a list: `(version, value)`, ascending by version.
+    type Model = Vec<(u64, Option<Vec<u8>>)>;
+
+    /// Both sides of the varint widths a version can take, 1 to 10 bytes.
+    const VERSIONS: [u64; 8] = [
+        0,
+        (1 << 7) - 1,
+        1 << 7,
+        1 << 14,
+        (1 << 28) - 1,
+        1 << 35,
+        1 << 63,
+        u64::MAX,
+    ];
+    /// Value lengths whose head (`len + 1`) sits each side of 128.
+    const VALUE_LENS: [usize; 5] = [0, 1, 126, 127, 128];
+
+    /// The generator cases, each asserted to occur: a version of each of
+    /// [`VERSIONS`], a tombstone, a value of each of [`VALUE_LENS`], a
+    /// write at the newest version (which replaces it), and each outcome
+    /// of a prune.
+    #[derive(Default)]
+    struct Seen {
+        versions: [u32; VERSIONS.len()],
+        tombstones: u32,
+        value_lens: [u32; VALUE_LENS.len()],
+        replaced: u32,
+        keep: u32,
+        trim: u32,
+        dead: u32,
+    }
+
+    fn entries(chain: &[u8]) -> Model {
+        let entries = chain_entries(chain).unwrap();
+        entries
+            .map(|e| e.map(|e| (e.version, e.value.map(<[u8]>::to_vec))))
+            .collect::<io::Result<_>>()
             .unwrap()
-            .map(|e| e.unwrap().version)
-            .collect();
-        assert_eq!(versions, [10, 20, 30]);
-        assert_eq!(chain_visible_at(&chain, 9).unwrap(), None);
-        assert_eq!(chain_visible_at(&chain, 19).unwrap(), Some(&b"a"[..]));
-        assert_eq!(chain_visible_at(&chain, 29).unwrap(), Some(&b"b2"[..]));
-        assert_eq!(chain_visible_at(&chain, 99).unwrap(), None);
-        assert_eq!(chain_prune(&chain, 5).unwrap(), Prune::Keep);
-        assert_eq!(chain_prune(&chain, 10).unwrap(), Prune::Keep);
-        assert!(matches!(
-            chain_prune(&chain, 25).unwrap(),
-            Prune::Trim(_, 2)
-        ));
-        assert_eq!(chain_prune(&chain, 30).unwrap(), Prune::Dead);
-        // Every truncation is an error, never a short read or a panic.
-        for cut in 0..chain.len() {
-            assert!(chain_visible_at(&chain[..cut], 99).is_err(), "cut {cut}");
+    }
+
+    /// The bytes a chain of `model` takes, field by field.
+    fn encoded_len(model: &Model) -> usize {
+        let entry = |(version, value): &(u64, Option<Vec<u8>>)| {
+            let head = value
+                .as_ref()
+                .map_or(1, |v| varint_len(v.len() as u64 + 1) + v.len());
+            varint_len(*version) + head
+        };
+        varint_len(model.len() as u64) + model.iter().map(entry).sum::<usize>()
+    }
+
+    /// `model` encoded, one push at a time.
+    fn pushed(model: &[(u64, Option<Vec<u8>>)]) -> Vec<u8> {
+        model.iter().fold(Vec::new(), |chain, (version, value)| {
+            chain_pushed(&chain, *version, value.as_deref()).unwrap().0
+        })
+    }
+
+    /// What `chain_prune` of `model` at `horizon` must say, and the
+    /// entries a trim keeps.
+    fn model_prune(model: &Model, horizon: u64) -> (Prune, Model) {
+        let dropped = model.iter().rposition(|(v, _)| *v <= horizon).unwrap_or(0);
+        let kept = model[dropped..].to_vec();
+        match &kept[..] {
+            [(v, None)] if *v <= horizon => (Prune::Dead, kept),
+            _ if dropped == 0 => (Prune::Keep, kept),
+            _ => (Prune::Trim(pushed(&kept)), kept),
         }
+    }
+
+    /// Seeded chains of 1 to 6 entries, built by `chain_pushed` with
+    /// versions at every varint width, round trip through
+    /// `chain_entries`, `chain_visible_at` and `chain_prune`, take exactly
+    /// the bytes their fields do, and are `InvalidData` at every
+    /// truncation.
+    #[test]
+    fn encoded_chains_round_trip_at_every_varint_width() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut rand = move |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        let mut seen = Seen::default();
+        for case in 0..2_000 {
+            let count = 1 + rand(6);
+            let mut picks: Vec<usize> = (0..VERSIONS.len()).collect();
+            for i in (1..picks.len()).rev() {
+                picks.swap(i, rand(i + 1));
+            }
+            picks[..count].sort_unstable();
+            let (mut chain, mut model) = (Vec::new(), Model::new());
+            for &pick in &picks[..count] {
+                let version = VERSIONS[pick];
+                seen.versions[pick] += 1;
+                // Now and then a first value at this version that the next
+                // write, at the same version, replaces.
+                let writes = if rand(4) == 0 { 2 } else { 1 };
+                for write in 0..writes {
+                    let value = match rand(VALUE_LENS.len() + 2) {
+                        0 => None,
+                        n if n <= VALUE_LENS.len() => Some(vec![n as u8; VALUE_LENS[n - 1]]),
+                        _ => Some(vec![7; rand(300)]),
+                    };
+                    if write + 1 == writes {
+                        match &value {
+                            None => seen.tombstones += 1,
+                            Some(v) => {
+                                if let Some(n) = VALUE_LENS.iter().position(|&len| len == v.len()) {
+                                    seen.value_lens[n] += 1;
+                                }
+                            }
+                        }
+                    }
+                    let shadows;
+                    (chain, shadows) = chain_pushed(&chain, version, value.as_deref()).unwrap();
+                    let replaces = model.last().is_some_and(|(v, _)| *v == version);
+                    assert_eq!(shadows, !model.is_empty() && !replaces, "case {case}");
+                    if replaces {
+                        seen.replaced += 1;
+                        model.pop();
+                    }
+                    model.push((version, value));
+                }
+            }
+            assert_eq!(entries(&chain), model, "case {case}");
+            assert_eq!(chain.len(), encoded_len(&model), "case {case}");
+            let mut probes = vec![0, u64::MAX];
+            for &(v, _) in &model {
+                probes.extend([v.saturating_sub(1), v, v.saturating_add(1)]);
+            }
+            for &read in &probes {
+                let newest = model.iter().rfind(|(v, _)| *v <= read);
+                let want = newest.and_then(|(_, value)| value.as_deref());
+                assert_eq!(
+                    chain_visible_at(&chain, read).unwrap(),
+                    want,
+                    "case {case} at {read}"
+                );
+                let (prune, kept) = model_prune(&model, read);
+                let got = chain_prune(&chain, read).unwrap();
+                match &got {
+                    Prune::Keep => seen.keep += 1,
+                    Prune::Trim(trimmed) => {
+                        seen.trim += 1;
+                        assert_eq!(entries(trimmed), kept, "case {case} at {read}");
+                    }
+                    Prune::Dead => seen.dead += 1,
+                }
+                assert_eq!(got, prune, "case {case} at {read}");
+            }
+            for cut in 0..chain.len() {
+                let err = chain_visible_at(&chain[..cut], u64::MAX).unwrap_err();
+                assert_eq!(
+                    err.kind(),
+                    io::ErrorKind::InvalidData,
+                    "case {case}, cut {cut}"
+                );
+            }
+        }
+        // The bytes themselves: a count, a version of one byte with an
+        // empty value (head 1), a version of two bytes with a tombstone.
+        assert_eq!(
+            pushed(&[(5, Some(Vec::new())), (128, None)]),
+            [2, 5, 1, 0x80, 1, 0]
+        );
+        let Seen {
+            versions,
+            tombstones,
+            value_lens,
+            replaced,
+            keep,
+            trim,
+            dead,
+        } = seen;
+        assert!(versions.iter().all(|&n| n > 0), "versions {versions:?}");
+        assert!(
+            value_lens.iter().all(|&n| n > 0),
+            "value lengths {value_lens:?}"
+        );
+        let cases = [tombstones, replaced, keep, trim, dead];
+        assert!(
+            cases.iter().all(|&n| n > 0),
+            "tombstone, replace, keep, trim, dead: {cases:?}"
+        );
     }
 }

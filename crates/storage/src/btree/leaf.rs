@@ -1,11 +1,11 @@
-//! The format-3 leaf image: a leaf's entries, the prefix it stores once,
+//! The format-4 leaf image: a leaf's entries, the prefix it stores once,
 //! its encoding, and where an oversized leaf is cut.
 
 use std::borrow::Cow;
 use std::io;
 use std::ops::Range;
 
-use super::blob::{spill, Blob};
+use super::blob::{inline_len, put_inline_head, spill, Blob};
 use super::{corrupt, Reader, INLINE_KEY_MAX, MAX_ENTRIES, NODE_HEADER, TAG_LEAF};
 use crate::codec::{common_len, put_varint, varint_len};
 use crate::page::{PageId, MAX_PAYLOAD};
@@ -91,11 +91,8 @@ impl<'a> Key<'a> {
     /// Bytes of the key's blob in a leaf whose prefix is `plen` long.
     pub(super) fn encoded_len(self, plen: usize) -> usize {
         match self {
-            Key::Inline(head, tail) => {
-                let n = (head.len() + tail.len()).saturating_sub(plen);
-                1 + varint_len(n as u64) + n
-            }
-            Key::Overflow(_, len) => 1 + 4 + varint_len(u64::from(len)),
+            Key::Inline(head, tail) => inline_len((head.len() + tail.len()).saturating_sub(plen)),
+            Key::Overflow(head, len) => Blob::Overflow(head, len).encoded_len(),
         }
     }
 }
@@ -157,8 +154,7 @@ pub(super) fn put_entry(
                     "leaf {id}: a key outside the leaf's prefix"
                 )));
             }
-            out.push(0);
-            put_varint(out, (head.len() - in_head + tail.len() - in_tail) as u64);
+            put_inline_head(out, head.len() - in_head + tail.len() - in_tail);
             out.extend_from_slice(&head[in_head..]);
             out.extend_from_slice(&tail[in_tail..]);
         }

@@ -11,21 +11,26 @@
 //! internal := 0x01 count u16  child u32  (sep blob  child u32){count}
 //! leaf     := 0x02 count u16  plen varint prefix  (suffix blob  chain blob){count}
 //! overflow := 0x03 next u32  len u16  bytes
-//! blob     := 0x00 len varint bytes  |  0x01 head u32  len varint
-//! chain    := count varint  (version u64  0x00 | 0x01 len varint value){count}
+//! blob     := (len + 1) varint bytes  |  0x00 head u32  len varint
+//! chain    := count varint  (version varint  (0x00 | (len + 1) varint value)){count}
 //! ```
 //!
-//! This is page format 3. Every length in a blob or a chain is an unsigned
-//! LEB128 varint of at most 5 bytes. A leaf stores once the longest common
+//! This is page format 4. Every length in a blob or a chain is an unsigned
+//! LEB128 varint of at most 5 bytes, and every version one of at most 10.
+//! A blob's head and a chain entry's value head are each 0 for the other
+//! case (an overflow blob, a tombstone) and a length plus one otherwise, so
+//! the flag costs no byte the length did not; no version bit is reserved.
+//! Only `blob.rs` encodes, sizes and parses a blob head, and only
+//! `chain.rs` a chain entry. A leaf stores once the longest common
 //! prefix of its first and last keys, capped at `INLINE_KEY_MAX` bytes:
 //! every key that sorts between them shares it, and an inline key blob
 //! holds only the bytes after it. A key longer than `INLINE_KEY_MAX` is an
 //! overflow blob whose pages hold the whole key, so a change of prefix
 //! never rewrites an overflow chain. Record-layer keys in one leaf share
-//! their store's subspace, the record or index subspace and the index name
-//! (paper §3–4), so the prefix is most of each key: this is the prefix
-//! B-tree of Bayer and Unterauer (ACM TODS 1977). Separators are shortest
-//! prefixes already and internal nodes store them whole.
+//! their store's subspace, the record or index subspace and the index's
+//! subspace key (paper §3–4), so the prefix is most of each key: this is
+//! the prefix B-tree of Bayer and Unterauer (ACM TODS 1977). Separators
+//! are shortest prefixes already and internal nodes store them whole.
 //!
 //! **The prefix is a function of the entries.** It is exactly
 //! LCP(first, last), so a leaf image is what encoding its entries gives,
@@ -142,7 +147,7 @@ const NODE_HEADER: usize = 1 + 2;
 /// ids is deeper.
 const MAX_DEPTH: usize = 32;
 /// No node holds more: a leaf entry is at least two empty inline blobs.
-const MAX_ENTRIES: usize = MAX_PAYLOAD / 4;
+const MAX_ENTRIES: usize = MAX_PAYLOAD / 2;
 
 const TAG_INTERNAL: u8 = 1;
 const TAG_LEAF: u8 = 2;
@@ -193,15 +198,9 @@ impl<'a> Reader<'a> {
         self.bytes.varint32().map_err(|what| self.corrupt(what))
     }
 
-    fn blob(&mut self) -> io::Result<Blob<'a>> {
-        match self.take(1)?[0] {
-            0 => {
-                let len = self.varint()? as usize;
-                Ok(Blob::Inline(self.take(len)?))
-            }
-            1 => Ok(Blob::Overflow(self.u32()?, self.varint()?)),
-            flag => Err(self.corrupt(&format!("unknown blob flag {flag}"))),
-        }
+    /// An unsigned LEB128 varint of at most 10 bytes.
+    fn varint64(&mut self) -> io::Result<u64> {
+        self.bytes.varint64().map_err(|what| self.corrupt(what))
     }
 
     /// A leaf's prefix, which starts right after the node header.

@@ -17,7 +17,6 @@ use super::{
     child, corrupt, index, locate, too_deep, Reader, INLINE_CHAIN_MAX, INLINE_KEY_MAX, MAX_DEPTH,
     NODE_HEADER, TAG_INTERNAL, TAG_LEAF,
 };
-use crate::codec::put_varint;
 use crate::page::{PageId, MAX_PAYLOAD, NO_PAGE};
 use crate::pool::{BufferPool, Image, Page};
 
@@ -951,12 +950,7 @@ pub fn prune_sorted<'k>(
         Ok(match chain_prune(old, oldest_version)? {
             Prune::Keep => Edit::Keep,
             Prune::Dead => Edit::Remove,
-            Prune::Trim(kept, count) => {
-                let mut chain = Vec::with_capacity(5 + kept.len());
-                put_varint(&mut chain, u64::from(count));
-                chain.extend_from_slice(&old[kept]);
-                Edit::Put(chain)
-            }
+            Prune::Trim(chain) => Edit::Put(chain),
         })
     })
 }

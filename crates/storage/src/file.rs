@@ -8,17 +8,17 @@
 //! open() picks the valid slot with the highest generation. Data pages
 //! start at id 2.
 //!
-//! A meta slot's magic names the page format: `RLPAGED3`, whose leaves
-//! store their keys' shared prefix once and every length as a varint (see
-//! `btree/leaf.rs`). A file of format 1 or 2 is refused with
-//! [`io::ErrorKind::Unsupported`], naming its format, before the engine
-//! opens its write-ahead log; no build reads two formats.
+//! A meta slot's magic names the page format: `RLPAGED4`, whose leaves
+//! store their keys' shared prefix once and every length and every chain
+//! version as a varint, and whose blob heads carry the inline/overflow flag
+//! in their length (see `btree/leaf.rs`). A file of format 1, 2 or 3 is
+//! refused with [`io::ErrorKind::Unsupported`], naming its format, before
+//! the engine opens its write-ahead log; no build reads two formats.
 //!
-//! The free list is not persisted: a meta slot records a count of 0 (a list
-//! an older file recorded is parsed and ignored). The engine rebuilds it at
-//! open, as every page of `2..page_count` that the checkpointed tree does
-//! not reach, so no free page is lost across a reopen or a crash however
-//! many there are.
+//! The free list is not persisted. The engine rebuilds it at open, as
+//! every page of `2..page_count` that the checkpointed tree does not reach,
+//! so no free page is lost across a reopen or a crash however many there
+//! are.
 //!
 //! Every page I/O is one positional syscall (`pread`/`pwrite` through
 //! [`FileExt`]): the file has no cursor that a read or write must first
@@ -32,16 +32,19 @@ use std::path::Path;
 use crate::codec::{self, Reader};
 use crate::page::{frame, unframe, PageId, HEADER_SIZE, NO_PAGE, PAGE_SIZE};
 
-const MAGIC: u64 = 0x524C_5041_4745_4433; // "RLPAGED3"
-/// The magics of the page formats this build refuses ("RLPAGED1",
-/// "RLPAGED2"), and what each was.
-const RETIRED: [(u64, &str); 2] = [
+const MAGIC: u64 = 0x524C_5041_4745_4434; // "RLPAGED4"
+/// The magics of the page formats this build refuses ("RLPAGED1" to
+/// "RLPAGED3"), and what each was.
+const RETIRED: [(u64, &str); 3] = [
     (0x524C_5041_4745_4431, "page format 1 (FNV-1a checksums)"),
     (0x524C_5041_4745_4432, "page format 2 (whole keys)"),
+    (
+        0x524C_5041_4745_4433,
+        "page format 3 (fixed-width chain versions, flag-byte blobs)",
+    ),
 ];
-/// Meta fields: magic + generation + page_count + root + lsn + the count
-/// of a free list, always 0.
-const META_LEN: usize = 8 + 8 + 4 + 4 + 8 + 4;
+/// Meta fields: magic + generation + page_count + root + lsn.
+const META_LEN: usize = 8 + 8 + 4 + 4 + 8;
 
 #[cfg(test)]
 thread_local! {
@@ -229,7 +232,6 @@ impl PageFile {
         payload.extend_from_slice(&self.page_count.to_le_bytes());
         payload.extend_from_slice(&self.root.to_le_bytes());
         payload.extend_from_slice(&self.checkpoint_lsn.to_le_bytes());
-        payload.extend_from_slice(&0u32.to_le_bytes());
         let slot = self.generation % 2;
         self.file
             .write_all_at(&frame(&payload), slot * PAGE_SIZE as u64)
@@ -240,18 +242,13 @@ impl PageFile {
 type Meta = (u64, u32, PageId, u64);
 
 /// The meta slot `page` holds; an error when it is damaged or of another
-/// format (the caller tells which). The free list that files before this
-/// build recorded is read past.
+/// format (the caller tells which).
 fn parse_meta(page: &[u8]) -> codec::Result<Meta> {
     let mut r = Reader::new(unframe(page).map_err(|_| "bad page frame")?, 0);
     if r.u64()? != MAGIC {
         return Err("bad magic");
     }
-    let meta = (r.u64()?, r.u32()?, r.u32()?, r.u64()?);
-    for _ in 0..r.u32()? {
-        r.u32()?;
-    }
-    Ok(meta)
+    Ok((r.u64()?, r.u32()?, r.u32()?, r.u64()?))
 }
 
 #[cfg(test)]

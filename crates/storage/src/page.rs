@@ -14,11 +14,13 @@
 //! lanes; format 1 used FNV-1a, one 64-bit multiply per *byte* on a single
 //! dependency chain, which took 5.5–5.8 µs per full page against
 //! 0.35–0.42 µs for XXH64 — on a page miss the hash, not the read, was the
-//! cost. Format 3 keeps this framing and changes only the B-tree's leaves
+//! cost. Format 3 kept this framing and changed only the B-tree's leaves
 //! (`btree/leaf.rs`: a shared key prefix stored once; varint lengths, in
-//! `codec.rs`). The header
-//! layout is the same in all three; the meta slot's magic (`RLPAGED3`)
-//! tells them apart, and a file of format 1 or 2 is refused, not read.
+//! `codec.rs`); format 4 keeps it too and makes chain versions varints and
+//! folds each blob's inline/overflow flag into its length (`btree/blob.rs`,
+//! `btree/chain.rs`). The header layout is the same in all four; the meta
+//! slot's magic (`RLPAGED4`) tells them apart, and a file of format 1, 2
+//! or 3 is refused, not read.
 //! Page *types* live in the first payload byte and belong to the layers
 //! above (B-tree nodes, overflow chains, meta slots); this module only
 //! frames and verifies.

@@ -170,11 +170,12 @@ type Checksum = fn(&[u8]) -> u32;
 
 #[test]
 fn retired_page_formats_are_refused_before_the_wal_is_touched() {
-    // Format 1 checksummed pages and WAL frames with FNV-1a; format 2 with
-    // XXH64, as format 3 does, and differs in its B-tree nodes.
-    let formats: [(u64, Checksum); 2] = [
+    // Format 1 checksummed pages and WAL frames with FNV-1a; formats 2 and
+    // 3 with XXH64, as format 4 does, and differ in their B-tree nodes.
+    let formats: [(u64, Checksum); 3] = [
         (0x524C_5041_4745_4431, fnv1a_folded), // "RLPAGED1"
         (0x524C_5041_4745_4432, rl_storage::page::checksum), // "RLPAGED2"
+        (0x524C_5041_4745_4433, rl_storage::page::checksum), // "RLPAGED3"
     ];
     for (format, (magic, checksum)) in (1..).zip(formats) {
         let d = dir(&format!("format{format}"));

@@ -7,7 +7,8 @@
 //! internal payload (both mixing inline and overflow keys and chains, all
 //! keys under one prefix), truncates each at every length, flips random
 //! bytes in it, and flips every byte of the leaf's prefix length, its
-//! prefix and each of its varint lengths. It installs the result as the
+//! prefix and each of its varints: blob heads, chain counts, versions and
+//! value heads. It installs the result as the
 //! tree's root through [`BufferPool::allocate`] — which checksums whatever
 //! it is given — and runs reads, cursors in both directions and every kind
 //! of write over it. Every outcome must be `Ok` or
@@ -17,8 +18,8 @@
 //!
 //! ```text
 //! leaf  := 0x02 count u16  plen varint prefix  (suffix blob  chain blob){count}
-//! blob  := 0x00 len varint bytes  |  0x01 head u32  len varint
-//! chain := count varint  (version u64  0x00 | 0x01 len varint value){count}
+//! blob  := (len + 1) varint bytes  |  0x00 head u32  len varint
+//! chain := count varint  (version varint  (0x00 | (len + 1) varint value)){count}
 //! ```
 //!
 //! Same harness as `tests/storage_differential.rs`: seeded, no shrinking;
@@ -69,9 +70,9 @@ fn varint(leaf: &[u8], at: &mut usize, fields: &mut Vec<usize>) -> usize {
     }
 }
 
-/// Where a valid leaf's new fields lie: its prefix length, its prefix, and
-/// every varint length (of each blob, and the count and value lengths of
-/// each inline chain).
+/// Where a valid leaf's varint fields lie: its prefix length, its prefix,
+/// every blob head (and an overflow blob's length), and the count, each
+/// version and each value head of each inline chain.
 fn leaf_fields(leaf: &[u8]) -> Vec<usize> {
     let (mut fields, mut at) = (Vec::new(), 3);
     let plen = varint(leaf, &mut at, &mut fields);
@@ -79,22 +80,20 @@ fn leaf_fields(leaf: &[u8]) -> Vec<usize> {
     at += plen;
     for _ in 0..u16::from_le_bytes([leaf[1], leaf[2]]) {
         for chain in [false, true] {
-            at += 1;
-            if leaf[at - 1] == 1 {
+            // 0 for an overflow blob, else the inline length plus one.
+            let Some(len) = varint(leaf, &mut at, &mut fields).checked_sub(1) else {
                 at += 4;
                 varint(leaf, &mut at, &mut fields);
                 continue;
-            }
-            let len = varint(leaf, &mut at, &mut fields);
+            };
             if chain {
                 let mut inner = at;
                 for _ in 0..varint(leaf, &mut inner, &mut fields) {
-                    // A version, then a value flag and, for a value, its length.
-                    inner += 9;
-                    if leaf[inner - 1] == 1 {
-                        let value = varint(leaf, &mut inner, &mut fields);
-                        inner += value;
-                    }
+                    // A version, then 0 for a tombstone or a value's
+                    // length plus one.
+                    varint(leaf, &mut inner, &mut fields);
+                    let head = varint(leaf, &mut inner, &mut fields);
+                    inner += head.saturating_sub(1);
                 }
             }
             at += len;
@@ -271,7 +270,7 @@ fn child_pointer_to_a_walked_leaf_fails_typed() {
     };
     assert_eq!(scan(&mut pool, b"", true).unwrap(), 1_200);
 
-    // internal := 0x01 count u16  child u32  (0x00 len varint sep  child u32)…
+    // internal := 0x01 count u16  child u32  ((len + 1) varint sep  child u32)…
     let ptr = |page: &[u8], at: usize| u32::from_le_bytes(page[at..at + 4].try_into().unwrap());
     let mut root = pool.read(pool.root()).unwrap().to_vec();
     let first_child = pool.read(ptr(&root, 3)).unwrap();
@@ -279,11 +278,11 @@ fn child_pointer_to_a_walked_leaf_fails_typed() {
     let kinds = (root[0], first_child[0], pool.read(leaf).unwrap()[0]);
     assert_eq!(kinds, (1, 1, 2), "three levels");
     assert!(
-        root[1] >= 2 && root[7] == 0 && root[8] < 0x80,
-        "three children, an inline separator with a one-byte length"
+        root[1] >= 2 && root[7] > 0 && root[7] < 0x80,
+        "three children, an inline separator with a one-byte head"
     );
-    let sep_end = 9 + root[8] as usize;
-    let sep = root[9..sep_end].to_vec();
+    let sep_end = 8 + root[7] as usize - 1;
+    let sep = root[8..sep_end].to_vec();
     root[sep_end..sep_end + 4].copy_from_slice(&leaf.to_le_bytes());
     let damaged = pool.allocate(root).unwrap();
     pool.set_root(damaged);
@@ -333,9 +332,9 @@ fn with_varint(leaf: &[u8], at: usize, with: &[u8]) -> Vec<u8> {
 }
 
 /// Fields a parser must refuse outright: a varint whose continuation bit
-/// runs past 5 bytes (the prefix length, a key length, an inline chain's
-/// count) and lengths that point past the payload (the prefix's, and the
-/// last chain blob's). Reads and the check over each end in `InvalidData`.
+/// runs past 5 bytes (the prefix length, a key blob's head, an inline
+/// chain's count) and lengths that point past the payload (the prefix's,
+/// and the last chain blob's head). Reads and the check over each end in `InvalidData`.
 #[test]
 fn malformed_varints_and_lengths_are_invalid_data() {
     let (mut pool, dir) = scratch_pool("varints");
@@ -347,10 +346,11 @@ fn malformed_varints_and_lengths_are_invalid_data() {
     let fields = leaf_fields(&leaf);
     assert_eq!(&leaf[3..11], b"\x07acct-00", "the prefix of keys 0 to 2");
     assert!(leaf.len() < 4 + 0x7F, "a 127-byte prefix runs past it");
-    // The prefix length and its 7 bytes, then the first key's length, the
-    // first chain blob's length and that chain's count.
+    // The prefix length and its 7 bytes, then the first key's head, the
+    // first chain blob's head and that chain's count; the last chain blob's
+    // head comes before its count, version and value head.
     let (plen, key_len, chain_len, chain_count) = (fields[0], fields[8], fields[9], fields[10]);
-    let last = *fields.iter().rev().nth(2).unwrap();
+    let last = *fields.iter().rev().nth(3).unwrap();
     let too_long = [0x80, 0x80, 0x80, 0x80, 0x80, 0x01];
     // The chain's count grows by 5 bytes inside a blob that says so.
     let mut long_count = with_varint(&leaf, chain_count, &too_long);
@@ -393,15 +393,14 @@ fn malformed_varints_and_lengths_are_invalid_data() {
 #[test]
 fn a_prefix_that_is_not_the_common_one_fails_the_check() {
     let (mut pool, dir) = scratch_pool("prefix");
-    // Keys "pa1" and "pa2" under the prefix "p": one version (7) each.
+    // Keys "pa1" and "pa2" under the prefix "p": one version (7) each, of
+    // a one-byte value (head 2).
     let entry = |key: &[u8], value: u8| {
-        let mut chain = vec![1];
-        chain.extend_from_slice(&7u64.to_le_bytes());
-        chain.extend_from_slice(&[1, 1, value]);
+        let chain = [1, 7, 2, value];
         [
-            &[0, key.len() as u8][..],
+            &[key.len() as u8 + 1][..],
             key,
-            &[0, chain.len() as u8],
+            &[chain.len() as u8 + 1],
             &chain,
         ]
         .concat()
