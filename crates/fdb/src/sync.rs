@@ -4,12 +4,12 @@
 //! **lock-rank tracker** that asserts at runtime that nested acquisitions
 //! respect the declared global order.
 //!
-//! The static half of this contract is `rl_lint`'s `lock-poison` and
-//! `lock-order` rules (crates/analysis): the linter proves no call site
-//! bypasses these helpers and that the *visible* nested-lock graph is
-//! acyclic; the tracker catches the nestings the lexical pass cannot see
-//! (a lock taken inside a call into another file). Together they are the
-//! safety net the sharded-MVCC / parallel-commit pipeline relies on.
+//! The tracker is the one lock-order check. It sees every nesting a
+//! debug test runs, including a lock taken inside a call into another
+//! file, the only shape the commit path's nestings have. The root
+//! `clippy.toml` disallows bare `Mutex::lock`, `RwLock::read`/`write` and
+//! `Condvar::wait`, so no call site bypasses these helpers' poison
+//! recovery and ranks.
 //!
 //! The declared order (lower ranks first):
 //!
@@ -52,6 +52,7 @@ use rl_storage::wait::{acquired, yield_until};
 /// thread mid-commit leaves the simulated cluster state intact enough for
 /// tests to observe, and matches the non-poisoning `parking_lot` semantics
 /// this workspace was originally written against.
+#[expect(clippy::disallowed_methods, reason = "poison-recovering Mutex::lock")]
 pub fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -131,6 +132,7 @@ impl<'a, T> RankedGuard<'a, T> {
     /// thread does nothing else, and keeping the entry means a spurious
     /// wakeup can immediately re-examine state and wait again without
     /// re-checking the order. Poisoning is recovered like [`lock`].
+    #[expect(clippy::disallowed_methods, reason = "poison-recovering Condvar::wait")]
     pub fn wait_on(&mut self, cv: &Condvar) {
         let g = self.guard.take().expect("guard present outside wait_on");
         let g = cv.wait(g).unwrap_or_else(PoisonError::into_inner);
@@ -231,6 +233,7 @@ impl<T> Drop for RankedWriteGuard<'_, T> {
 /// a deadlock-ordering perspective. A lock held exclusive is retried
 /// [`YIELDS_BEFORE_PARK`](rl_storage::wait::YIELDS_BEFORE_PARK) times
 /// before the thread parks.
+#[expect(clippy::disallowed_methods, reason = "poison-recovering RwLock::read")]
 pub fn read_ranked<T>(l: &RwLock<T>, rank: LockRank) -> RankedReadGuard<'_, T> {
     #[cfg(debug_assertions)]
     tracker::acquire(rank, None);
@@ -248,6 +251,7 @@ pub fn read_ranked<T>(l: &RwLock<T>, rank: LockRank) -> RankedReadGuard<'_, T> {
 /// poisoning like [`lock`]. A contended lock is retried
 /// [`YIELDS_BEFORE_PARK`](rl_storage::wait::YIELDS_BEFORE_PARK) times
 /// before the thread parks.
+#[expect(clippy::disallowed_methods, reason = "poison-recovering RwLock::write")]
 pub fn write_ranked<T>(l: &RwLock<T>, rank: LockRank) -> RankedWriteGuard<'_, T> {
     #[cfg(debug_assertions)]
     tracker::acquire(rank, None);
@@ -340,7 +344,7 @@ mod tests {
         let m = std::sync::Arc::new(Mutex::new(7));
         let m2 = m.clone();
         let _ = std::thread::spawn(move || {
-            let _g = m2.lock().unwrap_or_else(PoisonError::into_inner);
+            let _g = lock(&m2);
             panic!("poison it");
         })
         .join();
@@ -467,14 +471,38 @@ mod tests {
     #[cfg(debug_assertions)]
     #[test]
     fn rwlock_read_after_write_rank_panics() {
-        let result = std::thread::spawn(|| {
-            let a = RwLock::new(());
-            let b = Mutex::new(());
-            let _ga = write_ranked(&a, LockRank::DatabaseStore);
-            let _gb = lock_ranked(&b, LockRank::CommitBatch); // inversion
-        })
-        .join();
-        assert!(result.is_err());
+        // The store lock, held in either mode, followed by a lock that
+        // does not rank above it. The tracker panics before blocking, so
+        // the same-lock case reports instead of deadlocking.
+        let inversions: [fn(); 4] = [
+            || {
+                let (store, batch) = (RwLock::new(()), Mutex::new(()));
+                let _gs = write_ranked(&store, LockRank::DatabaseStore);
+                let _gb = lock_ranked(&batch, LockRank::CommitBatch);
+            },
+            || {
+                let (store, shard) = (RwLock::new(()), Mutex::new(()));
+                let _gs = write_ranked(&store, LockRank::DatabaseStore);
+                let _gc = lock_ranked_indexed(&shard, LockRank::ConflictShard, 0);
+            },
+            || {
+                let (store, shard) = (RwLock::new(()), Mutex::new(()));
+                let _gs = read_ranked(&store, LockRank::DatabaseStore);
+                let _gc = lock_ranked_indexed(&shard, LockRank::ConflictShard, 0);
+            },
+            || {
+                let store = RwLock::new(());
+                let _exclusive = write_ranked(&store, LockRank::DatabaseStore);
+                let _shared = read_ranked(&store, LockRank::DatabaseStore);
+            },
+        ];
+        for (i, inversion) in inversions.into_iter().enumerate() {
+            let err = std::thread::spawn(inversion)
+                .join()
+                .expect_err("inversion must panic");
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.contains("lock-rank violation"), "case {i}: {msg}");
+        }
     }
 
     #[cfg(debug_assertions)]
@@ -525,6 +553,7 @@ mod tests {
     /// for the shard, or for the store held by a writer, exclusive or
     /// shared.
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "spins for a wall-clock hold")]
     fn contended_shard_and_store_locks_retry_then_park() {
         use std::time::{Duration, Instant};
         for hold in [Duration::from_micros(10), Duration::from_millis(20)] {
@@ -544,14 +573,10 @@ mod tests {
                     *store += 1;
                 });
                 held.wait();
-                // Blocks, not match arms, so the lexical lock-order pass
-                // sees each guard released before the next is taken.
-                let seen = if waiter == "shard" {
-                    *lock_ranked_indexed(&locks.0, LockRank::ConflictShard, 3)
-                } else if waiter == "store exclusive" {
-                    *write_ranked(&locks.1, LockRank::DatabaseStore)
-                } else {
-                    *read_ranked(&locks.1, LockRank::DatabaseStore)
+                let seen = match waiter {
+                    "shard" => *lock_ranked_indexed(&locks.0, LockRank::ConflictShard, 3),
+                    "store exclusive" => *write_ranked(&locks.1, LockRank::DatabaseStore),
+                    _ => *read_ranked(&locks.1, LockRank::DatabaseStore),
                 };
                 assert_eq!(seen, 1, "{waiter} after a {hold:?} hold");
                 holder.join().unwrap();

@@ -139,6 +139,7 @@ pub fn run_scenario(scenario: &Scenario, engine: EngineKind) -> RunResult {
 /// [`run_scenario`], also handing back the database as the run left it,
 /// for a caller that inspects the end state (the cross-engine oracle
 /// compares the two engines' visible keys and values).
+#[expect(clippy::disallowed_methods, reason = "times the run on the wall clock")]
 pub fn run_scenario_keeping_database(
     scenario: &Scenario,
     engine: EngineKind,
@@ -392,6 +393,7 @@ fn save_item(
 
 // --------------------------------------------------------------- workers
 
+#[expect(clippy::disallowed_methods, reason = "times ops, sleeps think time")]
 fn worker_loop(
     db: &Database,
     ctx: &WorkloadCtx<'_>,

@@ -78,6 +78,7 @@ pub fn set_enabled(on: bool) {
 
 /// Microseconds since the first call in this process (a monotonic,
 /// process-local epoch for span start times).
+#[expect(clippy::disallowed_methods, reason = "measured time lives in rl_obs")]
 pub fn now_us() -> u64 {
     static EPOCH: OnceLock<std::time::Instant> = OnceLock::new();
     let epoch = *EPOCH.get_or_init(std::time::Instant::now);
@@ -86,6 +87,7 @@ pub fn now_us() -> u64 {
 
 /// Serializes tests that toggle the process-global enabled flag.
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "rl_obs is below rl_fdb::sync")]
 pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock()

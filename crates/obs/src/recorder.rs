@@ -1,7 +1,7 @@
 //! The process recorder: named histograms plus the `Timer` RAII guard.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
 use crate::hist::{Histogram, HistogramSnapshot};
@@ -27,14 +27,26 @@ impl Recorder {
         GLOBAL.get_or_init(Recorder::new)
     }
 
+    /// The registry, shared. A panic in another thread while it held the
+    /// lock leaves the map whole (a write is one insert), so the poison is
+    /// recovered here rather than passed on to every later sample.
+    #[expect(clippy::disallowed_methods, reason = "rl_obs is below rl_fdb::sync")]
+    fn read(&self) -> RwLockReadGuard<'_, BTreeMap<&'static str, Arc<Histogram>>> {
+        self.hists.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The registry, exclusive; recovers from poison like [`Self::read`].
+    #[expect(clippy::disallowed_methods, reason = "rl_obs is below rl_fdb::sync")]
+    fn write(&self) -> RwLockWriteGuard<'_, BTreeMap<&'static str, Arc<Histogram>>> {
+        self.hists.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The histogram for `op`, created on first use.
     pub fn histogram(&self, op: &'static str) -> Arc<Histogram> {
-        if let Some(h) = self.hists.read().unwrap().get(op) {
+        if let Some(h) = self.read().get(op) {
             return h.clone();
         }
-        self.hists
-            .write()
-            .unwrap()
+        self.write()
             .entry(op)
             .or_insert_with(|| Arc::new(Histogram::new()))
             .clone()
@@ -42,7 +54,7 @@ impl Recorder {
 
     /// Record one value under `op` (most callers use [`Timer`] instead).
     pub fn record(&self, op: &'static str, value: u64) {
-        if let Some(h) = self.hists.read().unwrap().get(op) {
+        if let Some(h) = self.read().get(op) {
             h.record(value);
             return;
         }
@@ -51,9 +63,7 @@ impl Recorder {
 
     /// Snapshots of every histogram, keyed by op name.
     pub fn snapshot(&self) -> BTreeMap<&'static str, HistogramSnapshot> {
-        self.hists
-            .read()
-            .unwrap()
+        self.read()
             .iter()
             .map(|(k, v)| (*k, v.snapshot()))
             .collect()
@@ -61,7 +71,7 @@ impl Recorder {
 
     /// Zero every histogram (the names stay registered).
     pub fn reset(&self) {
-        for h in self.hists.read().unwrap().values() {
+        for h in self.read().values() {
             h.reset();
         }
     }
@@ -84,6 +94,7 @@ pub struct Timer {
 
 impl Timer {
     /// Start timing `op`. A no-op (no clock read) when disabled.
+    #[expect(clippy::disallowed_methods, reason = "measured time lives in rl_obs")]
     pub fn start(op: &'static str) -> Timer {
         if crate::enabled() {
             Timer {
@@ -181,5 +192,24 @@ mod tests {
         assert!(spans
             .iter()
             .any(|s| s.op == "test_spanned" && s.tag == "tag-xyzzy"));
+    }
+
+    #[test]
+    fn poisoned_registry_keeps_recording() {
+        let recorder = Arc::new(Recorder::new());
+        recorder.record("poison_before", 1);
+        let holder = recorder.clone();
+        let _ = std::thread::spawn(move || {
+            let _g = holder.write();
+            panic!("poison the registry");
+        })
+        .join();
+        assert!(recorder.hists.is_poisoned());
+        recorder.record("poison_before", 2);
+        recorder.record("poison_after", 3);
+        assert_eq!(recorder.histogram("poison_before").count(), 2);
+        assert_eq!(recorder.snapshot()["poison_after"].count(), 1);
+        recorder.reset();
+        assert_eq!(recorder.histogram("poison_after").count(), 0);
     }
 }

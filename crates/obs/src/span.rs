@@ -74,6 +74,7 @@ impl SpanRing {
     }
 
     /// Push a span, overwriting the oldest entry once full.
+    #[expect(clippy::disallowed_methods, reason = "rl_obs is below rl_fdb::sync")]
     pub fn push(&self, span: Span) {
         let slot = self.head.fetch_add(1, Ordering::Relaxed) as usize % self.slots.len();
         *self.slots[slot]
@@ -82,6 +83,7 @@ impl SpanRing {
     }
 
     /// Remove and return every held span, oldest first.
+    #[expect(clippy::disallowed_methods, reason = "rl_obs is below rl_fdb::sync")]
     pub fn drain(&self) -> Vec<Span> {
         let head = self.head.load(Ordering::Relaxed) as usize;
         let cap = self.slots.len();

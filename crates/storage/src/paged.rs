@@ -274,6 +274,7 @@ impl PagedEngine {
 
     /// The pool for a `&self` read: locked, a contended lock waited for
     /// as [`crate::wait`] describes.
+    #[expect(clippy::disallowed_methods, reason = "rl_storage is below rl_fdb")]
     fn lock_pool(&self) -> MutexGuard<'_, BufferPool> {
         yield_until(|| acquired(self.pool.try_lock()))
             .unwrap_or_else(|| self.pool.lock().unwrap_or_else(PoisonError::into_inner))
