@@ -150,15 +150,6 @@ impl KeyExpression {
         }
     }
 
-    /// Nested descent that fans out over a repeated message field.
-    pub fn nest_fanout(field: impl Into<String>, inner: KeyExpression) -> Self {
-        KeyExpression::Nest {
-            field: field.into(),
-            fan_type: FanType::Fanout,
-            inner: Box::new(inner),
-        }
-    }
-
     /// Concatenate sub-expressions.
     pub fn concat(parts: Vec<KeyExpression>) -> Self {
         KeyExpression::Concat(parts)

@@ -240,11 +240,6 @@ impl Index {
     pub fn applies_to(&self, record_type: &str) -> bool {
         self.record_types.is_empty() || self.record_types.contains(record_type)
     }
-
-    /// Whether this index spans more than one record type.
-    pub fn is_multi_type(&self) -> bool {
-        self.record_types.is_empty() || self.record_types.len() > 1
-    }
 }
 
 /// A record type: a message type in the pool plus its primary key

@@ -405,7 +405,7 @@ impl<'a> TextScanCursor<'a> {
         };
         pks.drain(..fetched);
         Ok(TextScanCursor {
-            store: store.clone_handle(),
+            store: store.clone(),
             pks: pks.into_iter().peekable(),
             limiter,
             position: continuation.clone(),
@@ -508,7 +508,7 @@ impl<'a> UnionCursor<'a> {
             .transpose()?;
         Ok(Box::new(UnionCursor {
             children: children.to_vec(),
-            store: store.clone_handle(),
+            store: store.clone(),
             props: props.clone(),
             base_path: path.to_string(),
             branch,
@@ -760,7 +760,7 @@ impl<'a> MergeCursor<'a> {
         }
         Ok(Box::new(MergeCursor {
             children: built,
-            store: store.clone_handle(),
+            store: store.clone(),
             all,
             resume,
         }))

@@ -116,7 +116,7 @@ impl RecordQueryPlan {
                 residual,
             } => {
                 let fetch = IndexFetchCursor {
-                    store: store.clone_handle(),
+                    store: store.clone(),
                     entries: entries(index_name, bounds, *reverse)?,
                 };
                 Ok(FilteredRecordCursor::wrap(
@@ -133,7 +133,7 @@ impl RecordQueryPlan {
                 fields,
             } => Ok(Box::new(CoveringScanCursor {
                 entries: entries(index_name, bounds, *reverse)?,
-                metadata: store.metadata_ref(),
+                metadata: store.metadata(),
                 record_type: record_type.clone(),
                 fields: fields.clone(),
             })),

@@ -27,7 +27,7 @@ use rl_fdb::tuple::{Tuple, TupleElement};
 
 use crate::error::{Error, Result};
 use crate::expr::{FanType, KeyExpression, KeyPart};
-use crate::metadata::{IndexType, RecordMetaData};
+use crate::metadata::{Index, IndexType, RecordMetaData};
 use crate::query::{Comparison, QueryComponent, RecordQuery};
 use crate::store::TupleRange;
 
@@ -102,12 +102,10 @@ impl<'m> RecordQueryPlanner<'m> {
             }
         };
 
-        // Every readable VALUE index is a candidate.
+        // Every VALUE index that serves the query is a candidate; one that
+        // is not readable fails when the plan executes.
         for index in self.metadata.indexes() {
-            if index.index_type != IndexType::Value {
-                continue;
-            }
-            if !self.index_covers_types(index, &types) {
+            if !Self::index_serves(index, IndexType::Value, &types, &conjuncts) {
                 continue;
             }
             let Some(parts) = index.key_expression.flatten() else {
@@ -287,15 +285,27 @@ impl<'m> RecordQueryPlanner<'m> {
         out
     }
 
-    fn index_covers_types(
-        &self,
-        index: &crate::metadata::Index,
+    /// Whether `index` can answer a query over `types` whose top-level
+    /// conjuncts are `conjuncts`: it is of kind `kind`, it covers every
+    /// queried record type (an all-types query needs a universal index),
+    /// and, if it is filtered (sparse, §6), one of the conjuncts equals its
+    /// filter — it has no entry for a record its filter rejects.
+    fn index_serves(
+        index: &Index,
+        kind: IndexType,
         types: &Option<BTreeSet<String>>,
+        conjuncts: &[Conjunct],
     ) -> bool {
-        match types {
-            None => index.record_types.is_empty(), // all-types query needs a universal index
+        let covers_types = match types {
+            None => index.record_types.is_empty(),
             Some(ts) => ts.iter().all(|t| index.applies_to(t)),
-        }
+        };
+        index.index_type == kind
+            && covers_types
+            && index
+                .filter
+                .as_ref()
+                .is_none_or(|filter| conjuncts.iter().any(|c| c.component == *filter))
     }
 
     /// Match one VALUE index against the conjuncts: greedily consume an
@@ -305,7 +315,7 @@ impl<'m> RecordQueryPlanner<'m> {
     /// conjunct nor the requested sort.
     fn match_index(
         &self,
-        index: &crate::metadata::Index,
+        index: &Index,
         parts: &[KeyPart],
         conjuncts: &[Conjunct],
         query: &RecordQuery,
@@ -455,7 +465,7 @@ impl<'m> RecordQueryPlanner<'m> {
     /// the primary key covers every required field with no residual.
     fn try_covering(
         &self,
-        index: &crate::metadata::Index,
+        index: &Index,
         plan: &RecordQueryPlan,
         query: &RecordQuery,
         types: &Option<BTreeSet<String>>,
@@ -483,9 +493,8 @@ impl<'m> RecordQueryPlanner<'m> {
         if index.record_types.len() != 1 || !index.record_types.contains(&record_type) {
             return None;
         }
-        // Sparse (filtered) indexes omit records; only residual-free exact
-        // matches got here, but a filtered index may omit matching records
-        // too — still fine: the scan bounds already determined membership.
+        // A filtered (sparse) index got here only because the query's
+        // conjuncts include its filter, so it omits no matching record.
         // What we cannot do is synthesize from non-scalar or nested parts.
         let parts = index.key_expression.flatten()?;
         let mut fields: BTreeMap<String, CoveredSource> = BTreeMap::new();
@@ -566,7 +575,7 @@ impl<'m> RecordQueryPlanner<'m> {
             };
             let Some((path, _)) = &c.path else { continue };
             for index in self.metadata.indexes() {
-                if index.index_type != IndexType::Text || !self.index_covers_types(index, types) {
+                if !Self::index_serves(index, IndexType::Text, types, conjuncts) {
                     continue;
                 }
                 let Some(parts) = index.key_expression.flatten() else {
@@ -614,7 +623,7 @@ impl<'m> RecordQueryPlanner<'m> {
                 continue;
             }
             for index in self.metadata.indexes() {
-                if index.index_type != IndexType::Value || !self.index_covers_types(index, types) {
+                if !Self::index_serves(index, IndexType::Value, types, conjuncts) {
                     continue;
                 }
                 let Some(parts) = index.key_expression.flatten() else {

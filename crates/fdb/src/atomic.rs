@@ -45,17 +45,6 @@ pub enum MutationType {
     SetVersionstampedValue,
 }
 
-impl MutationType {
-    /// Versionstamp mutations are resolved at commit time rather than being
-    /// applied to an existing value.
-    pub fn is_versionstamp(&self) -> bool {
-        matches!(
-            self,
-            MutationType::SetVersionstampedKey | MutationType::SetVersionstampedValue
-        )
-    }
-}
-
 /// Pad or truncate `v` to length `n` (zero-extension on the right, i.e. in
 /// the little-endian high bytes).
 fn resize_le(v: &[u8], n: usize) -> Vec<u8> {

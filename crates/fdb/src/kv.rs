@@ -1,4 +1,4 @@
-//! Keys, values, and key selectors.
+//! Keys and values.
 
 /// A key-value pair returned from a read.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -13,115 +13,5 @@ impl KeyValue {
             key: key.into(),
             value: value.into(),
         }
-    }
-}
-
-/// A FoundationDB key selector: resolves to a concrete key relative to the
-/// database contents at the transaction's read version.
-///
-/// A selector `(key, or_equal, offset)` resolves, per the FDB specification,
-/// to the key at `offset` positions after (positive) or before (negative)
-/// the *anchor*, where the anchor is the last key less than `key` (when
-/// `or_equal` is false) or less than or equal to `key` (when `or_equal` is
-/// true), and `offset = 1` denotes the key immediately following the anchor.
-///
-/// The four standard constructors cover nearly all uses:
-///
-/// * [`KeySelector::last_less_than`] — `(key, false, 0)`
-/// * [`KeySelector::last_less_or_equal`] — `(key, true, 0)`
-/// * [`KeySelector::first_greater_than`] — `(key, true, 1)`
-/// * [`KeySelector::first_greater_or_equal`] — `(key, false, 1)`
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KeySelector {
-    pub key: Vec<u8>,
-    pub or_equal: bool,
-    pub offset: i32,
-}
-
-impl KeySelector {
-    pub fn new(key: impl Into<Vec<u8>>, or_equal: bool, offset: i32) -> Self {
-        KeySelector {
-            key: key.into(),
-            or_equal,
-            offset,
-        }
-    }
-
-    /// The last key strictly less than `key`.
-    pub fn last_less_than(key: impl Into<Vec<u8>>) -> Self {
-        KeySelector::new(key, false, 0)
-    }
-
-    /// The last key less than or equal to `key`.
-    pub fn last_less_or_equal(key: impl Into<Vec<u8>>) -> Self {
-        KeySelector::new(key, true, 0)
-    }
-
-    /// The first key strictly greater than `key`.
-    pub fn first_greater_than(key: impl Into<Vec<u8>>) -> Self {
-        KeySelector::new(key, true, 1)
-    }
-
-    /// The first key greater than or equal to `key`.
-    pub fn first_greater_or_equal(key: impl Into<Vec<u8>>) -> Self {
-        KeySelector::new(key, false, 1)
-    }
-
-    /// Shift this selector by `n` keys (positive = later keys).
-    #[allow(clippy::should_implement_trait)] // FDB binding API name
-    pub fn add(mut self, n: i32) -> Self {
-        self.offset += n;
-        self
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn selector_constructors() {
-        let s = KeySelector::first_greater_or_equal(b"k".to_vec());
-        assert_eq!(
-            s,
-            KeySelector {
-                key: b"k".to_vec(),
-                or_equal: false,
-                offset: 1
-            }
-        );
-        let s = KeySelector::first_greater_than(b"k".to_vec());
-        assert_eq!(
-            s,
-            KeySelector {
-                key: b"k".to_vec(),
-                or_equal: true,
-                offset: 1
-            }
-        );
-        let s = KeySelector::last_less_than(b"k".to_vec());
-        assert_eq!(
-            s,
-            KeySelector {
-                key: b"k".to_vec(),
-                or_equal: false,
-                offset: 0
-            }
-        );
-        let s = KeySelector::last_less_or_equal(b"k".to_vec());
-        assert_eq!(
-            s,
-            KeySelector {
-                key: b"k".to_vec(),
-                or_equal: true,
-                offset: 0
-            }
-        );
-    }
-
-    #[test]
-    fn selector_add_shifts_offset() {
-        let s = KeySelector::first_greater_or_equal(b"k".to_vec()).add(5);
-        assert_eq!(s.offset, 6);
     }
 }

@@ -56,7 +56,7 @@ mod write_set;
 
 pub use database::Database;
 pub use error::{Error, Result};
-pub use kv::{KeySelector, KeyValue};
+pub use kv::KeyValue;
 pub use options::{DatabaseOptions, EngineKind, PagedConfig};
 pub use range::RangeOptions;
 pub use rl_storage::{EvictionPolicy, StorageEngine, Visitor};

@@ -108,11 +108,6 @@ impl Subspace {
         let end = crate::strinc(&self.prefix).unwrap_or_else(|| vec![0xFF; self.prefix.len() + 1]);
         (self.prefix.clone(), end)
     }
-
-    /// The range of keys under `tuple` within this subspace.
-    pub fn subrange(&self, tuple: &Tuple) -> (Vec<u8>, Vec<u8>) {
-        self.subspace(tuple).range()
-    }
 }
 
 #[cfg(test)]

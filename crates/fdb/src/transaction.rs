@@ -16,7 +16,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use crate::atomic::{self, MutationType};
 use crate::database::Database;
 use crate::error::{Error, Result};
-use crate::kv::{KeySelector, KeyValue};
+use crate::kv::KeyValue;
 use crate::options::{KEY_SIZE_LIMIT, VALUE_SIZE_LIMIT};
 use crate::range::RangeOptions;
 use crate::state_cache::METADATA_VERSION_KEY;
@@ -536,72 +536,6 @@ impl Transaction {
         }
     }
 
-    /// Resolve a key selector against the merged (snapshot + buffered
-    /// writes) view of the database.
-    pub fn get_key(&self, selector: &KeySelector) -> Result<Option<Vec<u8>>> {
-        self.get_key_inner(selector, false)
-    }
-
-    /// Key-selector resolution at snapshot isolation.
-    pub fn get_key_snapshot(&self, selector: &KeySelector) -> Result<Option<Vec<u8>>> {
-        self.get_key_inner(selector, true)
-    }
-
-    fn get_key_inner(&self, selector: &KeySelector, snapshot: bool) -> Result<Option<Vec<u8>>> {
-        // Anchor: last key < sel.key (or <= with or_equal).
-        let mut cur = self.merged_prev_key(&selector.key, selector.or_equal)?;
-        let mut remaining = selector.offset;
-        while remaining > 0 {
-            let from = cur.clone().map_or_else(Vec::new, |k| crate::key_after(&k));
-            match self.merged_next_key(&from)? {
-                Some(k) => cur = Some(k),
-                None => {
-                    cur = None;
-                    break;
-                }
-            }
-            remaining -= 1;
-        }
-        while remaining < 0 {
-            match &cur {
-                Some(k) => {
-                    let kk = k.clone();
-                    cur = self.merged_prev_key(&kk, false)?;
-                }
-                None => break,
-            }
-            remaining += 1;
-        }
-        if !snapshot {
-            // Conservative conflict range around the resolved position.
-            let mut st = lock_ranked(&self.state, LockRank::TransactionState);
-            self.check_open(&st)?;
-            if let Some(ref k) = cur {
-                st.read_conflicts.push((k.clone(), crate::key_after(k)));
-            }
-        }
-        Ok(cur)
-    }
-
-    /// First merged-view key `>= from`, or `None`.
-    fn merged_next_key(&self, from: &[u8]) -> Result<Option<Vec<u8>>> {
-        // Probe with widening snapshot ranges merged against writes.
-        let end = vec![0xFFu8; 16]; // beyond any normal application key
-        let kvs = self.get_range_snapshot(from, &end, RangeOptions::new().limit(1))?;
-        Ok(kvs.into_iter().next().map(|kv| kv.key))
-    }
-
-    /// Last merged-view key `< key` (or `<= key` with `inclusive`).
-    fn merged_prev_key(&self, key: &[u8], inclusive: bool) -> Result<Option<Vec<u8>>> {
-        let end = if inclusive {
-            crate::key_after(key)
-        } else {
-            key.to_vec()
-        };
-        let kvs = self.get_range_snapshot(&[], &end, RangeOptions::new().limit(1).reverse(true))?;
-        Ok(kvs.into_iter().next().map(|kv| kv.key))
-    }
-
     // --------------------------------------------------------------- writes
     //
     // Each written key is a write conflict; the commit collects them from
@@ -789,13 +723,6 @@ impl Transaction {
     /// Current approximate transaction size in bytes.
     pub fn approximate_size(&self) -> usize {
         lock_ranked(&self.state, LockRank::TransactionState).size
-    }
-
-    /// Whether any writes are buffered.
-    pub fn is_read_only(&self) -> bool {
-        lock_ranked(&self.state, LockRank::TransactionState)
-            .writes
-            .is_empty()
     }
 
     // --------------------------------------------------------------- commit
@@ -1257,38 +1184,6 @@ mod tests {
                 let _ = tx.get(b"a");
                 ControlFlow::Continue(())
             },
-        );
-    }
-
-    #[test]
-    fn key_selectors_resolve_on_merged_view() {
-        let db = Database::new();
-        let tx = db.create_transaction();
-        tx.set(b"b", b"1");
-        tx.set(b"f", b"2");
-        tx.commit().unwrap();
-
-        let tx = db.create_transaction();
-        tx.set(b"d", b"buf");
-        assert_eq!(
-            tx.get_key(&KeySelector::first_greater_or_equal(b"c".to_vec()))
-                .unwrap(),
-            Some(b"d".to_vec())
-        );
-        assert_eq!(
-            tx.get_key(&KeySelector::first_greater_than(b"d".to_vec()))
-                .unwrap(),
-            Some(b"f".to_vec())
-        );
-        assert_eq!(
-            tx.get_key(&KeySelector::last_less_than(b"d".to_vec()))
-                .unwrap(),
-            Some(b"b".to_vec())
-        );
-        assert_eq!(
-            tx.get_key(&KeySelector::last_less_or_equal(b"d".to_vec()))
-                .unwrap(),
-            Some(b"d".to_vec())
         );
     }
 

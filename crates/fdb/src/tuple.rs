@@ -43,23 +43,6 @@ pub enum TupleElement {
 }
 
 impl TupleElement {
-    /// The type-code rank used for cross-type ordering.
-    pub fn type_rank(&self) -> u8 {
-        match self {
-            TupleElement::Null => NULL_CODE,
-            TupleElement::Bytes(_) => BYTES_CODE,
-            TupleElement::String(_) => STRING_CODE,
-            TupleElement::Tuple(_) => NESTED_CODE,
-            TupleElement::Int(_) => INT_ZERO_CODE,
-            TupleElement::Float(_) => FLOAT_CODE,
-            TupleElement::Double(_) => DOUBLE_CODE,
-            TupleElement::Bool(false) => FALSE_CODE,
-            TupleElement::Bool(true) => TRUE_CODE,
-            TupleElement::Uuid(_) => UUID_CODE,
-            TupleElement::Versionstamp(_) => VERSIONSTAMP_CODE,
-        }
-    }
-
     /// Append this element's packed encoding (as a top-level element of
     /// a tuple) to `out`.
     pub fn pack_into(&self, out: &mut Vec<u8>) {

@@ -77,11 +77,6 @@ impl Versionstamp {
         &self.bytes
     }
 
-    /// The 10 transaction bytes (commit version + batch order).
-    pub fn transaction_version(&self) -> &[u8] {
-        &self.bytes[0..TR_VERSION_LEN]
-    }
-
     /// The 8-byte commit version, if complete.
     pub fn commit_version(&self) -> Option<u64> {
         if self.complete {
@@ -104,26 +99,6 @@ impl Versionstamp {
     /// Whether the transaction bytes have been assigned.
     pub fn is_complete(&self) -> bool {
         self.complete
-    }
-
-    /// Produce the completed versionstamp given the 10 transaction bytes
-    /// assigned at commit. Panics if already complete.
-    pub fn with_transaction_version(&self, tr_version: &[u8]) -> Result<Self> {
-        if self.complete {
-            return Err(Error::Tuple("versionstamp is already complete".into()));
-        }
-        if tr_version.len() != TR_VERSION_LEN {
-            return Err(Error::Tuple(format!(
-                "transaction version must be 10 bytes, got {}",
-                tr_version.len()
-            )));
-        }
-        let mut bytes = self.bytes;
-        bytes[0..TR_VERSION_LEN].copy_from_slice(tr_version);
-        Ok(Versionstamp {
-            bytes,
-            complete: true,
-        })
     }
 }
 
@@ -164,19 +139,6 @@ mod tests {
         assert!(!v.is_complete());
         assert_eq!(v.user_version(), 9);
         assert_eq!(v.commit_version(), None);
-
-        let tr: [u8; 10] = [0, 0, 0, 0, 0, 0, 0, 5, 0, 1];
-        let c = v.with_transaction_version(&tr).unwrap();
-        assert!(c.is_complete());
-        assert_eq!(c.commit_version(), Some(5));
-        assert_eq!(c.batch_order(), 1);
-        assert_eq!(c.user_version(), 9);
-    }
-
-    #[test]
-    fn completing_a_complete_stamp_errors() {
-        let v = Versionstamp::complete(1, 0, 0);
-        assert!(v.with_transaction_version(&[0; 10]).is_err());
     }
 
     #[test]

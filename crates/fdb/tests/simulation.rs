@@ -1,11 +1,11 @@
 //! Simulator-level integration tests: MVCC window expiry, compaction,
-//! metrics accounting, selector edge cases, and interleaved-transaction
+//! metrics accounting, and interleaved-transaction
 //! serializability checks.
 
 use rl_fdb::atomic::MutationType;
 use rl_fdb::options::{DatabaseOptions, VERSIONS_PER_MS};
 use rl_fdb::transaction::TxnTrace;
-use rl_fdb::{Database, EngineKind, Error, KeySelector, PagedConfig, RangeOptions, Transaction};
+use rl_fdb::{Database, EngineKind, Error, PagedConfig, RangeOptions, Transaction};
 
 #[test]
 fn mvcc_history_compacts_but_recent_readers_still_work() {
@@ -120,46 +120,6 @@ fn metrics_account_reads_writes_and_conflicts() {
         (1, 6, 4)
     );
     assert_eq!((delta.keys_read, delta.read_ops), (4, 3));
-}
-
-#[test]
-fn key_selector_edges() {
-    let db = Database::new();
-    let tx = db.create_transaction();
-    for k in [b"b", b"d", b"f"] {
-        tx.set(k, b"v");
-    }
-    tx.commit().unwrap();
-
-    let tx = db.create_transaction();
-    // Before the first key.
-    assert_eq!(
-        tx.get_key(&KeySelector::last_less_than(b"a".to_vec()))
-            .unwrap(),
-        None
-    );
-    assert_eq!(
-        tx.get_key(&KeySelector::first_greater_or_equal(b"a".to_vec()))
-            .unwrap(),
-        Some(b"b".to_vec())
-    );
-    // After the last key.
-    assert_eq!(
-        tx.get_key(&KeySelector::first_greater_than(b"f".to_vec()))
-            .unwrap(),
-        None
-    );
-    assert_eq!(
-        tx.get_key(&KeySelector::last_less_or_equal(b"z".to_vec()))
-            .unwrap(),
-        Some(b"f".to_vec())
-    );
-    // Multi-step offsets.
-    assert_eq!(
-        tx.get_key(&KeySelector::first_greater_or_equal(b"a".to_vec()).add(2))
-            .unwrap(),
-        Some(b"f".to_vec())
-    );
 }
 
 #[test]

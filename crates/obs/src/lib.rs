@@ -14,7 +14,7 @@
 //!   `page_read`, `page_flush`, `plan`, `execute`). Reports render its
 //!   [`Recorder::snapshot`] with `rl_harness::json::Json::hist`.
 //! * [`Timer`] — an RAII guard that records elapsed microseconds into a
-//!   recorder histogram on drop, optionally pushing a [`Span`].
+//!   recorder histogram on drop.
 //! * [`Span`] / [`SpanRing`] — lightweight spans (op, tag, start,
 //!   duration, counter deltas) captured into a fixed-capacity ring buffer
 //!   so per-transaction and per-plan-node attribution can be joined
@@ -23,14 +23,9 @@
 //! ## Cheap when idle
 //!
 //! Instrumentation is compiled in but gated on a single relaxed atomic
-//! load ([`enabled`]). Disabled, a [`Timer`] takes no clock reading and a
-//! span tag closure is never invoked; the instrumented hot paths add a
-//! branch and nothing else.
-//!
-//! ## Environment variables
-//!
-//! * `RL_OBS=1` — enable recording at process start (default: disabled;
-//!   programs and tests can flip it at runtime with [`set_enabled`]).
+//! load ([`enabled`]), off until a program or test calls [`set_enabled`].
+//! Disabled, a [`Timer`] takes no clock reading and no span is built; the
+//! instrumented hot paths add a branch and nothing else.
 
 pub mod hist;
 pub mod recorder;
@@ -43,37 +38,19 @@ pub use span::{drain_spans, push_span, Span, SpanRing};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
-/// The global observability switch, initialized once from the environment.
-#[derive(Debug)]
-pub struct ObsConfig {
-    enabled: AtomicBool,
-}
-
-impl ObsConfig {
-    fn from_env() -> ObsConfig {
-        let enabled = std::env::var("RL_OBS").is_ok_and(|v| v != "0" && !v.is_empty());
-        ObsConfig {
-            enabled: AtomicBool::new(enabled),
-        }
-    }
-
-    /// The process-wide configuration.
-    pub fn global() -> &'static ObsConfig {
-        static CONFIG: OnceLock<ObsConfig> = OnceLock::new();
-        CONFIG.get_or_init(ObsConfig::from_env)
-    }
-}
+/// The global observability switch.
+static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Whether observability recording is on. One relaxed atomic load — this
 /// is the gate every instrumented hot path checks first.
 #[inline]
 pub fn enabled() -> bool {
-    ObsConfig::global().enabled.load(Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Turn recording on or off at runtime (tests and the workload harness).
 pub fn set_enabled(on: bool) {
-    ObsConfig::global().enabled.store(on, Ordering::Relaxed);
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
 /// Microseconds since the first call in this process (a monotonic,

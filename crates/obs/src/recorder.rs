@@ -5,7 +5,6 @@ use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWrite
 use std::time::Instant;
 
 use crate::hist::{Histogram, HistogramSnapshot};
-use crate::span::{push_span, Span};
 
 /// A registry of histograms keyed by static operation names. Every sample
 /// takes the registry's read lock, looks its name up and records into that
@@ -81,52 +80,20 @@ impl Recorder {
 /// microseconds into the global recorder's histogram for that op when
 /// dropped. When observability is disabled ([`crate::enabled`] is false)
 /// the guard is inert — it never reads the clock.
-///
-/// Guards optionally carry a [`Span`] tag ([`Timer::spanned`]): on drop a
-/// span with the measured duration is pushed into the global ring.
 #[derive(Debug)]
 pub struct Timer {
     op: &'static str,
     start: Option<Instant>,
-    start_us: u64,
-    tag: Option<String>,
 }
 
 impl Timer {
     /// Start timing `op`. A no-op (no clock read) when disabled.
     #[expect(clippy::disallowed_methods, reason = "measured time lives in rl_obs")]
     pub fn start(op: &'static str) -> Timer {
-        if crate::enabled() {
-            Timer {
-                op,
-                start_us: crate::now_us(),
-                start: Some(Instant::now()),
-                tag: None,
-            }
-        } else {
-            Timer {
-                op,
-                start: None,
-                start_us: 0,
-                tag: None,
-            }
+        Timer {
+            op,
+            start: crate::enabled().then(Instant::now),
         }
-    }
-
-    /// Start timing `op`, also emitting a [`Span`] tagged by `tag` on
-    /// drop. The closure only runs when observability is enabled, so tag
-    /// construction costs nothing on the disabled path.
-    pub fn spanned(op: &'static str, tag: impl FnOnce() -> String) -> Timer {
-        let mut t = Timer::start(op);
-        if t.start.is_some() {
-            t.tag = Some(tag());
-        }
-        t
-    }
-
-    /// Abandon the measurement (nothing is recorded on drop).
-    pub fn cancel(mut self) {
-        self.start = None;
     }
 }
 
@@ -135,17 +102,7 @@ impl Drop for Timer {
         let Some(start) = self.start.take() else {
             return;
         };
-        let us = start.elapsed().as_micros() as u64;
-        Recorder::global().record(self.op, us);
-        if let Some(tag) = self.tag.take() {
-            push_span(Span {
-                op: self.op,
-                tag,
-                start_us: self.start_us,
-                dur_us: us,
-                counters: Vec::new(),
-            });
-        }
+        Recorder::global().record(self.op, start.elapsed().as_micros() as u64);
     }
 }
 
@@ -178,20 +135,6 @@ mod tests {
         }
         assert_eq!(h.count(), before + 1);
         crate::set_enabled(false);
-    }
-
-    #[test]
-    fn spanned_timer_pushes_span() {
-        let _guard = crate::test_lock();
-        crate::set_enabled(true);
-        {
-            let _t = Timer::spanned("test_spanned", || "tag-xyzzy".to_string());
-        }
-        crate::set_enabled(false);
-        let spans = crate::drain_spans();
-        assert!(spans
-            .iter()
-            .any(|s| s.op == "test_spanned" && s.tag == "tag-xyzzy"));
     }
 
     #[test]

@@ -189,9 +189,9 @@ pub(crate) fn apply<K: AsRef<[u8]>, T>(
     Ok(())
 }
 
-/// The child of internal node `page` to take for `key`, as [`descend`]
-/// takes it, and that child's upper fence: the separator after it, or the
-/// node's own `upper`.
+/// The child of internal node `page` to take for `key`, as
+/// [`descend`](super::descend) takes it, and that child's upper fence: the
+/// separator after it, or the node's own `upper`.
 fn route(
     pool: &mut BufferPool,
     page: &Page,
@@ -878,8 +878,8 @@ impl LeafEdits {
 /// Write `entries` back as leaf `id` (CoW; `NO_PAGE`: a new page) under the
 /// prefix of their ends, split into as many pieces as they need to fit. A
 /// cut falls after or before entry `lone` — an inserted key that shortened
-/// the prefix, which then goes alone — or else at the [`split_point`]; each
-/// piece stores the prefix of its own ends. `shrank`: the leaf lost
+/// the prefix, which then goes alone — or else at the split point [`cut`]
+/// picks; each piece stores the prefix of its own ends. `shrank`: the leaf lost
 /// entries, as [`store_pieces`] takes it.
 fn write_leaf(
     pool: &mut BufferPool,

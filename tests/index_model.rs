@@ -14,6 +14,8 @@
 //! * `group_cover` — a `KeyWithValue` covering index: key `group`, value
 //!   `score` (`Item`);
 //! * `unique_note` — a unique VALUE index (`Item`);
+//! * `a_by_score` — a sparse VALUE index: `score` of the `Item` records
+//!   whose `group` is `"a"` (§6 index filter);
 //! * `by_version` — a VERSION index over both types.
 //!
 //! The test asserts that each of these cases occurs (the generator's name
@@ -26,7 +28,10 @@
 //! * a duplicated fan-out element (`duplicated_tag`): one entry, counted
 //!   once;
 //! * a record type outside an index (`other_type`): an `Other` record,
-//!   which four of the six indexes do not apply to;
+//!   which five of the seven indexes do not apply to;
+//! * an overwrite that moves a record into the sparse index's filter
+//!   (`into_filter`) and one that moves it out (`out_of_filter`): one
+//!   entry set, or one cleared, and the count bumped;
 //! * an insert (`insert`) and a delete (`delete`);
 //! * a rejected uniqueness violation (`unique_violation`): the save fails,
 //!   and the transaction is dropped with everything it buffered.
@@ -38,6 +43,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use record_layer::expr::KeyExpression;
 use record_layer::metadata::{Index, RecordMetaData, RecordMetaDataBuilder};
+use record_layer::query::{Comparison, QueryComponent};
 use record_layer::store::RecordStore;
 use record_layer::Error;
 use rl_fdb::tuple::Tuple;
@@ -107,6 +113,12 @@ fn metadata() -> RecordMetaData {
             "Item",
             Index::value("unique_note", KeyExpression::field("note")).with_unique(),
         )
+        .index(
+            "Item",
+            Index::value("a_by_score", KeyExpression::field("score")).with_filter(
+                QueryComponent::field("group", Comparison::Equals("a".into())),
+            ),
+        )
         .multi_type_index(
             &["Item", "Other"],
             Index::version("by_version", KeyExpression::Version),
@@ -147,18 +159,20 @@ impl Rec {
                 [(Tuple::from((self.group,)), Tuple::from((self.score,)))].into()
             }
             ("unique_note", true) => [key(Tuple::from((self.note.as_str(),)))].into(),
+            ("a_by_score", true) if self.group == "a" => [key(Tuple::from((self.score,)))].into(),
             ("by_version", _) => [key(version.clone())].into(),
             _ => BTreeSet::new(),
         }
     }
 }
 
-const INDEXES: [&str; 6] = [
+const INDEXES: [&str; 7] = [
     "by_score",
     "by_group_score",
     "by_tag",
     "group_cover",
     "unique_note",
+    "a_by_score",
     "by_version",
 ];
 
@@ -225,12 +239,20 @@ fn cases(old: Option<&Rec>, new: Option<&Rec>) -> Vec<&'static str> {
         (Some(_), None) => reached.push("delete"),
         (Some(old), Some(new)) => {
             let none = Tuple::new();
-            let unchanged = INDEXES[..5].iter().any(|index| {
+            // Every index but `by_version`, which a save always changes.
+            let unchanged = INDEXES[..6].iter().any(|index| {
                 let entries = old.entries(index, &none);
                 !entries.is_empty() && entries == new.entries(index, &none)
             });
             if unchanged {
                 reached.push("unchanged_index");
+            }
+            if old.item && (old.group == "a") != (new.group == "a") {
+                reached.push(if new.group == "a" {
+                    "into_filter"
+                } else {
+                    "out_of_filter"
+                });
             }
             let set = |tags: &[&'static str]| tags.iter().copied().collect::<BTreeSet<_>>();
             let differing = old.tags.iter().zip(&new.tags).filter(|(a, b)| a != b);
@@ -383,6 +405,8 @@ fn index_entries_equal_what_the_records_give() {
         "unchanged_index",
         "one_tag_changed",
         "duplicated_tag",
+        "into_filter",
+        "out_of_filter",
         "other_type",
         "insert",
         "delete",

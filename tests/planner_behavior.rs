@@ -929,3 +929,82 @@ fn in_plans_as_union_of_equality_scans_by_cost() {
     assert_eq!(shape, "Filter(FullScan)");
     assert_eq!(ids.len(), 60);
 }
+
+/// A VALUE index on `score` filtered to active items (sparse, §6), over
+/// ten items of which the even five are active.
+fn seed_sparse(db: &Database) -> (RecordMetaData, Subspace) {
+    let mut pool = DescriptorPool::new();
+    pool.add_message(
+        MessageDescriptor::new(
+            "Item",
+            vec![
+                FieldDescriptor::optional("id", 1, FieldType::Int64),
+                FieldDescriptor::optional("score", 2, FieldType::Int64),
+                FieldDescriptor::optional("active", 3, FieldType::Bool),
+            ],
+        )
+        .unwrap(),
+    )
+    .unwrap();
+    let md = RecordMetaDataBuilder::new(pool)
+        .record_type("Item", KeyExpression::field("id"))
+        .index(
+            "Item",
+            Index::value("active_by_score", KeyExpression::field("score"))
+                .with_filter(eq("active", true)),
+        )
+        .build()
+        .unwrap();
+    let sub = Subspace::from_bytes(b"sparse".to_vec());
+    record_layer::run(db, |tx| {
+        let store = RecordStore::open_or_create(tx, &sub, &md)?;
+        for i in 0..10i64 {
+            let mut item = store.new_record("Item")?;
+            item.set("id", i).unwrap();
+            item.set("score", i * 10).unwrap();
+            item.set("active", i % 2 == 0).unwrap();
+            store.save_record(item)?;
+        }
+        Ok(())
+    })
+    .unwrap();
+    (md, sub)
+}
+
+/// A filtered index has no entry for a record its filter rejects, so it
+/// cannot answer a query that does not imply the filter.
+#[test]
+fn filtered_index_is_not_used_when_the_query_does_not_imply_its_filter() {
+    let db = Database::new();
+    let (md, sub) = seed_sparse(&db);
+    let any_score = || QueryComponent::field("score", Comparison::GreaterThanOrEquals(0i64.into()));
+    let (shape, ids, _) = plan_and_count(&db, &md, &sub, any_score());
+    assert_eq!(shape, "Filter(FullScan)");
+    assert_eq!(ids, (0..10).collect::<Vec<i64>>());
+
+    // An OR is planned branch by branch: the branch without the filter
+    // may not use the index even though the other branch does.
+    let active_high = QueryComponent::and(vec![
+        QueryComponent::field("score", Comparison::GreaterThanOrEquals(50i64.into())),
+        eq("active", true),
+    ]);
+    let filter = QueryComponent::or(vec![any_score(), active_high]);
+    let (shape, ids, _) = plan_and_count(&db, &md, &sub, filter);
+    assert_eq!(shape, "Filter(FullScan)");
+    assert_eq!(ids, (0..10).collect::<Vec<i64>>());
+}
+
+/// A query whose top-level conjuncts include the index's filter still uses
+/// the index, and gets exactly the records the filter admits.
+#[test]
+fn filtered_index_serves_a_query_that_includes_its_filter() {
+    let db = Database::new();
+    let (md, sub) = seed_sparse(&db);
+    let filter = QueryComponent::and(vec![
+        QueryComponent::field("score", Comparison::GreaterThanOrEquals(0i64.into())),
+        eq("active", true),
+    ]);
+    let (shape, ids, _) = plan_and_count(&db, &md, &sub, filter);
+    assert!(shape.contains("IndexScan(active_by_score)"), "{shape}");
+    assert_eq!(ids, vec![0, 2, 4, 6, 8]);
+}
