@@ -46,112 +46,97 @@ use rl_fdb::tuple::{Tuple, TupleElement};
 use rl_fdb::Transaction;
 
 use crate::error::{Error, Result};
-use crate::index::{entry_value, evaluate_change, same_entries, IndexContext, IndexMaintainer};
+use crate::index::{entry_value, evaluate_change, same_entries, IndexContext};
 use crate::metadata::{Index, IndexType};
 use crate::store::{AggregateValue, StoredRecord};
 
-/// Maintainer for the whole atomic family; the concrete behaviour is
-/// selected by the index type.
-pub struct AtomicIndexMaintainer {
-    index_type: IndexType,
+/// What one evaluated tuple adds to its group's counter, if anything.
+fn contribution(index_type: IndexType, operand: &[TupleElement]) -> Result<Option<i64>> {
+    Ok(match index_type {
+        IndexType::Count => Some(1),
+        IndexType::CountUpdates | IndexType::CountNonNull => {
+            (!operand_is_null(operand)).then_some(1)
+        }
+        IndexType::Sum => operand_as_i64(operand)?,
+        other => unreachable!("not a counter type {other:?}"),
+    })
 }
 
-impl AtomicIndexMaintainer {
-    pub fn new(index_type: IndexType) -> Self {
-        assert!(
-            index_type.is_atomic(),
-            "not an atomic index type: {index_type:?}"
-        );
-        AtomicIndexMaintainer { index_type }
-    }
-
-    /// What one evaluated tuple adds to its group's counter, if anything.
-    fn contribution(&self, operand: &[TupleElement]) -> Result<Option<i64>> {
-        Ok(match self.index_type {
-            IndexType::Count => Some(1),
-            IndexType::CountUpdates | IndexType::CountNonNull => {
-                (!operand_is_null(operand)).then_some(1)
+/// COUNT, COUNT_UPDATES, COUNT_NON_NULL, SUM: one `ADD` per group key of
+/// the wrapping sum of its contributions, none where that is zero.
+fn fold_counters(ctx: &IndexContext<'_>, old: &[Tuple], new: &[Tuple]) -> Result<()> {
+    let index_type = ctx.index.index_type;
+    // COUNT_UPDATES counts saves: the old record takes nothing back.
+    let retracted: &[Tuple] = if index_type == IndexType::CountUpdates {
+        &[]
+    } else {
+        old
+    };
+    let mut sums = Vec::with_capacity(retracted.len() + new.len());
+    for (tuples, sign) in [(retracted, -1i64), (new, 1)] {
+        for t in tuples {
+            let (group, operand) = split_group(ctx.index, t);
+            if let Some(v) = contribution(index_type, operand)? {
+                sums.push((ctx.group_key(group), v.wrapping_mul(sign)));
             }
-            IndexType::Sum => operand_as_i64(operand)?,
-            other => unreachable!("not a counter type {other:?}"),
-        })
+        }
     }
+    // Sorted, one group key's contributions lie together.
+    sums.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut sums = sums.into_iter().peekable();
+    while let Some((key, mut sum)) = sums.next() {
+        while let Some((_, more)) = sums.next_if(|(next, _)| *next == key) {
+            sum = sum.wrapping_add(more);
+        }
+        if sum != 0 {
+            ctx.tx
+                .mutate_owned(MutationType::Add, key, sum.to_le_bytes().to_vec())?;
+        }
+    }
+    Ok(())
+}
 
-    /// COUNT, COUNT_UPDATES, COUNT_NON_NULL, SUM: one `ADD` per group key
-    /// of the wrapping sum of its contributions, none where that is zero.
-    fn fold_counters(&self, ctx: &IndexContext<'_>, old: &[Tuple], new: &[Tuple]) -> Result<()> {
-        // COUNT_UPDATES counts saves: the old record takes nothing back.
-        let retracted: &[Tuple] = if self.index_type == IndexType::CountUpdates {
-            &[]
-        } else {
-            old
-        };
-        let mut sums = Vec::with_capacity(retracted.len() + new.len());
-        for (tuples, sign) in [(retracted, -1i64), (new, 1)] {
-            for t in tuples {
-                let (group, operand) = split_group(ctx.index, t);
-                if let Some(v) = self.contribution(operand)? {
-                    sums.push((ctx.group_key(group), v.wrapping_mul(sign)));
+/// MAX_EVER, MIN_EVER: one `BYTE_MAX` / `BYTE_MIN` per group key with the
+/// most extreme new operand the old record did not already have.
+fn fold_extremes(ctx: &IndexContext<'_>, old: &[Tuple], new: &[Tuple]) -> Result<()> {
+    let (mutation, wins) = if ctx.index.index_type == IndexType::MaxEver {
+        (MutationType::ByteMax, Ordering::Greater)
+    } else {
+        (MutationType::ByteMin, Ordering::Less)
+    };
+    // A whole tuple is its (group, operand) pair, both packed: sorted, a
+    // group key's operands lie together. Packed tuple order == byte order,
+    // so BYTE_MIN/MAX on the packed operand keeps tuple-ordered extremes. A
+    // non-null operand never packs empty.
+    let pairs = |tuples: &[Tuple]| {
+        let mut pairs: Vec<(Vec<u8>, Vec<u8>)> = tuples
+            .iter()
+            .map(|t| split_group(ctx.index, t))
+            .filter(|(_, operand)| !operand_is_null(operand))
+            .map(|(group, operand)| (ctx.group_key(group), entry_value(operand)))
+            .collect();
+        pairs.sort_unstable();
+        pairs
+    };
+    let old = pairs(old);
+    let mut extremes: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+    for pair in pairs(new) {
+        if old.binary_search(&pair).is_ok() {
+            continue;
+        }
+        match extremes.last_mut() {
+            Some(best) if best.0 == pair.0 => {
+                if pair.1.cmp(&best.1) == wins {
+                    best.1 = pair.1;
                 }
             }
+            _ => extremes.push(pair),
         }
-        // Sorted, one group key's contributions lie together.
-        sums.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut sums = sums.into_iter().peekable();
-        while let Some((key, mut sum)) = sums.next() {
-            while let Some((_, more)) = sums.next_if(|(next, _)| *next == key) {
-                sum = sum.wrapping_add(more);
-            }
-            if sum != 0 {
-                ctx.tx
-                    .mutate_owned(MutationType::Add, key, sum.to_le_bytes().to_vec())?;
-            }
-        }
-        Ok(())
     }
-
-    /// MAX_EVER, MIN_EVER: one `BYTE_MAX` / `BYTE_MIN` per group key with
-    /// the most extreme new operand the old record did not already have.
-    fn fold_extremes(&self, ctx: &IndexContext<'_>, old: &[Tuple], new: &[Tuple]) -> Result<()> {
-        let (mutation, wins) = if self.index_type == IndexType::MaxEver {
-            (MutationType::ByteMax, Ordering::Greater)
-        } else {
-            (MutationType::ByteMin, Ordering::Less)
-        };
-        // A whole tuple is its (group, operand) pair, both packed: sorted,
-        // a group key's operands lie together. Packed tuple order == byte
-        // order, so BYTE_MIN/MAX on the packed operand keeps tuple-ordered
-        // extremes. A non-null operand never packs empty.
-        let pairs = |tuples: &[Tuple]| {
-            let mut pairs: Vec<(Vec<u8>, Vec<u8>)> = tuples
-                .iter()
-                .map(|t| split_group(ctx.index, t))
-                .filter(|(_, operand)| !operand_is_null(operand))
-                .map(|(group, operand)| (ctx.group_key(group), entry_value(operand)))
-                .collect();
-            pairs.sort_unstable();
-            pairs
-        };
-        let old = pairs(old);
-        let mut extremes: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        for pair in pairs(new) {
-            if old.binary_search(&pair).is_ok() {
-                continue;
-            }
-            match extremes.last_mut() {
-                Some(best) if best.0 == pair.0 => {
-                    if pair.1.cmp(&best.1) == wins {
-                        best.1 = pair.1;
-                    }
-                }
-                _ => extremes.push(pair),
-            }
-        }
-        for (key, operand) in extremes {
-            ctx.tx.mutate_owned(mutation, key, operand)?;
-        }
-        Ok(())
+    for (key, operand) in extremes {
+        ctx.tx.mutate_owned(mutation, key, operand)?;
     }
+    Ok(())
 }
 
 /// Split an evaluated grouping tuple into (group key, operand columns).
@@ -178,26 +163,25 @@ fn operand_is_null(operand: &[TupleElement]) -> bool {
     operand.iter().all(|e| matches!(e, TupleElement::Null))
 }
 
-impl IndexMaintainer for AtomicIndexMaintainer {
-    fn update(
-        &self,
-        ctx: &IndexContext<'_>,
-        old: Option<&StoredRecord>,
-        new: Option<&StoredRecord>,
-    ) -> Result<i64> {
-        let (old, new) = evaluate_change(ctx.index, old, new)?;
-        // Equal tuples fold to nothing, except that COUNT_UPDATES counts
-        // every save.
-        if self.index_type != IndexType::CountUpdates && same_entries(&old, &new) {
-            return Ok(0);
-        }
-        match self.index_type {
-            IndexType::MaxEver | IndexType::MinEver => self.fold_extremes(ctx, &old, &new)?,
-            _ => self.fold_counters(ctx, &old, &new)?,
-        }
-        // One key per group: entry count is not a scan-cost signal.
-        Ok(0)
+/// Maintains an index of the atomic family, the behaviour selected by its
+/// type (see the module doc).
+pub(crate) fn update(
+    ctx: &IndexContext<'_>,
+    old: Option<&StoredRecord>,
+    new: Option<&StoredRecord>,
+) -> Result<i64> {
+    let (old, new) = evaluate_change(ctx.index, old, new)?;
+    // Equal tuples fold to nothing, except that COUNT_UPDATES counts every
+    // save.
+    if ctx.index.index_type != IndexType::CountUpdates && same_entries(&old, &new) {
+        return Ok(0);
     }
+    match ctx.index.index_type {
+        IndexType::MaxEver | IndexType::MinEver => fold_extremes(ctx, &old, &new)?,
+        _ => fold_counters(ctx, &old, &new)?,
+    }
+    // One key per group: entry count is not a scan-cost signal.
+    Ok(0)
 }
 
 /// Read the aggregate value for one group.

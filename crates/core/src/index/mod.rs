@@ -3,9 +3,8 @@
 //!
 //! Indexes are durable data structures maintained *in the same transaction*
 //! as the record change itself, so they are always consistent with the
-//! data. Each index type is implemented by an [`IndexMaintainer`]; the
-//! [`IndexRegistry`] maps index types to maintainers and is the extension
-//! point through which clients plug in custom index types.
+//! data. Each index type has its own maintenance fn in its module, and
+//! `update` picks it with one `match` on the index's type.
 
 pub mod atomic;
 pub mod builder;
@@ -14,16 +13,13 @@ pub mod text;
 pub mod value;
 pub mod version;
 
-use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
-
 use rl_fdb::subspace::Subspace;
 use rl_fdb::tuple::{self, Tuple, TupleElement};
 use rl_fdb::Transaction;
 
 use crate::error::{Error, Result};
 use crate::expr::EvalContext;
-use crate::metadata::{Index, IndexType, RecordMetaData};
+use crate::metadata::{Index, IndexType};
 use crate::store::StoredRecord;
 
 /// Lifecycle state of an index (§6 online index building).
@@ -70,11 +66,11 @@ impl IndexState {
     }
 }
 
-/// Everything a maintainer needs to update one index within a transaction.
-pub struct IndexContext<'a> {
+/// Everything an [`update`] needs to maintain one index within a
+/// transaction.
+pub(crate) struct IndexContext<'a> {
     pub tx: &'a Transaction,
     pub index: &'a Index,
-    pub metadata: &'a RecordMetaData,
     /// The store's index region `S(2)`: this index's subspace is its child
     /// `S(2, k)` under the index's subspace key.
     indexes: &'a Subspace,
@@ -88,14 +84,12 @@ impl<'a> IndexContext<'a> {
     pub(crate) fn new(
         tx: &'a Transaction,
         index: &'a Index,
-        metadata: &'a RecordMetaData,
         indexes: &'a Subspace,
         primary_key: &'a [u8],
     ) -> Self {
         IndexContext {
             tx,
             index,
-            metadata,
             indexes,
             primary_key,
         }
@@ -143,38 +137,45 @@ impl<'a> IndexContext<'a> {
     }
 }
 
-/// A maintainer updates the durable structure of one index type when
-/// records change. Updates are *streaming*: they use only the contents of
-/// the changed record (§6).
+/// Update one index's durable structure for a record change: `old ==
+/// None` is an insert, `new == None` a delete, both `Some` an update of one
+/// primary key (packed in `ctx`). Updates are *streaming*: they use only
+/// the contents of the changed record (§6).
 ///
-/// Cost contract of the built-in maintainers: an entry that did not change
-/// costs its evaluation and nothing more. Each evaluates the old and the
-/// new record once and returns before building any key when the two
-/// evaluate to the same entries (VERSION excepted: a saved record's
-/// version always changes, so its entries are always rewritten). A
-/// changed entry's key is packed once, into one buffer of its final size,
-/// and moves into the transaction.
-pub trait IndexMaintainer: Send + Sync {
-    /// Apply the index delta for a record change: `old == None` is an
-    /// insert, `new == None` a delete, both `Some` an update of one primary
-    /// key (packed in `ctx`).
-    ///
-    /// Returns the net change in the number of scannable index entries,
-    /// which the store folds into the index's persistent entry-count
-    /// statistic (read by the cost-based planner). Aggregate indexes that
-    /// keep one key per group report 0: their size is not a function of
-    /// scan work.
-    fn update(
-        &self,
-        ctx: &IndexContext<'_>,
-        old: Option<&StoredRecord>,
-        new: Option<&StoredRecord>,
-    ) -> Result<i64>;
+/// Returns the net change in the number of scannable index entries, which
+/// the store folds into the index's persistent entry-count statistic (read
+/// by the cost-based planner). Aggregate indexes that keep one key per
+/// group report 0: their size is not a function of scan work.
+///
+/// Cost contract: an entry that did not change costs its evaluation and
+/// nothing more. Each type evaluates the old and the new record once and
+/// returns before building any key when the two evaluate to the same
+/// entries (VERSION excepted: a saved record's version always changes, so
+/// its entries are always rewritten). A changed entry's key is packed
+/// once, into one buffer of its final size, and moves into the
+/// transaction.
+pub(crate) fn update(
+    ctx: &IndexContext<'_>,
+    old: Option<&StoredRecord>,
+    new: Option<&StoredRecord>,
+) -> Result<i64> {
+    match ctx.index.index_type {
+        IndexType::Value => value::update(ctx, old, new),
+        IndexType::Count
+        | IndexType::CountUpdates
+        | IndexType::CountNonNull
+        | IndexType::Sum
+        | IndexType::MaxEver
+        | IndexType::MinEver => atomic::update(ctx, old, new),
+        IndexType::Version => version::update(ctx, old, new),
+        IndexType::Rank => rank::update(ctx, old, new),
+        IndexType::Text => text::update(ctx, old, new),
+    }
 }
 
 /// Evaluate an index's key expression against a record, yielding the raw
 /// (unsplit) tuples.
-pub fn evaluate_index_expr(index: &Index, record: &StoredRecord) -> Result<Vec<Tuple>> {
+pub(crate) fn evaluate_index_expr(index: &Index, record: &StoredRecord) -> Result<Vec<Tuple>> {
     // Index filters make the index sparse: filtered-out records produce no
     // entries at all (§6).
     if let Some(filter) = &index.filter {
@@ -223,7 +224,7 @@ pub(crate) fn same_entries(a: &[Tuple], b: &[Tuple]) -> bool {
 
 /// Covering value columns, packed (empty for none) in one buffer of their
 /// final size.
-pub fn entry_value(columns: &[TupleElement]) -> Vec<u8> {
+pub(crate) fn entry_value(columns: &[TupleElement]) -> Vec<u8> {
     if columns.is_empty() {
         return Vec::new();
     }
@@ -242,122 +243,6 @@ pub struct IndexEntry {
     pub value: Tuple,
     /// The indexed record's primary key.
     pub primary_key: Tuple,
-}
-
-/// The registry mapping index types to maintainers. `Custom` index types
-/// dispatch on `IndexOptions::custom_type` names, which is how clients
-/// "plug in" new index types (§3.1 extensibility).
-#[derive(Clone)]
-pub struct IndexRegistry {
-    builtin: BTreeMap<&'static str, Arc<dyn IndexMaintainer>>,
-    custom: BTreeMap<String, Arc<dyn IndexMaintainer>>,
-}
-
-impl std::fmt::Debug for IndexRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("IndexRegistry")
-            .field("builtin", &self.builtin.keys().collect::<Vec<_>>())
-            .field("custom", &self.custom.keys().collect::<Vec<_>>())
-            .finish()
-    }
-}
-
-fn type_key(t: IndexType) -> &'static str {
-    match t {
-        IndexType::Value => "value",
-        IndexType::Count => "count",
-        IndexType::CountUpdates => "count_updates",
-        IndexType::CountNonNull => "count_non_null",
-        IndexType::Sum => "sum",
-        IndexType::MaxEver => "max_ever",
-        IndexType::MinEver => "min_ever",
-        IndexType::Version => "version",
-        IndexType::Rank => "rank",
-        IndexType::Text => "text",
-        IndexType::Custom => "custom",
-    }
-}
-
-impl Default for IndexRegistry {
-    fn default() -> Self {
-        let mut builtin: BTreeMap<&'static str, Arc<dyn IndexMaintainer>> = BTreeMap::new();
-        builtin.insert("value", Arc::new(value::ValueIndexMaintainer));
-        builtin.insert(
-            "count",
-            Arc::new(atomic::AtomicIndexMaintainer::new(IndexType::Count)),
-        );
-        builtin.insert(
-            "count_updates",
-            Arc::new(atomic::AtomicIndexMaintainer::new(IndexType::CountUpdates)),
-        );
-        builtin.insert(
-            "count_non_null",
-            Arc::new(atomic::AtomicIndexMaintainer::new(IndexType::CountNonNull)),
-        );
-        builtin.insert(
-            "sum",
-            Arc::new(atomic::AtomicIndexMaintainer::new(IndexType::Sum)),
-        );
-        builtin.insert(
-            "max_ever",
-            Arc::new(atomic::AtomicIndexMaintainer::new(IndexType::MaxEver)),
-        );
-        builtin.insert(
-            "min_ever",
-            Arc::new(atomic::AtomicIndexMaintainer::new(IndexType::MinEver)),
-        );
-        builtin.insert("version", Arc::new(version::VersionIndexMaintainer));
-        builtin.insert("rank", Arc::new(rank::RankIndexMaintainer));
-        builtin.insert("text", Arc::new(text::TextIndexMaintainer));
-        IndexRegistry {
-            builtin,
-            custom: BTreeMap::new(),
-        }
-    }
-}
-
-impl IndexRegistry {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The registry of built-in maintainers, built once per process: what
-    /// a store opened without a registry of its own shares.
-    pub fn shared_default() -> Arc<IndexRegistry> {
-        static DEFAULT: OnceLock<Arc<IndexRegistry>> = OnceLock::new();
-        DEFAULT
-            .get_or_init(|| Arc::new(IndexRegistry::default()))
-            .clone()
-    }
-
-    /// Register a client-defined maintainer under a custom type name.
-    pub fn register_custom(
-        &mut self,
-        name: impl Into<String>,
-        maintainer: Arc<dyn IndexMaintainer>,
-    ) {
-        self.custom.insert(name.into(), maintainer);
-    }
-
-    /// Resolve the maintainer for an index definition.
-    pub fn maintainer(&self, index: &Index) -> Result<Arc<dyn IndexMaintainer>> {
-        if index.index_type == IndexType::Custom {
-            return self
-                .custom
-                .get(&index.options.custom_type)
-                .cloned()
-                .ok_or_else(|| {
-                    Error::MetaData(format!(
-                        "no registered maintainer for custom index type {:?}",
-                        index.options.custom_type
-                    ))
-                });
-        }
-        self.builtin
-            .get(type_key(index.index_type))
-            .cloned()
-            .ok_or_else(|| Error::MetaData(format!("no maintainer for {:?}", index.index_type)))
-    }
 }
 
 #[cfg(test)]
@@ -385,30 +270,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_resolves_builtins() {
-        let reg = IndexRegistry::new();
-        for t in [
-            IndexType::Value,
-            IndexType::Count,
-            IndexType::Sum,
-            IndexType::Version,
-            IndexType::Rank,
-            IndexType::Text,
-        ] {
-            let idx = Index::new("i", t, KeyExpression::field("f").group_by(0));
-            assert!(reg.maintainer(&idx).is_ok(), "missing maintainer for {t:?}");
-        }
-    }
-
-    #[test]
-    fn registry_rejects_unregistered_custom() {
-        let reg = IndexRegistry::new();
-        let mut idx = Index::new("i", IndexType::Custom, KeyExpression::field("f"));
-        idx.options.custom_type = "geo".into();
-        assert!(reg.maintainer(&idx).is_err());
-    }
-
-    #[test]
     fn index_entry_split() {
         // The KeyWithValue boundary splits an evaluated tuple into the
         // entry key's columns (followed by the primary key) and the value.
@@ -424,12 +285,9 @@ mod tests {
         let db = rl_fdb::Database::new();
         let tx = db.create_transaction();
         let indexes = Subspace::from_bytes(b"S".to_vec());
-        let metadata = crate::metadata::RecordMetaDataBuilder::new(Default::default())
-            .build()
-            .unwrap();
         let pk = Tuple::from((7i64,));
         let packed_pk = pk.pack();
-        let ctx = IndexContext::new(&tx, &index, &metadata, &indexes, &packed_pk);
+        let ctx = IndexContext::new(&tx, &index, &indexes, &packed_pk);
         let subspace = indexes.child(3i64);
         assert_eq!(ctx.subspace(), subspace);
         let whole = Tuple::from(("key1",)).concat(&pk);

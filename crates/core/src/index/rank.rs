@@ -34,14 +34,18 @@ use rl_fdb::tuple::Tuple;
 use rl_fdb::{RangeOptions, Transaction};
 
 use crate::error::{Error, Result};
-use crate::index::{evaluate_change, same_entries, IndexContext, IndexMaintainer};
+use crate::index::{evaluate_change, same_entries, IndexContext};
 use crate::store::{RecordStore, StoredRecord, TupleRange};
 
 /// Sampling: an entry is a member of level `l >= 1` with probability
 /// `FAN^-l`, decided by a deterministic hash so inserts and erases agree.
 const FAN: u64 = 8;
 
-pub struct RankIndexMaintainer;
+/// Skip-list levels of every RANK index. A constant, not a per-index
+/// setting: the number of levels fixes which keys an index has, so it fixes
+/// the on-disk layout of every RANK index, and an index written with one
+/// number could not be maintained with another.
+pub(crate) const RANK_LEVELS: usize = 6;
 
 /// A durable ordered set with O(log n) rank/select, usable on its own.
 pub struct RankedSet<'a> {
@@ -347,54 +351,54 @@ impl<'a> RankedSet<'a> {
     }
 }
 
-impl IndexMaintainer for RankIndexMaintainer {
-    fn update(
-        &self,
-        ctx: &IndexContext<'_>,
-        old: Option<&StoredRecord>,
-        new: Option<&StoredRecord>,
-    ) -> Result<i64> {
-        let (old_tuples, new_tuples) = evaluate_change(ctx.index, old, new)?;
-        if same_entries(&old_tuples, &new_tuples) {
-            return Ok(0);
-        }
-        let set = RankedSet::new(ctx.tx, ctx.subspace(), ctx.index.options.rank_levels);
-        // Each entry of a record as a set element: score columns ⧺ pk.
-        let key_columns = ctx.index.key_expression.key_column_count();
-        let elements = |tuples: Vec<Tuple>, record: Option<&StoredRecord>| -> Vec<Tuple> {
-            match record {
-                Some(r) => tuples
-                    .into_iter()
-                    .map(|mut t| {
-                        t.split_off(key_columns);
-                        t.concat(&r.primary_key)
-                    })
-                    .collect(),
-                None => Vec::new(),
-            }
-        };
-        let old_elements = elements(old_tuples, old);
-        let new_elements = elements(new_tuples, new);
-        let gone: Vec<&Tuple> = old_elements
-            .iter()
-            .filter(|e| !new_elements.contains(e))
-            .collect();
-        let came: Vec<&Tuple> = new_elements
-            .iter()
-            .filter(|e| !old_elements.contains(e))
-            .collect();
-        if let ([old], [new]) = (gone.as_slice(), came.as_slice()) {
-            set.replace(old, new)?;
-        } else {
-            for e in &gone {
-                set.erase(e)?;
-            }
-            for e in &came {
-                set.insert(e)?;
-            }
-        }
-        Ok(came.len() as i64 - gone.len() as i64)
+/// Maintains a RANK index: a score change moves one entry with
+/// [`RankedSet::replace`]; any other change erases what left and inserts
+/// what arrived.
+pub(crate) fn update(
+    ctx: &IndexContext<'_>,
+    old: Option<&StoredRecord>,
+    new: Option<&StoredRecord>,
+) -> Result<i64> {
+    let (old_tuples, new_tuples) = evaluate_change(ctx.index, old, new)?;
+    if same_entries(&old_tuples, &new_tuples) {
+        return Ok(0);
     }
+    let set = RankedSet::new(ctx.tx, ctx.subspace(), RANK_LEVELS);
+    // Each entry of a record as a set element: score columns ⧺ pk.
+    let key_columns = ctx.index.key_expression.key_column_count();
+    let elements = |tuples: Vec<Tuple>, record: Option<&StoredRecord>| -> Vec<Tuple> {
+        match record {
+            Some(r) => tuples
+                .into_iter()
+                .map(|mut t| {
+                    t.split_off(key_columns);
+                    t.concat(&r.primary_key)
+                })
+                .collect(),
+            None => Vec::new(),
+        }
+    };
+    let old_elements = elements(old_tuples, old);
+    let new_elements = elements(new_tuples, new);
+    let gone: Vec<&Tuple> = old_elements
+        .iter()
+        .filter(|e| !new_elements.contains(e))
+        .collect();
+    let came: Vec<&Tuple> = new_elements
+        .iter()
+        .filter(|e| !old_elements.contains(e))
+        .collect();
+    if let ([old], [new]) = (gone.as_slice(), came.as_slice()) {
+        set.replace(old, new)?;
+    } else {
+        for e in &gone {
+            set.erase(e)?;
+        }
+        for e in &came {
+            set.insert(e)?;
+        }
+    }
+    Ok(came.len() as i64 - gone.len() as i64)
 }
 
 impl<'a> RecordStore<'a> {
@@ -404,7 +408,7 @@ impl<'a> RecordStore<'a> {
         Ok(RankedSet::new(
             self.transaction(),
             self.index_subspace(index),
-            index.options.rank_levels,
+            RANK_LEVELS,
         ))
     }
 

@@ -3,7 +3,7 @@
 //! Logically the index is an ordered list of maps: token → (primary key →
 //! offsets of the token within the field). Physically, neighbouring
 //! postings are *bunched* so one key-value pair holds up to
-//! `text_bunch_size` primary keys, amortizing the per-key prefix overhead
+//! `TEXT_BUNCH_SIZE` primary keys, amortizing the per-key prefix overhead
 //! (Table 2 quantifies the savings):
 //!
 //! ```text
@@ -24,88 +24,31 @@ use rl_fdb::tuple::{Tuple, TupleElement};
 use rl_fdb::{RangeOptions, Transaction};
 
 use crate::error::{Error, Result};
-use crate::index::{evaluate_index_expr, IndexContext, IndexMaintainer};
+use crate::index::{evaluate_index_expr, IndexContext};
 use crate::query::TextComparison;
 use crate::store::{RecordStore, StoredRecord};
 
-// ------------------------------------------------------------- tokenizers
+/// Postings per key of every TEXT index (Appendix B; Table 2 uses 20). A
+/// constant, not a per-index setting: it decides how postings group into
+/// keys, so it fixes the on-disk layout of every TEXT index.
+pub(crate) const TEXT_BUNCH_SIZE: usize = 20;
 
-/// Splits text into tokens whose list positions are the stored offsets.
-pub trait Tokenizer: Send + Sync {
-    fn name(&self) -> &str;
-    fn tokenize(&self, text: &str) -> Vec<String>;
-}
+// -------------------------------------------------------------- tokenizer
 
-/// Lower-cases and splits on non-alphanumeric characters.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WhitespaceTokenizer;
-
-impl WhitespaceTokenizer {
-    pub fn tokenize(&self, text: &str) -> Vec<String> {
-        text.split(|c: char| !c.is_alphanumeric())
-            .filter(|s| !s.is_empty())
-            .map(str::to_lowercase)
-            .collect()
-    }
-}
-
-impl Tokenizer for WhitespaceTokenizer {
-    fn name(&self) -> &str {
-        "whitespace"
-    }
-
-    fn tokenize(&self, text: &str) -> Vec<String> {
-        WhitespaceTokenizer::tokenize(self, text)
-    }
-}
-
-/// Produces the n-grams of each whitespace token, supporting substring-ish
-/// search with only n key entries per word instead of O(n²) (§8.1).
-#[derive(Debug, Clone, Copy)]
-pub struct NgramTokenizer {
-    pub n: usize,
-}
-
-impl NgramTokenizer {
-    pub fn tokenize(&self, text: &str) -> Vec<String> {
-        let mut out = Vec::new();
-        for word in WhitespaceTokenizer.tokenize(text) {
-            let chars: Vec<char> = word.chars().collect();
-            if chars.len() <= self.n {
-                out.push(word);
-            } else {
-                for w in chars.windows(self.n) {
-                    out.push(w.iter().collect());
-                }
-            }
-        }
-        out
-    }
-}
-
-impl Tokenizer for NgramTokenizer {
-    fn name(&self) -> &str {
-        "ngram"
-    }
-
-    fn tokenize(&self, text: &str) -> Vec<String> {
-        NgramTokenizer::tokenize(self, text)
-    }
-}
-
-fn tokenizer_for(index: &crate::metadata::Index) -> Box<dyn Tokenizer> {
-    match index.options.text_tokenizer.as_str() {
-        "ngram" => Box::new(NgramTokenizer {
-            n: index.options.ngram_size,
-        }),
-        _ => Box::new(WhitespaceTokenizer),
-    }
+/// Splits text on non-alphanumeric characters and lower-cases each token;
+/// a token's position in the list is its stored offset. Index maintenance
+/// and the residual text filter both tokenize with it.
+pub(crate) fn tokenize(text: &str) -> Vec<String> {
+    text.split(|c: char| !c.is_alphanumeric())
+        .filter(|s| !s.is_empty())
+        .map(str::to_lowercase)
+        .collect()
 }
 
 /// Token → offsets for one document.
-pub fn token_positions(tokenizer: &dyn Tokenizer, text: &str) -> BTreeMap<String, Vec<i64>> {
+fn token_positions(text: &str) -> BTreeMap<String, Vec<i64>> {
     let mut map: BTreeMap<String, Vec<i64>> = BTreeMap::new();
-    for (i, tok) in tokenizer.tokenize(text).into_iter().enumerate() {
+    for (i, tok) in tokenize(text).into_iter().enumerate() {
         map.entry(tok).or_default().push(i as i64);
     }
     map
@@ -402,8 +345,6 @@ impl TextIndexStats {
 
 // ------------------------------------------------------------- maintainer
 
-pub struct TextIndexMaintainer;
-
 fn text_of(index: &crate::metadata::Index, record: &StoredRecord) -> Result<Option<String>> {
     let tuples = evaluate_index_expr(index, record)?;
     match tuples.first() {
@@ -419,38 +360,36 @@ fn text_of(index: &crate::metadata::Index, record: &StoredRecord) -> Result<Opti
     }
 }
 
-impl IndexMaintainer for TextIndexMaintainer {
-    fn update(
-        &self,
-        ctx: &IndexContext<'_>,
-        old: Option<&StoredRecord>,
-        new: Option<&StoredRecord>,
-    ) -> Result<i64> {
-        let tokenizer = tokenizer_for(ctx.index);
-        let map = BunchedMap::new(ctx.tx, ctx.subspace(), ctx.index.options.text_bunch_size);
+/// Maintains a TEXT index: removes the old text's postings and inserts
+/// the new text's, unless the text did not change.
+pub(crate) fn update(
+    ctx: &IndexContext<'_>,
+    old: Option<&StoredRecord>,
+    new: Option<&StoredRecord>,
+) -> Result<i64> {
+    let map = BunchedMap::new(ctx.tx, ctx.subspace(), TEXT_BUNCH_SIZE);
 
-        let old_text = old.map(|r| text_of(ctx.index, r)).transpose()?.flatten();
-        let new_text = new.map(|r| text_of(ctx.index, r)).transpose()?.flatten();
-        if old.is_some() && new.is_some() && old_text == new_text {
-            return Ok(0); // unchanged text: no index work (§6 optimization)
-        }
-
-        // Entry count for TEXT = number of (token, record) postings.
-        let mut delta = 0i64;
-        if let (Some(old_rec), Some(text)) = (old, &old_text) {
-            for token in token_positions(tokenizer.as_ref(), text).keys() {
-                map.remove(token, &old_rec.primary_key)?;
-                delta -= 1;
-            }
-        }
-        if let (Some(new_rec), Some(text)) = (new, &new_text) {
-            for (token, offsets) in token_positions(tokenizer.as_ref(), text) {
-                map.insert(&token, &new_rec.primary_key, &offsets)?;
-                delta += 1;
-            }
-        }
-        Ok(delta)
+    let old_text = old.map(|r| text_of(ctx.index, r)).transpose()?.flatten();
+    let new_text = new.map(|r| text_of(ctx.index, r)).transpose()?.flatten();
+    if old.is_some() && new.is_some() && old_text == new_text {
+        return Ok(0); // unchanged text: no index work (§6 optimization)
     }
+
+    // Entry count for TEXT = number of (token, record) postings.
+    let mut delta = 0i64;
+    if let (Some(old_rec), Some(text)) = (old, &old_text) {
+        for token in token_positions(text).keys() {
+            map.remove(token, &old_rec.primary_key)?;
+            delta -= 1;
+        }
+    }
+    if let (Some(new_rec), Some(text)) = (new, &new_text) {
+        for (token, offsets) in token_positions(text) {
+            map.insert(&token, &new_rec.primary_key, &offsets)?;
+            delta += 1;
+        }
+    }
+    Ok(delta)
 }
 
 // ------------------------------------------------------------ search API
@@ -462,7 +401,7 @@ impl<'a> RecordStore<'a> {
         Ok(BunchedMap::new(
             self.transaction(),
             self.index_subspace(index),
-            index.options.text_bunch_size,
+            TEXT_BUNCH_SIZE,
         ))
     }
 
@@ -476,15 +415,11 @@ impl<'a> RecordStore<'a> {
     /// plan's text scan pages by).
     pub fn text_search(&self, index_name: &str, cmp: &TextComparison) -> Result<Vec<Tuple>> {
         let map = self.text_index_map(index_name)?;
-        match cmp {
+        match &cmp.normalized() {
             TextComparison::ContainsAny(tokens) => {
                 let mut pks = BTreeSet::new();
                 for token in tokens {
-                    pks.extend(
-                        map.scan_token(&token.to_lowercase())?
-                            .into_iter()
-                            .map(|(pk, _)| pk),
-                    );
+                    pks.extend(map.scan_token(token)?.into_iter().map(|(pk, _)| pk));
                 }
                 Ok(pks.into_iter().collect())
             }
@@ -493,7 +428,7 @@ impl<'a> RecordStore<'a> {
                 .map(|(pk, _)| pk)
                 .collect()),
             TextComparison::ContainsPrefix(prefix) => Ok(map
-                .scan_prefix(&prefix.to_lowercase())?
+                .scan_prefix(prefix)?
                 .into_iter()
                 .map(|(_, (pk, _))| pk)
                 .collect::<BTreeSet<_>>()
@@ -547,13 +482,12 @@ fn intersect_postings(
         return Ok(Vec::new());
     }
     let mut acc: BTreeMap<Tuple, Vec<Vec<i64>>> = map
-        .scan_token(&tokens[0].to_lowercase())?
+        .scan_token(&tokens[0])?
         .into_iter()
         .map(|(pk, offs)| (pk, vec![offs]))
         .collect();
     for token in &tokens[1..] {
-        let postings: BTreeMap<Tuple, Vec<i64>> =
-            map.scan_token(&token.to_lowercase())?.into_iter().collect();
+        let postings: BTreeMap<Tuple, Vec<i64>> = map.scan_token(token)?.into_iter().collect();
         acc.retain(|pk, _| postings.contains_key(pk));
         for (pk, lists) in acc.iter_mut() {
             lists.push(postings[pk].clone());
@@ -569,21 +503,13 @@ mod tests {
 
     #[test]
     fn whitespace_tokenizer_normalizes() {
-        let toks = WhitespaceTokenizer.tokenize("Call me Ishmael. Some years—ago");
+        let toks = tokenize("Call me Ishmael. Some years—ago");
         assert_eq!(toks, vec!["call", "me", "ishmael", "some", "years", "ago"]);
     }
 
     #[test]
-    fn ngram_tokenizer_windows() {
-        let toks = NgramTokenizer { n: 3 }.tokenize("whale");
-        assert_eq!(toks, vec!["wha", "hal", "ale"]);
-        // Short words survive whole.
-        assert_eq!(NgramTokenizer { n: 3 }.tokenize("ox"), vec!["ox"]);
-    }
-
-    #[test]
     fn token_positions_collects_offsets() {
-        let map = token_positions(&WhitespaceTokenizer, "to be or not to be");
+        let map = token_positions("to be or not to be");
         assert_eq!(map["to"], vec![0, 4]);
         assert_eq!(map["be"], vec![1, 5]);
         assert_eq!(map["or"], vec![2]);

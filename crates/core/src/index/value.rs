@@ -6,21 +6,9 @@ use std::cmp::Ordering;
 use rl_fdb::RangeOptions;
 
 use crate::error::{Error, Result};
-use crate::index::{entry_value, evaluate_change, same_entries, IndexContext, IndexMaintainer};
+use crate::index::{entry_value, evaluate_change, same_entries, IndexContext};
 use crate::store::StoredRecord;
 use rl_fdb::tuple::Tuple;
-
-/// Maintains VALUE indexes by diffing old and new entry sets, so unchanged
-/// entries are untouched — the §6 optimization ("if an existing record and
-/// a new record are of the same type and some of the indexed fields are the
-/// same, the unchanged indexes are not updated").
-///
-/// Equal evaluations return before anything is packed. Otherwise each
-/// entry is packed once, as `(key, value)` bytes, and the two sorted sets
-/// are walked together: an entry only the old record has is cleared, one
-/// only the new record has is set, and every key moves into the
-/// transaction.
-pub struct ValueIndexMaintainer;
 
 /// A record's entries: `(key, value)` packed, sorted, without duplicates
 /// (a fan-out that repeats an element yields its entry once).
@@ -38,79 +26,84 @@ fn entries(ctx: &IndexContext<'_>, tuples: &[Tuple]) -> Vec<(Vec<u8>, Vec<u8>)> 
     entries
 }
 
-impl ValueIndexMaintainer {
-    /// Refuse `key` if a unique index maps its key columns to a record
-    /// other than this one: scan the prefix for a foreign primary key.
-    fn check_unique(ctx: &IndexContext<'_>, key: &[u8]) -> Result<()> {
-        let columns = &key[..key.len() - ctx.primary_key.len()];
-        let bound = |last: u8| [columns, &[last]].concat();
-        let existing =
-            ctx.tx
-                .get_range(&bound(0x00), &bound(0xFF), RangeOptions::new().limit(2))?;
-        if existing
-            .iter()
-            .any(|kv| kv.key[columns.len()..] != *ctx.primary_key)
-        {
-            return Err(Error::UniquenessViolation {
-                index: ctx.index.name.clone(),
-            });
-        }
-        Ok(())
+/// Refuse `key` if a unique index maps its key columns to a record other
+/// than this one: scan the prefix for a foreign primary key.
+fn check_unique(ctx: &IndexContext<'_>, key: &[u8]) -> Result<()> {
+    let columns = &key[..key.len() - ctx.primary_key.len()];
+    let bound = |last: u8| [columns, &[last]].concat();
+    let existing = ctx
+        .tx
+        .get_range(&bound(0x00), &bound(0xFF), RangeOptions::new().limit(2))?;
+    if existing
+        .iter()
+        .any(|kv| kv.key[columns.len()..] != *ctx.primary_key)
+    {
+        return Err(Error::UniquenessViolation {
+            index: ctx.index.name.clone(),
+        });
     }
+    Ok(())
 }
 
-impl IndexMaintainer for ValueIndexMaintainer {
-    fn update(
-        &self,
-        ctx: &IndexContext<'_>,
-        old: Option<&StoredRecord>,
-        new: Option<&StoredRecord>,
-    ) -> Result<i64> {
-        let (old, new) = evaluate_change(ctx.index, old, new)?;
-        if same_entries(&old, &new) {
-            return Ok(0);
-        }
-        let mut old = entries(ctx, &old).into_iter().peekable();
-        let mut new = entries(ctx, &new).into_iter().peekable();
-        let mut delta = 0i64;
-        loop {
-            // By key; of two entries of one key whose values differ, the
-            // old one goes first, so its clear precedes the new one's set.
-            let order = match (old.peek(), new.peek()) {
-                (None, None) => break,
-                (Some(_), None) => Ordering::Less,
-                (None, Some(_)) => Ordering::Greater,
-                (Some((old_key, old_value)), Some((new_key, new_value))) => {
-                    match old_key.cmp(new_key) {
-                        Ordering::Equal if old_value != new_value => Ordering::Less,
-                        order => order,
-                    }
+/// Maintains a VALUE index by diffing old and new entry sets, so unchanged
+/// entries are untouched — the §6 optimization ("if an existing record and
+/// a new record are of the same type and some of the indexed fields are the
+/// same, the unchanged indexes are not updated").
+///
+/// Equal evaluations return before anything is packed. Otherwise each
+/// entry is packed once, as `(key, value)` bytes, and the two sorted sets
+/// are walked together: an entry only the old record has is cleared, one
+/// only the new record has is set, and every key moves into the
+/// transaction.
+pub(crate) fn update(
+    ctx: &IndexContext<'_>,
+    old: Option<&StoredRecord>,
+    new: Option<&StoredRecord>,
+) -> Result<i64> {
+    let (old, new) = evaluate_change(ctx.index, old, new)?;
+    if same_entries(&old, &new) {
+        return Ok(0);
+    }
+    let mut old = entries(ctx, &old).into_iter().peekable();
+    let mut new = entries(ctx, &new).into_iter().peekable();
+    let mut delta = 0i64;
+    loop {
+        // By key; of two entries of one key whose values differ, the
+        // old one goes first, so its clear precedes the new one's set.
+        let order = match (old.peek(), new.peek()) {
+            (None, None) => break,
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (Some((old_key, old_value)), Some((new_key, new_value))) => {
+                match old_key.cmp(new_key) {
+                    Ordering::Equal if old_value != new_value => Ordering::Less,
+                    order => order,
                 }
-            };
-            match order {
-                Ordering::Equal => {
-                    old.next();
-                    new.next();
+            }
+        };
+        match order {
+            Ordering::Equal => {
+                old.next();
+                new.next();
+            }
+            Ordering::Less => {
+                if let Some((key, _)) = old.next() {
+                    ctx.tx.clear_owned(key);
+                    delta -= 1;
                 }
-                Ordering::Less => {
-                    if let Some((key, _)) = old.next() {
-                        ctx.tx.clear_owned(key);
-                        delta -= 1;
+            }
+            Ordering::Greater => {
+                if let Some((key, value)) = new.next() {
+                    if ctx.index.unique {
+                        check_unique(ctx, &key)?;
                     }
-                }
-                Ordering::Greater => {
-                    if let Some((key, value)) = new.next() {
-                        if ctx.index.options.unique {
-                            Self::check_unique(ctx, &key)?;
-                        }
-                        ctx.tx.try_set_owned(key, value)?;
-                        delta += 1;
-                    }
+                    ctx.tx.try_set_owned(key, value)?;
+                    delta += 1;
                 }
             }
         }
-        Ok(delta)
     }
+    Ok(delta)
 }
 
 #[cfg(test)]

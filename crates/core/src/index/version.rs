@@ -12,50 +12,45 @@
 use rl_fdb::atomic::MutationType;
 
 use crate::error::Result;
-use crate::index::{entry_value, evaluate_change, IndexContext, IndexMaintainer};
+use crate::index::{entry_value, evaluate_change, IndexContext};
 use crate::store::StoredRecord;
 
 /// Rewrites every entry on every change: the new record's version differs
 /// from the old one's, so no entry is shared. Each key is packed once.
-pub struct VersionIndexMaintainer;
-
-impl IndexMaintainer for VersionIndexMaintainer {
-    fn update(
-        &self,
-        ctx: &IndexContext<'_>,
-        old: Option<&StoredRecord>,
-        new: Option<&StoredRecord>,
-    ) -> Result<i64> {
-        let (old, new) = evaluate_change(ctx.index, old, new)?;
-        let key_columns = ctx.index.key_expression.key_column_count();
-        let mut delta = 0i64;
-        for tuple in &old {
-            // A record saved earlier in this transaction has an incomplete
-            // version (see the module doc).
-            let (key, _) = tuple.elements().split_at(key_columns.min(tuple.len()));
-            match ctx.stamped_entry_key(key) {
-                (key, Some(_)) => {
-                    ctx.tx.remove_versionstamped_key(&key);
-                }
-                (key, None) => ctx.tx.clear_owned(key),
+pub(crate) fn update(
+    ctx: &IndexContext<'_>,
+    old: Option<&StoredRecord>,
+    new: Option<&StoredRecord>,
+) -> Result<i64> {
+    let (old, new) = evaluate_change(ctx.index, old, new)?;
+    let key_columns = ctx.index.key_expression.key_column_count();
+    let mut delta = 0i64;
+    for tuple in &old {
+        // A record saved earlier in this transaction has an incomplete
+        // version (see the module doc).
+        let (key, _) = tuple.elements().split_at(key_columns.min(tuple.len()));
+        match ctx.stamped_entry_key(key) {
+            (key, Some(_)) => {
+                ctx.tx.remove_versionstamped_key(&key);
             }
-            delta -= 1;
+            (key, None) => ctx.tx.clear_owned(key),
         }
-        for tuple in &new {
-            let (key, value) = tuple.elements().split_at(key_columns.min(tuple.len()));
-            let value = entry_value(value);
-            match ctx.stamped_entry_key(key) {
-                (mut operand, Some(offset)) => {
-                    operand.extend_from_slice(&(offset as u32).to_le_bytes());
-                    ctx.tx
-                        .mutate_owned(MutationType::SetVersionstampedKey, operand, value)?;
-                }
-                (key, None) => ctx.tx.try_set_owned(key, value)?,
-            }
-            delta += 1;
-        }
-        Ok(delta)
+        delta -= 1;
     }
+    for tuple in &new {
+        let (key, value) = tuple.elements().split_at(key_columns.min(tuple.len()));
+        let value = entry_value(value);
+        match ctx.stamped_entry_key(key) {
+            (mut operand, Some(offset)) => {
+                operand.extend_from_slice(&(offset as u32).to_le_bytes());
+                ctx.tx
+                    .mutate_owned(MutationType::SetVersionstampedKey, operand, value)?;
+            }
+            (key, None) => ctx.tx.try_set_owned(key, value)?,
+        }
+        delta += 1;
+    }
+    Ok(delta)
 }
 
 #[cfg(test)]

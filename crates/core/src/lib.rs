@@ -16,7 +16,7 @@
 //! * [`store`] — the record store abstraction (§4): one contiguous
 //!   subspace holding records (split across keys when large), indexes,
 //!   per-record commit versions, and the store header.
-//! * [`index`] — index maintainers (§6–7): VALUE, the atomic-mutation
+//! * [`index`] — index maintenance (§6–7): VALUE, the atomic-mutation
 //!   family (COUNT, COUNT_UPDATES, COUNT_NON_NULL, SUM, MIN_EVER,
 //!   MAX_EVER), VERSION, RANK (a durable skip list), and TEXT (a bunched
 //!   inverted index), plus the online index builder.

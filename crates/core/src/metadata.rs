@@ -29,8 +29,8 @@ use crate::error::{Error, Result};
 use crate::expr::KeyExpression;
 use crate::query::QueryComponent;
 
-/// The index types the layer supports natively (§7). Clients can register
-/// custom maintainers through [`crate::index::IndexRegistry`].
+/// The index types of the layer (§7). Each has its own maintenance fn, and
+/// [`crate::index`] dispatches on this type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IndexType {
     /// Standard mapping from field value(s) to primary key.
@@ -53,8 +53,6 @@ pub enum IndexType {
     Rank,
     /// Full-text inverted index with bunched postings (Appendix B).
     Text,
-    /// A client-registered index type, dispatched by name.
-    Custom,
 }
 
 impl IndexType {
@@ -69,37 +67,6 @@ impl IndexType {
                 | IndexType::MaxEver
                 | IndexType::MinEver
         )
-    }
-}
-
-/// Options modifying index behaviour.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IndexOptions {
-    /// Reject writes that would create two entries with the same index key
-    /// (VALUE indexes only).
-    pub unique: bool,
-    /// Tokenizer name for TEXT indexes ("whitespace" or "ngram").
-    pub text_tokenizer: String,
-    /// N-gram size when the tokenizer is "ngram".
-    pub ngram_size: usize,
-    /// Maximum bunch size for TEXT postings (Appendix B; Table 2 uses 20).
-    pub text_bunch_size: usize,
-    /// Number of skip-list levels for RANK indexes.
-    pub rank_levels: usize,
-    /// Custom index type name (when `index_type == Custom`).
-    pub custom_type: String,
-}
-
-impl Default for IndexOptions {
-    fn default() -> Self {
-        IndexOptions {
-            unique: false,
-            text_tokenizer: "whitespace".into(),
-            ngram_size: 3,
-            text_bunch_size: 20,
-            rank_levels: 6,
-            custom_type: String::new(),
-        }
     }
 }
 
@@ -124,7 +91,9 @@ pub struct Index {
     /// [`RecordMetaDataBuilder`] from its counter when the index is added;
     /// 0 until then. Read it with [`Index::subspace_key`].
     pub(crate) subspace_key: i64,
-    pub options: IndexOptions,
+    /// Reject writes that would create two entries with the same index key
+    /// (VALUE indexes only).
+    pub unique: bool,
 }
 
 impl Index {
@@ -141,7 +110,7 @@ impl Index {
             filter: None,
             added_version: 0,
             subspace_key: 0,
-            options: IndexOptions::default(),
+            unique: false,
         }
     }
 
@@ -216,17 +185,12 @@ impl Index {
     }
 
     pub fn with_unique(mut self) -> Self {
-        self.options.unique = true;
+        self.unique = true;
         self
     }
 
     pub fn with_filter(mut self, filter: QueryComponent) -> Self {
         self.filter = Some(filter);
-        self
-    }
-
-    pub fn with_options(mut self, options: IndexOptions) -> Self {
-        self.options = options;
         self
     }
 
@@ -516,19 +480,6 @@ impl RecordMetaDataBuilder {
                     index.name
                 )));
             }
-            let options = &index.options;
-            if index.index_type == IndexType::Rank && options.rank_levels < 2 {
-                return Err(Error::MetaData(format!(
-                    "RANK index {} needs rank_levels >= 2, not {}",
-                    index.name, options.rank_levels
-                )));
-            }
-            if index.index_type == IndexType::Text && options.text_bunch_size == 0 {
-                return Err(Error::MetaData(format!(
-                    "TEXT index {} needs text_bunch_size >= 1",
-                    index.name
-                )));
-            }
         }
         let mut names_by_key: Vec<(i64, String)> = self
             .indexes
@@ -675,69 +626,6 @@ mod tests {
             )
             .build();
         assert!(ok.is_ok());
-    }
-
-    fn with_index(index: Index) -> Result<RecordMetaData> {
-        RecordMetaDataBuilder::new(pool())
-            .record_type("User", KeyExpression::field("id"))
-            .index("User", index)
-            .build()
-    }
-
-    #[test]
-    fn rank_index_needs_two_levels() {
-        let rank = |levels| {
-            Index::rank("by_score", KeyExpression::field("score")).with_options(IndexOptions {
-                rank_levels: levels,
-                ..IndexOptions::default()
-            })
-        };
-        for levels in [0, 1] {
-            let err = with_index(rank(levels)).unwrap_err();
-            assert!(
-                matches!(&err, Error::MetaData(m) if m.contains("by_score") && m.contains("rank_levels")),
-                "{err:?}"
-            );
-        }
-        // The minimum builds, and a save maintains it.
-        let md = with_index(rank(2)).unwrap();
-        let db = rl_fdb::Database::new();
-        crate::run(&db, |tx| {
-            let store = crate::store::RecordStore::open_or_create(
-                tx,
-                &rl_fdb::Subspace::from_bytes(b"md".to_vec()),
-                &md,
-            )?;
-            for id in 0..20i64 {
-                let mut user = store.new_record("User")?;
-                user.set("id", id).unwrap();
-                user.set("score", id % 7).unwrap();
-                store.save_record(user)?;
-            }
-            assert_eq!(store.rank_count("by_score")?, 20);
-            Ok(())
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn text_index_needs_a_positive_bunch_size() {
-        let text =
-            Index::text("by_name", KeyExpression::field("name")).with_options(IndexOptions {
-                text_bunch_size: 0,
-                ..IndexOptions::default()
-            });
-        let err = with_index(text).unwrap_err();
-        assert!(
-            matches!(&err, Error::MetaData(m) if m.contains("by_name") && m.contains("text_bunch_size")),
-            "{err:?}"
-        );
-        let text =
-            Index::text("by_name", KeyExpression::field("name")).with_options(IndexOptions {
-                text_bunch_size: 1,
-                ..IndexOptions::default()
-            });
-        assert!(with_index(text).is_ok());
     }
 
     #[test]

@@ -9,7 +9,8 @@ use rl_message::{DynamicMessage, Value};
 use crate::error::{Error, Result};
 use crate::expr::value_to_element;
 
-/// Full-text comparisons served by TEXT indexes (Appendix B).
+/// Full-text comparisons served by TEXT indexes (Appendix B). Tokens match
+/// whatever their case, and a comparison with no tokens matches no record.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TextComparison {
     /// All of the tokens appear in the field.
@@ -25,6 +26,28 @@ pub enum TextComparison {
         tokens: Vec<String>,
         max_distance: usize,
     },
+}
+
+impl TextComparison {
+    /// The comparison with its tokens as the tokenizer stores them
+    /// (lower-cased). A TEXT index scan and the residual filter both
+    /// match with it, so a query's case means the same on either path.
+    pub(crate) fn normalized(&self) -> TextComparison {
+        let lower = |tokens: &[String]| tokens.iter().map(|t| t.to_lowercase()).collect();
+        match self {
+            TextComparison::ContainsAll(ts) => TextComparison::ContainsAll(lower(ts)),
+            TextComparison::ContainsAny(ts) => TextComparison::ContainsAny(lower(ts)),
+            TextComparison::ContainsPrefix(p) => TextComparison::ContainsPrefix(p.to_lowercase()),
+            TextComparison::ContainsPhrase(ts) => TextComparison::ContainsPhrase(lower(ts)),
+            TextComparison::ContainsAllWithin {
+                tokens,
+                max_distance,
+            } => TextComparison::ContainsAllWithin {
+                tokens: lower(tokens),
+                max_distance: *max_distance,
+            },
+        }
+    }
 }
 
 /// A scalar comparison against a field value.
@@ -87,16 +110,13 @@ impl Comparison {
 /// Token-level text matching, used for residual filtering; TEXT index scans
 /// implement the same semantics over postings.
 fn eval_text(cmp: &TextComparison, text: &str) -> bool {
-    let tokens: Vec<String> = crate::index::text::WhitespaceTokenizer.tokenize(text);
-    match cmp {
-        TextComparison::ContainsAll(ts) => ts.iter().all(|t| tokens.contains(t)),
+    let tokens = crate::index::text::tokenize(text);
+    match &cmp.normalized() {
+        TextComparison::ContainsAll(ts) => !ts.is_empty() && ts.iter().all(|t| tokens.contains(t)),
         TextComparison::ContainsAny(ts) => ts.iter().any(|t| tokens.contains(t)),
         TextComparison::ContainsPrefix(p) => tokens.iter().any(|t| t.starts_with(p.as_str())),
         TextComparison::ContainsPhrase(ts) => {
-            if ts.is_empty() {
-                return true;
-            }
-            tokens.windows(ts.len()).any(|w| w == ts.as_slice())
+            !ts.is_empty() && tokens.windows(ts.len()).any(|w| w == ts.as_slice())
         }
         TextComparison::ContainsAllWithin {
             tokens: ts,
@@ -113,7 +133,7 @@ fn eval_text(cmp: &TextComparison, text: &str) -> bool {
                         .collect()
                 })
                 .collect();
-            if positions.iter().any(Vec::is_empty) {
+            if positions.is_empty() || positions.iter().any(Vec::is_empty) {
                 return false;
             }
             // Any combination within the window; brute force over the first
@@ -580,6 +600,19 @@ mod tests {
         ])));
         assert!(eval(TextComparison::ContainsAllWithin {
             tokens: vec!["hello".into(), "world".into()],
+            max_distance: 1
+        }));
+        // Query tokens match whatever their case, as a TEXT index scan's do.
+        assert!(eval(TextComparison::ContainsPhrase(vec![
+            "Hello".into(),
+            "WORLD".into()
+        ])));
+        assert!(eval(TextComparison::ContainsPrefix("Wor".into())));
+        // No tokens match nothing, as they do in a TEXT index scan.
+        assert!(!eval(TextComparison::ContainsAll(Vec::new())));
+        assert!(!eval(TextComparison::ContainsPhrase(Vec::new())));
+        assert!(!eval(TextComparison::ContainsAllWithin {
+            tokens: Vec::new(),
             max_distance: 1
         }));
     }

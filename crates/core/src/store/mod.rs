@@ -46,7 +46,7 @@ use rl_fdb::tuple::Tuple;
 use rl_fdb::Transaction;
 
 use crate::error::Result;
-use crate::index::{IndexContext, IndexRegistry};
+use crate::index::{self, IndexContext};
 use crate::metadata::{Index, RecordMetaData};
 use crate::serialize::{PlainSerializer, RecordSerializer};
 
@@ -76,11 +76,10 @@ pub const FORMAT_VERSION: i64 = 2;
 /// below FoundationDB's 100 kB value limit.
 pub const DEFAULT_SPLIT_SIZE: usize = 90_000;
 
-/// Builder for opening a [`RecordStore`] with non-default serializer,
-/// registry, or split size.
+/// Builder for opening a [`RecordStore`] with a non-default serializer or
+/// split size.
 pub struct RecordStoreBuilder {
     serializer: Arc<dyn RecordSerializer>,
-    registry: Arc<IndexRegistry>,
     split_size: usize,
 }
 
@@ -88,7 +87,6 @@ impl Default for RecordStoreBuilder {
     fn default() -> Self {
         RecordStoreBuilder {
             serializer: Arc::new(PlainSerializer),
-            registry: IndexRegistry::shared_default(),
             split_size: DEFAULT_SPLIT_SIZE,
         }
     }
@@ -101,11 +99,6 @@ impl RecordStoreBuilder {
 
     pub fn serializer(mut self, s: Arc<dyn RecordSerializer>) -> Self {
         self.serializer = s;
-        self
-    }
-
-    pub fn registry(mut self, r: Arc<IndexRegistry>) -> Self {
-        self.registry = r;
         self
     }
 
@@ -153,7 +146,6 @@ impl RecordStoreBuilder {
             state: Rc::new(RefCell::new(state)),
             metadata,
             serializer: self.serializer,
-            registry: self.registry,
             split_size: self.split_size,
         };
         store.check_version()?;
@@ -182,7 +174,6 @@ pub struct RecordStore<'a> {
     state: Rc<RefCell<Arc<StoreState>>>,
     metadata: &'a RecordMetaData,
     serializer: Arc<dyn RecordSerializer>,
-    registry: Arc<IndexRegistry>,
     split_size: usize,
 }
 
@@ -208,10 +199,6 @@ impl<'a> RecordStore<'a> {
         &self.subspace
     }
 
-    pub fn registry(&self) -> &IndexRegistry {
-        &self.registry
-    }
-
     /// The subspace dedicated to one index, `S(2, k)`.
     pub fn index_subspace(&self, index: &Index) -> Subspace {
         self.indexes.child(index.subspace_key)
@@ -228,7 +215,7 @@ impl<'a> RecordStore<'a> {
 
     // ----------------------------------------------------------- indexing
 
-    /// Run every applicable maintainer for a change of the record with
+    /// Maintain every applicable index for a change of the record with
     /// packed primary key `packed_pk`.
     fn update_indexes(
         &self,
@@ -236,7 +223,7 @@ impl<'a> RecordStore<'a> {
         new: Option<&StoredRecord>,
         packed_pk: &[u8],
     ) -> Result<()> {
-        // Borrowed across the maintainers: they see the transaction and
+        // Borrowed across the index updates: they see the transaction and
         // the index's subspace, never this handle.
         let state = self.state.borrow();
         for index in self.metadata.indexes() {
@@ -248,25 +235,19 @@ impl<'a> RecordStore<'a> {
             if old_in.is_none() && new_in.is_none() {
                 continue;
             }
-            let ctx = IndexContext::new(self.tx, index, self.metadata, &self.indexes, packed_pk);
-            let delta = self
-                .registry
-                .maintainer(index)?
-                .update(&ctx, old_in, new_in)?;
+            let ctx = IndexContext::new(self.tx, index, &self.indexes, packed_pk);
+            let delta = index::update(&ctx, old_in, new_in)?;
             self.bump_stat(|| self.index_entry_count_key(index.subspace_key), delta)?;
         }
         Ok(())
     }
 
-    /// Re-apply one index's maintainer for a single record (used by the
+    /// Re-apply one index's maintenance for a single record (used by the
     /// online index builder).
     pub fn update_one_index(&self, index: &Index, record: &StoredRecord) -> Result<()> {
         let packed_pk = record.primary_key.pack();
-        let ctx = IndexContext::new(self.tx, index, self.metadata, &self.indexes, &packed_pk);
-        let delta = self
-            .registry
-            .maintainer(index)?
-            .update(&ctx, None, Some(record))?;
+        let ctx = IndexContext::new(self.tx, index, &self.indexes, &packed_pk);
+        let delta = index::update(&ctx, None, Some(record))?;
         self.bump_stat(|| self.index_entry_count_key(index.subspace_key), delta)
     }
 

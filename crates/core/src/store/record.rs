@@ -61,12 +61,10 @@ impl RecordStore<'_> {
     /// message is encoded straight into its `(type, wire)` envelope, which
     /// the serializer takes by value. Every index evaluates the old and
     /// the new record once, and an index whose entries did not change
-    /// writes nothing and builds no key (see [`IndexMaintainer`]), nor does
+    /// writes nothing and builds no key (see `index::update`), nor does
     /// its entry-count statistic when its delta is zero. A changed entry's
     /// key is packed into one buffer of its final size.
     /// `tests/save_allocations.rs` holds the count.
-    ///
-    /// [`IndexMaintainer`]: crate::index::IndexMaintainer
     pub fn save_record(&self, message: DynamicMessage) -> Result<StoredRecord> {
         let primary_key = self.primary_key_of(&message)?;
         let packed_pk = primary_key.pack();

@@ -66,12 +66,6 @@ impl Subspace {
         out
     }
 
-    /// Pack a tuple containing one incomplete versionstamp, returning the
-    /// complete `SET_VERSIONSTAMPED_KEY` operand.
-    pub fn pack_versionstamp_operand(&self, tuple: &Tuple) -> Result<Vec<u8>> {
-        tuple.pack_versionstamp_operand(&self.prefix)
-    }
-
     /// Recover the tuple from a key in this subspace.
     pub fn unpack(&self, key: &[u8]) -> Result<Tuple> {
         Tuple::unpack(self.reader(key)?.remaining())

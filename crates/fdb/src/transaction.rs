@@ -812,14 +812,6 @@ impl Transaction {
             ],
         });
     }
-
-    /// Discard all buffered writes (the transaction can't be reused; create
-    /// a new one from the database).
-    pub fn cancel(&self) {
-        let mut st = lock_ranked(&self.state, LockRank::TransactionState);
-        st.writes = WriteSet::default();
-        st.committed = true;
-    }
 }
 
 impl Drop for Transaction {
@@ -1201,16 +1193,6 @@ mod tests {
             tx.try_set(b"k", &big_val),
             Err(Error::ValueTooLarge { .. })
         ));
-    }
-
-    #[test]
-    fn cancel_discards_writes() {
-        let db = Database::new();
-        let tx = db.create_transaction();
-        tx.set(b"k", b"v");
-        tx.cancel();
-        let tx2 = db.create_transaction();
-        assert_eq!(tx2.get(b"k").unwrap(), None);
     }
 
     #[test]

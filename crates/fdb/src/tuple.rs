@@ -289,14 +289,6 @@ impl Tuple {
         Ok((out, offset))
     }
 
-    /// Build the complete `SET_VERSIONSTAMPED_KEY` operand (packed bytes
-    /// plus the trailing 4-byte little-endian placeholder offset).
-    pub fn pack_versionstamp_operand(&self, prefix: &[u8]) -> Result<Vec<u8>> {
-        let (mut bytes, offset) = self.pack_with_versionstamp(prefix)?;
-        bytes.extend_from_slice(&(offset as u32).to_le_bytes());
-        Ok(bytes)
-    }
-
     /// Decode a packed tuple: every element [`TupleReader`] yields, owned.
     pub fn unpack(bytes: &[u8]) -> Result<Tuple> {
         let elements = TupleReader::new(bytes)

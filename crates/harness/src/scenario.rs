@@ -5,7 +5,7 @@
 use crate::json::Json;
 use crate::sampler::{OpKind, OpMix};
 use record_layer::expr::KeyExpression;
-use record_layer::metadata::{Index, IndexOptions, RecordMetaData, RecordMetaDataBuilder};
+use record_layer::metadata::{Index, RecordMetaData, RecordMetaDataBuilder};
 use rl_message::{DescriptorPool, FieldDescriptor, FieldType, MessageDescriptor};
 
 /// Distribution of the opaque `payload` field's size per record.
@@ -212,10 +212,7 @@ impl Scenario {
         if self.indexes.text {
             builder = builder.index(
                 "Item",
-                Index::text("body_text", KeyExpression::field("body")).with_options(IndexOptions {
-                    text_bunch_size: 20,
-                    ..Default::default()
-                }),
+                Index::text("body_text", KeyExpression::field("body")),
             );
         }
         builder.build().expect("scenario metadata must build")

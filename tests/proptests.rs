@@ -9,9 +9,9 @@
 //! * record save/load roundtrips arbitrary field values,
 //! * limited and reverse range reads with buffered writes agree with a
 //!   materialise-then-truncate model, on both storage engines,
-//! * a planned OR or `IN` returns what the filtered full scan returns and
-//!   pages exactly, from every continuation, under scan limits and across
-//!   a delete,
+//! * a planned OR, `IN` or text predicate returns what the filtered full
+//!   scan returns and pages exactly, from every continuation, under scan
+//!   limits and across a delete,
 //! * every atomic aggregate (COUNT, COUNT_UPDATES, COUNT_NON_NULL, SUM,
 //!   MAX_EVER, MIN_EVER) equals a recomputation from a model after random
 //!   saves and deletes, on both storage engines.
@@ -22,6 +22,8 @@
 //! shrinking — a failure reports the property name, case index, and seed,
 //! which is enough to replay it deterministically.
 
+use std::cell::RefCell;
+use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use rl_harness::rng::{Rng, XorShift64};
@@ -31,7 +33,7 @@ use record_layer::expr::KeyExpression;
 use record_layer::index::text::BunchedMap;
 use record_layer::metadata::{Index, RecordMetaData, RecordMetaDataBuilder};
 use record_layer::plan::{BoxedCursorExt, RecordQueryPlan, RecordQueryPlanner};
-use record_layer::query::{Comparison, QueryComponent, RecordQuery};
+use record_layer::query::{Comparison, QueryComponent, RecordQuery, TextComparison};
 use record_layer::store::RecordStore;
 use rl_fdb::atomic::MutationType;
 use rl_fdb::tuple::{ElementRef, Tuple, TupleElement, TupleReader};
@@ -838,9 +840,9 @@ fn range_reads_match_materialise_then_truncate_model() {
 
 // ------------------------------------------- planned OR and IN vs the scan
 
-/// `Doc(id, a, b, n, tags*, u)`, one key per record, with single-column,
-/// compound and fan-out VALUE indexes for the planner to choose from and
-/// no index on `u`.
+/// `Doc(id, a, b, n, tags*, u, body)`, one key per record, with
+/// single-column, compound and fan-out VALUE indexes for the planner to
+/// choose from, a TEXT index on `body` and no index on `u`.
 fn doc_metadata() -> RecordMetaData {
     let mut pool = DescriptorPool::new();
     pool.add_message(
@@ -853,6 +855,7 @@ fn doc_metadata() -> RecordMetaData {
                 FieldDescriptor::optional("n", 4, FieldType::Int64),
                 FieldDescriptor::repeated("tags", 5, FieldType::String),
                 FieldDescriptor::optional("u", 6, FieldType::Int64),
+                FieldDescriptor::optional("body", 7, FieldType::String),
             ],
         )
         .unwrap(),
@@ -871,6 +874,7 @@ fn doc_metadata() -> RecordMetaData {
             "Doc",
             Index::value("by_tag", KeyExpression::field_fanout("tags")),
         )
+        .index("Doc", Index::text("by_body", KeyExpression::field("body")))
         .store_record_versions(false)
         .build()
         .unwrap()
@@ -880,6 +884,56 @@ fn doc_metadata() -> RecordMetaData {
 // no record.
 const DOC_B: [&str; 4] = ["x", "y", "z", "absent"];
 const DOC_TAGS: [&str; 4] = ["t0", "t1", "t2", "absent"];
+const DOC_WORDS: [&str; 5] = ["whale", "white", "sea", "ship", "absent"];
+
+/// `word` with each letter's case drawn at random.
+fn mixed_case(rng: &mut XorShift64, word: &str) -> String {
+    word.chars()
+        .map(|c| match rng.gen_range(0..2u32) {
+            0 => c.to_ascii_uppercase(),
+            _ => c,
+        })
+        .collect()
+}
+
+/// 0–3 mixed-case words of the vocabulary, with replacement.
+fn arb_words(rng: &mut XorShift64) -> Vec<String> {
+    (0..rng.gen_range(0..=3usize))
+        .map(|_| {
+            let word = DOC_WORDS[rng.gen_range(0..DOC_WORDS.len())];
+            mixed_case(rng, word)
+        })
+        .collect()
+}
+
+/// A text predicate on `body` of each kind, its tokens in mixed case (the
+/// stored bodies are mixed case too), and the kind's name.
+fn arb_text(rng: &mut XorShift64) -> (QueryComponent, &'static str) {
+    let (cmp, kind) = match rng.gen_range(0..5u32) {
+        0 => (TextComparison::ContainsAll(arb_words(rng)), "ContainsAll"),
+        1 => (TextComparison::ContainsAny(arb_words(rng)), "ContainsAny"),
+        2 => {
+            let word = DOC_WORDS[rng.gen_range(0..DOC_WORDS.len())];
+            let prefix = &word[..rng.gen_range(0..=word.len())];
+            (
+                TextComparison::ContainsPrefix(mixed_case(rng, prefix)),
+                "ContainsPrefix",
+            )
+        }
+        3 => (
+            TextComparison::ContainsPhrase(arb_words(rng)),
+            "ContainsPhrase",
+        ),
+        _ => (
+            TextComparison::ContainsAllWithin {
+                tokens: arb_words(rng),
+                max_distance: rng.gen_range(0..3usize),
+            },
+            "ContainsAllWithin",
+        ),
+    };
+    (QueryComponent::field("body", Comparison::Text(cmp)), kind)
+}
 
 fn pick(rng: &mut XorShift64, of: &[&str]) -> TupleElement {
     of[rng.gen_range(0..of.len())].into()
@@ -918,8 +972,15 @@ fn arb_unindexed(rng: &mut XorShift64) -> QueryComponent {
     QueryComponent::field("u", Comparison::Equals(rng.gen_range(0..6i64).into()))
 }
 
-fn arb_or_or_in(rng: &mut XorShift64) -> QueryComponent {
-    match rng.gen_range(0..7u32) {
+/// An OR, an `IN` or a text predicate; each text predicate's kind goes
+/// into `kinds`, marked by whether it stood alone or as an OR branch.
+fn arb_or_or_in(rng: &mut XorShift64, kinds: &RefCell<BTreeSet<String>>) -> QueryComponent {
+    let text = |rng: &mut XorShift64, within: &str| {
+        let (text, kind) = arb_text(rng);
+        kinds.borrow_mut().insert(format!("{kind} {within}"));
+        text
+    };
+    match rng.gen_range(0..11u32) {
         0 => QueryComponent::or(
             (0..rng.gen_range(1..=4u32))
                 .map(|_| arb_equality(rng))
@@ -943,6 +1004,10 @@ fn arb_or_or_in(rng: &mut XorShift64) -> QueryComponent {
             QueryComponent::and(vec![arb_equality(rng), arb_unindexed(rng)]),
             QueryComponent::and(vec![arb_equality(rng), arb_unindexed(rng)]),
         ]),
+        // Text predicates, whose tokens match whatever their case.
+        6 | 7 => text(rng, "alone"),
+        8 => QueryComponent::or(vec![text(rng, "in an OR"), text(rng, "in an OR")]),
+        9 => QueryComponent::or(vec![text(rng, "in an OR"), arb_equality(rng)]),
         // One branch that is not primary-key ordered: the unordered union.
         _ => QueryComponent::or(vec![
             arb_equality(rng),
@@ -975,13 +1040,16 @@ fn doc_page(
     .unwrap()
 }
 
-/// What the planner makes of an OR or an `IN` — a merge of equality scans,
-/// the unordered union, one scan, or by cost no index at all — returns the
-/// records the filtered full scan returns, each once, and pages like any
-/// cursor: from every continuation, under any scan limit, across a delete.
+/// What the planner makes of an OR, an `IN` or a text predicate — a merge
+/// of equality and text scans, the unordered union, one scan, or by cost no
+/// index at all — returns the records the filtered full scan returns, each
+/// once, and pages like any cursor: from every continuation, under any scan
+/// limit, across a delete. Every text comparison kind occurs, alone and as
+/// an OR branch.
 #[test]
 fn planned_or_and_in_match_the_filtered_scan() {
-    check("planned_or_and_in_match_the_filtered_scan", 80, |rng| {
+    let kinds = RefCell::new(BTreeSet::new());
+    check("planned_or_and_in_match_the_filtered_scan", 120, |rng| {
         let db = Database::new();
         let md = doc_metadata();
         let sub = Subspace::from_bytes(b"docs".to_vec());
@@ -1000,13 +1068,20 @@ fn planned_or_and_in_match_the_filtered_scan() {
                         doc.push("tags", tag.to_string()).unwrap();
                     }
                 }
+                let body: Vec<String> = (0..rng.gen_range(0..=5usize))
+                    .map(|_| {
+                        let word = DOC_WORDS[rng.gen_range(0..4usize)];
+                        mixed_case(rng, word)
+                    })
+                    .collect();
+                doc.set("body", body.join(" ")).unwrap();
                 store.save_record(doc)?;
             }
             Ok(())
         })
         .unwrap();
 
-        let filter = arb_or_or_in(rng);
+        let filter = arb_or_or_in(rng, &kinds);
         let query = RecordQuery::new().record_type("Doc").filter(filter.clone());
         let plan = RecordQueryPlanner::new(&md).plan(&query).unwrap();
         let scan = RecordQueryPlan::FullScan {
@@ -1094,6 +1169,19 @@ fn planned_or_and_in_match_the_filtered_scan() {
             );
         }
     });
+    let kinds = kinds.into_inner();
+    for kind in [
+        "ContainsAll",
+        "ContainsAny",
+        "ContainsPrefix",
+        "ContainsPhrase",
+        "ContainsAllWithin",
+    ] {
+        for within in ["alone", "in an OR"] {
+            let case = format!("{kind} {within}");
+            assert!(kinds.contains(&case), "no text case {case}: {kinds:?}");
+        }
+    }
 }
 
 // ------------------------------------------- aggregate indexes vs a model
