@@ -275,20 +275,6 @@ impl Tuple {
         pack_elements_into(&self.elements, out);
     }
 
-    /// Pack, returning also the byte offset of the (single) incomplete
-    /// versionstamp — the caller appends the 4-byte little-endian offset to
-    /// form a `SET_VERSIONSTAMPED_KEY` operand.
-    pub fn pack_with_versionstamp(&self, prefix: &[u8]) -> Result<(Vec<u8>, usize)> {
-        let mut out = prefix.to_vec();
-        let mut vs_offset = None;
-        for el in &self.elements {
-            encode_element(el, &mut out, &mut vs_offset);
-        }
-        let offset =
-            vs_offset.ok_or_else(|| Error::Tuple("no incomplete versionstamp in tuple".into()))?;
-        Ok((out, offset))
-    }
-
     /// Decode a packed tuple: every element [`TupleReader`] yields, owned.
     pub fn unpack(bytes: &[u8]) -> Result<Tuple> {
         let elements = TupleReader::new(bytes)
@@ -899,7 +885,9 @@ mod tests {
     #[test]
     fn incomplete_versionstamp_offset() {
         let t = Tuple::new().push("sync").push(Versionstamp::incomplete(3));
-        let (bytes, offset) = t.pack_with_versionstamp(b"PREFIX").unwrap();
+        let mut bytes = b"PREFIX".to_vec();
+        let offset = pack_elements_into(t.elements(), &mut bytes).unwrap();
+        assert_eq!(bytes[6..], t.pack());
         // The placeholder starts at the reported offset.
         assert_eq!(&bytes[offset..offset + 10], &[0xFF; 10]);
         // User version follows the transaction bytes.
@@ -909,7 +897,7 @@ mod tests {
     #[test]
     fn complete_tuple_has_no_versionstamp_offset() {
         let t = Tuple::new().push("a");
-        assert!(t.pack_with_versionstamp(b"").is_err());
+        assert_eq!(pack_elements_into(t.elements(), &mut Vec::new()), None);
     }
 
     #[test]
@@ -955,8 +943,8 @@ mod tests {
         let t = Tuple::from(("k", Versionstamp::incomplete(2), 5i64));
         let mut out = b"pre".to_vec();
         let at = pack_elements_into(t.elements(), &mut out);
-        let (whole, offset) = t.pack_with_versionstamp(b"pre").unwrap();
-        assert_eq!((out, at), (whole, Some(offset)));
+        // "pre", then the string's three bytes and the stamp's type code.
+        assert_eq!((out, at), ([&b"pre"[..], &t.pack()].concat(), Some(7)));
         let mut out = Vec::new();
         pack_str_into("x\x00y", &mut out);
         assert_eq!(out, Tuple::from(("x\x00y",)).pack());

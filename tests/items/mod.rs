@@ -1,8 +1,9 @@
 //! What the allocation-budget tests share: a `#[global_allocator]` that
-//! tallies allocations per thread, and a store of the benchmark's `Item`
-//! records (`benchmark/src/items.rs`): int primary key, a string group, an
-//! int score, 100 payload bytes, record versions on, the VALUE / SUM /
-//! COUNT / VERSION index mix.
+//! tallies, per thread, the allocations made and the heap bytes and blocks
+//! held, and a store of the benchmark's `Item` records
+//! (`benchmark/src/items.rs`): int primary key, a string group, an int
+//! score, 100 payload bytes, record versions on, the VALUE / SUM / COUNT /
+//! VERSION index mix.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -17,24 +18,37 @@ thread_local! {
     /// Allocations made by this thread (`const` init and no destructor, so
     /// the allocator may touch it at any point of a thread's life).
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes and blocks this thread allocated, minus those it freed.
+    static HELD: Cell<(i64, i64)> = const { Cell::new((0, 0)) };
+}
+
+/// Adds `bytes` and `blocks` to this thread's `HELD`.
+fn hold(bytes: i64, blocks: i64) {
+    let _ = HELD.try_with(|held| {
+        let (b, n) = held.get();
+        held.set((b + bytes, n + blocks));
+    });
 }
 
 struct Counting;
 
-// SAFETY: defers every request to `System` unchanged; the tally touches
-// only a destructor-less thread-local integer and never allocates.
+// SAFETY: defers every request to `System` unchanged; the tallies touch
+// only destructor-less thread-local integers and never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        hold(layout.size() as i64, 1);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        hold(-(layout.size() as i64), -1);
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        hold(new_size as i64 - layout.size() as i64, 0);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -47,6 +61,17 @@ pub fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = f();
     (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// The heap bytes and blocks this thread holds once `f` has run, beyond
+/// what it held before: what `f` returns and whatever else it left
+/// allocated. Requested sizes, not the allocator's own overhead.
+#[allow(dead_code)] // one test binary of those sharing this module uses it
+pub fn held_after<T>(f: impl FnOnce() -> T) -> (T, i64, i64) {
+    let (bytes, blocks) = HELD.with(Cell::get);
+    let out = f();
+    let (now_bytes, now_blocks) = HELD.with(Cell::get);
+    (out, now_bytes - bytes, now_blocks - blocks)
 }
 
 pub fn per(count: u64, of: usize) -> f64 {
