@@ -4,7 +4,7 @@
 //! ## Parallel commit pipeline
 //!
 //! The original simulator funnelled every read and commit through one
-//! `Arc<Mutex<Inner>>`. That global lock is now torn into three pieces,
+//! `Arc<Mutex<Inner>>`. That global lock is now torn into two pieces,
 //! each with its own [`LockRank`]:
 //!
 //! * **Conflict shards** (`shards`, [`LockRank::ConflictShard`]) — the
@@ -12,32 +12,32 @@
 //!   shards, keyed on the first two key bytes; `conflict.rs`). A
 //!   committing transaction locks only the shards its conflict ranges
 //!   touch, in ascending shard order, so commits over disjoint key spaces
-//!   validate and apply in parallel.
-//! * **Group-commit batcher** (`batcher`, [`LockRank::CommitBatch`]) —
-//!   concurrent committers that passed validation enqueue their write
-//!   sets; one becomes the *leader*, merges them into one batch sorted by
-//!   key, and applies it with a single version allocation, a single engine
-//!   call and (on the paged engine) a single WAL frame. Followers park on
-//!   a condvar and collect their receipts (`batcher.rs`).
+//!   validate in parallel.
 //! * **Store** (`store`, [`LockRank::DatabaseStore`]) — the storage
 //!   engine behind an `RwLock`, with the version allocation and
-//!   compaction bookkeeping only a batch leader touches. Every engine read
+//!   compaction bookkeeping only a commit touches. Every engine read
 //!   takes `&self`, so MVCC snapshot reads run under the shared lock,
-//!   concurrently with each other, on either engine; a batch leader
-//!   allocates its version and applies under the exclusive lock.
+//!   concurrently with each other, on either engine; a validated commit
+//!   takes the exclusive lock and applies its own write set straight
+//!   through: one version allocation, one sorted engine batch and one
+//!   engine seal — on the paged engine, one WAL frame.
+//!
+//! There is no group commit. In FoundationDB it pays for itself by
+//! amortising the transaction log's fsync across a batch; this engine
+//! never calls `fsync`, and concurrent committers measured a batch of one
+//! nearly always.
 //!
 //! `last_commit_version` and `oldest_version` are additionally published
 //! as atomics (after the store apply, so a GRV can never hand out a
 //! version the store has not materialized), making `getReadVersion`
 //! entirely lock-free. The metadata version ([`crate::state_cache`]) is
-//! published the same way, before `last_commit_version`, by the batch that
-//! carries a write of its key.
+//! published the same way, before `last_commit_version`, by the commit
+//! that writes its key.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-use crate::batcher::{BatchResults, CommitBatcher, CommitReceipt, PendingCommit};
 use crate::conflict::{commit_shard_mask, ConflictShard, WriteConflicts, CONFLICT_SHARDS};
 use crate::error::{Error, Result};
 use crate::metrics::{Metrics, SharedMetrics};
@@ -48,12 +48,12 @@ use crate::transaction::Transaction;
 use crate::write_set::{self, Tally, WriteSet};
 use rl_storage::{MemoryEngine, StorageEngine, Visitor};
 
-/// The storage engine, the version counters only a batch leader touches,
+/// The storage engine, the version counters only a commit touches,
 /// and the engine's cleanup obligation, behind the store `RwLock`.
 #[derive(Debug)]
 struct Store {
     engine: Box<dyn StorageEngine>,
-    /// The newest commit version allocated to a batch.
+    /// The newest commit version allocated.
     last_commit_version: u64,
     /// Commits applied since the last compaction pass.
     commits_since_compaction: u64,
@@ -76,15 +76,13 @@ impl Drop for Store {
 /// Handle to a simulated FoundationDB cluster. Clone freely; all clones
 /// share state. Safe to use from multiple threads: snapshot reads run
 /// under a shared store lock, and commits over disjoint key shards
-/// validate and apply in parallel, batched through a group-commit leader.
+/// validate in parallel.
 #[derive(Clone)]
 pub struct Database {
     /// Recent-writes conflict index, sharded by key prefix.
     shards: Arc<[Mutex<ConflictShard>; CONFLICT_SHARDS]>,
     /// The storage engine (shared reads / exclusive commits).
     store: Arc<RwLock<Store>>,
-    /// Group-commit batcher.
-    batcher: Arc<CommitBatcher>,
     /// Latest commit version the store has materialized (lock-free GRV).
     last_commit: Arc<AtomicU64>,
     /// Read versions below this fail with `transaction_too_old`.
@@ -95,10 +93,10 @@ pub struct Database {
     clock_ms: Arc<AtomicU64>,
     metrics: SharedMetrics,
     grv_calls: Arc<AtomicU64>,
-    /// Test-only: make the next batch leader panic inside
-    /// [`Self::lead_batch`], exercising the abdication-on-unwind path.
+    /// Test-only: make the next commit panic inside [`Self::apply`], under
+    /// the exclusive store lock.
     #[cfg(test)]
-    panic_next_batch: Arc<std::sync::atomic::AtomicBool>,
+    panic_next_commit: Arc<std::sync::atomic::AtomicBool>,
 }
 
 impl Database {
@@ -124,7 +122,6 @@ impl Database {
                 commits_since_compaction: 0,
                 cleanup_dir,
             })),
-            batcher: Arc::new(CommitBatcher::default()),
             last_commit: Arc::new(AtomicU64::new(stored_version)),
             oldest: Arc::new(AtomicU64::new(0)),
             state_cache: Arc::new(StateCache::new(stored_version)),
@@ -133,7 +130,7 @@ impl Database {
             metrics,
             grv_calls: Arc::new(AtomicU64::new(0)),
             #[cfg(test)]
-            panic_next_batch: Arc::new(std::sync::atomic::AtomicBool::new(false)),
+            panic_next_commit: Arc::new(std::sync::atomic::AtomicBool::new(false)),
         }
     }
 
@@ -178,7 +175,7 @@ impl Database {
     // ------------------------------------------------------- transactions
 
     /// Perform a `getReadVersion` (GRV): the latest commit version.
-    /// Lock-free — the version is published atomically after each batch
+    /// Lock-free — the version is published atomically after each commit
     /// lands in the store.
     pub fn get_read_version(&self) -> u64 {
         let _t = rl_obs::Timer::start("grv");
@@ -280,13 +277,11 @@ impl Database {
     /// recently committed writes, then apply its write set at a fresh
     /// commit version — FDB's resolver + proxy pipeline. Validation holds
     /// only the conflict shards the transaction touches (ascending order),
-    /// so disjoint commits proceed in parallel; application goes through
-    /// the group-commit batcher, which charges one version allocation and
-    /// one engine batch-seal per *batch* of concurrent committers.
-    /// Returns the commit version, the order within its batch, and the
+    /// so disjoint commits validate in parallel; [`Self::apply`] then takes
+    /// the store lock exclusive. Returns the commit version and the
     /// keys/bytes written, which the transaction counts in its trace. The
-    /// write set is taken from `writes` once validation has passed: a
-    /// commit refused before that keeps its writes.
+    /// write set is taken from `writes` once validation, its operands'
+    /// included, has passed: a commit refused before that keeps its writes.
     ///
     /// `relied_on_metadata_version`: the transaction used state from the
     /// [`StateCache`] in place of reads. It conflicts with any write of the
@@ -348,14 +343,12 @@ impl Database {
             return Err(Error::NotCommitted);
         }
 
-        // Apply through the group-commit batcher. We still hold our shard
-        // locks, so no conflicting transaction can validate against a
-        // window that does not yet contain our writes — and every member
-        // of one batch is pairwise shard-disjoint by construction, which
-        // is what makes a shared commit version sound.
-        let writes = std::mem::take(writes);
-        let lead = |batch| self.lead_batch(batch);
-        let receipt = self.batcher.submit(writes, writes_metadata_version, lead)?;
+        // Surface an operand error before any write reaches the engine, so
+        // a failed commit leaves nothing behind. Then apply while we still
+        // hold our shard locks, so no conflicting transaction can validate
+        // against a window that does not yet contain our writes.
+        writes.validate()?;
+        let receipt = self.apply(std::mem::take(writes), writes_metadata_version);
 
         // Record our write conflicts for future validations, in every shard
         // they touch: each shard's window holds the one shared copy.
@@ -369,56 +362,39 @@ impl Database {
         Ok(receipt)
     }
 
-    /// Apply a batch: one version allocation, every member's write set at
-    /// that version (distinguished by batch order) merged into one sorted
-    /// engine batch, one engine batch seal — i.e. one WAL frame on the
-    /// paged engine — then publish the version. Runs as the batch leader,
-    /// without the batcher lock; takes DatabaseStore exclusive.
-    fn lead_batch(&self, batch: Vec<PendingCommit>) -> BatchResults {
+    /// Apply one commit's validated write set: one version allocation,
+    /// one sorted engine batch, one engine batch seal — i.e. one WAL frame
+    /// on the paged engine — then publish the version, and compact when
+    /// due. Takes DatabaseStore exclusive.
+    fn apply(&self, writes: WriteSet, writes_metadata_version: bool) -> CommitReceipt {
         let waiting = rl_obs::Timer::start("store_lock_wait_leader");
         let mut store = write_ranked(&self.store, LockRank::DatabaseStore);
         drop(waiting);
-        // Assign the batch's commit version: strictly increasing, and at
-        // least the clock-implied version so versions track logical time.
+        // Assign the commit version: strictly increasing, and at least the
+        // clock-implied version so versions track logical time.
         let clock_version = self.clock_ms() * VERSIONS_PER_MS;
         let version = (store.last_commit_version + 1).max(clock_version);
         store.last_commit_version = version;
-        store.commits_since_compaction += batch.len() as u64;
+        store.commits_since_compaction += 1;
         let compact_now = store.commits_since_compaction >= self.options.compaction_interval;
         if compact_now {
             store.commits_since_compaction = 0;
         }
         let horizon = version.saturating_sub(self.options.mvcc_window_versions);
-        let bumps_metadata_version = batch.iter().any(|p| p.writes_metadata_version);
         // Injected while the store write lock is held — the worst spot a
         // real storage-engine bug could fire.
         #[cfg(test)]
-        if self.panic_next_batch.swap(false, Ordering::AcqRel) {
-            panic!("injected leader failure");
+        if self.panic_next_commit.swap(false, Ordering::AcqRel) {
+            panic!("injected commit failure");
         }
-        record_count("batch_size", batch.len());
         let applying = rl_obs::Timer::start("batch_apply");
-        let tallies: Vec<Tally> = batch.iter().map(|_| Tally::default()).collect();
-        let mut members = Vec::with_capacity(batch.len());
-        let mut orders = Vec::with_capacity(batch.len());
-        for (order, pending) in batch.into_iter().enumerate() {
-            let order = order as u16;
-            // Surface operand errors before any member's writes reach the
-            // store: with a shared batch version, a half-applied member
-            // would otherwise become visible when its batchmates publish.
-            let valid = pending.writes.validate();
-            if valid.is_ok() {
-                members.push((order, pending.writes));
-            }
-            orders.push((pending.ticket, valid.map(|()| order)));
-        }
-        let sorted = write_set::sorted_batch(members, version, &tallies);
+        let tally = Tally::default();
+        let sorted = write_set::sorted_batch(writes, version, &tally);
         store.engine.apply_sorted(version, sorted);
         drop(applying);
 
-        // Seal the batch: a crash-safe engine persists everything above
-        // atomically (one WAL frame); a crash before this point loses the
-        // whole batch.
+        // Seal the commit: a crash-safe engine persists everything above
+        // atomically (one WAL frame); a crash before this point loses it.
         {
             let _t = rl_obs::Timer::start("batch_seal");
             store.engine.commit_batch();
@@ -426,9 +402,9 @@ impl Database {
 
         // Publish only now, so a GRV can never hand out a version the
         // store has not fully materialized — and the metadata version
-        // first, so a read version that includes this batch never comes
+        // first, so a read version that includes this commit never comes
         // with a metadata version that does not.
-        if bumps_metadata_version {
+        if writes_metadata_version {
             self.state_cache.publish(version);
         }
         self.last_commit.store(version, Ordering::Release);
@@ -436,21 +412,16 @@ impl Database {
         if compact_now {
             let _t = rl_obs::Timer::start("compact");
             let oldest = self.oldest.load(Ordering::Acquire);
-            record_count("compact_keys", store.engine.compact(oldest));
-        }
-        let receipt = |order: u16| {
-            let tally = &tallies[order as usize];
-            CommitReceipt {
-                version,
-                batch_order: order,
-                keys_written: tally.keys.get(),
-                bytes_written: tally.bytes.get(),
+            let keys = store.engine.compact(oldest);
+            if rl_obs::enabled() {
+                rl_obs::Recorder::global().record("compact_keys", keys as u64);
             }
-        };
-        orders
-            .into_iter()
-            .map(|(ticket, order)| (ticket, order.map(receipt)))
-            .collect()
+        }
+        CommitReceipt {
+            version,
+            keys_written: tally.keys.get(),
+            bytes_written: tally.bytes.get(),
+        }
     }
 
     /// Diagnostic: number of live keys at the latest version.
@@ -493,23 +464,19 @@ impl std::fmt::Debug for Database {
     }
 }
 
-/// Record a count (not a duration) under `op` in the global recorder;
-/// nothing when observability is off.
-fn record_count(op: &'static str, count: usize) {
-    if rl_obs::enabled() {
-        rl_obs::Recorder::global().record(op, count as u64);
-    }
+/// What a commit gets back from [`Database::apply`].
+pub(crate) struct CommitReceipt {
+    pub(crate) version: u64,
+    pub(crate) keys_written: u64,
+    pub(crate) bytes_written: u64,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::atomic::MutationType;
-    use crate::batcher::pending;
     use crate::conflict::ALL_SHARDS;
-    use crate::options::{EngineKind, PagedConfig};
     use crate::range::RangeOptions;
-    use crate::write_set::KeyOp;
 
     #[test]
     fn basic_set_get_across_transactions() {
@@ -752,7 +719,7 @@ mod tests {
     }
 
     #[test]
-    fn cached_state_commits_keep_disjoint_shards_and_share_a_batch() {
+    fn cached_state_commits_keep_disjoint_shards() {
         let db = Database::new();
         let seed = db.create_transaction();
         seed.cache_state(b"t0/", Arc::new(0u8));
@@ -785,25 +752,10 @@ mod tests {
         assert_eq!(masks[0] & masks[1], 0);
         // Only a write of the key excludes everyone.
         assert_eq!(commit_shard_mask(&[], &[], true), ALL_SHARDS);
-        // Shard-disjoint commits may meet in one batch: one version.
-        let batch = (0..2)
-            .map(|t| {
-                pending(
-                    t,
-                    vec![(format!("t{t}/batched"), KeyOp::Set(b"v".to_vec()))],
-                )
-            })
-            .collect();
-        let receipts: Vec<_> = db
-            .lead_batch(batch)
-            .into_iter()
-            .map(|(_, r)| r.unwrap())
-            .collect();
-        assert_eq!(receipts[0].version, receipts[1].version);
-        assert_eq!(db.metadata_version(), 0, "no member wrote the key");
         for tx in &txs {
             tx.commit().unwrap();
         }
+        assert_eq!(db.metadata_version(), 0, "no commit wrote the key");
     }
 
     #[test]
@@ -830,36 +782,11 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_shares_version_and_orders_members() {
+    fn commit_panic_under_store_lock_keeps_accepting_commits() {
         let db = Database::new();
-        let batch = (0..3)
-            .map(|i| pending(i, vec![(format!("b{i}"), KeyOp::Set(b"v".to_vec()))]))
-            .collect();
-        let results = db.lead_batch(batch);
-        assert_eq!(results.len(), 3);
-        let receipts: Vec<_> = results.into_iter().map(|(_, r)| r.unwrap()).collect();
-        // One version allocation for the whole batch...
-        assert!(receipts.iter().all(|r| r.version == receipts[0].version));
-        // ...members distinguished by batch order...
-        let orders: Vec<_> = receipts.iter().map(|r| r.batch_order).collect();
-        assert_eq!(orders, vec![0, 1, 2]);
-        // ...and every member's writes visible at that version.
-        let tx = db.create_transaction();
-        for i in 0..3 {
-            assert_eq!(
-                tx.get(format!("b{i}").as_bytes()).unwrap(),
-                Some(b"v".to_vec())
-            );
-        }
-    }
-
-    #[test]
-    fn leader_panic_hands_leadership_back() {
-        let db = Database::new();
-        // A leader that dies mid-batch (while holding the store write
-        // lock) must abdicate on unwind; otherwise `leader_active` stays
-        // set and every later committer parks on the condvar forever.
-        db.panic_next_batch
+        // A commit that dies while it holds the store write lock poisons
+        // it; the next commit recovers the lock and goes through.
+        db.panic_next_commit
             .store(true, std::sync::atomic::Ordering::Release);
         let worker = {
             let db = db.clone();
@@ -871,58 +798,63 @@ mod tests {
         };
         assert!(
             worker.join().is_err(),
-            "injected leader failure should unwind the committing thread"
+            "injected commit failure should unwind the committing thread"
         );
-        // The cluster keeps accepting commits afterwards.
         let tx = db.create_transaction();
         tx.set(b"survivor", b"v");
         tx.commit().unwrap();
         let tx = db.create_transaction();
         assert_eq!(tx.get(b"survivor").unwrap(), Some(b"v".to_vec()));
+        assert_eq!(tx.get(b"doomed").unwrap(), None);
     }
 
     #[test]
-    fn group_commit_batch_pays_one_wal_frame() {
-        let db = Database::with_options(DatabaseOptions {
-            engine: EngineKind::Paged(PagedConfig::ephemeral()),
-            ..DatabaseOptions::default()
-        });
-        let before = db.metrics().io_counters().snapshot().log_appends;
-        let batch = (0..4)
-            .map(|i| pending(i, vec![(format!("w{i}"), KeyOp::Set(vec![0u8; 32]))]))
-            .collect();
-        for (_, r) in db.lead_batch(batch) {
-            r.unwrap();
-        }
-        let after = db.metrics().io_counters().snapshot().log_appends;
-        assert_eq!(after - before, 1, "4 batched commits, one WAL frame");
-    }
-
-    #[test]
-    fn batch_member_with_bad_operand_fails_without_partial_writes() {
+    fn commit_with_bad_operand_fails_without_partial_writes() {
         let db = Database::new();
-        let batch = vec![
-            pending(0, vec![("good".into(), KeyOp::Set(b"v".to_vec()))]),
-            pending(
-                1,
-                vec![
-                    ("bad-first".into(), KeyOp::Set(b"v".to_vec())),
-                    // ADD operand too wide
-                    (
-                        "bad".into(),
-                        KeyOp::Atomic(MutationType::Add, vec![0u8; 17]),
-                    ),
-                ],
-            ),
-        ];
-        let results = db.lead_batch(batch);
-        assert!(results[0].1.is_ok());
-        assert!(results[1].1.is_err());
+        let before = db.last_commit_version();
         let tx = db.create_transaction();
-        assert_eq!(tx.get(b"good").unwrap(), Some(b"v".to_vec()));
-        // The failed member left nothing behind — not even the Set that
-        // preceded its bad atomic.
+        tx.set(b"bad-first", b"v");
+        // ADD operand too wide
+        tx.mutate(MutationType::Add, b"bad", &[0u8; 17]).unwrap();
+        assert!(matches!(tx.commit(), Err(Error::InvalidMutation(_))));
+        // Nothing reached the engine — not even the Set that preceded the
+        // bad atomic — and no version was spent on it.
+        assert_eq!(db.last_commit_version(), before);
+        let tx = db.create_transaction();
         assert_eq!(tx.get(b"bad-first").unwrap(), None);
+        assert_eq!(tx.get(b"bad").unwrap(), None);
+    }
+
+    #[test]
+    fn concurrent_disjoint_commits_get_distinct_versions() {
+        let db = Database::new();
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let threads: Vec<_> = (0..2)
+            .map(|t| {
+                let (db, start) = (db.clone(), start.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    (0..50)
+                        .map(|j| {
+                            let tx = db.create_transaction();
+                            tx.set(format!("t{t}/row{j}").as_bytes(), b"v");
+                            tx.commit().unwrap();
+                            tx.versionstamp().unwrap()
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let mut versions: Vec<u64> = Vec::new();
+        for thread in threads {
+            for stamp in thread.join().unwrap() {
+                assert_eq!(stamp[8..], [0, 0], "batch-order bytes");
+                versions.push(u64::from_be_bytes(stamp[..8].try_into().unwrap()));
+            }
+        }
+        versions.sort_unstable();
+        versions.dedup();
+        assert_eq!(versions.len(), 100, "every commit has its own version");
     }
 
     #[test]

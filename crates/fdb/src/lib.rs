@@ -37,7 +37,6 @@
 //! ```
 
 pub mod atomic;
-mod batcher;
 mod conflict;
 pub mod database;
 pub mod error;

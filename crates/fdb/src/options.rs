@@ -91,8 +91,8 @@ pub struct DatabaseOptions {
     /// How many versions of history the resolvers keep for conflict
     /// checking, and the storage keeps for MVCC reads (5 logical seconds).
     pub mvcc_window_versions: u64,
-    /// Compact shadowed MVCC versions every N commits: how often the
-    /// batch leader has the engine drain its log of overwritten and cleared
+    /// Compact shadowed MVCC versions every N commits: how often a commit
+    /// has the engine drain its log of overwritten and cleared
     /// keys up to the MVCC horizon. A pass visits those keys only — its
     /// cost follows the writes of the last N commits, not the size of the
     /// store — so a smaller N spreads the same work over more, shorter

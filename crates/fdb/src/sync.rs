@@ -7,9 +7,11 @@
 //! The tracker is the one lock-order check. It sees every nesting a
 //! debug test runs, including a lock taken inside a call into another
 //! file, the only shape the commit path's nestings have. The root
-//! `clippy.toml` disallows bare `Mutex::lock`, `RwLock::read`/`write` and
-//! `Condvar::wait`, so no call site bypasses these helpers' poison
-//! recovery and ranks.
+//! `clippy.toml` disallows bare `Mutex::lock` and `RwLock::read`/`write`,
+//! so no call site bypasses these helpers' poison recovery and ranks. It
+//! disallows condition-variable waits too: no code in the workspace waits
+//! on a condition, and a new wait would need a poison-recovering, ranked
+//! helper here first.
 //!
 //! The declared order (lower ranks first):
 //!
@@ -21,16 +23,15 @@
 //!    conflict index. An **indexed band**: a thread may hold several
 //!    shard locks at once as long as it acquires them in ascending
 //!    shard order (see [`lock_ranked_indexed`]).
-//! 4. [`LockRank::CommitBatch`] — the group-commit batcher's queue;
-//!    taken with shard locks held, released while a batch leader runs.
-//! 5. [`LockRank::DatabaseStore`] — the storage engine `RwLock`, with
-//!    the version counters only a batch leader touches. Acquired shared
-//!    for MVCC snapshot reads ([`read_ranked`]) and exclusive for version
-//!    allocation and commit application ([`write_ranked`]). Under it, and
-//!    outside this tracker, sits one `rl_storage` leaf: the paged
-//!    engine's buffer-pool mutex, which its reads take and under which
-//!    nothing else is acquired.
-//! 6. [`LockRank::StateCache`] — the map of metadata-version-validated
+//! 4. [`LockRank::DatabaseStore`] — the storage engine `RwLock`, with
+//!    the version counters only a commit touches. Acquired shared for
+//!    MVCC snapshot reads ([`read_ranked`]) and exclusive for version
+//!    allocation and commit application ([`write_ranked`]), which a
+//!    commit takes with its shard locks held. Under it, and outside this
+//!    tracker, sits one `rl_storage` leaf: the paged engine's buffer-pool
+//!    mutex, which its reads take and under which nothing else is
+//!    acquired.
+//! 5. [`LockRank::StateCache`] — the map of metadata-version-validated
 //!    soft state. A leaf: nothing is acquired while it is held, and it
 //!    may be taken under any of the others.
 //!
@@ -42,9 +43,7 @@
 //! is exactly [`lock`].
 
 use std::ops::{Deref, DerefMut};
-use std::sync::{
-    Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
-};
+use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use rl_storage::wait::{acquired, yield_until};
 
@@ -72,13 +71,11 @@ pub enum LockRank {
     /// One `Database` conflict-index shard (indexed band; ascending
     /// shard order).
     ConflictShard = 30,
-    /// The group-commit batcher's shared queue state.
-    CommitBatch = 40,
     /// The storage-engine `RwLock` (shared for reads, exclusive for
     /// commit application).
-    DatabaseStore = 50,
+    DatabaseStore = 40,
     /// `StateCache::entries` (leaf: held only for a map lookup or insert).
-    StateCache = 60,
+    StateCache = 50,
 }
 
 impl LockRank {
@@ -88,7 +85,6 @@ impl LockRank {
             LockRank::ReadVersionCache => "ReadVersionCache::state",
             LockRank::TransactionState => "Transaction::state",
             LockRank::ConflictShard => "Database::shards[i]",
-            LockRank::CommitBatch => "CommitBatcher::state",
             LockRank::DatabaseStore => "Database::store",
             LockRank::StateCache => "StateCache::entries",
         }
@@ -98,8 +94,7 @@ impl LockRank {
 /// A `MutexGuard` whose acquisition was checked against the thread's held
 /// ranks; releases its rank entry on drop.
 pub struct RankedGuard<'a, T> {
-    /// `Some` except transiently inside [`RankedGuard::wait_on`].
-    guard: Option<MutexGuard<'a, T>>,
+    guard: MutexGuard<'a, T>,
     #[cfg(debug_assertions)]
     rank: LockRank,
     #[cfg(debug_assertions)]
@@ -109,13 +104,13 @@ pub struct RankedGuard<'a, T> {
 impl<T> Deref for RankedGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.guard.as_ref().expect("guard present outside wait_on")
+        &self.guard
     }
 }
 
 impl<T> DerefMut for RankedGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.guard.as_mut().expect("guard present outside wait_on")
+        &mut self.guard
     }
 }
 
@@ -123,20 +118,6 @@ impl<T> DerefMut for RankedGuard<'_, T> {
 impl<T> Drop for RankedGuard<'_, T> {
     fn drop(&mut self) {
         tracker::release(self.rank, self.index);
-    }
-}
-
-impl<'a, T> RankedGuard<'a, T> {
-    /// Block on `cv` until notified, releasing the mutex for the duration
-    /// exactly like `Condvar::wait`. The *rank* stays held: a parked
-    /// thread does nothing else, and keeping the entry means a spurious
-    /// wakeup can immediately re-examine state and wait again without
-    /// re-checking the order. Poisoning is recovered like [`lock`].
-    #[expect(clippy::disallowed_methods, reason = "poison-recovering Condvar::wait")]
-    pub fn wait_on(&mut self, cv: &Condvar) {
-        let g = self.guard.take().expect("guard present outside wait_on");
-        let g = cv.wait(g).unwrap_or_else(PoisonError::into_inner);
-        self.guard = Some(g);
     }
 }
 
@@ -149,7 +130,7 @@ pub fn lock_ranked<T>(m: &Mutex<T>, rank: LockRank) -> RankedGuard<'_, T> {
     #[cfg(not(debug_assertions))]
     let _ = rank;
     RankedGuard {
-        guard: Some(lock(m)),
+        guard: lock(m),
         #[cfg(debug_assertions)]
         rank,
         #[cfg(debug_assertions)]
@@ -171,7 +152,7 @@ pub fn lock_ranked_indexed<T>(m: &Mutex<T>, rank: LockRank, index: usize) -> Ran
     #[cfg(not(debug_assertions))]
     let _ = (rank, index);
     RankedGuard {
-        guard: Some(yield_until(|| acquired(m.try_lock())).unwrap_or_else(|| lock(m))),
+        guard: yield_until(|| acquired(m.try_lock())).unwrap_or_else(|| lock(m)),
         #[cfg(debug_assertions)]
         rank,
         #[cfg(debug_assertions)]
@@ -310,8 +291,8 @@ mod tracker {
                     panic!(
                         "lock-rank violation: acquiring `{}`{} while holding {:?} — \
                          declared order is ReadVersionCache < TransactionState < \
-                         ConflictShard (ascending indices) < CommitBatch < \
-                         DatabaseStore < StateCache (see rl_fdb::sync)",
+                         ConflictShard (ascending indices) < DatabaseStore < \
+                         StateCache (see rl_fdb::sync)",
                         rank.name(),
                         index.map(|i| format!("#{i}")).unwrap_or_default(),
                         chain,
@@ -372,7 +353,7 @@ mod tests {
         let d = RwLock::new(());
         let _ga = lock_ranked(&a, LockRank::ReadVersionCache);
         let _gb = lock_ranked(&b, LockRank::TransactionState);
-        let _gc = lock_ranked(&c, LockRank::CommitBatch);
+        let _gc = lock_ranked_indexed(&c, LockRank::ConflictShard, 0);
         let _gd = write_ranked(&d, LockRank::DatabaseStore);
     }
 
@@ -384,7 +365,7 @@ mod tests {
         let result = std::thread::spawn(|| {
             let hi = Mutex::new(());
             let lo = Mutex::new(());
-            let _g_hi = lock_ranked(&hi, LockRank::CommitBatch);
+            let _g_hi = lock_ranked_indexed(&hi, LockRank::ConflictShard, 0);
             let _g_lo = lock_ranked(&lo, LockRank::TransactionState); // inversion
         })
         .join();
@@ -415,8 +396,8 @@ mod tests {
         let _gb = lock_ranked_indexed(&b, LockRank::ConflictShard, 3);
         let _gc = lock_ranked_indexed(&c, LockRank::ConflictShard, 15);
         // And the band still ascends into higher ranks.
-        let d = Mutex::new(());
-        let _gd = lock_ranked(&d, LockRank::CommitBatch);
+        let d = RwLock::new(());
+        let _gd = write_ranked(&d, LockRank::DatabaseStore);
     }
 
     #[cfg(debug_assertions)]
@@ -476,9 +457,9 @@ mod tests {
         // the same-lock case reports instead of deadlocking.
         let inversions: [fn(); 4] = [
             || {
-                let (store, batch) = (RwLock::new(()), Mutex::new(()));
+                let (store, tx) = (RwLock::new(()), Mutex::new(()));
                 let _gs = write_ranked(&store, LockRank::DatabaseStore);
-                let _gb = lock_ranked(&batch, LockRank::CommitBatch);
+                let _gt = lock_ranked(&tx, LockRank::TransactionState);
             },
             || {
                 let (store, shard) = (RwLock::new(()), Mutex::new(()));
@@ -524,27 +505,6 @@ mod tests {
         })
         .join();
         assert!(result.is_err());
-    }
-
-    #[test]
-    fn wait_on_reacquires_the_mutex() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let pair2 = pair.clone();
-        let waiter = std::thread::spawn(move || {
-            let (m, cv) = &*pair2;
-            let mut g = lock_ranked(m, LockRank::CommitBatch);
-            while !*g {
-                g.wait_on(cv);
-            }
-            *g
-        });
-        {
-            let (m, cv) = &*pair;
-            let mut g = lock_ranked(m, LockRank::CommitBatch);
-            *g = true;
-            cv.notify_all();
-        }
-        assert!(waiter.join().unwrap());
     }
 
     /// Both sides of `YIELDS_BEFORE_PARK`: a hold of a few µs is waited
@@ -608,10 +568,10 @@ mod tests {
         let a = Mutex::new(());
         let b = Mutex::new(());
         let ga = lock_ranked(&a, LockRank::TransactionState);
-        let gb = lock_ranked(&b, LockRank::CommitBatch);
+        let gb = lock_ranked_indexed(&b, LockRank::ConflictShard, 0);
         drop(ga); // dropped before gb: release must not pop gb's rank
         let c = Mutex::new(());
-        // TransactionState is free again; CommitBatch still held, so
+        // TransactionState is free again; ConflictShard still held, so
         // acquiring TransactionState now would be an inversion — but
         // re-acquiring after dropping gb too must succeed.
         drop(gb);

@@ -65,7 +65,7 @@ pub struct TxnTrace {
 #[derive(Debug, Default)]
 struct TxState {
     /// The buffered writes: read-your-writes folds them over what it reads,
-    /// and the commit hands them to the batch.
+    /// and the commit hands them to the engine.
     writes: WriteSet,
     read_conflicts: Vec<(Vec<u8>, Vec<u8>)>,
     /// Write conflict ranges added explicitly. What `writes` holds is a
@@ -76,9 +76,6 @@ struct TxState {
     size: usize,
     committed: bool,
     commit_version: Option<u64>,
-    /// Position within the group-commit batch that carried this
-    /// transaction (the middle 2 bytes of its versionstamp).
-    commit_order: u16,
     /// Per-transaction read/write attribution (see [`TxnTrace`]).
     trace: TxnTrace,
     /// Free-form attribution tag for this transaction's span (tenant,
@@ -86,9 +83,8 @@ struct TxState {
     tag: Option<String>,
     /// A buffered write sets, clears or mutates [`METADATA_VERSION_KEY`]:
     /// from here on the state cache describes a database this transaction
-    /// is changing, so it neither consults nor fills it. The commit hands
-    /// this flag to the batch leader, which publishes the batch's version
-    /// as the metadata version when a member carries it.
+    /// is changing, so it neither consults nor fills it. The commit then
+    /// publishes its version as the metadata version.
     writes_metadata_version: bool,
     /// [`Transaction::cached_state`] answered from the cache: the commit
     /// must fail if the metadata version was written after the read
@@ -278,14 +274,12 @@ impl Transaction {
     }
 
     /// The 10-byte transaction versionstamp (8-byte commit version, then
-    /// the 2-byte batch order), available after commit.
+    /// the 2-byte batch order, always 0: every commit has its own version),
+    /// available after commit.
     pub fn versionstamp(&self) -> Option<[u8; 10]> {
-        let st = lock_ranked(&self.state, LockRank::TransactionState);
-        let order = st.commit_order;
-        st.commit_version.map(|v| {
+        self.committed_version().map(|v| {
             let mut out = [0u8; 10];
             out[0..8].copy_from_slice(&v.to_be_bytes());
-            out[8..10].copy_from_slice(&order.to_be_bytes());
             out
         })
     }
@@ -783,7 +777,6 @@ impl Transaction {
         )?;
         st.committed = true;
         st.commit_version = Some(receipt.version);
-        st.commit_order = receipt.batch_order;
         st.trace.keys_written += receipt.keys_written;
         st.trace.bytes_written += receipt.bytes_written;
         Ok(())

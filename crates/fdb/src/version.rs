@@ -2,10 +2,11 @@
 //!
 //! FoundationDB assigns every committed transaction a monotonically
 //! increasing 8-byte *commit version* plus a 2-byte *batch order* within the
-//! version; together they form the 10-byte transaction versionstamp. The
-//! Record Layer appends 2 more client-assigned bytes (a per-transaction
-//! counter) to form the 12-byte versionstamps that VERSION indexes store
-//! (§7 of the paper).
+//! version; together they form the 10-byte transaction versionstamp. This
+//! simulator gives every commit its own version, so its batch order is
+//! always 0; the format is FoundationDB's. The Record Layer appends 2 more
+//! client-assigned bytes (a per-transaction counter) to form the 12-byte
+//! versionstamps that VERSION indexes store (§7 of the paper).
 
 use crate::error::{Error, Result};
 

@@ -3,10 +3,9 @@
 //! Writes are buffered per key — each key's ops in sequence order — beside
 //! the range clears and the versionstamped keys, whose keys are known only
 //! at commit. Read-your-writes folds a key's ops over the value read from
-//! storage ([`WriteSet::resolve`]). A commit hands its write set to the
-//! batch by move, and the batch leader folds each key's ops once over the
-//! stored value and gives the engine every key once, in key order
-//! ([`sorted_batch`]).
+//! storage ([`WriteSet::resolve`]). A commit hands its write set over by
+//! move, folds each key's ops once over the stored value and gives the
+//! engine every key once, in key order ([`sorted_batch`]).
 
 use std::borrow::Cow;
 use std::cell::Cell;
@@ -144,7 +143,7 @@ impl WriteSet {
         }
         merged.extend(ops.iter().map(|(seq, op)| (*seq, Cow::Borrowed(op))));
         merged.sort_by_key(|(seq, _)| *seq);
-        fold(stored, merged, |_, _| {})
+        fold(stored, merged.into_iter().map(|(_, op)| op), |_| {})
     }
 
     /// Surface an operand error an atomic op would hit at commit. Such an
@@ -161,16 +160,15 @@ impl WriteSet {
 }
 
 /// `stored` with a key's `ops` applied in order: a set replaces the value,
-/// a clear removes it, an atomic op applies to it. `wrote` hears the tag
-/// and the resulting value of each op but a clear: what a commit counts as
-/// written.
+/// a clear removes it, an atomic op applies to it. `wrote` hears the
+/// resulting value of each op but a clear: what a commit counts as written.
 fn fold<'v>(
     stored: Option<Cow<'v, [u8]>>,
-    ops: impl IntoIterator<Item = (u64, Cow<'v, KeyOp>)>,
-    mut wrote: impl FnMut(u64, &[u8]),
+    ops: impl IntoIterator<Item = Cow<'v, KeyOp>>,
+    mut wrote: impl FnMut(&[u8]),
 ) -> Result<Option<Cow<'v, [u8]>>> {
     let mut value = stored;
-    for (tag, op) in ops {
+    for op in ops {
         let clears = matches!(*op, KeyOp::Clear);
         value = match op {
             Cow::Owned(KeyOp::Set(v) | KeyOp::StampedValue(v, _)) => Some(Cow::Owned(v)),
@@ -183,96 +181,48 @@ fn fold<'v>(
             },
         };
         if !clears {
-            wrote(tag, value.as_deref().unwrap_or_default());
+            wrote(value.as_deref().unwrap_or_default());
         }
     }
     Ok(value)
 }
 
-/// What a batch member wrote, for its receipt: keys and bytes counted per
-/// op — a set, a versionstamped write or an atomic op is one key, and its
-/// key plus its value (an atomic op's result) in bytes; a clear is neither.
+/// What a commit wrote: keys and bytes counted per op — a set, a
+/// versionstamped write or an atomic op is one key, and its key plus its
+/// value (an atomic op's result) in bytes; a clear is neither.
 #[derive(Debug, Default)]
 pub(crate) struct Tally {
     pub(crate) keys: Cell<u64>,
     pub(crate) bytes: Cell<u64>,
 }
 
-/// A member's order in its batch and an op's sequence number, as one
-/// integer that sorts by both.
-fn tag(order: u16, seq: u64) -> u64 {
-    (u64::from(order) << 48) | seq
-}
-
-fn member(tag: u64) -> u16 {
-    (tag >> 48) as u16
-}
-
-/// The engine batch of the write sets `members`, each with its order in
-/// the commit batch, at `version`: every key once, in key order, with its
-/// ops from every member folded in batch order, then sequence order — the
-/// range clears that cover it included; and each range clear as it is,
-/// ahead of the keys it covers. Versionstamps are filled in here. A key
-/// whose fold begins with an atomic op is folded where the engine's write
-/// finds the stored value; every other key does not depend on it and is
-/// folded here. What member `order` wrote is counted into `tallies[order]`
-/// as the folds run.
-pub(crate) fn sorted_batch<'t>(
-    members: Vec<(u16, WriteSet)>,
-    version: u64,
-    tallies: &'t [Tally],
-) -> Batch<'t> {
-    let stamp = |order: u16| {
-        let mut stamp = [0u8; 10];
-        stamp[..8].copy_from_slice(&version.to_be_bytes());
-        stamp[8..].copy_from_slice(&order.to_be_bytes());
-        stamp
-    };
-    let mut clears = Vec::new();
-    let mut keyed = Vec::with_capacity(members.len());
-    for (order, mut writes) in members {
-        for (seq, mut key, offset, value) in std::mem::take(&mut writes.stamped_keys) {
-            atomic::fill_versionstamp(&mut key, offset, &stamp(order));
-            let ops = writes.by_key.entry(key).or_default();
-            ops.insert(
-                ops.partition_point(|(s, _)| *s < seq),
-                (seq, KeyOp::Set(value)),
-            );
-        }
-        let cleared = writes.cleared.into_iter();
-        clears.extend(cleared.map(|(begin, end, seq)| (begin, end, tag(order, seq))));
-        keyed.push((order, writes.by_key.into_iter()));
+/// The engine batch of `writes` at `version`: every key once, in key
+/// order, with its ops folded in sequence order — the range clears that
+/// cover it included; and each range clear as it is, ahead of the keys it
+/// covers. Versionstamps are filled in here; their two batch-order bytes
+/// are 0. A key whose fold begins with an atomic op is folded where the
+/// engine's write finds the stored value; every other key does not depend
+/// on it and is folded here. What the commit wrote is counted into
+/// `tally` as the folds run.
+pub(crate) fn sorted_batch(mut writes: WriteSet, version: u64, tally: &Tally) -> Batch<'_> {
+    let mut stamp = [0u8; 10];
+    stamp[..8].copy_from_slice(&version.to_be_bytes());
+    for (seq, mut key, offset, value) in std::mem::take(&mut writes.stamped_keys) {
+        atomic::fill_versionstamp(&mut key, offset, &stamp);
+        let ops = writes.by_key.entry(key).or_default();
+        ops.insert(
+            ops.partition_point(|(s, _)| *s < seq),
+            (seq, KeyOp::Set(value)),
+        );
     }
+    let mut clears = writes.cleared;
     clears.sort_by(|a, b| a.0.cmp(&b.0));
 
-    let mut heads: Vec<_> = keyed.iter_mut().map(|(_, keys)| keys.next()).collect();
     // The range clears begun at or before the current key; `covering`, the
     // ones of those that have not ended there.
     let (mut begun, mut covering) = (0, Vec::new());
-    let mut points: Batch<'t> = Vec::new();
-    loop {
-        let first = heads.iter().enumerate();
-        let first = first
-            .filter_map(|(m, head)| Some((&head.as_ref()?.0, m)))
-            .min();
-        let Some((_, m)) = first else {
-            break;
-        };
-        let Some((key, mut ops)) = heads[m].take() else {
-            break;
-        };
-        heads[m] = keyed[m].1.next();
-        ops.iter_mut()
-            .for_each(|(seq, _)| *seq = tag(keyed[m].0, *seq));
-        for later in m + 1..heads.len() {
-            if heads[later].as_ref().is_some_and(|(next, _)| *next == key) {
-                if let Some((_, more)) = heads[later].take() {
-                    let order = keyed[later].0;
-                    ops.extend(more.into_iter().map(|(seq, op)| (tag(order, seq), op)));
-                }
-                heads[later] = keyed[later].1.next();
-            }
-        }
+    let mut points: Batch<'_> = Vec::with_capacity(writes.by_key.len());
+    for (key, mut ops) in writes.by_key {
         while clears.get(begun).is_some_and(|(begin, ..)| *begin <= key) {
             covering.push(begun);
             begun += 1;
@@ -280,25 +230,24 @@ pub(crate) fn sorted_batch<'t>(
         covering.retain(|&c| key < clears[c].1);
         if !covering.is_empty() {
             ops.extend(covering.iter().map(|&c| (clears[c].2, KeyOp::Clear)));
-            ops.sort_by_key(|(tag, _)| *tag);
+            ops.sort_by_key(|(seq, _)| *seq);
         }
-        for (tag, op) in &mut ops {
+        for (_, op) in &mut ops {
             if let KeyOp::StampedValue(value, offset) = op {
-                atomic::fill_versionstamp(value, *offset, &stamp(member(*tag)));
+                atomic::fill_versionstamp(value, *offset, &stamp);
             }
         }
         let key_len = key.len() as u64;
-        let count = move |tag: u64, value: &[u8]| {
-            let tally = &tallies[member(tag) as usize];
+        let count = move |value: &[u8]| {
             tally.keys.set(tally.keys.get() + 1);
             tally
                 .bytes
                 .set(tally.bytes.get() + key_len + value.len() as u64);
         };
         let folded = move |stored: Option<&[u8]>, ops: Vec<(u64, KeyOp)>| {
-            let ops = ops.into_iter().map(|(tag, op)| (tag, Cow::Owned(op)));
+            let ops = ops.into_iter().map(|(_, op)| Cow::Owned(op));
             fold(stored.map(Cow::Borrowed), ops, count)
-                .expect("operands validated before the batch")
+                .expect("operands validated before the commit applies")
                 .map(Cow::into_owned)
         };
         let mutation = match ops.first() {

@@ -11,10 +11,10 @@
 //! Its range clears are buffered into the WAL first, and each point write
 //! as the walk makes it; nothing reaches the log file until
 //! [`StorageEngine::commit_batch`] appends the buffered ops as one
-//! checksummed frame. This is also the group-commit contract the database's
-//! commit batcher relies on: it applies every transaction in a batch, then
-//! seals them with a *single* `commit_batch`, so N concurrent committers
-//! pay one WAL frame (one `log_appends` tick) instead of N. Compaction
+//! checksummed frame. The database applies each commit as one such batch
+//! and seals it with one `commit_batch`: one WAL frame (one `log_appends`
+//! tick) per commit. The engine would seal several transactions applied
+//! between two seals in one frame just the same. Compaction
 //! prunes the keys its garbage log drains, sorted, through the same walk.
 //! The tree pages the batch dirtied stay in the
 //! buffer pool (or get evicted to disk) without any ordering constraint,
@@ -492,9 +492,9 @@ mod tests {
 
     #[test]
     fn one_commit_batch_seals_many_transactions_in_one_frame() {
-        // The group-commit contract: several transactions' writes (here,
-        // at distinct versions) buffered between commit_batch calls land
-        // as exactly one WAL frame — one log_appends tick for the batch.
+        // The seal contract: several transactions' writes (here, at
+        // distinct versions) buffered between commit_batch calls land as
+        // exactly one WAL frame — one log_appends tick for the batch.
         let d = dir("groupcommit");
         let counters = IoCounters::new_shared();
         let mut e = PagedEngine::open(&d, 32, EvictionPolicy::Sieve, counters.clone()).unwrap();

@@ -280,17 +280,16 @@ fn transaction_spans_attribute_traffic_and_outcome() {
 
 /// Every stage of the commit path and each store-lock wait has its own
 /// histogram, so where a commit's or a read's time went can be read off
-/// the recorder: shard acquisition, the batcher queue, the store lock
-/// (a snapshot read's shared wait and the batch leader's exclusive wait
-/// apart), apply, seal, compaction.
+/// the recorder: shard acquisition, the store lock (a snapshot read's
+/// shared wait and a commit's exclusive wait apart), apply, seal,
+/// compaction.
 #[test]
 fn commit_path_stages_are_timed() {
     use rl_fdb::{DatabaseOptions, EngineKind, PagedConfig};
     let _guard = obs_lock();
     let recorder = rl_obs::Recorder::global();
-    const STAGES: [&str; 7] = [
+    const STAGES: [&str; 6] = [
         "shard_acquire",
-        "batch_queue_wait",
         "store_lock_wait_leader",
         "batch_apply",
         "batch_seal",
@@ -329,15 +328,17 @@ fn commit_path_stages_are_timed() {
     }
 }
 
-/// Beside the stage timers, a led batch records how many members it had
-/// and a compaction pass how many keys it visited — counts, in the same
-/// recorder, behind the same gate.
+/// Beside the stage timers, a compaction pass records how many keys it
+/// visited — a count, in the same recorder, behind the same gate.
 #[test]
-fn batches_and_compaction_passes_record_their_sizes() {
+fn compaction_passes_record_their_sizes() {
     use rl_fdb::DatabaseOptions;
     let _guard = obs_lock();
-    let recorder = rl_obs::Recorder::global();
-    let sizes = || ["batch_size", "compact_keys"].map(|op| recorder.histogram(op).snapshot());
+    let passes = || {
+        rl_obs::Recorder::global()
+            .histogram("compact_keys")
+            .snapshot()
+    };
     let db = Database::with_options(DatabaseOptions {
         compaction_interval: 4,
         ..DatabaseOptions::default()
@@ -352,14 +353,16 @@ fn batches_and_compaction_passes_record_their_sizes() {
     };
 
     rl_obs::set_enabled(false);
-    let before = sizes();
+    let before = passes();
     for _ in 0..4 {
         commit(3);
     }
-    let idle = sizes();
-    for (now, was) in idle.iter().zip(&before) {
-        assert_eq!(now.count(), was.count(), "gate off: nothing is recorded");
-    }
+    let idle = passes();
+    assert_eq!(
+        idle.count(),
+        before.count(),
+        "gate off: nothing is recorded"
+    );
 
     rl_obs::set_enabled(true);
     for _ in 0..8 {
@@ -367,14 +370,11 @@ fn batches_and_compaction_passes_record_their_sizes() {
     }
     rl_obs::set_enabled(false);
     let _ = rl_obs::drain_spans();
-    let [batches, passes] = sizes();
-    let [batches_before, passes_before] = idle;
-    // Eight single-member batches; every fourth ran a pass over the three
-    // keys overwritten since the one before.
-    assert_eq!(batches.count() - batches_before.count(), 8);
-    assert_eq!(batches.sum() - batches_before.sum(), 8);
-    assert_eq!(passes.count() - passes_before.count(), 2);
-    assert_eq!(passes.sum() - passes_before.sum(), 2 * 3);
+    let after = passes();
+    // Eight commits; every fourth ran a pass over the three keys
+    // overwritten since the one before.
+    assert_eq!(after.count() - idle.count(), 2);
+    assert_eq!(after.sum() - idle.sum(), 2 * 3);
 }
 
 /// A paged write records the byte length of the chain it rewrites, so a
