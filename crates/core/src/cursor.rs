@@ -242,19 +242,23 @@ struct ScanState {
 }
 
 /// Shared scan-budget tracker. Multiple cursors feeding one plan share a
-/// single limiter so the *total* work is bounded.
+/// single limiter so the *total* work is bounded. A limiter without a
+/// scan or a byte limit holds no state, and charging it takes no lock.
 #[derive(Debug, Clone)]
 pub struct ScanLimiter {
-    state: Arc<Mutex<ScanState>>,
+    state: Option<Arc<Mutex<ScanState>>>,
 }
 
 impl ScanLimiter {
     pub fn new(scan_limit: Option<usize>, byte_limit: Option<usize>) -> Self {
+        let limited = scan_limit.is_some() || byte_limit.is_some();
         ScanLimiter {
-            state: Arc::new(Mutex::new(ScanState {
-                records_remaining: scan_limit.map(|n| n as isize),
-                bytes_remaining: byte_limit.map(|n| n as isize),
-            })),
+            state: limited.then(|| {
+                Arc::new(Mutex::new(ScanState {
+                    records_remaining: scan_limit.map(|n| n as isize),
+                    bytes_remaining: byte_limit.map(|n| n as isize),
+                }))
+            }),
         }
     }
 
@@ -266,7 +270,7 @@ impl ScanLimiter {
     /// Charge one scanned record of `bytes` size. Returns the stop reason
     /// if a budget has been exhausted *before* this scan.
     pub fn try_record_scan(&self, bytes: usize) -> Option<NoNextReason> {
-        let mut st = lock(&self.state);
+        let mut st = lock(self.state.as_ref()?);
         if let Some(r) = st.records_remaining {
             if r <= 0 {
                 return Some(NoNextReason::ScanLimitReached);
@@ -363,6 +367,20 @@ impl<'a> KeyValueCursor<'a> {
         }
     }
 
+    /// What [`RecordCursor::next`] reports when [`next_row`](Self::next_row)
+    /// gives `reason`: exhaustion ends the stream, any other stop resumes
+    /// at the position.
+    pub(crate) fn stop<T>(&self, reason: NoNextReason) -> CursorResult<T> {
+        let continuation = match reason {
+            NoNextReason::SourceExhausted => Continuation::End,
+            _ => self.continuation(),
+        };
+        CursorResult::NoNext {
+            reason,
+            continuation,
+        }
+    }
+
     /// Read the next batch: the rows of `[begin, end)` strictly past the
     /// position. Called only with the buffer drained, so the position is
     /// the last row of the batch before.
@@ -398,7 +416,9 @@ impl<'a> KeyValueCursor<'a> {
     /// The next row, or why there is none, without building the
     /// continuation [`RecordCursor::next`] attaches to it: for a consumer
     /// that keeps a position of its own (the record scan resumes at record
-    /// boundaries, not at keys).
+    /// boundaries, not at keys), or that is done with the row's key once
+    /// it has read it and moves it into `Continuation::At` instead of
+    /// copying it (the index cursors).
     pub(crate) fn next_row(
         &mut self,
     ) -> Result<std::result::Result<rl_fdb::KeyValue, NoNextReason>> {
@@ -435,14 +455,7 @@ impl RecordCursor for KeyValueCursor<'_> {
                 continuation: Continuation::At(kv.key.clone()),
                 value: kv,
             },
-            Err(NoNextReason::SourceExhausted) => CursorResult::NoNext {
-                reason: NoNextReason::SourceExhausted,
-                continuation: Continuation::End,
-            },
-            Err(reason) => CursorResult::NoNext {
-                reason,
-                continuation: self.continuation(),
-            },
+            Err(reason) => self.stop(reason),
         })
     }
 }

@@ -108,7 +108,7 @@ impl<'m> OnlineIndexBuilder<'m> {
                             value: record,
                             continuation,
                         } => {
-                            if index.applies_to(&record.record_type) {
+                            if index.applies_to(record.record_type()) {
                                 store.update_one_index(index, &record)?;
                             }
                             scanned += 1;

@@ -179,11 +179,11 @@ pub(crate) fn evaluate_index_expr(index: &Index, record: &StoredRecord) -> Resul
     // Index filters make the index sparse: filtered-out records produce no
     // entries at all (§6).
     if let Some(filter) = &index.filter {
-        if !filter.eval(&record.record_type, &record.message)? {
+        if !filter.eval(record.record_type(), &record.message)? {
             return Ok(Vec::new());
         }
     }
-    let ctx = EvalContext::new(&record.message, &record.record_type).with_version(record.version);
+    let ctx = EvalContext::new(&record.message, record.record_type()).with_version(record.version);
     index.key_expression.evaluate(&ctx)
 }
 

@@ -194,12 +194,12 @@ impl RecordCursor for FilteredRecordCursor<'_> {
                     continuation,
                 } => {
                     if let Some(types) = &self.record_types {
-                        if !types.contains(&value.record_type) {
+                        if !types.contains(value.record_type()) {
                             continue;
                         }
                     }
                     if let Some(residual) = &self.residual {
-                        if !residual.eval(&value.record_type, &value.message)? {
+                        if !residual.eval(value.record_type(), &value.message)? {
                             continue;
                         }
                     }
@@ -245,31 +245,20 @@ impl RecordCursor for IndexFetchCursor<'_> {
     fn next(&mut self) -> Result<CursorResult<StoredRecord>> {
         let entries = &mut self.entries;
         loop {
-            match entries.kv.next()? {
-                CursorResult::Next {
-                    value: kv,
-                    continuation,
-                } => {
-                    let (packed_pk, pk) =
-                        entry_primary_key(&entries.subspace, &kv.key, entries.key_columns)?;
-                    let Some(record) = self.store.load_record_packed(packed_pk, || pk)? else {
-                        continue; // index entry racing a delete
-                    };
-                    return Ok(CursorResult::Next {
-                        value: record,
-                        continuation,
-                    });
-                }
-                CursorResult::NoNext {
-                    reason,
-                    continuation,
-                } => {
-                    return Ok(CursorResult::NoNext {
-                        reason,
-                        continuation,
-                    })
-                }
-            }
+            let kv = match entries.kv.next_row()? {
+                Ok(kv) => kv,
+                Err(reason) => return Ok(entries.kv.stop(reason)),
+            };
+            let (packed_pk, pk) =
+                entry_primary_key(&entries.subspace, &kv.key, entries.key_columns)?;
+            let Some(record) = self.store.load_record_packed(packed_pk, || pk)? else {
+                continue; // index entry racing a delete
+            };
+            // The entry's key is the position, and nothing else needs it.
+            return Ok(CursorResult::Next {
+                value: record,
+                continuation: Continuation::At(kv.key),
+            });
         }
     }
 }
@@ -345,7 +334,6 @@ fn synthesize_record(
     }
     Ok(StoredRecord {
         primary_key: entry.primary_key,
-        record_type: record_type.to_string(),
         message,
         version: None,
         split_count: 1,
@@ -1060,7 +1048,7 @@ impl RecordCursor for MergeCursor<'_> {
                                 .as_ref()
                                 .is_some_and(|head| head.pk() == lead.pk())
                     })
-                    .map(|(_, child)| child.accepts(&record.record_type));
+                    .map(|(_, child)| child.accepts(record.record_type()));
                 if self.all {
                     holders.all(|accepts| accepts)
                 } else {

@@ -230,8 +230,8 @@ impl<'a> RecordStore<'a> {
             if !state.index_state(index.subspace_key).is_maintained() {
                 continue;
             }
-            let old_in = old.filter(|o| index.applies_to(&o.record_type));
-            let new_in = new.filter(|n| index.applies_to(&n.record_type));
+            let old_in = old.filter(|o| index.applies_to(o.record_type()));
+            let new_in = new.filter(|n| index.applies_to(n.record_type()));
             if old_in.is_none() && new_in.is_none() {
                 continue;
             }

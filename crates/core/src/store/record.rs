@@ -18,17 +18,25 @@ use crate::expr::EvalContext;
 /// Split suffix of the key holding a record's commit version.
 const VERSION_SPLIT: i64 = -1;
 
-/// A record as stored: message, type, primary key, and commit version.
+/// A record as stored: message, primary key, and commit version. Its type
+/// is its message's ([`record_type`](Self::record_type)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoredRecord {
     pub primary_key: Tuple,
-    pub record_type: String,
     pub message: DynamicMessage,
     /// The commit version of the record's last modification. Incomplete
     /// for records saved in the current (uncommitted) transaction.
     pub version: Option<Versionstamp>,
     /// Number of key-value pairs the payload occupies (1 = unsplit).
     pub split_count: usize,
+}
+
+impl StoredRecord {
+    /// The record type's name: its message type's, which the descriptor
+    /// holds, so no record carries a copy.
+    pub fn record_type(&self) -> &str {
+        self.message.type_name()
+    }
 }
 
 impl RecordStore<'_> {
@@ -80,7 +88,6 @@ impl RecordStore<'_> {
         let split_count = serialized.len().div_ceil(self.split_size).max(1);
         let new = StoredRecord {
             primary_key,
-            record_type: message.type_name().to_string(),
             message,
             version,
             split_count,
@@ -158,18 +165,20 @@ impl RecordStore<'_> {
     /// split and all payload chunks together (§4).
     ///
     /// Cost contract: one lending range read, one decode; allocates only
-    /// what the returned record owns. The read
-    /// ([`Transaction::visit_range`](rl_fdb::Transaction::visit_range))
-    /// lends its rows to the record assembler and takes the two bounds by
-    /// move into its conflict range, so what is allocated is the packed key
-    /// and the two bounds built from it, one buffer the payload chunks are
-    /// copied into, and then the record's own primary key, type name and
-    /// message fields (plus the buffers `RecordAssembler::finish` names for
+    /// what the returned record owns. The primary key is packed straight
+    /// into one buffer that holds both bounds of the read
+    /// ([`Transaction::visit_range`](rl_fdb::Transaction::visit_range)),
+    /// which borrows them, copies them into the transaction's
+    /// read-conflict arena and lends its rows to the record assembler. So
+    /// what is allocated is the bounds' buffer, one buffer the payload
+    /// chunks are copied into, and then the record's own primary key and
+    /// message (plus the buffers `RecordAssembler::finish` names for
     /// escaped payloads and non-identity serializers). A missing record
-    /// stops after the read.
-    /// `tests/fetch_allocations.rs` holds the count.
+    /// stops after the read. `tests/fetch_allocations.rs` holds the count.
     pub fn load_record(&self, primary_key: &Tuple) -> Result<Option<StoredRecord>> {
-        self.load_record_packed(&primary_key.pack(), || primary_key.clone())
+        let pk_len = tuple::packed_len(primary_key.elements());
+        let bounds = self.record_bounds(pk_len, |key| primary_key.pack_into(key));
+        self.load_record_within(&bounds, || primary_key.clone())
     }
 
     /// [`load_record`](Self::load_record) for a caller that holds the
@@ -180,16 +189,34 @@ impl RecordStore<'_> {
         packed_pk: &[u8],
         primary_key: impl FnOnce() -> Tuple,
     ) -> Result<Option<StoredRecord>> {
+        let bounds = self.record_bounds(packed_pk.len(), |key| key.extend_from_slice(packed_pk));
+        self.load_record_within(&bounds, primary_key)
+    }
+
+    /// The range of a record's rows as one buffer of its final size:
+    /// `begin`, the records prefix, the `pk_len` bytes of packed primary
+    /// key `pack` appends and 0x00, then `end`, the same with 0xFF.
+    fn record_bounds(&self, pk_len: usize, pack: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
         let prefix = self.records.prefix();
-        let suffix_at = prefix.len() + packed_pk.len();
-        let bound = |last: u8| {
-            let mut bound = Vec::with_capacity(suffix_at + 1);
-            bound.extend_from_slice(prefix);
-            bound.extend_from_slice(packed_pk);
-            bound.push(last);
-            bound
-        };
-        let (begin, end) = (bound(0x00), bound(0xFF));
+        let mut bounds = Vec::with_capacity(2 * (prefix.len() + pk_len + 1));
+        bounds.extend_from_slice(prefix);
+        pack(&mut bounds);
+        let key_len = bounds.len();
+        bounds.push(0x00);
+        bounds.extend_from_within(..key_len);
+        bounds.push(0xFF);
+        bounds
+    }
+
+    /// Read and assemble the record whose rows
+    /// [`record_bounds`](Self::record_bounds) spans.
+    fn load_record_within(
+        &self,
+        bounds: &[u8],
+        primary_key: impl FnOnce() -> Tuple,
+    ) -> Result<Option<StoredRecord>> {
+        let (begin, end) = bounds.split_at(bounds.len() / 2);
+        let suffix_at = begin.len() - 1;
         let mut record = RecordAssembler::new(suffix_at);
         let mut failed = None;
         let mut lend = |key: &[u8], value: &[u8]| match record.row(key, Cow::Borrowed(value)) {
@@ -268,8 +295,9 @@ impl RecordStore<'_> {
     }
 
     /// Undo `serialize_record`: the `(type, wire)` envelope is read off
-    /// the deserialized bytes in place, and only the type name is copied.
-    fn deserialize_record(&self, payload: &[u8]) -> Result<(String, DynamicMessage)> {
+    /// the deserialized bytes in place, and the type name finds the
+    /// descriptor the message keeps.
+    fn deserialize_record(&self, payload: &[u8]) -> Result<DynamicMessage> {
         let tagged = self.serializer.deserialize(payload)?;
         let mut envelope = TupleReader::new(&tagged);
         let mut element = || envelope.next().transpose().map_err(Error::Fdb);
@@ -286,8 +314,7 @@ impl RecordStore<'_> {
             .pool()
             .message(&record_type)
             .ok_or_else(|| Error::UnknownRecordType(record_type.to_string()))?;
-        let message = DynamicMessage::decode(desc, self.metadata.pool(), &wire)?;
-        Ok((record_type.into_owned(), message))
+        Ok(DynamicMessage::decode(desc, self.metadata.pool(), &wire)?)
     }
 }
 
@@ -347,10 +374,10 @@ impl RecordAssembler {
     /// payload chunk arrived (nothing, or only a version key survived —
     /// which can happen transiently if a caller cleared payload keys
     /// directly). What is allocated is the primary key (`primary_key` runs
-    /// only for a record that exists), the type name and the message's
-    /// fields — plus one buffer for the wire bytes when the envelope had
-    /// to escape a NUL in them, and whatever a non-identity serializer
-    /// needs to undo its transform.
+    /// only for a record that exists) and the message's fields — plus one
+    /// buffer for the wire bytes when the envelope had to escape a NUL in
+    /// them, and whatever a non-identity serializer needs to undo its
+    /// transform.
     pub(super) fn finish(
         self,
         store: &RecordStore<'_>,
@@ -359,13 +386,12 @@ impl RecordAssembler {
         if self.chunks == 0 {
             return Ok(None);
         }
-        let (record_type, message) = store.deserialize_record(&self.payload)?;
+        let message = store.deserialize_record(&self.payload)?;
         // Every record materialized from the record subspace counts as a
         // fetch; covering index scans bypass this path entirely.
         store.tx.note_record_fetch();
         Ok(Some(StoredRecord {
             primary_key: primary_key(),
-            record_type,
             message,
             version: self.version,
             split_count: self.chunks,

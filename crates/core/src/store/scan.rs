@@ -354,19 +354,24 @@ impl RecordCursor for IndexScanCursor<'_> {
     type Item = IndexEntry;
 
     fn next(&mut self) -> Result<CursorResult<IndexEntry>> {
-        self.kv.next()?.try_map(|kv| {
-            let mut key = self.subspace.unpack(&kv.key).map_err(Error::Fdb)?;
-            let primary_key = key.split_off(self.key_columns);
-            let value = if kv.value.is_empty() {
-                Tuple::new()
-            } else {
-                Tuple::unpack(&kv.value).map_err(Error::Fdb)?
-            };
-            Ok(IndexEntry {
+        let kv = match self.kv.next_row()? {
+            Ok(kv) => kv,
+            Err(reason) => return Ok(self.kv.stop(reason)),
+        };
+        let mut key = self.subspace.unpack(&kv.key).map_err(Error::Fdb)?;
+        let primary_key = key.split_off(self.key_columns);
+        let value = if kv.value.is_empty() {
+            Tuple::new()
+        } else {
+            Tuple::unpack(&kv.value).map_err(Error::Fdb)?
+        };
+        Ok(CursorResult::Next {
+            value: IndexEntry {
                 key,
                 value,
                 primary_key,
-            })
+            },
+            continuation: Continuation::At(kv.key),
         })
     }
 }

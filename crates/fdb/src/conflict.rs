@@ -60,31 +60,24 @@ fn range_shard_mask(begin: &[u8], end: &[u8]) -> u16 {
     mask
 }
 
-/// Union of [`range_shard_mask`] over a conflict-range set.
-pub(crate) fn conflict_shard_mask(ranges: &[(Vec<u8>, Vec<u8>)]) -> u16 {
-    ranges
-        .iter()
-        .fold(0, |mask, (begin, end)| mask | range_shard_mask(begin, end))
-}
-
 /// Every conflict shard.
 pub(crate) const ALL_SHARDS: u16 = u16::MAX >> (16 - CONFLICT_SHARDS);
 
-/// The shards a commit locks: those its conflict ranges can touch — or all
-/// of them when it writes the metadata-version key. Transactions that rely
+/// The shards a commit locks: those its conflicts can touch — or all of
+/// them when it writes the metadata-version key. Transactions that rely
 /// on cached state check the metadata version under whatever shards they
 /// hold (see `Database::commit_internal`) instead of reading the key, so
 /// only the rare writer pays for the exclusion and every other commit's
 /// mask stays what its own keys make it.
 pub(crate) fn commit_shard_mask(
-    read_conflicts: &[(Vec<u8>, Vec<u8>)],
-    write_conflicts: &[(Vec<u8>, Vec<u8>)],
+    read_conflicts: &ConflictSet,
+    write_conflicts: &ConflictSet,
     writes_metadata_version: bool,
 ) -> u16 {
     if writes_metadata_version {
         ALL_SHARDS
     } else {
-        conflict_shard_mask(read_conflicts) | conflict_shard_mask(write_conflicts)
+        read_conflicts.shard_mask() | write_conflicts.shard_mask()
     }
 }
 
@@ -94,86 +87,113 @@ fn key_shard_mask(key: &[u8]) -> u16 {
     1 << shard_of_prefix(prefix_value(key))
 }
 
-/// One commit's write conflicts, as the conflict window keeps them: built
-/// once when the commit is submitted, and shared by the window of every
-/// shard it touches (a clone is a reference count).
-///
-/// A point write is its key, not a `(key, key_after(key))` pair: the keys
-/// lie back to back in one buffer.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct WriteConflicts(Arc<Writes>);
-
-#[derive(Debug, Default)]
-struct Writes {
-    /// The written keys, back to back.
-    keys: Vec<u8>,
-    /// Where each key in `keys` ends.
-    ends: Vec<usize>,
-    /// Range conflicts `[begin, end)`.
-    ranges: Vec<(Vec<u8>, Vec<u8>)>,
+/// One conflict of a [`ConflictSet`]: a point, which stands for the
+/// range `[key, key_after(key))` without building its end, or a half-open
+/// range `[begin, end)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Conflict<'a> {
+    Point(&'a [u8]),
+    Range(&'a [u8], &'a [u8]),
 }
 
-impl WriteConflicts {
-    /// The conflicts of writing `keys` and of `ranges`: two buffers for
-    /// the keys, each of its final size, whatever their number.
-    pub(crate) fn new<'k, I>(keys: I, ranges: Vec<(Vec<u8>, Vec<u8>)>) -> Self
-    where
-        I: IntoIterator<Item = &'k [u8]>,
-        I::IntoIter: Clone + ExactSizeIterator,
-    {
-        let keys = keys.into_iter();
-        let mut writes = Writes {
-            keys: Vec::with_capacity(keys.clone().map(<[u8]>::len).sum()),
-            ends: Vec::with_capacity(keys.len()),
-            ranges,
-        };
-        for key in keys {
-            writes.keys.extend_from_slice(key);
-            writes.ends.push(writes.keys.len());
+impl Conflict<'_> {
+    fn shard_mask(self) -> u16 {
+        match self {
+            Conflict::Point(key) => key_shard_mask(key),
+            Conflict::Range(begin, end) => range_shard_mask(begin, end),
         }
-        WriteConflicts(Arc::new(writes))
     }
 
-    fn key(&self, i: usize) -> &[u8] {
-        let start = if i == 0 { 0 } else { self.0.ends[i - 1] };
-        &self.0.keys[start..self.0.ends[i]]
+    /// Whether the two conflicts share a key. A point `[k, key_after(k))`
+    /// holds `k` alone, and the only keys below `key_after(k)` are those
+    /// up to `k`, so each case is the range test spelt without the end.
+    fn meets(self, other: Conflict<'_>) -> bool {
+        match (self, other) {
+            (Conflict::Point(a), Conflict::Point(b)) => a == b,
+            (Conflict::Point(key), Conflict::Range(begin, end))
+            | (Conflict::Range(begin, end), Conflict::Point(key)) => begin <= key && key < end,
+            (Conflict::Range(a1, a2), Conflict::Range(b1, b2)) => a1 < b2 && b1 < a2,
+        }
+    }
+}
+
+/// A transaction's conflicts in one arena: the keys back to back in one
+/// buffer, and where each ends. A transaction's read conflicts are one,
+/// filled as it reads, so a read adds no heap block of its own once the
+/// two buffers have grown; a commit's write conflicts are another, built at
+/// their final size and shared by the conflict window, which keeps them
+/// until the MVCC horizon passes it: a point costs its key and one offset.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ConflictSet {
+    bytes: Vec<u8>,
+    /// Where each key in `bytes` ends: one offset for a point, two for a
+    /// range, the first of them (where its begin ends) marked [`RANGE`].
+    ends: Vec<usize>,
+}
+
+/// The mark of an offset in [`ConflictSet::ends`] that a range's end
+/// follows.
+const RANGE: usize = 1 << (usize::BITS - 1);
+
+impl ConflictSet {
+    /// An empty set with room for `bytes` key bytes in all, and for
+    /// `points` points and `ranges` ranges.
+    pub(crate) fn with_capacity(bytes: usize, points: usize, ranges: usize) -> Self {
+        ConflictSet {
+            bytes: Vec::with_capacity(bytes),
+            ends: Vec::with_capacity(points + 2 * ranges),
+        }
     }
 
-    /// The range conflicts.
-    pub(crate) fn ranges(&self) -> &[(Vec<u8>, Vec<u8>)] {
-        &self.0.ranges
+    /// Add the point conflict on `key`.
+    pub(crate) fn push_point(&mut self, key: &[u8]) {
+        self.bytes.extend_from_slice(key);
+        self.ends.push(self.bytes.len());
     }
 
-    /// The shards of the written keys (the ranges' are
-    /// [`commit_shard_mask`]'s to add).
-    pub(crate) fn key_shard_mask(&self) -> u16 {
-        (0..self.0.ends.len()).fold(0, |mask, i| mask | key_shard_mask(self.key(i)))
+    /// Add the range conflict `[begin, end)`.
+    pub(crate) fn push_range(&mut self, begin: &[u8], end: &[u8]) {
+        self.bytes.extend_from_slice(begin);
+        self.ends.push(self.bytes.len() | RANGE);
+        self.bytes.extend_from_slice(end);
+        self.ends.push(self.bytes.len());
     }
 
-    /// The union of the keys' and the ranges' shards.
-    pub(crate) fn shard_mask(&self) -> u16 {
-        self.key_shard_mask() | conflict_shard_mask(self.ranges())
-    }
-
-    /// Whether any of these writes falls in any of `read_conflicts`.
-    fn intersects(&self, read_conflicts: &[(Vec<u8>, Vec<u8>)]) -> bool {
-        read_conflicts.iter().any(|(begin, end)| {
-            let inside = |key: &[u8]| begin.as_slice() <= key && key < end.as_slice();
-            (0..self.0.ends.len()).any(|i| inside(self.key(i)))
-                || self
-                    .ranges()
-                    .iter()
-                    .any(|(wa, wb)| ranges_intersect(begin, end, wa, wb))
+    /// The conflicts, in the order they were added.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = Conflict<'_>> {
+        let (mut ends, mut start) = (self.ends.iter(), 0);
+        std::iter::from_fn(move || {
+            let (first, begin) = (*ends.next()?, start);
+            Some(if first & RANGE == 0 {
+                start = first;
+                Conflict::Point(&self.bytes[begin..first])
+            } else {
+                let mid = first & !RANGE;
+                start = *ends.next().expect("a range has two ends");
+                Conflict::Range(&self.bytes[begin..mid], &self.bytes[mid..start])
+            })
         })
+    }
+
+    /// The union of the conflicts' shards.
+    pub(crate) fn shard_mask(&self) -> u16 {
+        self.iter().fold(0, |mask, c| mask | c.shard_mask())
+    }
+
+    /// Whether any of these conflicts shares a key with any of `other`'s.
+    fn meets(&self, other: &ConflictSet) -> bool {
+        self.iter().any(|c| other.iter().any(|o| c.meets(o)))
     }
 }
 
 /// One entry in the conflict-detection window: the write conflicts of a
-/// committed transaction, recorded under its commit version.
+/// committed transaction, recorded under its commit version. They are
+/// built once at commit and shared by the window of every shard they
+/// touch (a clone is a reference count).
 #[derive(Debug)]
 struct CommittedWrites {
     version: u64,
-    writes: WriteConflicts,
+    writes: Arc<ConflictSet>,
 }
 
 /// One shard of the recent-writes conflict index. Entries are ordered by
@@ -188,16 +208,12 @@ impl ConflictShard {
     /// Whether a write committed after `read_version` intersects any of
     /// `read_conflicts`. The window is ordered by version, so scan
     /// newest-first and stop at the read version.
-    pub(crate) fn conflicts_with(
-        &self,
-        read_version: u64,
-        read_conflicts: &[(Vec<u8>, Vec<u8>)],
-    ) -> bool {
+    pub(crate) fn conflicts_with(&self, read_version: u64, read_conflicts: &ConflictSet) -> bool {
         for committed in self.window.iter().rev() {
             if committed.version <= read_version {
                 break;
             }
-            if committed.writes.intersects(read_conflicts) {
+            if read_conflicts.meets(&committed.writes) {
                 return true;
             }
         }
@@ -207,7 +223,12 @@ impl ConflictShard {
     /// Record a commit's write conflicts at its `version`, first dropping
     /// the entries older than the MVCC `horizon`: no transaction that could
     /// still commit reads below it.
-    pub(crate) fn record(&mut self, version: u64, horizon: u64, writes: impl Into<WriteConflicts>) {
+    pub(crate) fn record(
+        &mut self,
+        version: u64,
+        horizon: u64,
+        writes: impl Into<Arc<ConflictSet>>,
+    ) {
         while self.window.front().is_some_and(|c| c.version < horizon) {
             self.window.pop_front();
         }
@@ -218,20 +239,15 @@ impl ConflictShard {
     }
 }
 
-/// Half-open interval intersection.
-fn ranges_intersect(a1: &[u8], a2: &[u8], b1: &[u8], b2: &[u8]) -> bool {
-    a1 < b2 && b1 < a2
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// What the window tests record: the write conflicts of ranges alone.
-    impl From<&Vec<(Vec<u8>, Vec<u8>)>> for WriteConflicts {
-        fn from(ranges: &Vec<(Vec<u8>, Vec<u8>)>) -> Self {
-            WriteConflicts::new([], ranges.clone())
-        }
+    /// The conflict set of the one range `[begin, end)`.
+    fn range(begin: &[u8], end: &[u8]) -> ConflictSet {
+        let mut set = ConflictSet::default();
+        set.push_range(begin, end);
+        set
     }
 
     #[test]
@@ -313,6 +329,159 @@ mod tests {
         assert_eq!(checks, 585 * 584 * 586 / 6);
     }
 
+    /// The representation the arena replaced: every read conflict a
+    /// `(begin, end)` pair, a point read `(key, key_after(key))`; a
+    /// commit's written keys apart from its ranges.
+    #[derive(Default)]
+    struct PairModel {
+        reads: Vec<(Vec<u8>, Vec<u8>)>,
+        write_keys: Vec<Vec<u8>>,
+        write_ranges: Vec<(Vec<u8>, Vec<u8>)>,
+    }
+
+    impl PairModel {
+        fn mask(ranges: &[(Vec<u8>, Vec<u8>)]) -> u16 {
+            ranges
+                .iter()
+                .fold(0, |m, (b, e)| m | range_shard_mask(b, e))
+        }
+
+        fn commit_shard_mask(&self) -> u16 {
+            let keys = self.write_keys.iter().fold(0, |m, k| m | key_shard_mask(k));
+            Self::mask(&self.reads) | Self::mask(&self.write_ranges) | keys
+        }
+
+        /// The intersection test the arena replaced, for one read.
+        fn meets(&self, (begin, end): &(Vec<u8>, Vec<u8>)) -> bool {
+            self.write_keys.iter().any(|k| begin <= k && k < end)
+                || self
+                    .write_ranges
+                    .iter()
+                    .any(|(wa, wb)| begin < wb && wa < end)
+        }
+    }
+
+    /// Seeded differential of the conflict arena against the pair model
+    /// it replaced: shard masks and conflict verdicts over keys of up to
+    /// three bytes from an alphabet with the edge bytes, so keys collide
+    /// and ranges straddle shards. Each read is one of the generator's
+    /// kinds, and the test asserts that each kind both met a write and
+    /// missed every write at least once:
+    ///
+    /// * a point read, kept as its key alone;
+    /// * a range read;
+    /// * a limited read stopped going forward, `[begin, key_after(last))`;
+    /// * a limited read stopped going backward, `[last, end)`;
+    /// * a range whose end is `[b, 0x00]`, `key_after` of a one-byte key
+    ///   (the shard-mask case of `range_shard_mask`'s comment);
+    /// * an empty or inverted range (the pair model lets one meet a write
+    ///   range around it, and so does the arena).
+    ///
+    /// Writes are points (buffered keys, versionstamped placeholders) and
+    /// ranges (clears), and the test asserts that a point read met a point
+    /// and a range, and a range read met a point and a range.
+    #[test]
+    fn conflict_arena_matches_the_pair_model() {
+        const ALPHABET: [u8; 6] = [0x00, 0x01, 0x0F, 0x10, b'a', 0xFF];
+        const KINDS: [&str; 6] = [
+            "point",
+            "range",
+            "limited forward",
+            "limited backward",
+            "end [b, 0x00]",
+            "empty or inverted",
+        ];
+        let mut rng = 0xC0_FF1C_7A12_u64;
+        let mut next = |n: usize| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng % n as u64) as usize
+        };
+        let key = |next: &mut dyn FnMut(usize) -> usize| -> Vec<u8> {
+            (0..next(4))
+                .map(|_| ALPHABET[next(ALPHABET.len())])
+                .collect()
+        };
+        let (mut met, mut missed) = ([false; 6], [false; 6]);
+        let mut arms = [false; 4]; // point/point, point/range, range/point, range/range
+        for case in 0..3000 {
+            let mut model = PairModel::default();
+            let (mut reads, mut kinds) = (ConflictSet::default(), Vec::new());
+            for _ in 0..1 + next(4) {
+                let kind = next(KINDS.len());
+                let (a, b) = (key(&mut next), key(&mut next));
+                if kind == 0 {
+                    reads.push_point(&a);
+                    model.reads.push((a.clone(), crate::key_after(&a)));
+                    kinds.push(kind);
+                    continue;
+                }
+                let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+                let pair = match kind {
+                    // A backward stop's range begins at the last row,
+                    // `lo` here: the same shape as a plain range.
+                    1 | 3 => (lo, hi),
+                    2 => (lo, crate::key_after(&hi)),
+                    4 => (lo, crate::key_after(&[ALPHABET[next(ALPHABET.len())]])),
+                    _ if next(2) == 0 => (hi.clone(), hi),
+                    _ => (hi, lo),
+                };
+                reads.push_range(&pair.0, &pair.1);
+                model.reads.push(pair);
+                kinds.push(kind);
+            }
+            let mut writes = ConflictSet::default();
+            for _ in 0..next(4) {
+                let k = key(&mut next);
+                writes.push_point(&k);
+                model.write_keys.push(k);
+            }
+            for _ in 0..next(3) {
+                let (a, b) = (key(&mut next), key(&mut next));
+                writes.push_range(&a, &b);
+                model.write_ranges.push((a, b));
+            }
+            let what = format!("case {case}: reads {:x?}", model.reads);
+            assert_eq!(
+                commit_shard_mask(&reads, &writes, false),
+                model.commit_shard_mask(),
+                "{what}"
+            );
+            let writes = Arc::new(writes);
+            let mut shard = ConflictShard::default();
+            shard.record(10, 0, writes.clone());
+            let verdict = model.reads.iter().any(|read| model.meets(read));
+            assert_eq!(shard.conflicts_with(5, &reads), verdict, "{what}");
+            assert!(!shard.conflicts_with(10, &reads), "{what}");
+            for ((read, conflict), &kind) in model.reads.iter().zip(reads.iter()).zip(&kinds) {
+                let hit = model.meets(read);
+                let mut alone = ConflictSet::default();
+                match conflict {
+                    Conflict::Point(k) => alone.push_point(k),
+                    Conflict::Range(b, e) => alone.push_range(b, e),
+                }
+                assert_eq!(shard.conflicts_with(5, &alone), hit, "{what}: {read:x?}");
+                met[kind] |= hit;
+                missed[kind] |= !hit;
+                for write in writes.iter().filter(|&w| conflict.meets(w)) {
+                    let arm = match (conflict, write) {
+                        (Conflict::Point(_), Conflict::Point(_)) => 0,
+                        (Conflict::Point(_), Conflict::Range(..)) => 1,
+                        (Conflict::Range(..), Conflict::Point(_)) => 2,
+                        (Conflict::Range(..), Conflict::Range(..)) => 3,
+                    };
+                    arms[arm] = true;
+                }
+            }
+        }
+        for (kind, name) in KINDS.iter().enumerate() {
+            assert!(missed[kind], "no {name} read missed every write");
+            assert!(met[kind] || kind == 5, "no {name} read met a write");
+        }
+        assert_eq!(arms, [true; 4], "intersection arms reached");
+    }
+
     #[test]
     fn disjoint_tenant_commits_use_disjoint_shards() {
         // Tenant prefixes "t0/".."t7/" land on eight distinct shards, the
@@ -330,10 +499,9 @@ mod tests {
 
     #[test]
     fn window_scan_stops_at_the_read_version_and_prunes_below_the_horizon() {
-        let range = |a: &[u8], b: &[u8]| vec![(a.to_vec(), b.to_vec())];
         let mut shard = ConflictShard::default();
-        shard.record(10, 0, &range(b"a", b"c"));
-        shard.record(20, 0, &range(b"m", b"p"));
+        shard.record(10, 0, range(b"a", b"c"));
+        shard.record(20, 0, range(b"m", b"p"));
         // Only writes after the read version count.
         assert!(shard.conflicts_with(15, &range(b"n", b"o")));
         assert!(!shard.conflicts_with(20, &range(b"n", b"o")));
@@ -342,7 +510,7 @@ mod tests {
         // Half-open: a read ending where a write begins does not meet it.
         assert!(!shard.conflicts_with(5, &range(b"c", b"m")));
         // Recording at a horizon past version 10 drops that entry.
-        shard.record(30, 11, &range(b"x", b"y"));
+        shard.record(30, 11, range(b"x", b"y"));
         assert!(!shard.conflicts_with(0, &range(b"a", b"c")));
         assert_eq!(shard.window.len(), 2);
     }
@@ -353,7 +521,10 @@ mod tests {
     #[test]
     fn a_commit_on_two_shards_is_stored_once_and_pruned_from_both() {
         let (a, b) = (b"t0/a".to_vec(), b"t1/b".to_vec());
-        let writes = WriteConflicts::new([&a[..], &b[..]], Vec::new());
+        let mut points = ConflictSet::default();
+        points.push_point(&a);
+        points.push_point(&b);
+        let writes = Arc::new(points);
         assert_eq!(writes.shard_mask(), key_shard_mask(&a) | key_shard_mask(&b));
         assert_eq!(writes.shard_mask().count_ones(), 2);
         for key in [&a, &b] {
@@ -364,22 +535,21 @@ mod tests {
         for shard in &mut shards {
             shard.record(10, 0, writes.clone());
         }
-        let stored = |shard: &ConflictShard| Arc::as_ptr(&shard.window[0].writes.0);
+        let stored = |shard: &ConflictShard| Arc::as_ptr(&shard.window[0].writes);
         assert_eq!(stored(&shards[0]), stored(&shards[1]));
-        assert_eq!(Arc::strong_count(&writes.0), 3);
-        let reads = |begin: &[u8], end: &[u8]| vec![(begin.to_vec(), end.to_vec())];
+        assert_eq!(Arc::strong_count(&writes), 3);
         for shard in &shards {
             for key in [&a, &b] {
-                assert!(shard.conflicts_with(5, &reads(key, &crate::key_after(key))));
-                assert!(!shard.conflicts_with(10, &reads(key, &crate::key_after(key))));
+                assert!(shard.conflicts_with(5, &range(key, &crate::key_after(key))));
+                assert!(!shard.conflicts_with(10, &range(key, &crate::key_after(key))));
             }
-            assert!(shard.conflicts_with(5, &reads(b"t0/", b"t0/b")));
-            assert!(!shard.conflicts_with(5, &reads(b"t0/", b"t0/a")));
-            assert!(!shard.conflicts_with(5, &reads(b"t0/a\x00", b"t1/b")));
+            assert!(shard.conflicts_with(5, &range(b"t0/", b"t0/b")));
+            assert!(!shard.conflicts_with(5, &range(b"t0/", b"t0/a")));
+            assert!(!shard.conflicts_with(5, &range(b"t0/a\x00", b"t1/b")));
         }
-        shards[0].record(20, 11, WriteConflicts::default());
-        assert_eq!(Arc::strong_count(&writes.0), 2);
-        shards[1].record(20, 11, WriteConflicts::default());
-        assert_eq!(Arc::strong_count(&writes.0), 1, "a window still holds it");
+        shards[0].record(20, 11, ConflictSet::default());
+        assert_eq!(Arc::strong_count(&writes), 2);
+        shards[1].record(20, 11, ConflictSet::default());
+        assert_eq!(Arc::strong_count(&writes), 1, "a window still holds it");
     }
 }

@@ -38,7 +38,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-use crate::conflict::{commit_shard_mask, ConflictShard, WriteConflicts, CONFLICT_SHARDS};
+use crate::conflict::{commit_shard_mask, ConflictSet, ConflictShard, CONFLICT_SHARDS};
 use crate::error::{Error, Result};
 use crate::metrics::{Metrics, SharedMetrics};
 use crate::options::{build_engine, DatabaseOptions, VERSIONS_PER_MS};
@@ -295,8 +295,8 @@ impl Database {
     pub(crate) fn commit_internal(
         &self,
         read_version: u64,
-        read_conflicts: &[(Vec<u8>, Vec<u8>)],
-        write_conflicts: WriteConflicts,
+        read_conflicts: &ConflictSet,
+        write_conflicts: ConflictSet,
         writes: &mut WriteSet,
         relied_on_metadata_version: bool,
         writes_metadata_version: bool,
@@ -307,11 +307,7 @@ impl Database {
 
         // Lock the conflict shards this transaction's ranges can touch,
         // in ascending shard order (the ConflictShard indexed band).
-        let mask = commit_shard_mask(
-            read_conflicts,
-            write_conflicts.ranges(),
-            writes_metadata_version,
-        ) | write_conflicts.key_shard_mask();
+        let mask = commit_shard_mask(read_conflicts, &write_conflicts, writes_metadata_version);
         let mut held = Vec::with_capacity(mask.count_ones() as usize);
         let acquiring = rl_obs::Timer::start("shard_acquire");
         for idx in 0..CONFLICT_SHARDS {
@@ -353,10 +349,11 @@ impl Database {
         // Record our write conflicts for future validations, in every shard
         // they touch: each shard's window holds the one shared copy.
         let write_mask = write_conflicts.shard_mask();
+        let write_conflicts = Arc::new(write_conflicts);
         let horizon = self.oldest.load(Ordering::Acquire);
         for (idx, shard) in &mut held {
             if write_mask & (1 << *idx) != 0 {
-                shard.record(receipt.version, horizon, write_conflicts.clone());
+                shard.record(receipt.version, horizon, Arc::clone(&write_conflicts));
             }
         }
         Ok(receipt)
@@ -742,16 +739,17 @@ mod tests {
         // one shard of the tenant's own keys, and the two are disjoint.
         let masks: Vec<u16> = (0..2)
             .map(|t| {
-                let key = format!("t{t}/row").into_bytes();
-                let writes = vec![(key.clone(), crate::key_after(&key))];
-                commit_shard_mask(&[], &writes, false)
+                let mut writes = ConflictSet::default();
+                writes.push_point(format!("t{t}/row").as_bytes());
+                commit_shard_mask(&ConflictSet::default(), &writes, false)
             })
             .collect();
         assert_eq!(masks[0].count_ones(), 1);
         assert_eq!(masks[1].count_ones(), 1);
         assert_eq!(masks[0] & masks[1], 0);
         // Only a write of the key excludes everyone.
-        assert_eq!(commit_shard_mask(&[], &[], true), ALL_SHARDS);
+        let none = ConflictSet::default();
+        assert_eq!(commit_shard_mask(&none, &none, true), ALL_SHARDS);
         for tx in &txs {
             tx.commit().unwrap();
         }
@@ -889,8 +887,11 @@ mod tests {
     #[test]
     fn a_commit_parked_on_one_shard_does_not_block_a_disjoint_one() {
         let db = Database::new();
-        let mask =
-            |key: &[u8]| commit_shard_mask(&[], &[(key.to_vec(), crate::key_after(key))], false);
+        let mask = |key: &[u8]| {
+            let mut writes = ConflictSet::default();
+            writes.push_point(key);
+            commit_shard_mask(&ConflictSet::default(), &writes, false)
+        };
         let (parked, other) = (mask(b"t0/row"), mask(b"t1/row"));
         assert_eq!((parked.count_ones(), parked & other), (1, 0));
         let idx = parked.trailing_zeros() as usize;
@@ -919,7 +920,11 @@ mod tests {
     #[test]
     fn a_commit_over_two_shards_conflicts_with_a_reader_of_either_key() {
         let db = Database::new();
-        let shard = |key: &[u8]| WriteConflicts::new([key], Vec::new()).key_shard_mask();
+        let shard = |key: &[u8]| {
+            let mut writes = ConflictSet::default();
+            writes.push_point(key);
+            writes.shard_mask()
+        };
         assert_eq!(shard(b"t0/a") & shard(b"t1/b"), 0);
         let readers: Vec<_> = [&b"t0/a"[..], b"t1/b"]
             .into_iter()

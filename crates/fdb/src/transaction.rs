@@ -11,9 +11,11 @@
 
 use std::borrow::Cow;
 use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicU16, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::atomic::{self, MutationType};
+use crate::conflict::ConflictSet;
 use crate::database::Database;
 use crate::error::{Error, Result};
 use crate::kv::KeyValue;
@@ -31,8 +33,10 @@ use rl_storage::Visitor;
 /// commit was index overhead, …), and the transaction's `Drop` folds it
 /// into the database's [`Metrics`](crate::metrics::Metrics), which is the
 /// sum of every dropped transaction's trace. Maintained as plain integers
-/// under the transaction's existing state lock, so keeping it costs
-/// nothing measurable, with observability enabled or not.
+/// under the transaction's existing state lock — bar `record_fetches`, one
+/// atomic of its own, which the record layer bumps once per fetched record
+/// without that lock — so keeping it costs nothing measurable, with
+/// observability enabled or not.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TxnTrace {
     /// Keys returned to this transaction by point and range reads.
@@ -67,7 +71,8 @@ struct TxState {
     /// The buffered writes: read-your-writes folds them over what it reads,
     /// and the commit hands them to the engine.
     writes: WriteSet,
-    read_conflicts: Vec<(Vec<u8>, Vec<u8>)>,
+    /// Every read conflict, in one arena: a point read is its key alone.
+    read_conflicts: ConflictSet,
     /// Write conflict ranges added explicitly. What `writes` holds is a
     /// write conflict too, built once at commit
     /// ([`WriteSet::conflicts`]).
@@ -113,7 +118,9 @@ pub struct Transaction {
     state: Mutex<TxState>,
     /// Client-side counter for versionstamp user versions (the Record
     /// Layer assigns one per record written in a transaction, §7).
-    user_version: std::sync::atomic::AtomicU16,
+    user_version: AtomicU16,
+    /// [`TxnTrace::record_fetches`], counted outside the state lock.
+    record_fetches: AtomicU64,
 }
 
 /// The most snapshot rows one storage read of a range read lends. A
@@ -123,13 +130,15 @@ pub struct Transaction {
 const SNAPSHOT_CHUNK_ROWS: usize = 1024;
 
 /// What a range read handed over: the rows and their key and value
-/// bytes, and the key of the last row when the read stopped before the
-/// range ended (at its limit, or where the visitor stopped it).
+/// bytes, and, when the read stopped before the range ended (at its
+/// limit, or where the visitor stopped it), the bound its read conflict
+/// stops at: the last row's key going backward, `key_after` it going
+/// forward.
 #[derive(Debug, Default)]
 struct Read {
     rows: usize,
     bytes: u64,
-    stopped_at: Option<Vec<u8>>,
+    conflict_bound: Option<Vec<u8>>,
 }
 
 /// The state of one read-your-writes merge: the buffered writes inside
@@ -214,7 +223,10 @@ where
         self.read.rows += 1;
         self.read.bytes += (key.len() + value.len()) as u64;
         if (self.visitor)(key, &value).is_break() || self.read.rows == self.limit {
-            self.read.stopped_at = Some(key.to_vec());
+            self.read.conflict_bound = Some(match self.reverse {
+                true => key.to_vec(),
+                false => crate::key_after(key),
+            });
             return ControlFlow::Break(());
         }
         ControlFlow::Continue(())
@@ -233,15 +245,15 @@ impl Transaction {
                 0
             },
             state: Mutex::new(TxState::default()),
-            user_version: std::sync::atomic::AtomicU16::new(0),
+            user_version: AtomicU16::new(0),
+            record_fetches: AtomicU64::new(0),
         }
     }
 
     /// Allocate the next 2-byte user version for versionstamps minted in
     /// this transaction, keeping every stamped key/value unique.
     pub fn next_user_version(&self) -> u16 {
-        self.user_version
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        self.user_version.fetch_add(1, Ordering::Relaxed)
     }
 
     /// The MVCC read version this transaction reads at.
@@ -251,7 +263,15 @@ impl Transaction {
 
     /// Snapshot of this transaction's own read/write attribution.
     pub fn trace(&self) -> TxnTrace {
-        lock_ranked(&self.state, LockRank::TransactionState).trace
+        self.traced(&lock_ranked(&self.state, LockRank::TransactionState))
+    }
+
+    /// `st`'s trace with the record fetches counted beside it.
+    fn traced(&self, st: &TxState) -> TxnTrace {
+        TxnTrace {
+            record_fetches: self.record_fetches.load(Ordering::Relaxed),
+            ..st.trace
+        }
     }
 
     /// Attach a free-form attribution tag (tenant, subspace, workload…)
@@ -261,11 +281,9 @@ impl Transaction {
     }
 
     /// Count one record fetch (called by the record layer) in this
-    /// transaction's trace, under its state lock like every other count.
+    /// transaction's trace: one atomic add, taking no lock.
     pub fn note_record_fetch(&self) {
-        lock_ranked(&self.state, LockRank::TransactionState)
-            .trace
-            .record_fetches += 1;
+        self.record_fetches.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The commit version, available after a successful commit.
@@ -335,8 +353,7 @@ impl Transaction {
         let mut st = lock_ranked(&self.state, LockRank::TransactionState);
         self.check_open(&st)?;
         if !snapshot {
-            let end = crate::key_after(key);
-            st.read_conflicts.push((key.to_vec(), end));
+            st.read_conflicts.push_point(key);
             st.size += key.len() + 12;
         }
         let underlying = self.db.storage_get(key, self.read_version)?;
@@ -381,9 +398,10 @@ impl Transaction {
         options: RangeOptions,
         snapshot: bool,
     ) -> Result<Vec<KeyValue>> {
-        let mut rows = Vec::new();
-        let bounds = (Cow::Borrowed(begin), Cow::Borrowed(end));
-        self.read_range(bounds, options, snapshot, &mut |key, value| {
+        // A limited read sizes its rows once for the limit (at most a
+        // chunk's worth) instead of growing them.
+        let mut rows = Vec::with_capacity(options.limit.min(SNAPSHOT_CHUNK_ROWS));
+        self.read_range(begin, end, options, snapshot, &mut |key, value| {
             rows.push(KeyValue::new(key, value));
             ControlFlow::Continue(())
         })?;
@@ -392,12 +410,14 @@ impl Transaction {
 
     /// The lending [`get_range`](Self::get_range): each row of `[begin,
     /// end)` this transaction sees, in scan direction, is lent to
-    /// `visitor` once instead of copied, and the bounds, taken by value,
-    /// are moved into the read conflict set. The read stops at
-    /// `options.limit` rows or where the visitor returns
-    /// [`ControlFlow::Break`]; a read that stopped conflicts only up to
-    /// the last row it lent (`key_after` of it going forward, from it
-    /// going backward), as a limited `get_range` does.
+    /// `visitor` once instead of copied. Cost contract: the bounds are
+    /// borrowed, and the read copies the range it conflicts on into the
+    /// transaction's read-conflict arena, which allocates nothing once it
+    /// has grown, so a read that is not stopped early allocates nothing
+    /// of its own. The read stops at `options.limit` rows or where the
+    /// visitor returns [`ControlFlow::Break`]; a read that stopped
+    /// conflicts only up to the last row it lent (`key_after` of it going
+    /// forward, from it going backward), as a limited `get_range` does.
     ///
     /// The visitor runs under this transaction's state lock and the
     /// database's shared store lock (on the paged engine under its
@@ -406,20 +426,20 @@ impl Transaction {
     /// tracker when it does, and release builds may deadlock.
     pub fn visit_range(
         &self,
-        begin: Vec<u8>,
-        end: Vec<u8>,
+        begin: &[u8],
+        end: &[u8],
         options: RangeOptions,
         visitor: &mut Visitor<'_>,
     ) -> Result<()> {
-        let bounds = (Cow::Owned(begin), Cow::Owned(end));
-        self.read_range(bounds, options, false, visitor)
+        self.read_range(begin, end, options, false, visitor)
     }
 
     /// Every range read: the merge of [`merge_range`](Self::merge_range)
     /// lent to `visitor`, then the counts and the read conflict range.
     fn read_range(
         &self,
-        (begin, end): (Cow<'_, [u8]>, Cow<'_, [u8]>),
+        begin: &[u8],
+        end: &[u8],
         options: RangeOptions,
         snapshot: bool,
         visitor: &mut Visitor<'_>,
@@ -438,27 +458,27 @@ impl Transaction {
         };
         let st = &mut *st;
         let writes = st.writes.by_key.range::<[u8], _>((
-            std::ops::Bound::Included(&*begin),
-            std::ops::Bound::Excluded(&*end),
+            std::ops::Bound::Included(begin),
+            std::ops::Bound::Excluded(end),
         ));
         let read = if options.reverse {
             let merge = Merge::new(writes.rev(), &st.writes, limit, true, visitor);
-            self.merge_range(&begin, &end, merge)?
+            self.merge_range(begin, end, merge)?
         } else {
             let merge = Merge::new(writes, &st.writes, limit, false, visitor);
-            self.merge_range(&begin, &end, merge)?
+            self.merge_range(begin, end, merge)?
         };
         st.trace.read_ops += 1;
 
         // Conflict range: the portion of [begin, end) actually observed.
         if !snapshot {
-            let (ca, cb) = match read.stopped_at {
-                Some(last) if options.reverse => (last, end.into_owned()),
-                Some(last) => (begin.into_owned(), crate::key_after(&last)),
-                None => (begin.into_owned(), end.into_owned()),
+            let (ca, cb) = match &read.conflict_bound {
+                Some(bound) if options.reverse => (bound.as_slice(), end),
+                Some(bound) => (begin, bound.as_slice()),
+                None => (begin, end),
             };
             st.size += ca.len() + cb.len() + 12;
-            st.read_conflicts.push((ca, cb));
+            st.read_conflicts.push_range(ca, cb);
         }
 
         st.trace.keys_read += read.rows as u64;
@@ -641,12 +661,15 @@ impl Transaction {
     pub fn add_read_conflict_range(&self, begin: &[u8], end: &[u8]) {
         let mut st = lock_ranked(&self.state, LockRank::TransactionState);
         st.size += begin.len() + end.len() + 12;
-        st.read_conflicts.push((begin.to_vec(), end.to_vec()));
+        st.read_conflicts.push_range(begin, end);
     }
 
-    /// Add a read conflict on a single key.
+    /// Add a read conflict on a single key: the range `[key,
+    /// key_after(key))`, sized as such, kept as the key alone.
     pub fn add_read_conflict_key(&self, key: &[u8]) {
-        self.add_read_conflict_range(key, &crate::key_after(key));
+        let mut st = lock_ranked(&self.state, LockRank::TransactionState);
+        st.size += 2 * key.len() + 1 + 12;
+        st.read_conflicts.push_point(key);
     }
 
     /// Explicitly add a write conflict range.
@@ -788,7 +811,7 @@ impl Transaction {
         if !rl_obs::enabled() {
             return;
         }
-        let t = &st.trace;
+        let t = &self.traced(st);
         rl_obs::push_span(rl_obs::Span {
             op: "txn",
             tag: st.tag.clone().unwrap_or_default(),
@@ -813,7 +836,11 @@ impl Drop for Transaction {
     /// here, it takes no lock.
     fn drop(&mut self) {
         let st = self.state.get_mut().unwrap_or_else(PoisonError::into_inner);
-        self.db.metrics().fold(&st.trace);
+        let trace = TxnTrace {
+            record_fetches: *self.record_fetches.get_mut(),
+            ..st.trace
+        };
+        self.db.metrics().fold(&trace);
     }
 }
 
@@ -822,6 +849,7 @@ mod tests {
     use std::collections::BTreeMap;
 
     use super::*;
+    use crate::conflict::Conflict;
     use crate::database::Database;
 
     #[test]
@@ -1078,7 +1106,7 @@ mod tests {
             let copied_trace = tx.trace();
             let copied_conflict = last_read_conflict(&tx);
             let mut lent = Vec::new();
-            tx.visit_range(key(b), key(e), options, &mut |k, v| {
+            tx.visit_range(&key(b), &key(e), options, &mut |k, v| {
                 lent.push((k.to_vec(), v.to_vec()));
                 ControlFlow::Continue(())
             })
@@ -1145,7 +1173,10 @@ mod tests {
 
     fn last_read_conflict(tx: &Transaction) -> (Vec<u8>, Vec<u8>) {
         let st = lock_ranked(&tx.state, LockRank::TransactionState);
-        st.read_conflicts.last().cloned().unwrap()
+        match st.read_conflicts.iter().last().unwrap() {
+            Conflict::Range(begin, end) => (begin.to_vec(), end.to_vec()),
+            Conflict::Point(key) => (key.to_vec(), crate::key_after(key)),
+        }
     }
 
     /// The visitor contract: a visitor that calls back into its own
@@ -1161,15 +1192,10 @@ mod tests {
         tx.set(b"a", b"1");
         tx.commit().unwrap();
         let tx = db.create_transaction();
-        let _ = tx.visit_range(
-            b"a".to_vec(),
-            b"b".to_vec(),
-            RangeOptions::default(),
-            &mut |_, _| {
-                let _ = tx.get(b"a");
-                ControlFlow::Continue(())
-            },
-        );
+        let _ = tx.visit_range(b"a", b"b", RangeOptions::default(), &mut |_, _| {
+            let _ = tx.get(b"a");
+            ControlFlow::Continue(())
+        });
     }
 
     #[test]

@@ -678,7 +678,7 @@ fn unescape_nulls(bytes: &[u8], start: usize) -> Result<(Cow<'_, [u8]>, usize)> 
     let end = loop {
         let nul = bytes
             .get(pos..)
-            .and_then(|rest| rest.iter().position(|&b| b == 0x00))
+            .and_then(find_nul)
             .ok_or_else(|| Error::Tuple("unterminated bytes/string".into()))?;
         if bytes.get(pos + nul + 1) != Some(&0xFF) {
             break pos + nul;
@@ -691,12 +691,32 @@ fn unescape_nulls(bytes: &[u8], start: usize) -> Result<(Cow<'_, [u8]>, usize)> 
         return Ok((Cow::Borrowed(escaped), end + 1));
     }
     let mut out = Vec::with_capacity(escaped.len() - escapes);
-    while let Some(nul) = escaped.iter().position(|&b| b == 0x00) {
+    while let Some(nul) = find_nul(escaped) {
         out.extend_from_slice(&escaped[..=nul]);
         escaped = &escaped[nul + 2..];
     }
     out.extend_from_slice(escaped);
     Ok((Cow::Owned(out), end + 1))
+}
+
+/// The offset of the first NUL in `bytes`, found eight bytes at a time.
+fn find_nul(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+    let mut words = bytes.chunks_exact(8);
+    for (i, word) in words.by_ref().enumerate() {
+        let word = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+        // A byte's high bit is set here if the byte is zero, or if a zero
+        // byte below it borrowed from it: the lowest set bit marks the
+        // first zero byte exactly.
+        let zeros = word.wrapping_sub(ONES) & !word & HIGHS;
+        if zeros != 0 {
+            return Some(8 * i + zeros.trailing_zeros() as usize / 8);
+        }
+    }
+    let tail = words.remainder();
+    let at = bytes.len() - tail.len();
+    tail.iter().position(|&b| b == 0x00).map(|nul| at + nul)
 }
 
 fn decode_int(bytes: &[u8], pos: usize) -> Result<(ElementRef<'static>, usize)> {
@@ -745,6 +765,99 @@ fn decode_int(bytes: &[u8], pos: usize) -> Result<(ElementRef<'static>, usize)> 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The bytewise scan [`unescape_nulls`] replaced, as the model of the
+    /// word-at-a-time one, and the offsets (from where each scan began) of
+    /// the NULs it stopped at: escapes first, then the terminator.
+    fn unescape_bytewise(bytes: &[u8], start: usize) -> (Option<(Vec<u8>, usize)>, Vec<usize>) {
+        let (mut out, mut pos, mut stops) = (Vec::new(), start, Vec::new());
+        loop {
+            let Some(nul) = bytes[pos..].iter().position(|&b| b == 0x00) else {
+                return (None, stops);
+            };
+            stops.push(nul);
+            out.extend_from_slice(&bytes[pos..pos + nul]);
+            if bytes.get(pos + nul + 1) != Some(&0xFF) {
+                return (Some((out, pos + nul + 1)), stops);
+            }
+            out.push(0x00);
+            pos += nul + 2;
+        }
+    }
+
+    /// Seeded differential of the word-at-a-time NUL scan against the
+    /// bytewise one: random byte strings dense in NULs and `00 FF`
+    /// escapes, unescaped from a random start. The generator reaches each
+    /// of these, and the test asserts that every one occurs:
+    ///
+    /// * a terminator at every offset mod 8 from where its scan began, in
+    ///   a whole eight-byte word and in the tail after the last one;
+    /// * a `00 FF` escape whose NUL ends a word, so its `FF` begins the
+    ///   next;
+    /// * an unterminated string, rejected, with and without an escape.
+    #[test]
+    fn word_nul_scan_matches_the_bytewise_scan() {
+        let mut rng = 0x00F1_DA11_5EED_u64;
+        let mut next = |n: usize| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng % n as u64) as usize
+        };
+        let (mut word_terminators, mut tail_terminators) = ([false; 8], [false; 8]);
+        let (mut straddled, mut unterminated, mut unterminated_escaped) = (false, false, false);
+        for case in 0..4000 {
+            let len = next(48);
+            let bytes: Vec<u8> = (0..len)
+                .map(|_| match next(8) {
+                    0 | 1 => 0x00,
+                    2 => 0xFF,
+                    _ => 1 + next(254) as u8,
+                })
+                .collect();
+            let start = next(len + 1).min(len);
+            let (expected, stops) = unescape_bytewise(&bytes, start);
+            let got = unescape_nulls(&bytes, start);
+            match (&expected, &got) {
+                (Some((data, next)), Ok((cow, after))) => {
+                    assert_eq!(
+                        (cow.as_ref(), *after),
+                        (data.as_slice(), *next),
+                        "case {case}"
+                    );
+                }
+                (None, Err(_)) => {}
+                _ => panic!("case {case}: {bytes:x?} from {start}: {got:?} vs {expected:?}"),
+            }
+            let (escapes, last) = match expected {
+                Some(_) => (&stops[..stops.len() - 1], stops.last().copied()),
+                None => (&stops[..], None),
+            };
+            straddled |= escapes.iter().any(|&nul| nul % 8 == 7);
+            if let Some(nul) = last {
+                // Where the terminator's scan began: past the last escape.
+                let scanned = len - start - escapes.iter().map(|e| e + 2).sum::<usize>();
+                match nul < scanned / 8 * 8 {
+                    true => word_terminators[nul % 8] = true,
+                    false => tail_terminators[nul % 8] = true,
+                }
+            } else {
+                unterminated |= escapes.is_empty();
+                unterminated_escaped |= !escapes.is_empty();
+            }
+        }
+        assert_eq!(word_terminators, [true; 8], "terminator offsets in a word");
+        assert_eq!(
+            tail_terminators[..7],
+            [true; 7],
+            "terminator offsets in the tail"
+        );
+        assert!(straddled, "no escape straddled two words");
+        assert!(
+            unterminated && unterminated_escaped,
+            "no unterminated string"
+        );
+    }
 
     fn roundtrip(t: &Tuple) {
         let packed = t.pack();

@@ -15,7 +15,7 @@ use std::ops::Bound;
 use rl_storage::{Batch, Mutation};
 
 use crate::atomic::{self, MutationType};
-use crate::conflict::WriteConflicts;
+use crate::conflict::ConflictSet;
 use crate::error::Result;
 
 /// One op in a key's sequence.
@@ -82,16 +82,29 @@ impl WriteSet {
     /// The write conflicts of these writes and of `explicit` ranges: each
     /// buffered key as a point; each range clear; and, since its final key
     /// is unknown until commit, each versionstamped key's placeholder form
-    /// (no stamp spells a key another write names).
-    pub(crate) fn conflicts(&self, explicit: &[(Vec<u8>, Vec<u8>)]) -> WriteConflicts {
-        let cleared = self
-            .cleared
+    /// as a point (no stamp spells a key another write names). One buffer
+    /// of their final size holds every key.
+    pub(crate) fn conflicts(&self, explicit: &[(Vec<u8>, Vec<u8>)]) -> ConflictSet {
+        let keys = self
+            .by_key
+            .keys()
+            .chain(self.stamped_keys.iter().map(|(_, key, ..)| key));
+        let cleared = self.cleared.iter().map(|(begin, end, _)| (begin, end));
+        let ranges = explicit
             .iter()
-            .map(|(begin, end, _)| (begin.clone(), end.clone()));
-        let stamped = self.stamped_keys.iter();
-        let stamped = stamped.map(|(_, key, ..)| (key.clone(), crate::key_after(key)));
-        let ranges = explicit.iter().cloned().chain(cleared).chain(stamped);
-        WriteConflicts::new(self.by_key.keys().map(Vec::as_slice), ranges.collect())
+            .map(|(begin, end)| (begin, end))
+            .chain(cleared);
+        let bytes = keys.clone().map(Vec::len).sum::<usize>()
+            + ranges
+                .clone()
+                .map(|(b, e)| b.len() + e.len())
+                .sum::<usize>();
+        let points = self.by_key.len() + self.stamped_keys.len();
+        let mut set =
+            ConflictSet::with_capacity(bytes, points, explicit.len() + self.cleared.len());
+        keys.for_each(|key| set.push_point(key));
+        ranges.for_each(|(begin, end)| set.push_range(begin, end));
+        set
     }
 
     /// Whether these writes touch a key in `[begin, end)` (`end == None`:

@@ -257,9 +257,12 @@ impl StorageEngine for MemoryEngine {
         self.map.get(key)?.visible(read_version).map(<[u8]>::to_vec)
     }
 
-    /// Both directions stream straight off the `BTreeMap` range iterator,
+    /// Both directions stream straight off a `BTreeMap` range iterator,
     /// lending each visible row's key and value out of the map, and stop
     /// where the visitor does, so the rest of the range is never visited.
+    /// The iterator seeks only the bound it starts from and stops at the
+    /// other one: a two-bound range would search the tree for both ends
+    /// first, and a visitor usually stops long before the far one.
     fn visit(
         &self,
         begin: &[u8],
@@ -268,20 +271,21 @@ impl StorageEngine for MemoryEngine {
         reverse: bool,
         visitor: &mut Visitor<'_>,
     ) {
-        if begin >= end {
-            return; // BTreeMap::range panics on inverted bounds
-        }
-        let mut iter = self
-            .map
-            .range::<[u8], _>((Bound::Included(begin), Bound::Excluded(end)));
         let mut lend = |(key, chain): (&Key, &Chain)| match chain.visible(read_version) {
             Some(value) => visitor(key.bytes(), value),
             None => ControlFlow::Continue(()),
         };
         let _ = if reverse {
-            iter.rev().try_for_each(&mut lend)
+            self.map
+                .range::<[u8], _>((Bound::Unbounded, Bound::Excluded(end)))
+                .rev()
+                .take_while(|(key, _)| key.bytes() >= begin)
+                .try_for_each(&mut lend)
         } else {
-            iter.try_for_each(&mut lend)
+            self.map
+                .range::<[u8], _>((Bound::Included(begin), Bound::Unbounded))
+                .take_while(|(key, _)| key.bytes() < end)
+                .try_for_each(&mut lend)
         };
     }
 

@@ -347,7 +347,7 @@ fn records_of_different_types_interleave_in_one_extent() {
             &ExecuteProperties::new(),
         )?;
         let (records, _, _) = cursor.collect_remaining()?;
-        let types: Vec<&str> = records.iter().map(|r| r.record_type.as_str()).collect();
+        let types: Vec<&str> = records.iter().map(|r| r.record_type()).collect();
         assert_eq!(types, vec!["Doc", "Memo"]);
         Ok(())
     })

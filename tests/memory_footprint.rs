@@ -56,7 +56,7 @@ fn a_populated_store_holds_little_beyond_its_bytes() {
         kv_bytes += key.len() + value.len();
         ControlFlow::Continue(())
     };
-    tx.visit_range(Vec::new(), vec![0xFF], RangeOptions::default(), &mut tally)
+    tx.visit_range(&[], &[0xFF], RangeOptions::default(), &mut tally)
         .unwrap();
     assert_eq!(keys, db.live_key_count());
 

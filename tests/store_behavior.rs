@@ -796,7 +796,7 @@ fn every_read_path_reports_the_stored_bytes() {
                 let mut stored = vec![b'P'];
                 stored.extend(
                     Tuple::new()
-                        .push(r.record_type.as_str())
+                        .push(r.record_type())
                         .push(r.message.encode())
                         .pack(),
                 );
