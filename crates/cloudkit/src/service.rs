@@ -121,14 +121,12 @@ fn cloudkit_pool() -> DescriptorPool {
 /// business logic in the application.
 fn sync_key_expression() -> KeyExpression {
     KeyExpression::function("incarnation_sync_key", 3, |ctx: &EvalContext<'_>| {
-        let zone = ctx
-            .message
-            .get("zone")
-            .and_then(Value::as_str)
-            .unwrap_or_default()
-            .to_string();
-        let legacy_counter = ctx.message.get("update_counter").and_then(Value::as_i64);
-        let tuple = match legacy_counter {
+        let field = |name| ctx.message.get_value(name);
+        let zone = match field("zone")? {
+            Some(Value::String(zone)) => zone,
+            _ => String::new(),
+        };
+        let tuple = match field("update_counter")?.as_ref().and_then(Value::as_i64) {
             Some(counter) => Tuple::new()
                 .push(zone)
                 .push(0i64)
@@ -138,13 +136,12 @@ fn sync_key_expression() -> KeyExpression {
                     0,
                 ))),
             None => {
-                let incarnation = ctx
-                    .message
-                    .get("incarnation")
-                    .and_then(Value::as_i64)
-                    .unwrap_or(1);
+                let incarnation = field("incarnation")?.as_ref().and_then(Value::as_i64);
                 let version = ctx.version.unwrap_or_else(|| Versionstamp::incomplete(0));
-                Tuple::new().push(zone).push(incarnation).push(version)
+                Tuple::new()
+                    .push(zone)
+                    .push(incarnation.unwrap_or(1))
+                    .push(version)
             }
         };
         Ok(vec![tuple])

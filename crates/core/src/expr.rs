@@ -6,11 +6,12 @@
 //! repeated fields may *fan out*, producing multiple tuples — one index
 //! entry per element.
 
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
-use rl_fdb::tuple::{Tuple, TupleElement};
+use rl_fdb::tuple::{self, ElementRef, Tuple, TupleElement, TupleReader};
 use rl_fdb::version::Versionstamp;
-use rl_message::{DynamicMessage, Value};
+use rl_message::{FieldDescriptor, FieldRef, FieldSource, ValueRef};
 
 use crate::error::{Error, Result};
 
@@ -27,17 +28,17 @@ pub enum FanType {
 }
 
 /// Everything a key expression can be evaluated against: the record's
-/// message, its record type name, and (for `Version` expressions) its
-/// commit version.
-#[derive(Debug, Clone)]
+/// fields (a decoded message, or wire bytes read where they lie), its
+/// record type name, and (for `Version` expressions) its commit version.
+#[derive(Debug, Clone, Copy)]
 pub struct EvalContext<'a> {
-    pub message: &'a DynamicMessage,
+    pub message: &'a dyn FieldSource,
     pub record_type: &'a str,
     pub version: Option<Versionstamp>,
 }
 
 impl<'a> EvalContext<'a> {
-    pub fn new(message: &'a DynamicMessage, record_type: &'a str) -> Self {
+    pub fn new(message: &'a dyn FieldSource, record_type: &'a str) -> Self {
         EvalContext {
             message,
             record_type,
@@ -241,21 +242,66 @@ impl KeyExpression {
         }
     }
 
-    /// Evaluate against a record, producing one or more tuples.
-    ///
-    /// The tuples are built in place, each with room for every column: a
-    /// part that yields one value pushes it onto every tuple built so far,
-    /// and only a part that yields several (a fan-out, a client function)
-    /// multiplies them — a Cartesian product in which earlier parts vary
-    /// slowest.
+    /// Evaluate against a record, producing one or more tuples: the rows
+    /// [`pack`](Self::pack) packs, unpacked.
     pub fn evaluate(&self, ctx: &EvalContext<'_>) -> Result<Vec<Tuple>> {
-        let mut rows = vec![Tuple::with_capacity(self.column_count())];
-        self.extend_rows(ctx, &mut rows)?;
-        Ok(rows)
+        let mut packed = PackedRows::default();
+        let rows = self.pack(ctx, &mut packed)?;
+        packed.rows(rows).map(Row::to_tuple).collect()
     }
 
-    /// Append this expression's columns to each of `rows`.
-    fn extend_rows(&self, ctx: &EvalContext<'_>, rows: &mut Vec<Tuple>) -> Result<()> {
+    /// Evaluate, requiring exactly one tuple (for primary keys).
+    pub fn evaluate_single(&self, ctx: &EvalContext<'_>) -> Result<Tuple> {
+        self.pack_single(ctx, &mut PackedRows::default())?.to_tuple()
+    }
+
+    /// [`pack`](Self::pack), requiring exactly one row.
+    pub fn pack_single<'p>(
+        &self,
+        ctx: &EvalContext<'_>,
+        packed: &'p mut PackedRows,
+    ) -> Result<Row<'p>> {
+        let rows = self.pack(ctx, packed)?;
+        let mut rows = packed.rows(rows);
+        match (rows.next(), rows.len()) {
+            (Some(row), 0) => Ok(row),
+            (first, more) => Err(Error::KeyExpression(format!(
+                "expected a single tuple, got {} (fan-out expression used as primary key?)",
+                usize::from(first.is_some()) + more
+            ))),
+        }
+    }
+
+    /// Evaluate against a record into `packed`: the one walk every
+    /// evaluation takes. Each column value is packed once, as the tuple
+    /// element it is, and a row is the list of its columns; rows are built
+    /// in place, each with room for every column. A part that yields one
+    /// value sets it in every row built so far, and only a part that
+    /// yields several (a fan-out, a client function) multiplies them — a
+    /// Cartesian product in which earlier parts vary slowest.
+    ///
+    /// Cost contract: nothing but the growth of `packed`'s buffers, and a
+    /// concatenated list's tuple, a client function's tuples and a string
+    /// copied out of a record for a predicate on the way there.
+    pub fn pack(&self, ctx: &EvalContext<'_>, packed: &mut PackedRows) -> Result<Rows> {
+        let width = self.column_count();
+        let at = packed.rows.len();
+        packed.rows.resize(at + width, 0);
+        let mut rows = Building {
+            packed,
+            rows: Rows {
+                at,
+                count: 1,
+                width,
+            },
+            column: 0,
+        };
+        self.extend_rows(ctx, &mut rows)?;
+        Ok(rows.rows)
+    }
+
+    /// Fill this expression's columns of every row.
+    fn extend_rows(&self, ctx: &EvalContext<'_>, rows: &mut Building<'_>) -> Result<()> {
         match self {
             KeyExpression::Empty => {}
             KeyExpression::Field { name, fan_type } => {
@@ -271,13 +317,39 @@ impl KeyExpression {
                     part.extend_rows(ctx, rows)?;
                 }
             }
-            KeyExpression::RecordTypeKey => push_each(rows, ctx.record_type.into()),
+            KeyExpression::RecordTypeKey => {
+                let record_type = FieldRef::Value(ValueRef::String(ctx.record_type));
+                let element = rows.packed.push_value(record_type)?;
+                rows.set_each(element);
+            }
             KeyExpression::Version => {
                 let version = ctx.version.unwrap_or_else(|| Versionstamp::incomplete(0));
-                push_each(rows, version.into());
+                let element = rows.packed.push_element(&version.into());
+                rows.set_each(element);
             }
-            KeyExpression::Literal(el) => push_each(rows, el.clone()),
-            KeyExpression::Function(f) => product(rows, (f.function)(ctx)?),
+            KeyExpression::Literal(el) => {
+                let element = rows.packed.push_element(el);
+                rows.set_each(element);
+            }
+            KeyExpression::Function(f) => {
+                let mark = rows.packed.alternatives.len();
+                let tuples = (f.function)(ctx)?;
+                for t in &tuples {
+                    if t.len() != f.column_count {
+                        return Err(Error::KeyExpression(format!(
+                            "function {} gave {} columns, declares {}",
+                            f.name,
+                            t.len(),
+                            f.column_count
+                        )));
+                    }
+                    for el in t.elements() {
+                        let element = rows.packed.push_element(el);
+                        rows.packed.alternatives.push(element);
+                    }
+                }
+                rows.product(mark, tuples.len(), f.column_count);
+            }
             KeyExpression::Grouping { inner, .. } => inner.extend_rows(ctx, rows)?,
             KeyExpression::KeyWithValue { key, value } => {
                 // The key columns, then the value columns; the index
@@ -287,18 +359,6 @@ impl KeyExpression {
             }
         }
         Ok(())
-    }
-
-    /// Evaluate, requiring exactly one tuple (for primary keys).
-    pub fn evaluate_single(&self, ctx: &EvalContext<'_>) -> Result<Tuple> {
-        let mut tuples = self.evaluate(ctx)?;
-        if tuples.len() != 1 {
-            return Err(Error::KeyExpression(format!(
-                "expected a single tuple, got {} (fan-out expression used as primary key?)",
-                tuples.len()
-            )));
-        }
-        Ok(tuples.remove(0))
     }
 
     /// Flatten into per-column descriptions for planner matching. Returns
@@ -380,93 +440,361 @@ pub enum KeyPart {
     Version,
 }
 
-/// Convert a message field [`Value`] to a tuple element.
-pub fn value_to_element(value: &Value) -> Result<TupleElement> {
+/// A field value as the tuple element an index key holds.
+pub fn element_of(value: FieldRef<'_>) -> Result<TupleElement> {
+    let FieldRef::Value(value) = value else {
+        return Err(Error::KeyExpression(
+            "cannot index a whole nested message; use nest() to reach a scalar".into(),
+        ));
+    };
     Ok(match value {
-        Value::I32(v) => TupleElement::Int(i64::from(*v)),
-        Value::I64(v) => TupleElement::Int(*v),
-        Value::U32(v) => TupleElement::Int(i64::from(*v)),
-        Value::U64(v) => TupleElement::Int(
-            i64::try_from(*v)
+        ValueRef::I32(v) | ValueRef::Enum(v) => TupleElement::Int(i64::from(v)),
+        ValueRef::I64(v) => TupleElement::Int(v),
+        ValueRef::U32(v) => TupleElement::Int(i64::from(v)),
+        ValueRef::U64(v) => TupleElement::Int(
+            i64::try_from(v)
                 .map_err(|_| Error::KeyExpression(format!("u64 value {v} overflows index key")))?,
         ),
-        Value::F32(v) => TupleElement::Float(*v),
-        Value::F64(v) => TupleElement::Double(*v),
-        Value::Bool(v) => TupleElement::Bool(*v),
-        Value::String(v) => TupleElement::String(v.clone()),
-        Value::Bytes(v) => TupleElement::Bytes(v.clone()),
-        Value::Enum(v) => TupleElement::Int(i64::from(*v)),
-        Value::Message(_) => {
-            return Err(Error::KeyExpression(
-                "cannot index a whole nested message; use nest() to reach a scalar".into(),
-            ))
-        }
+        ValueRef::F32(v) => TupleElement::Float(v),
+        ValueRef::F64(v) => TupleElement::Double(v),
+        ValueRef::Bool(v) => TupleElement::Bool(v),
+        ValueRef::String(v) => TupleElement::String(v.to_string()),
+        ValueRef::Bytes(v) => TupleElement::Bytes(v.to_vec()),
     })
 }
 
-/// Push `el` onto every row.
-fn push_each(rows: &mut [Tuple], el: TupleElement) {
-    if let Some((last, rest)) = rows.split_last_mut() {
-        for row in rest {
-            row.add(el.clone());
+/// Hand each value of `field` to `f` (see [`FieldSource::visit_field`]),
+/// stopping at its first error.
+pub(crate) fn each_value(
+    msg: &dyn FieldSource,
+    field: &FieldDescriptor,
+    mut f: impl FnMut(FieldRef<'_>) -> Result<()>,
+) -> Result<()> {
+    let mut failed = None;
+    msg.visit_field(field, &mut |value| match f(value) {
+        Ok(()) => ControlFlow::Continue(()),
+        Err(error) => {
+            failed = Some(error);
+            ControlFlow::Break(())
         }
-        last.add(el);
+    })?;
+    failed.map_or(Ok(()), Err)
+}
+
+/// Key-expression evaluations, packed: each column of a row is a tuple
+/// element packed once into one buffer, and a row is the list of its
+/// columns' elements. An index compares two evaluations by these bytes and
+/// builds a changed entry's key from them, with no [`Tuple`] in between.
+/// [`clear`](Self::clear) keeps the buffers, so one set serves every
+/// evaluation of a save.
+#[derive(Debug, Default)]
+pub struct PackedRows {
+    bytes: Vec<u8>,
+    elements: Vec<Element>,
+    /// The evaluations' rows, back to back: a row is its columns'
+    /// indexes into `elements`.
+    rows: Vec<usize>,
+    /// What a fan-out gathers before it multiplies the rows: a stack, a
+    /// nested fan-out's above its parent's.
+    alternatives: Vec<usize>,
+}
+
+/// A packed element: where it lies in `bytes`, and where in it an
+/// incomplete versionstamp's bytes begin.
+#[derive(Debug, Clone, Copy)]
+struct Element {
+    start: usize,
+    end: usize,
+    stamp: Option<usize>,
+}
+
+/// The rows one evaluation left in a [`PackedRows`]: `count` rows of
+/// `width` columns from `at`. The default is no rows.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Rows {
+    at: usize,
+    count: usize,
+    width: usize,
+}
+
+impl Rows {
+    pub fn len(&self) -> usize {
+        self.count
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
     }
 }
 
-/// Replace `rows` by each row followed by each of `values`, rows varying
-/// slowest. A single value extends the rows in place.
-fn product(rows: &mut Vec<Tuple>, mut values: Vec<Tuple>) {
-    if values.len() == 1 {
-        let value = values.pop().unwrap_or_default();
-        if let Some((last, rest)) = rows.split_last_mut() {
-            for row in rest {
-                row.append(value.clone());
-            }
-            last.append(value);
+impl PackedRows {
+    /// Forget every evaluation, keeping the buffers.
+    pub fn clear(&mut self) {
+        self.bytes.clear();
+        self.elements.clear();
+        self.rows.clear();
+        self.alternatives.clear();
+    }
+
+    /// The rows of one evaluation.
+    pub fn rows(&self, rows: Rows) -> impl ExactSizeIterator<Item = Row<'_>> + Clone {
+        let all = &self.rows[rows.at..rows.at + rows.count * rows.width];
+        (0..rows.count).map(move |i| Row {
+            packed: self,
+            columns: &all[i * rows.width..(i + 1) * rows.width],
+        })
+    }
+
+    /// Whether two evaluations give the same entries: the same rows in
+    /// the same order, column for column the same packed bytes. Floats so
+    /// compare by their bits, as their packings do (`-0.0` apart from
+    /// `0.0`, a NaN like itself).
+    pub fn same(&self, a: Rows, b: Rows) -> bool {
+        a.count == b.count && self.rows(a).eq(self.rows(b))
+    }
+
+    /// `rows` sorted, each row once: as they are when there is at most
+    /// one, otherwise copied in order after every other row.
+    pub fn sorted_unique(&mut self, rows: Rows) -> Rows {
+        if rows.count <= 1 {
+            return rows;
         }
-        return;
+        let mut order = std::mem::take(&mut self.alternatives);
+        order.extend(0..rows.count);
+        let row = |i: usize| {
+            let at = rows.at + i * rows.width;
+            Row {
+                packed: self,
+                columns: &self.rows[at..at + rows.width],
+            }
+        };
+        order.sort_unstable_by(|&a, &b| row(a).cmp(&row(b)));
+        order.dedup_by(|a, b| row(*a) == row(*b));
+        let at = self.rows.len();
+        for &i in &order {
+            let from = rows.at + i * rows.width;
+            self.rows.extend_from_within(from..from + rows.width);
+        }
+        let sorted = Rows {
+            at,
+            count: order.len(),
+            width: rows.width,
+        };
+        order.clear();
+        self.alternatives = order;
+        sorted
     }
-    let mut out = Vec::with_capacity(rows.len() * values.len());
-    for row in rows.drain(..) {
-        out.extend(values.iter().map(|value| row.clone().concat(value)));
+
+    /// Record the element packed from `start` to the end of `bytes`.
+    fn push(&mut self, start: usize, stamp: Option<usize>) -> usize {
+        let end = self.bytes.len();
+        self.elements.push(Element { start, end, stamp });
+        self.elements.len() - 1
     }
-    *rows = out;
+
+    fn push_element(&mut self, el: &TupleElement) -> usize {
+        let start = self.bytes.len();
+        let stamp = tuple::pack_elements_into(std::slice::from_ref(el), &mut self.bytes);
+        self.push(start, stamp.map(|at| at - start))
+    }
+
+    /// Pack a field value, a string or bytes straight from where the
+    /// record holds it.
+    fn push_value(&mut self, value: FieldRef<'_>) -> Result<usize> {
+        let start = self.bytes.len();
+        match value {
+            FieldRef::Value(ValueRef::String(s)) => tuple::pack_str_into(s, &mut self.bytes),
+            FieldRef::Value(ValueRef::Bytes(b)) => tuple::pack_bytes_into(b, &mut self.bytes),
+            value => element_of(value)?.pack_into(&mut self.bytes),
+        }
+        Ok(self.push(start, None))
+    }
+}
+
+/// One row of a [`PackedRows`]: its columns' packed elements. Rows order
+/// column by column, by the elements' bytes; equal rows pack equal.
+#[derive(Debug, Clone, Copy)]
+pub struct Row<'p> {
+    packed: &'p PackedRows,
+    columns: &'p [usize],
+}
+
+impl<'p> Row<'p> {
+    pub fn len(&self) -> usize {
+        self.columns.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.columns.is_empty()
+    }
+
+    /// The first `at` columns (all of them if there are fewer) and the
+    /// rest.
+    pub fn split_at(self, at: usize) -> (Row<'p>, Row<'p>) {
+        let (front, back) = self.columns.split_at(at.min(self.columns.len()));
+        let row = |columns| Row {
+            packed: self.packed,
+            columns,
+        };
+        (row(front), row(back))
+    }
+
+    /// Each column's packed element.
+    pub fn elements(self) -> impl Iterator<Item = &'p [u8]> + Clone {
+        let packed = self.packed;
+        self.columns.iter().map(move |&i| {
+            let el = packed.elements[i];
+            &packed.bytes[el.start..el.end]
+        })
+    }
+
+    /// Column `i`, decoded.
+    pub fn get(self, i: usize) -> Option<Result<ElementRef<'p>>> {
+        let bytes = self.elements().nth(i)?;
+        TupleReader::new(bytes)
+            .next()
+            .map(|el| el.map_err(Error::Fdb))
+    }
+
+    /// The number of bytes the row packs to.
+    pub fn packed_len(self) -> usize {
+        self.elements().map(<[u8]>::len).sum()
+    }
+
+    /// Append the row packed, as the tail of a tuple, to `out`: what
+    /// [`tuple::pack_elements_into`] does for its elements, with the same
+    /// offset of the last incomplete versionstamp among them.
+    pub fn pack_into(self, out: &mut Vec<u8>) -> Option<usize> {
+        let mut stamp = None;
+        for &i in self.columns {
+            let el = self.packed.elements[i];
+            stamp = el.stamp.map(|at| out.len() + at).or(stamp);
+            out.extend_from_slice(&self.packed.bytes[el.start..el.end]);
+        }
+        stamp
+    }
+
+    /// The row as a tuple.
+    pub fn to_tuple(self) -> Result<Tuple> {
+        let elements = (0..self.len()).map(|i| match self.get(i) {
+            Some(el) => el.map(ElementRef::into_owned),
+            None => unreachable!("column {i} of {}", self.len()),
+        });
+        Ok(Tuple::from_elements(elements.collect::<Result<_>>()?))
+    }
+}
+
+impl PartialEq for Row<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.elements().eq(other.elements())
+    }
+}
+
+impl Eq for Row<'_> {}
+
+impl PartialOrd for Row<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Row<'_> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.elements().cmp(other.elements())
+    }
+}
+
+/// Rows being built: `rows` in `packed`, filled up to `column`.
+struct Building<'p> {
+    packed: &'p mut PackedRows,
+    rows: Rows,
+    column: usize,
+}
+
+impl Building<'_> {
+    /// Set the next column of every row to `element`.
+    fn set_each(&mut self, element: usize) {
+        let Rows { at, count, width } = self.rows;
+        for row in 0..count {
+            self.packed.rows[at + row * width + self.column] = element;
+        }
+        self.column += 1;
+    }
+
+    /// Replace the rows by each row followed by each of the `count`
+    /// alternatives of `width` columns gathered from `mark` on, the rows
+    /// varying slowest; the alternatives are dropped. No alternatives
+    /// leave no rows.
+    fn product(&mut self, mark: usize, count: usize, width: usize) {
+        let Rows {
+            at,
+            count: rows,
+            width: stride,
+        } = self.rows;
+        let packed = &mut *self.packed;
+        packed.rows.resize(at + rows * count * stride, 0);
+        // From the last row back: row r's copies go to rows r·count and
+        // on, never below r, so no row is overwritten before it is copied.
+        for row in (0..rows).rev() {
+            for alternative in (0..count).rev() {
+                let from = at + row * stride;
+                let to = at + (row * count + alternative) * stride;
+                packed.rows.copy_within(from..from + self.column, to);
+                let (to, from) = (to + self.column, mark + alternative * width);
+                packed.rows[to..to + width].copy_from_slice(&packed.alternatives[from..from + width]);
+            }
+        }
+        packed.alternatives.truncate(mark);
+        self.rows.count = rows * count;
+        self.column += width;
+    }
+}
+
+fn field_of<'m>(msg: &'m dyn FieldSource, name: &str) -> Result<&'m FieldDescriptor> {
+    msg.descriptor()
+        .field_by_name(name)
+        .ok_or_else(|| Error::KeyExpression(format!("no field {name} on {}", msg.descriptor().name)))
 }
 
 fn extend_with_field(
-    msg: &DynamicMessage,
+    msg: &dyn FieldSource,
     name: &str,
     fan_type: FanType,
-    rows: &mut Vec<Tuple>,
+    rows: &mut Building<'_>,
 ) -> Result<()> {
-    let descriptor = msg.descriptor();
-    let field = descriptor
-        .field_by_name(name)
-        .ok_or_else(|| Error::KeyExpression(format!("no field {name} on {}", msg.type_name())))?;
+    let field = field_of(msg, name)?;
     if !field.is_repeated() {
-        let el = match msg.get(name) {
-            Some(v) => value_to_element(v)?,
-            None => TupleElement::Null,
+        let mut element = None;
+        each_value(msg, field, |v| {
+            element = Some(rows.packed.push_value(v)?);
+            Ok(())
+        })?;
+        let element = match element {
+            Some(element) => element,
+            None => rows.packed.push_element(&TupleElement::Null),
         };
-        push_each(rows, el);
+        rows.set_each(element);
         return Ok(());
     }
-    let values = msg.get_repeated(name);
     match fan_type {
         FanType::Fanout => {
-            let values = values
-                .iter()
-                .map(|v| Ok(Tuple::from_elements(vec![value_to_element(v)?])))
-                .collect::<Result<_>>()?;
-            product(rows, values);
+            let (mark, mut count) = (rows.packed.alternatives.len(), 0);
+            each_value(msg, field, |v| {
+                let element = rows.packed.push_value(v)?;
+                rows.packed.alternatives.push(element);
+                count += 1;
+                Ok(())
+            })?;
+            rows.product(mark, count, 1);
         }
         FanType::Concatenate => {
-            let mut list = Tuple::with_capacity(values.len());
-            for v in values {
-                list.add(value_to_element(v)?);
-            }
-            push_each(rows, list.into());
+            let mut list = Tuple::new();
+            each_value(msg, field, |v| {
+                list.add(element_of(v)?);
+                Ok(())
+            })?;
+            let element = rows.packed.push_element(&list.into());
+            rows.set_each(element);
         }
         FanType::Scalar => {
             return Err(Error::KeyExpression(format!(
@@ -482,15 +810,16 @@ fn extend_with_nest(
     field: &str,
     fan_type: FanType,
     inner: &KeyExpression,
-    rows: &mut Vec<Tuple>,
+    rows: &mut Building<'_>,
 ) -> Result<()> {
-    let descriptor = ctx.message.descriptor();
-    let fd = descriptor.field_by_name(field).ok_or_else(|| {
-        Error::KeyExpression(format!("no field {field} on {}", ctx.message.type_name()))
-    })?;
-    fn nested<'m>(v: &'m Value, field: &str) -> Result<&'m DynamicMessage> {
-        v.as_message()
-            .ok_or_else(|| Error::KeyExpression(format!("field {field} is not a message")))
+    let fd = field_of(ctx.message, field)?;
+    fn nested<'m>(v: FieldRef<'m>, ctx: &EvalContext<'m>, field: &str) -> Result<EvalContext<'m>> {
+        match v {
+            FieldRef::Message(message) => Ok(EvalContext { message, ..*ctx }),
+            FieldRef::Value(_) => Err(Error::KeyExpression(format!(
+                "field {field} is not a message"
+            ))),
+        }
     }
     if fd.is_repeated() {
         if fan_type != FanType::Fanout {
@@ -498,42 +827,41 @@ fn extend_with_nest(
                 "nested repeated field {field} requires Fanout"
             )));
         }
-        // Every element's tuples, in element order, multiply the rows.
-        let mut values = Vec::new();
-        for v in ctx.message.get_repeated(field) {
-            let sub_ctx = EvalContext {
-                message: nested(v, field)?,
-                record_type: ctx.record_type,
-                version: ctx.version,
-            };
-            values.extend(inner.evaluate(&sub_ctx)?);
-        }
-        product(rows, values);
+        // Every element's rows, in element order, multiply the rows.
+        let (mark, mut count) = (rows.packed.alternatives.len(), 0);
+        each_value(ctx.message, fd, |v| {
+            let element = inner.pack(&nested(v, ctx, field)?, rows.packed)?;
+            let packed = &mut *rows.packed;
+            let end = element.at + element.count * element.width;
+            packed
+                .alternatives
+                .extend_from_slice(&packed.rows[element.at..end]);
+            packed.rows.truncate(element.at);
+            count += element.count;
+            Ok(())
+        })?;
+        rows.product(mark, count, inner.column_count());
         return Ok(());
     }
-    match ctx.message.get(field) {
-        Some(v) => {
-            let sub_ctx = EvalContext {
-                message: nested(v, field)?,
-                record_type: ctx.record_type,
-                version: ctx.version,
-            };
-            inner.extend_rows(&sub_ctx, rows)
-        }
+    let mut found = false;
+    each_value(ctx.message, fd, |v| {
+        found = true;
+        inner.extend_rows(&nested(v, ctx, field)?, rows)
+    })?;
+    if !found {
         // Missing nested message: null columns.
-        None => {
-            for _ in 0..inner.column_count() {
-                push_each(rows, TupleElement::Null);
-            }
-            Ok(())
+        let null = rows.packed.push_element(&TupleElement::Null);
+        for _ in 0..inner.column_count() {
+            rows.set_each(null);
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rl_message::{DescriptorPool, FieldDescriptor, FieldType, MessageDescriptor};
+    use rl_message::{DescriptorPool, DynamicMessage, FieldType, MessageDescriptor, Value};
 
     /// The paper's Figure 4 example.
     fn example_pool() -> DescriptorPool {
@@ -726,7 +1054,8 @@ mod tests {
         let msg = example_record(&pool);
         let ctx = EvalContext::new(&msg, "Example");
         let expr = KeyExpression::function("double_id", 1, |ctx| {
-            let id = ctx.message.get("id").and_then(Value::as_i64).unwrap_or(0);
+            let id = ctx.message.get_value("id")?;
+            let id = id.as_ref().and_then(Value::as_i64).unwrap_or(0);
             Ok(vec![Tuple::new().push(id * 2)])
         });
         let r = expr.evaluate(&ctx).unwrap();
@@ -777,14 +1106,12 @@ mod tests {
 
     #[test]
     fn value_conversions() {
+        let element = |v: ValueRef<'_>| element_of(FieldRef::Value(v));
+        assert_eq!(element(ValueRef::I32(-3)).unwrap(), TupleElement::Int(-3));
         assert_eq!(
-            value_to_element(&Value::I32(-3)).unwrap(),
-            TupleElement::Int(-3)
-        );
-        assert_eq!(
-            value_to_element(&Value::String("s".into())).unwrap(),
+            element(ValueRef::String("s")).unwrap(),
             TupleElement::String("s".into())
         );
-        assert!(value_to_element(&Value::U64(u64::MAX)).is_err());
+        assert!(element(ValueRef::U64(u64::MAX)).is_err());
     }
 }

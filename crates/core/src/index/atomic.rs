@@ -42,16 +42,18 @@ use std::cmp::Ordering;
 
 use rl_fdb::atomic::MutationType;
 use rl_fdb::subspace::Subspace;
-use rl_fdb::tuple::{Tuple, TupleElement};
+use rl_fdb::tuple::{ElementRef, Tuple};
 use rl_fdb::Transaction;
 
 use crate::error::{Error, Result};
-use crate::index::{entry_value, evaluate_change, same_entries, IndexContext};
+use crate::expr::{PackedRows, Row, Rows};
+use crate::index::{entry_value, evaluate_change, IndexContext, IndexedRecord};
 use crate::metadata::{Index, IndexType};
-use crate::store::{AggregateValue, StoredRecord};
+use crate::store::AggregateValue;
 
-/// What one evaluated tuple adds to its group's counter, if anything.
-fn contribution(index_type: IndexType, operand: &[TupleElement]) -> Result<Option<i64>> {
+/// What one evaluated row's operand adds to its group's counter, if
+/// anything.
+fn contribution(index_type: IndexType, operand: Row<'_>) -> Result<Option<i64>> {
     Ok(match index_type {
         IndexType::Count => Some(1),
         IndexType::CountUpdates | IndexType::CountNonNull => {
@@ -63,32 +65,33 @@ fn contribution(index_type: IndexType, operand: &[TupleElement]) -> Result<Optio
 }
 
 /// COUNT, COUNT_UPDATES, COUNT_NON_NULL, SUM: one `ADD` per group key of
-/// the wrapping sum of its contributions, none where that is zero.
-fn fold_counters(ctx: &IndexContext<'_>, old: &[Tuple], new: &[Tuple]) -> Result<()> {
+/// the wrapping sum of its contributions, none where that is zero. Only a
+/// group whose sum is not zero gets a key.
+fn fold_counters(ctx: &IndexContext<'_>, packed: &PackedRows, old: Rows, new: Rows) -> Result<()> {
     let index_type = ctx.index.index_type;
     // COUNT_UPDATES counts saves: the old record takes nothing back.
-    let retracted: &[Tuple] = if index_type == IndexType::CountUpdates {
-        &[]
-    } else {
-        old
+    let retracted = match index_type {
+        IndexType::CountUpdates => Rows::default(),
+        _ => old,
     };
     let mut sums = Vec::with_capacity(retracted.len() + new.len());
-    for (tuples, sign) in [(retracted, -1i64), (new, 1)] {
-        for t in tuples {
-            let (group, operand) = split_group(ctx.index, t);
+    for (rows, sign) in [(retracted, -1i64), (new, 1)] {
+        for row in packed.rows(rows) {
+            let (group, operand) = split_group(ctx.index, row);
             if let Some(v) = contribution(index_type, operand)? {
-                sums.push((ctx.group_key(group), v.wrapping_mul(sign)));
+                sums.push((group, v.wrapping_mul(sign)));
             }
         }
     }
-    // Sorted, one group key's contributions lie together.
-    sums.sort_by(|a, b| a.0.cmp(&b.0));
+    // Sorted, one group's contributions lie together.
+    sums.sort_unstable_by(|a, b| a.0.cmp(&b.0));
     let mut sums = sums.into_iter().peekable();
-    while let Some((key, mut sum)) = sums.next() {
-        while let Some((_, more)) = sums.next_if(|(next, _)| *next == key) {
+    while let Some((group, mut sum)) = sums.next() {
+        while let Some((_, more)) = sums.next_if(|(next, _)| *next == group) {
             sum = sum.wrapping_add(more);
         }
         if sum != 0 {
+            let key = ctx.group_key(group);
             ctx.tx
                 .mutate_owned(MutationType::Add, key, sum.to_le_bytes().to_vec())?;
         }
@@ -98,28 +101,27 @@ fn fold_counters(ctx: &IndexContext<'_>, old: &[Tuple], new: &[Tuple]) -> Result
 
 /// MAX_EVER, MIN_EVER: one `BYTE_MAX` / `BYTE_MIN` per group key with the
 /// most extreme new operand the old record did not already have.
-fn fold_extremes(ctx: &IndexContext<'_>, old: &[Tuple], new: &[Tuple]) -> Result<()> {
+fn fold_extremes(ctx: &IndexContext<'_>, packed: &PackedRows, old: Rows, new: Rows) -> Result<()> {
     let (mutation, wins) = if ctx.index.index_type == IndexType::MaxEver {
         (MutationType::ByteMax, Ordering::Greater)
     } else {
         (MutationType::ByteMin, Ordering::Less)
     };
-    // A whole tuple is its (group, operand) pair, both packed: sorted, a
-    // group key's operands lie together. Packed tuple order == byte order,
-    // so BYTE_MIN/MAX on the packed operand keeps tuple-ordered extremes. A
+    // A row is its (group, operand) pair, both packed: sorted, a group's
+    // operands lie together. Packed tuple order == byte order, so
+    // BYTE_MIN/MAX on the packed operand keeps tuple-ordered extremes. A
     // non-null operand never packs empty.
-    let pairs = |tuples: &[Tuple]| {
-        let mut pairs: Vec<(Vec<u8>, Vec<u8>)> = tuples
-            .iter()
-            .map(|t| split_group(ctx.index, t))
-            .filter(|(_, operand)| !operand_is_null(operand))
-            .map(|(group, operand)| (ctx.group_key(group), entry_value(operand)))
+    let pairs = |rows| {
+        let mut pairs: Vec<(Row<'_>, Row<'_>)> = packed
+            .rows(rows)
+            .map(|row| split_group(ctx.index, row))
+            .filter(|(_, operand)| !operand_is_null(*operand))
             .collect();
         pairs.sort_unstable();
         pairs
     };
     let old = pairs(old);
-    let mut extremes: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+    let mut extremes: Vec<(Row<'_>, Row<'_>)> = Vec::new();
     for pair in pairs(new) {
         if old.binary_search(&pair).is_ok() {
             continue;
@@ -133,52 +135,55 @@ fn fold_extremes(ctx: &IndexContext<'_>, old: &[Tuple], new: &[Tuple]) -> Result
             _ => extremes.push(pair),
         }
     }
-    for (key, operand) in extremes {
-        ctx.tx.mutate_owned(mutation, key, operand)?;
+    for (group, operand) in extremes {
+        ctx.tx
+            .mutate_owned(mutation, ctx.group_key(group), entry_value(operand))?;
     }
     Ok(())
 }
 
-/// Split an evaluated grouping tuple into (group key, operand columns).
-fn split_group<'t>(index: &Index, tuple: &'t Tuple) -> (&'t [TupleElement], &'t [TupleElement]) {
+/// Split an evaluated grouping row into (group key, operand columns).
+fn split_group<'p>(index: &Index, row: Row<'p>) -> (Row<'p>, Row<'p>) {
     let grouped = index.key_expression.grouped_count();
-    tuple
-        .elements()
-        .split_at(tuple.len().saturating_sub(grouped))
+    row.split_at(row.len().saturating_sub(grouped))
 }
 
 /// The operand of SUM-type indexes must be a single integer column.
-fn operand_as_i64(operand: &[TupleElement]) -> Result<Option<i64>> {
-    match operand {
-        [] => Ok(None),
-        [TupleElement::Null] => Ok(None),
-        [TupleElement::Int(v)] => Ok(Some(*v)),
-        other => Err(Error::KeyExpression(format!(
-            "aggregate operand must be a single integer column, got {other:?}"
+fn operand_as_i64(operand: Row<'_>) -> Result<Option<i64>> {
+    let column = operand.get(0).transpose()?;
+    match (column, operand.len()) {
+        (None, _) | (Some(ElementRef::Null), 1) => Ok(None),
+        (Some(ElementRef::Int(v)), 1) => Ok(Some(v)),
+        _ => Err(Error::KeyExpression(format!(
+            "aggregate operand must be a single integer column, got {:?}",
+            operand.to_tuple()?.elements()
         ))),
     }
 }
 
-fn operand_is_null(operand: &[TupleElement]) -> bool {
-    operand.iter().all(|e| matches!(e, TupleElement::Null))
+/// Whether every operand column is null (a null packs as its one type
+/// code).
+fn operand_is_null(operand: Row<'_>) -> bool {
+    operand.elements().all(|el| el == [0x00])
 }
 
 /// Maintains an index of the atomic family, the behaviour selected by its
 /// type (see the module doc).
 pub(crate) fn update(
     ctx: &IndexContext<'_>,
-    old: Option<&StoredRecord>,
-    new: Option<&StoredRecord>,
+    packed: &mut PackedRows,
+    old: Option<&IndexedRecord<'_>>,
+    new: Option<&IndexedRecord<'_>>,
 ) -> Result<i64> {
-    let (old, new) = evaluate_change(ctx.index, old, new)?;
-    // Equal tuples fold to nothing, except that COUNT_UPDATES counts every
+    let (old, new) = evaluate_change(ctx.index, packed, old, new)?;
+    // Equal rows fold to nothing, except that COUNT_UPDATES counts every
     // save.
-    if ctx.index.index_type != IndexType::CountUpdates && same_entries(&old, &new) {
+    if ctx.index.index_type != IndexType::CountUpdates && packed.same(old, new) {
         return Ok(0);
     }
     match ctx.index.index_type {
-        IndexType::MaxEver | IndexType::MinEver => fold_extremes(ctx, &old, &new)?,
-        _ => fold_counters(ctx, &old, &new)?,
+        IndexType::MaxEver | IndexType::MinEver => fold_extremes(ctx, packed, old, new)?,
+        _ => fold_counters(ctx, packed, old, new)?,
     }
     // One key per group: entry count is not a scan-cost signal.
     Ok(0)

@@ -14,11 +14,13 @@ pub mod value;
 pub mod version;
 
 use rl_fdb::subspace::Subspace;
-use rl_fdb::tuple::{self, Tuple, TupleElement};
+use rl_fdb::tuple::{Tuple, TupleElement};
+use rl_fdb::version::Versionstamp;
 use rl_fdb::Transaction;
+use rl_message::FieldSource;
 
 use crate::error::{Error, Result};
-use crate::expr::EvalContext;
+use crate::expr::{EvalContext, PackedRows, Row, Rows};
 use crate::metadata::{Index, IndexType};
 use crate::store::StoredRecord;
 
@@ -103,37 +105,60 @@ impl<'a> IndexContext<'a> {
     /// The key of the entry whose key columns are `columns`: this index's
     /// prefix, the columns and the packed primary key, in one buffer of
     /// its final size.
-    pub fn entry_key(&self, columns: &[TupleElement]) -> Vec<u8> {
+    pub fn entry_key(&self, columns: Row<'_>) -> Vec<u8> {
         self.pack_key(columns, self.primary_key, 0).0
     }
 
     /// [`entry_key`](Self::entry_key), with the offset of the incomplete
     /// versionstamp among the columns, if any, and room for the 4-byte
     /// offset a `SET_VERSIONSTAMPED_KEY` operand appends.
-    pub fn stamped_entry_key(&self, columns: &[TupleElement]) -> (Vec<u8>, Option<usize>) {
+    pub fn stamped_entry_key(&self, columns: Row<'_>) -> (Vec<u8>, Option<usize>) {
         self.pack_key(columns, self.primary_key, 4)
     }
 
     /// The key of an aggregate's group `columns` (no primary key).
-    pub fn group_key(&self, columns: &[TupleElement]) -> Vec<u8> {
+    pub fn group_key(&self, columns: Row<'_>) -> Vec<u8> {
         self.pack_key(columns, &[], 0).0
     }
 
-    fn pack_key(
-        &self,
-        columns: &[TupleElement],
-        tail: &[u8],
-        spare: usize,
-    ) -> (Vec<u8>, Option<usize>) {
+    fn pack_key(&self, columns: Row<'_>, tail: &[u8], spare: usize) -> (Vec<u8>, Option<usize>) {
         let prefix = self.indexes.prefix();
         let index = TupleElement::Int(self.index.subspace_key);
-        let len = prefix.len() + index.packed_len() + tuple::packed_len(columns);
+        let len = prefix.len() + index.packed_len() + columns.packed_len();
         let mut key = Vec::with_capacity(len + tail.len() + spare);
         key.extend_from_slice(prefix);
         index.pack_into(&mut key);
-        let stamp = tuple::pack_elements_into(columns, &mut key);
+        let stamp = columns.pack_into(&mut key);
         key.extend_from_slice(tail);
         (key, stamp)
+    }
+}
+
+/// A record as index maintenance reads it: its fields, from whichever
+/// source (a save reads the old record where its bytes lie and never
+/// decodes it), its type, primary key and commit version.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct IndexedRecord<'a> {
+    pub fields: &'a dyn FieldSource,
+    pub record_type: &'a str,
+    pub primary_key: &'a Tuple,
+    pub version: Option<Versionstamp>,
+}
+
+impl IndexedRecord<'_> {
+    fn context(&self) -> EvalContext<'_> {
+        EvalContext::new(self.fields, self.record_type).with_version(self.version)
+    }
+}
+
+impl<'a> From<&'a StoredRecord> for IndexedRecord<'a> {
+    fn from(record: &'a StoredRecord) -> Self {
+        IndexedRecord {
+            fields: &record.message,
+            record_type: record.record_type(),
+            primary_key: &record.primary_key,
+            version: record.version,
+        }
     }
 }
 
@@ -148,88 +173,79 @@ impl<'a> IndexContext<'a> {
 /// group report 0: their size is not a function of scan work.
 ///
 /// Cost contract: an entry that did not change costs its evaluation and
-/// nothing more. Each type evaluates the old and the new record once and
-/// returns before building any key when the two evaluate to the same
-/// entries (VERSION excepted: a saved record's version always changes, so
-/// its entries are always rewritten). A changed entry's key is packed
-/// once, into one buffer of its final size, and moves into the
-/// transaction.
+/// nothing more, and an evaluation costs no allocation once `packed`, the
+/// save's one scratch, has grown: each type packs the old and the new
+/// record's entries into it (`evaluate_change`) and returns when the two
+/// give the same bytes (VERSION excepted: a saved record's version always
+/// changes, so its entries are always rewritten). Only an entry that
+/// changed gets a key, packed once into one buffer of its final size and
+/// moved into the transaction (RANK builds the entry's `Tuple` instead,
+/// and TEXT evaluates to tuples: a text's tokens are what it compares).
 pub(crate) fn update(
     ctx: &IndexContext<'_>,
-    old: Option<&StoredRecord>,
-    new: Option<&StoredRecord>,
+    packed: &mut PackedRows,
+    old: Option<&IndexedRecord<'_>>,
+    new: Option<&IndexedRecord<'_>>,
 ) -> Result<i64> {
     match ctx.index.index_type {
-        IndexType::Value => value::update(ctx, old, new),
+        IndexType::Value => value::update(ctx, packed, old, new),
         IndexType::Count
         | IndexType::CountUpdates
         | IndexType::CountNonNull
         | IndexType::Sum
         | IndexType::MaxEver
-        | IndexType::MinEver => atomic::update(ctx, old, new),
-        IndexType::Version => version::update(ctx, old, new),
-        IndexType::Rank => rank::update(ctx, old, new),
+        | IndexType::MinEver => atomic::update(ctx, packed, old, new),
+        IndexType::Version => version::update(ctx, packed, old, new),
+        IndexType::Rank => rank::update(ctx, packed, old, new),
         IndexType::Text => text::update(ctx, old, new),
+    }
+}
+
+/// Whether `record` has entries in `index`: index filters make the index
+/// sparse, and a filtered-out record produces none at all (§6).
+fn indexed(index: &Index, record: &IndexedRecord<'_>) -> Result<bool> {
+    match &index.filter {
+        Some(filter) => filter.eval(record.record_type, record.fields),
+        None => Ok(true),
     }
 }
 
 /// Evaluate an index's key expression against a record, yielding the raw
 /// (unsplit) tuples.
-pub(crate) fn evaluate_index_expr(index: &Index, record: &StoredRecord) -> Result<Vec<Tuple>> {
-    // Index filters make the index sparse: filtered-out records produce no
-    // entries at all (§6).
-    if let Some(filter) = &index.filter {
-        if !filter.eval(record.record_type(), &record.message)? {
-            return Ok(Vec::new());
-        }
+pub(crate) fn evaluate_index_expr(index: &Index, record: &IndexedRecord<'_>) -> Result<Vec<Tuple>> {
+    if !indexed(index, record)? {
+        return Ok(Vec::new());
     }
-    let ctx = EvalContext::new(&record.message, record.record_type()).with_version(record.version);
-    index.key_expression.evaluate(&ctx)
+    index.key_expression.evaluate(&record.context())
 }
 
-/// The tuples the old and the new record evaluate to (none for a record
-/// that is absent).
+/// The rows the old and the new record evaluate to (none for a record
+/// that is absent or filtered out), packed into `packed`, which this
+/// clears first.
 pub(crate) fn evaluate_change(
     index: &Index,
-    old: Option<&StoredRecord>,
-    new: Option<&StoredRecord>,
-) -> Result<(Vec<Tuple>, Vec<Tuple>)> {
-    let evaluate = |record: Option<&StoredRecord>| match record {
-        Some(record) => evaluate_index_expr(index, record),
-        None => Ok(Vec::new()),
+    packed: &mut PackedRows,
+    old: Option<&IndexedRecord<'_>>,
+    new: Option<&IndexedRecord<'_>>,
+) -> Result<(Rows, Rows)> {
+    packed.clear();
+    let mut evaluate = |record: Option<&IndexedRecord<'_>>| match record {
+        Some(record) if indexed(index, record)? => {
+            index.key_expression.pack(&record.context(), packed)
+        }
+        _ => Ok(Rows::default()),
     };
     Ok((evaluate(old)?, evaluate(new)?))
 }
 
-/// Whether two evaluations give the same entries: `==`, except that floats
-/// compare by their bits, as their packings do (`-0.0` packs apart from
-/// `0.0`, and a NaN like itself).
-pub(crate) fn same_entries(a: &[Tuple], b: &[Tuple]) -> bool {
-    fn same(a: &[TupleElement], b: &[TupleElement]) -> bool {
-        a.len() == b.len()
-            && a.iter().zip(b).all(|pair| match pair {
-                (TupleElement::Float(x), TupleElement::Float(y)) => x.to_bits() == y.to_bits(),
-                (TupleElement::Double(x), TupleElement::Double(y)) => x.to_bits() == y.to_bits(),
-                (TupleElement::Tuple(x), TupleElement::Tuple(y)) => {
-                    same(x.elements(), y.elements())
-                }
-                (x, y) => x == y,
-            })
-    }
-    a.len() == b.len()
-        && a.iter()
-            .zip(b)
-            .all(|(x, y)| same(x.elements(), y.elements()))
-}
-
 /// Covering value columns, packed (empty for none) in one buffer of their
 /// final size.
-pub(crate) fn entry_value(columns: &[TupleElement]) -> Vec<u8> {
+pub(crate) fn entry_value(columns: Row<'_>) -> Vec<u8> {
     if columns.is_empty() {
         return Vec::new();
     }
-    let mut value = Vec::with_capacity(tuple::packed_len(columns));
-    tuple::pack_elements_into(columns, &mut value);
+    let mut value = Vec::with_capacity(columns.packed_len());
+    columns.pack_into(&mut value);
     value
 }
 
@@ -278,10 +294,18 @@ mod tests {
             KeyExpression::field("k").with_value(KeyExpression::field("v")),
         );
         index.subspace_key = 3;
-        let tuple = Tuple::from(("key1", "val1"));
-        let (key, value) = tuple
-            .elements()
-            .split_at(index.key_expression.key_column_count());
+        // The row ("key1", "val1"), packed as an evaluation packs it.
+        let desc = rl_message::MessageDescriptor::new("T", Vec::new()).unwrap();
+        let msg = rl_message::DynamicMessage::new(std::sync::Arc::new(desc));
+        let literals = KeyExpression::concat(vec![
+            KeyExpression::Literal("key1".into()),
+            KeyExpression::Literal("val1".into()),
+        ]);
+        let mut packed = PackedRows::default();
+        let row = literals
+            .pack_single(&EvalContext::new(&msg, "T"), &mut packed)
+            .unwrap();
+        let (key, value) = row.split_at(index.key_expression.key_column_count());
         let db = rl_fdb::Database::new();
         let tx = db.create_transaction();
         let indexes = Subspace::from_bytes(b"S".to_vec());
@@ -294,6 +318,6 @@ mod tests {
         assert_eq!(ctx.entry_key(key), subspace.pack(&whole));
         assert_eq!(entry_value(value), Tuple::from(("val1",)).pack());
         assert_eq!(ctx.group_key(key), subspace.pack(&Tuple::from(("key1",))));
-        assert!(entry_value(&[]).is_empty());
+        assert!(entry_value(value.split_at(1).1).is_empty());
     }
 }

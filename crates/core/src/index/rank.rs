@@ -34,8 +34,9 @@ use rl_fdb::tuple::Tuple;
 use rl_fdb::{RangeOptions, Transaction};
 
 use crate::error::{Error, Result};
-use crate::index::{evaluate_change, same_entries, IndexContext};
-use crate::store::{RecordStore, StoredRecord, TupleRange};
+use crate::expr::PackedRows;
+use crate::index::{evaluate_change, IndexContext, IndexedRecord};
+use crate::store::{RecordStore, TupleRange};
 
 /// Sampling: an entry is a member of level `l >= 1` with probability
 /// `FAN^-l`, decided by a deterministic hash so inserts and erases agree.
@@ -356,38 +357,30 @@ impl<'a> RankedSet<'a> {
 /// what arrived.
 pub(crate) fn update(
     ctx: &IndexContext<'_>,
-    old: Option<&StoredRecord>,
-    new: Option<&StoredRecord>,
+    packed: &mut PackedRows,
+    old: Option<&IndexedRecord<'_>>,
+    new: Option<&IndexedRecord<'_>>,
 ) -> Result<i64> {
-    let (old_tuples, new_tuples) = evaluate_change(ctx.index, old, new)?;
-    if same_entries(&old_tuples, &new_tuples) {
+    // An update keeps its primary key: either record's is both's.
+    let Some(primary_key) = old.or(new).map(|record| record.primary_key) else {
+        return Ok(0);
+    };
+    let (old, new) = evaluate_change(ctx.index, packed, old, new)?;
+    if packed.same(old, new) {
         return Ok(0);
     }
     let set = RankedSet::new(ctx.tx, ctx.subspace(), RANK_LEVELS);
-    // Each entry of a record as a set element: score columns ⧺ pk.
+    // Each entry of a record as a set element: score columns ⧺ pk, built
+    // only for an entry the other record lacks.
     let key_columns = ctx.index.key_expression.key_column_count();
-    let elements = |tuples: Vec<Tuple>, record: Option<&StoredRecord>| -> Vec<Tuple> {
-        match record {
-            Some(r) => tuples
-                .into_iter()
-                .map(|mut t| {
-                    t.split_off(key_columns);
-                    t.concat(&r.primary_key)
-                })
-                .collect(),
-            None => Vec::new(),
-        }
+    let scores = |rows| packed.rows(rows).map(move |row| row.split_at(key_columns).0);
+    let only_in = |rows, other| -> Result<Vec<Tuple>> {
+        scores(rows)
+            .filter(|score| !scores(other).any(|o| o == *score))
+            .map(|score| Ok(score.to_tuple()?.concat(primary_key)))
+            .collect()
     };
-    let old_elements = elements(old_tuples, old);
-    let new_elements = elements(new_tuples, new);
-    let gone: Vec<&Tuple> = old_elements
-        .iter()
-        .filter(|e| !new_elements.contains(e))
-        .collect();
-    let came: Vec<&Tuple> = new_elements
-        .iter()
-        .filter(|e| !old_elements.contains(e))
-        .collect();
+    let (gone, came) = (only_in(old, new)?, only_in(new, old)?);
     if let ([old], [new]) = (gone.as_slice(), came.as_slice()) {
         set.replace(old, new)?;
     } else {

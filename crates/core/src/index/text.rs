@@ -24,9 +24,9 @@ use rl_fdb::tuple::{Tuple, TupleElement};
 use rl_fdb::{RangeOptions, Transaction};
 
 use crate::error::{Error, Result};
-use crate::index::{evaluate_index_expr, IndexContext};
+use crate::index::{evaluate_index_expr, IndexContext, IndexedRecord};
 use crate::query::TextComparison;
-use crate::store::{RecordStore, StoredRecord};
+use crate::store::RecordStore;
 
 /// Postings per key of every TEXT index (Appendix B; Table 2 uses 20). A
 /// constant, not a per-index setting: it decides how postings group into
@@ -345,7 +345,7 @@ impl TextIndexStats {
 
 // ------------------------------------------------------------- maintainer
 
-fn text_of(index: &crate::metadata::Index, record: &StoredRecord) -> Result<Option<String>> {
+fn text_of(index: &crate::metadata::Index, record: &IndexedRecord<'_>) -> Result<Option<String>> {
     let tuples = evaluate_index_expr(index, record)?;
     match tuples.first() {
         None => Ok(None),
@@ -364,8 +364,8 @@ fn text_of(index: &crate::metadata::Index, record: &StoredRecord) -> Result<Opti
 /// the new text's, unless the text did not change.
 pub(crate) fn update(
     ctx: &IndexContext<'_>,
-    old: Option<&StoredRecord>,
-    new: Option<&StoredRecord>,
+    old: Option<&IndexedRecord<'_>>,
+    new: Option<&IndexedRecord<'_>>,
 ) -> Result<i64> {
     let map = BunchedMap::new(ctx.tx, ctx.subspace(), TEXT_BUNCH_SIZE);
 
@@ -379,13 +379,13 @@ pub(crate) fn update(
     let mut delta = 0i64;
     if let (Some(old_rec), Some(text)) = (old, &old_text) {
         for token in token_positions(text).keys() {
-            map.remove(token, &old_rec.primary_key)?;
+            map.remove(token, old_rec.primary_key)?;
             delta -= 1;
         }
     }
     if let (Some(new_rec), Some(text)) = (new, &new_text) {
         for (token, offsets) in token_positions(text) {
-            map.insert(&token, &new_rec.primary_key, &offsets)?;
+            map.insert(&token, new_rec.primary_key, &offsets)?;
             delta += 1;
         }
     }

@@ -6,25 +6,8 @@ use std::cmp::Ordering;
 use rl_fdb::RangeOptions;
 
 use crate::error::{Error, Result};
-use crate::index::{entry_value, evaluate_change, same_entries, IndexContext};
-use crate::store::StoredRecord;
-use rl_fdb::tuple::Tuple;
-
-/// A record's entries: `(key, value)` packed, sorted, without duplicates
-/// (a fan-out that repeats an element yields its entry once).
-fn entries(ctx: &IndexContext<'_>, tuples: &[Tuple]) -> Vec<(Vec<u8>, Vec<u8>)> {
-    let key_columns = ctx.index.key_expression.key_column_count();
-    let mut entries: Vec<_> = tuples
-        .iter()
-        .map(|t| {
-            let (key, value) = t.elements().split_at(key_columns.min(t.len()));
-            (ctx.entry_key(key), entry_value(value))
-        })
-        .collect();
-    entries.sort_unstable();
-    entries.dedup();
-    entries
-}
+use crate::expr::PackedRows;
+use crate::index::{entry_value, evaluate_change, IndexContext, IndexedRecord};
 
 /// Refuse `key` if a unique index maps its key columns to a record other
 /// than this one: scan the prefix for a foreign primary key.
@@ -50,22 +33,26 @@ fn check_unique(ctx: &IndexContext<'_>, key: &[u8]) -> Result<()> {
 /// a new record are of the same type and some of the indexed fields are the
 /// same, the unchanged indexes are not updated").
 ///
-/// Equal evaluations return before anything is packed. Otherwise each
-/// entry is packed once, as `(key, value)` bytes, and the two sorted sets
-/// are walked together: an entry only the old record has is cleared, one
-/// only the new record has is set, and every key moves into the
-/// transaction.
+/// Equal evaluations return before any key is built. Otherwise each
+/// side's packed rows are sorted, each row once (a fan-out that repeats an
+/// element yields its entry once), and the two are walked together: only
+/// an entry one side lacks gets a key, one only the old record has is
+/// cleared, one only the new record has is set, and every key moves into
+/// the transaction.
 pub(crate) fn update(
     ctx: &IndexContext<'_>,
-    old: Option<&StoredRecord>,
-    new: Option<&StoredRecord>,
+    packed: &mut PackedRows,
+    old: Option<&IndexedRecord<'_>>,
+    new: Option<&IndexedRecord<'_>>,
 ) -> Result<i64> {
-    let (old, new) = evaluate_change(ctx.index, old, new)?;
-    if same_entries(&old, &new) {
+    let (old, new) = evaluate_change(ctx.index, packed, old, new)?;
+    if packed.same(old, new) {
         return Ok(0);
     }
-    let mut old = entries(ctx, &old).into_iter().peekable();
-    let mut new = entries(ctx, &new).into_iter().peekable();
+    let (old, new) = (packed.sorted_unique(old), packed.sorted_unique(new));
+    let key_columns = ctx.index.key_expression.key_column_count();
+    let entries = |rows| packed.rows(rows).map(|row| row.split_at(key_columns));
+    let (mut old, mut new) = (entries(old).peekable(), entries(new).peekable());
     let mut delta = 0i64;
     loop {
         // By key; of two entries of one key whose values differ, the
@@ -88,16 +75,17 @@ pub(crate) fn update(
             }
             Ordering::Less => {
                 if let Some((key, _)) = old.next() {
-                    ctx.tx.clear_owned(key);
+                    ctx.tx.clear_owned(ctx.entry_key(key));
                     delta -= 1;
                 }
             }
             Ordering::Greater => {
                 if let Some((key, value)) = new.next() {
+                    let key = ctx.entry_key(key);
                     if ctx.index.unique {
                         check_unique(ctx, &key)?;
                     }
-                    ctx.tx.try_set_owned(key, value)?;
+                    ctx.tx.try_set_owned(key, entry_value(value))?;
                     delta += 1;
                 }
             }

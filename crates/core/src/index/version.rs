@@ -12,24 +12,24 @@
 use rl_fdb::atomic::MutationType;
 
 use crate::error::Result;
-use crate::index::{entry_value, evaluate_change, IndexContext};
-use crate::store::StoredRecord;
+use crate::expr::PackedRows;
+use crate::index::{entry_value, evaluate_change, IndexContext, IndexedRecord};
 
 /// Rewrites every entry on every change: the new record's version differs
 /// from the old one's, so no entry is shared. Each key is packed once.
 pub(crate) fn update(
     ctx: &IndexContext<'_>,
-    old: Option<&StoredRecord>,
-    new: Option<&StoredRecord>,
+    packed: &mut PackedRows,
+    old: Option<&IndexedRecord<'_>>,
+    new: Option<&IndexedRecord<'_>>,
 ) -> Result<i64> {
-    let (old, new) = evaluate_change(ctx.index, old, new)?;
+    let (old, new) = evaluate_change(ctx.index, packed, old, new)?;
     let key_columns = ctx.index.key_expression.key_column_count();
     let mut delta = 0i64;
-    for tuple in &old {
+    for row in packed.rows(old) {
         // A record saved earlier in this transaction has an incomplete
         // version (see the module doc).
-        let (key, _) = tuple.elements().split_at(key_columns.min(tuple.len()));
-        match ctx.stamped_entry_key(key) {
+        match ctx.stamped_entry_key(row.split_at(key_columns).0) {
             (key, Some(_)) => {
                 ctx.tx.remove_versionstamped_key(&key);
             }
@@ -37,8 +37,8 @@ pub(crate) fn update(
         }
         delta -= 1;
     }
-    for tuple in &new {
-        let (key, value) = tuple.elements().split_at(key_columns.min(tuple.len()));
+    for row in packed.rows(new) {
+        let (key, value) = row.split_at(key_columns);
         let value = entry_value(value);
         match ctx.stamped_entry_key(key) {
             (mut operand, Some(offset)) => {

@@ -4,10 +4,10 @@
 //! filters.
 
 use rl_fdb::tuple::TupleElement;
-use rl_message::{DynamicMessage, Value};
+use rl_message::{FieldRef, FieldSource};
 
 use crate::error::{Error, Result};
-use crate::expr::value_to_element;
+use crate::expr::{each_value, element_of};
 
 /// Full-text comparisons served by TEXT indexes (Appendix B). Tokens match
 /// whatever their case, and a comparison with no tokens matches no record.
@@ -204,21 +204,26 @@ impl QueryComponent {
         QueryComponent::Not(Box::new(part))
     }
 
-    /// Evaluate against a record (residual filtering).
-    pub fn eval(&self, record_type: &str, msg: &DynamicMessage) -> Result<bool> {
+    /// Evaluate against a record (residual filtering), whichever source
+    /// its fields are read from.
+    pub fn eval(&self, record_type: &str, msg: &dyn FieldSource) -> Result<bool> {
         match self {
             QueryComponent::Field { path, comparison } => {
                 let el = extract_path(msg, path)?;
                 Ok(comparison.eval(el.as_ref()))
             }
             QueryComponent::OneOfThem { field, comparison } => {
-                for v in msg.get_repeated(field) {
-                    let el = value_to_element(v)?;
-                    if comparison.eval(Some(&el)) {
-                        return Ok(true);
-                    }
+                let mut found = false;
+                match msg.descriptor().field_by_name(field) {
+                    Some(fd) if fd.is_repeated() => each_value(msg, fd, |v| {
+                        if !found {
+                            found = comparison.eval(Some(&element_of(v)?));
+                        }
+                        Ok(())
+                    })?,
+                    _ => {}
                 }
-                Ok(false)
+                Ok(found)
             }
             QueryComponent::And(parts) => {
                 for p in parts {
@@ -242,24 +247,30 @@ impl QueryComponent {
     }
 }
 
-/// Walk a nested field path on a message, returning the leaf element.
-/// Missing fields yield `None`.
-pub fn extract_path(msg: &DynamicMessage, path: &[String]) -> Result<Option<TupleElement>> {
-    let mut current = msg;
-    for (i, name) in path.iter().enumerate() {
-        let is_last = i + 1 == path.len();
-        match current.get(name) {
-            None => return Ok(None),
-            Some(Value::Message(nested)) if !is_last => current = nested,
-            Some(v) if is_last => return Ok(Some(value_to_element(v)?)),
-            Some(_) => {
+/// Walk a nested field path on a record, returning the leaf element.
+/// Missing fields yield `None`, as does a repeated one.
+pub fn extract_path(msg: &dyn FieldSource, path: &[String]) -> Result<Option<TupleElement>> {
+    let Some((name, rest)) = path.split_first() else {
+        return Ok(None);
+    };
+    let field = match msg.descriptor().field_by_name(name) {
+        Some(field) if !field.is_repeated() => field,
+        _ => return Ok(None),
+    };
+    let mut leaf = None;
+    each_value(msg, field, |v| {
+        leaf = match (v, rest.is_empty()) {
+            (FieldRef::Message(nested), false) => extract_path(nested, rest)?,
+            (v, true) => Some(element_of(v)?),
+            (FieldRef::Value(_), false) => {
                 return Err(Error::KeyExpression(format!(
                     "path component {name} is not a nested message"
                 )))
             }
-        }
-    }
-    Ok(None)
+        };
+        Ok(())
+    })?;
+    Ok(leaf)
 }
 
 /// A declarative query: which record types, what filter, what order
@@ -415,7 +426,7 @@ fn comparison_shape(comparison: &Comparison) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rl_message::{DescriptorPool, FieldDescriptor, FieldType, MessageDescriptor};
+    use rl_message::{DescriptorPool, DynamicMessage, FieldDescriptor, FieldType, MessageDescriptor};
 
     fn pool() -> DescriptorPool {
         let mut pool = DescriptorPool::new();

@@ -46,7 +46,8 @@ use rl_fdb::tuple::Tuple;
 use rl_fdb::Transaction;
 
 use crate::error::Result;
-use crate::index::{self, IndexContext};
+use crate::expr::PackedRows;
+use crate::index::{self, IndexContext, IndexedRecord};
 use crate::metadata::{Index, RecordMetaData};
 use crate::serialize::{PlainSerializer, RecordSerializer};
 
@@ -216,12 +217,14 @@ impl<'a> RecordStore<'a> {
     // ----------------------------------------------------------- indexing
 
     /// Maintain every applicable index for a change of the record with
-    /// packed primary key `packed_pk`.
+    /// packed primary key `packed_pk`, every evaluation packed into
+    /// `packed`.
     fn update_indexes(
         &self,
-        old: Option<&StoredRecord>,
-        new: Option<&StoredRecord>,
+        old: Option<&IndexedRecord<'_>>,
+        new: Option<&IndexedRecord<'_>>,
         packed_pk: &[u8],
+        packed: &mut PackedRows,
     ) -> Result<()> {
         // Borrowed across the index updates: they see the transaction and
         // the index's subspace, never this handle.
@@ -230,13 +233,13 @@ impl<'a> RecordStore<'a> {
             if !state.index_state(index.subspace_key).is_maintained() {
                 continue;
             }
-            let old_in = old.filter(|o| index.applies_to(o.record_type()));
-            let new_in = new.filter(|n| index.applies_to(n.record_type()));
+            let old_in = old.filter(|o| index.applies_to(o.record_type));
+            let new_in = new.filter(|n| index.applies_to(n.record_type));
             if old_in.is_none() && new_in.is_none() {
                 continue;
             }
             let ctx = IndexContext::new(self.tx, index, &self.indexes, packed_pk);
-            let delta = index::update(&ctx, old_in, new_in)?;
+            let delta = index::update(&ctx, packed, old_in, new_in)?;
             self.bump_stat(|| self.index_entry_count_key(index.subspace_key), delta)?;
         }
         Ok(())
@@ -247,7 +250,8 @@ impl<'a> RecordStore<'a> {
     pub fn update_one_index(&self, index: &Index, record: &StoredRecord) -> Result<()> {
         let packed_pk = record.primary_key.pack();
         let ctx = IndexContext::new(self.tx, index, &self.indexes, &packed_pk);
-        let delta = index::update(&ctx, None, Some(record))?;
+        let record = IndexedRecord::from(record);
+        let delta = index::update(&ctx, &mut PackedRows::default(), None, Some(&record))?;
         self.bump_stat(|| self.index_entry_count_key(index.subspace_key), delta)
     }
 

@@ -2,18 +2,20 @@
 //! one path that serializes a record and puts it back together.
 
 use std::borrow::Cow;
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, Range};
+use std::sync::Arc;
 
 use rl_fdb::atomic::MutationType;
 use rl_fdb::subspace::Subspace;
 use rl_fdb::tuple::{self, ElementRef, Tuple, TupleElement, TupleReader};
 use rl_fdb::version::{Versionstamp, VERSIONSTAMP_LEN};
 use rl_fdb::RangeOptions;
-use rl_message::DynamicMessage;
+use rl_message::{DescriptorPool, DynamicMessage, MessageDescriptor, WireRecord};
 
 use super::{RecordStore, INDEX_RANGES};
 use crate::error::{Error, Result};
-use crate::expr::EvalContext;
+use crate::expr::{EvalContext, PackedRows};
+use crate::index::IndexedRecord;
 
 /// Split suffix of the key holding a record's commit version.
 const VERSION_SPLIT: i64 = -1;
@@ -62,22 +64,32 @@ impl RecordStore<'_> {
     /// index in the same transaction (§6).
     ///
     /// Cost contract: one lending read of the old record
-    /// ([`load_record`](Self::load_record)'s), then only the writes that
-    /// change something, each key built once and moved into the
-    /// transaction. The primary key is packed once and shared by the
-    /// payload, version and index keys. The payload is one buffer: the
+    /// ([`load_record`](Self::load_record)'s), which is never decoded: its
+    /// payload is read where the read left it (a [`WireRecord`]), after the
+    /// read has returned. Then only the writes that change something, each
+    /// key built once and moved into the transaction. One scratch buffer
+    /// (`PackedRows`) holds every evaluation of the save: the primary key,
+    /// packed once and shared by the payload, version and index keys, and
+    /// each index's entries for the old and the new record, compared as
+    /// packed bytes. An index whose entries did not change writes nothing
+    /// and builds no key (see `index::update`), nor does its entry-count
+    /// statistic when its delta is zero. The payload is one buffer: the
     /// message is encoded straight into its `(type, wire)` envelope, which
-    /// the serializer takes by value. Every index evaluates the old and
-    /// the new record once, and an index whose entries did not change
-    /// writes nothing and builds no key (see `index::update`), nor does
-    /// its entry-count statistic when its delta is zero. A changed entry's
-    /// key is packed into one buffer of its final size.
-    /// `tests/save_allocations.rs` holds the count.
+    /// the serializer takes by value. `tests/save_allocations.rs` holds the
+    /// count.
     pub fn save_record(&self, message: DynamicMessage) -> Result<StoredRecord> {
-        let primary_key = self.primary_key_of(&message)?;
-        let packed_pk = primary_key.pack();
+        let mut packed = PackedRows::default();
+        let rt = self.metadata.record_type(message.type_name())?;
+        let ctx = EvalContext::new(&message, message.type_name());
+        let pk = rt.primary_key.pack_single(&ctx, &mut packed)?;
+        let (primary_key, mut packed_pk) = (pk.to_tuple()?, Vec::with_capacity(pk.packed_len()));
+        pk.pack_into(&mut packed_pk);
 
-        let old = self.load_record_packed(&packed_pk, || primary_key.clone())?;
+        let old = self.load_payload(&packed_pk)?;
+        let old_fields = match &old {
+            Some(old) => Some(old.fields(self.metadata.pool())?),
+            None => None,
+        };
 
         let version = if self.metadata.store_record_versions {
             Some(Versionstamp::incomplete(self.tx.next_user_version()))
@@ -93,7 +105,11 @@ impl RecordStore<'_> {
             split_count,
         };
 
-        self.update_indexes(old.as_ref(), Some(&new), &packed_pk)?;
+        let old_record = old.as_ref().zip(old_fields.as_ref()).map(|(old, fields)| {
+            old.indexed(fields, &new.primary_key)
+        });
+        let new_record = IndexedRecord::from(&new);
+        self.update_indexes(old_record.as_ref(), Some(&new_record), &packed_pk, &mut packed)?;
         if old.is_none() {
             self.bump_stat(|| self.record_count_key(), 1)?;
         }
@@ -104,7 +120,7 @@ impl RecordStore<'_> {
         // one, is rewritten too; otherwise some old key would survive, and
         // a range clear takes the old record out first (§6).
         if let Some(old) = &old {
-            let overwritten = old.split_count == split_count
+            let overwritten = old.chunks == split_count
                 && (old.version.is_none() || self.metadata.store_record_versions);
             if !overwritten {
                 let (begin, end) = self.record_range(&packed_pk);
@@ -171,10 +187,11 @@ impl RecordStore<'_> {
     /// which borrows them, copies them into the transaction's
     /// read-conflict arena and lends its rows to the record assembler. So
     /// what is allocated is the bounds' buffer, one buffer the payload
-    /// chunks are copied into, and then the record's own primary key and
-    /// message (plus the buffers `RecordAssembler::finish` names for
-    /// escaped payloads and non-identity serializers). A missing record
-    /// stops after the read. `tests/fetch_allocations.rs` holds the count.
+    /// chunks are copied into (the envelope is undone inside it, escaped
+    /// NULs too), and then the record's own primary key and message (plus
+    /// whatever a non-identity serializer needs to undo its transform). A
+    /// missing record stops after the read. `tests/fetch_allocations.rs`
+    /// holds the count.
     pub fn load_record(&self, primary_key: &Tuple) -> Result<Option<StoredRecord>> {
         let pk_len = tuple::packed_len(primary_key.elements());
         let bounds = self.record_bounds(pk_len, |key| primary_key.pack_into(key));
@@ -208,13 +225,30 @@ impl RecordStore<'_> {
         bounds
     }
 
-    /// Read and assemble the record whose rows
+    /// Read and decode the record whose rows
     /// [`record_bounds`](Self::record_bounds) spans.
     fn load_record_within(
         &self,
         bounds: &[u8],
         primary_key: impl FnOnce() -> Tuple,
     ) -> Result<Option<StoredRecord>> {
+        match self.read_payload(bounds)? {
+            Some(payload) => payload.decode(self.metadata.pool(), primary_key).map(Some),
+            None => Ok(None),
+        }
+    }
+
+    /// The stored payload of the record with packed primary key
+    /// `packed_pk`, read as [`load_record`](Self::load_record) reads it,
+    /// and not decoded.
+    fn load_payload(&self, packed_pk: &[u8]) -> Result<Option<RecordPayload>> {
+        let bounds = self.record_bounds(packed_pk.len(), |key| key.extend_from_slice(packed_pk));
+        self.read_payload(&bounds)
+    }
+
+    /// Read the rows [`record_bounds`](Self::record_bounds) spans in one
+    /// lending range read and assemble their payload.
+    fn read_payload(&self, bounds: &[u8]) -> Result<Option<RecordPayload>> {
         let (begin, end) = bounds.split_at(bounds.len() / 2);
         let suffix_at = begin.len() - 1;
         let mut record = RecordAssembler::new(suffix_at);
@@ -230,18 +264,22 @@ impl RecordStore<'_> {
             .visit_range(begin, end, RangeOptions::default(), &mut lend)?;
         match failed {
             Some(error) => Err(error),
-            None => record.finish(self, primary_key),
+            None => record.payload(self),
         }
     }
 
     /// Delete a record by primary key, maintaining indexes. Returns whether
-    /// a record existed.
+    /// a record existed. The old record is read where its bytes lie, as a
+    /// save reads it, and never decoded.
     pub fn delete_record(&self, primary_key: &Tuple) -> Result<bool> {
         let packed_pk = primary_key.pack();
-        let Some(old) = self.load_record_packed(&packed_pk, || primary_key.clone())? else {
+        let Some(old) = self.load_payload(&packed_pk)? else {
             return Ok(false);
         };
-        self.update_indexes(Some(&old), None, &packed_pk)?;
+        let fields = old.fields(self.metadata.pool())?;
+        let old_record = old.indexed(&fields, primary_key);
+        let mut packed = PackedRows::default();
+        self.update_indexes(Some(&old_record), None, &packed_pk, &mut packed)?;
         self.bump_stat(|| self.record_count_key(), -1)?;
         let (begin, end) = self.record_range(&packed_pk);
         self.tx.clear_range(&begin, &end);
@@ -294,27 +332,108 @@ impl RecordStore<'_> {
         self.serializer.serialize(envelope)
     }
 
-    /// Undo `serialize_record`: the `(type, wire)` envelope is read off
-    /// the deserialized bytes in place, and the type name finds the
-    /// descriptor the message keeps.
-    fn deserialize_record(&self, payload: &[u8]) -> Result<DynamicMessage> {
-        let tagged = self.serializer.deserialize(payload)?;
-        let mut envelope = TupleReader::new(&tagged);
-        let mut element = || envelope.next().transpose().map_err(Error::Fdb);
-        let Some(ElementRef::String(record_type)) = element()? else {
+    /// Undo `serialize_record` inside `stored`, the buffer the assembler
+    /// joined the payload chunks into: the serializer lends the envelope
+    /// back from inside it (the identity serializer does) or returns a
+    /// buffer of its own, and there the `(type, wire)` envelope is read
+    /// and its wire bytes unescaped where they lie. Returns that buffer,
+    /// where in it the wire bytes are, and the descriptor the type name
+    /// finds.
+    fn open_envelope(
+        &self,
+        stored: Vec<u8>,
+    ) -> Result<(Vec<u8>, Range<usize>, Arc<MessageDescriptor>)> {
+        let lent = match self.serializer.deserialize(&stored)? {
+            Cow::Owned(tagged) => Err(tagged),
+            Cow::Borrowed(tagged) => {
+                let start = (tagged.as_ptr() as usize).wrapping_sub(stored.as_ptr() as usize);
+                match stored.get(start..start.wrapping_add(tagged.len())) {
+                    // Lent from inside `stored` (it may be lent from
+                    // anywhere, so only that is trusted).
+                    Some(within) if within.as_ptr() == tagged.as_ptr() => {
+                        Ok(start..start + tagged.len())
+                    }
+                    _ => Err(tagged.to_vec()),
+                }
+            }
+        };
+        let (mut buffer, tagged) = match lent {
+            Ok(tagged) => (stored, tagged),
+            Err(owned) => {
+                let len = owned.len();
+                (owned, 0..len)
+            }
+        };
+        let mut envelope = TupleReader::new(&buffer[tagged.clone()]);
+        let Some(ElementRef::String(record_type)) = envelope.next().transpose()? else {
             return Err(Error::Serialization("missing record type tag".into()));
         };
-        let Some(ElementRef::Bytes(wire)) = element()? else {
-            return Err(Error::Serialization("missing record payload".into()));
-        };
-        // Whatever follows must at least be a tuple, as it always had to.
-        envelope.try_for_each(|rest| rest.map(drop).map_err(Error::Fdb))?;
         let desc = self
             .metadata
             .pool()
             .message(&record_type)
             .ok_or_else(|| Error::UnknownRecordType(record_type.to_string()))?;
-        Ok(DynamicMessage::decode(desc, self.metadata.pool(), &wire)?)
+        let wire_at = tagged.end - envelope.remaining().len();
+        let (wire, rest) = match tuple::unpack_bytes_in_place(&mut buffer[..tagged.end], wire_at) {
+            Ok(unpacked) => unpacked,
+            Err(_) if wire_at == tagged.end || buffer[wire_at] != 0x01 => {
+                return Err(Error::Serialization("missing record payload".into()))
+            }
+            Err(error) => return Err(Error::Fdb(error)),
+        };
+        // Whatever follows must at least be a tuple, as it always had to.
+        TupleReader::new(&buffer[rest..tagged.end])
+            .try_for_each(|rest| rest.map(drop).map_err(Error::Fdb))?;
+        Ok((buffer, wire, desc))
+    }
+}
+
+/// A record's payload as the [`RecordAssembler`] joined it, with the
+/// envelope undone where it lies: its wire bytes, still encoded, with the
+/// descriptor and the version split's stamp.
+pub(super) struct RecordPayload {
+    buffer: Vec<u8>,
+    wire: Range<usize>,
+    descriptor: Arc<MessageDescriptor>,
+    version: Option<Versionstamp>,
+    /// Number of key-value pairs the payload occupied (1 = unsplit).
+    chunks: usize,
+}
+
+impl RecordPayload {
+    /// The record's fields, read where they lie.
+    fn fields<'a>(&'a self, pool: &'a DescriptorPool) -> Result<WireRecord<'a>> {
+        let wire = &self.buffer[self.wire.clone()];
+        Ok(WireRecord::new(self.descriptor.clone(), pool, wire)?)
+    }
+
+    /// The record as index maintenance reads it, from `fields`.
+    fn indexed<'a>(
+        &'a self,
+        fields: &'a WireRecord<'a>,
+        primary_key: &'a Tuple,
+    ) -> IndexedRecord<'a> {
+        IndexedRecord {
+            fields,
+            record_type: &self.descriptor.name,
+            primary_key,
+            version: self.version,
+        }
+    }
+
+    /// The record, decoded (`primary_key` runs only here).
+    fn decode(
+        self,
+        pool: &DescriptorPool,
+        primary_key: impl FnOnce() -> Tuple,
+    ) -> Result<StoredRecord> {
+        let wire = &self.buffer[self.wire];
+        Ok(StoredRecord {
+            primary_key: primary_key(),
+            message: DynamicMessage::decode(self.descriptor, pool, wire)?,
+            version: self.version,
+            split_count: self.chunks,
+        })
     }
 }
 
@@ -325,8 +444,9 @@ impl RecordStore<'_> {
 ///
 /// Cost contract: the split suffixes and the version are read in place,
 /// and the payload chunks are copied once into one buffer (an owned first
-/// chunk is moved in instead); [`finish`](Self::finish) decodes from that
-/// buffer.
+/// chunk is moved in instead); [`payload`](Self::payload) undoes the
+/// envelope inside that buffer and [`finish`](Self::finish) decodes from
+/// it.
 pub(super) struct RecordAssembler {
     suffix_at: usize,
     version: Option<Versionstamp>,
@@ -370,31 +490,41 @@ impl RecordAssembler {
         Ok(())
     }
 
-    /// The record, decoded once from the joined payload, or `None` when no
+    /// The joined payload with the envelope undone, or `None` when no
     /// payload chunk arrived (nothing, or only a version key survived —
     /// which can happen transiently if a caller cleared payload keys
-    /// directly). What is allocated is the primary key (`primary_key` runs
-    /// only for a record that exists) and the message's fields — plus one
-    /// buffer for the wire bytes when the envelope had to escape a NUL in
-    /// them, and whatever a non-identity serializer needs to undo its
-    /// transform.
+    /// directly). Nothing is allocated for an identity serializer, whose
+    /// envelope is undone in the payload's buffer; a non-identity one
+    /// allocates what it needs to undo its transform.
+    pub(super) fn payload(self, store: &RecordStore<'_>) -> Result<Option<RecordPayload>> {
+        if self.chunks == 0 {
+            return Ok(None);
+        }
+        let (buffer, wire, descriptor) = store.open_envelope(self.payload)?;
+        // Every record read from the record subspace counts as a fetch,
+        // decoded or not; covering index scans bypass this path entirely.
+        store.tx.note_record_fetch();
+        Ok(Some(RecordPayload {
+            buffer,
+            wire,
+            descriptor,
+            version: self.version,
+            chunks: self.chunks,
+        }))
+    }
+
+    /// The record, decoded once from the joined payload (`None` as for
+    /// [`payload`](Self::payload)). What is allocated is the primary key
+    /// (`primary_key` runs only for a record that exists) and the message's
+    /// fields.
     pub(super) fn finish(
         self,
         store: &RecordStore<'_>,
         primary_key: impl FnOnce() -> Tuple,
     ) -> Result<Option<StoredRecord>> {
-        if self.chunks == 0 {
-            return Ok(None);
+        match self.payload(store)? {
+            Some(payload) => payload.decode(store.metadata.pool(), primary_key).map(Some),
+            None => Ok(None),
         }
-        let message = store.deserialize_record(&self.payload)?;
-        // Every record materialized from the record subspace counts as a
-        // fetch; covering index scans bypass this path entirely.
-        store.tx.note_record_fetch();
-        Ok(Some(StoredRecord {
-            primary_key: primary_key(),
-            message,
-            version: self.version,
-            split_count: self.chunks,
-        }))
     }
 }

@@ -131,6 +131,10 @@ pub(crate) struct ConflictSet {
     ends: Vec<usize>,
 }
 
+/// How many conflicts the size of its first one the first block of a
+/// [`ConflictSet`] built empty holds.
+const FIRST_BLOCK_CONFLICTS: usize = 8;
+
 /// The mark of an offset in [`ConflictSet::ends`] that a range's end
 /// follows.
 const RANGE: usize = 1 << (usize::BITS - 1);
@@ -145,14 +149,29 @@ impl ConflictSet {
         }
     }
 
+    /// Make room for a conflict of `bytes` key bytes and `ends` offsets.
+    /// The first conflict of a set built empty takes a block that holds
+    /// [`FIRST_BLOCK_CONFLICTS`] like it, so a transaction's next few reads
+    /// (a store open's, then a record's range) do not grow it; after that
+    /// the buffers double as before, so every capacity they reach is one
+    /// they would have reached growing from empty.
+    fn reserve(&mut self, bytes: usize, ends: usize) {
+        if self.ends.capacity() == 0 {
+            self.bytes.reserve(FIRST_BLOCK_CONFLICTS * bytes);
+            self.ends.reserve(FIRST_BLOCK_CONFLICTS * ends);
+        }
+    }
+
     /// Add the point conflict on `key`.
     pub(crate) fn push_point(&mut self, key: &[u8]) {
+        self.reserve(key.len(), 1);
         self.bytes.extend_from_slice(key);
         self.ends.push(self.bytes.len());
     }
 
     /// Add the range conflict `[begin, end)`.
     pub(crate) fn push_range(&mut self, begin: &[u8], end: &[u8]) {
+        self.reserve(begin.len() + end.len(), 2);
         self.bytes.extend_from_slice(begin);
         self.ends.push(self.bytes.len() | RANGE);
         self.bytes.extend_from_slice(end);

@@ -23,7 +23,7 @@ use crate::options::{KEY_SIZE_LIMIT, VALUE_SIZE_LIMIT};
 use crate::range::RangeOptions;
 use crate::state_cache::METADATA_VERSION_KEY;
 use crate::sync::{lock_ranked, LockRank};
-use crate::write_set::{KeyOp, WriteSet};
+use crate::write_set::{KeyOp, KeyOps, WriteSet};
 use rl_storage::Visitor;
 
 /// Per-transaction attribution: what *this* transaction read and wrote.
@@ -158,7 +158,7 @@ struct Merge<'w, 'v, I: Iterator> {
 
 impl<'w, 'v, I> Merge<'w, 'v, I>
 where
-    I: Iterator<Item = (&'w Vec<u8>, &'w Vec<(u64, KeyOp)>)>,
+    I: Iterator<Item = (&'w Vec<u8>, &'w KeyOps)>,
 {
     fn new(
         writes: I,
@@ -204,7 +204,7 @@ where
                 break;
             }
             self.writes.next();
-            self.hand(written, ops, None)?;
+            self.hand(written, ops.as_slice(), None)?;
         }
         ControlFlow::Continue(())
     }
@@ -358,7 +358,7 @@ impl Transaction {
         }
         let underlying = self.db.storage_get(key, self.read_version)?;
         st.trace.read_ops += 1;
-        let ops = st.writes.by_key.get(key).map(Vec::as_slice).unwrap_or(&[]);
+        let ops = st.writes.by_key.get(key).map_or(&[][..], KeyOps::as_slice);
         let v = st.writes.resolve(key, ops, underlying.map(Cow::Owned))?;
         let v = v.map(Cow::into_owned);
         if let Some(ref val) = v {
@@ -503,7 +503,7 @@ impl Transaction {
         mut merge: Merge<'w, '_, I>,
     ) -> Result<Read>
     where
-        I: Iterator<Item = (&'w Vec<u8>, &'w Vec<(u64, KeyOp)>)>,
+        I: Iterator<Item = (&'w Vec<u8>, &'w KeyOps)>,
     {
         let mut resume: Option<Vec<u8>> = None;
         let mut chunk = 0usize;

@@ -11,6 +11,7 @@
 //! the Record Layer uses.
 
 use std::borrow::Cow;
+use std::ops::Range;
 
 use crate::error::{Error, Result};
 use crate::version::{Versionstamp, VERSIONSTAMP_LEN};
@@ -360,6 +361,14 @@ pub fn pack_str_into(s: &str, out: &mut Vec<u8>) {
     out.push(0x00);
 }
 
+/// Append `b` packed as a bytes element to `out`: what packing
+/// `TupleElement::Bytes` of it appends, without owning a copy.
+pub fn pack_bytes_into(b: &[u8], out: &mut Vec<u8>) {
+    out.push(BYTES_CODE);
+    escape_nulls(b, out);
+    out.push(0x00);
+}
+
 /// The number of bytes [`pack_str_into`] appends for `s`.
 pub fn packed_str_len(s: &str) -> usize {
     escaped_len(s.as_bytes()) + 2
@@ -388,6 +397,34 @@ pub fn pack_bytes_in_place(out: &mut Vec<u8>, at: usize) {
     }
     out[at] = BYTES_CODE;
     out.push(0x00);
+}
+
+/// Undo [`pack_bytes_in_place`]: unescape the bytes element packed at
+/// `buf[at]` where it lies. Returns where its bytes are now and where the
+/// element ended, which is where the next element still begins: the
+/// unescaped bytes only move toward `at`, and nothing after the element
+/// moves.
+pub fn unpack_bytes_in_place(buf: &mut [u8], at: usize) -> Result<(Range<usize>, usize)> {
+    if buf.get(at) != Some(&BYTES_CODE) {
+        return Err(Error::Tuple("not a bytes element".into()));
+    }
+    let (start, mut read, mut write) = (at + 1, at + 1, at + 1);
+    loop {
+        let nul = buf
+            .get(read..)
+            .and_then(find_nul)
+            .ok_or_else(|| Error::Tuple("unterminated bytes/string".into()))?;
+        let escaped = buf.get(read + nul + 1) == Some(&0xFF);
+        // An escaped NUL stays (its 0xFF goes); the terminator does not.
+        let kept = nul + usize::from(escaped);
+        buf.copy_within(read..read + kept, write);
+        write += kept;
+        read += nul + 1;
+        if !escaped {
+            return Ok((start..write, read));
+        }
+        read += 1;
+    }
 }
 
 /// The length of `data` with every NUL escaped.
@@ -1072,7 +1109,39 @@ mod tests {
             let mut want = b"head".to_vec();
             TupleElement::Bytes(raw.to_vec()).pack_into(&mut want);
             assert_eq!(out, want, "{raw:?}");
+            let mut packed = Vec::new();
+            pack_bytes_into(raw, &mut packed);
+            assert_eq!(packed, want[4..], "{raw:?}");
         }
+    }
+
+    /// Every way a NUL can sit in the bytes (none, leading, trailing,
+    /// doubled, beside 0xFF, on each side of an 8-byte word) comes back
+    /// where it lies, and what follows the element does not move.
+    #[test]
+    fn bytes_unpack_in_place() {
+        let raws: [&[u8]; 8] = [
+            b"",
+            b"abc",
+            b"\x00",
+            b"a\x00\x00b\x00",
+            b"\xff\x00\xff",
+            b"\x00seven!\x00eight...\x00",
+            b"1234567\x00",
+            b"12345678\x00",
+        ];
+        for raw in raws {
+            let mut buf = b"head".to_vec();
+            buf.extend_from_slice(raw);
+            pack_bytes_in_place(&mut buf, 4);
+            let end = buf.len();
+            pack_str_into("tail", &mut buf);
+            let (bytes, next) = unpack_bytes_in_place(&mut buf, 4).unwrap();
+            assert_eq!((&buf[bytes], next), (raw, end), "{raw:?}");
+            assert_eq!(TupleReader::new(&buf[next..]).count(), 1, "{raw:?}");
+        }
+        assert!(unpack_bytes_in_place(&mut b"\x01ab".to_vec(), 0).is_err());
+        assert!(unpack_bytes_in_place(&mut b"\x02ab\x00".to_vec(), 0).is_err());
     }
 
     #[test]

@@ -9,6 +9,7 @@
 
 use std::borrow::Cow;
 use std::cell::Cell;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
@@ -29,12 +30,65 @@ pub(crate) enum KeyOp {
     StampedValue(Vec<u8>, usize),
 }
 
+/// A key's ops with their sequence numbers, in sequence order: the first
+/// one inline, as the memory engine keeps a key's one version, so a key
+/// written once (most keys of a transaction) costs no block of its own.
+#[derive(Debug)]
+pub(crate) enum KeyOps {
+    One((u64, KeyOp)),
+    /// Two or more.
+    Many(Vec<(u64, KeyOp)>),
+}
+
+impl KeyOps {
+    pub(crate) fn as_slice(&self) -> &[(u64, KeyOp)] {
+        match self {
+            KeyOps::One(op) => std::slice::from_ref(op),
+            KeyOps::Many(ops) => ops,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [(u64, KeyOp)] {
+        match self {
+            KeyOps::One(op) => std::slice::from_mut(op),
+            KeyOps::Many(ops) => ops,
+        }
+    }
+
+    /// The ops as a `Vec`, which a second op needs.
+    fn many(&mut self) -> &mut Vec<(u64, KeyOp)> {
+        if let KeyOps::One(only) = self {
+            let mut ops = Vec::with_capacity(2);
+            ops.push(std::mem::replace(only, (0, KeyOp::Clear)));
+            *self = KeyOps::Many(ops);
+        }
+        match self {
+            KeyOps::Many(ops) => ops,
+            KeyOps::One(_) => unreachable!("made Many above"),
+        }
+    }
+
+    /// Add `op` where its sequence number puts it.
+    fn insert(&mut self, op: (u64, KeyOp)) {
+        let ops = self.many();
+        ops.insert(ops.partition_point(|(s, _)| *s < op.0), op);
+    }
+
+    fn into_ops(self) -> impl Iterator<Item = (u64, KeyOp)> {
+        let (one, many) = match self {
+            KeyOps::One(op) => (Some(op), Vec::new()),
+            KeyOps::Many(ops) => (None, ops),
+        };
+        one.into_iter().chain(many)
+    }
+}
+
 /// A transaction's buffered writes.
 #[derive(Debug, Default)]
 pub(crate) struct WriteSet {
     seq: u64,
-    /// Each written key's ops, in sequence order.
-    pub(crate) by_key: BTreeMap<Vec<u8>, Vec<(u64, KeyOp)>>,
+    /// Each written key's ops.
+    pub(crate) by_key: BTreeMap<Vec<u8>, KeyOps>,
     /// Range clears `[begin, end)`, with their sequence numbers.
     cleared: Vec<(Vec<u8>, Vec<u8>, u64)>,
     /// SET_VERSIONSTAMPED_KEY: sequence number, key, the offset of its
@@ -56,7 +110,12 @@ impl WriteSet {
     /// already.
     pub(crate) fn push(&mut self, key: Vec<u8>, op: KeyOp) {
         let seq = self.next_seq();
-        self.by_key.entry(key).or_default().push((seq, op));
+        match self.by_key.entry(key) {
+            Entry::Vacant(entry) => {
+                entry.insert(KeyOps::One((seq, op)));
+            }
+            Entry::Occupied(mut entry) => entry.get_mut().many().push((seq, op)),
+        }
     }
 
     pub(crate) fn clear_range(&mut self, begin: Vec<u8>, end: Vec<u8>) {
@@ -163,7 +222,7 @@ impl WriteSet {
     /// error depends only on the operand, never on the stored value, so a
     /// probe with no value is exact.
     pub(crate) fn validate(&self) -> Result<()> {
-        for (_, op) in self.by_key.values().flatten() {
+        for (_, op) in self.by_key.values().flat_map(KeyOps::as_slice) {
             if let KeyOp::Atomic(op, param) = op {
                 atomic::apply(*op, None, param)?;
             }
@@ -222,11 +281,13 @@ pub(crate) fn sorted_batch(mut writes: WriteSet, version: u64, tally: &Tally) ->
     stamp[..8].copy_from_slice(&version.to_be_bytes());
     for (seq, mut key, offset, value) in std::mem::take(&mut writes.stamped_keys) {
         atomic::fill_versionstamp(&mut key, offset, &stamp);
-        let ops = writes.by_key.entry(key).or_default();
-        ops.insert(
-            ops.partition_point(|(s, _)| *s < seq),
-            (seq, KeyOp::Set(value)),
-        );
+        let op = (seq, KeyOp::Set(value));
+        match writes.by_key.entry(key) {
+            Entry::Vacant(entry) => {
+                entry.insert(KeyOps::One(op));
+            }
+            Entry::Occupied(mut entry) => entry.get_mut().insert(op),
+        }
     }
     let mut clears = writes.cleared;
     clears.sort_by(|a, b| a.0.cmp(&b.0));
@@ -242,10 +303,11 @@ pub(crate) fn sorted_batch(mut writes: WriteSet, version: u64, tally: &Tally) ->
         }
         covering.retain(|&c| key < clears[c].1);
         if !covering.is_empty() {
-            ops.extend(covering.iter().map(|&c| (clears[c].2, KeyOp::Clear)));
-            ops.sort_by_key(|(seq, _)| *seq);
+            let many = ops.many();
+            many.extend(covering.iter().map(|&c| (clears[c].2, KeyOp::Clear)));
+            many.sort_by_key(|(seq, _)| *seq);
         }
-        for (_, op) in &mut ops {
+        for (_, op) in ops.as_mut_slice() {
             if let KeyOp::StampedValue(value, offset) = op {
                 atomic::fill_versionstamp(value, *offset, &stamp);
             }
@@ -257,13 +319,13 @@ pub(crate) fn sorted_batch(mut writes: WriteSet, version: u64, tally: &Tally) ->
                 .bytes
                 .set(tally.bytes.get() + key_len + value.len() as u64);
         };
-        let folded = move |stored: Option<&[u8]>, ops: Vec<(u64, KeyOp)>| {
-            let ops = ops.into_iter().map(|(_, op)| Cow::Owned(op));
+        let folded = move |stored: Option<&[u8]>, ops: KeyOps| {
+            let ops = ops.into_ops().map(|(_, op)| Cow::Owned(op));
             fold(stored.map(Cow::Borrowed), ops, count)
                 .expect("operands validated before the commit applies")
                 .map(Cow::into_owned)
         };
-        let mutation = match ops.first() {
+        let mutation = match ops.as_slice().first() {
             Some((_, KeyOp::Atomic(..))) => {
                 Mutation::Update(Box::new(move |stored: Option<&[u8]>| folded(stored, ops)))
             }

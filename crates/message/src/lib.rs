@@ -43,6 +43,7 @@
 pub mod descriptor;
 pub mod evolution;
 pub mod message;
+pub mod source;
 pub mod value;
 pub mod wire;
 
@@ -51,6 +52,7 @@ pub use descriptor::{
 };
 pub use evolution::{validate_evolution, EvolutionError};
 pub use message::DynamicMessage;
+pub use source::{FieldRef, FieldSource, ValueRef, WireRecord};
 pub use value::Value;
 
 /// Errors from descriptor validation, message manipulation, and wire

@@ -6,9 +6,10 @@ use std::sync::Arc;
 
 use crate::descriptor::{DescriptorPool, FieldDescriptor, FieldType, MessageDescriptor};
 use crate::value::Value;
+use crate::source::ValueRef;
 use crate::wire::{
-    get_tag, get_varint, put_len_delimited, put_tag, put_varint, skip_field, varint_len,
-    zigzag_decode, zigzag_encode, WIRE_32BIT, WIRE_64BIT, WIRE_LEN, WIRE_VARINT,
+    field_payload, get_tag, put_len_delimited, put_tag, put_varint, skip_field, varint_len,
+    zigzag_encode,
 };
 use crate::{Error, Result};
 
@@ -56,6 +57,16 @@ impl DynamicMessage {
     /// The value of field `number`, if it has one.
     fn value(&self, number: u32) -> Option<&FieldValue> {
         self.position(number).ok().map(|i| &self.fields[i].1)
+    }
+
+    /// The values field `number` holds: none, its one value, or a
+    /// repeated field's values in order.
+    pub(crate) fn values(&self, number: u32) -> &[Value] {
+        match self.value(number) {
+            None => &[],
+            Some(FieldValue::Single(v)) => std::slice::from_ref(v),
+            Some(FieldValue::Repeated(vs)) => vs,
+        }
     }
 
     /// Set field `number` to `value`, replacing what it held.
@@ -269,28 +280,25 @@ impl DynamicMessage {
         while !data.is_empty() {
             let (number, wire_type, n) = get_tag(data)?;
             data = &data[n..];
+            let (payload, consumed) = field_payload(data, wire_type)?;
             match descriptor.field_by_number(number) {
                 Some(field) if field.field_type.wire_type() == wire_type => {
-                    let (value, consumed) = decode_value(field, pool, data)?;
-                    data = &data[consumed..];
+                    let value = decode_value(field, pool, &data[payload])?;
                     if field.is_repeated() {
                         msg.append(field.number, value);
                     } else {
                         msg.put(field.number, FieldValue::Single(value));
                     }
                 }
-                _ => {
-                    // Unknown field (or wire-type mismatch from an evolved
-                    // schema): preserve the raw bytes.
-                    let consumed = skip_field(data, wire_type)?;
-                    msg.unknown.push(UnknownField {
-                        number,
-                        wire_type,
-                        data: data[..consumed].to_vec(),
-                    });
-                    data = &data[consumed..];
-                }
+                // Unknown field (or wire-type mismatch from an evolved
+                // schema): preserve the raw bytes.
+                _ => msg.unknown.push(UnknownField {
+                    number,
+                    wire_type,
+                    data: data[..consumed].to_vec(),
+                }),
             }
+            data = &data[consumed..];
         }
         Ok(msg)
     }
@@ -299,7 +307,7 @@ impl DynamicMessage {
 /// How many fields `data` holds: a walk over its tags, skipping each
 /// payload. A field number that appears twice counts twice, so this is an
 /// upper bound on the entries decoding makes.
-fn fields_on_wire(mut data: &[u8]) -> Result<usize> {
+pub(crate) fn fields_on_wire(mut data: &[u8]) -> Result<usize> {
     let mut fields = 0;
     while !data.is_empty() {
         let (_, wire_type, n) = get_tag(data)?;
@@ -367,73 +375,16 @@ fn len_delimited_len(len: usize) -> usize {
     varint_len(len as u64) + len
 }
 
-fn decode_value(
-    field: &FieldDescriptor,
-    pool: &DescriptorPool,
-    data: &[u8],
-) -> Result<(Value, usize)> {
-    match field.field_type.wire_type() {
-        WIRE_VARINT => {
-            let (raw, n) = get_varint(data)?;
-            let value = match &field.field_type {
-                FieldType::Int32 => Value::I32(raw as i64 as i32),
-                FieldType::Int64 => Value::I64(raw as i64),
-                FieldType::SInt32 => Value::I32(zigzag_decode(raw) as i32),
-                FieldType::SInt64 => Value::I64(zigzag_decode(raw)),
-                FieldType::UInt32 => Value::U32(raw as u32),
-                FieldType::UInt64 => Value::U64(raw),
-                FieldType::Bool => Value::Bool(raw != 0),
-                FieldType::Enum(_) => Value::Enum(raw as i64 as i32),
-                _ => unreachable!(),
-            };
-            Ok((value, n))
+/// The value of `field` from its payload (as `field_payload` finds it).
+fn decode_value(field: &FieldDescriptor, pool: &DescriptorPool, payload: &[u8]) -> Result<Value> {
+    match &field.field_type {
+        FieldType::Message(type_name) => {
+            let nested_desc = pool
+                .message(type_name)
+                .ok_or_else(|| Error::Decode(format!("unknown nested type {type_name}")))?;
+            Ok(Value::Message(DynamicMessage::decode(nested_desc, pool, payload)?))
         }
-        WIRE_64BIT => {
-            let raw = data
-                .get(..8)
-                .ok_or_else(|| Error::Decode("truncated 64-bit field".into()))?;
-            let value = match &field.field_type {
-                FieldType::Fixed64 => Value::U64(u64::from_le_bytes(raw.try_into().unwrap())),
-                FieldType::SFixed64 => Value::I64(i64::from_le_bytes(raw.try_into().unwrap())),
-                FieldType::Double => Value::F64(f64::from_le_bytes(raw.try_into().unwrap())),
-                _ => unreachable!(),
-            };
-            Ok((value, 8))
-        }
-        WIRE_32BIT => {
-            let raw = data
-                .get(..4)
-                .ok_or_else(|| Error::Decode("truncated 32-bit field".into()))?;
-            let value = match &field.field_type {
-                FieldType::Fixed32 => Value::U32(u32::from_le_bytes(raw.try_into().unwrap())),
-                FieldType::SFixed32 => Value::I32(i32::from_le_bytes(raw.try_into().unwrap())),
-                FieldType::Float => Value::F32(f32::from_le_bytes(raw.try_into().unwrap())),
-                _ => unreachable!(),
-            };
-            Ok((value, 4))
-        }
-        WIRE_LEN => {
-            let (len, n) = get_varint(data)?;
-            let payload = data
-                .get(n..n + len as usize)
-                .ok_or_else(|| Error::Decode("truncated length-delimited field".into()))?;
-            let value = match &field.field_type {
-                FieldType::String => Value::String(
-                    String::from_utf8(payload.to_vec())
-                        .map_err(|e| Error::Decode(format!("invalid utf-8: {e}")))?,
-                ),
-                FieldType::Bytes => Value::Bytes(payload.to_vec()),
-                FieldType::Message(type_name) => {
-                    let nested_desc = pool
-                        .message(type_name)
-                        .ok_or_else(|| Error::Decode(format!("unknown nested type {type_name}")))?;
-                    Value::Message(DynamicMessage::decode(nested_desc, pool, payload)?)
-                }
-                _ => unreachable!(),
-            };
-            Ok((value, n + len as usize))
-        }
-        other => Err(Error::Decode(format!("unsupported wire type {other}"))),
+        scalar => Ok(ValueRef::decode(scalar, payload)?.to_value()),
     }
 }
 
@@ -441,6 +392,7 @@ fn decode_value(
 mod tests {
     use super::*;
     use crate::descriptor::{FieldLabel, MessageDescriptor};
+    use crate::wire::{WIRE_64BIT, WIRE_LEN};
 
     /// The paper's Figure 4 example message.
     fn example_pool() -> DescriptorPool {

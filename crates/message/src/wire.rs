@@ -2,6 +2,8 @@
 //! wire types the format defines (varint, 64-bit, length-delimited,
 //! 32-bit).
 
+use std::ops::Range;
+
 use crate::{Error, Result};
 
 /// Wire type discriminants.
@@ -80,31 +82,34 @@ pub fn put_len_delimited(out: &mut Vec<u8>, payload: &[u8]) {
 /// Skip a field of `wire_type`, returning the number of bytes consumed
 /// (used when preserving unknown fields).
 pub fn skip_field(data: &[u8], wire_type: u8) -> Result<usize> {
+    field_payload(data, wire_type).map(|(_, consumed)| consumed)
+}
+
+/// Where the payload of a field of `wire_type` lies in `data` (which
+/// begins after the tag), and the number of bytes the field takes: a
+/// varint's bytes, a fixed field's 8 or 4, a length-delimited field's
+/// bytes after the length.
+pub fn field_payload(data: &[u8], wire_type: u8) -> Result<(Range<usize>, usize)> {
+    let fixed = |width: usize, what: &str| match data.len() >= width {
+        true => Ok((0..width, width)),
+        false => Err(Error::Decode(format!("truncated {what} field"))),
+    };
     match wire_type {
         WIRE_VARINT => {
             let (_, n) = get_varint(data)?;
-            Ok(n)
+            Ok((0..n, n))
         }
-        WIRE_64BIT => {
-            if data.len() < 8 {
-                return Err(Error::Decode("truncated 64-bit field".into()));
-            }
-            Ok(8)
-        }
+        WIRE_64BIT => fixed(8, "64-bit"),
         WIRE_LEN => {
             let (len, n) = get_varint(data)?;
-            let total = n + len as usize;
-            if data.len() < total {
-                return Err(Error::Decode("truncated length-delimited field".into()));
-            }
-            Ok(total)
+            let end = usize::try_from(len)
+                .ok()
+                .and_then(|len| n.checked_add(len))
+                .filter(|&end| end <= data.len())
+                .ok_or_else(|| Error::Decode("truncated length-delimited field".into()))?;
+            Ok((n..end, end))
         }
-        WIRE_32BIT => {
-            if data.len() < 4 {
-                return Err(Error::Decode("truncated 32-bit field".into()));
-            }
-            Ok(4)
-        }
+        WIRE_32BIT => fixed(4, "32-bit"),
         other => Err(Error::Decode(format!("unsupported wire type {other}"))),
     }
 }
