@@ -245,14 +245,14 @@ impl KeyExpression {
     /// Evaluate against a record, producing one or more tuples: the rows
     /// [`pack`](Self::pack) packs, unpacked.
     pub fn evaluate(&self, ctx: &EvalContext<'_>) -> Result<Vec<Tuple>> {
-        let mut packed = PackedRows::default();
+        let mut packed = PackedRows::new();
         let rows = self.pack(ctx, &mut packed)?;
         packed.rows(rows).map(Row::to_tuple).collect()
     }
 
     /// Evaluate, requiring exactly one tuple (for primary keys).
     pub fn evaluate_single(&self, ctx: &EvalContext<'_>) -> Result<Tuple> {
-        self.pack_single(ctx, &mut PackedRows::default())?.to_tuple()
+        self.pack_single(ctx, &mut PackedRows::new())?.to_tuple()
     }
 
     /// [`pack`](Self::pack), requiring exactly one row.
@@ -280,9 +280,10 @@ impl KeyExpression {
     /// yields several (a fan-out, a client function) multiplies them — a
     /// Cartesian product in which earlier parts vary slowest.
     ///
-    /// Cost contract: nothing but the growth of `packed`'s buffers, and a
-    /// concatenated list's tuple, a client function's tuples and a string
-    /// copied out of a record for a predicate on the way there.
+    /// Cost contract: no allocation but the growth of `packed`'s buffers,
+    /// a concatenated list's `Tuple` and whatever a client function
+    /// returns. Strings and bytes are packed from where the record holds
+    /// them.
     pub fn pack(&self, ctx: &EvalContext<'_>, packed: &mut PackedRows) -> Result<Rows> {
         let width = self.column_count();
         let at = packed.rows.len();
@@ -528,6 +529,17 @@ impl Rows {
 }
 
 impl PackedRows {
+    /// Empty, with room for the evaluations of a save of a record with a
+    /// few short indexed fields, so that they do not grow it.
+    pub fn new() -> Self {
+        PackedRows {
+            bytes: Vec::with_capacity(256),
+            elements: Vec::with_capacity(16),
+            rows: Vec::with_capacity(16),
+            alternatives: Vec::new(),
+        }
+    }
+
     /// Forget every evaluation, keeping the buffers.
     pub fn clear(&mut self) {
         self.bytes.clear();
@@ -741,7 +753,8 @@ impl Building<'_> {
                 let to = at + (row * count + alternative) * stride;
                 packed.rows.copy_within(from..from + self.column, to);
                 let (to, from) = (to + self.column, mark + alternative * width);
-                packed.rows[to..to + width].copy_from_slice(&packed.alternatives[from..from + width]);
+                packed.rows[to..to + width]
+                    .copy_from_slice(&packed.alternatives[from..from + width]);
             }
         }
         packed.alternatives.truncate(mark);
@@ -751,9 +764,9 @@ impl Building<'_> {
 }
 
 fn field_of<'m>(msg: &'m dyn FieldSource, name: &str) -> Result<&'m FieldDescriptor> {
-    msg.descriptor()
-        .field_by_name(name)
-        .ok_or_else(|| Error::KeyExpression(format!("no field {name} on {}", msg.descriptor().name)))
+    msg.descriptor().field_by_name(name).ok_or_else(|| {
+        Error::KeyExpression(format!("no field {name} on {}", msg.descriptor().name))
+    })
 }
 
 fn extend_with_field(

@@ -301,7 +301,7 @@ mod tests {
             KeyExpression::Literal("key1".into()),
             KeyExpression::Literal("val1".into()),
         ]);
-        let mut packed = PackedRows::default();
+        let mut packed = PackedRows::new();
         let row = literals
             .pack_single(&EvalContext::new(&msg, "T"), &mut packed)
             .unwrap();

@@ -373,7 +373,11 @@ pub(crate) fn update(
     // Each entry of a record as a set element: score columns ⧺ pk, built
     // only for an entry the other record lacks.
     let key_columns = ctx.index.key_expression.key_column_count();
-    let scores = |rows| packed.rows(rows).map(move |row| row.split_at(key_columns).0);
+    let scores = |rows| {
+        packed
+            .rows(rows)
+            .map(move |row| row.split_at(key_columns).0)
+    };
     let only_in = |rows, other| -> Result<Vec<Tuple>> {
         scores(rows)
             .filter(|score| !scores(other).any(|o| o == *score))

@@ -426,7 +426,9 @@ fn comparison_shape(comparison: &Comparison) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rl_message::{DescriptorPool, DynamicMessage, FieldDescriptor, FieldType, MessageDescriptor};
+    use rl_message::{
+        DescriptorPool, DynamicMessage, FieldDescriptor, FieldType, MessageDescriptor,
+    };
 
     fn pool() -> DescriptorPool {
         let mut pool = DescriptorPool::new();

@@ -251,7 +251,7 @@ impl<'a> RecordStore<'a> {
         let packed_pk = record.primary_key.pack();
         let ctx = IndexContext::new(self.tx, index, &self.indexes, &packed_pk);
         let record = IndexedRecord::from(record);
-        let delta = index::update(&ctx, &mut PackedRows::default(), None, Some(&record))?;
+        let delta = index::update(&ctx, &mut PackedRows::new(), None, Some(&record))?;
         self.bump_stat(|| self.index_entry_count_key(index.subspace_key), delta)
     }
 

@@ -78,7 +78,7 @@ impl RecordStore<'_> {
     /// the serializer takes by value. `tests/save_allocations.rs` holds the
     /// count.
     pub fn save_record(&self, message: DynamicMessage) -> Result<StoredRecord> {
-        let mut packed = PackedRows::default();
+        let mut packed = PackedRows::new();
         let rt = self.metadata.record_type(message.type_name())?;
         let ctx = EvalContext::new(&message, message.type_name());
         let pk = rt.primary_key.pack_single(&ctx, &mut packed)?;
@@ -86,10 +86,10 @@ impl RecordStore<'_> {
         pk.pack_into(&mut packed_pk);
 
         let old = self.load_payload(&packed_pk)?;
-        let old_fields = match &old {
-            Some(old) => Some(old.fields(self.metadata.pool())?),
-            None => None,
-        };
+        let old_fields = old
+            .as_ref()
+            .map(|old| old.fields(self.metadata.pool()))
+            .transpose()?;
 
         let version = if self.metadata.store_record_versions {
             Some(Versionstamp::incomplete(self.tx.next_user_version()))
@@ -105,11 +105,17 @@ impl RecordStore<'_> {
             split_count,
         };
 
-        let old_record = old.as_ref().zip(old_fields.as_ref()).map(|(old, fields)| {
-            old.indexed(fields, &new.primary_key)
-        });
+        let old_record = old
+            .as_ref()
+            .zip(old_fields.as_ref())
+            .map(|(old, fields)| old.indexed(fields, &new.primary_key));
         let new_record = IndexedRecord::from(&new);
-        self.update_indexes(old_record.as_ref(), Some(&new_record), &packed_pk, &mut packed)?;
+        self.update_indexes(
+            old_record.as_ref(),
+            Some(&new_record),
+            &packed_pk,
+            &mut packed,
+        )?;
         if old.is_none() {
             self.bump_stat(|| self.record_count_key(), 1)?;
         }
@@ -278,7 +284,7 @@ impl RecordStore<'_> {
         };
         let fields = old.fields(self.metadata.pool())?;
         let old_record = old.indexed(&fields, primary_key);
-        let mut packed = PackedRows::default();
+        let mut packed = PackedRows::new();
         self.update_indexes(Some(&old_record), None, &packed_pk, &mut packed)?;
         self.bump_stat(|| self.record_count_key(), -1)?;
         let (begin, end) = self.record_range(&packed_pk);
@@ -343,27 +349,26 @@ impl RecordStore<'_> {
         &self,
         stored: Vec<u8>,
     ) -> Result<(Vec<u8>, Range<usize>, Arc<MessageDescriptor>)> {
-        let lent = match self.serializer.deserialize(&stored)? {
-            Cow::Owned(tagged) => Err(tagged),
-            Cow::Borrowed(tagged) => {
-                let start = (tagged.as_ptr() as usize).wrapping_sub(stored.as_ptr() as usize);
-                match stored.get(start..start.wrapping_add(tagged.len())) {
-                    // Lent from inside `stored` (it may be lent from
-                    // anywhere, so only that is trusted).
-                    Some(within) if within.as_ptr() == tagged.as_ptr() => {
-                        Ok(start..start + tagged.len())
-                    }
-                    _ => Err(tagged.to_vec()),
-                }
+        // Where in `stored` lent bytes lie, if they lie there (a transform
+        // may lend them from elsewhere).
+        let within = |lent: &[u8]| {
+            let (outer, inner) = (stored.as_ptr_range(), lent.as_ptr_range());
+            (outer.start <= inner.start && inner.end <= outer.end).then(|| {
+                let start = inner.start as usize - outer.start as usize;
+                start..start + lent.len()
+            })
+        };
+        let (owned, tagged) = match self.serializer.deserialize(&stored)? {
+            Cow::Borrowed(tagged) => match within(tagged) {
+                Some(at) => (None, at),
+                None => (Some(tagged.to_vec()), 0..tagged.len()),
+            },
+            Cow::Owned(tagged) => {
+                let len = tagged.len();
+                (Some(tagged), 0..len)
             }
         };
-        let (mut buffer, tagged) = match lent {
-            Ok(tagged) => (stored, tagged),
-            Err(owned) => {
-                let len = owned.len();
-                (owned, 0..len)
-            }
-        };
+        let mut buffer = owned.unwrap_or(stored);
         let mut envelope = TupleReader::new(&buffer[tagged.clone()]);
         let Some(ElementRef::String(record_type)) = envelope.next().transpose()? else {
             return Err(Error::Serialization("missing record type tag".into()));
@@ -374,12 +379,9 @@ impl RecordStore<'_> {
             .message(&record_type)
             .ok_or_else(|| Error::UnknownRecordType(record_type.to_string()))?;
         let wire_at = tagged.end - envelope.remaining().len();
-        let (wire, rest) = match tuple::unpack_bytes_in_place(&mut buffer[..tagged.end], wire_at) {
-            Ok(unpacked) => unpacked,
-            Err(_) if wire_at == tagged.end || buffer[wire_at] != 0x01 => {
-                return Err(Error::Serialization("missing record payload".into()))
-            }
-            Err(error) => return Err(Error::Fdb(error)),
+        let Some((wire, rest)) = tuple::unpack_bytes_in_place(&mut buffer[..tagged.end], wire_at)?
+        else {
+            return Err(Error::Serialization("missing record payload".into()));
         };
         // Whatever follows must at least be a tuple, as it always had to.
         TupleReader::new(&buffer[rest..tagged.end])

@@ -401,12 +401,12 @@ pub fn pack_bytes_in_place(out: &mut Vec<u8>, at: usize) {
 
 /// Undo [`pack_bytes_in_place`]: unescape the bytes element packed at
 /// `buf[at]` where it lies. Returns where its bytes are now and where the
-/// element ended, which is where the next element still begins: the
+/// element ended, which is where the next element still begins (the
 /// unescaped bytes only move toward `at`, and nothing after the element
-/// moves.
-pub fn unpack_bytes_in_place(buf: &mut [u8], at: usize) -> Result<(Range<usize>, usize)> {
+/// moves); `None` when no bytes element begins at `at`.
+pub fn unpack_bytes_in_place(buf: &mut [u8], at: usize) -> Result<Option<(Range<usize>, usize)>> {
     if buf.get(at) != Some(&BYTES_CODE) {
-        return Err(Error::Tuple("not a bytes element".into()));
+        return Ok(None);
     }
     let (start, mut read, mut write) = (at + 1, at + 1, at + 1);
     loop {
@@ -421,7 +421,7 @@ pub fn unpack_bytes_in_place(buf: &mut [u8], at: usize) -> Result<(Range<usize>,
         write += kept;
         read += nul + 1;
         if !escaped {
-            return Ok((start..write, read));
+            return Ok(Some((start..write, read)));
         }
         read += 1;
     }
@@ -1136,12 +1136,17 @@ mod tests {
             pack_bytes_in_place(&mut buf, 4);
             let end = buf.len();
             pack_str_into("tail", &mut buf);
-            let (bytes, next) = unpack_bytes_in_place(&mut buf, 4).unwrap();
+            let (bytes, next) = unpack_bytes_in_place(&mut buf, 4).unwrap().unwrap();
             assert_eq!((&buf[bytes], next), (raw, end), "{raw:?}");
             assert_eq!(TupleReader::new(&buf[next..]).count(), 1, "{raw:?}");
         }
         assert!(unpack_bytes_in_place(&mut b"\x01ab".to_vec(), 0).is_err());
-        assert!(unpack_bytes_in_place(&mut b"\x02ab\x00".to_vec(), 0).is_err());
+        let not_bytes = unpack_bytes_in_place(&mut b"\x02ab\x00".to_vec(), 0);
+        assert_eq!(not_bytes.unwrap(), None);
+        assert_eq!(
+            unpack_bytes_in_place(&mut b"\x01".to_vec(), 1).unwrap(),
+            None
+        );
     }
 
     #[test]

@@ -5,8 +5,8 @@
 use std::sync::Arc;
 
 use crate::descriptor::{DescriptorPool, FieldDescriptor, FieldType, MessageDescriptor};
-use crate::value::Value;
 use crate::source::ValueRef;
+use crate::value::Value;
 use crate::wire::{
     field_payload, get_tag, put_len_delimited, put_tag, put_varint, skip_field, varint_len,
     zigzag_encode,
@@ -382,7 +382,11 @@ fn decode_value(field: &FieldDescriptor, pool: &DescriptorPool, payload: &[u8]) 
             let nested_desc = pool
                 .message(type_name)
                 .ok_or_else(|| Error::Decode(format!("unknown nested type {type_name}")))?;
-            Ok(Value::Message(DynamicMessage::decode(nested_desc, pool, payload)?))
+            Ok(Value::Message(DynamicMessage::decode(
+                nested_desc,
+                pool,
+                payload,
+            )?))
         }
         scalar => Ok(ValueRef::decode(scalar, payload)?.to_value()),
     }

@@ -247,7 +247,9 @@ impl FieldSource for WireRecord<'_> {
                         .pool
                         .message(name)
                         .ok_or_else(|| Error::Decode(format!("unknown nested type {name}")))?;
-                    visit(FieldRef::Message(&WireRecord::new(descriptor, self.pool, payload)?))
+                    visit(FieldRef::Message(&WireRecord::new(
+                        descriptor, self.pool, payload,
+                    )?))
                 }
                 scalar => visit(FieldRef::Value(ValueRef::decode(scalar, payload)?)),
             };
