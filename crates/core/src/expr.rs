@@ -549,6 +549,7 @@ impl PackedRows {
     }
 
     /// The rows of one evaluation.
+    #[inline]
     pub fn rows(&self, rows: Rows) -> impl ExactSizeIterator<Item = Row<'_>> + Clone {
         let all = &self.rows[rows.at..rows.at + rows.count * rows.width];
         (0..rows.count).map(move |i| Row {
@@ -561,6 +562,7 @@ impl PackedRows {
     /// the same order, column for column the same packed bytes. Floats so
     /// compare by their bits, as their packings do (`-0.0` apart from
     /// `0.0`, a NaN like itself).
+    #[inline]
     pub fn same(&self, a: Rows, b: Rows) -> bool {
         a.count == b.count && self.rows(a).eq(self.rows(b))
     }
@@ -598,6 +600,7 @@ impl PackedRows {
     }
 
     /// Record the element packed from `start` to the end of `bytes`.
+    #[inline]
     fn push(&mut self, start: usize, stamp: Option<usize>) -> usize {
         let end = self.bytes.len();
         self.elements.push(Element { start, end, stamp });
@@ -612,6 +615,7 @@ impl PackedRows {
 
     /// Pack a field value, a string or bytes straight from where the
     /// record holds it.
+    #[inline]
     fn push_value(&mut self, value: FieldRef<'_>) -> Result<usize> {
         let start = self.bytes.len();
         match value {
@@ -642,6 +646,7 @@ impl<'p> Row<'p> {
 
     /// The first `at` columns (all of them if there are fewer) and the
     /// rest.
+    #[inline]
     pub fn split_at(self, at: usize) -> (Row<'p>, Row<'p>) {
         let (front, back) = self.columns.split_at(at.min(self.columns.len()));
         let row = |columns| Row {
@@ -652,6 +657,7 @@ impl<'p> Row<'p> {
     }
 
     /// Each column's packed element.
+    #[inline]
     pub fn elements(self) -> impl Iterator<Item = &'p [u8]> + Clone {
         let packed = self.packed;
         self.columns.iter().map(move |&i| {
@@ -669,6 +675,7 @@ impl<'p> Row<'p> {
     }
 
     /// The number of bytes the row packs to.
+    #[inline]
     pub fn packed_len(self) -> usize {
         self.elements().map(<[u8]>::len).sum()
     }
@@ -676,6 +683,7 @@ impl<'p> Row<'p> {
     /// Append the row packed, as the tail of a tuple, to `out`: what
     /// [`tuple::pack_elements_into`] does for its elements, with the same
     /// offset of the last incomplete versionstamp among them.
+    #[inline]
     pub fn pack_into(self, out: &mut Vec<u8>) -> Option<usize> {
         let mut stamp = None;
         for &i in self.columns {
@@ -697,6 +705,7 @@ impl<'p> Row<'p> {
 }
 
 impl PartialEq for Row<'_> {
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
         self.elements().eq(other.elements())
     }
@@ -711,6 +720,7 @@ impl PartialOrd for Row<'_> {
 }
 
 impl Ord for Row<'_> {
+    #[inline]
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.elements().cmp(other.elements())
     }
@@ -725,6 +735,7 @@ struct Building<'p> {
 
 impl Building<'_> {
     /// Set the next column of every row to `element`.
+    #[inline]
     fn set_each(&mut self, element: usize) {
         let Rows { at, count, width } = self.rows;
         for row in 0..count {

@@ -417,7 +417,9 @@ pub fn unpack_bytes_in_place(buf: &mut [u8], at: usize) -> Result<Option<(Range<
         let escaped = buf.get(read + nul + 1) == Some(&0xFF);
         // An escaped NUL stays (its 0xFF goes); the terminator does not.
         let kept = nul + usize::from(escaped);
-        buf.copy_within(read..read + kept, write);
+        if write < read {
+            buf.copy_within(read..read + kept, write);
+        }
         write += kept;
         read += nul + 1;
         if !escaped {

@@ -32,6 +32,7 @@ pub enum ValueRef<'a> {
 
 impl ValueRef<'_> {
     /// The owned [`Value`].
+    #[inline]
     pub fn to_value(self) -> Value {
         match self {
             ValueRef::I32(v) => Value::I32(v),
@@ -42,13 +43,14 @@ impl ValueRef<'_> {
             ValueRef::F64(v) => Value::F64(v),
             ValueRef::Bool(v) => Value::Bool(v),
             ValueRef::Enum(v) => Value::Enum(v),
-            ValueRef::String(v) => Value::String(v.to_string()),
+            ValueRef::String(v) => Value::String(v.to_owned()),
             ValueRef::Bytes(v) => Value::Bytes(v.to_vec()),
         }
     }
 
     /// Decode the payload of a field of scalar type `field_type` (as
     /// [`field_payload`] finds it).
+    #[inline]
     pub(crate) fn decode<'a>(field_type: &FieldType, payload: &'a [u8]) -> Result<ValueRef<'a>> {
         fn le<const N: usize>(payload: &[u8]) -> Result<[u8; N]> {
             payload

@@ -31,6 +31,7 @@ pub fn varint_len(v: u64) -> usize {
 }
 
 /// Read a varint, returning `(value, bytes_consumed)`.
+#[inline]
 pub fn get_varint(data: &[u8]) -> Result<(u64, usize)> {
     let mut v = 0u64;
     let mut shift = 0;
@@ -89,6 +90,7 @@ pub fn skip_field(data: &[u8], wire_type: u8) -> Result<usize> {
 /// begins after the tag), and the number of bytes the field takes: a
 /// varint's bytes, a fixed field's 8 or 4, a length-delimited field's
 /// bytes after the length.
+#[inline]
 pub fn field_payload(data: &[u8], wire_type: u8) -> Result<(Range<usize>, usize)> {
     let fixed = |width: usize, what: &str| match data.len() >= width {
         true => Ok((0..width, width)),
