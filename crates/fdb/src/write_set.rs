@@ -74,6 +74,17 @@ impl KeyOps {
         ops.insert(ops.partition_point(|(s, _)| *s < op.0), op);
     }
 
+    /// Buffer `op` on `key` in `by_key`, which `key` moves into unless it
+    /// is buffered already.
+    fn buffer(by_key: &mut BTreeMap<Vec<u8>, KeyOps>, key: Vec<u8>, op: (u64, KeyOp)) {
+        match by_key.entry(key) {
+            Entry::Vacant(entry) => {
+                entry.insert(KeyOps::One(op));
+            }
+            Entry::Occupied(mut entry) => entry.get_mut().insert(op),
+        }
+    }
+
     fn into_ops(self) -> impl Iterator<Item = (u64, KeyOp)> {
         let (one, many) = match self {
             KeyOps::One(op) => (Some(op), Vec::new()),
@@ -110,12 +121,7 @@ impl WriteSet {
     /// already.
     pub(crate) fn push(&mut self, key: Vec<u8>, op: KeyOp) {
         let seq = self.next_seq();
-        match self.by_key.entry(key) {
-            Entry::Vacant(entry) => {
-                entry.insert(KeyOps::One((seq, op)));
-            }
-            Entry::Occupied(mut entry) => entry.get_mut().many().push((seq, op)),
-        }
+        KeyOps::buffer(&mut self.by_key, key, (seq, op));
     }
 
     pub(crate) fn clear_range(&mut self, begin: Vec<u8>, end: Vec<u8>) {
@@ -281,13 +287,7 @@ pub(crate) fn sorted_batch(mut writes: WriteSet, version: u64, tally: &Tally) ->
     stamp[..8].copy_from_slice(&version.to_be_bytes());
     for (seq, mut key, offset, value) in std::mem::take(&mut writes.stamped_keys) {
         atomic::fill_versionstamp(&mut key, offset, &stamp);
-        let op = (seq, KeyOp::Set(value));
-        match writes.by_key.entry(key) {
-            Entry::Vacant(entry) => {
-                entry.insert(KeyOps::One(op));
-            }
-            Entry::Occupied(mut entry) => entry.get_mut().insert(op),
-        }
+        KeyOps::buffer(&mut writes.by_key, key, (seq, KeyOp::Set(value)));
     }
     let mut clears = writes.cleared;
     clears.sort_by(|a, b| a.0.cmp(&b.0));
