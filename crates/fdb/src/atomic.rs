@@ -45,12 +45,45 @@ pub enum MutationType {
     SetVersionstampedValue,
 }
 
+/// The widest ADD operand, in bytes: the sum is taken in a `u128`.
+pub(crate) const ADD_WIDTH_LIMIT: usize = 16;
+
 /// Pad or truncate `v` to length `n` (zero-extension on the right, i.e. in
 /// the little-endian high bytes).
 fn resize_le(v: &[u8], n: usize) -> Vec<u8> {
-    let mut out = v.to_vec();
+    let mut out = Vec::with_capacity(n);
+    out.extend_from_slice(&v[..v.len().min(n)]);
     out.resize(n, 0);
     out
+}
+
+/// `value` becomes ADD, BIT_AND, BIT_OR or BIT_XOR (`op`) of itself and
+/// `param`, which is as wide: the in-place step of those four ops. [`apply`]
+/// takes it after sizing the current value to the operand's width; a
+/// transaction takes it to fold a second operand into a buffered one.
+pub(crate) fn combine(op: MutationType, value: &mut [u8], param: &[u8]) -> Result<()> {
+    debug_assert_eq!(value.len(), param.len(), "combine takes equal widths");
+    match op {
+        MutationType::Add => {
+            let n = param.len();
+            if n > ADD_WIDTH_LIMIT {
+                return Err(Error::InvalidMutation(format!(
+                    "ADD operand too wide: {n} bytes"
+                )));
+            }
+            let mut a = [0u8; ADD_WIDTH_LIMIT];
+            a[..n].copy_from_slice(value);
+            let mut b = [0u8; ADD_WIDTH_LIMIT];
+            b[..n].copy_from_slice(param);
+            let sum = u128::from_le_bytes(a).wrapping_add(u128::from_le_bytes(b));
+            value.copy_from_slice(&sum.to_le_bytes()[..n]);
+        }
+        MutationType::BitAnd => value.iter_mut().zip(param).for_each(|(v, p)| *v &= p),
+        MutationType::BitOr => value.iter_mut().zip(param).for_each(|(v, p)| *v |= p),
+        MutationType::BitXor => value.iter_mut().zip(param).for_each(|(v, p)| *v ^= p),
+        _ => unreachable!("combine takes ADD and the BIT_* ops"),
+    }
+    Ok(())
 }
 
 /// Apply a (non-versionstamp) atomic operation to the current value of a
@@ -61,38 +94,10 @@ fn resize_le(v: &[u8], n: usize) -> Vec<u8> {
 /// byte string (for ADD, effectively zero of the operand's width).
 pub fn apply(op: MutationType, current: Option<&[u8]>, param: &[u8]) -> Result<Option<Vec<u8>>> {
     match op {
-        MutationType::Add => {
-            let n = param.len();
-            if n == 0 {
-                return Ok(Some(Vec::new()));
-            }
-            if n > 16 {
-                return Err(Error::InvalidMutation(format!(
-                    "ADD operand too wide: {n} bytes"
-                )));
-            }
-            let cur = resize_le(current.unwrap_or(&[]), n);
-            let mut a = [0u8; 16];
-            a[..n].copy_from_slice(&cur);
-            let mut b = [0u8; 16];
-            b[..n].copy_from_slice(param);
-            let sum = u128::from_le_bytes(a).wrapping_add(u128::from_le_bytes(b));
-            Ok(Some(sum.to_le_bytes()[..n].to_vec()))
-        }
-        MutationType::BitAnd => {
-            let n = param.len();
-            let cur = resize_le(current.unwrap_or(&[]), n);
-            Ok(Some(cur.iter().zip(param).map(|(a, b)| a & b).collect()))
-        }
-        MutationType::BitOr => {
-            let n = param.len();
-            let cur = resize_le(current.unwrap_or(&[]), n);
-            Ok(Some(cur.iter().zip(param).map(|(a, b)| a | b).collect()))
-        }
-        MutationType::BitXor => {
-            let n = param.len();
-            let cur = resize_le(current.unwrap_or(&[]), n);
-            Ok(Some(cur.iter().zip(param).map(|(a, b)| a ^ b).collect()))
+        MutationType::Add | MutationType::BitAnd | MutationType::BitOr | MutationType::BitXor => {
+            let mut value = resize_le(current.unwrap_or_default(), param.len());
+            combine(op, &mut value, param)?;
+            Ok(Some(value))
         }
         MutationType::Max => {
             let n = param.len().max(current.map_or(0, <[u8]>::len));

@@ -30,9 +30,13 @@
 //! `last_commit_version` and `oldest_version` are additionally published
 //! as atomics (after the store apply, so a GRV can never hand out a
 //! version the store has not materialized), making `getReadVersion`
-//! entirely lock-free. The metadata version ([`crate::state_cache`]) is
-//! published the same way, before `last_commit_version`, by the commit
-//! that writes its key.
+//! lock-free while no commit applies. A read version tracks the logical
+//! clock the way FoundationDB's advance without writes: it is the
+//! clock-implied version minus one when no commit is newer, so idle time
+//! never expires a transaction opened after it (see
+//! [`Database::get_read_version`]). The metadata version
+//! ([`crate::state_cache`]) is published the same way, before
+//! `last_commit_version`, by the commit that writes its key.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -85,6 +89,10 @@ pub struct Database {
     store: Arc<RwLock<Store>>,
     /// Latest commit version the store has materialized (lock-free GRV).
     last_commit: Arc<AtomicU64>,
+    /// Odd while a commit applies: from before it reads the clock until it
+    /// has published its version. A GRV that sees it odd or changed takes
+    /// the store lock instead (see [`Database::newest_readable`]).
+    applies: Arc<AtomicU64>,
     /// Read versions below this fail with `transaction_too_old`.
     oldest: Arc<AtomicU64>,
     /// The metadata version and the soft state it validates.
@@ -123,6 +131,7 @@ impl Database {
                 cleanup_dir,
             })),
             last_commit: Arc::new(AtomicU64::new(stored_version)),
+            applies: Arc::new(AtomicU64::new(0)),
             oldest: Arc::new(AtomicU64::new(0)),
             state_cache: Arc::new(StateCache::new(stored_version)),
             options: Arc::new(options),
@@ -169,18 +178,48 @@ impl Database {
     /// Advance logical time; commit versions track the clock so that the
     /// MVCC window expires old read versions as real FDB would.
     pub fn advance_clock(&self, ms: u64) {
-        self.clock_ms.fetch_add(ms, Ordering::Relaxed);
+        self.clock_ms.fetch_add(ms, Ordering::SeqCst);
     }
 
     // ------------------------------------------------------- transactions
 
-    /// Perform a `getReadVersion` (GRV): the latest commit version.
-    /// Lock-free — the version is published atomically after each commit
-    /// lands in the store.
+    /// Perform a `getReadVersion` (GRV): the latest commit version, or
+    /// the clock-implied version minus one if that is newer. A commit takes
+    /// at least the clock-implied version, so no later commit lands at or
+    /// below a read version handed out; and after idle logical time a new
+    /// read version is near the clock, so the next commit's MVCC horizon
+    /// does not expire it. Lock-free unless a commit is applying.
     pub fn get_read_version(&self) -> u64 {
         let _t = rl_obs::Timer::start("grv");
         self.grv_calls.fetch_add(1, Ordering::Relaxed);
-        self.last_commit.load(Ordering::Acquire)
+        self.newest_readable()
+    }
+
+    /// The newest version a read may take now: every commit at or below
+    /// it has been published, and every later one lands above it.
+    ///
+    /// A commit reads the clock under the exclusive store lock, and
+    /// publishes its version before releasing it. One that read the clock
+    /// before the clock advanced may still be applying a version below the
+    /// clock's, so the clock is trusted only if no commit applied while it
+    /// and the last commit version were read (`applies` even and
+    /// unchanged); otherwise the versions are read under the shared store
+    /// lock, where no commit is applying.
+    fn newest_readable(&self) -> u64 {
+        let readable = || {
+            let clock = self.clock_ms.load(Ordering::SeqCst) * VERSIONS_PER_MS;
+            let committed = self.last_commit.load(Ordering::SeqCst);
+            committed.max(clock.saturating_sub(1))
+        };
+        let applies = self.applies.load(Ordering::SeqCst);
+        if applies.is_multiple_of(2) {
+            let version = readable();
+            if self.applies.load(Ordering::SeqCst) == applies {
+                return version;
+            }
+        }
+        let _store = read_ranked(&self.store, LockRank::DatabaseStore);
+        readable()
     }
 
     /// Begin a transaction at the latest read version.
@@ -191,10 +230,10 @@ impl Database {
 
     /// Begin a transaction at a caller-supplied read version (used by the
     /// Record Layer's read-version cache). Fails with `FutureVersion` if the
-    /// version has not been committed yet, or `TransactionTooOld` if it has
-    /// fallen out of the MVCC window.
+    /// version is above what a GRV would return now, or `TransactionTooOld`
+    /// if it has fallen out of the MVCC window.
     pub fn create_transaction_at(&self, read_version: u64) -> Result<Transaction> {
-        if read_version > self.last_commit.load(Ordering::Acquire) {
+        if read_version > self.newest_readable() {
             return Err(Error::FutureVersion);
         }
         if read_version < self.oldest.load(Ordering::Acquire) {
@@ -368,8 +407,11 @@ impl Database {
         let mut store = write_ranked(&self.store, LockRank::DatabaseStore);
         drop(waiting);
         // Assign the commit version: strictly increasing, and at least the
-        // clock-implied version so versions track logical time.
-        let clock_version = self.clock_ms() * VERSIONS_PER_MS;
+        // clock-implied version so versions track logical time. `applies`
+        // turns odd before the clock is read and even once the version is
+        // published (see `newest_readable`).
+        self.applies.fetch_add(1, Ordering::SeqCst);
+        let clock_version = self.clock_ms.load(Ordering::SeqCst) * VERSIONS_PER_MS;
         let version = (store.last_commit_version + 1).max(clock_version);
         store.last_commit_version = version;
         store.commits_since_compaction += 1;
@@ -404,7 +446,8 @@ impl Database {
         if writes_metadata_version {
             self.state_cache.publish(version);
         }
-        self.last_commit.store(version, Ordering::Release);
+        self.last_commit.store(version, Ordering::SeqCst);
+        self.applies.fetch_add(1, Ordering::SeqCst);
         self.oldest.fetch_max(horizon, Ordering::AcqRel);
         if compact_now {
             let _t = rl_obs::Timer::start("compact");
@@ -667,6 +710,32 @@ mod tests {
         tx.commit().unwrap();
         // The old transaction's read version predates the window now.
         assert_eq!(t_old.get(b"k"), Err(Error::TransactionTooOld));
+    }
+
+    /// After idle logical time, a transaction opened 0 ms before the next
+    /// commit still reads: its read version follows the clock, so that
+    /// commit's MVCC horizon stays below it.
+    #[test]
+    fn a_read_version_follows_the_clock_through_idle_time() {
+        let db = Database::new();
+        let tx = db.create_transaction();
+        tx.set(b"k", b"v");
+        tx.commit().unwrap();
+        db.advance_clock(10_000);
+        let a = db.create_transaction();
+        assert_eq!(a.read_version(), 10_000 * VERSIONS_PER_MS - 1);
+        let b = db.create_transaction();
+        b.set(b"k", b"w");
+        b.commit().unwrap();
+        assert!(b.committed_version().unwrap() > a.read_version());
+        assert_eq!(a.get(b"k"), Ok(Some(b"v".to_vec())));
+        // The clock-implied version counts as committed.
+        assert!(db.create_transaction_at(a.read_version()).is_ok());
+        assert_eq!(
+            db.create_transaction_at(b.committed_version().unwrap() + 1)
+                .err(),
+            Some(Error::FutureVersion)
+        );
     }
 
     #[test]

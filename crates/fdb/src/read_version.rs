@@ -59,8 +59,8 @@ impl ReadVersionCache {
     /// older than `max_staleness_ms` and at least `min_version` (the last
     /// version previously observed by this client, so the client never goes
     /// backwards in time). A stale cache triggers exactly one GRV even
-    /// under concurrency (the refresh happens under the cache lock; GRV
-    /// itself is lock-free, so nothing nests under this lock).
+    /// under concurrency (the refresh happens under the cache lock; a GRV
+    /// takes at most the shared store lock, which ranks after it).
     pub fn create_transaction(
         &self,
         db: &Database,

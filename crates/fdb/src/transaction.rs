@@ -636,7 +636,7 @@ impl Transaction {
             }
             _ => {
                 st.size += key.len() + param.len() + 28;
-                st.push(key, KeyOp::Atomic(op, param));
+                st.push(key, KeyOp::Atomic(op, param, 1));
             }
         }
         Ok(())
@@ -735,6 +735,16 @@ impl Transaction {
         if !st.writes_metadata_version && !wrote_under_key {
             self.db.state_cache().put(key, self.read_version, state);
         }
+    }
+
+    /// How many ops the write set holds for `key`.
+    #[cfg(test)]
+    pub(crate) fn buffered_ops(&self, key: &[u8]) -> usize {
+        let st = lock_ranked(&self.state, LockRank::TransactionState);
+        st.writes
+            .by_key
+            .get(key)
+            .map_or(0, |ops| ops.as_slice().len())
     }
 
     /// Current approximate transaction size in bytes.

@@ -6,6 +6,38 @@
 //! storage ([`WriteSet::resolve`]). A commit hands its write set over by
 //! move, folds each key's ops once over the stored value and gives the
 //! engine every key once, in key order ([`sorted_batch`]).
+//!
+//! ## Coalescing
+//!
+//! An ADD, BIT_AND, BIT_OR or BIT_XOR buffered on a key folds into the
+//! key's newest op instead of following it, as FoundationDB's client
+//! merges a new atomic op into the one its read-your-writes map holds,
+//! when three things hold: the newest op is the same op; its operand has
+//! the same width (and, for ADD, a valid one: at most 16 bytes); and no
+//! range clear or versionstamped key buffered after it can reach the key.
+//! The fold is `atomic::combine` of the new operand into the old one, in
+//! place. Each
+//! of these four ops truncates or zero-extends the stored value to its
+//! operand's width, so at one width they are associative, and the folded
+//! operand leaves every stored value where the two ops did. Widths must be
+//! equal. A wider op after a narrower one would keep what the narrower one
+//! truncated away: on a stored 0x00FF, a one-byte ADD 0x01 then a two-byte
+//! ADD 0x0000 leaves 0x0000, but their fold, a two-byte ADD 0x0001, leaves
+//! 0x0100. A narrower op after a wider one folds correctly, but the fold's
+//! width would no longer be the earlier op's, whose result bytes the
+//! commit counts. MAX, MIN, BYTE_MIN and
+//! BYTE_MAX are left one op per call, since their result is as wide as
+//! the stored value and the commit's per-op tally could no longer be
+//! kept; APPEND_IF_FITS and COMPARE_AND_CLEAR, since they are not
+//! associative. A hot counter — a RANK finger, a SUM or COUNT group, the
+//! record-count statistic — thus holds one op however often a
+//! transaction bumps it, and each read-your-writes read of it folds one.
+//!
+//! A coalesced op records how many ops it stands for, and the commit's
+//! tally counts each of them with the folded result's bytes: every one
+//! had the same width, so the keys and bytes written are what one op per
+//! call would count. An invalid operand is never folded, so the commit's
+//! [`WriteSet::validate`] still refuses it.
 
 use std::borrow::Cow;
 use std::cell::Cell;
@@ -24,10 +56,28 @@ use crate::error::Result;
 pub(crate) enum KeyOp {
     Set(Vec<u8>),
     Clear,
-    Atomic(MutationType, Vec<u8>),
+    /// An atomic op, and how many buffered ops it stands for: more than
+    /// one once later ops were coalesced into it.
+    Atomic(MutationType, Vec<u8>, u32),
     /// SET_VERSIONSTAMPED_VALUE: `value[offset..offset + 10]` becomes the
     /// commit's versionstamp; read-your-writes sees the placeholder form.
     StampedValue(Vec<u8>, usize),
+}
+
+impl KeyOp {
+    /// Whether `next`, buffered on the key right after this op, folds into
+    /// it as far as the two ops go (module doc).
+    fn absorbs(&self, next: &KeyOp) -> bool {
+        let (KeyOp::Atomic(op, old, _), KeyOp::Atomic(next_op, param, _)) = (self, next) else {
+            return false;
+        };
+        let associative = match op {
+            MutationType::Add => param.len() <= atomic::ADD_WIDTH_LIMIT,
+            MutationType::BitAnd | MutationType::BitOr | MutationType::BitXor => true,
+            _ => false,
+        };
+        associative && op == next_op && old.len() == param.len()
+    }
 }
 
 /// A key's ops with their sequence numbers, in sequence order: the first
@@ -75,13 +125,38 @@ impl KeyOps {
     }
 
     /// Buffer `op` on `key` in `by_key`, which `key` moves into unless it
-    /// is buffered already.
-    fn buffer(by_key: &mut BTreeMap<Vec<u8>, KeyOps>, key: Vec<u8>, op: (u64, KeyOp)) {
-        match by_key.entry(key) {
+    /// is buffered already. An atomic op coalesces into the key's newest
+    /// op (module doc) unless `reaches(key, seq)`: a range clear or a
+    /// versionstamped key buffered after sequence number `seq` may land on
+    /// the key.
+    fn buffer(
+        by_key: &mut BTreeMap<Vec<u8>, KeyOps>,
+        key: Vec<u8>,
+        op: (u64, KeyOp),
+        reaches: impl FnOnce(&[u8], u64) -> bool,
+    ) {
+        let mut entry = match by_key.entry(key) {
             Entry::Vacant(entry) => {
                 entry.insert(KeyOps::One(op));
+                return;
             }
-            Entry::Occupied(mut entry) => entry.get_mut().insert(op),
+            Entry::Occupied(entry) => entry,
+        };
+        // Ops are kept in sequence order: the newest is the last.
+        let (newest_seq, newest) = entry.get().as_slice().last().expect("a key has an op");
+        if !newest.absorbs(&op.1) || reaches(entry.key(), *newest_seq) {
+            entry.get_mut().insert(op);
+            return;
+        }
+        let newest = entry.get_mut().as_mut_slice().last_mut();
+        if let (
+            Some((seq, KeyOp::Atomic(kind, old, count))),
+            (next_seq, KeyOp::Atomic(_, param, _)),
+        ) = (newest, op)
+        {
+            atomic::combine(*kind, old, &param).expect("an absorbed operand is valid");
+            *count += 1;
+            *seq = next_seq;
         }
     }
 
@@ -118,10 +193,26 @@ impl WriteSet {
     }
 
     /// Buffer `op` on `key`, which moves in unless the key is buffered
-    /// already.
+    /// already; an atomic op may coalesce into the key's newest op
+    /// (module doc).
     pub(crate) fn push(&mut self, key: Vec<u8>, op: KeyOp) {
         let seq = self.next_seq();
-        KeyOps::buffer(&mut self.by_key, key, (seq, op));
+        let (cleared, stamped_keys) = (&self.cleared, &self.stamped_keys);
+        // Both lists grow in sequence order, so only their tails can hold
+        // a write buffered after the key's newest op.
+        let reaches = |key: &[u8], since: u64| {
+            cleared
+                .iter()
+                .rev()
+                .take_while(|(.., s)| *s > since)
+                .any(|(begin, end, _)| begin.as_slice() <= key && key < end.as_slice())
+                || stamped_keys
+                    .iter()
+                    .rev()
+                    .take_while(|(s, ..)| *s > since)
+                    .any(|(_, stamped, offset, _)| may_stamp_into(stamped, *offset, key))
+        };
+        KeyOps::buffer(&mut self.by_key, key, (seq, op), reaches);
     }
 
     pub(crate) fn clear_range(&mut self, begin: Vec<u8>, end: Vec<u8>) {
@@ -229,7 +320,7 @@ impl WriteSet {
     /// probe with no value is exact.
     pub(crate) fn validate(&self) -> Result<()> {
         for (_, op) in self.by_key.values().flat_map(KeyOps::as_slice) {
-            if let KeyOp::Atomic(op, param) = op {
+            if let KeyOp::Atomic(op, param, _) = op {
                 atomic::apply(*op, None, param)?;
             }
         }
@@ -237,9 +328,19 @@ impl WriteSet {
     }
 }
 
+/// Whether the versionstamped key `stamped`, whose 10 bytes from `offset`
+/// on become the commit's versionstamp, may turn out to be `key`.
+fn may_stamp_into(stamped: &[u8], offset: usize, key: &[u8]) -> bool {
+    let stamp = offset..offset + crate::version::TR_VERSION_LEN;
+    stamped.len() == key.len()
+        && stamped[..stamp.start] == key[..stamp.start]
+        && stamped[stamp.end..] == key[stamp.end..]
+}
+
 /// `stored` with a key's `ops` applied in order: a set replaces the value,
 /// a clear removes it, an atomic op applies to it. `wrote` hears the
-/// resulting value of each op but a clear: what a commit counts as written.
+/// resulting value of each op but a clear — of a coalesced op once for
+/// each op it stands for: what a commit counts as written.
 fn fold<'v>(
     stored: Option<Cow<'v, [u8]>>,
     ops: impl IntoIterator<Item = Cow<'v, KeyOp>>,
@@ -247,18 +348,22 @@ fn fold<'v>(
 ) -> Result<Option<Cow<'v, [u8]>>> {
     let mut value = stored;
     for op in ops {
-        let clears = matches!(*op, KeyOp::Clear);
+        let heard = match *op {
+            KeyOp::Clear => 0,
+            KeyOp::Atomic(.., count) => count,
+            _ => 1,
+        };
         value = match op {
             Cow::Owned(KeyOp::Set(v) | KeyOp::StampedValue(v, _)) => Some(Cow::Owned(v)),
             Cow::Borrowed(KeyOp::Set(v) | KeyOp::StampedValue(v, _)) => Some(Cow::Borrowed(&v[..])),
             op => match &*op {
-                KeyOp::Atomic(op, param) => {
+                KeyOp::Atomic(op, param, _) => {
                     atomic::apply(*op, value.as_deref(), param)?.map(Cow::Owned)
                 }
                 _ => None,
             },
         };
-        if !clears {
+        for _ in 0..heard {
             wrote(value.as_deref().unwrap_or_default());
         }
     }
@@ -287,7 +392,10 @@ pub(crate) fn sorted_batch(mut writes: WriteSet, version: u64, tally: &Tally) ->
     stamp[..8].copy_from_slice(&version.to_be_bytes());
     for (seq, mut key, offset, value) in std::mem::take(&mut writes.stamped_keys) {
         atomic::fill_versionstamp(&mut key, offset, &stamp);
-        KeyOps::buffer(&mut writes.by_key, key, (seq, KeyOp::Set(value)));
+        // A set is never coalesced.
+        KeyOps::buffer(&mut writes.by_key, key, (seq, KeyOp::Set(value)), |_, _| {
+            true
+        });
     }
     let mut clears = writes.cleared;
     clears.sort_by(|a, b| a.0.cmp(&b.0));
@@ -346,4 +454,459 @@ pub(crate) fn sorted_batch(mut writes: WriteSet, version: u64, tally: &Tally) ->
     }
     batch.extend(clears.map(|(begin, end, _)| (begin, Mutation::ClearRange(end))));
     batch
+}
+
+/// The coalescing write set against a reference that buffers one op per
+/// call and folds them in program order. Each case commits a population
+/// on a few keys, then makes seeded calls on them — `set`, `clear`,
+/// `clear_range` and every `MutationType` at equal and unequal widths, an
+/// invalid 17-byte ADD operand, versionstamped values and keys — with a
+/// read-your-writes read after each: a get, or a forward, reverse or
+/// limited range. The reads, the commit's error, the engine state after
+/// the commit and the keys and bytes the commit counts as written must be
+/// the reference's. The keys carry the commit's predicted versionstamp
+/// where a versionstamped key's placeholder sits, so such a key can land
+/// on one of them.
+///
+/// The generator reaches each of these cases (the test asserts that each
+/// occurs, and how each leaves the key's buffered op count):
+///
+/// * `add_run`: an ADD after an ADD of its width — coalesced;
+/// * `width_change`: an ADD after an ADD of another width — not;
+/// * `clear_between`: an ADD after a range clear that follows an ADD of
+///   its width — not;
+/// * `stamp_between`: the same with a versionstamped key landing on the
+///   key — not;
+/// * `invalid`: a 17-byte ADD after another — not;
+/// * `bit_run`: a BIT_AND, BIT_OR or BIT_XOR after the same op of its
+///   width — coalesced;
+/// * `non_associative`: an ADD after an APPEND_IF_FITS or
+///   COMPARE_AND_CLEAR that follows an ADD of its width — not.
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeMap;
+
+    use crate::atomic::{self, MutationType};
+    use crate::error::Result;
+    use crate::{Database, RangeOptions, Transaction};
+
+    const KEYS: usize = 4;
+
+    /// xorshift64.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn bytes(&mut self, n: usize) -> Vec<u8> {
+            (0..n).map(|_| self.next() as u8).collect()
+        }
+
+        /// 1 to `most` random bytes.
+        fn value(&mut self, most: usize) -> Vec<u8> {
+            let n = 1 + self.below(most);
+            self.bytes(n)
+        }
+    }
+
+    /// One call, as the reference buffers it. Keys are indices into the
+    /// case's key list.
+    #[derive(Debug, Clone)]
+    enum Call {
+        Set(usize, Vec<u8>),
+        Clear(usize),
+        ClearRange(usize, usize),
+        Atomic(usize, MutationType, Vec<u8>),
+        /// Value with a versionstamp placeholder at the offset.
+        StampedValue(usize, Vec<u8>, usize),
+        /// A versionstamped key that lands on the key.
+        StampedKey(usize, Vec<u8>),
+    }
+
+    impl Call {
+        /// Whether the call writes key `i`.
+        fn touches(&self, i: usize) -> bool {
+            match *self {
+                Call::ClearRange(b, e) => (b..e).contains(&i),
+                Call::Set(k, _)
+                | Call::Clear(k)
+                | Call::Atomic(k, ..)
+                | Call::StampedValue(k, ..)
+                | Call::StampedKey(k, _) => k == i,
+            }
+        }
+    }
+
+    /// The reference's view of a key: its value, or the error of an
+    /// atomic op that failed on it, which every later read of it meets.
+    type Model = BTreeMap<Vec<u8>, Result<Vec<u8>>>;
+
+    /// `base` with `calls` applied one op per call, in order, and the keys
+    /// and bytes a commit counts for them. `stamp`: what a versionstamp
+    /// placeholder becomes — `None` for read-your-writes, which sees the
+    /// placeholder and not the versionstamped keys.
+    fn replay(
+        keys: &[Vec<u8>],
+        base: &BTreeMap<Vec<u8>, Vec<u8>>,
+        calls: &[Call],
+        stamp: Option<&[u8; 10]>,
+    ) -> (Model, (u64, u64)) {
+        let mut model: Model = base
+            .iter()
+            .map(|(k, v)| (k.clone(), Ok(v.clone())))
+            .collect();
+        let mut tally = (0, 0);
+        let mut write = |model: &mut Model, key: &[u8], value: Option<Vec<u8>>| {
+            if model.get(key).is_some_and(|v| v.is_err()) {
+                return;
+            }
+            tally.0 += 1;
+            tally.1 += (key.len() + value.as_ref().map_or(0, Vec::len)) as u64;
+            match value {
+                Some(value) => model.insert(key.to_vec(), Ok(value)),
+                None => model.remove(key),
+            };
+        };
+        for call in calls {
+            match call {
+                Call::Set(i, value) => write(&mut model, &keys[*i], Some(value.clone())),
+                Call::Clear(i) => {
+                    if model.get(&keys[*i]).is_some_and(|v| v.is_ok()) {
+                        model.remove(&keys[*i]);
+                    }
+                }
+                Call::ClearRange(b, e) => {
+                    model.retain(|k, v| v.is_err() || *k < keys[*b] || *k >= keys[*e]);
+                }
+                Call::Atomic(i, op, param) => {
+                    let key = &keys[*i];
+                    let current = match model.get(key) {
+                        Some(Err(_)) => continue,
+                        current => current.map(|v| v.as_deref().unwrap()),
+                    };
+                    match atomic::apply(*op, current, param) {
+                        Ok(value) => write(&mut model, key, value),
+                        Err(error) => {
+                            model.insert(key.clone(), Err(error));
+                        }
+                    }
+                }
+                Call::StampedValue(i, value, offset) => {
+                    let mut value = value.clone();
+                    if let Some(stamp) = stamp {
+                        atomic::fill_versionstamp(&mut value, *offset, stamp);
+                    }
+                    write(&mut model, &keys[*i], Some(value));
+                }
+                Call::StampedKey(i, value) => {
+                    if stamp.is_some() {
+                        write(&mut model, &keys[*i], Some(value.clone()));
+                    }
+                }
+            }
+        }
+        (model, tally)
+    }
+
+    /// The named case `call` is, given the calls before it, and whether
+    /// it coalesces: its op and the ops of the last calls that wrote its
+    /// key.
+    fn case_of(calls: &[Call], call: &Call) -> Option<(&'static str, bool)> {
+        let Call::Atomic(i, op, param) = call else {
+            return None;
+        };
+        let mut before = calls.iter().rev().filter(|c| c.touches(*i));
+        let same_width = |c: Option<&Call>, kind: MutationType| matches!(c, Some(Call::Atomic(_, o, p)) if *o == kind && p.len() == param.len());
+        let last = before.next();
+        match op {
+            MutationType::Add if param.len() > atomic::ADD_WIDTH_LIMIT => {
+                same_width(last, *op).then_some(("invalid", false))
+            }
+            MutationType::Add => match last {
+                Some(Call::Atomic(_, MutationType::Add, p)) if p.len() == param.len() => {
+                    Some(("add_run", true))
+                }
+                Some(Call::Atomic(_, MutationType::Add, p))
+                    if p.len() <= atomic::ADD_WIDTH_LIMIT =>
+                {
+                    Some(("width_change", false))
+                }
+                Some(Call::ClearRange(..)) => {
+                    same_width(before.next(), *op).then_some(("clear_between", false))
+                }
+                Some(Call::StampedKey(..)) => {
+                    same_width(before.next(), *op).then_some(("stamp_between", false))
+                }
+                Some(Call::Atomic(
+                    _,
+                    MutationType::AppendIfFits | MutationType::CompareAndClear,
+                    _,
+                )) => same_width(before.next(), *op).then_some(("non_associative", false)),
+                _ => None,
+            },
+            MutationType::BitAnd | MutationType::BitOr | MutationType::BitXor => {
+                same_width(last, *op).then_some(("bit_run", true))
+            }
+            _ => None,
+        }
+    }
+
+    const OPS: [MutationType; 10] = [
+        MutationType::Add,
+        MutationType::BitAnd,
+        MutationType::BitOr,
+        MutationType::BitXor,
+        MutationType::Max,
+        MutationType::Min,
+        MutationType::ByteMin,
+        MutationType::ByteMax,
+        MutationType::AppendIfFits,
+        MutationType::CompareAndClear,
+    ];
+
+    /// A fresh call. Runs on one key are common: one call in three
+    /// repeats the last call, if it was atomic, with a new operand; one in
+    /// four of the rest repeats the last ADD; half of the rest are on the
+    /// last call's key. `now`: what each key reads as, so a
+    /// COMPARE_AND_CLEAR can match it.
+    fn generate(rng: &mut Rng, calls: &[Call], now: &[Option<Vec<u8>>]) -> Call {
+        let repeat = |call: &Call, rng: &mut Rng| match call {
+            Call::Atomic(i, op, param) => Some(Call::Atomic(*i, *op, rng.bytes(param.len()))),
+            _ => None,
+        };
+        if let (Some(last), 0) = (calls.last(), rng.below(3)) {
+            if let Some(call) = repeat(last, rng) {
+                return call;
+            }
+        }
+        let last_add = calls
+            .iter()
+            .rev()
+            .find(|c| matches!(c, Call::Atomic(_, MutationType::Add, _)));
+        if let (Some(last_add), 0) = (last_add, rng.below(4)) {
+            return repeat(last_add, rng).unwrap();
+        }
+        let i = match calls.last() {
+            Some(Call::Set(i, _) | Call::Clear(i) | Call::Atomic(i, ..)) if rng.below(2) == 0 => *i,
+            _ => rng.below(KEYS),
+        };
+        let width = [1, 2, 4, 8, 17][rng.below(5)];
+        match rng.below(12) {
+            0 => Call::Set(i, rng.value(8)),
+            1 => Call::Clear(i),
+            2 => Call::ClearRange(i, i + 1 + rng.below(KEYS - i)),
+            3 => {
+                let offset = rng.below(3);
+                let len = offset + 10 + rng.below(3);
+                Call::StampedValue(i, rng.bytes(len), offset)
+            }
+            4 => Call::StampedKey(i, rng.value(4)),
+            5 if now[i].is_some() => {
+                let operand = now[i].clone().unwrap();
+                Call::Atomic(i, MutationType::CompareAndClear, operand)
+            }
+            6..=8 => Call::Atomic(i, MutationType::Add, rng.bytes(width)),
+            _ => {
+                let op = OPS[rng.below(OPS.len())];
+                let width = match op {
+                    MutationType::Add => width,
+                    _ => width.min(8),
+                };
+                Call::Atomic(i, op, rng.bytes(width))
+            }
+        }
+    }
+
+    /// Make `call` on `tx`.
+    fn make(tx: &Transaction, keys: &[Vec<u8>], placeholder: &[Vec<u8>], call: &Call) {
+        let with_offset = |bytes: &[u8], offset: usize| {
+            let mut operand = bytes.to_vec();
+            operand.extend_from_slice(&(offset as u32).to_le_bytes());
+            operand
+        };
+        match call {
+            Call::Set(i, value) => tx.set(&keys[*i], value),
+            Call::Clear(i) => tx.clear(&keys[*i]),
+            Call::ClearRange(b, e) => tx.clear_range(&keys[*b], &keys[*e]),
+            Call::Atomic(i, op, param) => tx.mutate(*op, &keys[*i], param).unwrap(),
+            Call::StampedValue(i, value, offset) => tx
+                .mutate(
+                    MutationType::SetVersionstampedValue,
+                    &keys[*i],
+                    &with_offset(value, *offset),
+                )
+                .unwrap(),
+            Call::StampedKey(i, value) => tx
+                .mutate(
+                    MutationType::SetVersionstampedKey,
+                    &with_offset(&placeholder[*i], 1),
+                    value,
+                )
+                .unwrap(),
+        }
+    }
+
+    /// The reference's answer to a range read of `[b, e)` under `options`.
+    fn expected_range(
+        keys: &[Vec<u8>],
+        model: &Model,
+        (b, e): (usize, usize),
+        options: &RangeOptions,
+    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+        let range = model.range(keys[b].clone()..keys[e].clone());
+        let rows: Box<dyn Iterator<Item = _>> = match options.reverse {
+            true => Box::new(range.rev()),
+            false => Box::new(range),
+        };
+        let mut out = Vec::new();
+        for (key, value) in rows {
+            out.push((key.clone(), value.clone()?));
+            if out.len() == options.limit {
+                break;
+            }
+        }
+        Ok(out)
+    }
+
+    fn one_case(rng: &mut Rng, seen: &mut BTreeMap<&'static str, usize>) {
+        let db = Database::new();
+        // The keys are `k`, the commit's versionstamp, then a digit, so a
+        // versionstamped key `k`, placeholder, digit lands on one.
+        let mut base = Vec::new();
+        for i in 0..KEYS {
+            if rng.below(2) == 0 {
+                base.push((i, rng.value(8)));
+            }
+        }
+        // Two commits ahead of the case's: one with the keys' prefix…
+        let fill = db.create_transaction();
+        fill.set(b"filler", b"");
+        fill.commit().unwrap();
+        let mut stamp = [0u8; 10];
+        stamp[..8].copy_from_slice(&(db.last_commit_version() + 2).to_be_bytes());
+        let spell = |middle: &[u8], i: usize| [b"k", middle, &[b'0' + i as u8]].concat();
+        let keys: Vec<Vec<u8>> = (0..=KEYS).map(|i| spell(&stamp, i)).collect();
+        let placeholder: Vec<Vec<u8>> = (0..KEYS).map(|i| spell(&[0xFF; 10], i)).collect();
+        // …and one with their values.
+        let populate = db.create_transaction();
+        populate.set(b"populated", b"");
+        let mut stored = BTreeMap::new();
+        for (i, value) in &base {
+            populate.set(&keys[*i], value);
+            stored.insert(keys[*i].clone(), value.clone());
+        }
+        populate.commit().unwrap();
+
+        let tx = db.create_transaction();
+        let mut calls = Vec::new();
+        for _ in 0..1 + rng.below(24) {
+            let (now, _) = replay(&keys, &stored, &calls, None);
+            let now: Vec<_> = keys.iter().map(|k| now.get(k).cloned()?.ok()).collect();
+            let call = generate(rng, &calls, &now);
+            let case = case_of(&calls, &call);
+            let key = match &call {
+                Call::Atomic(i, ..) => Some(&keys[*i]),
+                _ => None,
+            };
+            let ops_before = key.map(|key| tx.buffered_ops(key));
+            make(&tx, &keys, &placeholder, &call);
+            calls.push(call);
+            if let (Some((name, coalesced)), Some(key), Some(before)) = (case, key, ops_before) {
+                *seen.entry(name).or_default() += 1;
+                let grew = tx.buffered_ops(key) - before;
+                assert_eq!(grew, usize::from(!coalesced), "{name}: {calls:?}");
+            }
+
+            let (model, _) = replay(&keys, &stored, &calls, None);
+            let what = format!("after {calls:?}");
+            match rng.below(2) {
+                0 => {
+                    let i = rng.below(KEYS);
+                    let expected = model.get(&keys[i]).cloned().transpose();
+                    assert_eq!(tx.get(&keys[i]), expected, "get {i} {what}");
+                }
+                _ => {
+                    let b = rng.below(KEYS);
+                    let e = b + 1 + rng.below(KEYS - b);
+                    let options = RangeOptions::new()
+                        .reverse(rng.below(2) == 0)
+                        .limit([0, 1, 2][rng.below(3)]);
+                    let read = tx
+                        .get_range(&keys[b], &keys[e], options.clone())
+                        .map(|rows| {
+                            rows.into_iter()
+                                .map(|kv| (kv.key, kv.value))
+                                .collect::<Vec<_>>()
+                        });
+                    let expected = expected_range(&keys, &model, (b, e), &options);
+                    assert_eq!(read, expected, "range [{b}, {e}) {options:?} {what}");
+                }
+            }
+        }
+
+        let (model, tally) = replay(&keys, &stored, &calls, Some(&stamp));
+        let error = model.values().find_map(|v| v.clone().err());
+        let written = tx.trace();
+        let committed = tx.commit();
+        assert_eq!(committed.clone().err(), error, "commit of {calls:?}");
+        let engine: BTreeMap<Vec<u8>, Vec<u8>> = db
+            .create_transaction()
+            .get_range(b"k", b"l", RangeOptions::default())
+            .unwrap()
+            .into_iter()
+            .map(|kv| (kv.key, kv.value))
+            .collect();
+        if committed.is_err() {
+            assert_eq!(engine, stored, "a refused commit wrote nothing: {calls:?}");
+            return;
+        }
+        assert_eq!(tx.versionstamp(), Some(stamp), "the predicted versionstamp");
+        let model: BTreeMap<Vec<u8>, Vec<u8>> =
+            model.into_iter().map(|(k, v)| (k, v.unwrap())).collect();
+        assert_eq!(engine, model, "engine after {calls:?}");
+        let trace = tx.trace();
+        let counted = (
+            trace.keys_written - written.keys_written,
+            trace.bytes_written - written.bytes_written,
+        );
+        assert_eq!(counted, tally, "keys and bytes written by {calls:?}");
+    }
+
+    #[test]
+    fn coalescing_matches_one_op_per_call() {
+        let mut seen = BTreeMap::new();
+        for case in 0..400u64 {
+            let seed = 0xC0A1_E5CE_D1FF_u64.wrapping_add(case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                one_case(&mut Rng(seed | 1), &mut seen)
+            }));
+            if let Err(panic) = caught {
+                eprintln!("coalescing differential failed: case {case}, seed {seed:#x}");
+                std::panic::resume_unwind(panic);
+            }
+        }
+        let names = [
+            "add_run",
+            "width_change",
+            "clear_between",
+            "stamp_between",
+            "invalid",
+            "bit_run",
+            "non_associative",
+        ];
+        let missing: Vec<_> = names.iter().filter(|n| !seen.contains_key(*n)).collect();
+        assert!(
+            missing.is_empty(),
+            "cases never generated: {missing:?} ({seen:?})"
+        );
+    }
 }
