@@ -38,7 +38,7 @@ impl RecordQueryPlan {
         continuation: &Continuation,
         props: &ExecuteProperties,
     ) -> Result<PlanCursor<'a>> {
-        let timer = rl_obs::Timer::start("execute");
+        let timer = rl_obs::Timer::start(rl_obs::Op::Execute);
         let mut inner_props = props.clone();
         inner_props.share_limiter();
         let cursor = self.execute_inner(store, continuation, &inner_props, "0")?;

@@ -75,7 +75,7 @@ impl<'m> RecordQueryPlanner<'m> {
     /// Plan a query. Fails with [`Error::UnsupportedSort`] when a requested
     /// sort has no supporting index (§3.1: no in-memory sorts).
     pub fn plan(&self, query: &RecordQuery) -> Result<RecordQueryPlan> {
-        let _t = rl_obs::Timer::start("plan");
+        let _t = rl_obs::Timer::start(rl_obs::Op::Plan);
         let types: Option<BTreeSet<String>> = if query.record_types.is_empty() {
             None
         } else {

@@ -190,7 +190,7 @@ impl Database {
     /// read version is near the clock, so the next commit's MVCC horizon
     /// does not expire it. Lock-free unless a commit is applying.
     pub fn get_read_version(&self) -> u64 {
-        let _t = rl_obs::Timer::start("grv");
+        let _t = rl_obs::Timer::start(rl_obs::Op::Grv);
         self.grv_calls.fetch_add(1, Ordering::Relaxed);
         self.newest_readable()
     }
@@ -273,7 +273,7 @@ impl Database {
     /// The shared store lock for a read at `read_version`, which must still
     /// be inside the MVCC window.
     fn store_for_read(&self, read_version: u64) -> Result<RankedReadGuard<'_, Store>> {
-        let waiting = rl_obs::Timer::start("store_lock_wait_read");
+        let waiting = rl_obs::Timer::start(rl_obs::Op::StoreLockWaitRead);
         let store = read_ranked(&self.store, LockRank::DatabaseStore);
         drop(waiting);
         // `oldest` only advances under the exclusive store lock, so this
@@ -348,7 +348,7 @@ impl Database {
         // in ascending shard order (the ConflictShard indexed band).
         let mask = commit_shard_mask(read_conflicts, &write_conflicts, writes_metadata_version);
         let mut held = Vec::with_capacity(mask.count_ones() as usize);
-        let acquiring = rl_obs::Timer::start("shard_acquire");
+        let acquiring = rl_obs::Timer::start(rl_obs::Op::ShardAcquire);
         for idx in 0..CONFLICT_SHARDS {
             if mask & (1 << idx) != 0 {
                 held.push((
@@ -403,7 +403,7 @@ impl Database {
     /// on the paged engine — then publish the version, and compact when
     /// due. Takes DatabaseStore exclusive.
     fn apply(&self, writes: WriteSet, writes_metadata_version: bool) -> CommitReceipt {
-        let waiting = rl_obs::Timer::start("store_lock_wait_leader");
+        let waiting = rl_obs::Timer::start(rl_obs::Op::StoreLockWaitLeader);
         let mut store = write_ranked(&self.store, LockRank::DatabaseStore);
         drop(waiting);
         // Assign the commit version: strictly increasing, and at least the
@@ -426,7 +426,7 @@ impl Database {
         if self.panic_next_commit.swap(false, Ordering::AcqRel) {
             panic!("injected commit failure");
         }
-        let applying = rl_obs::Timer::start("batch_apply");
+        let applying = rl_obs::Timer::start(rl_obs::Op::BatchApply);
         let tally = Tally::default();
         let sorted = write_set::sorted_batch(writes, version, &tally);
         store.engine.apply_sorted(version, sorted);
@@ -435,7 +435,7 @@ impl Database {
         // Seal the commit: a crash-safe engine persists everything above
         // atomically (one WAL frame); a crash before this point loses it.
         {
-            let _t = rl_obs::Timer::start("batch_seal");
+            let _t = rl_obs::Timer::start(rl_obs::Op::BatchSeal);
             store.engine.commit_batch();
         }
 
@@ -450,12 +450,10 @@ impl Database {
         self.applies.fetch_add(1, Ordering::SeqCst);
         self.oldest.fetch_max(horizon, Ordering::AcqRel);
         if compact_now {
-            let _t = rl_obs::Timer::start("compact");
+            let _t = rl_obs::Timer::start(rl_obs::Op::Compact);
             let oldest = self.oldest.load(Ordering::Acquire);
             let keys = store.engine.compact(oldest);
-            if rl_obs::enabled() {
-                rl_obs::Recorder::global().record("compact_keys", keys as u64);
-            }
+            rl_obs::record(rl_obs::Op::CompactKeys, keys as u64);
         }
         CommitReceipt {
             version,

@@ -130,10 +130,10 @@ pub struct Transaction {
 const SNAPSHOT_CHUNK_ROWS: usize = 1024;
 
 /// What a range read handed over: the rows and their key and value
-/// bytes, and, when the read stopped before the range ended (at its
-/// limit, or where the visitor stopped it), the bound its read conflict
-/// stops at: the last row's key going backward, `key_after` it going
-/// forward.
+/// bytes, and, when a conflicting read stopped before the range ended (at
+/// its limit, or where the visitor stopped it), the bound its read
+/// conflict stops at: the last row's key going backward, `key_after` it
+/// going forward.
 #[derive(Debug, Default)]
 struct Read {
     rows: usize,
@@ -150,6 +150,7 @@ struct Merge<'w, 'v, I: Iterator> {
     write_set: &'w WriteSet,
     limit: usize,
     reverse: bool,
+    conflicting: bool,
     visitor: &'v mut Visitor<'v>,
     read: Read,
     /// An atomic op that failed to apply: the read stops and fails.
@@ -165,6 +166,7 @@ where
         write_set: &'w WriteSet,
         limit: usize,
         reverse: bool,
+        conflicting: bool,
         visitor: &'v mut Visitor<'v>,
     ) -> Self {
         Merge {
@@ -172,6 +174,7 @@ where
             write_set,
             limit,
             reverse,
+            conflicting,
             visitor,
             read: Read::default(),
             error: None,
@@ -223,7 +226,7 @@ where
         self.read.rows += 1;
         self.read.bytes += (key.len() + value.len()) as u64;
         if (self.visitor)(key, &value).is_break() || self.read.rows == self.limit {
-            self.read.conflict_bound = Some(match self.reverse {
+            self.read.conflict_bound = self.conflicting.then(|| match self.reverse {
                 true => key.to_vec(),
                 false => crate::key_after(key),
             });
@@ -348,7 +351,7 @@ impl Transaction {
     }
 
     fn get_inner(&self, key: &[u8], snapshot: bool) -> Result<Option<Vec<u8>>> {
-        let _t = rl_obs::Timer::start("get");
+        let _t = rl_obs::Timer::start(rl_obs::Op::Get);
         self.validate_key(key)?;
         let mut st = lock_ranked(&self.state, LockRank::TransactionState);
         self.check_open(&st)?;
@@ -444,7 +447,7 @@ impl Transaction {
         snapshot: bool,
         visitor: &mut Visitor<'_>,
     ) -> Result<()> {
-        let _t = rl_obs::Timer::start("get_range");
+        let _t = rl_obs::Timer::start(rl_obs::Op::GetRange);
         let mut st = lock_ranked(&self.state, LockRank::TransactionState);
         self.check_open(&st)?;
         if begin >= end {
@@ -462,10 +465,10 @@ impl Transaction {
             std::ops::Bound::Excluded(end),
         ));
         let read = if options.reverse {
-            let merge = Merge::new(writes.rev(), &st.writes, limit, true, visitor);
+            let merge = Merge::new(writes.rev(), &st.writes, limit, true, !snapshot, visitor);
             self.merge_range(begin, end, merge)?
         } else {
-            let merge = Merge::new(writes, &st.writes, limit, false, visitor);
+            let merge = Merge::new(writes, &st.writes, limit, false, !snapshot, visitor);
             self.merge_range(begin, end, merge)?
         };
         st.trace.read_ops += 1;
@@ -762,7 +765,7 @@ impl Transaction {
     /// error. The outcome goes into the trace's commit counters and the
     /// transaction's span.
     pub fn commit(&self) -> Result<()> {
-        let _t = rl_obs::Timer::start("commit");
+        let _t = rl_obs::Timer::start(rl_obs::Op::Commit);
         let mut st = lock_ranked(&self.state, LockRank::TransactionState);
         if st.committed {
             return Err(Error::UsedDuringCommit);

@@ -9,12 +9,11 @@
 //!   histogram: power-of-two buckets subdivided 32 ways, so quantiles are
 //!   accurate to ~3% relative rank error while the whole structure is a
 //!   flat array of atomics (mergeable, lock-free to record into).
-//! * [`Recorder`] — a process-wide registry of histograms keyed by static
-//!   operation names (`grv`, `get`, `get_range`, `commit`, `wal_append`,
-//!   `page_read`, `page_flush`, `plan`, `execute`). Reports render its
-//!   [`Recorder::snapshot`] with `rl_harness::json::Json::hist`.
-//! * [`Timer`] — an RAII guard that records elapsed microseconds into a
-//!   recorder histogram on drop.
+//! * [`Recorder`] — the process-wide table of histograms, one per [`Op`]
+//!   and indexed by it. Reports render its [`Recorder::snapshot`] with
+//!   `rl_harness::json::Json::hist`.
+//! * [`Timer`] — an RAII guard that records elapsed microseconds into an
+//!   op's histogram on drop; [`record`] records a count.
 //! * [`Span`] / [`SpanRing`] — lightweight spans (op, tag, start,
 //!   duration, counter deltas) captured into a fixed-capacity ring buffer
 //!   so per-transaction and per-plan-node attribution can be joined
@@ -32,7 +31,7 @@ pub mod recorder;
 pub mod span;
 
 pub use hist::{Histogram, HistogramSnapshot};
-pub use recorder::{Recorder, Timer};
+pub use recorder::{record, Op, Recorder, Timer};
 pub use span::{drain_spans, push_span, Span, SpanRing};
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -1,108 +1,113 @@
-//! The process recorder: named histograms plus the `Timer` RAII guard.
+//! The process recorder: a histogram per [`Op`], and the `Timer` guard.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::LazyLock;
 use std::time::Instant;
 
 use crate::hist::{Histogram, HistogramSnapshot};
 
-/// A registry of histograms keyed by static operation names. Every sample
-/// takes the registry's read lock, looks its name up and records into that
-/// histogram's atomics under the guard; only the first sample of a new
-/// name takes the write lock, to insert it.
-#[derive(Debug, Default)]
-pub struct Recorder {
-    hists: RwLock<BTreeMap<&'static str, Arc<Histogram>>>,
+macro_rules! ops {
+    ($($op:ident = $name:literal,)*) => {
+        /// Every operation the recorder keeps a histogram for: a closed set,
+        /// declared once below, so a sample indexes the table by its variant.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum Op { $($op,)* }
+
+        impl Op {
+            /// Every op, in declaration order (`Op::ALL[i] as usize == i`).
+            pub const ALL: [Op; [$($name),*].len()] = [$(Op::$op),*];
+
+            /// The op's name in reports and [`Recorder::snapshot`].
+            pub const fn name(self) -> &'static str {
+                [$($name),*][self as usize]
+            }
+        }
+    };
 }
 
-impl Recorder {
-    pub fn new() -> Recorder {
-        Recorder::default()
-    }
+ops! {
+    Grv = "grv",
+    Get = "get",
+    GetRange = "get_range",
+    Commit = "commit",
+    ShardAcquire = "shard_acquire",
+    StoreLockWaitLeader = "store_lock_wait_leader",
+    StoreLockWaitRead = "store_lock_wait_read",
+    BatchApply = "batch_apply",
+    BatchSeal = "batch_seal",
+    Compact = "compact",
+    CompactKeys = "compact_keys",
+    WalAppend = "wal_append",
+    PageRead = "page_read",
+    PageFlush = "page_flush",
+    ChainBytes = "chain_bytes",
+    Plan = "plan",
+    Execute = "execute",
+}
 
+/// The process's histograms, one per [`Op`], indexed by `op as usize`.
+#[derive(Debug)]
+pub struct Recorder([Histogram; Op::ALL.len()]);
+
+impl Recorder {
     /// The process-wide recorder every [`Timer`] reports into.
     pub fn global() -> &'static Recorder {
-        static GLOBAL: OnceLock<Recorder> = OnceLock::new();
-        GLOBAL.get_or_init(Recorder::new)
+        static GLOBAL: LazyLock<Recorder> =
+            LazyLock::new(|| Recorder(std::array::from_fn(|_| Histogram::new())));
+        &GLOBAL
     }
 
-    /// The registry, shared. A panic in another thread while it held the
-    /// lock leaves the map whole (a write is one insert), so the poison is
-    /// recovered here rather than passed on to every later sample.
-    #[expect(clippy::disallowed_methods, reason = "rl_obs is below rl_fdb::sync")]
-    fn read(&self) -> RwLockReadGuard<'_, BTreeMap<&'static str, Arc<Histogram>>> {
-        self.hists.read().unwrap_or_else(PoisonError::into_inner)
+    /// The histogram for `op`.
+    pub fn histogram(&self, op: Op) -> &Histogram {
+        &self.0[op as usize]
     }
 
-    /// The registry, exclusive; recovers from poison like [`Self::read`].
-    #[expect(clippy::disallowed_methods, reason = "rl_obs is below rl_fdb::sync")]
-    fn write(&self) -> RwLockWriteGuard<'_, BTreeMap<&'static str, Arc<Histogram>>> {
-        self.hists.write().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The histogram for `op`, created on first use.
-    pub fn histogram(&self, op: &'static str) -> Arc<Histogram> {
-        if let Some(h) = self.read().get(op) {
-            return h.clone();
-        }
-        self.write()
-            .entry(op)
-            .or_insert_with(|| Arc::new(Histogram::new()))
-            .clone()
-    }
-
-    /// Record one value under `op` (most callers use [`Timer`] instead).
-    pub fn record(&self, op: &'static str, value: u64) {
-        if let Some(h) = self.read().get(op) {
-            h.record(value);
-            return;
-        }
-        self.histogram(op).record(value);
-    }
-
-    /// Snapshots of every histogram, keyed by op name.
+    /// Snapshots of every histogram with samples, keyed by op name.
     pub fn snapshot(&self) -> BTreeMap<&'static str, HistogramSnapshot> {
-        self.read()
-            .iter()
-            .map(|(k, v)| (*k, v.snapshot()))
+        Op::ALL
+            .into_iter()
+            .map(|op| (op.name(), self.histogram(op).snapshot()))
+            .filter(|(_, h)| h.count() > 0)
             .collect()
     }
 
-    /// Zero every histogram (the names stay registered).
+    /// Zero every histogram.
     pub fn reset(&self) {
-        for h in self.read().values() {
-            h.reset();
-        }
+        self.0.iter().for_each(Histogram::reset);
     }
 }
 
-/// RAII timing guard: started against an op name, it records the elapsed
+/// Record `value` under `op` in the global recorder when observability is
+/// on ([`crate::enabled`]); most callers time with [`Timer`] instead.
+#[inline]
+pub fn record(op: Op, value: u64) {
+    if crate::enabled() {
+        Recorder::global().histogram(op).record(value);
+    }
+}
+
+/// RAII timing guard: started against an op, it records the elapsed
 /// microseconds into the global recorder's histogram for that op when
 /// dropped. When observability is disabled ([`crate::enabled`] is false)
 /// the guard is inert — it never reads the clock.
 #[derive(Debug)]
-pub struct Timer {
-    op: &'static str,
-    start: Option<Instant>,
-}
+pub struct Timer(Option<(&'static Histogram, Instant)>);
 
 impl Timer {
     /// Start timing `op`. A no-op (no clock read) when disabled.
     #[expect(clippy::disallowed_methods, reason = "measured time lives in rl_obs")]
-    pub fn start(op: &'static str) -> Timer {
-        Timer {
-            op,
-            start: crate::enabled().then(Instant::now),
-        }
+    #[inline]
+    pub fn start(op: Op) -> Timer {
+        Timer(crate::enabled().then(|| (Recorder::global().histogram(op), Instant::now())))
     }
 }
 
 impl Drop for Timer {
+    #[inline]
     fn drop(&mut self) {
-        let Some(start) = self.start.take() else {
-            return;
-        };
-        Recorder::global().record(self.op, start.elapsed().as_micros() as u64);
+        if let Some((histogram, start)) = self.0 {
+            histogram.record(start.elapsed().as_micros() as u64);
+        }
     }
 }
 
@@ -114,45 +119,97 @@ mod tests {
     fn disabled_timer_records_nothing() {
         let _guard = crate::test_lock();
         crate::set_enabled(false);
-        let before = Recorder::global().histogram("test_disabled").count();
+        let h = Recorder::global().histogram(Op::Plan);
+        let before = h.count();
         {
-            let _t = Timer::start("test_disabled");
+            let _t = Timer::start(Op::Plan);
         }
-        assert_eq!(
-            Recorder::global().histogram("test_disabled").count(),
-            before
-        );
+        record(Op::Plan, 1);
+        assert_eq!(h.count(), before);
     }
 
     #[test]
     fn enabled_timer_records_once() {
         let _guard = crate::test_lock();
         crate::set_enabled(true);
-        let h = Recorder::global().histogram("test_enabled");
+        let h = Recorder::global().histogram(Op::Execute);
         let before = h.count();
         {
-            let _t = Timer::start("test_enabled");
+            let _t = Timer::start(Op::Execute);
         }
-        assert_eq!(h.count(), before + 1);
         crate::set_enabled(false);
+        assert_eq!(h.count(), before + 1);
     }
 
+    /// The table is the enum: each op indexes its own slot, under a name
+    /// of its own, and the names the reports read are all there.
     #[test]
-    fn poisoned_registry_keeps_recording() {
-        let recorder = Arc::new(Recorder::new());
-        recorder.record("poison_before", 1);
-        let holder = recorder.clone();
-        let _ = std::thread::spawn(move || {
-            let _g = holder.write();
-            panic!("poison the registry");
-        })
-        .join();
-        assert!(recorder.hists.is_poisoned());
-        recorder.record("poison_before", 2);
-        recorder.record("poison_after", 3);
-        assert_eq!(recorder.histogram("poison_before").count(), 2);
-        assert_eq!(recorder.snapshot()["poison_after"].count(), 1);
+    fn the_table_is_the_enum() {
+        let _guard = crate::test_lock();
+        for (i, op) in Op::ALL.into_iter().enumerate() {
+            assert_eq!(op as usize, i, "{op:?}");
+        }
+        let names: std::collections::BTreeSet<_> = Op::ALL.map(Op::name).into();
+        assert_eq!(names.len(), Op::ALL.len(), "names are unique");
+        // The ruler's `*_obs_p50_us` metrics, then the commit-path stages
+        // `tests/observability.rs` checks.
+        for name in [
+            "get",
+            "get_range",
+            "wal_append",
+            "page_read",
+            "page_flush",
+            "shard_acquire",
+            "store_lock_wait_leader",
+            "batch_apply",
+            "batch_seal",
+            "compact",
+            "store_lock_wait_read",
+        ] {
+            assert!(names.contains(name), "{name}");
+        }
+
+        let recorder = Recorder::global();
+        crate::set_enabled(true);
         recorder.reset();
-        assert_eq!(recorder.histogram("poison_after").count(), 0);
+        assert!(recorder.snapshot().is_empty());
+        record(Op::Grv, 1);
+        record(Op::Grv, 2);
+        record(Op::ChainBytes, 3);
+        crate::set_enabled(false);
+        let snap = recorder.snapshot();
+        assert_eq!(
+            snap.keys().copied().collect::<Vec<_>>(),
+            ["chain_bytes", "grv"]
+        );
+        assert_eq!((snap["grv"].count(), snap["grv"].sum()), (2, 3));
+        assert_eq!(snap["chain_bytes"].count(), 1);
+        recorder.reset();
+        assert!(recorder.snapshot().is_empty());
+    }
+
+    /// Samples recorded from several threads at once all land.
+    #[test]
+    fn concurrent_samples_all_land() {
+        let _guard = crate::test_lock();
+        let h = Recorder::global().histogram(Op::CompactKeys);
+        let before = h.snapshot();
+        let start = std::sync::Barrier::new(4);
+        crate::set_enabled(true);
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let start = &start;
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..1_000 {
+                        record(Op::CompactKeys, t * 1_000 + i);
+                    }
+                });
+            }
+        });
+        crate::set_enabled(false);
+        let after = h.snapshot();
+        assert_eq!(after.count() - before.count(), 4_000);
+        assert_eq!(after.sum() - before.sum(), (0..4_000).sum::<u64>());
     }
 }

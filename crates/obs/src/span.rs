@@ -64,10 +64,6 @@ impl SpanRing {
         GLOBAL.get_or_init(|| SpanRing::new(DEFAULT_RING_CAPACITY))
     }
 
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Total spans ever pushed (≥ the number currently held).
     pub fn pushed(&self) -> u64 {
         self.head.load(Ordering::Relaxed)

@@ -746,9 +746,7 @@ impl LeafEdits {
     fn blob(&mut self, pool: &mut BufferPool, chain: &[u8]) -> io::Result<Range<usize>> {
         // A key written on every commit rewrites its whole retained chain;
         // this histogram's max shows how long that gets.
-        if rl_obs::enabled() {
-            rl_obs::Recorder::global().record("chain_bytes", chain.len() as u64);
-        }
+        rl_obs::record(rl_obs::Op::ChainBytes, chain.len() as u64);
         let start = self.arena.len();
         append_blob(pool, chain, INLINE_CHAIN_MAX, &mut self.arena)?;
         Ok(start..self.arena.len())

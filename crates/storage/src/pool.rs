@@ -151,7 +151,7 @@ impl BufferPool {
         self.counters
             .page_misses
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let _t = rl_obs::Timer::start("page_read");
+        let _t = rl_obs::Timer::start(rl_obs::Op::PageRead);
         let payload = self.file.read_page(id)?;
         let idx = self.acquire_frame()?;
         self.install(idx, id, Arc::new(payload.into()), false);
@@ -303,7 +303,7 @@ impl BufferPool {
     }
 
     fn flush_frame(&mut self, idx: usize) -> io::Result<()> {
-        let _t = rl_obs::Timer::start("page_flush");
+        let _t = rl_obs::Timer::start(rl_obs::Op::PageFlush);
         let frame = &self.frames[idx];
         self.file.write_page(frame.page, &frame.payload)?;
         self.frames[idx].dirty = false;

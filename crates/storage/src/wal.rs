@@ -120,7 +120,7 @@ impl Wal {
         if !self.has_pending() {
             return Ok(());
         }
-        let _t = rl_obs::Timer::start("wal_append");
+        let _t = rl_obs::Timer::start(rl_obs::Op::WalAppend);
         let (header, payload) = self.pending.split_at_mut(FRAME_HEADER);
         header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
         header[4..].copy_from_slice(&checksum(payload).to_le_bytes());

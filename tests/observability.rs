@@ -12,6 +12,7 @@ use record_layer::query::{Comparison, QueryComponent, RecordQuery};
 use record_layer::store::RecordStore;
 use rl_fdb::{Database, Subspace};
 use rl_message::{DescriptorPool, FieldDescriptor, FieldType, MessageDescriptor};
+use rl_obs::Op;
 
 /// The span ring and enabled flag are process-global; tests in this
 /// binary that drain the ring must not interleave.
@@ -288,13 +289,13 @@ fn commit_path_stages_are_timed() {
     use rl_fdb::{DatabaseOptions, EngineKind, PagedConfig};
     let _guard = obs_lock();
     let recorder = rl_obs::Recorder::global();
-    const STAGES: [&str; 6] = [
-        "shard_acquire",
-        "store_lock_wait_leader",
-        "batch_apply",
-        "batch_seal",
-        "compact",
-        "store_lock_wait_read",
+    const STAGES: [Op; 6] = [
+        Op::ShardAcquire,
+        Op::StoreLockWaitLeader,
+        Op::BatchApply,
+        Op::BatchSeal,
+        Op::Compact,
+        Op::StoreLockWaitRead,
     ];
     let counts = || STAGES.map(|op| recorder.histogram(op).count());
 
@@ -324,7 +325,7 @@ fn commit_path_stages_are_timed() {
     rl_obs::set_enabled(false);
     let _ = rl_obs::drain_spans();
     for (op, (now, was)) in STAGES.iter().zip(counts().into_iter().zip(before)) {
-        assert_eq!(now - was, 3, "{op}: one sample per commit (or read)");
+        assert_eq!(now - was, 3, "{op:?}: one sample per commit (or read)");
     }
 }
 
@@ -336,7 +337,7 @@ fn compaction_passes_record_their_sizes() {
     let _guard = obs_lock();
     let passes = || {
         rl_obs::Recorder::global()
-            .histogram("compact_keys")
+            .histogram(Op::CompactKeys)
             .snapshot()
     };
     let db = Database::with_options(DatabaseOptions {
@@ -386,7 +387,7 @@ fn rewritten_chain_lengths_are_recorded() {
     let _guard = obs_lock();
     let chains = || {
         rl_obs::Recorder::global()
-            .histogram("chain_bytes")
+            .histogram(Op::ChainBytes)
             .snapshot()
     };
     let db = Database::with_options(DatabaseOptions {
@@ -427,8 +428,8 @@ fn rewritten_chain_lengths_are_recorded() {
 }
 
 /// Disabled, the layer stays quiet: no spans accumulate and draining is
-/// empty (the ≤5% overhead budget in ISSUE.md depends on this path being
-/// a single relaxed load).
+/// empty (ROADMAP aim 4, "the gate off costing nothing", depends on this
+/// path being a single relaxed load).
 #[test]
 fn disabled_mode_emits_nothing() {
     let _guard = obs_lock();
