@@ -154,7 +154,7 @@ impl IndexedRecord<'_> {
 impl<'a> From<&'a StoredRecord> for IndexedRecord<'a> {
     fn from(record: &'a StoredRecord) -> Self {
         IndexedRecord {
-            fields: &record.message,
+            fields: record.message.source(),
             record_type: record.record_type(),
             primary_key: &record.primary_key,
             version: record.version,

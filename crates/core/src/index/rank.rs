@@ -25,8 +25,18 @@
 //! Per §10.1, navigation uses snapshot reads plus targeted conflict keys:
 //! counts on non-member levels are bumped with atomic ADD (conflict-free),
 //! so only level-membership splits create read-modify-write conflicts.
-
-use std::hash::{Hash, Hasher};
+//!
+//! Which levels hold an entry is part of the on-disk format, like
+//! `RANK_LEVELS`: erase and replace recompute an entry's height to find
+//! the fingers its insert wrote, so the height must be the same on every
+//! build. It comes from `entry_hash`, SipHash-1-3 with zero keys over the
+//! entry's length (a `u64`, little-endian) and its bytes, spelt out here
+//! rather than taken from `std`'s `DefaultHasher`, whose algorithm `std`
+//! leaves unspecified from one release to the next and which hashes a
+//! slice's length at the platform's width and byte order. On the 64-bit
+//! little-endian builds that wrote the indexes before it, it equals what
+//! `DefaultHasher` computed there, so their levels stay where they are;
+//! the `entry_heights_are_pinned` test holds a dozen of its values.
 
 use rl_fdb::atomic::MutationType;
 use rl_fdb::subspace::Subspace;
@@ -60,6 +70,65 @@ fn le_count(bytes: &[u8]) -> i64 {
     let n = bytes.len().min(8);
     buf[..n].copy_from_slice(&bytes[..n]);
     i64::from_le_bytes(buf)
+}
+
+/// The highest level, of levels `0..=top`, that holds the packed `entry`:
+/// level `l` holds it when its [`entry_hash`] is a multiple of `FAN^l`.
+fn height(entry: &[u8], top: usize) -> usize {
+    let h = entry_hash(entry);
+    let mut level = 0;
+    let mut threshold = FAN;
+    while level < top && h.is_multiple_of(threshold) {
+        level += 1;
+        threshold = threshold.saturating_mul(FAN);
+    }
+    level
+}
+
+/// SipHash-1-3 with the keys zero over `len ‖ entry`, `len` the entry's
+/// length as a little-endian `u64`: the skip list's level hash, part of
+/// the on-disk format (see the module doc).
+fn entry_hash(entry: &[u8]) -> u64 {
+    fn round(v: &mut [u64; 4]) {
+        v[0] = v[0].wrapping_add(v[1]);
+        v[1] = v[1].rotate_left(13) ^ v[0];
+        v[0] = v[0].rotate_left(32);
+        v[2] = v[2].wrapping_add(v[3]);
+        v[3] = v[3].rotate_left(16) ^ v[2];
+        v[0] = v[0].wrapping_add(v[3]);
+        v[3] = v[3].rotate_left(21) ^ v[0];
+        v[2] = v[2].wrapping_add(v[1]);
+        v[1] = v[1].rotate_left(17) ^ v[2];
+        v[2] = v[2].rotate_left(32);
+    }
+    fn compress(v: &mut [u64; 4], word: u64) {
+        v[3] ^= word;
+        round(v);
+        v[0] ^= word;
+    }
+    let mut v = [
+        0x736f_6d65_7073_6575,
+        0x646f_7261_6e64_6f6d,
+        0x6c79_6765_6e65_7261,
+        0x7465_6462_7974_6573,
+    ];
+    let len = entry.len() as u64;
+    compress(&mut v, len);
+    let mut words = entry.chunks_exact(8);
+    for word in &mut words {
+        let mut le = [0u8; 8];
+        le.copy_from_slice(word);
+        compress(&mut v, u64::from_le_bytes(le));
+    }
+    // The tail, and the low byte of the message's length (8 + len) on top.
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    compress(&mut v, u64::from_le_bytes(tail) | ((len + 8) << 56));
+    v[2] ^= 0xff;
+    for _ in 0..3 {
+        round(&mut v);
+    }
+    v[0] ^ v[1] ^ v[2] ^ v[3]
 }
 
 impl<'a> RankedSet<'a> {
@@ -98,16 +167,7 @@ impl<'a> RankedSet<'a> {
     /// Deterministic membership: the highest level holding the packed
     /// `entry`.
     fn height(&self, entry: &[u8]) -> usize {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        entry.hash(&mut hasher);
-        let h = hasher.finish();
-        let mut level = 0;
-        let mut threshold = FAN;
-        while level < self.top() && h.is_multiple_of(threshold) {
-            level += 1;
-            threshold = threshold.saturating_mul(FAN);
-        }
-        level
+        height(entry, self.top())
     }
 
     fn read_count(&self, key: &[u8]) -> Result<Option<i64>> {
@@ -452,6 +512,49 @@ mod tests {
         let tx = db.create_transaction();
         let set = RankedSet::new(&tx, Subspace::from_bytes(b"R".to_vec()), 4);
         f(&set);
+    }
+
+    /// Entries (packed `(score, pk)` tuples and a few raw byte strings)
+    /// with the hash `std`'s `DefaultHasher` gave them when every RANK
+    /// index was written with it, and the height that makes, one of each
+    /// height 0..=5 among them.
+    #[test]
+    fn entry_heights_are_pinned() {
+        let abc: &[u8] = b"abcdefghijklmnop";
+        let pinned: [(Vec<u8>, u64, usize); 12] = [
+            (vec![], 0xbd60_acb6_58c7_9e45, 0),
+            (vec![0], 0xdc58_fdc2_e5c5_babe, 0),
+            (abc[..8].to_vec(), 0xc1a2_1d00_9ceb_0ef5, 0),
+            (abc.to_vec(), 0x7746_5d2f_ae10_23a1, 0),
+            (vec![20, 20], 0x047c_186c_bd98_8076, 0),
+            (vec![20, 21, 2], 0x479c_489e_6641_f8a0, 1),
+            (vec![20, 21, 34], 0x45dd_61aa_22c5_d280, 2),
+            (vec![21, 17, 21, 28], 0x3d52_0cc5_4712_cc00, 3),
+            (vec![21, 104, 21, 47], 0x6098_0fe3_6f34_7000, 4),
+            (vec![21, 194, 21, 35], 0x8a8c_77fa_f69c_8000, 5),
+            (
+                Tuple::new()
+                    .push("a longer string score column")
+                    .push(7i64)
+                    .pack(),
+                0x77d5_5b45_f39e_3113,
+                0,
+            ),
+            (
+                Tuple::new().push(-5i64).push("pk").push(3i64).pack(),
+                0xaf9c_a6d0_49b5_5f1d,
+                0,
+            ),
+        ];
+        assert_eq!(Tuple::new().push(194i64).push(35i64).pack(), pinned[9].0);
+        for (entry, hash, level) in &pinned {
+            assert_eq!(entry_hash(entry), *hash, "hash of {entry:?}");
+            assert_eq!(
+                height(entry, RANK_LEVELS - 1),
+                *level,
+                "height of {entry:?}"
+            );
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::error::{Error, Result};
 use crate::index::IndexEntry;
 use crate::metadata::RecordMetaData;
 use crate::query::QueryComponent;
-use crate::store::{IndexScanCursor, RecordStore, StoredRecord};
+use crate::store::{IndexScanCursor, RecordMessage, RecordStore, StoredRecord};
 
 use super::ir::{CoveredField, CoveredSource, RecordQueryPlan, ScanBounds};
 
@@ -199,7 +199,7 @@ impl RecordCursor for FilteredRecordCursor<'_> {
                         }
                     }
                     if let Some(residual) = &self.residual {
-                        if !residual.eval(value.record_type(), &value.message)? {
+                        if !residual.eval(value.record_type(), value.message.source())? {
                             continue;
                         }
                     }
@@ -334,7 +334,7 @@ fn synthesize_record(
     }
     Ok(StoredRecord {
         primary_key: entry.primary_key,
-        message,
+        message: RecordMessage::Built(message),
         version: None,
         split_count: 1,
     })

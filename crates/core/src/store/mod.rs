@@ -37,7 +37,7 @@
 //! each other over a counter. The cost-based planner reads these counts
 //! (at snapshot isolation) to estimate scan costs instead of guessing.
 
-use std::cell::RefCell;
+use std::cell::{Ref, RefCell};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -55,7 +55,7 @@ mod record;
 mod scan;
 mod state;
 
-pub use record::StoredRecord;
+pub use record::{RecordMessage, StoredRecord};
 pub use scan::{IndexScanCursor, RecordScanCursor, TupleRange};
 pub use state::{RecordedIndex, StoreHeader, StoreState};
 
@@ -80,14 +80,15 @@ pub const DEFAULT_SPLIT_SIZE: usize = 90_000;
 /// Builder for opening a [`RecordStore`] with a non-default serializer or
 /// split size.
 pub struct RecordStoreBuilder {
-    serializer: Arc<dyn RecordSerializer>,
+    /// `None` is the [`PlainSerializer`].
+    serializer: Option<Arc<dyn RecordSerializer>>,
     split_size: usize,
 }
 
 impl Default for RecordStoreBuilder {
     fn default() -> Self {
         RecordStoreBuilder {
-            serializer: Arc::new(PlainSerializer),
+            serializer: None,
             split_size: DEFAULT_SPLIT_SIZE,
         }
     }
@@ -99,7 +100,7 @@ impl RecordStoreBuilder {
     }
 
     pub fn serializer(mut self, s: Arc<dyn RecordSerializer>) -> Self {
-        self.serializer = s;
+        self.serializer = Some(s);
         self
     }
 
@@ -119,32 +120,36 @@ impl RecordStoreBuilder {
     /// and one range read; until the next such write, every open by a
     /// transaction whose read version is not below the last one reads
     /// nothing. `tests/read_work_bounds.rs` holds both counts.
+    ///
+    /// An open the state cache answers allocates one block, the cell the
+    /// handle's clones share the state through: the store's subspace and
+    /// regions are packed once, into the state the cache shares
+    /// (`StoreLayout`), and the default serializer is no object at all.
+    /// `tests/fetch_allocations.rs` holds the count.
     pub fn open_or_create<'a>(
         self,
         tx: &'a Transaction,
         subspace: &Subspace,
         metadata: &'a RecordMetaData,
     ) -> Result<RecordStore<'a>> {
-        let index_state = subspace.child(INDEX_STATE);
-        let state = match tx.cached_state::<StoreState>(subspace.prefix()) {
+        let found = match tx.cached_state::<StoreState>(subspace.prefix()) {
             Some(cached) => cached,
-            None => match StoreState::read(tx, subspace, &index_state)? {
-                Some(read) => {
-                    let read = Arc::new(read);
-                    tx.cache_state(subspace.prefix(), read.clone());
-                    read
+            None => {
+                let layout = StoreLayout::new(subspace);
+                let (state, existed) = StoreState::read_or_create(tx, layout, metadata)?;
+                let state = Arc::new(state);
+                if existed {
+                    tx.cache_state(subspace.prefix(), state.clone());
                 }
-                None => Arc::new(StoreState::create(tx, subspace, &index_state, metadata)?),
-            },
+                state
+            }
         };
         let store = RecordStore {
             tx,
-            subspace: subspace.clone(),
-            records: subspace.child(RECORDS),
-            indexes: subspace.child(INDEXES),
-            index_state,
-            stats: subspace.child(INDEX_STATS),
-            state: Rc::new(RefCell::new(state)),
+            state: Rc::new(OpenState {
+                found,
+                changed: RefCell::new(None),
+            }),
             metadata,
             serializer: self.serializer,
             split_size: self.split_size,
@@ -161,21 +166,71 @@ impl RecordStoreBuilder {
 #[derive(Clone)]
 pub struct RecordStore<'a> {
     tx: &'a Transaction,
-    subspace: Subspace,
-    /// The fixed regions `S(1)`, `S(2)`, `S(3)` and `S(5)`, packed once
-    /// when the store is opened: every record and index key starts with
-    /// one of them.
-    records: Subspace,
-    indexes: Subspace,
-    index_state: Subspace,
-    stats: Subspace,
-    /// The store's state as this transaction sees it: what the open found,
-    /// plus this transaction's own changes through any handle cloned from
-    /// that open (copy-on-write — the `Arc` may be the cache's).
-    state: Rc<RefCell<Arc<StoreState>>>,
+    /// The store's state as this transaction sees it, shared by every
+    /// handle cloned from one open.
+    state: Rc<OpenState>,
     metadata: &'a RecordMetaData,
-    serializer: Arc<dyn RecordSerializer>,
+    /// `None` is the [`PlainSerializer`].
+    serializer: Option<Arc<dyn RecordSerializer>>,
     split_size: usize,
+}
+
+/// What the handles of one open share: the state the open found, and this
+/// transaction's own changes to it.
+struct OpenState {
+    /// The state the open found (the `Arc` may be the cache's). Its layout
+    /// is every handle's; the rest is the state until the transaction
+    /// changes it.
+    found: Arc<StoreState>,
+    /// The state once this transaction changed it: a copy of `found`,
+    /// made on the first change (copy-on-write).
+    changed: RefCell<Option<Arc<StoreState>>>,
+}
+
+/// [`RecordStore::current`]: the changed state while one is borrowed, the
+/// found one otherwise.
+struct Current<'s> {
+    changed: Ref<'s, Option<Arc<StoreState>>>,
+    found: &'s StoreState,
+}
+
+impl std::ops::Deref for Current<'_> {
+    type Target = StoreState;
+
+    fn deref(&self) -> &StoreState {
+        self.changed.as_deref().unwrap_or(self.found)
+    }
+}
+
+/// A store's subspace and its fixed regions, packed once per store: part
+/// of the [`StoreState`] the state cache shares, so an open packs nothing.
+/// Every record and index key starts with one of the regions.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct StoreLayout {
+    subspace: Subspace,
+    /// `S(1)`, the records.
+    records: Subspace,
+    /// `S(2)`, each index's data.
+    indexes: Subspace,
+    /// `S(3)`, each index's state.
+    index_state: Subspace,
+    /// `S(4)`, each index's online-build progress.
+    index_ranges: Subspace,
+    /// `S(5)`, the statistics.
+    stats: Subspace,
+}
+
+impl StoreLayout {
+    fn new(subspace: &Subspace) -> Self {
+        StoreLayout {
+            subspace: subspace.clone(),
+            records: subspace.child(RECORDS),
+            indexes: subspace.child(INDEXES),
+            index_state: subspace.child(INDEX_STATE),
+            index_ranges: subspace.child(INDEX_RANGES),
+            stats: subspace.child(INDEX_STATS),
+        }
+    }
 }
 
 impl<'a> RecordStore<'a> {
@@ -197,12 +252,30 @@ impl<'a> RecordStore<'a> {
     }
 
     pub fn subspace(&self) -> &Subspace {
-        &self.subspace
+        &self.layout().subspace
+    }
+
+    /// The store's subspace and its regions.
+    fn layout(&self) -> &StoreLayout {
+        &self.state.found.layout
+    }
+
+    /// The store's state as this transaction sees it.
+    fn current(&self) -> Current<'_> {
+        Current {
+            changed: self.state.changed.borrow(),
+            found: &self.state.found,
+        }
+    }
+
+    /// The serializer records are stored through.
+    fn serializer(&self) -> &dyn RecordSerializer {
+        self.serializer.as_deref().unwrap_or(&PlainSerializer)
     }
 
     /// The subspace dedicated to one index, `S(2, k)`.
     pub fn index_subspace(&self, index: &Index) -> Subspace {
-        self.indexes.child(index.subspace_key)
+        self.layout().indexes.child(index.subspace_key)
     }
 
     /// Subspace recording online-build progress for an index, `S(4, k)`.
@@ -211,7 +284,7 @@ impl<'a> RecordStore<'a> {
     }
 
     fn range_subspace(&self, subspace_key: i64) -> Subspace {
-        self.subspace.child(INDEX_RANGES).child(subspace_key)
+        self.layout().index_ranges.child(subspace_key)
     }
 
     // ----------------------------------------------------------- indexing
@@ -228,7 +301,7 @@ impl<'a> RecordStore<'a> {
     ) -> Result<()> {
         // Borrowed across the index updates: they see the transaction and
         // the index's subspace, never this handle.
-        let state = self.state.borrow();
+        let state = self.current();
         for index in self.metadata.indexes() {
             if !state.index_state(index.subspace_key).is_maintained() {
                 continue;
@@ -238,7 +311,7 @@ impl<'a> RecordStore<'a> {
             if old_in.is_none() && new_in.is_none() {
                 continue;
             }
-            let ctx = IndexContext::new(self.tx, index, &self.indexes, packed_pk);
+            let ctx = IndexContext::new(self.tx, index, &self.layout().indexes, packed_pk);
             let delta = index::update(&ctx, packed, old_in, new_in)?;
             self.bump_stat(|| self.index_entry_count_key(index.subspace_key), delta)?;
         }
@@ -249,7 +322,7 @@ impl<'a> RecordStore<'a> {
     /// online index builder).
     pub fn update_one_index(&self, index: &Index, record: &StoredRecord) -> Result<()> {
         let packed_pk = record.primary_key.pack();
-        let ctx = IndexContext::new(self.tx, index, &self.indexes, &packed_pk);
+        let ctx = IndexContext::new(self.tx, index, &self.layout().indexes, &packed_pk);
         let record = IndexedRecord::from(record);
         let delta = index::update(&ctx, &mut PackedRows::new(), None, Some(&record))?;
         self.bump_stat(|| self.index_entry_count_key(index.subspace_key), delta)

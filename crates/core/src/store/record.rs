@@ -10,9 +10,12 @@ use rl_fdb::subspace::Subspace;
 use rl_fdb::tuple::{self, ElementRef, Tuple, TupleElement, TupleReader};
 use rl_fdb::version::{Versionstamp, VERSIONSTAMP_LEN};
 use rl_fdb::RangeOptions;
-use rl_message::{DescriptorPool, DynamicMessage, MessageDescriptor, WireRecord};
+use rl_message::{
+    DescriptorPool, DynamicMessage, FieldDescriptor, FieldRef, FieldSource, MessageDescriptor,
+    Value, WireMessage, WireRecord,
+};
 
-use super::{RecordStore, INDEX_RANGES};
+use super::RecordStore;
 use crate::error::{Error, Result};
 use crate::expr::{EvalContext, PackedRows};
 use crate::index::IndexedRecord;
@@ -21,11 +24,12 @@ use crate::index::IndexedRecord;
 const VERSION_SPLIT: i64 = -1;
 
 /// A record as stored: message, primary key, and commit version. Its type
-/// is its message's ([`record_type`](Self::record_type)).
+/// is its message's ([`record_type`](Self::record_type)), and its fields
+/// are read through [`FieldSource`] or [`RecordMessage::get`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoredRecord {
     pub primary_key: Tuple,
-    pub message: DynamicMessage,
+    pub message: RecordMessage,
     /// The commit version of the record's last modification. Incomplete
     /// for records saved in the current (uncommitted) transaction.
     pub version: Option<Versionstamp>,
@@ -38,6 +42,113 @@ impl StoredRecord {
     /// holds, so no record carries a copy.
     pub fn record_type(&self) -> &str {
         self.message.type_name()
+    }
+}
+
+impl FieldSource for StoredRecord {
+    fn descriptor(&self) -> &Arc<MessageDescriptor> {
+        self.message.descriptor()
+    }
+
+    fn visit_field(
+        &self,
+        field: &FieldDescriptor,
+        visit: &mut dyn FnMut(FieldRef<'_>) -> ControlFlow<()>,
+    ) -> rl_message::Result<()> {
+        self.message.visit_field(field, visit)
+    }
+}
+
+/// A record's message: as the client built it, or its stored wire bytes,
+/// read where they lie. A fetch returns the second ([`WireMessage`]: one
+/// walk over the tags at the fetch, a field decoded when it is read);
+/// [`to_message`](Self::to_message) decodes either in full for a caller
+/// that will change the record and save it.
+#[derive(Debug, Clone)]
+pub enum RecordMessage {
+    /// A message built in memory: the one a save took, or the columns a
+    /// covering index scan put together.
+    Built(DynamicMessage),
+    /// A fetched record's wire bytes.
+    Stored(WireMessage),
+}
+
+impl RecordMessage {
+    /// The message type name.
+    pub fn type_name(&self) -> &str {
+        &self.source().descriptor().name
+    }
+
+    /// The message as the field source it is, so a reader dispatches
+    /// once, not through this enum and then again.
+    pub(crate) fn source(&self) -> &dyn FieldSource {
+        match self {
+            RecordMessage::Built(message) => message,
+            RecordMessage::Stored(message) => message,
+        }
+    }
+
+    /// A singular field's value, if set (see [`DynamicMessage::get`] and
+    /// [`WireMessage::get`], which decodes the field the first time).
+    pub fn get(&self, name: &str) -> Option<&Value> {
+        match self {
+            RecordMessage::Built(message) => message.get(name),
+            RecordMessage::Stored(message) => message.get(name),
+        }
+    }
+
+    /// The message decoded in full, unknown fields kept: what a caller
+    /// changes and saves again.
+    pub fn to_message(&self) -> Result<DynamicMessage> {
+        match self {
+            RecordMessage::Built(message) => Ok(message.clone()),
+            RecordMessage::Stored(message) => Ok(message.to_message()?),
+        }
+    }
+
+    /// [`to_message`](Self::to_message), by value.
+    pub fn into_message(self) -> Result<DynamicMessage> {
+        match self {
+            RecordMessage::Built(message) => Ok(message),
+            RecordMessage::Stored(message) => Ok(message.into_message()?),
+        }
+    }
+
+    /// The wire bytes: a built message's encoding, a stored one's bytes as
+    /// stored.
+    pub fn encode(&self) -> Vec<u8> {
+        match self {
+            RecordMessage::Built(message) => message.encode(),
+            RecordMessage::Stored(message) => message.wire().to_vec(),
+        }
+    }
+}
+
+/// Two messages are equal when they decode to equal messages; one whose
+/// bytes do not decode equals none.
+impl PartialEq for RecordMessage {
+    fn eq(&self, other: &Self) -> bool {
+        fn decoded(message: &RecordMessage) -> Option<Cow<'_, DynamicMessage>> {
+            match message {
+                RecordMessage::Built(message) => Some(Cow::Borrowed(message)),
+                RecordMessage::Stored(message) => message.to_message().ok().map(Cow::Owned),
+            }
+        }
+        matches!((decoded(self), decoded(other)), (Some(a), Some(b)) if a == b)
+    }
+}
+
+impl FieldSource for RecordMessage {
+    fn descriptor(&self) -> &Arc<MessageDescriptor> {
+        self.source().descriptor()
+    }
+
+    fn visit_field(
+        &self,
+        field: &FieldDescriptor,
+        visit: &mut dyn FnMut(FieldRef<'_>) -> ControlFlow<()>,
+    ) -> rl_message::Result<()> {
+        self.source().visit_field(field, visit)
     }
 }
 
@@ -100,7 +211,7 @@ impl RecordStore<'_> {
         let split_count = serialized.len().div_ceil(self.split_size).max(1);
         let new = StoredRecord {
             primary_key,
-            message,
+            message: RecordMessage::Built(message),
             version,
             split_count,
         };
@@ -169,7 +280,7 @@ impl RecordStore<'_> {
     /// The key of one of a record's rows, `S(1, pk…, split)`, from the
     /// packed primary key, in one buffer of its final size.
     fn record_key(&self, packed_pk: &[u8], split: i64) -> Vec<u8> {
-        let (prefix, split) = (self.records.prefix(), TupleElement::Int(split));
+        let (prefix, split) = (self.layout().records.prefix(), TupleElement::Int(split));
         let mut key = Vec::with_capacity(prefix.len() + packed_pk.len() + split.packed_len());
         key.extend_from_slice(prefix);
         key.extend_from_slice(packed_pk);
@@ -180,24 +291,26 @@ impl RecordStore<'_> {
     /// The range of every row of the record with packed primary key
     /// `packed_pk`.
     fn record_range(&self, packed_pk: &[u8]) -> (Vec<u8>, Vec<u8>) {
-        Subspace::from_bytes([self.records.prefix(), packed_pk].concat()).range_inclusive()
+        Subspace::from_bytes([self.layout().records.prefix(), packed_pk].concat()).range_inclusive()
     }
 
     /// Load a record by primary key: one range read fetches the version
     /// split and all payload chunks together (§4).
     ///
-    /// Cost contract: one lending range read, one decode; allocates only
-    /// what the returned record owns. The primary key is packed straight
-    /// into one buffer that holds both bounds of the read
+    /// Cost contract: one lending range read, one walk over the record's
+    /// tags, no decode; allocates only what the returned record owns. The
+    /// primary key is packed straight into one buffer that holds both
+    /// bounds of the read
     /// ([`Transaction::visit_range`](rl_fdb::Transaction::visit_range)),
     /// which borrows them, copies them into the transaction's
     /// read-conflict arena and lends its rows to the record assembler. So
     /// what is allocated is the bounds' buffer, one buffer the payload
     /// chunks are copied into (the envelope is undone inside it, escaped
-    /// NULs too), and then the record's own primary key and message (plus
-    /// whatever a non-identity serializer needs to undo its transform). A
-    /// missing record stops after the read. `tests/fetch_allocations.rs`
-    /// holds the count.
+    /// NULs too), which the record keeps, and then the record's own
+    /// primary key and field table ([`WireMessage`]; plus whatever a
+    /// non-identity serializer needs to undo its transform). A field's
+    /// value is decoded when it is read. A missing record stops after the
+    /// read. `tests/fetch_allocations.rs` holds the count.
     pub fn load_record(&self, primary_key: &Tuple) -> Result<Option<StoredRecord>> {
         let pk_len = tuple::packed_len(primary_key.elements());
         let bounds = self.record_bounds(pk_len, |key| primary_key.pack_into(key));
@@ -220,7 +333,7 @@ impl RecordStore<'_> {
     /// `begin`, the records prefix, the `pk_len` bytes of packed primary
     /// key `pack` appends and 0x00, then `end`, the same with 0xFF.
     fn record_bounds(&self, pk_len: usize, pack: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-        let prefix = self.records.prefix();
+        let prefix = self.layout().records.prefix();
         let mut bounds = Vec::with_capacity(2 * (prefix.len() + pk_len + 1));
         bounds.extend_from_slice(prefix);
         pack(&mut bounds);
@@ -231,7 +344,7 @@ impl RecordStore<'_> {
         bounds
     }
 
-    /// Read and decode the record whose rows
+    /// Read the record whose rows
     /// [`record_bounds`](Self::record_bounds) spans.
     fn load_record_within(
         &self,
@@ -239,7 +352,9 @@ impl RecordStore<'_> {
         primary_key: impl FnOnce() -> Tuple,
     ) -> Result<Option<StoredRecord>> {
         match self.read_payload(bounds)? {
-            Some(payload) => payload.decode(self.metadata.pool(), primary_key).map(Some),
+            Some(payload) => payload
+                .into_record(self.metadata.pool(), primary_key)
+                .map(Some),
             None => Ok(None),
         }
     }
@@ -295,11 +410,12 @@ impl RecordStore<'_> {
     /// Delete every record and all index data, keeping the store header —
     /// a cheap range clear thanks to the contiguous layout (§3).
     pub fn delete_all_records(&self) -> Result<()> {
+        let layout = self.layout();
         for sub in [
-            &self.records,
-            &self.indexes,
-            &self.subspace.child(INDEX_RANGES),
-            &self.stats,
+            &layout.records,
+            &layout.indexes,
+            &layout.index_ranges,
+            &layout.stats,
         ] {
             let (begin, end) = sub.range_inclusive();
             self.tx.clear_range(&begin, &end);
@@ -335,7 +451,7 @@ impl RecordStore<'_> {
         let wire_at = envelope.len();
         message.encode_into(&mut envelope);
         tuple::pack_bytes_in_place(&mut envelope, wire_at);
-        self.serializer.serialize(envelope)
+        self.serializer().serialize(envelope)
     }
 
     /// Undo `serialize_record` inside `stored`, the buffer the assembler
@@ -358,7 +474,7 @@ impl RecordStore<'_> {
                 start..start + lent.len()
             })
         };
-        let (owned, tagged) = match self.serializer.deserialize(&stored)? {
+        let (owned, tagged) = match self.serializer().deserialize(&stored)? {
             Cow::Borrowed(tagged) => match within(tagged) {
                 Some(at) => (None, at),
                 None => (Some(tagged.to_vec()), 0..tagged.len()),
@@ -423,16 +539,17 @@ impl RecordPayload {
         }
     }
 
-    /// The record, decoded (`primary_key` runs only here).
-    fn decode(
+    /// The record, its wire bytes kept in the payload's buffer and walked
+    /// once ([`WireMessage`]; `primary_key` runs only here).
+    fn into_record(
         self,
         pool: &DescriptorPool,
         primary_key: impl FnOnce() -> Tuple,
     ) -> Result<StoredRecord> {
-        let wire = &self.buffer[self.wire];
+        let message = WireMessage::new(self.descriptor, pool, self.buffer, self.wire)?;
         Ok(StoredRecord {
             primary_key: primary_key(),
-            message: DynamicMessage::decode(self.descriptor, pool, wire)?,
+            message: RecordMessage::Stored(message),
             version: self.version,
             split_count: self.chunks,
         })
@@ -447,8 +564,8 @@ impl RecordPayload {
 /// Cost contract: the split suffixes and the version are read in place,
 /// and the payload chunks are copied once into one buffer (an owned first
 /// chunk is moved in instead); [`payload`](Self::payload) undoes the
-/// envelope inside that buffer and [`finish`](Self::finish) decodes from
-/// it.
+/// envelope inside that buffer and [`finish`](Self::finish) hands it to
+/// the record, which reads its fields there.
 pub(super) struct RecordAssembler {
     suffix_at: usize,
     version: Option<Versionstamp>,
@@ -515,17 +632,19 @@ impl RecordAssembler {
         }))
     }
 
-    /// The record, decoded once from the joined payload (`None` as for
+    /// The record, read where the joined payload lies (`None` as for
     /// [`payload`](Self::payload)). What is allocated is the primary key
-    /// (`primary_key` runs only for a record that exists) and the message's
-    /// fields.
+    /// (`primary_key` runs only for a record that exists) and the record's
+    /// field table.
     pub(super) fn finish(
         self,
         store: &RecordStore<'_>,
         primary_key: impl FnOnce() -> Tuple,
     ) -> Result<Option<StoredRecord>> {
         match self.payload(store)? {
-            Some(payload) => payload.decode(store.metadata.pool(), primary_key).map(Some),
+            Some(payload) => payload
+                .into_record(store.metadata.pool(), primary_key)
+                .map(Some),
             None => Ok(None),
         }
     }

@@ -150,7 +150,7 @@ impl<'a> RecordScanCursor<'a> {
         continuation: &Continuation,
         props: &ExecuteProperties,
     ) -> Result<Self> {
-        let (mut begin, mut end) = range.to_byte_range(&store.records);
+        let (mut begin, mut end) = range.to_byte_range(&store.layout().records);
         // Continuations are primary keys: resume strictly after (or before,
         // in reverse) every key of that record.
         let mut last_emitted_pk = None;
@@ -158,7 +158,7 @@ impl<'a> RecordScanCursor<'a> {
             let pk = Tuple::unpack(pk_bytes).map_err(|e| {
                 Error::InvalidContinuation(format!("bad record scan continuation: {e}"))
             })?;
-            let pk_prefix = store.records.pack(&pk);
+            let pk_prefix = store.layout().records.pack(&pk);
             if reverse {
                 end = pk_prefix;
             } else {
@@ -214,9 +214,14 @@ impl<'a> RecordScanCursor<'a> {
     /// Start a pending record at `row`: decode the primary key its key
     /// carries between the records prefix and the trailing split suffix.
     fn begin_pending(&mut self, row: KeyValue) -> Result<()> {
-        let mut reader = self.store.records.reader(&row.key).map_err(Error::Fdb)?;
+        let mut reader = self
+            .store
+            .layout()
+            .records
+            .reader(&row.key)
+            .map_err(Error::Fdb)?;
         let mut elements = Vec::new();
-        let mut suffix_at = self.store.records.prefix().len();
+        let mut suffix_at = self.store.layout().records.prefix().len();
         while let Some(element) = reader.next().transpose().map_err(Error::Fdb)? {
             if reader.remaining().is_empty() {
                 break; // the split suffix
@@ -244,7 +249,8 @@ impl<'a> RecordScanCursor<'a> {
         }
         let record = record.finish(&self.store, || pk)?;
         if record.is_some() {
-            let packed_pk = &self.pending[0].key[self.store.records.prefix().len()..suffix_at];
+            let packed_pk =
+                &self.pending[0].key[self.store.layout().records.prefix().len()..suffix_at];
             let last = self.last_emitted_pk.get_or_insert_with(Vec::new);
             last.clear();
             last.extend_from_slice(packed_pk);

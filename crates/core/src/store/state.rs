@@ -8,7 +8,7 @@ use rl_fdb::subspace::Subspace;
 use rl_fdb::tuple::{ElementRef, Tuple, TupleElement, TupleReader};
 use rl_fdb::{RangeOptions, Transaction};
 
-use super::{RecordStore, FORMAT_VERSION};
+use super::{RecordStore, StoreLayout, FORMAT_VERSION};
 use crate::error::{Error, Result};
 use crate::index::IndexState;
 use crate::metadata::{Index, RecordMetaData};
@@ -64,6 +64,8 @@ pub struct StoreState {
     /// Every recorded index, ascending by subspace key — the order the
     /// `S(3)` range read returns. An index with no entry is readable.
     index_states: Vec<RecordedIndex>,
+    /// The store's subspace and regions, packed when the state was read.
+    pub(super) layout: StoreLayout,
 }
 
 /// One `S(3, k)` entry: the state of the index a store keeps under
@@ -143,26 +145,30 @@ impl StoreState {
         }
     }
 
-    /// The state of the store in `subspace` as `tx` sees it — one `get` of
-    /// the header and one range read of the index-state subspace — or
-    /// `None` if there is no such store. The index states of a store in
-    /// another on-disk format are not parsed: its open is refused.
-    pub(super) fn read(
+    /// The state of the store laid out as `layout` as `tx` sees it — one
+    /// `get` of the header and one range read of the index-state subspace
+    /// — and `true`; or, if there is no such store, a new one's
+    /// ([`create`](Self::create)) and `false`. The index states of a store
+    /// in another on-disk format are not parsed: its open is refused.
+    pub(super) fn read_or_create(
         tx: &Transaction,
-        subspace: &Subspace,
-        index_state: &Subspace,
-    ) -> Result<Option<Self>> {
-        let Some(header) = tx.get(&header_key(subspace))? else {
-            return Ok(None);
+        layout: StoreLayout,
+        metadata: &RecordMetaData,
+    ) -> Result<(Self, bool)> {
+        let Some(header) = tx.get(&header_key(&layout.subspace))? else {
+            return Ok((Self::create(tx, layout, metadata)?, false));
         };
         let header = StoreHeader::decode(&header)?;
+        let index_state = &layout.index_state;
         let (begin, end) = index_state.range();
         let rows = tx.get_range(&begin, &end, RangeOptions::default())?;
         if header.format_version != FORMAT_VERSION {
-            return Ok(Some(StoreState {
+            let state = StoreState {
                 header,
                 index_states: Vec::new(),
-            }));
+                layout,
+            };
+            return Ok((state, true));
         }
         let corrupt = || Error::MetaData("corrupt index state".into());
         let index_states = rows
@@ -182,21 +188,18 @@ impl StoreState {
                 }
             })
             .collect::<Result<_>>()?;
-        Ok(Some(StoreState {
+        let state = StoreState {
             header,
             index_states,
-        }))
+            layout,
+        };
+        Ok((state, true))
     }
 
     /// Write a new store's header and mark every index of `metadata`
     /// readable (all trivially built). Not a metadata-version write: no
     /// cache can hold state for a store that did not exist.
-    pub(super) fn create(
-        tx: &Transaction,
-        subspace: &Subspace,
-        index_state: &Subspace,
-        metadata: &RecordMetaData,
-    ) -> Result<Self> {
+    fn create(tx: &Transaction, layout: StoreLayout, metadata: &RecordMetaData) -> Result<Self> {
         let mut state = StoreState {
             header: StoreHeader {
                 format_version: FORMAT_VERSION,
@@ -204,11 +207,15 @@ impl StoreState {
                 user_version: 0,
             },
             index_states: Vec::new(),
+            layout,
         };
-        tx.try_set(&header_key(subspace), &state.header.encode())?;
+        tx.try_set(&header_key(&state.layout.subspace), &state.header.encode())?;
         for index in metadata.indexes() {
             tx.try_set(
-                &index_state.pack(&Tuple::new().push(index.subspace_key)),
+                &state
+                    .layout
+                    .index_state
+                    .pack(&Tuple::new().push(index.subspace_key)),
                 &RecordedIndex::value(IndexState::Readable, &index.name),
             )?;
             state.set_index_state(index, IndexState::Readable);
@@ -223,13 +230,15 @@ fn header_key(subspace: &Subspace) -> Vec<u8> {
 
 impl RecordStore<'_> {
     fn index_state_key(&self, subspace_key: i64) -> Vec<u8> {
-        self.index_state.pack(&Tuple::new().push(subspace_key))
+        self.layout()
+            .index_state
+            .pack(&Tuple::new().push(subspace_key))
     }
 
     pub(super) fn record_count_key(&self) -> Vec<u8> {
         let stat = TupleElement::Int(STAT_RECORDS);
-        let mut key = Vec::with_capacity(self.stats.prefix().len() + stat.packed_len());
-        key.extend_from_slice(self.stats.prefix());
+        let mut key = Vec::with_capacity(self.layout().stats.prefix().len() + stat.packed_len());
+        key.extend_from_slice(self.layout().stats.prefix());
         stat.pack_into(&mut key);
         key
     }
@@ -237,9 +246,9 @@ impl RecordStore<'_> {
     pub(super) fn index_entry_count_key(&self, subspace_key: i64) -> Vec<u8> {
         let stat = TupleElement::Int(STAT_INDEX_ENTRIES);
         let index = TupleElement::Int(subspace_key);
-        let len = self.stats.prefix().len() + stat.packed_len() + index.packed_len();
+        let len = self.layout().stats.prefix().len() + stat.packed_len() + index.packed_len();
         let mut key = Vec::with_capacity(len);
-        key.extend_from_slice(self.stats.prefix());
+        key.extend_from_slice(self.layout().stats.prefix());
         stat.pack_into(&mut key);
         index.pack_into(&mut key);
         key
@@ -300,12 +309,13 @@ impl RecordStore<'_> {
     /// The store's header and recorded index states as this transaction
     /// sees them.
     pub fn state(&self) -> Arc<StoreState> {
-        self.state.borrow().clone()
+        let changed = self.state.changed.borrow();
+        changed.as_ref().unwrap_or(&self.state.found).clone()
     }
 
     /// The store header (always present on an open store).
     pub fn header(&self) -> StoreHeader {
-        self.state.borrow().header
+        self.current().header
     }
 
     /// Apply `change` to this transaction's view of the state, after the
@@ -314,19 +324,21 @@ impl RecordStore<'_> {
     /// writes the metadata-version key for it.
     fn change_state(&self, change: impl FnOnce(&mut StoreState)) -> Result<()> {
         self.tx.bump_metadata_version()?;
-        change(Arc::make_mut(&mut self.state.borrow_mut()));
+        let mut changed = self.state.changed.borrow_mut();
+        let state = changed.get_or_insert_with(|| self.state.found.clone());
+        change(Arc::make_mut(state));
         Ok(())
     }
 
     fn write_header(&self, header: StoreHeader) -> Result<()> {
         self.tx
-            .try_set(&header_key(&self.subspace), &header.encode())?;
+            .try_set(&header_key(&self.layout().subspace), &header.encode())?;
         self.change_state(|state| state.header = header)
     }
 
     /// Set the client-managed application version (§5).
     pub fn set_user_version(&self, user_version: u64) -> Result<()> {
-        let mut header = self.state.borrow().header;
+        let mut header = self.current().header;
         header.user_version = user_version;
         self.write_header(header)
     }
@@ -336,7 +348,7 @@ impl RecordStore<'_> {
     /// or catch up. At the store's own version, fail if the metadata gives
     /// a recorded index's subspace key or name to another index.
     pub(super) fn check_version(&self) -> Result<()> {
-        let header = self.state.borrow().header;
+        let header = self.current().header;
         if header.format_version != FORMAT_VERSION {
             return Err(Error::UnsupportedFormatVersion {
                 store_version: header.format_version,
@@ -353,7 +365,7 @@ impl RecordStore<'_> {
         if header.metadata_version < self.metadata.version() {
             return self.catch_up_metadata(header);
         }
-        let state = self.state.borrow();
+        let state = self.current();
         match state
             .index_states()
             .iter()
@@ -383,7 +395,7 @@ impl RecordStore<'_> {
             .filter(|recorded| !recorded.in_metadata(self.metadata))
         {
             let key = dropped.subspace_key;
-            for sub in [self.indexes.child(key), self.range_subspace(key)] {
+            for sub in [self.layout().indexes.child(key), self.range_subspace(key)] {
                 let (begin, end) = sub.range_inclusive();
                 self.tx.clear_range(&begin, &end);
             }
@@ -413,7 +425,7 @@ impl RecordStore<'_> {
 
     /// Whether the store holds at least one record.
     pub fn has_any_record(&self) -> Result<bool> {
-        let (begin, end) = self.records.range();
+        let (begin, end) = self.layout().records.range();
         Ok(!self
             .tx
             .get_range_snapshot(&begin, &end, RangeOptions::new().limit(1))?
@@ -424,7 +436,7 @@ impl RecordStore<'_> {
 
     pub fn index_state(&self, index_name: &str) -> Result<IndexState> {
         let index = self.metadata.index(index_name)?;
-        Ok(self.state.borrow().index_state(index.subspace_key))
+        Ok(self.current().index_state(index.subspace_key))
     }
 
     pub fn set_index_state(&self, index_name: &str, state: IndexState) -> Result<()> {
@@ -443,7 +455,7 @@ impl RecordStore<'_> {
     /// Require an index to be readable before scanning it.
     pub fn require_readable(&self, index_name: &str) -> Result<&Index> {
         let index = self.metadata.index(index_name)?;
-        let state = self.state.borrow().index_state(index.subspace_key);
+        let state = self.current().index_state(index.subspace_key);
         if state != IndexState::Readable {
             return Err(Error::IndexNotReadable {
                 index: index_name.to_string(),

@@ -70,7 +70,7 @@ pub(crate) const ALL_SHARDS: u16 = u16::MAX >> (16 - CONFLICT_SHARDS);
 /// only the rare writer pays for the exclusion and every other commit's
 /// mask stays what its own keys make it.
 pub(crate) fn commit_shard_mask(
-    read_conflicts: &ConflictSet,
+    read_conflicts: &ReadConflicts,
     write_conflicts: &ConflictSet,
     writes_metadata_version: bool,
 ) -> u16 {
@@ -117,79 +117,125 @@ impl Conflict<'_> {
     }
 }
 
-/// A transaction's conflicts in one arena: the keys back to back in one
-/// buffer, and where each ends. A transaction's read conflicts are one,
-/// filled as it reads, so a read adds no heap block of its own once the
-/// two buffers have grown; a commit's write conflicts are another, built at
-/// their final size and shared by the conflict window, which keeps them
-/// until the MVCC horizon passes it: a point costs its key and one offset.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ConflictSet {
-    bytes: Vec<u8>,
-    /// Where each key in `bytes` ends: one offset for a point, two for a
-    /// range, the first of them (where its begin ends) marked [`RANGE`].
-    ends: Vec<usize>,
+/// A transaction's conflicts in one arena: back to back, each key after
+/// its length. A transaction's read conflicts are one, filled as it reads:
+/// its first [`READ_INLINE`] bytes lie in the set itself, so a transaction
+/// that reads a few keys allocates nothing for them, and past that one
+/// heap block holds them all and grows as a `Vec` does. A commit's write
+/// conflicts are another, built in one block of their final size
+/// (`INLINE` 0) and shared by the conflict window, which keeps them until
+/// the MVCC horizon passes it: a point costs its key and four bytes.
+#[derive(Debug, Clone)]
+pub(crate) struct ConflictSet<const INLINE: usize = 0> {
+    bytes: Arena<INLINE>,
 }
 
-/// How many conflicts the size of its first one the first block of a
-/// [`ConflictSet`] built empty holds.
-const FIRST_BLOCK_CONFLICTS: usize = 8;
+/// The read conflicts of a transaction.
+pub(crate) type ReadConflicts = ConflictSet<READ_INLINE>;
 
-/// The mark of an offset in [`ConflictSet::ends`] that a range's end
-/// follows.
-const RANGE: usize = 1 << (usize::BITS - 1);
+/// Bytes of read conflicts a transaction holds without a heap block: room
+/// for a record load's range and a few point reads (a conflict costs its
+/// keys and four bytes for each).
+pub(crate) const READ_INLINE: usize = 192;
 
-impl ConflictSet {
-    /// An empty set with room for `bytes` key bytes in all, and for
-    /// `points` points and `ranges` ranges.
-    pub(crate) fn with_capacity(bytes: usize, points: usize, ranges: usize) -> Self {
+/// The bytes of a [`ConflictSet`]: inline until they outgrow `INLINE`,
+/// then in one heap block.
+#[derive(Debug, Clone)]
+enum Arena<const INLINE: usize> {
+    Inline { len: usize, bytes: [u8; INLINE] },
+    Heap(Vec<u8>),
+}
+
+/// The mark, in the length before a range's begin, that an end follows.
+const RANGE: u32 = 1 << 31;
+
+impl<const INLINE: usize> Default for ConflictSet<INLINE> {
+    fn default() -> Self {
         ConflictSet {
-            bytes: Vec::with_capacity(bytes),
-            ends: Vec::with_capacity(points + 2 * ranges),
+            bytes: Arena::Inline {
+                len: 0,
+                bytes: [0; INLINE],
+            },
+        }
+    }
+}
+
+impl<const INLINE: usize> ConflictSet<INLINE> {
+    /// An empty set in one block with room for `bytes` key bytes in all,
+    /// and for `points` points and `ranges` ranges.
+    pub(crate) fn with_capacity(bytes: usize, points: usize, ranges: usize) -> Self {
+        let lengths = 4 * (points + 2 * ranges);
+        ConflictSet {
+            bytes: Arena::Heap(Vec::with_capacity(bytes + lengths)),
         }
     }
 
-    /// Make room for a conflict of `bytes` key bytes and `ends` offsets.
-    /// The first conflict of a set built empty takes a block that holds
-    /// [`FIRST_BLOCK_CONFLICTS`] like it, so a transaction's next few reads
-    /// (a store open's, then a record's range) do not grow it; after that
-    /// the buffers double as before, so every capacity they reach is one
-    /// they would have reached growing from empty.
-    fn reserve(&mut self, bytes: usize, ends: usize) {
-        if self.ends.capacity() == 0 {
-            self.bytes.reserve(FIRST_BLOCK_CONFLICTS * bytes);
-            self.ends.reserve(FIRST_BLOCK_CONFLICTS * ends);
+    /// Make room for `additional` more bytes: past `INLINE`, the bytes
+    /// move to a heap block twice the size they need.
+    fn reserve(&mut self, additional: usize) {
+        if let Arena::Inline { len, bytes } = &self.bytes {
+            if len + additional > INLINE {
+                let mut heap = Vec::with_capacity(2 * (len + additional));
+                heap.extend_from_slice(&bytes[..*len]);
+                self.bytes = Arena::Heap(heap);
+            }
+        }
+    }
+
+    /// Append `key` after its length, its top bit `mark`.
+    fn push_key(&mut self, key: &[u8], mark: u32) {
+        let length = u32::try_from(key.len())
+            .ok()
+            .filter(|len| len & RANGE == 0)
+            .expect("a key is shorter than 2^31 bytes: a transaction holds at most 10 MB");
+        let length = (length | mark).to_le_bytes();
+        match &mut self.bytes {
+            Arena::Inline { len, bytes } => {
+                bytes[*len..*len + 4].copy_from_slice(&length);
+                bytes[*len + 4..*len + 4 + key.len()].copy_from_slice(key);
+                *len += 4 + key.len();
+            }
+            Arena::Heap(heap) => {
+                heap.extend_from_slice(&length);
+                heap.extend_from_slice(key);
+            }
         }
     }
 
     /// Add the point conflict on `key`.
     pub(crate) fn push_point(&mut self, key: &[u8]) {
-        self.reserve(key.len(), 1);
-        self.bytes.extend_from_slice(key);
-        self.ends.push(self.bytes.len());
+        self.reserve(4 + key.len());
+        self.push_key(key, 0);
     }
 
     /// Add the range conflict `[begin, end)`.
     pub(crate) fn push_range(&mut self, begin: &[u8], end: &[u8]) {
-        self.reserve(begin.len() + end.len(), 2);
-        self.bytes.extend_from_slice(begin);
-        self.ends.push(self.bytes.len() | RANGE);
-        self.bytes.extend_from_slice(end);
-        self.ends.push(self.bytes.len());
+        self.reserve(8 + begin.len() + end.len());
+        self.push_key(begin, RANGE);
+        self.push_key(end, 0);
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        match &self.bytes {
+            Arena::Inline { len, bytes } => &bytes[..*len],
+            Arena::Heap(heap) => heap,
+        }
     }
 
     /// The conflicts, in the order they were added.
     pub(crate) fn iter(&self) -> impl Iterator<Item = Conflict<'_>> {
-        let (mut ends, mut start) = (self.ends.iter(), 0);
+        let mut rest = self.as_bytes();
+        let mut key = move || {
+            let (length, tail) = rest.split_first_chunk::<4>()?;
+            let length = u32::from_le_bytes(*length);
+            let (key, tail) = tail.split_at((length & !RANGE) as usize);
+            rest = tail;
+            Some((key, length & RANGE != 0))
+        };
         std::iter::from_fn(move || {
-            let (first, begin) = (*ends.next()?, start);
-            Some(if first & RANGE == 0 {
-                start = first;
-                Conflict::Point(&self.bytes[begin..first])
-            } else {
-                let mid = first & !RANGE;
-                start = *ends.next().expect("a range has two ends");
-                Conflict::Range(&self.bytes[begin..mid], &self.bytes[mid..start])
+            Some(match key()? {
+                (begin, true) => Conflict::Range(begin, key()?.0),
+                (point, false) => Conflict::Point(point),
             })
         })
     }
@@ -200,7 +246,7 @@ impl ConflictSet {
     }
 
     /// Whether any of these conflicts shares a key with any of `other`'s.
-    fn meets(&self, other: &ConflictSet) -> bool {
+    fn meets<const OTHER: usize>(&self, other: &ConflictSet<OTHER>) -> bool {
         self.iter().any(|c| other.iter().any(|o| c.meets(o)))
     }
 }
@@ -227,7 +273,7 @@ impl ConflictShard {
     /// Whether a write committed after `read_version` intersects any of
     /// `read_conflicts`. The window is ordered by version, so scan
     /// newest-first and stop at the read version.
-    pub(crate) fn conflicts_with(&self, read_version: u64, read_conflicts: &ConflictSet) -> bool {
+    pub(crate) fn conflicts_with(&self, read_version: u64, read_conflicts: &ReadConflicts) -> bool {
         for committed in self.window.iter().rev() {
             if committed.version <= read_version {
                 break;
@@ -263,7 +309,7 @@ mod tests {
     use super::*;
 
     /// The conflict set of the one range `[begin, end)`.
-    fn range(begin: &[u8], end: &[u8]) -> ConflictSet {
+    fn range<const INLINE: usize>(begin: &[u8], end: &[u8]) -> ConflictSet<INLINE> {
         let mut set = ConflictSet::default();
         set.push_range(begin, end);
         set
@@ -426,7 +472,7 @@ mod tests {
         let mut arms = [false; 4]; // point/point, point/range, range/point, range/range
         for case in 0..3000 {
             let mut model = PairModel::default();
-            let (mut reads, mut kinds) = (ConflictSet::default(), Vec::new());
+            let (mut reads, mut kinds) = (ReadConflicts::default(), Vec::new());
             for _ in 0..1 + next(4) {
                 let kind = next(KINDS.len());
                 let (a, b) = (key(&mut next), key(&mut next));
@@ -516,11 +562,40 @@ mod tests {
         assert_eq!(shards.len(), 8);
     }
 
+    /// A read set keeps its conflicts as they were added across the move
+    /// from inline bytes to the heap, and a key as long as a key may be
+    /// keeps its length.
+    #[test]
+    fn read_conflicts_survive_the_move_to_the_heap() {
+        let mut reads = ReadConflicts::default();
+        let mut added = Vec::new();
+        for i in 0..40u8 {
+            let key = vec![i; usize::from(i % 7) * 3];
+            let end = match i % 3 {
+                0 => None,
+                _ => Some(vec![i, 0xFF]),
+            };
+            match &end {
+                None => reads.push_point(&key),
+                Some(end) => reads.push_range(&key, end),
+            }
+            added.push((key, end));
+            assert!(reads.iter().eq(added.iter().map(|(key, end)| match end {
+                None => Conflict::Point(key),
+                Some(end) => Conflict::Range(key, end),
+            })));
+        }
+        assert!(matches!(reads.bytes, Arena::Heap(_)));
+        let long = vec![7u8; crate::options::KEY_SIZE_LIMIT + 1];
+        reads.push_range(&long, &long);
+        assert_eq!(reads.iter().last(), Some(Conflict::Range(&long, &long)));
+    }
+
     #[test]
     fn window_scan_stops_at_the_read_version_and_prunes_below_the_horizon() {
         let mut shard = ConflictShard::default();
-        shard.record(10, 0, range(b"a", b"c"));
-        shard.record(20, 0, range(b"m", b"p"));
+        shard.record(10, 0, range::<0>(b"a", b"c"));
+        shard.record(20, 0, range::<0>(b"m", b"p"));
         // Only writes after the read version count.
         assert!(shard.conflicts_with(15, &range(b"n", b"o")));
         assert!(!shard.conflicts_with(20, &range(b"n", b"o")));
@@ -529,7 +604,7 @@ mod tests {
         // Half-open: a read ending where a write begins does not meet it.
         assert!(!shard.conflicts_with(5, &range(b"c", b"m")));
         // Recording at a horizon past version 10 drops that entry.
-        shard.record(30, 11, range(b"x", b"y"));
+        shard.record(30, 11, range::<0>(b"x", b"y"));
         assert!(!shard.conflicts_with(0, &range(b"a", b"c")));
         assert_eq!(shard.window.len(), 2);
     }
@@ -566,9 +641,9 @@ mod tests {
             assert!(!shard.conflicts_with(5, &range(b"t0/", b"t0/a")));
             assert!(!shard.conflicts_with(5, &range(b"t0/a\x00", b"t1/b")));
         }
-        shards[0].record(20, 11, ConflictSet::default());
+        shards[0].record(20, 11, ConflictSet::<0>::default());
         assert_eq!(Arc::strong_count(&writes), 2);
-        shards[1].record(20, 11, ConflictSet::default());
+        shards[1].record(20, 11, ConflictSet::<0>::default());
         assert_eq!(Arc::strong_count(&writes), 1, "a window still holds it");
     }
 }

@@ -42,7 +42,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-use crate::conflict::{commit_shard_mask, ConflictSet, ConflictShard, CONFLICT_SHARDS};
+use crate::conflict::{
+    commit_shard_mask, ConflictSet, ConflictShard, ReadConflicts, CONFLICT_SHARDS,
+};
 use crate::error::{Error, Result};
 use crate::metrics::{Metrics, SharedMetrics};
 use crate::options::{build_engine, DatabaseOptions, VERSIONS_PER_MS};
@@ -334,7 +336,7 @@ impl Database {
     pub(crate) fn commit_internal(
         &self,
         read_version: u64,
-        read_conflicts: &ConflictSet,
+        read_conflicts: &ReadConflicts,
         write_conflicts: ConflictSet,
         writes: &mut WriteSet,
         relied_on_metadata_version: bool,
@@ -716,12 +718,13 @@ mod tests {
     #[test]
     fn a_read_version_follows_the_clock_through_idle_time() {
         let db = Database::new();
+        let start_ms = db.clock_ms();
         let tx = db.create_transaction();
         tx.set(b"k", b"v");
         tx.commit().unwrap();
         db.advance_clock(10_000);
         let a = db.create_transaction();
-        assert_eq!(a.read_version(), 10_000 * VERSIONS_PER_MS - 1);
+        assert_eq!(a.read_version(), (start_ms + 10_000) * VERSIONS_PER_MS - 1);
         let b = db.create_transaction();
         b.set(b"k", b"w");
         b.commit().unwrap();
@@ -816,7 +819,10 @@ mod tests {
         assert_eq!(masks[0] & masks[1], 0);
         // Only a write of the key excludes everyone.
         let none = ConflictSet::default();
-        assert_eq!(commit_shard_mask(&none, &none, true), ALL_SHARDS);
+        assert_eq!(
+            commit_shard_mask(&ReadConflicts::default(), &none, true),
+            ALL_SHARDS
+        );
         for tx in &txs {
             tx.commit().unwrap();
         }
@@ -988,7 +994,7 @@ mod tests {
     fn a_commit_over_two_shards_conflicts_with_a_reader_of_either_key() {
         let db = Database::new();
         let shard = |key: &[u8]| {
-            let mut writes = ConflictSet::default();
+            let mut writes = ConflictSet::<0>::default();
             writes.push_point(key);
             writes.shard_mask()
         };

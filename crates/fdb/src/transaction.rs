@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicU16, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::atomic::{self, MutationType};
-use crate::conflict::ConflictSet;
+use crate::conflict::ReadConflicts;
 use crate::database::Database;
 use crate::error::{Error, Result};
 use crate::kv::KeyValue;
@@ -72,7 +72,7 @@ struct TxState {
     /// and the commit hands them to the engine.
     writes: WriteSet,
     /// Every read conflict, in one arena: a point read is its key alone.
-    read_conflicts: ConflictSet,
+    read_conflicts: ReadConflicts,
     /// Write conflict ranges added explicitly. What `writes` holds is a
     /// write conflict too, built once at commit
     /// ([`WriteSet::conflicts`]).

@@ -186,7 +186,8 @@ pub fn table1_concurrency() -> Scenario {
 /// pinned to its own tenant, and tenants occupy disjoint key prefixes,
 /// so commits validate and apply through disjoint conflict shards.
 /// Read-leaning so snapshot reads (which share the store lock) dominate;
-/// the write share exercises group commit under the shared budget.
+/// the write share commits through the exclusive store lock under the
+/// shared budget.
 pub fn concurrency_scaling() -> Scenario {
     Scenario {
         name: "concurrency_scaling".into(),

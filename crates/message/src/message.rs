@@ -273,7 +273,20 @@ impl DynamicMessage {
     pub fn decode(
         descriptor: Arc<MessageDescriptor>,
         pool: &DescriptorPool,
+        data: &[u8],
+    ) -> Result<Self> {
+        Self::decode_with(descriptor, data, |field, payload| {
+            decode_value(field, pool, payload)
+        })
+    }
+
+    /// [`decode`](Self::decode), with `value` making the value of each
+    /// field the descriptor knows (with the field's wire type) from the
+    /// field and its payload, in wire order.
+    pub(crate) fn decode_with(
+        descriptor: Arc<MessageDescriptor>,
         mut data: &[u8],
+        mut value: impl FnMut(&FieldDescriptor, &[u8]) -> Result<Value>,
     ) -> Result<Self> {
         let mut msg = DynamicMessage::new(descriptor.clone());
         msg.fields.reserve_exact(fields_on_wire(data)?);
@@ -283,7 +296,7 @@ impl DynamicMessage {
             let (payload, consumed) = field_payload(data, wire_type)?;
             match descriptor.field_by_number(number) {
                 Some(field) if field.field_type.wire_type() == wire_type => {
-                    let value = decode_value(field, pool, &data[payload])?;
+                    let value = value(field, &data[payload])?;
                     if field.is_repeated() {
                         msg.append(field.number, value);
                     } else {
@@ -307,7 +320,7 @@ impl DynamicMessage {
 /// How many fields `data` holds: a walk over its tags, skipping each
 /// payload. A field number that appears twice counts twice, so this is an
 /// upper bound on the entries decoding makes.
-pub(crate) fn fields_on_wire(mut data: &[u8]) -> Result<usize> {
+fn fields_on_wire(mut data: &[u8]) -> Result<usize> {
     let mut fields = 0;
     while !data.is_empty() {
         let (_, wire_type, n) = get_tag(data)?;
@@ -376,7 +389,11 @@ fn len_delimited_len(len: usize) -> usize {
 }
 
 /// The value of `field` from its payload (as `field_payload` finds it).
-fn decode_value(field: &FieldDescriptor, pool: &DescriptorPool, payload: &[u8]) -> Result<Value> {
+pub(crate) fn decode_value(
+    field: &FieldDescriptor,
+    pool: &DescriptorPool,
+    payload: &[u8],
+) -> Result<Value> {
     match &field.field_type {
         FieldType::Message(type_name) => {
             let nested_desc = pool

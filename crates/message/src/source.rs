@@ -1,15 +1,17 @@
 //! Reading a record's fields where they lie: the one trait every reader of
 //! a record's fields goes through (the record layer's key-expression
-//! evaluator, its predicates and client key functions), and its two
-//! sources — a decoded [`DynamicMessage`] and a [`WireRecord`], which
-//! reads the wire bytes without decoding the record.
+//! evaluator, its predicates and client key functions), and its sources —
+//! a decoded [`DynamicMessage`], a [`WireRecord`], which reads wire bytes
+//! it borrows without decoding the record, and a [`WireMessage`], which
+//! does the same over bytes it owns.
 
+use std::cell::OnceCell;
 use std::fmt::Debug;
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, Range};
 use std::sync::Arc;
 
 use crate::descriptor::{DescriptorPool, FieldDescriptor, FieldType, MessageDescriptor};
-use crate::message::{fields_on_wire, DynamicMessage};
+use crate::message::{decode_value, DynamicMessage};
 use crate::value::Value;
 use crate::wire::{field_payload, get_tag, get_varint, zigzag_decode};
 use crate::{Error, Result};
@@ -173,6 +175,71 @@ impl FieldSource for DynamicMessage {
     }
 }
 
+/// Known fields a walk over a record's tags keeps on the stack: more than
+/// a CloudKit record's eighteen declared fields.
+const STACK_FIELDS: usize = 32;
+
+/// One walk over the tags of `wire`: each field on it that `descriptor`
+/// knows, with the field's wire type, and its payload (the range in
+/// `wire`), in wire order, made into an entry by `entry`. Fails where
+/// decoding would on a truncated tag or payload.
+///
+/// Cost contract: one block, the entries, of exactly their number. The
+/// walk keeps what it finds on the stack and allocates the block once it
+/// has counted them, so the tags are walked once; a record with more than
+/// [`STACK_FIELDS`] known fields on the wire pays one more block for the
+/// rest.
+fn known_fields<'d, T>(
+    descriptor: &'d MessageDescriptor,
+    wire: &[u8],
+    mut entry: impl FnMut(&'d FieldDescriptor, Range<usize>) -> Result<T>,
+) -> Result<Box<[T]>> {
+    let mut on_stack = [(None, 0, 0); STACK_FIELDS];
+    let mut spilled = Vec::new();
+    let (mut known, mut at) = (0, 0);
+    while at < wire.len() {
+        let (number, wire_type, n) = get_tag(&wire[at..])?;
+        at += n;
+        let (payload, consumed) = field_payload(&wire[at..], wire_type)?;
+        let field = descriptor
+            .field_by_number(number)
+            .filter(|f| f.field_type.wire_type() == wire_type);
+        if field.is_some() {
+            let found = (field, at + payload.start, at + payload.end);
+            match on_stack.get_mut(known) {
+                Some(slot) => *slot = found,
+                None => spilled.push(found),
+            }
+            known += 1;
+        }
+        at += consumed;
+    }
+    let mut entries = Vec::with_capacity(known);
+    for &(field, start, end) in on_stack[..known.min(STACK_FIELDS)].iter().chain(&spilled) {
+        if let Some(field) = field {
+            entries.push(entry(field, start..end)?);
+        }
+    }
+    Ok(entries.into_boxed_slice())
+}
+
+/// The entries a source hands out for `field`, of all `entries` (in wire
+/// order, each with its field `number`): the last on the wire of a
+/// singular field, every one of a repeated field in wire order.
+fn entries_of<'e, E>(
+    entries: &'e [E],
+    field: &FieldDescriptor,
+    number: fn(&E) -> u32,
+) -> impl Iterator<Item = &'e E> {
+    let wanted = field.number;
+    let mut all = entries.iter().filter(move |e| number(e) == wanted);
+    let last = match field.is_repeated() {
+        true => None,
+        false => all.by_ref().last(),
+    };
+    last.into_iter().chain(all)
+}
+
 /// A record read where its wire bytes lie: one walk over the tags keeps
 /// where each field the descriptor knows (with its wire type) has its
 /// payload, and a value is decoded only when asked for, a string or bytes
@@ -180,10 +247,9 @@ impl FieldSource for DynamicMessage {
 /// over its sub-slice.
 ///
 /// Cost contract: one block, the payload offsets, sized to the fields on
-/// the wire (counted by a first walk over the tags, as
-/// [`DynamicMessage::decode`] sizes its fields; never to the fields the
-/// descriptor declares, most of which a record often leaves unset). A
-/// nested message read makes its own.
+/// the wire by the one walk over the tags (`known_fields`; never to the
+/// fields the descriptor declares, most of which a record often leaves
+/// unset). A nested message read makes its own.
 #[derive(Debug)]
 pub struct WireRecord<'a> {
     descriptor: Arc<MessageDescriptor>,
@@ -191,7 +257,7 @@ pub struct WireRecord<'a> {
     wire: &'a [u8],
     /// Each known field on the wire: its number and payload, in wire
     /// order.
-    fields: Vec<(u32, std::ops::Range<usize>)>,
+    fields: Box<[(u32, Range<usize>)]>,
 }
 
 impl<'a> WireRecord<'a> {
@@ -202,18 +268,9 @@ impl<'a> WireRecord<'a> {
         pool: &'a DescriptorPool,
         wire: &'a [u8],
     ) -> Result<Self> {
-        let mut fields = Vec::with_capacity(fields_on_wire(wire)?);
-        let mut at = 0;
-        while at < wire.len() {
-            let (number, wire_type, n) = get_tag(&wire[at..])?;
-            at += n;
-            let (payload, consumed) = field_payload(&wire[at..], wire_type)?;
-            let known = descriptor.field_by_number(number);
-            if known.is_some_and(|f| f.field_type.wire_type() == wire_type) {
-                fields.push((number, at + payload.start..at + payload.end));
-            }
-            at += consumed;
-        }
+        let fields = known_fields(&descriptor, wire, |field, payload| {
+            Ok((field.number, payload))
+        })?;
         Ok(WireRecord {
             descriptor,
             pool,
@@ -233,16 +290,8 @@ impl FieldSource for WireRecord<'_> {
         field: &FieldDescriptor,
         visit: &mut dyn FnMut(FieldRef<'_>) -> ControlFlow<()>,
     ) -> Result<()> {
-        let mut payloads = self
-            .fields
-            .iter()
-            .filter(|(number, _)| *number == field.number)
-            .map(|(_, payload)| &self.wire[payload.clone()]);
-        let last = match field.is_repeated() {
-            true => None,
-            false => payloads.by_ref().last(),
-        };
-        for payload in last.into_iter().chain(payloads) {
+        for (_, payload) in entries_of(&self.fields, field, |(number, _)| *number) {
+            let payload = &self.wire[payload.clone()];
             let flow = match &field.field_type {
                 FieldType::Message(name) => {
                     let descriptor = self
@@ -256,6 +305,170 @@ impl FieldSource for WireRecord<'_> {
                 scalar => visit(FieldRef::Value(ValueRef::decode(scalar, payload)?)),
             };
             if flow.is_break() {
+                break;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A record's wire bytes, owned and read where they lie, as a fetch
+/// returns a record: the buffer they were read into, where in it the wire
+/// bytes are, and one walk's table of where each field the descriptor
+/// knows (with its wire type) has its payload. A scalar field is decoded
+/// when it is read, and [`get`](Self::get) keeps what it decodes. A nested
+/// message is decoded with the record, once, because the record keeps no
+/// handle on the descriptor pool that resolves its type.
+///
+/// What the fields read as is what [`DynamicMessage::decode`] leaves in
+/// them (see [`FieldSource`]). Malformed bytes fail with
+/// [`Error::Decode`], never a panic: a truncated tag or payload, and
+/// anything in a nested message, when the record is made; a scalar that
+/// does not decode (a string that is not UTF-8) when it is read.
+///
+/// Cost contract: one block, the field table, sized to the known fields on
+/// the wire by one walk over the tags (`known_fields`), plus what nested
+/// messages decode into. Each field [`get`](Self::get) reads then costs
+/// what its owned value does (a string's or bytes' block), once;
+/// [`FieldSource`] reads lend strings and bytes from the buffer and
+/// allocate nothing.
+#[derive(Debug, Clone)]
+pub struct WireMessage {
+    descriptor: Arc<MessageDescriptor>,
+    buffer: Vec<u8>,
+    wire: Range<usize>,
+    fields: Box<[WireField]>,
+}
+
+/// One known field on a [`WireMessage`]'s wire.
+#[derive(Debug, Clone)]
+struct WireField {
+    number: u32,
+    /// The payload's range in the wire bytes.
+    payload: Range<usize>,
+    /// The decoded value, once read (a nested message's, from the start).
+    value: OnceCell<Value>,
+}
+
+impl WireMessage {
+    /// Read `buffer[wire]` as a message of `descriptor`, nested messages
+    /// decoded through `pool`.
+    pub fn new(
+        descriptor: Arc<MessageDescriptor>,
+        pool: &DescriptorPool,
+        buffer: Vec<u8>,
+        wire: Range<usize>,
+    ) -> Result<Self> {
+        let bytes = buffer
+            .get(wire.clone())
+            .ok_or_else(|| Error::Decode("wire bytes outside their buffer".into()))?;
+        let fields = known_fields(&descriptor, bytes, |field, payload| {
+            let value = match &field.field_type {
+                FieldType::Message(_) => {
+                    OnceCell::from(decode_value(field, pool, &bytes[payload.clone()])?)
+                }
+                _ => OnceCell::new(),
+            };
+            Ok(WireField {
+                number: field.number,
+                payload,
+                value,
+            })
+        })?;
+        Ok(WireMessage {
+            descriptor,
+            buffer,
+            wire,
+            fields,
+        })
+    }
+
+    /// The wire bytes, as stored.
+    pub fn wire(&self) -> &[u8] {
+        &self.buffer[self.wire.clone()]
+    }
+
+    /// The singular field `name`'s value, decoded the first time it is
+    /// asked for and kept: what [`DynamicMessage::get`] gives for the
+    /// message decoded from the same bytes. `None` also for a value whose
+    /// bytes do not decode, which [`FieldSource::get_value`] and
+    /// [`to_message`](Self::to_message) report as an error.
+    pub fn get(&self, name: &str) -> Option<&Value> {
+        let field = self.descriptor.field_by_name(name)?;
+        if field.is_repeated() {
+            return None;
+        }
+        let stored = self
+            .fields
+            .iter()
+            .rev()
+            .find(|f| f.number == field.number)?;
+        if let Some(value) = stored.value.get() {
+            return Some(value);
+        }
+        let payload = &self.wire()[stored.payload.clone()];
+        let value = ValueRef::decode(&field.field_type, payload)
+            .ok()?
+            .to_value();
+        Some(stored.value.get_or_init(|| value))
+    }
+
+    /// The record decoded in full, unknown fields kept, as
+    /// [`DynamicMessage::decode`] decodes its bytes: for a caller that
+    /// will change the record and save it.
+    pub fn to_message(&self) -> Result<DynamicMessage> {
+        let kept = self.fields.iter().map(|f| f.value.get().cloned());
+        decode_keeping(self.descriptor.clone(), self.wire(), kept)
+    }
+
+    /// [`to_message`](Self::to_message), moving the values already decoded.
+    pub fn into_message(self) -> Result<DynamicMessage> {
+        let WireMessage {
+            descriptor,
+            buffer,
+            wire,
+            fields,
+        } = self;
+        let kept = fields.into_vec().into_iter().map(|f| f.value.into_inner());
+        decode_keeping(descriptor, &buffer[wire], kept)
+    }
+}
+
+/// Decode `wire`, taking each known field's value from `kept` (the field
+/// table's, in the same wire order) where it was decoded already.
+fn decode_keeping(
+    descriptor: Arc<MessageDescriptor>,
+    wire: &[u8],
+    mut kept: impl Iterator<Item = Option<Value>>,
+) -> Result<DynamicMessage> {
+    DynamicMessage::decode_with(descriptor, wire, |field, payload| {
+        match kept.next().flatten() {
+            Some(value) => Ok(value),
+            None => Ok(ValueRef::decode(&field.field_type, payload)?.to_value()),
+        }
+    })
+}
+
+impl FieldSource for WireMessage {
+    fn descriptor(&self) -> &Arc<MessageDescriptor> {
+        &self.descriptor
+    }
+
+    fn visit_field(
+        &self,
+        field: &FieldDescriptor,
+        visit: &mut dyn FnMut(FieldRef<'_>) -> ControlFlow<()>,
+    ) -> Result<()> {
+        let wire = self.wire();
+        for stored in entries_of(&self.fields, field, |f| f.number) {
+            let value = match stored.value.get() {
+                Some(Value::Message(nested)) => FieldRef::Message(nested),
+                _ => FieldRef::Value(ValueRef::decode(
+                    &field.field_type,
+                    &wire[stored.payload.clone()],
+                )?),
+            };
+            if visit(value).is_break() {
                 break;
             }
         }

@@ -263,7 +263,9 @@ fn assert_pages_correctly(fx: &Fixture, plan: &RecordQueryPlan, floor: usize) {
         );
         fx.with_store(|store| {
             store.delete_record(&Tuple::new().push(INSERTED)).unwrap();
-            store.save_record(saved.clone().unwrap().message).unwrap();
+            store
+                .save_record(saved.clone().unwrap().message.into_message().unwrap())
+                .unwrap();
         });
         assert_eq!(
             fx.page(plan, &Continuation::Start, &ExecuteProperties::new())
