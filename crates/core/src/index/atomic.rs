@@ -93,7 +93,7 @@ fn fold_counters(ctx: &IndexContext<'_>, packed: &PackedRows, old: Rows, new: Ro
         if sum != 0 {
             let key = ctx.group_key(group);
             ctx.tx
-                .mutate_owned(MutationType::Add, key, sum.to_le_bytes().to_vec())?;
+                .mutate_owned(MutationType::Add, key, sum.to_le_bytes())?;
         }
     }
     Ok(())

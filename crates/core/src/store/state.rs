@@ -260,7 +260,7 @@ impl RecordStore<'_> {
     pub(super) fn bump_stat(&self, key: impl FnOnce() -> Vec<u8>, delta: i64) -> Result<()> {
         if delta != 0 {
             self.tx
-                .mutate_owned(MutationType::Add, key(), delta.to_le_bytes().to_vec())?;
+                .mutate_owned(MutationType::Add, key(), delta.to_le_bytes())?;
         }
         Ok(())
     }

@@ -13,14 +13,18 @@
 //!   committing transaction locks only the shards its conflict ranges
 //!   touch, in ascending shard order, so commits over disjoint key spaces
 //!   validate in parallel.
+//! * **Commit writer** (`writer`, [`LockRank::CommitWriter`]) — the
+//!   version allocation and compaction bookkeeping only a commit touches.
+//!   Validated commits apply one at a time under it.
 //! * **Store** (`store`, [`LockRank::DatabaseStore`]) — the storage
-//!   engine behind an `RwLock`, with the version allocation and
-//!   compaction bookkeeping only a commit touches. Every engine read
-//!   takes `&self`, so MVCC snapshot reads run under the shared lock,
-//!   concurrently with each other, on either engine; a validated commit
-//!   takes the exclusive lock and applies its own write set straight
-//!   through: one version allocation, one sorted engine batch and one
-//!   engine seal — on the paged engine, one WAL frame.
+//!   engine behind an `RwLock`. Every engine read takes `&self`, so MVCC
+//!   snapshot reads run under the shared lock, concurrently with each
+//!   other, on either engine. A validated commit allocates its version,
+//!   then stages its write set as one sorted engine batch and seals it —
+//!   on the paged engine, one B-tree walk against a private overlay and one
+//!   WAL frame — under the *shared* lock too, while reads go on. It takes
+//!   the exclusive lock only to publish: on the paged engine, to install
+//!   the pages the walk built and set the root.
 //!
 //! There is no group commit. In FoundationDB it pays for itself by
 //! amortising the transaction log's fsync across a batch; this engine
@@ -28,9 +32,10 @@
 //! nearly always.
 //!
 //! `last_commit_version` and `oldest_version` are additionally published
-//! as atomics (after the store apply, so a GRV can never hand out a
-//! version the store has not materialized), making `getReadVersion`
-//! lock-free while no commit applies. A read version tracks the logical
+//! as atomics (after the store publish, so a GRV can never hand out a
+//! version the store has not materialized), and so is the version a
+//! commit is staging, making `getReadVersion` lock-free always. A read
+//! version tracks the logical
 //! clock the way FoundationDB's advance without writes: it is the
 //! clock-implied version minus one when no commit is newer, so idle time
 //! never expires a transaction opened after it (see
@@ -49,20 +54,28 @@ use crate::error::{Error, Result};
 use crate::metrics::{Metrics, SharedMetrics};
 use crate::options::{build_engine, DatabaseOptions, VERSIONS_PER_MS};
 use crate::state_cache::StateCache;
-use crate::sync::{lock_ranked_indexed, read_ranked, write_ranked, LockRank, RankedReadGuard};
+use crate::sync::{
+    lock_ranked, lock_ranked_indexed, read_ranked, write_ranked, LockRank, RankedReadGuard,
+};
 use crate::transaction::Transaction;
 use crate::write_set::{self, Tally, WriteSet};
 use rl_storage::{MemoryEngine, StorageEngine, Visitor};
 
-/// The storage engine, the version counters only a commit touches,
-/// and the engine's cleanup obligation, behind the store `RwLock`.
-#[derive(Debug)]
-struct Store {
-    engine: Box<dyn StorageEngine>,
+/// The version counters only a commit touches, behind the commit-writer
+/// lock.
+#[derive(Debug, Default)]
+struct Writer {
     /// The newest commit version allocated.
     last_commit_version: u64,
     /// Commits applied since the last compaction pass.
     commits_since_compaction: u64,
+}
+
+/// The storage engine and its cleanup obligation, behind the store
+/// `RwLock`.
+#[derive(Debug)]
+struct Store {
+    engine: Box<dyn StorageEngine>,
     /// Directory to delete once the engine has shut down (ephemeral paged
     /// engines only).
     cleanup_dir: Option<PathBuf>,
@@ -87,14 +100,18 @@ impl Drop for Store {
 pub struct Database {
     /// Recent-writes conflict index, sharded by key prefix.
     shards: Arc<[Mutex<ConflictShard>; CONFLICT_SHARDS]>,
-    /// The storage engine (shared reads / exclusive commits).
+    /// Serialises commits' version allocation, staging and publishing.
+    writer: Arc<Mutex<Writer>>,
+    /// The storage engine (shared for reads and a commit's staging,
+    /// exclusive for its publish).
     store: Arc<RwLock<Store>>,
     /// Latest commit version the store has materialized (lock-free GRV).
     last_commit: Arc<AtomicU64>,
     /// Odd while a commit applies: from before it reads the clock until it
-    /// has published its version. A GRV that sees it odd or changed takes
-    /// the store lock instead (see [`Database::newest_readable`]).
+    /// has published its version (see [`Database::newest_readable`]).
     applies: Arc<AtomicU64>,
+    /// The version the applying commit stages; read while `applies` is odd.
+    staging: Arc<AtomicU64>,
     /// Read versions below this fail with `transaction_too_old`.
     oldest: Arc<AtomicU64>,
     /// The metadata version and the soft state it validates.
@@ -107,6 +124,10 @@ pub struct Database {
     /// the exclusive store lock.
     #[cfg(test)]
     panic_next_commit: Arc<std::sync::atomic::AtomicBool>,
+    /// Test-only: hold the next commit after its stage, under the shared
+    /// store lock: it sends its version, then waits for the release.
+    #[cfg(test)]
+    pause_next_stage: Arc<Mutex<Option<tests::Pause>>>,
 }
 
 impl Database {
@@ -126,14 +147,17 @@ impl Database {
             shards: Arc::new(std::array::from_fn(
                 |_| Mutex::new(ConflictShard::default()),
             )),
-            store: Arc::new(RwLock::new(Store {
-                engine,
+            writer: Arc::new(Mutex::new(Writer {
                 last_commit_version: stored_version,
                 commits_since_compaction: 0,
+            })),
+            store: Arc::new(RwLock::new(Store {
+                engine,
                 cleanup_dir,
             })),
             last_commit: Arc::new(AtomicU64::new(stored_version)),
             applies: Arc::new(AtomicU64::new(0)),
+            staging: Arc::new(AtomicU64::new(0)),
             oldest: Arc::new(AtomicU64::new(0)),
             state_cache: Arc::new(StateCache::new(stored_version)),
             options: Arc::new(options),
@@ -142,6 +166,8 @@ impl Database {
             grv_calls: Arc::new(AtomicU64::new(0)),
             #[cfg(test)]
             panic_next_commit: Arc::new(std::sync::atomic::AtomicBool::new(false)),
+            #[cfg(test)]
+            pause_next_stage: Arc::new(Mutex::new(None)),
         }
     }
 
@@ -190,7 +216,7 @@ impl Database {
     /// at least the clock-implied version, so no later commit lands at or
     /// below a read version handed out; and after idle logical time a new
     /// read version is near the clock, so the next commit's MVCC horizon
-    /// does not expire it. Lock-free unless a commit is applying.
+    /// does not expire it. Lock-free, and never waits for a commit.
     pub fn get_read_version(&self) -> u64 {
         let _t = rl_obs::Timer::start(rl_obs::Op::Grv);
         self.grv_calls.fetch_add(1, Ordering::Relaxed);
@@ -200,28 +226,27 @@ impl Database {
     /// The newest version a read may take now: every commit at or below
     /// it has been published, and every later one lands above it.
     ///
-    /// A commit reads the clock under the exclusive store lock, and
-    /// publishes its version before releasing it. One that read the clock
-    /// before the clock advanced may still be applying a version below the
-    /// clock's, so the clock is trusted only if no commit applied while it
-    /// and the last commit version were read (`applies` even and
-    /// unchanged); otherwise the versions are read under the shared store
-    /// lock, where no commit is applying.
+    /// A commit reads the clock after `applies` turns odd and publishes its
+    /// version before `applies` turns even. With no commit applying, the
+    /// clock-implied version minus one is safe: the next commit reads the
+    /// clock later and lands at or above it. While commit version `V` is
+    /// being staged, nothing at or above `V` is: the answer is capped at
+    /// `V - 1`, and every commit below `V` has been published. The three
+    /// atomics are read again only if `applies` changed meanwhile, i.e. a
+    /// commit boundary passed. No lock is taken.
     fn newest_readable(&self) -> u64 {
-        let readable = || {
+        loop {
+            let applies = self.applies.load(Ordering::SeqCst);
             let clock = self.clock_ms.load(Ordering::SeqCst) * VERSIONS_PER_MS;
             let committed = self.last_commit.load(Ordering::SeqCst);
-            committed.max(clock.saturating_sub(1))
-        };
-        let applies = self.applies.load(Ordering::SeqCst);
-        if applies.is_multiple_of(2) {
-            let version = readable();
+            let mut bound = clock.saturating_sub(1);
+            if !applies.is_multiple_of(2) {
+                bound = bound.min(self.staging.load(Ordering::SeqCst).saturating_sub(1));
+            }
             if self.applies.load(Ordering::SeqCst) == applies {
-                return version;
+                return committed.max(bound);
             }
         }
-        let _store = read_ranked(&self.store, LockRank::DatabaseStore);
-        readable()
     }
 
     /// Begin a transaction at the latest read version.
@@ -273,7 +298,9 @@ impl Database {
     // (crate-internal: used by Transaction for snapshot reads)
 
     /// The shared store lock for a read at `read_version`, which must still
-    /// be inside the MVCC window.
+    /// be inside the MVCC window. A commit stages under the shared lock too,
+    /// so a read waits only for a publish: on the paged engine, installing
+    /// the pages a walk built, never the walk itself.
     fn store_for_read(&self, read_version: u64) -> Result<RankedReadGuard<'_, Store>> {
         let waiting = rl_obs::Timer::start(rl_obs::Op::StoreLockWaitRead);
         let store = read_ranked(&self.store, LockRank::DatabaseStore);
@@ -318,8 +345,8 @@ impl Database {
     /// recently committed writes, then apply its write set at a fresh
     /// commit version — FDB's resolver + proxy pipeline. Validation holds
     /// only the conflict shards the transaction touches (ascending order),
-    /// so disjoint commits validate in parallel; [`Self::apply`] then takes
-    /// the store lock exclusive. Returns the commit version and the
+    /// so disjoint commits validate in parallel; [`Self::apply`] then
+    /// stages and publishes. Returns the commit version and the
     /// keys/bytes written, which the transaction counts in its trace. The
     /// write set is taken from `writes` once validation, its operands'
     /// included, has passed: a commit refused before that keeps its writes.
@@ -400,47 +427,57 @@ impl Database {
         Ok(receipt)
     }
 
-    /// Apply one commit's validated write set: one version allocation,
-    /// one sorted engine batch, one engine batch seal — i.e. one WAL frame
-    /// on the paged engine — then publish the version, and compact when
-    /// due. Takes DatabaseStore exclusive.
+    /// Apply one commit's validated write set, one commit at a time under
+    /// the commit-writer lock: one version allocation, one sorted engine
+    /// batch staged and sealed — one B-tree walk and one WAL frame on the
+    /// paged engine — under the shared store lock while reads go on, then
+    /// the exclusive store lock only to publish it and the version, and
+    /// advance `oldest`. A due compaction runs after it the same way, a
+    /// bounded slice per publish.
     fn apply(&self, writes: WriteSet, writes_metadata_version: bool) -> CommitReceipt {
-        let waiting = rl_obs::Timer::start(rl_obs::Op::StoreLockWaitLeader);
-        let mut store = write_ranked(&self.store, LockRank::DatabaseStore);
-        drop(waiting);
+        let mut writer = lock_ranked(&self.writer, LockRank::CommitWriter);
         // Assign the commit version: strictly increasing, and at least the
         // clock-implied version so versions track logical time. `applies`
         // turns odd before the clock is read and even once the version is
-        // published (see `newest_readable`).
-        self.applies.fetch_add(1, Ordering::SeqCst);
+        // published, or the commit unwinds (see `newest_readable`).
+        let applying = Applying::start(&self.applies);
         let clock_version = self.clock_ms.load(Ordering::SeqCst) * VERSIONS_PER_MS;
-        let version = (store.last_commit_version + 1).max(clock_version);
-        store.last_commit_version = version;
-        store.commits_since_compaction += 1;
-        let compact_now = store.commits_since_compaction >= self.options.compaction_interval;
+        let version = (writer.last_commit_version + 1).max(clock_version);
+        self.staging.store(version, Ordering::SeqCst);
+        writer.last_commit_version = version;
+        writer.commits_since_compaction += 1;
+        let compact_now = writer.commits_since_compaction >= self.options.compaction_interval;
         if compact_now {
-            store.commits_since_compaction = 0;
+            writer.commits_since_compaction = 0;
         }
         let horizon = version.saturating_sub(self.options.mvcc_window_versions);
+
+        let tally = Tally::default();
+        let staged = {
+            let store = read_ranked(&self.store, LockRank::DatabaseStore);
+            let timer = rl_obs::Timer::start(rl_obs::Op::BatchApply);
+            let sorted = write_set::sorted_batch(writes, version, &tally);
+            let mut staged = store.engine.stage(version, sorted);
+            drop(timer);
+            #[cfg(test)]
+            self.pause_after_stage(version);
+            // Seal the commit: a crash-safe engine persists it atomically
+            // (one WAL frame); a crash before this point loses it.
+            let _t = rl_obs::Timer::start(rl_obs::Op::BatchSeal);
+            store.engine.seal(&mut staged);
+            staged
+        };
+
+        let waiting = rl_obs::Timer::start(rl_obs::Op::StoreLockWaitLeader);
+        let mut store = write_ranked(&self.store, LockRank::DatabaseStore);
+        drop(waiting);
         // Injected while the store write lock is held — the worst spot a
         // real storage-engine bug could fire.
         #[cfg(test)]
         if self.panic_next_commit.swap(false, Ordering::AcqRel) {
             panic!("injected commit failure");
         }
-        let applying = rl_obs::Timer::start(rl_obs::Op::BatchApply);
-        let tally = Tally::default();
-        let sorted = write_set::sorted_batch(writes, version, &tally);
-        store.engine.apply_sorted(version, sorted);
-        drop(applying);
-
-        // Seal the commit: a crash-safe engine persists everything above
-        // atomically (one WAL frame); a crash before this point loses it.
-        {
-            let _t = rl_obs::Timer::start(rl_obs::Op::BatchSeal);
-            store.engine.commit_batch();
-        }
-
+        store.engine.publish(staged);
         // Publish only now, so a GRV can never hand out a version the
         // store has not fully materialized — and the metadata version
         // first, so a read version that includes this commit never comes
@@ -449,18 +486,48 @@ impl Database {
             self.state_cache.publish(version);
         }
         self.last_commit.store(version, Ordering::SeqCst);
-        self.applies.fetch_add(1, Ordering::SeqCst);
+        drop(applying);
         self.oldest.fetch_max(horizon, Ordering::AcqRel);
+        drop(store);
         if compact_now {
-            let _t = rl_obs::Timer::start(rl_obs::Op::Compact);
-            let oldest = self.oldest.load(Ordering::Acquire);
-            let keys = store.engine.compact(oldest);
-            rl_obs::record(rl_obs::Op::CompactKeys, keys as u64);
+            self.compact();
         }
         CommitReceipt {
             version,
             keys_written: tally.keys.get(),
             bytes_written: tally.bytes.get(),
+        }
+    }
+
+    /// One compaction pass at `oldest`, run by the commit that holds the
+    /// commit-writer lock: each slice staged under the shared store lock
+    /// and published under the exclusive one.
+    fn compact(&self) {
+        let _t = rl_obs::Timer::start(rl_obs::Op::Compact);
+        let oldest = self.oldest.load(Ordering::Acquire);
+        let mut keys = 0;
+        loop {
+            let slice = read_ranked(&self.store, LockRank::DatabaseStore)
+                .engine
+                .stage_compaction(oldest);
+            let Some(slice) = slice else {
+                break;
+            };
+            keys += slice.keys();
+            write_ranked(&self.store, LockRank::DatabaseStore)
+                .engine
+                .publish(slice);
+        }
+        rl_obs::record(rl_obs::Op::CompactKeys, keys as u64);
+    }
+
+    /// Test-only: if a pause is armed, report `version` and wait for the
+    /// release (or for the test to drop its end).
+    #[cfg(test)]
+    fn pause_after_stage(&self, version: u64) {
+        if let Some((staged, release)) = crate::sync::lock(&self.pause_next_stage).take() {
+            staged.send(version).unwrap();
+            let _ = release.recv();
         }
     }
 
@@ -504,6 +571,24 @@ impl std::fmt::Debug for Database {
     }
 }
 
+/// A commit between its version allocation and its publish: `applies` is
+/// odd while one lives, and turns even when it is dropped, also when the
+/// commit unwinds.
+struct Applying<'a>(&'a AtomicU64);
+
+impl<'a> Applying<'a> {
+    fn start(applies: &'a AtomicU64) -> Applying<'a> {
+        applies.fetch_add(1, Ordering::SeqCst);
+        Applying(applies)
+    }
+}
+
+impl Drop for Applying<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
 /// What a commit gets back from [`Database::apply`].
 pub(crate) struct CommitReceipt {
     pub(crate) version: u64,
@@ -517,6 +602,68 @@ mod tests {
     use crate::atomic::MutationType;
     use crate::conflict::ALL_SHARDS;
     use crate::range::RangeOptions;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// Where a paused commit sends its version, and where it waits.
+    pub(super) type Pause = (mpsc::Sender<u64>, mpsc::Receiver<()>);
+
+    /// A commit held after its stage, under the shared store lock, blocks
+    /// no read: a get, a range read and a GRV complete, none sees the
+    /// staged writes, and the GRV stays below the staged version until the
+    /// publish, after which it reaches it. On either engine (`RL_ENGINE`).
+    #[test]
+    fn reads_and_grvs_complete_while_a_commit_is_staged() {
+        let db = Database::new();
+        let tx = db.create_transaction();
+        for i in 0..200u32 {
+            tx.set(format!("row{i:03}").as_bytes(), b"old");
+        }
+        tx.commit().unwrap();
+        let (staged, at_stage) = mpsc::channel();
+        let (release, released) = mpsc::channel();
+        *crate::sync::lock(&db.pause_next_stage) = Some((staged, released));
+        let committer = {
+            let db = db.clone();
+            std::thread::spawn(move || {
+                let tx = db.create_transaction();
+                tx.set(b"row100", b"new");
+                tx.set(b"row100a", b"inserted");
+                tx.clear(b"row150");
+                tx.commit().map(|()| tx.committed_version().unwrap())
+            })
+        };
+        let version = at_stage.recv_timeout(Duration::from_secs(10)).unwrap();
+        let (done, finished) = mpsc::channel();
+        let reader = {
+            let db = db.clone();
+            std::thread::spawn(move || {
+                let read_version = db.get_read_version();
+                let tx = db.create_transaction_at(read_version).unwrap();
+                let got = tx.get(b"row100").unwrap();
+                let rows = tx
+                    .get_range(b"row", b"rox", RangeOptions::default())
+                    .unwrap();
+                done.send((read_version, got, rows.len())).unwrap();
+            })
+        };
+        let outcome = finished.recv_timeout(Duration::from_secs(10));
+        release.send(()).unwrap();
+        let (read_version, got, rows) = outcome.expect("a read waited for a staged commit");
+        reader.join().unwrap();
+        assert!(
+            read_version < version,
+            "GRV {read_version} >= staged {version}"
+        );
+        assert_eq!(got.as_deref(), Some(&b"old"[..]));
+        assert_eq!(rows, 200, "the staged insert and clear are not visible");
+        assert_eq!(committer.join().unwrap(), Ok(version));
+        assert!(db.get_read_version() >= version);
+        let tx = db.create_transaction();
+        assert_eq!(tx.get(b"row100").unwrap().as_deref(), Some(&b"new"[..]));
+        let rows = tx.get_range(b"row", b"rox", RangeOptions::default());
+        assert_eq!(rows.unwrap().len(), 200);
+    }
 
     #[test]
     fn basic_set_get_across_transactions() {

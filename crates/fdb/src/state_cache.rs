@@ -20,14 +20,18 @@
 //! Every entry in the map was stored under the one metadata version
 //! `Entries::version`; a write of the key makes them all unreachable and the
 //! next fill drops them. That keeps validation to one comparison and the
-//! bound to one constant.
+//! bound to one constant. A fill of a new key into a full map evicts the
+//! oldest entry, so the map of a database with more tenants than the bound
+//! keeps the rest. Lookups take the shared side of the map's lock, so two
+//! clients' store opens never wait for each other; only a fill takes the
+//! exclusive side.
 
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, RwLock};
 
-use crate::sync::{lock_ranked, LockRank};
+use crate::sync::{read_ranked, write_ranked, LockRank};
 
 /// The key whose writes invalidate cached state. Write it with
 /// [`Transaction::bump_metadata_version`](crate::Transaction::bump_metadata_version);
@@ -35,8 +39,8 @@ use crate::sync::{lock_ranked, LockRank};
 /// that did.
 pub const METADATA_VERSION_KEY: &[u8] = b"\xff/metadataVersion";
 
-/// The most entries the map holds. Reaching it empties the map: an entry
-/// costs its owner one or two reads to derive again.
+/// The most entries the map holds. A fill beyond it evicts the oldest: an
+/// entry costs its owner one or two reads to derive again.
 pub const STATE_CACHE_CAPACITY: usize = 4096;
 
 pub(crate) type CachedState = Arc<dyn Any + Send + Sync>;
@@ -46,6 +50,8 @@ struct Entries {
     /// The metadata version every entry of `map` was stored under.
     version: u64,
     map: HashMap<Vec<u8>, CachedState>,
+    /// The keys of `map`, oldest fill first.
+    order: VecDeque<Vec<u8>>,
 }
 
 pub(crate) struct StateCache {
@@ -54,7 +60,7 @@ pub(crate) struct StateCache {
     /// itself, so a transaction whose read version includes that commit
     /// always loads a metadata version that includes it too.
     metadata_version: AtomicU64,
-    entries: Mutex<Entries>,
+    entries: RwLock<Entries>,
 }
 
 impl StateCache {
@@ -64,7 +70,7 @@ impl StateCache {
     pub(crate) fn new(metadata_version: u64) -> StateCache {
         StateCache {
             metadata_version: AtomicU64::new(metadata_version),
-            entries: Mutex::new(Entries::default()),
+            entries: RwLock::new(Entries::default()),
         }
     }
 
@@ -85,7 +91,7 @@ impl StateCache {
         if current > read_version {
             return None;
         }
-        let entries = lock_ranked(&self.entries, LockRank::StateCache);
+        let entries = read_ranked(&self.entries, LockRank::StateCache);
         if entries.version != current {
             return None;
         }
@@ -100,20 +106,32 @@ impl StateCache {
         if current > read_version {
             return;
         }
-        let mut entries = lock_ranked(&self.entries, LockRank::StateCache);
+        let mut entries = write_ranked(&self.entries, LockRank::StateCache);
         if entries.version > current {
             return;
         }
-        if entries.version < current || entries.map.len() >= STATE_CACHE_CAPACITY {
+        if entries.version < current {
             entries.map.clear();
+            entries.order.clear();
             entries.version = current;
         }
-        entries.map.insert(key.to_vec(), value);
+        let Entries { map, order, .. } = &mut *entries;
+        if let Some(slot) = map.get_mut(key) {
+            *slot = value;
+            return;
+        }
+        if map.len() >= STATE_CACHE_CAPACITY {
+            if let Some(oldest) = order.pop_front() {
+                map.remove(&oldest);
+            }
+        }
+        map.insert(key.to_vec(), value);
+        order.push_back(key.to_vec());
     }
 
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        lock_ranked(&self.entries, LockRank::StateCache).map.len()
+        read_ranked(&self.entries, LockRank::StateCache).map.len()
     }
 }
 
@@ -166,14 +184,54 @@ mod tests {
     #[test]
     fn the_map_never_exceeds_its_capacity() {
         let cache = StateCache::new(0);
-        for i in 0..(STATE_CACHE_CAPACITY as u32 + 10) {
+        let capacity = STATE_CACHE_CAPACITY as u32;
+        for i in 0..capacity + 10 {
             cache.put(&i.to_be_bytes(), 1, value(i));
             assert!(cache.len() <= STATE_CACHE_CAPACITY);
         }
-        // Reaching the bound emptied the map; the fills since are there.
-        assert_eq!(cache.len(), 10);
-        let last = STATE_CACHE_CAPACITY as u32 + 9;
+        // Each fill past the bound evicted one entry, the oldest.
+        assert_eq!(cache.len(), STATE_CACHE_CAPACITY);
+        let last = capacity + 9;
         assert_eq!(get(&cache, &last.to_be_bytes(), 1), Some(last));
         assert_eq!(get(&cache, &0u32.to_be_bytes(), 1), None);
+        assert_eq!(get(&cache, &10u32.to_be_bytes(), 1), Some(10));
+    }
+
+    /// A fill of a new key into a full map keeps capacity − 1 of the
+    /// entries it held; a fill of a key it holds evicts nothing.
+    #[test]
+    fn a_fill_at_capacity_evicts_one_entry() {
+        let cache = StateCache::new(0);
+        let capacity = STATE_CACHE_CAPACITY as u32;
+        for i in 0..capacity {
+            cache.put(&i.to_be_bytes(), 1, value(i));
+        }
+        cache.put(&7u32.to_be_bytes(), 1, value(70));
+        assert_eq!(get(&cache, &0u32.to_be_bytes(), 1), Some(0));
+        cache.put(b"new", 1, value(1));
+        let kept = (0..capacity)
+            .filter(|i| get(&cache, &i.to_be_bytes(), 1).is_some())
+            .count();
+        assert_eq!(kept, STATE_CACHE_CAPACITY - 1);
+        assert_eq!(get(&cache, b"new", 1), Some(1));
+        assert_eq!(get(&cache, &7u32.to_be_bytes(), 1), Some(70));
+    }
+
+    /// A lookup takes the shared side of the map's lock: with one held, as
+    /// by a lookup in progress, another thread's lookup completes.
+    #[test]
+    fn concurrent_gets_do_not_block_each_other() {
+        let cache = Arc::new(StateCache::new(0));
+        cache.put(b"k", 1, value(5));
+        let held = read_ranked(&cache.entries, LockRank::StateCache);
+        let (done, finished) = std::sync::mpsc::channel();
+        let reader = {
+            let cache = Arc::clone(&cache);
+            std::thread::spawn(move || done.send(get(&cache, b"k", 1)).unwrap())
+        };
+        let got = finished.recv_timeout(std::time::Duration::from_secs(10));
+        drop(held);
+        reader.join().unwrap();
+        assert_eq!(got, Ok(Some(5)), "a lookup waited for another");
     }
 }

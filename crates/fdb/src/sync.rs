@@ -23,16 +23,23 @@
 //!    conflict index. An **indexed band**: a thread may hold several
 //!    shard locks at once as long as it acquires them in ascending
 //!    shard order (see [`lock_ranked_indexed`]).
-//! 4. [`LockRank::DatabaseStore`] — the storage engine `RwLock`, with
-//!    the version counters only a commit touches. Acquired shared for
-//!    MVCC snapshot reads ([`read_ranked`]) and exclusive for version
-//!    allocation and commit application ([`write_ranked`]), which a
-//!    commit takes with its shard locks held. Under it, and outside this
-//!    tracker, sits one `rl_storage` leaf: the paged engine's buffer-pool
-//!    mutex, which its reads take and under which nothing else is
-//!    acquired.
-//! 5. [`LockRank::StateCache`] — the map of metadata-version-validated
-//!    soft state. A leaf: nothing is acquired while it is held, and it
+//! 4. [`LockRank::CommitWriter`] — the commit-writer mutex, with the
+//!    version counters only a commit touches. A validated commit takes it
+//!    with its shard locks held and keeps it while it allocates its
+//!    version, stages, seals and publishes, and while it runs a due
+//!    compaction: commits apply one at a time.
+//! 5. [`LockRank::DatabaseStore`] — the storage engine `RwLock`.
+//!    Acquired shared ([`read_ranked`]) for MVCC snapshot reads and for a
+//!    commit's staging and sealing, and a compaction slice's staging;
+//!    exclusive ([`write_ranked`]) only to publish what was staged, under
+//!    the commit-writer lock. Under it, and outside this tracker, sit two
+//!    `rl_storage` leaves: the paged engine's buffer-pool mutex, which its
+//!    reads take for a read and a stage's overlay for one page at a time,
+//!    and its WAL mutex, which a seal takes; nothing else is acquired
+//!    under either.
+//! 6. [`LockRank::StateCache`] — the `RwLock` over the map of
+//!    metadata-version-validated soft state: shared for a lookup, exclusive
+//!    for an insert. A leaf: nothing is acquired while it is held, and it
 //!    may be taken under any of the others.
 //!
 //! A contended conflict shard or store lock, in either mode, is waited
@@ -71,10 +78,14 @@ pub enum LockRank {
     /// One `Database` conflict-index shard (indexed band; ascending
     /// shard order).
     ConflictShard = 30,
-    /// The storage-engine `RwLock` (shared for reads, exclusive for
-    /// commit application).
+    /// `Database::writer`: held by one commit from its version allocation
+    /// through its publish and any compaction it runs.
+    CommitWriter = 35,
+    /// The storage-engine `RwLock`: shared for reads and for a commit's
+    /// staging and seal, exclusive only to publish what was staged.
     DatabaseStore = 40,
-    /// `StateCache::entries` (leaf: held only for a map lookup or insert).
+    /// `StateCache::entries` (leaf `RwLock`: shared for a lookup,
+    /// exclusive for an insert).
     StateCache = 50,
 }
 
@@ -85,6 +96,7 @@ impl LockRank {
             LockRank::ReadVersionCache => "ReadVersionCache::state",
             LockRank::TransactionState => "Transaction::state",
             LockRank::ConflictShard => "Database::shards[i]",
+            LockRank::CommitWriter => "Database::writer",
             LockRank::DatabaseStore => "Database::store",
             LockRank::StateCache => "StateCache::entries",
         }
@@ -291,7 +303,7 @@ mod tracker {
                     panic!(
                         "lock-rank violation: acquiring `{}`{} while holding {:?} — \
                          declared order is ReadVersionCache < TransactionState < \
-                         ConflictShard (ascending indices) < DatabaseStore < \
+                         ConflictShard (ascending indices) < CommitWriter < DatabaseStore < \
                          StateCache (see rl_fdb::sync)",
                         rank.name(),
                         index.map(|i| format!("#{i}")).unwrap_or_default(),

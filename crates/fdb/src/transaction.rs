@@ -103,6 +103,15 @@ impl TxState {
         self.writes_metadata_version |= key == METADATA_VERSION_KEY;
         self.writes.push(key, op);
     }
+
+    fn push_atomic<K, P>(&mut self, key: K, kind: MutationType, param: P)
+    where
+        K: AsRef<[u8]> + Into<Vec<u8>>,
+        P: AsRef<[u8]> + Into<Vec<u8>>,
+    {
+        self.writes_metadata_version |= key.as_ref() == METADATA_VERSION_KEY;
+        self.writes.push_atomic(key, kind, param);
+    }
 }
 
 /// A FoundationDB transaction handle.
@@ -612,15 +621,31 @@ impl Transaction {
 
     /// Buffer an atomic mutation. Atomic mutations add a *write* conflict
     /// but no *read* conflict, so concurrent mutations to the same key never
-    /// conflict with each other (§2).
+    /// conflict with each other (§2). The key and the operand are copied
+    /// only if the write set keeps them: an ADD or BIT_* that coalesces into
+    /// the op buffered on its key copies nothing.
     pub fn mutate(&self, op: MutationType, key: &[u8], param: &[u8]) -> Result<()> {
-        self.mutate_owned(op, key.to_vec(), param.to_vec())
+        self.mutate_with(op, key, param)
     }
 
-    /// [`mutate`](Self::mutate) with a key and operand the caller built:
-    /// both move into the write set.
-    pub fn mutate_owned(&self, op: MutationType, key: Vec<u8>, param: Vec<u8>) -> Result<()> {
-        self.validate_key(&key)?;
+    /// [`mutate`](Self::mutate) with a key the caller built, which moves
+    /// into the write set, and an operand it moves into the write set too,
+    /// or — an array — copies into it, in both cases only if it is kept.
+    pub fn mutate_owned(
+        &self,
+        op: MutationType,
+        key: Vec<u8>,
+        param: impl AsRef<[u8]> + Into<Vec<u8>>,
+    ) -> Result<()> {
+        self.mutate_with(op, key, param)
+    }
+
+    fn mutate_with<K, P>(&self, op: MutationType, key: K, param: P) -> Result<()>
+    where
+        K: AsRef<[u8]> + Into<Vec<u8>>,
+        P: AsRef<[u8]> + Into<Vec<u8>>,
+    {
+        self.validate_key(key.as_ref())?;
         let mut st = lock_ranked(&self.state, LockRank::TransactionState);
         self.check_open(&st)?;
         match op {
@@ -628,18 +653,19 @@ impl Transaction {
                 // The final key is unknown until commit; its write conflict
                 // is the placeholder form. No stamp spells the
                 // metadata-version key.
-                let (payload, offset) = atomic::split_versionstamp_operand(key)?;
+                let (payload, offset) = atomic::split_versionstamp_operand(key.into())?;
+                let param = param.into();
                 st.size += payload.len() + param.len() + 28;
                 st.writes.set_stamped_key(payload, offset, param);
             }
             MutationType::SetVersionstampedValue => {
-                let (payload, offset) = atomic::split_versionstamp_operand(param)?;
-                st.size += key.len() + payload.len() + 28;
-                st.push(key, KeyOp::StampedValue(payload, offset));
+                let (payload, offset) = atomic::split_versionstamp_operand(param.into())?;
+                st.size += key.as_ref().len() + payload.len() + 28;
+                st.push(key.into(), KeyOp::StampedValue(payload, offset));
             }
             _ => {
-                st.size += key.len() + param.len() + 28;
-                st.push(key, KeyOp::Atomic(op, param, 1));
+                st.size += key.as_ref().len() + param.as_ref().len() + 28;
+                st.push_atomic(key, op, param);
             }
         }
         Ok(())

@@ -65,10 +65,11 @@ pub(crate) enum KeyOp {
 }
 
 impl KeyOp {
-    /// Whether `next`, buffered on the key right after this op, folds into
-    /// it as far as the two ops go (module doc).
-    fn absorbs(&self, next: &KeyOp) -> bool {
-        let (KeyOp::Atomic(op, old, _), KeyOp::Atomic(next_op, param, _)) = (self, next) else {
+    /// Whether the atomic op `next_op` with operand `param`, buffered on
+    /// the key right after this op, folds into it as far as the two ops go
+    /// (module doc).
+    fn absorbs(&self, next_op: MutationType, param: &[u8]) -> bool {
+        let KeyOp::Atomic(op, old, _) = self else {
             return false;
         };
         let associative = match op {
@@ -76,7 +77,7 @@ impl KeyOp {
             MutationType::BitAnd | MutationType::BitOr | MutationType::BitXor => true,
             _ => false,
         };
-        associative && op == next_op && old.len() == param.len()
+        associative && *op == next_op && old.len() == param.len()
     }
 }
 
@@ -125,38 +126,13 @@ impl KeyOps {
     }
 
     /// Buffer `op` on `key` in `by_key`, which `key` moves into unless it
-    /// is buffered already. An atomic op coalesces into the key's newest
-    /// op (module doc) unless `reaches(key, seq)`: a range clear or a
-    /// versionstamped key buffered after sequence number `seq` may land on
-    /// the key.
-    fn buffer(
-        by_key: &mut BTreeMap<Vec<u8>, KeyOps>,
-        key: Vec<u8>,
-        op: (u64, KeyOp),
-        reaches: impl FnOnce(&[u8], u64) -> bool,
-    ) {
-        let mut entry = match by_key.entry(key) {
+    /// is buffered already.
+    fn add(by_key: &mut BTreeMap<Vec<u8>, KeyOps>, key: Vec<u8>, op: (u64, KeyOp)) {
+        match by_key.entry(key) {
             Entry::Vacant(entry) => {
                 entry.insert(KeyOps::One(op));
-                return;
             }
-            Entry::Occupied(entry) => entry,
-        };
-        // Ops are kept in sequence order: the newest is the last.
-        let (newest_seq, newest) = entry.get().as_slice().last().expect("a key has an op");
-        if !newest.absorbs(&op.1) || reaches(entry.key(), *newest_seq) {
-            entry.get_mut().insert(op);
-            return;
-        }
-        let newest = entry.get_mut().as_mut_slice().last_mut();
-        if let (
-            Some((seq, KeyOp::Atomic(kind, old, count))),
-            (next_seq, KeyOp::Atomic(_, param, _)),
-        ) = (newest, op)
-        {
-            atomic::combine(*kind, old, &param).expect("an absorbed operand is valid");
-            *count += 1;
-            *seq = next_seq;
+            Entry::Occupied(mut entry) => entry.get_mut().insert(op),
         }
     }
 
@@ -192,12 +168,27 @@ impl WriteSet {
         self.seq
     }
 
-    /// Buffer `op` on `key`, which moves in unless the key is buffered
-    /// already; an atomic op may coalesce into the key's newest op
-    /// (module doc).
+    /// Buffer a set, a clear or a versionstamped value on `key`, which
+    /// moves in unless the key is buffered already.
     pub(crate) fn push(&mut self, key: Vec<u8>, op: KeyOp) {
         let seq = self.next_seq();
-        let (cleared, stamped_keys) = (&self.cleared, &self.stamped_keys);
+        KeyOps::add(&mut self.by_key, key, (seq, op));
+    }
+
+    /// Buffer the atomic op `kind` with operand `param` on `key`. The key
+    /// is looked up first, and each is kept — moved in, or copied if it is
+    /// borrowed — only when the write set needs it: an op that coalesces
+    /// into the key's newest op (module doc) keeps neither, and one on a
+    /// buffered key keeps only its operand. It coalesces unless a range
+    /// clear or a versionstamped key buffered after that op may land on
+    /// the key.
+    pub(crate) fn push_atomic<K, P>(&mut self, key: K, kind: MutationType, param: P)
+    where
+        K: AsRef<[u8]> + Into<Vec<u8>>,
+        P: AsRef<[u8]> + Into<Vec<u8>>,
+    {
+        let seq = self.next_seq();
+        let (by_key, cleared, stamped_keys) = (&mut self.by_key, &self.cleared, &self.stamped_keys);
         // Both lists grow in sequence order, so only their tails can hold
         // a write buffered after the key's newest op.
         let reaches = |key: &[u8], since: u64| {
@@ -212,7 +203,22 @@ impl WriteSet {
                     .take_while(|(s, ..)| *s > since)
                     .any(|(_, stamped, offset, _)| may_stamp_into(stamped, *offset, key))
         };
-        KeyOps::buffer(&mut self.by_key, key, (seq, op), reaches);
+        let Some(ops) = by_key.get_mut(key.as_ref()) else {
+            let op = KeyOp::Atomic(kind, param.into(), 1);
+            by_key.insert(key.into(), KeyOps::One((seq, op)));
+            return;
+        };
+        // Ops are kept in sequence order: the newest is the last.
+        let (newest_seq, newest) = ops.as_mut_slice().last_mut().expect("a key has an op");
+        if !newest.absorbs(kind, param.as_ref()) || reaches(key.as_ref(), *newest_seq) {
+            ops.insert((seq, KeyOp::Atomic(kind, param.into(), 1)));
+            return;
+        }
+        if let KeyOp::Atomic(kind, old, count) = newest {
+            atomic::combine(*kind, old, param.as_ref()).expect("an absorbed operand is valid");
+            *count += 1;
+            *newest_seq = seq;
+        }
     }
 
     pub(crate) fn clear_range(&mut self, begin: Vec<u8>, end: Vec<u8>) {
@@ -393,9 +399,7 @@ pub(crate) fn sorted_batch(mut writes: WriteSet, version: u64, tally: &Tally) ->
     for (seq, mut key, offset, value) in std::mem::take(&mut writes.stamped_keys) {
         atomic::fill_versionstamp(&mut key, offset, &stamp);
         // A set is never coalesced.
-        KeyOps::buffer(&mut writes.by_key, key, (seq, KeyOp::Set(value)), |_, _| {
-            true
-        });
+        KeyOps::add(&mut writes.by_key, key, (seq, KeyOp::Set(value)));
     }
     let mut clears = writes.cleared;
     clears.sort_by(|a, b| a.0.cmp(&b.0));

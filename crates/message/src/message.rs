@@ -263,7 +263,11 @@ impl DynamicMessage {
 
     /// Decode wire bytes against `descriptor`, resolving nested message
     /// types through `pool`. Fields on the wire that the descriptor does
-    /// not know are preserved as unknown fields.
+    /// not know are preserved as unknown fields. A singular field on the
+    /// wire more than once takes its last occurrence, and only that one
+    /// must hold a valid value: a malformed occurrence that a later one
+    /// supersedes is no error, as a reader of the wire bytes
+    /// (`WireMessage`) never reads it.
     ///
     /// Cost contract: the field storage is one block, sized by a first
     /// walk over the tags to the fields on the wire (not to the fields the
@@ -290,17 +294,23 @@ impl DynamicMessage {
     ) -> Result<Self> {
         let mut msg = DynamicMessage::new(descriptor.clone());
         msg.fields.reserve_exact(fields_on_wire(data)?);
+        // The singular fields whose latest occurrence so far is malformed.
+        let mut malformed: Vec<(u32, Error)> = Vec::new();
         while !data.is_empty() {
             let (number, wire_type, n) = get_tag(data)?;
             data = &data[n..];
             let (payload, consumed) = field_payload(data, wire_type)?;
             match descriptor.field_by_number(number) {
                 Some(field) if field.field_type.wire_type() == wire_type => {
-                    let value = value(field, &data[payload])?;
+                    let value = value(field, &data[payload]);
                     if field.is_repeated() {
-                        msg.append(field.number, value);
+                        msg.append(field.number, value?);
                     } else {
-                        msg.put(field.number, FieldValue::Single(value));
+                        malformed.retain(|(n, _)| *n != number);
+                        match value {
+                            Ok(value) => msg.put(field.number, FieldValue::Single(value)),
+                            Err(e) => malformed.push((number, e)),
+                        }
                     }
                 }
                 // Unknown field (or wire-type mismatch from an evolved
@@ -313,7 +323,10 @@ impl DynamicMessage {
             }
             data = &data[consumed..];
         }
-        Ok(msg)
+        match malformed.into_iter().next() {
+            Some((_, e)) => Err(e),
+            None => Ok(msg),
+        }
     }
 }
 

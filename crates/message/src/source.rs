@@ -324,7 +324,10 @@ impl FieldSource for WireRecord<'_> {
 /// them (see [`FieldSource`]). Malformed bytes fail with
 /// [`Error::Decode`], never a panic: a truncated tag or payload, and
 /// anything in a nested message, when the record is made; a scalar that
-/// does not decode (a string that is not UTF-8) when it is read.
+/// does not decode (a string that is not UTF-8) when it is read. A
+/// singular field on the wire more than once reads as its last
+/// occurrence, and an earlier one is never read, nested or not, so a
+/// malformed one is no error, as in [`DynamicMessage::decode`].
 ///
 /// Cost contract: one block, the field table, sized to the known fields on
 /// the wire by one walk over the tags (`known_fields`), plus what nested
@@ -362,19 +365,24 @@ impl WireMessage {
         let bytes = buffer
             .get(wire.clone())
             .ok_or_else(|| Error::Decode("wire bytes outside their buffer".into()))?;
-        let fields = known_fields(&descriptor, bytes, |field, payload| {
-            let value = match &field.field_type {
-                FieldType::Message(_) => {
-                    OnceCell::from(decode_value(field, pool, &bytes[payload.clone()])?)
-                }
-                _ => OnceCell::new(),
-            };
+        let mut fields = known_fields(&descriptor, bytes, |field, payload| {
             Ok(WireField {
                 number: field.number,
                 payload,
-                value,
+                value: OnceCell::new(),
             })
         })?;
+        // Nested messages are decoded now: every occurrence of a repeated
+        // field, and the last of a singular one, which supersedes the rest.
+        for i in 0..fields.len() {
+            let (number, later) = (fields[i].number, &fields[i + 1..]);
+            let field = descriptor.field_by_number(number).expect("a known field");
+            let superseded = !field.is_repeated() && later.iter().any(|f| f.number == number);
+            if matches!(field.field_type, FieldType::Message(_)) && !superseded {
+                let value = decode_value(field, pool, &bytes[fields[i].payload.clone()])?;
+                fields[i].value = OnceCell::from(value);
+            }
+        }
         Ok(WireMessage {
             descriptor,
             buffer,

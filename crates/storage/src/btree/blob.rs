@@ -11,11 +11,12 @@
 
 use std::borrow::Cow;
 use std::io;
+use std::sync::Arc;
 
 use super::{corrupt, Reader, OVERFLOW_CAP, OVERFLOW_HEADER, TAG_OVERFLOW};
+use super::{PageSource, Pages};
 use crate::codec::{put_varint, varint_len};
 use crate::page::{PageId, NO_PAGE};
-use crate::pool::BufferPool;
 
 /// Bytes stored either inline in a node or in an overflow page chain
 /// (head page, total length).
@@ -28,7 +29,7 @@ pub(super) enum Blob<'a> {
 impl<'a> Blob<'a> {
     /// The blob's bytes: borrowed when inline, read out of the overflow
     /// chain otherwise.
-    pub(super) fn load(self, pool: &mut BufferPool) -> io::Result<Cow<'a, [u8]>> {
+    pub(super) fn load(self, pool: &mut impl PageSource) -> io::Result<Cow<'a, [u8]>> {
         self.load_noting(pool, |_| {})
     }
 
@@ -36,7 +37,7 @@ impl<'a> Blob<'a> {
     /// it reads.
     pub(super) fn load_noting(
         self,
-        pool: &mut BufferPool,
+        pool: &mut impl PageSource,
         mut note: impl FnMut(PageId),
     ) -> io::Result<Cow<'a, [u8]>> {
         match self {
@@ -58,16 +59,16 @@ impl<'a> Blob<'a> {
     }
 
     /// Release the blob's overflow pages (no-op for inline).
-    pub(super) fn free(self, pool: &mut BufferPool) -> io::Result<()> {
+    pub(super) fn free(self, pool: &mut impl Pages) -> io::Result<()> {
         self.walk(pool, |pool, id, _| pool.free(id))
     }
 
     /// Visit each overflow page of the blob, head first, stopping once the
     /// chain has yielded more than its stated length (a cycle).
-    fn walk(
+    fn walk<P: PageSource>(
         self,
-        pool: &mut BufferPool,
-        mut visit: impl FnMut(&mut BufferPool, PageId, &[u8]),
+        pool: &mut P,
+        mut visit: impl FnMut(&mut P, PageId, &[u8]),
     ) -> io::Result<()> {
         let Blob::Overflow(mut id, len) = self else {
             return Ok(());
@@ -134,7 +135,7 @@ impl<'a> Reader<'a> {
 }
 
 /// Write `bytes` to a new chain of overflow pages; returns its head.
-pub(super) fn spill(pool: &mut BufferPool, bytes: &[u8]) -> io::Result<PageId> {
+pub(super) fn spill(pool: &mut impl Pages, bytes: &[u8]) -> io::Result<PageId> {
     // Build the chain back to front so each page knows its successor.
     let mut next = NO_PAGE;
     for chunk in bytes.chunks(OVERFLOW_CAP).rev() {
@@ -143,7 +144,7 @@ pub(super) fn spill(pool: &mut BufferPool, bytes: &[u8]) -> io::Result<PageId> {
         payload.extend_from_slice(&next.to_le_bytes());
         payload.extend_from_slice(&(chunk.len() as u16).to_le_bytes());
         payload.extend_from_slice(chunk);
-        next = pool.allocate(payload)?;
+        next = pool.write_shared(NO_PAGE, Arc::new(payload.into()))?;
     }
     Ok(next)
 }
@@ -151,7 +152,7 @@ pub(super) fn spill(pool: &mut BufferPool, bytes: &[u8]) -> io::Result<PageId> {
 /// Append `bytes` to `out` as an encoded blob, spilling to overflow pages
 /// beyond `inline_max`.
 pub(super) fn append_blob(
-    pool: &mut BufferPool,
+    pool: &mut impl Pages,
     bytes: &[u8],
     inline_max: usize,
     out: &mut Vec<u8>,

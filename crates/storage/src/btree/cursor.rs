@@ -6,9 +6,10 @@ use std::sync::Arc;
 
 use super::blob::Blob;
 use super::leaf::leaf_prefix;
+use super::PageSource;
 use super::{child, descend, index, locate, Reader, TAG_INTERNAL, TAG_LEAF};
 use crate::page::{PageId, NO_PAGE};
-use crate::pool::{BufferPool, Page};
+use crate::pool::Page;
 
 /// A streaming tree cursor (forward or backward) over a range. Valid only
 /// while no mutation runs — exactly the discipline the engine's `&mut self`
@@ -39,7 +40,7 @@ impl<'r> Cursor<'r> {
     /// the keys below `from` down to `to`, inclusive. `to` `None` runs to
     /// the end of the tree.
     pub fn seek(
-        pool: &mut BufferPool,
+        pool: &mut impl PageSource,
         from: &[u8],
         to: Option<&'r [u8]>,
         forward: bool,
@@ -69,7 +70,7 @@ impl<'r> Cursor<'r> {
     /// Yield the next `(key, encoded chain)` in cursor direction, or `None`
     /// once the range or the tree ends. The slices borrow the cursor until
     /// the next call.
-    pub fn next(&mut self, pool: &mut BufferPool) -> io::Result<Option<(&[u8], &[u8])>> {
+    pub fn next(&mut self, pool: &mut impl PageSource) -> io::Result<Option<(&[u8], &[u8])>> {
         let at = loop {
             if self.done {
                 return Ok(None);
@@ -121,7 +122,7 @@ impl<'r> Cursor<'r> {
     /// deep as the one the cursor leaves, so the way down is internal nodes
     /// to that depth, then a leaf; a node of the other kind on it is
     /// damage. `false` at the end of the range or the tree.
-    fn next_leaf(&mut self, pool: &mut BufferPool) -> io::Result<bool> {
+    fn next_leaf(&mut self, pool: &mut impl PageSource) -> io::Result<bool> {
         let depth = self.stack.len();
         while let Some((parent, page, idx)) = self.stack.pop() {
             let at = index(&page, parent, TAG_INTERNAL)?;

@@ -6,10 +6,12 @@ use std::io;
 use std::ops::Range;
 
 use super::blob::{inline_len, put_inline_head, spill, Blob};
-use super::{corrupt, Reader, INLINE_KEY_MAX, MAX_ENTRIES, NODE_HEADER, TAG_LEAF};
+use super::{
+    corrupt, PageSource, Pages, Reader, INLINE_KEY_MAX, MAX_ENTRIES, NODE_HEADER, TAG_LEAF,
+};
 use crate::codec::{common_len, put_varint, varint_len};
 use crate::page::{PageId, MAX_PAYLOAD};
-use crate::pool::{BufferPool, Image};
+use crate::pool::Image;
 
 /// The prefix stored in a leaf.
 pub(super) fn leaf_prefix(page: &[u8], id: PageId) -> io::Result<&[u8]> {
@@ -71,7 +73,7 @@ pub(super) enum Key<'a> {
 
 impl<'a> Key<'a> {
     /// A new key as a leaf entry holds it: inline, or spilled whole.
-    pub(super) fn new(pool: &mut BufferPool, key: &'a [u8]) -> io::Result<Key<'a>> {
+    pub(super) fn new(pool: &mut impl Pages, key: &'a [u8]) -> io::Result<Key<'a>> {
         Ok(match key.len() {
             len if len <= INLINE_KEY_MAX => Key::Inline(&[], key),
             len => Key::Overflow(spill(pool, key)?, len as u32),
@@ -80,7 +82,7 @@ impl<'a> Key<'a> {
 
     /// The whole key: borrowed when it lies in one piece, else assembled
     /// or read out of its pages.
-    pub(super) fn whole(self, pool: &mut BufferPool) -> io::Result<Cow<'a, [u8]>> {
+    pub(super) fn whole(self, pool: &mut impl PageSource) -> io::Result<Cow<'a, [u8]>> {
         match self {
             Key::Inline([], tail) => Ok(Cow::Borrowed(tail)),
             Key::Inline(head, tail) => Ok(Cow::Owned([head, tail].concat())),
@@ -114,7 +116,7 @@ pub(super) fn entries_of<'a>(page: &'a [u8], id: PageId, at: &[u16]) -> io::Resu
 }
 
 /// The prefix a leaf of `entries` stores: LCP(first, last), capped.
-fn common_prefix(pool: &mut BufferPool, entries: &[Entry]) -> io::Result<Vec<u8>> {
+fn common_prefix(pool: &mut impl PageSource, entries: &[Entry]) -> io::Result<Vec<u8>> {
     let (Some(first), Some(last)) = (entries.first(), entries.last()) else {
         return Ok(Vec::new());
     };
@@ -195,7 +197,7 @@ pub(super) const MERGE_BELOW: usize = MAX_PAYLOAD / 4;
 /// most [`SPLIT_PIECE_MAX`] bytes under the prefix of their ends. The two
 /// merge only then, so the leaf they make has room for the keys that come
 /// next and is not split again by the first of them.
-pub(super) fn merge_fits(pool: &mut BufferPool, entries: &[Entry]) -> io::Result<bool> {
+pub(super) fn merge_fits(pool: &mut impl PageSource, entries: &[Entry]) -> io::Result<bool> {
     let prefix = common_prefix(pool, entries)?;
     Ok(leaf_len(prefix.len(), entries) <= SPLIT_PIECE_MAX)
 }
@@ -205,7 +207,7 @@ pub(super) fn merge_fits(pool: &mut BufferPool, entries: &[Entry]) -> io::Result
 /// pieces of at most [`SPLIT_PIECE_MAX`] bytes, cut off one share at a time
 /// at the [`split_point`] and each side cut again as it needs.
 pub(super) fn cut(
-    pool: &mut BufferPool,
+    pool: &mut impl PageSource,
     id: PageId,
     entries: &[Entry],
     base: usize,

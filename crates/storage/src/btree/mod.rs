@@ -153,6 +153,53 @@ const TAG_INTERNAL: u8 = 1;
 const TAG_LEAF: u8 = 2;
 const TAG_OVERFLOW: u8 = 3;
 
+/// What a read of the tree reads pages through: the buffer pool itself,
+/// a shared pool locked for one page at a time (`crate::pool::Shared`),
+/// or a write's staging overlay over it.
+pub trait PageSource {
+    /// The root of the tree being read.
+    fn root(&self) -> PageId;
+    /// A page's image.
+    fn read(&mut self, id: PageId) -> io::Result<Page>;
+}
+
+/// What a walk reads and writes pages through: the buffer pool itself, or
+/// a write's staging overlay over the pool (`crate::overlay`), which keeps
+/// what the walk writes and frees to itself until the engine publishes it.
+pub trait Pages: PageSource {
+    fn set_root(&mut self, root: PageId);
+    /// Store `page` as page `id`, copy-on-write as
+    /// [`BufferPool::write_cow`] does it, or with `id` `NO_PAGE` on a new
+    /// page; returns the id that now holds it.
+    fn write_shared(&mut self, id: PageId, page: Page) -> io::Result<PageId>;
+    /// Release a page the tree no longer reaches.
+    fn free(&mut self, id: PageId);
+}
+
+impl PageSource for BufferPool {
+    fn root(&self) -> PageId {
+        BufferPool::root(self)
+    }
+
+    fn read(&mut self, id: PageId) -> io::Result<Page> {
+        BufferPool::read(self, id)
+    }
+}
+
+impl Pages for BufferPool {
+    fn set_root(&mut self, root: PageId) {
+        BufferPool::set_root(self, root);
+    }
+
+    fn write_shared(&mut self, id: PageId, page: Page) -> io::Result<PageId> {
+        BufferPool::write_shared(self, id, page)
+    }
+
+    fn free(&mut self, id: PageId) {
+        BufferPool::free(self, id);
+    }
+}
+
 fn corrupt(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
@@ -237,7 +284,7 @@ fn child(page: &[u8], at: &[u16], i: usize) -> PageId {
 /// prefix is compared once; inline keys are compared where they lie; an
 /// overflow key is read out of its pages only when a probe lands on it.
 fn locate(
-    pool: &mut BufferPool,
+    pool: &mut impl PageSource,
     page: &[u8],
     id: PageId,
     tag: u8,
@@ -278,7 +325,7 @@ fn locate(
 /// taken and the offset of that child's pointer to `step`. Returns the
 /// leaf and its id.
 fn descend(
-    pool: &mut BufferPool,
+    pool: &mut impl PageSource,
     key: &[u8],
     mut step: impl FnMut(PageId, &Page, usize, usize),
 ) -> io::Result<(PageId, Page)> {
@@ -301,7 +348,11 @@ fn descend(
 
 /// Read the value stored under `key` visible at `read_version`: one
 /// descent, one copy — of the value returned.
-pub fn get(pool: &mut BufferPool, key: &[u8], read_version: u64) -> io::Result<Option<Vec<u8>>> {
+pub fn get(
+    pool: &mut impl PageSource,
+    key: &[u8],
+    read_version: u64,
+) -> io::Result<Option<Vec<u8>>> {
     if pool.root() == NO_PAGE {
         return Ok(None);
     }

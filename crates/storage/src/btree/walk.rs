@@ -14,11 +14,11 @@ use super::leaf::{
     cut, entries_of, leaf_image, leaf_prefix, merge_fits, put_entry, Entry, Key, MERGE_BELOW,
 };
 use super::{
-    child, corrupt, index, locate, too_deep, Reader, INLINE_CHAIN_MAX, INLINE_KEY_MAX, MAX_DEPTH,
-    NODE_HEADER, TAG_INTERNAL, TAG_LEAF,
+    child, corrupt, index, locate, too_deep, Pages, Reader, INLINE_CHAIN_MAX, INLINE_KEY_MAX,
+    MAX_DEPTH, NODE_HEADER, TAG_INTERNAL, TAG_LEAF,
 };
 use crate::page::{PageId, MAX_PAYLOAD, NO_PAGE};
-use crate::pool::{BufferPool, Image, Page};
+use crate::pool::{Image, Page};
 
 /// The shortest separator `s` with `left_max < s <= right_min`.
 fn shortest_separator<'a>(left_max: &[u8], right_min: &'a [u8]) -> &'a [u8] {
@@ -95,7 +95,7 @@ struct Level {
 /// is empty or merges with a sibling ([`rebalance`]). Every image the walk
 /// writes carries its entry offsets, so nothing parses it again.
 pub(crate) fn apply<K: AsRef<[u8]>, T>(
-    pool: &mut BufferPool,
+    pool: &mut impl Pages,
     steps: impl IntoIterator<Item = (K, Step<T>)>,
     mut visit: impl FnMut(&[u8], Seen<'_, T>) -> io::Result<Edit>,
 ) -> io::Result<()> {
@@ -193,7 +193,7 @@ pub(crate) fn apply<K: AsRef<[u8]>, T>(
 /// [`descend`](super::descend) takes it, and that child's upper fence: the
 /// separator after it, or the node's own `upper`.
 fn route(
-    pool: &mut BufferPool,
+    pool: &mut impl Pages,
     page: &Page,
     id: PageId,
     key: &[u8],
@@ -226,7 +226,7 @@ fn settle(path: &mut [Level], root: &mut Option<Written>, written: Option<Writte
 
 /// The root over what the old root became: its one piece, or new levels
 /// above its pieces.
-fn grow(pool: &mut BufferPool, written: Written) -> io::Result<PageId> {
+fn grow(pool: &mut impl Pages, written: Written) -> io::Result<PageId> {
     let Written {
         id: mut root,
         mut more,
@@ -249,7 +249,7 @@ fn grow(pool: &mut BufferPool, written: Written) -> io::Result<PageId> {
 /// spliced in after it. `None` if no child's id changed and none split.
 /// A node with a shrunk leaf below it is [`rebalance`]d instead.
 fn rewrite_internal(
-    pool: &mut BufferPool,
+    pool: &mut impl Pages,
     level: Level,
     root: bool,
 ) -> io::Result<Option<Written>> {
@@ -304,7 +304,7 @@ struct Kid<'a> {
 /// when the sibling shrank too. A root left with one child is replaced by
 /// it.
 fn rebalance(
-    pool: &mut BufferPool,
+    pool: &mut impl Pages,
     id: PageId,
     page: &[u8],
     at: &[u16],
@@ -409,7 +409,7 @@ fn rebalance(
 /// one before it if `before`, else the one after. The child's page and the
 /// separator's overflow pages are freed.
 fn drop_kid(
-    pool: &mut BufferPool,
+    pool: &mut impl Pages,
     node: PageId,
     kids: &mut Vec<Kid>,
     k: usize,
@@ -474,7 +474,7 @@ impl Node {
 
     /// Write the node back as page `id` (CoW; `NO_PAGE`: a new page), split
     /// at middle separators into as many pieces as it needs.
-    fn write(self, pool: &mut BufferPool, id: PageId) -> io::Result<Written> {
+    fn write(self, pool: &mut impl Pages, id: PageId) -> io::Result<Written> {
         let (mut images, mut seps) = (Vec::new(), Vec::new());
         self.halve(id, &mut images, &mut seps)?;
         store_pieces(pool, id, images, seps, false)
@@ -522,7 +522,7 @@ impl Node {
 /// separator that leads to it. A leaf that `shrank` — lost entries — and
 /// is one piece under [`MERGE_BELOW`] bytes keeps a handle to its image.
 fn store_pieces(
-    pool: &mut BufferPool,
+    pool: &mut impl Pages,
     id: PageId,
     images: Vec<Image>,
     seps: Vec<Vec<u8>>,
@@ -599,8 +599,8 @@ struct LeafEdits {
 /// step whose end is `carried` from the leaf before. Returns what the leaf
 /// became (`None`: nothing changed) and, when a range step reaches past the
 /// fence, the furthest end of one.
-fn rewrite_leaf<K: AsRef<[u8]>, T>(
-    pool: &mut BufferPool,
+fn rewrite_leaf<K: AsRef<[u8]>, T, P: Pages>(
+    pool: &mut P,
     id: PageId,
     leaf: &Page,
     fence: Option<&[u8]>,
@@ -615,7 +615,7 @@ fn rewrite_leaf<K: AsRef<[u8]>, T>(
     // Entries below `pos` are settled; from `pos` up to `cleared` they lie
     // in a range step.
     let (mut pos, mut cleared, mut carry) = (0, 0, None);
-    let reach = |pool: &mut BufferPool, end: Vec<u8>, carry: &mut Option<Vec<u8>>| {
+    let reach = |pool: &mut P, end: Vec<u8>, carry: &mut Option<Vec<u8>>| {
         if fence.is_some_and(|fence| end.as_slice() > fence) {
             if carry.as_ref().is_none_or(|far| *far < end) {
                 *carry = Some(end);
@@ -664,7 +664,7 @@ impl LeafEdits {
     /// covers.
     fn ranged<T>(
         &mut self,
-        pool: &mut BufferPool,
+        pool: &mut impl Pages,
         (leaf, id, at, prefix): (&[u8], PageId, &[u16], &[u8]),
         range: Range<usize>,
         visit: &mut impl FnMut(&[u8], Seen<'_, T>) -> io::Result<Edit>,
@@ -690,7 +690,7 @@ impl LeafEdits {
     /// Old entry `i`, stored as `entry`, edited.
     fn change(
         &mut self,
-        pool: &mut BufferPool,
+        pool: &mut impl Pages,
         i: usize,
         entry: &Stored,
         edit: Edit,
@@ -719,7 +719,7 @@ impl LeafEdits {
     /// A new `key` ahead of old entry `i`, if `edit` puts a chain there.
     fn insert(
         &mut self,
-        pool: &mut BufferPool,
+        pool: &mut impl Pages,
         i: usize,
         key: &[u8],
         prefix: &[u8],
@@ -743,7 +743,7 @@ impl LeafEdits {
     }
 
     /// `chain` as a blob in the arena, spilled to overflow pages when long.
-    fn blob(&mut self, pool: &mut BufferPool, chain: &[u8]) -> io::Result<Range<usize>> {
+    fn blob(&mut self, pool: &mut impl Pages, chain: &[u8]) -> io::Result<Range<usize>> {
         // A key written on every commit rewrites its whole retained chain;
         // this histogram's max shows how long that gets.
         rl_obs::record(rl_obs::Op::ChainBytes, chain.len() as u64);
@@ -766,7 +766,7 @@ impl LeafEdits {
     /// of their ends and split as many ways as they need.
     fn write(
         &self,
-        pool: &mut BufferPool,
+        pool: &mut impl Pages,
         id: PageId,
         leaf: &[u8],
         at: &[u16],
@@ -880,7 +880,7 @@ impl LeafEdits {
 /// picks; each piece stores the prefix of its own ends. `shrank`: the leaf lost
 /// entries, as [`store_pieces`] takes it.
 fn write_leaf(
-    pool: &mut BufferPool,
+    pool: &mut impl Pages,
     id: PageId,
     entries: &[Entry],
     lone: Option<usize>,
@@ -914,7 +914,7 @@ fn write_leaf(
 /// nondecreasing order). Returns whether the write left something for
 /// compaction: an older entry shadowed, or a tombstone.
 pub fn write(
-    pool: &mut BufferPool,
+    pool: &mut impl Pages,
     key: &[u8],
     version: u64,
     value: Option<&[u8]>,
@@ -936,7 +936,7 @@ pub fn write(
 /// when dead, or left alone. A leaf the walk leaves under a quarter page is
 /// merged with a sibling, and an emptied one is dropped.
 pub fn prune_sorted<'k>(
-    pool: &mut BufferPool,
+    pool: &mut impl Pages,
     keys: impl IntoIterator<Item = &'k [u8]>,
     oldest_version: u64,
 ) -> io::Result<()> {
@@ -954,6 +954,6 @@ pub fn prune_sorted<'k>(
 }
 
 /// [`prune_sorted`] of one key.
-pub fn prune(pool: &mut BufferPool, key: &[u8], oldest_version: u64) -> io::Result<()> {
+pub fn prune(pool: &mut impl Pages, key: &[u8], oldest_version: u64) -> io::Result<()> {
     prune_sorted(pool, [key], oldest_version)
 }

@@ -10,20 +10,32 @@
 //! direction and a visitor that stops, so a read costs what it returns
 //! and copies only what its caller keeps. [`scan`](StorageEngine::scan)
 //! and [`range`](StorageEngine::range) are copying adapters over it.
-//! The write side has the same shape. A commit hands the engine one
-//! [`Batch`]: every key it writes once, already folded, in key order,
-//! through [`apply_sorted`]. A batch costs one seek per leaf it
-//! touches, not one per key: the paged engine walks the tree once from the
-//! batch's first key to its last and rewrites each leaf it changes once.
-//! [`write`], [`update`] and [`clear_range`] are its one-item cases.
-//! [`compact`] does work proportional to the keys written since the last
-//! pass — both engines log which keys those are (the crate's `garbage`
-//! module) — and none for the keys stored. Writes take `&mut self` and
-//! reads `&self`, so the database runs snapshot reads under the shared
-//! side of its store lock, concurrently with each other, and a commit
-//! under the exclusive side. What a read changes inside an engine (the
-//! paged engine's buffer pool) the engine locks itself.
+//! The write side has the same shape, split in two. A commit hands the
+//! engine one [`Batch`]: every key it writes once, already folded, in key
+//! order. [`stage`] prepares it beside the published state and returns it
+//! as a [`Staged`]; [`seal`] makes a staged batch durable; [`publish`]
+//! makes it what reads see. Staging and sealing take `&self`, so the
+//! database runs them under the shared side of its store lock while
+//! snapshot reads go on; publishing takes `&mut self`, a short section
+//! under the exclusive side. A batch costs one seek per leaf it touches,
+//! not one per key: the paged engine's stage walks the tree once from the
+//! batch's first key to its last and builds each leaf it changes once,
+//! privately, and its publish only installs what the walk built. The
+//! memory engine's stage carries the batch, and its publish is the map
+//! update. [`stage_compaction`] stages a bounded slice of MVCC
+//! compaction the same way: work proportional to the keys written since the
+//! last pass — both engines log which keys those are (the crate's
+//! `garbage` module) — and none for the keys stored. Every write goes
+//! through this one path: [`apply_sorted`], [`write`], [`update`],
+//! [`clear_range`] and [`compact`] stage and publish at once, and the
+//! paged engine's WAL replay at open does the same. What a read changes
+//! inside an engine (the paged engine's buffer pool) the engine locks
+//! itself.
 //!
+//! [`stage`]: StorageEngine::stage
+//! [`seal`]: StorageEngine::seal
+//! [`publish`]: StorageEngine::publish
+//! [`stage_compaction`]: StorageEngine::stage_compaction
 //! [`apply_sorted`]: StorageEngine::apply_sorted
 //! [`write`]: StorageEngine::write
 //! [`update`]: StorageEngine::update
@@ -71,10 +83,62 @@ pub enum Mutation<'a> {
     ClearRange(Vec<u8>),
 }
 
-/// The argument of [`StorageEngine::apply_sorted`]: ascending by key, no
-/// key named by two `Write`/`Update` items, and a `ClearRange` ahead of an
-/// item at its own first key. Range clears may overlap each other.
+/// The argument of [`StorageEngine::stage`]: ascending by key, no key
+/// named by two `Write`/`Update` items, and a `ClearRange` ahead of an item
+/// at its own first key. Range clears may overlap each other.
 pub type Batch<'a> = Vec<(Vec<u8>, Mutation<'a>)>;
+
+/// A write staged beside an engine's published state: a batch from
+/// [`StorageEngine::stage`] or a compaction slice from
+/// [`StorageEngine::stage_compaction`], which reads do not see until
+/// [`StorageEngine::publish`] installs it. It must be published before the
+/// engine stages or publishes anything else: each engine counts its
+/// publishes, and publishing a `Staged` made before another publish panics.
+#[derive(Debug)]
+pub struct Staged<'a> {
+    /// The engine's publish count when this was staged.
+    pub(crate) generation: u64,
+    /// The keys a compaction slice visits; 0 for a batch.
+    pub(crate) keys: usize,
+    pub(crate) work: Work<'a>,
+}
+
+/// What each engine stages.
+pub(crate) enum Work<'a> {
+    /// The memory engine's batch, applied at publish.
+    Batch(u64, Batch<'a>),
+    /// The memory engine's compaction slice: its horizon and keys.
+    Compaction(u64, crate::garbage::Slice),
+    /// The paged engine's pages, log frame and garbage-log entries.
+    Paged(crate::paged::StagedPages),
+}
+
+impl std::fmt::Debug for Work<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Work::Batch(version, batch) => write!(f, "Batch(v{version}, {} items)", batch.len()),
+            Work::Compaction(oldest, slice) => write!(f, "Compaction(v{oldest}, {slice:?})"),
+            Work::Paged(pages) => pages.fmt(f),
+        }
+    }
+}
+
+impl Staged<'_> {
+    /// The keys a compaction slice visits (0 for a batch).
+    pub fn keys(&self) -> usize {
+        self.keys
+    }
+}
+
+/// Panic unless `staged` was made at the engine's current publish count
+/// `generation`; then count this publish.
+pub(crate) fn check_generation(generation: &mut u64, staged: &Staged<'_>) {
+    assert_eq!(
+        staged.generation, *generation,
+        "a Staged was published after the engine published something else"
+    );
+    *generation += 1;
+}
 
 /// Ordered multi-version key-value storage, as required by the simulator.
 ///
@@ -82,8 +146,12 @@ pub type Batch<'a> = Vec<(Vec<u8>, Mutation<'a>)>;
 /// guarantees this); reads at `read_version` observe, for each key, the
 /// newest write with version `<= read_version`.
 pub trait StorageEngine: Send + Sync + std::fmt::Debug {
-    /// Apply one sorted batch at `version`. A write at a version a key's
-    /// chain already holds replaces that entry; a later one is appended.
+    /// Stage one sorted batch at `version` beside the published state;
+    /// reads see none of it until [`publish`](Self::publish). A write at a
+    /// version a key's chain already holds replaces that entry; a later one
+    /// is appended. An `Update` is called once, with the value visible at
+    /// `version`: here on the paged engine, at publish on the memory
+    /// engine.
     ///
     /// Cost contract: one seek per leaf the batch touches, not per key. On
     /// the paged engine the walk descends to the first key's leaf, puts
@@ -92,9 +160,47 @@ pub trait StorageEngine: Send + Sync + std::fmt::Debug {
     /// key needs, and rewrites each ancestor at most once: a page above a
     /// leaf is rewritten only when the id of a page below it changed (the
     /// first write down a path after a checkpoint) or a split reaches it.
-    /// A range clear also reads each leaf in its range. In memory, one map
-    /// lookup per key.
-    fn apply_sorted(&mut self, version: u64, batch: Batch<'_>);
+    /// A range clear also reads each leaf in its range. In memory, nothing
+    /// until publish, and then one map lookup per key.
+    fn stage<'a>(&self, version: u64, batch: Batch<'a>) -> Staged<'a>;
+
+    /// Make a staged batch durable before it is published, together with
+    /// whatever was published and not yet sealed: on the paged engine one
+    /// WAL frame, after which a crash replays the batch. The memory engine
+    /// does nothing.
+    fn seal(&self, _staged: &mut Staged<'_>) {}
+
+    /// Stage a slice of MVCC compaction at `oldest_version`, or `None` when
+    /// no logged write at or below it is left to visit. Published, the
+    /// slice drops the versions of its keys that no read version `>=
+    /// oldest_version` sees, and the keys that are lone tombstones at or
+    /// below it; when the slices run out, no chain holds an entry shadowed
+    /// at `oldest_version` and no key is such a tombstone.
+    ///
+    /// Cost contract: a slice visits the next keys of the garbage log whose
+    /// write at or below `oldest_version` shadowed an older entry or was a
+    /// tombstone and that no earlier slice has visited for it — at most a
+    /// few hundred on the paged engine, every one on the memory engine — in
+    /// key order, as one sorted batch: one seek per leaf holding such keys,
+    /// and one read of a sibling per leaf the slice leaves under a quarter
+    /// page, which it merges into that sibling when the two fit (the paged
+    /// engine). Work is proportional to the keys written, none to the keys
+    /// stored; nothing walks the whole tree.
+    fn stage_compaction(&self, oldest_version: u64) -> Option<Staged<'static>>;
+
+    /// Make `staged` what reads see. On the paged engine: install the
+    /// images the stage built, free the pages the new tree no longer
+    /// reaches, set the root, log the stage's garbage — and, for a sealed
+    /// batch, checkpoint if one is due. No tree walk, no page encoding.
+    fn publish(&mut self, staged: Staged<'_>);
+
+    /// Stage and publish one sorted batch: [`stage`](Self::stage), then
+    /// [`publish`](Self::publish). Sealed by the next
+    /// [`commit_batch`](Self::commit_batch).
+    fn apply_sorted(&mut self, version: u64, batch: Batch<'_>) {
+        let staged = self.stage(version, batch);
+        self.publish(staged);
+    }
 
     /// Record a write (set, or clear via `None`) at `version`: a batch of
     /// one, so one root-to-leaf descent on the paged engine.
@@ -120,9 +226,9 @@ pub trait StorageEngine: Send + Sync + std::fmt::Debug {
         self.apply_sorted(version, vec![(begin.to_vec(), clear)]);
     }
 
-    /// Mark the end of a committed batch. A crash-safe engine makes every
-    /// write since the previous `commit_batch` durable atomically; the
-    /// in-memory engine ignores it.
+    /// Seal every batch published since the previous seal: a crash-safe
+    /// engine makes them durable atomically, in one WAL frame, and
+    /// checkpoints if one is due; the in-memory engine ignores it.
     fn commit_batch(&mut self) {}
 
     /// Read the value of `key` visible at `read_version`.
@@ -148,9 +254,8 @@ pub trait StorageEngine: Send + Sync + std::fmt::Debug {
     /// range beyond the row at which the visitor stopped, and on the paged
     /// engine no leaf past the range's end: it stops at the first ancestor
     /// separator that the end does not exceed. The visitor runs while the
-    /// caller holds the database's shared store lock, and on the paged
-    /// engine under the buffer-pool lock too, so it must not call back
-    /// into the database.
+    /// caller holds the database's shared store lock, so it must not call
+    /// back into the database.
     fn visit(
         &self,
         begin: &[u8],
@@ -204,21 +309,17 @@ pub trait StorageEngine: Send + Sync + std::fmt::Debug {
     /// commits above it.
     fn newest_version(&self) -> u64;
 
-    /// Drop versions that are no longer visible to any read version
-    /// `>= oldest_version`, and entries that are entirely dead: when it
-    /// returns, no chain holds an entry shadowed at `oldest_version` and no
-    /// key is a lone tombstone at or below it. Returns the number of keys
-    /// visited.
-    ///
-    /// Cost contract: it visits each distinct key whose write at or below
-    /// `oldest_version` shadowed an older entry or was a tombstone and that
-    /// no earlier pass has visited for it, in key order, as one sorted
-    /// batch: one seek per leaf holding such keys, and one read of a
-    /// sibling per leaf the pass leaves under a quarter page, which it
-    /// merges into that sibling when the two fit (the paged engine). Work
-    /// is proportional to the keys written, none to the keys stored;
-    /// nothing walks the whole tree.
-    fn compact(&mut self, oldest_version: u64) -> usize;
+    /// Run MVCC compaction at `oldest_version` to the end, slice by slice
+    /// ([`stage_compaction`](Self::stage_compaction), then
+    /// [`publish`](Self::publish)). Returns the number of keys visited.
+    fn compact(&mut self, oldest_version: u64) -> usize {
+        let mut keys = 0;
+        while let Some(slice) = self.stage_compaction(oldest_version) {
+            keys += slice.keys();
+            self.publish(slice);
+        }
+        keys
+    }
 
     /// Force all buffered state to disk (checkpoint). No-op in memory.
     fn flush(&mut self) {}

@@ -1,14 +1,16 @@
 //! The log of keys compaction has work on, shared by both engines.
 //!
-//! A write leaves something for [`compact`](crate::StorageEngine::compact)
-//! to reclaim when it shadows an older entry of its key's chain or is a
-//! tombstone. An engine [`push`](GarbageLog::push)es the key and version of
-//! every such write; a fresh insert (no chain under the key, a value
-//! written) leaves nothing behind and is not logged. `compact(oldest)`
-//! [`drain`](GarbageLog::drain)s the entries written at or below `oldest` —
-//! exactly the writes whose predecessors no reader can still see — and
-//! visits those keys, so a pass costs what was written since the last one
-//! and nothing for the keys stored.
+//! A write leaves something for compaction to reclaim when it shadows an
+//! older entry of its key's chain or is a tombstone. An engine
+//! [`push`](GarbageLog::push)es the key and version of every such write
+//! when it publishes it; a fresh insert (no chain under the key, a value
+//! written) leaves nothing behind and is not logged. A compaction pass at
+//! `oldest` [`peek`](GarbageLog::peek)s the entries written at or below
+//! `oldest` — exactly the writes whose predecessors no reader can still
+//! see — while it is staged, [`consume`](GarbageLog::consume)s them when
+//! it is published (the paged engine: its first slice), and visits those
+//! keys, so a pass costs what was written since the last one and nothing
+//! for the keys stored.
 //!
 //! **Bound.** An entry leaves with the first pass whose horizon reaches its
 //! version, so the log holds the keys overwritten or cleared inside one MVCC
@@ -45,13 +47,26 @@ const MAX_ENTRY_HEADER: usize = 10 + 5 + 5;
 struct Block {
     /// Encoded entries; allocated once at the block's capacity.
     bytes: Vec<u8>,
-    /// Offset of the first entry not yet drained, which opens a run.
+    /// Offset of the first entry not yet consumed, which opens a run.
     start: usize,
     /// Version of the entry at `start` (its own varint is relative to an
     /// entry that may be gone and is not read).
     first: u64,
     /// Version of the last entry.
     newest: u64,
+}
+
+/// The entries of the log at or below a horizon, as [`GarbageLog::peek`]
+/// takes them: their keys, sorted and without repeats, and how far
+/// [`GarbageLog::consume`] removes.
+#[derive(Debug)]
+pub(crate) struct Slice {
+    pub(crate) keys: Keys,
+    /// Blocks the slice empties.
+    blocks: usize,
+    /// Where the block after them resumes — offset and version of its
+    /// first entry left — if the slice ends inside it.
+    resume: Option<(usize, u64)>,
 }
 
 /// Version-ordered log of `(key, version)` for writes that left garbage.
@@ -100,32 +115,55 @@ impl GarbageLog {
         self.last_key.extend_from_slice(&key[shared..]);
     }
 
-    /// Remove every entry logged at or below `oldest` and return their
-    /// keys, sorted and without repeats.
-    pub(crate) fn drain(&mut self, oldest: u64) -> Keys {
+    /// Every entry logged at or below `oldest`, or `None` when there is
+    /// none. The log is unchanged until the slice is
+    /// [`consume`](Self::consume)d, and must see no push before.
+    pub(crate) fn peek(&self, oldest: u64) -> Option<Slice> {
         let mut keys = Keys::default();
-        while let Some(block) = self.blocks.front_mut() {
+        let (mut blocks, mut resume) = (0, None);
+        for block in &self.blocks {
             if block.first > oldest {
                 break;
             }
-            block.drain_into(oldest, &mut keys);
-            if block.start < block.bytes.len() {
-                break;
+            match block.peek_into(oldest, &mut keys) {
+                Some(at) => {
+                    resume = Some(at);
+                    break;
+                }
+                None => blocks += 1,
             }
-            self.blocks.pop_front();
+        }
+        if keys.len() == 0 {
+            return None;
         }
         let Keys { bytes, spans } = &mut keys;
         let key = |span: &Range<usize>| &bytes[span.clone()];
         spans.sort_unstable_by(|a, b| key(a).cmp(key(b)));
         spans.dedup_by(|a, b| key(a) == key(b));
-        keys
+        Some(Slice {
+            keys,
+            blocks,
+            resume,
+        })
+    }
+
+    /// Remove the entries of `slice`, which [`peek`](Self::peek) took from
+    /// the log as it still is, and return their keys.
+    pub(crate) fn consume(&mut self, slice: Slice) -> Keys {
+        self.blocks.drain(..slice.blocks);
+        if let (Some(resume), Some(block)) = (slice.resume, self.blocks.front_mut()) {
+            (block.start, block.first) = resume;
+        }
+        slice.keys
     }
 }
 
 impl Block {
     /// Decode the entries from `start` on that are at or below `oldest`
-    /// into `keys`, and move `start` past them.
-    fn drain_into(&mut self, oldest: u64, keys: &mut Keys) {
+    /// into `keys`. Returns where the block resumes after them — the
+    /// offset and version of the first entry above `oldest`, which opens a
+    /// run — or `None` if they are all of it.
+    fn peek_into(&self, oldest: u64, keys: &mut Keys) -> Option<(usize, u64)> {
         const OWN: &str = "the log is never input from outside: it reads what it wrote";
         let (mut r, mut version) = (Reader::new(&self.bytes, self.start), self.first);
         let mut previous = 0..0;
@@ -136,8 +174,7 @@ impl Block {
                 version += delta;
             }
             if version > oldest {
-                (self.start, self.first) = (at, version);
-                return;
+                return Some((at, version));
             }
             let shared = r.varint64().expect(OWN) as usize;
             let len = r.varint64().expect(OWN) as usize;
@@ -148,7 +185,7 @@ impl Block {
             previous = key..keys.bytes.len();
             keys.spans.push(previous.clone());
         }
-        self.start = r.pos();
+        None
     }
 }
 
@@ -160,12 +197,30 @@ pub(crate) struct Keys {
 }
 
 impl Keys {
+    pub(crate) fn clear(&mut self) {
+        self.bytes.clear();
+        self.spans.clear();
+    }
+
+    pub(crate) fn push(&mut self, key: &[u8]) {
+        let start = self.bytes.len();
+        self.bytes.extend_from_slice(key);
+        self.spans.push(start..self.bytes.len());
+    }
+
     pub(crate) fn len(&self) -> usize {
         self.spans.len()
     }
 
     pub(crate) fn iter(&self) -> impl Iterator<Item = &[u8]> {
-        self.spans.iter().map(|span| &self.bytes[span.clone()])
+        self.range(0..self.spans.len())
+    }
+
+    /// Keys `range`, in order.
+    pub(crate) fn range(&self, range: Range<usize>) -> impl Iterator<Item = &[u8]> {
+        self.spans[range]
+            .iter()
+            .map(|span| &self.bytes[span.clone()])
     }
 }
 
@@ -174,7 +229,10 @@ mod tests {
     use super::*;
 
     fn drained(log: &mut GarbageLog, oldest: u64) -> Vec<Vec<u8>> {
-        log.drain(oldest).iter().map(<[u8]>::to_vec).collect()
+        let Some(slice) = log.peek(oldest) else {
+            return Vec::new();
+        };
+        log.consume(slice).iter().map(<[u8]>::to_vec).collect()
     }
 
     #[test]

@@ -19,9 +19,12 @@
 //! version or was a tombstone (`garbage`), so MVCC compaction visits the
 //! keys written since the last pass instead of scanning what is stored.
 //!
-//! Every read takes `&self`, so readers share an engine. The paged
-//! engine's reads still change its buffer pool, which it keeps behind a
-//! lock of its own, waited for as [`wait`] describes.
+//! Every read, and the staging of every write, takes `&self`, so readers
+//! share an engine with each other and with a write being staged; only a
+//! write's publish takes `&mut self` (see [`engine`]). The paged engine's
+//! reads still change its buffer pool, which it keeps behind a lock of its
+//! own, taken for one page at a time and waited for as [`wait`]
+//! describes.
 //!
 //! ## Crash-consistency model
 //!
@@ -63,6 +66,7 @@ pub mod engine;
 pub mod file;
 mod garbage;
 pub mod memory;
+mod overlay;
 pub mod page;
 pub mod paged;
 pub mod pool;
@@ -70,7 +74,7 @@ mod replacer;
 pub mod wait;
 pub mod wal;
 
-pub use engine::{Batch, EvictionPolicy, Mutation, StorageEngine, Visitor};
+pub use engine::{Batch, EvictionPolicy, Mutation, Staged, StorageEngine, Visitor};
 pub use memory::MemoryEngine;
 pub use paged::PagedEngine;
 

@@ -34,8 +34,8 @@ use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::ops::{Bound, ControlFlow};
 
-use crate::engine::{Batch, Mutation, StorageEngine, Visitor};
-use crate::garbage::GarbageLog;
+use crate::engine::{check_generation, Batch, Mutation, Staged, StorageEngine, Visitor, Work};
+use crate::garbage::{GarbageLog, Slice};
 
 /// The longest key held in the map's node: with its length byte and the
 /// enum's tag a key's slot is 32 bytes, against 24 for a `Vec<u8>`.
@@ -150,6 +150,8 @@ pub struct MemoryEngine {
     garbage: GarbageLog,
     /// The highest version written.
     newest: u64,
+    /// Publishes so far (see [`Staged`]).
+    generation: u64,
 }
 
 impl MemoryEngine {
@@ -200,8 +202,8 @@ fn names(batch: &[(Vec<u8>, Mutation<'_>)], key: &[u8]) -> bool {
         .any(|(_, m)| !matches!(m, Mutation::ClearRange(_)))
 }
 
-impl StorageEngine for MemoryEngine {
-    /// The batch in its order, one map lookup per key. A range clear
+impl MemoryEngine {
+    /// Publish a batch: in its order, one map lookup per key. A range clear
     /// tombstones key by key (rather than tracking range tombstones), which
     /// keeps reads simple; it costs the live keys in the range, which
     /// matches FDB's own storage-server behaviour closely enough for the
@@ -217,7 +219,7 @@ impl StorageEngine for MemoryEngine {
     /// paid for it: on the benchmark's `query_shapes_mem` the query median
     /// rose 14 % and the throughput fell 12 %. A value an `Update` returns
     /// is made during the batch and kept, trimmed to its length.
-    fn apply_sorted(&mut self, version: u64, mut batch: Batch<'_>) {
+    fn apply(&mut self, version: u64, mut batch: Batch<'_>) {
         debug_assert!(version >= self.newest, "versions must not decrease");
         self.newest = self.newest.max(version);
         let mut items = &mut batch[..];
@@ -250,6 +252,66 @@ impl StorageEngine for MemoryEngine {
                 Mutation::ClearRange(_) => {}
             }
             items = rest;
+        }
+    }
+
+    /// Publish a compaction slice: trim the chains of its keys.
+    fn prune(&mut self, oldest_version: u64, slice: Slice) {
+        let keys = self.garbage.consume(slice);
+        for key in keys.iter() {
+            let Some(chain) = self.map.get_mut(key) else {
+                continue; // removed since it was logged
+            };
+            if let Chain::Many(versions) = chain {
+                // Keep the newest version <= oldest_version (still the
+                // visible base for readers at the horizon) plus everything
+                // newer.
+                let split = versions
+                    .iter()
+                    .rposition(|v| v.version <= oldest_version)
+                    .unwrap_or(0);
+                versions.drain(..split);
+                if let [_] = &versions[..] {
+                    *chain = Chain::One(versions.pop().expect("one version"));
+                }
+            }
+            // Entry can go entirely once only a tombstone at/below the
+            // horizon remains.
+            if let Chain::One(only) = chain {
+                if only.value.is_none() && only.version <= oldest_version {
+                    self.map.remove(key);
+                }
+            }
+        }
+    }
+}
+
+impl StorageEngine for MemoryEngine {
+    fn stage<'a>(&self, version: u64, batch: Batch<'a>) -> Staged<'a> {
+        Staged {
+            generation: self.generation,
+            keys: 0,
+            work: Work::Batch(version, batch),
+        }
+    }
+
+    /// Every logged key at or below `oldest_version`, in one slice: the
+    /// map update is the whole of the work, and it runs at publish.
+    fn stage_compaction(&self, oldest_version: u64) -> Option<Staged<'static>> {
+        let slice = self.garbage.peek(oldest_version)?;
+        Some(Staged {
+            generation: self.generation,
+            keys: slice.keys.len(),
+            work: Work::Compaction(oldest_version, slice),
+        })
+    }
+
+    fn publish(&mut self, staged: Staged<'_>) {
+        check_generation(&mut self.generation, &staged);
+        match staged.work {
+            Work::Batch(version, batch) => self.apply(version, batch),
+            Work::Compaction(oldest, slice) => self.prune(oldest, slice),
+            Work::Paged(_) => unreachable!("a paged engine's stage"),
         }
     }
 
@@ -291,36 +353,6 @@ impl StorageEngine for MemoryEngine {
 
     fn newest_version(&self) -> u64 {
         self.newest
-    }
-
-    fn compact(&mut self, oldest_version: u64) -> usize {
-        let keys = self.garbage.drain(oldest_version);
-        for key in keys.iter() {
-            let Some(chain) = self.map.get_mut(key) else {
-                continue; // removed since it was logged
-            };
-            if let Chain::Many(versions) = chain {
-                // Keep the newest version <= oldest_version (still the
-                // visible base for readers at the horizon) plus everything
-                // newer.
-                let split = versions
-                    .iter()
-                    .rposition(|v| v.version <= oldest_version)
-                    .unwrap_or(0);
-                versions.drain(..split);
-                if let [_] = &versions[..] {
-                    *chain = Chain::One(versions.pop().expect("one version"));
-                }
-            }
-            // Entry can go entirely once only a tombstone at/below the
-            // horizon remains.
-            if let Chain::One(only) = chain {
-                if only.value.is_none() && only.version <= oldest_version {
-                    self.map.remove(key);
-                }
-            }
-        }
-        keys.len()
     }
 
     fn live_key_count(&self, read_version: u64) -> usize {

@@ -2,24 +2,54 @@
 //!
 //! ## Write path
 //!
-//! A commit batch arrives as one [`StorageEngine::apply_sorted`] call: each
-//! key once, already folded, in key order. It is applied to the tree in one
+//! A commit batch arrives as one [`StorageEngine::stage`] call: each key
+//! once, already folded, in key order. It is applied to the tree in one
 //! walk (`btree::apply`, in `btree/walk.rs`): one descent to the first
 //! key's leaf, every key below that leaf's upper separator spliced into one
 //! new image, then up only as far as the next key needs, each ancestor
-//! rewritten at most once.
-//! Its range clears are buffered into the WAL first, and each point write
-//! as the walk makes it; nothing reaches the log file until
-//! [`StorageEngine::commit_batch`] appends the buffered ops as one
-//! checksummed frame. The database applies each commit as one such batch
-//! and seals it with one `commit_batch`: one WAL frame (one `log_appends`
-//! tick) per commit. The engine would seal several transactions applied
-//! between two seals in one frame just the same. Compaction
-//! prunes the keys its garbage log drains, sorted, through the same walk.
-//! The tree pages the batch dirtied stay in the
-//! buffer pool (or get evicted to disk) without any ordering constraint,
-//! because the on-disk meta root still points at the last checkpoint's
-//! tree — shadow paging guarantees eviction can never damage it.
+//! rewritten at most once. The walk runs against an overlay of the buffer
+//! pool (`overlay.rs`), which keeps what it writes and frees to itself, so
+//! the batch is staged beside the published tree. Its range clears are
+//! encoded for the WAL first, and each point write as the walk makes it;
+//! [`StorageEngine::seal`] appends them as one checksummed frame. The
+//! database stages and seals each commit so: one WAL frame (one
+//! `log_appends` tick) per commit. [`StorageEngine::publish`] then installs
+//! what the overlay kept, frees what it freed, sets the root and logs the
+//! batch's garbage — no walk and no encoding. A batch published unsealed
+//! (`apply_sorted`, `write` and the rest) is buffered for the WAL, and the
+//! next seal or [`StorageEngine::commit_batch`] appends it, in one frame
+//! with whatever else it finds buffered. Compaction prunes the keys its
+//! garbage log holds, sorted, through the same walk, a slice of them per
+//! stage. The tree pages a batch dirtied stay in the buffer pool (or get
+//! evicted to disk) without any ordering constraint, because the on-disk
+//! meta root still points at the last checkpoint's tree — shadow paging
+//! guarantees eviction can never damage it.
+//!
+//! ## Concurrency
+//!
+//! Reads and stages take `&self` and publishes `&mut self`, so reads run
+//! beside a stage and never beside a publish. The invariant that makes
+//! this safe: **until publish, nothing the published tree reaches
+//! changes.** A stage rewrites no page the published tree reaches and
+//! replaces no frame of one: a page fresh since the last checkpoint, which
+//! a write rewrites under its own id, gets its new image kept in the
+//! overlay until publish installs it. It frees no such page and makes none
+//! reusable: its frees are noted, and publish frees them. What it does do
+//! is its own: it allocates pages no published page points to, writes
+//! them into the pool, and may rewrite, evict and free them there. The
+//! pool itself is locked for each page a read or a stage looks up, never
+//! across a descent. So a reader of the published root sees that tree
+//! whole, whatever a stage does meanwhile — the shadowing B-tree's own
+//! property (Rodeh, "B-trees, Shadowing, and Clones", TOS 2008). The
+//! exclusive section, publish, does no tree walk, no page encoding and no
+//! compaction walk: it installs, frees, sets the root, and checkpoints
+//! when one is due. `tests/staged_commit_oracle.rs` checks the invariant
+//! against a memory engine with readers running beside every stage.
+//!
+//! A [`Staged`] must be published before the engine stages or publishes
+//! anything else, since what it kept assumes the tree and the checkpoint
+//! it was staged against; the engine counts publishes and checkpoints, and
+//! refuses one that was not.
 //!
 //! ## Checkpoints
 //!
@@ -49,15 +79,17 @@
 
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
 use crate::btree::{self, chain_entries, chain_visible_at, Cursor, Edit, Seen, Step};
-use crate::engine::{Batch, EvictionPolicy, Mutation, StorageEngine, Visitor};
-use crate::garbage::GarbageLog;
+use crate::engine::{check_generation, Batch, EvictionPolicy, Mutation, Staged, StorageEngine};
+use crate::engine::{Visitor, Work};
+use crate::garbage::{GarbageLog, Keys, Slice};
+use crate::overlay::{Buffers, Overlay, Shadow};
 use crate::page::PAGE_SIZE;
-use crate::pool::BufferPool;
-use crate::wait::{acquired, yield_until};
-use crate::wal::{Wal, WalOp};
+use crate::pool::{BufferPool, Shared};
+use crate::wait::lock;
+use crate::wal::{put_clear_range, put_write, Wal, WalOp};
 use crate::SharedIoCounters;
 
 /// Checkpoint (and truncate the WAL) once it grows past this size: the
@@ -67,22 +99,82 @@ const WAL_CHECKPOINT_BYTES: u64 = 1 << 20;
 /// reach the live tree's size, counted as at least this many pages, so
 /// that a tree of a few pages is not checkpointed on every commit.
 const CHECKPOINT_FLOOR_PAGES: usize = 64;
+/// The most garbage-log entries one compaction slice visits. A slice's
+/// keys lie in as many leaves, about, and until its publish each leaf it
+/// rewrites is held twice — the published image and the staged one — so
+/// the slice is kept small: at 512 keys a slice held about 2 MB on the
+/// benchmark's `cloudkit_tenants_fit`, whose peak resident memory rose
+/// 5 % over a pass that rewrote leaves in place; at 64 it rose 1.6 %.
+const COMPACTION_SLICE_KEYS: usize = 64;
 
 /// Disk-backed MVCC storage engine.
 #[derive(Debug)]
 pub struct PagedEngine {
-    /// Locked by the `&self` reads, which change it too (a hit marks its
-    /// frame visited, a miss loads a frame and may evict one); the
-    /// `&mut self` paths reach it with [`exclusive`] and take no lock.
+    /// Locked by the `&self` paths for one page at a time: reads, which
+    /// change it too (a hit marks its frame visited, a miss loads a frame
+    /// and may evict one), and a stage's overlay. The `&mut self` paths
+    /// reach it with [`exclusive`] and take no lock.
     pool: Mutex<BufferPool>,
-    wal: Wal,
-    /// Keys whose chains hold something `compact` can drop.
+    /// Locked by [`StorageEngine::seal`], the one `&self` path that appends.
+    wal: Mutex<Wal>,
+    /// Keys whose chains hold something compaction can drop.
     garbage: GarbageLog,
     /// The highest version written, or stored at open.
     newest: u64,
+    /// Publishes and checkpoints so far: a [`Staged`] made before one of
+    /// them is refused.
+    generation: u64,
+    /// The buffers the last publish emptied, which the next stage fills.
+    spare: Mutex<Spare>,
+    /// The pass under way: the keys it visits, sorted, and how many of
+    /// them its slices have visited.
+    compacting: Compacting,
     counters: SharedIoCounters,
     pool_pages: usize,
     dir: PathBuf,
+}
+
+/// The buffers of a stage: its overlay's, its WAL ops' and its
+/// garbage-log entries'.
+#[derive(Debug, Default)]
+struct Spare {
+    pages: Buffers,
+    log: Vec<u8>,
+    garbage: Keys,
+}
+
+/// A compaction pass, a slice at a time: at its first slice it takes every
+/// key the garbage log holds at or below its horizon off the log.
+#[derive(Debug, Default)]
+struct Compacting {
+    oldest: u64,
+    keys: Keys,
+    visited: usize,
+}
+
+/// A compaction slice: the log entries its pass takes, at its first
+/// slice, and the keys its pass has visited once it is published.
+#[derive(Debug)]
+struct SliceOf {
+    taken: Option<Slice>,
+    oldest: u64,
+    visited: usize,
+}
+
+/// What the paged engine stages: the overlay's pages, and what the engine
+/// logs at publish.
+#[derive(Debug)]
+pub(crate) struct StagedPages {
+    shadow: Shadow,
+    /// A batch's version; for a compaction slice, the engine's newest.
+    version: u64,
+    /// The batch's WAL ops, until sealed.
+    log: Vec<u8>,
+    sealed: bool,
+    /// Keys whose writes left garbage, logged at `version`.
+    garbage: Keys,
+    /// A compaction slice's.
+    slice: Option<SliceOf>,
 }
 
 impl PagedEngine {
@@ -101,9 +193,12 @@ impl PagedEngine {
         let wal = Wal::open(&dir.join("wal.log"))?;
         let mut engine = PagedEngine {
             pool: Mutex::new(pool),
-            wal,
+            wal: Mutex::new(wal),
             garbage: GarbageLog::default(),
             newest: 0,
+            generation: 0,
+            spare: Mutex::default(),
+            compacting: Compacting::default(),
             counters,
             pool_pages,
             dir: dir.to_path_buf(),
@@ -114,8 +209,8 @@ impl PagedEngine {
 
     /// Load what the checkpoint tree holds that the engine keeps in memory
     /// — the newest version, a garbage-log entry for every chain entry a
-    /// later `compact` has to reach, so nothing written before this open is
-    /// stranded, and the free list: every page the tree does not reach —
+    /// later compaction has to reach, so nothing written before this open
+    /// is stranded, and the free list: every page the tree does not reach —
     /// then replay the WAL tail through the write path, which logs its own.
     /// The one pass over the tree the engine ever makes.
     fn recover(&mut self) -> io::Result<()> {
@@ -143,13 +238,15 @@ impl PagedEngine {
             self.garbage.push(&keys[key], version);
         }
 
-        let lsn = pool.checkpoint_lsn();
-        let batches = self.wal.replay_from(lsn)?;
+        let wal = exclusive(&mut self.wal);
+        let lsn = exclusive(&mut self.pool).checkpoint_lsn();
+        let batches = wal.replay_from(lsn)?;
         if batches.is_empty() {
             return Ok(());
         }
         // Op by op: writes straight to the engine may come in any order and
-        // at several versions between two commits.
+        // at several versions between two commits. Each is staged unlogged
+        // and published, as a commit is.
         for batch in batches {
             for op in batch {
                 let (version, item) = match op {
@@ -164,12 +261,14 @@ impl PagedEngine {
                         version,
                     } => (version, (begin, Mutation::ClearRange(end))),
                 };
-                self.apply(version, vec![item], false)?;
+                let staged = self.stage_batch(version, vec![item], false)?;
+                self.install(staged)?;
             }
         }
         // Fold the replayed tail into a fresh checkpoint so the next open
         // starts clean.
-        exclusive(&mut self.pool).checkpoint(self.wal.len())
+        let lsn = exclusive(&mut self.wal).len();
+        exclusive(&mut self.pool).checkpoint(lsn)
     }
 
     /// Tear down without running the destructor's checkpoint — the on-disk
@@ -185,33 +284,31 @@ impl PagedEngine {
         btree::check_consistency(exclusive(&mut self.pool))
     }
 
-    /// Note a write at `version`: versions arrive in nondecreasing order,
-    /// engine-wide.
-    fn advance(&mut self, version: u64) {
-        debug_assert!(version >= self.newest, "versions must not decrease");
-        self.newest = self.newest.max(version);
-    }
-
-    /// Apply a sorted batch at `version` in one walk of the tree. Unless the
-    /// WAL itself is being replayed (`log` false), its range clears are
-    /// buffered for the WAL first and each point write as the walk makes
-    /// it: a replay that clears a range before it writes the keys the batch
-    /// named inside it writes them at the same version, and ends where the
-    /// batch did. Each write that shadows an older entry or is a tombstone
-    /// goes into the garbage log.
-    fn apply(&mut self, version: u64, batch: Batch<'_>, log: bool) -> io::Result<()> {
-        self.advance(version);
-        let (wal, garbage) = (&mut self.wal, &mut self.garbage);
+    /// Stage a sorted batch at `version` in one walk of the tree, against
+    /// an overlay of the published pool. Unless the WAL itself is being
+    /// replayed (`log` false), its range clears are encoded for the WAL
+    /// first and each point write as the walk makes it: a replay that
+    /// clears a range before it writes the keys the batch named inside it
+    /// writes them at the same version, and ends where the batch did. Each
+    /// write that shadows an older entry or is a tombstone is noted for the
+    /// garbage log.
+    fn stage_batch(&self, version: u64, batch: Batch<'_>, log: bool) -> io::Result<StagedPages> {
+        let Spare {
+            pages,
+            log: mut ops,
+            mut garbage,
+        } = std::mem::take(&mut *lock(&self.spare));
         for (begin, mutation) in batch.iter().filter(|_| log) {
             if let Mutation::ClearRange(end) = mutation {
-                wal.buffer_clear_range(begin, end, version);
+                put_clear_range(&mut ops, begin, end, version);
             }
         }
         let steps = batch.into_iter().map(|(key, mutation)| match mutation {
             Mutation::ClearRange(end) => (key, Step::Range(end)),
             point => (key, Step::Point(point)),
         });
-        btree::apply(exclusive(&mut self.pool), steps, |key, seen| {
+        let mut overlay = Overlay::new(&self.pool, pages);
+        btree::apply(&mut overlay, steps, |key, seen| {
             let (stored, value) = match seen {
                 // A range clear tombstones a key whose newest chain entry
                 // is a live value, mirroring the in-memory engine exactly.
@@ -232,28 +329,134 @@ impl PagedEngine {
                         }
                     };
                     if log {
-                        wal.buffer_write(key, value.as_deref(), version);
+                        put_write(&mut ops, key, value.as_deref(), version);
                     }
                     (stored, value)
                 }
             };
             let (chain, shadows) = btree::chain_pushed(stored, version, value.as_deref())?;
             if shadows || value.is_none() {
-                garbage.push(key, version);
+                garbage.push(key);
             }
             Ok(Edit::Put(chain))
+        })?;
+        Ok(StagedPages {
+            shadow: overlay.finish(),
+            version,
+            log: ops,
+            sealed: false,
+            garbage,
+            slice: None,
         })
     }
 
-    /// Seal the batch in one WAL frame, then checkpoint if one is due (see
-    /// the module's *Checkpoints*).
+    /// Stage the next slice of compaction: the next
+    /// [`COMPACTION_SLICE_KEYS`] keys of the pass under way, or of a new
+    /// pass at `oldest_version` — every key the garbage log holds at or
+    /// below it, sorted and without repeats — pruned in one walk, one
+    /// descent per leaf they lie in. Returns the keys it visits. Compaction
+    /// is deliberately not logged — replaying a WAL without it yields the
+    /// same visible state for every read version still in the MVCC window.
+    fn stage_slice(&self, oldest_version: u64) -> io::Result<Option<(usize, StagedPages)>> {
+        let pass = &self.compacting;
+        let taken = match pass.visited < pass.keys.len() {
+            true => None,
+            false => match self.garbage.peek(oldest_version) {
+                None => return Ok(None),
+                taken => taken,
+            },
+        };
+        let (keys, oldest, from) = match &taken {
+            Some(slice) => (&slice.keys, oldest_version, 0),
+            None => (&pass.keys, pass.oldest, pass.visited),
+        };
+        let to = keys.len().min(from + COMPACTION_SLICE_KEYS);
+        let Spare {
+            pages,
+            log,
+            garbage,
+        } = std::mem::take(&mut *lock(&self.spare));
+        let mut overlay = Overlay::new(&self.pool, pages);
+        btree::prune_sorted(&mut overlay, keys.range(from..to), oldest)?;
+        let slice = SliceOf {
+            taken,
+            oldest,
+            visited: to,
+        };
+        Ok(Some((
+            to - from,
+            StagedPages {
+                shadow: overlay.finish(),
+                version: self.newest,
+                log,
+                sealed: false,
+                garbage,
+                slice: Some(slice),
+            },
+        )))
+    }
+
+    /// Publish what was staged: install its pages, log its garbage, buffer
+    /// its WAL ops if it was not sealed, and checkpoint if it was and one
+    /// is due.
+    fn install(&mut self, staged: StagedPages) -> io::Result<()> {
+        let StagedPages {
+            shadow,
+            version,
+            mut log,
+            sealed,
+            mut garbage,
+            slice,
+        } = staged;
+        let pages = shadow.install(exclusive(&mut self.pool))?;
+        debug_assert!(version >= self.newest, "versions must not decrease");
+        self.newest = self.newest.max(version);
+        for key in garbage.iter() {
+            self.garbage.push(key, version);
+        }
+        if let Some(slice) = slice {
+            if let Some(taken) = slice.taken {
+                let keys = self.garbage.consume(taken);
+                self.compacting = Compacting {
+                    oldest: slice.oldest,
+                    keys,
+                    visited: 0,
+                };
+            }
+            self.compacting.visited = slice.visited;
+            if slice.visited == self.compacting.keys.len() {
+                self.compacting = Compacting::default();
+            }
+        }
+        exclusive(&mut self.wal).buffer(&log);
+        log.clear();
+        garbage.clear();
+        *exclusive(&mut self.spare) = Spare {
+            pages,
+            log,
+            garbage,
+        };
+        if sealed {
+            self.checkpoint_if_due()?;
+        }
+        Ok(())
+    }
+
+    /// Seal what was published since the last seal in one WAL frame, then
+    /// checkpoint if one is due.
     fn try_commit_batch(&mut self) -> io::Result<()> {
-        self.wal.commit(&self.counters)?;
+        exclusive(&mut self.wal).commit(&self.counters)?;
+        self.checkpoint_if_due()
+    }
+
+    /// Checkpoint if one is due (see the module's *Checkpoints*).
+    fn checkpoint_if_due(&mut self) -> io::Result<()> {
+        let wal = exclusive(&mut self.wal).len();
         let pool = exclusive(&mut self.pool);
         let page = PAGE_SIZE as u64;
-        let extra = self.wal.len() + pool.superseded_pages() as u64 * page;
+        let extra = wal + pool.superseded_pages() as u64 * page;
         let live = pool.live_pages().max(CHECKPOINT_FLOOR_PAGES) as u64 * page;
-        if self.wal.len() > WAL_CHECKPOINT_BYTES || extra >= live {
+        if wal > WAL_CHECKPOINT_BYTES || extra >= live {
             self.try_flush()?;
         }
         Ok(())
@@ -261,23 +464,18 @@ impl PagedEngine {
 
     /// Checkpoint the tree and truncate the superseded WAL.
     fn try_flush(&mut self) -> io::Result<()> {
-        exclusive(&mut self.pool).checkpoint(self.wal.len())?;
-        if !self.wal.is_empty() {
+        self.generation += 1;
+        let wal = exclusive(&mut self.wal);
+        let pool = exclusive(&mut self.pool);
+        pool.checkpoint(wal.len())?;
+        if !wal.is_empty() {
             // Order matters: truncate first, then record lsn=0. A crash in
             // between leaves meta pointing past the (empty) log, which
             // recovery treats as "nothing to replay".
-            self.wal.truncate()?;
-            exclusive(&mut self.pool).checkpoint(0)?;
+            wal.truncate()?;
+            pool.checkpoint(0)?;
         }
         Ok(())
-    }
-
-    /// The pool for a `&self` read: locked, a contended lock waited for
-    /// as [`crate::wait`] describes.
-    #[expect(clippy::disallowed_methods, reason = "rl_storage is below rl_fdb")]
-    fn lock_pool(&self) -> MutexGuard<'_, BufferPool> {
-        yield_until(|| acquired(self.pool.try_lock()))
-            .unwrap_or_else(|| self.pool.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// One descent to the starting bound, then leaf-to-leaf in visit
@@ -292,7 +490,7 @@ impl PagedEngine {
         visitor: &mut Visitor<'_>,
     ) -> io::Result<()> {
         let (from, to) = if reverse { (end, begin) } else { (begin, end) };
-        let pool = &mut *self.lock_pool();
+        let pool = &mut Shared(&self.pool);
         let mut cursor = Cursor::seek(pool, from, Some(to), !reverse)?;
         while let Some((key, chain)) = cursor.next(pool)? {
             if let Some(value) = chain_visible_at(chain, read_version)? {
@@ -310,40 +508,32 @@ impl PagedEngine {
         mut acc: T,
         mut f: impl FnMut(T, &[u8]) -> io::Result<T>,
     ) -> io::Result<T> {
-        let pool = &mut *self.lock_pool();
+        let pool = &mut Shared(&self.pool);
         let mut cursor = Cursor::seek(pool, b"", None, true)?;
         while let Some((_, chain)) = cursor.next(pool)? {
             acc = f(acc, chain)?;
         }
         Ok(acc)
     }
-
-    fn try_compact(&mut self, oldest_version: u64) -> io::Result<usize> {
-        // Compaction is deliberately NOT logged — replaying a WAL without
-        // it yields the same visible state for every read version still in
-        // the MVCC window.
-        // The drained keys come sorted and without repeats: one walk, one
-        // descent per leaf they lie in.
-        let keys = self.garbage.drain(oldest_version);
-        btree::prune_sorted(exclusive(&mut self.pool), keys.iter(), oldest_version)?;
-        Ok(keys.len())
-    }
 }
 
-/// The pool through `&mut self`: no reader can hold the lock, so none is
-/// taken. A poisoned lock is recovered, as [`PagedEngine::lock_pool`]
-/// recovers it.
-fn exclusive(pool: &mut Mutex<BufferPool>) -> &mut BufferPool {
-    pool.get_mut().unwrap_or_else(PoisonError::into_inner)
+/// A mutex of the engine's through `&mut self`: no reader can hold the
+/// lock, so none is taken. A poisoned lock is recovered, as
+/// [`lock`] recovers it.
+fn exclusive<T>(mutex: &mut Mutex<T>) -> &mut T {
+    mutex.get_mut().unwrap_or_else(PoisonError::into_inner)
 }
+
+const FOREIGN: &str = "a memory engine's stage handed to the paged engine";
 
 impl Drop for PagedEngine {
     fn drop(&mut self) {
-        if self.wal.has_pending() {
+        let wal = exclusive(&mut self.wal);
+        if wal.has_pending() {
             // A batch was applied to the tree but never committed: persist
             // nothing new, so reopening replays only committed state —
             // identical to a crash at this instant.
-            self.wal.discard_pending();
+            wal.discard_pending();
             return;
         }
         // A clean close leaves the log empty, as a flush does.
@@ -354,8 +544,42 @@ impl Drop for PagedEngine {
 const IO_MSG: &str = "paged storage engine I/O error";
 
 impl StorageEngine for PagedEngine {
-    fn apply_sorted(&mut self, version: u64, batch: Batch<'_>) {
-        self.apply(version, batch, true).expect(IO_MSG);
+    fn stage<'a>(&self, version: u64, batch: Batch<'a>) -> Staged<'a> {
+        let pages = self.stage_batch(version, batch, true).expect(IO_MSG);
+        Staged {
+            generation: self.generation,
+            keys: 0,
+            work: Work::Paged(pages),
+        }
+    }
+
+    /// One WAL frame: what was published unsealed, then the staged batch.
+    fn seal(&self, staged: &mut Staged<'_>) {
+        let Work::Paged(pages) = &mut staged.work else {
+            panic!("{FOREIGN}");
+        };
+        let mut wal = lock(&self.wal);
+        wal.buffer(&pages.log);
+        pages.log.clear();
+        wal.commit(&self.counters).expect(IO_MSG);
+        pages.sealed = true;
+    }
+
+    fn stage_compaction(&self, oldest_version: u64) -> Option<Staged<'static>> {
+        let (keys, pages) = self.stage_slice(oldest_version).expect(IO_MSG)?;
+        Some(Staged {
+            generation: self.generation,
+            keys,
+            work: Work::Paged(pages),
+        })
+    }
+
+    fn publish(&mut self, staged: Staged<'_>) {
+        check_generation(&mut self.generation, &staged);
+        let Work::Paged(pages) = staged.work else {
+            panic!("{FOREIGN}");
+        };
+        self.install(pages).expect(IO_MSG);
     }
 
     fn commit_batch(&mut self) {
@@ -363,7 +587,7 @@ impl StorageEngine for PagedEngine {
     }
 
     fn get(&self, key: &[u8], read_version: u64) -> Option<Vec<u8>> {
-        btree::get(&mut self.lock_pool(), key, read_version).expect(IO_MSG)
+        btree::get(&mut Shared(&self.pool), key, read_version).expect(IO_MSG)
     }
 
     fn visit(
@@ -380,10 +604,6 @@ impl StorageEngine for PagedEngine {
 
     fn newest_version(&self) -> u64 {
         self.newest
-    }
-
-    fn compact(&mut self, oldest_version: u64) -> usize {
-        self.try_compact(oldest_version).expect(IO_MSG)
     }
 
     fn flush(&mut self) {
@@ -409,8 +629,8 @@ impl StorageEngine for PagedEngine {
             "paged(dir={}, pool_pages={}, file_pages={}, wal_bytes={})",
             self.dir.display(),
             self.pool_pages,
-            self.lock_pool().page_count(),
-            self.wal.len(),
+            lock(&self.pool).page_count(),
+            lock(&self.wal).len(),
         )
     }
 }
@@ -634,7 +854,10 @@ mod tests {
                     e.commit_batch();
                 }
             }
-            assert!(!e.wal.is_empty(), "the log holds the batches");
+            assert!(
+                !exclusive(&mut e.wal).is_empty(),
+                "the log holds the batches"
+            );
         }
         assert_eq!(std::fs::metadata(d.join("wal.log")).unwrap().len(), 0);
         let mut e = open(&d, 32);
@@ -719,7 +942,7 @@ mod tests {
             e.commit_batch();
         }
         assert!(
-            e.wal.len() < WAL_CHECKPOINT_BYTES,
+            exclusive(&mut e.wal).len() < WAL_CHECKPOINT_BYTES,
             "WAL should have been truncated by a size-triggered checkpoint"
         );
         assert_eq!(e.get(b"k19", 100), Some(big));

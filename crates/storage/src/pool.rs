@@ -17,11 +17,13 @@ use std::collections::{HashMap, HashSet};
 use std::io;
 use std::ops::Deref;
 use std::path::Path;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
+use crate::btree::PageSource;
 use crate::file::PageFile;
 use crate::page::{PageId, MAX_PAYLOAD, NO_PAGE};
 use crate::replacer::SieveReplacer;
+use crate::wait::lock;
 use crate::SharedIoCounters;
 
 /// One page's payload as the pool holds it. An image never changes: a
@@ -73,6 +75,24 @@ struct Frame {
     page: PageId,
     payload: Page,
     dirty: bool,
+}
+
+/// A pool shared by readers, locked for one page at a time: a read of the
+/// tree holds the lock while it looks a page up (and loads it on a miss),
+/// never across its descent. What it reads stays as read, since a reader
+/// holds the images it was handed and the tree it reads is published: no
+/// page that tree reaches changes until the engine's next `&mut` publish.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Shared<'p>(pub(crate) &'p Mutex<BufferPool>);
+
+impl PageSource for Shared<'_> {
+    fn root(&self) -> PageId {
+        lock(self.0).root()
+    }
+
+    fn read(&mut self, id: PageId) -> io::Result<Page> {
+        lock(self.0).read(id)
+    }
 }
 
 /// Buffer pool + page allocator over a [`PageFile`].
@@ -128,6 +148,17 @@ impl BufferPool {
 
     pub fn set_root(&mut self, root: PageId) {
         self.root = root;
+    }
+
+    /// The most frames the pool holds.
+    pub(crate) fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Whether page `id` was allocated since the last checkpoint, so that
+    /// [`write_cow`](Self::write_cow) rewrites it under its own id.
+    pub(crate) fn is_fresh(&self, id: PageId) -> bool {
+        self.fresh.contains(&id)
     }
 
     /// WAL offset covered by the last durable checkpoint.

@@ -1,9 +1,9 @@
 //! How a contended lock is waited for: retried, yielding the CPU after
 //! each failure, for about one hold, and only then parked. The paged
-//! engine's pool lock waits this way, and so do `rl_fdb::sync`'s
+//! engine's pool and WAL locks wait this way, and so do `rl_fdb::sync`'s
 //! conflict-shard and store locks.
 
-use std::sync::{TryLockError, TryLockResult};
+use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError, TryLockResult};
 
 /// How often a contended acquisition is retried, yielding the CPU after
 /// each failure, before the thread parks: 50–100 µs on the reference box
@@ -41,4 +41,12 @@ pub fn yield_until<G>(mut attempt: impl FnMut() -> Option<G>) -> Option<G> {
         std::thread::yield_now();
     }
     None
+}
+
+/// A mutex of the paged engine's, locked: a contended lock is waited for
+/// as this module describes, and a poisoned one recovered.
+#[expect(clippy::disallowed_methods, reason = "rl_storage is below rl_fdb")]
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    yield_until(|| acquired(mutex.try_lock()))
+        .unwrap_or_else(|| mutex.lock().unwrap_or_else(PoisonError::into_inner))
 }

@@ -45,6 +45,31 @@ pub enum WalOp {
     },
 }
 
+/// Encode a set (or, with `None`, a clear) as a frame's payload holds it.
+pub fn put_write(out: &mut Vec<u8>, key: &[u8], value: Option<&[u8]>, version: u64) {
+    put_op(out, if value.is_some() { 0x01 } else { 0x02 }, version, key);
+    if let Some(value) = value {
+        put_bytes(out, value);
+    }
+}
+
+/// Encode a range clear as a frame's payload holds it.
+pub fn put_clear_range(out: &mut Vec<u8>, begin: &[u8], end: &[u8], version: u64) {
+    put_op(out, 0x03, version, begin);
+    put_bytes(out, end);
+}
+
+fn put_op(out: &mut Vec<u8>, tag: u8, version: u64, first: &[u8]) {
+    out.push(tag);
+    out.extend_from_slice(&version.to_le_bytes());
+    put_bytes(out, first);
+}
+
+fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+    out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+    out.extend_from_slice(bytes);
+}
+
 /// Frame header: payload length + checksum.
 const FRAME_HEADER: usize = 4 + 4;
 
@@ -86,28 +111,17 @@ impl Wal {
 
     /// Buffer a set (or, with `None`, a clear) for the next commit frame.
     pub fn buffer_write(&mut self, key: &[u8], value: Option<&[u8]>, version: u64) {
-        self.buffer_op(if value.is_some() { 0x01 } else { 0x02 }, version, key);
-        if let Some(value) = value {
-            self.buffer_bytes(value);
-        }
+        put_write(&mut self.pending, key, value, version);
     }
 
     /// Buffer a range clear for the next commit frame.
     pub fn buffer_clear_range(&mut self, begin: &[u8], end: &[u8], version: u64) {
-        self.buffer_op(0x03, version, begin);
-        self.buffer_bytes(end);
+        put_clear_range(&mut self.pending, begin, end, version);
     }
 
-    fn buffer_op(&mut self, tag: u8, version: u64, first: &[u8]) {
-        self.pending.push(tag);
-        self.pending.extend_from_slice(&version.to_le_bytes());
-        self.buffer_bytes(first);
-    }
-
-    fn buffer_bytes(&mut self, bytes: &[u8]) {
-        self.pending
-            .extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-        self.pending.extend_from_slice(bytes);
+    /// Buffer ops encoded by [`put_write`] and [`put_clear_range`].
+    pub fn buffer(&mut self, ops: &[u8]) {
+        self.pending.extend_from_slice(ops);
     }
 
     /// Whether any ops are buffered but not yet committed.

@@ -6,9 +6,11 @@
 //! same value through `message.get`, the same values through its
 //! `FieldSource` (nested messages read the same way, recursively), the
 //! same full message from `to_message` and `into_message`, and its stored
-//! wire bytes from `message.encode()`. Where the decode fails, the fetch or
-//! the full decode of the fetched record must fail with an error, and no
-//! read of it may panic.
+//! wire bytes from `message.encode()`. Where the decode fails, the fetch
+//! must fail with an error, or the fetched record's field reads and its
+//! full decode must all fail with one, and no read of it may panic. A
+//! singular field twice on the wire follows one rule both ways: the last
+//! occurrence wins, and a malformed occurrence it supersedes is no error.
 //!
 //! The wire bytes are built field by field, not by `encode()`, so they
 //! reach what a writer with another schema or a broken writer leaves. The
@@ -23,7 +25,10 @@
 //!   (`duplicate_singular`);
 //! * a tag cut short at the end of the bytes (`truncated_tag`);
 //! * a length that runs past the end of the bytes (`truncated_length`);
-//! * a string field whose bytes are not UTF-8 (`invalid_utf8`).
+//! * a string field whose bytes are not UTF-8 (`invalid_utf8`);
+//! * such a string that a later occurrence of its singular field
+//!   supersedes, so that both readers accept the record
+//!   (`superseded_invalid_utf8`).
 
 use std::collections::BTreeSet;
 use std::ops::ControlFlow;
@@ -351,13 +356,17 @@ fn fetched_records_read_as_their_decode() {
             Ok(decoded) => {
                 let record = fetched.unwrap_or_else(|e| panic!("{what}: {e}"));
                 check(&record.expect("stored"), &decoded, wire, &what);
+                if wire.windows(3).any(|w| w == b"x\xFF\xFE") {
+                    seen.0.insert("superseded_invalid_utf8");
+                }
                 decoded_ok += 1;
             }
             Err(_) => {
                 // The fetch refuses the bytes, or the record it returns
-                // refuses a full decode; reading what it can never panics.
+                // refuses its field reads and a full decode; reading what
+                // it can never panics.
                 if let Ok(Some(record)) = fetched {
-                    let _ = read_all(&record);
+                    assert!(read_all(&record).is_err(), "{what}: read as valid");
                     desc.fields().iter().for_each(|fd| {
                         let _ = (record.message.get(&fd.name), record.get_value(&fd.name));
                     });
@@ -378,6 +387,7 @@ fn fetched_records_read_as_their_decode() {
         "invalid_utf8",
         "nested",
         "repeated",
+        "superseded_invalid_utf8",
         "truncated_length",
         "truncated_tag",
         "unknown",
