@@ -63,7 +63,7 @@ use rl_storage::{MemoryEngine, StorageEngine, Visitor};
 
 /// The version counters only a commit touches, behind the commit-writer
 /// lock.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Writer {
     /// The newest commit version allocated.
     last_commit_version: u64,

@@ -179,8 +179,8 @@ pub trait StorageEngine: Send + Sync + std::fmt::Debug {
     ///
     /// Cost contract: a slice visits the next keys of the garbage log whose
     /// write at or below `oldest_version` shadowed an older entry or was a
-    /// tombstone and that no earlier slice has visited for it — at most a
-    /// few hundred on the paged engine, every one on the memory engine — in
+    /// tombstone and that no earlier slice has visited for it — at most 64
+    /// on the paged engine, every one on the memory engine — in
     /// key order, as one sorted batch: one seek per leaf holding such keys,
     /// and one read of a sibling per leaf the slice leaves under a quarter
     /// page, which it merges into that sibling when the two fit (the paged

@@ -15,9 +15,11 @@
 //! * a page the published tree reaches and that is fresh since the last
 //!   checkpoint would be rewritten under its own id. Its new image is kept
 //!   here instead, and installed by [`Shadow::install`]: until then readers
-//!   see the old one. At most a quarter of the pool's frames are held this
-//!   way; past that such a page is copied to a page of the overlay's own,
-//!   as a page of the last checkpoint's tree always is.
+//!   see the old one. At most as many images as the pool has frames, and
+//!   no more than [`REPLACED_MAX`], are held this way; past that such a
+//!   page is copied to a page of the overlay's own, as a page of the last
+//!   checkpoint's tree always is. So a stage holds at most about one
+//!   pool's worth of images beside the pool.
 //! * a page the published tree reaches and that the walk frees or copies
 //!   is only noted, and freed by [`Shadow::install`].
 //!
@@ -93,7 +95,9 @@ impl<'p> Overlay<'p> {
 }
 
 /// The most images an overlay keeps under their ids: the images it looks
-/// an id up among, one by one.
+/// an id up among, one by one. A smaller bound (a quarter of a 256-frame
+/// pool) made a bulk load copy-on-write most of the pages it rewrote, and
+/// took `record_mix_paged`'s `setup_s` up by a quarter.
 const REPLACED_MAX: usize = 256;
 
 impl PageSource for Overlay<'_> {

@@ -99,12 +99,12 @@ const WAL_CHECKPOINT_BYTES: u64 = 1 << 20;
 /// reach the live tree's size, counted as at least this many pages, so
 /// that a tree of a few pages is not checkpointed on every commit.
 const CHECKPOINT_FLOOR_PAGES: usize = 64;
-/// The most garbage-log entries one compaction slice visits. A slice's
-/// keys lie in as many leaves, about, and until its publish each leaf it
-/// rewrites is held twice — the published image and the staged one — so
-/// the slice is kept small: at 512 keys a slice held about 2 MB on the
-/// benchmark's `cloudkit_tenants_fit`, whose peak resident memory rose
-/// 5 % over a pass that rewrote leaves in place; at 64 it rose 1.6 %.
+/// The most keys one compaction slice visits. They lie in about as many
+/// leaves, and until the slice's publish each leaf it rewrites is held
+/// twice, the published image and the staged one, so a slice is kept
+/// small: on the benchmark's `cloudkit_tenants_fit`, slices of 512 raised
+/// peak resident memory 5 % over a pass that rewrote leaves in place, and
+/// slices of 64 raised it 1.6 %.
 const COMPACTION_SLICE_KEYS: usize = 64;
 
 /// Disk-backed MVCC storage engine.
@@ -155,7 +155,7 @@ struct Compacting {
 /// A compaction slice: the log entries its pass takes, at its first
 /// slice, and the keys its pass has visited once it is published.
 #[derive(Debug)]
-struct SliceOf {
+struct CompactionSlice {
     taken: Option<Slice>,
     oldest: u64,
     visited: usize,
@@ -174,7 +174,7 @@ pub(crate) struct StagedPages {
     /// Keys whose writes left garbage, logged at `version`.
     garbage: Keys,
     /// A compaction slice's.
-    slice: Option<SliceOf>,
+    slice: Option<CompactionSlice>,
 }
 
 impl PagedEngine {
@@ -378,7 +378,7 @@ impl PagedEngine {
         } = std::mem::take(&mut *lock(&self.spare));
         let mut overlay = Overlay::new(&self.pool, pages);
         btree::prune_sorted(&mut overlay, keys.range(from..to), oldest)?;
-        let slice = SliceOf {
+        let slice = CompactionSlice {
             taken,
             oldest,
             visited: to,
