@@ -32,11 +32,11 @@
 //!    Acquired shared ([`read_ranked`]) for MVCC snapshot reads and for a
 //!    commit's staging and sealing, and a compaction slice's staging;
 //!    exclusive ([`write_ranked`]) only to publish what was staged, under
-//!    the commit-writer lock. Under it, and outside this tracker, sit two
-//!    `rl_storage` leaves: the paged engine's buffer-pool mutex, which its
-//!    reads take for a read and a stage's overlay for one page at a time,
-//!    and its WAL mutex, which a seal takes; nothing else is acquired
-//!    under either.
+//!    the commit-writer lock. Under it, and outside this tracker, sit the
+//!    paged engine's leaf mutexes: its buffer pool's, which a read and a
+//!    stage's overlay take for one page at a time; its WAL's, which a seal
+//!    takes; and its spare stage buffers', which a stage takes once.
+//!    Nothing else is acquired under any of them.
 //! 6. [`LockRank::StateCache`] — the `RwLock` over the map of
 //!    metadata-version-validated soft state: shared for a lookup, exclusive
 //!    for an insert. A leaf: nothing is acquired while it is held, and it

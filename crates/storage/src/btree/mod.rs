@@ -61,15 +61,17 @@
 //! [`chain_visible_at`] and [`chain_entries`] read as is.
 //!
 //! **Writes: one walk per sorted batch, each leaf it touches rewritten
-//! once.** Every write — a commit's batch, a compaction pass, and
+//! once.** Every write — a commit's batch, a compaction slice, and
 //! [`write()`] and [`prune`], batches of one — is one `apply` walk over
-//! steps in key order. It descends to the first step's leaf, keeping the
-//! path, puts every step below that leaf's upper fence (the separator that
-//! bounds it in an ancestor) into one new image, and climbs only as far as
-//! the next step needs. The leaf goes back through
-//! [`BufferPool::write_cow`], so the tree under the last checkpoint's meta
-//! slot is never damaged in place, and its image carries its entry
-//! offsets. A parent is rewritten once, when the walk leaves it — its
+//! steps in key order, through [`Pages`]: the pool itself, or the paged
+//! engine's staging overlay of it, which keeps what the walk writes to the
+//! published tree and frees until the engine publishes it. It descends to
+//! the first step's leaf, keeping the path, puts every step below that
+//! leaf's upper fence (the separator that bounds it in an ancestor) into
+//! one new image, and climbs only as far as the next step needs. The leaf
+//! goes back copy-on-write, as [`BufferPool::write_cow`] writes, so the
+//! tree under the last checkpoint's meta slot is never damaged in place,
+//! and its image carries its entry offsets. A parent is rewritten once, when the walk leaves it — its
 //! 4-byte child pointers patched, the separators of a split child spliced
 //! in — and only if the id of a child changed or a child split. A page
 //! fresh since the last checkpoint keeps its id and hangs only below fresh

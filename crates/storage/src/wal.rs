@@ -109,17 +109,8 @@ impl Wal {
         self.len == 0
     }
 
-    /// Buffer a set (or, with `None`, a clear) for the next commit frame.
-    pub fn buffer_write(&mut self, key: &[u8], value: Option<&[u8]>, version: u64) {
-        put_write(&mut self.pending, key, value, version);
-    }
-
-    /// Buffer a range clear for the next commit frame.
-    pub fn buffer_clear_range(&mut self, begin: &[u8], end: &[u8], version: u64) {
-        put_clear_range(&mut self.pending, begin, end, version);
-    }
-
-    /// Buffer ops encoded by [`put_write`] and [`put_clear_range`].
+    /// Buffer ops encoded by [`put_write`] and [`put_clear_range`] for the
+    /// next commit frame.
     pub fn buffer(&mut self, ops: &[u8]) {
         self.pending.extend_from_slice(ops);
     }
@@ -247,6 +238,20 @@ mod tests {
         dir.join("wal.log")
     }
 
+    /// Buffer a set (or, with `None`, a clear) for the next frame.
+    fn buffer_write(wal: &mut Wal, key: &[u8], value: Option<&[u8]>, version: u64) {
+        let mut ops = Vec::new();
+        put_write(&mut ops, key, value, version);
+        wal.buffer(&ops);
+    }
+
+    /// Buffer a range clear for the next frame.
+    fn buffer_clear_range(wal: &mut Wal, begin: &[u8], end: &[u8], version: u64) {
+        let mut ops = Vec::new();
+        put_clear_range(&mut ops, begin, end, version);
+        wal.buffer(&ops);
+    }
+
     fn w(key: &[u8], value: Option<&[u8]>, version: u64) -> WalOp {
         WalOp::Write {
             key: key.to_vec(),
@@ -260,10 +265,10 @@ mod tests {
         let path = tmp("roundtrip");
         let counters = IoCounters::new_shared();
         let mut wal = Wal::open(&path).unwrap();
-        wal.buffer_write(b"a", Some(b"1"), 10);
-        wal.buffer_write(b"b", None, 10);
+        buffer_write(&mut wal, b"a", Some(b"1"), 10);
+        buffer_write(&mut wal, b"b", None, 10);
         wal.commit(&counters).unwrap();
-        wal.buffer_clear_range(b"a", b"z", 20);
+        buffer_clear_range(&mut wal, b"a", b"z", 20);
         wal.commit(&counters).unwrap();
         drop(wal);
 
@@ -286,9 +291,9 @@ mod tests {
         let path = tmp("uncommitted");
         let counters = IoCounters::new_shared();
         let mut wal = Wal::open(&path).unwrap();
-        wal.buffer_write(b"a", Some(b"1"), 10);
+        buffer_write(&mut wal, b"a", Some(b"1"), 10);
         wal.commit(&counters).unwrap();
-        wal.buffer_write(b"b", Some(b"2"), 20); // never committed
+        buffer_write(&mut wal, b"b", Some(b"2"), 20); // never committed
         drop(wal);
 
         let mut wal = Wal::open(&path).unwrap();
@@ -302,7 +307,7 @@ mod tests {
         let path = tmp("torn");
         let counters = IoCounters::new_shared();
         let mut wal = Wal::open(&path).unwrap();
-        wal.buffer_write(b"a", Some(b"1"), 10);
+        buffer_write(&mut wal, b"a", Some(b"1"), 10);
         wal.commit(&counters).unwrap();
         let good_len = wal.len();
         // Simulate a torn append: garbage half-frame at the end.
@@ -323,10 +328,10 @@ mod tests {
     fn every_single_bit_flip_of_a_frame_is_rejected() {
         let path = tmp("bitflip");
         let mut wal = Wal::open(&path).unwrap();
-        wal.buffer_write(b"alpha", Some(b"one"), 10);
-        wal.buffer_write(b"beta", None, 10);
-        wal.buffer_clear_range(b"c", b"d", 10);
-        wal.buffer_write(b"gamma", Some(&[7; 40]), 10);
+        buffer_write(&mut wal, b"alpha", Some(b"one"), 10);
+        buffer_write(&mut wal, b"beta", None, 10);
+        buffer_clear_range(&mut wal, b"c", b"d", 10);
+        buffer_write(&mut wal, b"gamma", Some(&[7; 40]), 10);
         wal.commit(&IoCounters::new_shared()).unwrap();
         let frame = std::fs::read(&path).unwrap();
         let (ops, len) = decode_frame(&frame).unwrap();
@@ -356,10 +361,10 @@ mod tests {
     fn every_cut_and_overlong_length_of_a_payload_is_torn() {
         let path = tmp("decoder");
         let mut wal = Wal::open(&path).unwrap();
-        wal.buffer_write(b"alpha", Some(b"one"), 10);
-        wal.buffer_write(b"beta", None, 11);
-        wal.buffer_clear_range(b"c", b"d", 12);
-        wal.buffer_write(b"gamma", Some(&[7; 40]), 13);
+        buffer_write(&mut wal, b"alpha", Some(b"one"), 10);
+        buffer_write(&mut wal, b"beta", None, 11);
+        buffer_clear_range(&mut wal, b"c", b"d", 12);
+        buffer_write(&mut wal, b"gamma", Some(&[7; 40]), 13);
         let payload = wal.pending[FRAME_HEADER..].to_vec();
         let (ops, _) = decode_frame(&framed(&payload)).unwrap();
         // Where each op ends, and where its length fields lie.
