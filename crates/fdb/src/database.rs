@@ -59,7 +59,7 @@ use crate::sync::{
 };
 use crate::transaction::Transaction;
 use crate::write_set::{self, Tally, WriteSet};
-use rl_storage::{MemoryEngine, StorageEngine, Visitor};
+use rl_storage::{MemoryEngine, Staged, StorageEngine, Visitor};
 
 /// The version counters only a commit touches, behind the commit-writer
 /// lock.
@@ -110,7 +110,8 @@ pub struct Database {
     /// Odd while a commit applies: from before it reads the clock until it
     /// has published its version (see [`Database::newest_readable`]).
     applies: Arc<AtomicU64>,
-    /// The version the applying commit stages; read while `applies` is odd.
+    /// The version the applying commit stages, once allocated; 0 before
+    /// that and once the commit is over. Read while `applies` is odd.
     staging: Arc<AtomicU64>,
     /// Read versions below this fail with `transaction_too_old`.
     oldest: Arc<AtomicU64>,
@@ -121,13 +122,13 @@ pub struct Database {
     metrics: SharedMetrics,
     grv_calls: Arc<AtomicU64>,
     /// Test-only: make the next commit panic inside [`Self::apply`], under
-    /// the exclusive store lock.
+    /// the exclusive store lock, after its seal.
     #[cfg(test)]
     panic_next_commit: Arc<std::sync::atomic::AtomicBool>,
-    /// Test-only: hold the next commit after its stage, under the shared
-    /// store lock: it sends its version, then waits for the release.
+    /// Test-only: hold the next commit at a point of [`Self::apply`]: it
+    /// sends a version, then waits for the release.
     #[cfg(test)]
-    pause_next_stage: Arc<Mutex<Option<tests::Pause>>>,
+    pause_next_commit: Arc<Mutex<Option<(tests::PauseAt, tests::Pause)>>>,
 }
 
 impl Database {
@@ -167,7 +168,7 @@ impl Database {
             #[cfg(test)]
             panic_next_commit: Arc::new(std::sync::atomic::AtomicBool::new(false)),
             #[cfg(test)]
-            pause_next_stage: Arc::new(Mutex::new(None)),
+            pause_next_commit: Arc::new(Mutex::new(None)),
         }
     }
 
@@ -226,14 +227,20 @@ impl Database {
     /// The newest version a read may take now: every commit at or below
     /// it has been published, and every later one lands above it.
     ///
-    /// A commit reads the clock after `applies` turns odd and publishes its
-    /// version before `applies` turns even. With no commit applying, the
+    /// A commit reads the clock after `applies` turns odd, stores its
+    /// version in `staging`, and publishes it and resets `staging` to 0
+    /// before `applies` turns even. With no commit applying, the
     /// clock-implied version minus one is safe: the next commit reads the
     /// clock later and lands at or above it. While commit version `V` is
     /// being staged, nothing at or above `V` is: the answer is capped at
-    /// `V - 1`, and every commit below `V` has been published. The three
-    /// atomics are read again only if `applies` changed meanwhile, i.e. a
-    /// commit boundary passed. No lock is taken.
+    /// `V - 1`, and every commit below `V` has been published. The atomics
+    /// are read again if `applies` changed meanwhile, i.e. a commit
+    /// boundary passed, and while `staging` is at or below the version
+    /// last published: the applying commit has not stored its version yet,
+    /// or has published it and is about to turn `applies` even. Either is
+    /// a few instructions of the committer's, and answering without its
+    /// version could go below an earlier answer near the clock. No lock is
+    /// taken.
     fn newest_readable(&self) -> u64 {
         loop {
             let applies = self.applies.load(Ordering::SeqCst);
@@ -241,7 +248,12 @@ impl Database {
             let committed = self.last_commit.load(Ordering::SeqCst);
             let mut bound = clock.saturating_sub(1);
             if !applies.is_multiple_of(2) {
-                bound = bound.min(self.staging.load(Ordering::SeqCst).saturating_sub(1));
+                let staging = self.staging.load(Ordering::SeqCst);
+                if staging <= committed {
+                    std::thread::yield_now();
+                    continue;
+                }
+                bound = bound.min(staging - 1);
             }
             if self.applies.load(Ordering::SeqCst) == applies {
                 return committed.max(bound);
@@ -432,18 +444,22 @@ impl Database {
     /// batch staged and sealed — one B-tree walk and one WAL frame on the
     /// paged engine — under the shared store lock while reads go on, then
     /// the exclusive store lock only to publish it and the version, and
-    /// advance `oldest`. A due compaction runs after it the same way, a
-    /// bounded slice per publish.
+    /// advance `oldest`. A commit that unwinds between its seal and its
+    /// publish is discarded (see [`Unpublished`]), and its version is never
+    /// published. A due compaction runs after it the same way, a bounded
+    /// slice per publish.
     fn apply(&self, writes: WriteSet, writes_metadata_version: bool) -> CommitReceipt {
         let mut writer = lock_ranked(&self.writer, LockRank::CommitWriter);
         // Assign the commit version: strictly increasing, and at least the
         // clock-implied version so versions track logical time. `applies`
         // turns odd before the clock is read and even once the version is
         // published, or the commit unwinds (see `newest_readable`).
-        let applying = Applying::start(&self.applies);
+        let applying = Applying::start(&self.applies, &self.staging);
+        #[cfg(test)]
+        self.pause_at(tests::PauseAt::Version, writer.last_commit_version);
         let clock_version = self.clock_ms.load(Ordering::SeqCst) * VERSIONS_PER_MS;
         let version = (writer.last_commit_version + 1).max(clock_version);
-        self.staging.store(version, Ordering::SeqCst);
+        applying.stage(version);
         writer.last_commit_version = version;
         writer.commits_since_compaction += 1;
         let compact_now = writer.commits_since_compaction >= self.options.compaction_interval;
@@ -460,7 +476,7 @@ impl Database {
             let mut staged = store.engine.stage(version, sorted);
             drop(timer);
             #[cfg(test)]
-            self.pause_after_stage(version);
+            self.pause_at(tests::PauseAt::Stage, version);
             // Seal the commit: a crash-safe engine persists it atomically
             // (one WAL frame); a crash before this point loses it.
             let _t = rl_obs::Timer::start(rl_obs::Op::BatchSeal);
@@ -471,13 +487,17 @@ impl Database {
         let waiting = rl_obs::Timer::start(rl_obs::Op::StoreLockWaitLeader);
         let mut store = write_ranked(&self.store, LockRank::DatabaseStore);
         drop(waiting);
-        // Injected while the store write lock is held — the worst spot a
-        // real storage-engine bug could fire.
+        let unpublished = Unpublished {
+            engine: &mut *store.engine,
+            staged: Some(staged),
+        };
+        // Injected while the store write lock is held, after the seal — the
+        // worst spot a real storage-engine bug could fire.
         #[cfg(test)]
         if self.panic_next_commit.swap(false, Ordering::AcqRel) {
             panic!("injected commit failure");
         }
-        store.engine.publish(staged);
+        unpublished.publish();
         // Publish only now, so a GRV can never hand out a version the
         // store has not fully materialized — and the metadata version
         // first, so a read version that includes this commit never comes
@@ -521,12 +541,15 @@ impl Database {
         rl_obs::record(rl_obs::Op::CompactKeys, keys as u64);
     }
 
-    /// Test-only: if a pause is armed, report `version` and wait for the
-    /// release (or for the test to drop its end).
+    /// Test-only: if a pause is armed at `at`, report `version` and wait
+    /// for the release (or for the test to drop its end).
     #[cfg(test)]
-    fn pause_after_stage(&self, version: u64) {
-        if let Some((staged, release)) = crate::sync::lock(&self.pause_next_stage).take() {
-            staged.send(version).unwrap();
+    fn pause_at(&self, at: tests::PauseAt, version: u64) {
+        let mut armed = crate::sync::lock(&self.pause_next_commit);
+        if armed.as_ref().is_some_and(|(point, _)| *point == at) {
+            let (_, (reached, release)) = armed.take().unwrap();
+            drop(armed);
+            reached.send(version).unwrap();
             let _ = release.recv();
         }
     }
@@ -571,21 +594,57 @@ impl std::fmt::Debug for Database {
     }
 }
 
-/// A commit between its version allocation and its publish: `applies` is
-/// odd while one lives, and turns even when it is dropped, also when the
-/// commit unwinds.
-struct Applying<'a>(&'a AtomicU64);
+/// A commit from before its version allocation to its publish: `applies`
+/// is odd while one lives, and `staging` holds its version once
+/// [`stage`](Applying::stage) stored it. Dropped, also when the commit
+/// unwinds, it resets `staging` to 0 and turns `applies` even.
+struct Applying<'a> {
+    applies: &'a AtomicU64,
+    staging: &'a AtomicU64,
+}
 
 impl<'a> Applying<'a> {
-    fn start(applies: &'a AtomicU64) -> Applying<'a> {
+    fn start(applies: &'a AtomicU64, staging: &'a AtomicU64) -> Applying<'a> {
         applies.fetch_add(1, Ordering::SeqCst);
-        Applying(applies)
+        Applying { applies, staging }
+    }
+
+    fn stage(&self, version: u64) {
+        self.staging.store(version, Ordering::SeqCst);
     }
 }
 
 impl Drop for Applying<'_> {
     fn drop(&mut self) {
-        self.0.fetch_add(1, Ordering::SeqCst);
+        self.staging.store(0, Ordering::SeqCst);
+        self.applies.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// A sealed commit under the exclusive store lock, until it is published.
+/// Dropped unpublished — the commit unwound before its publish — it has the
+/// engine [`discard`](StorageEngine::discard) it: the sealed frame is cut
+/// off and the stage's pages freed, so neither the live database nor a
+/// reopen holds a commit whose client saw it fail. A failure inside the
+/// publish itself is the engine's, and leaves the engine as it failed.
+struct Unpublished<'e, 'b> {
+    engine: &'e mut dyn StorageEngine,
+    staged: Option<Staged<'b>>,
+}
+
+impl Unpublished<'_, '_> {
+    fn publish(mut self) {
+        if let Some(staged) = self.staged.take() {
+            self.engine.publish(staged);
+        }
+    }
+}
+
+impl Drop for Unpublished<'_, '_> {
+    fn drop(&mut self) {
+        if let Some(staged) = self.staged.take() {
+            self.engine.discard(staged);
+        }
     }
 }
 
@@ -608,6 +667,24 @@ mod tests {
     /// Where a paused commit sends its version, and where it waits.
     pub(super) type Pause = (mpsc::Sender<u64>, mpsc::Receiver<()>);
 
+    /// Where in [`Database::apply`] a commit pauses.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(super) enum PauseAt {
+        /// After `applies` turned odd, before the version is allocated; it
+        /// sends the last version allocated.
+        Version,
+        /// After the stage, under the shared store lock; it sends its
+        /// version.
+        Stage,
+    }
+
+    fn pause_next_commit(db: &Database, at: PauseAt) -> (mpsc::Receiver<u64>, mpsc::Sender<()>) {
+        let (reached, at_pause) = mpsc::channel();
+        let (release, released) = mpsc::channel();
+        *crate::sync::lock(&db.pause_next_commit) = Some((at, (reached, released)));
+        (at_pause, release)
+    }
+
     /// A commit held after its stage, under the shared store lock, blocks
     /// no read: a get, a range read and a GRV complete, none sees the
     /// staged writes, and the GRV stays below the staged version until the
@@ -620,9 +697,7 @@ mod tests {
             tx.set(format!("row{i:03}").as_bytes(), b"old");
         }
         tx.commit().unwrap();
-        let (staged, at_stage) = mpsc::channel();
-        let (release, released) = mpsc::channel();
-        *crate::sync::lock(&db.pause_next_stage) = Some((staged, released));
+        let (at_stage, release) = pause_next_commit(&db, PauseAt::Stage);
         let committer = {
             let db = db.clone();
             std::thread::spawn(move || {
@@ -663,6 +738,57 @@ mod tests {
         assert_eq!(tx.get(b"row100").unwrap().as_deref(), Some(&b"new"[..]));
         let rows = tx.get_range(b"row", b"rox", RangeOptions::default());
         assert_eq!(rows.unwrap().len(), 200);
+    }
+
+    /// A GRV taken while a commit has turned `applies` odd and not yet
+    /// stored its version waits for that version instead of answering
+    /// without it: after idle time an earlier GRV answered near the clock,
+    /// above the last commit, and read versions never go back, so a
+    /// transaction can still start at that earlier one.
+    #[test]
+    fn read_versions_never_go_back_while_a_commit_allocates_its_version() {
+        let db = Database::new();
+        let tx = db.create_transaction();
+        tx.set(b"k", b"v");
+        tx.commit().unwrap();
+        db.advance_clock(10_000);
+        let earlier = db.get_read_version();
+        assert!(earlier > db.last_commit_version());
+        let (at_version, release) = pause_next_commit(&db, PauseAt::Version);
+        let committer = {
+            let db = db.clone();
+            std::thread::spawn(move || {
+                let tx = db.create_transaction();
+                tx.set(b"k", b"w");
+                tx.commit().map(|()| tx.committed_version().unwrap())
+            })
+        };
+        at_version.recv_timeout(Duration::from_secs(10)).unwrap();
+        let (done, finished) = mpsc::channel();
+        let reader = {
+            let db = db.clone();
+            std::thread::spawn(move || {
+                let read_version = db.get_read_version();
+                let at_earlier = db.create_transaction_at(earlier).map(|_| ());
+                done.send((read_version, at_earlier)).unwrap();
+            })
+        };
+        // Give the reader time to answer inside the window, as it would if
+        // it answered without the version, before the commit goes on.
+        let inside = finished.recv_timeout(Duration::from_millis(100));
+        release.send(()).unwrap();
+        let (read_version, at_earlier) = inside
+            .or_else(|_| finished.recv_timeout(Duration::from_secs(10)))
+            .unwrap();
+        reader.join().unwrap();
+        assert!(
+            read_version >= earlier,
+            "GRV went back from {earlier} to {read_version}"
+        );
+        assert_eq!(at_earlier, Ok(()));
+        let version = committer.join().unwrap().unwrap();
+        assert!(version > earlier);
+        assert!(db.get_read_version() >= version);
     }
 
     #[test]
@@ -999,11 +1125,26 @@ mod tests {
         assert_eq!(db.metadata_version(), tx.committed_version().unwrap());
     }
 
+    /// A commit that dies while it holds the store write lock, after its
+    /// seal, poisons the lock; the next commit recovers it and goes through.
+    /// The dead commit is discarded: the live database does not show it,
+    /// and neither does a reopen of the files as a process stopped now
+    /// would leave them, whose WAL replay holds the next commit only. On
+    /// the paged engine, whose seal writes a WAL frame.
     #[test]
     fn commit_panic_under_store_lock_keeps_accepting_commits() {
-        let db = Database::new();
-        // A commit that dies while it holds the store write lock poisons
-        // it; the next commit recovers the lock and goes through.
+        let dir = std::env::temp_dir().join(format!("rl-commit-panic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let paged = |name: &str| DatabaseOptions {
+            engine: crate::options::EngineKind::Paged(crate::options::PagedConfig {
+                path: dir.join(name),
+                pool_pages: 16,
+                eviction: rl_storage::EvictionPolicy::Sieve,
+                remove_dir_on_drop: true,
+            }),
+            ..DatabaseOptions::default()
+        };
+        let db = Database::with_options(paged("live"));
         db.panic_next_commit
             .store(true, std::sync::atomic::Ordering::Release);
         let worker = {
@@ -1024,6 +1165,17 @@ mod tests {
         let tx = db.create_transaction();
         assert_eq!(tx.get(b"survivor").unwrap(), Some(b"v".to_vec()));
         assert_eq!(tx.get(b"doomed").unwrap(), None);
+
+        std::fs::create_dir_all(dir.join("copy")).unwrap();
+        for file in ["pages.db", "wal.log"] {
+            std::fs::copy(dir.join("live").join(file), dir.join("copy").join(file)).unwrap();
+        }
+        let reopened = Database::with_options(paged("copy"));
+        let tx = reopened.create_transaction();
+        assert_eq!(tx.get(b"survivor").unwrap(), Some(b"v".to_vec()));
+        assert_eq!(tx.get(b"doomed").unwrap(), None, "a reopen replayed it");
+        drop((tx, reopened, db));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

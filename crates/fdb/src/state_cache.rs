@@ -49,9 +49,10 @@ pub(crate) type CachedState = Arc<dyn Any + Send + Sync>;
 struct Entries {
     /// The metadata version every entry of `map` was stored under.
     version: u64,
-    map: HashMap<Vec<u8>, CachedState>,
-    /// The keys of `map`, oldest fill first.
-    order: VecDeque<Vec<u8>>,
+    map: HashMap<Arc<[u8]>, CachedState>,
+    /// The keys of `map`, oldest fill first: each shares its map key's
+    /// allocation.
+    order: VecDeque<Arc<[u8]>>,
 }
 
 pub(crate) struct StateCache {
@@ -125,8 +126,9 @@ impl StateCache {
                 map.remove(&oldest);
             }
         }
-        map.insert(key.to_vec(), value);
-        order.push_back(key.to_vec());
+        let key: Arc<[u8]> = Arc::from(key);
+        map.insert(Arc::clone(&key), value);
+        order.push_back(key);
     }
 
     #[cfg(test)]

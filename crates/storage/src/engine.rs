@@ -91,9 +91,10 @@ pub type Batch<'a> = Vec<(Vec<u8>, Mutation<'a>)>;
 /// A write staged beside an engine's published state: a batch from
 /// [`StorageEngine::stage`] or a compaction slice from
 /// [`StorageEngine::stage_compaction`], which reads do not see until
-/// [`StorageEngine::publish`] installs it. It must be published before the
-/// engine stages or publishes anything else: each engine counts its
-/// publishes, and publishing a `Staged` made before another publish panics.
+/// [`StorageEngine::publish`] installs it. It must be published, or
+/// dropped by [`StorageEngine::discard`], before the engine stages or
+/// publishes anything else: each engine counts its publishes, and
+/// publishing a `Staged` made before another publish panics.
 #[derive(Debug)]
 pub struct Staged<'a> {
     /// The engine's publish count when this was staged.
@@ -164,10 +165,11 @@ pub trait StorageEngine: Send + Sync + std::fmt::Debug {
     /// until publish, and then one map lookup per key.
     fn stage<'a>(&self, version: u64, batch: Batch<'a>) -> Staged<'a>;
 
-    /// Make a staged batch durable before it is published, together with
-    /// whatever was published and not yet sealed: on the paged engine one
-    /// WAL frame, after which a crash replays the batch. The memory engine
-    /// does nothing.
+    /// Make a staged batch durable before it is published: on the paged
+    /// engine one WAL frame, after which a crash replays the batch. What
+    /// was published and not yet sealed goes first, in a frame of its own
+    /// (none when nothing was), so that [`discard`](Self::discard) cuts off
+    /// this batch alone. The memory engine does nothing.
     fn seal(&self, _staged: &mut Staged<'_>) {}
 
     /// Stage a slice of MVCC compaction at `oldest_version`, or `None` when
@@ -193,6 +195,15 @@ pub trait StorageEngine: Send + Sync + std::fmt::Debug {
     /// reaches, set the root, log the stage's garbage — and, for a sealed
     /// batch, checkpoint if one is due. No tree walk, no page encoding.
     fn publish(&mut self, staged: Staged<'_>);
+
+    /// Drop `staged` unpublished, as if it had never been staged: on the
+    /// paged engine the WAL is cut back to where its seal began, so a
+    /// reopen does not replay it, and the pages the stage took are freed.
+    /// The memory engine only drops it. Like a publish, it must come before
+    /// the engine stages or publishes anything else.
+    fn discard(&mut self, staged: Staged<'_>) {
+        drop(staged);
+    }
 
     /// Stage and publish one sorted batch: [`stage`](Self::stage), then
     /// [`publish`](Self::publish). Sealed by the next

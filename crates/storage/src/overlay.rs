@@ -23,6 +23,9 @@
 //! * a page the published tree reaches and that the walk frees or copies
 //!   is only noted, and freed by [`Shadow::install`].
 //!
+//! [`Shadow::discard`] drops a stage instead: it frees the overlay's own
+//! pages and forgets the rest, so the pool is as if the stage had not run.
+//!
 //! So until install nothing the published tree reaches changes: no page it
 //! reaches is freed or rewritten and no frame of one is replaced, and no
 //! page becomes reusable that a reader could still be led to. A frame of
@@ -30,7 +33,7 @@
 //! as a reader's miss may evict it: a dirty one is written back first, and
 //! a reader that wants it again reads it back.
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::io;
 use std::sync::{Arc, Mutex};
 
@@ -44,8 +47,9 @@ use crate::wait::lock;
 #[derive(Debug, Default)]
 pub(crate) struct Buffers {
     /// New images of published pages fresh since the last checkpoint,
-    /// which keep their ids.
-    replaced: Vec<(PageId, Page)>,
+    /// which keep their ids: ordered, so that publish installs them in
+    /// the same order on every run.
+    replaced: BTreeMap<PageId, Page>,
     /// Pages this overlay allocated and has not freed.
     own: HashSet<PageId>,
     /// Published pages this overlay freed.
@@ -94,10 +98,10 @@ impl<'p> Overlay<'p> {
     }
 }
 
-/// The most images an overlay keeps under their ids: the images it looks
-/// an id up among, one by one. A smaller bound (a quarter of a 256-frame
-/// pool) made a bulk load copy-on-write most of the pages it rewrote, and
-/// took `record_mix_paged`'s `setup_s` up by a quarter.
+/// The most images an overlay keeps under their ids. A smaller bound (a
+/// quarter of a 256-frame pool) made a bulk load copy-on-write most of the
+/// pages it rewrote, and took `record_mix_paged`'s `setup_s` up by a
+/// quarter.
 const REPLACED_MAX: usize = 256;
 
 impl PageSource for Overlay<'_> {
@@ -106,8 +110,8 @@ impl PageSource for Overlay<'_> {
     }
 
     fn read(&mut self, id: PageId) -> io::Result<Page> {
-        match self.kept.replaced.iter().find(|(kept, _)| *kept == id) {
-            Some((_, page)) => Ok(Arc::clone(page)),
+        match self.kept.replaced.get(&id) {
+            Some(page) => Ok(Arc::clone(page)),
             None => lock(self.pool).read(id),
         }
     }
@@ -124,12 +128,12 @@ impl Pages for Overlay<'_> {
         if kept.own.contains(&id) {
             return pool.write_shared(id, page);
         }
-        if let Some(slot) = kept.replaced.iter_mut().find(|(kept, _)| *kept == id) {
-            slot.1 = page;
+        if let Some(slot) = kept.replaced.get_mut(&id) {
+            *slot = page;
             return Ok(id);
         }
         if kept.replaced.len() < self.budget && pool.is_fresh(id) {
-            kept.replaced.push((id, page));
+            kept.replaced.insert(id, page);
             return Ok(id);
         }
         let new = pool.write_shared(NO_PAGE, page)?;
@@ -147,7 +151,7 @@ impl Pages for Overlay<'_> {
             lock(self.pool).free(id);
             return;
         }
-        kept.replaced.retain(|(kept, _)| *kept != id);
+        kept.replaced.remove(&id);
         kept.freed.push(id);
     }
 }
@@ -159,7 +163,7 @@ impl Shadow {
     /// emptied buffers.
     pub(crate) fn install(self, pool: &mut BufferPool) -> io::Result<Buffers> {
         let mut kept = self.kept;
-        for (id, page) in kept.replaced.drain(..) {
+        for (id, page) in std::mem::take(&mut kept.replaced) {
             pool.write_shared(id, page)?;
         }
         for id in kept.freed.drain(..) {
@@ -168,5 +172,18 @@ impl Shadow {
         kept.own.clear();
         pool.set_root(self.root);
         Ok(kept)
+    }
+
+    /// Drop the stage unpublished: free the pages the overlay allocated,
+    /// which nothing published points to, and forget its images and frees.
+    /// Returns the emptied buffers.
+    pub(crate) fn discard(self, pool: &mut BufferPool) -> Buffers {
+        let mut kept = self.kept;
+        for id in kept.own.drain() {
+            pool.free(id);
+        }
+        kept.replaced.clear();
+        kept.freed.clear();
+        kept
     }
 }

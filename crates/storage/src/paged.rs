@@ -16,11 +16,11 @@
 //! `log_appends` tick) per commit. [`StorageEngine::publish`] then installs
 //! what the overlay kept, frees what it freed, sets the root and logs the
 //! batch's garbage — no walk and no encoding. A batch published unsealed
-//! (`apply_sorted`, `write` and the rest) is buffered for the WAL, and the
-//! next seal or [`StorageEngine::commit_batch`] appends it, in one frame
-//! with whatever else it finds buffered. Compaction prunes the keys its
-//! garbage log holds, sorted, through the same walk, a slice of them per
-//! stage. The tree pages a batch dirtied stay in the buffer pool (or get
+//! (`apply_sorted`, `write` and the rest) is buffered for the WAL:
+//! [`StorageEngine::commit_batch`] appends all it finds buffered in one
+//! frame, and the next seal in a frame of its own ahead of the sealed
+//! batch's. Compaction prunes the keys its garbage log holds, sorted,
+//! through the same walk, a slice of them per stage. The tree pages a batch dirtied stay in the buffer pool (or get
 //! evicted to disk) without any ordering constraint, because the on-disk
 //! meta root still points at the last checkpoint's tree — shadow paging
 //! guarantees eviction can never damage it.
@@ -46,10 +46,12 @@
 //! when one is due. `tests/staged_commit_oracle.rs` checks the invariant
 //! against a memory engine with readers running beside every stage.
 //!
-//! A [`Staged`] must be published before the engine stages or publishes
-//! anything else, since what it kept assumes the tree and the checkpoint
-//! it was staged against; the engine counts publishes and checkpoints, and
-//! refuses one that was not.
+//! A [`Staged`] must be published, or discarded, before the engine stages
+//! or publishes anything else, since what it kept assumes the tree and the
+//! checkpoint it was staged against; the engine counts publishes and
+//! checkpoints, and refuses one that was not. [`StorageEngine::discard`]
+//! cuts a sealed stage's frame off the WAL again and frees the pages its
+//! overlay took, which nothing published points to.
 //!
 //! ## Checkpoints
 //!
@@ -170,11 +172,13 @@ pub(crate) struct StagedPages {
     version: u64,
     /// The batch's WAL ops, until sealed.
     log: Vec<u8>,
-    sealed: bool,
+    /// Once sealed, the WAL's length before the batch's frame.
+    sealed_at: Option<u64>,
     /// Keys whose writes left garbage, logged at `version`.
     garbage: Keys,
-    /// A compaction slice's.
-    slice: Option<CompactionSlice>,
+    /// A compaction slice's, boxed: a batch, staged far more often, does
+    /// not carry its room.
+    slice: Option<Box<CompactionSlice>>,
 }
 
 impl PagedEngine {
@@ -344,7 +348,7 @@ impl PagedEngine {
             shadow: overlay.finish(),
             version,
             log: ops,
-            sealed: false,
+            sealed_at: None,
             garbage,
             slice: None,
         })
@@ -389,9 +393,9 @@ impl PagedEngine {
                 shadow: overlay.finish(),
                 version: self.newest,
                 log,
-                sealed: false,
+                sealed_at: None,
                 garbage,
-                slice: Some(slice),
+                slice: Some(Box::new(slice)),
             },
         )))
     }
@@ -404,7 +408,7 @@ impl PagedEngine {
             shadow,
             version,
             mut log,
-            sealed,
+            sealed_at,
             mut garbage,
             slice,
         } = staged;
@@ -436,9 +440,34 @@ impl PagedEngine {
             log,
             garbage,
         };
-        if sealed {
+        if sealed_at.is_some() {
             self.checkpoint_if_due()?;
         }
+        Ok(())
+    }
+
+    /// Undo a stage that will not be published: cut its sealed frame off
+    /// the WAL, free the pages its overlay took, and keep its buffers for
+    /// the next stage.
+    fn undo(&mut self, staged: StagedPages) -> io::Result<()> {
+        let StagedPages {
+            shadow,
+            mut log,
+            sealed_at,
+            mut garbage,
+            ..
+        } = staged;
+        if let Some(len) = sealed_at {
+            exclusive(&mut self.wal).truncate(len)?;
+        }
+        let pages = shadow.discard(exclusive(&mut self.pool));
+        log.clear();
+        garbage.clear();
+        *exclusive(&mut self.spare) = Spare {
+            pages,
+            log,
+            garbage,
+        };
         Ok(())
     }
 
@@ -472,7 +501,7 @@ impl PagedEngine {
             // Order matters: truncate first, then record lsn=0. A crash in
             // between leaves meta pointing past the (empty) log, which
             // recovery treats as "nothing to replay".
-            wal.truncate()?;
+            wal.truncate(0)?;
             pool.checkpoint(0)?;
         }
         Ok(())
@@ -553,16 +582,18 @@ impl StorageEngine for PagedEngine {
         }
     }
 
-    /// One WAL frame: what was published unsealed, then the staged batch.
+    /// One WAL frame for the staged batch, after one for what was
+    /// published unsealed, if anything was.
     fn seal(&self, staged: &mut Staged<'_>) {
         let Work::Paged(pages) = &mut staged.work else {
             panic!("{FOREIGN}");
         };
         let mut wal = lock(&self.wal);
+        wal.commit(&self.counters).expect(IO_MSG);
+        pages.sealed_at = Some(wal.len());
         wal.buffer(&pages.log);
         pages.log.clear();
         wal.commit(&self.counters).expect(IO_MSG);
-        pages.sealed = true;
     }
 
     fn stage_compaction(&self, oldest_version: u64) -> Option<Staged<'static>> {
@@ -580,6 +611,14 @@ impl StorageEngine for PagedEngine {
             panic!("{FOREIGN}");
         };
         self.install(pages).expect(IO_MSG);
+    }
+
+    fn discard(&mut self, staged: Staged<'_>) {
+        debug_assert_eq!(staged.generation, self.generation, "a stale Staged");
+        let Work::Paged(pages) = staged.work else {
+            panic!("{FOREIGN}");
+        };
+        self.undo(pages).expect(IO_MSG);
     }
 
     fn commit_batch(&mut self) {
@@ -667,6 +706,49 @@ mod tests {
         assert_eq!(e.get(b"a", 25), Some(b"1".to_vec()));
         let r = e.range(b"", b"\xff", 35, false);
         assert_eq!(r, vec![(b"b".to_vec(), b"2".to_vec())]);
+        std::fs::remove_dir_all(&d).unwrap();
+    }
+
+    /// A sealed stage dropped by `discard` leaves nothing behind: its
+    /// frame is cut off the WAL, so a crash does not replay it, while the
+    /// frame of what was published unsealed before it stays; and its pages
+    /// are freed, so staging the same batch again takes no more of the file.
+    #[test]
+    fn a_discarded_stage_leaves_no_frame_and_no_pages() {
+        let d = dir("discard");
+        let rewrite = |version: u8| -> Batch<'static> {
+            (0..300u32)
+                .map(|i| {
+                    let key = format!("k{i:04}").into_bytes();
+                    (key, Mutation::Write(Some(vec![version; 200])))
+                })
+                .collect()
+        };
+        {
+            let mut e = open(&d, 16);
+            e.apply_sorted(10, rewrite(10));
+            e.commit_batch();
+            e.flush();
+            e.write(b"pending".to_vec(), Some(b"kept".to_vec()), 20);
+            let mut staged = e.stage(30, rewrite(30));
+            e.seal(&mut staged);
+            let grown = lock(&e.pool).page_count();
+            e.discard(staged);
+            assert_eq!(e.get(b"k0007", 40), Some(vec![10; 200]));
+            let mut staged = e.stage(31, rewrite(31));
+            e.seal(&mut staged);
+            e.publish(staged);
+            assert!(
+                lock(&e.pool).page_count() <= grown,
+                "the discarded pages were not reused"
+            );
+            e.simulate_crash();
+        }
+        let mut e = open(&d, 16);
+        assert_eq!(e.check_consistency().unwrap(), 301);
+        assert_eq!(e.get(b"pending", 40), Some(b"kept".to_vec()));
+        assert_eq!(e.get(b"k0007", 30), Some(vec![10; 200]));
+        assert_eq!(e.get(b"k0007", 31), Some(vec![31; 200]));
         std::fs::remove_dir_all(&d).unwrap();
     }
 

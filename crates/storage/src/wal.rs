@@ -145,11 +145,14 @@ impl Wal {
         self.pending.truncate(FRAME_HEADER);
     }
 
-    /// Truncate the log to zero length (after a checkpoint has superseded
-    /// its contents and the meta generation recording lsn=0 is in place).
-    pub fn truncate(&mut self) -> io::Result<()> {
-        self.file.set_len(0)?;
-        self.len = 0;
+    /// Truncate the log to `len` bytes, a frame boundary at or below its
+    /// length: to zero after a checkpoint has superseded its contents and
+    /// the meta generation recording lsn=0 is in place, or to where a
+    /// frame began to cut it off again.
+    pub fn truncate(&mut self, len: u64) -> io::Result<()> {
+        debug_assert!(len <= self.len, "truncating past the log's end");
+        self.file.set_len(len)?;
+        self.len = len;
         Ok(())
     }
 
