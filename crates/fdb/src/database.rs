@@ -21,10 +21,13 @@
 //!   snapshot reads run under the shared lock, concurrently with each
 //!   other, on either engine. A validated commit allocates its version,
 //!   then stages its write set as one sorted engine batch and seals it —
-//!   on the paged engine, one B-tree walk against a private overlay and one
-//!   WAL frame — under the *shared* lock too, while reads go on. It takes
-//!   the exclusive lock only to publish: on the paged engine, to install
-//!   the pages the walk built and set the root.
+//!   on the paged engine, the batch resolved against the write buffer and
+//!   the tree, no tree walk, and one WAL frame — under the *shared* lock
+//!   too, while reads go on. It takes the exclusive lock only to publish:
+//!   on the paged engine, to put the writes into the write buffer. When the
+//!   buffer asks for a flush, the committing thread flushes it after the
+//!   publish, a slice at a time: each slice one B-tree walk staged under
+//!   the shared lock and installed under the exclusive one.
 //!
 //! There is no group commit. In FoundationDB it pays for itself by
 //! amortising the transaction log's fsync across a batch; this engine
@@ -441,13 +444,15 @@ impl Database {
 
     /// Apply one commit's validated write set, one commit at a time under
     /// the commit-writer lock: one version allocation, one sorted engine
-    /// batch staged and sealed — one B-tree walk and one WAL frame on the
-    /// paged engine — under the shared store lock while reads go on, then
-    /// the exclusive store lock only to publish it and the version, and
-    /// advance `oldest`. A commit that unwinds between its seal and its
-    /// publish is discarded (see [`Unpublished`]), and its version is never
-    /// published. A due compaction runs after it the same way, a bounded
-    /// slice per publish.
+    /// batch staged and sealed — on the paged engine no tree walk and one
+    /// WAL frame — under the shared store lock while reads go on, then the
+    /// exclusive store lock only to publish it (on the paged engine, into
+    /// the write buffer) and the version, and advance `oldest`. A commit
+    /// that unwinds between its seal and its publish is discarded (see
+    /// [`Unpublished`]), and its version is never published. A due
+    /// compaction runs after it the same way, a bounded slice per publish,
+    /// and so does a flush of the write buffer when the engine asks for one
+    /// (see [`Self::flush`]): a compaction pass flushes first.
     fn apply(&self, writes: WriteSet, writes_metadata_version: bool) -> CommitReceipt {
         let mut writer = lock_ranked(&self.writer, LockRank::CommitWriter);
         // Assign the commit version: strictly increasing, and at least the
@@ -498,6 +503,7 @@ impl Database {
             panic!("injected commit failure");
         }
         unpublished.publish();
+        let flush_now = store.engine.flush_due();
         // Publish only now, so a GRV can never hand out a version the
         // store has not fully materialized — and the metadata version
         // first, so a read version that includes this commit never comes
@@ -511,6 +517,8 @@ impl Database {
         drop(store);
         if compact_now {
             self.compact();
+        } else if flush_now {
+            self.flush();
         }
         CommitReceipt {
             version,
@@ -521,7 +529,8 @@ impl Database {
 
     /// One compaction pass at `oldest`, run by the commit that holds the
     /// commit-writer lock: each slice staged under the shared store lock
-    /// and published under the exclusive one.
+    /// and published under the exclusive one. On the paged engine the pass
+    /// flushes the write buffer first, since it prunes the tree.
     fn compact(&self) {
         let _t = rl_obs::Timer::start(rl_obs::Op::Compact);
         let oldest = self.oldest.load(Ordering::Acquire);
@@ -539,6 +548,27 @@ impl Database {
                 .publish(slice);
         }
         rl_obs::record(rl_obs::Op::CompactKeys, keys as u64);
+    }
+
+    /// Flush the paged engine's write buffer, run by the commit that holds
+    /// the commit-writer lock and made it due: each slice — one B-tree walk
+    /// over the buffer's next keys — staged under the shared store lock and
+    /// published under the exclusive one, until the buffer is empty. A
+    /// checkpoint that waited for the empty buffer runs at the last
+    /// publish.
+    fn flush(&self) {
+        let _t = rl_obs::Timer::start(rl_obs::Op::BufferFlush);
+        loop {
+            let slice = read_ranked(&self.store, LockRank::DatabaseStore)
+                .engine
+                .stage_flush();
+            let Some(slice) = slice else {
+                break;
+            };
+            write_ranked(&self.store, LockRank::DatabaseStore)
+                .engine
+                .publish(slice);
+        }
     }
 
     /// Test-only: if a pause is armed at `at`, report `version` and wait

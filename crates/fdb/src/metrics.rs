@@ -88,6 +88,9 @@ impl Metrics {
             page_evictions: self.io.page_evictions.load(Ordering::Relaxed),
             page_flushes: self.io.page_flushes.load(Ordering::Relaxed),
             log_appends: self.io.log_appends.load(Ordering::Relaxed),
+            pages_written: self.io.pages_written.load(Ordering::Relaxed),
+            leaf_rewrites: self.io.leaf_rewrites.load(Ordering::Relaxed),
+            buffer_flushes: self.io.buffer_flushes.load(Ordering::Relaxed),
         }
     }
 }
@@ -116,6 +119,12 @@ pub struct MetricsSnapshot {
     pub page_flushes: u64,
     /// Committed batch frames appended to the write-ahead log.
     pub log_appends: u64,
+    /// Page images a B-tree walk wrote into the pool (paged engine only).
+    pub pages_written: u64,
+    /// The leaf images among `pages_written`.
+    pub leaf_rewrites: u64,
+    /// Flushes of the paged engine's write buffer into its tree.
+    pub buffer_flushes: u64,
 }
 
 impl MetricsSnapshot {
@@ -143,6 +152,9 @@ impl MetricsSnapshot {
             page_evictions: self.page_evictions.saturating_sub(earlier.page_evictions),
             page_flushes: self.page_flushes.saturating_sub(earlier.page_flushes),
             log_appends: self.log_appends.saturating_sub(earlier.log_appends),
+            pages_written: self.pages_written.saturating_sub(earlier.pages_written),
+            leaf_rewrites: self.leaf_rewrites.saturating_sub(earlier.leaf_rewrites),
+            buffer_flushes: self.buffer_flushes.saturating_sub(earlier.buffer_flushes),
         }
     }
 }

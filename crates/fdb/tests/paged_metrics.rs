@@ -100,12 +100,14 @@ fn in_memory_engine_reports_zero_io_metrics() {
     assert_eq!(snap.commits_succeeded, 1);
 }
 
-/// The cost contract of `StorageEngine::update`, seen from a commit: an
-/// atomic ADD reads the current value where its write's descent ends, so
-/// on a warm tree of three or more levels it touches the pages a plain `set` touches —
-/// one per level — not a `get`'s descent and then a `write`'s.
+/// The cost contract of `StorageEngine::stage`, seen from a commit: a
+/// commit goes to the paged engine's write buffer and walks no tree, so a
+/// plain `set` touches no page, and an atomic ADD touches only what reading
+/// the value it folds takes — on a warm tree of three or more levels one
+/// page per level, a `get`'s descent, and none once the buffer holds the
+/// key.
 #[test]
-fn an_atomic_add_costs_the_one_descent_of_a_set() {
+fn an_atomic_add_reads_one_descent_and_a_set_none() {
     use rl_fdb::atomic::MutationType;
     let mut cfg = PagedConfig::ephemeral();
     cfg.pool_pages = 4096; // the whole tree stays resident
@@ -137,15 +139,17 @@ fn an_atomic_add_costs_the_one_descent_of_a_set() {
         "20 000 long keys make a tree {depth} levels deep"
     );
     let set = touched(&|tx| tx.set(&key(10_001), &2u64.to_le_bytes()));
-    let add = touched(&|tx| {
-        tx.mutate(MutationType::Add, &key(10_002), &5u64.to_le_bytes())
-            .unwrap()
-    });
-    assert_eq!((set, add), (depth, depth));
+    let add = || {
+        touched(&|tx| {
+            tx.mutate(MutationType::Add, &key(10_002), &5u64.to_le_bytes())
+                .unwrap()
+        })
+    };
+    assert_eq!((set, add(), add()), (0, depth, 0));
     let tx = db.create_transaction();
     assert_eq!(
         tx.get(&key(10_002)).unwrap(),
-        Some(6u64.to_le_bytes().to_vec())
+        Some(11u64.to_le_bytes().to_vec())
     );
     // On a key that does not exist yet, and twice in one transaction: the
     // commit folds both into the key's one write, so one descent.

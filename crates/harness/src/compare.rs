@@ -64,11 +64,19 @@ fn leaves(v: &Json, path: String, out: &mut BTreeMap<String, f64>) {
     }
 }
 
-/// Whether a count leaf depends on the storage engine: page traffic and
-/// log appends. Every other count of a single-threaded run is the same on
-/// either engine.
+/// Whether a count leaf depends on the storage engine: page traffic, log
+/// appends and the paged engine's tree writes. Every other count of a
+/// single-threaded run is the same on either engine.
 pub fn is_engine_count(path: &str) -> bool {
-    path.starts_with("work.page_") || path == "work.log_appends"
+    path.starts_with("work.page_")
+        || path.starts_with("work.per_commit.")
+        || matches!(
+            path,
+            "work.log_appends"
+                | "work.pages_written"
+                | "work.leaf_rewrites"
+                | "work.buffer_flushes"
+        )
 }
 
 /// Compare two parsed reports. `Err` means they are not comparable:

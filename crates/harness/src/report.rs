@@ -68,9 +68,11 @@ fn class_json(c: &ClassResult, elapsed_s: f64) -> Json {
 }
 
 /// The database's counters over the timed phase that the per-class
-/// `keys` blocks do not already sum to. The page fields stay zero on the
+/// `keys` blocks do not already sum to, and the paged engine's tree writes
+/// per committed transaction. The page and write fields stay zero on the
 /// memory engine, so both engines emit one schema.
 fn work_json(w: &MetricsSnapshot) -> Json {
+    let per_commit = |n| rate(n, w.commits_succeeded);
     Json::obj()
         .with("bytes_read", w.bytes_read)
         .with("bytes_written", w.bytes_written)
@@ -81,6 +83,16 @@ fn work_json(w: &MetricsSnapshot) -> Json {
         .with("page_evictions", w.page_evictions)
         .with("page_flushes", w.page_flushes)
         .with("log_appends", w.log_appends)
+        .with("pages_written", w.pages_written)
+        .with("leaf_rewrites", w.leaf_rewrites)
+        .with("buffer_flushes", w.buffer_flushes)
+        .with(
+            "per_commit",
+            Json::obj()
+                .with("pages_written", per_commit(w.pages_written))
+                .with("leaf_rewrites", per_commit(w.leaf_rewrites))
+                .with("buffer_flushes", per_commit(w.buffer_flushes)),
+        )
 }
 
 /// The full report document.

@@ -293,7 +293,16 @@ fn engines_agree_on_every_count_and_the_end_state() {
         }
     }
     // The engine-dependent counts are the only ones exempt.
-    for path in ["work.page_misses", "work.page_flushes", "work.log_appends"] {
+    let writes = [
+        "work.pages_written",
+        "work.leaf_rewrites",
+        "work.buffer_flushes",
+        "work.per_commit.leaf_rewrites",
+    ];
+    for path in ["work.page_misses", "work.page_flushes", "work.log_appends"]
+        .into_iter()
+        .chain(writes)
+    {
         assert!(compare::is_engine_count(path), "{path}");
     }
     for path in ["work.bytes_written", "work.read_ops", "totals.ops"] {

@@ -36,6 +36,7 @@ ops! {
     BatchApply = "batch_apply",
     BatchSeal = "batch_seal",
     Compact = "compact",
+    BufferFlush = "buffer_flush",
     CompactKeys = "compact_keys",
     WalAppend = "wal_append",
     PageRead = "page_read",

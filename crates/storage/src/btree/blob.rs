@@ -139,7 +139,7 @@ pub(super) fn spill(pool: &mut impl Pages, bytes: &[u8]) -> io::Result<PageId> {
     // Build the chain back to front so each page knows its successor.
     let mut next = NO_PAGE;
     for chunk in bytes.chunks(OVERFLOW_CAP).rev() {
-        let mut payload = Vec::with_capacity(OVERFLOW_HEADER + chunk.len());
+        let mut payload = pool.buffer(OVERFLOW_HEADER + chunk.len());
         payload.push(TAG_OVERFLOW);
         payload.extend_from_slice(&next.to_le_bytes());
         payload.extend_from_slice(&(chunk.len() as u16).to_le_bytes());

@@ -129,36 +129,58 @@ pub(crate) fn chain_pushed(
     version: u64,
     value: Option<&[u8]>,
 ) -> io::Result<(Vec<u8>, bool)> {
-    let (mut count, mut kept, mut shadows) = (0u32, &[][..], false);
+    let mut shadowed = false;
+    let chain = chain_appended(old, [(version, value)].into_iter(), |_, _, shadows| {
+        shadowed = shadows
+    })?;
+    Ok((chain, shadowed))
+}
+
+/// `old` (empty for a new key) with `newer` appended in one rewrite:
+/// entries ascending by version, each above the one before it, the first
+/// at or above `old`'s newest — at it, it replaces that entry. `note` is
+/// told each appended entry's version and value, and whether it shadows an
+/// entry before it; one that replaces shadows nothing.
+pub(crate) fn chain_appended<'v>(
+    old: &[u8],
+    newer: impl Iterator<Item = (u64, Option<&'v [u8]>)> + Clone,
+    mut note: impl FnMut(u64, Option<&'v [u8]>, bool),
+) -> io::Result<Vec<u8>> {
+    let (mut count, mut kept, mut replaces) = (0u32, &[][..], false);
     if !old.is_empty() {
         let entries = chain_entries(old)?;
         let start = entries.r.pos();
         count = entries.left;
+        let first = newer.clone().next().map(|(version, _)| version);
         kept = match entries.last().transpose()? {
-            Some(last) if last.version == version => {
-                count -= 1;
+            Some(last) if Some(last.version) == first => {
+                (count, replaces) = (count - 1, true);
                 &old[start..last.at]
             }
-            Some(last) => {
-                shadows = true;
-                &old[start..last.end]
-            }
+            Some(last) => &old[start..last.end],
             None => kept,
         };
     }
-    let value_len = value.map_or(0, <[u8]>::len);
-    let mut out = Vec::with_capacity(5 + kept.len() + 10 + 5 + value_len);
-    put_varint(&mut out, u64::from(count) + 1);
+    let (added, bytes) = newer.clone().fold((0u32, 0), |(n, bytes), (_, value)| {
+        (n + 1, bytes + 10 + 5 + value.map_or(0, <[u8]>::len))
+    });
+    let mut out = Vec::with_capacity(5 + kept.len() + bytes);
+    put_varint(&mut out, u64::from(count + added));
     out.extend_from_slice(kept);
-    put_varint(&mut out, version);
-    match value {
-        Some(v) => {
-            put_varint(&mut out, v.len() as u64 + 1);
-            out.extend_from_slice(v);
+    let mut shadows = count > 0 && !replaces;
+    for (version, value) in newer {
+        note(version, value, shadows);
+        shadows = true;
+        put_varint(&mut out, version);
+        match value {
+            Some(v) => {
+                put_varint(&mut out, v.len() as u64 + 1);
+                out.extend_from_slice(v);
+            }
+            None => out.push(0),
         }
-        None => out.push(0),
     }
-    Ok((out, shadows))
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -233,6 +255,32 @@ mod tests {
             [(v, None)] if *v <= horizon => (Prune::Dead, kept),
             _ if dropped == 0 => (Prune::Keep, kept),
             _ => (Prune::Trim(pushed(&kept)), kept),
+        }
+    }
+
+    /// Appending several entries in one rewrite gives the chain, and the
+    /// notes, that pushing them one at a time gives: on an empty chain, on
+    /// one whose newest entry the first appended replaces (noted as
+    /// shadowing nothing), and on one it does not.
+    #[test]
+    fn appending_at_once_equals_pushing_one_by_one() {
+        let old = pushed(&[(3, Some(b"a".to_vec())), (5, None)]);
+        let newer: [(u64, Option<&[u8]>); 3] = [(5, Some(b"b")), (8, None), (9, Some(b""))];
+        for (old, from) in [(&[][..], 0), (&old[..], 0), (&old[..], 1)] {
+            let newer = &newer[from..];
+            let mut notes = Vec::new();
+            let at_once = chain_appended(old, newer.iter().copied(), |v, value, shadows| {
+                notes.push((v, value.is_none(), shadows))
+            })
+            .unwrap();
+            let (mut chain, mut pushes) = (old.to_vec(), Vec::new());
+            for &(version, value) in newer {
+                let shadows;
+                (chain, shadows) = chain_pushed(&chain, version, value).unwrap();
+                pushes.push((version, value.is_none(), shadows));
+            }
+            assert_eq!(at_once, chain);
+            assert_eq!(notes, pushes);
         }
     }
 

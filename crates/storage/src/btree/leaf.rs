@@ -166,10 +166,15 @@ pub(super) fn put_entry(
     Ok(())
 }
 
-/// Leaf `id` holding `entries` under `prefix`, with its entry offsets;
-/// allocated at its exact size.
-pub(super) fn leaf_image(id: PageId, prefix: &[u8], entries: &[Entry]) -> io::Result<Image> {
-    let mut out = Vec::with_capacity(leaf_len(prefix.len(), entries));
+/// Leaf `id` holding `entries` under `prefix`, with its entry offsets, in
+/// a buffer of its exact size.
+pub(super) fn leaf_image(
+    pool: &mut impl Pages,
+    id: PageId,
+    prefix: &[u8],
+    entries: &[Entry],
+) -> io::Result<Image> {
+    let mut out = pool.buffer(leaf_len(prefix.len(), entries));
     out.push(TAG_LEAF);
     out.extend_from_slice(&(entries.len() as u16).to_le_bytes());
     put_varint(&mut out, prefix.len() as u64);

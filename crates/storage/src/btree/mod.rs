@@ -126,13 +126,15 @@ mod tests;
 mod walk;
 
 use blob::Blob;
-pub(crate) use chain::chain_pushed;
+pub(crate) use chain::chain_appended;
+#[cfg(test)]
+use chain::chain_pushed;
 pub use chain::{chain_entries, chain_visible_at, ChainEntries, ChainEntry};
 pub use check::check_consistency;
 pub(crate) use check::visit_tree;
 pub use cursor::Cursor;
 use leaf::{leaf_prefix, parse_index};
-pub(crate) use walk::{apply, Edit, Seen, Step};
+pub(crate) use walk::{apply, Edit};
 pub use walk::{prune, prune_sorted, write};
 
 /// Keys over this length are spilled whole to overflow pages. It also caps
@@ -155,6 +157,11 @@ const TAG_INTERNAL: u8 = 1;
 const TAG_LEAF: u8 = 2;
 const TAG_OVERFLOW: u8 = 3;
 
+/// Whether a page image is a leaf.
+pub(crate) fn is_leaf(page: &[u8]) -> bool {
+    page.first() == Some(&TAG_LEAF)
+}
+
 /// What a read of the tree reads pages through: the buffer pool itself,
 /// a shared pool locked for one page at a time (`crate::pool::Shared`),
 /// or a write's staging overlay over it.
@@ -176,6 +183,9 @@ pub trait Pages: PageSource {
     fn write_shared(&mut self, id: PageId, page: Page) -> io::Result<PageId>;
     /// Release a page the tree no longer reaches.
     fn free(&mut self, id: PageId);
+    /// An empty buffer to build a page image of `len` bytes in (see
+    /// `BufferPool::buffer`).
+    fn buffer(&mut self, len: usize) -> Vec<u8>;
 }
 
 impl PageSource for BufferPool {
@@ -199,6 +209,10 @@ impl Pages for BufferPool {
 
     fn free(&mut self, id: PageId) {
         BufferPool::free(self, id);
+    }
+
+    fn buffer(&mut self, len: usize) -> Vec<u8> {
+        BufferPool::buffer(self, len)
     }
 }
 

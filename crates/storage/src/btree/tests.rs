@@ -548,13 +548,8 @@ fn a_hundred_record_commit_writes_each_touched_leaf_once() {
 
     pool.written.clear();
     let before = counters.snapshot();
-    let steps = batch
-        .iter()
-        .map(|(key, len)| (key.as_slice(), Step::Point(*len)));
-    apply(&mut pool, steps, |_, seen| {
-        let Seen::Point(len, stored) = seen else {
-            return Ok(Edit::Keep);
-        };
+    let steps = batch.iter().map(|(key, len)| (key.as_slice(), *len));
+    apply(&mut pool, steps, |_, len, stored| {
         let value = vec![7; len];
         Ok(Edit::Put(
             chain_pushed(stored.unwrap_or_default(), 20, Some(&value))?.0,
@@ -696,8 +691,8 @@ fn record_layer_keys_pack_into_an_exact_layout() {
 
 /// Remove `keys`, ascending, in one walk.
 fn remove(pool: &mut BufferPool, keys: &[Vec<u8>]) {
-    let steps = keys.iter().map(|key| (key.as_slice(), Step::Point(())));
-    apply(pool, steps, |_, _| Ok(Edit::Remove)).unwrap();
+    let steps = keys.iter().map(|key| (key.as_slice(), ()));
+    apply(pool, steps, |_, (), _| Ok(Edit::Remove)).unwrap();
 }
 
 /// Each way the walk deals with a leaf it removed entries from and left
@@ -739,8 +734,8 @@ fn shrunk_leaves_are_dropped_or_merged() {
         .chain((0..60).map(|i| short(b'z', i)))
         .collect();
     let load = |pool: &mut BufferPool, keys: &[Vec<u8>]| {
-        let steps = keys.iter().map(|key| (key.as_slice(), Step::Point(())));
-        apply(pool, steps, |_, _| {
+        let steps = keys.iter().map(|key| (key.as_slice(), ()));
+        apply(pool, steps, |_, (), _| {
             Ok(Edit::Put(chain_pushed(&[], 10, Some(&[7; 250]))?.0))
         })
         .unwrap();

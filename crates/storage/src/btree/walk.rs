@@ -37,24 +37,6 @@ pub(crate) enum Edit {
     Keep,
 }
 
-/// One step of a sorted walk, at its key.
-pub(crate) enum Step<T> {
-    /// Change this key, stored or not.
-    Point(T),
-    /// Change the stored keys from this one up to this end, exclusive,
-    /// that no point step names.
-    Range(Vec<u8>),
-}
-
-/// What [`apply`] shows its caller, who answers with an [`Edit`].
-pub(crate) enum Seen<'a, T> {
-    /// A point step, and the chain stored under its key, if any.
-    Point(T, Option<&'a [u8]>),
-    /// A stored key inside a range step, which no point step names, and
-    /// its chain.
-    Ranged(&'a [u8]),
-}
-
 /// A rewritten node: the id of its first piece, then the encoded separator
 /// and the id of each further piece it split into.
 struct Written {
@@ -82,13 +64,13 @@ struct Level {
 /// The one write path: apply `steps`, ascending by key, in one walk of the
 /// tree.
 ///
-/// The walk descends to the first step's leaf and has `visit` decide an
-/// [`Edit`] for every step below that leaf's upper fence and for every
-/// stored key a range step covers there. It writes the leaf once — the old
-/// bytes with the changed entries spliced in where the prefix cannot
-/// change, else its entries encoded again, split as many ways as they
-/// need — then climbs only as far as the next step needs and descends from
-/// there; a range step that reaches past a leaf goes on in the next one.
+/// Each step is a key and what the caller changes there. The walk descends
+/// to the first step's leaf and has `visit` decide an [`Edit`] for every
+/// step below that leaf's upper fence, shown the step and the chain stored
+/// under its key, if any. It writes the leaf once — the old bytes with the
+/// changed entries spliced in where the prefix cannot change, else its
+/// entries encoded again, split as many ways as they need — then climbs
+/// only as far as the next step needs and descends from there.
 /// An ancestor is rewritten once, as the walk leaves it, and only if the
 /// id of a child changed or a child split — or a leaf below it lost entries
 /// and was left under a quarter page, which the ancestor then drops if it
@@ -96,8 +78,8 @@ struct Level {
 /// writes carries its entry offsets, so nothing parses it again.
 pub(crate) fn apply<K: AsRef<[u8]>, T>(
     pool: &mut impl Pages,
-    steps: impl IntoIterator<Item = (K, Step<T>)>,
-    mut visit: impl FnMut(&[u8], Seen<'_, T>) -> io::Result<Edit>,
+    steps: impl IntoIterator<Item = (K, T)>,
+    mut visit: impl FnMut(&[u8], T, Option<&[u8]>) -> io::Result<Edit>,
 ) -> io::Result<()> {
     let mut steps = steps.into_iter().peekable();
     if pool.root() == NO_PAGE {
@@ -105,7 +87,7 @@ pub(crate) fn apply<K: AsRef<[u8]>, T>(
             vec![TAG_LEAF, 0, 0, 0],
             Box::new([NODE_HEADER as u16 + 1]),
         ));
-        let (written, _) = rewrite_leaf(pool, NO_PAGE, &empty, None, &mut steps, None, &mut visit)?;
+        let written = rewrite_leaf(pool, NO_PAGE, &empty, None, &mut steps, &mut visit)?;
         if let Some(written) = written {
             let root = grow(pool, written)?;
             pool.set_root(root);
@@ -113,17 +95,10 @@ pub(crate) fn apply<K: AsRef<[u8]>, T>(
         return Ok(());
     }
     let mut path: Vec<Level> = Vec::new();
-    // A range step that reaches past the last leaf: its end, and that
-    // leaf's upper fence, where the walk goes on.
-    let mut carry: Option<(Vec<u8>, Vec<u8>)> = None;
     // What the root became.
     let mut root = None;
-    loop {
-        let target: &[u8] = match (&carry, steps.peek()) {
-            (Some((_, fence)), _) => fence,
-            (None, Some((key, _))) => key.as_ref(),
-            (None, None) => break,
-        };
+    while let Some((key, _)) = steps.peek() {
+        let target: &[u8] = key.as_ref();
         // Climb out of every node the target is not under...
         let beyond = |level: &mut Level| level.upper.as_deref().is_some_and(|up| target >= up);
         while let Some(level) = path.pop_if(beyond) {
@@ -165,18 +140,8 @@ pub(crate) fn apply<K: AsRef<[u8]>, T>(
         if upper.as_deref().is_some_and(|up| up <= target) {
             return Err(corrupt(format!("leaf {id}: separators out of order")));
         }
-        let carried = carry.take().map(|(end, _)| end);
-        let (written, reaching) = rewrite_leaf(
-            pool,
-            id,
-            &leaf,
-            upper.as_deref(),
-            &mut steps,
-            carried,
-            &mut visit,
-        )?;
+        let written = rewrite_leaf(pool, id, &leaf, upper.as_deref(), &mut steps, &mut visit)?;
         settle(&mut path, &mut root, written);
-        carry = reaching.zip(upper);
     }
     while let Some(level) = path.pop() {
         let written = rewrite_internal(pool, level, path.is_empty())?;
@@ -233,7 +198,8 @@ fn grow(pool: &mut impl Pages, written: Written) -> io::Result<PageId> {
         ..
     } = written;
     while !more.is_empty() {
-        let mut node = Node::new();
+        let seps: usize = more.iter().map(|(sep, _)| sep.len()).sum();
+        let mut node = Node::new(pool.buffer(NODE_HEADER + 4 * (more.len() + 1) + seps));
         node.child(root);
         for (sep, id) in &more {
             node.sep(sep);
@@ -267,7 +233,7 @@ fn rewrite_internal(
     if rewritten.iter().all(same) {
         return Ok(None);
     }
-    let mut node = Node::new();
+    let mut node = Node::new(pool.buffer(page.len()));
     let mut from = 0;
     for (i, Written { id: new, more, .. }) in rewritten {
         if i < from {
@@ -397,7 +363,7 @@ fn rebalance(
         let (more, shrunk) = (Vec::new(), None);
         return Ok(Written { id, more, shrunk });
     }
-    let mut node = Node::new();
+    let mut node = Node::new(pool.buffer(page.len()));
     for kid in &kids {
         node.child(kid.id);
         node.sep(&kid.sep);
@@ -449,9 +415,11 @@ struct Node {
 }
 
 impl Node {
-    fn new() -> Node {
+    /// An empty node, built in `bytes`, an empty buffer.
+    fn new(mut bytes: Vec<u8>) -> Node {
+        bytes.extend_from_slice(&[TAG_INTERNAL, 0, 0]);
         Node {
-            bytes: vec![TAG_INTERNAL, 0, 0],
+            bytes,
             at: Vec::new(),
         }
     }
@@ -595,98 +563,50 @@ struct LeafEdits {
     removed: Vec<(PageId, u32)>,
 }
 
-/// Apply to leaf `id` every step below its upper `fence`, and the range
-/// step whose end is `carried` from the leaf before. Returns what the leaf
-/// became (`None`: nothing changed) and, when a range step reaches past the
-/// fence, the furthest end of one.
-fn rewrite_leaf<K: AsRef<[u8]>, T, P: Pages>(
-    pool: &mut P,
+/// Apply to leaf `id` every step below its upper `fence`. Returns what the
+/// leaf became (`None`: nothing changed).
+fn rewrite_leaf<K: AsRef<[u8]>, T>(
+    pool: &mut impl Pages,
     id: PageId,
     leaf: &Page,
     fence: Option<&[u8]>,
-    steps: &mut Peekable<impl Iterator<Item = (K, Step<T>)>>,
-    carried: Option<Vec<u8>>,
-    visit: &mut impl FnMut(&[u8], Seen<'_, T>) -> io::Result<Edit>,
-) -> io::Result<(Option<Written>, Option<Vec<u8>>)> {
+    steps: &mut Peekable<impl Iterator<Item = (K, T)>>,
+    visit: &mut impl FnMut(&[u8], T, Option<&[u8]>) -> io::Result<Edit>,
+) -> io::Result<Option<Written>> {
     let at = index(leaf, id, TAG_LEAF)?;
     let leaf: &[u8] = leaf;
     let prefix = leaf_prefix(leaf, id)?;
     let mut edits = LeafEdits::default();
-    // Entries below `pos` are settled; from `pos` up to `cleared` they lie
-    // in a range step.
-    let (mut pos, mut cleared, mut carry) = (0, 0, None);
-    let reach = |pool: &mut P, end: Vec<u8>, carry: &mut Option<Vec<u8>>| {
-        if fence.is_some_and(|fence| end.as_slice() > fence) {
-            if carry.as_ref().is_none_or(|far| *far < end) {
-                *carry = Some(end);
-            }
-            return Ok(at.len() - 1);
-        }
-        locate(pool, leaf, id, TAG_LEAF, at, &end).map(|(Ok(i) | Err(i))| i)
-    };
-    if let Some(end) = carried {
-        cleared = reach(pool, end, &mut carry)?;
-    }
-    let below = |(key, _): &(K, Step<T>)| fence.is_none_or(|fence| key.as_ref() < fence);
+    // Entries below `pos` are settled.
+    let mut pos = 0;
+    let below = |(key, _): &(K, T)| fence.is_none_or(|fence| key.as_ref() < fence);
     while let Some((key, step)) = steps.next_if(below) {
         let key = key.as_ref();
-        let slot = locate(pool, leaf, id, TAG_LEAF, at, key)?;
-        let (Ok(i) | Err(i)) = slot;
-        if i < pos {
-            return Err(corrupt(format!("leaf {id}: keys out of order")));
-        }
-        edits.ranged(pool, (leaf, id, at, prefix), pos..i.min(cleared), visit)?;
-        pos = i;
-        match (step, slot) {
-            (Step::Range(end), _) => cleared = cleared.max(reach(pool, end, &mut carry)?),
-            (Step::Point(item), Ok(i)) => {
+        match locate(pool, leaf, id, TAG_LEAF, at, key)? {
+            Ok(i) | Err(i) if i < pos => {
+                return Err(corrupt(format!("leaf {id}: keys out of order")));
+            }
+            Ok(i) => {
                 let entry = stored(leaf, id, at, i)?;
                 let chain = entry.chain.load(pool)?;
-                let edit = visit(key, Seen::Point(item, Some(&chain)))?;
+                let edit = visit(key, step, Some(&chain))?;
                 edits.change(pool, i, &entry, edit)?;
                 pos = i + 1;
             }
-            (Step::Point(item), Err(i)) => {
-                let edit = visit(key, Seen::Point(item, None))?;
+            Err(i) => {
+                let edit = visit(key, step, None)?;
                 edits.insert(pool, i, key, prefix, edit)?;
+                pos = i;
             }
         }
     }
-    edits.ranged(pool, (leaf, id, at, prefix), pos..cleared, visit)?;
     if edits.changes.is_empty() {
-        return Ok((None, carry));
+        return Ok(None);
     }
-    Ok((Some(edits.write(pool, id, leaf, at, prefix)?), carry))
+    edits.write(pool, id, leaf, at, prefix).map(Some)
 }
 
 impl LeafEdits {
-    /// Let `visit` decide for entries `range` of a leaf, which a range step
-    /// covers.
-    fn ranged<T>(
-        &mut self,
-        pool: &mut impl Pages,
-        (leaf, id, at, prefix): (&[u8], PageId, &[u16], &[u8]),
-        range: Range<usize>,
-        visit: &mut impl FnMut(&[u8], Seen<'_, T>) -> io::Result<Edit>,
-    ) -> io::Result<()> {
-        let mut key = Vec::new();
-        for i in range {
-            let entry = stored(leaf, id, at, i)?;
-            match entry.key {
-                Blob::Inline(suffix) => {
-                    key.clear();
-                    key.extend_from_slice(prefix);
-                    key.extend_from_slice(suffix);
-                }
-                overflow => key = overflow.load(pool)?.into_owned(),
-            }
-            let chain = entry.chain.load(pool)?;
-            let edit = visit(&key, Seen::Ranged(&chain))?;
-            self.change(pool, i, &entry, edit)?;
-        }
-        Ok(())
-    }
-
     /// Old entry `i`, stored as `entry`, edited.
     fn change(
         &mut self,
@@ -800,7 +720,7 @@ impl LeafEdits {
                 }
             });
         if keeps_prefix && size <= MAX_PAYLOAD {
-            let mut out = Vec::with_capacity(size);
+            let mut out = pool.buffer(size);
             out.extend_from_slice(&leaf[..at[0] as usize]);
             let mut offsets = Vec::with_capacity(count + self.changes.len() + 1);
             let mut from = 0;
@@ -904,7 +824,7 @@ fn write_leaf(
     }
     let images = pieces
         .iter()
-        .map(|(range, prefix)| leaf_image(id, prefix, &entries[range.clone()]))
+        .map(|(range, prefix)| leaf_image(pool, id, prefix, &entries[range.clone()]))
         .collect::<io::Result<_>>()?;
     store_pieces(pool, id, images, seps, shrank)
 }
@@ -920,10 +840,7 @@ pub fn write(
     value: Option<&[u8]>,
 ) -> io::Result<bool> {
     let mut garbage = false;
-    apply(pool, [(key, Step::Point(()))], |_, seen| {
-        let Seen::Point((), stored) = seen else {
-            return Ok(Edit::Keep);
-        };
+    apply(pool, [(key, ())], |_, (), stored| {
         let (chain, shadows) = chain_pushed(stored.unwrap_or_default(), version, value)?;
         garbage = shadows || value.is_none();
         Ok(Edit::Put(chain))
@@ -940,9 +857,9 @@ pub fn prune_sorted<'k>(
     keys: impl IntoIterator<Item = &'k [u8]>,
     oldest_version: u64,
 ) -> io::Result<()> {
-    let steps = keys.into_iter().map(|key| (key, Step::Point(())));
-    apply(pool, steps, |_, seen| {
-        let Seen::Point((), Some(old)) = seen else {
+    let steps = keys.into_iter().map(|key| (key, ()));
+    apply(pool, steps, |_, (), stored| {
+        let Some(old) = stored else {
             return Ok(Edit::Keep);
         };
         Ok(match chain_prune(old, oldest_version)? {

@@ -17,25 +17,33 @@
 //! makes it what reads see. Staging and sealing take `&self`, so the
 //! database runs them under the shared side of its store lock while
 //! snapshot reads go on; publishing takes `&mut self`, a short section
-//! under the exclusive side. A batch costs one seek per leaf it touches,
-//! not one per key: the paged engine's stage walks the tree once from the
-//! batch's first key to its last and builds each leaf it changes once,
-//! privately, and its publish only installs what the walk built. The
-//! memory engine's stage carries the batch, and its publish is the map
-//! update. [`stage_compaction`] stages a bounded slice of MVCC
-//! compaction the same way: work proportional to the keys written since the
-//! last pass — both engines log which keys those are (the crate's
-//! `garbage` module) — and none for the keys stored. Every write goes
-//! through this one path: [`apply_sorted`], [`write`], [`update`],
-//! [`clear_range`] and [`compact`] stage and publish at once, and the
-//! paged engine's WAL replay at open does the same. What a read changes
-//! inside an engine (the paged engine's buffer pool) the engine locks
-//! itself.
+//! under the exclusive side. A commit costs a map insert per key it
+//! writes and, on the paged engine, one WAL frame: the paged engine's
+//! stage resolves the batch against its write buffer and its tree — an
+//! `Update` reads the value it folds, a range clear the live keys it
+//! tombstones — and walks no tree, and its publish puts the writes into
+//! the buffer. Its tree is written in batches: once the buffer holds
+//! enough, [`flush_due`] says so, and [`stage_flush`] stages the next
+//! bounded slice of it as one walk of the tree that appends every
+//! buffered version of each key to the key's chain at once, each leaf it
+//! touches rewritten once. The memory engine's stage carries the batch,
+//! and its publish is the map update. [`stage_compaction`] stages a
+//! bounded slice of MVCC compaction the same way — on the paged engine
+//! after the buffer's slices, since compaction prunes the tree: work
+//! proportional to the keys written since the last pass — both engines log
+//! which keys those are (the crate's `garbage` module) — and none for the
+//! keys stored. Every write goes through this one path: [`apply_sorted`],
+//! [`write`], [`update`], [`clear_range`] and [`compact`] stage and
+//! publish at once, and the paged engine's WAL replay at open does the
+//! same. What a read changes inside an engine (the paged engine's buffer
+//! pool) the engine locks itself.
 //!
 //! [`stage`]: StorageEngine::stage
 //! [`seal`]: StorageEngine::seal
 //! [`publish`]: StorageEngine::publish
 //! [`stage_compaction`]: StorageEngine::stage_compaction
+//! [`flush_due`]: StorageEngine::flush_due
+//! [`stage_flush`]: StorageEngine::stage_flush
 //! [`apply_sorted`]: StorageEngine::apply_sorted
 //! [`write`]: StorageEngine::write
 //! [`update`]: StorageEngine::update
@@ -154,14 +162,15 @@ pub trait StorageEngine: Send + Sync + std::fmt::Debug {
     /// `version`: here on the paged engine, at publish on the memory
     /// engine.
     ///
-    /// Cost contract: one seek per leaf the batch touches, not per key. On
-    /// the paged engine the walk descends to the first key's leaf, puts
-    /// every mutation below that leaf's upper separator into one new image
-    /// (split as many ways as it needs), climbs only as far as the next
-    /// key needs, and rewrites each ancestor at most once: a page above a
-    /// leaf is rewritten only when the id of a page below it changed (the
-    /// first write down a path after a checkpoint) or a split reaches it.
-    /// A range clear also reads each leaf in its range. In memory, nothing
+    /// Cost contract: no tree walk and no page written. On the paged engine
+    /// a `Write` costs nothing here; an `Update` reads the key's value from
+    /// the write buffer, or, when the buffer holds no version of the key,
+    /// with one descent of the tree (a [`get`](Self::get)); a range clear
+    /// reads the buffer's and the tree's keys in its range (one seek, then
+    /// leaf to leaf). A batch whose writes alone reach the buffer's flush
+    /// size (a bulk load) is the exception: it is staged as one flush walk
+    /// of the buffer and the batch together, one seek per leaf they touch,
+    /// as [`stage_flush`](Self::stage_flush) describes. In memory, nothing
     /// until publish, and then one map lookup per key.
     fn stage<'a>(&self, version: u64, batch: Batch<'a>) -> Staged<'a>;
 
@@ -187,13 +196,44 @@ pub trait StorageEngine: Send + Sync + std::fmt::Debug {
     /// and one read of a sibling per leaf the slice leaves under a quarter
     /// page, which it merges into that sibling when the two fit (the paged
     /// engine). Work is proportional to the keys written, none to the keys
-    /// stored; nothing walks the whole tree.
+    /// stored; nothing walks the whole tree. On the paged engine a pass
+    /// flushes the write buffer first: while the buffer holds keys, this
+    /// stages a slice of its flush, as [`stage_flush`](Self::stage_flush)
+    /// does, which visits no garbage-log key and counts 0 of them.
     fn stage_compaction(&self, oldest_version: u64) -> Option<Staged<'static>>;
 
-    /// Make `staged` what reads see. On the paged engine: install the
-    /// images the stage built, free the pages the new tree no longer
-    /// reaches, set the root, log the stage's garbage — and, for a sealed
-    /// batch, checkpoint if one is due. No tree walk, no page encoding.
+    /// Whether the write buffer asks to be flushed: the paged engine's
+    /// buffer passed its flush size, or a checkpoint is due, which runs
+    /// only on an empty buffer. The database asks after each publish and
+    /// then flushes it with [`stage_flush`](Self::stage_flush). The memory
+    /// engine has no buffer.
+    fn flush_due(&self) -> bool {
+        false
+    }
+
+    /// Stage the next slice of a due flush of the write buffer, or `None`
+    /// when none is due. Published, the slice appends every buffered
+    /// version of its keys to their chains in the tree and drops those keys
+    /// from the buffer; the last slice leaves the buffer empty and logs the
+    /// garbage the flush left.
+    ///
+    /// Cost contract: one walk of the tree over the buffer's next keys in
+    /// key order — on the paged engine until the slice holds about 16 pages
+    /// of its own, so that it holds a bounded number beside the published
+    /// tree — one seek per leaf they lie in, each leaf rewritten once and
+    /// each ancestor at most once, however many versions of a key the
+    /// buffer holds.
+    fn stage_flush(&self) -> Option<Staged<'static>> {
+        None
+    }
+
+    /// Make `staged` what reads see. On the paged engine: put a batch's
+    /// writes into the write buffer, or install the images a walk built,
+    /// free the pages the new tree no longer reaches, set the root, drop the
+    /// keys a flush slice flushed from the buffer and log its garbage — and,
+    /// for a sealed batch or a flush that leaves the buffer empty,
+    /// checkpoint if one is due and the buffer is empty. No tree walk, no
+    /// page encoding.
     fn publish(&mut self, staged: Staged<'_>);
 
     /// Drop `staged` unpublished, as if it had never been staged: on the
@@ -206,15 +246,18 @@ pub trait StorageEngine: Send + Sync + std::fmt::Debug {
     }
 
     /// Stage and publish one sorted batch: [`stage`](Self::stage), then
-    /// [`publish`](Self::publish). Sealed by the next
-    /// [`commit_batch`](Self::commit_batch).
+    /// [`publish`](Self::publish), then the flush it made due, slice by
+    /// slice. Sealed by the next [`commit_batch`](Self::commit_batch).
     fn apply_sorted(&mut self, version: u64, batch: Batch<'_>) {
         let staged = self.stage(version, batch);
         self.publish(staged);
+        while let Some(slice) = self.stage_flush() {
+            self.publish(slice);
+        }
     }
 
     /// Record a write (set, or clear via `None`) at `version`: a batch of
-    /// one, so one root-to-leaf descent on the paged engine.
+    /// one.
     fn write(&mut self, key: Vec<u8>, value: Option<Vec<u8>>, version: u64) {
         self.apply_sorted(version, vec![(key, Mutation::Write(value))]);
     }
@@ -223,8 +266,7 @@ pub trait StorageEngine: Send + Sync + std::fmt::Debug {
     /// visible at `version` (which includes an entry written at `version`
     /// itself), and what it returns is written at `version` exactly as
     /// [`write`](Self::write) would — `None` a tombstone, an entry already
-    /// at `version` replaced. A batch of one: the value is read where the
-    /// write's seek ends, never by a `get` first.
+    /// at `version` replaced. A batch of one.
     fn update(&mut self, key: Vec<u8>, version: u64, f: &mut Update<'_>) {
         let update = Mutation::Update(Box::new(|visible: Option<&[u8]>| f(visible)));
         self.apply_sorted(version, vec![(key, update)]);
@@ -238,17 +280,23 @@ pub trait StorageEngine: Send + Sync + std::fmt::Debug {
     }
 
     /// Seal every batch published since the previous seal: a crash-safe
-    /// engine makes them durable atomically, in one WAL frame, and
-    /// checkpoints if one is due; the in-memory engine ignores it.
+    /// engine makes them durable atomically, in one WAL frame, then flushes
+    /// its write buffer into its tree and checkpoints if one is due. So a
+    /// caller that writes through this trait alone finds its writes in the
+    /// paged engine's tree after each `commit_batch`; the database commits
+    /// with [`seal`](Self::seal) and flushes when
+    /// [`flush_due`](Self::flush_due) says so. The in-memory engine ignores
+    /// it.
     fn commit_batch(&mut self) {}
 
     /// Read the value of `key` visible at `read_version`.
     ///
-    /// Cost contract: one seek to the key. On the paged engine that is one
-    /// page per tree level, and O(log entries) key compares per page once
-    /// the page's image has been walked: the first walk of an image parses
-    /// it whole and caches its entry offsets, and later walks
-    /// binary-search them.
+    /// Cost contract: one seek to the key. On the paged engine that is a
+    /// lookup in the write buffer, which answers when it holds a version of
+    /// the key at or below `read_version`; else one page per tree level,
+    /// and O(log entries) key compares per page once the page's image has
+    /// been walked: the first walk of an image parses it whole and caches
+    /// its entry offsets, and later walks binary-search them.
     fn get(&self, key: &[u8], read_version: u64) -> Option<Vec<u8>>;
 
     /// Lend every row of `[begin, end)` visible at `read_version` to
@@ -257,14 +305,16 @@ pub trait StorageEngine: Send + Sync + std::fmt::Debug {
     /// [`ControlFlow::Break`]. This is the engine's one ordered read.
     ///
     /// Cost contract: one seek to the starting bound (on the paged engine
-    /// the descent of a [`get`](Self::get)), then each visible row lent
-    /// once as a borrowed key and value, with nothing copied: work
+    /// the descent of a [`get`](Self::get), and a seek of the write
+    /// buffer, whose keys it merges with the tree's), then each visible row
+    /// lent once as a borrowed key and value, with nothing copied: work
     /// proportional to the rows lent plus the rows stepped over because
     /// they are invisible at `read_version` (tombstones, versions newer
     /// than the read version). The read never touches the part of the
-    /// range beyond the row at which the visitor stopped, and on the paged
-    /// engine no leaf past the range's end: it stops at the first ancestor
-    /// separator that the end does not exceed. The visitor runs while the
+    /// range beyond the row at which the visitor stopped — on the paged
+    /// engine bar the tree's next row, which a merge compares a buffered
+    /// row with — and on the paged engine no leaf past the range's end: it
+    /// stops at the first ancestor separator that the end does not exceed. The visitor runs while the
     /// caller holds the database's shared store lock, so it must not call
     /// back into the database.
     fn visit(
@@ -332,7 +382,8 @@ pub trait StorageEngine: Send + Sync + std::fmt::Debug {
         keys
     }
 
-    /// Force all buffered state to disk (checkpoint). No-op in memory.
+    /// Force all buffered state to disk: flush the write buffer into the
+    /// tree, then checkpoint. No-op in memory.
     fn flush(&mut self) {}
 
     /// Number of live keys at `read_version` (test/diagnostic helper).

@@ -158,11 +158,17 @@ impl PageFile {
     /// come out of stored pages. The page is read into the buffer that is
     /// returned, and its payload moved down over the header in place.
     pub fn read_page(&mut self, id: PageId) -> io::Result<Vec<u8>> {
+        self.read_page_into(id, Vec::new())
+    }
+
+    /// [`read_page`](Self::read_page) into `buf`, whose contents go.
+    pub(crate) fn read_page_into(&mut self, id: PageId, mut buf: Vec<u8>) -> io::Result<Vec<u8>> {
         let invalid = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what);
         if id < 2 || id >= self.page_count {
             return Err(invalid(&format!("page {id}: not a data page")));
         }
-        let mut buf = vec![0u8; PAGE_SIZE];
+        buf.clear();
+        buf.resize(PAGE_SIZE, 0);
         self.file
             .read_exact_at(&mut buf, u64::from(id) * PAGE_SIZE as u64)
             .map_err(|e| match e.kind() {

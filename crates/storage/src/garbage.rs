@@ -197,17 +197,6 @@ pub(crate) struct Keys {
 }
 
 impl Keys {
-    pub(crate) fn clear(&mut self) {
-        self.bytes.clear();
-        self.spans.clear();
-    }
-
-    pub(crate) fn push(&mut self, key: &[u8]) {
-        let start = self.bytes.len();
-        self.bytes.extend_from_slice(key);
-        self.spans.push(start..self.bytes.len());
-    }
-
     pub(crate) fn len(&self) -> usize {
         self.spans.len()
     }

@@ -61,6 +61,7 @@
 //! key-level counters.
 
 pub mod btree;
+mod buffer;
 mod codec;
 pub mod engine;
 pub mod file;
@@ -96,6 +97,16 @@ pub struct IoCounters {
     pub page_flushes: AtomicU64,
     /// Committed batch frames appended to the write-ahead log.
     pub log_appends: AtomicU64,
+    /// Page images written into the pool: B-tree nodes and overflow pages
+    /// built by a walk (a copy-on-write page and one rewritten in place
+    /// alike).
+    pub pages_written: AtomicU64,
+    /// The leaf images among `pages_written`: one per piece of each leaf a
+    /// walk rewrote.
+    pub leaf_rewrites: AtomicU64,
+    /// Flushes of the paged engine's write buffer into the tree: each ends
+    /// with the buffer empty.
+    pub buffer_flushes: AtomicU64,
 }
 
 /// Shared handle to an [`IoCounters`] block.
@@ -114,6 +125,9 @@ impl IoCounters {
             page_evictions: self.page_evictions.load(Ordering::Relaxed),
             page_flushes: self.page_flushes.load(Ordering::Relaxed),
             log_appends: self.log_appends.load(Ordering::Relaxed),
+            pages_written: self.pages_written.load(Ordering::Relaxed),
+            leaf_rewrites: self.leaf_rewrites.load(Ordering::Relaxed),
+            buffer_flushes: self.buffer_flushes.load(Ordering::Relaxed),
         }
     }
 }
@@ -126,6 +140,9 @@ pub struct IoStats {
     pub page_evictions: u64,
     pub page_flushes: u64,
     pub log_appends: u64,
+    pub pages_written: u64,
+    pub leaf_rewrites: u64,
+    pub buffer_flushes: u64,
 }
 
 impl IoStats {
@@ -139,6 +156,9 @@ impl IoStats {
             page_evictions: self.page_evictions.saturating_sub(earlier.page_evictions),
             page_flushes: self.page_flushes.saturating_sub(earlier.page_flushes),
             log_appends: self.log_appends.saturating_sub(earlier.log_appends),
+            pages_written: self.pages_written.saturating_sub(earlier.pages_written),
+            leaf_rewrites: self.leaf_rewrites.saturating_sub(earlier.leaf_rewrites),
+            buffer_flushes: self.buffer_flushes.saturating_sub(earlier.buffer_flushes),
         }
     }
 }

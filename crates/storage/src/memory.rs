@@ -30,7 +30,7 @@
 
 use std::borrow::Borrow;
 use std::cmp::Ordering;
-use std::collections::btree_map::Entry;
+use std::collections::btree_map::{self, Entry};
 use std::collections::BTreeMap;
 use std::ops::{Bound, ControlFlow};
 
@@ -44,7 +44,7 @@ const INLINE: usize = 30;
 /// A map key, ordered (and borrowed as `[u8]`) by its bytes alone, so the
 /// map is searched with plain slices.
 #[derive(Debug)]
-enum Key {
+pub(crate) enum Key {
     /// The length, then the bytes, zero-padded.
     Inline(u8, [u8; INLINE]),
     Boxed(Box<[u8]>),
@@ -52,7 +52,7 @@ enum Key {
 
 impl Key {
     /// `bytes` held in place when they fit, else copied into a box.
-    fn new(bytes: &[u8]) -> Key {
+    pub(crate) fn new(bytes: &[u8]) -> Key {
         if bytes.len() > INLINE {
             return Key::Boxed(Box::from(bytes));
         }
@@ -61,7 +61,7 @@ impl Key {
         Key::Inline(bytes.len() as u8, inline)
     }
 
-    fn bytes(&self) -> &[u8] {
+    pub(crate) fn bytes(&self) -> &[u8] {
         match self {
             Key::Inline(len, bytes) => &bytes[..*len as usize],
             Key::Boxed(bytes) => bytes,
@@ -97,31 +97,42 @@ impl Ord for Key {
 
 /// One versioned write to a key: `None` is a tombstone (clear).
 #[derive(Debug)]
-struct VersionedValue {
-    version: u64,
-    value: Option<Box<[u8]>>,
+pub(crate) struct VersionedValue {
+    pub(crate) version: u64,
+    pub(crate) value: Option<Box<[u8]>>,
 }
 
 /// A key's versions, oldest first.
 #[derive(Debug)]
-enum Chain {
+pub(crate) enum Chain {
     One(VersionedValue),
     /// Two or more.
     Many(Vec<VersionedValue>),
 }
 
 impl Chain {
-    fn versions(&self) -> &[VersionedValue] {
+    pub(crate) fn versions(&self) -> &[VersionedValue] {
         match self {
             Chain::One(v) => std::slice::from_ref(v),
             Chain::Many(vs) => vs,
         }
     }
 
-    /// The value visible at `version`, `None` for a tombstone or no entry.
-    fn visible(&self, version: u64) -> Option<&[u8]> {
+    /// The newest entry at or below `version`: `Some(None)` for a
+    /// tombstone, `None` when every entry is newer.
+    pub(crate) fn at(&self, version: u64) -> Option<Option<&[u8]>> {
         let visible = self.versions().iter().rev().find(|v| v.version <= version);
-        visible?.value.as_deref()
+        visible.map(|v| v.value.as_deref())
+    }
+
+    /// The value visible at `version`, `None` for a tombstone or no entry.
+    pub(crate) fn visible(&self, version: u64) -> Option<&[u8]> {
+        self.at(version).flatten()
+    }
+
+    /// Whether the newest entry is a live value.
+    pub(crate) fn newest_is_live(&self) -> bool {
+        self.versions().last().is_some_and(|v| v.value.is_some())
     }
 
     fn newest_mut(&mut self) -> &mut VersionedValue {
@@ -142,10 +153,169 @@ impl Chain {
     }
 }
 
+/// An ordered multi-version map: the memory engine's store, and the paged
+/// engine's write buffer (`crate::paged`), which holds the writes of the
+/// commits since its last flush this way.
+#[derive(Debug, Default)]
+pub(crate) struct VersionedMap {
+    map: BTreeMap<Key, Chain>,
+}
+
+/// The rows of a [`VersionedMap::range`], in its direction.
+pub(crate) struct Rows<'m> {
+    rows: btree_map::Range<'m, Key, Chain>,
+    reverse: bool,
+    begin: &'m [u8],
+    end: Option<&'m [u8]>,
+}
+
+impl<'m> Iterator for Rows<'m> {
+    type Item = (&'m [u8], &'m Chain);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (key, chain) = match self.reverse {
+            true => self.rows.next_back()?,
+            false => self.rows.next()?,
+        };
+        let key = key.bytes();
+        let inside = match self.reverse {
+            true => key >= self.begin,
+            false => self.end.is_none_or(|end| key < end),
+        };
+        inside.then_some((key, chain))
+    }
+}
+
+impl VersionedMap {
+    /// One map lookup: `f` sees the value visible at `version`, and what
+    /// it returns is written at `version` (replacing an entry already
+    /// there). `log` is called with the key, as the map holds it, when the
+    /// write leaves something for compaction: it shadowed an older entry,
+    /// or it is a tombstone. Returns the value of the entry at `version`
+    /// that the write replaced, if there was one.
+    pub(crate) fn put(
+        &mut self,
+        key: Key,
+        version: u64,
+        f: impl FnOnce(Option<&[u8]>) -> Option<Box<[u8]>>,
+        log: impl FnOnce(&[u8]),
+    ) -> Option<Option<Box<[u8]>>> {
+        match self.map.entry(key) {
+            Entry::Vacant(slot) => {
+                let value = f(None);
+                let garbage = value.is_none();
+                let slot = slot.insert_entry(Chain::One(VersionedValue { version, value }));
+                if garbage {
+                    log(slot.key().bytes());
+                }
+                None
+            }
+            Entry::Occupied(mut slot) => {
+                let chain = slot.get_mut();
+                let value = f(chain.visible(version));
+                // Garbage: an older entry now shadowed, or a tombstone.
+                let newest = chain.newest_mut();
+                let garbage = value.is_none() || newest.version != version;
+                let replaced = if newest.version == version {
+                    Some(std::mem::replace(&mut newest.value, value))
+                } else {
+                    chain.push(VersionedValue { version, value });
+                    None
+                };
+                if garbage {
+                    log(slot.key().bytes());
+                }
+                replaced
+            }
+        }
+    }
+
+    pub(crate) fn get(&self, key: &[u8]) -> Option<&Chain> {
+        self.map.get(key)
+    }
+
+    /// The keys of `[begin, end)` (`end` `None`: to the last key) and their
+    /// chains, ascending from `begin` or, with `reverse`, descending from
+    /// `end`, which must then be given. The iterator seeks only the bound
+    /// it starts from and stops at the other one: a two-bound range would
+    /// search the tree for both ends first, and a reader usually stops long
+    /// before the far one.
+    pub(crate) fn range<'m>(
+        &'m self,
+        begin: &'m [u8],
+        end: Option<&'m [u8]>,
+        reverse: bool,
+    ) -> Rows<'m> {
+        let rows = match (reverse, end) {
+            (true, Some(end)) => self
+                .map
+                .range::<[u8], _>((Bound::Unbounded, Bound::Excluded(end))),
+            (true, None) => self.map.range::<[u8], _>(..),
+            (false, _) => self
+                .map
+                .range::<[u8], _>((Bound::Included(begin), Bound::Unbounded)),
+        };
+        Rows {
+            rows,
+            reverse,
+            begin,
+            end,
+        }
+    }
+
+    /// Every key and its chain, ascending.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&[u8], &Chain)> {
+        self.map.iter().map(|(key, chain)| (key.bytes(), chain))
+    }
+
+    /// Remove `key`; returns its chain.
+    pub(crate) fn remove(&mut self, key: &[u8]) -> Option<Chain> {
+        self.map.remove(key)
+    }
+
+    /// Remove the first key and its chain.
+    pub(crate) fn pop_first(&mut self) -> Option<(Key, Chain)> {
+        self.map.pop_first()
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.map.is_empty()
+    }
+
+    /// Trim the chain of `key` at `oldest_version`: keep the newest version
+    /// at or below it (still the visible base for readers at the horizon)
+    /// plus everything newer, and remove the key once only a tombstone at
+    /// or below it remains.
+    fn prune(&mut self, key: &[u8], oldest_version: u64) {
+        let Some(chain) = self.map.get_mut(key) else {
+            return; // removed since it was logged
+        };
+        if let Chain::Many(versions) = chain {
+            let split = versions
+                .iter()
+                .rposition(|v| v.version <= oldest_version)
+                .unwrap_or(0);
+            versions.drain(..split);
+            if let [_] = &versions[..] {
+                *chain = Chain::One(versions.pop().expect("one version"));
+            }
+        }
+        if let Chain::One(only) = chain {
+            if only.value.is_none() && only.version <= oldest_version {
+                self.map.remove(key);
+            }
+        }
+    }
+}
+
 /// Ordered multi-version key-value storage in memory.
 #[derive(Debug, Default)]
 pub struct MemoryEngine {
-    map: BTreeMap<Key, Chain>,
+    map: VersionedMap,
     /// Keys whose chains hold something `compact` can drop.
     garbage: GarbageLog,
     /// The highest version written.
@@ -159,42 +329,18 @@ impl MemoryEngine {
         MemoryEngine::default()
     }
 
-    /// One map lookup: `f` sees the value visible at `version`, and what
-    /// it returns is written at `version` (replacing an entry already
-    /// there).
+    /// One map lookup, as [`VersionedMap::put`], logging the garbage the
+    /// write leaves.
     fn put(&mut self, key: Key, version: u64, f: impl FnOnce(Option<&[u8]>) -> Option<Box<[u8]>>) {
-        let (slot, garbage) = match self.map.entry(key) {
-            Entry::Vacant(slot) => {
-                let value = f(None);
-                let garbage = value.is_none();
-                (
-                    slot.insert_entry(Chain::One(VersionedValue { version, value })),
-                    garbage,
-                )
-            }
-            Entry::Occupied(mut slot) => {
-                let chain = slot.get_mut();
-                let value = f(chain.visible(version));
-                // Garbage: an older entry now shadowed, or a tombstone.
-                let newest = chain.newest_mut();
-                let garbage = value.is_none() || newest.version != version;
-                if newest.version == version {
-                    newest.value = value;
-                } else {
-                    chain.push(VersionedValue { version, value });
-                }
-                (slot, garbage)
-            }
-        };
-        if garbage {
-            self.garbage.push(slot.key().bytes(), version);
-        }
+        let garbage = &mut self.garbage;
+        self.map
+            .put(key, version, f, |key| garbage.push(key, version));
     }
 }
 
 /// Whether a `Write` or `Update` of `batch` (the rest of a sorted batch)
 /// names `key`.
-fn names(batch: &[(Vec<u8>, Mutation<'_>)], key: &[u8]) -> bool {
+pub(crate) fn names(batch: &[(Vec<u8>, Mutation<'_>)], key: &[u8]) -> bool {
     let from = batch.partition_point(|(k, _)| k.as_slice() < key);
     batch[from..]
         .iter()
@@ -238,12 +384,9 @@ impl MemoryEngine {
                 Mutation::ClearRange(end) if *key < *end => {
                     let doomed: Vec<Key> = self
                         .map
-                        .range::<[u8], _>((Bound::Included(&key[..]), Bound::Excluded(&end[..])))
-                        .filter(|(k, chain)| {
-                            chain.versions().last().is_some_and(|v| v.value.is_some())
-                                && !names(rest, k.bytes())
-                        })
-                        .map(|(k, _)| Key::new(k.bytes()))
+                        .range(key, Some(end), false)
+                        .filter(|(k, chain)| chain.newest_is_live() && !names(rest, k))
+                        .map(|(k, _)| Key::new(k))
                         .collect();
                     for k in doomed {
                         self.put(k, version, |_| None);
@@ -259,29 +402,7 @@ impl MemoryEngine {
     fn prune(&mut self, oldest_version: u64, slice: Slice) {
         let keys = self.garbage.consume(slice);
         for key in keys.iter() {
-            let Some(chain) = self.map.get_mut(key) else {
-                continue; // removed since it was logged
-            };
-            if let Chain::Many(versions) = chain {
-                // Keep the newest version <= oldest_version (still the
-                // visible base for readers at the horizon) plus everything
-                // newer.
-                let split = versions
-                    .iter()
-                    .rposition(|v| v.version <= oldest_version)
-                    .unwrap_or(0);
-                versions.drain(..split);
-                if let [_] = &versions[..] {
-                    *chain = Chain::One(versions.pop().expect("one version"));
-                }
-            }
-            // Entry can go entirely once only a tombstone at/below the
-            // horizon remains.
-            if let Chain::One(only) = chain {
-                if only.value.is_none() && only.version <= oldest_version {
-                    self.map.remove(key);
-                }
-            }
+            self.map.prune(key, oldest_version);
         }
     }
 }
@@ -322,9 +443,6 @@ impl StorageEngine for MemoryEngine {
     /// Both directions stream straight off a `BTreeMap` range iterator,
     /// lending each visible row's key and value out of the map, and stop
     /// where the visitor does, so the rest of the range is never visited.
-    /// The iterator seeks only the bound it starts from and stops at the
-    /// other one: a two-bound range would search the tree for both ends
-    /// first, and a visitor usually stops long before the far one.
     fn visit(
         &self,
         begin: &[u8],
@@ -333,22 +451,13 @@ impl StorageEngine for MemoryEngine {
         reverse: bool,
         visitor: &mut Visitor<'_>,
     ) {
-        let mut lend = |(key, chain): (&Key, &Chain)| match chain.visible(read_version) {
-            Some(value) => visitor(key.bytes(), value),
-            None => ControlFlow::Continue(()),
-        };
-        let _ = if reverse {
-            self.map
-                .range::<[u8], _>((Bound::Unbounded, Bound::Excluded(end)))
-                .rev()
-                .take_while(|(key, _)| key.bytes() >= begin)
-                .try_for_each(&mut lend)
-        } else {
-            self.map
-                .range::<[u8], _>((Bound::Included(begin), Bound::Unbounded))
-                .take_while(|(key, _)| key.bytes() < end)
-                .try_for_each(&mut lend)
-        };
+        let _ = self
+            .map
+            .range(begin, Some(end), reverse)
+            .try_for_each(|(key, chain)| match chain.visible(read_version) {
+                Some(value) => visitor(key, value),
+                None => ControlFlow::Continue(()),
+            });
     }
 
     fn newest_version(&self) -> u64 {
@@ -357,13 +466,16 @@ impl StorageEngine for MemoryEngine {
 
     fn live_key_count(&self, read_version: u64) -> usize {
         self.map
-            .values()
-            .filter(|chain| chain.visible(read_version).is_some())
+            .iter()
+            .filter(|(_, chain)| chain.visible(read_version).is_some())
             .count()
     }
 
     fn total_version_entries(&self) -> usize {
-        self.map.values().map(|chain| chain.versions().len()).sum()
+        self.map
+            .iter()
+            .map(|(_, chain)| chain.versions().len())
+            .sum()
     }
 
     fn describe(&self) -> String {
@@ -735,7 +847,7 @@ mod tests {
                         let before: Vec<(Vec<u8>, bool)> = s
                             .map
                             .iter()
-                            .map(|(k, c)| (k.bytes().to_vec(), matches!(c, Chain::Many(_))))
+                            .map(|(k, c)| (k.to_vec(), matches!(c, Chain::Many(_))))
                             .collect();
                         for chain in model.values_mut() {
                             let split = chain.iter().rposition(|(v, _)| *v <= oldest).unwrap_or(0);
@@ -774,8 +886,8 @@ mod tests {
                 // A chain is a `Vec` exactly when it holds two or more.
                 assert!(s
                     .map
-                    .values()
-                    .all(|c| matches!(c, Chain::One(_)) == (c.versions().len() == 1)));
+                    .iter()
+                    .all(|(_, c)| matches!(c, Chain::One(_)) == (c.versions().len() == 1)));
             }
         }
         let missing: Vec<&str> = CASES

@@ -33,6 +33,7 @@
 //! as a reader's miss may evict it: a dirty one is written back first, and
 //! a reader that wants it again reads it back.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashSet};
 use std::io;
 use std::sync::{Arc, Mutex};
@@ -64,6 +65,9 @@ pub(crate) struct Overlay<'p> {
     kept: Buffers,
     /// The most images `kept.replaced` holds.
     budget: usize,
+    /// The pages the overlay holds — those it allocated and the new images
+    /// it keeps — which the walk's caller reads while the walk runs.
+    held: &'p Cell<usize>,
 }
 
 /// What an overlay staged, as [`Shadow::install`] publishes it.
@@ -74,19 +78,28 @@ pub(crate) struct Shadow {
 }
 
 impl<'p> Overlay<'p> {
-    /// An overlay over `pool`'s published tree, filling `kept`, which
-    /// must be empty.
-    pub(crate) fn new(pool: &'p Mutex<BufferPool>, kept: Buffers) -> Overlay<'p> {
-        let (root, capacity) = {
-            let pool = lock(pool);
-            (pool.root(), pool.capacity())
-        };
+    /// An overlay over `pool`'s published tree, whose root is `root`, of
+    /// `capacity` frames, filling `kept`, which must be empty, and counting
+    /// the pages it holds in `held`.
+    pub(crate) fn new(
+        pool: &'p Mutex<BufferPool>,
+        root: PageId,
+        capacity: usize,
+        kept: Buffers,
+        held: &'p Cell<usize>,
+    ) -> Overlay<'p> {
         Overlay {
             pool,
             root,
             kept,
             budget: capacity.clamp(1, REPLACED_MAX),
+            held,
         }
+    }
+
+    fn count(&self) {
+        self.held
+            .set(self.kept.replaced.len() + self.kept.own.len());
     }
 
     /// Stop staging: what the walk changed, to publish.
@@ -134,6 +147,7 @@ impl Pages for Overlay<'_> {
         }
         if kept.replaced.len() < self.budget && pool.is_fresh(id) {
             kept.replaced.insert(id, page);
+            self.count();
             return Ok(id);
         }
         let new = pool.write_shared(NO_PAGE, page)?;
@@ -142,17 +156,24 @@ impl Pages for Overlay<'_> {
         if id != NO_PAGE {
             self.free(id);
         }
+        self.count();
         Ok(new)
+    }
+
+    fn buffer(&mut self, len: usize) -> Vec<u8> {
+        lock(self.pool).buffer(len)
     }
 
     fn free(&mut self, id: PageId) {
         let kept = &mut self.kept;
         if kept.own.remove(&id) {
             lock(self.pool).free(id);
+            self.count();
             return;
         }
         kept.replaced.remove(&id);
         kept.freed.push(id);
+        self.count();
     }
 }
 

@@ -17,11 +17,12 @@ use std::collections::{HashMap, HashSet};
 use std::io;
 use std::ops::Deref;
 use std::path::Path;
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::btree::PageSource;
 use crate::file::PageFile;
-use crate::page::{PageId, MAX_PAYLOAD, NO_PAGE};
+use crate::page::{PageId, MAX_PAYLOAD, NO_PAGE, PAGE_SIZE};
 use crate::replacer::SieveReplacer;
 use crate::wait::lock;
 use crate::SharedIoCounters;
@@ -79,21 +80,33 @@ struct Frame {
 
 /// A pool shared by readers, locked for one page at a time: a read of the
 /// tree holds the lock while it looks a page up (and loads it on a miss),
-/// never across its descent. What it reads stays as read, since a reader
-/// holds the images it was handed and the tree it reads is published: no
-/// page that tree reaches changes until the engine's next `&mut` publish.
+/// never across its descent, and takes the root it descends from without
+/// it — the engine keeps the published root beside the pool and sets it
+/// only under `&mut`. What it reads stays as read, since a reader holds
+/// the images it was handed and the tree it reads is published: no page
+/// that tree reaches changes until the engine's next `&mut` publish.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Shared<'p>(pub(crate) &'p Mutex<BufferPool>);
+pub(crate) struct Shared<'p> {
+    pub(crate) pool: &'p Mutex<BufferPool>,
+    pub(crate) root: PageId,
+}
 
 impl PageSource for Shared<'_> {
     fn root(&self) -> PageId {
-        lock(self.0).root()
+        self.root
     }
 
     fn read(&mut self, id: PageId) -> io::Result<Page> {
-        lock(self.0).read(id)
+        lock(self.pool).read(id)
     }
 }
+
+/// The most page buffers the pool keeps for reuse: about what one flush
+/// slice rewrites.
+const RECYCLED_MAX: usize = 16;
+/// The most capacity a reused buffer may have beyond the bytes an image
+/// needs: a sixteenth of a page.
+const SLACK: usize = PAGE_SIZE / 16;
 
 /// Buffer pool + page allocator over a [`PageFile`].
 #[derive(Debug)]
@@ -110,6 +123,14 @@ pub struct BufferPool {
     pending_free: Vec<PageId>,
     /// Current tree root (may be ahead of the checkpointed meta root).
     root: PageId,
+    /// Page-sized buffers of images the pool dropped and no one else held,
+    /// which new images are built in ([`BufferPool::buffer`]). A page image
+    /// lives until its page is rewritten, often by another thread, and a
+    /// flush writes hundreds at once: allocated anew, they grew one
+    /// thread's malloc arena while the images they replaced went back to
+    /// another's, and `cloudkit_tenants_fit`'s peak resident memory rose
+    /// 5 % (one arena: none).
+    recycled: Vec<Vec<u8>>,
     counters: SharedIoCounters,
     /// Every page image installed by a write, in order (tests count them).
     #[cfg(test)]
@@ -135,6 +156,7 @@ impl BufferPool {
             fresh: HashSet::new(),
             pending_free: Vec::new(),
             root,
+            recycled: Vec::new(),
             counters,
             #[cfg(test)]
             written: Vec::new(),
@@ -155,6 +177,34 @@ impl BufferPool {
         self.capacity
     }
 
+    /// An empty buffer for a page image of `len` bytes: one of an image the
+    /// pool dropped, if one holds `len` bytes and at most [`SLACK`] more,
+    /// else a new one of exactly `len`. A rewritten page's new image is
+    /// about its old one's size, so the buffer of the one often fits the
+    /// other, and images stay about the size of their bytes.
+    pub(crate) fn buffer(&mut self, len: usize) -> Vec<u8> {
+        let fits = |b: &Vec<u8>| (len..=len + SLACK).contains(&b.capacity());
+        match self.recycled.iter().rposition(fits) {
+            Some(at) => self.recycled.swap_remove(at),
+            None => Vec::with_capacity(len),
+        }
+    }
+
+    /// Keep the buffer of `page`, which the pool no longer holds, for a
+    /// later image, unless a reader still holds the image. The oldest kept
+    /// buffer makes room.
+    fn recycle(&mut self, page: Page) {
+        if let Ok(Image { mut bytes, .. }) = Arc::try_unwrap(page) {
+            if bytes.capacity() > 0 {
+                if self.recycled.len() == RECYCLED_MAX {
+                    self.recycled.remove(0);
+                }
+                bytes.clear();
+                self.recycled.push(bytes);
+            }
+        }
+    }
+
     /// Whether page `id` was allocated since the last checkpoint, so that
     /// [`write_cow`](Self::write_cow) rewrites it under its own id.
     pub(crate) fn is_fresh(&self, id: PageId) -> bool {
@@ -173,17 +223,14 @@ impl BufferPool {
     /// Read a page's payload, loading it into a frame on miss.
     pub fn read(&mut self, id: PageId) -> io::Result<Page> {
         if let Some(&idx) = self.map.get(&id) {
-            self.counters
-                .page_hits
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.counters.page_hits.fetch_add(1, Ordering::Relaxed);
             self.replacer.record_access(idx);
             return Ok(Arc::clone(&self.frames[idx].payload));
         }
-        self.counters
-            .page_misses
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.counters.page_misses.fetch_add(1, Ordering::Relaxed);
         let _t = rl_obs::Timer::start(rl_obs::Op::PageRead);
-        let payload = self.file.read_page(id)?;
+        let buffer = self.buffer(PAGE_SIZE);
+        let payload = self.file.read_page_into(id, buffer)?;
         let idx = self.acquire_frame()?;
         self.install(idx, id, Arc::new(payload.into()), false);
         Ok(Arc::clone(&self.frames[idx].payload))
@@ -281,10 +328,16 @@ impl BufferPool {
         }
         #[cfg(test)]
         self.written.push(id);
+        let counters = &self.counters;
+        counters.pages_written.fetch_add(1, Ordering::Relaxed);
+        if crate::btree::is_leaf(&payload) {
+            counters.leaf_rewrites.fetch_add(1, Ordering::Relaxed);
+        }
         if let Some(&idx) = self.map.get(&id) {
             self.replacer.record_access(idx);
-            self.frames[idx].payload = payload;
+            let old = std::mem::replace(&mut self.frames[idx].payload, payload);
             self.frames[idx].dirty = true;
+            self.recycle(old);
             return Ok(());
         }
         let idx = self.acquire_frame()?;
@@ -316,19 +369,21 @@ impl BufferPool {
                 return Err(e);
             }
         }
-        self.counters
-            .page_evictions
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.counters.page_evictions.fetch_add(1, Ordering::Relaxed);
         self.map.remove(&self.frames[idx].page);
         Ok(idx)
     }
 
     fn install(&mut self, idx: usize, id: PageId, payload: Page, dirty: bool) {
-        self.frames[idx] = Frame {
-            page: id,
-            payload,
-            dirty,
-        };
+        let old = std::mem::replace(
+            &mut self.frames[idx],
+            Frame {
+                page: id,
+                payload,
+                dirty,
+            },
+        );
+        self.recycle(old.payload);
         self.map.insert(id, idx);
         self.replacer.insert(idx);
     }
@@ -338,9 +393,7 @@ impl BufferPool {
         let frame = &self.frames[idx];
         self.file.write_page(frame.page, &frame.payload)?;
         self.frames[idx].dirty = false;
-        self.counters
-            .page_flushes
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.counters.page_flushes.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 }

@@ -43,10 +43,18 @@ pub fn yield_until<G>(mut attempt: impl FnMut() -> Option<G>) -> Option<G> {
     None
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Test builds: how many times this thread called [`lock`].
+    pub(crate) static LOCKS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// A mutex of the paged engine's, locked: a contended lock is waited for
 /// as this module describes, and a poisoned one recovered.
 #[expect(clippy::disallowed_methods, reason = "rl_storage is below rl_fdb")]
 pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    #[cfg(test)]
+    LOCKS.set(LOCKS.get() + 1);
     yield_until(|| acquired(mutex.try_lock()))
         .unwrap_or_else(|| mutex.lock().unwrap_or_else(PoisonError::into_inner))
 }

@@ -378,9 +378,12 @@ fn compaction_passes_record_their_sizes() {
     assert_eq!(after.sum() - idle.sum(), 2 * 3);
 }
 
-/// A paged write records the byte length of the chain it rewrites, so a
-/// key written on every commit shows as a growing `chain_bytes` max: each
-/// commit inside the MVCC window appends a version the next write copies.
+/// A paged flush records the byte length of each chain it rewrites, so a
+/// key written on every commit shows as a long `chain_bytes` max: the
+/// write buffer holds a version per commit, and the flush appends them all
+/// to the key's chain in the one rewrite it records. The compaction pass
+/// of the 31st commit flushes them, and the key is rewritten once, not
+/// once per commit.
 #[test]
 fn rewritten_chain_lengths_are_recorded() {
     use rl_fdb::{DatabaseOptions, EngineKind, PagedConfig};
@@ -392,6 +395,7 @@ fn rewritten_chain_lengths_are_recorded() {
     };
     let db = Database::with_options(DatabaseOptions {
         engine: EngineKind::Paged(PagedConfig::ephemeral()),
+        compaction_interval: 31,
         ..DatabaseOptions::default()
     });
     let write = || {
@@ -416,7 +420,7 @@ fn rewritten_chain_lengths_are_recorded() {
     rl_obs::set_enabled(false);
     let _ = rl_obs::drain_spans();
     let after = chains();
-    assert_eq!(after.count() - before.count(), 30, "one sample per write");
+    assert_eq!(after.count() - before.count(), 1, "one sample per flush");
     // 31 retained versions of a 200-byte value.
     assert!(
         after.max() > before.max(),

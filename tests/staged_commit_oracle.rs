@@ -30,6 +30,26 @@
 //!   (`larger_than_pool`).
 //!
 //! And reads ran while a batch was being staged (`read_during_stage`).
+//!
+//! The write buffer (`paged.rs`, *Write buffer*) takes every small batch,
+//! and the writer flushes it as the database does: after each publish,
+//! while the engine says a flush is due, a slice at a time, each staged
+//! under the shared side and published under the exclusive side. These
+//! cases are asserted to occur too:
+//!
+//! * a reader lends a row the buffer holds (`read_from_buffer`), and one
+//!   the buffer and the tree both hold, the buffer's newer
+//!   (`buffer_shadows_tree`);
+//! * a delete of a key the tree holds leaves a buffered tombstone over it
+//!   (`buffer_tombstone_over_tree`);
+//! * an `Update` folds a value only the tree holds
+//!   (`update_folds_tree_value`);
+//! * a range clear covers live keys only the tree holds
+//!   (`range_clear_over_tree_keys`);
+//! * a reader reads between two slices of one flush
+//!   (`read_between_flush_slices`);
+//! * a compaction starts with keys in the buffer, which it flushes first
+//!   (`compaction_with_unflushed_buffer`).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -38,7 +58,7 @@ use std::sync::RwLock;
 use rl_fdb::sync::{read_ranked, write_ranked, LockRank};
 use rl_harness::rng::{Rng, XorShift64};
 use rl_storage::{
-    Batch, EvictionPolicy, IoCounters, MemoryEngine, Mutation, PagedEngine, StorageEngine,
+    Batch, EvictionPolicy, IoCounters, MemoryEngine, Mutation, PagedEngine, Staged, StorageEngine,
 };
 
 /// Frames of the paged engine's pool: a batch of a few dozen keys already
@@ -62,21 +82,47 @@ struct Engines {
 #[derive(Default)]
 struct Spec {
     points: BTreeMap<Vec<u8>, Option<Vec<u8>>>,
+    /// Keys an `Update` appends this byte to the visible value of.
+    adds: BTreeMap<Vec<u8>, u8>,
     clear: Option<(Vec<u8>, Vec<u8>)>,
 }
 
 impl Spec {
     fn batch(&self) -> Batch<'static> {
-        let mut batch = Vec::with_capacity(self.points.len() + 1);
+        let mut batch = Vec::with_capacity(self.points.len() + self.adds.len() + 1);
         let mut clear = self.clear.clone();
-        for (key, value) in &self.points {
+        let points = self
+            .points
+            .iter()
+            .map(|(key, value)| (key, Mutation::Write(value.clone())));
+        let adds = self.adds.iter().map(|(key, &byte)| {
+            let fold = move |v: Option<&[u8]>| Some([v.unwrap_or_default(), &[byte]].concat());
+            (key, Mutation::Update(Box::new(fold)))
+        });
+        let mut items: Vec<_> = points.chain(adds).collect();
+        items.sort_by_key(|(key, _)| *key);
+        for (key, mutation) in items {
             if let Some((begin, end)) = clear.take_if(|(begin, _)| *begin <= *key) {
                 batch.push((begin, Mutation::ClearRange(end)));
             }
-            batch.push((key.clone(), Mutation::Write(value.clone())));
+            batch.push((key.clone(), mutation));
         }
         batch.extend(clear.map(|(begin, end)| (begin, Mutation::ClearRange(end))));
         batch
+    }
+
+    /// The keys the batch writes a tombstone to, or may.
+    fn deletes<'s>(&'s self, live: &'s BTreeSet<Vec<u8>>) -> impl Iterator<Item = &'s Vec<u8>> {
+        let points = self
+            .points
+            .iter()
+            .filter(|(_, v)| v.is_none())
+            .map(|(k, _)| k);
+        let cleared = self.clear.iter().flat_map(move |(begin, end)| {
+            live.range(begin.clone()..end.clone())
+                .filter(|k| !self.points.contains_key(*k) && !self.adds.contains_key(*k))
+        });
+        points.chain(cleared)
     }
 }
 
@@ -104,7 +150,7 @@ fn generate(
 ) -> Spec {
     let mut spec = Spec::default();
     let value = |rng: &mut XorShift64, len: usize| vec![rng.gen_range(0..256u32) as u8; len];
-    match rng.gen_range(0..10u32) {
+    match rng.gen_range(0..11u32) {
         0..=3 => {
             for _ in 0..rng.gen_range(1..30u32) {
                 let key = sparse_key(rng.gen_range(0..2_000u64));
@@ -113,8 +159,39 @@ fn generate(
                 } else {
                     "insert"
                 });
-                let len = rng.gen_range(1..120usize);
-                spec.points.insert(key, Some(value(rng, len)));
+                // Short values: a batch of them stays under half a page,
+                // which the paged engine's write buffer takes.
+                let len = rng.gen_range(1..60usize);
+                // One in six a delete.
+                let value = (rng.gen_range(0..6u32) > 0).then(|| value(rng, len));
+                spec.points.insert(key, value);
+            }
+        }
+        9 => {
+            // Short writes scattered over every family of keys, which the
+            // write buffer takes and a flush writes over more leaves than
+            // one slice holds.
+            for _ in 0..rng.gen_range(20..60u32) {
+                let key = match rng.gen_range(0..3u32) {
+                    0 => sparse_key(rng.gen_range(0..2_000u64)),
+                    1 => run_key(rng.gen_range(0..(*runs).max(1)), rng.gen_range(0..RUN_KEYS)),
+                    _ => format!("p/{:08}", rng.gen_range(0..1_000_000u64)).into_bytes(),
+                };
+                spec.points.insert(key, Some(value(rng, 4)));
+            }
+        }
+        8 => {
+            // Read-modify-writes on keys the tree may hold, and writes.
+            for _ in 0..rng.gen_range(1..12u32) {
+                let key = sparse_key(rng.gen_range(0..2_000u64));
+                let byte = rng.gen_range(0..256u32) as u8;
+                spec.adds.insert(key, byte);
+            }
+            for _ in 0..rng.gen_range(0..4u32) {
+                let key = sparse_key(rng.gen_range(0..2_000u64));
+                if !spec.adds.contains_key(&key) {
+                    spec.points.insert(key, Some(value(rng, 20)));
+                }
             }
         }
         4 => {
@@ -211,13 +288,20 @@ fn readers_never_see_a_staged_commit() {
     let (published, oldest) = (AtomicU64::new(0), AtomicU64::new(0));
     let (staging, done) = (AtomicBool::new(false), AtomicBool::new(false));
     let (reads, reads_during_stage) = (AtomicU64::new(0), AtomicU64::new(0));
+    // Set while a flush has published a slice and has more to publish.
+    let between = AtomicBool::new(false);
+    // Reads between two slices of a flush; rows read that the buffer
+    // holds, and that the buffer and the tree both hold.
+    let (reads_between, from_buffer, shadows) =
+        (AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0));
 
     let mut seen = BTreeSet::new();
     std::thread::scope(|s| {
         for r in 0..READERS {
             let (engines, published, oldest) = (&engines, &published, &oldest);
-            let (staging, done) = (&staging, &done);
+            let (staging, done, between) = (&staging, &done, &between);
             let (reads, reads_during_stage) = (&reads, &reads_during_stage);
+            let (reads_between, from_buffer, shadows) = (&reads_between, &from_buffer, &shadows);
             s.spawn(move || {
                 let mut rng = XorShift64::seed_from_u64(0x5EED_0000 + r as u64);
                 let mut n = 0u64;
@@ -231,6 +315,7 @@ fn readers_never_see_a_staged_commit() {
                         continue;
                     }
                     let during_stage = staging.load(Ordering::Acquire);
+                    let between_slices = between.load(Ordering::Acquire);
                     let version = rng.gen_range(lo.max(1)..=hi);
                     let begin = match rng.gen_range(0..4u32) {
                         0 => sparse_key(rng.gen_range(0..2_000u64)),
@@ -246,6 +331,11 @@ fn readers_never_see_a_staged_commit() {
                         .first()
                     {
                         assert_eq!(engines.paged.get(&row.0, version).as_ref(), Some(&row.1));
+                        match engines.paged.versions_of(&row.0) {
+                            (0, _) => {}
+                            (_, 0) => _ = from_buffer.fetch_add(1, Ordering::Relaxed),
+                            _ => _ = shadows.fetch_add(1, Ordering::Relaxed),
+                        }
                     }
                     n += 1;
                     if n.is_multiple_of(64) {
@@ -255,14 +345,54 @@ fn readers_never_see_a_staged_commit() {
                     if during_stage {
                         reads_during_stage.fetch_add(1, Ordering::Relaxed);
                     }
+                    if between_slices {
+                        reads_between.fetch_add(1, Ordering::Relaxed);
+                    }
                 }
             });
         }
 
+        // Stage and publish slices while `more` says there are more, as
+        // the database flushes and compacts: readers read between them.
+        // After a flush slice with more to come, the writer yields until a
+        // reader has read (or a while has passed), so that such a read does
+        // not hang on the scheduler.
+        let slices = |more: &dyn Fn(&PagedEngine) -> Option<Staged<'static>>| loop {
+            let slice = more(&read_ranked(&engines, LockRank::DatabaseStore).paged);
+            let Some(slice) = slice else {
+                between.store(false, Ordering::Release);
+                break;
+            };
+            let partial = {
+                let mut engines = write_ranked(&engines, LockRank::DatabaseStore);
+                engines.paged.publish(slice);
+                engines.paged.buffered_keys() > 0
+            };
+            between.store(partial, Ordering::Release);
+            let read = reads_between.load(Ordering::Acquire);
+            for _ in 0..if partial { 10_000 } else { 0 } {
+                if reads_between.load(Ordering::Acquire) > read {
+                    break;
+                }
+                std::thread::yield_now();
+            }
+        };
         let mut rng = XorShift64::seed_from_u64(0x0_5EED_57A6);
         let (mut live, mut runs) = (BTreeSet::new(), 0);
         for version in 1..=BATCHES {
             let spec = generate(&mut rng, &live, &mut runs, &mut seen);
+            {
+                // What the batch will meet: values and live keys only the
+                // tree holds.
+                let engines = read_ranked(&engines, LockRank::DatabaseStore);
+                let tree_only = |key: &Vec<u8>| matches!(engines.paged.versions_of(key), (0, 1..));
+                if spec.adds.keys().any(tree_only) {
+                    seen.insert("update_folds_tree_value");
+                }
+                if spec.clear.is_some() && spec.deletes(&live).any(tree_only) {
+                    seen.insert("range_clear_over_tree_keys");
+                }
+            }
             staging.store(true, Ordering::Release);
             let staged = {
                 let engines = read_ranked(&engines, LockRank::DatabaseStore);
@@ -276,8 +406,16 @@ fn readers_never_see_a_staged_commit() {
                 engines.paged.publish(staged);
                 engines.memory.apply_sorted(version, spec.batch());
                 published.store(version, Ordering::Release);
+                let paged = &engines.paged;
+                if spec.deletes(&live).any(|key| {
+                    let (buffered, stored) = paged.versions_of(key);
+                    buffered > 0 && stored > 0 && paged.get(key, version).is_none()
+                }) {
+                    seen.insert("buffer_tombstone_over_tree");
+                }
             }
-            live.extend(spec.points.into_keys());
+            slices(&|paged| paged.flush_due().then(|| paged.stage_flush()).flatten());
+            live.extend(spec.points.into_keys().chain(spec.adds.into_keys()));
             if version.is_multiple_of(COMPACT_EVERY) {
                 let horizon = version.saturating_sub(WINDOW);
                 {
@@ -285,17 +423,14 @@ fn readers_never_see_a_staged_commit() {
                     oldest.store(horizon, Ordering::Release);
                     engines.memory.compact(horizon);
                 }
-                loop {
-                    let slice = read_ranked(&engines, LockRank::DatabaseStore)
-                        .paged
-                        .stage_compaction(horizon);
-                    let Some(slice) = slice else {
-                        break;
-                    };
-                    write_ranked(&engines, LockRank::DatabaseStore)
-                        .paged
-                        .publish(slice);
+                if read_ranked(&engines, LockRank::DatabaseStore)
+                    .paged
+                    .buffered_keys()
+                    > 0
+                {
+                    seen.insert("compaction_with_unflushed_buffer");
                 }
+                slices(&|paged| paged.stage_compaction(horizon));
             }
         }
         done.store(true, Ordering::Release);
@@ -306,13 +441,23 @@ fn readers_never_see_a_staged_commit() {
     compare(&engines, b"", b"\xff", newest, false, usize::MAX);
     engines.paged.check_consistency().unwrap();
     let reads = reads.load(Ordering::Relaxed);
-    if reads_during_stage.load(Ordering::Relaxed) > 0 {
-        seen.insert("read_during_stage");
+    for (case, n) in [
+        ("read_during_stage", &reads_during_stage),
+        ("read_between_flush_slices", &reads_between),
+        ("read_from_buffer", &from_buffer),
+        ("buffer_shadows_tree", &shadows),
+    ] {
+        if n.load(Ordering::Relaxed) > 0 {
+            seen.insert(case);
+        }
     }
     assert!(reads > BATCHES, "{reads} reads");
     let expected = [
+        "buffer_shadows_tree",
+        "buffer_tombstone_over_tree",
         "compaction_drop",
         "compaction_merge",
+        "compaction_with_unflushed_buffer",
         "insert",
         "larger_than_pool",
         "leaf_split",
@@ -320,7 +465,11 @@ fn readers_never_see_a_staged_commit() {
         "overflow_value",
         "overwrite",
         "range_clear",
+        "range_clear_over_tree_keys",
+        "read_between_flush_slices",
         "read_during_stage",
+        "read_from_buffer",
+        "update_folds_tree_value",
     ];
     let missing: Vec<_> = expected.iter().filter(|c| !seen.contains(*c)).collect();
     assert!(missing.is_empty(), "cases never generated: {missing:?}");
