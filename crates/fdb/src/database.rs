@@ -534,19 +534,7 @@ impl Database {
     fn compact(&self) {
         let _t = rl_obs::Timer::start(rl_obs::Op::Compact);
         let oldest = self.oldest.load(Ordering::Acquire);
-        let mut keys = 0;
-        loop {
-            let slice = read_ranked(&self.store, LockRank::DatabaseStore)
-                .engine
-                .stage_compaction(oldest);
-            let Some(slice) = slice else {
-                break;
-            };
-            keys += slice.keys();
-            write_ranked(&self.store, LockRank::DatabaseStore)
-                .engine
-                .publish(slice);
-        }
+        let keys = self.publish_slices(|engine| engine.stage_compaction(oldest));
         rl_obs::record(rl_obs::Op::CompactKeys, keys as u64);
     }
 
@@ -558,13 +546,23 @@ impl Database {
     /// publish.
     fn flush(&self) {
         let _t = rl_obs::Timer::start(rl_obs::Op::BufferFlush);
+        self.publish_slices(|engine| engine.stage_flush());
+    }
+
+    /// Stage slices with `stage` under the shared store lock, reads going
+    /// on beside it, and publish each under the exclusive one, until
+    /// `stage` has none left. Returns the keys the slices visited.
+    fn publish_slices(
+        &self,
+        stage: impl Fn(&dyn StorageEngine) -> Option<Staged<'static>>,
+    ) -> usize {
+        let mut keys = 0;
         loop {
-            let slice = read_ranked(&self.store, LockRank::DatabaseStore)
-                .engine
-                .stage_flush();
+            let slice = stage(&*read_ranked(&self.store, LockRank::DatabaseStore).engine);
             let Some(slice) = slice else {
-                break;
+                return keys;
             };
+            keys += slice.keys();
             write_ranked(&self.store, LockRank::DatabaseStore)
                 .engine
                 .publish(slice);

@@ -11,7 +11,6 @@
 
 use std::ops::Range;
 
-use crate::codec::common_len;
 use crate::garbage::GarbageLog;
 use crate::memory::{Chain, Key, Rows, VersionedMap};
 
@@ -21,78 +20,6 @@ pub(crate) struct WriteBuffer {
     map: VersionedMap,
     /// The key and value bytes of every buffered entry.
     bytes: usize,
-    prefixes: Prefixes,
-}
-
-/// The prefix lengths [`Prefixes`] notes. A range whose bounds share at
-/// least one of them in their common prefix holds only keys with that
-/// prefix; a record's, or a record's index entry's, bounds share most of
-/// its key.
-const PREFIX_LENGTHS: [usize; 4] = [8, 16, 32, 64];
-/// The filter's bits: 8 KiB, a few per cent of them set by the ≈ 1 500
-/// keys a full buffer holds, so a few per cent of reads it could skip
-/// still merge.
-const FILTER_BITS: usize = 1 << 16;
-
-/// A one-hash Bloom filter over the buffered keys' prefixes of each of
-/// [`PREFIX_LENGTHS`]: a read whose range can hold no buffered key skips
-/// the buffer, and costs one hash of its bounds' common prefix instead of a
-/// seek of the buffer. It only ever says "maybe" of a buffered key, and is
-/// emptied with the buffer.
-#[derive(Debug)]
-struct Prefixes {
-    bits: Box<[u64]>,
-}
-
-impl Default for Prefixes {
-    fn default() -> Prefixes {
-        Prefixes {
-            bits: vec![0; FILTER_BITS / 64].into_boxed_slice(),
-        }
-    }
-}
-
-impl Prefixes {
-    /// Each noted prefix of `key`, as the bit it sets.
-    fn bits(key: &[u8]) -> impl Iterator<Item = usize> + '_ {
-        // Eight bytes at a time (every length is a multiple of eight),
-        // carried across the lengths: one pass over the key.
-        let (mut hash, mut hashed) = (0u64, 0);
-        let mut words = key.chunks_exact(8);
-        PREFIX_LENGTHS
-            .iter()
-            .take_while(move |&&len| len <= key.len())
-            .map(move |&len| {
-                let todo = len / 8 - std::mem::replace(&mut hashed, len / 8);
-                for word in words.by_ref().take(todo) {
-                    let word = u64::from_le_bytes(word.try_into().expect("eight bytes"));
-                    hash = (hash.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-                }
-                // A different mix per length, and the high bits, which the
-                // last multiply stirs most.
-                (hash.wrapping_mul(len as u64 | 1) >> 48) as usize % FILTER_BITS
-            })
-    }
-
-    fn note(&mut self, key: &[u8]) {
-        for bit in Prefixes::bits(key) {
-            self.bits[bit / 64] |= 1 << (bit % 64);
-        }
-    }
-
-    /// Whether a buffered key may start with the longest noted prefix of
-    /// `key` no longer than `shared` bytes; `true` when no noted length
-    /// fits.
-    fn may_hold(&self, key: &[u8], shared: usize) -> bool {
-        let Some(bit) = Prefixes::bits(&key[..shared]).last() else {
-            return true;
-        };
-        self.bits[bit / 64] & (1 << (bit % 64)) != 0
-    }
-
-    fn clear(&mut self) {
-        self.bits.fill(0);
-    }
 }
 
 impl WriteBuffer {
@@ -103,7 +30,6 @@ impl WriteBuffer {
     pub(crate) fn put(&mut self, key: &[u8], version: u64, value: Option<&[u8]>) -> bool {
         let len = |value: Option<&[u8]>| key.len() + value.map_or(0, <[u8]>::len);
         self.bytes += len(value);
-        self.prefixes.note(key);
         let replaced = self
             .map
             .put(Key::new(key), version, |_| value.map(Box::from), |_| {});
@@ -118,26 +44,18 @@ impl WriteBuffer {
 
     /// The versions of `key`, when the buffer holds it.
     pub(crate) fn get(&self, key: &[u8]) -> Option<&Chain> {
-        if self.map.is_empty() || !self.prefixes.may_hold(key, key.len()) {
-            return None;
-        }
         self.map.get(key)
     }
 
-    /// [`VersionedMap::range`], or `None` when the buffer holds no key in
-    /// the range.
+    /// The buffered keys of `[begin, end)` and their versions, as
+    /// [`VersionedMap::range`] walks them.
     pub(crate) fn range<'m>(
         &'m self,
         begin: &'m [u8],
         end: Option<&'m [u8]>,
         reverse: bool,
-    ) -> Option<Rows<'m>> {
-        if self.map.is_empty() {
-            return None;
-        }
-        let shared = end.map_or(0, |end| common_len(begin, end));
-        let may_hold = self.prefixes.may_hold(begin, shared);
-        may_hold.then(|| self.map.range(begin, end, reverse))
+    ) -> Rows<'m> {
+        self.map.range(begin, end, reverse)
     }
 
     /// Every buffered key and its versions, ascending.
@@ -145,8 +63,7 @@ impl WriteBuffer {
         self.map.iter()
     }
 
-    /// Drop the first `n` keys, which a flush wrote to the tree. The
-    /// prefix filter forgets them once the buffer is empty.
+    /// Drop the first `n` keys, which a flush wrote to the tree.
     pub(crate) fn drop_first(&mut self, n: usize) {
         for _ in 0..n {
             let Some((key, chain)) = self.map.pop_first() else {
@@ -158,8 +75,7 @@ impl WriteBuffer {
 
     /// Drop `key`, which a walk wrote to the tree, if the buffer holds it.
     pub(crate) fn remove(&mut self, key: &[u8]) {
-        if self.get(key).is_some() {
-            let chain = self.map.remove(key).expect("a buffered key");
+        if let Some(chain) = self.map.remove(key) {
             self.forget(key, &chain);
         }
     }
@@ -168,9 +84,6 @@ impl WriteBuffer {
     fn forget(&mut self, key: &[u8], chain: &Chain) {
         for entry in chain.versions() {
             self.bytes -= key.len() + entry.value.as_deref().map_or(0, <[u8]>::len);
-        }
-        if self.map.is_empty() {
-            self.prefixes.clear();
         }
     }
 

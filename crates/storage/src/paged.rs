@@ -848,27 +848,13 @@ impl PagedEngine {
         reverse: bool,
         mut f: impl FnMut(&[u8], Option<&[u8]>, Option<&Chain>) -> io::Result<ControlFlow<()>>,
     ) -> io::Result<()> {
-        let rows = self.buffer.range(begin, end, reverse);
-        self.merge(begin, end, reverse, rows.into_iter().flatten(), &mut f)
-    }
-
-    /// [`merged`](Self::merged) of the tree and `buffered`, the buffer's
-    /// rows of the range.
-    fn merge<'b>(
-        &self,
-        begin: &[u8],
-        end: Option<&[u8]>,
-        reverse: bool,
-        buffered: impl Iterator<Item = (&'b [u8], &'b Chain)>,
-        f: &mut impl FnMut(&[u8], Option<&[u8]>, Option<&Chain>) -> io::Result<ControlFlow<()>>,
-    ) -> io::Result<()> {
         let pool = &mut self.shared();
         let mut cursor = match (reverse, end) {
             (true, Some(end)) => Cursor::seek(pool, end, Some(begin), false)?,
             (true, None) => unreachable!("a reverse read starts from its end"),
             (false, end) => Cursor::seek(pool, begin, end, true)?,
         };
-        let mut buffered = buffered.peekable();
+        let mut buffered = self.buffer.range(begin, end, reverse).peekable();
         let ahead = |a: &[u8], b: &[u8]| if reverse { a > b } else { a < b };
         while let Some((key, chain)) = cursor.next(pool)? {
             while let Some((earlier, versions)) = buffered.next_if(|(k, _)| ahead(k, key)) {
@@ -900,37 +886,17 @@ impl PagedEngine {
         reverse: bool,
         visitor: &mut Visitor<'_>,
     ) -> io::Result<()> {
-        let Some(rows) = self.buffer.range(begin, Some(end), reverse) else {
-            // The buffer holds no key of the range: the tree's rows alone.
-            let (from, to) = if reverse { (end, begin) } else { (begin, end) };
-            let pool = &mut self.shared();
-            let mut cursor = Cursor::seek(pool, from, Some(to), !reverse)?;
-            while let Some((key, chain)) = cursor.next(pool)? {
-                if let Some(value) = chain_visible_at(chain, read_version)? {
-                    if visitor(key, value).is_break() {
-                        break;
-                    }
-                }
-            }
-            return Ok(());
-        };
-        self.merge(
-            begin,
-            Some(end),
-            reverse,
-            rows,
-            &mut |key, stored, buffered| {
-                let value = match (buffered.and_then(|v| v.at(read_version)), stored) {
-                    (Some(value), _) => value,
-                    (None, Some(chain)) => chain_visible_at(chain, read_version)?,
-                    (None, None) => None,
-                };
-                Ok(match value {
-                    Some(value) => visitor(key, value),
-                    None => ControlFlow::Continue(()),
-                })
-            },
-        )
+        self.merged(begin, Some(end), reverse, |key, stored, buffered| {
+            let value = match (buffered.and_then(|v| v.at(read_version)), stored) {
+                (Some(value), _) => value,
+                (None, Some(chain)) => chain_visible_at(chain, read_version)?,
+                (None, None) => None,
+            };
+            Ok(match value {
+                Some(value) => visitor(key, value),
+                None => ControlFlow::Continue(()),
+            })
+        })
     }
 }
 

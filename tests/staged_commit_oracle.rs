@@ -150,7 +150,7 @@ fn generate(
 ) -> Spec {
     let mut spec = Spec::default();
     let value = |rng: &mut XorShift64, len: usize| vec![rng.gen_range(0..256u32) as u8; len];
-    match rng.gen_range(0..11u32) {
+    match rng.gen_range(0..13u32) {
         0..=3 => {
             for _ in 0..rng.gen_range(1..30u32) {
                 let key = sparse_key(rng.gen_range(0..2_000u64));
@@ -159,8 +159,15 @@ fn generate(
                 } else {
                     "insert"
                 });
-                // Short values: a batch of them stays under half a page,
-                // which the paged engine's write buffer takes.
+                let len = rng.gen_range(1..120usize);
+                spec.points.insert(key, Some(value(rng, len)));
+            }
+        }
+        10 => {
+            // Short values and deletes: a batch of them stays under half a
+            // page, which the paged engine's write buffer takes.
+            for _ in 0..rng.gen_range(1..30u32) {
+                let key = sparse_key(rng.gen_range(0..2_000u64));
                 let len = rng.gen_range(1..60usize);
                 // One in six a delete.
                 let value = (rng.gen_range(0..6u32) > 0).then(|| value(rng, len));
