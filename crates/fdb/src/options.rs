@@ -57,7 +57,9 @@ impl EngineKind {
 pub struct PagedConfig {
     /// Directory holding the page file and WAL (created if missing).
     pub path: PathBuf,
-    /// Buffer pool capacity in 4 kB pages (minimum 4).
+    /// The buffer pool's budget in 4 KiB pages (minimum 4): its images
+    /// may cost up to `pool_pages × 4 KiB` of memory, each charged its own
+    /// size, so a pool of part-full pages holds more images than this.
     pub pool_pages: usize,
     /// Ignored: the pool always evicts with SIEVE. Kept so that callers
     /// naming it still compile (see [`EvictionPolicy`]).

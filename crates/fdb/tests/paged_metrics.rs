@@ -9,8 +9,9 @@
 use rl_fdb::{Database, DatabaseOptions, EngineKind, PagedConfig};
 
 fn paged_db() -> Database {
-    // A deliberately tiny pool (8 × 4 kB) so a ~200 kB workload cannot
-    // stay resident: reads after the write phase must miss and evict.
+    // A deliberately tiny pool (a budget of 8 × 4 KiB) so a ~200 kB
+    // workload cannot stay resident: reads after the write phase must miss
+    // and evict.
     let mut cfg = PagedConfig::ephemeral();
     cfg.pool_pages = 8;
     Database::with_options(DatabaseOptions {
@@ -71,15 +72,17 @@ fn paged_engine_reports_io_metrics() {
         delta.log_appends
     );
 
-    // Evictions imply write-back work happened; flushes also accrue at
-    // checkpoints, so flushes can only exceed or equal forced evictions
-    // of dirty pages — never be counted without pool traffic.
-    if delta.page_evictions > 0 {
-        assert!(
-            delta.page_hits + delta.page_misses >= delta.page_evictions,
-            "evictions without matching pool traffic: {delta:?}"
-        );
-    }
+    // The workload outgrows the budget, so the pool evicts, and writes
+    // dirty pages back; flushes also accrue at checkpoints. Evictions are
+    // never counted without pool traffic.
+    assert!(
+        delta.page_evictions > 0 && delta.page_flushes > 0,
+        "a workload larger than the pool must evict and write back: {delta:?}"
+    );
+    assert!(
+        delta.page_hits + delta.page_misses >= delta.page_evictions,
+        "evictions without matching pool traffic: {delta:?}"
+    );
 }
 
 #[test]

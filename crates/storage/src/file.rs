@@ -155,14 +155,17 @@ impl PageFile {
 
     /// Read and verify a page, returning its payload. An id that is not a
     /// data page of this file is `InvalidData`, like any other damage: ids
-    /// come out of stored pages. The page is read into the buffer that is
-    /// returned, and its payload moved down over the header in place.
+    /// come out of stored pages.
     pub fn read_page(&mut self, id: PageId) -> io::Result<Vec<u8>> {
-        self.read_page_into(id, Vec::new())
+        let mut buf = Vec::new();
+        self.read_page_into(id, &mut buf)?;
+        Ok(buf)
     }
 
-    /// [`read_page`](Self::read_page) into `buf`, whose contents go.
-    pub(crate) fn read_page_into(&mut self, id: PageId, mut buf: Vec<u8>) -> io::Result<Vec<u8>> {
+    /// [`read_page`](Self::read_page) into `buf`, whose contents go: the
+    /// whole page is read into it, and its payload moved down over the
+    /// header in place. So `buf` keeps a page's capacity, for the next read.
+    pub(crate) fn read_page_into(&mut self, id: PageId, buf: &mut Vec<u8>) -> io::Result<()> {
         let invalid = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what);
         if id < 2 || id >= self.page_count {
             return Err(invalid(&format!("page {id}: not a data page")));
@@ -170,17 +173,17 @@ impl PageFile {
         buf.clear();
         buf.resize(PAGE_SIZE, 0);
         self.file
-            .read_exact_at(&mut buf, u64::from(id) * PAGE_SIZE as u64)
+            .read_exact_at(buf, u64::from(id) * PAGE_SIZE as u64)
             .map_err(|e| match e.kind() {
                 io::ErrorKind::UnexpectedEof => invalid(&format!("page {id}: past end of file")),
                 kind => io::Error::new(kind, format!("page {id}: {e}")),
             })?;
-        let len = unframe(&buf)
+        let len = unframe(buf)
             .map_err(|e| io::Error::new(e.kind(), format!("page {id}: {e}")))?
             .len();
         buf.copy_within(HEADER_SIZE..HEADER_SIZE + len, 0);
         buf.truncate(len);
-        Ok(buf)
+        Ok(())
     }
 
     /// Write a page payload (framed and checksummed).

@@ -10,16 +10,16 @@
 //!   the published tree reaches points to it. It goes into the pool at
 //!   once, as any new page does, and may be rewritten, evicted (written
 //!   back first) and freed there. So staged images count against the
-//!   pool's capacity, and a batch larger than the pool stages as one
+//!   pool's budget, and a batch larger than the pool stages as one
 //!   written through it does.
 //! * a page the published tree reaches and that is fresh since the last
 //!   checkpoint would be rewritten under its own id. Its new image is kept
 //!   here instead, and installed by [`Shadow::install`]: until then readers
-//!   see the old one. At most as many images as the pool has frames, and
-//!   no more than [`REPLACED_MAX`], are held this way; past that such a
-//!   page is copied to a page of the overlay's own, as a page of the last
-//!   checkpoint's tree always is. So a stage holds at most about one
-//!   pool's worth of images beside the pool.
+//!   see the old one. At most as many images as the pool's budget has
+//!   pages, and no more than [`REPLACED_MAX`], are held this way; past
+//!   that such a page is copied to a page of the overlay's own, as a page
+//!   of the last checkpoint's tree always is. So a stage holds at most
+//!   about one pool budget's worth of images beside the pool.
 //! * a page the published tree reaches and that the walk frees or copies
 //!   is only noted, and freed by [`Shadow::install`].
 //!
@@ -79,8 +79,8 @@ pub(crate) struct Shadow {
 
 impl<'p> Overlay<'p> {
     /// An overlay over `pool`'s published tree, whose root is `root`, of
-    /// `capacity` frames, filling `kept`, which must be empty, and counting
-    /// the pages it holds in `held`.
+    /// a budget of `capacity` pages, filling `kept`, which must be empty,
+    /// and counting the pages it holds in `held`.
     pub(crate) fn new(
         pool: &'p Mutex<BufferPool>,
         root: PageId,
@@ -112,9 +112,9 @@ impl<'p> Overlay<'p> {
 }
 
 /// The most images an overlay keeps under their ids. A smaller bound (a
-/// quarter of a 256-frame pool) made a bulk load copy-on-write most of the
-/// pages it rewrote, and took `record_mix_paged`'s `setup_s` up by a
-/// quarter.
+/// quarter of a 256-page pool budget) made a bulk load copy-on-write most
+/// of the pages it rewrote, and took `record_mix_paged`'s `setup_s` up by
+/// a quarter.
 const REPLACED_MAX: usize = 256;
 
 impl PageSource for Overlay<'_> {

@@ -197,7 +197,7 @@ pub struct PagedEngine {
     /// self` whenever it changes: reads and stages descend from it without
     /// the pool lock.
     root: PageId,
-    /// The pool's frames.
+    /// The pool's budget in pages.
     capacity: usize,
     /// Locked by [`StorageEngine::seal`], the one `&self` path that appends.
     wal: Mutex<Wal>,
@@ -311,8 +311,11 @@ impl<'s> Source<'s> {
 impl PagedEngine {
     /// Open (or create) an engine rooted at directory `dir`, holding
     /// `pages.db` and `wal.log`. Replays any committed WAL tail past the
-    /// last checkpoint before returning. The pool evicts with SIEVE;
-    /// `_policy` is ignored (see [`EvictionPolicy`]).
+    /// last checkpoint before returning. The pool's images cost at most
+    /// `pool_pages` (at least 4) pages' worth of bytes, each charged its
+    /// own size, so it holds more images than that when pages are part
+    /// full. The pool evicts with SIEVE; `_policy` is ignored (see
+    /// [`EvictionPolicy`]).
     pub fn open(
         dir: &Path,
         pool_pages: usize,
@@ -1060,11 +1063,15 @@ impl StorageEngine for PagedEngine {
     }
 
     fn describe(&self) -> String {
+        let (images, charged, file_pages) = {
+            let pool = lock(&self.pool);
+            (pool.resident(), pool.charged(), pool.page_count())
+        };
         format!(
-            "paged(dir={}, pool_pages={}, file_pages={}, wal_bytes={})",
+            "paged(dir={}, pool_pages={}, pool_images={images}, \
+             pool_charged_bytes={charged}, file_pages={file_pages}, wal_bytes={})",
             self.dir.display(),
             self.pool_pages,
-            lock(&self.pool).page_count(),
             lock(&self.wal).len(),
         )
     }

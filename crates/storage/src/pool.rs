@@ -1,7 +1,19 @@
-//! The buffer pool: a fixed number of in-memory frames over the page
-//! file, with SIEVE eviction and dirty-page write-back — plus the
+//! The buffer pool: page images held in memory over the page file, within
+//! a byte budget, with SIEVE eviction and dirty-page write-back — plus the
 //! shadow-paging epoch bookkeeping every page allocation and free flows
 //! through.
+//!
+//! ## The budget
+//!
+//! The pool's capacity is a budget of bytes, `pages × PAGE_SIZE`, and each
+//! image it holds is charged what it costs: its buffer's capacity, its
+//! entry offsets once set, and `IMAGE_OVERHEAD` for its frame, map entry
+//! and SIEVE node. A B-tree leaf is about 60 % full and an image is
+//! built or read into a buffer of about its own size, so the budget holds
+//! more images than it has pages. To take a new image, or a grown one, the
+//! pool evicts with SIEVE until the charge fits, but it always keeps
+//! `FLOOR_FRAMES` (4) images whatever their size. A freed page's image goes
+//! at once, and its charge with it.
 //!
 //! ## Epochs
 //!
@@ -34,8 +46,8 @@ use crate::SharedIoCounters;
 pub struct Image {
     bytes: Vec<u8>,
     /// Entry offsets of a B-tree node: set by the write that built the
-    /// image, or computed the first time a walk parses it. The pool never
-    /// reads them.
+    /// image, or computed the first time a walk parses it. The pool reads
+    /// only their size, to charge them.
     pub(crate) offsets: OnceLock<Box<[u16]>>,
 }
 
@@ -46,6 +58,13 @@ impl Image {
             bytes,
             offsets: OnceLock::from(offsets),
         }
+    }
+
+    /// The heap bytes the image holds: its buffer's capacity and its entry
+    /// offsets, once set.
+    fn heap_bytes(&self) -> usize {
+        let offsets = self.offsets.get().map_or(0, |o| size_of_val(&**o));
+        self.bytes.capacity() + offsets
     }
 }
 
@@ -76,6 +95,27 @@ struct Frame {
     page: PageId,
     payload: Page,
     dirty: bool,
+    /// What the image was last charged: [`charge_of`] its payload.
+    charge: usize,
+}
+
+/// What holding one image costs the pool beyond its heap bytes: the
+/// shared allocation it lives in (two reference counts and the [`Image`]),
+/// its frame, its map entry (key, value and control byte, at the map's
+/// 7/8 load) and its SIEVE node.
+const IMAGE_OVERHEAD: usize = 2 * size_of::<usize>()
+    + size_of::<Image>()
+    + size_of::<Frame>()
+    + (size_of::<(PageId, usize)>() + 1) * 8 / 7
+    + SieveReplacer::NODE_BYTES;
+
+/// The fewest images the pool holds, whatever they cost: a budget smaller
+/// than these is exceeded rather than left unable to hold a page.
+const FLOOR_FRAMES: usize = 4;
+
+/// What the pool charges for holding `page`.
+fn charge_of(page: &Image) -> usize {
+    page.heap_bytes() + IMAGE_OVERHEAD
 }
 
 /// A pool shared by readers, locked for one page at a time: a read of the
@@ -112,11 +152,21 @@ const SLACK: usize = PAGE_SIZE / 16;
 #[derive(Debug)]
 pub struct BufferPool {
     file: PageFile,
+    /// One per image held, and the free ones, which hold `empty`: as many
+    /// as the pool has ever held images at once.
     frames: Vec<Frame>,
     map: HashMap<PageId, usize>,
     free_frames: Vec<usize>,
     replacer: SieveReplacer,
-    capacity: usize,
+    /// The budget in bytes: a whole number of pages.
+    budget: usize,
+    /// The sum of the held images' charges.
+    charged: usize,
+    /// The image a free frame holds, shared by all of them.
+    empty: Page,
+    /// The buffer a miss reads a whole page into, before its payload is
+    /// copied to an image of its own size.
+    read_buf: Vec<u8>,
     /// Pages allocated since the last checkpoint (not in the meta root).
     fresh: HashSet<PageId>,
     /// Checkpoint-epoch pages freed since the last checkpoint.
@@ -138,12 +188,9 @@ pub struct BufferPool {
 }
 
 impl BufferPool {
-    pub fn open(
-        path: &Path,
-        capacity: usize,
-        counters: SharedIoCounters,
-    ) -> io::Result<BufferPool> {
-        let capacity = capacity.max(4);
+    /// A pool over the page file at `path` whose images may cost up to
+    /// `pages` (at least 4) pages' worth of bytes.
+    pub fn open(path: &Path, pages: usize, counters: SharedIoCounters) -> io::Result<BufferPool> {
         let file = PageFile::open(path)?;
         let root = file.root();
         Ok(BufferPool {
@@ -151,8 +198,11 @@ impl BufferPool {
             frames: Vec::new(),
             map: HashMap::new(),
             free_frames: Vec::new(),
-            replacer: SieveReplacer::new(capacity),
-            capacity,
+            replacer: SieveReplacer::new(FLOOR_FRAMES),
+            budget: pages.max(4) * PAGE_SIZE,
+            charged: 0,
+            empty: Page::default(),
+            read_buf: Vec::new(),
             fresh: HashSet::new(),
             pending_free: Vec::new(),
             root,
@@ -172,9 +222,21 @@ impl BufferPool {
         self.root = root;
     }
 
-    /// The most frames the pool holds.
+    /// The budget in pages: the images the pool holds cost at most this
+    /// many pages' worth of bytes.
     pub(crate) fn capacity(&self) -> usize {
-        self.capacity
+        self.budget / PAGE_SIZE
+    }
+
+    /// The images the pool holds.
+    pub(crate) fn resident(&self) -> usize {
+        self.map.len()
+    }
+
+    /// What the images the pool holds are charged, in bytes: at most the
+    /// budget, unless the pool holds no more than its floor of 4 images.
+    pub(crate) fn charged(&self) -> usize {
+        self.charged
     }
 
     /// An empty buffer for a page image of `len` bytes: one of an image the
@@ -220,20 +282,28 @@ impl BufferPool {
         self.file.page_count()
     }
 
-    /// Read a page's payload, loading it into a frame on miss.
+    /// Read a page's payload, loading it into a frame on miss, as an image
+    /// of the payload's size.
     pub fn read(&mut self, id: PageId) -> io::Result<Page> {
         if let Some(&idx) = self.map.get(&id) {
             self.counters.page_hits.fetch_add(1, Ordering::Relaxed);
             self.replacer.record_access(idx);
-            return Ok(Arc::clone(&self.frames[idx].payload));
+            let page = Arc::clone(&self.frames[idx].payload);
+            // A walk indexes an image the first time it parses it.
+            if charge_of(&page) != self.frames[idx].charge {
+                self.recharge(idx);
+                self.make_room(0, FLOOR_FRAMES)?;
+            }
+            return Ok(page);
         }
         self.counters.page_misses.fetch_add(1, Ordering::Relaxed);
         let _t = rl_obs::Timer::start(rl_obs::Op::PageRead);
-        let buffer = self.buffer(PAGE_SIZE);
-        let payload = self.file.read_page_into(id, buffer)?;
-        let idx = self.acquire_frame()?;
-        self.install(idx, id, Arc::new(payload.into()), false);
-        Ok(Arc::clone(&self.frames[idx].payload))
+        self.file.read_page_into(id, &mut self.read_buf)?;
+        let mut bytes = self.buffer(self.read_buf.len());
+        bytes.extend_from_slice(&self.read_buf);
+        let page = Arc::new(Image::from(bytes));
+        self.install(id, Arc::clone(&page), false)?;
+        Ok(page)
     }
 
     /// Copy-on-write page update: fresh pages are rewritten in place, and
@@ -269,10 +339,9 @@ impl BufferPool {
     /// Release a page. Fresh pages become reusable immediately; pages from
     /// the checkpoint epoch wait for the next checkpoint.
     pub fn free(&mut self, id: PageId) {
-        if let Some(idx) = self.map.remove(&id) {
+        if let Some(&idx) = self.map.get(&id) {
             self.replacer.remove(idx);
-            self.free_frames.push(idx);
-            self.frames[idx].dirty = false;
+            self.release(idx);
         }
         if self.fresh.remove(&id) {
             self.file.free_now(id);
@@ -338,54 +407,81 @@ impl BufferPool {
             let old = std::mem::replace(&mut self.frames[idx].payload, payload);
             self.frames[idx].dirty = true;
             self.recycle(old);
-            return Ok(());
+            self.recharge(idx);
+            // The new image is in place: if it is the victim, it is written back.
+            return self.make_room(0, FLOOR_FRAMES);
         }
-        let idx = self.acquire_frame()?;
-        self.install(idx, id, payload, true);
+        self.install(id, payload, true)
+    }
+
+    /// Charge frame `idx` what its image costs now.
+    fn recharge(&mut self, idx: usize) {
+        let frame = &mut self.frames[idx];
+        let charge = charge_of(&frame.payload);
+        self.charged = self.charged - frame.charge + charge;
+        frame.charge = charge;
+    }
+
+    /// Evict (with write-back) until `extra` more bytes fit in the budget,
+    /// or until the pool holds only `keep` images.
+    fn make_room(&mut self, extra: usize, keep: usize) -> io::Result<()> {
+        while self.charged + extra > self.budget && self.map.len() > keep {
+            let idx = self
+                .replacer
+                .evict()
+                .expect("buffer pool over budget but no evictable frame");
+            if self.frames[idx].dirty {
+                if let Err(e) = self.flush_frame(idx) {
+                    // The victim keeps its page, still dirty: keep it evictable.
+                    self.replacer.insert(idx);
+                    return Err(e);
+                }
+            }
+            self.counters.page_evictions.fetch_add(1, Ordering::Relaxed);
+            self.release(idx);
+        }
         Ok(())
     }
 
-    /// Find a frame slot, evicting (with write-back) if the pool is full.
-    fn acquire_frame(&mut self) -> io::Result<usize> {
-        if let Some(idx) = self.free_frames.pop() {
-            return Ok(idx);
-        }
-        if self.frames.len() < self.capacity {
-            self.frames.push(Frame {
-                page: 0,
-                payload: Page::default(),
-                dirty: false,
-            });
-            return Ok(self.frames.len() - 1);
-        }
-        let idx = self
-            .replacer
-            .evict()
-            .expect("buffer pool full but no evictable frame");
-        if self.frames[idx].dirty {
-            if let Err(e) = self.flush_frame(idx) {
-                // The victim keeps its page, still dirty: keep it evictable.
-                self.replacer.insert(idx);
-                return Err(e);
+    /// Hold `payload` as page `id`'s image, which the pool does not hold,
+    /// in a free frame or a new one, once there is room for it.
+    fn install(&mut self, id: PageId, payload: Page, dirty: bool) -> io::Result<()> {
+        let charge = charge_of(&payload);
+        self.make_room(charge, FLOOR_FRAMES - 1)?;
+        let frame = Frame {
+            page: id,
+            payload,
+            dirty,
+            charge,
+        };
+        let idx = match self.free_frames.pop() {
+            Some(idx) => {
+                self.frames[idx] = frame;
+                idx
             }
-        }
-        self.counters.page_evictions.fetch_add(1, Ordering::Relaxed);
-        self.map.remove(&self.frames[idx].page);
-        Ok(idx)
-    }
-
-    fn install(&mut self, idx: usize, id: PageId, payload: Page, dirty: bool) {
-        let old = std::mem::replace(
-            &mut self.frames[idx],
-            Frame {
-                page: id,
-                payload,
-                dirty,
-            },
-        );
-        self.recycle(old.payload);
+            None => {
+                self.frames.push(frame);
+                self.frames.len() - 1
+            }
+        };
+        self.charged += charge;
         self.map.insert(id, idx);
         self.replacer.insert(idx);
+        Ok(())
+    }
+
+    /// Drop frame `idx`'s image, which the replacer no longer tracks:
+    /// forget its page, take back its charge, keep its buffer, and free
+    /// the frame.
+    fn release(&mut self, idx: usize) {
+        let frame = &mut self.frames[idx];
+        self.map.remove(&frame.page);
+        self.charged -= frame.charge;
+        frame.charge = 0;
+        frame.dirty = false;
+        let old = std::mem::replace(&mut frame.payload, Arc::clone(&self.empty));
+        self.recycle(old);
+        self.free_frames.push(idx);
     }
 
     fn flush_frame(&mut self, idx: usize) -> io::Result<()> {
@@ -413,16 +509,39 @@ mod tests {
         (p, dir)
     }
 
+    /// A page's worth of `byte`: the largest image a page holds.
+    fn full(byte: u8) -> Vec<u8> {
+        vec![byte; MAX_PAYLOAD]
+    }
+
+    /// The pool's own accounts agree: its charge is the sum of what each
+    /// image it holds costs now, and stays within the budget unless it
+    /// holds no more than its floor of images.
+    fn assert_within_budget(pool: &BufferPool) {
+        let held = pool
+            .map
+            .values()
+            .map(|&idx| charge_of(&pool.frames[idx].payload));
+        assert_eq!(pool.charged, held.sum::<usize>(), "charge out of step");
+        assert!(
+            pool.charged <= pool.budget || pool.resident() <= FLOOR_FRAMES,
+            "{} images charged {} bytes over a budget of {}",
+            pool.resident(),
+            pool.charged,
+            pool.budget
+        );
+    }
+
     #[test]
     fn eviction_writes_back_dirty_pages() {
         let (mut pool, dir) = pool("writeback", 4);
         let ids: Vec<PageId> = (0..16)
-            .map(|i| pool.allocate(vec![i as u8; 64]).unwrap())
+            .map(|i| pool.allocate(full(i as u8)).unwrap())
             .collect();
-        // Far more pages than frames: earlier pages were evicted and must
-        // re-read correctly from disk.
+        // Far more full pages than the budget holds: earlier pages were
+        // evicted and must re-read correctly from disk.
         for (i, id) in ids.iter().enumerate() {
-            assert_eq!(&pool.read(*id).unwrap()[..], vec![i as u8; 64]);
+            assert_eq!(&pool.read(*id).unwrap()[..], full(i as u8));
         }
         let stats = pool.counters.snapshot();
         assert!(stats.page_evictions > 0);
@@ -433,23 +552,157 @@ mod tests {
     #[test]
     fn failed_write_back_keeps_the_victim_evictable() {
         let (mut pool, dir) = pool("failed-writeback", 4);
-        let mut ids: Vec<PageId> = (0..4)
-            .map(|i| pool.allocate(vec![i as u8; 64]).unwrap())
-            .collect();
-        // Every frame holds a dirty page, so each allocation must write a
-        // victim back first: fail more write-backs than there are frames.
+        let mut ids: Vec<PageId> = (0..4).map(|i| pool.allocate(full(i)).unwrap()).collect();
+        // Four dirty full pages fill the budget, so each allocation must
+        // write a victim back first: fail more write-backs than there are
+        // images.
         crate::file::FAIL_WRITES.set(true);
         for _ in 0..8 {
-            assert!(pool.allocate(vec![0xEE; 64]).is_err());
+            assert!(pool.allocate(full(0xEE)).is_err());
         }
         crate::file::FAIL_WRITES.set(false);
         assert_eq!(pool.counters.snapshot().page_evictions, 0);
-        ids.push(pool.allocate(vec![4; 64]).unwrap());
+        ids.push(pool.allocate(full(4)).unwrap());
         for (i, id) in ids.iter().enumerate() {
-            assert_eq!(&pool.read(*id).unwrap()[..], vec![i as u8; 64]);
+            assert_eq!(&pool.read(*id).unwrap()[..], full(i as u8));
         }
         assert!(pool.counters.snapshot().page_evictions > 0);
         std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// Half-full pages, written or read back from disk, cost about half a
+    /// page each: a budget of 8 pages holds 12 of them.
+    #[test]
+    fn a_budget_holds_more_half_full_images_than_pages() {
+        let (mut pool, dir) = pool("half-full", 8);
+        let half = |i: usize| vec![i as u8; PAGE_SIZE / 2];
+        let ids: Vec<PageId> = (0..12).map(|i| pool.allocate(half(i)).unwrap()).collect();
+        assert_eq!(pool.resident(), 12);
+        assert_eq!(pool.counters.snapshot().page_evictions, 0);
+        // Push them all out, then read them back: a miss keeps an image of
+        // the payload's size, not of the page's.
+        let others: Vec<PageId> = (0..8).map(|i| pool.allocate(full(i)).unwrap()).collect();
+        for id in others {
+            pool.free(id);
+        }
+        assert!(ids.iter().all(|id| !pool.map.contains_key(id)));
+        for (i, id) in ids.iter().enumerate() {
+            assert_eq!(&pool.read(*id).unwrap()[..], half(i));
+        }
+        assert_eq!(pool.resident(), 12);
+        assert_eq!(pool.counters.snapshot().page_misses, 12);
+        assert_within_budget(&pool);
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn free_releases_the_image_at_once() {
+        let (mut pool, dir) = pool("free", 8);
+        let id = pool.allocate(full(1)).unwrap();
+        let idx = pool.map[&id];
+        let recycled = pool.recycled.len();
+        pool.free(id);
+        assert_eq!((pool.resident(), pool.charged()), (0, 0));
+        assert!(pool.frames[idx].payload.is_empty());
+        assert_eq!(pool.recycled.len(), recycled + 1, "its buffer is kept");
+        // The frame is reused for the next image.
+        pool.allocate(full(2)).unwrap();
+        assert_eq!(pool.frames.len(), 1);
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// A seeded mix of allocations, rewrites, reads, frees, checkpoints and
+    /// images that grow once a walk indexes them, on budgets of 4–23 pages
+    /// (one case in four at 4, which four full pages exceed), checked after
+    /// every step against the budget and against a model of each page's
+    /// bytes. Asserts each branch occurs: an eviction, its
+    /// write-back, a hit that grows an image's charge, and a pool over
+    /// budget at its floor of images.
+    #[test]
+    fn charge_stays_within_the_budget() {
+        let mut state = 0x5EED_B0D6_E700_0001u64;
+        let mut next = |n: usize| {
+            // xorshift64
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        let (mut grown, mut at_floor) = (0, 0);
+        let (mut evictions, mut flushes) = (0, 0);
+        for case in 0..40 {
+            let pages = match case % 4 {
+                0 => 4,
+                _ => 5 + next(19),
+            };
+            let (mut pool, dir) = pool(&format!("budget-{case}"), pages);
+            let mut model: HashMap<PageId, Vec<u8>> = HashMap::new();
+            for step in 0..400 {
+                // Sizes from a few bytes to a full page.
+                let size = match next(3) {
+                    0 => 1 + next(64),
+                    1 => 1 + next(MAX_PAYLOAD),
+                    _ => MAX_PAYLOAD - next(64),
+                };
+                let bytes = vec![step as u8; size];
+                let live: Vec<PageId> = model.keys().copied().collect();
+                let pick = (!live.is_empty()).then(|| live[next(live.len())]);
+                match (next(10), pick) {
+                    (0..=2, _) | (_, None) => {
+                        let id = pool.allocate(bytes.clone()).unwrap();
+                        model.insert(id, bytes);
+                    }
+                    (3, Some(id)) => {
+                        let new = pool.write_cow(id, bytes.clone()).unwrap();
+                        model.remove(&id);
+                        model.insert(new, bytes);
+                    }
+                    (4 | 5, Some(id)) => {
+                        assert_eq!(&pool.read(id).unwrap()[..], &model[&id][..]);
+                    }
+                    (6, Some(id)) => {
+                        // As a walk does: index the image it read, then
+                        // come back to it.
+                        let page = pool.read(id).unwrap();
+                        let offsets = vec![0u16; page.len() / 8].into_boxed_slice();
+                        if page.offsets.set(offsets).is_ok() && pool.map.contains_key(&id) {
+                            let before = pool.charged;
+                            pool.read(id).unwrap();
+                            grown += usize::from(pool.charged != before);
+                        }
+                    }
+                    (7, Some(id)) => {
+                        pool.free(id);
+                        model.remove(&id);
+                    }
+                    (8, Some(id)) => {
+                        pool.set_root(id);
+                        pool.checkpoint(0).unwrap();
+                    }
+                    (_, Some(id)) => {
+                        // A rewrite under the same id, when it is fresh.
+                        if pool.is_fresh(id) {
+                            pool.write_cow(id, bytes.clone()).unwrap();
+                            model.insert(id, bytes);
+                        }
+                    }
+                }
+                assert_within_budget(&pool);
+                at_floor += usize::from(pool.charged > pool.budget);
+            }
+            for (id, bytes) in &model {
+                assert_eq!(&pool.read(*id).unwrap()[..], &bytes[..], "case {case}");
+            }
+            let stats = pool.counters.snapshot();
+            (evictions, flushes) = (
+                evictions + stats.page_evictions,
+                flushes + stats.page_flushes,
+            );
+            std::fs::remove_dir_all(dir).unwrap();
+        }
+        assert!(evictions > 0 && flushes > 0, "no eviction or write-back");
+        assert!(grown > 0, "no hit grew an image's charge");
+        assert!(at_floor > 0, "no pool over budget at its floor");
     }
 
     #[test]

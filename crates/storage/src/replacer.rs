@@ -3,7 +3,8 @@
 //! The replacer tracks *frame indices* (slots in the buffer pool), not
 //! page ids: the pool owns the page↔frame mapping and tells the replacer
 //! when a frame is filled, touched, or dropped. `evict` both chooses a
-//! victim and forgets it.
+//! victim and forgets it. Its node table grows to the highest frame index
+//! it is given, as the pool's frame table grows with the images it holds.
 //!
 //! SIEVE keeps frames in FIFO insertion order with a lazily retreating
 //! hand that spares visited frames in place: a hit only sets a bit, with
@@ -31,6 +32,10 @@ struct SieveNode {
 }
 
 impl SieveReplacer {
+    /// What the replacer keeps per frame.
+    pub(crate) const NODE_BYTES: usize = size_of::<SieveNode>();
+
+    /// A replacer with room for `capacity` frames before its table grows.
     pub fn new(capacity: usize) -> Self {
         SieveReplacer {
             nodes: vec![SieveNode::default(); capacity.max(1)],
@@ -60,6 +65,9 @@ impl SieveReplacer {
 
     /// A frame has been filled with a new page.
     pub fn insert(&mut self, frame: usize) {
+        if frame >= self.nodes.len() {
+            self.nodes.resize(frame + 1, SieveNode::default());
+        }
         debug_assert!(!self.nodes[frame].present);
         self.nodes[frame] = SieveNode {
             prev: None,

@@ -26,8 +26,9 @@
 //! * a compaction after a range clear over a whole such run, whose leaves
 //!   it empties and drops (`compaction_drop`), and after one over part of
 //!   a run, whose leaves it shrinks and merges (`compaction_merge`);
-//! * a batch whose new pages outnumber the pool's frames
-//!   (`larger_than_pool`).
+//! * a batch whose new pages outnumber what the pool's budget holds
+//!   (`larger_than_pool`), so that the pool evicts pages and writes dirty
+//!   ones back (`pool_eviction`: the engine's counters show both).
 //!
 //! And reads ran while a batch was being staged (`read_during_stage`).
 //!
@@ -61,8 +62,8 @@ use rl_storage::{
     Batch, EvictionPolicy, IoCounters, MemoryEngine, Mutation, PagedEngine, Staged, StorageEngine,
 };
 
-/// Frames of the paged engine's pool: a batch of a few dozen keys already
-/// needs more, so stages evict published frames as they go.
+/// The paged engine's pool budget in pages: a batch of a few dozen keys
+/// already needs more, so stages evict published pages as they go.
 const POOL_PAGES: usize = 16;
 const BATCHES: u64 = 120;
 const READERS: usize = 3;
@@ -278,13 +279,9 @@ fn compare(engines: &Engines, begin: &[u8], end: &[u8], version: u64, reverse: b
 fn readers_never_see_a_staged_commit() {
     let dir = std::env::temp_dir().join(format!("rl-staged-oracle-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let paged = PagedEngine::open(
-        &dir,
-        POOL_PAGES,
-        EvictionPolicy::Sieve,
-        IoCounters::new_shared(),
-    )
-    .unwrap();
+    let counters = IoCounters::new_shared();
+    let paged =
+        PagedEngine::open(&dir, POOL_PAGES, EvictionPolicy::Sieve, counters.clone()).unwrap();
     let engines = RwLock::new(Engines {
         paged,
         memory: MemoryEngine::new(),
@@ -458,6 +455,10 @@ fn readers_never_see_a_staged_commit() {
             seen.insert(case);
         }
     }
+    let io = counters.snapshot();
+    if io.page_evictions > 0 && io.page_flushes > 0 {
+        seen.insert("pool_eviction");
+    }
     assert!(reads > BATCHES, "{reads} reads");
     let expected = [
         "buffer_shadows_tree",
@@ -471,6 +472,7 @@ fn readers_never_see_a_staged_commit() {
         "overflow_key",
         "overflow_value",
         "overwrite",
+        "pool_eviction",
         "range_clear",
         "range_clear_over_tree_keys",
         "read_between_flush_slices",

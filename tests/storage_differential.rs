@@ -8,9 +8,10 @@
 //! interleaves randomized reads (gets, forward/reverse scans with random
 //! limits, and the key-selector shapes "last key below" and "n-th key
 //! after" as `reverse, limit 1` and `limit n` scans) at random read
-//! versions, comparing results op by op. Pool sizes are drawn small enough
-//! that eviction, overflow chains, and copy-on-write splits are all hit
-//! constantly.
+//! versions, comparing results op by op. Pool sizes are drawn small, and
+//! a ballast of page-sized values under keys no op draws fills each pool
+//! before a case's ops start, so that eviction, overflow chains, and
+//! copy-on-write splits are all hit constantly.
 //!
 //! Compaction is driven by each engine's log of the keys written, so after
 //! every `compact` both engines must retain exactly the `(key, version)`
@@ -86,6 +87,37 @@ fn check(name: &str, cases: u64, f: impl Fn(&mut XorShift64)) {
     }
 }
 
+/// The cases of a property whose paged engine evicted a page, and of those
+/// the ones that also wrote pages back. The pool's budget is in bytes, so
+/// a pool of a few pages holds more of them than it names: each property
+/// asserts that its small pools still reach eviction.
+#[derive(Default)]
+struct Evicting {
+    evicted: AtomicU64,
+    written_back: AtomicU64,
+}
+
+impl Evicting {
+    fn note(&self, counters: &IoCounters) {
+        let stats = counters.snapshot();
+        if stats.page_evictions > 0 {
+            self.evicted.fetch_add(1, Ordering::Relaxed);
+            if stats.page_flushes > 0 {
+                self.written_back.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    fn assert_reached(&self, name: &str) {
+        let evicted = self.evicted.load(Ordering::Relaxed);
+        let written_back = self.written_back.load(Ordering::Relaxed);
+        assert!(
+            evicted > 0 && written_back > 0,
+            "{name}: {evicted} cases evicted, {written_back} of them with a write-back"
+        );
+    }
+}
+
 // ------------------------------------------------------------ generators
 
 /// Keys collide heavily on purpose (version chains need repeat writes);
@@ -109,6 +141,26 @@ fn arb_value(rng: &mut XorShift64) -> Vec<u8> {
     };
     let b = rng.gen_u8();
     vec![b; len]
+}
+
+/// A page-sized value under each of `pool_pages × 5/4` keys above every
+/// key and bound the generators draw (`[0xFF]` is the highest), so that no
+/// op of a case reads or writes them. The pool's budget is in bytes, and
+/// the few small leaves the 24 keys of `arb_key` fill fit even a 4-page
+/// budget: without this ballast one case in a thousand evicted. With it
+/// every case's pool is full when its ops start, so each page they bring
+/// in evicts another. Drawn from no generator: the ops each case draws are
+/// the same with it or without it.
+fn ballast(pool_pages: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
+    (0..pool_pages * 5 / 4)
+        .map(|i| (vec![0xFF, 0x00, i as u8], vec![i as u8; 4_000]))
+        .collect()
+}
+
+fn ballast_batch(ballast: &[(Vec<u8>, Vec<u8>)]) -> Batch<'static> {
+    let write =
+        |(key, value): &(Vec<u8>, Vec<u8>)| (key.clone(), Mutation::Write(Some(value.clone())));
+    ballast.iter().map(write).collect()
 }
 
 /// An ordered pair of range bounds (possibly empty or all-covering).
@@ -197,6 +249,7 @@ impl Model {
 fn paged_engine_matches_memory_oracle() {
     static CASE_DIR: AtomicU64 = AtomicU64::new(0);
 
+    let evicting = Evicting::default();
     check("storage_differential", CASES, |rng| {
         let n = CASE_DIR.fetch_add(1, Ordering::Relaxed);
         let dir = std::env::temp_dir().join(format!("rl-diff-{}-{n}", std::process::id()));
@@ -204,15 +257,18 @@ fn paged_engine_matches_memory_oracle() {
 
         // Tiny pools force eviction mid-operation.
         let pool_pages = rng.gen_range(4..48usize);
-        let mut paged = PagedEngine::open(
-            &dir,
-            pool_pages,
-            EvictionPolicy::Sieve,
-            IoCounters::new_shared(),
-        )
-        .expect("open paged engine");
+        let counters = IoCounters::new_shared();
+        let mut paged =
+            PagedEngine::open(&dir, pool_pages, EvictionPolicy::Sieve, counters.clone())
+                .expect("open paged engine");
         let mut memory = MemoryEngine::new();
         let mut model = Model::default();
+        let ballast = ballast(pool_pages);
+        memory.apply_sorted(0, ballast_batch(&ballast));
+        paged.apply_sorted(0, ballast_batch(&ballast));
+        for (key, value) in ballast {
+            model.write(key, Some(value), 0);
+        }
 
         let mut version = 0u64;
         let mut oldest = 0u64;
@@ -355,7 +411,9 @@ fn paged_engine_matches_memory_oracle() {
 
         drop(paged);
         let _ = std::fs::remove_dir_all(&dir);
+        evicting.note(&counters);
     });
+    evicting.assert_reached("storage_differential");
 }
 
 // ------------------------------------------------------- sorted batches
@@ -447,14 +505,16 @@ fn sorted_batches_match_memory_oracle() {
         SEEN[case].fetch_add(1, Ordering::Relaxed);
     };
 
+    let evicting = Evicting::default();
     check("sorted_batches", BATCH_CASES, |rng| {
         let n = CASE_DIR.fetch_add(1, Ordering::Relaxed);
         let dir = std::env::temp_dir().join(format!("rl-batch-{}-{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let pool_pages = rng.gen_range(4..48usize);
         let counters = IoCounters::new_shared();
-        let mut paged = PagedEngine::open(&dir, pool_pages, EvictionPolicy::Sieve, counters)
-            .expect("open paged engine");
+        let mut paged =
+            PagedEngine::open(&dir, pool_pages, EvictionPolicy::Sieve, counters.clone())
+                .expect("open paged engine");
         let mut memory = MemoryEngine::new();
         let mut model = Model::default();
         let (mut version, mut oldest) = (1u64, 0u64);
@@ -571,9 +631,11 @@ fn sorted_batches_match_memory_oracle() {
         paged.check_consistency().expect("tree consistency");
         drop(paged);
         let _ = std::fs::remove_dir_all(&dir);
+        evicting.note(&counters);
     });
     let seen: Vec<u64> = SEEN.iter().map(|n| n.load(Ordering::Relaxed)).collect();
     assert!(seen.iter().all(|&n| n > 0), "cases not reached: {seen:?}");
+    evicting.assert_reached("sorted_batches");
 }
 
 // ---------------------------------------------------- folded commits
