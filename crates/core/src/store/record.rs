@@ -11,8 +11,7 @@ use rl_fdb::tuple::{self, ElementRef, Tuple, TupleElement, TupleReader};
 use rl_fdb::version::{Versionstamp, VERSIONSTAMP_LEN};
 use rl_fdb::RangeOptions;
 use rl_message::{
-    DescriptorPool, DynamicMessage, FieldDescriptor, FieldRef, FieldSource, MessageDescriptor,
-    Value, WireMessage, WireRecord,
+    DynamicMessage, FieldDescriptor, FieldRef, FieldSource, MessageDescriptor, Value, WireMessage,
 };
 
 use super::RecordStore;
@@ -175,10 +174,12 @@ impl RecordStore<'_> {
     /// index in the same transaction (§6).
     ///
     /// Cost contract: one lending read of the old record
-    /// ([`load_record`](Self::load_record)'s), which is never decoded: its
-    /// payload is read where the read left it (a [`WireRecord`]), after the
-    /// read has returned. Then only the writes that change something, each
-    /// key built once and moved into the transaction. One scratch buffer
+    /// ([`load_record`](Self::load_record)'s), whose fields index
+    /// maintenance reads where the read left them, after the read has
+    /// returned: the payload's [`WireMessage`], as a fetch returns it, of
+    /// which only a nested message is decoded. Then only the writes that
+    /// change something, each key built once and moved into the
+    /// transaction. One scratch buffer
     /// (`PackedRows`) holds every evaluation of the save: the primary key,
     /// packed once and shared by the payload, version and index keys, and
     /// each index's entries for the old and the new record, compared as
@@ -197,10 +198,6 @@ impl RecordStore<'_> {
         pk.pack_into(&mut packed_pk);
 
         let old = self.load_payload(&packed_pk)?;
-        let old_fields = old
-            .as_ref()
-            .map(|old| old.fields(self.metadata.pool()))
-            .transpose()?;
 
         let version = if self.metadata.store_record_versions {
             Some(Versionstamp::incomplete(self.tx.next_user_version()))
@@ -216,10 +213,7 @@ impl RecordStore<'_> {
             split_count,
         };
 
-        let old_record = old
-            .as_ref()
-            .zip(old_fields.as_ref())
-            .map(|(old, fields)| old.indexed(fields, &new.primary_key));
+        let old_record = old.as_ref().map(|old| old.indexed(&new.primary_key));
         let new_record = IndexedRecord::from(&new);
         self.update_indexes(
             old_record.as_ref(),
@@ -351,17 +345,13 @@ impl RecordStore<'_> {
         bounds: &[u8],
         primary_key: impl FnOnce() -> Tuple,
     ) -> Result<Option<StoredRecord>> {
-        match self.read_payload(bounds)? {
-            Some(payload) => payload
-                .into_record(self.metadata.pool(), primary_key)
-                .map(Some),
-            None => Ok(None),
-        }
+        Ok(self
+            .read_payload(bounds)?
+            .map(|payload| payload.into_record(primary_key)))
     }
 
     /// The stored payload of the record with packed primary key
-    /// `packed_pk`, read as [`load_record`](Self::load_record) reads it,
-    /// and not decoded.
+    /// `packed_pk`, read as [`load_record`](Self::load_record) reads it.
     fn load_payload(&self, packed_pk: &[u8]) -> Result<Option<RecordPayload>> {
         let bounds = self.record_bounds(packed_pk.len(), |key| key.extend_from_slice(packed_pk));
         self.read_payload(&bounds)
@@ -391,14 +381,13 @@ impl RecordStore<'_> {
 
     /// Delete a record by primary key, maintaining indexes. Returns whether
     /// a record existed. The old record is read where its bytes lie, as a
-    /// save reads it, and never decoded.
+    /// save reads it.
     pub fn delete_record(&self, primary_key: &Tuple) -> Result<bool> {
         let packed_pk = primary_key.pack();
         let Some(old) = self.load_payload(&packed_pk)? else {
             return Ok(false);
         };
-        let fields = old.fields(self.metadata.pool())?;
-        let old_record = old.indexed(&fields, primary_key);
+        let old_record = old.indexed(primary_key);
         let mut packed = PackedRows::new();
         self.update_indexes(Some(&old_record), None, &packed_pk, &mut packed)?;
         self.bump_stat(|| self.record_count_key(), -1)?;
@@ -507,52 +496,34 @@ impl RecordStore<'_> {
 }
 
 /// A record's payload as the [`RecordAssembler`] joined it, with the
-/// envelope undone where it lies: its wire bytes, still encoded, with the
-/// descriptor and the version split's stamp.
+/// envelope undone where it lies: its wire bytes, read as a
+/// [`WireMessage`], with the version split's stamp.
 pub(super) struct RecordPayload {
-    buffer: Vec<u8>,
-    wire: Range<usize>,
-    descriptor: Arc<MessageDescriptor>,
+    message: WireMessage,
     version: Option<Versionstamp>,
     /// Number of key-value pairs the payload occupied (1 = unsplit).
     chunks: usize,
 }
 
 impl RecordPayload {
-    /// The record's fields, read where they lie.
-    fn fields<'a>(&'a self, pool: &'a DescriptorPool) -> Result<WireRecord<'a>> {
-        let wire = &self.buffer[self.wire.clone()];
-        Ok(WireRecord::new(self.descriptor.clone(), pool, wire)?)
-    }
-
-    /// The record as index maintenance reads it, from `fields`.
-    fn indexed<'a>(
-        &'a self,
-        fields: &'a WireRecord<'a>,
-        primary_key: &'a Tuple,
-    ) -> IndexedRecord<'a> {
+    /// The record as index maintenance reads it.
+    fn indexed<'a>(&'a self, primary_key: &'a Tuple) -> IndexedRecord<'a> {
         IndexedRecord {
-            fields,
-            record_type: &self.descriptor.name,
+            fields: &self.message,
+            record_type: &self.message.descriptor().name,
             primary_key,
             version: self.version,
         }
     }
 
-    /// The record, its wire bytes kept in the payload's buffer and walked
-    /// once ([`WireMessage`]; `primary_key` runs only here).
-    fn into_record(
-        self,
-        pool: &DescriptorPool,
-        primary_key: impl FnOnce() -> Tuple,
-    ) -> Result<StoredRecord> {
-        let message = WireMessage::new(self.descriptor, pool, self.buffer, self.wire)?;
-        Ok(StoredRecord {
+    /// The record, its message moved in (`primary_key` runs only here).
+    fn into_record(self, primary_key: impl FnOnce() -> Tuple) -> StoredRecord {
+        StoredRecord {
             primary_key: primary_key(),
-            message: RecordMessage::Stored(message),
+            message: RecordMessage::Stored(self.message),
             version: self.version,
             split_count: self.chunks,
-        })
+        }
     }
 }
 
@@ -564,8 +535,9 @@ impl RecordPayload {
 /// Cost contract: the split suffixes and the version are read in place,
 /// and the payload chunks are copied once into one buffer (an owned first
 /// chunk is moved in instead); [`payload`](Self::payload) undoes the
-/// envelope inside that buffer and [`finish`](Self::finish) hands it to
-/// the record, which reads its fields there.
+/// envelope inside that buffer and reads the record there, as the one
+/// [`WireMessage`] a save, a delete or a fetch reads, and
+/// [`finish`](Self::finish) moves it into the record.
 pub(super) struct RecordAssembler {
     suffix_at: usize,
     version: Option<Versionstamp>,
@@ -612,9 +584,10 @@ impl RecordAssembler {
     /// The joined payload with the envelope undone, or `None` when no
     /// payload chunk arrived (nothing, or only a version key survived —
     /// which can happen transiently if a caller cleared payload keys
-    /// directly). Nothing is allocated for an identity serializer, whose
-    /// envelope is undone in the payload's buffer; a non-identity one
-    /// allocates what it needs to undo its transform.
+    /// directly). What is allocated is the record's field table
+    /// ([`WireMessage`]): an identity serializer's envelope is undone in
+    /// the payload's buffer, and a non-identity one allocates what it
+    /// needs to undo its transform.
     pub(super) fn payload(self, store: &RecordStore<'_>) -> Result<Option<RecordPayload>> {
         if self.chunks == 0 {
             return Ok(None);
@@ -623,10 +596,9 @@ impl RecordAssembler {
         // Every record read from the record subspace counts as a fetch,
         // decoded or not; covering index scans bypass this path entirely.
         store.tx.note_record_fetch();
+        let message = WireMessage::new(descriptor, store.metadata.pool(), buffer, wire)?;
         Ok(Some(RecordPayload {
-            buffer,
-            wire,
-            descriptor,
+            message,
             version: self.version,
             chunks: self.chunks,
         }))
@@ -641,11 +613,8 @@ impl RecordAssembler {
         store: &RecordStore<'_>,
         primary_key: impl FnOnce() -> Tuple,
     ) -> Result<Option<StoredRecord>> {
-        match self.payload(store)? {
-            Some(payload) => payload
-                .into_record(store.metadata.pool(), primary_key)
-                .map(Some),
-            None => Ok(None),
-        }
+        Ok(self
+            .payload(store)?
+            .map(|payload| payload.into_record(primary_key)))
     }
 }

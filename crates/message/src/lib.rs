@@ -52,7 +52,7 @@ pub use descriptor::{
 };
 pub use evolution::{validate_evolution, EvolutionError};
 pub use message::DynamicMessage;
-pub use source::{FieldRef, FieldSource, ValueRef, WireMessage, WireRecord};
+pub use source::{FieldRef, FieldSource, ValueRef, WireMessage};
 pub use value::Value;
 
 /// Errors from descriptor validation, message manipulation, and wire

@@ -1,9 +1,8 @@
 //! Reading a record's fields where they lie: the one trait every reader of
 //! a record's fields goes through (the record layer's key-expression
-//! evaluator, its predicates and client key functions), and its sources —
-//! a decoded [`DynamicMessage`], a [`WireRecord`], which reads wire bytes
-//! it borrows without decoding the record, and a [`WireMessage`], which
-//! does the same over bytes it owns.
+//! evaluator, its predicates and client key functions), and its two
+//! sources — a decoded [`DynamicMessage`], and a [`WireMessage`], which
+//! reads the wire bytes it owns without decoding the record.
 
 use std::cell::OnceCell;
 use std::fmt::Debug;
@@ -180,32 +179,25 @@ impl FieldSource for DynamicMessage {
 const STACK_FIELDS: usize = 32;
 
 /// One walk over the tags of `wire`: each field on it that `descriptor`
-/// knows, with the field's wire type, and its payload (the range in
-/// `wire`), in wire order, made into an entry by `entry`. Fails where
-/// decoding would on a truncated tag or payload.
+/// knows (with the field's wire type) and its payload's range in `wire`,
+/// in wire order. Fails where decoding would on a truncated tag or payload.
 ///
 /// Cost contract: one block, the entries, of exactly their number. The
 /// walk keeps what it finds on the stack and allocates the block once it
 /// has counted them, so the tags are walked once; a record with more than
 /// [`STACK_FIELDS`] known fields on the wire pays one more block for the
 /// rest.
-fn known_fields<'d, T>(
-    descriptor: &'d MessageDescriptor,
-    wire: &[u8],
-    mut entry: impl FnMut(&'d FieldDescriptor, Range<usize>) -> Result<T>,
-) -> Result<Box<[T]>> {
-    let mut on_stack = [(None, 0, 0); STACK_FIELDS];
+fn known_fields(descriptor: &MessageDescriptor, wire: &[u8]) -> Result<Box<[WireField]>> {
+    let mut on_stack = [(0, 0, 0); STACK_FIELDS];
     let mut spilled = Vec::new();
     let (mut known, mut at) = (0, 0);
     while at < wire.len() {
         let (number, wire_type, n) = get_tag(&wire[at..])?;
         at += n;
         let (payload, consumed) = field_payload(&wire[at..], wire_type)?;
-        let field = descriptor
-            .field_by_number(number)
-            .filter(|f| f.field_type.wire_type() == wire_type);
-        if field.is_some() {
-            let found = (field, at + payload.start, at + payload.end);
+        let field = descriptor.field_by_number(number);
+        if field.is_some_and(|f| f.field_type.wire_type() == wire_type) {
+            let found = (number, at + payload.start, at + payload.end);
             match on_stack.get_mut(known) {
                 Some(slot) => *slot = found,
                 None => spilled.push(found),
@@ -215,24 +207,25 @@ fn known_fields<'d, T>(
         at += consumed;
     }
     let mut entries = Vec::with_capacity(known);
-    for &(field, start, end) in on_stack[..known.min(STACK_FIELDS)].iter().chain(&spilled) {
-        if let Some(field) = field {
-            entries.push(entry(field, start..end)?);
-        }
+    for &(number, start, end) in on_stack[..known.min(STACK_FIELDS)].iter().chain(&spilled) {
+        entries.push(WireField {
+            number,
+            payload: start..end,
+            value: OnceCell::new(),
+        });
     }
     Ok(entries.into_boxed_slice())
 }
 
-/// The entries a source hands out for `field`, of all `entries` (in wire
-/// order, each with its field `number`): the last on the wire of a
-/// singular field, every one of a repeated field in wire order.
-fn entries_of<'e, E>(
-    entries: &'e [E],
+/// The entries a read of `field` hands out, of all `entries` (in wire
+/// order): the last on the wire of a singular field, every one of a
+/// repeated field in wire order.
+fn entries_of<'e>(
+    entries: &'e [WireField],
     field: &FieldDescriptor,
-    number: fn(&E) -> u32,
-) -> impl Iterator<Item = &'e E> {
+) -> impl Iterator<Item = &'e WireField> {
     let wanted = field.number;
-    let mut all = entries.iter().filter(move |e| number(e) == wanted);
+    let mut all = entries.iter().filter(move |e| e.number == wanted);
     let last = match field.is_repeated() {
         true => None,
         false => all.by_ref().last(),
@@ -240,93 +233,23 @@ fn entries_of<'e, E>(
     last.into_iter().chain(all)
 }
 
-/// A record read where its wire bytes lie: one walk over the tags keeps
-/// where each field the descriptor knows (with its wire type) has its
-/// payload, and a value is decoded only when asked for, a string or bytes
-/// value lent from the wire bytes. A nested message is read the same way
-/// over its sub-slice.
-///
-/// Cost contract: one block, the payload offsets, sized to the fields on
-/// the wire by the one walk over the tags (`known_fields`; never to the
-/// fields the descriptor declares, most of which a record often leaves
-/// unset). A nested message read makes its own.
-#[derive(Debug)]
-pub struct WireRecord<'a> {
-    descriptor: Arc<MessageDescriptor>,
-    pool: &'a DescriptorPool,
-    wire: &'a [u8],
-    /// Each known field on the wire: its number and payload, in wire
-    /// order.
-    fields: Box<[(u32, Range<usize>)]>,
-}
-
-impl<'a> WireRecord<'a> {
-    /// Read `wire` as a message of `descriptor`, nested types resolved
-    /// through `pool`. Fails where decoding would on a truncated field.
-    pub fn new(
-        descriptor: Arc<MessageDescriptor>,
-        pool: &'a DescriptorPool,
-        wire: &'a [u8],
-    ) -> Result<Self> {
-        let fields = known_fields(&descriptor, wire, |field, payload| {
-            Ok((field.number, payload))
-        })?;
-        Ok(WireRecord {
-            descriptor,
-            pool,
-            wire,
-            fields,
-        })
-    }
-}
-
-impl FieldSource for WireRecord<'_> {
-    fn descriptor(&self) -> &Arc<MessageDescriptor> {
-        &self.descriptor
-    }
-
-    fn visit_field(
-        &self,
-        field: &FieldDescriptor,
-        visit: &mut dyn FnMut(FieldRef<'_>) -> ControlFlow<()>,
-    ) -> Result<()> {
-        for (_, payload) in entries_of(&self.fields, field, |(number, _)| *number) {
-            let payload = &self.wire[payload.clone()];
-            let flow = match &field.field_type {
-                FieldType::Message(name) => {
-                    let descriptor = self
-                        .pool
-                        .message(name)
-                        .ok_or_else(|| Error::Decode(format!("unknown nested type {name}")))?;
-                    visit(FieldRef::Message(&WireRecord::new(
-                        descriptor, self.pool, payload,
-                    )?))
-                }
-                scalar => visit(FieldRef::Value(ValueRef::decode(scalar, payload)?)),
-            };
-            if flow.is_break() {
-                break;
-            }
-        }
-        Ok(())
-    }
-}
-
-/// A record's wire bytes, owned and read where they lie, as a fetch
-/// returns a record: the buffer they were read into, where in it the wire
-/// bytes are, and one walk's table of where each field the descriptor
-/// knows (with its wire type) has its payload. A scalar field is decoded
-/// when it is read, and [`get`](Self::get) keeps what it decodes. A nested
-/// message is decoded with the record, once, because the record keeps no
-/// handle on the descriptor pool that resolves its type.
+/// A record's wire bytes, owned and read where they lie: the one reader
+/// of a stored record, for a fetch and for the old record a save or a
+/// delete indexes. It holds the buffer the bytes were read into, where in
+/// it the wire bytes are, and one walk's table of where each field the
+/// descriptor knows (with its wire type) has its payload. A scalar field
+/// is decoded when it is read, and [`get`](Self::get) keeps what it
+/// decodes. A nested message is decoded with the record, once, because the
+/// record keeps no handle on the descriptor pool that resolves its type.
 ///
 /// What the fields read as is what [`DynamicMessage::decode`] leaves in
 /// them (see [`FieldSource`]). Malformed bytes fail with
-/// [`Error::Decode`], never a panic: a truncated tag or payload, and
-/// anything in a nested message, when the record is made; a scalar that
-/// does not decode (a string that is not UTF-8) when it is read. A
-/// singular field on the wire more than once reads as its last
-/// occurrence, and an earlier one is never read, nested or not, so a
+/// [`Error::Decode`], never a panic: a truncated tag or payload when the
+/// record is made; a value that does not decode — a string that is not
+/// UTF-8, a nested message that is malformed — when its field is read, so
+/// a record whose bad field nothing reads can still be indexed, replaced
+/// and deleted. A singular field on the wire more than once reads as its
+/// last occurrence, and an earlier one is never read, nested or not, so a
 /// malformed one is no error, as in [`DynamicMessage::decode`].
 ///
 /// Cost contract: one block, the field table, sized to the known fields on
@@ -349,9 +272,15 @@ struct WireField {
     number: u32,
     /// The payload's range in the wire bytes.
     payload: Range<usize>,
-    /// The decoded value, once read (a nested message's, from the start).
-    value: OnceCell<Value>,
+    /// The decoded value or its decode error, once read (a nested
+    /// message's, from the start).
+    value: OnceCell<Decoded>,
 }
+
+/// A field's value as decoded. The error is boxed, so that a field table
+/// entry keeps the size a [`Value`] gives it: a stored record rarely holds
+/// a value that does not decode.
+type Decoded = std::result::Result<Value, Box<Error>>;
 
 impl WireMessage {
     /// Read `buffer[wire]` as a message of `descriptor`, nested messages
@@ -365,22 +294,17 @@ impl WireMessage {
         let bytes = buffer
             .get(wire.clone())
             .ok_or_else(|| Error::Decode("wire bytes outside their buffer".into()))?;
-        let mut fields = known_fields(&descriptor, bytes, |field, payload| {
-            Ok(WireField {
-                number: field.number,
-                payload,
-                value: OnceCell::new(),
-            })
-        })?;
+        let mut fields = known_fields(&descriptor, bytes)?;
         // Nested messages are decoded now: every occurrence of a repeated
         // field, and the last of a singular one, which supersedes the rest.
+        // A decode error stays with its field until the field is read.
         for i in 0..fields.len() {
             let (number, later) = (fields[i].number, &fields[i + 1..]);
             let field = descriptor.field_by_number(number).expect("a known field");
             let superseded = !field.is_repeated() && later.iter().any(|f| f.number == number);
             if matches!(field.field_type, FieldType::Message(_)) && !superseded {
-                let value = decode_value(field, pool, &bytes[fields[i].payload.clone()])?;
-                fields[i].value = OnceCell::from(value);
+                let value = decode_value(field, pool, &bytes[fields[i].payload.clone()]);
+                fields[i].value = OnceCell::from(value.map_err(Box::new));
             }
         }
         Ok(WireMessage {
@@ -411,14 +335,12 @@ impl WireMessage {
             .iter()
             .rev()
             .find(|f| f.number == field.number)?;
-        if let Some(value) = stored.value.get() {
-            return Some(value);
-        }
-        let payload = &self.wire()[stored.payload.clone()];
-        let value = ValueRef::decode(&field.field_type, payload)
-            .ok()?
-            .to_value();
-        Some(stored.value.get_or_init(|| value))
+        let value = stored.value.get_or_init(|| {
+            let payload = &self.wire()[stored.payload.clone()];
+            let value = ValueRef::decode(&field.field_type, payload);
+            value.map(ValueRef::to_value).map_err(Box::new)
+        });
+        value.as_ref().ok()
     }
 
     /// The record decoded in full, unknown fields kept, as
@@ -442,16 +364,17 @@ impl WireMessage {
     }
 }
 
-/// Decode `wire`, taking each known field's value from `kept` (the field
-/// table's, in the same wire order) where it was decoded already.
+/// Decode `wire`, taking each known field's value (or its decode error)
+/// from `kept` (the field table's, in the same wire order) where it was
+/// decoded already.
 fn decode_keeping(
     descriptor: Arc<MessageDescriptor>,
     wire: &[u8],
-    mut kept: impl Iterator<Item = Option<Value>>,
+    mut kept: impl Iterator<Item = Option<Decoded>>,
 ) -> Result<DynamicMessage> {
     DynamicMessage::decode_with(descriptor, wire, |field, payload| {
         match kept.next().flatten() {
-            Some(value) => Ok(value),
+            Some(value) => value.map_err(|e| *e),
             None => Ok(ValueRef::decode(&field.field_type, payload)?.to_value()),
         }
     })
@@ -468,9 +391,10 @@ impl FieldSource for WireMessage {
         visit: &mut dyn FnMut(FieldRef<'_>) -> ControlFlow<()>,
     ) -> Result<()> {
         let wire = self.wire();
-        for stored in entries_of(&self.fields, field, |f| f.number) {
+        for stored in entries_of(&self.fields, field) {
             let value = match stored.value.get() {
-                Some(Value::Message(nested)) => FieldRef::Message(nested),
+                Some(Ok(Value::Message(nested))) => FieldRef::Message(nested),
+                Some(Err(e)) => return Err(Error::clone(e)),
                 _ => FieldRef::Value(ValueRef::decode(
                     &field.field_type,
                     &wire[stored.payload.clone()],

@@ -43,7 +43,7 @@
 //! the lending read of the old record (its bounds' buffer and the buffer
 //! its payload is copied into, where the envelope is undone; the range it
 //! conflicts on lies inline in the transaction), 2; the old record's
-//! field offsets (`WireRecord`; it is never decoded), 1; the
+//! field table (its `WireMessage`; no field of it is decoded), 1; the
 //! envelope, encoded straight into one buffer the `Plain` serializer
 //! keeps, 1; the payload and version writes, 3; the `by_version` entry's
 //! clear and versionstamped set, 2; and the write set's map and

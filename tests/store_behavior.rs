@@ -738,14 +738,22 @@ fn churn(db: &Database, md: &RecordMetaData, sub: &Subspace) {
 /// Same bytes, same answers: the raw range of a churned store is what
 /// every read path reports, record by record — and is, byte for byte, what
 /// the tree before the in-place assembler wrote (the digest was computed
-/// there), on both engines.
+/// there), on both engines, at the default clock and on a database whose
+/// clock has run 2^45 versions ahead before the churn, as an old cluster's
+/// has: its commit versions, and so the stored stamps, are larger.
 #[test]
 fn every_read_path_reports_the_stored_bytes() {
-    for engine in ["memory", "paged"] {
+    let clocks = [("new", 0, PINNED_DIGEST), ("aged", AGED_MS, AGED_DIGEST)];
+    let runs = clocks
+        .into_iter()
+        .flat_map(|clock| ["memory", "paged"].map(|kind| (kind, clock)));
+    for (kind, (clock, advance_ms, digest)) in runs {
+        let engine = format!("{kind}, {clock} clock");
         let db = Database::with_options(DatabaseOptions {
-            engine: EngineKind::from_spec(engine).unwrap(),
+            engine: EngineKind::from_spec(kind).unwrap(),
             ..DatabaseOptions::default()
         });
+        db.advance_clock(advance_ms);
         let md = versioned_metadata();
         let sub = Subspace::from_tuple(&Tuple::new().push(9i64).push("churn"));
         churn(&db, &md, &sub);
@@ -755,7 +763,7 @@ fn every_read_path_reports_the_stored_bytes() {
         let raw = tx.get_range(&begin, &end, RangeOptions::default()).unwrap();
         assert_eq!(
             range_digest(&raw),
-            PINNED_DIGEST,
+            digest,
             "[{engine}] the stored format drifted ({} raw rows)",
             raw.len()
         );
@@ -840,6 +848,15 @@ fn every_read_path_reports_the_stored_bytes() {
 /// followed by the index's name `by_v`: records and entries are byte for
 /// byte the same.
 const PINNED_DIGEST: u64 = 0xa3f6_900b_dbbc_5294;
+
+/// The clock advance, in milliseconds, that puts a new database 2^45
+/// versions ahead (`VERSIONS_PER_MS` is a thousand).
+const AGED_MS: u64 = 35_184_372_089;
+
+/// `range_digest` of the same churn on a database whose clock was advanced
+/// by [`AGED_MS`] first: the same records, with the versions of a clock
+/// that has run for about a year.
+const AGED_DIGEST: u64 = 0x36b1_8c69_637a_5859;
 
 /// A RANK index is its skip list: a score-range scan reads level 0 and
 /// returns entries only, never a level's begin sentinel (also from an
