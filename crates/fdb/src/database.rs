@@ -123,7 +123,6 @@ pub struct Database {
     options: Arc<DatabaseOptions>,
     clock_ms: Arc<AtomicU64>,
     metrics: SharedMetrics,
-    grv_calls: Arc<AtomicU64>,
     /// Test-only: make the next commit panic inside [`Self::apply`], under
     /// the exclusive store lock, after its seal.
     #[cfg(test)]
@@ -167,7 +166,6 @@ impl Database {
             options: Arc::new(options),
             clock_ms: Arc::new(AtomicU64::new(0)),
             metrics,
-            grv_calls: Arc::new(AtomicU64::new(0)),
             #[cfg(test)]
             panic_next_commit: Arc::new(std::sync::atomic::AtomicBool::new(false)),
             #[cfg(test)]
@@ -190,12 +188,6 @@ impl Database {
     /// I/O counters (see [`Metrics`]).
     pub fn metrics(&self) -> &SharedMetrics {
         &self.metrics
-    }
-
-    /// Number of `getReadVersion` round-trips issued so far. The paper's
-    /// read-version caching (§4) exists to avoid these.
-    pub fn grv_call_count(&self) -> u64 {
-        self.grv_calls.load(Ordering::Relaxed)
     }
 
     // ------------------------------------------------------- logical clock
@@ -223,7 +215,6 @@ impl Database {
     /// does not expire it. Lock-free, and never waits for a commit.
     pub fn get_read_version(&self) -> u64 {
         let _t = rl_obs::Timer::start(rl_obs::Op::Grv);
-        self.grv_calls.fetch_add(1, Ordering::Relaxed);
         self.newest_readable()
     }
 
@@ -590,7 +581,7 @@ impl Database {
             .live_key_count(version)
     }
 
-    /// Diagnostic: latest commit version without counting as a GRV call.
+    /// Diagnostic: latest commit version, read without a GRV.
     pub fn last_commit_version(&self) -> u64 {
         self.last_commit.load(Ordering::Acquire)
     }

@@ -44,7 +44,6 @@ pub mod kv;
 pub mod metrics;
 pub mod options;
 pub mod range;
-pub mod read_version;
 pub mod state_cache;
 pub mod subspace;
 pub mod sync;

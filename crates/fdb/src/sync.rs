@@ -15,20 +15,18 @@
 //!
 //! The declared order (lower ranks first):
 //!
-//! 1. [`LockRank::ReadVersionCache`] — the client-side GRV cache; never
-//!    held across a database call.
-//! 2. [`LockRank::TransactionState`] — a transaction's buffered-write
+//! 1. [`LockRank::TransactionState`] — a transaction's buffered-write
 //!    state; held while the commit pipeline runs.
-//! 3. [`LockRank::ConflictShard`] — one shard of the recent-writes
+//! 2. [`LockRank::ConflictShard`] — one shard of the recent-writes
 //!    conflict index. An **indexed band**: a thread may hold several
 //!    shard locks at once as long as it acquires them in ascending
 //!    shard order (see [`lock_ranked_indexed`]).
-//! 4. [`LockRank::CommitWriter`] — the commit-writer mutex, with the
+//! 3. [`LockRank::CommitWriter`] — the commit-writer mutex, with the
 //!    version counters only a commit touches. A validated commit takes it
 //!    with its shard locks held and keeps it while it allocates its
 //!    version, stages, seals and publishes, and while it runs a due
 //!    compaction: commits apply one at a time.
-//! 5. [`LockRank::DatabaseStore`] — the storage engine `RwLock`.
+//! 4. [`LockRank::DatabaseStore`] — the storage engine `RwLock`.
 //!    Acquired shared ([`read_ranked`]) for MVCC snapshot reads and for a
 //!    commit's staging and sealing, and a compaction slice's staging;
 //!    exclusive ([`write_ranked`]) only to publish what was staged, under
@@ -37,7 +35,7 @@
 //!    stage's overlay take for one page at a time; its WAL's, which a seal
 //!    takes; and its spare stage buffers', which a stage takes once.
 //!    Nothing else is acquired under any of them.
-//! 6. [`LockRank::StateCache`] — the `RwLock` over the map of
+//! 5. [`LockRank::StateCache`] — the `RwLock` over the map of
 //!    metadata-version-validated soft state: shared for a lookup, exclusive
 //!    for an insert. A leaf: nothing is acquired while it is held, and it
 //!    may be taken under any of the others.
@@ -71,8 +69,6 @@ pub fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 #[repr(u8)]
 pub enum LockRank {
-    /// `ReadVersionCache::state`.
-    ReadVersionCache = 10,
     /// `Transaction::state`.
     TransactionState = 20,
     /// One `Database` conflict-index shard (indexed band; ascending
@@ -93,7 +89,6 @@ impl LockRank {
     #[cfg(debug_assertions)]
     fn name(self) -> &'static str {
         match self {
-            LockRank::ReadVersionCache => "ReadVersionCache::state",
             LockRank::TransactionState => "Transaction::state",
             LockRank::ConflictShard => "Database::shards[i]",
             LockRank::CommitWriter => "Database::writer",
@@ -302,7 +297,7 @@ mod tracker {
                     held.clear();
                     panic!(
                         "lock-rank violation: acquiring `{}`{} while holding {:?} — \
-                         declared order is ReadVersionCache < TransactionState < \
+                         declared order is TransactionState < \
                          ConflictShard (ascending indices) < CommitWriter < DatabaseStore < \
                          StateCache (see rl_fdb::sync)",
                         rank.name(),
@@ -363,10 +358,12 @@ mod tests {
         let b = Mutex::new(());
         let c = Mutex::new(());
         let d = RwLock::new(());
-        let _ga = lock_ranked(&a, LockRank::ReadVersionCache);
-        let _gb = lock_ranked(&b, LockRank::TransactionState);
-        let _gc = lock_ranked_indexed(&c, LockRank::ConflictShard, 0);
+        let e = RwLock::new(());
+        let _ga = lock_ranked(&a, LockRank::TransactionState);
+        let _gb = lock_ranked_indexed(&b, LockRank::ConflictShard, 0);
+        let _gc = lock_ranked(&c, LockRank::CommitWriter);
         let _gd = write_ranked(&d, LockRank::DatabaseStore);
+        let _ge = read_ranked(&e, LockRank::StateCache);
     }
 
     #[cfg(debug_assertions)]

@@ -32,11 +32,12 @@
 //! after the buffer's slices, since compaction prunes the tree: work
 //! proportional to the keys written since the last pass — both engines log
 //! which keys those are (the crate's `garbage` module) — and none for the
-//! keys stored. Every write goes through this one path: [`apply_sorted`],
-//! [`write`], [`update`], [`clear_range`] and [`compact`] stage and
-//! publish at once, and the paged engine's WAL replay at open does the
-//! same. What a read changes inside an engine (the paged engine's buffer
-//! pool) the engine locks itself.
+//! keys stored. Every write goes through this one path: [`commit`] runs it
+//! for one batch, the memory engine's [`write`] commits a batch of one, and
+//! the paged engine's [`commit_batch`] logs what its `write`s gathered as
+//! one WAL frame and applies it as the replay at open does. What a read
+//! changes inside an engine (the paged engine's buffer pool) the engine
+//! locks itself.
 //!
 //! [`stage`]: StorageEngine::stage
 //! [`seal`]: StorageEngine::seal
@@ -44,11 +45,8 @@
 //! [`stage_compaction`]: StorageEngine::stage_compaction
 //! [`flush_due`]: StorageEngine::flush_due
 //! [`stage_flush`]: StorageEngine::stage_flush
-//! [`apply_sorted`]: StorageEngine::apply_sorted
 //! [`write`]: StorageEngine::write
-//! [`update`]: StorageEngine::update
-//! [`clear_range`]: StorageEngine::clear_range
-//! [`compact`]: StorageEngine::compact
+//! [`commit_batch`]: StorageEngine::commit_batch
 
 use std::ops::ControlFlow;
 
@@ -69,10 +67,6 @@ pub enum EvictionPolicy {
 /// What [`StorageEngine::visit`] lends each visible row to, as borrowed
 /// key and value slices: [`ControlFlow::Break`] stops the read.
 pub type Visitor<'a> = dyn FnMut(&[u8], &[u8]) -> ControlFlow<()> + 'a;
-
-/// What [`StorageEngine::update`] applies: from the value visible at the
-/// write's version to the value written (`None`: a tombstone).
-pub type Update<'a> = dyn FnMut(Option<&[u8]>) -> Option<Vec<u8>> + 'a;
 
 /// What a [`Mutation::Update`] applies, once: from the value visible at
 /// the batch's version to the value written.
@@ -175,10 +169,9 @@ pub trait StorageEngine: Send + Sync + std::fmt::Debug {
     fn stage<'a>(&self, version: u64, batch: Batch<'a>) -> Staged<'a>;
 
     /// Make a staged batch durable before it is published: on the paged
-    /// engine one WAL frame, after which a crash replays the batch. What
-    /// was published and not yet sealed goes first, in a frame of its own
-    /// (none when nothing was), so that [`discard`](Self::discard) cuts off
-    /// this batch alone. The memory engine does nothing.
+    /// engine one WAL frame, after which a crash replays the batch, and
+    /// which [`discard`](Self::discard) cuts off again. The paged engine
+    /// publishes a batch only sealed. The memory engine does nothing.
     fn seal(&self, _staged: &mut Staged<'_>) {}
 
     /// Stage a slice of MVCC compaction at `oldest_version`, or `None` when
@@ -245,48 +238,21 @@ pub trait StorageEngine: Send + Sync + std::fmt::Debug {
         drop(staged);
     }
 
-    /// Stage and publish one sorted batch: [`stage`](Self::stage), then
-    /// [`publish`](Self::publish), then the flush it made due, slice by
-    /// slice. Sealed by the next [`commit_batch`](Self::commit_batch).
-    fn apply_sorted(&mut self, version: u64, batch: Batch<'_>) {
-        let staged = self.stage(version, batch);
-        self.publish(staged);
-        while let Some(slice) = self.stage_flush() {
-            self.publish(slice);
-        }
-    }
-
-    /// Record a write (set, or clear via `None`) at `version`: a batch of
-    /// one.
+    /// Record a write (set, or clear via `None`) at `version`. The writes
+    /// made since the last [`commit_batch`](Self::commit_batch) become
+    /// visible no later than the next one; a crash-safe engine makes them
+    /// durable there, atomically, in one WAL frame, and a crash before it
+    /// loses them. Provided: a [`commit`] of a batch of one, visible at
+    /// once (the memory engine). The paged engine only gathers the write.
     fn write(&mut self, key: Vec<u8>, value: Option<Vec<u8>>, version: u64) {
-        self.apply_sorted(version, vec![(key, Mutation::Write(value))]);
+        commit(self, version, vec![(key, Mutation::Write(value))]);
     }
 
-    /// Read-modify-write: `f` is called once with the value of `key`
-    /// visible at `version` (which includes an entry written at `version`
-    /// itself), and what it returns is written at `version` exactly as
-    /// [`write`](Self::write) would — `None` a tombstone, an entry already
-    /// at `version` replaced. A batch of one.
-    fn update(&mut self, key: Vec<u8>, version: u64, f: &mut Update<'_>) {
-        let update = Mutation::Update(Box::new(|visible: Option<&[u8]>| f(visible)));
-        self.apply_sorted(version, vec![(key, update)]);
-    }
-
-    /// Clear every key in `[begin, end)` at `version` by writing tombstones:
-    /// a batch of one range clear.
-    fn clear_range(&mut self, begin: &[u8], end: &[u8], version: u64) {
-        let clear = Mutation::ClearRange(end.to_vec());
-        self.apply_sorted(version, vec![(begin.to_vec(), clear)]);
-    }
-
-    /// Seal every batch published since the previous seal: a crash-safe
-    /// engine makes them durable atomically, in one WAL frame, then flushes
-    /// its write buffer into its tree and checkpoints if one is due. So a
-    /// caller that writes through this trait alone finds its writes in the
-    /// paged engine's tree after each `commit_batch`; the database commits
-    /// with [`seal`](Self::seal) and flushes when
-    /// [`flush_due`](Self::flush_due) says so. The in-memory engine ignores
-    /// it.
+    /// Make the writes since the last `commit_batch` visible and, on a
+    /// crash-safe engine, durable in one WAL frame (see
+    /// [`write`](Self::write)). The paged engine then flushes its write
+    /// buffer into its tree and checkpoints if one is due. The database
+    /// commits with [`seal`](Self::seal) instead and never calls it.
     fn commit_batch(&mut self) {}
 
     /// Read the value of `key` visible at `read_version`.
@@ -370,22 +336,6 @@ pub trait StorageEngine: Send + Sync + std::fmt::Debug {
     /// commits above it.
     fn newest_version(&self) -> u64;
 
-    /// Run MVCC compaction at `oldest_version` to the end, slice by slice
-    /// ([`stage_compaction`](Self::stage_compaction), then
-    /// [`publish`](Self::publish)). Returns the number of keys visited.
-    fn compact(&mut self, oldest_version: u64) -> usize {
-        let mut keys = 0;
-        while let Some(slice) = self.stage_compaction(oldest_version) {
-            keys += slice.keys();
-            self.publish(slice);
-        }
-        keys
-    }
-
-    /// Force all buffered state to disk: flush the write buffer into the
-    /// tree, then checkpoint. No-op in memory.
-    fn flush(&mut self) {}
-
     /// Number of live keys at `read_version` (test/diagnostic helper).
     fn live_key_count(&self, read_version: u64) -> usize;
 
@@ -394,4 +344,29 @@ pub trait StorageEngine: Send + Sync + std::fmt::Debug {
 
     /// Short human-readable engine description for diagnostics.
     fn describe(&self) -> String;
+}
+
+/// Commit one sorted batch at `version` as the database does, on one
+/// thread: [`stage`](StorageEngine::stage), [`seal`](StorageEngine::seal),
+/// [`publish`](StorageEngine::publish), then the flush it made due, slice
+/// by slice.
+pub fn commit<E: StorageEngine + ?Sized>(engine: &mut E, version: u64, batch: Batch<'_>) {
+    let mut staged = engine.stage(version, batch);
+    engine.seal(&mut staged);
+    engine.publish(staged);
+    while let Some(slice) = engine.stage_flush() {
+        engine.publish(slice);
+    }
+}
+
+/// Compaction at `oldest` to the end, slice by slice, as the database runs
+/// it on one thread; returns the keys the slices visited.
+#[cfg(test)]
+pub(crate) fn compact(engine: &mut dyn StorageEngine, oldest: u64) -> usize {
+    let mut keys = 0;
+    while let Some(slice) = engine.stage_compaction(oldest) {
+        keys += slice.keys();
+        engine.publish(slice);
+    }
+    keys
 }

@@ -75,7 +75,7 @@ mod replacer;
 pub mod wait;
 pub mod wal;
 
-pub use engine::{Batch, EvictionPolicy, Mutation, Staged, StorageEngine, Visitor};
+pub use engine::{commit, Batch, EvictionPolicy, Mutation, Staged, StorageEngine, Visitor};
 pub use memory::MemoryEngine;
 pub use paged::PagedEngine;
 

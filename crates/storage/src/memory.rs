@@ -15,7 +15,7 @@
 //!   items (records, index entries, statistics) are 9–19 bytes;
 //! * a key's chain is its one version, held in the node, until a second
 //!   version is written. Only then is it a `Vec`, and it goes back to one
-//!   inline version when [`compact`](StorageEngine::compact) leaves one;
+//!   inline version when compaction leaves one;
 //! * a value is an exact-size `Box<[u8]>`, so an empty value (most index
 //!   entries) holds no heap block.
 //!
@@ -486,6 +486,7 @@ impl StorageEngine for MemoryEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{commit, compact};
 
     #[test]
     fn read_your_version() {
@@ -543,7 +544,11 @@ mod tests {
         for k in [b"a", b"b", b"c", b"d"] {
             s.write(k.to_vec(), Some(b"v".to_vec()), 10);
         }
-        s.clear_range(b"b", b"d", 20);
+        commit(
+            &mut s,
+            20,
+            vec![(b"b".to_vec(), Mutation::ClearRange(b"d".to_vec()))],
+        );
         let r = s.range(b"a", b"z", 25, false);
         let keys: Vec<_> = r.iter().map(|(k, _)| k.clone()).collect();
         assert_eq!(keys, vec![b"a".to_vec(), b"d".to_vec()]);
@@ -582,13 +587,13 @@ mod tests {
         s.write(b"k".to_vec(), Some(b"v2".to_vec()), 20);
         s.write(b"k".to_vec(), Some(b"v3".to_vec()), 30);
         assert_eq!(s.total_version_entries(), 3);
-        s.compact(25);
+        compact(&mut s, 25);
         assert_eq!(s.total_version_entries(), 2);
         assert_eq!(chain(&s, b"k"), Some((vec![20, 30], false)));
         assert_eq!(s.get(b"k", 25), Some(b"v2".to_vec()));
         assert_eq!(s.get(b"k", 35), Some(b"v3".to_vec()));
         // Back to one version, held inline.
-        s.compact(30);
+        compact(&mut s, 30);
         assert_eq!(chain(&s, b"k"), Some((vec![30], true)));
         assert_eq!(s.get(b"k", 30), Some(b"v3".to_vec()));
     }
@@ -600,10 +605,10 @@ mod tests {
         s.write(b"k".to_vec(), Some(b"v".to_vec()), 10);
         s.write(b"k".to_vec(), None, 20);
         assert_eq!(chain(&s, b"never"), Some((vec![10], true)));
-        s.compact(15);
+        compact(&mut s, 15);
         assert_eq!(chain(&s, b"never"), None);
         assert_eq!(chain(&s, b"k"), Some((vec![10, 20], false)));
-        s.compact(30);
+        compact(&mut s, 30);
         assert_eq!(s.total_version_entries(), 0);
         assert_eq!(s.describe(), "memory(keys=0)");
     }
@@ -642,9 +647,12 @@ mod tests {
         assert_eq!(chain(&s, b"k"), Some((vec![10], true)));
         assert_eq!(s.get(b"k", 10), Some(b"v2".to_vec()));
         s.write(b"k".to_vec(), Some(b"v3".to_vec()), 20);
-        s.update(b"k".to_vec(), 20, &mut |v| {
-            Some([v.unwrap(), b"!"].concat())
-        });
+        let append = |v: Option<&[u8]>| Some([v.unwrap(), b"!"].concat());
+        commit(
+            &mut s,
+            20,
+            vec![(b"k".to_vec(), Mutation::Update(Box::new(append)))],
+        );
         assert_eq!(chain(&s, b"k"), Some((vec![10, 20], false)));
         assert_eq!(s.get(b"k", 20), Some(b"v3!".to_vec()));
     }
@@ -690,7 +698,11 @@ mod tests {
             (key(INLINE + 1, 0xFF), key(INLINE - 1, 0xFF)),
         ];
         for (begin, end) in &clears {
-            s.clear_range(begin, end, 20);
+            commit(
+                &mut s,
+                20,
+                vec![(begin.clone(), Mutation::ClearRange(end.clone()))],
+            );
         }
         let cleared = |k: &Vec<u8>| clears.iter().any(|(b, e)| b <= k && k < e);
         let left: Vec<Vec<u8>> = keys.iter().filter(|k| !cleared(k)).cloned().collect();
@@ -812,7 +824,11 @@ mod tests {
                         };
                         let visible = model_visible(&model, &key, version);
                         model_write(&mut model, &key, fold(visible.as_deref()), version);
-                        s.update(key, version, &mut |v| fold(v));
+                        commit(
+                            &mut s,
+                            version,
+                            vec![(key, Mutation::Update(Box::new(fold)))],
+                        );
                     }
                     5 => {
                         // Points, and a range clear that skips the ones
@@ -840,7 +856,7 @@ mod tests {
                             batch.push((key, Mutation::Write(value)));
                         }
                         batch.sort_by(|(a, _), (b, _)| a.cmp(b));
-                        s.apply_sorted(version, batch);
+                        commit(&mut s, version, batch);
                     }
                     6 => {
                         oldest += next(version - oldest + 1);
@@ -854,7 +870,7 @@ mod tests {
                             chain.drain(..split);
                         }
                         model.retain(|_, c| !matches!(&c[..], [(v, None)] if *v <= oldest));
-                        s.compact(oldest);
+                        compact(&mut s, oldest);
                         for (key, was_vec) in before {
                             match chain(&s, &key) {
                                 None => seen[7] += 1,

@@ -13,11 +13,10 @@
 //! encoded for the WAL first, and each point write after them;
 //! [`StorageEngine::seal`] appends them as one checksummed frame, one
 //! `log_appends` tick per commit. [`StorageEngine::publish`] then puts the
-//! writes into the buffer. A batch published unsealed (`apply_sorted`,
-//! `write` and the rest) is buffered for the WAL as well:
-//! [`StorageEngine::commit_batch`] appends all it finds buffered in one
-//! frame, and the next seal in a frame of its own ahead of the sealed
-//! batch's.
+//! writes into the buffer; it publishes a batch only sealed. A
+//! [`StorageEngine::write`] only gathers its op, encoded for the WAL, and
+//! [`StorageEngine::commit_batch`] appends what was gathered as one frame
+//! and applies it as the replay at open applies a frame.
 //!
 //! The tree is written by flushes. Once the buffer holds `FLUSH_BYTES`
 //! (64 KiB) of keys and values, [`StorageEngine::flush_due`] says so, and
@@ -106,8 +105,7 @@
 //! together reach the live tree's size — its pages, counted as at least
 //! 64 so that a tree of a few pages is not checkpointed on every commit.
 //! The second bounds what the file holds beside the live tree to about one
-//! more copy of it. It waits for an empty buffer, and for what was
-//! published unsealed to be sealed.
+//! more copy of it. It waits for an empty buffer.
 //!
 //! ## Recovery
 //!
@@ -142,7 +140,7 @@ use crate::overlay::{Buffers, Overlay, Shadow};
 use crate::page::{PageId, PAGE_SIZE};
 use crate::pool::{BufferPool, Shared};
 use crate::wait::lock;
-use crate::wal::{put_clear_range, put_write, Wal, WalOp};
+use crate::wal::{decode_batch, put_clear_range, put_write, Wal, WalOp};
 use crate::SharedIoCounters;
 
 /// Checkpoint (and truncate the WAL) once it grows past this size: the
@@ -201,6 +199,9 @@ pub struct PagedEngine {
     capacity: usize,
     /// Locked by [`StorageEngine::seal`], the one `&self` path that appends.
     wal: Mutex<Wal>,
+    /// The ops `write` gathered for the next `commit_batch`, encoded for
+    /// the WAL: nothing reads them until it logs and applies them.
+    gathered: Vec<u8>,
     /// The writes published since the last flush.
     buffer: WriteBuffer,
     /// A flush is under way or due: set when the buffer reaches
@@ -330,6 +331,7 @@ impl PagedEngine {
             capacity: pool.capacity(),
             pool: Mutex::new(pool),
             wal: Mutex::new(wal),
+            gathered: Vec::new(),
             buffer: WriteBuffer::default(),
             flushing: false,
             found: Found::default(),
@@ -383,30 +385,7 @@ impl PagedEngine {
         if batches.is_empty() {
             return Ok(());
         }
-        // Op by op: writes straight to the engine may come in any order and
-        // at several versions between two commits. Each is staged unlogged
-        // and published, as a commit is.
-        for batch in batches {
-            for op in batch {
-                let (version, item) = match op {
-                    WalOp::Write {
-                        key,
-                        value,
-                        version,
-                    } => (version, (key, Mutation::Write(value))),
-                    WalOp::ClearRange {
-                        begin,
-                        end,
-                        version,
-                    } => (version, (begin, Mutation::ClearRange(end))),
-                };
-                let staged = self.stage_batch(version, vec![item], false)?;
-                self.install(staged)?;
-                if self.flushing {
-                    self.drain()?;
-                }
-            }
-        }
+        self.replay(batches.into_iter().flatten())?;
         // Fold the replayed tail into a fresh checkpoint so the next open
         // starts clean.
         self.drain()?;
@@ -414,11 +393,39 @@ impl PagedEngine {
         exclusive(&mut self.pool).checkpoint(lsn)
     }
 
+    /// Apply logged ops one by one, as recovery and `commit_batch` both
+    /// do: a `commit_batch`'s come in any order and at several versions.
+    /// Each is staged unlogged and published, as a commit is, and a flush
+    /// it makes due runs at once.
+    fn replay(&mut self, ops: impl IntoIterator<Item = WalOp>) -> io::Result<()> {
+        for op in ops {
+            let (version, item) = match op {
+                WalOp::Write {
+                    key,
+                    value,
+                    version,
+                } => (version, (key, Mutation::Write(value))),
+                WalOp::ClearRange {
+                    begin,
+                    end,
+                    version,
+                } => (version, (begin, Mutation::ClearRange(end))),
+            };
+            let staged = self.stage_batch(version, vec![item], false)?;
+            self.install(staged)?;
+            if self.flushing {
+                self.drain()?;
+            }
+        }
+        Ok(())
+    }
+
     /// Tear down without running the destructor's checkpoint — the on-disk
-    /// state is left exactly as a process kill would leave it. Buffered
-    /// (uncommitted) WAL ops are lost, as they should be, and so is the
-    /// write buffer, whose sealed writes the WAL holds. The underlying
-    /// file handles are deliberately leaked; the OS reclaims them.
+    /// state is left exactly as a process kill would leave it. The writes
+    /// gathered since the last `commit_batch` are lost, as they should be,
+    /// and so is the write buffer, whose writes the WAL holds. The
+    /// underlying file handles are deliberately leaked; the OS reclaims
+    /// them.
     pub fn simulate_crash(self) {
         std::mem::forget(self);
     }
@@ -686,9 +693,9 @@ impl PagedEngine {
     }
 
     /// Publish what was staged: install a walk's pages, put a batch's
-    /// writes into the buffer or drop the keys a flush wrote from it, log
-    /// its garbage, and buffer its WAL ops if it was not sealed. Returns
-    /// whether it ended a flush: it emptied the buffer.
+    /// writes into the buffer or drop the keys a flush wrote from it, and
+    /// log its garbage. Returns whether it ended a flush: it emptied the
+    /// buffer.
     fn install(&mut self, staged: StagedPages) -> io::Result<bool> {
         let StagedPages {
             shadow,
@@ -742,7 +749,6 @@ impl PagedEngine {
                 self.compacting = Compacting::default();
             }
         }
-        exclusive(&mut self.wal).buffer(&log);
         log.clear();
         (spare.log, spare.writes, spare.found) = (log, writes, found);
         *exclusive(&mut self.spare) = spare;
@@ -784,26 +790,28 @@ impl PagedEngine {
         Ok(())
     }
 
-    /// Seal what was published since the last seal in one WAL frame, flush
-    /// the buffer, then checkpoint if one is due.
+    /// Log what `write` gathered as one WAL frame and apply it as the
+    /// replay at open does, flush the buffer, then checkpoint if one is
+    /// due.
     fn try_commit_batch(&mut self) -> io::Result<()> {
-        exclusive(&mut self.wal).commit(&self.counters)?;
+        let gathered = take(&mut self.gathered);
+        exclusive(&mut self.wal).append(&gathered, &self.counters)?;
+        let ops =
+            decode_batch(&gathered).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        self.replay(ops)?;
         self.drain()?;
         self.checkpoint_if_due()
     }
 
     /// Checkpoint if one is due (see the module's *Checkpoints*) and the
-    /// buffer is empty; if it is not, make its flush due. A checkpoint with
-    /// unsealed writes published would make them durable: it waits for
-    /// their seal.
+    /// buffer is empty; if it is not, make its flush due.
     fn checkpoint_if_due(&mut self) -> io::Result<()> {
-        let wal = exclusive(&mut self.wal);
-        let (len, pending) = (wal.len(), wal.has_pending());
+        let len = exclusive(&mut self.wal).len();
         let pool = exclusive(&mut self.pool);
         let page = PAGE_SIZE as u64;
         let extra = len + pool.superseded_pages() as u64 * page;
         let live = pool.live_pages().max(CHECKPOINT_FLOOR_PAGES) as u64 * page;
-        if (len <= WAL_CHECKPOINT_BYTES && extra < live) || pending {
+        if len <= WAL_CHECKPOINT_BYTES && extra < live {
             return Ok(());
         }
         match self.buffer.is_empty() {
@@ -815,8 +823,9 @@ impl PagedEngine {
         }
     }
 
-    /// Flush the buffer, then checkpoint.
-    fn try_flush(&mut self) -> io::Result<()> {
+    /// Flush the write buffer into the tree, then checkpoint: the files
+    /// then hold the tree and an empty log. Gathered writes stay gathered.
+    pub fn flush(&mut self) -> io::Result<()> {
         self.drain()?;
         self.try_checkpoint()
     }
@@ -913,17 +922,9 @@ fn exclusive<T>(mutex: &mut Mutex<T>) -> &mut T {
 const FOREIGN: &str = "a memory engine's stage handed to the paged engine";
 
 impl Drop for PagedEngine {
+    /// A clean close flushes. Gathered writes are lost, as in a crash.
     fn drop(&mut self) {
-        let wal = exclusive(&mut self.wal);
-        if wal.has_pending() {
-            // A batch was published but never committed: persist nothing
-            // new, so reopening replays only committed state — identical
-            // to a crash at this instant.
-            wal.discard_pending();
-            return;
-        }
-        // A clean close leaves the log empty, as a flush does.
-        let _ = self.try_flush();
+        let _ = self.flush();
     }
 }
 
@@ -939,18 +940,15 @@ impl StorageEngine for PagedEngine {
         }
     }
 
-    /// One WAL frame for the staged batch, after one for what was
-    /// published unsealed, if anything was.
+    /// One WAL frame for the staged batch.
     fn seal(&self, staged: &mut Staged<'_>) {
         let Work::Paged(pages) = &mut staged.work else {
             panic!("{FOREIGN}");
         };
         let mut wal = lock(&self.wal);
-        wal.commit(&self.counters).expect(IO_MSG);
         pages.sealed_at = Some(wal.len());
-        wal.buffer(&pages.log);
+        wal.append(&pages.log, &self.counters).expect(IO_MSG);
         pages.log.clear();
-        wal.commit(&self.counters).expect(IO_MSG);
     }
 
     fn flush_due(&self) -> bool {
@@ -986,6 +984,7 @@ impl StorageEngine for PagedEngine {
         let Work::Paged(pages) = staged.work else {
             panic!("{FOREIGN}");
         };
+        debug_assert!(pages.log.is_empty(), "a batch published before its seal");
         let sealed = pages.sealed_at.is_some();
         let drained = self.install(pages).expect(IO_MSG);
         if sealed || drained {
@@ -999,6 +998,12 @@ impl StorageEngine for PagedEngine {
             panic!("{FOREIGN}");
         };
         self.undo(pages).expect(IO_MSG);
+    }
+
+    /// Gather the write, encoded for the WAL, for the next
+    /// [`commit_batch`](StorageEngine::commit_batch); nothing else.
+    fn write(&mut self, key: Vec<u8>, value: Option<Vec<u8>>, version: u64) {
+        put_write(&mut self.gathered, &key, value.as_deref(), version);
     }
 
     fn commit_batch(&mut self) {
@@ -1024,10 +1029,6 @@ impl StorageEngine for PagedEngine {
 
     fn newest_version(&self) -> u64 {
         self.newest
-    }
-
-    fn flush(&mut self) {
-        self.try_flush().expect(IO_MSG);
     }
 
     fn live_key_count(&self, read_version: u64) -> usize {
@@ -1080,6 +1081,7 @@ impl StorageEngine for PagedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::compact;
     use crate::IoCounters;
 
     fn dir(name: &str) -> PathBuf {
@@ -1135,15 +1137,16 @@ mod tests {
 
     /// Commits sealed into the WAL but still in the write buffer survive a
     /// crash: the reopen replays their frames, every version of a key
-    /// written on each of them included. A write published unsealed
-    /// vanishes, as the benchmark's crash probe requires — even once a
-    /// flush has put it into the tree, since no checkpoint runs while it is
-    /// unsealed.
+    /// written on each of them included. A write gathered for a
+    /// `commit_batch` that never came vanishes, as the benchmark's crash
+    /// probe requires, and so does a bulk batch staged without a seal,
+    /// though its stage walked it into a tree beside the published one,
+    /// the buffered versions of its keys along.
     #[test]
     fn sealed_buffered_commits_survive_a_crash_and_unsealed_writes_vanish() {
         let d = dir("buffered-crash");
         let key = |v: u64| format!("k{v:02}").into_bytes();
-        {
+        let staged = {
             let mut e = open(&d, 32);
             for v in 1..=20u64 {
                 let hot = put(b"hot", &v.to_le_bytes());
@@ -1151,28 +1154,28 @@ mod tests {
             }
             assert_eq!(e.buffered_keys(), 21, "nothing was flushed");
             e.write(b"unsealed".to_vec(), Some(b"x".to_vec()), 21);
-            // A bulk write walks into the tree, still unsealed, and takes
-            // the buffered versions of the keys it writes along.
+            assert_eq!(e.get(b"unsealed", 21), None, "gathered, not applied");
             let bulk = (0..40u32).map(|i| {
                 let key = format!("u{i:04}").into_bytes();
                 (key, Mutation::Write(Some(vec![1; 200])))
             });
             let mut bulk: Batch<'_> = bulk.collect();
             bulk.insert(0, put(b"hot", b"bulk"));
-            e.apply_sorted(22, bulk);
-            assert_eq!(e.versions_of(b"hot"), (0, 21));
-            assert_eq!(e.versions_of(b"u0007"), (0, 1));
-            assert_eq!(
-                e.buffered_keys(),
-                21,
-                "the sealed commits' keys and the unsealed one"
-            );
-            while let Some(slice) = e.stage_flush() {
-                e.publish(slice);
-            }
-            assert_eq!(e.get(b"u0007", 22), Some(vec![1; 200]));
+            assert!(bulk.len() * 200 >= WALK_BYTES);
+            let (frames, pages) = (lock(&e.wal).len(), lock(&e.pool).page_count());
+            let staged = e.stage(22, bulk);
+            let Work::Paged(walk) = &staged.work else {
+                unreachable!("a paged stage")
+            };
+            assert!(walk.shadow.is_some(), "the bulk batch was walked");
+            assert!(lock(&e.pool).page_count() > pages, "into pages of its own");
+            assert_eq!(lock(&e.wal).len(), frames, "and logged nothing");
+            assert_eq!(e.versions_of(b"hot"), (20, 0), "the published state");
+            assert_eq!(e.get(b"u0007", 22), None);
             e.simulate_crash();
-        }
+            staged
+        };
+        drop(staged);
         let mut e = open(&d, 32);
         for v in 1..=20u64 {
             assert_eq!(e.get(&key(v), 30), Some(b"sealed".to_vec()), "commit {v}");
@@ -1283,8 +1286,8 @@ mod tests {
         assert_eq!(e.get(b"a", 15), Some(b"1".to_vec()));
         assert_eq!(e.get(b"b", 15), None);
         assert_eq!(e.get(b"b", 25), Some(b"2".to_vec()));
-        e.clear_range(b"a", b"b", 30);
-        e.commit_batch();
+        let clear = (b"a".to_vec(), Mutation::ClearRange(b"b".to_vec()));
+        commit(&mut e, 30, vec![clear]);
         assert_eq!(e.get(b"a", 35), None);
         assert_eq!(e.get(b"a", 25), Some(b"1".to_vec()));
         let r = e.range(b"", b"\xff", 35, false);
@@ -1294,8 +1297,8 @@ mod tests {
 
     /// A sealed stage dropped by `discard` leaves nothing behind: its
     /// frame is cut off the WAL, so a crash does not replay it, while the
-    /// frame of what was published unsealed before it stays; and its pages
-    /// are freed, so staging the same batch again takes no more of the file.
+    /// frame of the commit sealed before it stays; and its pages are freed,
+    /// so staging the same batch again takes no more of the file.
     #[test]
     fn a_discarded_stage_leaves_no_frame_and_no_pages() {
         let d = dir("discard");
@@ -1309,10 +1312,9 @@ mod tests {
         };
         {
             let mut e = open(&d, 16);
-            e.apply_sorted(10, rewrite(10));
-            e.commit_batch();
-            e.flush();
-            e.write(b"pending".to_vec(), Some(b"kept".to_vec()), 20);
+            commit(&mut e, 10, rewrite(10));
+            e.flush().unwrap();
+            commit(&mut e, 20, vec![put(b"pending", b"kept")]);
             let mut staged = e.stage(30, rewrite(30));
             e.seal(&mut staged);
             let grown = lock(&e.pool).page_count();
@@ -1364,8 +1366,8 @@ mod tests {
             e.write(b"committed".to_vec(), Some(b"yes".to_vec()), 10);
             e.commit_batch();
             e.write(b"uncommitted".to_vec(), Some(b"no".to_vec()), 20);
-            // No commit_batch: the op is applied to the tree and buffered
-            // for the WAL, but the frame never lands.
+            // No commit_batch: the op is only gathered, and its frame
+            // never lands.
             e.simulate_crash();
         }
         let mut e = open(&d, 32);
@@ -1377,9 +1379,10 @@ mod tests {
 
     #[test]
     fn one_commit_batch_seals_many_transactions_in_one_frame() {
-        // The seal contract: several transactions' writes (here, at
-        // distinct versions) buffered between commit_batch calls land as
-        // exactly one WAL frame — one log_appends tick for the batch.
+        // The commit_batch contract: several transactions' writes (here,
+        // at distinct versions) gathered between commit_batch calls land as
+        // exactly one WAL frame — one log_appends tick for the batch — and
+        // none is visible before it.
         let d = dir("groupcommit");
         let counters = IoCounters::new_shared();
         let mut e = PagedEngine::open(&d, 32, EvictionPolicy::Sieve, counters.clone()).unwrap();
@@ -1393,6 +1396,7 @@ mod tests {
                 );
             }
         }
+        assert_eq!(e.live_key_count(100), 0);
         e.commit_batch();
         assert_eq!(counters.snapshot().log_appends - before, 1);
         // And the whole batch is atomic across a crash+reopen.
@@ -1535,18 +1539,23 @@ mod tests {
 
     #[test]
     fn overwrite_is_one_descent_and_leaves_untouched_ancestors_alone() {
-        // The cost contract of a flush, seen through a `write`: the write
+        // The cost contract of a flush, seen through a commit: the commit
         // itself goes to the write buffer, and a flush of it is one
         // root-to-leaf descent, where a page above the leaf is rewritten
-        // only when the page id below it changed. The flushes here are the
-        // engine's own, which checkpoint nothing.
+        // only when the page id below it changed. The keys are loaded as
+        // the replay at open loads a frame, which logs nothing, so no
+        // checkpoint comes due; the flushes here are the engine's own,
+        // which checkpoint nothing.
         let d = dir("overwrite");
         let counters = IoCounters::new_shared();
         let mut e = PagedEngine::open(&d, 4096, EvictionPolicy::Sieve, counters.clone()).unwrap();
         let key = |i: u32| format!("k{i:05}").into_bytes();
-        for i in 0..10_000u32 {
-            e.write(key(i), Some(vec![b'v'; 16]), 10);
-        }
+        let load = (0..10_000u32).map(|i| WalOp::Write {
+            key: key(i),
+            value: Some(vec![b'v'; 16]),
+            version: 10,
+        });
+        e.replay(load).unwrap();
         e.drain().unwrap();
         let touched = |e: &mut PagedEngine, f: &dyn Fn(&mut PagedEngine)| {
             let before = counters.snapshot();
@@ -1556,7 +1565,7 @@ mod tests {
         };
         let overwrite = |version: u64| {
             move |e: &mut PagedEngine| {
-                e.write(key(5_000), Some(vec![b'w'; 16]), version);
+                commit(e, version, vec![put(&key(5_000), &[b'w'; 16])]);
                 e.drain().unwrap();
             }
         };
@@ -1575,8 +1584,7 @@ mod tests {
 
         // After a checkpoint the first overwrite copies the path, patching
         // one child pointer per level in the bytes read on the way down...
-        e.commit_batch();
-        e.flush();
+        e.flush().unwrap();
         assert_eq!(touched(&mut e, &overwrite(30)), depth);
         assert_ne!(
             shape(&mut e).0,
@@ -1593,7 +1601,6 @@ mod tests {
             depth
         );
         assert_eq!(e.get(&key(5_000), 35), Some(vec![b'w'; 16]));
-        e.commit_batch();
         assert_eq!(e.check_consistency().unwrap(), 10_000);
         std::fs::remove_dir_all(&d).unwrap();
     }
@@ -1635,13 +1642,13 @@ mod tests {
                 e.write(key(i), Some(vec![0x5A; 6_000]), 10);
             }
             e.commit_batch();
-            e.flush();
+            e.flush().unwrap();
             for i in 0..600 {
                 e.write(key(i), None, 20);
             }
             e.commit_batch();
-            assert_eq!(e.compact(20), 600);
-            e.flush();
+            assert_eq!(compact(&mut e, 20), 600);
+            e.flush().unwrap();
             let pool = exclusive(&mut e.pool);
             let pages = pool.page_count();
             (pages, pages as usize - 2 - pool.live_pages())
@@ -1670,7 +1677,7 @@ mod tests {
         }
         e.commit_batch();
         assert_eq!(e.total_version_entries(), 12);
-        e.compact(95);
+        compact(&mut e, 95);
         assert_eq!(
             e.total_version_entries(),
             2,

@@ -1,9 +1,9 @@
 //! Append-only write-ahead log segment.
 //!
-//! Ops buffer in memory until [`Wal::commit`], which appends one checksummed
-//! *batch frame* — so a torn tail never exposes half a committed batch, and
-//! ops the engine applied but never committed simply vanish on crash
-//! (matching the database's transaction semantics).
+//! [`Wal::append`] writes one batch's encoded ops as one checksummed *batch
+//! frame* — so a torn tail never exposes half a committed batch, and ops
+//! that never got their frame simply vanish on crash (matching the
+//! database's transaction semantics).
 //!
 //! ```text
 //! frame := [payload_len u32][checksum u32][payload]
@@ -70,18 +70,14 @@ fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(bytes);
 }
 
-/// Frame header: payload length + checksum.
-const FRAME_HEADER: usize = 4 + 4;
-
 /// Append-only log with batch framing.
 #[derive(Debug)]
 pub struct Wal {
     file: File,
     /// Length of the valid, committed prefix.
     len: u64,
-    /// The next commit frame: room for its header, then the encoded ops
-    /// buffered so far.
-    pending: Vec<u8>,
+    /// The frame an append builds, kept for the next one.
+    frame: Vec<u8>,
 }
 
 impl Wal {
@@ -96,7 +92,7 @@ impl Wal {
         Ok(Wal {
             file,
             len,
-            pending: vec![0; FRAME_HEADER],
+            frame: Vec::new(),
         })
     }
 
@@ -109,40 +105,25 @@ impl Wal {
         self.len == 0
     }
 
-    /// Buffer ops encoded by [`put_write`] and [`put_clear_range`] for the
-    /// next commit frame.
-    pub fn buffer(&mut self, ops: &[u8]) {
-        self.pending.extend_from_slice(ops);
-    }
-
-    /// Whether any ops are buffered but not yet committed.
-    pub fn has_pending(&self) -> bool {
-        self.pending.len() > FRAME_HEADER
-    }
-
-    /// Append the buffered batch as one framed, checksummed record.
-    pub fn commit(&mut self, counters: &SharedIoCounters) -> io::Result<()> {
-        if !self.has_pending() {
+    /// Append ops encoded by [`put_write`] and [`put_clear_range`] as one
+    /// framed, checksummed record, in one positional write; no ops, no
+    /// frame.
+    pub fn append(&mut self, ops: &[u8], counters: &SharedIoCounters) -> io::Result<()> {
+        if ops.is_empty() {
             return Ok(());
         }
         let _t = rl_obs::Timer::start(rl_obs::Op::WalAppend);
-        let (header, payload) = self.pending.split_at_mut(FRAME_HEADER);
-        header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-        header[4..].copy_from_slice(&checksum(payload).to_le_bytes());
-        let written = self.file.write_all_at(&self.pending, self.len);
-        let frame_len = self.pending.len() as u64;
-        self.discard_pending();
-        written?;
-        self.len += frame_len;
+        self.frame.clear();
+        self.frame
+            .extend_from_slice(&(ops.len() as u32).to_le_bytes());
+        self.frame.extend_from_slice(&checksum(ops).to_le_bytes());
+        self.frame.extend_from_slice(ops);
+        self.file.write_all_at(&self.frame, self.len)?;
+        self.len += self.frame.len() as u64;
         counters
             .log_appends
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         Ok(())
-    }
-
-    /// Discard any uncommitted buffered ops (crash simulation support).
-    pub fn discard_pending(&mut self) {
-        self.pending.truncate(FRAME_HEADER);
     }
 
     /// Truncate the log to `len` bytes, a frame boundary at or below its
@@ -194,7 +175,7 @@ fn decode_frame(raw: &[u8]) -> Option<(Vec<WalOp>, usize)> {
 }
 
 /// The ops of one batch payload; an error means the frame is torn.
-fn decode_batch(payload: &[u8]) -> codec::Result<Vec<WalOp>> {
+pub(crate) fn decode_batch(payload: &[u8]) -> codec::Result<Vec<WalOp>> {
     fn bytes(p: &mut Reader) -> codec::Result<Vec<u8>> {
         let len = p.u32()? as usize;
         Ok(p.take(len)?.to_vec())
@@ -241,18 +222,20 @@ mod tests {
         dir.join("wal.log")
     }
 
-    /// Buffer a set (or, with `None`, a clear) for the next frame.
-    fn buffer_write(wal: &mut Wal, key: &[u8], value: Option<&[u8]>, version: u64) {
+    /// A set of `key` at `version` (or, with `None`, a clear), encoded.
+    fn set(key: &[u8], value: Option<&[u8]>, version: u64) -> Vec<u8> {
         let mut ops = Vec::new();
         put_write(&mut ops, key, value, version);
-        wal.buffer(&ops);
+        ops
     }
 
-    /// Buffer a range clear for the next frame.
-    fn buffer_clear_range(wal: &mut Wal, begin: &[u8], end: &[u8], version: u64) {
-        let mut ops = Vec::new();
-        put_clear_range(&mut ops, begin, end, version);
-        wal.buffer(&ops);
+    /// Four ops of every kind, encoded as one batch.
+    fn four_ops() -> Vec<u8> {
+        let mut ops = set(b"alpha", Some(b"one"), 10);
+        put_write(&mut ops, b"beta", None, 11);
+        put_clear_range(&mut ops, b"c", b"d", 12);
+        put_write(&mut ops, b"gamma", Some(&[7; 40]), 13);
+        ops
     }
 
     fn w(key: &[u8], value: Option<&[u8]>, version: u64) -> WalOp {
@@ -268,11 +251,12 @@ mod tests {
         let path = tmp("roundtrip");
         let counters = IoCounters::new_shared();
         let mut wal = Wal::open(&path).unwrap();
-        buffer_write(&mut wal, b"a", Some(b"1"), 10);
-        buffer_write(&mut wal, b"b", None, 10);
-        wal.commit(&counters).unwrap();
-        buffer_clear_range(&mut wal, b"a", b"z", 20);
-        wal.commit(&counters).unwrap();
+        let mut ops = set(b"a", Some(b"1"), 10);
+        put_write(&mut ops, b"b", None, 10);
+        wal.append(&ops, &counters).unwrap();
+        ops.clear();
+        put_clear_range(&mut ops, b"a", b"z", 20);
+        wal.append(&ops, &counters).unwrap();
         drop(wal);
 
         let mut wal = Wal::open(&path).unwrap();
@@ -289,19 +273,22 @@ mod tests {
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
+    /// An append of no ops writes no frame, and a reopen replays exactly
+    /// the frames appended: ops never appended are not durable.
     #[test]
     fn uncommitted_ops_are_not_durable() {
         let path = tmp("uncommitted");
         let counters = IoCounters::new_shared();
         let mut wal = Wal::open(&path).unwrap();
-        buffer_write(&mut wal, b"a", Some(b"1"), 10);
-        wal.commit(&counters).unwrap();
-        buffer_write(&mut wal, b"b", Some(b"2"), 20); // never committed
+        wal.append(&set(b"a", Some(b"1"), 10), &counters).unwrap();
+        let len = wal.len();
+        wal.append(&[], &counters).unwrap();
+        assert_eq!((wal.len(), counters.snapshot().log_appends), (len, 1));
         drop(wal);
 
         let mut wal = Wal::open(&path).unwrap();
         let batches = wal.replay_from(0).unwrap();
-        assert_eq!(batches.len(), 1);
+        assert_eq!(batches, vec![vec![w(b"a", Some(b"1"), 10)]]);
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
@@ -310,8 +297,7 @@ mod tests {
         let path = tmp("torn");
         let counters = IoCounters::new_shared();
         let mut wal = Wal::open(&path).unwrap();
-        buffer_write(&mut wal, b"a", Some(b"1"), 10);
-        wal.commit(&counters).unwrap();
+        wal.append(&set(b"a", Some(b"1"), 10), &counters).unwrap();
         let good_len = wal.len();
         // Simulate a torn append: garbage half-frame at the end.
         {
@@ -331,11 +317,7 @@ mod tests {
     fn every_single_bit_flip_of_a_frame_is_rejected() {
         let path = tmp("bitflip");
         let mut wal = Wal::open(&path).unwrap();
-        buffer_write(&mut wal, b"alpha", Some(b"one"), 10);
-        buffer_write(&mut wal, b"beta", None, 10);
-        buffer_clear_range(&mut wal, b"c", b"d", 10);
-        buffer_write(&mut wal, b"gamma", Some(&[7; 40]), 10);
-        wal.commit(&IoCounters::new_shared()).unwrap();
+        wal.append(&four_ops(), &IoCounters::new_shared()).unwrap();
         let frame = std::fs::read(&path).unwrap();
         let (ops, len) = decode_frame(&frame).unwrap();
         assert_eq!((ops.len(), len), (4, frame.len()));
@@ -362,13 +344,7 @@ mod tests {
     /// the batch of the ops before it.
     #[test]
     fn every_cut_and_overlong_length_of_a_payload_is_torn() {
-        let path = tmp("decoder");
-        let mut wal = Wal::open(&path).unwrap();
-        buffer_write(&mut wal, b"alpha", Some(b"one"), 10);
-        buffer_write(&mut wal, b"beta", None, 11);
-        buffer_clear_range(&mut wal, b"c", b"d", 12);
-        buffer_write(&mut wal, b"gamma", Some(&[7; 40]), 13);
-        let payload = wal.pending[FRAME_HEADER..].to_vec();
+        let payload = four_ops();
         let (ops, _) = decode_frame(&framed(&payload)).unwrap();
         // Where each op ends, and where its length fields lie.
         let (mut ends, mut lengths, mut at) = (vec![0], Vec::new(), 0);
@@ -399,7 +375,6 @@ mod tests {
                 assert!(decoded.is_none(), "length at {at} raised to {past}");
             }
         }
-        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use std::path::{Path, PathBuf};
 
-use rl_storage::{EvictionPolicy, IoCounters, PagedEngine, StorageEngine};
+use rl_storage::{commit, EvictionPolicy, IoCounters, Mutation, PagedEngine, StorageEngine};
 
 fn dir(name: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("rl-crash-{}-{name}", std::process::id()));
@@ -58,11 +58,17 @@ fn uncommitted_tail_vanishes_on_crash() {
         let mut e = open(&d);
         e.write(b"durable".to_vec(), Some(b"1".to_vec()), 10);
         e.commit_batch();
-        // Applied to the in-memory tree, buffered for the WAL, but the
-        // commit frame never lands: must not survive.
+        // Gathered for a commit_batch that never comes, and a range clear
+        // staged but never sealed: neither gets a frame, so neither may
+        // survive.
         e.write(b"lost".to_vec(), Some(b"2".to_vec()), 20);
-        e.clear_range(b"durable", b"durablf", 20);
+        let clear = (
+            b"durable".to_vec(),
+            Mutation::ClearRange(b"durablf".to_vec()),
+        );
+        let staged = e.stage(20, vec![clear]);
         e.simulate_crash();
+        drop(staged);
     }
 
     let mut e = open(&d);
@@ -72,6 +78,7 @@ fn uncommitted_tail_vanishes_on_crash() {
         "committed data intact"
     );
     assert_eq!(e.get(b"lost", 100), None, "uncommitted write discarded");
+    assert_eq!(e.newest_version(), 10, "nothing at version 20 survived");
     e.check_consistency().unwrap();
     let _ = std::fs::remove_dir_all(&d);
 }
@@ -86,7 +93,7 @@ fn reopen_mid_log_after_checkpoint() {
         let mut e = open(&d);
         e.write(b"pre".to_vec(), Some(b"checkpointed".to_vec()), 10);
         e.commit_batch();
-        e.flush(); // checkpoint + WAL truncation
+        e.flush().unwrap(); // checkpoint + WAL truncation
         e.write(b"post-a".to_vec(), Some(b"replayed".to_vec()), 20);
         e.commit_batch();
         e.write(b"post-b".to_vec(), None, 30); // tombstone in the tail
@@ -232,8 +239,11 @@ fn mvcc_versions_preserved_across_recovery() {
         e.write(b"k".to_vec(), Some(b"new".to_vec()), 20);
         e.write(b"k2".to_vec(), Some(b"x".to_vec()), 20);
         e.commit_batch();
-        e.clear_range(b"k2", b"k3", 30);
-        e.commit_batch();
+        commit(
+            &mut e,
+            30,
+            vec![(b"k2".to_vec(), Mutation::ClearRange(b"k3".to_vec()))],
+        );
         e.simulate_crash();
     }
 

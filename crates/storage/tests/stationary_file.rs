@@ -98,11 +98,14 @@ fn overwrites_at_constant_population_keep_the_file_stationary() {
             }
             e.commit_batch();
             if version.is_multiple_of(COMPACT_EVERY) {
-                e.compact(version.saturating_sub(HORIZON));
+                let oldest = version.saturating_sub(HORIZON);
+                while let Some(slice) = e.stage_compaction(oldest) {
+                    e.publish(slice);
+                }
             }
             version += 1;
         }
-        e.flush();
+        e.flush().unwrap();
         pages.push(file_pages(&d));
         if round % 10 == 0 {
             let stored = e.range(b"", b"\xff", version, false);

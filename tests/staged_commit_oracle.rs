@@ -408,7 +408,7 @@ fn readers_never_see_a_staged_commit() {
             {
                 let mut engines = write_ranked(&engines, LockRank::DatabaseStore);
                 engines.paged.publish(staged);
-                engines.memory.apply_sorted(version, spec.batch());
+                rl_storage::commit(&mut engines.memory, version, spec.batch());
                 published.store(version, Ordering::Release);
                 let paged = &engines.paged;
                 if spec.deletes(&live).any(|key| {
@@ -425,7 +425,10 @@ fn readers_never_see_a_staged_commit() {
                 {
                     let mut engines = write_ranked(&engines, LockRank::DatabaseStore);
                     oldest.store(horizon, Ordering::Release);
-                    engines.memory.compact(horizon);
+                    let memory = &mut engines.memory;
+                    while let Some(slice) = memory.stage_compaction(horizon) {
+                        memory.publish(slice);
+                    }
                 }
                 if read_ranked(&engines, LockRank::DatabaseStore)
                     .paged

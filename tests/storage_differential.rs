@@ -14,7 +14,7 @@
 //! copy-on-write splits are all hit constantly.
 //!
 //! Compaction is driven by each engine's log of the keys written, so after
-//! every `compact` both engines must retain exactly the `(key, version)`
+//! every compaction pass both engines must retain exactly the `(key, version)`
 //! entries a plain model — every write kept, then trimmed by a scan of all
 //! of it at each horizon, as the engines themselves once did — retains.
 //! Which generator case reaches which branch of that path (counts from an
@@ -39,8 +39,8 @@
 //! Two more properties drive multi-key batches, and each names the
 //! generator case that reaches each of its branches in its own doc
 //! comment and asserts that every one occurs:
-//! `sorted_batches_match_memory_oracle` hands both engines whole
-//! `apply_sorted` batches (dense leaves split more than once, range clears
+//! `sorted_batches_match_memory_oracle` commits whole sorted batches on
+//! both engines (dense leaves split more than once, range clears
 //! around named keys and past a leaf's fence, `Update` on missing keys,
 //! compaction walks over many leaves), and
 //! `commits_fold_each_key_once_in_program_order` commits whole transactions
@@ -63,7 +63,7 @@ use rl_fdb::{
 };
 use rl_harness::rng::{Rng, XorShift64};
 use rl_storage::{
-    Batch, EvictionPolicy, IoCounters, MemoryEngine, Mutation, PagedEngine, StorageEngine,
+    commit, Batch, EvictionPolicy, IoCounters, MemoryEngine, Mutation, PagedEngine, StorageEngine,
 };
 
 /// Fixed base seed: every run exercises the same cases. Change it (or run
@@ -116,6 +116,17 @@ impl Evicting {
             "{name}: {evicted} cases evicted, {written_back} of them with a write-back"
         );
     }
+}
+
+/// Compaction at `oldest` to the end, a slice at a time, as the database
+/// runs it; returns the keys the slices visited.
+fn compact(engine: &mut dyn StorageEngine, oldest: u64) -> usize {
+    let mut keys = 0;
+    while let Some(slice) = engine.stage_compaction(oldest) {
+        keys += slice.keys();
+        engine.publish(slice);
+    }
+    keys
 }
 
 // ------------------------------------------------------------ generators
@@ -264,8 +275,8 @@ fn paged_engine_matches_memory_oracle() {
         let mut memory = MemoryEngine::new();
         let mut model = Model::default();
         let ballast = ballast(pool_pages);
-        memory.apply_sorted(0, ballast_batch(&ballast));
-        paged.apply_sorted(0, ballast_batch(&ballast));
+        commit(&mut memory, 0, ballast_batch(&ballast));
+        commit(&mut paged, 0, ballast_batch(&ballast));
         for (key, value) in ballast {
             model.write(key, Some(value), 0);
         }
@@ -281,15 +292,17 @@ fn paged_engine_matches_memory_oracle() {
                     let key = arb_key(rng);
                     let value = (rng.gen_range(0..4u32) != 0).then(|| arb_value(rng));
                     model.write(key.clone(), value.clone(), version);
-                    memory.write(key.clone(), value.clone(), version);
-                    StorageEngine::write(&mut paged, key, value, version);
+                    let write = || vec![(key.clone(), Mutation::Write(value.clone()))];
+                    commit(&mut memory, version, write());
+                    commit(&mut paged, version, write());
                 }
                 4 => {
                     version += 1;
                     let (a, b) = arb_bounds(rng);
                     model.clear_range(&a, &b, version, |_| false);
-                    memory.clear_range(&a, &b, version);
-                    StorageEngine::clear_range(&mut paged, &a, &b, version);
+                    let clear = || vec![(a.clone(), Mutation::ClearRange(b.clone()))];
+                    commit(&mut memory, version, clear());
+                    commit(&mut paged, version, clear());
                 }
                 10 => {
                     // Read-modify-write, half the time at the version of
@@ -308,8 +321,10 @@ fn paged_engine_matches_memory_oracle() {
                         }
                     };
                     let written = f(seen.as_deref());
-                    StorageEngine::update(&mut memory, key.clone(), version, &mut f);
-                    StorageEngine::update(&mut paged, key.clone(), version, &mut f);
+                    let update = (key.clone(), Mutation::Update(Box::new(&mut f)));
+                    commit(&mut memory, version, vec![update]);
+                    let update = (key.clone(), Mutation::Update(Box::new(&mut f)));
+                    commit(&mut paged, version, vec![update]);
                     model.write(key, written, version);
                 }
                 5 => {
@@ -321,8 +336,8 @@ fn paged_engine_matches_memory_oracle() {
                     // horizon are comparable, so advance `oldest`.
                     oldest = rng.gen_range(oldest..=version);
                     model.compact(oldest);
-                    let visited = memory.compact(oldest);
-                    assert_eq!(visited, StorageEngine::compact(&mut paged, oldest));
+                    let visited = compact(&mut memory, oldest);
+                    assert_eq!(visited, compact(&mut paged, oldest));
                     assert_eq!(memory.total_version_entries(), model.entries());
                     assert_eq!(
                         StorageEngine::total_version_entries(&paged),
@@ -476,7 +491,7 @@ fn dense_key(i: u32) -> Vec<u8> {
     format!("d{i:04}").into_bytes()
 }
 
-/// `apply_sorted` on both engines against the model: each range clear
+/// Sorted batches committed on both engines against the model: each range clear
 /// tombstones the live keys it covers that no point names, and each point
 /// sees the value visible at the batch's version. The generator cases that
 /// reach the paged walk's branches, each asserted to occur:
@@ -580,8 +595,8 @@ fn sorted_batches_match_memory_oracle() {
                     for (key, value) in written {
                         model.write(key, value, version);
                     }
-                    memory.apply_sorted(version, engine_batch(&points, &ranges));
-                    paged.apply_sorted(version, engine_batch(&points, &ranges));
+                    commit(&mut memory, version, engine_batch(&points, &ranges));
+                    commit(&mut paged, version, engine_batch(&points, &ranges));
                 }
                 5 => {
                     memory.commit_batch();
@@ -590,8 +605,8 @@ fn sorted_batches_match_memory_oracle() {
                 6 => {
                     oldest = rng.gen_range(oldest..=version);
                     model.compact(oldest);
-                    let visited = memory.compact(oldest);
-                    assert_eq!(visited, StorageEngine::compact(&mut paged, oldest));
+                    let visited = compact(&mut memory, oldest);
+                    assert_eq!(visited, compact(&mut paged, oldest));
                     if visited >= 100 {
                         seen(4);
                     }
